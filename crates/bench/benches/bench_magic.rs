@@ -1,14 +1,13 @@
 //! E7: query-directed (magic-set style) evaluation of a point query versus
 //! full bottom-up well-founded evaluation, as the fraction of the database
 //! irrelevant to the query grows (Section 6.1).
-// These benches measure the raw one-shot evaluation paths on purpose; the
-// session facade that supersedes them is measured in bench_session_reuse.
-#![allow(deprecated)]
+// Every iteration builds a fresh `HiLogDb`, so these stay cold one-shot
+// measurements; warm reuse of a session is measured in bench_session_reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use hilog_engine::horn::EvalOptions;
 use hilog_engine::magic_eval::QueryEvaluator;
-use hilog_engine::wfs::well_founded_model;
+use hilog_engine::session::HiLogDb;
 use hilog_syntax::parse_term;
 use hilog_workloads::{chain, hilog_game_program, node_name, random_dag};
 use std::time::Duration;
@@ -23,10 +22,7 @@ fn bench_magic(c: &mut Criterion) {
             hilog_game_program(&[("target", chain(12)), ("bulk", random_dag(bulk, 2.5, 9))]);
         let atom = parse_term(&format!("winning(target)({})", node_name(0))).unwrap();
         group.bench_with_input(BenchmarkId::new("bottom_up", bulk), &program, |b, p| {
-            b.iter(|| {
-                let model = well_founded_model(p, EvalOptions::default()).unwrap();
-                model.is_true(&atom)
-            })
+            b.iter(|| HiLogDb::new(p.clone()).model().unwrap().is_true(&atom))
         });
         group.bench_with_input(
             BenchmarkId::new("query_directed", bulk),

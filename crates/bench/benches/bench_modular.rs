@@ -1,12 +1,10 @@
 //! E5: the Figure 1 modular-stratification procedure on parameterised games,
 //! scaling the move graphs and the number of games.
-// These benches measure the raw one-shot evaluation paths on purpose; the
-// session facade that supersedes them is measured in bench_session_reuse.
-#![allow(deprecated)]
+// Every iteration builds a fresh `HiLogDb`, so these stay cold one-shot
+// measurements; warm reuse of a session is measured in bench_session_reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::modular::modularly_stratified_hilog;
+use hilog_engine::session::HiLogDb;
 use hilog_workloads::{hilog_game_program, random_dag};
 use std::time::Duration;
 
@@ -19,7 +17,8 @@ fn bench_modular(c: &mut Criterion) {
         let program = hilog_game_program(&[("g1", random_dag(n, 2.0, 5))]);
         group.bench_with_input(BenchmarkId::new("one_game", n), &program, |b, p| {
             b.iter(|| {
-                let out = modularly_stratified_hilog(p, EvalOptions::default()).unwrap();
+                let mut db = HiLogDb::new(p.clone());
+                let out = db.check_modular().unwrap();
                 assert!(out.modularly_stratified);
                 out.rounds.len()
             })
@@ -34,7 +33,8 @@ fn bench_modular(c: &mut Criterion) {
         let program = hilog_game_program(&borrowed);
         group.bench_with_input(BenchmarkId::new("many_games", games), &program, |b, p| {
             b.iter(|| {
-                let out = modularly_stratified_hilog(p, EvalOptions::default()).unwrap();
+                let mut db = HiLogDb::new(p.clone());
+                let out = db.check_modular().unwrap();
                 assert!(out.modularly_stratified);
                 out.rounds.len()
             })

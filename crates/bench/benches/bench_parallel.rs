@@ -1,6 +1,6 @@
-//! Parallel evaluation: the SCC-wave well-founded fixpoint against the
-//! serial whole-program alternation, swept over sharded win/move workloads
-//! (random-DAG games and deep chain games) and evaluation thread counts.
+//! Thread scaling of the SCC-wave well-founded fixpoint, swept over sharded
+//! win/move workloads (random-DAG games and deep chain games) and evaluation
+//! thread counts.
 //!
 //! Two metrics per (shards, threads) cell:
 //!
@@ -9,15 +9,15 @@
 //! * **cold_model** — a cold `HiLogDb::model()` end to end, grounding
 //!   included (Amdahl's share of the win in a real cold query).
 //!
-//! `threads = 1` runs the exact pre-parallel serial path, so the reported
-//! `fixpoint_speedup_vs_serial` is serial-vs-wave, not wave-vs-wave.  Note
-//! that the wave schedule also wins *algorithmically*: the serial evaluator
-//! re-scans the whole program once per global `W_P` iteration, while the
-//! wave evaluator settles each strongly connected component locally and
-//! never revisits it — so on a machine with few hardware threads (the
-//! recorded `hardware_threads` row says how many this run had) most of the
-//! measured speedup is the schedule, not the concurrency.  Every cell's
-//! model is asserted identical to the serial model before it is timed.
+//! There is one evaluator: `threads = 1` runs the same wave schedule inline
+//! on the calling thread (no pool, no counters), so the reported
+//! `fixpoint_speedup_vs_serial` is the `threads = 1` time over the
+//! `threads = N` time of **one algorithm** — thread scaling, nothing else;
+//! what the schedule itself is worth shows in the `threads = 1` rows.  With
+//! fewer hardware threads than `N` — the recorded `hardware_threads` row
+//! says how many this run had — expect the ratio at or below 1: the pool's
+//! hand-offs cost and buy nothing.  Every cell's model is asserted
+//! identical to the `threads = 1` model before it is timed.
 //!
 //! Run with `cargo bench -p hilog-bench --bench bench_parallel`; besides
 //! the markdown table on stdout it records the measurements in
@@ -41,10 +41,10 @@ fn ms(d: Duration) -> f64 {
 fn main() {
     let smoke = std::env::var("HILOG_BENCH_SMOKE").is_ok();
     // Two workload families: random-DAG games (skip edges keep the game's
-    // remoteness shallow, so these show the wave machinery's overhead floor)
-    // and chain games (remoteness grows with the chain, so the serial
-    // evaluator's per-global-iteration full rescan compounds — the deep end
-    // where the wave schedule's one-settle-per-component pays off).
+    // remoteness shallow: few, wide waves — the shape a pool can spread)
+    // and chain games (remoteness grows with the chain: thousands of
+    // one-component waves — the shape where every wave runs inline and the
+    // pool can only add overhead).
     let (cells, thread_counts): (Vec<(String, _)>, Vec<usize>) = if smoke {
         (
             vec![
@@ -109,28 +109,43 @@ fn main() {
             .unwrap_or(1) as f64,
         "threads",
     ));
+    rows.push(Measurement::new(
+        "PARALLEL",
+        "environment: one SCC-wave schedule at every thread count (threads=1 runs it \
+         inline), so fixpoint_speedup_vs_serial is thread scaling of one algorithm",
+        "evaluation_orders",
+        1.0,
+        "algorithms",
+    ));
 
     for (name, program) in &cells {
         let ground = relevant_ground(program, EvalOptions::default()).expect("workload grounds");
-        let serial_model = well_founded_eval(&ground, 1);
-        let mut serial_fixpoint: Option<Duration> = None;
+        let inline_model = well_founded_eval(&ground, 1);
+        let mut inline_fixpoint: Option<Duration> = None;
         for &threads in &thread_counts {
             // Correctness gate before timing: every thread count must
-            // reproduce the serial model exactly.
+            // reproduce the inline model exactly.
             assert_eq!(
                 well_founded_eval(&ground, threads),
-                serial_model,
-                "threads={threads} diverged from the serial model"
+                inline_model,
+                "threads={threads} diverged from the threads=1 model"
             );
             let (_, _, tasks_before) = parallel_counters();
             let fixpoint = median_time(REPEATS, || {
                 std::hint::black_box(well_founded_eval(&ground, threads));
             });
             let (_, _, tasks_after) = parallel_counters();
+            // The counters move exactly when a pool with workers ran the
+            // waves; nothing else in this process pools work.
             if threads > 1 {
                 assert!(
                     tasks_after > tasks_before,
                     "threads={threads} never dispatched a pooled task"
+                );
+            } else {
+                assert_eq!(
+                    tasks_after, tasks_before,
+                    "threads=1 reported inline waves as pooled tasks"
                 );
             }
             let cold = median_time(REPEATS, || {
@@ -156,13 +171,13 @@ fn main() {
                 ms(cold),
                 "ms",
             ));
-            match serial_fixpoint {
-                None => serial_fixpoint = Some(fixpoint),
-                Some(serial) => rows.push(Measurement::new(
+            match inline_fixpoint {
+                None => inline_fixpoint = Some(fixpoint),
+                Some(inline) => rows.push(Measurement::new(
                     "PARALLEL",
                     workload,
                     "fixpoint_speedup_vs_serial",
-                    serial.as_secs_f64() / fixpoint.as_secs_f64().max(f64::EPSILON),
+                    inline.as_secs_f64() / fixpoint.as_secs_f64().max(f64::EPSILON),
                     "x",
                 )),
             }

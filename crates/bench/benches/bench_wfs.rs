@@ -1,13 +1,11 @@
 //! E3/E5 substrate: the well-founded model of win/move games (Examples 6.1
 //! and 6.3) as the move graph grows, for both the normal and the HiLog
 //! (parameterised) formulation.
-// These benches measure the raw one-shot evaluation paths on purpose; the
-// session facade that supersedes them is measured in bench_session_reuse.
-#![allow(deprecated)]
+// Every iteration builds a fresh `HiLogDb`, so these stay cold one-shot
+// measurements; warm reuse of a session is measured in bench_session_reuse.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::wfs::well_founded_model;
+use hilog_engine::session::HiLogDb;
 use hilog_workloads::{hilog_game_program, normal_game_program, random_dag};
 use std::time::Duration;
 
@@ -19,21 +17,11 @@ fn bench_wfs(c: &mut Criterion) {
     for n in [32usize, 128, 512] {
         let normal = normal_game_program(&random_dag(n, 2.0, 11));
         group.bench_with_input(BenchmarkId::new("normal", n), &normal, |b, p| {
-            b.iter(|| {
-                well_founded_model(p, EvalOptions::default())
-                    .unwrap()
-                    .base()
-                    .len()
-            })
+            b.iter(|| HiLogDb::new(p.clone()).model().unwrap().base().len())
         });
         let hilog = hilog_game_program(&[("g", random_dag(n, 2.0, 11))]);
         group.bench_with_input(BenchmarkId::new("hilog", n), &hilog, |b, p| {
-            b.iter(|| {
-                well_founded_model(p, EvalOptions::default())
-                    .unwrap()
-                    .base()
-                    .len()
-            })
+            b.iter(|| HiLogDb::new(p.clone()).model().unwrap().base().len())
         });
     }
     group.finish();

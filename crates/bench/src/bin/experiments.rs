@@ -10,12 +10,13 @@
 //! `--quick` shrinks the workload sizes (useful in CI); `--json PATH` writes
 //! the raw measurements to a JSON file in addition to the markdown output.
 
-// The experiments deliberately measure the raw one-shot evaluation paths the
-// paper's constructions define; the `HiLogDb` session facade built on top of
-// them is measured separately by bench_session_reuse.
-#![allow(deprecated)]
+// Every measurement builds a fresh `HiLogDb`, so the rows stay cold one-shot
+// evaluations of the paper's constructions; warm reuse of a session is
+// measured separately by bench_session_reuse.
 
 use hilog_bench::{median_time, timed, to_markdown, Measurement};
+use hilog_core::interpretation::Model;
+use hilog_core::program::Program;
 use hilog_core::restriction::ProgramClass;
 use hilog_core::universal::universal_transform;
 use hilog_datalog::engine::DatalogEngine;
@@ -23,9 +24,9 @@ use hilog_engine::aggregate::{evaluate_aggregate_program, parts_explosion_progra
 use hilog_engine::extension::{preserved_by_extension_stable, preserved_by_extension_wfs};
 use hilog_engine::horn::{least_model, EvalOptions, NegationMode};
 use hilog_engine::magic_eval::QueryEvaluator;
-use hilog_engine::modular::modularly_stratified_hilog;
+use hilog_engine::modular::ModularOutcome;
+use hilog_engine::session::HiLogDb;
 use hilog_engine::stable::StableOptions;
-use hilog_engine::wfs::well_founded_model;
 use hilog_syntax::{parse_program, parse_term};
 use hilog_workloads::{
     chain, cycle, generic_closure_program, hilog_game_program, node_name, normal_game_program,
@@ -36,6 +37,17 @@ use hilog_workloads::{
     },
     specialized_closure_program,
 };
+
+/// The well-founded model from a cold session.
+fn cold_model(program: &Program) -> Model {
+    HiLogDb::new(program.clone()).model().unwrap().clone()
+}
+
+/// The Figure 1 outcome from a cold session.
+fn figure1(program: &Program) -> ModularOutcome {
+    let mut db = HiLogDb::new(program.clone());
+    db.check_modular().unwrap().clone()
+}
 
 struct Config {
     quick: bool,
@@ -124,7 +136,7 @@ fn exp_e3_coincidence(config: &Config, rows: &mut Vec<Measurement>) {
     let mut agree = 0usize;
     for seed in 0..samples {
         let program = random_range_restricted_normal(NormalProgramConfig::default(), seed as u64);
-        let hilog = well_founded_model(&program, EvalOptions::default()).unwrap();
+        let hilog = cold_model(&program);
         let normal = DatalogEngine::new(program.clone())
             .unwrap()
             .well_founded_model()
@@ -222,7 +234,7 @@ fn exp_e5_modular(config: &Config, rows: &mut Vec<Measurement>) {
             ("g2", random_dag(n / 2, 2.0, 6)),
         ]);
         let duration = median_time(3, || {
-            let out = modularly_stratified_hilog(&program, EvalOptions::default()).unwrap();
+            let out = figure1(&program);
             assert!(out.modularly_stratified);
         });
         println!("  acyclic games n={n}: accepted in {duration:?}");
@@ -236,8 +248,7 @@ fn exp_e5_modular(config: &Config, rows: &mut Vec<Measurement>) {
     }
     // Cyclic games are rejected.
     let cyclic = normal_game_program(&cycle(64));
-    let (out, duration) =
-        timed(|| modularly_stratified_hilog(&cyclic, EvalOptions::default()).unwrap());
+    let (out, duration) = timed(|| figure1(&cyclic));
     println!(
         "  cyclic game n=64: rejected={} in {duration:?}",
         !out.modularly_stratified
@@ -265,7 +276,7 @@ fn exp_e7_magic(config: &Config, rows: &mut Vec<Measurement>) {
         let program = hilog_game_program(&[("target", chain(12)), ("bulk", random_dag(n, 2.5, 9))]);
         let atom = parse_term(&format!("winning(target)({})", node_name(0))).unwrap();
         let bottom_up = median_time(3, || {
-            let model = well_founded_model(&program, EvalOptions::default()).unwrap();
+            let model = cold_model(&program);
             std::hint::black_box(model.is_true(&atom));
         });
         let query_directed = median_time(3, || {
@@ -314,7 +325,7 @@ fn exp_e8_datahilog(config: &Config, rows: &mut Vec<Measurement>) {
         let program = parse_program(&text).unwrap();
         let report = ProgramClass::classify(&program);
         assert!(report.datahilog && report.strongly_range_restricted);
-        let model = well_founded_model(&program, EvalOptions::default()).unwrap();
+        let model = cold_model(&program);
         if model.is_total() {
             total += 1;
         }

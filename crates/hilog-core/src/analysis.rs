@@ -150,63 +150,26 @@ impl DependencyGraph {
         g
     }
 
-    /// Strongly connected components (Tarjan, iterative).  Components are
-    /// returned in reverse topological order of the condensation: if
+    /// Strongly connected components, computed by
+    /// [`strongly_connected_components`] over the node indices.  Components
+    /// are returned in reverse topological order of the condensation: if
     /// component `A` has an edge into component `B`, then `B` appears before
     /// `A` in the result.  (Lower components — the ones other components
     /// depend on — come first.)
     pub fn sccs(&self) -> Vec<Vec<usize>> {
-        let n = self.nodes.len();
-        let mut index_counter = 0usize;
-        let mut indices = vec![usize::MAX; n];
-        let mut lowlink = vec![0usize; n];
-        let mut on_stack = vec![false; n];
-        let mut stack: Vec<usize> = Vec::new();
-        let mut result: Vec<Vec<usize>> = Vec::new();
+        strongly_connected_components(self.nodes.len(), |v| self.edges[v].iter().map(|&(w, _)| w))
+    }
 
-        // Iterative Tarjan using an explicit call stack of (node, child cursor).
-        for start in 0..n {
-            if indices[start] != usize::MAX {
-                continue;
-            }
-            let mut call_stack: Vec<(usize, usize)> = vec![(start, 0)];
-            while let Some(&mut (v, ref mut cursor)) = call_stack.last_mut() {
-                if *cursor == 0 {
-                    indices[v] = index_counter;
-                    lowlink[v] = index_counter;
-                    index_counter += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                if *cursor < self.edges[v].len() {
-                    let (w, _) = self.edges[v][*cursor];
-                    *cursor += 1;
-                    if indices[w] == usize::MAX {
-                        call_stack.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(indices[w]);
-                    }
-                } else {
-                    call_stack.pop();
-                    if let Some(&mut (parent, _)) = call_stack.last_mut() {
-                        lowlink[parent] = lowlink[parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == indices[v] {
-                        let mut component = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            component.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        result.push(component);
-                    }
-                }
+    /// The index of each node's component in `sccs` (as [`Self::sccs`]
+    /// returns them).
+    fn component_of(&self, sccs: &[Vec<usize>]) -> Vec<usize> {
+        let mut component_of = vec![usize::MAX; self.nodes.len()];
+        for (ci, comp) in sccs.iter().enumerate() {
+            for &v in comp {
+                component_of[v] = ci;
             }
         }
-        result
+        component_of
     }
 
     /// The strongly connected components as sets of node terms, in reverse
@@ -224,12 +187,7 @@ impl DependencyGraph {
     /// with no outgoing edge").
     pub fn sink_component_nodes(&self) -> Vec<Term> {
         let sccs = self.sccs();
-        let mut component_of = vec![usize::MAX; self.nodes.len()];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                component_of[v] = ci;
-            }
-        }
+        let component_of = self.component_of(&sccs);
         let mut has_outgoing = vec![false; sccs.len()];
         for v in 0..self.nodes.len() {
             for &(w, _) in &self.edges[v] {
@@ -255,12 +213,7 @@ impl DependencyGraph {
     /// local stratifiability (Definition 6.2).
     pub fn no_negative_cycle(&self) -> bool {
         let sccs = self.sccs();
-        let mut component_of = vec![usize::MAX; self.nodes.len()];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                component_of[v] = ci;
-            }
-        }
+        let component_of = self.component_of(&sccs);
         for v in 0..self.nodes.len() {
             for &(w, sign) in &self.edges[v] {
                 if sign == EdgeSign::Negative && component_of[v] == component_of[w] {
@@ -281,12 +234,7 @@ impl DependencyGraph {
             return None;
         }
         let sccs = self.sccs();
-        let mut component_of = vec![usize::MAX; self.nodes.len()];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                component_of[v] = ci;
-            }
-        }
+        let component_of = self.component_of(&sccs);
         // Components are in reverse topological order (dependencies first),
         // so a single pass in *reverse* of that order (dependents first) with
         // relaxation iterated to fixpoint assigns minimal levels.  Since the
@@ -326,6 +274,81 @@ impl DependencyGraph {
                 .collect(),
         )
     }
+}
+
+/// Strongly connected components of the directed graph over the vertices
+/// `0..n` whose outgoing edges `successors(v)` enumerates — the workspace's
+/// one Tarjan, shared by [`DependencyGraph::sccs`] and by the well-founded
+/// evaluator's condensation of the ground atom graph.
+///
+/// Components are emitted dependencies first: when a component has an edge
+/// into another component, the other one appears earlier in the result.
+/// The traversal is iterative — an explicit stack of (vertex, successor
+/// iterator) frames — because recursion would overflow on the deep chain
+/// programs the evaluator condenses.
+pub fn strongly_connected_components<I>(
+    n: usize,
+    successors: impl Fn(usize) -> I,
+) -> Vec<Vec<usize>>
+where
+    I: Iterator<Item = usize>,
+{
+    const UNVISITED: usize = usize::MAX;
+    let mut next_index = 0usize;
+    let mut indices = vec![UNVISITED; n];
+    let mut lowlink = vec![0usize; n];
+    let mut on_stack = vec![false; n];
+    let mut stack: Vec<usize> = Vec::new();
+    let mut result: Vec<Vec<usize>> = Vec::new();
+    let mut frames: Vec<(usize, I)> = Vec::new();
+
+    for start in 0..n {
+        if indices[start] != UNVISITED {
+            continue;
+        }
+        let mut enter = Some(start);
+        loop {
+            if let Some(v) = enter.take() {
+                indices[v] = next_index;
+                lowlink[v] = next_index;
+                next_index += 1;
+                stack.push(v);
+                on_stack[v] = true;
+                frames.push((v, successors(v)));
+            }
+            let Some((v, unexplored)) = frames.last_mut() else {
+                break;
+            };
+            let v = *v;
+            match unexplored.next() {
+                Some(w) if indices[w] == UNVISITED => enter = Some(w),
+                Some(w) => {
+                    if on_stack[w] {
+                        lowlink[v] = lowlink[v].min(indices[w]);
+                    }
+                }
+                None => {
+                    frames.pop();
+                    if let Some((parent, _)) = frames.last() {
+                        lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
+                    }
+                    if lowlink[v] == indices[v] {
+                        let mut component = Vec::new();
+                        loop {
+                            let w = stack.pop().expect("tarjan stack underflow");
+                            on_stack[w] = false;
+                            component.push(w);
+                            if w == v {
+                                break;
+                            }
+                        }
+                        result.push(component);
+                    }
+                }
+            }
+        }
+    }
+    result
 }
 
 /// Definition 6.1: a program is *stratified* if ordinal levels can be
@@ -509,6 +532,47 @@ mod tests {
             ["p".to_string(), "q".to_string()].into_iter().collect()
         );
         assert_eq!(sccs[1], vec![sym("r")]);
+    }
+
+    #[test]
+    fn shared_scc_routine_and_graph_sccs_agree_on_order_and_membership() {
+        // A cycle 0 -> 1 -> 2 -> 0 with a tail (3), a self-loop (4), an
+        // isolated vertex (5), and a chain into the cycle deep enough to
+        // overflow a recursive Tarjan.
+        let mut adjacency = vec![vec![1], vec![2], vec![0, 3], vec![], vec![4], vec![]];
+        let chain_len = 50_000;
+        for i in 1..=chain_len {
+            let next = if i < chain_len {
+                adjacency.len() + 1
+            } else {
+                0
+            };
+            adjacency.push(vec![next]);
+        }
+        let node = |i: usize| Term::sym(format!("n{i}"));
+        let mut graph = DependencyGraph::new();
+        for v in 0..adjacency.len() {
+            graph.add_node(node(v));
+        }
+        for (v, successors) in adjacency.iter().enumerate() {
+            for &w in successors {
+                graph.add_edge(node(v), node(w), EdgeSign::Positive);
+            }
+        }
+
+        let shared =
+            strongly_connected_components(adjacency.len(), |v| adjacency[v].iter().copied());
+        assert_eq!(shared, graph.sccs(), "same components, same order");
+        // Membership: the cycle is one component, everything else a singleton.
+        assert_eq!(shared.len(), adjacency.len() - 2);
+        let component_of = graph.component_of(&shared);
+        assert!(component_of[0] == component_of[1] && component_of[1] == component_of[2]);
+        // Order: every edge points into the same or an earlier component.
+        for (v, successors) in adjacency.iter().enumerate() {
+            for &w in successors {
+                assert!(component_of[w] <= component_of[v], "{w} emitted after {v}");
+            }
+        }
     }
 
     #[test]

@@ -34,13 +34,15 @@ pub struct EvalOptions {
     pub max_atoms: usize,
     /// Maximum number of semi-naive rounds before aborting.
     pub max_rounds: usize,
-    /// Worker threads for parallel evaluation: SCC waves of the well-founded
-    /// fixpoint and hash-partitioned semi-naive join rounds.  `1` keeps
-    /// every route on the exact pre-parallel serial code path; the default
-    /// is [`crate::pool::default_eval_threads`] (the machine's available
+    /// Threads an evaluation may use: they share the components of each
+    /// SCC wave of the well-founded fixpoint and the hash partitions of a
+    /// semi-naive join round.  The algorithm is the same at every count —
+    /// `1` runs the same wave schedule inline on the calling thread, spawns
+    /// nothing and leaves the `parallel_*` stats at zero.  The default is
+    /// [`crate::pool::default_eval_threads`] (the machine's available
     /// parallelism, overridable with `HILOG_EVAL_THREADS`).  Evaluation
-    /// results are identical at every thread count — only the schedule and
-    /// the `parallel_*` stats change.
+    /// results are identical at every thread count — only where the work
+    /// runs and the `parallel_*` stats change.
     pub eval_threads: usize,
 }
 

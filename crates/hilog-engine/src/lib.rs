@@ -30,8 +30,7 @@
 //!   that owns a program, caches grounding, dependency analysis, models and
 //!   subgoal tables across queries, accepts incremental facts with targeted
 //!   cache invalidation, and routes every query through an explainable
-//!   [`QueryPlan`].  The one-shot free functions remain available as
-//!   deprecated shims.
+//!   [`QueryPlan`].
 //! * **The concurrent serving split** ([`snapshot`]): an immutable,
 //!   `Send + Sync` [`DbSnapshot`] whose query routes take `&self`, published
 //!   per batch by a single [`DbWriter`] through an epoch-swapped shared cell
@@ -86,19 +85,8 @@ pub use storage::{
     RelationStorage, RelationStorageStats, StorageConfig, DEFAULT_SPILL_BUDGET,
 };
 pub use wfs::{
-    well_founded_eval, well_founded_model_over_universe, well_founded_of_ground,
-    well_founded_patch, well_founded_patch_with,
+    well_founded_eval, well_founded_model_over_universe, well_founded_of_ground, well_founded_patch,
 };
-
-// Deprecated one-shot entry points, kept as working shims over the session.
-#[allow(deprecated)]
-pub use magic_eval::answer_query;
-#[allow(deprecated)]
-pub use modular::{modularly_stratified_hilog, modularly_stratified_normal};
-#[allow(deprecated)]
-pub use stable::stable_models;
-#[allow(deprecated)]
-pub use wfs::well_founded_model;
 
 /// Convenience prelude pulling in the most frequently used engine items.
 pub mod prelude {
@@ -119,19 +107,5 @@ pub mod prelude {
     pub use crate::snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
     pub use crate::stable::StableOptions;
     pub use crate::storage::{FactStore, RelationStorage, StorageConfig};
-    pub use crate::wfs::{
-        well_founded_eval, well_founded_model_over_universe, well_founded_patch,
-        well_founded_patch_with,
-    };
-
-    // Deprecated shims, still re-exported so existing downstream code keeps
-    // compiling (their use sites get the deprecation pointer to `HiLogDb`).
-    #[allow(deprecated)]
-    pub use crate::magic_eval::answer_query;
-    #[allow(deprecated)]
-    pub use crate::modular::modularly_stratified_hilog;
-    #[allow(deprecated)]
-    pub use crate::stable::stable_models;
-    #[allow(deprecated)]
-    pub use crate::wfs::well_founded_model;
+    pub use crate::wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_patch};
 }

@@ -128,8 +128,8 @@ pub struct EvalStats {
     pub live_symbols: usize,
     /// Number of SCC waves the well-founded evaluator (full or patch)
     /// scheduled onto the work pool while this query ran.  Zero whenever the
-    /// query reused a cached model or `eval_threads <= 1` (the serial path
-    /// never touches the pool).  Like the other parallel counters this is a
+    /// query reused a cached model or `eval_threads <= 1` (the waves then
+    /// run inline and nothing is pooled).  Like the other parallel counters this is a
     /// delta of process-wide totals — concurrent sessions see each other's
     /// pool activity (see [`crate::pool::parallel_counters`]).
     pub parallel_waves: usize,
@@ -137,9 +137,10 @@ pub struct EvalStats {
     /// joins (frontier split by the first bound argument, partitions joined
     /// on the pool) while this query ran.
     pub parallel_partitioned_rounds: usize,
-    /// Number of tasks (SCC evaluations + join partitions) executed on pool
-    /// worker threads while this query ran.  Inline serial fallbacks don't
-    /// count, so a non-zero value certifies parallel execution happened.
+    /// Number of tasks (SCC-wave chunks + join partitions) run by a pool
+    /// that had worker threads while this query ran.  Inline fallbacks and
+    /// everything at `eval_threads <= 1` don't count, so a non-zero value
+    /// certifies work was dispatched to a multi-threaded pool.
     pub parallel_tasks: usize,
     /// Facts resident in memory across the session's relation stores (the
     /// possibly-true store plus every subgoal table) when this query
@@ -778,43 +779,24 @@ pub(crate) fn normalize_pattern(pattern: &Term) -> Term {
     theta.apply(pattern)
 }
 
-/// Convenience function: answers a query against a program with a fresh
-/// evaluator, returning the substitutions and the evaluation statistics.
-#[deprecated(
-    note = "construct a `HiLogDb` (`crate::session`) and call `.query(..)`, or share a \
-            `DbSnapshot` (`crate::snapshot`) across threads; both reuse subgoal tables \
-            across queries instead of starting from scratch"
-)]
-pub fn answer_query(
-    program: &Program,
-    query: &Query,
-    opts: EvalOptions,
-) -> Result<(Vec<Substitution>, EvalStats), EngineError> {
-    // One-shot over the snapshot read path: bound queries take the tabled
-    // route exactly as before, unbound ones now answer from the full model
-    // (the session facade's planning applied to a single-use snapshot).
-    let (_writer, handle) = crate::session::HiLogDb::builder()
-        .program(program.clone())
-        .options(opts)
-        .build()
-        .into_serving();
-    let result = handle.current().query(query)?;
-    let answers = result
-        .answers
-        .into_iter()
-        .filter(|a| a.truth == hilog_core::interpretation::Truth::True)
-        .map(|a| a.bindings.into_iter().collect::<Substitution>())
-        .collect();
-    Ok((answers, result.stats))
-}
-
 #[cfg(test)]
-// The deprecated `answer_query` shim must keep working; these tests exercise
-// it on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::session::HiLogDb;
+    use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
+
+    /// The true answers of `query` through a fresh session's planner.
+    fn true_answers(program: &Program, query: &str) -> Vec<Substitution> {
+        HiLogDb::new(program.clone())
+            .query(&parse_query(query).unwrap())
+            .unwrap()
+            .answers
+            .into_iter()
+            .filter(|a| a.truth == Truth::True)
+            .map(|a| a.bindings.into_iter().collect())
+            .collect()
+    }
 
     fn game(n: usize) -> Program {
         // A chain game a0 -> a1 -> ... -> an.
@@ -849,12 +831,7 @@ mod tests {
     #[test]
     fn open_query_enumerates_answers() {
         let program = game(4);
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- winning(move1)(X).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- winning(move1)(X).");
         let xs: BTreeSet<String> = answers
             .iter()
             .map(|s| s.apply(&Term::var("X")).to_string())
@@ -870,12 +847,7 @@ mod tests {
         // ?- game(M), winning(M)(p1). binds the game name first, as the
         // strongly range-restricted discipline requires.
         let program = game(2);
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- game(M), winning(M)(X).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- game(M), winning(M)(X).");
         assert!(!answers.is_empty());
         for a in &answers {
             assert_eq!(a.apply(&Term::var("M")).to_string(), "move1");
@@ -885,7 +857,8 @@ mod tests {
     #[test]
     fn agreement_with_bottom_up_wfs() {
         let program = game(6);
-        let wfm = crate::wfs::well_founded_model(&program, EvalOptions::default()).unwrap();
+        let mut db = HiLogDb::new(program.clone());
+        let wfm = db.model().unwrap();
         let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
         for i in 0..=6 {
             let atom = parse_term(&format!("winning(move1)(p{i})")).unwrap();
@@ -928,12 +901,7 @@ mod tests {
              graph(e). e(a, b). e(b, c). e(c, d).",
         )
         .unwrap();
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- tc(e)(a, Y).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- tc(e)(a, Y).");
         let ys: BTreeSet<String> = answers
             .iter()
             .map(|s| s.apply(&Term::var("Y")).to_string())
@@ -958,22 +926,12 @@ mod tests {
              double(one, two). double(two, four).",
         )
         .unwrap();
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- maplist(double)([one, two], L).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- maplist(double)([one, two], L).");
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].apply(&Term::var("L")).to_string(), "[two, four]");
         // maplist also runs "backwards": which input list doubles to
         // [two, four]?
-        let (back, _) = answer_query(
-            &program,
-            &parse_query("?- maplist(double)(In, [two, four]).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let back = true_answers(&program, "?- maplist(double)(In, [two, four]).");
         assert_eq!(back.len(), 1);
         assert_eq!(back[0].apply(&Term::var("In")).to_string(), "[one, two]");
     }
@@ -1050,12 +1008,7 @@ mod tests {
              part(bike, wheel, 2). part(bike, frame, 1).",
         )
         .unwrap();
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- total(bike, N).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- total(bike, N).");
         assert_eq!(answers.len(), 1);
         assert_eq!(answers[0].apply(&Term::var("N")), Term::int(3));
     }
@@ -1071,12 +1024,7 @@ mod tests {
              part(bike, wheel, 2). part(bike, frame, 1). part(car, wheel, 4).",
         )
         .unwrap();
-        let (answers, _) = answer_query(
-            &program,
-            &parse_query("?- total(X, N).").unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let answers = true_answers(&program, "?- total(X, N).");
         let rendered: BTreeSet<String> = answers
             .iter()
             .map(|s| format!("{}={}", s.apply(&Term::var("X")), s.apply(&Term::var("N"))))

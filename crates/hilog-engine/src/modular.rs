@@ -26,8 +26,9 @@
 //! model, which is also its unique stable model (Theorem 6.1).
 //!
 //! For normal programs the procedure specialises to modular stratification in
-//! the sense of Definition 6.4 (Lemma 6.2); [`modularly_stratified_normal`]
-//! exposes that entry point.
+//! the sense of Definition 6.4 (Lemma 6.2), so one procedure serves both.
+//! Callers reach it through `HiLogDb::check_modular` /
+//! `DbSnapshot::check_modular`, which cache the outcome.
 
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
@@ -77,27 +78,14 @@ impl ModularOutcome {
     }
 }
 
-/// Runs the Figure 1 procedure on a HiLog program.
+/// Runs the Figure 1 procedure on a HiLog program (the session and snapshot
+/// facades call this and cache the outcome).
 ///
 /// The program should be strongly range restricted (Definition 6.6 assumes
 /// it); programs that flounder during instantiation are rejected with the
 /// floundering message as the reason rather than raising an error, since
 /// Figure 1 treats every failure of its side conditions as "not modularly
 /// stratified".
-#[deprecated(
-    note = "construct a `HiLogDb` (`crate::session`) and call `.check_modular()` (or query \
-            under `Semantics::ModularCheck`), or share a `DbSnapshot` (`crate::snapshot`) \
-            across threads; both cache the outcome"
-)]
-pub fn modularly_stratified_hilog(
-    program: &Program,
-    opts: EvalOptions,
-) -> Result<ModularOutcome, EngineError> {
-    one_shot_check(program, opts)
-}
-
-/// Non-deprecated internal form of [`modularly_stratified_hilog`], shared by
-/// the session facade.
 pub(crate) fn figure1_procedure(
     program: &Program,
     opts: EvalOptions,
@@ -256,38 +244,6 @@ pub(crate) fn figure1_procedure(
         };
     }
     Ok(ModularOutcome::accepted(model, rounds))
-}
-
-/// Modular stratification for normal programs (Definition 6.4).  By Lemma 6.2
-/// this coincides with the HiLog procedure on normal programs, so the same
-/// procedure is run after checking normality.
-#[deprecated(
-    note = "construct a `HiLogDb` (`crate::session`) and call `.check_modular()`, or share a \
-            `DbSnapshot` (`crate::snapshot`) across threads; both cache the outcome"
-)]
-pub fn modularly_stratified_normal(
-    program: &Program,
-    opts: EvalOptions,
-) -> Result<ModularOutcome, EngineError> {
-    if !program.is_normal() {
-        return Err(EngineError::Unsupported(
-            "modularly_stratified_normal requires a normal program; use modularly_stratified_hilog"
-                .into(),
-        ));
-    }
-    one_shot_check(program, opts)
-}
-
-/// Shared body of the deprecated shims: a one-shot run over the snapshot
-/// read path (the same route concurrent readers take).
-fn one_shot_check(program: &Program, opts: EvalOptions) -> Result<ModularOutcome, EngineError> {
-    let (_writer, handle) = crate::session::HiLogDb::builder()
-        .program(program.clone())
-        .options(opts)
-        .semantics(crate::session::Semantics::ModularCheck)
-        .build()
-        .into_serving();
-    Ok(handle.current().check_modular()?.as_ref().clone())
 }
 
 fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
@@ -481,16 +437,17 @@ fn apply_aggregate(func: AggregateFunc, values: &[i64]) -> i64 {
 }
 
 #[cfg(test)]
-// The deprecated shims must keep working; these tests exercise them on
-// purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::session::HiLogDb;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_term};
 
     fn run(text: &str) -> ModularOutcome {
-        modularly_stratified_hilog(&parse_program(text).unwrap(), EvalOptions::default()).unwrap()
+        HiLogDb::new(parse_program(text).unwrap())
+            .check_modular()
+            .unwrap()
+            .clone()
     }
 
     fn t(s: &str) -> Term {
@@ -521,10 +478,11 @@ mod tests {
 
     #[test]
     fn example_6_3_hilog_game_is_modularly_stratified() {
-        let out = run("winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
-                       game(move1). game(move2).\n\
-                       move1(a, b). move1(b, c).\n\
-                       move2(x, y). move2(y, z).");
+        let text = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                    game(move1). game(move2).\n\
+                    move1(a, b). move1(b, c).\n\
+                    move2(x, y). move2(y, z).";
+        let out = run(text);
         assert!(out.modularly_stratified, "{:?}", out.reason);
         let m = out.model.unwrap();
         assert_eq!(m.truth(&t("winning(move1)(a)")), Truth::False);
@@ -532,17 +490,8 @@ mod tests {
         assert_eq!(m.truth(&t("winning(move2)(x)")), Truth::False);
         assert_eq!(m.truth(&t("winning(move2)(y)")), Truth::True);
         // The model coincides with the HiLog well-founded model (Theorem 6.1).
-        let wfm = crate::wfs::well_founded_model(
-            &parse_program(
-                "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
-                 game(move1). game(move2).\n\
-                 move1(a, b). move1(b, c).\n\
-                 move2(x, y). move2(y, z).",
-            )
-            .unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let mut db = HiLogDb::new(parse_program(text).unwrap());
+        let wfm = db.model().unwrap();
         for atom in wfm.base() {
             assert_eq!(m.truth(atom), wfm.truth(atom), "{atom}");
         }
@@ -594,29 +543,14 @@ mod tests {
 
     #[test]
     fn stratified_normal_program_is_modularly_stratified() {
-        let out = modularly_stratified_normal(
-            &parse_program(
-                "p(X) :- q(X), not r(X).\n\
-                 q(a). q(b). r(b).",
-            )
-            .unwrap(),
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let text = "p(X) :- q(X), not r(X).\n\
+                    q(a). q(b). r(b).";
+        assert!(parse_program(text).unwrap().is_normal());
+        let out = run(text);
         assert!(out.modularly_stratified);
         let m = out.model.unwrap();
         assert_eq!(m.truth(&t("p(a)")), Truth::True);
         assert_eq!(m.truth(&t("p(b)")), Truth::False);
-    }
-
-    #[test]
-    fn normal_entry_point_rejects_hilog_programs() {
-        let p = parse_program("winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y). game(m).")
-            .unwrap();
-        assert!(matches!(
-            modularly_stratified_normal(&p, EvalOptions::default()),
-            Err(EngineError::Unsupported(_))
-        ));
     }
 
     #[test]

@@ -24,12 +24,16 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// SCC waves dispatched to the pool (by the wave-parallel well-founded
-/// fixpoint and its incremental patch variant).
+/// SCC waves run as a batch by a [`WavePool`] that has worker threads (the
+/// well-founded fixpoint and its incremental patch, at `threads > 1`).
 static PARALLEL_WAVES: AtomicUsize = AtomicUsize::new(0);
 /// Semi-naive rounds evaluated as hash-partitioned concurrent joins.
 static PARALLEL_PARTITIONED_ROUNDS: AtomicUsize = AtomicUsize::new(0);
-/// Tasks executed on pool worker threads (serial fallbacks don't count).
+/// Tasks run by a pool that has worker threads — on a worker, or on the
+/// publishing thread while it helps drain the queue it shares with them.
+/// Work that never had a worker to go to does not count: [`run_tasks`]'s
+/// inline fallback and every batch of a worker-less [`WavePool`]
+/// (`threads <= 1`) leave this counter alone.
 static PARALLEL_TASKS: AtomicUsize = AtomicUsize::new(0);
 
 /// Snapshot of the process-wide cumulative `(parallel_waves,
@@ -47,11 +51,6 @@ pub fn parallel_counters() -> (usize, usize, usize) {
         PARALLEL_PARTITIONED_ROUNDS.load(Ordering::Relaxed),
         PARALLEL_TASKS.load(Ordering::Relaxed),
     )
-}
-
-/// Records one SCC wave scheduled onto the pool.
-pub(crate) fn note_wave() {
-    PARALLEL_WAVES.fetch_add(1, Ordering::Relaxed);
 }
 
 /// Records one semi-naive round evaluated as partitioned concurrent joins.
@@ -130,7 +129,8 @@ where
 /// the workers once per evaluation; each [`WavePool::run_batch`] then costs
 /// one mutex round-trip per job, and the publishing thread drains the queue
 /// alongside the workers, so a single-job wave usually runs inline without
-/// waking anyone.
+/// waking anyone.  A pool without workers (`threads <= 1`) has no queue to
+/// share: its batches run as a plain loop on the calling thread.
 ///
 /// Jobs return nothing — they communicate through state they capture (the
 /// wave evaluator writes per-atom cells owned by exactly one job, so batch
@@ -138,6 +138,9 @@ where
 /// published job has finished; the mutex hand-off makes those writes
 /// visible to the next batch's jobs.
 pub struct WavePool<'scope> {
+    /// Worker threads besides the publisher; zero means every batch runs
+    /// inline and the process-wide counters never move.
+    workers: usize,
     state: Mutex<WaveState<'scope>>,
     /// Signalled when jobs are published (workers wait on this).
     work_ready: Condvar,
@@ -162,8 +165,9 @@ fn lock_state<'a, 'scope>(pool: &'a WavePool<'scope>) -> MutexGuard<'a, WaveStat
 }
 
 impl<'scope> WavePool<'scope> {
-    fn new() -> Self {
+    fn new(workers: usize) -> Self {
         WavePool {
+            workers,
             state: Mutex::new(WaveState {
                 queue: VecDeque::new(),
                 pending: 0,
@@ -216,8 +220,10 @@ impl<'scope> WavePool<'scope> {
         drop(retire);
     }
 
-    /// Publishes a batch of jobs, helps drain the queue on the calling
-    /// thread, and returns when every job of the batch has finished.
+    /// Publishes a batch of jobs (one SCC wave), helps drain the queue on
+    /// the calling thread, and returns when every job of the batch has
+    /// finished.  Without workers the batch simply runs here, in order, and
+    /// counts neither as a pooled wave nor as pooled tasks.
     ///
     /// `wake_workers: false` keeps the workers asleep so the whole batch
     /// runs inline on the calling thread — the right call when the batch is
@@ -228,6 +234,11 @@ impl<'scope> WavePool<'scope> {
         if jobs.is_empty() {
             return;
         }
+        if self.workers == 0 {
+            jobs.into_iter().for_each(|job| job());
+            return;
+        }
+        PARALLEL_WAVES.fetch_add(1, Ordering::Relaxed);
         let multiple = jobs.len() > 1;
         {
             let mut state = lock_state(self);
@@ -258,14 +269,16 @@ impl<'scope> WavePool<'scope> {
 
 /// Runs `body` with a [`WavePool`] of `threads - 1` persistent workers (the
 /// publishing thread itself is the remaining one).  With `threads <= 1` no
-/// worker is spawned and every batch drains inline on the calling thread —
-/// still through the pool API, still counting tasks.
+/// worker is spawned and every batch runs inline on the calling thread —
+/// still through the pool API, so callers need no serial twin, but without
+/// touching [`parallel_counters`]: nothing was pooled.
 ///
 /// `'env` is the lifetime of the evaluation state the jobs borrow; it
 /// outlives the pool, so batches can capture references to it freely.
 pub fn with_wave_pool<'env, R>(threads: usize, body: impl FnOnce(&WavePool<'env>) -> R) -> R {
     // Declared before the scope so the workers' borrow of it outlives them.
-    let pool: WavePool<'env> = WavePool::new();
+    let workers = threads.saturating_sub(1);
+    let pool: WavePool<'env> = WavePool::new(workers);
     // Wakes the workers for shutdown even if `body` panics — otherwise the
     // scope's implicit join would wait on sleeping workers forever.
     struct Shutdown<'a, 'env>(&'a WavePool<'env>);
@@ -277,7 +290,7 @@ pub fn with_wave_pool<'env, R>(threads: usize, body: impl FnOnce(&WavePool<'env>
     }
     std::thread::scope(|scope| {
         let shutdown = Shutdown(&pool);
-        for _ in 1..threads.max(1) {
+        for _ in 0..workers {
             scope.spawn(|| pool.work());
         }
         let out = body(&pool);
@@ -304,6 +317,42 @@ mod tests {
         assert_eq!(run_tasks(8, vec![|| 42]), vec![42]);
         let (_, _, after) = parallel_counters();
         assert_eq!(after, before, "inline execution must not count as pooled");
+    }
+
+    /// Runs two five-job batches through a wave pool of `threads` threads
+    /// and returns how far the (waves, tasks) counters moved meanwhile.
+    fn wave_pool_counter_deltas(threads: usize) -> (usize, usize) {
+        let ran = AtomicUsize::new(0);
+        let (waves_before, _, tasks_before) = parallel_counters();
+        with_wave_pool(threads, |pool| {
+            for wake_workers in [false, true] {
+                let count = || {
+                    ran.fetch_add(1, Ordering::Relaxed);
+                };
+                let jobs = (0..5).map(|_| Box::new(count) as Job<'_>).collect();
+                pool.run_batch(jobs, wake_workers);
+            }
+        });
+        assert_eq!(ran.load(Ordering::Relaxed), 10, "every job ran");
+        let (waves_after, _, tasks_after) = parallel_counters();
+        (waves_after - waves_before, tasks_after - tasks_before)
+    }
+
+    #[test]
+    fn worker_less_wave_pool_does_not_touch_the_counters() {
+        // The counters are process-wide and other tests pool work while this
+        // one runs, so one quiet attempt is the proof: a pool that counted
+        // its own inline jobs would move them on every attempt.
+        let quiet = (0..64).any(|_| wave_pool_counter_deltas(1) == (0, 0));
+        assert!(quiet, "a worker-less pool must not count waves or tasks");
+    }
+
+    #[test]
+    fn wave_pool_with_workers_counts_waves_and_every_task() {
+        // Whoever drains a job — a worker or the helping publisher — it was
+        // dispatched to a pool with workers, and counts.
+        let (waves, tasks) = wave_pool_counter_deltas(3);
+        assert!(waves >= 2 && tasks >= 10, "waves={waves} tasks={tasks}");
     }
 
     #[test]

@@ -42,7 +42,7 @@ use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
-use crate::wfs::{affected_closure, well_founded_eval, well_founded_patch_with};
+use crate::wfs::{affected_closure, well_founded_eval, well_founded_patch};
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -1067,7 +1067,7 @@ impl HiLogDb {
             // context.
             let closure = affected_closure(ground, seeds);
             let previous = Arc::unwrap_or_clone(self.model.take().expect("checked above"));
-            let patched = well_founded_patch_with(
+            let patched = well_founded_patch(
                 ground,
                 previous,
                 |atom| closure.contains(atom),

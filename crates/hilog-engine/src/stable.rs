@@ -19,7 +19,7 @@ use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
-use crate::wfs::{is_two_valued_fixpoint, well_founded_of_ground};
+use crate::wfs::{is_two_valued_fixpoint, well_founded_eval};
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::program::Program;
 use hilog_core::term::Term;
@@ -50,7 +50,8 @@ pub fn stable_models_of_ground(
     program: &GroundProgram,
     opts: StableOptions,
 ) -> Result<Vec<Model>, EngineError> {
-    let wfm = well_founded_of_ground(program);
+    // One thread: the seed of a serial backtracking search.
+    let wfm = well_founded_eval(program, 1);
     if wfm.is_total() {
         // The well-founded model is the unique stable model (Section 3.2).
         return Ok(vec![wfm]);
@@ -228,28 +229,6 @@ pub fn gelfond_lifschitz_check(program: &GroundProgram, candidate: &Model) -> bo
     derived == truths
 }
 
-/// Enumerates stable models of a program via relevant instantiation.
-#[deprecated(
-    note = "construct a `HiLogDb` (`crate::session`) and call `.stable_models()`, or share a \
-            `DbSnapshot` (`crate::snapshot`) across threads; both cache the grounding and \
-            the models across queries"
-)]
-pub fn stable_models(
-    program: &Program,
-    eval: EvalOptions,
-    opts: StableOptions,
-) -> Result<Vec<Model>, EngineError> {
-    // One-shot over the snapshot read path.
-    let (_writer, handle) = crate::session::HiLogDb::builder()
-        .program(program.clone())
-        .options(eval)
-        .stable_options(opts)
-        .semantics(crate::session::Semantics::Stable)
-        .build()
-        .into_serving();
-    Ok(handle.current().stable_models()?.as_ref().clone())
-}
-
 /// Enumerates stable models of a program instantiated over an explicit
 /// universe slice.
 pub fn stable_models_over_universe(
@@ -279,21 +258,24 @@ pub fn stable_consensus_truth(models: &[Model], atom: &Term) -> Option<Truth> {
 }
 
 #[cfg(test)]
-// The deprecated `stable_models` shim must keep working; these tests exercise
-// it on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use crate::grounder::relevant_ground;
+    use crate::session::HiLogDb;
     use hilog_syntax::{parse_program, parse_term};
 
+    fn models_with(text: &str, opts: StableOptions) -> Vec<Model> {
+        HiLogDb::builder()
+            .program(parse_program(text).unwrap())
+            .stable_options(opts)
+            .build()
+            .stable_models()
+            .unwrap()
+            .to_vec()
+    }
+
     fn models(text: &str) -> Vec<Model> {
-        stable_models(
-            &parse_program(text).unwrap(),
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap()
+        models_with(text, StableOptions::default())
     }
 
     fn t(s: &str) -> Term {
@@ -334,10 +316,8 @@ mod tests {
         assert!(ms[0].is_true(&t("winning(b)")));
         assert!(ms[0].is_false(&t("winning(a)")));
         // And it coincides with the well-founded model.
-        let wfm =
-            crate::wfs::well_founded_model(&parse_program(text).unwrap(), EvalOptions::default())
-                .unwrap();
-        assert_eq!(ms[0], wfm);
+        let mut db = HiLogDb::new(parse_program(text).unwrap());
+        assert_eq!(&ms[0], db.model().unwrap());
     }
 
     #[test]
@@ -397,23 +377,15 @@ mod tests {
         let text = "a1 :- not b1. b1 :- not a1.\n\
                     a2 :- not b2. b2 :- not a2.\n\
                     a3 :- not b3. b3 :- not a3.";
-        let ms = stable_models(
-            &parse_program(text).unwrap(),
-            EvalOptions::default(),
+        let ms = models_with(
+            text,
             StableOptions {
                 max_models: 3,
                 max_nodes: 100_000,
             },
-        )
-        .unwrap();
+        );
         assert_eq!(ms.len(), 3);
-        let all = stable_models(
-            &parse_program(text).unwrap(),
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
-        assert_eq!(all.len(), 8);
+        assert_eq!(models(text).len(), 8);
     }
 
     #[test]

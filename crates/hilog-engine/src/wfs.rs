@@ -12,62 +12,47 @@
 //! * `W_P(I) = T_P(I) ∪ ¬·U_P(I)`, iterated from the empty interpretation to
 //!   its least fixpoint, the well-founded partial model.
 //!
+//! There is **one evaluation order**: [`well_founded_eval`] (a whole model)
+//! and [`well_founded_patch`] (a model after a localized change) settle the
+//! strongly connected components of the ground atom dependency graph wave
+//! by wave, lower components first — Ross's component-by-component
+//! evaluation (Section 6, Figure 1) applied to the atoms of the well-founded
+//! construction.  The thread count only decides where a wave's components
+//! run (inline at `threads = 1`, on the engine work pool above that), never
+//! the model.  The literal global `W_P` iteration is kept too, with no
+//! production caller: it is the definitional reference the oracles hold the
+//! wave schedule to.
+//!
 //! The HiLog well-founded semantics is obtained by applying exactly the same
 //! construction to the HiLog instantiation of the program (Section 4); the
 //! caller chooses the instantiation strategy (relevant or bounded-universe,
 //! see [`crate::grounder`]).
 
 use crate::error::EngineError;
-use crate::ground::{GroundProgram, IndexedProgram};
-use crate::grounder::{ground_over_universe, relevant_ground};
+use crate::ground::{GroundProgram, IndexedProgram, IndexedRule};
+use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
+use hilog_core::analysis::strongly_connected_components;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::program::Program;
 use hilog_core::term::Term;
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU8, Ordering};
 
-/// A three-valued assignment over the atoms of an [`IndexedProgram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Assignment {
-    truth: Vec<Option<bool>>, // Some(true) = true, Some(false) = false, None = undefined
-}
-
-impl Assignment {
-    fn new(n: usize) -> Self {
-        Assignment {
-            truth: vec![None; n],
-        }
-    }
-
-    fn is_true(&self, a: u32) -> bool {
-        self.truth[a as usize] == Some(true)
-    }
-
-    fn is_false(&self, a: u32) -> bool {
-        self.truth[a as usize] == Some(false)
-    }
-}
+/// A three-valued assignment over the atoms of an [`IndexedProgram`], by
+/// atom id: `Some(true)` = true, `Some(false)` = false, `None` = undefined.
+type Assignment = [Option<bool>];
 
 /// One application of the `T_P` operator (Definition 3.5): the set of atoms
 /// with a rule whose positive body atoms are all true and whose negative body
 /// atoms are all false in `I`.
 fn t_p(program: &IndexedProgram, i: &Assignment) -> Vec<u32> {
-    let mut out = Vec::new();
-    'rules: for rule in &program.rules {
-        for &p in &rule.pos {
-            if !i.is_true(p) {
-                continue 'rules;
-            }
-        }
-        for &n in &rule.neg {
-            if !i.is_false(n) {
-                continue 'rules;
-            }
-        }
-        out.push(rule.head);
-    }
-    out
+    let body_true = |r: &IndexedRule| {
+        r.pos.iter().all(|&p| i[p as usize] == Some(true))
+            && r.neg.iter().all(|&n| i[n as usize] == Some(false))
+    };
+    let fired = program.rules.iter().filter(|r| body_true(r));
+    fired.map(|r| r.head).collect()
 }
 
 /// The greatest unfounded set with respect to `I` (Definitions 3.3–3.4),
@@ -79,23 +64,15 @@ fn t_p(program: &IndexedProgram, i: &Assignment) -> Vec<u32> {
 /// atoms are all founded (the negation of condition 2).  Everything not
 /// founded is unfounded.
 fn greatest_unfounded_set(program: &IndexedProgram, i: &Assignment) -> Vec<bool> {
-    greatest_unfounded_set_seeded(program, i, vec![false; program.atom_count()])
-}
-
-/// [`greatest_unfounded_set`] with pre-founded atoms: ids already `true` in
-/// `founded` are treated as externally established (used by
-/// [`well_founded_patch`], where atoms settled by the unaffected part of the
-/// program are founded exactly when they are not false there).
-fn greatest_unfounded_set_seeded(
-    program: &IndexedProgram,
-    i: &Assignment,
-    mut founded: Vec<bool>,
-) -> Vec<bool> {
+    let mut founded = vec![false; program.atom_count()];
     // usable[r] = rule r has no witness of unusability of type 1.
     let usable: Vec<bool> = program
         .rules
         .iter()
-        .map(|r| r.pos.iter().all(|&p| !i.is_false(p)) && r.neg.iter().all(|&q| !i.is_true(q)))
+        .map(|r| {
+            r.pos.iter().all(|&p| i[p as usize] != Some(false))
+                && r.neg.iter().all(|&q| i[q as usize] != Some(true))
+        })
         .collect();
     // Least fixpoint by worklist.
     let mut changed = true;
@@ -114,26 +91,33 @@ fn greatest_unfounded_set_seeded(
     founded.iter().map(|&f| !f).collect()
 }
 
-/// Computes the well-founded (partial) model of a ground program by iterating
-/// `W_P` to its least fixpoint (Definition 3.5).
+/// The **definitional reference**: the well-founded (partial) model of a
+/// ground program by iterating the global `W_P` operator to its least
+/// fixpoint, literally as Definition 3.5 states it.
+///
+/// No production path calls this — every evaluation goes through
+/// [`well_founded_eval`] / [`well_founded_patch`] — and it re-scans the whole
+/// program once per iteration, which is quadratic on deep chains.  It exists
+/// so the oracles (`tests/parallel_oracle.rs`, the unit tests below) can hold
+/// the wave schedule, at every thread count, to the paper's definition.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
     let indexed = IndexedProgram::build(program);
     let n = indexed.atom_count();
-    let mut assignment = Assignment::new(n);
+    let mut assignment = vec![None; n];
     loop {
         let mut changed = false;
         // W_P(I) = T_P(I) ∪ ¬ · U_P(I).
         let trues = t_p(&indexed, &assignment);
         let unfounded = greatest_unfounded_set(&indexed, &assignment);
         for a in trues {
-            if assignment.truth[a as usize] != Some(true) {
-                assignment.truth[a as usize] = Some(true);
+            if assignment[a as usize] != Some(true) {
+                assignment[a as usize] = Some(true);
                 changed = true;
             }
         }
         for (a, &unf) in unfounded.iter().enumerate() {
-            if unf && assignment.truth[a] != Some(true) && assignment.truth[a] != Some(false) {
-                assignment.truth[a] = Some(false);
+            if unf && assignment[a].is_none() {
+                assignment[a] = Some(false);
                 changed = true;
             }
         }
@@ -145,16 +129,15 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 }
 
 /// Builds a [`Model`] from a settled assignment over an indexed program's
-/// atoms.  Shared by the whole-program fixpoint and the wave evaluator; the
-/// result depends only on the assignment values (the model's sets are
-/// ordered), never on the schedule that produced them.
+/// atoms.  The result depends only on the assignment values (the model's
+/// sets are ordered), never on the schedule that produced them.
 fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
     let mut true_atoms = Vec::new();
     let mut undefined = Vec::new();
     let mut base = Vec::new();
     for (id, atom) in indexed.atoms.iter() {
         base.push(atom.clone());
-        match assignment.truth[id as usize] {
+        match assignment[id as usize] {
             Some(true) => true_atoms.push(atom.clone()),
             Some(false) => {}
             None => undefined.push(atom.clone()),
@@ -163,52 +146,43 @@ fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
     Model::new(base, true_atoms, undefined)
 }
 
-/// Computes the well-founded model with `threads` workers.
+/// Computes the well-founded model of a ground program — the one model
+/// entry point, for every caller and every thread count.
 ///
-/// `threads <= 1` is exactly [`well_founded_of_ground`] — the pre-parallel
-/// serial path, unchanged.  With more threads the atom dependency graph is
-/// condensed into strongly connected components, the condensation is
-/// levelled into topological *waves* (an SCC's wave is one past the deepest
-/// wave it depends on), and each wave's components — mutually independent by
-/// construction — are evaluated concurrently on the engine work pool, each
-/// by an alternating fixpoint over its own rules with every earlier-settled
-/// atom read as fixed external context.  This is the splitting property of
-/// the well-founded semantics (the same one [`well_founded_patch`] relies
-/// on) applied along the whole condensation, so the result is the identical
-/// model at every thread count; beyond the parallelism, settling each
-/// component locally also avoids re-scanning the entire program once per
-/// global iteration, which is why the wave schedule wins even on one core.
+/// The atom dependency graph is condensed into strongly connected
+/// components, the condensation is levelled into topological *waves* (an
+/// SCC's wave is one past the deepest wave it depends on), and each wave's
+/// components — mutually independent by construction — are settled, each by
+/// an alternating fixpoint over its own rules with every earlier-settled
+/// atom read as fixed external context: the splitting property of the
+/// well-founded semantics applied along the whole condensation.  No
+/// component is ever re-scanned, so this is the fast order on one core too;
+/// `threads` only spreads a wave's components over the engine work pool
+/// (`1` runs every wave inline).  The model is identical at every thread
+/// count, and is the one Definition 3.5's global iteration yields.
 pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
-    if threads <= 1 {
-        return well_founded_of_ground(program);
-    }
     let indexed = IndexedProgram::build(program);
     let n = indexed.atom_count();
     let frozen = vec![false; n];
-    let assignment = wave_fixpoint(&indexed, Assignment::new(n), &frozen, threads);
+    let assignment = wave_fixpoint(&indexed, &vec![None; n], &frozen, threads);
     assemble_model(&indexed, &assignment)
 }
 
-/// The condensation of the (non-frozen) atom dependency graph, levelled
-/// into topological waves.
-struct Waves {
-    /// Strongly connected components (sorted member lists), emitted in an
-    /// order where every component appears after the components it depends
-    /// on (Tarjan emission order over head → body edges).
-    sccs: Vec<Vec<u32>>,
-    /// `waves[k]` holds indices into `sccs` whose longest dependency chain
-    /// through other components has length `k`.  Components of one wave
-    /// share no dependency edges, so they evaluate concurrently; waves run
-    /// in index order with a barrier between them.
-    waves: Vec<Vec<usize>>,
-}
-
-/// Condenses the dependency graph of the non-frozen atoms: one vertex per
+/// Condenses the dependency graph of the non-frozen atoms — one vertex per
 /// atom, an edge from every rule head to each of its (positive *and*
-/// negative) body atoms.  Frozen atoms are fixed external context and join
-/// no component.  Hand-rolled iterative Tarjan — the build environment has
-/// no petgraph, and recursion would overflow on deep chain programs.
-fn condensation_waves(indexed: &IndexedProgram, frozen: &[bool]) -> Waves {
+/// negative) body atoms; frozen atoms are fixed external context and join
+/// no component — and levels the condensation into topological waves.
+///
+/// Returns `(sccs, waves)`: the strongly connected components as sorted
+/// member lists, dependencies before dependents (the shared Tarjan's
+/// order), and per wave `k` the indices into `sccs` whose longest
+/// dependency chain through other components has length `k`.  Components of
+/// one wave share no dependency edges, so they may evaluate concurrently;
+/// waves run in index order with a barrier between them.
+fn condensation_waves(
+    indexed: &IndexedProgram,
+    frozen: &[bool],
+) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = indexed.atom_count();
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     for rule in &indexed.rules {
@@ -219,68 +193,26 @@ fn condensation_waves(indexed: &IndexedProgram, frozen: &[bool]) -> Waves {
             }
         }
     }
-
-    const UNVISITED: u32 = u32::MAX;
-    let mut order = vec![UNVISITED; n];
-    let mut lowlink = vec![0u32; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<u32> = Vec::new();
+    // A frozen atom heads no rule and no edge reaches it, so it comes back
+    // as an isolated singleton; dropping those keeps the emission order.
+    let mut sccs = strongly_connected_components(n, |v| adj[v].iter().map(|&w| w as usize));
+    sccs.retain(|members| !frozen[members[0]]);
     let mut scc_of = vec![usize::MAX; n];
-    let mut sccs: Vec<Vec<u32>> = Vec::new();
-    let mut next_order = 0u32;
-    let mut frames: Vec<(u32, usize)> = Vec::new();
-    for start in 0..n as u32 {
-        if frozen[start as usize] || order[start as usize] != UNVISITED {
-            continue;
-        }
-        frames.push((start, 0));
-        while let Some(frame) = frames.last_mut() {
-            let (v, child) = (frame.0, frame.1);
-            if child == 0 {
-                order[v as usize] = next_order;
-                lowlink[v as usize] = next_order;
-                next_order += 1;
-                stack.push(v);
-                on_stack[v as usize] = true;
-            }
-            if let Some(&w) = adj[v as usize].get(child) {
-                frame.1 += 1;
-                if order[w as usize] == UNVISITED {
-                    frames.push((w, 0));
-                } else if on_stack[w as usize] {
-                    lowlink[v as usize] = lowlink[v as usize].min(order[w as usize]);
-                }
-            } else {
-                frames.pop();
-                if let Some(&(parent, _)) = frames.last() {
-                    lowlink[parent as usize] = lowlink[parent as usize].min(lowlink[v as usize]);
-                }
-                if lowlink[v as usize] == order[v as usize] {
-                    let mut members = Vec::new();
-                    loop {
-                        let w = stack.pop().expect("root is on the Tarjan stack");
-                        on_stack[w as usize] = false;
-                        scc_of[w as usize] = sccs.len();
-                        members.push(w);
-                        if w == v {
-                            break;
-                        }
-                    }
-                    members.sort_unstable();
-                    sccs.push(members);
-                }
-            }
+    for (si, members) in sccs.iter_mut().enumerate() {
+        members.sort_unstable();
+        for &m in members.iter() {
+            scc_of[m] = si;
         }
     }
 
-    // Wave levels: Tarjan emits dependencies before dependents, so each
-    // component's cross-component successors are already levelled.
+    // Wave levels: dependencies come before dependents, so each component's
+    // cross-component successors are already levelled.
     let mut level = vec![0usize; sccs.len()];
     let mut max_level = 0usize;
     for si in 0..sccs.len() {
         let mut lvl = 0usize;
         for &m in &sccs[si] {
-            for &w in &adj[m as usize] {
+            for &w in &adj[m] {
                 let ws = scc_of[w as usize];
                 if ws != si {
                     debug_assert!(ws < si, "dependency emitted after dependent");
@@ -296,7 +228,7 @@ fn condensation_waves(indexed: &IndexedProgram, frozen: &[bool]) -> Waves {
     for (si, &lvl) in level.iter().enumerate() {
         waves[lvl].push(si);
     }
-    Waves { sccs, waves }
+    (sccs, waves)
 }
 
 /// Truth encoding for the shared wave-evaluation cells: `0` = undefined /
@@ -317,38 +249,36 @@ fn decode_truth(cell: u8) -> Option<bool> {
     }
 }
 
-/// Runs the wave schedule to a settled assignment: every wave's components
-/// evaluate concurrently against the assignment settled so far, and their
-/// results land before the next wave starts.  Frozen entries of the initial
-/// assignment are external context and are never written.
-///
-/// The assignment lives in shared atomic cells so the pool workers can
-/// publish component results directly: each atom is written by exactly one
-/// component of one wave, components of a wave are mutually independent, and
-/// `run_batch` only returns once the whole wave has finished — so every read
-/// sees exactly the settled prefix, at every thread count and schedule.  The
-/// workers persist across waves ([`crate::pool::with_wave_pool`]); spawning
-/// per wave would cost more than the waves themselves on deep programs.
 /// Below this many ground rules, a wave is cheaper to evaluate inline on
 /// the publishing thread than to hand to a sleeping worker.
 const PARALLEL_WAVE_MIN_RULES: usize = 256;
 
+/// Runs the wave schedule to a settled assignment: every wave's components
+/// evaluate against the assignment settled so far, and their results land
+/// before the next wave starts.  Frozen entries of the initial assignment
+/// are external context and are never written.
+///
+/// The assignment lives in shared atomic cells so pool workers can publish
+/// component results directly: each atom is written by exactly one
+/// component of one wave, components of a wave are mutually independent, and
+/// `run_batch` only returns once the whole wave has finished — so every read
+/// sees exactly the settled prefix, at every thread count and schedule.  The
+/// workers persist across waves ([`crate::pool::with_wave_pool`]); spawning
+/// per wave would cost more than the waves themselves on deep programs.  At
+/// `threads = 1` the pool has no workers and each wave is a plain loop on
+/// the calling thread.
 fn wave_fixpoint(
     indexed: &IndexedProgram,
-    init: Assignment,
+    init: &Assignment,
     frozen: &[bool],
     threads: usize,
-) -> Assignment {
-    let Waves { sccs, waves } = condensation_waves(indexed, frozen);
-    let shared: Vec<AtomicU8> = init
-        .truth
-        .iter()
-        .map(|&value| AtomicU8::new(encode_truth(value)))
-        .collect();
+) -> Vec<Option<bool>> {
+    let (sccs, waves) = condensation_waves(indexed, frozen);
+    let cell = |&value| AtomicU8::new(encode_truth(value));
+    let shared: Vec<AtomicU8> = init.iter().map(cell).collect();
     let shared = &shared;
     crate::pool::with_wave_pool(threads, |pool| {
         for wave in &waves {
-            crate::pool::note_wave();
             // Waking a worker costs a context switch; only do it when the
             // wave carries more work than that.  The estimate reads wave
             // structure alone, so the schedule stays thread-count-honest
@@ -356,7 +286,7 @@ fn wave_fixpoint(
             let wave_rules: usize = wave
                 .iter()
                 .flat_map(|&si| sccs[si].iter())
-                .map(|&m| indexed.rules_by_head[m as usize].len())
+                .map(|&m| indexed.rules_by_head[m].len())
                 .sum();
             let wake_workers = wave_rules >= PARALLEL_WAVE_MIN_RULES;
             // One job per chunk of components, not per component: a wave of
@@ -370,8 +300,10 @@ fn wave_fixpoint(
                     let sccs = &sccs;
                     Box::new(move || {
                         for &si in chunk {
-                            for (atom, value) in eval_component(indexed, &sccs[si], shared) {
-                                shared[atom as usize].store(encode_truth(value), Ordering::Release);
+                            let members = &sccs[si];
+                            let values = eval_component(indexed, members, shared);
+                            for (&atom, value) in members.iter().zip(values) {
+                                shared[atom].store(encode_truth(value), Ordering::Release);
                             }
                         }
                     }) as crate::pool::Job<'_>
@@ -380,33 +312,30 @@ fn wave_fixpoint(
             pool.run_batch(jobs, wake_workers);
         }
     });
-    Assignment {
-        truth: shared
-            .iter()
-            .map(|cell| decode_truth(cell.load(Ordering::Acquire)))
-            .collect(),
-    }
+    let settled = |cell: &AtomicU8| decode_truth(cell.load(Ordering::Acquire));
+    shared.iter().map(settled).collect()
 }
 
 /// Settles one strongly connected component: the alternating `W_P` fixpoint
 /// restricted to the rules whose head lies in the component, with every
 /// non-member body atom read from the settled assignment as fixed context.
-/// A settled external atom counts as founded exactly when it is not false —
-/// the same convention [`well_founded_patch`] applies to its frozen context.
-/// Returns the members' final truth values; writing them back is the
-/// caller's (single-threaded) job.
+/// A settled external atom counts as founded exactly when it is not false
+/// (at the fixpoint of the full computation the unfounded set is the set of
+/// false atoms) — the convention [`well_founded_patch`] relies on for its
+/// frozen context.  Returns the members' final truth values, in member
+/// order; publishing them is the caller's job.
 fn eval_component(
     indexed: &IndexedProgram,
-    members: &[u32],
+    members: &[usize],
     settled: &[AtomicU8],
-) -> Vec<(u32, Option<bool>)> {
+) -> Vec<Option<bool>> {
     // Members are sorted, so a binary search beats a hash map at the
     // typical component size (a singleton, for any stratified program).
-    let local_idx = |a: u32| members.binary_search(&a).ok();
+    let local_idx = |a: u32| members.binary_search(&(a as usize)).ok();
     let mut local: Vec<Option<bool>> = vec![None; members.len()];
     let rule_ids: Vec<u32> = members
         .iter()
-        .flat_map(|&m| indexed.rules_by_head[m as usize].iter().copied())
+        .flat_map(|&m| indexed.rules_by_head[m].iter().copied())
         .collect();
     let value = |local: &[Option<bool>], a: u32| -> Option<bool> {
         match local_idx(a) {
@@ -418,21 +347,14 @@ fn eval_component(
     loop {
         let mut changed = false;
         // T_P restricted to the component's rules.
-        let mut trues: Vec<usize> = Vec::new();
-        'rules: for &ri in &rule_ids {
-            let rule = &indexed.rules[ri as usize];
-            for &p in &rule.pos {
-                if value(&local, p) != Some(true) {
-                    continue 'rules;
-                }
-            }
-            for &q in &rule.neg {
-                if value(&local, q) != Some(false) {
-                    continue 'rules;
-                }
-            }
-            trues.push(local_idx(rule.head).expect("rule head is a member"));
-        }
+        let rules = rule_ids.iter().map(|&ri| &indexed.rules[ri as usize]);
+        let trues: Vec<usize> = rules
+            .filter(|rule| {
+                rule.pos.iter().all(|&p| value(&local, p) == Some(true))
+                    && rule.neg.iter().all(|&q| value(&local, q) == Some(false))
+            })
+            .map(|rule| local_idx(rule.head).expect("rule head is a member"))
+            .collect();
         // Greatest unfounded set restricted to the members: the founded
         // least fixpoint over the component's rules, externals pre-founded
         // unless false.
@@ -485,15 +407,11 @@ fn eval_component(
             break;
         }
     }
-    members
-        .iter()
-        .enumerate()
-        .map(|(i, &m)| (m, local[i]))
-        .collect()
+    local
 }
 
 /// Re-evaluates the well-founded model after a localized change, touching
-/// only the *affected* part of the program.
+/// only the *affected* part of the program — the one patch entry point.
 ///
 /// `affected` classifies atoms: affected atoms are recomputed, unaffected
 /// ones keep their truth value from `previous`.  The caller must pass a
@@ -503,22 +421,22 @@ fn eval_component(
 /// dependency condensation: the unaffected strongly connected components form
 /// a lower module with no edges from the affected components, so (by the
 /// splitting property of the well-founded semantics) their old truth values
-/// are still exact, and the alternating fixpoint only needs to run on the
-/// rules of the affected components, reading unaffected atoms as a fixed
-/// external context.
+/// are still exact, and only the affected sub-program is evaluated — by the
+/// wave schedule of [`well_founded_eval`], on `threads` threads — with the
+/// unaffected atoms *frozen* at the previous model's values (a frozen atom
+/// counts as founded exactly when it is not false).
 ///
 /// `previous` is consumed and updated surgically: the unaffected entries are
 /// kept in place, the affected ones are retired and replaced by the
 /// re-evaluation's result — the patch costs O(affected) plus one scan of the
-/// previous base, never a rebuild of the whole model.
-///
-/// [`crate::session::HiLogDb`] derives the classification from the reverse
-/// closure of the mutated predicate in its dependency analysis; passing
-/// `|_| true` degenerates to [`well_founded_of_ground`].
+/// previous base, never a rebuild of the whole model.  [`affected_closure`]
+/// computes the classification [`crate::session::HiLogDb`] passes; `|_| true`
+/// degenerates to [`well_founded_eval`].
 pub fn well_founded_patch(
     program: &GroundProgram,
     previous: Model,
     mut affected: impl FnMut(&Term) -> bool,
+    threads: usize,
 ) -> Model {
     let affected_rules: GroundProgram = program
         .rules
@@ -528,52 +446,20 @@ pub fn well_founded_patch(
         .collect();
     let indexed = IndexedProgram::build(&affected_rules);
     let n = indexed.atom_count();
-    let mut assignment = Assignment::new(n);
-    // Frozen atoms: context from the unaffected part, never updated.  A
-    // frozen atom is pre-founded exactly when it is not false in `previous`
-    // (at the fixpoint of the full computation, the unfounded set is the set
-    // of false atoms).
+    let mut assignment = vec![None; n];
     let mut frozen = vec![false; n];
-    let mut pre_founded = vec![false; n];
     for (id, atom) in indexed.atoms.iter() {
         if !affected(atom) {
             let id = id as usize;
             frozen[id] = true;
-            match previous.truth(atom) {
-                Truth::True => {
-                    assignment.truth[id] = Some(true);
-                    pre_founded[id] = true;
-                }
-                Truth::False => assignment.truth[id] = Some(false),
-                Truth::Undefined => pre_founded[id] = true,
-            }
+            assignment[id] = match previous.truth(atom) {
+                Truth::True => Some(true),
+                Truth::False => Some(false),
+                Truth::Undefined => None,
+            };
         }
     }
-    loop {
-        let mut changed = false;
-        let trues = t_p(&indexed, &assignment);
-        let unfounded = greatest_unfounded_set_seeded(&indexed, &assignment, pre_founded.clone());
-        for a in trues {
-            // Heads of affected rules are affected atoms, never frozen.
-            debug_assert!(!frozen[a as usize]);
-            if assignment.truth[a as usize] != Some(true) {
-                assignment.truth[a as usize] = Some(true);
-                changed = true;
-            }
-        }
-        for (a, &unf) in unfounded.iter().enumerate() {
-            if frozen[a] {
-                continue;
-            }
-            if unf && assignment.truth[a] != Some(true) && assignment.truth[a] != Some(false) {
-                assignment.truth[a] = Some(false);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    let assignment = wave_fixpoint(&indexed, &assignment, &frozen, threads);
 
     // Surgical assembly: retire every previously affected base atom (an
     // affected atom outside the re-evaluated rules has no rules left and is
@@ -595,73 +481,7 @@ pub fn well_founded_patch(
             model.add_base_atom(atom.clone());
             continue;
         }
-        match assignment.truth[id as usize] {
-            Some(true) => model.set_true(atom.clone()),
-            Some(false) => model.set_false(atom.clone()),
-            None => model.set_undefined(atom.clone()),
-        }
-    }
-    model
-}
-
-/// [`well_founded_patch`] with `threads` workers.
-///
-/// `threads <= 1` dispatches to the serial patch unchanged.  Otherwise the
-/// affected sub-program's condensation is evaluated wave-parallel (see
-/// [`well_founded_eval`]): frozen atoms carry the previous model's values as
-/// fixed context — a frozen atom counts as founded exactly when it is not
-/// false, matching the serial patch's `pre_founded` seeding — and the final
-/// surgical assembly into the previous model is the serial patch's,
-/// verbatim.  The result is identical at every thread count.
-pub fn well_founded_patch_with(
-    program: &GroundProgram,
-    previous: Model,
-    mut affected: impl FnMut(&Term) -> bool,
-    threads: usize,
-) -> Model {
-    if threads <= 1 {
-        return well_founded_patch(program, previous, affected);
-    }
-    let affected_rules: GroundProgram = program
-        .rules
-        .iter()
-        .filter(|r| affected(&r.head))
-        .cloned()
-        .collect();
-    let indexed = IndexedProgram::build(&affected_rules);
-    let n = indexed.atom_count();
-    let mut assignment = Assignment::new(n);
-    let mut frozen = vec![false; n];
-    for (id, atom) in indexed.atoms.iter() {
-        if !affected(atom) {
-            let id = id as usize;
-            frozen[id] = true;
-            assignment.truth[id] = match previous.truth(atom) {
-                Truth::True => Some(true),
-                Truth::False => Some(false),
-                Truth::Undefined => None,
-            };
-        }
-    }
-    let assignment = wave_fixpoint(&indexed, assignment, &frozen, threads);
-
-    // Surgical assembly, exactly as in `well_founded_patch`.
-    let mut model = previous;
-    let stale: Vec<Term> = model
-        .base()
-        .iter()
-        .filter(|atom| affected(atom))
-        .cloned()
-        .collect();
-    for atom in &stale {
-        model.remove(atom);
-    }
-    for (id, atom) in indexed.atoms.iter() {
-        if frozen[id as usize] {
-            model.add_base_atom(atom.clone());
-            continue;
-        }
-        match assignment.truth[id as usize] {
+        match assignment[id as usize] {
             Some(true) => model.set_true(atom.clone()),
             Some(false) => model.set_false(atom.clone()),
             None => model.set_undefined(atom.clone()),
@@ -713,9 +533,9 @@ pub fn affected_closure(
 pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> bool {
     let indexed = IndexedProgram::build(program);
     let n = indexed.atom_count();
-    let mut assignment = Assignment::new(n);
+    let mut assignment = vec![None; n];
     for (id, atom) in indexed.atoms.iter() {
-        assignment.truth[id as usize] = Some(candidate.is_true(atom));
+        assignment[id as usize] = Some(candidate.is_true(atom));
     }
     // T_P(I) must be exactly the true atoms, and U_P(I) exactly the false ones.
     let mut derived = vec![false; n];
@@ -724,7 +544,7 @@ pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> boo
     }
     let unfounded = greatest_unfounded_set(&indexed, &assignment);
     for id in 0..n {
-        let is_true = assignment.truth[id] == Some(true);
+        let is_true = assignment[id] == Some(true);
         if is_true != derived[id] {
             return false;
         }
@@ -735,30 +555,6 @@ pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> boo
     true
 }
 
-/// Computes the well-founded model of a program via relevant instantiation
-/// (the practical path for range-restricted and Datahilog programs).
-#[deprecated(
-    note = "construct a `HiLogDb` (`crate::session`) and call `.model()`, or share a \
-            `DbSnapshot` (`crate::snapshot`) across threads; both cache the grounding and \
-            the model across queries instead of recomputing them"
-)]
-pub fn well_founded_model(program: &Program, opts: EvalOptions) -> Result<Model, EngineError> {
-    // One-shot over the snapshot read path: the same route concurrent
-    // readers take, minus the sharing.
-    let (_writer, handle) = crate::session::HiLogDb::builder()
-        .program(program.clone())
-        .options(opts)
-        .build()
-        .into_serving();
-    Ok(handle.current().model()?.as_ref().clone())
-}
-
-/// Non-deprecated internal form of [`well_founded_model`], shared by the
-/// session facade and the other engine modules.
-pub(crate) fn wfs_model(program: &Program, opts: EvalOptions) -> Result<Model, EngineError> {
-    Ok(well_founded_of_ground(&relevant_ground(program, opts)?))
-}
-
 /// Computes the well-founded model of a program instantiated over an
 /// explicitly enumerated universe slice (the literal reading of Section 4 for
 /// programs that are not range restricted, e.g. Example 4.1).
@@ -767,26 +563,57 @@ pub fn well_founded_model_over_universe(
     universe: &[Term],
     opts: EvalOptions,
 ) -> Result<Model, EngineError> {
-    Ok(well_founded_of_ground(&ground_over_universe(
-        program, universe, opts,
-    )?))
+    let ground = ground_over_universe(program, universe, opts)?;
+    Ok(well_founded_eval(&ground, opts.eval_threads))
 }
 
 #[cfg(test)]
-// The deprecated `well_founded_model` shim must keep working; these tests
-// exercise it on purpose.
-#[allow(deprecated)]
 mod tests {
     use super::*;
+    use crate::ground::GroundRule;
+    use crate::grounder::relevant_ground;
+    use crate::session::HiLogDb;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_term};
 
+    /// Thread counts the schedule is held to the reference at; `1` runs
+    /// every wave inline.
+    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+
     fn wfs(text: &str) -> Model {
-        well_founded_model(&parse_program(text).unwrap(), EvalOptions::default()).unwrap()
+        HiLogDb::new(parse_program(text).unwrap())
+            .model()
+            .unwrap()
+            .clone()
     }
 
     fn t(s: &str) -> Term {
         parse_term(s).unwrap()
+    }
+
+    /// Patches `old_model` onto `ground` at every thread count, holds each
+    /// result to Definition 3.5's model of `ground`, and returns that model.
+    fn patched_at_every_thread_count(
+        ground: &GroundProgram,
+        old_model: &Model,
+        affected: impl Fn(&Term) -> bool + Copy,
+    ) -> Model {
+        let fresh = well_founded_of_ground(ground);
+        for threads in THREAD_COUNTS {
+            let patched = well_founded_patch(ground, old_model.clone(), affected, threads);
+            assert_eq!(patched, fresh, "patch diverged at threads={threads}");
+        }
+        fresh
+    }
+
+    /// The grounding of `prelude` plus the win/move game over the chain
+    /// `p0 -> p1 -> ... -> p<moves>`.
+    fn ground_chain_game(prelude: &str, moves: usize) -> GroundProgram {
+        let mut text = format!("{prelude} winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..moves {
+            text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
+        }
+        relevant_ground(&parse_program(&text).unwrap(), EvalOptions::default()).unwrap()
     }
 
     #[test]
@@ -957,9 +784,7 @@ mod tests {
         )
         .unwrap();
         let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
-        let full = well_founded_of_ground(&gp);
-        let patched = well_founded_patch(&gp, Model::empty(), |_| true);
-        assert_eq!(full, patched);
+        patched_at_every_thread_count(&gp, &Model::empty(), |_| true);
     }
 
     #[test]
@@ -987,9 +812,7 @@ mod tests {
             let name = atom.name().to_string();
             name == "m1" || name == "w1"
         };
-        let patched = well_founded_patch(&new_ground, old_model, affected);
-        let fresh = well_founded_of_ground(&new_ground);
-        assert_eq!(patched, fresh);
+        let patched = patched_at_every_thread_count(&new_ground, &old_model, affected);
         assert_eq!(patched.truth(&t("w1(b)")), Truth::True);
         assert_eq!(patched.truth(&t("w1(a)")), Truth::False);
         assert_eq!(patched.truth(&t("w2(u)")), Truth::True);
@@ -1002,19 +825,8 @@ mod tests {
         // upstream positions, and patching exactly that closure — with the
         // rest of the component frozen at the previous model — reproduces
         // the fresh model.
-        let chain = |n: usize, extra: bool| {
-            let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
-            for i in 0..n {
-                text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
-            }
-            if extra {
-                text.push_str(&format!("move(p{}, p{}).\n", n, n + 1));
-            }
-            parse_program(&text).unwrap()
-        };
-        let old_ground = relevant_ground(&chain(6, false), EvalOptions::default()).unwrap();
-        let old_model = well_founded_of_ground(&old_ground);
-        let new_ground = relevant_ground(&chain(6, true), EvalOptions::default()).unwrap();
+        let old_model = well_founded_of_ground(&ground_chain_game("", 6));
+        let new_ground = ground_chain_game("", 7);
         // Seeds: what the mutation touched — the new edge and the heads of
         // the rule instances it enabled.
         let seeds = [t("move(p6, p7)"), t("winning(p6)")];
@@ -1024,8 +836,7 @@ mod tests {
         assert!(closure.contains(&t("winning(p0)")));
         assert!(closure.contains(&t("winning(p6)")));
         assert!(!closure.contains(&t("move(p0, p1)")));
-        let patched = well_founded_patch(&new_ground, old_model, |atom| closure.contains(atom));
-        assert_eq!(patched, well_founded_of_ground(&new_ground));
+        patched_at_every_thread_count(&new_ground, &old_model, |atom| closure.contains(atom));
     }
 
     #[test]
@@ -1049,8 +860,7 @@ mod tests {
         let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
         let old_model = well_founded_of_ground(&gp);
         let affected = |atom: &Term| atom.name().to_string() == "p";
-        let patched = well_founded_patch(&gp, old_model.clone(), affected);
-        assert_eq!(patched, well_founded_of_ground(&gp));
+        let patched = patched_at_every_thread_count(&gp, &old_model, affected);
         assert_eq!(patched.truth(&t("p")), Truth::Undefined);
         assert_eq!(patched.truth(&t("u")), Truth::Undefined);
         assert_eq!(patched.truth(&t("q")), Truth::True);
@@ -1058,8 +868,9 @@ mod tests {
 
     #[test]
     fn wave_evaluation_matches_serial_on_mixed_programs() {
-        // Total, partial, cyclic, and multi-SCC shapes; every thread count
-        // must reproduce the serial model exactly.
+        // Total, partial, cyclic, and multi-SCC shapes; the wave schedule
+        // must reproduce Definition 3.5's model at every thread count, the
+        // inline `threads = 1` included.
         let programs = [
             "p :- q. q :- p. r :- s, not p. s. t :- not r. u :- not u.",
             "p :- not q. q :- not p. r :- p. r :- q. t :- p, not p.",
@@ -1073,11 +884,11 @@ mod tests {
         for text in programs {
             let gp =
                 relevant_ground(&parse_program(text).unwrap(), EvalOptions::default()).unwrap();
-            let serial = well_founded_of_ground(&gp);
-            for threads in [2, 4, 8] {
+            let reference = well_founded_of_ground(&gp);
+            for threads in THREAD_COUNTS {
                 assert_eq!(
                     well_founded_eval(&gp, threads),
-                    serial,
+                    reference,
                     "threads={threads} diverged on `{text}`"
                 );
             }
@@ -1086,44 +897,60 @@ mod tests {
 
     #[test]
     fn wave_evaluation_of_empty_program_is_empty() {
-        let m = well_founded_eval(&GroundProgram::new(), 4);
-        assert!(m.is_total());
-        assert!(m.base().is_empty());
+        for threads in THREAD_COUNTS {
+            let m = well_founded_eval(&GroundProgram::new(), threads);
+            assert!(m.is_total());
+            assert!(m.base().is_empty());
+        }
     }
 
     #[test]
-    fn parallel_patch_matches_serial_patch() {
-        let chain = |n: usize, extra: bool| {
-            let mut text = String::from(
-                "winning(X) :- move(X, Y), not winning(Y).\n\
-                                         u :- not u. p :- u. q.\n",
+    fn deep_chain_settles_wave_by_wave_on_the_calling_thread() {
+        // Every position of a chain game is its own component and depends
+        // on the next one, so the condensation is as deep as the chain:
+        // more than 2,000 waves, each run inline at `threads = 1`.  Built
+        // directly as a ground program: the point is the schedule, not the
+        // grounder.
+        let n = 2_500usize;
+        let pos = |i: usize| Term::sym(format!("p{i}"));
+        let winning = |i: usize| Term::apps("winning", vec![pos(i)]);
+        let mv = |i: usize| Term::apps("move", vec![pos(i), pos(i + 1)]);
+        let gp = GroundProgram::from_rules(
+            (0..n)
+                .flat_map(|i| {
+                    let wins = GroundRule::new(winning(i), vec![mv(i)], vec![winning(i + 1)]);
+                    [GroundRule::new(mv(i), vec![], vec![]), wins]
+                })
+                .collect(),
+        );
+        let indexed = IndexedProgram::build(&gp);
+        let (_, waves) = condensation_waves(&indexed, &vec![false; indexed.atom_count()]);
+        assert!(waves.len() >= 2_000, "{} waves", waves.len());
+
+        let model = well_founded_eval(&gp, 1);
+        assert!(model.is_total());
+        // The last position has no move and loses; winners alternate back
+        // from it.
+        for i in 0..=n {
+            assert_eq!(
+                model.is_true(&winning(i)),
+                (n - i) % 2 == 1,
+                "winning(p{i})"
             );
-            for i in 0..n {
-                text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
-            }
-            if extra {
-                text.push_str(&format!("move(p{}, p{}).\n", n, n + 1));
-            }
-            parse_program(&text).unwrap()
-        };
-        let old_ground = relevant_ground(&chain(6, false), EvalOptions::default()).unwrap();
-        let old_model = well_founded_of_ground(&old_ground);
-        let new_ground = relevant_ground(&chain(6, true), EvalOptions::default()).unwrap();
-        let seeds = [t("move(p6, p7)"), t("winning(p6)")];
-        let closure = affected_closure(&new_ground, seeds);
-        let serial = well_founded_patch(&new_ground, old_model.clone(), |atom| {
-            closure.contains(atom)
-        });
-        for threads in [2, 4, 8] {
-            let parallel = well_founded_patch_with(
-                &new_ground,
-                old_model.clone(),
-                |atom| closure.contains(atom),
-                threads,
-            );
-            assert_eq!(parallel, serial, "patch diverged at threads={threads}");
         }
-        // The frozen-undefined convention survives the wave path too.
-        assert_eq!(serial.truth(&t("p")), Truth::Undefined);
+        assert_eq!(model, well_founded_eval(&gp, 4));
+    }
+
+    #[test]
+    fn patch_is_thread_count_independent_and_keeps_frozen_undefined_context() {
+        let prelude = "u :- not u. p :- u. q.";
+        let old_model = well_founded_eval(&ground_chain_game(prelude, 6), 1);
+        let new_ground = ground_chain_game(prelude, 7);
+        let closure = affected_closure(&new_ground, [t("move(p6, p7)"), t("winning(p6)")]);
+        let patched =
+            patched_at_every_thread_count(&new_ground, &old_model, |atom| closure.contains(atom));
+        // The frozen-undefined convention: `u` is outside the closure and
+        // undefined, so `p :- u.` stays undefined rather than false.
+        assert_eq!(patched.truth(&t("p")), Truth::Undefined);
     }
 }

@@ -32,8 +32,9 @@ pub struct ServerConfig {
     pub checkpoint_on_shutdown: bool,
     /// Worker threads used *inside* a single evaluation (the engine's
     /// SCC-wave well-founded fixpoint and partitioned semi-naive rounds).
-    /// Independent of `workers`, which scales concurrent requests.  `1` is
-    /// the exact serial evaluation path; the default follows the engine
+    /// Independent of `workers`, which scales concurrent requests.  `1`
+    /// evaluates on the request's own thread (same algorithm, nothing
+    /// spawned); the default follows the engine
     /// (`HILOG_EVAL_THREADS` or the machine's available parallelism).
     pub eval_threads: usize,
     /// Default per-query deadline in milliseconds, used when a `/query`
@@ -114,8 +115,8 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the per-evaluation thread count (clamped to at least 1; `1` is
-    /// the exact serial path).
+    /// Sets the per-evaluation thread count (clamped to at least 1; `1`
+    /// evaluates inline on the calling thread).
     pub fn eval_threads(mut self, eval_threads: usize) -> Self {
         self.eval_threads = eval_threads.max(1);
         self

@@ -58,7 +58,7 @@ fn main() -> ExitCode {
             "--eval-threads" => match value("--eval-threads").map(|v| v.parse::<usize>()) {
                 Ok(Ok(n)) if n > 0 => config.eval_threads = n,
                 _ => {
-                    eprintln!("--eval-threads requires a positive integer (1 = serial evaluation)");
+                    eprintln!("--eval-threads requires a positive integer (1 = inline evaluation)");
                     return usage();
                 }
             },

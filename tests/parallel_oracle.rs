@@ -1,13 +1,20 @@
-//! Differential oracle for parallel evaluation: at every thread count the
-//! engine must produce *exactly* the model, stable sets, and query answers
-//! of the serial path.
+//! Thread-count oracle for the well-founded evaluator: there is one
+//! evaluation order — the SCC-condensation wave schedule — and at every
+//! thread count it must produce *exactly* the same model, stable sets and
+//! query answers, and that model must be the one Definition 3.5 defines.
 //!
-//! `EvalOptions::eval_threads = 1` runs the pre-parallel serial evaluator
-//! unchanged, so these tests pin the SCC-wave fixpoint, the wave-parallel
-//! model patching, and the partitioned semi-naive rounds against it on the
-//! same randomized program families as `tests/differential.rs` — the pinned
-//! regression corpus in `tests/corpus/differential_seeds.txt` always runs
-//! first, and `HILOG_PARALLEL_CASES` scales the total case count in CI.
+//! `EvalOptions::eval_threads` only decides where a wave's components run:
+//! inline on the calling thread at `1`, on the engine work pool above that.
+//! So these tests compare thread counts 1/2/4/8 **to each other**, and
+//! compare every one of them — `1` included — to
+//! `engine::well_founded_of_ground`, the literal global `W_P` iteration that
+//! no production path calls, on the same relevant grounding.  The patch path
+//! gets the same treatment: a patched model at each thread count against a
+//! fresh evaluation of the mutated program.  The partitioned semi-naive
+//! rounds are pinned through the bound-query suite.  The program families
+//! are those of `tests/differential.rs` — the pinned regression corpus in
+//! `tests/corpus/differential_seeds.txt` always runs first, and
+//! `HILOG_PARALLEL_CASES` scales the total case count in CI.
 //!
 //! Determinism is checked separately from agreement: repeated evaluations at
 //! the *same* thread count (and across different thread counts) must yield
@@ -17,6 +24,7 @@
 //! vary with scheduling — which is exactly why the determinism guarantee is
 //! stated over answers, not over stats.
 
+use hilog_repro::engine::well_founded_of_ground;
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -24,7 +32,7 @@ use hilog_workloads::random_programs::{
 };
 use hilog_workloads::{sharded_chain_game_program, sharded_game_program};
 
-/// Thread counts every oracle runs at; `1` is the serial reference.
+/// Thread counts every oracle runs at; `1` runs every wave inline.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
 /// The committed regression corpus shared with `tests/differential.rs`.
@@ -54,7 +62,14 @@ fn seeds(extra: usize) -> Vec<u64> {
     out
 }
 
-/// A session evaluating with exactly `threads` worker threads.
+/// Definition 3.5's model of `program`: the global `W_P` iteration over the
+/// relevant grounding, independent of the wave schedule under test.
+fn reference_model(program: &Program) -> Model {
+    let ground = relevant_ground(program, EvalOptions::default()).expect("program grounds");
+    well_founded_of_ground(&ground)
+}
+
+/// A session evaluating with exactly `threads` threads.
 fn db_with_threads(program: Program, threads: usize) -> HiLogDb {
     HiLogDb::builder()
         .program(program)
@@ -66,18 +81,13 @@ fn db_with_threads(program: Program, threads: usize) -> HiLogDb {
 fn normal_programs_have_thread_count_independent_models() {
     for seed in seeds(20) {
         let program = random_range_restricted_normal(NormalProgramConfig::default(), seed);
-        let serial = db_with_threads(program.clone(), 1)
-            .model()
-            .expect("serial model evaluates")
-            .clone();
+        let reference = reference_model(&program);
         for threads in THREAD_COUNTS {
-            let parallel = db_with_threads(program.clone(), threads)
-                .model()
-                .expect("parallel model evaluates")
-                .clone();
+            let mut db = db_with_threads(program.clone(), threads);
             assert_eq!(
-                parallel, serial,
-                "threads={threads} diverged from serial (seed {seed}, normal)"
+                db.model().expect("model evaluates"),
+                &reference,
+                "threads={threads} diverged from Definition 3.5 (seed {seed}, normal)"
             );
         }
     }
@@ -87,18 +97,13 @@ fn normal_programs_have_thread_count_independent_models() {
 fn hilog_programs_have_thread_count_independent_models() {
     for seed in seeds(0) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
-        let serial = db_with_threads(program.clone(), 1)
-            .model()
-            .expect("serial model evaluates")
-            .clone();
+        let reference = reference_model(&program);
         for threads in THREAD_COUNTS {
-            let parallel = db_with_threads(program.clone(), threads)
-                .model()
-                .expect("parallel model evaluates")
-                .clone();
+            let mut db = db_with_threads(program.clone(), threads);
             assert_eq!(
-                parallel, serial,
-                "threads={threads} diverged from serial (seed {seed}, HiLog)"
+                db.model().expect("model evaluates"),
+                &reference,
+                "threads={threads} diverged from Definition 3.5 (seed {seed}, HiLog)"
             );
         }
     }
@@ -107,36 +112,36 @@ fn hilog_programs_have_thread_count_independent_models() {
 #[test]
 fn stable_models_are_thread_count_independent() {
     // Stable-set enumeration shares the session's grounding with the
-    // parallel well-founded path; the enumerated models must not depend on
-    // the evaluation thread count either.
+    // well-founded path; the enumerated models must not depend on the
+    // evaluation thread count either.
     for seed in seeds(0).into_iter().take(20) {
         let program = random_range_restricted_normal(NormalProgramConfig::default(), seed);
-        let mut serial = db_with_threads(program.clone(), 1);
-        let reference = serial.stable_models().expect("serial stable sets").to_vec();
+        let mut reference: Option<Vec<Model>> = None;
         for threads in THREAD_COUNTS {
             let mut db = db_with_threads(program.clone(), threads);
-            let models = db.stable_models().expect("parallel stable sets");
-            assert_eq!(
-                models,
-                &reference[..],
-                "stable sets diverge at threads={threads} (seed {seed})"
-            );
+            let models = db.stable_models().expect("stable sets enumerate");
+            match &reference {
+                None => reference = Some(models.to_vec()),
+                Some(expected) => assert_eq!(
+                    models,
+                    &expected[..],
+                    "stable sets diverge at threads={threads} (seed {seed})"
+                ),
+            }
         }
     }
 }
 
 #[test]
 fn bound_queries_agree_across_thread_counts() {
-    // Instance-level oracle: every ground atom of the serial model receives
-    // the same three-valued verdict from a parallel session's magic-sets
-    // route (which exercises the partitioned semi-naive rounds).
+    // Instance-level oracle: every ground atom of the reference model
+    // receives the same three-valued verdict from the magic-sets route at
+    // every thread count (above one this exercises the partitioned
+    // semi-naive rounds).
     for seed in seeds(0).into_iter().take(25) {
         let program = random_range_restricted_normal(NormalProgramConfig::default(), seed);
-        let model = db_with_threads(program.clone(), 1)
-            .model()
-            .expect("serial model evaluates")
-            .clone();
-        for threads in [2, 4, 8] {
+        let model = reference_model(&program);
+        for threads in THREAD_COUNTS {
             let mut magic = db_with_threads(program.clone(), threads);
             for atom in model.base() {
                 let result = magic
@@ -154,9 +159,9 @@ fn bound_queries_agree_across_thread_counts() {
 
 #[test]
 fn incremental_patching_agrees_across_thread_counts() {
-    // The wave-parallel patch path against the serial patch path: the same
-    // assertion sequence applied to sessions at every thread count must
-    // pass through identical models at every step.
+    // The one patch path at every thread count: the same assertion sequence
+    // applied to warm sessions must pass, at every step, through the model a
+    // fresh evaluation of the mutated program defines.
     for seed in seeds(0).into_iter().take(25) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
         let mut sessions: Vec<(usize, HiLogDb)> = THREAD_COUNTS
@@ -168,18 +173,16 @@ fn incremental_patching_agrees_across_thread_counts() {
         }
         for step in 0..3u64 {
             let fact = parse_term(&format!("r0(c0, c{})", 1 + ((seed + step) % 3))).unwrap();
-            let mut reference: Option<Model> = None;
+            let mut fresh: Option<Model> = None;
             for (threads, db) in &mut sessions {
                 db.assert_fact(fact.clone()).expect("fact asserts");
                 let patched = db.model().expect("patched model").clone();
-                match &reference {
-                    None => reference = Some(patched),
-                    Some(expected) => assert_eq!(
-                        &patched, expected,
-                        "patched model diverges at threads={threads} \
-                         (seed {seed}, step {step})"
-                    ),
-                }
+                let expected = fresh.get_or_insert_with(|| reference_model(db.program()));
+                assert_eq!(
+                    &patched, expected,
+                    "patched model diverges from fresh evaluation at threads={threads} \
+                     (seed {seed}, step {step})"
+                );
             }
         }
     }
