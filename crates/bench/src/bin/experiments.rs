@@ -59,15 +59,19 @@ fn parse_args() -> Config {
         quick: false,
         json_path: None,
     };
+    let usage = |problem: String| -> ! {
+        eprintln!("{problem} (expected --quick or --json PATH)");
+        std::process::exit(2)
+    };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--quick" => config.quick = true,
-            "--json" => config.json_path = args.next(),
-            other => {
-                eprintln!("unknown argument `{other}` (expected --quick or --json PATH)");
-                std::process::exit(2);
-            }
+            "--json" => match args.next() {
+                Some(path) => config.json_path = Some(path),
+                None => usage("`--json` needs a path".into()),
+            },
+            other => usage(format!("unknown argument `{other}`")),
         }
     }
     config

@@ -26,15 +26,20 @@
 //!   program of Section 6.
 //! * **Preservation under extensions / domain independence** ([`extension`]):
 //!   checkers for the Section 5 properties on concrete extension witnesses.
-//! * **The session facade** ([`session`], [`plan`]): a stateful [`HiLogDb`]
-//!   that owns a program, caches grounding, dependency analysis, models and
-//!   subgoal tables across queries, accepts incremental facts with targeted
-//!   cache invalidation, and routes every query through an explainable
-//!   [`QueryPlan`].
-//! * **The concurrent serving split** ([`snapshot`]): an immutable,
-//!   `Send + Sync` [`DbSnapshot`] whose query routes take `&self`, published
-//!   per batch by a single [`DbWriter`] through an epoch-swapped shared cell
-//!   — readers never block and never observe a half-applied batch.
+//! * **The read surface and the serving pair** ([`snapshot`], [`plan`]): a
+//!   `Send + Sync` [`DbSnapshot`] is the one implementation of answering a
+//!   query — `query` / `holds` / `model` / `stable_models` / `check_modular`
+//!   / `explain` all take `&self`, route through an explainable
+//!   [`QueryPlan`], and fill grounding, model and subgoal-table caches
+//!   lazily behind interior locks.  A single [`DbWriter`] publishes
+//!   `Arc`-sharing copies per batch through an epoch-swapped shared cell —
+//!   readers never block and never observe a half-applied batch.
+//! * **The session** ([`session`]): a stateful [`HiLogDb`] is that read
+//!   surface's mutable owner — it holds one working [`DbSnapshot`] by
+//!   value, delegates every read to it, and keeps its caches maintained
+//!   under `assert_fact` / `retract_fact` / `assert_rule` / `retract_rule`
+//!   (delta grounding, DRed, instance-level model patches and subgoal-table
+//!   maintenance) instead of discarding them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -49,10 +49,9 @@ use hilog_core::unify::{match_with, unify_with};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
-/// Head predicate name of the auxiliary rule that wraps conjunctive queries,
-/// shared by [`QueryEvaluator::answer_query`] and the session facade (which
-/// must recognise — and drop — the auxiliary tables it creates).
-pub(crate) const QUERY_HEAD: &str = "__query_answer";
+/// Head predicate name of the auxiliary rule
+/// [`QueryEvaluator::answer_query`] wraps conjunctive queries in.
+const QUERY_HEAD: &str = "__query_answer";
 
 /// Statistics collected during query evaluation, used by the benchmarks to
 /// show the relevance advantage of query-directed evaluation and by
@@ -243,6 +242,10 @@ impl Table {
 #[derive(Debug)]
 pub struct QueryEvaluator<'p> {
     program: &'p Program,
+    /// The auxiliary `__query_answer` rule of the conjunctive query being
+    /// answered, held *beside* the borrowed program as rule index
+    /// `program.len()` — so wrapping a query never copies the program.
+    query_rule: Option<Rule>,
     opts: EvalOptions,
     /// Subgoal tables keyed by their normalised pattern *structurally* (the
     /// `Arc`-backed [`Term`] itself), so seeding, lookup and the session's
@@ -301,6 +304,7 @@ impl<'p> QueryEvaluator<'p> {
         }
         QueryEvaluator {
             program,
+            query_rule: None,
             opts,
             tables,
             rename_counter: 0,
@@ -312,17 +316,41 @@ impl<'p> QueryEvaluator<'p> {
         }
     }
 
-    /// Consumes the evaluator, handing its subgoal tables back to the caller
-    /// (the session keeps the complete ones for the next query).
-    pub(crate) fn into_tables(self) -> HashMap<Term, Arc<Table>> {
+    /// Consumes the evaluator, handing its *complete* subgoal tables back to
+    /// the caller (an aborted evaluation leaves incomplete ones behind; the
+    /// auxiliary query table is not a table of the program).  Every table
+    /// returned is a valid table of the base program.
+    pub(crate) fn into_tables(mut self) -> HashMap<Term, Arc<Table>> {
+        self.drop_query_table();
+        self.tables.retain(|_, t| t.complete);
         self.tables
+    }
+
+    /// Forgets the auxiliary table of the last conjunctive query.  The match
+    /// is on the pattern's functor, not the rendered key (where
+    /// `__query_answer` comes out quoted).
+    fn drop_query_table(&mut self) {
+        let aux_functor = Term::sym(QUERY_HEAD);
+        self.tables
+            .retain(|_, t| t.pattern.outermost_functor() != &aux_functor);
+    }
+
+    /// The rule at `index`: a rule of the borrowed program, or — one past
+    /// its end — the auxiliary rule of the query being answered.
+    fn rule(&self, index: usize) -> &Rule {
+        self.program.rules.get(index).unwrap_or_else(|| {
+            self.query_rule
+                .as_ref()
+                .expect("candidate_rules only names the auxiliary index while a query rule is set")
+        })
     }
 
     /// The rule indices that could match a subgoal with the given pattern.
     fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
         let functor = pattern.outermost_functor();
+        let aux = self.query_rule.as_ref();
         if !functor.is_ground() {
-            return (0..self.program.len()).collect();
+            return (0..self.program.len() + usize::from(aux.is_some())).collect();
         }
         let mut out: Vec<usize> = self
             .rules_by_head
@@ -331,6 +359,11 @@ impl<'p> QueryEvaluator<'p> {
             .unwrap_or_default();
         out.extend(self.wildcard_rules.iter().copied());
         out.sort_unstable();
+        if aux.is_some_and(|r| {
+            r.head.outermost_functor() == functor && r.head.arity() == pattern.arity()
+        }) {
+            out.push(self.program.len());
+        }
         out
     }
 
@@ -359,30 +392,38 @@ impl<'p> QueryEvaluator<'p> {
     }
 
     /// Answers a query (a conjunction of literals), returning one
-    /// substitution of the query's variables per answer.
+    /// substitution of the query's variables per true instance.
+    ///
+    /// A single positive atom tables the pattern itself, so a repeat of the
+    /// same query is a pure cache hit.  Anything else is wrapped in an
+    /// auxiliary `__query_answer` rule (the `answer` rule of Section 5) so
+    /// conjunctions and negative literals are handled uniformly; the rule
+    /// sits beside the borrowed program only for the duration of the call,
+    /// and its table is never handed on — every other table the run
+    /// completes is a valid table of the base program.
     pub fn answer_query(&mut self, query: &Query) -> Result<Vec<Substitution>, EngineError> {
         let vars = query.variables();
-        // Wrap the query in an auxiliary rule so conjunctions and negative
-        // literals are handled uniformly (the `answer` rule of Section 5).
-        let head = Term::apps(
-            QUERY_HEAD,
-            vars.iter().map(|v| Term::Var(v.clone())).collect(),
-        );
-        let rule = Rule::new(head.clone(), query.literals.clone());
-        let mut extended = self.program.clone();
-        extended.push(rule);
-        let mut sub =
-            QueryEvaluator::with_tables(&extended, self.opts, HashMap::new(), self.storage.clone());
-        let answers = sub.solve_atom(&head)?;
-        self.stats.rule_applications += sub.stats().rule_applications;
-        let mut out = Vec::new();
-        for answer in answers {
-            let mut theta = Substitution::new();
-            if match_with(&head, &answer, &mut theta) {
-                out.push(theta.restrict(&vars));
-            }
-        }
-        Ok(out)
+        let (head, solved) = if let [Literal::Pos(atom)] = query.literals.as_slice() {
+            (atom.clone(), self.solve_atom(atom))
+        } else {
+            let head = Term::apps(
+                QUERY_HEAD,
+                vars.iter().map(|v| Term::Var(v.clone())).collect(),
+            );
+            // The previous conjunction's table must not answer this one.
+            self.drop_query_table();
+            self.query_rule = Some(Rule::new(head.clone(), query.literals.clone()));
+            let solved = self.solve_atom(&head);
+            self.query_rule = None;
+            (head, solved)
+        };
+        Ok(solved?
+            .into_iter()
+            .filter_map(|answer| {
+                let mut theta = Substitution::new();
+                match_with(&head, &answer, &mut theta).then(|| theta.restrict(&vars))
+            })
+            .collect())
     }
 
     /// Returns `true` if the ground atom is true in the well-founded model.
@@ -610,9 +651,8 @@ impl<'p> QueryEvaluator<'p> {
         let pattern = self.tables[subgoal_key].pattern.clone();
         let mut derived: Vec<Term> = Vec::new();
         for rule_index in self.candidate_rules(&pattern) {
-            let rule = &self.program.rules[rule_index];
             let generation = self.fresh_generation();
-            let renamed = rule.rename(generation);
+            let renamed = self.rule(rule_index).rename(generation);
             let mut theta = Substitution::new();
             if !unify_with(&renamed.head, &pattern, &mut theta) {
                 continue;
@@ -743,7 +783,8 @@ impl<'p> QueryEvaluator<'p> {
                     derived.push(answer);
                 } else {
                     return Err(EngineError::Floundering(format!(
-                        "rule `{rule}` produced the non-ground answer `{answer}`"
+                        "rule `{}` produced the non-ground answer `{answer}`",
+                        self.rule(rule_index)
                     )));
                 }
             }
@@ -1035,6 +1076,32 @@ mod tests {
                 .into_iter()
                 .collect()
         );
+    }
+
+    #[test]
+    fn one_evaluator_answers_conjunctions_without_sharing_their_auxiliary_table() {
+        // Two conjunctions with the same variable count wrap into the same
+        // `__query_answer(X)` pattern; the second must not be answered from
+        // the first one's table, and neither table is handed on.
+        let program = parse_program("p(a). p(b). q(b). r(c).").unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        let x = |s: &Substitution| s.apply(&Term::var("X")).to_string();
+        let first = ev
+            .answer_query(&parse_query("?- p(X), q(X).").unwrap())
+            .unwrap();
+        assert_eq!(first.iter().map(x).collect::<Vec<_>>(), ["b"]);
+        let second = ev
+            .answer_query(&parse_query("?- r(X), not q(X).").unwrap())
+            .unwrap();
+        assert_eq!(second.iter().map(x).collect::<Vec<_>>(), ["c"]);
+        // A single atom tables its own pattern.
+        let third = ev.answer_query(&parse_query("?- p(X).").unwrap()).unwrap();
+        assert_eq!(third.len(), 2);
+        let tables = ev.into_tables();
+        assert!(tables.contains_key(&normalize_pattern(&parse_term("p(X)").unwrap())));
+        assert!(tables
+            .values()
+            .all(|t| t.complete && t.pattern.outermost_functor() != &Term::sym(QUERY_HEAD)));
     }
 
     #[test]

@@ -1,0 +1,786 @@
+//! Incremental maintenance of the grounding and the model under mutation.
+//!
+//! A fact-level change does not discard the working snapshot's caches: the
+//! relevant instantiation is *maintained* (semi-naive delta grounding on
+//! assert, DRed overdelete/rederive on retract), and the well-founded model
+//! is marked with the **seed atoms** the change touched, so the next route
+//! that needs it re-evaluates only their instance-level reverse closure.
+//! The predicate-level [`DepAnalysis`] decides how far a change can reach.
+
+use super::{HiLogDb, Semantics};
+use crate::ground::GroundRule;
+use crate::grounder::ground_delta;
+use crate::horn::{join_body, AtomStore, NegationMode};
+use crate::snapshot::{lock_mut, SnapCore};
+use crate::storage::FactStore;
+use hilog_core::literal::Literal;
+use hilog_core::program::Program;
+use hilog_core::term::Term;
+use std::collections::{BTreeSet, HashMap};
+use std::sync::Arc;
+
+/// Returns `true` if `atom` falls inside an optional predicate-level scope
+/// (`None` means "everything" — a variable-headed rule or a fact without a
+/// predicate identity made the mutation global).  Used only to bound the
+/// DRed sweep of [`HiLogDb::retract_from_ground`]; the *model* patch works
+/// at the finer instance level (seed atoms + [`affected_closure`]).
+fn pred_scope_affects(preds: Option<&BTreeSet<PredKey>>, atom: &Term) -> bool {
+    match preds {
+        None => true,
+        // Ground atoms always have a predicate key; default to affected
+        // for safety.
+        Some(preds) => pred_key(atom).is_none_or(|k| preds.contains(&k)),
+    }
+}
+
+impl HiLogDb {
+    /// Resets every cache except the subgoal tables (the one cache with
+    /// finer-than-global invalidation, maintained through the recorded
+    /// dependency edges instead).
+    pub(super) fn invalidate_caches_keeping_tables(&mut self) {
+        self.analysis = None;
+        *lock_mut(&mut self.snap.core) = SnapCore::default();
+    }
+
+    /// Targeted invalidation + incremental maintenance after a fact-level
+    /// change to `fact`.  `asserted` is `true` for assertion, `false` for
+    /// retraction.
+    ///
+    /// Subgoal tables are maintained through the instance-level recorded
+    /// dependency graph ([`Self::maintain_tables_for_fact`]: unaffected
+    /// tables survive, fact-backed tables are patched in place, the rest of
+    /// the affected closure is dropped).  The cached grounding is
+    /// *maintained* semi-naively (delta instantiation on assert, DRed
+    /// overdelete/rederive on retract), and under the well-founded semantics
+    /// the cached model is marked dirty for the predicate-level closure —
+    /// the next query that needs it re-evaluates only the affected
+    /// components.
+    pub(super) fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
+        // The Figure 1 outcome records the settling order, which even a pure
+        // EDB fact can extend; recompute it on demand.
+        lock_mut(&mut self.snap.core).modular = None;
+        self.maintain_tables_for_fact(fact, asserted);
+        // `assert_fact` only admits ground atoms, but `assert_rule` (and the
+        // builder) accept facts with variable predicate names, and those can
+        // reach here through `retract_fact`; without a predicate identity
+        // the predicate-level scope is global.  (The *model* patch is scoped
+        // at the instance level either way — see `apply_fact_delta`.)
+        let keyed = match pred_key(fact) {
+            Some(key) => self.analysis().affected_by(&key).map(|set| (key, set)),
+            None => None,
+        };
+        let Some((key, affected)) = keyed else {
+            self.apply_fact_delta(fact, asserted, None);
+            return;
+        };
+        let analysis = self.analysis.as_ref().expect("analysis just built");
+        let pure_edb = affected.len() == 1 && !analysis.derived.contains(&key);
+        if !pure_edb {
+            self.apply_fact_delta(fact, asserted, Some(affected));
+            return;
+        }
+        let max_atoms = self.snap.opts.max_atoms;
+        let core = lock_mut(&mut self.snap.core);
+        if asserted {
+            // Nothing reads the predicate and no rule derives it: the fact
+            // only adds itself to the stores, the ground program and the
+            // model — an exact patch, no re-evaluation needed.  (The
+            // duplicate short-circuit in `assert_fact` guarantees this is a
+            // genuinely new fact.)
+            if let Some(possibly) = &mut core.possibly {
+                Arc::make_mut(possibly).insert(fact.clone());
+            }
+            if let Some(ground) = &mut core.ground {
+                Arc::make_mut(ground).push(GroundRule::fact(fact.clone()));
+            }
+            // Same cumulative cap as `assert_into_ground`: fall back to full
+            // re-grounding (and its `LimitExceeded`) instead of silently
+            // growing past what a fresh session would reject.
+            if core
+                .ground
+                .as_ref()
+                .is_some_and(|g| g.rules.len() > max_atoms)
+            {
+                *core = SnapCore::default();
+                return;
+            }
+            if let Some(model) = &mut core.model {
+                Arc::make_mut(model).set_true(fact.clone());
+            }
+            if let Some(models) = &mut core.stable {
+                for m in Arc::make_mut(models).iter_mut() {
+                    m.set_true(fact.clone());
+                }
+            }
+        } else {
+            if let Some(possibly) = &mut core.possibly {
+                Arc::make_mut(possibly).remove(fact);
+            }
+            if let Some(ground) = &mut core.ground {
+                Arc::make_mut(ground)
+                    .rules
+                    .retain(|r| !(r.is_fact() && r.head == *fact));
+            }
+            if let Some(model) = &mut core.model {
+                Arc::make_mut(model).set_false(fact.clone());
+            }
+            if let Some(models) = &mut core.stable {
+                for m in Arc::make_mut(models).iter_mut() {
+                    m.set_false(fact.clone());
+                }
+            }
+        }
+    }
+
+    /// Folds a fact-level change into the warm caches: the grounding is
+    /// patched in place, and the model is marked dirty with the **seed
+    /// atoms** the maintenance actually touched, so the next use re-evaluates
+    /// only their instance-level reverse closure.  `preds` is the
+    /// predicate-level reverse closure (when one exists) and only bounds the
+    /// DRed sweep of a retraction.  Cold (or unmaintainable) caches are
+    /// dropped and rebuilt lazily as before.
+    fn apply_fact_delta(&mut self, fact: &Term, asserted: bool, preds: Option<BTreeSet<PredKey>>) {
+        let core = lock_mut(&mut self.snap.core);
+        // Stable models are not patchable (the delta can flip whole models in
+        // and out of existence), but they are rebuilt from the *maintained*
+        // grounding, which is where the expensive work sits.
+        core.stable = None;
+        let seeds = if core.ground.is_some() && core.possibly.is_some() {
+            if asserted {
+                self.assert_into_ground(fact)
+            } else {
+                self.retract_from_ground(fact, preds.as_ref())
+            }
+        } else {
+            None
+        };
+        let well_founded = self.snap.semantics == Semantics::WellFounded;
+        let core = lock_mut(&mut self.snap.core);
+        let Some(seeds) = seeds else {
+            core.ground = None;
+            core.possibly = None;
+            core.model = None;
+            core.dirty = None;
+            return;
+        };
+        if well_founded && core.model.is_some() {
+            match core.dirty.as_mut() {
+                Some(previous) => previous.extend(seeds),
+                None => core.dirty = Some(seeds),
+            }
+        } else {
+            core.model = None;
+            core.dirty = None;
+        }
+    }
+
+    /// Semi-naive continuation for an asserted fact: extends the
+    /// possibly-true store from the new fact, instantiating the rules each
+    /// round's frontier enables *as the frontier lands* (one join pass per
+    /// round — the heads and the instantiations come from the same joins,
+    /// never re-joined against the accumulated delta), and appends them
+    /// (deduplicated) to the cached ground program.
+    ///
+    /// Returns the **seed atoms** of the change — the fact plus the head of
+    /// every appended instantiation, i.e. every atom whose rule set grew —
+    /// from which the model patch derives its instance-level affected
+    /// closure.  Returns `None` when the continuation cannot be completed
+    /// (e.g. a resource limit); the caller then falls back to full
+    /// re-grounding.
+    fn assert_into_ground(&mut self, fact: &Term) -> Option<BTreeSet<Term>> {
+        let (program, opts) = (&self.snap.program, self.snap.opts);
+        let core = lock_mut(&mut self.snap.core);
+        let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
+        let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
+        let mut seeds: BTreeSet<Term> = BTreeSet::new();
+        seeds.insert(fact.clone());
+        let fact_was_new = !possibly.contains(fact);
+        // The asserted fact's bodyless instance is new unless the atom was
+        // already a ground fact (a duplicate assertion, or a builtin-guarded
+        // rule's instance): only then is a scan needed.
+        if fact_was_new || !ground.rules.iter().any(|r| r.is_fact() && r.head == *fact) {
+            ground.push(GroundRule::fact(fact.clone()));
+        }
+        if fact_was_new {
+            possibly.insert(fact.clone());
+            // Frontier instantiations carry at least one brand-new positive
+            // body atom, so they cannot duplicate any pre-existing rule —
+            // only each other (one copy per delta position they match).
+            let mut appended: BTreeSet<GroundRule> = BTreeSet::new();
+            let mut frontier = AtomStore::from_atoms([fact.clone()]);
+            let mut rounds = 0usize;
+            while !frontier.is_empty() {
+                rounds += 1;
+                if rounds > opts.max_rounds {
+                    return None;
+                }
+                // Ground this frontier while the store holds exactly the
+                // rounds up to it.  The instantiations' heads *are* the
+                // delta-aware consequence operator's output, so the next
+                // frontier falls out of the same single join pass.
+                let rules = match ground_delta(program, possibly, &frontier, opts) {
+                    Ok(rules) => rules,
+                    Err(_) => return None,
+                };
+                let mut next = AtomStore::new();
+                for rule in rules {
+                    if !possibly.contains(&rule.head) {
+                        if possibly.len() >= opts.max_atoms {
+                            return None;
+                        }
+                        possibly.insert(rule.head.clone());
+                        next.insert(rule.head.clone());
+                    }
+                    if appended.insert(rule.clone()) {
+                        seeds.insert(rule.head.clone());
+                        ground.push(rule);
+                    }
+                }
+                frontier = next;
+            }
+        }
+        // `ground_delta` only bounds each call; enforce the same *cumulative*
+        // limit a fresh grounding would hit, so a long-lived session cannot
+        // silently grow past what a fresh grounding would reject.  Falling back
+        // surfaces the `LimitExceeded` on the next query, exactly like a
+        // fresh session.
+        (ground.rules.len() <= opts.max_atoms).then_some(seeds)
+    }
+
+    /// DRed-style maintenance for a retracted fact: *overdelete* the forward
+    /// closure of the fact through the cached ground rules, then *rederive*
+    /// every overdeleted atom that still has a supported instantiation, and
+    /// finally drop the instantiations that lost support.
+    ///
+    /// Returns the **seed atoms** of the change — the fact, every atom that
+    /// stayed deleted, and the head of every dropped instantiation (an atom
+    /// that lost a rule may change truth even if other rules keep it
+    /// possibly-true) — or `None` if the caches cannot be maintained.
+    ///
+    /// `preds` is the predicate-level reverse-dependency closure (when one
+    /// exists): every atom that can be overdeleted (and every rule that can
+    /// lose support) has its head inside it, so the index and the final
+    /// sweep skip rules headed outside it entirely — a retraction confined
+    /// to one component never walks the others' rules.
+    fn retract_from_ground(
+        &mut self,
+        fact: &Term,
+        preds: Option<&BTreeSet<PredKey>>,
+    ) -> Option<BTreeSet<Term>> {
+        let program = &self.snap.program;
+        let core = lock_mut(&mut self.snap.core);
+        let possibly = Arc::make_mut(core.possibly.as_mut()?);
+        let ground = Arc::make_mut(core.ground.as_mut()?);
+        // One pass over the in-scope rules builds the index both fixpoints
+        // run on (rules by positive body atom), so neither loop ever rescans
+        // the ground program per round.
+        let mut rules_by_pos: HashMap<&Term, Vec<usize>> = HashMap::new();
+        for (i, rule) in ground.rules.iter().enumerate() {
+            if !pred_scope_affects(preds, &rule.head) {
+                continue;
+            }
+            for atom in &rule.pos {
+                rules_by_pos.entry(atom).or_default().push(i);
+            }
+        }
+        // Overdelete: everything whose derivation may pass through `fact`,
+        // by worklist over the index.
+        let mut deleted: BTreeSet<Term> = BTreeSet::new();
+        deleted.insert(fact.clone());
+        let mut worklist = vec![fact.clone()];
+        while let Some(atom) = worklist.pop() {
+            let Some(readers) = rules_by_pos.get(&atom) else {
+                continue;
+            };
+            for &ri in readers {
+                let head = &ground.rules[ri].head;
+                if !deleted.contains(head) {
+                    deleted.insert(head.clone());
+                    worklist.push(head.clone());
+                }
+            }
+        }
+        for atom in &deleted {
+            possibly.remove(atom);
+        }
+        // The retracted EDB instance only survives if another bodyless route
+        // to the same ground fact exists (e.g. a builtin-guarded rule).
+        let spontaneous = spontaneous_fact(program, fact);
+        // Rederive: a deleted atom returns as soon as one of its cached
+        // instantiations is fully supported by surviving atoms.  Only rules
+        // whose head was overdeleted can rederive anything; seed with those,
+        // then chase the index from each re-added atom.
+        let candidates: Vec<usize> = ground
+            .rules
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| deleted.contains(&r.head))
+            .map(|(i, _)| i)
+            .collect();
+        let rederives = |rule: &GroundRule, possibly: &FactStore| {
+            rule.pos.iter().all(|a| possibly.contains(a))
+                && !(rule.is_fact() && rule.head == *fact && !spontaneous)
+        };
+        let mut worklist: Vec<usize> = candidates
+            .iter()
+            .copied()
+            .filter(|&ri| rederives(&ground.rules[ri], possibly))
+            .collect();
+        while let Some(ri) = worklist.pop() {
+            let head = &ground.rules[ri].head;
+            if !deleted.remove(head) {
+                continue;
+            }
+            possibly.insert(head.clone());
+            // Re-adding `head` can revalidate overdeleted rules reading it.
+            if let Some(readers) = rules_by_pos.get(head) {
+                for &reader in readers {
+                    let rule = &ground.rules[reader];
+                    if deleted.contains(&rule.head) && rederives(rule, possibly) {
+                        worklist.push(reader);
+                    }
+                }
+            }
+        }
+        // Seeds for the instance-level model patch: the fact, whatever
+        // stayed deleted, and (below) the head of every dropped rule.
+        let mut seeds: BTreeSet<Term> = BTreeSet::new();
+        seeds.insert(fact.clone());
+        seeds.extend(deleted.iter().cloned());
+        // Drop the instantiations that lost support.  (`possibly` shrank, so
+        // this is exactly what a fresh relevant instantiation would omit;
+        // out-of-scope rules cannot have lost anything.)
+        ground.rules.retain(|r| {
+            let keep = !pred_scope_affects(preds, &r.head)
+                || (r.pos.iter().all(|a| possibly.contains(a))
+                    && !(r.is_fact() && r.head == *fact && !spontaneous));
+            if !keep {
+                seeds.insert(r.head.clone());
+            }
+            keep
+        });
+        Some(seeds)
+    }
+
+    fn analysis(&mut self) -> &DepAnalysis {
+        if self.analysis.is_none() {
+            self.analysis = Some(DepAnalysis::build(&self.snap.program));
+        }
+        self.analysis.as_ref().expect("just built")
+    }
+}
+
+/// A predicate identity: the (ground) predicate-name term plus arity.
+/// Symbols are `Arc`-backed, so cloning a first-order name is one refcount
+/// bump — this key is on the per-atom hot path of the model patch.
+type PredKey = (Term, Option<usize>);
+
+fn pred_key(atom: &Term) -> Option<PredKey> {
+    let name = atom.name();
+    name.is_ground().then(|| (name.clone(), atom.arity()))
+}
+
+/// Returns `true` if some rule with no positive or negative body atoms (a
+/// remaining bare fact, or a builtin-guarded rule like `f :- 1 < 2.`) still
+/// produces `fact` as a bodyless ground instance.  Used by the DRed
+/// retraction path to decide whether the ground fact survives the removal of
+/// its program-fact occurrence.
+pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
+    let empty = AtomStore::new();
+    program.iter().any(|rule| {
+        rule.positive_atoms().count() == 0
+            && rule.negative_atoms().count() == 0
+            && join_body(rule, &empty, None, NegationMode::Ignore)
+                .map(|thetas| thetas.iter().any(|theta| theta.apply(&rule.head) == *fact))
+                .unwrap_or(false)
+    })
+}
+
+/// Reverse dependency information over the program's predicates, used to
+/// decide which caches a fact-level mutation can reach.
+#[derive(Debug, Clone, Default)]
+pub(super) struct DepAnalysis {
+    /// `dependents[p]` = head predicates of rules whose body reads `p`.
+    dependents: HashMap<PredKey, BTreeSet<PredKey>>,
+    /// Head predicates of rules with a variable predicate name somewhere in
+    /// the body: they read *every* predicate.
+    universal_readers: BTreeSet<PredKey>,
+    /// `true` when some proper rule's head predicate name is non-ground; such
+    /// a rule can define any predicate, so every mutation is global.
+    wildcard_heads: bool,
+    /// Head predicates of proper (non-fact) rules.
+    derived: BTreeSet<PredKey>,
+}
+
+impl DepAnalysis {
+    fn build(program: &Program) -> Self {
+        let mut analysis = DepAnalysis::default();
+        for rule in program.proper_rules() {
+            let Some(head) = pred_key(&rule.head) else {
+                analysis.wildcard_heads = true;
+                continue;
+            };
+            analysis.derived.insert(head.clone());
+            for lit in &rule.body {
+                let atom = match lit {
+                    Literal::Pos(a) | Literal::Neg(a) => a,
+                    Literal::Aggregate(a) => &a.pattern,
+                    Literal::Builtin(_) => continue,
+                };
+                match pred_key(atom) {
+                    Some(body_key) => {
+                        analysis
+                            .dependents
+                            .entry(body_key)
+                            .or_default()
+                            .insert(head.clone());
+                    }
+                    None => {
+                        analysis.universal_readers.insert(head.clone());
+                    }
+                }
+            }
+        }
+        analysis
+    }
+
+    /// Every predicate whose cached state may change when `key` gains or
+    /// loses a fact (transitive reverse closure, always including the
+    /// universal readers).  `None` means "everything" — a variable-headed
+    /// rule exists.
+    fn affected_by(&self, key: &PredKey) -> Option<BTreeSet<PredKey>> {
+        if self.wildcard_heads {
+            return None;
+        }
+        let mut affected: BTreeSet<PredKey> = BTreeSet::new();
+        let mut queue: Vec<PredKey> = vec![key.clone()];
+        queue.extend(self.universal_readers.iter().cloned());
+        while let Some(k) = queue.pop() {
+            if !affected.insert(k.clone()) {
+                continue;
+            }
+            if let Some(readers) = self.dependents.get(&k) {
+                queue.extend(readers.iter().cloned());
+            }
+        }
+        Some(affected)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::error::EngineError;
+    use crate::horn::EvalOptions;
+    use crate::magic_eval::ModelSource;
+    use hilog_core::interpretation::Truth;
+    use hilog_core::rule::Rule;
+    use hilog_syntax::{parse_program, parse_query, parse_term};
+
+    fn game_db() -> HiLogDb {
+        HiLogDb::new(
+            parse_program(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 move(a, b). move(b, c).",
+            )
+            .unwrap(),
+        )
+    }
+
+    #[test]
+    fn pure_edb_fact_patches_the_cached_model() {
+        // `colour` is read by no rule: asserting a colour fact keeps the
+        // cached model (no re-grounding) and still answers correctly.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 move(a, b). colour(a, red).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("colour(b, blue)").unwrap())
+            .unwrap();
+        let after = db.query(&unbound).unwrap();
+        assert_eq!(
+            after.stats.groundings, 0,
+            "pure EDB fact forced re-grounding"
+        );
+        assert_eq!(
+            db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
+            Truth::True
+        );
+        assert!(db.retract_fact(&parse_term("colour(b, blue)").unwrap()));
+        assert_eq!(
+            db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
+            Truth::False
+        );
+    }
+
+    #[test]
+    fn assert_rule_rebuilds_everything() {
+        let mut db = game_db();
+        db.query(&parse_query("?- winning(X).").unwrap()).unwrap();
+        db.assert_rule(
+            parse_program("winning(X) :- bonus(X).")
+                .unwrap()
+                .rules
+                .remove(0),
+        );
+        db.assert_fact(parse_term("bonus(c)").unwrap()).unwrap();
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retracting_a_variable_named_fact_does_not_panic() {
+        // `assert_rule` accepts facts with variable predicate names; a later
+        // retract must fall back to global invalidation, not panic.
+        let mut db = HiLogDb::new(parse_program("q(r). r(q).").unwrap());
+        let var_fact = Term::app(Term::var("P"), vec![Term::sym("a")]);
+        db.assert_rule(Rule::fact(var_fact.clone()));
+        assert!(db.retract_fact(&var_fact));
+        assert_eq!(db.holds(&parse_term("q(r)").unwrap()).unwrap(), Truth::True);
+    }
+
+    #[test]
+    fn assert_fact_patches_the_model_without_regrounding() {
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        let first = db.query(&unbound).unwrap();
+        assert_eq!(first.stats.groundings, 1);
+        assert_eq!(first.stats.model_source, ModelSource::Rebuilt);
+        // `move` is read by `winning`: not pure EDB, so the old session
+        // dropped the model and re-grounded; now it patches instead.
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        let plan = db.explain(&unbound);
+        assert!(plan.cached_model);
+        assert!(plan.stale_model, "pending delta not reported by the plan");
+        let second = db.query(&unbound).unwrap();
+        assert_eq!(second.stats.groundings, 0, "patching must not re-ground");
+        assert_eq!(second.stats.patches, 1);
+        assert_eq!(second.stats.model_source, ModelSource::Patched);
+        // The patched model agrees with a fresh session on every atom.
+        let mut fresh = HiLogDb::new(db.program().clone());
+        let fresh_model = fresh.model().unwrap().clone();
+        let patched = db.model().unwrap();
+        for atom in patched.base().iter().chain(fresh_model.base()) {
+            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+        let third = db.query(&unbound).unwrap();
+        assert_eq!(third.stats.model_source, ModelSource::Cached);
+        assert_eq!(third.stats.patches, 0);
+    }
+
+    #[test]
+    fn single_scc_patch_freezes_untouched_instances() {
+        // One long chain game is a single predicate-level SCC; asserting an
+        // edge at its tail must patch the model by re-evaluating only the
+        // instance-level reverse closure of the change (the upstream
+        // positions), with every downstream truth frozen — and agree with a
+        // fresh session on every atom.
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..30 {
+            text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
+        }
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        let open = parse_query("?- P(p0, X).").unwrap();
+        db.query(&open).unwrap();
+        db.assert_fact(parse_term("move(p30, p31)").unwrap())
+            .unwrap();
+        let result = db.query(&open).unwrap();
+        assert_eq!(result.stats.groundings, 0);
+        assert_eq!(result.stats.model_source, ModelSource::Patched);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        let fresh_model = fresh.model().unwrap().clone();
+        let patched = db.model().unwrap();
+        for atom in patched.base().iter().chain(fresh_model.base()) {
+            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+    }
+
+    #[test]
+    fn consecutive_asserts_are_folded_into_one_patch() {
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        db.query(&unbound).unwrap();
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        db.assert_fact(parse_term("move(d, e)").unwrap()).unwrap();
+        let result = db.query(&unbound).unwrap();
+        assert_eq!(result.stats.patches, 1, "deltas were not accumulated");
+        assert_eq!(result.stats.groundings, 0);
+        assert_eq!(
+            db.holds(&parse_term("winning(d)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retract_fact_uses_dred_and_matches_fresh_recomputation() {
+        // tc is derived through the retracted edge: DRed must overdelete the
+        // downstream closure and rederive what other edges still support.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "tc(X, Y) :- edge(X, Y).\n\
+                 tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
+                 edge(a, b). edge(b, c). edge(a, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("edge(c, d)").unwrap()).unwrap();
+        db.query(&unbound).unwrap();
+        // Retract edge(b, c): tc(a, c) survives via edge(a, c); tc(b, c),
+        // tc(b, d) die.
+        assert!(db.retract_fact(&parse_term("edge(b, c)").unwrap()));
+        let result = db.query(&unbound).unwrap();
+        assert_eq!(result.stats.groundings, 0, "DRed path re-grounded");
+        assert_eq!(result.stats.model_source, ModelSource::Patched);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        let fresh_model = fresh.model().unwrap().clone();
+        let patched = db.model().unwrap();
+        for atom in patched.base().iter().chain(fresh_model.base()) {
+            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+        assert_eq!(
+            db.holds(&parse_term("tc(b, c)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("tc(a, c)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retracting_a_derived_support_fact_removes_dependent_atoms() {
+        // The acceptance case: retracting a fact that transitively supports
+        // derived atoms provably removes the no-longer-derivable ones.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "reach(Y) :- reach(X), edge(X, Y). reach(a).\n\
+                 edge(a, b). edge(b, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(X).").unwrap();
+        db.query(&unbound).unwrap();
+        assert!(db.retract_fact(&parse_term("edge(a, b)").unwrap()));
+        let result = db.query(&unbound).unwrap();
+        assert_eq!(result.stats.groundings, 0);
+        assert_eq!(
+            db.holds(&parse_term("reach(b)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("reach(c)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("reach(a)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn dred_rederives_atoms_with_cyclic_support_correctly() {
+        // p and q support each other, but only through the seed fact p: after
+        // retracting p, neither may be rederived through the cycle.
+        let mut db = HiLogDb::new(parse_program("p :- q. q :- p. p. r.").unwrap());
+        let unbound = parse_query("?- P(X).").unwrap(); // warms ground+model
+        let _ = db.query(&unbound);
+        db.model().unwrap();
+        assert!(db.retract_fact(&parse_term("p").unwrap()));
+        assert_eq!(db.holds(&parse_term("p").unwrap()).unwrap(), Truth::False);
+        assert_eq!(db.holds(&parse_term("q").unwrap()).unwrap(), Truth::False);
+        assert_eq!(db.holds(&parse_term("r").unwrap()).unwrap(), Truth::True);
+    }
+
+    #[test]
+    fn builtin_guarded_facts_survive_retraction_of_their_edb_twin() {
+        // `s :- 1 < 2.` grounds to the same ground fact as the EDB `s.`;
+        // retracting the EDB occurrence must keep s true (spontaneous
+        // justification), and a second retraction is a no-op returning false.
+        let mut db = HiLogDb::new(parse_program("s :- 1 < 2. s. t :- s.").unwrap());
+        db.model().unwrap();
+        assert!(db.retract_fact(&parse_term("s").unwrap()));
+        assert_eq!(db.holds(&parse_term("s").unwrap()).unwrap(), Truth::True);
+        assert_eq!(db.holds(&parse_term("t").unwrap()).unwrap(), Truth::True);
+        assert!(!db.retract_fact(&parse_term("s").unwrap()));
+    }
+
+    #[test]
+    fn hilog_programs_with_variable_heads_still_patch_the_grounding() {
+        // The HiLog game rule has a non-ground head predicate name, so the
+        // per-predicate dirty scope degenerates to All — but the grounding is
+        // still maintained incrementally (no re-grounding pass).
+        let mut db = HiLogDb::new(
+            parse_program(
+                "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                 game(m). m(a, b). m(b, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- game(M), winning(M)(X).").unwrap();
+        // Unbound? game(M) is bound (ground name) — force the model route.
+        let open = parse_query("?- P(a, b).").unwrap();
+        assert_eq!(db.query(&open).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("m(c, d)").unwrap()).unwrap();
+        let after = db.query(&open).unwrap();
+        assert_eq!(after.stats.groundings, 0, "HiLog delta re-grounded");
+        assert_eq!(after.stats.model_source, ModelSource::Patched);
+        assert_eq!(
+            db.holds(&parse_term("winning(m)(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+        let _ = db.query(&unbound);
+    }
+
+    #[test]
+    fn retract_rule_undoes_assert_rule() {
+        let mut db = game_db();
+        let query = parse_query("?- winning(X).").unwrap();
+        let before = db.query(&query).unwrap();
+        let rule = parse_program("winning(X) :- bonus(X).").unwrap().rules[0].clone();
+        db.assert_rule(rule.clone());
+        db.assert_fact(parse_term("bonus(c)").unwrap()).unwrap();
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+        assert!(db.retract_rule(&rule));
+        assert!(db.retract_fact(&parse_term("bonus(c)").unwrap()));
+        let after = db.query(&query).unwrap();
+        assert_eq!(after.answers, before.answers);
+    }
+
+    #[test]
+    fn pure_edb_asserts_respect_the_cumulative_ground_cap() {
+        // 4 ground rules after the first query; cap at 6 and pour in pure-EDB
+        // facts: the session must fall back to re-grounding (and report the
+        // same LimitExceeded a fresh session would) instead of growing past
+        // the cap.
+        let mut db = HiLogDb::builder()
+            .program(
+                parse_program(
+                    "winning(X) :- move(X, Y), not winning(Y).\n\
+                     move(a, b). colour(a, red).",
+                )
+                .unwrap(),
+            )
+            .options(EvalOptions::with_max_atoms(6))
+            .build();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        db.query(&unbound).unwrap();
+        for i in 0..4 {
+            db.assert_fact(parse_term(&format!("colour(c{i}, blue)")).unwrap())
+                .unwrap();
+        }
+        let err = db.query(&unbound).unwrap_err();
+        assert!(matches!(err, EngineError::LimitExceeded(_)));
+    }
+}

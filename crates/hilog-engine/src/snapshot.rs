@@ -1,23 +1,29 @@
-//! The concurrent serving split: an immutable, shareable [`DbSnapshot`] for
-//! readers and a single-writer [`DbWriter`] that publishes snapshots.
+//! The read surface and the serving pair: a [`DbSnapshot`] answers queries
+//! through `&self`, a [`DbWriter`] publishes snapshots for readers.
 //!
-//! [`HiLogDb`] amortises work across queries, but every read route takes
-//! `&mut self` because its caches fill lazily — so not even two concurrent
-//! readers are possible.  This module splits that API in two:
+//! There is **one** implementation of "answer a query under the program's
+//! meaning" in this crate, and it lives here: [`DbSnapshot::query`] (and
+//! `holds` / `model` / `stable_models` / `check_modular` / `explain`) route
+//! through the plan, the magic-sets evaluator or the lazily built full
+//! model, filling caches behind interior locks.  Everything that reads goes
+//! through it:
 //!
-//! * A [`DbSnapshot`] is an **immutable** view of the database at one
-//!   *epoch*: the program and every heavyweight cache are shared with the
-//!   session by `Arc` (publishing is a handful of refcount bumps, never a
-//!   deep copy).  All of its query routes take `&self` and the type is
-//!   `Send + Sync`, so any number of threads can answer queries from the
-//!   same snapshot in parallel.  Caches the writer had not filled yet are
-//!   built lazily *inside* the snapshot under interior locks — the first
-//!   reader that needs the full model builds it, later readers reuse it.
-//! * A [`DbWriter`] owns the underlying [`HiLogDb`] and with it the whole
-//!   incremental mutation path (semi-naive delta grounding on assert, DRed
-//!   overdelete/rederive on retract, instance-level table maintenance).
-//!   Mutations accumulate into a batch; [`DbWriter::publish`] exports the
-//!   session's caches as the next snapshot and swaps it into the shared
+//! * A [`HiLogDb`] session *owns* one working snapshot by value.  Its reads
+//!   delegate to that snapshot (an uncontended lock, tens of nanoseconds);
+//!   its mutations reach the snapshot's caches lock-free through
+//!   `RwLock::get_mut` and keep them maintained incrementally (semi-naive
+//!   delta grounding on assert, DRed overdelete/rederive on retract,
+//!   instance-level table maintenance).
+//! * A published [`DbSnapshot`] is an `Arc`-sharing copy of the working one
+//!   at an *epoch*: the program and every heavyweight cache are shared by
+//!   `Arc` (publishing is a handful of refcount bumps, never a deep copy),
+//!   and the writer's next mutation copies-on-write whatever a reader still
+//!   pins.  The type is `Send + Sync`, so any number of threads answer
+//!   queries from the same snapshot in parallel; caches the writer had not
+//!   filled yet are built lazily *inside* the snapshot — the first reader
+//!   that needs the full model builds it, later readers reuse it.
+//! * A [`DbWriter`] owns the [`HiLogDb`].  Mutations accumulate into a
+//!   batch; [`DbWriter::publish`] swaps the next snapshot into the shared
 //!   cell.  Readers never block on the writer and the writer never waits
 //!   for readers: a reader keeps whatever snapshot it pinned until it asks
 //!   the handle for the current one.
@@ -60,26 +66,21 @@ use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::grounder::ground_against;
 use crate::horn::{least_model_into, EvalOptions, NegationMode};
-use crate::magic_eval::{
-    normalize_pattern, EvalStats, ModelSource, QueryEvaluator, Table, QUERY_HEAD,
-};
+use crate::magic_eval::{normalize_pattern, EvalStats, ModelSource, QueryEvaluator, Table};
 use crate::modular::{figure1_procedure, ModularOutcome};
-use crate::plan::{PlanStrategy, QueryPlan};
-use crate::session::{
-    assemble, build_plan, consensus_model, eval_against_model, true_answer, HiLogDb, QueryAnswer,
-    QueryResult, Semantics, SnapshotParts,
-};
+use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
+use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
-use crate::storage::{FactStore, StorageConfig};
-use crate::wfs::well_founded_eval;
+use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use crate::wfs::{affected_closure, well_founded_eval, well_founded_patch};
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
-use hilog_core::term::Term;
+use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
@@ -94,73 +95,135 @@ fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The owner's lock-free access: `&mut` proves nobody else holds the lock,
+/// so the session's mutation paths never pay for it.  Poison is ignored for
+/// the reason given at [`read_lock`].
+pub(crate) fn lock_mut<T>(lock: &mut RwLock<T>) -> &mut T {
+    lock.get_mut().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// The lazily fillable caches of a snapshot, guarded together: the model
 /// routes fill them in dependency order (grounding before model before
 /// stable models) under one write lock, so concurrent first-readers do the
 /// expensive work once instead of racing.
-#[derive(Debug, Default)]
-struct SnapCore {
-    /// Relevant instantiation of the program (shared with the writer when it
-    /// was warm at publish time, built here otherwise).
-    ground: Option<Arc<GroundProgram>>,
-    /// The possibly-true store backing `ground`; kept alongside it so a
-    /// snapshot-built grounding has the same shape a writer-built one has.
-    possibly: Option<Arc<FactStore>>,
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SnapCore {
+    /// Relevant instantiation of the program, maintained *incrementally* by
+    /// the owning session under fact-level mutations (delta grounding on
+    /// assert, DRed overdelete/rederive on retract).
+    pub(crate) ground: Option<Arc<GroundProgram>>,
+    /// The over-approximated true-or-undefined store backing `ground` (the
+    /// least model of the positive program).  Kept in lockstep with `ground`
+    /// so the semi-naive continuation has a closed store to extend.
+    pub(crate) possibly: Option<Arc<FactStore>>,
     /// Full model under the snapshot's semantics.
-    model: Option<Arc<Model>>,
+    pub(crate) model: Option<Arc<Model>>,
+    /// Pending fact-level deltas not yet folded into `model`: the **seed
+    /// atoms** the owning session's mutations actually touched (new facts,
+    /// heads of new or dropped ground-rule instances), accumulated across
+    /// mutations.  `Some` only while both `model` and `ground` are warm
+    /// under [`Semantics::WellFounded`]; discharged lazily by the next route
+    /// that needs the model, which re-evaluates only the seeds'
+    /// instance-level reverse closure ([`affected_closure`]) with the rest
+    /// of the model — even inside the same strongly connected component —
+    /// frozen at its previous values.  Always `None` in a published
+    /// snapshot: publishing discharges first.
+    pub(crate) dirty: Option<BTreeSet<Term>>,
     /// Stable models (filled by [`DbSnapshot::stable_models`]).
-    stable: Option<Arc<Vec<Model>>>,
+    pub(crate) stable: Option<Arc<Vec<Model>>>,
     /// Figure 1 outcome (filled by [`DbSnapshot::check_modular`]).
-    modular: Option<Arc<ModularOutcome>>,
+    pub(crate) modular: Option<Arc<ModularOutcome>>,
 }
 
-/// An immutable view of the database at one publication epoch.
+/// A view of the database whose query routes all take `&self`: either the
+/// working state a [`HiLogDb`] owns and mutates, or an immutable copy of it
+/// published at one epoch.
 ///
-/// All query routes take `&self`, and the type is `Send + Sync`: wrap it in
-/// an `Arc` (which is what [`SnapshotHandle::current`] hands out) and share
-/// it across as many reader threads as you like.  See the [module
-/// documentation](crate::snapshot) for the overall shape.
+/// The type is `Send + Sync`: wrap it in an `Arc` (which is what
+/// [`SnapshotHandle::current`] hands out) and share it across as many reader
+/// threads as you like.  See the [module documentation](crate::snapshot)
+/// for the overall shape.
 #[derive(Debug)]
 pub struct DbSnapshot {
-    /// The program at this epoch, shared with the writer.
-    program: Arc<Program>,
-    opts: EvalOptions,
-    stable_opts: StableOptions,
-    semantics: Semantics,
-    /// Publication counter: 0 for the snapshot [`HiLogDb::into_serving`]
-    /// publishes, +1 per [`DbWriter::publish`].
+    /// The program, `Arc`d so a published copy shares it with the session;
+    /// the session mutates through `Arc::make_mut` (copy-on-write: the clone
+    /// happens only while a published snapshot still holds the previous
+    /// version).  Every heavyweight cache below is `Arc`d for the same
+    /// reason.
+    pub(crate) program: Arc<Program>,
+    pub(crate) opts: EvalOptions,
+    pub(crate) stable_opts: StableOptions,
+    pub(crate) semantics: Semantics,
+    /// Publication counter: 0 for a session's working state and for the
+    /// snapshot [`HiLogDb::into_serving`] publishes, +1 per
+    /// [`DbWriter::publish`].
     epoch: u64,
     /// Lazily fillable model-side caches (interior mutability: the routes
     /// take `&self`).
-    core: RwLock<SnapCore>,
-    /// Completed subgoal tables, seeded from the writer at publish time and
-    /// extended by the queries answered on this snapshot.  Tables are only
-    /// ever *added* here — the program is frozen, so a completed table can
-    /// never go stale within a snapshot's lifetime.
-    tables: RwLock<HashMap<Term, Arc<Table>>>,
-    /// Relation-storage backend for stores this snapshot builds lazily.
-    storage: StorageConfig,
+    pub(crate) core: RwLock<SnapCore>,
+    /// Completed subgoal tables of the query-directed evaluator, keyed
+    /// structurally by their normalised subgoal pattern and extended by the
+    /// queries answered on this snapshot.  The read routes only ever *add*
+    /// tables — under a frozen program a completed table cannot go stale;
+    /// the owning session patches and drops them as it mutates the program.
+    pub(crate) tables: RwLock<HashMap<Term, Arc<Table>>>,
+    /// Relation-storage backend for the long-lived stores (the
+    /// possibly-true store and the subgoal-table answers).
+    pub(crate) storage: StorageConfig,
 }
 
 impl DbSnapshot {
-    /// Assembles a snapshot from the writer's exported cache handles.
-    pub(crate) fn from_parts(parts: SnapshotParts, epoch: u64) -> Self {
+    /// A cold working snapshot (optionally seeded with an already-computed
+    /// model of `program`); what [`crate::session::HiLogDbBuilder::build`]
+    /// wraps.
+    pub(crate) fn new(
+        program: Program,
+        opts: EvalOptions,
+        stable_opts: StableOptions,
+        semantics: Semantics,
+        warm_model: Option<Model>,
+        storage: StorageConfig,
+    ) -> Self {
         DbSnapshot {
-            program: parts.program,
-            opts: parts.opts,
-            stable_opts: parts.stable_opts,
-            semantics: parts.semantics,
-            epoch,
+            program: Arc::new(program),
+            opts,
+            stable_opts,
+            semantics,
+            epoch: 0,
             core: RwLock::new(SnapCore {
-                ground: parts.ground,
-                possibly: parts.possibly,
-                model: parts.model,
-                stable: parts.stable,
-                modular: parts.modular,
+                model: warm_model.map(Arc::new),
+                ..SnapCore::default()
             }),
-            tables: RwLock::new(parts.tables),
-            storage: parts.storage,
+            tables: RwLock::new(HashMap::new()),
+            storage,
         }
+    }
+
+    /// Publishes the working state at `epoch`: an `Arc`-sharing copy of the
+    /// program and every cache.  Pending model deltas are discharged first
+    /// (the incremental patch the next query would have applied), so the
+    /// published model is exact.
+    fn fork(&mut self, epoch: u64) -> DbSnapshot {
+        self.settled_model();
+        DbSnapshot {
+            program: self.program.clone(),
+            opts: self.opts,
+            stable_opts: self.stable_opts,
+            semantics: self.semantics,
+            epoch,
+            core: RwLock::new(lock_mut(&mut self.core).clone()),
+            tables: RwLock::new(lock_mut(&mut self.tables).clone()),
+            storage: self.storage.clone(),
+        }
+    }
+
+    /// The cached full model, if one is warm, with pending fact-level deltas
+    /// discharged first so it is exact; never forces an evaluation.
+    pub(crate) fn settled_model(&mut self) -> Option<Arc<Model>> {
+        lock_mut(&mut self.core).model.as_ref()?;
+        // A warm model is reused or patched, never rebuilt, and neither can
+        // fail.
+        self.model_impl().ok().map(|(model, _, _)| model)
     }
 
     /// The program this snapshot answers from.
@@ -194,11 +257,12 @@ impl DbSnapshot {
     }
 
     /// Aggregate relation-storage statistics over this snapshot's stores:
-    /// the lazily built possibly-true store and every subgoal table's answer
-    /// store (the snapshot-side mirror of
-    /// [`HiLogDb::storage_stats`](crate::session::HiLogDb::storage_stats)).
-    pub fn storage_stats(&self) -> crate::storage::RelationStorageStats {
-        let mut total = crate::storage::RelationStorageStats::default();
+    /// the possibly-true store (when grounding has run) and every subgoal
+    /// table's answer store.  Under [`StorageConfig::InMemory`] everything
+    /// is resident and the spill fields are zero.  O(#tables) — kept off
+    /// the query path of published snapshots.
+    pub fn storage_stats(&self) -> RelationStorageStats {
+        let mut total = RelationStorageStats::default();
         if let Some(possibly) = &read_lock(&self.core).possibly {
             total.merge(&possibly.storage_stats());
         }
@@ -209,34 +273,75 @@ impl DbSnapshot {
     }
 
     /// Builds the plan [`query`](DbSnapshot::query) would execute, without
-    /// evaluating anything.  A snapshot's model is never stale and its
-    /// tables are never patched or dropped, so those plan fields are always
-    /// `false`/zero here.
+    /// evaluating anything.  Tables are never patched or dropped through
+    /// this surface, so those plan fields are zero here (the owning session
+    /// fills them in).
     pub fn explain(&self, query: &Query) -> QueryPlan {
-        let cached_model = read_lock(&self.core).model.is_some();
-        build_plan(
-            self.semantics,
-            query,
+        let (cached_model, stale_model) = {
+            let core = read_lock(&self.core);
+            (
+                core.model.is_some(),
+                core.model.is_some() && core.dirty.is_some(),
+            )
+        };
+        let (strategy, reason) = if self.semantics != Semantics::WellFounded {
+            (
+                PlanStrategy::FullModel,
+                format!(
+                    "the {} semantics is defined through the full model, so the query is \
+                     answered from the session's cached model",
+                    self.semantics
+                ),
+            )
+        } else if query_is_bound(query) {
+            (
+                PlanStrategy::MagicSets,
+                "the first literal has a ground predicate name, so query-directed \
+                 (magic-sets) evaluation visits only the relevant subgoals and reuses the \
+                 session's completed tables"
+                    .to_string(),
+            )
+        } else {
+            (
+                PlanStrategy::FullModel,
+                "the query has no leading positive literal with a ground predicate name \
+                 (it is unbound), so it is answered from the session's cached full model"
+                    .to_string(),
+            )
+        };
+        QueryPlan {
+            strategy,
+            semantics: self.semantics,
+            query: query.to_string(),
+            adornment: adornment(query),
             cached_model,
-            false,
-            self.cached_subqueries(),
-            0,
-            0,
-        )
+            stale_model,
+            cached_subqueries: self.cached_subqueries(),
+            patched_subqueries: 0,
+            dropped_subqueries: 0,
+            reason,
+        }
     }
 
     /// Answers a query through the plan [`explain`](DbSnapshot::explain)
-    /// chooses — the same routes as [`HiLogDb::query`], over shared caches.
+    /// chooses, reusing (and warming) every cache the snapshot holds.
     pub fn query(&self, query: &Query) -> Result<QueryResult, EngineError> {
         let plan = self.explain(query);
+        // Table-maintenance observability: how many tables were available
+        // for reuse when this query started.
         let tables_reused = read_lock(&self.tables).len();
-        // The join-index probe counters are thread-local, so the deltas are
-        // per-query even with many readers querying concurrently.
+        // Join-index observability: every candidate lookup this query causes
+        // (grounding joins and subgoal-table joins alike) lands in these
+        // counters.  They are thread-local, so the deltas are per-query even
+        // with many readers querying concurrently.
         let (probes_before, fallbacks_before) = crate::horn::probe_counters();
         // Parallel counters are process-wide (pool workers can't write a
         // reader's thread-locals), so with concurrent readers the deltas may
         // include each other's pool work — observability, not answers.
         let (waves_before, rounds_before, tasks_before) = crate::pool::parallel_counters();
+        // Storage observability: spill faults and page-outs, two atomic
+        // loads with the same process-wide delta convention.
+        let (faults_before, spills_before) = crate::storage::storage_counters();
         // Deadline counters are thread-local like the probe counters.
         let (dl_checks_before, dl_exceeded_before) = crate::deadline::deadline_counters();
         let mut result = match plan.strategy {
@@ -245,9 +350,8 @@ impl DbSnapshot {
                 Err(
                     err @ (EngineError::NotModularlyStratified(_) | EngineError::Floundering(_)),
                 ) => {
-                    // Same transparent fallback as the session: the tabled
-                    // route cannot settle this query, the bottom-up
-                    // well-founded construction still can.
+                    // The tabled route cannot settle this query; the
+                    // bottom-up well-founded construction still can.
                     let note = err.to_string();
                     let (answers, stats) = self.query_full(query)?;
                     assemble(answers, stats, plan, Some(note))
@@ -267,6 +371,9 @@ impl DbSnapshot {
         result.stats.parallel_waves = waves_after - waves_before;
         result.stats.parallel_partitioned_rounds = rounds_after - rounds_before;
         result.stats.parallel_tasks = tasks_after - tasks_before;
+        let (faults_after, spills_after) = crate::storage::storage_counters();
+        result.stats.storage_residency_faults = faults_after.saturating_sub(faults_before);
+        result.stats.storage_spill_writes = spills_after.saturating_sub(spills_before);
         let (dl_checks_after, dl_exceeded_after) = crate::deadline::deadline_counters();
         result.stats.deadline_checks = dl_checks_after - dl_checks_before;
         result.stats.deadline_exceeded = dl_exceeded_after - dl_exceeded_before;
@@ -277,22 +384,21 @@ impl DbSnapshot {
     /// Three-valued truth of a single ground atom under the snapshot's
     /// semantics.
     pub fn holds(&self, atom: &Term) -> Result<Truth, EngineError> {
-        if !atom.is_ground() {
-            return Err(EngineError::Floundering(format!(
-                "holds() requires a ground atom, got `{atom}`"
-            )));
-        }
-        Ok(self.query(&Query::atom(atom.clone()))?.truth)
+        Ok(self.query(&holds_query(atom)?)?.truth)
     }
 
     /// The full model under the snapshot's semantics, building (and caching
-    /// in the snapshot) on first use.  Errors are not cached: a failed build
-    /// is retried by the next caller, exactly like a fresh session.
+    /// in the snapshot) on first use.  For [`Semantics::Stable`] this is the
+    /// consensus model of Definition 3.7; for [`Semantics::ModularCheck`] it
+    /// is the Figure 1 model (or an error if the program is rejected).
+    /// Errors are not cached: a failed build is retried by the next caller,
+    /// exactly like a fresh session.
     pub fn model(&self) -> Result<Arc<Model>, EngineError> {
         self.model_impl().map(|(model, _, _)| model)
     }
 
-    /// The stable models of the program, computing them on first use.
+    /// The stable models of the program (computing them on first use),
+    /// regardless of the snapshot's query semantics.
     pub fn stable_models(&self) -> Result<Arc<Vec<Model>>, EngineError> {
         if let Some(stable) = &read_lock(&self.core).stable {
             return Ok(stable.clone());
@@ -310,13 +416,23 @@ impl DbSnapshot {
         self.ensure_modular_locked(&mut core)
     }
 
+    /// Grounds the program if no relevant instantiation is cached yet.
+    pub(crate) fn ensure_ground(&self) -> Result<(), EngineError> {
+        let mut core = write_lock(&self.core);
+        self.ensure_ground_locked(&mut core).map(drop)
+    }
+
     /// Magic-sets route: tabled evaluation seeded with the snapshot's
     /// completed tables; completed tables merge back into the snapshot.
     fn query_magic(&self, query: &Query) -> Result<(Vec<QueryAnswer>, EvalStats), EngineError> {
         let vars = query.variables();
         // Fast path: a single-atom query whose table is already complete is
-        // answered under the read lock alone — the path concurrent readers
-        // hammering the same warm query stay on.
+        // answered under the read lock alone — no evaluator (and no
+        // per-query rule index) is built at all; the path concurrent readers
+        // hammering the same warm query stay on.  Sound because a complete
+        // table's recorded dependency closure is settled and cycle-free, so
+        // a cold evaluation of the same pattern would reach the same
+        // answers and the same (non-)verdict.
         if let [Literal::Pos(atom)] = query.literals.as_slice() {
             let key = normalize_pattern(atom);
             let hit = read_lock(&self.tables)
@@ -345,56 +461,23 @@ impl DbSnapshot {
         let tables = read_lock(&self.tables).clone();
         let seeded_tables = tables.len();
         let seeded_answers: usize = tables.values().map(|t| t.answers.len()).sum();
-        let per_query = move |mut stats: EvalStats| {
-            stats.subqueries = stats.subqueries.saturating_sub(seeded_tables);
-            stats.answers = stats.answers.saturating_sub(seeded_answers);
-            stats
-        };
-        if let [Literal::Pos(atom)] = query.literals.as_slice() {
-            let mut evaluator =
-                QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
-            let solved = evaluator.solve_atom(atom);
-            let stats = per_query(evaluator.stats());
-            let mut fresh = evaluator.into_tables();
-            fresh.retain(|_, t| t.complete);
-            self.merge_tables(fresh);
-            let answers = solved?
-                .into_iter()
-                .filter_map(|answer| {
-                    let mut theta = Substitution::new();
-                    match_with(atom, &answer, &mut theta).then(|| true_answer(&theta, &vars))
-                })
-                .collect();
-            Ok((answers, stats))
-        } else {
-            // Conjunctions run through an auxiliary `__query_answer` rule.
-            // Unlike the session there is no reusable scratch program (that
-            // would be shared mutable state); the program clone is per-query.
-            let head = Term::apps(
-                QUERY_HEAD,
-                vars.iter().map(|v| Term::Var(v.clone())).collect(),
-            );
-            let mut scratch = Program::clone(&self.program);
-            scratch.push(Rule::new(head.clone(), query.literals.clone()));
-            let mut evaluator =
-                QueryEvaluator::with_tables(&scratch, self.opts, tables, self.storage.clone());
-            let solved = evaluator.solve_atom(&head);
-            let stats = per_query(evaluator.stats());
-            let mut fresh = evaluator.into_tables();
-            // Every table except the auxiliary one is a valid table of the
-            // base program and is kept.
-            let aux_functor = Term::sym(QUERY_HEAD);
-            fresh.retain(|_, t| t.complete && t.pattern.outermost_functor() != &aux_functor);
-            self.merge_tables(fresh);
-            let answers = solved?
-                .into_iter()
-                .filter_map(|answer| {
-                    let mut theta = Substitution::new();
-                    match_with(&head, &answer, &mut theta).then(|| true_answer(&theta, &vars))
-                })
-                .collect();
-            Ok((answers, stats))
-        }
+        let mut evaluator =
+            QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
+        let solved = evaluator.answer_query(query);
+        // `QueryEvaluator::stats` totals over every table it holds, seeded
+        // ones included; subtract the seeded counts so the reported stats
+        // cover this query only (seeded tables are complete and gain no
+        // answers during the run).
+        let mut stats = evaluator.stats();
+        stats.subqueries = stats.subqueries.saturating_sub(seeded_tables);
+        stats.answers = stats.answers.saturating_sub(seeded_answers);
+        // Tables completed before a failure are still valid and are kept.
+        self.merge_tables(evaluator.into_tables());
+        let answers = solved?
+            .iter()
+            .map(|theta| true_answer(theta, &vars))
+            .collect();
+        Ok((answers, stats))
     }
 
     /// Full-model route: match the query against the (lazily built) model.
@@ -404,40 +487,68 @@ impl DbSnapshot {
         let stats = EvalStats {
             answers: answers.len(),
             groundings,
+            patches: usize::from(model_source == ModelSource::Patched),
             model_source,
             ..EvalStats::default()
         };
         Ok((answers, stats))
     }
 
-    /// The model plus how it was obtained and how many grounding passes the
-    /// call performed.  Double-checked: the warm path is one read lock; a
-    /// cold snapshot computes under the write lock, so concurrent
-    /// first-readers build the model once and the rest reuse it.
+    /// The exact model plus how it was obtained — reused as-is, *patched*
+    /// (the owning session's pending fact-level deltas folded in by
+    /// re-evaluating only the affected instances), or rebuilt — and how many
+    /// grounding passes the call performed.  Double-checked: the warm path
+    /// is one read lock; anything else computes under the write lock, so
+    /// concurrent first-readers build the model once and the rest reuse it.
     fn model_impl(&self) -> Result<(Arc<Model>, ModelSource, usize), EngineError> {
-        if let Some(model) = &read_lock(&self.core).model {
-            return Ok((model.clone(), ModelSource::Cached, 0));
+        let cached = |core: &SnapCore| match (&core.model, &core.dirty) {
+            (Some(model), None) => Some((model.clone(), ModelSource::Cached, 0)),
+            _ => None,
+        };
+        if let Some(hit) = cached(&read_lock(&self.core)) {
+            return Ok(hit);
         }
-        let mut core = write_lock(&self.core);
-        if let Some(model) = &core.model {
-            // Another reader built it between our two lock acquisitions.
-            return Ok((model.clone(), ModelSource::Cached, 0));
+        let mut guard = write_lock(&self.core);
+        let core = &mut *guard;
+        // Another reader may have built it between our two lock acquisitions.
+        if let Some(hit) = cached(core) {
+            return Ok(hit);
+        }
+        if let (Some(previous), Some(seeds)) = (core.model.take(), core.dirty.take()) {
+            // Invariant: `dirty` is only set while the grounding is warm and
+            // the semantics is well-founded.
+            debug_assert!(self.semantics == Semantics::WellFounded);
+            let ground = core.ground.as_ref().expect("dirty implies warm ground");
+            // Instance-level warm start: only the seeds' reverse closure
+            // through the maintained ground rules is re-evaluated; everything
+            // else — including untouched atoms of the *same* strongly
+            // connected component — keeps its previous truth as frozen
+            // context.
+            let closure = affected_closure(ground, seeds);
+            let patched = Arc::new(well_founded_patch(
+                ground,
+                Arc::unwrap_or_clone(previous),
+                |atom| closure.contains(atom),
+                self.opts.eval_threads,
+            ));
+            core.model = Some(patched.clone());
+            return Ok((patched, ModelSource::Patched, 0));
         }
         let mut groundings = 0;
         let model = match self.semantics {
             Semantics::WellFounded => {
-                groundings += self.ensure_ground_locked(&mut core)?;
+                groundings += self.ensure_ground_locked(core)?;
                 well_founded_eval(
                     core.ground.as_deref().expect("just grounded"),
                     self.opts.eval_threads,
                 )
             }
             Semantics::Stable => {
-                let stable = self.ensure_stable_locked(&mut core)?;
+                let stable = self.ensure_stable_locked(core)?;
                 consensus_model(&stable)?
             }
             Semantics::ModularCheck => {
-                let outcome = self.ensure_modular_locked(&mut core)?;
+                let outcome = self.ensure_modular_locked(core)?;
                 match (&outcome.model, &outcome.reason) {
                     (Some(model), _) => model.clone(),
                     (None, reason) => {
@@ -461,6 +572,11 @@ impl DbSnapshot {
         if core.ground.is_some() {
             return Ok(0);
         }
+        // Ground in two steps (rather than through `relevant_ground`) so
+        // the possibly-true store is kept: it is the closed store the
+        // semi-naive continuation of `assert_fact` extends.  Built on the
+        // configured backend, so a spill session pages the possibly-true
+        // store's cold relations to disk from the start.
         let mut possibly = FactStore::new(&self.storage);
         least_model_into(
             &self.program,
@@ -502,21 +618,177 @@ impl DbSnapshot {
         Ok(modular)
     }
 
-    /// Merges freshly completed tables into the snapshot's map.  First
-    /// writer wins per key: any complete table for a pattern is as good as
-    /// any other (the program is frozen), so a racing query's table is
-    /// simply kept.
-    fn merge_tables(&self, fresh: HashMap<Term, Arc<Table>>) {
+    /// Merges completed tables into the snapshot's map, filling gaps only.
+    /// First writer wins per key: any complete table for a pattern is as
+    /// good as any other while the program stands still, so a racing
+    /// query's table — or one the owning session already holds and
+    /// maintains — is simply kept.
+    pub(crate) fn merge_tables(&self, fresh: HashMap<Term, Arc<Table>>) {
         let mut tables = write_lock(&self.tables);
         for (key, table) in fresh {
             tables.entry(key).or_insert(table);
         }
     }
+}
 
-    /// `Arc` clones of the current table map, for the writer to adopt.
-    pub(crate) fn tables_snapshot(&self) -> HashMap<Term, Arc<Table>> {
-        read_lock(&self.tables).clone()
+/// The query [`DbSnapshot::holds`] (and the session's) asks for a ground
+/// atom.
+pub(crate) fn holds_query(atom: &Term) -> Result<Query, EngineError> {
+    if !atom.is_ground() {
+        return Err(EngineError::Floundering(format!(
+            "holds() requires a ground atom, got `{atom}`"
+        )));
     }
+    Ok(Query::atom(atom.clone()))
+}
+
+fn assemble(
+    answers: Vec<QueryAnswer>,
+    stats: EvalStats,
+    plan: QueryPlan,
+    fallback: Option<String>,
+) -> QueryResult {
+    let truth = overall_truth(&answers);
+    QueryResult {
+        answers,
+        truth,
+        stats,
+        plan,
+        fallback,
+    }
+}
+
+fn overall_truth(answers: &[QueryAnswer]) -> Truth {
+    let mut best = Truth::False;
+    for a in answers {
+        match a.truth {
+            Truth::True => return Truth::True,
+            Truth::Undefined => best = Truth::Undefined,
+            Truth::False => {}
+        }
+    }
+    best
+}
+
+fn true_answer(theta: &Substitution, vars: &[Var]) -> QueryAnswer {
+    QueryAnswer {
+        bindings: vars
+            .iter()
+            .map(|v| (v.clone(), theta.apply(&Term::Var(v.clone()))))
+            .collect(),
+        truth: Truth::True,
+    }
+}
+
+/// Three-valued conjunctive evaluation of a query against a model.  Branches
+/// carry the weakest truth seen so far; false literals prune.
+fn eval_against_model(model: &Model, query: &Query) -> Result<Vec<QueryAnswer>, EngineError> {
+    let vars = query.variables();
+    let mut branches: Vec<(Substitution, Truth)> = vec![(Substitution::new(), Truth::True)];
+    for lit in &query.literals {
+        let mut next = Vec::new();
+        for (theta, truth) in branches {
+            match lit {
+                Literal::Pos(atom) => {
+                    let instantiated = theta.apply(atom);
+                    if instantiated.is_ground() {
+                        match model.truth(&instantiated) {
+                            Truth::False => {}
+                            t => next.push((theta.clone(), conj(truth, t))),
+                        }
+                    } else {
+                        // Ground-named patterns walk only the name's
+                        // contiguous range of the ordered base.
+                        for candidate in model.base_candidates(&instantiated) {
+                            let t = model.truth(candidate);
+                            if t == Truth::False {
+                                continue;
+                            }
+                            let mut extended = theta.clone();
+                            if match_with(&instantiated, candidate, &mut extended) {
+                                next.push((extended, conj(truth, t)));
+                            }
+                        }
+                    }
+                }
+                Literal::Neg(atom) => {
+                    let instantiated = theta.apply(atom);
+                    if !instantiated.is_ground() {
+                        return Err(EngineError::Floundering(format!(
+                            "negative literal `not {instantiated}` is non-ground when selected \
+                             (bind its variables with an earlier positive literal)"
+                        )));
+                    }
+                    match model.truth(&instantiated) {
+                        Truth::True => {}
+                        Truth::False => next.push((theta.clone(), truth)),
+                        Truth::Undefined => next.push((theta.clone(), Truth::Undefined)),
+                    }
+                }
+                Literal::Builtin(b) => {
+                    let mut extended = theta.clone();
+                    match b.eval(&mut extended) {
+                        Ok(true) => next.push((extended, truth)),
+                        Ok(false) => {}
+                        Err(e) => return Err(EngineError::Core(e)),
+                    }
+                }
+                Literal::Aggregate(_) => {
+                    return Err(EngineError::Unsupported(
+                        "aggregate literals in full-model query evaluation are unsupported; \
+                         ask a bound query (magic-sets plan) or use the aggregation evaluator"
+                            .into(),
+                    ))
+                }
+            }
+        }
+        branches = next;
+    }
+    // Group by bindings, keeping the strongest truth per instance.
+    let mut best: BTreeMap<Vec<(Var, Term)>, Truth> = BTreeMap::new();
+    for (theta, truth) in branches {
+        let bindings: Vec<(Var, Term)> = vars
+            .iter()
+            .map(|v| (v.clone(), theta.apply(&Term::Var(v.clone()))))
+            .collect();
+        let entry = best.entry(bindings).or_insert(truth);
+        if *entry == Truth::Undefined && truth == Truth::True {
+            *entry = Truth::True;
+        }
+    }
+    Ok(best
+        .into_iter()
+        .map(|(bindings, truth)| QueryAnswer { bindings, truth })
+        .collect())
+}
+
+fn conj(a: Truth, b: Truth) -> Truth {
+    if a == Truth::Undefined || b == Truth::Undefined {
+        Truth::Undefined
+    } else {
+        Truth::True
+    }
+}
+
+/// The consensus model of Definition 3.7 over a set of stable models.
+fn consensus_model(models: &[Model]) -> Result<Model, EngineError> {
+    if models.is_empty() {
+        return Err(EngineError::NoStableModels);
+    }
+    let mut base: BTreeSet<Term> = BTreeSet::new();
+    for m in models {
+        base.extend(m.base().iter().cloned());
+    }
+    let mut true_atoms = Vec::new();
+    let mut undefined = Vec::new();
+    for atom in &base {
+        if models.iter().all(|m| m.is_true(atom)) {
+            true_atoms.push(atom.clone());
+        } else if !models.iter().all(|m| m.is_false(atom)) {
+            undefined.push(atom.clone());
+        }
+    }
+    Ok(Model::new(base, true_atoms, undefined))
 }
 
 /// The cloneable reader endpoint: pins the most recently published
@@ -548,38 +820,34 @@ pub struct DbWriter {
     db: HiLogDb,
     /// Epoch of the most recently published snapshot.
     epoch: u64,
-    /// `true` once the current batch has mutated the session, i.e. once the
-    /// writer's program may differ from the published snapshot's.  Guards
-    /// table adoption: reader-computed tables are only sound to adopt while
-    /// the programs are still identical.
-    batch_dirty: bool,
-    cell: Arc<RwLock<Arc<DbSnapshot>>>,
+    /// The session's mutation generation when the current snapshot was
+    /// published.  While the session is still at it, the writer's program
+    /// is exactly the published snapshot's — the one condition under which
+    /// reader-computed tables are sound to adopt.  Every mutation moves the
+    /// session past it, however it is reached (the writer's wrappers or
+    /// [`db`](DbWriter::db)); reads never do.
+    published_generation: u64,
+    handle: SnapshotHandle,
 }
 
 impl DbWriter {
     /// Splits a session into the serving pair, publishing its current state
-    /// as the epoch-0 snapshot.  (Also reachable as
-    /// [`HiLogDb::into_serving`].)
-    pub(crate) fn from_db(db: HiLogDb) -> (DbWriter, SnapshotHandle) {
-        DbWriter::from_db_at(db, 0)
-    }
-
-    /// [`DbWriter::from_db`], but publishing the initial snapshot at `epoch`.
-    /// The recovery path of the durable storage layer uses this so a session
-    /// rebuilt from checkpoint + WAL resumes at the epoch it went down with.
+    /// as the snapshot of `epoch`.  (Reachable as [`HiLogDb::into_serving`]
+    /// at epoch 0 and [`HiLogDb::into_serving_at`]; the recovery path of the
+    /// durable storage layer uses the latter so a session rebuilt from
+    /// checkpoint + WAL resumes at the epoch it went down with.)
     pub(crate) fn from_db_at(mut db: HiLogDb, epoch: u64) -> (DbWriter, SnapshotHandle) {
-        let snapshot = Arc::new(DbSnapshot::from_parts(db.snapshot_parts(), epoch));
-        let cell = Arc::new(RwLock::new(snapshot));
-        let handle = SnapshotHandle { cell: cell.clone() };
-        (
-            DbWriter {
-                db,
-                epoch,
-                batch_dirty: false,
-                cell,
-            },
-            handle,
-        )
+        let snapshot = Arc::new(db.working().fork(epoch));
+        let handle = SnapshotHandle {
+            cell: Arc::new(RwLock::new(snapshot)),
+        };
+        let writer = DbWriter {
+            published_generation: db.generation(),
+            db,
+            epoch,
+            handle: handle.clone(),
+        };
+        (writer, handle)
     }
 
     /// A serving pair over `program` with default options and well-founded
@@ -590,14 +858,12 @@ impl DbWriter {
 
     /// A fresh reader endpoint (equivalent to cloning any existing one).
     pub fn handle(&self) -> SnapshotHandle {
-        SnapshotHandle {
-            cell: self.cell.clone(),
-        }
+        self.handle.clone()
     }
 
     /// The most recently published snapshot.
     pub fn current(&self) -> Arc<DbSnapshot> {
-        read_lock(&self.cell).clone()
+        self.handle.current()
     }
 
     /// Epoch of the most recently published snapshot.
@@ -622,16 +888,16 @@ impl DbWriter {
         self.db.cached_model()
     }
 
-    /// Marks the batch open, adopting reader-computed tables first if this
-    /// is the batch's first mutation: at that moment the writer's program is
-    /// still exactly the published snapshot's, so its completed tables are
-    /// valid session tables — and once adopted they are *maintained* through
-    /// the mutation like any table the session computed itself.
-    fn begin_batch(&mut self) {
-        if !self.batch_dirty {
-            let tables = self.current().tables_snapshot();
-            self.db.adopt_tables(tables);
-            self.batch_dirty = true;
+    /// Adopts the tables reader queries computed on the published snapshot,
+    /// if the session has not been mutated since it was published: the
+    /// writer's program is then still exactly the snapshot's, so its
+    /// completed tables are valid session tables — and once adopted they
+    /// are *maintained* through later mutations like any table the session
+    /// computed itself.
+    fn adopt_reader_tables(&mut self) {
+        if self.db.generation() == self.published_generation {
+            let tables = read_lock(&self.current().tables).clone();
+            self.db.working().merge_tables(tables);
         }
     }
 
@@ -639,35 +905,36 @@ impl DbWriter {
     /// maintenance; see [`HiLogDb::assert_fact`]).  Not visible to readers
     /// until [`publish`](DbWriter::publish).
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
-        self.begin_batch();
+        self.adopt_reader_tables();
         self.db.assert_fact(fact)
     }
 
     /// Retracts one occurrence of a ground fact in the current batch (DRed
     /// maintenance; see [`HiLogDb::retract_fact`]).
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
-        self.begin_batch();
+        self.adopt_reader_tables();
         self.db.retract_fact(fact)
     }
 
     /// Asserts a rule into the current batch (see [`HiLogDb::assert_rule`]).
     pub fn assert_rule(&mut self, rule: Rule) {
-        self.begin_batch();
+        self.adopt_reader_tables();
         self.db.assert_rule(rule)
     }
 
     /// Retracts the first matching rule in the current batch (see
     /// [`HiLogDb::retract_rule`]).
     pub fn retract_rule(&mut self, rule: &Rule) -> bool {
-        self.begin_batch();
+        self.adopt_reader_tables();
         self.db.retract_rule(rule)
     }
 
     /// Direct access to the underlying session — the escape hatch for routes
-    /// without a writer wrapper ([`HiLogDb::stable_models`], …).
-    /// Conservatively marks the batch dirty, since the caller may mutate.
+    /// without a writer wrapper ([`HiLogDb::stable_models`], …).  Reading
+    /// through it leaves the batch as it is; mutating through it opens the
+    /// batch exactly like the writer's own wrappers (without first adopting
+    /// reader tables).
     pub fn db(&mut self) -> &mut HiLogDb {
-        self.batch_dirty = true;
         &mut self.db
     }
 
@@ -678,14 +945,11 @@ impl DbWriter {
     /// queries computed on the outgoing snapshot (the programs are
     /// identical), so warmth accumulates across epochs instead of resetting.
     pub fn publish(&mut self) -> Arc<DbSnapshot> {
-        if !self.batch_dirty {
-            let tables = self.current().tables_snapshot();
-            self.db.adopt_tables(tables);
-        }
+        self.adopt_reader_tables();
         self.epoch += 1;
-        let snapshot = Arc::new(DbSnapshot::from_parts(self.db.snapshot_parts(), self.epoch));
-        *write_lock(&self.cell) = snapshot.clone();
-        self.batch_dirty = false;
+        let snapshot = Arc::new(self.db.working().fork(self.epoch));
+        *write_lock(&self.handle.cell) = snapshot.clone();
+        self.published_generation = self.db.generation();
         snapshot
     }
 }
@@ -739,26 +1003,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_answers_match_a_fresh_session() {
-        let program = game();
-        let (_writer, handle) = HiLogDb::new(program.clone()).into_serving();
-        let snapshot = handle.current();
-        let mut fresh = HiLogDb::new(program);
-        for q in [
-            "?- winning(X).",
-            "?- winning(b).",
-            "?- P(a, X).",
-            "?- move(X, Y), not winning(Y).",
-        ] {
-            let query = parse_query(q).unwrap();
-            let ours = snapshot.query(&query).unwrap();
-            let theirs = fresh.query(&query).unwrap();
-            assert_eq!(ours.answers, theirs.answers, "answers diverged on {q}");
-            assert_eq!(ours.truth, theirs.truth, "truth diverged on {q}");
-        }
-    }
-
-    #[test]
     fn concurrent_readers_share_one_snapshot() {
         let (_writer, handle) = HiLogDb::new(game()).into_serving();
         let query = parse_query("?- winning(X).").unwrap();
@@ -795,6 +1039,12 @@ mod tests {
         // Warm the tables on the *snapshot*, not the writer.
         let first = handle.current().query(&query).unwrap();
         assert!(first.stats.rule_applications > 0);
+        // Reading through `db()` is not a mutation: it must not cost the
+        // adoption below.
+        writer
+            .db()
+            .query(&parse_query("?- move(a, X).").unwrap())
+            .unwrap();
         // A mutation-free publish adopts them into the writer; the next
         // snapshot starts warm.
         let next = writer.publish();
@@ -802,6 +1052,52 @@ mod tests {
         let warm = next.query(&query).unwrap();
         assert_eq!(warm.stats.rule_applications, 0, "tables were not adopted");
         assert!(warm.stats.cached_subqueries > 0);
+    }
+
+    #[test]
+    fn tables_are_not_adopted_after_a_mutation_through_db() {
+        let (mut writer, handle) = HiLogDb::new(game()).into_serving();
+        let query = parse_query("?- winning(X).").unwrap();
+        // The caller mutates behind the writer's wrappers; then a reader
+        // warms the (now outdated) published snapshot.
+        writer
+            .db()
+            .assert_fact(parse_term("move(c, d)").unwrap())
+            .unwrap();
+        let stale = handle.current().query(&query).unwrap();
+        assert_eq!(stale.answers.len(), 1, "the old epoch: only b wins");
+        // Adopting those tables would serve the old answers at the new
+        // epoch.
+        let next = writer.publish();
+        let fresh = HiLogDb::new(next.program().clone()).query(&query).unwrap();
+        let served = next.query(&query).unwrap();
+        assert_eq!(served.answers, fresh.answers);
+        assert!(served.stats.rule_applications > 0, "stale tables adopted");
+    }
+
+    #[test]
+    fn spill_backed_snapshots_report_residency_faults() {
+        // A one-fact budget: the answer rows of the `move` table are paged
+        // out as soon as the cold query has read them back, so the warm
+        // repeat must fault them in again — and say so in its stats.
+        let (_writer, handle) = HiLogDb::builder()
+            .program(game())
+            .storage(StorageConfig::Spill {
+                dir: None,
+                resident_budget: 1,
+            })
+            .build()
+            .into_serving();
+        let snapshot = handle.current();
+        let query = parse_query("?- move(X, Y).").unwrap();
+        assert_eq!(snapshot.query(&query).unwrap().answers.len(), 2);
+        let warm = snapshot.query(&query).unwrap();
+        assert_eq!(warm.answers.len(), 2);
+        assert_eq!(warm.stats.rule_applications, 0);
+        assert!(
+            warm.stats.storage_residency_faults > 0,
+            "a published snapshot's query lost the storage-counter delta"
+        );
     }
 
     #[test]

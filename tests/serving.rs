@@ -21,19 +21,36 @@ fn env_usize(name: &str, default: usize) -> usize {
         .unwrap_or(default)
 }
 
-/// A comparable key for a query's outcome: overall truth plus the sorted
-/// answer set.  Stats and plans are intentionally excluded — caching and
-/// table reuse may differ between a warm snapshot and a fresh session, but
-/// the answers may not.
-fn answer_key(result: &QueryResult) -> (String, Vec<String>) {
+/// A comparable key for a query's outcome: overall truth, the sorted answer
+/// set, the route the plan chose and whether the magic route fell back to
+/// the full model.  Stats and the rest of the plan are intentionally
+/// excluded — caching and table reuse may differ between a warm snapshot
+/// and a fresh session, but the answers and the verdict may not.
+fn answer_key(result: &QueryResult) -> (String, Vec<String>, PlanStrategy, bool) {
     let mut answers: Vec<String> = result
         .answers
         .iter()
         .map(|a| format!("{:?} {:?}", a.bindings, a.truth))
         .collect();
     answers.sort();
-    (format!("{:?}", result.truth), answers)
+    (
+        format!("{:?}", result.truth),
+        answers,
+        result.plan.strategy,
+        result.fallback.is_some(),
+    )
 }
+
+/// One query of every shape the read surface routes differently, for the
+/// writer-side leg of the epoch loop: a tabled pattern, a ground point
+/// lookup, an unbound predicate name (full model) and a conjunction with
+/// negation (the auxiliary-rule wrapper).
+const SHAPES: [&str; 4] = [
+    "?- winning(X).",
+    "?- winning(p1).",
+    "?- P(p0, X).",
+    "?- move(X, Y), not winning(Y).",
+];
 
 /// N scoped reader threads query pinned snapshots while the writer streams
 /// randomized batches; every response must exactly equal a fresh
@@ -98,9 +115,29 @@ fn concurrent_readers_agree_with_fresh_sessions_at_every_epoch() {
                     assert!(writer.retract_fact(&term), "retract of live fact {fact}");
                 }
             }
+            // One read surface: what the writer's own session answers for
+            // the batch it is about to publish, what the snapshot it then
+            // publishes answers, and what a fresh session over that program
+            // answers must all be the same.
+            let query = parse_query(SHAPES[last_epoch as usize % SHAPES.len()]).unwrap();
+            let own = writer.db().query(&query).expect("writer query succeeds");
             let snapshot = writer.publish();
             assert_eq!(snapshot.epoch(), last_epoch + 1, "epochs are monotone");
             last_epoch = snapshot.epoch();
+            let served = snapshot.query(&query).expect("snapshot query succeeds");
+            let expected = HiLogDb::new(snapshot.program().clone())
+                .query(&query)
+                .expect("oracle query succeeds");
+            assert_eq!(
+                answer_key(&own),
+                answer_key(&served),
+                "the writer and the snapshot it published diverge at epoch {last_epoch} on {query}"
+            );
+            assert_eq!(
+                answer_key(&served),
+                answer_key(&expected),
+                "the published snapshot diverged from the oracle at epoch {last_epoch} on {query}"
+            );
         }
         writer_done.store(true, Ordering::SeqCst);
     });

@@ -527,6 +527,54 @@ fn update_heavy_sessions_report_patched_models() {
     check_against_fresh(&mut db, &parse_query("?- P(X).").unwrap(), "update-heavy");
 }
 
+#[test]
+fn a_fallback_behind_pending_seeds_patches_the_model_before_reading_it() {
+    // a and b attack each other, so the tabled route meets a negative cycle
+    // on every `win` query and falls back to the full model.  If that model
+    // is warm but has pending seeds (a mutation since), the fallback must
+    // patch it first — on the session, through `DbWriter::db()`, and in the
+    // snapshot a later publish hands to readers.
+    let program = parse_program(
+        "win(X) :- move(X, Y), not win(Y).\n\
+         move(a, b). move(b, a). move(b, c).",
+    )
+    .unwrap();
+    let query = parse_query("?- win(X).").unwrap();
+    let fresh = |program: &Program| HiLogDb::new(program.clone()).query(&query).unwrap();
+    let assert_patched = |result: &QueryResult, program: &Program, context: &str| {
+        assert!(result.fallback.is_some(), "{context}: no fallback");
+        assert_eq!(result.stats.model_source, ModelSource::Patched, "{context}");
+        assert_eq!(result.stats.patches, 1, "{context}");
+        assert_results_agree(result, &fresh(program), context);
+    };
+
+    let mut db = HiLogDb::new(program.clone());
+    db.model().unwrap();
+    db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+    assert!(db.explain(&query).stale_model, "seeds must be pending");
+    let result = db.query(&query).unwrap();
+    assert_patched(&result, db.program(), "session");
+    assert!(answer_set(&result).iter().any(|a| a.contains("X = c")));
+
+    let (mut writer, handle) = HiLogDb::new(program).into_serving();
+    writer.db().model().unwrap();
+    writer
+        .assert_fact(parse_term("move(c, d)").unwrap())
+        .unwrap();
+    let result = writer.db().query(&query).unwrap();
+    assert_patched(&result, writer.program(), "writer.db()");
+    // Seeds pending again at publish: the snapshot must not serve them
+    // undischarged.
+    assert!(writer.retract_fact(&parse_term("move(c, d)").unwrap()));
+    assert!(writer.db().explain(&query).stale_model);
+    let snapshot = writer.publish();
+    let served = handle.current().query(&query).unwrap();
+    assert!(served.fallback.is_some());
+    assert_eq!(served.stats.model_source, ModelSource::Cached);
+    assert_results_agree(&served, &fresh(snapshot.program()), "published snapshot");
+    assert!(!answer_set(&served).iter().any(|a| a.contains("X = c")));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases(12)))]
 
