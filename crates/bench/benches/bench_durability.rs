@@ -161,16 +161,10 @@ fn main() {
         ckpt_wall.as_secs_f64() * 1e3,
         "ms",
     ));
-    let ckpt_bytes = outcome
-        .path
-        .as_ref()
-        .and_then(|p| std::fs::metadata(p).ok())
-        .map(|m| m.len())
-        .unwrap_or(0);
     rows.push(row(
         &format!("checkpoint {scale}"),
         "file_size",
-        ckpt_bytes as f64,
+        outcome.bytes_written as f64,
         "bytes",
     ));
     drop(iv_writer);

@@ -14,11 +14,11 @@
 //!    through the full serving stack, session storage in-memory versus
 //!    spill, answering the issue's "bound queries at interactive latency
 //!    while the EDB no longer fits the residency budget".
-//! 3. **Incremental versus whole-store checkpoints** — at 10^6 facts over
-//!    100 relations: a full checkpoint, a first (cold) incremental
-//!    checkpoint that writes every segment, then an update stream touching
-//!    2 of the 100 shards and a second incremental checkpoint that should
-//!    rewrite only those segments, ~10x under the whole-store time.
+//! 3. **Incremental versus full checkpoints** — at 10^6 facts over 100
+//!    relations: a full checkpoint that writes every segment, then an
+//!    update stream touching 2 of the 100 shards and an incremental
+//!    checkpoint that should rewrite only those segments, ~10x under the
+//!    full checkpoint's time.
 //!
 //! Run with `cargo bench -p hilog-bench --bench bench_storage`; besides the
 //! markdown table on stdout it records the measurements in
@@ -201,7 +201,7 @@ fn main() {
         ));
     }
 
-    // --- 3. Incremental vs whole-store checkpoints at 10^6 facts. ---
+    // --- 3. Incremental vs full checkpoints at 10^6 facts. ---
     let ckpt_config = if smoke {
         probe_config.clone()
     } else {
@@ -219,6 +219,7 @@ fn main() {
     let start = Instant::now();
     let full = writer.checkpoint().expect("full checkpoint saves");
     let full_wall = start.elapsed();
+    assert!(full.segments_written >= ckpt_config.relations);
     rows.push(row(
         &format!("checkpoint full {ckpt_scale}"),
         "save_wall",
@@ -230,27 +231,6 @@ fn main() {
         "bytes_written",
         full.bytes_written as f64,
         "bytes",
-    ));
-
-    // First incremental: no manifest to reuse from, so every relation's
-    // segment is written — the cold cost, comparable to a full checkpoint.
-    let start = Instant::now();
-    let cold = writer
-        .checkpoint_incremental()
-        .expect("cold incremental checkpoint saves");
-    let cold_wall = start.elapsed();
-    assert!(cold.segments_written >= ckpt_config.relations);
-    rows.push(row(
-        &format!("checkpoint incremental-cold {ckpt_scale}"),
-        "save_wall",
-        cold_wall.as_secs_f64() * 1e3,
-        "ms",
-    ));
-    rows.push(row(
-        &format!("checkpoint incremental-cold {ckpt_scale}"),
-        "segments_written",
-        cold.segments_written as f64,
-        "segments",
     ));
 
     // Dirty a small fixed subset of shards, then checkpoint incrementally:

@@ -1,8 +1,8 @@
 //! Stable binary serialization of interned symbols, terms and rules.
 //!
 //! The durable storage layer (`hilog-store`) persists mutation batches and
-//! whole-store snapshots.  Both kinds of file are built from the same
-//! *payload* format defined here:
+//! recovery points (segments, models, manifests).  Every such file is built
+//! from the same *payload* format defined here:
 //!
 //! * a **symbol table** — every distinct symbol name appears once, referenced
 //!   by a dense `u32` id;

@@ -368,8 +368,8 @@ impl FactStore {
         }
     }
 
-    /// The configuration that produces this store's backend (budget and
-    /// directory are the store's own, not the originals).
+    /// `true` when this store pages relations to segment files under a
+    /// residency budget (the [`StorageConfig::Spill`] backend).
     pub fn is_spill(&self) -> bool {
         matches!(self, FactStore::Spill(_))
     }

@@ -146,12 +146,12 @@ pub struct StatsResponse {
     pub last_checkpoint_epoch: Option<u64>,
     /// Total on-disk size of the data directory, in bytes.
     pub data_dir_bytes: u64,
-    /// Segment files the most recent incremental checkpoint wrote (clean
-    /// relations reuse theirs; zero after a whole-store checkpoint).
+    /// Segment files the most recent checkpoint wrote (every relation for a
+    /// full one; for an incremental one clean relations reuse theirs).
     pub last_checkpoint_segments: usize,
     /// Bytes the most recent checkpoint added — the incremental delta.
     pub last_checkpoint_bytes: u64,
-    /// Segments referenced by the current incremental manifest.
+    /// Segments referenced by the current manifest.
     pub manifest_segments: usize,
     /// Facts resident in memory across the published snapshot's relation
     /// stores (possibly-true store + subgoal tables).
@@ -272,9 +272,10 @@ pub struct CheckpointResponse {
     pub mode: String,
     /// `false` when the server runs in-memory (nothing was written).
     pub durable: bool,
-    /// Path of the checkpoint (or manifest) file, when one was written.
+    /// Path of the manifest file, when one was written.
     pub path: Option<String>,
-    /// Segment files written (incremental mode; 0 for full).
+    /// Segment files written (every relation in full mode, the dirtied
+    /// ones in incremental mode).
     pub segments_written: usize,
     /// Bytes this checkpoint added to the data directory.
     pub bytes_written: u64,

@@ -174,8 +174,9 @@ fn mutate(state: &ServerState, body: &[u8], mutation: Mutation) -> Response {
 }
 
 /// `POST /checkpoint` with an empty body (or `{"mode": "full"}`) writes a
-/// whole-store checkpoint; `{"mode": "incremental"}` rewrites only the
-/// relations dirtied since their segments were last persisted.
+/// full checkpoint (every relation's segment, plus the warm model);
+/// `{"mode": "incremental"}` rewrites only the relations dirtied since the
+/// newest manifest.
 fn checkpoint(state: &ServerState, body: &[u8]) -> Response {
     let incremental = if body.iter().all(|b| b.is_ascii_whitespace()) {
         false

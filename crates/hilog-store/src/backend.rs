@@ -4,22 +4,26 @@
 //! checkpoint, flush, report stats — so the writer path stays identical
 //! whether anything touches disk or not.  [`InMemory`] is a no-op (today's
 //! behaviour, zero overhead); [`Durable`] composes the [`crate::wal`] and
-//! [`crate::checkpoint`] modules under one data directory:
+//! [`crate::manifest`] modules under one data directory:
 //!
 //! ```text
 //! <data-dir>/
-//!   wal.log                            the write-ahead log
-//!   checkpoint-<epoch:020>.hsnp        newest-first recovery candidates
+//!   wal.log                              the write-ahead log
+//!   manifest-<epoch:020>.hman            recovery points, newest first
+//!   rel-<hash:016x>-<epoch:020>.hseg     one relation's facts, named by manifests
+//!   model-<epoch:020>.hmod               the warm model of a full checkpoint
 //! ```
+//!
+//! A checkpoint commits in one order: segments (and, for a full one, the
+//! model file) → manifest → directory fsync → prune older recovery points →
+//! truncate the WAL.  A failure before the prune leaves the previous
+//! recovery point and the whole WAL in place.
 
-use crate::checkpoint::{
-    load_checkpoint, load_latest_checkpoint, prune_checkpoints, save_checkpoint, CheckpointData,
-};
 use crate::error::StoreError;
 use crate::io::{with_retry, RealIo, RetryPolicy, StoreIo};
 use crate::manifest::{
-    build_manifest, load_manifest, load_manifest_program, manifest_candidates, prune_incremental,
-    save_manifest, Manifest, RelKey,
+    commit_checkpoint, load_latest_recovery, manifest_file_name, prune_incremental, CheckpointData,
+    Manifest, RelKey,
 };
 use crate::ops::Op;
 use crate::wal::{FsyncPolicy, Wal, WalRecord, WAL_FILE};
@@ -32,12 +36,13 @@ use std::time::Duration;
 /// Configuration of a [`Durable`] backend.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
-    /// Directory holding the WAL and checkpoints (created if absent).
+    /// Directory holding the WAL and recovery points (created if absent).
     pub data_dir: PathBuf,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
-    /// Checkpoints retained after each new one (older files are pruned).
-    /// The newest is always kept; 2 keeps one fallback behind it.
+    /// Recovery points (manifests) retained after each new one; older ones
+    /// and the files only they name are pruned.  The newest is always kept;
+    /// 2 keeps one fallback behind it.
     pub keep_checkpoints: usize,
     /// The filesystem backend every durability operation goes through.
     /// [`RealIo`] in production; a [`crate::io::FaultIo`] in resilience
@@ -96,19 +101,17 @@ pub struct StorageStats {
     /// Epoch of the most recent checkpoint written or recovered from, if
     /// any.
     pub last_checkpoint_epoch: Option<u64>,
-    /// Total size of the data directory (WAL + checkpoints), in bytes.
+    /// Total size of the data directory (WAL + recovery points), in bytes.
     pub data_dir_bytes: u64,
-    /// Segment files the most recent *incremental* checkpoint wrote (clean
-    /// relations reuse their old segments and don't count).  Zero after a
-    /// whole-store checkpoint.
+    /// Segment files the most recent checkpoint wrote: every relation for a
+    /// full one; for an incremental one only the dirtied relations (clean
+    /// ones reuse their old segments and don't count).
     pub last_checkpoint_segments: usize,
-    /// Bytes the most recent checkpoint added: the whole `.hsnp` file for a
-    /// full one, new segments + manifest for an incremental one — the
-    /// observable "delta size" an incremental checkpoint is supposed to
-    /// shrink.
+    /// Bytes the most recent checkpoint added: new segments + manifest, plus
+    /// the model file of a full one — the observable "delta size" an
+    /// incremental checkpoint is supposed to shrink.
     pub last_checkpoint_bytes: u64,
-    /// Segments the current manifest references (0 when the newest recovery
-    /// point is a whole-store checkpoint).
+    /// Segments the current manifest references, reused ones included.
     pub manifest_segments: usize,
     /// Filesystem operations the backend has performed.
     pub io_ops: u64,
@@ -126,42 +129,23 @@ pub trait StorageBackend: std::fmt::Debug + Send {
     /// replayed after a crash; one whose append tore is truncated away.
     fn append_batch(&mut self, epoch: u64, ops: &[Op]) -> Result<(), StoreError>;
 
-    /// Persists a whole-store checkpoint, prunes old ones and truncates the
-    /// WAL (whose records the checkpoint subsumes).  Returns the file path,
-    /// or `None` for backends that store nothing.
-    fn write_checkpoint(&mut self, data: &CheckpointData) -> Result<Option<PathBuf>, StoreError>;
-
-    /// Persists an *incremental* checkpoint: fresh segment files for the
-    /// relations in `dirty` (and any relation without a segment yet), a
-    /// manifest copying every clean relation's entry forward, then truncates
-    /// the WAL.  `data.model` is ignored — incremental checkpoints persist
-    /// the program only.  Backends that store nothing return the default
-    /// outcome.
-    fn write_incremental(
+    /// Persists a checkpoint, prunes older recovery points and truncates
+    /// the WAL (whose records the checkpoint subsumes).  `dirty: None` is a
+    /// *full* checkpoint, `Some(set)` an *incremental* one that rewrites
+    /// only the relations in `set` (see [`crate::manifest`]).  Returns the
+    /// manifest's path, or `None` for backends that store nothing; what was
+    /// written shows in [`StorageStats`].
+    fn write_checkpoint(
         &mut self,
         data: &CheckpointData,
-        dirty: &BTreeSet<RelKey>,
-    ) -> Result<IncrementalOutcome, StoreError>;
+        dirty: Option<&BTreeSet<RelKey>>,
+    ) -> Result<Option<PathBuf>, StoreError>;
 
     /// Forces everything buffered to stable storage (graceful shutdown).
     fn flush(&mut self) -> Result<(), StoreError>;
 
     /// Current storage counters.
     fn stats(&self) -> StorageStats;
-}
-
-/// What one incremental checkpoint did.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct IncrementalOutcome {
-    /// The manifest's path (`None` for backends that store nothing).
-    pub path: Option<PathBuf>,
-    /// Segment files written (dirty or previously unsegmented relations).
-    pub segments_written: usize,
-    /// Segments the manifest references in total, reused ones included.
-    pub segments_total: usize,
-    /// Bytes this checkpoint added to the directory (new segments + the
-    /// manifest file) — the incremental delta.
-    pub bytes_written: u64,
 }
 
 /// The zero-overhead backend: nothing is stored, every call succeeds.
@@ -173,16 +157,12 @@ impl StorageBackend for InMemory {
         Ok(())
     }
 
-    fn write_checkpoint(&mut self, _data: &CheckpointData) -> Result<Option<PathBuf>, StoreError> {
-        Ok(None)
-    }
-
-    fn write_incremental(
+    fn write_checkpoint(
         &mut self,
         _data: &CheckpointData,
-        _dirty: &BTreeSet<RelKey>,
-    ) -> Result<IncrementalOutcome, StoreError> {
-        Ok(IncrementalOutcome::default())
+        _dirty: Option<&BTreeSet<RelKey>>,
+    ) -> Result<Option<PathBuf>, StoreError> {
+        Ok(None)
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
@@ -197,12 +177,8 @@ impl StorageBackend for InMemory {
 /// What [`Durable::open`] found on disk, for the recovery path to replay.
 #[derive(Debug)]
 pub struct Recovered {
-    /// The newest valid recovery point (whole-store checkpoint *or*
-    /// incremental manifest), if any.  A manifest recovery carries
-    /// `model: None` — incremental checkpoints persist the program only.
+    /// The newest valid recovery point, if any.
     pub checkpoint: Option<CheckpointData>,
-    /// `true` when `checkpoint` came from an incremental manifest.
-    pub from_manifest: bool,
     /// Every valid WAL record, oldest first (the torn tail is already
     /// truncated).  May include records at or below the checkpoint epoch if
     /// the process died between writing a checkpoint and truncating the log;
@@ -210,8 +186,7 @@ pub struct Recovered {
     pub wal_records: Vec<WalRecord>,
 }
 
-/// WAL + checkpoints (whole-store and incremental) under one data
-/// directory.
+/// WAL + recovery points under one data directory.
 #[derive(Debug)]
 pub struct Durable {
     dir: PathBuf,
@@ -219,97 +194,50 @@ pub struct Durable {
     retry: RetryPolicy,
     retries: AtomicU64,
     wal: Wal,
-    last_checkpoint_epoch: Option<u64>,
     keep_checkpoints: usize,
-    /// The manifest whose segments the next incremental checkpoint may copy
-    /// forward.  `None` until a manifest is written or recovered from this
-    /// run's recovery point — a manifest *older* than the recovery point
-    /// must not seed reuse (mutations between the two are not in any dirty
-    /// set), so recovery through a whole-store checkpoint resets this.
+    /// The newest manifest written or recovered from: the recovery point
+    /// the next incremental checkpoint copies clean entries forward from.
     manifest: Option<Manifest>,
     last_checkpoint_segments: usize,
     last_checkpoint_bytes: u64,
 }
 
-/// The newest recovery point that validates end-to-end: walks whole-store
-/// checkpoints and manifests together, newest epoch first, skipping any
-/// candidate that is torn, stale, or (for a manifest) missing a segment.
-fn load_latest_recovery(
-    io: &dyn StoreIo,
-    dir: &Path,
-) -> Result<Option<(CheckpointData, Option<Manifest>)>, StoreError> {
-    enum Candidate {
-        Full(PathBuf),
-        Incremental(PathBuf),
-    }
-    let mut candidates: Vec<(u64, Candidate)> = Vec::new();
-    if let Some((data, path)) = load_latest_checkpoint(io, dir)? {
-        candidates.push((data.epoch, Candidate::Full(path)));
-    }
-    for (epoch, path) in manifest_candidates(io, dir)? {
-        candidates.push((epoch, Candidate::Incremental(path)));
-    }
-    candidates.sort_by_key(|c| std::cmp::Reverse(c.0));
-    for (_, candidate) in candidates {
-        match candidate {
-            Candidate::Full(path) => match load_checkpoint(io, &path) {
-                Ok(data) => return Ok(Some((data, None))),
-                Err(StoreError::Corrupt(_) | StoreError::Codec(_)) => continue,
-                Err(e) => return Err(e),
-            },
-            Candidate::Incremental(path) => {
-                let manifest = match load_manifest(io, &path) {
-                    Ok(manifest) => manifest,
-                    Err(StoreError::Corrupt(_) | StoreError::Codec(_)) => continue,
-                    Err(e) => return Err(e),
-                };
-                match load_manifest_program(io, dir, &manifest) {
-                    Ok(program) => {
-                        let data = CheckpointData {
-                            epoch: manifest.epoch,
-                            semantics: manifest.semantics,
-                            program,
-                            model: None,
-                        };
-                        return Ok(Some((data, Some(manifest))));
-                    }
-                    Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => continue,
-                    Err(StoreError::Corrupt(_) | StoreError::Codec(_)) => continue,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    }
-    Ok(None)
-}
-
 impl Durable {
     /// Opens (creating if needed) the data directory, validating the WAL and
-    /// locating the newest valid recovery point (whole-store checkpoint or
-    /// incremental manifest, whichever validates at the highest epoch).  The
-    /// caller replays [`Recovered`] before serving.
+    /// locating the newest manifest that validates end-to-end.  The caller
+    /// replays [`Recovered`] before serving.
     pub fn open(config: &StoreConfig) -> Result<(Durable, Recovered), StoreError> {
         let io = Arc::clone(&config.io);
         io.create_dir_all(&config.data_dir)?;
-        let recovery = load_latest_recovery(&*io, &config.data_dir)?;
-        let (wal, wal_records) = Wal::open(&*io, config.data_dir.join(WAL_FILE), config.fsync)?;
-        let (checkpoint, manifest, last_checkpoint_epoch) = match recovery {
-            Some((data, manifest)) => {
-                let epoch = data.epoch;
-                (Some(data), manifest, Some(epoch))
-            }
-            None => (None, None, None),
+        let (checkpoint, manifest) = load_latest_recovery(&*io, &config.data_dir)?.unzip();
+        // `checkpoint-<epoch>.hsnp` is the retired whole-store format.  A
+        // directory whose newest state sits in one must not open as fresh
+        // (or as an older manifest): that would silently serve the seed
+        // program (or drop the epochs in between).
+        let retired_epoch = |name: &String| -> Option<u64> {
+            let digits = name.strip_prefix("checkpoint-")?.strip_suffix(".hsnp")?;
+            digits.parse().ok()
         };
+        let names = io.list_dir(&config.data_dir)?;
+        if let Some(retired) = names.iter().filter_map(retired_epoch).max() {
+            if manifest.as_ref().is_none_or(|m| m.epoch < retired) {
+                return Err(StoreError::Corrupt(format!(
+                    "{} holds a checkpoint-*.hsnp file at epoch {retired}, newer than any \
+                     manifest: the whole-store .hsnp format is retired and no longer readable",
+                    config.data_dir.display()
+                )));
+            }
+        }
+        let (wal, wal_records) = Wal::open(&*io, config.data_dir.join(WAL_FILE), config.fsync)?;
         if checkpoint.is_none() && !wal_records.is_empty() {
-            // The protocol writes checkpoint-0 before the first append, so a
-            // WAL with no checkpoint means every checkpoint was lost: the
-            // records have no base state to replay onto.
+            // The protocol writes the epoch-0 baseline before the first
+            // append, so a WAL with no recovery point means every manifest
+            // was lost: the records have no base state to replay onto.
             return Err(StoreError::Corrupt(format!(
                 "{} holds a write-ahead log but no valid checkpoint",
                 config.data_dir.display()
             )));
         }
-        let from_manifest = manifest.is_some();
         Ok((
             Durable {
                 dir: config.data_dir.clone(),
@@ -317,7 +245,6 @@ impl Durable {
                 retry: config.retry,
                 retries: AtomicU64::new(0),
                 wal,
-                last_checkpoint_epoch,
                 keep_checkpoints: config.keep_checkpoints,
                 manifest,
                 last_checkpoint_segments: 0,
@@ -325,7 +252,6 @@ impl Durable {
             },
             Recovered {
                 checkpoint,
-                from_manifest,
                 wal_records,
             },
         ))
@@ -346,79 +272,36 @@ impl StorageBackend for Durable {
         with_retry(self.retry, &self.retries, || wal.append(epoch, ops))
     }
 
-    fn write_checkpoint(&mut self, data: &CheckpointData) -> Result<Option<PathBuf>, StoreError> {
-        // Safe to retry: the checkpoint goes through a temp file + rename,
-        // so a failed attempt never clobbers the previous candidate.
+    fn write_checkpoint(
+        &mut self,
+        data: &CheckpointData,
+        dirty: Option<&BTreeSet<RelKey>>,
+    ) -> Result<Option<PathBuf>, StoreError> {
+        // Retried as a unit: everything goes through temp files, so a failed
+        // attempt leaves the previous manifest — whose files are only pruned
+        // after a newer one is durable — fully loadable, plus stray
+        // `.tmp`/orphan files the next prune sweeps up.  Any error, the
+        // directory fsync's included, returns before the prune and the WAL
+        // truncation below.
         let io = &*self.io;
         let dir = &self.dir;
-        let path = with_retry(self.retry, &self.retries, || save_checkpoint(io, dir, data))?;
-        self.last_checkpoint_epoch = Some(data.epoch);
-        self.last_checkpoint_segments = 0;
-        self.last_checkpoint_bytes = self.io.file_len(&path).unwrap_or(0);
-        prune_checkpoints(&*self.io, &self.dir, self.keep_checkpoints)?;
-        // Truncate last: if we die before this, recovery loads the new
-        // checkpoint and skips the stale records by epoch.  Retried because
+        let reuse = self.manifest.as_ref().zip(dirty);
+        let (manifest, segments_written, bytes_written) =
+            with_retry(self.retry, &self.retries, || {
+                commit_checkpoint(io, dir, data, reuse)
+            })?;
+        let path = dir.join(manifest_file_name(manifest.epoch));
+        self.manifest = Some(manifest);
+        self.last_checkpoint_segments = segments_written;
+        self.last_checkpoint_bytes = bytes_written;
+        prune_incremental(io, dir, self.keep_checkpoints)?;
+        // Truncate last: dying before this replays records the manifest
+        // already subsumes, which recovery skips by epoch.  Retried because
         // a partial truncation poisons the log against appends until a full
         // one lands (truncation is idempotent).
         let wal = &mut self.wal;
         with_retry(self.retry, &self.retries, || wal.truncate())?;
         Ok(Some(path))
-    }
-
-    fn write_incremental(
-        &mut self,
-        data: &CheckpointData,
-        dirty: &BTreeSet<RelKey>,
-    ) -> Result<IncrementalOutcome, StoreError> {
-        // Segments first (each temp + fsync + rename), manifest last: a
-        // crash anywhere in between leaves the previous manifest — whose
-        // segments are only pruned after a newer manifest commits — fully
-        // loadable.
-        // Retried as a unit: segments and manifest all go through temp
-        // files, so a failed attempt leaves only stray `.tmp`/orphan files
-        // that the next prune sweeps up — the previous manifest stays the
-        // recovery point until `save_manifest` renames the new one in.
-        let io = &*self.io;
-        let dir = &self.dir;
-        let previous = self.manifest.as_ref();
-        let (manifest, segments_written, mut bytes_written, path, manifest_bytes) =
-            with_retry(self.retry, &self.retries, || {
-                let (manifest, segments_written, bytes_written) = build_manifest(
-                    io,
-                    dir,
-                    data.epoch,
-                    data.semantics,
-                    &data.program,
-                    dirty,
-                    previous,
-                )?;
-                let (path, manifest_bytes) = save_manifest(io, dir, &manifest)?;
-                Ok((
-                    manifest,
-                    segments_written,
-                    bytes_written,
-                    path,
-                    manifest_bytes,
-                ))
-            })?;
-        bytes_written += manifest_bytes;
-        let segments_total = manifest.entries.len();
-        self.manifest = Some(manifest);
-        self.last_checkpoint_epoch = Some(data.epoch);
-        self.last_checkpoint_segments = segments_written;
-        self.last_checkpoint_bytes = bytes_written;
-        prune_incremental(&*self.io, &self.dir, self.keep_checkpoints)?;
-        // Truncate last, same as the whole-store path: dying before this
-        // replays records the manifest already subsumes, which is idempotent
-        // by epoch.  Retried for the same reason as the whole-store path.
-        let wal = &mut self.wal;
-        with_retry(self.retry, &self.retries, || wal.truncate())?;
-        Ok(IncrementalOutcome {
-            path: Some(path),
-            segments_written,
-            segments_total,
-            bytes_written,
-        })
     }
 
     fn flush(&mut self) -> Result<(), StoreError> {
@@ -442,7 +325,7 @@ impl StorageBackend for Durable {
             durable: true,
             wal_records: self.wal.records(),
             wal_bytes: self.wal.bytes(),
-            last_checkpoint_epoch: self.last_checkpoint_epoch,
+            last_checkpoint_epoch: self.manifest.as_ref().map(|m| m.epoch),
             data_dir_bytes,
             last_checkpoint_segments: self.last_checkpoint_segments,
             last_checkpoint_bytes: self.last_checkpoint_bytes,

@@ -2,7 +2,7 @@
 //! goes through.
 //!
 //! [`StoreIo`] is the narrow set of filesystem operations the WAL,
-//! checkpoint, manifest, and recovery modules perform: open a handle,
+//! manifest, and recovery code perform: open a handle,
 //! read a whole file, rename, remove, list a directory, fsync a directory.
 //! [`RealIo`] maps each call to `std::fs`; [`FaultIo`] wraps any backend
 //! and injects *deterministic* failures — fail the Nth operation, fail a

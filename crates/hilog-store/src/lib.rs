@@ -7,24 +7,23 @@
 //! * a **write-ahead log** ([`wal`]) of mutation batches — length-prefixed,
 //!   CRC-32-checksummed records, one per published epoch, appended *before*
 //!   the batch is applied;
-//! * **binary checkpoints** of the store, in two granularities: whole-store
-//!   ([`checkpoint`]) — program rules plus (when warm) the full model,
-//!   interned through the payload-local symbol/term tables of
-//!   [`hilog_core::codec`] and stamped with the epoch they capture — and
-//!   **incremental** ([`manifest`]) — one segment file per relation plus a
-//!   manifest naming the full state, where only relations dirtied since
-//!   the last manifest are rewritten and clean ones reuse their previous
-//!   segment byte-for-byte;
+//! * **recovery points** in one format ([`manifest`]) — one segment file
+//!   per relation, an optional model file, and a manifest naming them,
+//!   all encoded through the payload-local symbol/term tables of
+//!   [`hilog_core::codec`] and stamped with the epoch they capture.  A
+//!   *full* checkpoint writes every relation's segment fresh plus (when
+//!   warm) the full model, so it is self-contained; an *incremental* one
+//!   rewrites only relations dirtied since the newest manifest, reuses
+//!   every clean relation's segment byte-for-byte, and carries no model;
 //! * **recovery** ([`serving::PersistentWriter::open`]) — load the newest
-//!   valid recovery point (whole-store checkpoint or manifest, torn or
-//!   stale candidates skipped), replay the WAL tail through the same
-//!   incremental mutation path the live server uses (torn final record
-//!   truncated, checksums verified), resume serving at the recovered
-//!   epoch.
+//!   manifest that validates end-to-end (torn or stale candidates
+//!   skipped), replay the WAL tail through the same incremental mutation
+//!   path the live server uses (torn final record truncated, checksums
+//!   verified), resume serving at the recovered epoch.
 //!
 //! The [`backend::StorageBackend`] trait hides all of it from the serving
 //! layer: [`backend::InMemory`] is today's behaviour at zero overhead,
-//! [`backend::Durable`] is WAL + checkpoints under a `--data-dir`.  The
+//! [`backend::Durable`] is WAL + recovery points under a `--data-dir`.  The
 //! publish pipeline becomes
 //!
 //! ```text
@@ -32,15 +31,16 @@
 //! ```
 //!
 //! so every published epoch is durable (at the chosen
-//! [`wal::FsyncPolicy`]) before any reader can observe it.  Checkpointing
-//! truncates the log and garbage-collects the global symbol pool — persisted
-//! files use payload-local ids, so collection never remaps anything on disk.
+//! [`wal::FsyncPolicy`]) before any reader can observe it.  A checkpoint
+//! commits segments → manifest → directory fsync, and only then prunes older
+//! recovery points, truncates the log and garbage-collects the global symbol
+//! pool — persisted files use payload-local ids, so collection never remaps
+//! anything on disk.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backend;
-pub mod checkpoint;
 pub mod error;
 pub mod io;
 pub mod manifest;
@@ -48,13 +48,10 @@ pub mod ops;
 pub mod serving;
 pub mod wal;
 
-pub use backend::{
-    Durable, InMemory, IncrementalOutcome, StorageBackend, StorageStats, StoreConfig,
-};
-pub use checkpoint::CheckpointData;
+pub use backend::{Durable, InMemory, StorageBackend, StorageStats, StoreConfig};
 pub use error::StoreError;
 pub use io::{FaultIo, FaultPlan, IoStats, OpenMode, RealIo, RetryPolicy, StoreFile, StoreIo};
-pub use manifest::{rel_key, Manifest, RelKey, SegmentEntry};
+pub use manifest::{rel_key, CheckpointData, Manifest, RelKey, SegmentEntry};
 pub use ops::Op;
 pub use serving::{
     BatchOutcome, CheckpointOutcome, DegradedState, PersistentWriter, RecoveryReport,

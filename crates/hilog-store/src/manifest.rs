@@ -1,48 +1,99 @@
-//! Incremental checkpoints: per-relation segment files + a manifest.
+//! Recovery points: per-relation segment files + a manifest.
 //!
-//! A whole-store checkpoint ([`crate::checkpoint`]) rewrites every fact the
-//! program holds, so its cost grows with the store, not with the change —
-//! at 10^6 facts a one-relation update still pays for all of them.  The
-//! incremental format splits the fact payload by relation:
+//! A recovery point captures everything the writer cannot rebuild from
+//! thin air — the program's rules (initial + asserted, minus retracted)
+//! and, when the session had one warm, the full model — stamped with the
+//! epoch it represents.  Derived state (grounding, per-argument indexes,
+//! subgoal tables, stable models) deliberately stays out: it rebuilds
+//! lazily on first use, which keeps recovery points compact and the format
+//! stable under engine-internal changes.
 //!
-//! * **Segment** (`rel-<hash:016x>-<epoch:020>.hseg`) — the facts of *one*
-//!   relation (one predicate key: name term + arity), self-validating
-//!   (`[magic "HSEG"][version][crc32][payload]`) and immutable once
-//!   renamed into place.
-//! * **Manifest** (`manifest-<epoch:020>.hman`) — the recovery point: the
-//!   epoch, the semantics, every *non-fact* rule (always rewritten — the
-//!   rules blob is tiny next to the fact payload), and one entry per
-//!   relation naming the segment that holds its facts.
+//! ## Files
 //!
-//! A checkpoint writes new segments only for relations *dirtied* since the
-//! last manifest; clean relations' entries are copied forward, re-pointing
-//! at segments written by earlier checkpoints.  Crash safety follows the
-//! same discipline as the whole-store path: segments are temp-written,
-//! fsynced and renamed *before* the manifest commits (temp + fsync +
-//! rename + directory fsync), so a crash leaves either the old manifest —
-//! whose segments are never deleted until a newer manifest commits — or
-//! the new one with every segment it names already durable.  Loading takes
-//! the newest recovery point (manifest *or* whole-store checkpoint) that
-//! validates end-to-end, falling back to older ones when a manifest, or
-//! any segment it names, is torn or stale.
+//! Every file is `[magic][version: u32 LE][crc32(payload): u32 LE][payload]`
+//! with a [`hilog_core::codec`] payload, written through a temp file +
+//! `fsync` + atomic rename, and immutable once renamed into place.
 //!
-//! Incremental checkpoints persist the **program only** — the model
-//! deliberately stays out (it rebuilds lazily, which is always sound) so a
-//! small fact delta never forces a model-sized write.
+//! * **Segment** (`rel-<hash:016x>-<epoch:020>.hseg`, magic `HSEG`) — the
+//!   facts of *one* relation (one predicate key: name term + arity).
+//! * **Model** (`model-<epoch:020>.hmod`, magic `HMOD`) — the warm
+//!   three-valued model: its true / undefined / remaining-base atom sets.
+//! * **Manifest** (`manifest-<epoch:020>.hman`, magic `HMAN`) — the
+//!   recovery point itself: the epoch, the semantics, every *non-fact* rule
+//!   (always rewritten — the rules blob is tiny next to the fact payload),
+//!   one entry per relation naming the segment that holds its facts, and
+//!   whether this epoch's model file belongs to it.
+//!
+//! ## Full and incremental checkpoints
+//!
+//! Both are one call, [`commit_checkpoint`].  A *full* checkpoint reuses
+//! nothing: every relation gets a fresh segment at the checkpoint's epoch,
+//! so the recovery point is self-contained, and the warm model (when there
+//! is one) rides along.  An *incremental* one writes new segments only for
+//! relations dirtied since the previous manifest and copies every clean
+//! relation's entry forward, re-pointing at segments earlier checkpoints
+//! wrote; it never carries a model (the model rebuilds lazily, which is
+//! always sound), so a small fact delta never forces a model-sized write.
+//!
+//! Either way the files a manifest names are in place before it is, and no
+//! file is deleted until a newer manifest is durable, so a crash leaves the
+//! old recovery point or the new one, whole.  [`load_latest_recovery`] takes
+//! the newest manifest that validates end-to-end, falling back to older ones
+//! when a manifest, or any file it names, is torn, stale or missing.
 
-use crate::checkpoint::{semantics_from_tag, semantics_tag};
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreIo};
 use hilog_core::codec::{crc32, PayloadReader, PayloadWriter};
-use hilog_core::{Program, Rule, Term};
+use hilog_core::{Model, Program, Rule, Term};
 use hilog_engine::Semantics;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: &[u8; 4] = b"HSEG";
+const MODEL_MAGIC: &[u8; 4] = b"HMOD";
 const MANIFEST_MAGIC: &[u8; 4] = b"HMAN";
 const VERSION: u32 = 1;
+
+const SEM_WELL_FOUNDED: u8 = 0;
+const SEM_STABLE: u8 = 1;
+const SEM_MODULAR: u8 = 2;
+
+/// The state a checkpoint captures and recovery hands back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CheckpointData {
+    /// The published epoch this state corresponds to.
+    pub epoch: u64,
+    /// The semantics the session answers under.
+    pub semantics: Semantics,
+    /// The full current program (rules + facts).
+    pub program: Program,
+    /// The full model, when the session had computed one; restoring it makes
+    /// the first full-model query free.  `None` is always sound — the model
+    /// rebuilds lazily.
+    pub model: Option<Model>,
+}
+
+fn semantics_tag(semantics: Semantics) -> u8 {
+    match semantics {
+        Semantics::WellFounded => SEM_WELL_FOUNDED,
+        Semantics::Stable => SEM_STABLE,
+        Semantics::ModularCheck => SEM_MODULAR,
+    }
+}
+
+fn semantics_from_tag(tag: u8) -> Result<Semantics, StoreError> {
+    Ok(match tag {
+        SEM_WELL_FOUNDED => Semantics::WellFounded,
+        SEM_STABLE => Semantics::Stable,
+        SEM_MODULAR => Semantics::ModularCheck,
+        other => {
+            return Err(StoreError::Corrupt(format!(
+                "unknown semantics tag {other}"
+            )))
+        }
+    })
+}
 
 /// The unit of incremental persistence: one relation, identified the way
 /// [`hilog_engine::AtomStore`] buckets atoms — the predicate-position name
@@ -91,8 +142,14 @@ pub fn segment_file_name(hash: u64, epoch: u64) -> String {
     format!("rel-{hash:016x}-{epoch:020}.hseg")
 }
 
+/// The canonical file name of the model a full checkpoint at `epoch`
+/// carries.
+pub fn model_file_name(epoch: u64) -> String {
+    format!("model-{epoch:020}.hmod")
+}
+
 /// The canonical manifest file name (zero-padded: lexicographic order is
-/// numeric order, like the whole-store checkpoints).
+/// numeric order).
 pub fn manifest_file_name(epoch: u64) -> String {
     format!("manifest-{epoch:020}.hman")
 }
@@ -102,9 +159,9 @@ fn parse_manifest_epoch(name: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-/// An incremental recovery point: what one manifest file carries, plus the
-/// entries needed to *extend* it (the next incremental checkpoint copies
-/// clean entries forward from here).
+/// A recovery point: what one manifest file carries, plus the entries
+/// needed to *extend* it (the next incremental checkpoint copies clean
+/// entries forward from here).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Manifest {
     /// The published epoch this recovery point corresponds to.
@@ -115,6 +172,11 @@ pub struct Manifest {
     pub rules: Vec<Rule>,
     /// One entry per non-empty relation.
     pub entries: Vec<SegmentEntry>,
+    /// `true` when [`model_file_name`]`(epoch)` holds this recovery point's
+    /// warm model.  Never copied forward: the file is named only by the
+    /// manifest of the checkpoint that wrote it, so a leftover model file
+    /// at an epoch whose manifest says `false` is an orphan, not state.
+    pub has_model: bool,
 }
 
 fn write_framed(
@@ -190,6 +252,33 @@ fn read_key(reader: &mut PayloadReader<'_>) -> Result<RelKey, StoreError> {
     Ok((name, arity))
 }
 
+fn write_terms<'a>(writer: &mut PayloadWriter, terms: impl IntoIterator<Item = &'a Term>) {
+    let terms: Vec<&Term> = terms.into_iter().collect();
+    writer.write_u32(terms.len() as u32);
+    for term in terms {
+        writer.write_term(term);
+    }
+}
+
+fn read_terms(reader: &mut PayloadReader<'_>) -> Result<Vec<Term>, StoreError> {
+    let count = reader.read_u32()? as usize;
+    let mut terms = Vec::with_capacity(count);
+    for _ in 0..count {
+        terms.push(reader.read_term()?);
+    }
+    Ok(terms)
+}
+
+fn expect_end(reader: &PayloadReader<'_>, what: &str) -> Result<(), StoreError> {
+    if !reader.is_empty() {
+        return Err(StoreError::Corrupt(format!(
+            "{} trailing byte(s) in {what} payload",
+            reader.remaining()
+        )));
+    }
+    Ok(())
+}
+
 /// Writes one relation's segment for checkpoint `epoch` and returns its
 /// manifest entry.  Temp + fsync + rename: the file is durable (modulo the
 /// directory fsync the manifest commit performs) before the manifest that
@@ -203,10 +292,7 @@ pub fn write_segment(
 ) -> Result<SegmentEntry, StoreError> {
     let mut writer = PayloadWriter::new();
     write_key(&mut writer, key);
-    writer.write_u32(facts.len() as u32);
-    for fact in facts {
-        writer.write_term(fact);
-    }
+    write_terms(&mut writer, facts);
     let payload = writer.finish();
     let hash = key_hash(key);
     let bytes = write_framed(
@@ -245,34 +331,46 @@ pub fn load_segment(
             entry.key.0
         )));
     }
-    let count = reader.read_u32()?;
-    if count != entry.facts {
+    let facts = read_terms(&mut reader)?;
+    if facts.len() != entry.facts as usize {
         return Err(StoreError::Corrupt(format!(
-            "{} holds {count} fact(s) but the manifest expects {}",
+            "{} holds {} fact(s) but the manifest expects {}",
             path.display(),
+            facts.len(),
             entry.facts
         )));
     }
-    let mut facts = Vec::with_capacity(count as usize);
-    for _ in 0..count {
-        facts.push(reader.read_term()?);
-    }
-    if !reader.is_empty() {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing byte(s) in segment payload",
-            reader.remaining()
-        )));
-    }
+    expect_end(&reader, "segment")?;
     Ok(facts)
 }
 
-/// Writes the manifest for `manifest.epoch` atomically and returns its path
-/// and size.  Every segment it names must already be durable.
-pub fn save_manifest(
-    io: &dyn StoreIo,
-    dir: &Path,
-    manifest: &Manifest,
-) -> Result<(PathBuf, u64), StoreError> {
+/// Writes the model file for checkpoint `epoch` (same temp + fsync + rename
+/// discipline as a segment) and returns its size.
+fn write_model(io: &dyn StoreIo, dir: &Path, epoch: u64, model: &Model) -> Result<u64, StoreError> {
+    let mut writer = PayloadWriter::new();
+    // True and undefined atoms, then the base atoms not already in either
+    // set (`Model::new` re-extends the base with both).
+    write_terms(&mut writer, model.true_atoms());
+    write_terms(&mut writer, model.undefined_atoms());
+    write_terms(&mut writer, model.false_base_atoms());
+    let payload = writer.finish();
+    write_framed(io, dir, &model_file_name(epoch), MODEL_MAGIC, &payload)
+}
+
+/// Reads and validates the model file of checkpoint `epoch`.
+fn load_model(io: &dyn StoreIo, dir: &Path, epoch: u64) -> Result<Model, StoreError> {
+    let payload = read_framed(io, &dir.join(model_file_name(epoch)), MODEL_MAGIC)?;
+    let mut reader = PayloadReader::new(&payload)?;
+    let true_atoms = read_terms(&mut reader)?;
+    let undefined = read_terms(&mut reader)?;
+    let base_rest = read_terms(&mut reader)?;
+    expect_end(&reader, "model")?;
+    Ok(Model::new(base_rest, true_atoms, undefined))
+}
+
+/// Writes the manifest file for `manifest.epoch` (temp + fsync + rename)
+/// and returns its size.  Every file it names must already be in place.
+fn write_manifest(io: &dyn StoreIo, dir: &Path, manifest: &Manifest) -> Result<u64, StoreError> {
     let mut writer = PayloadWriter::new();
     writer.write_u64(manifest.epoch);
     writer.write_u8(semantics_tag(manifest.semantics));
@@ -288,15 +386,14 @@ pub fn save_manifest(
         writer.write_u32(entry.facts);
         writer.write_u64(entry.bytes);
     }
+    writer.write_u8(manifest.has_model as u8);
     let payload = writer.finish();
     let name = manifest_file_name(manifest.epoch);
-    let bytes = write_framed(io, dir, &name, MANIFEST_MAGIC, &payload)?;
-    let _ = io.sync_dir(dir);
-    Ok((dir.join(name), bytes))
+    write_framed(io, dir, &name, MANIFEST_MAGIC, &payload)
 }
 
 /// Reads and validates one manifest file (not its segments — see
-/// [`load_manifest_program`] for the end-to-end load).
+/// [`load_manifest_data`] for the end-to-end load).
 pub fn load_manifest(io: &dyn StoreIo, path: &Path) -> Result<Manifest, StoreError> {
     let payload = read_framed(io, path, MANIFEST_MAGIC)?;
     let mut reader = PayloadReader::new(&payload)?;
@@ -323,29 +420,32 @@ pub fn load_manifest(io: &dyn StoreIo, path: &Path) -> Result<Manifest, StoreErr
             bytes,
         });
     }
-    if !reader.is_empty() {
-        return Err(StoreError::Corrupt(format!(
-            "{} trailing byte(s) in manifest payload",
-            reader.remaining()
-        )));
-    }
+    let has_model = match reader.read_u8()? {
+        0 => false,
+        1 => true,
+        other => {
+            return Err(StoreError::Corrupt(format!("unknown model flag {other}")));
+        }
+    };
+    expect_end(&reader, "manifest")?;
     Ok(Manifest {
         epoch,
         semantics,
         rules,
         entries,
+        has_model,
     })
 }
 
-/// Loads the full program a manifest describes: its rules, then every
-/// segment's facts.  Fails if *any* segment is missing, torn, or holds a
-/// different relation than the manifest claims — the caller then falls back
-/// to an older recovery point.
-pub fn load_manifest_program(
+/// Loads the full state a manifest describes: its rules, every segment's
+/// facts, and the model file when the manifest names one.  Fails if *any*
+/// of those files is missing, torn, or holds a different relation than the
+/// manifest claims — the caller then falls back to an older recovery point.
+pub fn load_manifest_data(
     io: &dyn StoreIo,
     dir: &Path,
     manifest: &Manifest,
-) -> Result<Program, StoreError> {
+) -> Result<CheckpointData, StoreError> {
     let mut program = Program::new();
     for rule in &manifest.rules {
         program.push(rule.clone());
@@ -355,7 +455,17 @@ pub fn load_manifest_program(
             program.push(Rule::fact(fact));
         }
     }
-    Ok(program)
+    let model = if manifest.has_model {
+        Some(load_model(io, dir, manifest.epoch)?)
+    } else {
+        None
+    };
+    Ok(CheckpointData {
+        epoch: manifest.epoch,
+        semantics: manifest.semantics,
+        program,
+        model,
+    })
 }
 
 /// Every manifest in `dir`, newest epoch first.
@@ -373,22 +483,46 @@ pub fn manifest_candidates(
     Ok(candidates)
 }
 
-/// Builds the next manifest: clean relations copy their entry forward from
-/// `previous`, dirty (or new) relations get fresh segments at `epoch`.
-/// Returns the manifest plus how many segments were written and the bytes
-/// they (and the manifest file) will add — the incremental delta.
-pub fn build_manifest(
+/// The newest recovery point that validates end-to-end: walks the manifests
+/// newest epoch first, skipping (but not deleting) any that is torn, stale,
+/// or names a missing file.  With the WAL already truncated a fallback can
+/// lose epochs, but it recovers a consistent (older) state instead of
+/// nothing.  `Ok(None)` when no manifest loads.
+pub fn load_latest_recovery(
     io: &dyn StoreIo,
     dir: &Path,
-    epoch: u64,
-    semantics: Semantics,
-    program: &Program,
-    dirty: &BTreeSet<RelKey>,
-    previous: Option<&Manifest>,
+) -> Result<Option<(CheckpointData, Manifest)>, StoreError> {
+    for (_, path) in manifest_candidates(io, dir)? {
+        let loaded =
+            load_manifest(io, &path).and_then(|m| Ok((load_manifest_data(io, dir, &m)?, m)));
+        match loaded {
+            Ok(recovery) => return Ok(Some(recovery)),
+            Err(StoreError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => continue,
+            Err(StoreError::Corrupt(_) | StoreError::Codec(_)) => continue,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(None)
+}
+
+/// Commits the next recovery point — segments, then the model file (written
+/// whenever `data.model` is set), then the manifest that names them, then a
+/// directory fsync — and returns the manifest, how many segments were
+/// written, and the bytes added.  An error (the directory fsync's included)
+/// means the recovery point may not be durable: the caller must neither
+/// prune older ones nor truncate the WAL.
+///
+/// `reuse` is the previous manifest plus the relations dirtied since it —
+/// an incremental checkpoint; `None` is a full one.
+pub fn commit_checkpoint(
+    io: &dyn StoreIo,
+    dir: &Path,
+    data: &CheckpointData,
+    reuse: Option<(&Manifest, &BTreeSet<RelKey>)>,
 ) -> Result<(Manifest, usize, u64), StoreError> {
     let mut rules = Vec::new();
     let mut facts: BTreeMap<RelKey, Vec<Term>> = BTreeMap::new();
-    for rule in &program.rules {
+    for rule in &data.program.rules {
         if rule.is_fact() {
             facts
                 .entry(rel_key(&rule.head))
@@ -398,51 +532,62 @@ pub fn build_manifest(
             rules.push(rule.clone());
         }
     }
-    let reusable: HashMap<&RelKey, &SegmentEntry> = previous
-        .map(|m| m.entries.iter().map(|e| (&e.key, e)).collect())
+    let reusable: HashMap<&RelKey, &SegmentEntry> = reuse
+        .map(|(previous, dirty)| {
+            let clean = previous.entries.iter().filter(|e| !dirty.contains(&e.key));
+            clean.map(|e| (&e.key, e)).collect()
+        })
         .unwrap_or_default();
     let mut entries = Vec::with_capacity(facts.len());
     let mut written = 0usize;
     let mut delta_bytes = 0u64;
     for (key, relation_facts) in &facts {
-        match reusable.get(key).filter(|_| !dirty.contains(key)) {
+        match reusable.get(key) {
             Some(entry) => entries.push((*entry).clone()),
             None => {
-                let entry = write_segment(io, dir, key, epoch, relation_facts)?;
+                let entry = write_segment(io, dir, key, data.epoch, relation_facts)?;
                 written += 1;
                 delta_bytes += entry.bytes;
                 entries.push(entry);
             }
         }
     }
-    Ok((
-        Manifest {
-            epoch,
-            semantics,
-            rules,
-            entries,
-        },
-        written,
-        delta_bytes,
-    ))
+    if let Some(model) = &data.model {
+        delta_bytes += write_model(io, dir, data.epoch, model)?;
+    }
+    let manifest = Manifest {
+        epoch: data.epoch,
+        semantics: data.semantics,
+        rules,
+        entries,
+        has_model: data.model.is_some(),
+    };
+    delta_bytes += write_manifest(io, dir, &manifest)?;
+    io.sync_dir(dir)?;
+    Ok((manifest, written, delta_bytes))
 }
 
-/// Deletes all but the newest `keep` manifests, every segment no retained
-/// manifest references, and stray `.tmp` files.  A manifest that fails to
-/// parse is *kept* (deleting it could orphan the fallback chain the loader
-/// walks); its segments stay pinned only if a parsable manifest names them.
+/// Deletes all but the newest `keep` manifests, every segment and model
+/// file no retained manifest names, and stray `.tmp` files.  A manifest that
+/// fails to parse is *kept* (deleting it could orphan the fallback chain the
+/// loader walks); its files stay pinned only if a parsable manifest names
+/// them.  A retained manifest that cannot be *read* fails the prune before
+/// anything is deleted: the files it names are unknown, not unreferenced.
 pub fn prune_incremental(io: &dyn StoreIo, dir: &Path, keep: usize) -> Result<usize, StoreError> {
     let candidates = manifest_candidates(io, dir)?;
     let keep = keep.max(1);
     let mut referenced: BTreeSet<String> = BTreeSet::new();
-    for (index, (_, path)) in candidates.iter().enumerate() {
-        if index >= keep {
-            break;
+    for (_, path) in candidates.iter().take(keep) {
+        let manifest = match load_manifest(io, path) {
+            Ok(manifest) => manifest,
+            Err(StoreError::Corrupt(_) | StoreError::Codec(_)) => continue,
+            Err(e) => return Err(e),
+        };
+        for entry in &manifest.entries {
+            referenced.insert(entry.file_name());
         }
-        if let Ok(manifest) = load_manifest(io, path) {
-            for entry in &manifest.entries {
-                referenced.insert(entry.file_name());
-            }
+        if manifest.has_model {
+            referenced.insert(model_file_name(manifest.epoch));
         }
     }
     let mut removed = 0usize;
@@ -451,11 +596,13 @@ pub fn prune_incremental(io: &dyn StoreIo, dir: &Path, keep: usize) -> Result<us
         removed += 1;
     }
     for name in io.list_dir(dir)? {
-        let is_stray_tmp =
-            (name.starts_with("rel-") || name.starts_with("manifest-")) && name.ends_with(".tmp");
-        let is_orphan_segment =
-            name.starts_with("rel-") && name.ends_with(".hseg") && !referenced.contains(&name);
-        if is_stray_tmp || is_orphan_segment {
+        let is_segment = name.starts_with("rel-") && name.ends_with(".hseg");
+        let is_model = name.starts_with("model-") && name.ends_with(".hmod");
+        let is_stray_tmp = name.ends_with(".tmp")
+            && ["rel-", "model-", "manifest-"]
+                .iter()
+                .any(|prefix| name.starts_with(prefix));
+        if is_stray_tmp || ((is_segment || is_model) && !referenced.contains(&name)) {
             io.remove_file(&dir.join(name))?;
             removed += 1;
         }
@@ -481,6 +628,15 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("hilog-man-{tag}-{}-{n}", std::process::id()));
         fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    fn data(epoch: u64, program: &Program) -> CheckpointData {
+        CheckpointData {
+            epoch,
+            semantics: Semantics::WellFounded,
+            program: program.clone(),
+            model: None,
+        }
     }
 
     fn sample_program() -> Program {
@@ -510,21 +666,12 @@ mod tests {
     fn manifest_roundtrip_reconstructs_program() {
         let dir = temp_dir("roundtrip");
         let program = sample_program();
-        let (manifest, written, _) = build_manifest(
-            &real(),
-            &dir,
-            5,
-            Semantics::WellFounded,
-            &program,
-            &BTreeSet::new(),
-            None,
-        )
-        .unwrap();
+        let (manifest, written, _) =
+            commit_checkpoint(&real(), &dir, &data(5, &program), None).unwrap();
         assert_eq!(written, 2, "edge and colour each get a segment");
-        let (path, _) = save_manifest(&real(), &dir, &manifest).unwrap();
-        let loaded = load_manifest(&real(), &path).unwrap();
+        let loaded = load_manifest(&real(), &dir.join(manifest_file_name(5))).unwrap();
         assert_eq!(loaded, manifest);
-        let rebuilt = load_manifest_program(&real(), &dir, &loaded).unwrap();
+        let rebuilt = load_manifest_data(&real(), &dir, &loaded).unwrap().program;
         let mut original: Vec<String> = program.rules.iter().map(|r| r.to_string()).collect();
         let mut recovered: Vec<String> = rebuilt.rules.iter().map(|r| r.to_string()).collect();
         original.sort();
@@ -534,34 +681,41 @@ mod tests {
     }
 
     #[test]
+    fn full_checkpoint_roundtrips_the_model() {
+        let dir = temp_dir("model");
+        let program = parse_program(
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             move(a, b). move(b, c). move(c, b).",
+        )
+        .unwrap();
+        let mut saved = data(17, &program);
+        saved.model = Some(hilog_engine::HiLogDb::new(program).model().unwrap().clone());
+        let (manifest, _, _) = commit_checkpoint(&real(), &dir, &saved, None).unwrap();
+        assert!(manifest.has_model);
+        let (loaded, _) = load_latest_recovery(&real(), &dir).unwrap().unwrap();
+        assert_eq!(loaded.epoch, 17);
+        assert_eq!(loaded.model, saved.model);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn empty_dir_has_no_recovery_point() {
+        let dir = temp_dir("empty");
+        assert!(load_latest_recovery(&real(), &dir).unwrap().is_none());
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn clean_relations_reuse_segments() {
         let dir = temp_dir("reuse");
         let program = sample_program();
-        let (first, _, _) = build_manifest(
-            &real(),
-            &dir,
-            1,
-            Semantics::WellFounded,
-            &program,
-            &BTreeSet::new(),
-            None,
-        )
-        .unwrap();
-        save_manifest(&real(), &dir, &first).unwrap();
+        let (first, _, _) = commit_checkpoint(&real(), &dir, &data(1, &program), None).unwrap();
         // Dirty only `colour`: the edge segment must be copied forward.
         let mut program = program;
         program.push(Rule::fact(parse_term("colour(b, blue)").unwrap()));
         let dirty: BTreeSet<RelKey> = [rel_key(&parse_term("colour(b, blue)").unwrap())].into();
-        let (second, written, _) = build_manifest(
-            &real(),
-            &dir,
-            2,
-            Semantics::WellFounded,
-            &program,
-            &dirty,
-            Some(&first),
-        )
-        .unwrap();
+        let (second, written, _) =
+            commit_checkpoint(&real(), &dir, &data(2, &program), Some((&first, &dirty))).unwrap();
         assert_eq!(written, 1, "only the dirty relation is rewritten");
         let edge_key = rel_key(&parse_term("edge(a, b)").unwrap());
         let edge = second.entries.iter().find(|e| e.key == edge_key).unwrap();
@@ -577,43 +731,15 @@ mod tests {
     fn prune_drops_unreferenced_segments_and_old_manifests() {
         let dir = temp_dir("prune");
         let mut program = sample_program();
-        let (first, _, _) = build_manifest(
-            &real(),
-            &dir,
-            1,
-            Semantics::WellFounded,
-            &program,
-            &BTreeSet::new(),
-            None,
-        )
-        .unwrap();
-        save_manifest(&real(), &dir, &first).unwrap();
+        let (first, _, _) = commit_checkpoint(&real(), &dir, &data(1, &program), None).unwrap();
         // Dirty `edge` twice so two superseded edge segments accumulate.
         let dirty: BTreeSet<RelKey> = [rel_key(&parse_term("edge(a, b)").unwrap())].into();
         program.push(Rule::fact(parse_term("edge(c, d)").unwrap()));
-        let (second, _, _) = build_manifest(
-            &real(),
-            &dir,
-            2,
-            Semantics::WellFounded,
-            &program,
-            &dirty,
-            Some(&first),
-        )
-        .unwrap();
-        save_manifest(&real(), &dir, &second).unwrap();
+        let (second, _, _) =
+            commit_checkpoint(&real(), &dir, &data(2, &program), Some((&first, &dirty))).unwrap();
         program.push(Rule::fact(parse_term("edge(d, e)").unwrap()));
-        let (third, _, _) = build_manifest(
-            &real(),
-            &dir,
-            3,
-            Semantics::WellFounded,
-            &program,
-            &dirty,
-            Some(&second),
-        )
-        .unwrap();
-        save_manifest(&real(), &dir, &third).unwrap();
+        let (third, _, _) =
+            commit_checkpoint(&real(), &dir, &data(3, &program), Some((&second, &dirty))).unwrap();
         fs::write(dir.join("rel-junk.tmp"), b"junk").unwrap();
         prune_incremental(&real(), &dir, 1).unwrap();
         // Only the newest manifest and exactly its segments survive.
@@ -633,7 +759,7 @@ mod tests {
         assert!(!dir.join("rel-junk.tmp").exists());
         // The surviving manifest still loads end-to-end.
         let loaded = load_manifest(&real(), &dir.join(manifest_file_name(3))).unwrap();
-        load_manifest_program(&real(), &dir, &loaded).unwrap();
+        load_manifest_data(&real(), &dir, &loaded).unwrap();
         fs::remove_dir_all(&dir).ok();
     }
 
@@ -641,23 +767,13 @@ mod tests {
     fn torn_segment_fails_manifest_load() {
         let dir = temp_dir("torn");
         let program = sample_program();
-        let (manifest, _, _) = build_manifest(
-            &real(),
-            &dir,
-            1,
-            Semantics::WellFounded,
-            &program,
-            &BTreeSet::new(),
-            None,
-        )
-        .unwrap();
-        save_manifest(&real(), &dir, &manifest).unwrap();
+        let (manifest, _, _) = commit_checkpoint(&real(), &dir, &data(1, &program), None).unwrap();
         // Truncate one segment mid-payload.
         let victim = dir.join(manifest.entries[0].file_name());
         let bytes = fs::read(&victim).unwrap();
         fs::write(&victim, &bytes[..bytes.len() / 2]).unwrap();
         assert!(matches!(
-            load_manifest_program(&real(), &dir, &manifest),
+            load_manifest_data(&real(), &dir, &manifest),
             Err(StoreError::Corrupt(_) | StoreError::Codec(_))
         ));
         fs::remove_dir_all(&dir).ok();

@@ -16,9 +16,8 @@
 //! `tests/recovery.rs` checks this against fresh evaluation).
 
 use crate::backend::{Durable, InMemory, StorageBackend, StorageStats, StoreConfig};
-use crate::checkpoint::CheckpointData;
 use crate::error::StoreError;
-use crate::manifest::{rel_key, RelKey};
+use crate::manifest::{rel_key, CheckpointData, RelKey};
 use crate::ops::Op;
 use hilog_core::{gc_symbol_pool, symbol_pool_stats};
 use hilog_engine::{DbSnapshot, DbWriter, EngineError, HiLogDb, Semantics, SnapshotHandle};
@@ -44,18 +43,18 @@ pub struct BatchOutcome {
 pub struct CheckpointOutcome {
     /// The epoch the checkpoint captured.
     pub epoch: u64,
-    /// Where it was written (`None` for the in-memory backend).
+    /// The manifest it committed (`None` for the in-memory backend).
     pub path: Option<PathBuf>,
     /// Names the checkpoint-time symbol-pool GC dropped.
     pub symbols_dropped: usize,
     /// Names still live after the GC.
     pub live_symbols: usize,
-    /// Segment files this checkpoint wrote (always 0 for a whole-store
-    /// checkpoint, which writes one `.hsnp` file instead).
+    /// Segment files this checkpoint wrote: one per relation for
+    /// [`PersistentWriter::checkpoint`], one per *dirtied* relation for
+    /// [`PersistentWriter::checkpoint_incremental`].
     pub segments_written: usize,
-    /// Bytes this checkpoint added to the data directory — the incremental
-    /// delta for [`PersistentWriter::checkpoint_incremental`], the full
-    /// file size for [`PersistentWriter::checkpoint`].
+    /// Bytes this checkpoint added to the data directory: new segments, the
+    /// manifest and (full checkpoints with a warm model) the model file.
     pub bytes_written: u64,
 }
 
@@ -71,9 +70,6 @@ pub struct RecoveryReport {
     pub replayed_records: usize,
     /// Operations inside those records.
     pub replayed_ops: usize,
-    /// `true` when recovery loaded an incremental manifest (+ segments)
-    /// rather than a whole-store checkpoint.
-    pub from_manifest: bool,
 }
 
 /// Why (and since when) a writer stopped accepting mutations.  Reported
@@ -96,11 +92,10 @@ pub struct PersistentWriter {
     /// read-only degraded mode: mutations are refused, the last good
     /// snapshot keeps serving, and a successful checkpoint re-arms.
     degraded: Option<DegradedState>,
-    /// Relations mutated since their segments were last written — exactly
-    /// the set the next incremental checkpoint must rewrite.  Accumulated
-    /// from applied batches (and recovery replay) and cleared only when an
-    /// incremental checkpoint commits; a whole-store checkpoint leaves it
-    /// alone, because segment reuse is relative to the last *manifest*.
+    /// Relations mutated since the newest manifest — exactly the set the
+    /// next incremental checkpoint must rewrite.  Accumulated from applied
+    /// batches (and recovery replay) and cleared when any checkpoint
+    /// commits.
     dirty: BTreeSet<RelKey>,
 }
 
@@ -259,7 +254,6 @@ impl PersistentWriter {
                         checkpoint_epoch: Some(report_epoch),
                         replayed_records,
                         replayed_ops,
-                        from_manifest: recovered.from_manifest,
                     },
                 ))
             }
@@ -309,21 +303,47 @@ impl PersistentWriter {
         }
     }
 
-    /// Writes a checkpoint of the current state (truncating the WAL) and
-    /// garbage-collects the global symbol pool.  Persisted files use
-    /// payload-local symbol ids, so the GC never remaps anything on disk.
+    /// Writes a *full* checkpoint of the current state (truncating the WAL)
+    /// and garbage-collects the global symbol pool: a fresh segment for
+    /// every relation plus, when the writer has one warm, the model — a
+    /// self-contained recovery point that names no older file.  Persisted
+    /// files use payload-local symbol ids, so the GC never remaps anything
+    /// on disk.
     pub fn checkpoint(&mut self) -> Result<CheckpointOutcome, StoreError> {
+        self.write_checkpoint(false)
+    }
+
+    /// Writes an *incremental* checkpoint: fresh segment files only for the
+    /// relations dirtied since the newest manifest, a manifest stitching
+    /// them together with every clean relation's existing segment, then
+    /// truncates the WAL.  The cost scales with the mutation delta, not the
+    /// store — at 10^6 facts spread over many relations a small update
+    /// checkpoints orders of magnitude faster than [`Self::checkpoint`].
+    /// The model is not persisted (it rebuilds lazily); use
+    /// [`Self::checkpoint`] for a warm-model recovery point.
+    pub fn checkpoint_incremental(&mut self) -> Result<CheckpointOutcome, StoreError> {
+        self.write_checkpoint(true)
+    }
+
+    fn write_checkpoint(&mut self, incremental: bool) -> Result<CheckpointOutcome, StoreError> {
+        let model = if incremental {
+            None
+        } else {
+            self.writer.cached_model().map(|m| (*m).clone())
+        };
         let data = CheckpointData {
             epoch: self.writer.epoch(),
             semantics: self.writer.semantics(),
             program: self.writer.program().clone(),
-            model: self.writer.cached_model().map(|m| (*m).clone()),
+            model,
         };
-        let path = self.backend.write_checkpoint(&data)?;
+        let dirty = incremental.then_some(&self.dirty);
+        let path = self.backend.write_checkpoint(&data, dirty)?;
         // A checkpoint that reached disk proves storage is writable again:
-        // leave degraded mode.
+        // leave degraded mode.  Its manifest is the new reuse basis.
         self.degraded = None;
-        let bytes_written = self.backend.stats().last_checkpoint_bytes;
+        self.dirty.clear();
+        let stats = self.backend.stats();
         let symbols_dropped = gc_symbol_pool();
         let live_symbols = symbol_pool_stats().live;
         Ok(CheckpointOutcome {
@@ -331,38 +351,8 @@ impl PersistentWriter {
             path,
             symbols_dropped,
             live_symbols,
-            segments_written: 0,
-            bytes_written,
-        })
-    }
-
-    /// Writes an *incremental* checkpoint: fresh segment files only for the
-    /// relations dirtied since their segments were last written, a manifest
-    /// stitching them together with every clean relation's existing
-    /// segment, then truncates the WAL.  The cost scales with the mutation
-    /// delta, not the store — at 10^6 facts spread over many relations a
-    /// small update checkpoints orders of magnitude faster than
-    /// [`Self::checkpoint`].  The model is not persisted (it rebuilds
-    /// lazily); use [`Self::checkpoint`] for a warm-model recovery point.
-    pub fn checkpoint_incremental(&mut self) -> Result<CheckpointOutcome, StoreError> {
-        let data = CheckpointData {
-            epoch: self.writer.epoch(),
-            semantics: self.writer.semantics(),
-            program: self.writer.program().clone(),
-            model: None,
-        };
-        let outcome = self.backend.write_incremental(&data, &self.dirty)?;
-        self.degraded = None;
-        self.dirty.clear();
-        let symbols_dropped = gc_symbol_pool();
-        let live_symbols = symbol_pool_stats().live;
-        Ok(CheckpointOutcome {
-            epoch: data.epoch,
-            path: outcome.path,
-            symbols_dropped,
-            live_symbols,
-            segments_written: outcome.segments_written,
-            bytes_written: outcome.bytes_written,
+            segments_written: stats.last_checkpoint_segments,
+            bytes_written: stats.last_checkpoint_bytes,
         })
     }
 
@@ -547,6 +537,21 @@ mod tests {
     }
 
     #[test]
+    fn retired_format_directory_is_refused_not_opened_fresh() {
+        // What a cleanly shut-down pre-manifest server leaves: a final
+        // whole-store file and an empty WAL, no manifest.
+        let dir = temp_dir("retired");
+        std::fs::write(dir.join("checkpoint-00000000000000000007.hsnp"), b"HSNP").unwrap();
+        std::fs::write(dir.join("wal.log"), b"").unwrap();
+        let err = PersistentWriter::open(&StoreConfig::new(&dir), game_db()).unwrap_err();
+        assert!(
+            matches!(&err, StoreError::Corrupt(msg) if msg.contains(".hsnp")),
+            "{err}"
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn rules_and_retract_rules_recover() {
         let dir = temp_dir("rules");
         let config = StoreConfig::new(&dir);
@@ -605,9 +610,9 @@ mod tests {
             writer
                 .apply_batch(&[Op::AssertFact(parse_term("colour(a, red)").unwrap())])
                 .unwrap();
-            // First incremental checkpoint: no previous manifest, so every
-            // relation (move, colour) gets a segment.
-            let first = writer.checkpoint_incremental().unwrap();
+            // A full checkpoint reuses nothing: every relation (move,
+            // colour) gets a segment.
+            let first = writer.checkpoint().unwrap();
             assert_eq!(first.segments_written, 2);
             assert!(first.path.is_some());
             assert_eq!(writer.storage_stats().wal_records, 0, "WAL truncated");
@@ -632,7 +637,7 @@ mod tests {
         // Recovery loads the manifest + segments (model rebuilds lazily).
         let (writer, handle, report) = PersistentWriter::open(&config, game_db()).unwrap();
         assert!(report.recovered);
-        assert!(report.from_manifest);
+        assert_eq!(report.checkpoint_epoch, Some(2));
         assert_eq!(report.replayed_records, 0);
         assert_eq!(writer.epoch(), 2);
         assert_true(&handle, "?- colour(b, blue).");
@@ -656,7 +661,7 @@ mod tests {
                 .unwrap();
         }
         let (mut writer, handle, report) = PersistentWriter::open(&config, game_db()).unwrap();
-        assert!(report.from_manifest);
+        assert_eq!(report.checkpoint_epoch, Some(1));
         assert_eq!(report.replayed_records, 1);
         // The replayed `move` mutation must invalidate the reused segment:
         // this checkpoint has to rewrite it, or recovery below would lose

@@ -4,7 +4,7 @@
 //!
 //! The sweep's contract: for *every* I/O operation index in a fixed
 //! scripted run (fresh open, three mutation batches, an incremental and a
-//! whole-store checkpoint, crash, reopen), injecting a fault at exactly
+//! full checkpoint, crash, reopen), injecting a fault at exactly
 //! that index must leave the store either fully serving (transient fault
 //! absorbed by retry) or recoverable — a reopen through clean I/O lands on
 //! a batch-boundary state that contains every *acknowledged* batch and
@@ -273,6 +273,77 @@ fn every_fault_point_keeps_acknowledged_state_recoverable() {
         }
 
         index += stride as u64;
+    }
+}
+
+/// A failed sync anywhere in a checkpoint — each segment's and the
+/// manifest's data sync, the directory sync that makes their names durable,
+/// the WAL truncation's — must fail the checkpoint and leave the WAL's
+/// records in place.  The directory sync is the sharp one: the manifest is
+/// already renamed in when it fails, and pruning the older recovery point
+/// and truncating the log on the strength of a name that may not be durable
+/// would leave no durable copy of the epochs in between.
+#[test]
+fn failed_sync_in_a_checkpoint_fails_it_and_keeps_the_wal() {
+    // One store per probed op index: the seed, one acknowledged batch in
+    // the WAL, then a single fsync-only fault armed `offset` ops into the
+    // checkpoint.  Returns the checkpoint's outcome, the ops it issued and
+    // whether the fault landed on a sync.
+    let probe = |incremental: bool, offset: Option<u64>| {
+        let dir = temp_dir("ckpt-sync", offset.map_or(0, |o| o + 1));
+        let io = FaultIo::over_real();
+        let config = StoreConfig::new(&dir)
+            .io(Arc::new(io.clone()))
+            .retry(RetryPolicy::none());
+        let (mut writer, handle, _) = PersistentWriter::open(&config, seed_db()).unwrap();
+        writer.apply_batch(&script_batches()[0]).unwrap();
+        let acked = writer.program().clone();
+        let before = io.ops();
+        if let Some(offset) = offset {
+            io.set_plan(FaultPlan {
+                fail_from: Some(before + offset),
+                fail_count: 1,
+                fsync_only: true,
+                ..FaultPlan::default()
+            });
+        }
+        let result = if incremental {
+            writer.checkpoint_incremental()
+        } else {
+            writer.checkpoint()
+        };
+        let span = io.ops() - before;
+        let hit = io.injected() == 1;
+        if hit {
+            assert!(result.is_err(), "a failed sync must fail the checkpoint");
+            assert_eq!(
+                writer.storage_stats().wal_records,
+                1,
+                "the WAL keeps its record after a failed checkpoint"
+            );
+            drop((writer, handle));
+            let outcome = ScriptOutcome {
+                candidates: vec![acked],
+                acked: 0,
+                failed_steps: 1,
+            };
+            verify_clean_reopen(&dir, &outcome, &format!("(sync fault at +{offset:?})"));
+        }
+        std::fs::remove_dir_all(&dir).ok();
+        (result, span, hit)
+    };
+
+    for incremental in [false, true] {
+        let (clean, span, _) = probe(incremental, None);
+        let files_written = clean.expect("clean checkpoint").segments_written + 1;
+        let failed_syncs = (0..span)
+            .filter(|&offset| probe(incremental, Some(offset)).2)
+            .count();
+        assert_eq!(
+            failed_syncs,
+            files_written + 2,
+            "one data sync per file written, the directory sync, the WAL truncation's"
+        );
     }
 }
 

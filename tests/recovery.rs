@@ -62,8 +62,8 @@ fn assert_results_agree(recovered: &QueryResult, reference: &QueryResult, contex
     );
 }
 
-/// Rules as a sorted multiset: manifest recovery reconstructs the program
-/// as non-fact rules followed by facts grouped per relation, so recovered
+/// Rules as a sorted multiset: recovery reconstructs the program as
+/// non-fact rules followed by facts grouped per relation, so recovered
 /// programs are order-permuted (never gaining or losing an occurrence —
 /// duplicates back retract-one-occurrence semantics and must survive
 /// exactly).  Rule order is semantically neutral, so equality up to
@@ -143,7 +143,7 @@ fn random_batch(rng: &mut StdRng, program: &hilog_core::Program) -> Vec<Op> {
 }
 
 /// One randomized crash/replay case.  Applies a batch stream with a
-/// checkpoint at a random point (whole-store or incremental, randomly),
+/// checkpoint at a random point (full or incremental, randomly),
 /// crashes (drops the writer cold), optionally damages the WAL tail the way
 /// a real torn write would, reopens, and compares the recovered store
 /// against fresh evaluation of the expected program.
@@ -160,9 +160,9 @@ fn run_recovery_case(seed: u64) {
 
     let batches = rng.gen_range(3..=8usize);
     let checkpoint_after = rng.gen_range(0..=batches);
-    // Half the cases checkpoint incrementally, so the manifest + segments +
-    // WAL-tail recovery route runs under the same differential oracle (and
-    // the same torn tails) as the whole-store route.
+    // Half the cases checkpoint incrementally, so a manifest that reuses
+    // older segments runs under the same differential oracle (and the same
+    // torn tails) as a self-contained full one.
     let incremental = rng.gen_bool(0.5);
     // Torn tail: half the cases append a partial frame (a crash mid-append
     // of a batch that was never acknowledged); recovery must discard it and
@@ -421,7 +421,10 @@ fn corrupted_final_record_recovers_the_previous_epoch() {
     assert!(report.recovered);
     assert_eq!(report.replayed_records, 3);
     assert_eq!(writer.epoch(), 3, "recovery lands on the last intact epoch");
-    assert_eq!(writer.program(), &programs[3]);
+    assert_eq!(
+        program_multiset(writer.program()),
+        program_multiset(&programs[3])
+    );
 
     let mut fresh = HiLogDb::new(programs[3].clone());
     let query = parse_query("?- idb0(X).").unwrap();
@@ -485,7 +488,11 @@ fn torn_segment_falls_back_to_an_older_recovery_point() {
     let (writer, handle, report) =
         PersistentWriter::open(&config, HiLogDb::new(rules.clone())).expect("reopen succeeds");
     assert!(report.recovered, "baseline checkpoint still loads");
-    assert!(!report.from_manifest, "the torn manifest must be skipped");
+    assert_eq!(
+        report.checkpoint_epoch,
+        Some(0),
+        "the manifest naming the torn segment must be skipped"
+    );
     assert_eq!(
         writer.epoch(),
         0,
@@ -503,72 +510,113 @@ fn torn_segment_falls_back_to_an_older_recovery_point() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A *stale* manifest — older than the newest whole-store checkpoint — must
-/// neither win recovery nor seed segment reuse afterwards: the first
-/// incremental checkpoint after recovering through the newer whole-store
-/// file has no manifest to reuse from and rewrites every relation, because
-/// mutations between the stale manifest and the recovery point are in no
-/// dirty set.
+/// An incremental checkpoint taken after a full one reuses the full
+/// checkpoint's segments: only the relations dirtied in between are
+/// rewritten, and the stitched recovery point answers like a fresh session.
 #[test]
-fn stale_manifest_neither_wins_recovery_nor_seeds_reuse() {
-    let dir = temp_dir("stale-manifest", 0);
+fn incremental_after_full_reuses_the_full_checkpoints_segments() {
+    let dir = temp_dir("reuse-after-full", 0);
     let config = StoreConfig::new(&dir);
     let rules = parse_program(
         "reach(X, Y) :- move(X, Y).\n\
          reach(X, Z) :- move(X, Y), reach(Y, Z).",
     )
     .unwrap();
-    let batch = |fact: &str| vec![Op::AssertFact(parse_term(fact).unwrap())];
+    let batch = |facts: &[&str]| -> Vec<Op> {
+        let fact = |text: &&str| Op::AssertFact(parse_term(text).unwrap());
+        facts.iter().map(fact).collect()
+    };
 
-    {
+    let expected = {
         let (mut writer, _, _) =
             PersistentWriter::open(&config, HiLogDb::new(rules.clone())).expect("fresh open");
-        writer.apply_batch(&batch("move(a, b)")).unwrap(); // epoch 1
         writer
+            .apply_batch(&batch(&["move(a, b)", "move(b, c)", "colour(a, red)"]))
+            .unwrap();
+        let full = writer.checkpoint().expect("full checkpoint, epoch 1");
+        assert_eq!(full.segments_written, 2, "move/2 and colour/2");
+        writer.apply_batch(&batch(&["colour(b, blue)"])).unwrap();
+        let incremental = writer
             .checkpoint_incremental()
-            .expect("manifest at epoch 1 (becomes stale)");
-        writer.apply_batch(&batch("colour(a, red)")).unwrap(); // epoch 2
-        writer
-            .checkpoint()
-            .expect("whole-store checkpoint, epoch 2");
-        writer.apply_batch(&batch("move(b, c)")).unwrap(); // epoch 3, WAL tail
-                                                           // Simulated crash: epoch 3 exists only as a WAL record.
+            .expect("incremental checkpoint, epoch 2");
+        assert_eq!(
+            incremental.segments_written, 1,
+            "only colour/2 was dirtied since the full checkpoint"
+        );
+        writer.program().clone()
+        // Simulated crash right after the checkpoint (WAL now empty).
+    };
+
+    let (writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(rules)).expect("reopen");
+    assert_eq!(report.checkpoint_epoch, Some(2));
+    assert_eq!(report.replayed_records, 0);
+    assert_eq!(
+        program_multiset(writer.program()),
+        program_multiset(&expected)
+    );
+    let mut fresh = HiLogDb::new(expected);
+    for query_text in ["?- reach(a, X).", "?- colour(X, Y).", "?- P(a, X)."] {
+        let query = parse_query(query_text).unwrap();
+        let recovered = handle.current().query(&query).unwrap();
+        let reference = fresh.query(&query).unwrap();
+        assert_results_agree(&recovered, &reference, &format!("({query_text})"));
     }
 
-    let (mut writer, handle, report) =
-        PersistentWriter::open(&config, HiLogDb::new(rules.clone())).expect("reopen");
-    assert!(report.recovered);
-    assert!(
-        !report.from_manifest,
-        "the epoch-2 whole-store checkpoint outranks the epoch-1 manifest"
-    );
-    assert_eq!(report.replayed_records, 1, "the epoch-3 batch replays");
-    assert_eq!(writer.epoch(), 3);
+    std::fs::remove_dir_all(&dir).ok();
+}
 
-    // Recovery came through the whole-store file, so the stale manifest
-    // must not be reused: move/2 changed at epoch 3, colour/2 at epoch 2,
-    // and the epoch-1 manifest knows about neither.  Everything rewrites.
-    let outcome = writer
-        .checkpoint_incremental()
-        .expect("post-recovery incremental checkpoint");
-    assert_eq!(
-        outcome.segments_written, 2,
-        "both relations rewrite — no reuse from the stale manifest"
-    );
+/// A full checkpoint is self-contained: with every file of every older
+/// recovery point deleted by hand, the store still recovers from it alone —
+/// and warm, because the model rode along.
+#[test]
+fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
+    let dir = temp_dir("self-contained", 0);
+    let config = StoreConfig::new(&dir);
+    let program = parse_program(
+        "winning(X) :- move(X, Y), not winning(Y).\n\
+         move(a, b). move(b, c).",
+    )
+    .unwrap();
+    let assert_fact = |text: &str| vec![Op::AssertFact(parse_term(text).unwrap())];
 
-    // And the rewritten manifest is a valid recovery point for the full
-    // recovered state.
-    drop((writer, handle));
+    {
+        // A seed whose model is already computed keeps it warm through the
+        // fact-level mutations below, so the full checkpoint persists it.
+        let mut seed = HiLogDb::new(program.clone());
+        seed.model().expect("seed model");
+        let (mut writer, _, _) = PersistentWriter::open(&config, seed).expect("fresh open");
+        writer.apply_batch(&assert_fact("colour(a, red)")).unwrap();
+        writer
+            .checkpoint_incremental()
+            .expect("incremental checkpoint, epoch 1");
+        writer.apply_batch(&assert_fact("move(c, d)")).unwrap();
+        writer.checkpoint().expect("full checkpoint, epoch 2");
+    }
+
+    // Keep only the WAL and the files the epoch-2 checkpoint wrote.
+    let epoch_2 = format!("{:020}", 2);
+    for entry in std::fs::read_dir(&dir).unwrap() {
+        let path = entry.unwrap().path();
+        let name = path.file_name().unwrap().to_string_lossy().into_owned();
+        if name != "wal.log" && !name.contains(&epoch_2) {
+            std::fs::remove_file(&path).unwrap();
+        }
+    }
+
     let (writer, handle, report) =
-        PersistentWriter::open(&config, HiLogDb::new(rules.clone())).expect("second reopen");
-    assert!(report.recovered && report.from_manifest);
-    assert_eq!(writer.epoch(), 3);
-    let mut fresh = HiLogDb::new(writer.program().clone());
-    let query = parse_query("?- reach(a, X).").unwrap();
-    let recovered = handle.current().query(&query).unwrap();
-    let reference = fresh.query(&query).unwrap();
-    assert_results_agree(&recovered, &reference, "(stale manifest)");
-    assert_eq!(recovered.answers.len(), 2, "a reaches b and c");
+        PersistentWriter::open(&config, HiLogDb::new(program)).expect("reopen");
+    assert_eq!(report.checkpoint_epoch, Some(2));
+    assert_eq!(writer.epoch(), 2);
+    // A variable in predicate position forces the full-model route: it must
+    // be answered from the restored model, with no grounding pass.
+    let result = handle
+        .current()
+        .query(&parse_query("?- P(c, d).").unwrap())
+        .unwrap();
+    assert_eq!(result.answers.len(), 1, "P = move");
+    assert_eq!(result.stats.model_source, ModelSource::Cached);
+    assert_eq!(result.stats.groundings, 0);
 
     std::fs::remove_dir_all(&dir).ok();
 }
