@@ -34,12 +34,24 @@
 //! selection time (the program must not *flounder*, footnote 10); the
 //! left-to-right subgoal order of the source rules is the sideways
 //! information passing strategy.
+//!
+//! The evaluator reads the program through one `ProgramIndex`: the ground
+//! bodiless rules (the EDB) sit in an argument-indexed [`FactStore`], every
+//! other rule in a head index keyed on `(outermost functor, arity)`.
+//! Expanding a subgoal asks the store for `collect_candidates(pattern)` —
+//! the same "find the stored atoms a pattern could match" operation the
+//! grounder's joins and the table joins use — so a bound subgoal costs in
+//! proportion to the facts it *matches*, not to the facts of its relation
+//! (the relevance the magic predicates buy in the rewritten program).  The
+//! index is built once per program and *maintained* under mutation by the
+//! session (see [`crate::snapshot::DbSnapshot`]); a raw [`QueryEvaluator`]
+//! builds its own.
 
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
-use crate::storage::{FactStore, StorageConfig};
+use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use hilog_core::literal::{AggregateFunc, Literal};
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
@@ -61,16 +73,22 @@ const QUERY_HEAD: &str = "__query_answer";
 /// runner (and a future server) can emit it directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvalStats {
-    /// Number of distinct tabled subgoals.  A raw [`QueryEvaluator`] reports
-    /// its lifetime total (seeded tables included);
-    /// [`HiLogDb::query`](crate::session::HiLogDb::query) subtracts the
-    /// seeded tables so the count covers one query.
+    /// Number of distinct subgoals tabled by the evaluation (tables it was
+    /// seeded with — a session's warm tables — are not counted).
     pub subqueries: usize,
-    /// Number of answers derived across the tables counted by `subqueries`
-    /// (same raw-total vs per-query convention).
+    /// Number of answers derived across the tables counted by `subqueries`.
     pub answers: usize,
-    /// Number of rule-body expansions attempted.
+    /// Number of rule-body expansions attempted: one per rule *or fact*
+    /// whose head unified with the subgoal being expanded.
     pub rule_applications: usize,
+    /// Number of head unifications *attempted* while expanding subgoals: one
+    /// per fact the program index offered as a candidate plus one per
+    /// candidate rule.  `rule_applications` counts the ones that succeeded;
+    /// the gap between the two is what the index's discrimination left on
+    /// the table, and a count that grows with the EDB at equal
+    /// `rule_applications` is the signature of a regression to walking the
+    /// relation.
+    pub head_unifications: usize,
     /// Number of subgoals answered from an already-complete table without
     /// any re-evaluation (cache hits; only a session-held evaluator that
     /// reuses tables across queries can observe a second-query hit).
@@ -238,13 +256,134 @@ impl Table {
     }
 }
 
+/// The program as the tabled evaluator reads it: the ground bodiless rules
+/// in an argument-indexed [`FactStore`], every other rule behind a head
+/// index.  [`QueryEvaluator`] finds the candidates of a subgoal here and
+/// nowhere else.
+///
+/// The fact store is a *set* (a fact asserted twice is held once and leaves
+/// only with its last copy); the rule part mirrors the program's non-fact
+/// rules one for one, in program order.  Neither refers to positions in
+/// `program.rules`, so retracting a fact shifts nothing here.  The owning
+/// session keeps the index in step with the program through
+/// [`insert`](ProgramIndex::insert) / [`remove`](ProgramIndex::remove)
+/// instead of rebuilding it: a fact-level mutation is one store operation,
+/// a rule-level one re-keys the (small) rule part and never touches the
+/// store.
+#[derive(Debug, Clone)]
+pub(crate) struct ProgramIndex {
+    /// Heads of the ground bodiless rules.
+    facts: FactStore,
+    /// Every other rule (proper rules, non-ground bodiless rules such as
+    /// `p(X).`), in program order.
+    rules: Vec<Rule>,
+    /// Positions in `rules` grouped by the (ground) outermost functor and
+    /// arity of the head, so that a subgoal only considers rules that could
+    /// match it (the discrimination the magic predicates provide in the
+    /// rewritten program).
+    by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
+    /// Positions in `rules` of the rules whose head's outermost functor is a
+    /// variable: candidates for every subgoal.
+    wildcard: Vec<usize>,
+}
+
+impl ProgramIndex {
+    /// Indexes `program`, holding its facts on the `storage` backend.
+    pub(crate) fn build(program: &Program, storage: &StorageConfig) -> Self {
+        let mut index = ProgramIndex {
+            facts: FactStore::new(storage),
+            rules: Vec::new(),
+            by_head: HashMap::new(),
+            wildcard: Vec::new(),
+        };
+        for rule in program.iter() {
+            index.insert(rule);
+        }
+        index
+    }
+
+    /// `true` for the rules the fact store holds.
+    fn is_indexed_fact(rule: &Rule) -> bool {
+        rule.is_fact() && rule.head.is_ground()
+    }
+
+    /// One more copy of `rule` was pushed onto the program.
+    pub(crate) fn insert(&mut self, rule: &Rule) {
+        if Self::is_indexed_fact(rule) {
+            self.facts.insert(rule.head.clone());
+            return;
+        }
+        let position = self.rules.len();
+        let functor = rule.head.outermost_functor();
+        if functor.is_ground() {
+            self.by_head
+                .entry((functor.clone(), rule.head.arity()))
+                .or_default()
+                .push(position);
+        } else {
+            self.wildcard.push(position);
+        }
+        self.rules.push(rule.clone());
+    }
+
+    /// One copy of `rule` (the first, as `retract_fact` / `retract_rule`
+    /// remove it) left the program; `last_copy` says none remains.
+    pub(crate) fn remove(&mut self, rule: &Rule, last_copy: bool) {
+        if Self::is_indexed_fact(rule) {
+            if last_copy {
+                self.facts.remove(&rule.head);
+            }
+            return;
+        }
+        let Some(position) = self.rules.iter().position(|r| r == rule) else {
+            return;
+        };
+        // Later positions shift: re-key the rule part (never the store).
+        let mut rules = std::mem::take(&mut self.rules);
+        rules.remove(position);
+        self.by_head.clear();
+        self.wildcard.clear();
+        for rule in &rules {
+            self.insert(rule);
+        }
+    }
+
+    /// Positions in `rules` of the rules whose head could unify with
+    /// `pattern`, in program order.
+    fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
+        let functor = pattern.outermost_functor();
+        if !functor.is_ground() {
+            return (0..self.rules.len()).collect();
+        }
+        let mut out: Vec<usize> = self
+            .by_head
+            .get(&(functor.clone(), pattern.arity()))
+            .cloned()
+            .unwrap_or_default();
+        out.extend(self.wildcard.iter().copied());
+        out.sort_unstable();
+        out
+    }
+
+    /// Number of distinct ground facts held.
+    pub(crate) fn fact_count(&self) -> usize {
+        self.facts.len()
+    }
+
+    /// Storage statistics of the fact store.
+    pub(crate) fn storage_stats(&self) -> RelationStorageStats {
+        self.facts.storage_stats()
+    }
+}
+
 /// A memoising query/subquery evaluator over a fixed program.
 #[derive(Debug)]
-pub struct QueryEvaluator<'p> {
-    program: &'p Program,
+pub struct QueryEvaluator {
+    /// The program: its facts to probe, its rules by head.
+    index: Arc<ProgramIndex>,
     /// The auxiliary `__query_answer` rule of the conjunctive query being
-    /// answered, held *beside* the borrowed program as rule index
-    /// `program.len()` — so wrapping a query never copies the program.
+    /// answered, held *beside* the index as rule position
+    /// `index.rules.len()` — so wrapping a query never copies anything.
     query_rule: Option<Rule>,
     opts: EvalOptions,
     /// Subgoal tables keyed by their normalised pattern *structurally* (the
@@ -255,75 +394,76 @@ pub struct QueryEvaluator<'p> {
     /// them structurally; `Arc::make_mut` copies a table on its first write
     /// only if a snapshot still holds it (copy-on-write).
     tables: HashMap<Term, Arc<Table>>,
+    /// Keys of the tables this evaluator created — never the seeded ones —
+    /// so that handing its work back, and counting it, costs in proportion
+    /// to the work and not to the warm tables it started from.
+    created: Vec<Term>,
     rename_counter: u32,
+    /// `rule_applications`, `head_unifications` and `cached_subqueries` so
+    /// far; the table counts are read off `created` on demand.
     stats: EvalStats,
     /// Number of answers inserted by *this* evaluator (seeded answers are
     /// not counted): the resource-limit measure, so that a warm evaluator
     /// and a cold one face the same per-query derivation budget.
     derived: usize,
-    /// Rule indices grouped by the (ground) outermost functor and arity of
-    /// their head, so that a subgoal only considers rules that could match it
-    /// (the discrimination the magic predicates provide in the rewritten
-    /// program).
-    rules_by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
-    /// Rules whose head outermost functor is a variable: candidates for every
-    /// subgoal.
-    wildcard_rules: Vec<usize>,
     /// Backend configuration for tables this evaluator creates (seeded
     /// tables keep whatever backend they were built on).
     storage: StorageConfig,
 }
 
-impl<'p> QueryEvaluator<'p> {
-    /// Creates an evaluator for the program.
-    pub fn new(program: &'p Program, opts: EvalOptions) -> Self {
-        Self::with_tables(program, opts, HashMap::new(), StorageConfig::default())
+impl QueryEvaluator {
+    /// Creates an evaluator for the program (indexing it first).
+    pub fn new(program: &Program, opts: EvalOptions) -> Self {
+        let storage = StorageConfig::default();
+        let index = Arc::new(ProgramIndex::build(program, &storage));
+        Self::with_tables(index, opts, HashMap::new(), storage)
     }
 
-    /// Creates an evaluator seeded with tables from a previous run over the
-    /// same (or an extended) program.  Complete tables are trusted as-is,
-    /// which is how [`crate::session::HiLogDb`] reuses work across queries.
+    /// Creates an evaluator over an already indexed program, seeded with
+    /// tables from a previous run over the same program.  Complete tables
+    /// are trusted as-is, which is how [`crate::session::HiLogDb`] reuses
+    /// work across queries.
     pub(crate) fn with_tables(
-        program: &'p Program,
+        index: Arc<ProgramIndex>,
         opts: EvalOptions,
         tables: HashMap<Term, Arc<Table>>,
         storage: StorageConfig,
     ) -> Self {
-        let mut rules_by_head: HashMap<(Term, Option<usize>), Vec<usize>> = HashMap::new();
-        let mut wildcard_rules = Vec::new();
-        for (i, rule) in program.iter().enumerate() {
-            let functor = rule.head.outermost_functor();
-            if functor.is_ground() {
-                rules_by_head
-                    .entry((functor.clone(), rule.head.arity()))
-                    .or_default()
-                    .push(i);
-            } else {
-                wildcard_rules.push(i);
-            }
-        }
         QueryEvaluator {
-            program,
+            index,
             query_rule: None,
             opts,
             tables,
+            created: Vec::new(),
             rename_counter: 0,
             stats: EvalStats::default(),
             derived: 0,
-            rules_by_head,
-            wildcard_rules,
             storage,
         }
     }
 
-    /// Consumes the evaluator, handing its *complete* subgoal tables back to
-    /// the caller (an aborted evaluation leaves incomplete ones behind; the
-    /// auxiliary query table is not a table of the program).  Every table
+    /// Consumes the evaluator, handing the subgoal tables it *created and
+    /// completed* back to the caller: the seeded tables are the caller's
+    /// already, an aborted evaluation leaves incomplete ones behind, and the
+    /// auxiliary query table is not a table of the program.  Every table
     /// returned is a valid table of the base program.
     pub(crate) fn into_tables(mut self) -> HashMap<Term, Arc<Table>> {
         self.drop_query_table();
-        self.tables.retain(|_, t| t.complete);
+        let mut tables = self.tables;
+        self.created
+            .into_iter()
+            .filter_map(|key| {
+                let table = tables.remove(&key)?;
+                table.complete.then_some((key, table))
+            })
+            .collect()
+    }
+
+    /// Starts an empty table for the normalised `key`.
+    fn create_table(&mut self, key: Term) {
+        self.created.push(key.clone());
         self.tables
+            .insert(key.clone(), Arc::new(Table::new(key, &self.storage)));
     }
 
     /// Forgets the auxiliary table of the last conjunctive query.  The match
@@ -331,50 +471,43 @@ impl<'p> QueryEvaluator<'p> {
     /// `__query_answer` comes out quoted).
     fn drop_query_table(&mut self) {
         let aux_functor = Term::sym(QUERY_HEAD);
-        self.tables
-            .retain(|_, t| t.pattern.outermost_functor() != &aux_functor);
+        let is_aux = |key: &Term| key.outermost_functor() == &aux_functor;
+        self.created.retain(|key| !is_aux(key));
+        self.tables.retain(|key, _| !is_aux(key));
     }
 
-    /// The rule at `index`: a rule of the borrowed program, or — one past
-    /// its end — the auxiliary rule of the query being answered.
-    fn rule(&self, index: usize) -> &Rule {
-        self.program.rules.get(index).unwrap_or_else(|| {
-            self.query_rule
-                .as_ref()
-                .expect("candidate_rules only names the auxiliary index while a query rule is set")
+    /// The rule at `position`: a rule of the index, or — one past its end —
+    /// the auxiliary rule of the query being answered.
+    fn rule(&self, position: usize) -> &Rule {
+        self.index.rules.get(position).unwrap_or_else(|| {
+            self.query_rule.as_ref().expect(
+                "candidate_rules only names the auxiliary position while a query rule is set",
+            )
         })
     }
 
-    /// The rule indices that could match a subgoal with the given pattern.
+    /// The positions of the non-fact rules that could match a subgoal with
+    /// the given pattern (the facts are probed, not enumerated — see
+    /// [`Self::expand`]).
     fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
+        let mut out = self.index.candidate_rules(pattern);
         let functor = pattern.outermost_functor();
-        let aux = self.query_rule.as_ref();
-        if !functor.is_ground() {
-            return (0..self.program.len() + usize::from(aux.is_some())).collect();
-        }
-        let mut out: Vec<usize> = self
-            .rules_by_head
-            .get(&(functor.clone(), pattern.arity()))
-            .cloned()
-            .unwrap_or_default();
-        out.extend(self.wildcard_rules.iter().copied());
-        out.sort_unstable();
-        if aux.is_some_and(|r| {
-            r.head.outermost_functor() == functor && r.head.arity() == pattern.arity()
+        if self.query_rule.as_ref().is_some_and(|r| {
+            !functor.is_ground()
+                || (r.head.outermost_functor() == functor && r.head.arity() == pattern.arity())
         }) {
-            out.push(self.program.len());
+            out.push(self.index.rules.len());
         }
         out
     }
 
     /// Evaluation statistics so far.
     pub fn stats(&self) -> EvalStats {
+        let created = self.created.iter().filter_map(|key| self.tables.get(key));
         EvalStats {
-            subqueries: self.tables.len(),
-            answers: self.tables.values().map(|t| t.answers.len()).sum(),
-            rule_applications: self.stats.rule_applications,
-            cached_subqueries: self.stats.cached_subqueries,
-            ..EvalStats::default()
+            subqueries: created.clone().count(),
+            answers: created.map(|t| t.answers.len()).sum(),
+            ..self.stats
         }
     }
 
@@ -562,10 +695,7 @@ impl<'p> QueryEvaluator<'p> {
                 return Err(self.not_modularly_stratified(&key));
             }
         } else {
-            self.tables.insert(
-                key.clone(),
-                Arc::new(Table::new(key.clone(), &self.storage)),
-            );
+            self.create_table(key.clone());
         }
         in_progress.push(key.clone());
 
@@ -630,18 +760,18 @@ impl<'p> QueryEvaluator<'p> {
             }
             return Ok(key);
         }
-        self.tables.insert(
-            key.clone(),
-            Arc::new(Table::new(key.clone(), &self.storage)),
-        );
+        self.create_table(key.clone());
         scope.push(key.clone());
         Ok(key)
     }
 
-    /// One expansion pass over all rules whose head unifies with the
-    /// subgoal's pattern.  Dependency edges are recorded as subgoals are
-    /// selected — *before* they are settled, so that a cycle-closing
-    /// selection is already in the graph when the settle detects it.
+    /// One expansion pass over everything whose head unifies with the
+    /// subgoal's pattern: the facts the index's store offers for the pattern
+    /// (a probe on its bound argument positions, not a walk of the
+    /// relation), then the candidate rules.  Dependency edges are recorded
+    /// as subgoals are selected — *before* they are settled, so that a
+    /// cycle-closing selection is already in the graph when the settle
+    /// detects it.
     fn expand(
         &mut self,
         subgoal_key: &Term,
@@ -650,9 +780,19 @@ impl<'p> QueryEvaluator<'p> {
     ) -> Result<(), EngineError> {
         let pattern = self.tables[subgoal_key].pattern.clone();
         let mut derived: Vec<Term> = Vec::new();
+        for fact in self.index.facts.collect_candidates(&pattern) {
+            self.stats.head_unifications += 1;
+            // A ground head unifies with the pattern iff the pattern
+            // matches it, and the fact is its own (bodiless) answer.
+            if match_with(&pattern, &fact, &mut Substitution::new()) {
+                self.stats.rule_applications += 1;
+                derived.push(fact);
+            }
+        }
         for rule_index in self.candidate_rules(&pattern) {
             let generation = self.fresh_generation();
             let renamed = self.rule(rule_index).rename(generation);
+            self.stats.head_unifications += 1;
             let mut theta = Substitution::new();
             if !unify_with(&renamed.head, &pattern, &mut theta) {
                 continue;
@@ -1102,6 +1242,102 @@ mod tests {
         assert!(tables
             .values()
             .all(|t| t.complete && t.pattern.outermost_functor() != &Term::sym(QUERY_HEAD)));
+    }
+
+    #[test]
+    fn program_index_holds_facts_as_a_set_and_rules_as_the_program_does() {
+        let program = parse_program(
+            "p(X) :- q(X).\n\
+             q(a). q(a). winning(g)(x).\n\
+             any(X).\n\
+             M(X) :- r(M, X).\n\
+             p(X) :- s(X).",
+        )
+        .unwrap();
+        let mut index = ProgramIndex::build(&program, &StorageConfig::InMemory);
+        // Ground bodiless rules are facts, duplicates held once; everything
+        // else — `any(X).` included — is a rule.
+        assert_eq!(index.fact_count(), 2);
+        assert_eq!(index.rules.len(), 4);
+        let positions = |index: &ProgramIndex, pattern: &str| {
+            index.candidate_rules(&parse_term(pattern).unwrap())
+        };
+        // By head functor and arity, the variable-headed rule always along,
+        // in program order.
+        assert_eq!(positions(&index, "p(a)"), [0, 2, 3]);
+        assert_eq!(positions(&index, "any(a)"), [1, 2]);
+        assert_eq!(positions(&index, "p(a, b)"), [2]);
+        assert_eq!(positions(&index, "M(a)"), [0, 1, 2, 3]);
+        // One of two copies leaves: the fact stays.  The last one takes it.
+        let q_a = Rule::fact(parse_term("q(a)").unwrap());
+        index.remove(&q_a, false);
+        assert_eq!(index.fact_count(), 2);
+        index.remove(&q_a, true);
+        assert_eq!(index.fact_count(), 1);
+        index.insert(&q_a);
+        index.insert(&q_a);
+        assert_eq!(index.fact_count(), 2);
+        // Removing a rule re-keys the later ones and leaves the store alone.
+        index.remove(&program.rules[4], true);
+        assert_eq!(index.rules.len(), 3);
+        assert_eq!(positions(&index, "p(a)"), [0, 1, 2]);
+        assert_eq!(positions(&index, "any(a)"), [1]);
+        assert_eq!(index.fact_count(), 2);
+        // A rule the index does not hold is not there to remove.
+        index.remove(&program.rules[4], true);
+        assert_eq!(index.rules.len(), 3);
+    }
+
+    #[test]
+    fn seeded_tables_are_neither_counted_nor_handed_back() {
+        let program = game(6);
+        let index = Arc::new(ProgramIndex::build(&program, &StorageConfig::InMemory));
+        let evaluator = |tables| {
+            QueryEvaluator::with_tables(
+                index.clone(),
+                EvalOptions::default(),
+                tables,
+                StorageConfig::InMemory,
+            )
+        };
+        let mut first = evaluator(HashMap::new());
+        first
+            .solve_atom(&parse_term("winning(move1)(p4)").unwrap())
+            .unwrap();
+        let seeded = first.into_tables();
+        assert!(!seeded.is_empty());
+        // The second evaluator starts from those tables and needs more.
+        let mut second = evaluator(seeded.clone());
+        second
+            .solve_atom(&parse_term("winning(move1)(p2)").unwrap())
+            .unwrap();
+        let stats = second.stats();
+        assert!(
+            stats.cached_subqueries > 0,
+            "the seeded tables were not used"
+        );
+        let fresh = second.into_tables();
+        assert!(!fresh.is_empty());
+        assert_eq!(stats.subqueries, fresh.len());
+        assert!(fresh.keys().all(|key| !seeded.contains_key(key)));
+        assert!(fresh.values().all(|table| table.complete));
+    }
+
+    #[test]
+    fn head_unifications_count_attempts_and_rule_applications_successes() {
+        // `e(a, X)` probes the store on its bound position: one candidate,
+        // one match.  `e(X, X)` binds none: both facts are offered, one
+        // matches.  The rule head is attempted once per expansion either way.
+        let program = parse_program("e(a, a). e(b, c). r(X, Y) :- e(X, Y).").unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        ev.solve_atom(&parse_term("e(a, X)").unwrap()).unwrap();
+        let bound = ev.stats();
+        assert_eq!(bound.head_unifications, bound.rule_applications);
+        ev.solve_atom(&parse_term("e(X, X)").unwrap()).unwrap();
+        let open = ev.stats();
+        let attempts = open.head_unifications - bound.head_unifications;
+        let successes = open.rule_applications - bound.rule_applications;
+        assert_eq!(attempts, 2 * successes);
     }
 
     #[test]

@@ -22,6 +22,10 @@
 //! grounding, DRed, model seeds; `tables`: instance-level subgoal-table
 //! maintenance), which reach the snapshot's caches lock-free, and the
 //! mutation-window counters a query's plan and stats are decorated with.
+//! The tabled evaluator's program index is maintained here too: once a
+//! query has built it, every `assert_*` / `retract_*` mirrors its one
+//! program edit into it (a store insert or remove for a ground fact) rather
+//! than letting the next query index the program again.
 //! [`HiLogDb::into_serving`] hands the same object to a
 //! [`DbWriter`], which publishes `Arc`-sharing
 //! copies of the working snapshot for concurrent readers.
@@ -50,7 +54,7 @@ mod tables;
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::horn::EvalOptions;
-use crate::magic_eval::EvalStats;
+use crate::magic_eval::{EvalStats, ProgramIndex};
 use crate::modular::ModularOutcome;
 use crate::plan::QueryPlan;
 use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle};
@@ -367,6 +371,13 @@ impl HiLogDb {
         Arc::make_mut(&mut self.snap.program)
     }
 
+    /// The tabled evaluator's program index, for maintenance: `None` until
+    /// a query has built one (then there is nothing to keep in step), and
+    /// copy-on-write like the program while a published snapshot shares it.
+    fn index_mut(&mut self) -> Option<&mut ProgramIndex> {
+        lock_mut(&mut self.snap.index).as_mut().map(Arc::make_mut)
+    }
+
     /// Asserts a ground fact.
     ///
     /// The dependency analysis is kept (facts add no edges); subgoal tables
@@ -384,7 +395,11 @@ impl HiLogDb {
         // semantically; every cache stays valid (the mirror image of
         // `retract_fact`'s duplicate short-circuit).
         let already_present = self.has_fact(&fact);
-        self.program_mut().push(Rule::fact(fact.clone()));
+        let rule = Rule::fact(fact.clone());
+        if let Some(index) = self.index_mut() {
+            index.insert(&rule);
+        }
+        self.program_mut().push(rule);
         if !already_present {
             self.invalidate_for_fact(&fact, true);
         }
@@ -405,7 +420,11 @@ impl HiLogDb {
         self.program_mut().rules.remove(pos);
         // A duplicate assertion may still be present; then nothing changed
         // semantically and every cache stays valid.
-        if !self.has_fact(fact) {
+        let last_copy = !self.has_fact(fact);
+        if let Some(index) = self.index_mut() {
+            index.remove(&Rule::fact(fact.clone()), last_copy);
+        }
+        if last_copy {
             self.invalidate_for_fact(fact, false);
         }
         true
@@ -426,6 +445,9 @@ impl HiLogDb {
     /// dropped, and every other table survives.
     pub fn assert_rule(&mut self, rule: Rule) {
         self.drop_tables_for_head(&rule.head);
+        if let Some(index) = self.index_mut() {
+            index.insert(&rule);
+        }
         self.program_mut().push(rule);
         self.invalidate_caches_keeping_tables();
     }
@@ -443,7 +465,11 @@ impl HiLogDb {
         };
         self.program_mut().rules.remove(pos);
         // A structurally identical copy may remain; then nothing changed.
-        if self.program().rules.iter().any(|r| r == rule) {
+        let last_copy = !self.program().rules.iter().any(|r| r == rule);
+        if let Some(index) = self.index_mut() {
+            index.remove(rule, last_copy);
+        }
+        if !last_copy {
             return true;
         }
         self.drop_tables_for_head(&rule.head);

@@ -156,9 +156,11 @@ impl HiLogDb {
     }
 
     /// Re-solves dropped-but-monotone table patterns against the updated
-    /// program.  The evaluator is seeded with every surviving table, so the
-    /// refill only re-derives the affected subtree; tables it completes
-    /// (including any fresh dependencies) flow back into the session.  A
+    /// program (through the maintained program index, which the caller has
+    /// already brought up to date).  The evaluator is seeded with every
+    /// surviving table, so the refill only re-derives the affected subtree;
+    /// the tables it completes (including any fresh dependencies) — and
+    /// only those — flow back into the session.  A
     /// pattern the evaluator cannot settle falls back to the drop counter —
     /// the next query recovers exactly as it would have without the refill.
     fn refill_tables(&mut self, keys: Vec<Term>) {
@@ -166,16 +168,20 @@ impl HiLogDb {
             return;
         }
         let snap = &mut self.snap;
-        let tables = std::mem::take(lock_mut(&mut snap.tables));
-        let mut evaluator =
-            QueryEvaluator::with_tables(&snap.program, snap.opts, tables, snap.storage.clone());
+        let seeded = lock_mut(&mut snap.tables).clone();
+        let mut evaluator = QueryEvaluator::with_tables(
+            snap.program_index(),
+            snap.opts,
+            seeded,
+            snap.storage.clone(),
+        );
         let mut failed = 0usize;
         for key in &keys {
             if evaluator.solve_atom(key).is_err() {
                 failed += 1;
             }
         }
-        *lock_mut(&mut snap.tables) = evaluator.into_tables();
+        lock_mut(&mut snap.tables).extend(evaluator.into_tables());
         self.pending_refilled += keys.len() - failed;
         self.pending_dropped += failed;
     }

@@ -38,6 +38,17 @@
 //! mutation of a batch, or at a mutation-free publish).  Adopted tables
 //! then enjoy the session's instance-level maintenance like any other.
 //!
+//! The tabled evaluator's `ProgramIndex` (the EDB in an argument-indexed
+//! store, the rules by head) travels the same way.  It is one more lazily
+//! filled, `Arc`-shared cache: the first tabled query that misses the warm
+//! path builds it — never session construction or `into_serving`, so a
+//! store that is only ever written to never pays for it — a published copy
+//! shares it, the writer adopts a reader-built one together with the reader
+//! tables, and from then on the session's mutations *maintain* it in place
+//! (copy-on-write while a published snapshot still holds the previous
+//! version, exactly like the program and the possibly-true store) instead
+//! of rebuilding it.
+//!
 //! ```
 //! use hilog_engine::session::HiLogDb;
 //! use hilog_syntax::{parse_program, parse_query, parse_term};
@@ -66,7 +77,9 @@ use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::grounder::ground_against;
 use crate::horn::{least_model_into, EvalOptions, NegationMode};
-use crate::magic_eval::{normalize_pattern, EvalStats, ModelSource, QueryEvaluator, Table};
+use crate::magic_eval::{
+    normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table,
+};
 use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
@@ -167,8 +180,15 @@ pub struct DbSnapshot {
     /// tables — under a frozen program a completed table cannot go stale;
     /// the owning session patches and drops them as it mutates the program.
     pub(crate) tables: RwLock<HashMap<Term, Arc<Table>>>,
+    /// The program as the tabled evaluator reads it (facts in an indexed
+    /// store, rules by head): `None` until the first tabled query that
+    /// misses the warm path builds it, then shared by `Arc` with every
+    /// published copy and maintained in place by the owning session's
+    /// mutations.  Always describes exactly `program`.
+    pub(crate) index: RwLock<Option<Arc<ProgramIndex>>>,
     /// Relation-storage backend for the long-lived stores (the
-    /// possibly-true store and the subgoal-table answers).
+    /// possibly-true store, the subgoal-table answers and the program
+    /// index's facts).
     pub(crate) storage: StorageConfig,
 }
 
@@ -195,6 +215,7 @@ impl DbSnapshot {
                 ..SnapCore::default()
             }),
             tables: RwLock::new(HashMap::new()),
+            index: RwLock::new(None),
             storage,
         }
     }
@@ -213,6 +234,7 @@ impl DbSnapshot {
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
             tables: RwLock::new(lock_mut(&mut self.tables).clone()),
+            index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
         }
     }
@@ -248,23 +270,36 @@ impl DbSnapshot {
     }
 
     /// Number of completed subgoal tables currently held (seeded plus
-    /// derived by queries on this snapshot).
+    /// derived by queries on this snapshot).  O(1): the map only ever holds
+    /// complete tables (an evaluator hands back nothing else), so this is
+    /// its length.
     pub fn cached_subqueries(&self) -> usize {
-        read_lock(&self.tables)
-            .values()
-            .filter(|t| t.complete)
-            .count()
+        let tables = read_lock(&self.tables);
+        debug_assert!(tables.values().all(|t| t.complete));
+        tables.len()
+    }
+
+    /// Number of distinct ground facts in the tabled evaluator's program
+    /// index; 0 while no query has built it.
+    pub fn indexed_facts(&self) -> usize {
+        read_lock(&self.index)
+            .as_ref()
+            .map_or(0, |index| index.fact_count())
     }
 
     /// Aggregate relation-storage statistics over this snapshot's stores:
-    /// the possibly-true store (when grounding has run) and every subgoal
-    /// table's answer store.  Under [`StorageConfig::InMemory`] everything
-    /// is resident and the spill fields are zero.  O(#tables) — kept off
-    /// the query path of published snapshots.
+    /// the possibly-true store (when grounding has run), the program
+    /// index's fact store (when a tabled query has built it) and every
+    /// subgoal table's answer store.  Under [`StorageConfig::InMemory`]
+    /// everything is resident and the spill fields are zero.  O(#tables) —
+    /// kept off the query path of published snapshots.
     pub fn storage_stats(&self) -> RelationStorageStats {
         let mut total = RelationStorageStats::default();
         if let Some(possibly) = &read_lock(&self.core).possibly {
             total.merge(&possibly.storage_stats());
+        }
+        if let Some(index) = &*read_lock(&self.index) {
+            total.merge(&index.storage_stats());
         }
         for table in read_lock(&self.tables).values() {
             total.merge(&table.answers.storage_stats());
@@ -328,8 +363,8 @@ impl DbSnapshot {
     pub fn query(&self, query: &Query) -> Result<QueryResult, EngineError> {
         let plan = self.explain(query);
         // Table-maintenance observability: how many tables were available
-        // for reuse when this query started.
-        let tables_reused = read_lock(&self.tables).len();
+        // for reuse when this query started — the count the plan just read.
+        let tables_reused = plan.cached_subqueries;
         // Join-index observability: every candidate lookup this query causes
         // (grounding joins and subgoal-table joins alike) lands in these
         // counters.  They are thread-local, so the deltas are per-query even
@@ -422,17 +457,30 @@ impl DbSnapshot {
         self.ensure_ground_locked(&mut core).map(drop)
     }
 
+    /// The tabled evaluator's view of the program, built on first use.
+    /// Double-checked like the model: the warm path is one read lock, and
+    /// concurrent first-readers build the index once.
+    pub(crate) fn program_index(&self) -> Arc<ProgramIndex> {
+        if let Some(index) = &*read_lock(&self.index) {
+            return index.clone();
+        }
+        write_lock(&self.index)
+            .get_or_insert_with(|| Arc::new(ProgramIndex::build(&self.program, &self.storage)))
+            .clone()
+    }
+
     /// Magic-sets route: tabled evaluation seeded with the snapshot's
-    /// completed tables; completed tables merge back into the snapshot.
+    /// completed tables; the tables it completes merge back into the
+    /// snapshot.
     fn query_magic(&self, query: &Query) -> Result<(Vec<QueryAnswer>, EvalStats), EngineError> {
         let vars = query.variables();
         // Fast path: a single-atom query whose table is already complete is
-        // answered under the read lock alone — no evaluator (and no
-        // per-query rule index) is built at all; the path concurrent readers
-        // hammering the same warm query stay on.  Sound because a complete
-        // table's recorded dependency closure is settled and cycle-free, so
-        // a cold evaluation of the same pattern would reach the same
-        // answers and the same (non-)verdict.
+        // answered under the read lock alone — no evaluator is built and
+        // the program index is not touched (or built); the path concurrent
+        // readers hammering the same warm query stay on.  Sound because a
+        // complete table's recorded dependency closure is settled and
+        // cycle-free, so a cold evaluation of the same pattern would reach
+        // the same answers and the same (non-)verdict.
         if let [Literal::Pos(atom)] = query.literals.as_slice() {
             let key = normalize_pattern(atom);
             let hit = read_lock(&self.tables)
@@ -459,19 +507,19 @@ impl DbSnapshot {
         // Seeding clones the table map, but the tables themselves are `Arc`d
         // — this is per-entry refcount bumps, not a copy of any answer set.
         let tables = read_lock(&self.tables).clone();
-        let seeded_tables = tables.len();
-        let seeded_answers: usize = tables.values().map(|t| t.answers.len()).sum();
-        let mut evaluator =
-            QueryEvaluator::with_tables(&self.program, self.opts, tables, self.storage.clone());
+        let mut evaluator = QueryEvaluator::with_tables(
+            self.program_index(),
+            self.opts,
+            tables,
+            self.storage.clone(),
+        );
         let solved = evaluator.answer_query(query);
-        // `QueryEvaluator::stats` totals over every table it holds, seeded
-        // ones included; subtract the seeded counts so the reported stats
-        // cover this query only (seeded tables are complete and gain no
-        // answers during the run).
-        let mut stats = evaluator.stats();
-        stats.subqueries = stats.subqueries.saturating_sub(seeded_tables);
-        stats.answers = stats.answers.saturating_sub(seeded_answers);
-        // Tables completed before a failure are still valid and are kept.
+        // The evaluator counts only the tables it created, so the stats
+        // cover this query alone.
+        let stats = evaluator.stats();
+        // Tables completed before a failure are still valid and are kept;
+        // only the new ones come back, so the write lock is held for
+        // O(new tables), not O(all tables).
         self.merge_tables(evaluator.into_tables());
         let answers = solved?
             .iter()
@@ -888,16 +936,25 @@ impl DbWriter {
         self.db.cached_model()
     }
 
-    /// Adopts the tables reader queries computed on the published snapshot,
-    /// if the session has not been mutated since it was published: the
-    /// writer's program is then still exactly the snapshot's, so its
-    /// completed tables are valid session tables — and once adopted they
-    /// are *maintained* through later mutations like any table the session
+    /// Adopts the tables reader queries computed on the published snapshot
+    /// (and the program index, if a reader built it), if the session has
+    /// not been mutated since it was published: the writer's program is
+    /// then still exactly the snapshot's, so its completed tables are valid
+    /// session tables — and once adopted they (and the index) are
+    /// *maintained* through later mutations like anything the session
     /// computed itself.
     fn adopt_reader_tables(&mut self) {
         if self.db.generation() == self.published_generation {
-            let tables = read_lock(&self.current().tables).clone();
-            self.db.working().merge_tables(tables);
+            let published = self.current();
+            let working = self.db.working();
+            working.merge_tables(read_lock(&published.tables).clone());
+            // The same condition makes a reader-built program index the
+            // writer's: without it every publish would hand readers a
+            // snapshot that has to index the whole program again.
+            let index = lock_mut(&mut working.index);
+            if index.is_none() {
+                *index = read_lock(&published.index).clone();
+            }
         }
     }
 
@@ -1052,6 +1109,100 @@ mod tests {
         let warm = next.query(&query).unwrap();
         assert_eq!(warm.stats.rule_applications, 0, "tables were not adopted");
         assert!(warm.stats.cached_subqueries > 0);
+    }
+
+    #[test]
+    fn program_index_is_built_by_the_first_cold_tabled_query_and_nothing_else() {
+        let (mut writer, handle) = HiLogDb::new(game()).into_serving();
+        let snapshot = handle.current();
+        assert_eq!(snapshot.indexed_facts(), 0);
+        // Writing and publishing never ask for it ...
+        writer
+            .assert_fact(parse_term("move(c, d)").unwrap())
+            .unwrap();
+        assert_eq!(writer.publish().indexed_facts(), 0);
+        // ... nor does the full-model route.
+        snapshot
+            .query(&parse_query("?- P(a, X).").unwrap())
+            .unwrap();
+        assert_eq!(snapshot.indexed_facts(), 0);
+        let cold = snapshot
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        assert!(cold.stats.head_unifications > 0);
+        assert_eq!(snapshot.indexed_facts(), 2);
+        let storage = snapshot.storage_stats();
+        assert!(storage.resident_facts + storage.spilled_facts >= 2);
+        // The warm repeat attempts nothing.
+        let warm = snapshot
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        assert_eq!(warm.stats.head_unifications, 0);
+    }
+
+    #[test]
+    fn reader_built_index_is_adopted_then_maintained_copy_on_write() {
+        let (mut writer, handle) = HiLogDb::new(game()).into_serving();
+        let published = handle.current();
+        published
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        let built = read_lock(&published.index).clone().expect("built");
+        // The first mutation of the batch adopts the reader's index (no
+        // second build), then edits its own copy of it.
+        writer
+            .assert_fact(parse_term("move(c, d)").unwrap())
+            .unwrap();
+        let maintained = lock_mut(&mut writer.db().working().index)
+            .clone()
+            .expect("adopted");
+        assert!(!Arc::ptr_eq(&built, &maintained), "edited in place");
+        assert_eq!(built.fact_count(), 2);
+        assert_eq!(maintained.fact_count(), 3);
+        assert!(Arc::ptr_eq(
+            &built,
+            read_lock(&published.index).as_ref().expect("still there")
+        ));
+        // The next epoch is published with the maintained index itself.
+        let next = writer.publish();
+        assert!(Arc::ptr_eq(
+            &maintained,
+            read_lock(&next.index).as_ref().expect("carried by fork")
+        ));
+        // A mutation behind the writer's wrappers closes the adoption
+        // window for the index exactly as for the tables.
+        let (mut writer, handle) = HiLogDb::new(game()).into_serving();
+        writer
+            .db()
+            .assert_fact(parse_term("move(c, d)").unwrap())
+            .unwrap();
+        handle
+            .current()
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        assert_eq!(handle.current().indexed_facts(), 2);
+        assert_eq!(writer.publish().indexed_facts(), 0, "stale index adopted");
+    }
+
+    #[test]
+    fn a_cold_query_merges_only_the_tables_it_completed() {
+        let (_writer, handle) = HiLogDb::new(game()).into_serving();
+        let snapshot = handle.current();
+        snapshot
+            .query(&parse_query("?- move(a, X).").unwrap())
+            .unwrap();
+        let held: HashMap<Term, Arc<Table>> = read_lock(&snapshot.tables).clone();
+        assert_eq!(held.len(), 1);
+        let cold = snapshot
+            .query(&parse_query("?- winning(X).").unwrap())
+            .unwrap();
+        let after = read_lock(&snapshot.tables);
+        // Everything new is this query's; what was there is the same `Arc`.
+        assert_eq!(after.len(), held.len() + cold.stats.subqueries);
+        assert_eq!(cold.stats.tables_reused, held.len());
+        for (key, table) in &held {
+            assert!(Arc::ptr_eq(table, &after[key]));
+        }
     }
 
     #[test]

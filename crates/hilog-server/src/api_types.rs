@@ -131,6 +131,12 @@ pub struct StatsResponse {
     pub rules: usize,
     /// Completed subgoal tables held by the published snapshot.
     pub cached_subqueries: usize,
+    /// Distinct ground facts in the published snapshot's program index (the
+    /// store the tabled evaluator probes); 0 until a cold query builds it.
+    pub indexed_facts: usize,
+    /// Head unifications the tabled evaluator attempted across every query
+    /// this server answered — what its cold subgoals cost.
+    pub head_unifications: u64,
     /// The semantics queries are answered under.
     pub semantics: String,
     /// Worker threads serving requests.
@@ -211,6 +217,8 @@ impl Serialize for StatsResponse {
         serde::write_field(out, "epoch", &self.epoch, true);
         serde::write_field(out, "rules", &self.rules, false);
         serde::write_field(out, "cached_subqueries", &self.cached_subqueries, false);
+        serde::write_field(out, "indexed_facts", &self.indexed_facts, false);
+        serde::write_field(out, "head_unifications", &self.head_unifications, false);
         serde::write_field(out, "semantics", &self.semantics, false);
         serde::write_field(out, "workers", &self.workers, false);
         serde::write_field(out, "durable", &self.durable, false);

@@ -74,10 +74,15 @@ fn query(state: &ServerState, body: &[u8]) -> Response {
     let timeout_ms = request.timeout_ms.or(state.default_timeout_ms);
     let deadline = timeout_ms.map(|ms| Instant::now() + Duration::from_millis(ms));
     match with_deadline(deadline, || snapshot.query(&parsed)) {
-        Ok(result) => Response::ok(to_string(&QueryResponse {
-            epoch: snapshot.epoch(),
-            result,
-        })),
+        Ok(result) => {
+            state
+                .head_unifications
+                .fetch_add(result.stats.head_unifications as u64, Ordering::Relaxed);
+            Response::ok(to_string(&QueryResponse {
+                epoch: snapshot.epoch(),
+                result,
+            }))
+        }
         Err(EngineError::DeadlineExceeded(m)) => {
             state.query_timeouts.fetch_add(1, Ordering::Relaxed);
             let ms = timeout_ms.unwrap_or(0);
@@ -234,6 +239,8 @@ fn stats(state: &ServerState) -> Response {
         epoch: snapshot.epoch(),
         rules: snapshot.program().rules.len(),
         cached_subqueries: snapshot.cached_subqueries(),
+        indexed_facts: snapshot.indexed_facts(),
+        head_unifications: state.head_unifications.load(Ordering::Relaxed),
         semantics: snapshot.semantics().to_string(),
         workers: state.workers,
         durable: storage.durable,

@@ -46,7 +46,10 @@
 //! serving the last published snapshot, and a successful
 //! `POST /checkpoint` re-arms the writer.  `GET /stats` reports all of it
 //! (`degraded`, `io_retries`, `injected_faults`, `shed_requests`,
-//! `query_timeouts`).
+//! `query_timeouts`), beside the evaluator's own counters: the tables held
+//! (`cached_subqueries`), the facts in the tabled evaluator's program index
+//! (`indexed_facts`, 0 until a cold query builds it) and the head
+//! unifications attempted so far (`head_unifications`).
 //!
 //! ```no_run
 //! use hilog_engine::HiLogDb;
@@ -99,6 +102,10 @@ pub struct ServerState {
     pub default_timeout_ms: Option<u64>,
     /// Queries aborted at their deadline (`504` responses).
     pub query_timeouts: AtomicU64,
+    /// Head unifications the tabled evaluator attempted across every
+    /// answered query ([`hilog_engine::EvalStats::head_unifications`]
+    /// summed): the work cold subgoals cost, warm hits adding nothing.
+    pub head_unifications: AtomicU64,
     /// Connections shed with `429` because the backlog was full.
     pub shed_requests: AtomicU64,
     /// Accepted connections not yet fully served; bounded by
@@ -170,6 +177,7 @@ impl Server {
                 max_body_bytes: config.max_body_bytes,
                 default_timeout_ms: config.default_timeout_ms,
                 query_timeouts: AtomicU64::new(0),
+                head_unifications: AtomicU64::new(0),
                 shed_requests: AtomicU64::new(0),
                 backlog: AtomicUsize::new(0),
                 max_backlog: config.max_backlog.max(1),

@@ -1,8 +1,10 @@
-//! Property oracle for the argument-indexed `AtomStore`: whatever access
-//! path `candidates` picks — an argument-index probe, the functor-bucket
-//! fallback, or the arity scan for variable predicate names — the matches it
-//! yields must be **exactly** the full-scan-and-unify set, and every lazily
-//! built index must stay consistent through arbitrary insert/remove churn.
+//! Property oracles for the engine's two indexes.
+//!
+//! **The argument-indexed `AtomStore`**: whatever access path `candidates`
+//! picks — an argument-index probe, the functor-bucket fallback, or the
+//! arity scan for variable predicate names — the matches it yields must be
+//! **exactly** the full-scan-and-unify set, and every lazily built index
+//! must stay consistent through arbitrary insert/remove churn.
 //!
 //! The suite drives randomized stores (first-order and HiLog-shaped atoms,
 //! duplicate keys, shared argument values) and randomized patterns (argument
@@ -14,14 +16,30 @@
 //! 2. the same call under `scan_only_guard` (the pre-index baseline);
 //! 3. a brute-force match over `store.iter()`.
 //!
+//! **The tabled evaluator's program index** (the `program_index_*` tests):
+//! the EDB in such a store plus the rules by head, built by the first cold
+//! tabled query and from then on *maintained* by the session's mutations,
+//! shared with published snapshots and adopted back by the writer.  Over
+//! random streams of asserts, duplicate asserts, retractions of one of two
+//! copies, rule assertions and retractions, and publishes, the tabled
+//! answers of the subject (the writer's session, the published snapshot, a
+//! snapshot pinned epochs ago) must equal the answers read off the
+//! subject's own full model and the answers of a fresh session built from
+//! the subject's program.  A count-based test pins the complexity: a cold
+//! bound probe attempts the same number of head unifications at 3,000 and
+//! at 30,000 facts.
+//!
 //! Seeds are pinned (`SEED_BASE` + case index) so failures reproduce;
 //! `HILOG_INDEX_ORACLE_CASES` scales the case count up in CI.
 
+use hilog_core::unify::match_with;
 use hilog_engine::horn::{scan_only_guard, AtomStore};
+use hilog_engine::DbSnapshot;
 use hilog_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 const SEED_BASE: u64 = 0x00A7_0A57;
 
@@ -197,4 +215,389 @@ fn insert_and_remove_keep_every_lazily_built_index_consistent() {
             check_pattern(&store, atom, seed);
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// The tabled evaluator's maintained program index
+// ---------------------------------------------------------------------
+
+/// Nodes the generated relations range over (`n0` .. `n7`, plus `n8` as the
+/// far end of an acyclic game move).
+const NODES: usize = 8;
+
+/// The rules every stream starts from: a flat EDB view, the HiLog win/move
+/// game (a variable-name subgoal `M(X, Y)` under a compound head name) and
+/// generic transitive closure over a relation named by an argument.
+const BASE_RULES: &str = "\
+linked(X, Y) :- edge(X, Y).
+linked(X, Y) :- edge(Y, X).
+winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).
+tc(G)(X, Y) :- graph(G), G(X, Y).
+tc(G)(X, Y) :- graph(G), G(X, Z), tc(G)(Z, Y).
+game(g1). game(g2). graph(edge). graph(g1).
+";
+
+/// Rules the stream asserts and retracts.  The first group is range
+/// restricted; the ground bodiless ones are *facts* to the index even
+/// though they travel through `assert_rule` / `retract_rule`.
+const RULE_POOL: &[&str] = &[
+    "linked(X, Y) :- bridge(X, Y).",
+    "reach(X) :- edge(n0, X).",
+    "quiet(X) :- node(X), not reach(X).",
+    "ok(X) :- node(X), any(X).",
+    "edge(n0, n1).",
+    "winning(g3)(n2).",
+];
+
+/// Non-ground bodiless rules: they live in the index's rule part, and they
+/// make the program not range restricted, so only the tabled route answers.
+const OPEN_FACT_POOL: &[&str] = &["any(X).", "P(n7)."];
+
+fn node(i: usize) -> Term {
+    Term::sym(format!("n{i}"))
+}
+
+/// A random ground fact: flat EDB relations, acyclic game moves, and HiLog
+/// facts with compound names (`winning(g1)(n3)`, `tc(edge)(n1, n2)`).
+fn random_fact(rng: &mut StdRng) -> Term {
+    let (a, b) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+    let (lo, hi) = (a.min(b), a.max(b) + 1);
+    let game = ["g1", "g2", "g3"][rng.gen_range(0..3usize)];
+    match rng.gen_range(0..10u32) {
+        0..=3 => Term::apps("edge", vec![node(a), node(b)]),
+        4 | 5 => Term::apps(
+            ["g1", "g2"][rng.gen_range(0..2usize)],
+            vec![node(lo), node(hi)],
+        ),
+        6 => Term::apps("node", vec![node(a)]),
+        7 => Term::apps("bridge", vec![node(a), node(b)]),
+        8 => Term::app(Term::apps("winning", vec![Term::sym(game)]), vec![node(a)]),
+        _ => Term::app(
+            Term::apps("tc", vec![Term::sym("edge")]),
+            vec![node(a), node(b)],
+        ),
+    }
+}
+
+/// A random query the planner sends down the tabled route (its first literal
+/// has a ground predicate name): bound and open probes of the EDB, of the
+/// rules over it, of the compound-name relations, and conjunctions whose
+/// later subgoal still has a *variable* name when it is selected.
+fn random_query(rng: &mut StdRng) -> Query {
+    let (a, b) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+    let text = match rng.gen_range(0..15u32) {
+        0 | 1 => format!("?- linked(n{a}, X)."),
+        2 => format!("?- edge(n{a}, X)."),
+        3 => format!("?- edge(X, n{a})."),
+        4 => format!("?- linked(n{a}, n{b})."),
+        5 => "?- winning(g1)(X).".to_string(),
+        6 => format!("?- winning(g2)(n{a})."),
+        7 => "?- winning(g3)(X).".to_string(),
+        8 => format!("?- tc(edge)(n{a}, Y)."),
+        9 => "?- tc(g1)(X, Y).".to_string(),
+        10 => format!("?- node(n{a}), M(n{a}, Y)."),
+        11 => format!("?- game(M), M(n{a}, Y), not winning(M)(Y)."),
+        12 => format!("?- ok(n{a})."),
+        13 => "?- reach(X).".to_string(),
+        _ => "?- quiet(X).".to_string(),
+    };
+    parse_query(&text).unwrap()
+}
+
+fn pool_rule(rng: &mut StdRng) -> Rule {
+    let text = if rng.gen_bool(0.2) {
+        OPEN_FACT_POOL[rng.gen_range(0..OPEN_FACT_POOL.len())]
+    } else {
+        RULE_POOL[rng.gen_range(0..RULE_POOL.len())]
+    };
+    parse_program(text).unwrap().rules.remove(0)
+}
+
+/// The ground bodiless rule heads of `program`, one entry per copy.
+fn ground_facts(program: &Program) -> Vec<Term> {
+    program
+        .facts()
+        .filter(|r| r.head.is_ground())
+        .map(|r| r.head.clone())
+        .collect()
+}
+
+fn rendered(answers: impl Iterator<Item = QueryAnswer>) -> BTreeSet<String> {
+    answers.map(|a| a.to_string()).collect()
+}
+
+/// The true instances of `query` read off `model` by brute force: every
+/// positive literal is matched against every true atom, every (then ground)
+/// negative literal looked up.
+fn true_in_model(model: &Model, query: &Query) -> BTreeSet<String> {
+    let mut branches = vec![Substitution::new()];
+    for literal in &query.literals {
+        let mut next = Vec::new();
+        for theta in branches {
+            match literal {
+                Literal::Pos(atom) => {
+                    let instantiated = theta.apply(atom);
+                    for candidate in model.true_atoms() {
+                        let mut extended = theta.clone();
+                        if match_with(&instantiated, candidate, &mut extended) {
+                            next.push(extended);
+                        }
+                    }
+                }
+                Literal::Neg(atom) => {
+                    if model.truth(&theta.apply(atom)) == Truth::False {
+                        next.push(theta);
+                    }
+                }
+                other => unreachable!("the generator emits no `{other}`"),
+            }
+        }
+        branches = next;
+    }
+    let vars = query.variables();
+    rendered(branches.iter().map(|theta| {
+        QueryAnswer {
+            bindings: vars
+                .iter()
+                .map(|v| (v.clone(), theta.apply(&Term::Var(v.clone()))))
+                .collect(),
+            truth: Truth::True,
+        }
+    }))
+}
+
+/// Asks `subject` a few random queries and holds each answer to the two
+/// oracles: the subject's own full model (when the program has one — a
+/// non-ground bodiless rule makes bottom-up evaluation flounder) and a
+/// fresh session over the subject's program.
+fn check_subject(
+    context: &str,
+    rng: &mut StdRng,
+    program: &Program,
+    model: Result<Model, EngineError>,
+    mut subject: impl FnMut(&Query) -> Result<QueryResult, EngineError>,
+) {
+    let mut fresh = HiLogDb::new(program.clone());
+    for _ in 0..3 {
+        let query = random_query(rng);
+        let got = subject(&query);
+        let want = fresh.query(&query);
+        match (&got, &want) {
+            (Ok(got), Ok(want)) => {
+                assert_eq!(
+                    rendered(got.answers.iter().cloned()),
+                    rendered(want.answers.iter().cloned()),
+                    "{context}: `{query}` differs from a fresh session"
+                );
+                assert_eq!(
+                    got.fallback.is_some(),
+                    want.fallback.is_some(),
+                    "{context}: `{query}` reached a different verdict than a fresh session"
+                );
+            }
+            (Err(_), Err(_)) => {}
+            _ => panic!("{context}: `{query}` answered {got:?}, a fresh session {want:?}"),
+        }
+        if let (Ok(got), Ok(model)) = (&got, &model) {
+            let true_answers = got
+                .answers
+                .iter()
+                .filter(|a| a.truth == Truth::True)
+                .cloned();
+            assert_eq!(
+                rendered(true_answers),
+                true_in_model(model, &query),
+                "{context}: `{query}` differs from the subject's full model"
+            );
+        }
+    }
+}
+
+fn check_snapshot(context: &str, rng: &mut StdRng, snapshot: &DbSnapshot) {
+    let model = snapshot.model().map(|m| (*m).clone());
+    check_subject(context, rng, snapshot.program(), model, |q| {
+        snapshot.query(q)
+    });
+}
+
+#[test]
+fn program_index_answers_equal_the_full_model_and_a_fresh_session_under_mutation() {
+    for case in 0..cases() {
+        let seed = SEED_BASE ^ (0x1DE << 20) ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut text = BASE_RULES.to_string();
+        for _ in 0..rng.gen_range(4..20usize) {
+            text.push_str(&format!("{}.\n", random_fact(&mut rng)));
+        }
+        let (mut writer, handle) = HiLogDb::new(parse_program(&text).unwrap()).into_serving();
+        assert_eq!(
+            handle.current().indexed_facts(),
+            0,
+            "seed {seed}: the index was built before any query asked for it"
+        );
+        // Half the streams also read through the writer's own session, so
+        // its index is the one it built; the other half only ever read
+        // published snapshots, so the writer's index is the one it adopts.
+        let read_through_writer = rng.gen_bool(0.5);
+        // Once any snapshot has built the index, every later one must be
+        // published *with* it, maintained to exactly its program's facts.
+        let mut index_seen = false;
+        let mut pinned: Option<Arc<DbSnapshot>> = None;
+        check_snapshot(&format!("seed {seed} epoch 0"), &mut rng, &handle.current());
+        index_seen |= handle.current().indexed_facts() > 0;
+        for step in 0..40 {
+            let context = format!("seed {seed} step {step}");
+            let present = ground_facts(writer.program());
+            match rng.gen_range(0..100u32) {
+                0..=29 => writer.assert_fact(random_fact(&mut rng)).unwrap(),
+                // A second copy of a fact the program already holds.
+                30..=39 if !present.is_empty() => writer
+                    .assert_fact(present[rng.gen_range(0..present.len())].clone())
+                    .unwrap(),
+                // One copy leaves: the fact itself only with its last one.
+                40..=59 if !present.is_empty() => {
+                    assert!(writer.retract_fact(&present[rng.gen_range(0..present.len())]));
+                }
+                60..=64 => {
+                    let fact = random_fact(&mut rng);
+                    assert_eq!(writer.retract_fact(&fact), present.contains(&fact));
+                }
+                65..=74 => writer.assert_rule(pool_rule(&mut rng)),
+                75..=82 => {
+                    let rule = pool_rule(&mut rng);
+                    let held = writer.program().rules.contains(&rule);
+                    assert_eq!(writer.retract_rule(&rule), held, "{context}");
+                }
+                _ => {
+                    let snapshot = writer.publish();
+                    let distinct: BTreeSet<Term> =
+                        ground_facts(snapshot.program()).into_iter().collect();
+                    if index_seen {
+                        assert_eq!(
+                            snapshot.indexed_facts(),
+                            distinct.len(),
+                            "{context}: the published index is not its program's fact set"
+                        );
+                    }
+                    check_snapshot(&format!("{context} published"), &mut rng, &snapshot);
+                    index_seen |= snapshot.indexed_facts() > 0;
+                    if pinned.is_none() && rng.gen_bool(0.4) {
+                        pinned = Some(snapshot);
+                    }
+                }
+            }
+            if read_through_writer {
+                let program = writer.program().clone();
+                let model = writer.db().model().cloned();
+                let db = writer.db();
+                check_subject(&context, &mut rng, &program, model, |q| db.query(q));
+                index_seen = true;
+            }
+            // The writer has moved on (and with it the index it shares with
+            // this snapshot); the snapshot must not have.
+            if let Some(pinned) = pinned.as_ref().filter(|_| rng.gen_bool(0.3)) {
+                check_snapshot(&format!("{context} pinned"), &mut rng, pinned);
+            }
+        }
+        if let Some(pinned) = &pinned {
+            check_snapshot(&format!("seed {seed} pinned at the end"), &mut rng, pinned);
+        }
+    }
+}
+
+#[test]
+fn program_index_pinned_snapshot_answers_its_own_epoch_after_the_writer_mutates_it() {
+    let program = parse_program(
+        "linked(X, Y) :- edge(X, Y).\n\
+         linked(X, Y) :- edge(Y, X).\n\
+         edge(a, b). edge(b, c). edge(c, d).",
+    )
+    .unwrap();
+    let (mut writer, handle) = HiLogDb::new(program).into_serving();
+    let pinned = handle.current();
+    let linked = |snapshot: &DbSnapshot, node: &str| -> Vec<String> {
+        snapshot
+            .query(&parse_query(&format!("?- linked({node}, X).")).unwrap())
+            .unwrap()
+            .answers
+            .iter()
+            .map(|a| a.binding("X").unwrap().to_string())
+            .collect()
+    };
+    // A reader builds the index on the published snapshot ...
+    assert_eq!(linked(&pinned, "a"), ["b"]);
+    assert_eq!(pinned.indexed_facts(), 3);
+    // ... the writer adopts that very index and maintains it through a
+    // batch: a new fact, a second copy of an old one, a retraction.
+    let edge = |x: &str, y: &str| parse_term(&format!("edge({x}, {y})")).unwrap();
+    writer.assert_fact(edge("c", "e")).unwrap();
+    writer.assert_fact(edge("a", "b")).unwrap();
+    assert!(writer.retract_fact(&edge("b", "c")));
+    let next = writer.publish();
+    assert_eq!(
+        next.indexed_facts(),
+        3,
+        "the next epoch is published with the maintained index: a-b once, c-d, c-e"
+    );
+    // Subgoals the pinned snapshot has never tabled go through *its* index:
+    // they must see epoch 0, not the writer's edits.
+    assert_eq!(linked(&pinned, "c"), ["b", "d"]);
+    assert_eq!(linked(&pinned, "b"), ["a", "c"]);
+    assert_eq!(linked(&pinned, "e"), Vec::<String>::new());
+    assert_eq!(pinned.indexed_facts(), 3);
+    assert_eq!(linked(&next, "c"), ["d", "e"]);
+    assert_eq!(linked(&next, "b"), ["a"]);
+    assert_eq!(linked(&next, "e"), ["c"]);
+    // Retracting one of the two copies of a-b leaves the fact in place.
+    assert!(writer.retract_fact(&edge("a", "b")));
+    let last = writer.publish();
+    assert_eq!(last.indexed_facts(), 3);
+    assert_eq!(linked(&last, "a"), ["b"]);
+    assert!(writer.retract_fact(&edge("a", "b")));
+    let last = writer.publish();
+    assert_eq!(last.indexed_facts(), 2);
+    assert_eq!(linked(&last, "a"), Vec::<String>::new());
+}
+
+#[test]
+fn program_index_cold_probe_costs_the_same_at_ten_times_the_facts() {
+    // A chain n0 - n1 - ... : every inner node has exactly two neighbours
+    // whatever the length, so a cold `linked(n_i, X)` matches two facts.
+    let cold_probe = |facts: usize| {
+        let mut program = parse_program(
+            "linked(X, Y) :- edge(X, Y).\n\
+             linked(X, Y) :- edge(Y, X).",
+        )
+        .unwrap();
+        for i in 0..facts {
+            program.push(Rule::fact(Term::apps("edge", vec![node(i), node(i + 1)])));
+        }
+        let (_writer, handle) = HiLogDb::new(program).into_serving();
+        let snapshot = handle.current();
+        // The first cold query builds the index; the probe measured is the
+        // steady state: a new subgoal against a built index.
+        snapshot
+            .query(&parse_query("?- linked(n1, X).").unwrap())
+            .unwrap();
+        assert_eq!(snapshot.indexed_facts(), facts);
+        let probe = snapshot
+            .query(&parse_query("?- linked(n7, X).").unwrap())
+            .unwrap();
+        assert_eq!(probe.answers.len(), 2);
+        assert!(probe.fallback.is_none());
+        probe.stats
+    };
+    let small = cold_probe(3_000);
+    let large = cold_probe(30_000);
+    assert!(small.rule_applications > 0 && small.subqueries > 0);
+    assert_eq!(small.rule_applications, large.rule_applications);
+    assert_eq!(
+        small.head_unifications, large.head_unifications,
+        "a cold bound probe walked the relation instead of probing it"
+    );
+    assert!(
+        large.head_unifications < 64,
+        "a two-neighbour probe attempted {} head unifications",
+        large.head_unifications
+    );
 }

@@ -342,6 +342,22 @@ fn http_round_trip_matches_in_process_answers() {
         json.get("semantics").and_then(|v| v.as_str()),
         Some("well-founded")
     );
+    // The evaluator's counters: the cold queries above attempted head
+    // unifications, and the program index they built on the epoch-0
+    // snapshot was adopted by the writer and maintained through both
+    // mutation epochs — it is exactly the published program's fact set.
+    assert!(json.get("head_unifications").and_then(|v| v.as_u64()) > Some(0));
+    let published = snapshots.current();
+    let facts: std::collections::BTreeSet<&Term> = published
+        .program()
+        .facts()
+        .filter(|r| r.head.is_ground())
+        .map(|r| &r.head)
+        .collect();
+    assert_eq!(
+        json.get("indexed_facts").and_then(|v| v.as_u64()),
+        Some(facts.len() as u64)
+    );
 
     // Bad requests are rejected with client errors, not hangs or panics.
     let response = client::post(addr, "/query", "not json").unwrap();
