@@ -14,19 +14,29 @@
 //! * [`ground_over_universe`] — literal instantiation over an explicitly
 //!   enumerated (bounded) universe, used when a definition must be exercised
 //!   verbatim (e.g. the non-range-restricted programs of Example 4.1).
+//!
+//! Relevant instantiation is the semi-naive driver ([`crate::horn`]'s
+//! `saturate`) instantiating the rule at every match, so the possibly-true
+//! set and the ground rules come out of the same single join pass:
+//! `ground_from` is that, and it has three callers differing only in the
+//! store they pass — [`relevant_ground`] (a scratch store, cold),
+//! [`relevant_ground_into`] (the session's configured backend, cold; it
+//! keeps the store) and the session's `assert_fact` (the warm store,
+//! continued from the new fact).  [`ground_against`] is the paper's
+//! definition written down literally, kept as the reference the oracles
+//! compare against.
 
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
-#[cfg(test)]
-use crate::horn::AtomStore;
-use crate::horn::{join_body, least_model, EvalOptions, NegationMode};
+use crate::horn::{ground_head, join_body, saturate, AtomStore, EvalOptions, NegationMode};
 use crate::storage::RelationStorage;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
+use std::collections::BTreeSet;
 
 /// Relevant instantiation of a program (negation allowed, aggregates not).
 ///
@@ -36,12 +46,69 @@ use hilog_core::term::{Term, Var};
 /// non-ground after the positive body is bound — i.e. when the program is not
 /// range restricted enough for bottom-up evaluation (Definition 5.5 / 5.6).
 pub fn relevant_ground(program: &Program, opts: EvalOptions) -> Result<GroundProgram, EngineError> {
-    let possibly_true = least_model(program, NegationMode::Ignore, opts)?;
-    ground_against(program, &possibly_true, opts)
+    relevant_ground_into(program, opts, &mut AtomStore::new())
 }
 
-/// Grounds each rule by joining its positive body against the given store of
-/// candidate atoms (plus builtin evaluation), keeping negative literals.
+/// [`relevant_ground`] with the possibly-true set materialised *into* a
+/// caller-provided (empty) store, which afterwards holds the least model of
+/// the program with negative literals ignored — the closed store a later
+/// continuation extends.  Pass a spill-backed store and its cold relations
+/// page to disk as the grounding runs.
+pub fn relevant_ground_into(
+    program: &Program,
+    opts: EvalOptions,
+    store: &mut dyn RelationStorage,
+) -> Result<GroundProgram, EngineError> {
+    Ok(GroundProgram {
+        rules: ground_from(program, store, None, opts)?,
+    })
+}
+
+/// The semi-naive driver with the rule instantiated at every match: saturates
+/// `store` from `frontier` (`None` = cold, see [`saturate`]) and returns the
+/// distinct instances in first-match order.
+///
+/// A continuation returns exactly the instances with at least one positive
+/// body atom outside the store as it stood before the frontier joined it —
+/// instances the old store fully supported belong to an earlier call — so
+/// appending them to that earlier call's result reproduces what a cold
+/// grounding of the extended program computes.
+pub(crate) fn ground_from(
+    program: &Program,
+    store: &mut dyn RelationStorage,
+    frontier: Option<AtomStore>,
+    opts: EvalOptions,
+) -> Result<Vec<GroundRule>, EngineError> {
+    // The driver matches an instance once per frontier atom it reads (and a
+    // program may repeat a rule), so instances are deduplicated as they land.
+    let mut seen: BTreeSet<GroundRule> = BTreeSet::new();
+    let mut rules = Vec::new();
+    saturate(
+        program,
+        store,
+        frontier,
+        NegationMode::Ignore,
+        opts,
+        &mut |rule, theta, head| {
+            let instance = instantiate_rule(rule, theta, head.clone())?;
+            if seen.insert(instance.clone()) {
+                rules.push(instance);
+                check_rule_budget(rules.len(), opts)?;
+            }
+            Ok(())
+        },
+    )?;
+    Ok(rules)
+}
+
+/// The paper's definition of the relevant instantiation, literally: each
+/// rule's positive body joined against a *finished* store of candidate atoms
+/// (plus builtin evaluation), negative literals kept.
+///
+/// This is the **definitional reference**, like
+/// [`crate::wfs::well_founded_of_ground`]: nothing in the engine calls it —
+/// [`relevant_ground`] gets the same rules from the join pass that computes
+/// the store — and the differential oracle holds the two equal as sets.
 pub fn ground_against(
     program: &Program,
     candidates: &dyn RelationStorage,
@@ -51,70 +118,30 @@ pub fn ground_against(
     for rule in program.iter() {
         check_deadline()?;
         for theta in join_body(rule, candidates, None, NegationMode::Ignore)? {
-            rules.push(instantiate_rule(rule, &theta)?);
-            if rules.len() > opts.max_atoms {
-                return Err(EngineError::LimitExceeded(format!(
-                    "relevant instantiation exceeded {} ground rules",
-                    opts.max_atoms
-                )));
-            }
+            rules.push(instantiate_rule(rule, &theta, ground_head(rule, &theta)?)?);
+            check_rule_budget(rules.len(), opts)?;
         }
     }
     Ok(GroundProgram::from_rules(rules))
 }
 
-/// Incremental grounding: the rule instantiations that become possible when
-/// the atoms of `delta` join an existing candidate store.
-///
-/// `candidates` must already contain `delta` (the caller extends the store
-/// first, e.g. via [`crate::horn::extend_least_model`]).  Exactly the
-/// instantiations with at least one positive body atom in `delta` are
-/// produced — instantiations fully supported by the old store were already
-/// generated by a previous [`ground_against`] pass, so appending the result
-/// (deduplicated) to the previous ground program reproduces what a fresh
-/// [`relevant_ground`] of the extended program would compute.  Rules without
-/// positive body atoms never produce new instances and are skipped.
-pub fn ground_delta(
-    program: &Program,
-    candidates: &dyn RelationStorage,
-    delta: &dyn RelationStorage,
-    opts: EvalOptions,
-) -> Result<Vec<GroundRule>, EngineError> {
-    let mut rules = Vec::new();
-    if delta.is_empty() {
-        return Ok(rules);
-    }
-    for rule in program.iter() {
-        check_deadline()?;
-        let positives = rule.positive_atoms().count();
-        for delta_idx in 0..positives {
-            for theta in join_body(
-                rule,
-                candidates,
-                Some((delta, delta_idx)),
-                NegationMode::Ignore,
-            )? {
-                rules.push(instantiate_rule(rule, &theta)?);
-                if rules.len() > opts.max_atoms {
-                    return Err(EngineError::LimitExceeded(format!(
-                        "incremental instantiation exceeded {} ground rules",
-                        opts.max_atoms
-                    )));
-                }
-            }
-        }
-    }
-    Ok(rules)
-}
-
-fn instantiate_rule(rule: &Rule, theta: &Substitution) -> Result<GroundRule, EngineError> {
-    let head = theta.apply(&rule.head);
-    if !head.is_ground() {
-        return Err(EngineError::Floundering(format!(
-            "head `{head}` of rule `{rule}` is not ground after binding the positive body; \
-             the rule is not range restricted (Definition 5.5)"
+fn check_rule_budget(rules: usize, opts: EvalOptions) -> Result<(), EngineError> {
+    if rules > opts.max_atoms {
+        return Err(EngineError::LimitExceeded(format!(
+            "relevant instantiation exceeded {} ground rules",
+            opts.max_atoms
         )));
     }
+    Ok(())
+}
+
+/// The instance of `rule` under `theta`, given the ground `head =
+/// theta(rule.head)`.
+fn instantiate_rule(
+    rule: &Rule,
+    theta: &Substitution,
+    head: Term,
+) -> Result<GroundRule, EngineError> {
     let mut pos = Vec::new();
     let mut neg = Vec::new();
     for lit in &rule.body {
@@ -274,6 +301,7 @@ fn enumerate_assignments(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::horn::least_model;
     use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
     use hilog_syntax::parse_program;
 
@@ -390,49 +418,88 @@ mod tests {
 
     #[test]
     fn delta_grounding_reproduces_fresh_grounding() {
-        use crate::horn::extend_least_model;
         let base = "winning(X) :- move(X, Y), not winning(Y).\n\
                     move(a, b). move(b, c).";
         let mut program = parse_program(base).unwrap();
-        let mut store =
-            least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
-        let old_ground = ground_against(&program, &store, EvalOptions::default()).unwrap();
+        let mut store = AtomStore::new();
+        let old_ground =
+            relevant_ground_into(&program, EvalOptions::default(), &mut store).unwrap();
 
         let fact = Term::apps("move", vec![Term::sym("c"), Term::sym("d")]);
         program.push(hilog_core::rule::Rule::fact(fact.clone()));
-        let delta = extend_least_model(
-            &program,
-            &mut store,
-            [fact.clone()],
-            NegationMode::Ignore,
-            EvalOptions::default(),
-        )
-        .unwrap();
+        store.insert(fact.clone());
         let mut rules = old_ground.rules.clone();
-        rules.push(GroundRule::fact(fact));
+        rules.push(GroundRule::fact(fact.clone()));
         rules.extend(
-            ground_delta(
+            ground_from(
                 &program,
-                &store,
-                delta.accumulated(),
+                &mut store,
+                Some(AtomStore::from_atoms([fact])),
                 EvalOptions::default(),
             )
             .unwrap(),
         );
-        let patched = GroundProgram::from_rules(rules);
         let fresh = relevant_ground(&program, EvalOptions::default()).unwrap();
-        let patched_set: std::collections::BTreeSet<_> = patched.rules.iter().collect();
-        let fresh_set: std::collections::BTreeSet<_> = fresh.rules.iter().collect();
+        let patched_set: BTreeSet<_> = rules.iter().collect();
+        let fresh_set: BTreeSet<_> = fresh.rules.iter().collect();
         assert_eq!(patched_set, fresh_set);
+        assert_eq!(rules.len(), fresh.len(), "old ∪ delta repeated an instance");
     }
 
     #[test]
-    fn empty_delta_grounds_nothing() {
+    fn empty_frontier_grounds_nothing() {
         let program = parse_program("p(X) :- q(X). q(a).").unwrap();
-        let store = least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
-        let rules =
-            ground_delta(&program, &store, &AtomStore::new(), EvalOptions::default()).unwrap();
+        let mut store =
+            least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
+        let rules = ground_from(
+            &program,
+            &mut store,
+            Some(AtomStore::new()),
+            EvalOptions::default(),
+        )
+        .unwrap();
         assert!(rules.is_empty());
+    }
+
+    #[test]
+    fn grounding_joins_nothing_the_least_model_does_not() {
+        // Count pin, no clock: the instances come out of the joins that
+        // compute the possibly-true store, so a cold grounding moves the
+        // probe counters by exactly what the least model alone moves them —
+        // and its store is that least model, its rules the definitional ones.
+        let mut text = String::from(
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             tc(X, Y) :- move(X, Y).\n\
+             tc(X, Y) :- move(X, Z), tc(Z, Y).\n",
+        );
+        for i in 0..40 {
+            text.push_str(&format!("move(n{}, n{}).\n", i, i + 1));
+        }
+        let program = parse_program(&text).unwrap();
+        let opts = EvalOptions::with_eval_threads(1);
+        let counted = |run: &mut dyn FnMut()| {
+            let before = crate::horn::probe_counters();
+            run();
+            let after = crate::horn::probe_counters();
+            (after.0 - before.0, after.1 - before.1)
+        };
+        let mut model = AtomStore::new();
+        let model_cost = counted(&mut || {
+            model = least_model(&program, NegationMode::Ignore, opts).unwrap();
+        });
+        let mut db = crate::session::HiLogDb::builder()
+            .program(program.clone())
+            .options(opts)
+            .storage(crate::storage::StorageConfig::InMemory)
+            .build();
+        let mut ground = GroundProgram::new();
+        let ground_cost = counted(&mut || ground = db.ground_program().unwrap().clone());
+        assert!(model_cost.0 > 0, "the chain joins through the indexes");
+        assert_eq!(ground_cost, model_cost, "grounding joined on its own");
+        let reference = ground_against(&program, &model, opts).unwrap();
+        let fused: BTreeSet<_> = ground.rules.iter().collect();
+        assert_eq!(fused, reference.rules.iter().collect::<BTreeSet<_>>());
+        assert_eq!(ground.len(), reference.len());
     }
 
     #[test]

@@ -1,11 +1,17 @@
-//! Least models of definite (negation-free) programs, and the atom store /
-//! join machinery shared with the grounder.
+//! Least models of definite (negation-free) programs, the atom store and
+//! join machinery, and the one semi-naive driver the grounder shares.
 //!
 //! Section 2 of the paper: a negation-free HiLog program — for instance the
 //! image of a program under the universal-relation transformation — is a Horn
 //! program whose least model gives its semantics.  The least model is
-//! computed bottom-up by semi-naive iteration; the same join machinery drives
-//! the *relevant instantiation* used to ground programs with negation.
+//! computed bottom-up by semi-naive iteration, and that iteration is written
+//! once: `saturate` owns the round policy (delta restriction, the limits
+//! and the deadline, the partitioned round, the floundering check) and hands
+//! each match `(rule, θ)` to its caller.  [`least_model_into`] is the driver
+//! with nothing to do per match; the *relevant instantiation* used to ground
+//! programs with negation is the driver instantiating the rule per match
+//! ([`crate::grounder`]) — cold from an empty store, or continued from an
+//! asserted fact.
 
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
@@ -661,182 +667,187 @@ pub fn least_model(
 
 /// [`least_model`] evaluated *into* a caller-provided (empty) store — the
 /// backend-polymorphic entry point: pass a spill-backed store and the least
-/// model materialises with cold relations paged to disk.
+/// model materialises with cold relations paged to disk.  This is the
+/// semi-naive driver (`saturate`) from a cold start with nothing to do per
+/// match.
 pub fn least_model_into(
     program: &Program,
     mode: NegationMode,
     opts: EvalOptions,
     store: &mut dyn RelationStorage,
 ) -> Result<(), EngineError> {
-    let mut delta = AtomStore::new();
+    saturate(program, store, None, mode, opts, &mut |_, _, _| Ok(()))
+}
 
-    // Round 0: facts and rules whose positive body is empty.
+/// The semi-naive driver — the one place that knows how a round works.
+///
+/// Saturates `store` under the rules of `program` and hands every match —
+/// the rule, the substitution `θ` under which its body holds in the store,
+/// and the ground head `θ(head)` (already applied: the driver needs it for
+/// the store) — to `on_match`: [`least_model_into`] ignores them, the
+/// grounder instantiates the rule ([`crate::grounder::relevant_ground_into`],
+/// the session's assert path), so the heads and the instantiations come from
+/// the same single join pass.
+///
+/// `frontier` says where to start:
+///
+/// * `None` — a **cold** start.  Round 0 fires the rules with no positive
+///   body (the facts among them) into `store`; what they add is the first
+///   frontier.  Round-0 atoms do not count against `max_atoms`.
+/// * `Some(atoms)` — a **continuation**.  `store` was closed under the rules
+///   before the caller inserted `atoms` into it; rules without a positive
+///   body cannot fire from a frontier and are skipped.
+///
+/// Each later round joins every rule with a positive body once per positive
+/// position, that position drawing from the frontier and the others from the
+/// store (the semi-naive restriction).  The store stands still during a
+/// round and the round's new heads land after it, so a rule instance is
+/// matched exactly in the round its last body atom landed — never again in a
+/// later round, though once per frontier atom it reads within that round.
+/// Invariant throughout: the frontier is a subset of the store.
+///
+/// A frontier of at least [`PARTITION_MIN_FRONTIER`] atoms is split by hash
+/// over `opts.eval_threads` tasks on [`crate::pool`]; the matches, and so the
+/// saturated store, are the same set at every thread count.
+///
+/// On `Err` — `max_rounds`, `max_atoms`, the deadline, a floundering head,
+/// or whatever `on_match` returns — the store is left **partially
+/// extended** and no longer closed; discard it.
+pub(crate) fn saturate(
+    program: &Program,
+    store: &mut dyn RelationStorage,
+    frontier: Option<AtomStore>,
+    mode: NegationMode,
+    opts: EvalOptions,
+    on_match: &mut dyn FnMut(&Rule, &Substitution, &Term) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    // One walk of the program selects the rules a frontier can fire (with
+    // their positive-literal counts) and, cold, runs round 0 on the rest.
+    let cold = frontier.is_none();
+    let mut frontier = frontier.unwrap_or_default();
+    let mut firing: Vec<(&Rule, usize)> = Vec::new();
     for rule in program.iter() {
         let positives = rule.positive_atoms().count();
-        if positives == 0 {
+        if positives > 0 {
+            firing.push((rule, positives));
+        } else if cold {
             for theta in join_body(rule, &*store, None, mode)? {
-                let head = theta.apply(&rule.head);
-                if !head.is_ground() {
-                    return Err(EngineError::Floundering(format!(
-                        "rule `{rule}` derives the non-ground head `{head}`; the program is not \
-                         range restricted (Definition 5.5) so bottom-up evaluation cannot bind it"
-                    )));
-                }
+                let head = ground_head(rule, &theta)?;
+                on_match(rule, &theta, &head)?;
                 if store.insert(head.clone()) {
-                    delta.insert(head);
+                    frontier.insert(head);
                 }
             }
         }
     }
 
     let mut rounds = 0usize;
-    while !delta.is_empty() {
+    while !frontier.is_empty() {
         rounds += 1;
         check_deadline()?;
         if rounds > opts.max_rounds {
             return Err(EngineError::LimitExceeded(format!(
-                "least-model computation exceeded {} rounds",
+                "semi-naive evaluation exceeded {} rounds",
                 opts.max_rounds
             )));
         }
-        let mut next_delta = AtomStore::new();
-        if partition_count(delta.len(), opts) > 1 {
-            // Partitioned round: the frontier splits by hash of the first
-            // bound argument and the partitions join concurrently against
-            // the frozen store.  Sound because the frontier is already in
-            // `store` (a rule matching frontier atoms from two partitions
-            // fires in either one, drawing the other from `store`), and the
-            // merge below deduplicates into the same sets the serial round
-            // fills.
-            for head in consequence_round_partitioned(program, &*store, &delta, mode, opts)? {
-                if !store.contains(&head) {
-                    if store.len() >= opts.max_atoms {
+        let mut next = AtomStore::new();
+        {
+            let frozen = &*store;
+            let mut land = |rule: &Rule, theta: Substitution, head: Term| {
+                on_match(rule, &theta, &head)?;
+                if !frozen.contains(&head) && !next.contains(&head) {
+                    if frozen.len() + next.len() >= opts.max_atoms {
                         return Err(EngineError::LimitExceeded(format!(
-                            "least-model computation exceeded {} atoms",
+                            "semi-naive evaluation exceeded {} atoms",
                             opts.max_atoms
                         )));
                     }
-                    store.insert(head.clone());
-                    next_delta.insert(head);
+                    next.insert(head);
                 }
-            }
-        } else {
-            for rule in program.iter() {
-                let positives = rule.positive_atoms().count();
-                for delta_idx in 0..positives {
-                    for theta in join_body(rule, &*store, Some((&delta, delta_idx)), mode)? {
-                        let head = theta.apply(&rule.head);
-                        if !head.is_ground() {
-                            return Err(EngineError::Floundering(format!(
-                                "rule `{rule}` derives the non-ground head `{head}`"
-                            )));
+                Ok(())
+            };
+            let partitions = partition_count(frontier.len(), opts);
+            if partitions > 1 {
+                // The frontier splits by hash of the first argument and the
+                // partitions join concurrently against the frozen store.
+                // Sound because the frontier is already in the store: a rule
+                // matching frontier atoms from several partitions fires in
+                // each of their tasks, drawing the others from the store, so
+                // no match is lost to the split; the repeats are the ones a
+                // serial round makes too (one per frontier atom read).
+                let mut parts: Vec<AtomStore> = vec![AtomStore::new(); partitions];
+                for atom in frontier.iter() {
+                    parts[partition_of(atom, partitions)].insert(atom.clone());
+                }
+                parts.retain(|part| !part.is_empty());
+                crate::pool::note_partitioned_round();
+                let firing = &firing;
+                let tasks: Vec<_> = parts
+                    .iter()
+                    .map(|part| {
+                        move || {
+                            let mut found = Vec::new();
+                            fire(firing, frozen, part, mode, &mut |rule, theta, head| {
+                                found.push((rule, theta, head));
+                                Ok(())
+                            })?;
+                            Ok::<_, EngineError>(found)
                         }
-                        if !store.contains(&head) {
-                            if store.len() >= opts.max_atoms {
-                                return Err(EngineError::LimitExceeded(format!(
-                                    "least-model computation exceeded {} atoms",
-                                    opts.max_atoms
-                                )));
-                            }
-                            store.insert(head.clone());
-                            next_delta.insert(head);
-                        }
+                    })
+                    .collect();
+                for found in crate::pool::run_tasks(opts.eval_threads, tasks) {
+                    for (rule, theta, head) in found? {
+                        land(rule, theta, head)?;
                     }
                 }
+            } else {
+                fire(&firing, frozen, &frontier, mode, &mut land)?;
             }
         }
-        delta = next_delta;
+        for atom in next.iter() {
+            store.insert(atom.clone());
+        }
+        frontier = next;
     }
     Ok(())
 }
 
-/// A semi-naive evaluation frontier: the atoms added in the most recent
-/// round (`frontier`) plus everything accumulated since the continuation
-/// started.  This is the unit of work the delta-aware consequence operator
-/// [`consequence_round`] consumes, and what
-/// [`extend_least_model`] hands back to callers that need to know which
-/// atoms an incremental update introduced (the session facade grounds new
-/// rule instantiations from exactly this set).
-#[derive(Debug, Clone, Default)]
-pub struct Delta {
-    frontier: AtomStore,
-    accumulated: AtomStore,
-}
-
-impl Delta {
-    /// An empty frontier.
-    pub fn new() -> Self {
-        Delta::default()
-    }
-
-    /// Seeds the frontier with an atom (recorded as accumulated as well).
-    /// Returns `true` if the atom was new to the accumulated set.
-    pub fn seed(&mut self, atom: Term) -> bool {
-        if self.accumulated.insert(atom.clone()) {
-            self.frontier.insert(atom);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// The atoms of the most recent round.
-    pub fn frontier(&self) -> &AtomStore {
-        &self.frontier
-    }
-
-    /// Every atom added since the continuation started.
-    pub fn accumulated(&self) -> &AtomStore {
-        &self.accumulated
-    }
-
-    /// Returns `true` if the frontier is exhausted (fixpoint reached).
-    pub fn is_settled(&self) -> bool {
-        self.frontier.is_empty()
-    }
-
-    /// Replaces the frontier with the next round's atoms, folding them into
-    /// the accumulated set.
-    fn advance(&mut self, next: AtomStore) {
-        for atom in next.iter() {
-            self.accumulated.insert(atom.clone());
-        }
-        self.frontier = next;
-    }
-}
-
-/// One application of the delta-aware consequence operator: every head
-/// derivable by a rule whose body has at least one positive literal matched
-/// in `frontier` (the semi-naive restriction), with the remaining positive
-/// literals drawn from `store`.  Heads already in `store` are not returned.
-///
-/// Rules with an empty positive body can never fire from a non-empty
-/// frontier, so they are skipped — callers start from a store that already
-/// contains round 0 (see [`least_model`]).
-pub fn consequence_round(
-    program: &Program,
+/// One frontier's worth of joins: every rule of `firing` (a rule with its
+/// positive-literal count), once per positive position with that position
+/// restricted to `frontier`, visiting `(rule, θ, θ(head))` per match.  The
+/// serial round runs it over the whole frontier, a partitioned round once
+/// per partition on a pool thread.
+fn fire<'r>(
+    firing: &[(&'r Rule, usize)],
     store: &dyn RelationStorage,
-    frontier: &dyn RelationStorage,
+    frontier: &AtomStore,
     mode: NegationMode,
-) -> Result<Vec<Term>, EngineError> {
-    let mut out = Vec::new();
-    for rule in program.iter() {
-        let positives = rule.positive_atoms().count();
+    visit: &mut dyn FnMut(&'r Rule, Substitution, Term) -> Result<(), EngineError>,
+) -> Result<(), EngineError> {
+    for &(rule, positives) in firing {
         for delta_idx in 0..positives {
             for theta in join_body(rule, store, Some((frontier, delta_idx)), mode)? {
-                let head = theta.apply(&rule.head);
-                if !head.is_ground() {
-                    return Err(EngineError::Floundering(format!(
-                        "rule `{rule}` derives the non-ground head `{head}`"
-                    )));
-                }
-                if !store.contains(&head) {
-                    out.push(head);
-                }
+                let head = ground_head(rule, &theta)?;
+                visit(rule, theta, head)?;
             }
         }
     }
-    Ok(out)
+    Ok(())
+}
+
+/// `θ(head)`, or [`EngineError::Floundering`] when the body left a head
+/// variable unbound.
+pub(crate) fn ground_head(rule: &Rule, theta: &Substitution) -> Result<Term, EngineError> {
+    let head = theta.apply(&rule.head);
+    if head.is_ground() {
+        Ok(head)
+    } else {
+        Err(EngineError::Floundering(format!(
+            "rule `{rule}` derives the non-ground head `{head}`; the program is not range \
+             restricted (Definition 5.5) so bottom-up evaluation cannot bind it"
+        )))
+    }
 }
 
 /// Frontiers smaller than this evaluate serially even when `eval_threads`
@@ -858,10 +869,9 @@ fn partition_count(frontier_len: usize, opts: EvalOptions) -> usize {
 /// The partition an atom belongs to: hash of its first argument (the
 /// position the per-argument indexes make cheap to join on), falling back
 /// to the whole atom for 0-ary atoms.  Any within-process assignment works
-/// for correctness — partitioning only redistributes which task derives a
-/// head, and every sink deduplicates — but hashing the first argument keeps
-/// the rows of one join key together, so a partition's joins stay on warm
-/// posting lists.
+/// for correctness — partitioning only redistributes which task finds a
+/// match — but hashing the first argument keeps the rows of one join key
+/// together, so a partition's joins stay on warm posting lists.
 fn partition_of(atom: &Term, partitions: usize) -> usize {
     let mut hasher = std::collections::hash_map::DefaultHasher::new();
     match atom.args().first() {
@@ -869,103 +879,6 @@ fn partition_of(atom: &Term, partitions: usize) -> usize {
         None => atom.hash(&mut hasher),
     }
     (hasher.finish() as usize) % partitions
-}
-
-/// [`consequence_round`] with the frontier split into hash partitions joined
-/// concurrently on the engine work pool ([`crate::pool`]).
-///
-/// Requires the caller's invariant that the frontier is a subset of `store`
-/// (both [`least_model`] and [`extend_least_model`] maintain it): a rule
-/// whose body matches frontier atoms from several partitions then fires in
-/// each of their tasks, drawing the others from `store`, so no derivation is
-/// lost to the split.  Duplicated derivations — and the schedule-dependent
-/// concatenation order — are absorbed by the deduplicating stores every
-/// caller merges into, which is what keeps the computed model independent of
-/// the thread count.
-pub fn consequence_round_partitioned(
-    program: &Program,
-    store: &dyn RelationStorage,
-    frontier: &dyn RelationStorage,
-    mode: NegationMode,
-    opts: EvalOptions,
-) -> Result<Vec<Term>, EngineError> {
-    let partitions = partition_count(frontier.len(), opts);
-    if partitions <= 1 {
-        return consequence_round(program, store, frontier, mode);
-    }
-    let mut parts: Vec<AtomStore> = (0..partitions).map(|_| AtomStore::new()).collect();
-    frontier.for_each_atom(&mut |atom| {
-        parts[partition_of(atom, partitions)].insert(atom.clone());
-    });
-    parts.retain(|p| !p.is_empty());
-    crate::pool::note_partitioned_round();
-    let tasks: Vec<_> = parts
-        .iter()
-        .map(|part| move || consequence_round(program, store, part, mode))
-        .collect();
-    let mut out = Vec::new();
-    for derived in crate::pool::run_tasks(opts.eval_threads, tasks) {
-        out.extend(derived?);
-    }
-    Ok(out)
-}
-
-/// Semi-naive *continuation*: extends an existing least-model store with new
-/// seed atoms, running the delta-aware consequence operator to a fixpoint.
-///
-/// `store` must be closed under the program's rules before the call (e.g. a
-/// previous [`least_model`] result); afterwards it is closed again.  Returns
-/// the settled [`Delta`] whose accumulated set is exactly the atoms the seeds
-/// introduced — the incremental analogue of re-running [`least_model`] on the
-/// extended program, at the cost of only the new derivations.
-///
-/// On `Err` (a resource limit, or a floundering derivation) the store is
-/// left **partially extended** — the seeds plus whatever was derived before
-/// the failure — so it is no longer closed; discard it and recompute from
-/// scratch, as [`crate::session::HiLogDb`] does.
-pub fn extend_least_model(
-    program: &Program,
-    store: &mut dyn RelationStorage,
-    seeds: impl IntoIterator<Item = Term>,
-    mode: NegationMode,
-    opts: EvalOptions,
-) -> Result<Delta, EngineError> {
-    let mut delta = Delta::new();
-    for seed in seeds {
-        debug_assert!(seed.is_ground(), "extend_least_model seed must be ground");
-        if !store.contains(&seed) {
-            delta.seed(seed.clone());
-            store.insert(seed);
-        }
-    }
-    let mut rounds = 0usize;
-    while !delta.is_settled() {
-        rounds += 1;
-        check_deadline()?;
-        if rounds > opts.max_rounds {
-            return Err(EngineError::LimitExceeded(format!(
-                "incremental least-model continuation exceeded {} rounds",
-                opts.max_rounds
-            )));
-        }
-        let derived =
-            consequence_round_partitioned(program, &*store, delta.frontier(), mode, opts)?;
-        let mut next = AtomStore::new();
-        for head in derived {
-            if !store.contains(&head) {
-                if store.len() >= opts.max_atoms {
-                    return Err(EngineError::LimitExceeded(format!(
-                        "incremental least-model continuation exceeded {} atoms",
-                        opts.max_atoms
-                    )));
-                }
-                store.insert(head.clone());
-                next.insert(head);
-            }
-        }
-        delta.advance(next);
-    }
-    Ok(delta)
 }
 
 #[cfg(test)]
@@ -1269,8 +1182,34 @@ mod tests {
         assert_eq!(left, vec![&bc]);
     }
 
+    /// [`saturate`] as a continuation from `seeds` (inserted first, as the
+    /// driver's contract asks), returning how many matches it handed out.
+    fn continue_from(
+        program: &Program,
+        store: &mut AtomStore,
+        seeds: &[Term],
+        opts: EvalOptions,
+    ) -> Result<usize, EngineError> {
+        for seed in seeds {
+            store.insert(seed.clone());
+        }
+        let mut matches = 0usize;
+        saturate(
+            program,
+            store,
+            Some(AtomStore::from_atoms(seeds.iter().cloned())),
+            NegationMode::Forbid,
+            opts,
+            &mut |_, _, _| {
+                matches += 1;
+                Ok(())
+            },
+        )?;
+        Ok(matches)
+    }
+
     #[test]
-    fn extend_least_model_matches_recomputation() {
+    fn a_continuation_matches_recomputation() {
         // Closing tc over a chain, then adding the edge that joins two
         // components, must agree with recomputing from scratch.
         let base = "tc(X, Y) :- edge(X, Y).\n\
@@ -1279,58 +1218,70 @@ mod tests {
         let mut program = parse_program(base).unwrap();
         let mut store =
             least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
+        let before = store.len();
         let new_edge = Term::apps("edge", vec![Term::sym("b"), Term::sym("c")]);
         program.push(Rule::fact(new_edge.clone()));
-        let delta = extend_least_model(
-            &program,
-            &mut store,
-            [new_edge],
-            NegationMode::Forbid,
-            EvalOptions::default(),
-        )
-        .unwrap();
+        let matches =
+            continue_from(&program, &mut store, &[new_edge], EvalOptions::default()).unwrap();
         let fresh = least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
         assert_eq!(store.atoms(), fresh.atoms());
-        // The delta is exactly the difference: the new edge plus the new
-        // tc pairs crossing it (a->c, a->d, b->c, b->d, c is already linked
-        // to d).
-        assert_eq!(delta.accumulated().len(), 5);
-        assert!(delta
-            .accumulated()
-            .contains(&Term::apps("tc", vec![Term::sym("a"), Term::sym("d")])));
-        assert!(delta.is_settled());
+        // The continuation added exactly the difference: the new edge plus
+        // the new tc pairs crossing it (a->c, a->d, b->c, b->d; c is already
+        // linked to d), each matched exactly once.
+        assert_eq!(store.len() - before, 5);
+        assert_eq!(matches, 4);
+        assert!(store.contains(&Term::apps("tc", vec![Term::sym("a"), Term::sym("d")])));
     }
 
     #[test]
-    fn extending_with_a_known_atom_is_a_no_op() {
-        let program = parse_program("p(a). q(X) :- p(X).").unwrap();
-        let mut store =
-            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
-        let before = store.atoms().clone();
-        let delta = extend_least_model(
-            &program,
-            &mut store,
-            [Term::apps("p", vec![Term::sym("a")])],
-            NegationMode::Forbid,
-            EvalOptions::default(),
-        )
-        .unwrap();
-        assert!(delta.accumulated().is_empty());
-        assert_eq!(store.atoms(), &before);
-    }
-
-    #[test]
-    fn extension_respects_the_atom_budget() {
+    fn a_continuation_respects_the_atom_budget() {
         let program = parse_program("nat(z). nat(s(X)) :- nat(X).").unwrap();
         // The base program diverges, so close only the fact by hand.
         let mut store = AtomStore::from_atoms([Term::sym("seed")]);
-        let r = extend_least_model(
+        let r = continue_from(
             &program,
             &mut store,
-            [Term::apps("nat", vec![Term::sym("z")])],
-            NegationMode::Forbid,
+            &[Term::apps("nat", vec![Term::sym("z")])],
             EvalOptions::with_max_atoms(20),
         );
         assert!(matches!(r, Err(EngineError::LimitExceeded(_))));
+    }
+
+    #[test]
+    fn the_model_is_the_same_at_every_thread_count() {
+        // 80 edges put every frontier past PARTITION_MIN_FRONTIER, so
+        // threads = 4 runs partitioned rounds; the matches (as a multiset
+        // of heads) and the store must be the serial ones.
+        let mut text = String::from(
+            "tc(X, Y) :- edge(X, Y).\n\
+             tc(X, Y) :- edge(X, Z), tc(Z, Y).\n",
+        );
+        for i in 0..80 {
+            text.push_str(&format!("edge(n{}, n{}).\n", i, i + 1));
+        }
+        let program = parse_program(&text).unwrap();
+        let run = |threads: usize| {
+            let mut store = AtomStore::new();
+            let mut heads: Vec<Term> = Vec::new();
+            saturate(
+                &program,
+                &mut store,
+                None,
+                NegationMode::Forbid,
+                EvalOptions::with_eval_threads(threads),
+                &mut |_, _, head| {
+                    heads.push(head.clone());
+                    Ok(())
+                },
+            )
+            .unwrap();
+            heads.sort();
+            (store.atoms().clone(), heads)
+        };
+        let (serial_store, serial_heads) = run(1);
+        let (pooled_store, pooled_heads) = run(4);
+        assert_eq!(serial_store.len(), 80 + 81 * 80 / 2);
+        assert_eq!(serial_store, pooled_store);
+        assert_eq!(serial_heads, pooled_heads);
     }
 }

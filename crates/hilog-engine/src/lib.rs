@@ -4,12 +4,17 @@
 //! (PODS 1991 / JLP 1994).  The crate provides every computational artifact
 //! the paper defines or relies on:
 //!
-//! * **Grounding** ([`grounder`]): relevant instantiation for (strongly)
-//!   range-restricted programs and literal instantiation over bounded
-//!   Herbrand-universe slices (Section 4).
 //! * **Horn least models** ([`horn`]): semi-naive bottom-up evaluation of
 //!   definite programs — the semantics of negation-free HiLog programs and of
-//!   their universal-relation images (Section 2).
+//!   their universal-relation images (Section 2).  The round policy (delta
+//!   restriction, limits, deadline, partitioned rounds) is written once, in
+//!   one driver that hands each match `(rule, θ)` to its caller.
+//! * **Grounding** ([`grounder`]): relevant instantiation for (strongly)
+//!   range-restricted programs — that driver instantiating the rule per
+//!   match, cold from an empty store or continued from an asserted fact, so
+//!   the possibly-true set and the ground rules come from one join pass —
+//!   and literal instantiation over bounded Herbrand-universe slices
+//!   (Section 4).
 //! * **Well-founded semantics** ([`wfs`]): the `T_P` / `U_P` / `W_P`
 //!   construction of Definitions 3.3–3.5, applied to normal and HiLog
 //!   instantiations alike (Section 4).
@@ -38,8 +43,8 @@
 //!   surface's mutable owner — it holds one working [`DbSnapshot`] by
 //!   value, delegates every read to it, and keeps its caches maintained
 //!   under `assert_fact` / `retract_fact` / `assert_rule` / `retract_rule`
-//!   (delta grounding, DRed, instance-level model patches and subgoal-table
-//!   maintenance) instead of discarding them.
+//!   (the grounding driver continued from the new fact, DRed, instance-level
+//!   model patches and subgoal-table maintenance) instead of discarding them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -71,10 +76,10 @@ pub use extension::{
     preserved_by_extension_wfs, PreservationVerdict,
 };
 pub use ground::{GroundProgram, GroundRule};
-pub use grounder::{ground_delta, ground_over_universe, relevant_ground};
+pub use grounder::{ground_over_universe, relevant_ground, relevant_ground_into};
 pub use horn::{
-    consequence_round, extend_least_model, least_model, least_model_into, probe_counters,
-    scan_only_guard, AtomStore, Candidates, Delta, EvalOptions, NegationMode, ScanOnlyGuard,
+    least_model, least_model_into, probe_counters, scan_only_guard, AtomStore, Candidates,
+    EvalOptions, NegationMode, ScanOnlyGuard,
 };
 pub use magic::{magic_transform, MagicProgram};
 pub use magic_eval::{EvalStats, ModelSource, QueryEvaluator};
@@ -100,9 +105,7 @@ pub mod prelude {
     pub use crate::extension::{preserved_by_extension_stable, preserved_by_extension_wfs};
     pub use crate::ground::{GroundProgram, GroundRule};
     pub use crate::grounder::{ground_over_universe, relevant_ground};
-    pub use crate::horn::{
-        extend_least_model, least_model, AtomStore, Delta, EvalOptions, NegationMode,
-    };
+    pub use crate::horn::{least_model, AtomStore, EvalOptions, NegationMode};
     pub use crate::magic::magic_transform;
     pub use crate::magic_eval::{EvalStats, ModelSource, QueryEvaluator};
     pub use crate::modular::ModularOutcome;

@@ -51,7 +51,7 @@ use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
-use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
 use hilog_core::literal::{AggregateFunc, Literal};
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};

@@ -1,18 +1,24 @@
 //! Incremental maintenance of the grounding and the model under mutation.
 //!
 //! A fact-level change does not discard the working snapshot's caches: the
-//! relevant instantiation is *maintained* (semi-naive delta grounding on
-//! assert, DRed overdelete/rederive on retract), and the well-founded model
-//! is marked with the **seed atoms** the change touched, so the next route
+//! relevant instantiation is *maintained*, and the well-founded model is
+//! marked with the **seed atoms** the change touched, so the next route
 //! that needs it re-evaluates only their instance-level reverse closure.
 //! The predicate-level [`DepAnalysis`] decides how far a change can reach.
+//!
+//! An assert runs the same semi-naive driver that ground the program cold
+//! ([`crate::grounder`]'s `ground_from`) — there from an empty store, here
+//! from `{fact}` over the warm possibly-true store — so this module owns no
+//! round loop and no limit checks of its own, only what to do with the new
+//! instances and with a failure (drop the caches; the next read re-grounds).
+//! A retract is DRed overdelete/rederive over the cached ground rules.
 
 use super::{HiLogDb, Semantics};
 use crate::ground::GroundRule;
-use crate::grounder::ground_delta;
+use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
 use crate::snapshot::{lock_mut, SnapCore};
-use crate::storage::FactStore;
+use crate::storage::{FactStore, RelationStorage};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
@@ -50,11 +56,11 @@ impl HiLogDb {
     /// dependency graph ([`Self::maintain_tables_for_fact`]: unaffected
     /// tables survive, fact-backed tables are patched in place, the rest of
     /// the affected closure is dropped).  The cached grounding is
-    /// *maintained* semi-naively (delta instantiation on assert, DRed
-    /// overdelete/rederive on retract), and under the well-founded semantics
-    /// the cached model is marked dirty for the predicate-level closure —
-    /// the next query that needs it re-evaluates only the affected
-    /// components.
+    /// *maintained* (the grounding driver continued from the fact on assert,
+    /// DRed overdelete/rederive on retract), and under the well-founded
+    /// semantics the cached model is marked dirty for the predicate-level
+    /// closure — the next query that needs it re-evaluates only the
+    /// affected components.
     pub(super) fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
         // The Figure 1 outcome records the settling order, which even a pure
         // EDB fact can extend; recompute it on demand.
@@ -174,19 +180,19 @@ impl HiLogDb {
         }
     }
 
-    /// Semi-naive continuation for an asserted fact: extends the
-    /// possibly-true store from the new fact, instantiating the rules each
-    /// round's frontier enables *as the frontier lands* (one join pass per
-    /// round — the heads and the instantiations come from the same joins,
-    /// never re-joined against the accumulated delta), and appends them
-    /// (deduplicated) to the cached ground program.
+    /// Semi-naive continuation for an asserted fact: the driver from
+    /// `{fact}` over the warm possibly-true store, instantiating the rules
+    /// each round's frontier enables as the frontier lands
+    /// ([`ground_from`] — the heads and the instantiations come from the
+    /// same joins), appended to the cached ground program.
     ///
     /// Returns the **seed atoms** of the change — the fact plus the head of
     /// every appended instantiation, i.e. every atom whose rule set grew —
     /// from which the model patch derives its instance-level affected
     /// closure.  Returns `None` when the continuation cannot be completed
-    /// (e.g. a resource limit); the caller then falls back to full
-    /// re-grounding.
+    /// (a resource limit, the deadline, a floundering instance — the store is
+    /// then only partially extended); the caller drops the caches and the
+    /// next read re-grounds, surfacing the error exactly like a fresh session.
     fn assert_into_ground(&mut self, fact: &Term) -> Option<BTreeSet<Term>> {
         let (program, opts) = (&self.snap.program, self.snap.opts);
         let core = lock_mut(&mut self.snap.core);
@@ -194,7 +200,7 @@ impl HiLogDb {
         let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
         let mut seeds: BTreeSet<Term> = BTreeSet::new();
         seeds.insert(fact.clone());
-        let fact_was_new = !possibly.contains(fact);
+        let fact_was_new = possibly.insert(fact.clone());
         // The asserted fact's bodyless instance is new unless the atom was
         // already a ground fact (a duplicate assertion, or a builtin-guarded
         // rule's instance): only then is a scan needed.
@@ -202,48 +208,19 @@ impl HiLogDb {
             ground.push(GroundRule::fact(fact.clone()));
         }
         if fact_was_new {
-            possibly.insert(fact.clone());
-            // Frontier instantiations carry at least one brand-new positive
-            // body atom, so they cannot duplicate any pre-existing rule —
-            // only each other (one copy per delta position they match).
-            let mut appended: BTreeSet<GroundRule> = BTreeSet::new();
-            let mut frontier = AtomStore::from_atoms([fact.clone()]);
-            let mut rounds = 0usize;
-            while !frontier.is_empty() {
-                rounds += 1;
-                if rounds > opts.max_rounds {
-                    return None;
-                }
-                // Ground this frontier while the store holds exactly the
-                // rounds up to it.  The instantiations' heads *are* the
-                // delta-aware consequence operator's output, so the next
-                // frontier falls out of the same single join pass.
-                let rules = match ground_delta(program, possibly, &frontier, opts) {
-                    Ok(rules) => rules,
-                    Err(_) => return None,
-                };
-                let mut next = AtomStore::new();
-                for rule in rules {
-                    if !possibly.contains(&rule.head) {
-                        if possibly.len() >= opts.max_atoms {
-                            return None;
-                        }
-                        possibly.insert(rule.head.clone());
-                        next.insert(rule.head.clone());
-                    }
-                    if appended.insert(rule.clone()) {
-                        seeds.insert(rule.head.clone());
-                        ground.push(rule);
-                    }
-                }
-                frontier = next;
+            // Continuation instances carry at least one brand-new positive
+            // body atom, so they cannot repeat any cached rule.
+            let frontier = AtomStore::from_atoms([fact.clone()]);
+            for rule in ground_from(program, possibly, Some(frontier), opts).ok()? {
+                seeds.insert(rule.head.clone());
+                ground.push(rule);
             }
         }
-        // `ground_delta` only bounds each call; enforce the same *cumulative*
-        // limit a fresh grounding would hit, so a long-lived session cannot
-        // silently grow past what a fresh grounding would reject.  Falling back
-        // surfaces the `LimitExceeded` on the next query, exactly like a
-        // fresh session.
+        // The driver bounds the store and each call's instances; enforce the
+        // same *cumulative* limit a fresh grounding would hit, so a
+        // long-lived session cannot silently grow past what a fresh grounding
+        // would reject.  Falling back surfaces the `LimitExceeded` on the
+        // next query, exactly like a fresh session.
         (ground.rules.len() <= opts.max_atoms).then_some(seeds)
     }
 
@@ -782,5 +759,41 @@ mod tests {
         }
         let err = db.query(&unbound).unwrap_err();
         assert!(matches!(err, EngineError::LimitExceeded(_)));
+    }
+
+    #[test]
+    fn an_assert_past_its_deadline_leaves_a_session_that_answers_like_a_fresh_one() {
+        // The continuation's only failure route is `Err ⇒ None ⇒ drop and
+        // re-ground`.  An already expired deadline fails the driver at its
+        // first round, with the possibly-true store half extended: the
+        // mutation itself must still land, and the next read must re-ground
+        // (once) and agree with a fresh session on every atom.
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        crate::deadline::with_deadline(Some(std::time::Instant::now()), || {
+            db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        });
+        let after = db.query(&unbound).unwrap();
+        assert_eq!(
+            after.stats.groundings, 1,
+            "failed continuation not re-ground"
+        );
+        assert_eq!(after.stats.model_source, ModelSource::Rebuilt);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(after.answers, fresh.query(&unbound).unwrap().answers);
+        assert_eq!(
+            db.ground_program().unwrap().rules.len(),
+            fresh.ground_program().unwrap().rules.len()
+        );
+        let fresh_model = fresh.model().unwrap().clone();
+        let model = db.model().unwrap();
+        for atom in model.base().iter().chain(fresh_model.base()) {
+            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
     }
 }

@@ -11,6 +11,7 @@ use super::HiLogDb;
 use crate::magic::DepSign;
 use crate::magic_eval::{QueryEvaluator, Table};
 use crate::snapshot::lock_mut;
+use crate::storage::RelationStorage;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};

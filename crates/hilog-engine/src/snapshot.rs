@@ -11,9 +11,10 @@
 //! * A [`HiLogDb`] session *owns* one working snapshot by value.  Its reads
 //!   delegate to that snapshot (an uncontended lock, tens of nanoseconds);
 //!   its mutations reach the snapshot's caches lock-free through
-//!   `RwLock::get_mut` and keep them maintained incrementally (semi-naive
-//!   delta grounding on assert, DRed overdelete/rederive on retract,
-//!   instance-level table maintenance).
+//!   `RwLock::get_mut` and keep them maintained incrementally (on assert the
+//!   semi-naive driver that ground the program cold, continued from the new
+//!   fact; DRed overdelete/rederive on retract; instance-level table
+//!   maintenance).
 //! * A published [`DbSnapshot`] is an `Arc`-sharing copy of the working one
 //!   at an *epoch*: the program and every heavyweight cache are shared by
 //!   `Arc` (publishing is a handful of refcount bumps, never a deep copy),
@@ -75,8 +76,8 @@
 
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
-use crate::grounder::ground_against;
-use crate::horn::{least_model_into, EvalOptions, NegationMode};
+use crate::grounder::relevant_ground_into;
+use crate::horn::EvalOptions;
 use crate::magic_eval::{
     normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table,
 };
@@ -84,7 +85,7 @@ use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
-use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
 use crate::wfs::{affected_closure, well_founded_eval, well_founded_patch};
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
@@ -122,12 +123,14 @@ pub(crate) fn lock_mut<T>(lock: &mut RwLock<T>) -> &mut T {
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapCore {
     /// Relevant instantiation of the program, maintained *incrementally* by
-    /// the owning session under fact-level mutations (delta grounding on
-    /// assert, DRed overdelete/rederive on retract).
+    /// the owning session under fact-level mutations (the grounding driver
+    /// continued from the fact on assert, DRed overdelete/rederive on
+    /// retract).
     pub(crate) ground: Option<Arc<GroundProgram>>,
     /// The over-approximated true-or-undefined store backing `ground` (the
-    /// least model of the positive program).  Kept in lockstep with `ground`
-    /// so the semi-naive continuation has a closed store to extend.
+    /// least model of the positive program): the store the grounding driver
+    /// saturated.  Kept in lockstep with `ground` so the semi-naive
+    /// continuation has a closed store to extend.
     pub(crate) possibly: Option<Arc<FactStore>>,
     /// Full model under the snapshot's semantics.
     pub(crate) model: Option<Arc<Model>>,
@@ -620,22 +623,15 @@ impl DbSnapshot {
         if core.ground.is_some() {
             return Ok(0);
         }
-        // Ground in two steps (rather than through `relevant_ground`) so
-        // the possibly-true store is kept: it is the closed store the
-        // semi-naive continuation of `assert_fact` extends.  Built on the
-        // configured backend, so a spill session pages the possibly-true
-        // store's cold relations to disk from the start.
+        // The grounding keeps the store it saturated: the possibly-true
+        // store is the closed store the semi-naive continuation of
+        // `assert_fact` extends.  Built on the configured backend, so a
+        // spill session pages its cold relations to disk from the start.
         let mut possibly = FactStore::new(&self.storage);
-        least_model_into(
+        core.ground = Some(Arc::new(relevant_ground_into(
             &self.program,
-            NegationMode::Ignore,
             self.opts,
             &mut possibly,
-        )?;
-        core.ground = Some(Arc::new(ground_against(
-            &self.program,
-            &possibly,
-            self.opts,
         )?));
         core.possibly = Some(Arc::new(possibly));
         Ok(1)

@@ -339,9 +339,9 @@ fn env_budget() -> usize {
 }
 
 /// A fact store over one of the pluggable backends.  This is the concrete
-/// type long-lived engine state is made of; it exposes the same inherent
-/// API shape as [`AtomStore`] (plus the trait), dispatching statically over
-/// the backend enum.
+/// type long-lived engine state is made of; everything it can do it says
+/// once, through [`RelationStorage`] (import the trait to call it),
+/// dispatching over the backend enum.
 #[derive(Debug, Clone)]
 pub enum FactStore {
     /// Everything resident ([`AtomStore`]).
@@ -386,47 +386,6 @@ impl FactStore {
             FactStore::InMemory(s) => s,
             FactStore::Spill(s) => s,
         }
-    }
-
-    /// Inserts a ground atom; returns `true` if it was new.
-    pub fn insert(&mut self, atom: Term) -> bool {
-        self.as_dyn_mut().insert(atom)
-    }
-
-    /// Removes a ground atom; returns `true` if it was present.
-    pub fn remove(&mut self, atom: &Term) -> bool {
-        self.as_dyn_mut().remove(atom)
-    }
-
-    /// Returns `true` if the atom is present.
-    pub fn contains(&self, atom: &Term) -> bool {
-        self.as_dyn().contains(atom)
-    }
-
-    /// Number of atoms.
-    pub fn len(&self) -> usize {
-        self.as_dyn().len()
-    }
-
-    /// Returns `true` if the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Collects the candidates for `pattern` (see
-    /// [`RelationStorage::for_each_candidate`]).
-    pub fn collect_candidates(&self, pattern: &Term) -> Vec<Term> {
-        self.as_dyn().collect_candidates(pattern)
-    }
-
-    /// Collects every atom in term order.
-    pub fn collect_atoms(&self) -> Vec<Term> {
-        self.as_dyn().collect_atoms()
-    }
-
-    /// Storage observability counters for this store.
-    pub fn storage_stats(&self) -> RelationStorageStats {
-        self.as_dyn().storage_stats()
     }
 }
 

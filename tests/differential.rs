@@ -21,13 +21,20 @@
 //!   the naive least model and the stratified model;
 //! * random strongly range-restricted **HiLog** programs (outside the
 //!   naive engine's fragment) — full-model plans vs magic-sets plans of an
-//!   independent session, and incremental `assert_fact` vs fresh sessions.
+//!   independent session, and incremental `assert_fact` vs fresh sessions;
+//! * both families — the **grounding** itself: the relevant instantiation
+//!   the semi-naive driver emits from its one join pass vs the paper's
+//!   definition (`ground_against` over the finished least model), serial,
+//!   partitioned and spill-backed, and a session's *maintained* grounding
+//!   after an assert stream vs a fresh session's.
 //!
 //! The seeds in `tests/corpus/differential_seeds.txt` are a committed
 //! regression corpus: they are always run, in every configuration, before
 //! any additional generated seeds.
 
 use hilog_datalog::DatalogEngine;
+use hilog_repro::engine::grounder::ground_against;
+use hilog_repro::engine::{least_model_into, parallel_counters, relevant_ground_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -190,6 +197,154 @@ fn incremental_assertion_matches_fresh_sessions_on_hilog_programs() {
         let mut fresh = HiLogDb::new(extended);
         let reference = fresh.model().expect("fresh model").clone();
         assert_same_model(&patched, &reference, &format!("seed {seed}, incremental"));
+    }
+}
+
+/// Both generated families at their default size, plus (every fourth seed) a
+/// wide variant whose round-0 frontier passes the 64-atom partition
+/// threshold, so `eval_threads = 4` really runs partitioned rounds.
+fn grounding_cases(seed: u64) -> Vec<(Program, String)> {
+    let mut cases = vec![
+        (
+            random_range_restricted_normal(NormalProgramConfig::default(), seed),
+            format!("seed {seed}, normal"),
+        ),
+        (
+            random_strongly_restricted_hilog(HilogProgramConfig::default(), seed),
+            format!("seed {seed}, hilog"),
+        ),
+    ];
+    if seed % 4 == 0 {
+        let normal = NormalProgramConfig {
+            constants: 14,
+            facts: 110,
+            rules: 8,
+            ..NormalProgramConfig::default()
+        };
+        let hilog = HilogProgramConfig {
+            relation_names: 3,
+            constants: 9,
+            facts_per_relation: 40,
+            with_negation: true,
+        };
+        cases.push((
+            random_range_restricted_normal(normal, seed),
+            format!("seed {seed}, wide normal"),
+        ));
+        cases.push((
+            random_strongly_restricted_hilog(hilog, seed),
+            format!("seed {seed}, wide hilog"),
+        ));
+    }
+    cases
+}
+
+fn rule_set(ground: &GroundProgram) -> std::collections::BTreeSet<&GroundRule> {
+    ground.rules.iter().collect()
+}
+
+#[test]
+fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count() {
+    // `relevant_ground` takes its instances from the joins that compute the
+    // possibly-true store; Section 4's definition joins every rule against
+    // the *finished* store.  Same set of ground rules, no instance twice,
+    // and the store the driver leaves behind is the least model — whether
+    // the rounds run inline, partitioned over four tasks, or into a spill
+    // store that keeps 16 rows resident.
+    let (_, partitioned_before, _) = parallel_counters();
+    for seed in seeds(0) {
+        for (program, context) in grounding_cases(seed) {
+            let serial = EvalOptions::with_eval_threads(1);
+            let mut model = AtomStore::new();
+            least_model_into(&program, NegationMode::Ignore, serial, &mut model)
+                .expect("least model");
+            let reference = ground_against(&program, &model, serial).expect("definitional");
+            let spill = StorageConfig::Spill {
+                dir: None,
+                resident_budget: 16,
+            };
+            let runs: [(&str, EvalOptions, FactStore); 3] = [
+                ("threads 1", serial, FactStore::default()),
+                (
+                    "threads 4",
+                    EvalOptions::with_eval_threads(4),
+                    FactStore::default(),
+                ),
+                ("spill", serial, FactStore::new(&spill)),
+            ];
+            for (route, opts, mut store) in runs {
+                let fused = relevant_ground_into(&program, opts, &mut store).expect("fused");
+                assert_eq!(
+                    rule_set(&fused),
+                    rule_set(&reference),
+                    "fused grounding differs from the definition ({context}, {route})"
+                );
+                assert_eq!(
+                    fused.len(),
+                    reference.len(),
+                    "an instance was emitted twice ({context}, {route})"
+                );
+                assert_eq!(
+                    store.collect_atoms(),
+                    model.collect_atoms(),
+                    "the driver's store is not the least model ({context}, {route})"
+                );
+            }
+        }
+    }
+    let (_, partitioned_after, _) = parallel_counters();
+    assert!(
+        partitioned_after > partitioned_before,
+        "no wide case reached a partitioned round"
+    );
+}
+
+#[test]
+fn a_maintained_grounding_equals_a_cold_one_after_an_assert_stream() {
+    // Cold grounding is the driver from an empty store, `assert_fact` the
+    // driver continued from the new fact: after any stream of assertions
+    // (new edges, duplicates, derived atoms, facts no rule reads) the
+    // session's maintained ground program must be the set a fresh session
+    // grounds cold.
+    for seed in seeds(0) {
+        for hilog in [false, true] {
+            let program = if hilog {
+                random_strongly_restricted_hilog(HilogProgramConfig::default(), seed)
+            } else {
+                random_range_restricted_normal(NormalProgramConfig::default(), seed)
+            };
+            let mut db = HiLogDb::new(program);
+            db.ground_program().expect("warm the grounding");
+            // A cheap deterministic stream: the generators' own vocabulary,
+            // stepped by the seed.
+            let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            for _ in 0..6 {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let (a, b, pick) = ((state >> 33) % 5, (state >> 40) % 5, (state >> 50) % 5);
+                let text = match (hilog, pick) {
+                    (_, 0) => format!("unread(c{a}, c{b})"),
+                    // A derived atom, often one the store already holds: the
+                    // fact instance is new, the continuation has nothing to do.
+                    (true, 1) => format!("reach(r{})(c{}, c{})", a % 2, a % 4, b % 4),
+                    (false, 1) => format!("idb{}(c{a})", b % 3),
+                    (true, _) => format!("r{}(c{}, c{})", pick % 2, a % 4, b % 4),
+                    (false, _) => format!("edb{}(c{a}, c{b})", pick % 2),
+                };
+                db.assert_fact(parse_term(&text).unwrap()).unwrap();
+            }
+            let maintained = db.ground_program().expect("maintained grounding").clone();
+            let mut fresh = HiLogDb::new(db.program().clone());
+            let cold = fresh.ground_program().expect("cold grounding");
+            let context = format!("seed {seed}, hilog {hilog}");
+            assert_eq!(rule_set(&maintained), rule_set(cold), "{context}");
+            assert_eq!(
+                maintained.len(),
+                cold.len(),
+                "repeated instance ({context})"
+            );
+        }
     }
 }
 
