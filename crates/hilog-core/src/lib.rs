@@ -64,7 +64,7 @@ pub use herbrand::{HerbrandBounds, HerbrandUniverse, Vocabulary};
 pub use intern::{AtomId, TermInterner};
 pub use interpretation::{Interpretation, Model, Truth};
 pub use literal::{Aggregate, AggregateFunc, Literal};
-pub use program::Program;
+pub use program::{Program, RuleSeq};
 pub use restriction::{ProgramClass, RestrictionReport};
 pub use rule::{Query, Rule};
 pub use subst::Substitution;

@@ -203,11 +203,8 @@ impl DatalogEngine {
                 "least_model only evaluates negation-free programs".into(),
             ));
         }
-        let db = self.evaluate_stratum(
-            &self.program.rules,
-            &Database::default(),
-            &Database::default(),
-        )?;
+        let rules: Vec<Rule> = self.program.iter().cloned().collect();
+        let db = self.evaluate_stratum(&rules, &Database::default(), &Database::default())?;
         Ok(db.atoms())
     }
 

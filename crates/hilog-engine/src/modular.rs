@@ -90,7 +90,7 @@ pub(crate) fn figure1_procedure(
     program: &Program,
     opts: EvalOptions,
 ) -> Result<ModularOutcome, EngineError> {
-    let mut remaining: Vec<Rule> = program.rules.clone();
+    let mut remaining: Vec<Rule> = program.iter().cloned().collect();
     let mut settled: BTreeSet<Term> = BTreeSet::new();
     let mut model = Model::empty();
     let mut rounds: Vec<Vec<Term>> = Vec::new();

@@ -30,6 +30,17 @@
 //! [`DbWriter`], which publishes `Arc`-sharing
 //! copies of the working snapshot for concurrent readers.
 //!
+//! A write costs what it changes, not what the store holds.  The program's
+//! rule list is a persistent sequence
+//! ([`RuleSeq`](hilog_core::program::RuleSeq)), so un-sharing it from a
+//! published snapshot and editing it copies the touched chunk, not the
+//! rules; and the three things a mutation asks of the fact set — is this
+//! assert a duplicate, is there anything to retract, was that the last copy
+//! — are probes of a multiset of bodiless-rule heads the session keeps
+//! beside the program (built by the first mutation, never published), not
+//! walks over it.  What still walks: finding the position of a fact that
+//! *is* present, to retract that occurrence.
+//!
 //! ```
 //! use hilog_engine::session::HiLogDb;
 //! use hilog_syntax::{parse_program, parse_query};
@@ -66,6 +77,7 @@ use hilog_core::rule::{Query, Rule};
 use hilog_core::term::{Term, Var};
 use maintain::DepAnalysis;
 use serde::Serialize;
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -279,6 +291,7 @@ impl HiLogDbBuilder {
             ),
             analysis: None,
             generation: 0,
+            fact_copies: None,
             pending_patched: 0,
             pending_dropped: 0,
             pending_refilled: 0,
@@ -306,6 +319,14 @@ pub struct HiLogDb {
     /// [`DbWriter`] compares it with the value it
     /// published at to know whether its program is still the published one.
     generation: u64,
+    /// How many bodiless rules of the program carry each head — the one
+    /// thing a mutation has to ask of the (arbitrarily large) fact set, so
+    /// it is a hash probe and not a walk over the rule list.  Writer-only:
+    /// never cloned into a published snapshot, and `None` until the first
+    /// mutation counts the program (a session that only reads never pays
+    /// for it); from then on every edit of a bodiless rule moves it in the
+    /// same step.  The keys share the `Arc`s of the rules' own heads.
+    fact_copies: Option<HashMap<Term, usize>>,
     /// Subgoal tables patched in place by mutations since the last query
     /// (reported through [`EvalStats::tables_patched`], then reset).
     pending_patched: usize,
@@ -365,7 +386,9 @@ impl HiLogDb {
     /// The program for mutation — the one place the mutation generation
     /// moves, so no change to the program can go unrecorded.  Copy-on-write:
     /// the clone happens only while a published snapshot still holds the
-    /// previous version.
+    /// previous version, and it is a clone of chunk pointers (see
+    /// [`RuleSeq`](hilog_core::program::RuleSeq)); the edit that follows
+    /// copies the one chunk it lands in.
     fn program_mut(&mut self) -> &mut Program {
         self.generation += 1;
         Arc::make_mut(&mut self.snap.program)
@@ -378,6 +401,49 @@ impl HiLogDb {
         lock_mut(&mut self.snap.index).as_mut().map(Arc::make_mut)
     }
 
+    /// The fact multiset (see the field), counted from the program by the
+    /// first caller.  Every mutator reaches it through [`Self::has_fact`] /
+    /// [`Self::count_copy`] *before* it edits the program, so the count never
+    /// sees an edit it is about to be told of.
+    fn fact_copies(&mut self) -> &mut HashMap<Term, usize> {
+        let program = &self.snap.program;
+        self.fact_copies
+            .get_or_insert_with(|| count_fact_copies(program))
+    }
+
+    /// Whether the program holds a bodiless rule with this head: one probe.
+    fn has_fact(&mut self, fact: &Term) -> bool {
+        let copies = self.fact_copies().get(fact).copied().unwrap_or(0);
+        debug_assert_eq!(
+            copies,
+            self.program()
+                .rules
+                .iter()
+                .filter(|r| r.is_fact() && r.head == *fact)
+                .count(),
+            "fact multiset out of step with the program at `{fact}`"
+        );
+        copies > 0
+    }
+
+    /// Records one more bodiless rule headed `fact`.
+    fn count_copy(&mut self, fact: &Term) {
+        *self.fact_copies().entry(fact.clone()).or_insert(0) += 1;
+    }
+
+    /// Records one bodiless rule headed `fact` fewer; returns `true` if that
+    /// was the last copy.  The caller has established there is one.
+    fn uncount_copy(&mut self, fact: &Term) -> bool {
+        let copies = self.fact_copies();
+        let count = copies.get_mut(fact).expect("caller found a copy");
+        *count -= 1;
+        let last_copy = *count == 0;
+        if last_copy {
+            copies.remove(fact);
+        }
+        last_copy
+    }
+
     /// Asserts a ground fact.
     ///
     /// The dependency analysis is kept (facts add no edges); subgoal tables
@@ -385,6 +451,8 @@ impl HiLogDb {
     /// outside the instance-level closure survive, fact-backed tables are
     /// patched in place), and when nothing reads the predicate at all the
     /// cached ground program and model are *patched* instead of discarded.
+    /// Nothing here walks the program: the cost is that of what the fact
+    /// changes, whatever the store holds.
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
         if !fact.is_ground() {
             return Err(EngineError::Floundering(format!(
@@ -395,6 +463,7 @@ impl HiLogDb {
         // semantically; every cache stays valid (the mirror image of
         // `retract_fact`'s duplicate short-circuit).
         let already_present = self.has_fact(&fact);
+        self.count_copy(&fact);
         let rule = Rule::fact(fact.clone());
         if let Some(index) = self.index_mut() {
             index.insert(&rule);
@@ -406,21 +475,16 @@ impl HiLogDb {
         Ok(())
     }
 
-    /// Retracts one occurrence of a ground fact; returns `false` if the
-    /// program contains no such fact.
+    /// Retracts one occurrence of a ground fact; returns `false` — after one
+    /// probe — if the program contains no such fact.
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
-        let Some(pos) = self
-            .program()
-            .rules
-            .iter()
-            .position(|r| r.is_fact() && r.head == *fact)
-        else {
+        if !self.has_fact(fact) {
             return false;
-        };
-        self.program_mut().rules.remove(pos);
+        }
+        self.remove_first(|r| r.is_fact() && r.head == *fact);
         // A duplicate assertion may still be present; then nothing changed
         // semantically and every cache stays valid.
-        let last_copy = !self.has_fact(fact);
+        let last_copy = self.uncount_copy(fact);
         if let Some(index) = self.index_mut() {
             index.remove(&Rule::fact(fact.clone()), last_copy);
         }
@@ -430,11 +494,17 @@ impl HiLogDb {
         true
     }
 
-    fn has_fact(&self, fact: &Term) -> bool {
-        self.program()
+    /// Removes the first rule of the program `matches` accepts, which the
+    /// caller has established exists.  The one remaining walk on a write
+    /// path: finding *where* a present rule sits.
+    fn remove_first(&mut self, matches: impl Fn(&Rule) -> bool) {
+        let pos = self
+            .program()
             .rules
             .iter()
-            .any(|r| r.is_fact() && r.head == *fact)
+            .position(matches)
+            .expect("caller found a copy");
+        self.program_mut().rules.remove(pos);
     }
 
     /// Asserts a rule.  Rules add predicate-level dependency edges, so the
@@ -445,6 +515,9 @@ impl HiLogDb {
     /// dropped, and every other table survives.
     pub fn assert_rule(&mut self, rule: Rule) {
         self.drop_tables_for_head(&rule.head);
+        if rule.is_fact() {
+            self.count_copy(&rule.head);
+        }
         if let Some(index) = self.index_mut() {
             index.insert(&rule);
         }
@@ -460,12 +533,31 @@ impl HiLogDb {
     /// grounding/model caches have no provenance for the retracted rule's
     /// instantiations and are rebuilt lazily.
     pub fn retract_rule(&mut self, rule: &Rule) -> bool {
-        let Some(pos) = self.program().rules.iter().position(|r| r == rule) else {
-            return false;
-        };
-        self.program_mut().rules.remove(pos);
         // A structurally identical copy may remain; then nothing changed.
-        let last_copy = !self.program().rules.iter().any(|r| r == rule);
+        let last_copy = if rule.is_fact() {
+            // Bodiless rules are the multiset's: presence and remaining
+            // copies are probes, as in `retract_fact`.
+            if !self.has_fact(&rule.head) {
+                return false;
+            }
+            self.remove_first(|r| r == rule);
+            self.uncount_copy(&rule.head)
+        } else {
+            // Proper rules are few and uncounted: one walk finds the first
+            // copy and whether there is a second.
+            let mut copies = self
+                .program()
+                .rules
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| *r == rule);
+            let Some((pos, _)) = copies.next() else {
+                return false;
+            };
+            let last_copy = copies.next().is_none();
+            self.program_mut().rules.remove(pos);
+            last_copy
+        };
         if let Some(index) = self.index_mut() {
             index.remove(rule, last_copy);
         }
@@ -593,6 +685,15 @@ impl HiLogDb {
     pub(crate) fn generation(&self) -> u64 {
         self.generation
     }
+}
+
+/// The multiset of `program`'s bodiless-rule heads: head → copies.
+fn count_fact_copies(program: &Program) -> HashMap<Term, usize> {
+    let mut copies = HashMap::new();
+    for fact in program.facts() {
+        *copies.entry(fact.head.clone()).or_insert(0) += 1;
+    }
+    copies
 }
 
 #[cfg(test)]
@@ -839,6 +940,87 @@ mod tests {
         // The magic route joins warm tables through the same API.
         let bound = db.query(&parse_query("?- tc(a, Y).").unwrap()).unwrap();
         assert_eq!(bound.answers.len(), 3);
+    }
+
+    #[test]
+    fn fact_multiset_equals_a_recount_whichever_mutation_builds_it() {
+        // Duplicates, a compound-name HiLog fact, a non-ground bodiless rule
+        // and a builtin-guarded twin of a fact, all present from the start.
+        let text = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                    game(g). g(a, b). g(a, b). g(b, c). winning(g)(x). winning(g)(x).\n\
+                    p(X). p(X). s :- 1 < 2. s.";
+        let facts: Vec<Term> = [
+            "g(a, b)",
+            "g(b, c)",
+            "g(c, d)",
+            "winning(g)(x)",
+            "s",
+            "q(1)",
+        ]
+        .iter()
+        .map(|t| parse_term(t).unwrap())
+        .collect();
+        let rules: Vec<Rule> =
+            parse_program("p(X). P(a). g(a, b). winning(g)(x). s :- 1 < 2. t(X) :- g(X, Y).")
+                .unwrap()
+                .iter()
+                .cloned()
+                .collect();
+        // `g(a, b)` and `p(X).`: two copies of each in `text`.
+        let (dup_fact, dup_rule) = (facts[0].clone(), rules[0].clone());
+        // Each mutator in turn is the session's *first* mutation — the one
+        // that counts the program — aimed at a head with two copies, so the
+        // retractions really edit; the random stream after it runs on the
+        // multiset that first mutation left.
+        for first in 0..4 {
+            let mut db = HiLogDb::new(parse_program(text).unwrap());
+            // Reads never build it.
+            db.query(&parse_query("?- g(a, X).").unwrap()).unwrap();
+            assert!(db.fact_copies.is_none());
+            match first {
+                0 => db.assert_fact(dup_fact.clone()).unwrap(),
+                1 => assert!(db.retract_fact(&dup_fact)),
+                2 => db.assert_rule(dup_rule.clone()),
+                _ => assert!(db.retract_rule(&dup_rule)),
+            }
+            assert_eq!(
+                db.fact_copies,
+                Some(count_fact_copies(db.program())),
+                "first mutation {first}"
+            );
+            let mut state = 0x9e37_79b9_7f4a_7c15_u64 ^ first;
+            let mut next = move |bound: usize| {
+                state = state
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                (state >> 33) as usize % bound
+            };
+            for step in 0..400 {
+                let before = count_fact_copies(db.program());
+                match next(4) {
+                    0 => db.assert_fact(facts[next(facts.len())].clone()).unwrap(),
+                    1 => {
+                        let fact = &facts[next(facts.len())];
+                        assert_eq!(db.retract_fact(fact), before.contains_key(fact));
+                    }
+                    2 => db.assert_rule(rules[next(rules.len())].clone()),
+                    _ => {
+                        let rule = &rules[next(rules.len())];
+                        let held = db.program().rules.contains(rule);
+                        assert_eq!(db.retract_rule(rule), held);
+                    }
+                }
+                assert_eq!(
+                    db.fact_copies,
+                    Some(count_fact_copies(db.program())),
+                    "first mutation {first}, step {step}"
+                );
+            }
+            // The session the multiset served still answers like a fresh one.
+            let query = parse_query("?- g(X, Y).").unwrap();
+            let fresh = HiLogDb::new(db.program().clone()).query(&query).unwrap();
+            assert_eq!(db.query(&query).unwrap().answers, fresh.answers);
+        }
     }
 
     #[test]

@@ -62,6 +62,16 @@ impl HiLogDb {
     /// closure — the next query that needs it re-evaluates only the
     /// affected components.
     pub(super) fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
+        // What `spontaneous_fact` (reached twice from here on a retraction)
+        // relies on to skip the program's facts.
+        debug_assert!(
+            asserted
+                || self
+                    .fact_copies
+                    .as_ref()
+                    .is_some_and(|copies| !copies.contains_key(fact)),
+            "a retraction is maintained only once no copy of `{fact}` remains"
+        );
         // The Figure 1 outcome records the settling order, which even a pure
         // EDB fact can extend; recompute it on demand.
         lock_mut(&mut self.snap.core).modular = None;
@@ -357,14 +367,20 @@ fn pred_key(atom: &Term) -> Option<PredKey> {
     name.is_ground().then(|| (name.clone(), atom.arity()))
 }
 
-/// Returns `true` if some rule with no positive or negative body atoms (a
-/// remaining bare fact, or a builtin-guarded rule like `f :- 1 < 2.`) still
-/// produces `fact` as a bodyless ground instance.  Used by the DRed
-/// retraction path to decide whether the ground fact survives the removal of
-/// its program-fact occurrence.
+/// Returns `true` if some rule other than a program fact still produces the
+/// just-retracted `fact` as a bodiless ground instance: a builtin-guarded
+/// rule like `f :- 1 < 2.`.  Used by the DRed retraction path and the table
+/// maintenance to decide whether the ground fact survives the removal of its
+/// last program-fact occurrence.
+///
+/// Bodiless rules are skipped before any join: such a rule derives exactly
+/// its head, and both callers run only once `retract_fact` has found (by
+/// the fact multiset) that no bodiless rule headed `fact` remains — so the
+/// cost is a glance at each fact plus a join per builtin-only rule, not a
+/// join per stored fact.
 pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
     let empty = AtomStore::new();
-    program.iter().any(|rule| {
+    program.proper_rules().any(|rule| {
         rule.positive_atoms().count() == 0
             && rule.negative_atoms().count() == 0
             && join_body(rule, &empty, None, NegationMode::Ignore)
@@ -688,6 +704,63 @@ mod tests {
         assert_eq!(db.holds(&parse_term("s").unwrap()).unwrap(), Truth::True);
         assert_eq!(db.holds(&parse_term("t").unwrap()).unwrap(), Truth::True);
         assert!(!db.retract_fact(&parse_term("s").unwrap()));
+    }
+
+    #[test]
+    fn guarded_twins_survive_and_plain_facts_go_in_a_program_of_many_chunks() {
+        // The same decisions as above, but with the guarded rule, the
+        // retracted plain fact and the EDB twin in three different chunks of
+        // the rule sequence (800 facts between them), and both maintenance
+        // routes warm: the subgoal tables and the grounding + model.
+        let mut text = String::from("s :- 1 < 2. t :- s. u(X) :- e(X, Y).\n");
+        for i in 0..800 {
+            text.push_str(&format!("e(n{i}, n{}).\n", i + 1));
+        }
+        text.push_str("s.\n");
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        let term = |t: &str| parse_term(t).unwrap();
+        for atom in ["s", "t", "e(n400, n401)", "u(n400)"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::True);
+        }
+        db.model().unwrap();
+        // The twin: `s` stays true on both routes, and is gone as a fact.
+        assert!(db.retract_fact(&term("s")));
+        assert!(!db.retract_fact(&term("s")));
+        for atom in ["s", "t"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::True, "{atom}");
+            assert_eq!(db.model().unwrap().truth(&term(atom)), Truth::True);
+        }
+        // A plain fact has no other bodiless route: it goes from tables and
+        // model alike, with what it supported.
+        assert!(db.retract_fact(&term("e(n400, n401)")));
+        for atom in ["e(n400, n401)", "u(n400)"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::False, "{atom}");
+            assert_eq!(db.model().unwrap().truth(&term(atom)), Truth::False);
+        }
+        let open = parse_query("?- P(n399, X).").unwrap();
+        let warm = db.query(&open).unwrap();
+        assert_eq!(warm.stats.groundings, 0, "maintenance re-grounded");
+        assert_eq!(warm.answers.len(), 1);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(warm.answers, fresh.query(&open).unwrap().answers);
+        let fresh_model = fresh.model().unwrap().clone();
+        let model = db.model().unwrap();
+        for atom in model.base().iter().chain(fresh_model.base()) {
+            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+        // A non-ground bodiless rule is no twin of any ground fact either
+        // (it makes the full model flounder, so only the tables are warm):
+        // it neither keeps a retracted fact alive nor is touched by it.
+        text.push_str("e(X, stop).\n");
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        assert_eq!(db.holds(&term("e(n400, n401)")).unwrap(), Truth::True);
+        assert!(db.retract_fact(&term("e(n400, n401)")));
+        assert_eq!(db.holds(&term("e(n400, n401)")).unwrap(), Truth::False);
+        assert_eq!(db.holds(&term("e(n400, stop)")).unwrap(), Truth::True);
+        let open_fact = term("e(X, stop)");
+        assert!(db.retract_fact(&open_fact));
+        assert!(!db.retract_fact(&open_fact));
+        assert_eq!(db.holds(&term("e(n400, stop)")).unwrap(), Truth::False);
     }
 
     #[test]

@@ -19,7 +19,9 @@
 //!   at an *epoch*: the program and every heavyweight cache are shared by
 //!   `Arc` (publishing is a handful of refcount bumps, never a deep copy),
 //!   and the writer's next mutation copies-on-write whatever a reader still
-//!   pins.  The type is `Send + Sync`, so any number of threads answer
+//!   pins — of the program, only the chunks of its rule sequence the batch
+//!   edits; of the caches, each one it touches, whole.  The type is
+//!   `Send + Sync`, so any number of threads answer
 //!   queries from the same snapshot in parallel; caches the writer had not
 //!   filled yet are built lazily *inside* the snapshot — the first reader
 //!   that needs the full model builds it, later readers reuse it.
@@ -47,8 +49,8 @@
 //! shares it, the writer adopts a reader-built one together with the reader
 //! tables, and from then on the session's mutations *maintain* it in place
 //! (copy-on-write while a published snapshot still holds the previous
-//! version, exactly like the program and the possibly-true store) instead
-//! of rebuilding it.
+//! version, exactly like the possibly-true store — a whole-index copy per
+//! batch, unlike the chunk-shared program) instead of rebuilding it.
 //!
 //! ```
 //! use hilog_engine::session::HiLogDb;
@@ -164,8 +166,12 @@ pub struct DbSnapshot {
     /// The program, `Arc`d so a published copy shares it with the session;
     /// the session mutates through `Arc::make_mut` (copy-on-write: the clone
     /// happens only while a published snapshot still holds the previous
-    /// version).  Every heavyweight cache below is `Arc`d for the same
-    /// reason.
+    /// version).  The clone is shallow — the rule list is a persistent
+    /// sequence of `Arc`d chunks — so a batch un-shares the chunks it
+    /// edits and this snapshot keeps the rest in common with every later
+    /// epoch.  Every heavyweight cache below is `Arc`d for the same reason
+    /// (those are copied whole when edited while shared).  The session's
+    /// fact multiset is deliberately *not* here: only mutations read it.
     pub(crate) program: Arc<Program>,
     pub(crate) opts: EvalOptions,
     pub(crate) stable_opts: StableOptions,

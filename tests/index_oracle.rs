@@ -25,9 +25,13 @@
 //! answers of the subject (the writer's session, the published snapshot, a
 //! snapshot pinned epochs ago) must equal the answers read off the
 //! subject's own full model and the answers of a fresh session built from
-//! the subject's program.  A count-based test pins the complexity: a cold
-//! bound probe attempts the same number of head unifications at 3,000 and
-//! at 30,000 facts.
+//! the subject's program.  One stream starts from a program of several
+//! chunks of its persistent rule sequence and edits across their boundaries
+//! (a chunk empties on the way): every snapshot it publishes stays pinned
+//! and must keep rendering the rule list of its own epoch while the writer
+//! copies-on-write the chunks they share.  A count-based test pins the
+//! complexity: a cold bound probe attempts the same number of head
+//! unifications at 3,000 and at 30,000 facts.
 //!
 //! Seeds are pinned (`SEED_BASE` + case index) so failures reproduce;
 //! `HILOG_INDEX_ORACLE_CASES` scales the case count up in CI.
@@ -501,6 +505,161 @@ fn program_index_answers_equal_the_full_model_and_a_fresh_session_under_mutation
         }
         if let Some(pinned) = &pinned {
             check_snapshot(&format!("seed {seed} pinned at the end"), &mut rng, pinned);
+        }
+    }
+}
+
+/// An upper bound on the rules per chunk of the program's persistent rule
+/// sequence (`hilog_core::program`'s private `CHUNK_CAPACITY`).  The stream
+/// below starts from four of these and retracts a run of two, so it crosses
+/// chunk boundaries and empties a whole chunk at any capacity up to this.
+const CHUNK: usize = 256;
+
+fn rule_list(program: &Program) -> Vec<String> {
+    program.iter().map(|r| r.to_string()).collect()
+}
+
+/// `bridge(w<i>, w<i+1>)`: the bulk relation of the chunk-crossing stream —
+/// distinct facts over nodes of their own, read only by the pool rule
+/// `linked(X, Y) :- bridge(X, Y).`, so a thousand of them keep every model
+/// small.
+fn wide_fact(i: usize) -> Term {
+    let w = |i: usize| Term::sym(format!("w{i}"));
+    Term::apps("bridge", vec![w(i), w(i + 1)])
+}
+
+/// A snapshot pinned at its publication, with the rule list its program
+/// rendered then.
+struct Pinned {
+    snapshot: Arc<DbSnapshot>,
+    rules: Vec<String>,
+}
+
+impl Pinned {
+    /// The writer has moved on, editing chunks this snapshot's program
+    /// shares with it; the snapshot must still hold — and answer from —
+    /// exactly the rule list of its own epoch.
+    fn check(&self, context: &str, rng: &mut StdRng) {
+        assert_eq!(
+            rule_list(self.snapshot.program()),
+            self.rules,
+            "{context}: a pinned program changed under its snapshot"
+        );
+        // A subgoal this snapshot has (most likely) never tabled.
+        let i = rng.gen_range(0..4 * CHUNK);
+        let fact = wide_fact(i);
+        let query = parse_query(&format!("?- bridge(w{i}, X).")).unwrap();
+        let answers = self.snapshot.query(&query).unwrap().answers;
+        assert_eq!(
+            answers.len(),
+            usize::from(self.rules.contains(&format!("{fact}."))),
+            "{context}: `{query}` on the snapshot of epoch {}",
+            self.snapshot.epoch()
+        );
+    }
+}
+
+#[test]
+fn program_index_stream_across_program_chunks_keeps_every_pinned_rule_list() {
+    for case in 0..(cases() / 30).max(1) {
+        let seed = SEED_BASE ^ (0xC4 << 24) ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut program = parse_program(BASE_RULES).unwrap();
+        for i in 0..4 * CHUNK {
+            program.push(Rule::fact(wide_fact(i)));
+        }
+        let (mut writer, handle) = HiLogDb::new(program).into_serving();
+        // The flat list the chunked sequence must read as: appended to on
+        // assert, first match removed on retract.
+        let mut mirror = rule_list(writer.program());
+        let retract_mirror = |mirror: &mut Vec<String>, rule: &str| -> bool {
+            let pos = mirror.iter().position(|r| r == rule);
+            pos.map(|pos| mirror.remove(pos)).is_some()
+        };
+        let mut pinned = vec![Pinned {
+            snapshot: handle.current(),
+            rules: mirror.clone(),
+        }];
+        check_snapshot(&format!("seed {seed} epoch 0"), &mut rng, &handle.current());
+        for step in 0..60 {
+            let context = format!("seed {seed} step {step}");
+            let present = ground_facts(writer.program());
+            let some_present = present[rng.gen_range(0..present.len())].clone();
+            match rng.gen_range(0..100u32) {
+                // New facts land in the last chunk ...
+                0..=19 => {
+                    let fact = random_fact(&mut rng);
+                    mirror.push(format!("{fact}."));
+                    writer.assert_fact(fact).unwrap();
+                }
+                // ... and so does a second copy of a fact from any chunk:
+                // the two copies now straddle chunk boundaries.
+                20..=39 => {
+                    mirror.push(format!("{some_present}."));
+                    writer.assert_fact(some_present).unwrap();
+                }
+                // One copy leaves — the first, wherever it sits.
+                40..=59 => {
+                    assert!(retract_mirror(&mut mirror, &format!("{some_present}.")));
+                    assert!(writer.retract_fact(&some_present), "{context}");
+                }
+                60..=64 => {
+                    let fact = wide_fact(rng.gen_range(0..8 * CHUNK));
+                    assert_eq!(
+                        writer.retract_fact(&fact),
+                        retract_mirror(&mut mirror, &format!("{fact}.")),
+                        "{context}: retracting `{fact}`"
+                    );
+                }
+                65..=72 => {
+                    let rule = pool_rule(&mut rng);
+                    mirror.push(rule.to_string());
+                    writer.assert_rule(rule);
+                }
+                73..=80 => {
+                    let rule = pool_rule(&mut rng);
+                    assert_eq!(
+                        writer.retract_rule(&rule),
+                        retract_mirror(&mut mirror, &rule.to_string()),
+                        "{context}: retracting `{rule}`"
+                    );
+                }
+                _ => {
+                    let snapshot = writer.publish();
+                    check_snapshot(&format!("{context} published"), &mut rng, &snapshot);
+                    pinned.push(Pinned {
+                        snapshot,
+                        rules: mirror.clone(),
+                    });
+                }
+            }
+            // A third of the way in, a run of retractions two chunks long
+            // from the middle of the program: some chunk empties and goes.
+            if step == 20 {
+                let doomed: Vec<Term> = writer
+                    .program()
+                    .iter()
+                    .skip(CHUNK)
+                    .take(2 * CHUNK)
+                    .filter(|r| r.is_fact() && r.head.is_ground())
+                    .map(|r| r.head.clone())
+                    .collect();
+                for fact in &doomed {
+                    assert!(retract_mirror(&mut mirror, &format!("{fact}.")));
+                    assert!(writer.retract_fact(fact), "{context}: `{fact}`");
+                }
+            }
+            assert_eq!(rule_list(writer.program()), mirror, "{context}");
+            for old in &pinned {
+                old.check(&context, &mut rng);
+            }
+        }
+        assert!(pinned.len() > 2, "seed {seed}: the stream never published");
+        let last = writer.publish();
+        assert_eq!(rule_list(last.program()), mirror, "seed {seed}");
+        for old in [&pinned[0], &pinned[pinned.len() / 2]] {
+            let context = format!("seed {seed} epoch {} at the end", old.snapshot.epoch());
+            check_snapshot(&context, &mut rng, &old.snapshot);
         }
     }
 }

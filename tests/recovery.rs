@@ -621,6 +621,98 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Replay over a checkpointed program that spans several chunks of its
+/// persistent rule sequence: 700 facts checkpointed, then a WAL tail whose
+/// first op is what counts the recovered program into the session's fact
+/// multiset — a duplicate assert of a fact from the first chunk, a retract
+/// of one of its two copies, a retract of a single-copy fact from a middle
+/// chunk, a retract of an absent fact.  Replay drives the same `apply_ops`
+/// as the live writer, so the recovered program must be the live writer's
+/// **as a rule list, order included** (one relation, rules first: the
+/// checkpoint's relation-grouped order is the source order here), at the
+/// same epoch, with the same answers.
+#[test]
+fn replay_across_program_chunks_recovers_the_live_rule_list() {
+    let dir = temp_dir("chunks", 0);
+    let config = StoreConfig::new(&dir);
+    let rules = parse_program(
+        "linked(X, Y) :- move(X, Y).\n\
+         linked(X, Y) :- move(Y, X).",
+    )
+    .unwrap();
+    let fact = |i: usize| parse_term(&format!("move(p{i}, p{})", i + 1)).unwrap();
+    let rule_list = |program: &hilog_core::Program| -> Vec<String> {
+        program.iter().map(|r| r.to_string()).collect()
+    };
+    let queries: Vec<Query> = [
+        "?- linked(p10, X).",
+        "?- linked(p300, X).",
+        "?- linked(p301, X).",
+        "?- move(q0, X).",
+        "?- move(X, p700).",
+    ]
+    .iter()
+    .map(|text| parse_query(text).unwrap())
+    .collect();
+
+    let (live_rules, live_epoch, live_answers) = {
+        let (mut writer, handle, _) =
+            PersistentWriter::open(&config, HiLogDb::new(rules.clone())).expect("fresh open");
+        for batch in 0..7 {
+            let ops: Vec<Op> = (batch * 100..(batch + 1) * 100)
+                .map(|i| Op::AssertFact(fact(i)))
+                .collect();
+            writer.apply_batch(&ops).unwrap();
+        }
+        writer.checkpoint().expect("full checkpoint, epoch 7");
+        let absent = parse_term("move(zz, zz)").unwrap();
+        let tail = [
+            vec![
+                Op::AssertFact(fact(10)),
+                Op::AssertFact(parse_term("move(q0, q1)").unwrap()),
+            ],
+            vec![Op::RetractFact(fact(10)), Op::RetractFact(fact(300))],
+            vec![Op::RetractFact(absent), Op::AssertFact(fact(700))],
+        ];
+        let outcomes: Vec<_> = tail
+            .iter()
+            .map(|ops| writer.apply_batch(ops).unwrap())
+            .collect();
+        assert_eq!(outcomes[1].missing, Vec::<usize>::new());
+        assert_eq!(outcomes[2].missing, vec![0], "the absent fact");
+        // One copy of move(p10, p11) left its place in the first chunk; the
+        // other stays where the duplicate assert appended it.
+        let live_rules = rule_list(writer.program());
+        assert_eq!(live_rules.len(), 2 + 700 + 3 - 2);
+        assert_eq!(live_rules[2 + 10], "move(p11, p12).");
+        assert_eq!(live_rules[2 + 698], "move(p10, p11).");
+        let answers: Vec<BTreeSet<String>> = queries
+            .iter()
+            .map(|q| answer_set(&handle.current().query(q).unwrap()))
+            .collect();
+        (live_rules, writer.epoch(), answers)
+        // Simulated crash: writer dropped with three records in the WAL.
+    };
+
+    let (writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(rules)).expect("reopen");
+    assert!(report.recovered);
+    assert_eq!(report.checkpoint_epoch, Some(7));
+    assert_eq!(report.replayed_records, 3);
+    assert_eq!(report.replayed_ops, 6);
+    assert_eq!(writer.epoch(), live_epoch);
+    assert_eq!(rule_list(writer.program()), live_rules);
+    let mut fresh = HiLogDb::new(writer.program().clone());
+    for (query, live) in queries.iter().zip(&live_answers) {
+        let recovered = handle.current().query(query).unwrap();
+        assert_eq!(&answer_set(&recovered), live, "`{query}` across the crash");
+        let reference = fresh.query(query).unwrap();
+        assert_results_agree(&recovered, &reference, &format!("({query})"));
+    }
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// HTTP restart round-trip: mutate a durable server, shut it down
 /// gracefully (final checkpoint), start a second server on the same
 /// directory, and demand identical answers plus truthful storage stats.
