@@ -12,8 +12,7 @@
 //! long-lived executor: evaluation work arrives in waves with a barrier
 //! between them, and scoped threads let tasks borrow the shared read-only
 //! evaluation state (`IndexedProgram`, `AtomStore`, the settled assignment)
-//! without `Arc` plumbing.  `hilog-server` uses the same primitive for its
-//! request workers (see `hilog-server/src/threadpool.rs`).
+//! without `Arc` plumbing.
 //!
 //! The module also owns the process-wide observability counters surfaced as
 //! `EvalStats.parallel_{waves,partitioned_rounds,tasks}`.  They are global

@@ -139,7 +139,7 @@ pub struct StatsResponse {
     pub head_unifications: u64,
     /// The semantics queries are answered under.
     pub semantics: String,
-    /// Worker threads serving requests.
+    /// Requests that may execute at once.
     pub workers: usize,
     /// Whether a durable store backs the server (`false`: every storage
     /// counter below is zero).
@@ -186,10 +186,17 @@ pub struct StatsResponse {
     pub io_retries: u64,
     /// Faults injected by a fault-injecting I/O backend (0 in production).
     pub injected_faults: u64,
-    /// Connections shed with `429` because the accept backlog was full.
+    /// Connections shed with `429` because `max_backlog` were already open.
     pub shed_requests: u64,
     /// Queries aborted at their deadline (`504` responses).
     pub query_timeouts: u64,
+    /// Connections given a connection thread since boot.
+    pub connections_accepted: u64,
+    /// Connections open right now, idle ones included.
+    pub connections_open: usize,
+    /// Requests answered on those connections, this one included; divided
+    /// by `connections_accepted` it says how far clients reuse connections.
+    pub requests_served: u64,
 }
 
 /// The `degraded` member of [`StatsResponse`]: why and since when the store
@@ -267,6 +274,14 @@ impl Serialize for StatsResponse {
         serde::write_field(out, "injected_faults", &self.injected_faults, false);
         serde::write_field(out, "shed_requests", &self.shed_requests, false);
         serde::write_field(out, "query_timeouts", &self.query_timeouts, false);
+        serde::write_field(
+            out,
+            "connections_accepted",
+            &self.connections_accepted,
+            false,
+        );
+        serde::write_field(out, "connections_open", &self.connections_open, false);
+        serde::write_field(out, "requests_served", &self.requests_served, false);
         out.push('}');
     }
 }

@@ -12,9 +12,12 @@ pub struct ServerConfig {
     /// free port (the bound address is reported by
     /// [`Server::local_addr`](crate::Server::local_addr)).
     pub addr: String,
-    /// Number of worker threads answering requests.  Readers scale with
-    /// workers — each queries the published snapshot through its own pinned
-    /// `Arc` — while mutations serialise on the single writer.
+    /// Most requests that execute at once.  Connections are persistent and
+    /// each has a thread of its own, but a request runs its handler only
+    /// while holding one of `workers` permits, so an idle connection costs
+    /// none of them.  Readers scale with workers — each queries the
+    /// published snapshot through its own pinned `Arc` — while mutations
+    /// serialise on the single writer.
     pub workers: usize,
     /// Maximum accepted request-body size in bytes; larger requests are
     /// rejected with `413 Payload Too Large`.
@@ -43,14 +46,17 @@ pub struct ServerConfig {
     /// deadline aborts at the engine's resource-limit hooks and answers
     /// `504 Gateway Timeout`.
     pub default_timeout_ms: Option<u64>,
-    /// Maximum accepted-but-unserved connections.  Arrivals beyond this are
-    /// shed immediately with `429 Too Many Requests` and `Retry-After: 1`
-    /// instead of growing an unbounded queue in front of the worker pool.
+    /// Maximum open connections, idle ones included — and so the most
+    /// connection threads the server runs.  Arrivals beyond this are shed
+    /// immediately with `429 Too Many Requests` and `Retry-After: 1`
+    /// instead of starting threads without bound.
     pub max_backlog: usize,
-    /// Per-socket read/write timeout applied to every accepted connection,
-    /// so a client that dribbles its request (or never drains the response)
-    /// cannot pin a worker forever.  A stalled read answers
-    /// `408 Request Timeout`.  `None` disables the guard.
+    /// Per-socket read/write timeout applied to every accepted connection.
+    /// It is how long an idle kept connection stays open (it is then closed
+    /// silently), and it keeps a client that dribbles its request (or never
+    /// drains the response) from holding a connection thread forever: a
+    /// read that stalls mid-request answers `408 Request Timeout`.  `None`
+    /// disables the guard.
     pub socket_timeout: Option<Duration>,
     /// Filesystem backend handed to the durable store (ignored without
     /// `data_dir`).  `None` uses the real filesystem; resilience tests pass
@@ -97,7 +103,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1).
+    /// Sets how many requests may execute at once (clamped to at least 1).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -128,7 +134,7 @@ impl ServerConfig {
         self
     }
 
-    /// Sets the load-shedding backlog bound (clamped to at least 1).
+    /// Sets the bound on open connections (clamped to at least 1).
     pub fn max_backlog(mut self, max_backlog: usize) -> Self {
         self.max_backlog = max_backlog.max(1);
         self

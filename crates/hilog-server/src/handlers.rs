@@ -264,5 +264,8 @@ fn stats(state: &ServerState) -> Response {
         injected_faults: storage.injected_faults,
         shed_requests: state.shed_requests.load(Ordering::Relaxed),
         query_timeouts: state.query_timeouts.load(Ordering::Relaxed),
+        connections_accepted: state.connections_accepted.load(Ordering::Relaxed),
+        connections_open: state.connections_open.load(Ordering::SeqCst),
+        requests_served: state.requests_served.load(Ordering::Relaxed),
     }))
 }

@@ -8,6 +8,11 @@
 //!              [--max-backlog N] [--socket-timeout-ms N|none]
 //! ```
 //!
+//! `--workers` bounds the requests that execute at once; `--max-backlog`
+//! bounds the connections open at once, idle ones included (each has a
+//! thread; arrivals beyond it are shed with `429`); `--socket-timeout-ms` is
+//! how long an idle connection is kept and a stalled request waited for.
+//!
 //! Without `--program` the server starts on an empty program; populate it
 //! with `POST /assert`.  With `--data-dir` every mutation batch is written
 //! to a write-ahead log before it is applied, and a restart on the same
@@ -27,7 +32,11 @@ fn usage() -> ExitCode {
         "usage: hilog-server [--addr HOST:PORT] [--workers N] [--eval-threads N] \
          [--semantics wfs|stable|modular] [--program FILE] \
          [--data-dir DIR] [--fsync batch|interval|never] [--no-final-checkpoint] \
-         [--timeout-ms N|none] [--max-backlog N] [--socket-timeout-ms N|none]"
+         [--timeout-ms N|none] [--max-backlog N] [--socket-timeout-ms N|none]\n  \
+         --workers N      requests that may execute at once (connections are kept \
+         alive and idle ones hold none)\n  \
+         --max-backlog N  connections that may be open at once, one thread each; \
+         arrivals beyond it are shed with 429"
     );
     ExitCode::FAILURE
 }

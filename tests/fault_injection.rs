@@ -377,10 +377,20 @@ fn query_body(query: &str) -> String {
     body
 }
 
+/// Reads `name` off a `/stats` response.
+fn stat(stats: &client::ClientResponse, name: &str) -> u64 {
+    stats
+        .json()
+        .ok()
+        .and_then(|json| json.get(name).and_then(|v| v.as_u64()))
+        .unwrap_or_else(|| panic!("no `{name}` in {}", stats.body))
+}
+
 /// `timeout_ms` in the request body aborts a too-slow query with `504`,
 /// the same query without a deadline completes, and `/stats` counts the
 /// timeout.  A generous deadline surfaces `deadline_checks` in the
-/// result's `EvalStats`.
+/// result's `EvalStats`.  All on one connection: a `504` is an answer, not
+/// a reason to close.
 #[test]
 fn query_deadline_answers_504_and_counts() {
     let server = Server::bind(
@@ -393,27 +403,28 @@ fn query_deadline_answers_504_and_counts() {
     let addr = server.local_addr();
     let shutdown = server.handle();
     let serving = std::thread::spawn(move || server.serve());
+    let mut connection = client::Connection::open(addr).expect("connect");
 
-    let response = client::post(
-        addr,
-        "/query",
-        r#"{"query": "?- reach(X, Y).", "timeout_ms": 1}"#,
-    )
-    .unwrap();
+    let response = connection
+        .post("/query", r#"{"query": "?- reach(X, Y).", "timeout_ms": 1}"#)
+        .unwrap();
     assert_eq!(response.status, 504, "{}", response.body);
     assert!(response.body.contains("deadline"), "{}", response.body);
+    assert!(!response.close, "a timed-out query keeps its connection");
 
     // Without a deadline the very same query completes.
-    let response = client::post(addr, "/query", &query_body("?- reach(X, Y).")).unwrap();
+    let response = connection
+        .post("/query", &query_body("?- reach(X, Y)."))
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
 
     // A generous deadline passes and reports its checks in the stats.
-    let response = client::post(
-        addr,
-        "/query",
-        r#"{"query": "?- reach(n0, Y).", "timeout_ms": 60000}"#,
-    )
-    .unwrap();
+    let response = connection
+        .post(
+            "/query",
+            r#"{"query": "?- reach(n0, Y).", "timeout_ms": 60000}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let json = response.json().unwrap();
     let checks = json
@@ -424,21 +435,17 @@ fn query_deadline_answers_504_and_counts() {
         .expect("stats carry deadline_checks");
     assert!(checks > 0, "a deadlined query reports its checks");
 
-    let response = client::get(addr, "/stats").unwrap();
-    let json = response.json().unwrap();
-    assert!(
-        json.get("query_timeouts").and_then(|v| v.as_u64()).unwrap() >= 1,
-        "{}",
-        response.body
-    );
+    let response = connection.get("/stats").unwrap();
+    assert!(stat(&response, "query_timeouts") >= 1, "{}", response.body);
+    assert_eq!(stat(&response, "connections_accepted"), 1);
 
     // Bad deadline values are client errors.
-    let response = client::post(
-        addr,
-        "/query",
-        r#"{"query": "?- reach(X, Y).", "timeout_ms": "soon"}"#,
-    )
-    .unwrap();
+    let response = connection
+        .post(
+            "/query",
+            r#"{"query": "?- reach(X, Y).", "timeout_ms": "soon"}"#,
+        )
+        .unwrap();
     assert_eq!(response.status, 400, "{}", response.body);
 
     shutdown.shutdown();
@@ -447,7 +454,8 @@ fn query_deadline_answers_504_and_counts() {
 
 /// A dead disk under a live server: mutations degrade to `503` while
 /// queries keep answering, `/stats` reports why, and a successful
-/// checkpoint after the disk heals re-arms the writer.
+/// checkpoint after the disk heals re-arms the writer — all of it on one
+/// kept connection, whose `503`s do not cost it the socket.
 #[test]
 fn degraded_server_answers_503_and_checkpoint_rearms() {
     let dir = temp_dir("http-degraded", 0);
@@ -469,17 +477,24 @@ fn degraded_server_answers_503_and_checkpoint_rearms() {
     let addr = server.local_addr();
     let shutdown = server.handle();
     let serving = std::thread::spawn(move || server.serve());
+    let mut connection = client::Connection::open(addr).expect("connect");
 
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(c, d)"]}"#).unwrap();
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(c, d)"]}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
 
     // The disk dies: the next mutation degrades the store.
     io.fail_from(io.ops());
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(d, e)"]}"#).unwrap();
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(d, e)"]}"#)
+        .unwrap();
     assert_eq!(response.status, 503, "{}", response.body);
 
     // Queries keep serving the last published snapshot.
-    let response = client::post(addr, "/query", &query_body("?- winning(c).")).unwrap();
+    let response = connection
+        .post("/query", &query_body("?- winning(c)."))
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let json = response.json().unwrap();
     assert_eq!(
@@ -491,7 +506,7 @@ fn degraded_server_answers_503_and_checkpoint_rearms() {
     );
 
     // Stats say why, and count the injected faults.
-    let response = client::get(addr, "/stats").unwrap();
+    let response = connection.get("/stats").unwrap();
     let json = response.json().unwrap();
     let degraded = json.get("degraded").expect("stats carry degraded");
     assert!(
@@ -513,32 +528,37 @@ fn degraded_server_answers_503_and_checkpoint_rearms() {
     );
 
     // Still read-only: the refusal is now the structured degraded error.
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(d, e)"]}"#).unwrap();
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(d, e)"]}"#)
+        .unwrap();
     assert_eq!(response.status, 503, "{}", response.body);
     assert!(response.body.contains("read-only"), "{}", response.body);
 
     // Operator frees space; a successful checkpoint re-arms the writer.
     io.heal();
-    let response = client::post(addr, "/checkpoint", "").unwrap();
+    let response = connection.post("/checkpoint", "").unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(d, e)"]}"#).unwrap();
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(d, e)"]}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
-    let response = client::get(addr, "/stats").unwrap();
+    let response = connection.get("/stats").unwrap();
     let json = response.json().unwrap();
     assert!(
         matches!(json.get("degraded"), Some(serde_json::Value::Null)),
         "re-armed stats report degraded: null ({})",
         response.body
     );
+    assert_eq!(stat(&response, "connections_accepted"), 1);
 
     shutdown.shutdown();
     serving.join().expect("server exits");
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// With the single worker pinned by an idle connection and a backlog bound
-/// of one, the next arrival is shed inline with `429` + `Retry-After`; the
-/// server recovers once the connection drains.
+/// With an idle connection filling a connection bound of one, the next
+/// arrival is shed inline with `429` + `Retry-After`; the server recovers
+/// once the connection drains.
 #[test]
 fn overloaded_server_sheds_with_429_retry_after() {
     let server = Server::bind(
@@ -553,7 +573,7 @@ fn overloaded_server_sheds_with_429_retry_after() {
     let shutdown = server.handle();
     let serving = std::thread::spawn(move || server.serve());
 
-    // Pin the only worker: an accepted connection that sends nothing.
+    // Fill the connection bound: an accepted connection that sends nothing.
     // Polled rather than slept — under a loaded machine the accept loop may
     // take a while to dispatch the idle connection; until it does, requests
     // still answer 200.
@@ -574,7 +594,7 @@ fn overloaded_server_sheds_with_429_retry_after() {
     assert_eq!(response.retry_after, Some(1), "shed responses say when");
     assert!(response.body.contains("overloaded"), "{}", response.body);
 
-    // Draining the idle connection frees the worker; service resumes.
+    // Draining the idle connection frees its place; service resumes.
     drop(idle);
     let mut recovered = None;
     for _ in 0..50 {
@@ -598,8 +618,40 @@ fn overloaded_server_sheds_with_429_retry_after() {
     serving.join().expect("server exits");
 }
 
+/// Spins until `ready` — a wait on a count or a flag, never the assertion
+/// itself — and gives up loudly rather than hanging the suite.
+fn wait_for(what: &str, mut ready: impl FnMut() -> bool) {
+    let start = std::time::Instant::now();
+    while !ready() {
+        assert!(
+            start.elapsed() < Duration::from_secs(60),
+            "gave up waiting for {what}"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// Writes `request` on a socket of its own and reads the one response plus
+/// everything after it; `Err` carries what a reset made of the exchange.
+fn raw_exchange(
+    addr: std::net::SocketAddr,
+    request: &[u8],
+) -> std::io::Result<(client::ClientResponse, Vec<u8>)> {
+    use std::io::{Read, Write};
+    let mut reader = std::io::BufReader::new(std::net::TcpStream::connect(addr)?);
+    reader.get_mut().write_all(request)?;
+    let response = client::read_response(&mut reader)?;
+    let mut rest = Vec::new();
+    reader.read_to_end(&mut rest)?;
+    Ok((response, rest))
+}
+
 /// A client that stalls mid-request is cut off by the socket timeout with
-/// `408` instead of pinning a worker; oversized bodies stay `413`.
+/// `408` instead of holding a connection thread, while one that merely sits
+/// idle is closed without a byte (a `408` there would be read as the answer
+/// to its next request); oversized bodies stay `413`, an oversized head is
+/// `431`, a chunked body `501` — each read to the end with the request's own
+/// bytes still unread behind it, and then the socket closes.
 #[test]
 fn slow_clients_time_out_and_oversized_bodies_are_rejected() {
     let mut config = ServerConfig::ephemeral()
@@ -620,16 +672,166 @@ fn slow_clients_time_out_and_oversized_bodies_are_rejected() {
     )
     .expect("the 408 response is still readable");
     assert_eq!(response.status, 408, "{}", response.body);
+    assert!(response.close, "a half-read request ends its connection");
 
-    // A prompt client on the same server is unaffected.
-    let response = client::post(addr, "/query", &query_body("?- move(a, X).")).unwrap();
-    assert_eq!(response.status, 200, "{}", response.body);
+    // Idle is not stalled: a kept connection that outlives the timeout
+    // between requests reads EOF and nothing else.
+    {
+        use std::io::Read;
+        let mut kept = client::Connection::open(addr).unwrap();
+        let response = kept.post("/query", &query_body("?- move(a, X).")).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let mut idle = std::net::TcpStream::connect(addr).unwrap();
+        let mut stale = Vec::new();
+        idle.read_to_end(&mut stale).expect("a clean close");
+        assert!(stale.is_empty(), "{}", String::from_utf8_lossy(&stale));
+        // The kept connection idled out beside it; its next request goes
+        // out again on a fresh socket and is answered, not met with a 408.
+        let response = kept.post("/query", &query_body("?- move(a, X).")).unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+    }
 
     // The body-size limit rejects before buffering the payload.
     let huge = format!(r#"{{"query": "?- move(a, {}). "}}"#, "b".repeat(512));
     let response = client::post(addr, "/query", &huge).unwrap();
     assert_eq!(response.status, 413, "{}", response.body);
 
+    // So does the head-size limit, and a body framed some other way.
+    let padded = format!(
+        "GET /stats HTTP/1.1\r\nX-Pad: {}\r\n\r\n",
+        "p".repeat(20_000)
+    );
+    let chunked = "POST /query HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n\
+                   1d\r\n{\"query\": \"?- move(a, X).\"}\r\n0\r\n\r\n";
+    for (request, status) in [(padded.as_str(), 431), (chunked, 501)] {
+        let (response, rest) = raw_exchange(addr, request.as_bytes()).expect("answered");
+        assert_eq!(response.status, status, "{}", response.body);
+        assert!(response.close && rest.is_empty(), "{status} closes");
+    }
+
     shutdown.shutdown();
     serving.join().expect("server exits");
+}
+
+/// `workers` bounds the requests that execute, not the connections that are
+/// open.  With one worker: a connection that is merely open holds no permit
+/// (the next client is answered while it sits there), and a request that is
+/// executing holds the only one (the next request runs after it, as the
+/// epoch it reads shows).
+#[test]
+fn one_worker_is_held_by_an_executing_request_not_by_an_idle_connection() {
+    let dir = temp_dir("http-one-worker", 0);
+    let io = FaultIo::over_real();
+    let server = Server::bind(
+        ServerConfig::ephemeral()
+            .workers(1)
+            .socket_timeout(Some(Duration::from_secs(30)))
+            .data_dir(&dir)
+            .store_io(Arc::new(io.clone()))
+            // One transient fault stalls a write in its handler for 300 ms.
+            .store_retry(RetryPolicy {
+                attempts: 1,
+                backoff: Duration::from_millis(300),
+            }),
+        HiLogDb::new(parse_program("move(a, b).").unwrap()),
+    )
+    .expect("bind durable server");
+    let addr = server.local_addr();
+    let shutdown = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+
+    // Accepted first, says nothing: under a worker per connection this
+    // socket is the only worker's, and nobody else is served while it is
+    // open.
+    let idle = std::net::TcpStream::connect(addr).unwrap();
+    let mut connection = client::Connection::open(addr).unwrap();
+    let response = connection.get("/stats").unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert_eq!(stat(&response, "connections_open"), 2, "{}", response.body);
+    assert_eq!(stat(&response, "workers"), 1);
+
+    // A write stalls in its handler — on the worker.  The injected-fault
+    // count says when it is there; a read sent after that must wait for the
+    // worker, so it runs after the write has published.
+    io.fail_nth(io.ops());
+    std::thread::scope(|scope| {
+        let write = scope.spawn(|| client::post(addr, "/assert", r#"{"facts": ["move(b, c)"]}"#));
+        wait_for("the write to stall", || io.injected() > 0);
+        let response = connection
+            .post("/query", &query_body("?- move(b, X)."))
+            .unwrap();
+        assert_eq!(response.status, 200, "{}", response.body);
+        let json = response.json().unwrap();
+        assert_eq!(
+            json.get("epoch").and_then(|v| v.as_u64()),
+            Some(1),
+            "the read overtook a write that held the only worker"
+        );
+        assert_eq!(write.join().unwrap().unwrap().status, 200);
+    });
+
+    drop(idle);
+    shutdown.shutdown();
+    serving.join().expect("server exits");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `shutdown()` does not wait out idle connections: with one open and a
+/// 30 s socket timeout, `serve` returns as soon as the request in flight at
+/// that moment has been answered — with `Connection: close` — and the idle
+/// socket reads a clean EOF.
+#[test]
+fn shutdown_wakes_idle_connections_and_answers_the_request_in_flight() {
+    use std::io::Read;
+    let dir = temp_dir("http-shutdown", 0);
+    let io = FaultIo::over_real();
+    let server = Server::bind(
+        ServerConfig::ephemeral()
+            .workers(2)
+            .socket_timeout(Some(Duration::from_secs(30)))
+            .data_dir(&dir)
+            .store_io(Arc::new(io.clone()))
+            .store_retry(RetryPolicy {
+                attempts: 1,
+                backoff: Duration::from_millis(300),
+            }),
+        HiLogDb::new(parse_program("move(a, b).").unwrap()),
+    )
+    .expect("bind durable server");
+    let addr = server.local_addr();
+    let shutdown = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+
+    // One connection that has been used and is now kept idle, one that
+    // never said anything.
+    let mut kept = client::Connection::open(addr).unwrap();
+    assert_eq!(kept.get("/stats").unwrap().status, 200);
+    let mut silent = std::net::TcpStream::connect(addr).unwrap();
+
+    // A write stalled in its handler is in flight when shutdown is called.
+    io.fail_nth(io.ops());
+    let started = std::thread::scope(|scope| {
+        let write = scope.spawn(|| client::post(addr, "/assert", r#"{"facts": ["move(b, c)"]}"#));
+        wait_for("the write to stall", || io.injected() > 0);
+        let started = std::time::Instant::now();
+        shutdown.shutdown();
+        let response = write
+            .join()
+            .unwrap()
+            .expect("the request in flight is answered");
+        assert_eq!(response.status, 200, "{}", response.body);
+        assert!(response.close, "and told the connection is closing");
+        started
+    });
+    serving.join().expect("server exits");
+    assert!(
+        started.elapsed() < Duration::from_secs(10),
+        "shutdown waited on an idle socket's 30 s timeout: {:?}",
+        started.elapsed()
+    );
+    let mut stale = Vec::new();
+    silent.read_to_end(&mut stale).expect("a clean close");
+    assert!(stale.is_empty(), "{}", String::from_utf8_lossy(&stale));
+    assert!(kept.get("/stats").is_err(), "nobody is listening any more");
+    std::fs::remove_dir_all(&dir).ok();
 }

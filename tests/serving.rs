@@ -272,8 +272,11 @@ fn pinned_snapshot_is_immune_to_later_publishes() {
     assert_eq!(answer_key(&after), answer_key(&expected));
 }
 
-/// HTTP round-trip: the server's `/query` answers must match the in-process
-/// snapshot answers, and `/assert`/`/retract`/`/stats` must behave.
+/// HTTP round-trip, all of it on **one** kept connection: the server's
+/// `/query` answers must match the in-process snapshot answers,
+/// `/assert`/`/retract`/`/stats` must behave, a write is visible to the next
+/// read on the same socket, and handler errors answer without closing — by
+/// the server's own counts, 60-odd requests were one connection.
 #[test]
 fn http_round_trip_matches_in_process_answers() {
     use hilog_server::{client, Server, ServerConfig};
@@ -281,7 +284,7 @@ fn http_round_trip_matches_in_process_answers() {
     let workload = serving_workload(
         &ServingWorkloadConfig {
             nodes: 30,
-            queries: 12,
+            queries: 50,
             ..ServingWorkloadConfig::default()
         },
         7,
@@ -292,12 +295,16 @@ fn http_round_trip_matches_in_process_answers() {
     let shutdown = server.handle();
     let snapshots = server.snapshots();
     let serving = std::thread::spawn(move || server.serve());
+    let mut connection = client::Connection::open(addr).expect("connect");
+    let mut sent = 0u64;
 
     // Queries on the quiescent server must match the in-process snapshot.
     for q in &workload.queries {
         let body = serde_json::to_string(&QueryBody { query: q }).unwrap();
-        let response = client::post(addr, "/query", &body).expect("query round-trip");
+        let response = connection.post("/query", &body).expect("query round-trip");
+        sent += 1;
         assert_eq!(response.status, 200, "{q}: {}", response.body);
+        assert!(!response.close, "{q}: the connection is kept");
         let json = response.json().expect("response parses");
         let served = json.get("result").expect("result member");
         let snapshot = snapshots.current();
@@ -315,38 +322,82 @@ fn http_round_trip_matches_in_process_answers() {
         }
     }
 
-    // Mutations publish new epochs and report missing retractions.
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(p0, p29)"]}"#).unwrap();
+    // Mutations publish new epochs and report missing retractions; the next
+    // request on the socket reads the write, at its epoch.
+    let moved = serde_json::to_string(&QueryBody {
+        query: "?- move(p0, p29).",
+    })
+    .unwrap();
+    let truth_at = |response: &client::ClientResponse| {
+        let json = response.json().unwrap();
+        (
+            json.get("epoch").and_then(|v| v.as_u64()),
+            json.get("result")
+                .and_then(|r| r.get("truth"))
+                .and_then(|v| v.as_str())
+                .map(str::to_string),
+        )
+    };
+    let response = connection.post("/query", &moved).unwrap();
+    assert_eq!(truth_at(&response), (Some(0), Some("false".into())));
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(p0, p29)"]}"#)
+        .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     let json = response.json().unwrap();
     assert_eq!(json.get("epoch").and_then(|v| v.as_u64()), Some(1));
     assert_eq!(json.get("applied").and_then(|v| v.as_u64()), Some(1));
+    let response = connection.post("/query", &moved).unwrap();
+    assert_eq!(truth_at(&response), (Some(1), Some("true".into())));
 
-    let response = client::post(
-        addr,
-        "/retract",
-        r#"{"facts": ["move(p0, p29)", "move(p0, p0)"]}"#,
-    )
-    .unwrap();
+    let response = connection
+        .post(
+            "/retract",
+            r#"{"facts": ["move(p0, p29)", "move(p0, p0)"]}"#,
+        )
+        .unwrap();
     let json = response.json().unwrap();
     assert_eq!(json.get("epoch").and_then(|v| v.as_u64()), Some(2));
     assert_eq!(json.get("applied").and_then(|v| v.as_u64()), Some(1));
     let missing = json.get("missing").and_then(|v| v.as_array()).unwrap();
     assert_eq!(missing.len(), 1);
+    sent += 4;
 
-    let response = client::get(addr, "/stats").unwrap();
+    // Bad requests are rejected with client errors, not hangs or panics —
+    // and, being fully read, without giving up the connection.
+    let response = connection.post("/query", "not json").unwrap();
+    assert_eq!((response.status, response.close), (400, false));
+    let response = connection
+        .post("/query", r#"{"query": "winning(X"}"#)
+        .unwrap();
+    assert_eq!((response.status, response.close), (422, false));
+    let response = connection
+        .post("/assert", r#"{"facts": ["move(X, p1)"]}"#)
+        .unwrap();
+    assert_eq!(response.status, 422, "non-ground fact is rejected");
+    let response = connection.get("/missing").unwrap();
+    assert_eq!((response.status, response.close), (404, false));
+    sent += 4;
+
+    let response = connection.get("/stats").unwrap();
+    sent += 1;
     assert_eq!(response.status, 200);
     let json = response.json().unwrap();
-    assert_eq!(json.get("epoch").and_then(|v| v.as_u64()), Some(2));
+    let count = |name: &str| json.get(name).and_then(|v| v.as_u64());
+    assert_eq!(count("epoch"), Some(2));
     assert_eq!(
         json.get("semantics").and_then(|v| v.as_str()),
         Some("well-founded")
     );
+    // Every request above, this one included, came in on one connection.
+    assert_eq!(count("connections_accepted"), Some(1), "{}", response.body);
+    assert_eq!(count("connections_open"), Some(1), "{}", response.body);
+    assert_eq!(count("requests_served"), Some(sent), "{}", response.body);
     // The evaluator's counters: the cold queries above attempted head
     // unifications, and the program index they built on the epoch-0
     // snapshot was adopted by the writer and maintained through both
     // mutation epochs — it is exactly the published program's fact set.
-    assert!(json.get("head_unifications").and_then(|v| v.as_u64()) > Some(0));
+    assert!(count("head_unifications") > Some(0));
     let published = snapshots.current();
     let facts: std::collections::BTreeSet<&Term> = published
         .program()
@@ -354,20 +405,119 @@ fn http_round_trip_matches_in_process_answers() {
         .filter(|r| r.head.is_ground())
         .map(|r| &r.head)
         .collect();
-    assert_eq!(
-        json.get("indexed_facts").and_then(|v| v.as_u64()),
-        Some(facts.len() as u64)
-    );
+    assert_eq!(count("indexed_facts"), Some(facts.len() as u64));
 
-    // Bad requests are rejected with client errors, not hangs or panics.
-    let response = client::post(addr, "/query", "not json").unwrap();
-    assert_eq!(response.status, 400);
-    let response = client::post(addr, "/query", r#"{"query": "winning(X"}"#).unwrap();
-    assert_eq!(response.status, 422);
-    let response = client::post(addr, "/assert", r#"{"facts": ["move(X, p1)"]}"#).unwrap();
-    assert_eq!(response.status, 422, "non-ground fact is rejected");
-    let response = client::get(addr, "/missing").unwrap();
-    assert_eq!(response.status, 404);
+    shutdown.shutdown();
+    serving.join().expect("server thread exits cleanly");
+}
+
+/// Reads `name` off a `/stats` response.
+fn stat(stats: &hilog_server::client::ClientResponse, name: &str) -> u64 {
+    stats
+        .json()
+        .ok()
+        .and_then(|json| json.get(name).and_then(|v| v.as_u64()))
+        .unwrap_or_else(|| panic!("no `{name}` in {}", stats.body))
+}
+
+/// How a connection ends, on raw sockets: `Connection: close` and an
+/// `HTTP/1.0` request line are each answered with `Connection: close` and
+/// EOF; requests written back to back are answered in order; a handler's
+/// `400` keeps the socket while an unread body's `413` closes it; and a
+/// connect-and-close probe is not a request.
+#[test]
+fn connections_end_when_the_client_says_so_or_framing_is_lost() {
+    use hilog_server::{client, Server, ServerConfig};
+    use std::io::{BufReader, Read, Write};
+    use std::net::TcpStream;
+
+    let mut config = ServerConfig::ephemeral().workers(2);
+    config.max_body_bytes = 256;
+    let db = HiLogDb::new(parse_program("move(a, b). move(b, c).").unwrap());
+    let server = Server::bind(config, db).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+
+    let post = |body: &str, extra: &str| {
+        format!(
+            "POST /query HTTP/1.1\r\nContent-Length: {}\r\n{extra}\r\n{body}",
+            body.len()
+        )
+    };
+    let moves_from = |node: &str| format!(r#"{{"query": "?- move({node}, X)."}}"#);
+    // Writes `bytes`, reads `responses` responses, and reports whether the
+    // server then closed the socket (EOF) or kept it (a further request is
+    // answered).
+    let exchange = |bytes: &str, responses: usize| {
+        let mut reader = BufReader::new(TcpStream::connect(addr).unwrap());
+        reader.get_mut().write_all(bytes.as_bytes()).unwrap();
+        let answers: Vec<client::ClientResponse> = (0..responses)
+            .map(|_| client::read_response(&mut reader).expect("a framed response"))
+            .collect();
+        let closing = answers.last().is_some_and(|last| last.close);
+        if closing {
+            let mut rest = Vec::new();
+            reader.read_to_end(&mut rest).expect("EOF, not a reset");
+            assert!(rest.is_empty(), "bytes after the closing response");
+        } else {
+            reader
+                .get_mut()
+                .write_all(b"GET /stats HTTP/1.1\r\n\r\n")
+                .unwrap();
+            let kept = client::read_response(&mut reader).expect("the socket is kept");
+            assert_eq!(kept.status, 200);
+        }
+        (answers, closing)
+    };
+
+    let (answers, closed) = exchange(&post(&moves_from("a"), "Connection: close\r\n"), 1);
+    assert_eq!((answers[0].status, closed), (200, true));
+    let old = "GET /stats HTTP/1.0\r\n\r\n";
+    let (answers, closed) = exchange(old, 1);
+    assert_eq!((answers[0].status, closed), (200, true));
+
+    // Pipelined: two requests in one write, two answers in request order.
+    let pipelined = post(&moves_from("a"), "") + &post(&moves_from("b"), "");
+    let (answers, closed) = exchange(&pipelined, 2);
+    assert!(!closed);
+    for (answer, to) in answers.iter().zip(["b", "c"]) {
+        assert_eq!(answer.status, 200, "{}", answer.body);
+        assert!(
+            answer.body.contains(&format!("\"X\":\"{to}\"")),
+            "{}",
+            answer.body
+        );
+    }
+
+    let (answers, closed) = exchange(&post("not json", ""), 1);
+    assert_eq!((answers[0].status, closed), (400, false));
+    let huge = format!(r#"{{"query": "?- move(a, {}). "}}"#, "b".repeat(512));
+    let (answers, closed) = exchange(&post(&huge, ""), 1);
+    assert_eq!((answers[0].status, closed), (413, true));
+
+    // A bare connect + close (a TCP health check) is nobody's request.
+    let mut connection = client::Connection::open(addr).unwrap();
+    let before = connection.get("/stats").unwrap();
+    drop(TcpStream::connect(addr).unwrap());
+    let mut polls = 0;
+    let after = loop {
+        // Wait, on counts, until the probe has come and gone.
+        let stats = connection.get("/stats").unwrap();
+        polls += 1;
+        assert!(polls < 100_000, "the probe never left: {}", stats.body);
+        if stat(&stats, "connections_accepted") == stat(&before, "connections_accepted") + 1
+            && stat(&stats, "connections_open") == 1
+        {
+            break stats;
+        }
+        std::thread::yield_now();
+    };
+    assert_eq!(
+        stat(&after, "requests_served"),
+        stat(&before, "requests_served") + polls,
+        "only this connection's polls were served: the probe was answered nothing"
+    );
 
     shutdown.shutdown();
     serving.join().expect("server thread exits cleanly");
