@@ -243,7 +243,7 @@ pub struct RestrictionReport {
 
 /// A coarse classification of a program, combining the individual class
 /// checks.  `ProgramClass::classify` is the one-stop entry point used by the
-/// examples and the experiment harness.
+/// examples and the tests.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgramClass;
 

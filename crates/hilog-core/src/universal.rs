@@ -16,7 +16,7 @@
 //! must **not** be used to analyse stratification: a stratified normal
 //! program becomes unstratified because all predicates collapse into `call`,
 //! and the strongly connected components are merged.  Both facts are
-//! reproduced by the tests here and by experiment E9.
+//! reproduced by the tests here and in `tests/datahilog_and_universal.rs`.
 
 use crate::error::CoreError;
 use crate::literal::Literal;

@@ -4,7 +4,7 @@
 //! with fixed arities, relations of ground tuples, semi-naive bottom-up
 //! evaluation, stratum-at-a-time negation, and a ground well-founded
 //! semantics — so that it can serve as the "normal logic program" comparator
-//! of Theorems 4.1/4.2 and as the specialised baseline of experiment E11.
+//! of Theorems 4.1/4.2 and as the specialised baseline of Example 2.1.
 //! It shares no evaluation code with `hilog-engine`.
 
 use crate::relation::{Relation, RelationName};
@@ -453,7 +453,7 @@ fn eval_builtin(
     Ok(out)
 }
 
-/// The specialised transitive-closure baseline of experiment E11: a direct
+/// The specialised transitive-closure baseline of Example 2.1: a direct
 /// semi-naive closure over an edge list, with none of the generic HiLog
 /// machinery.
 pub fn specialized_transitive_closure(edges: &[(Term, Term)]) -> BTreeSet<(Term, Term)> {

@@ -5,8 +5,8 @@
 //! independent implementation (it shares only the term/parser crates with the
 //! HiLog engine), which serves two purposes in the reproduction:
 //!
-//! * it is the **baseline comparator** for the benchmarks — e.g. experiment
-//!   E11 compares one generic HiLog `tc(G)` program against `k` specialised
+//! * it is the **baseline comparator** — e.g. `examples/generic_closures.rs`
+//!   compares one generic HiLog `tc(G)` program against `k` specialised
 //!   Datalog transitive-closure programs;
 //! * it is a **cross-check**: Theorems 4.1 and 4.2 say the HiLog semantics of
 //!   a range-restricted normal program conservatively extends its normal

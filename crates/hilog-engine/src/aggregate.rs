@@ -17,7 +17,7 @@
 //! analog of modular stratification."
 //!
 //! The evaluator implements that reading with an iterate-and-recompute
-//! scheme (documented in DESIGN.md): each round recomputes, from scratch,
+//! scheme: each round recomputes, from scratch,
 //! the least model of the non-aggregate rules together with the aggregate
 //! conclusions of the previous round, and then recomputes every aggregate
 //! group's value over the fresh atoms.  For acyclic (modularly stratified)

@@ -2,8 +2,7 @@
 //!
 //! Section 4 of the paper extends the well-founded and stable-model
 //! semantics to HiLog by instantiating rules over the (infinite) HiLog
-//! Herbrand universe.  This module provides the two instantiation strategies
-//! described in DESIGN.md:
+//! Herbrand universe.  This module provides two instantiation strategies:
 //!
 //! * [`relevant_ground`] — *relevant instantiation*: only substitutions that
 //!   make every positive body atom a member of the over-approximated

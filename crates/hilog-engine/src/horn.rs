@@ -101,11 +101,6 @@ pub enum NegationMode {
 }
 
 thread_local! {
-    /// Whether [`AtomStore::candidates`] may answer from argument indexes.
-    /// Disabled by [`scan_only_guard`] so benchmarks and the index-vs-scan
-    /// property oracle can measure the pure functor-scan baseline through the
-    /// exact same call path.
-    static INDEXING_ENABLED: Cell<bool> = const { Cell::new(true) };
     /// Cumulative candidate probes answered from an argument index.
     static INDEX_PROBES: Cell<usize> = const { Cell::new(0) };
     /// Cumulative candidate probes that fell back to a functor-bucket or
@@ -126,27 +121,18 @@ pub fn probe_counters() -> (usize, usize) {
     )
 }
 
-/// RAII guard returned by [`scan_only_guard`]; restores index probing for
-/// this thread when dropped.
-#[derive(Debug)]
-pub struct ScanOnlyGuard {
-    previous: bool,
+/// Takes the probes this thread counted since `before` back out of its
+/// counters and returns them: a pool task hands them to its dispatcher, which
+/// [`credit_probes`] them — once, also when the task ran inline on it.
+fn take_probes_since((probes, scans): (usize, usize)) -> (usize, usize) {
+    let taken = INDEX_PROBES.replace(probes) - probes;
+    (taken, INDEX_FALLBACK_SCANS.replace(scans) - scans)
 }
 
-impl Drop for ScanOnlyGuard {
-    fn drop(&mut self) {
-        INDEXING_ENABLED.with(|flag| flag.set(self.previous));
-    }
-}
-
-/// Disables argument-index probing on this thread until the returned guard
-/// drops: every [`AtomStore::candidates`] call answers with the pre-index
-/// functor-bucket (or arity) scan.  This exists for the `bench_join_index`
-/// baseline and for the property suite pinning *indexed ≡ scanned*; it is
-/// not an evaluation mode.
-pub fn scan_only_guard() -> ScanOnlyGuard {
-    let previous = INDEXING_ENABLED.with(|flag| flag.replace(false));
-    ScanOnlyGuard { previous }
+/// Adds probes counted on a pool thread to this thread's counters.
+fn credit_probes((probes, scans): (usize, usize)) {
+    INDEX_PROBES.set(INDEX_PROBES.get() + probes);
+    INDEX_FALLBACK_SCANS.set(INDEX_FALLBACK_SCANS.get() + scans);
 }
 
 /// The `(predicate name, arity)` identity of a stored relation.
@@ -493,16 +479,14 @@ impl AtomStore {
                 inner: CandidatesInner::Empty,
             };
         };
-        if INDEXING_ENABLED.with(Cell::get) {
-            if let Some(posting) = rel.probe(pattern, &self.interner) {
-                INDEX_PROBES.with(|c| c.set(c.get() + 1));
-                return Candidates {
-                    inner: CandidatesInner::Probe {
-                        ids: posting.into_iter(),
-                        interner: &self.interner,
-                    },
-                };
-            }
+        if let Some(posting) = rel.probe(pattern, &self.interner) {
+            INDEX_PROBES.with(|c| c.set(c.get() + 1));
+            return Candidates {
+                inner: CandidatesInner::Probe {
+                    ids: posting.into_iter(),
+                    interner: &self.interner,
+                },
+            };
         }
         INDEX_FALLBACK_SCANS.with(|c| c.set(c.get() + 1));
         Candidates {
@@ -787,17 +771,20 @@ pub(crate) fn saturate(
                     .iter()
                     .map(|part| {
                         move || {
+                            let before = probe_counters();
                             let mut found = Vec::new();
                             fire(firing, frozen, part, mode, &mut |rule, theta, head| {
                                 found.push((rule, theta, head));
                                 Ok(())
                             })?;
-                            Ok::<_, EngineError>(found)
+                            Ok::<_, EngineError>((found, take_probes_since(before)))
                         }
                     })
                     .collect();
                 for found in crate::pool::run_tasks(opts.eval_threads, tasks) {
-                    for (rule, theta, head) in found? {
+                    let (found, probes) = found?;
+                    credit_probes(probes);
+                    for (rule, theta, head) in found {
                         land(rule, theta, head)?;
                     }
                 }
@@ -1070,17 +1057,20 @@ mod tests {
         );
     }
 
+    fn matching<'a>(atoms: impl Iterator<Item = &'a Term>, pattern: &Term) -> BTreeSet<Term> {
+        let is_match = |c: &&Term| match_with(pattern, c, &mut Substitution::new());
+        atoms.filter(is_match).cloned().collect()
+    }
+
     /// All atoms of `store` matching `pattern`, via whatever access path
     /// `candidates` picks, verified by one-way matching.
     fn matches(store: &AtomStore, pattern: &Term) -> BTreeSet<Term> {
-        store
-            .candidates(pattern)
-            .filter(|c| {
-                let mut theta = Substitution::new();
-                match_with(pattern, c, &mut theta)
-            })
-            .cloned()
-            .collect()
+        matching(store.candidates(pattern), pattern)
+    }
+
+    /// The same set by brute force: every stored atom, no access path.
+    fn brute_force(store: &AtomStore, pattern: &Term) -> BTreeSet<Term> {
+        matching(store.iter(), pattern)
     }
 
     #[test]
@@ -1105,17 +1095,16 @@ mod tests {
                 probes_after > probes_before,
                 "bound pattern {pattern} did not use an index"
             );
-            let scanned = {
-                let _guard = scan_only_guard();
-                matches(&store, pattern)
-            };
+            let scanned = brute_force(&store, pattern);
             assert_eq!(indexed, scanned, "index and scan disagree on {pattern}");
         }
         assert_eq!(matches(&store, &bound_first).len(), 10);
         assert_eq!(matches(&store, &bound_both).len(), 1);
-        // An open pattern still scans the relation (and is counted as such).
+        // An open pattern still scans the relation (and is counted as such),
+        // and the functor-bucket scan yields the brute-force set too.
         let open = Term::apps("edge", vec![Term::var("X"), Term::var("Y")]);
         let (_, fallbacks_before) = probe_counters();
+        assert_eq!(matches(&store, &open), brute_force(&store, &open));
         assert_eq!(matches(&store, &open).len(), 100);
         let (_, fallbacks_after) = probe_counters();
         assert!(fallbacks_after > fallbacks_before);
@@ -1145,11 +1134,7 @@ mod tests {
         ));
         store.insert(n0.clone());
         let indexed = matches(&store, &from_hub);
-        let scanned = {
-            let _guard = scan_only_guard();
-            matches(&store, &from_hub)
-        };
-        assert_eq!(indexed, scanned);
+        assert_eq!(indexed, brute_force(&store, &from_hub));
         assert_eq!(indexed.len(), 6);
         assert!(indexed.contains(&n0));
         assert!(!indexed.contains(&n1));

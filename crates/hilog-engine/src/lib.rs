@@ -78,8 +78,7 @@ pub use extension::{
 pub use ground::{GroundProgram, GroundRule};
 pub use grounder::{ground_over_universe, relevant_ground, relevant_ground_into};
 pub use horn::{
-    least_model, least_model_into, probe_counters, scan_only_guard, AtomStore, Candidates,
-    EvalOptions, NegationMode, ScanOnlyGuard,
+    least_model, least_model_into, probe_counters, AtomStore, Candidates, EvalOptions, NegationMode,
 };
 pub use magic::{magic_transform, MagicProgram};
 pub use magic_eval::{EvalStats, ModelSource, QueryEvaluator};

@@ -19,9 +19,8 @@
 //! The transformation is a *syntactic artifact*: it can be printed, compared
 //! against Example 6.6 and analysed.  Query evaluation with the same
 //! relevance behaviour is performed by [`crate::magic_eval`], which settles
-//! negative subgoals component-at-a-time with memoised subqueries (see
-//! DESIGN.md for why the □ fixpoint machinery of \[16\] is replaced by that
-//! equivalent strategy).
+//! negative subgoals component-at-a-time with memoised subqueries (the
+//! strategy that replaces the □ fixpoint machinery of \[16\]).
 
 use crate::error::EngineError;
 use hilog_core::literal::Literal;

@@ -1,15 +1,15 @@
 //! Query-directed evaluation for modularly stratified HiLog programs.
 //!
 //! Section 6.1 uses the magic-sets rewriting to evaluate queries bottom-up
-//! while only ever touching atoms relevant to the query.  As documented in
-//! DESIGN.md, this crate realises the *evaluation* side of that method with a
+//! while only ever touching atoms relevant to the query.  This
+//! module realises the *evaluation* side of that method with a
 //! memoising, query/subquery engine: subgoals are tabled, answers are
 //! computed to a fixpoint, and a negative (or aggregate) subgoal is handled
 //! by *completely settling* its own subquery first — which is exactly what
 //! modular stratification guarantees to be possible, and exactly what the
 //! dp/dn/□ machinery of Ross \[16\] arranges in the rewritten program.  The
 //! relevance behaviour (irrelevant parts of the database are never visited)
-//! is the same, which is what experiment E7 measures.
+//! is the same (`EvalStats.rule_applications` counts it).
 //!
 //! Every subgoal table records the positive/negative dependency edges
 //! discovered while it was filled (the instance-level counterpart of the
@@ -69,8 +69,8 @@ const QUERY_HEAD: &str = "__query_answer";
 /// show the relevance advantage of query-directed evaluation and by
 /// [`crate::session::HiLogDb`] to make cache reuse observable.
 ///
-/// Serialises to JSON via the workspace `serde` stub, so the experiments
-/// runner (and a future server) can emit it directly.
+/// Serialises to JSON via the workspace `serde` stub, so the server and the
+/// benchmark emit it directly.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvalStats {
     /// Number of distinct subgoals tabled by the evaluation (tables it was
@@ -146,9 +146,9 @@ pub struct EvalStats {
     /// Number of SCC waves the well-founded evaluator (full or patch)
     /// scheduled onto the work pool while this query ran.  Zero whenever the
     /// query reused a cached model or `eval_threads <= 1` (the waves then
-    /// run inline and nothing is pooled).  Like the other parallel counters this is a
-    /// delta of process-wide totals — concurrent sessions see each other's
-    /// pool activity (see [`crate::pool::parallel_counters`]).
+    /// run inline and nothing is pooled).  Like the other parallel counters
+    /// this is counted on the dispatching thread, so it is exact per query
+    /// (see [`crate::pool::parallel_counters`]).
     pub parallel_waves: usize,
     /// Number of semi-naive rounds evaluated as hash-partitioned concurrent
     /// joins (frontier split by the first bound argument, partitions joined
@@ -169,7 +169,7 @@ pub struct EvalStats {
     /// Bytes appended to spill segment files by the session's stores.
     pub storage_segment_bytes: u64,
     /// Residency faults (spilled rows decoded back into memory) while this
-    /// query ran.  Like the index and parallel counters this is a delta of
+    /// query ran.  Unlike the index and parallel counters this is a delta of
     /// process-wide totals (see [`crate::storage::storage_counters`]).
     pub storage_residency_faults: u64,
     /// Rows paged out to spill segments while this query ran (same

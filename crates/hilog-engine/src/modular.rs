@@ -267,8 +267,7 @@ fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
 /// false in the model) or the instance (if true).  Literals over unsettled
 /// predicates are kept.  A settled negative or aggregate literal that is
 /// still non-ground after the positive settled literals have been joined
-/// cannot be resolved; the reduction reports failure (the conservative
-/// behaviour discussed in DESIGN.md).
+/// cannot be resolved; the reduction conservatively reports failure.
 pub fn hilog_reduce(
     rules: &[Rule],
     settled: &BTreeSet<Term>,

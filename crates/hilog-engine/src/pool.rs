@@ -13,48 +13,38 @@
 //! between them, and scoped threads let tasks borrow the shared read-only
 //! evaluation state (`IndexedProgram`, `AtomStore`, the settled assignment)
 //! without `Arc` plumbing.
-//!
-//! The module also owns the process-wide observability counters surfaced as
-//! `EvalStats.parallel_{waves,partitioned_rounds,tasks}`.  They are global
-//! atomics rather than thread-locals because the work they count happens on
-//! pool workers, not on the thread that later reads the counters.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
-/// SCC waves run as a batch by a [`WavePool`] that has worker threads (the
-/// well-founded fixpoint and its incremental patch, at `threads > 1`).
-static PARALLEL_WAVES: AtomicUsize = AtomicUsize::new(0);
-/// Semi-naive rounds evaluated as hash-partitioned concurrent joins.
-static PARALLEL_PARTITIONED_ROUNDS: AtomicUsize = AtomicUsize::new(0);
-/// Tasks run by a pool that has worker threads — on a worker, or on the
-/// publishing thread while it helps drain the queue it shares with them.
-/// Work that never had a worker to go to does not count: [`run_tasks`]'s
-/// inline fallback and every batch of a worker-less [`WavePool`]
-/// (`threads <= 1`) leave this counter alone.
-static PARALLEL_TASKS: AtomicUsize = AtomicUsize::new(0);
+// What this thread dispatched to a pool that had workers, counted where it
+// is dispatched — like the join-index probe counters, a caller's delta holds
+// its own work only.  Inline fallbacks and worker-less pools count nothing.
+thread_local! {
+    /// SCC waves published by [`WavePool::run_batch`].
+    static PARALLEL_WAVES: Cell<usize> = const { Cell::new(0) };
+    /// Semi-naive rounds evaluated as hash-partitioned concurrent joins.
+    static PARALLEL_PARTITIONED_ROUNDS: Cell<usize> = const { Cell::new(0) };
+    /// Jobs of those waves plus tasks [`run_tasks`] spawned workers for.
+    static PARALLEL_TASKS: Cell<usize> = const { Cell::new(0) };
+}
 
-/// Snapshot of the process-wide cumulative `(parallel_waves,
-/// parallel_partitioned_rounds, parallel_tasks)` counters.  The session and
-/// snapshot facades subtract snapshots taken around a query to report
-/// per-query numbers in `EvalStats`; benchmarks read the deltas directly.
-///
-/// Unlike the thread-local join-index probe counters, these are process
-/// totals: concurrent sessions evaluating at the same time attribute each
-/// other's pool work to their own queries.  They are observability, not part
-/// of the answer, and are excluded from determinism comparisons.
+/// Snapshot of this thread's cumulative `(parallel_waves,
+/// parallel_partitioned_rounds, parallel_tasks)` counters.  The snapshot
+/// facade subtracts snapshots taken around a query to report per-query
+/// numbers in `EvalStats`: exact, whatever other threads evaluate meanwhile.
 pub fn parallel_counters() -> (usize, usize, usize) {
     (
-        PARALLEL_WAVES.load(Ordering::Relaxed),
-        PARALLEL_PARTITIONED_ROUNDS.load(Ordering::Relaxed),
-        PARALLEL_TASKS.load(Ordering::Relaxed),
+        PARALLEL_WAVES.get(),
+        PARALLEL_PARTITIONED_ROUNDS.get(),
+        PARALLEL_TASKS.get(),
     )
 }
 
 /// Records one semi-naive round evaluated as partitioned concurrent joins.
 pub(crate) fn note_partitioned_round() {
-    PARALLEL_PARTITIONED_ROUNDS.fetch_add(1, Ordering::Relaxed);
+    PARALLEL_PARTITIONED_ROUNDS.set(PARALLEL_PARTITIONED_ROUNDS.get() + 1);
 }
 
 /// The default `eval_threads` for [`crate::horn::EvalOptions`]: the
@@ -97,6 +87,7 @@ where
     let queue: Vec<(usize, F)> = tasks.into_iter().enumerate().collect();
     let queue = Mutex::new(queue.into_iter());
     let workers = threads.min(slots.len());
+    PARALLEL_TASKS.set(PARALLEL_TASKS.get() + slots.len());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
@@ -104,7 +95,6 @@ where
                 let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
                 let Some((index, task)) = next else { break };
                 let out = task();
-                PARALLEL_TASKS.fetch_add(1, Ordering::Relaxed);
                 *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
             });
         }
@@ -138,7 +128,7 @@ where
 /// visible to the next batch's jobs.
 pub struct WavePool<'scope> {
     /// Worker threads besides the publisher; zero means every batch runs
-    /// inline and the process-wide counters never move.
+    /// inline and [`parallel_counters`] never move.
     workers: usize,
     state: Mutex<WaveState<'scope>>,
     /// Signalled when jobs are published (workers wait on this).
@@ -215,7 +205,6 @@ impl<'scope> WavePool<'scope> {
         }
         let retire = Retire(self);
         job();
-        PARALLEL_TASKS.fetch_add(1, Ordering::Relaxed);
         drop(retire);
     }
 
@@ -237,7 +226,8 @@ impl<'scope> WavePool<'scope> {
             jobs.into_iter().for_each(|job| job());
             return;
         }
-        PARALLEL_WAVES.fetch_add(1, Ordering::Relaxed);
+        PARALLEL_WAVES.set(PARALLEL_WAVES.get() + 1);
+        PARALLEL_TASKS.set(PARALLEL_TASKS.get() + jobs.len());
         let multiple = jobs.len() > 1;
         {
             let mut state = lock_state(self);
@@ -301,6 +291,7 @@ pub fn with_wave_pool<'env, R>(threads: usize, body: impl FnOnce(&WavePool<'env>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -337,21 +328,19 @@ mod tests {
         (waves_after - waves_before, tasks_after - tasks_before)
     }
 
+    // The counters belong to the dispatching thread — this test's own — so
+    // the deltas below are exact whatever the rest of the process pools.
+
     #[test]
     fn worker_less_wave_pool_does_not_touch_the_counters() {
-        // The counters are process-wide and other tests pool work while this
-        // one runs, so one quiet attempt is the proof: a pool that counted
-        // its own inline jobs would move them on every attempt.
-        let quiet = (0..64).any(|_| wave_pool_counter_deltas(1) == (0, 0));
-        assert!(quiet, "a worker-less pool must not count waves or tasks");
+        assert_eq!(wave_pool_counter_deltas(1), (0, 0));
     }
 
     #[test]
     fn wave_pool_with_workers_counts_waves_and_every_task() {
         // Whoever drains a job — a worker or the helping publisher — it was
-        // dispatched to a pool with workers, and counts.
-        let (waves, tasks) = wave_pool_counter_deltas(3);
-        assert!(waves >= 2 && tasks >= 10, "waves={waves} tasks={tasks}");
+        // dispatched to a pool with workers, and counts: two batches of five.
+        assert_eq!(wave_pool_counter_deltas(3), (2, 10));
     }
 
     #[test]
@@ -360,7 +349,18 @@ mod tests {
         let tasks: Vec<_> = (0..10).map(|i| move || i).collect();
         assert_eq!(run_tasks(3, tasks), (0..10).collect::<Vec<_>>());
         let (_, _, after) = parallel_counters();
-        assert!(after >= before + 10);
+        assert_eq!(after, before + 10);
+    }
+
+    #[test]
+    fn another_threads_pool_work_is_not_counted_here() {
+        let before = parallel_counters();
+        let theirs = std::thread::scope(|scope| {
+            let busy = scope.spawn(|| wave_pool_counter_deltas(3));
+            busy.join().expect("the busy thread finishes")
+        });
+        assert_eq!(theirs, (2, 10));
+        assert_eq!(parallel_counters(), before);
     }
 
     #[test]

@@ -379,12 +379,11 @@ impl DbSnapshot {
         // counters.  They are thread-local, so the deltas are per-query even
         // with many readers querying concurrently.
         let (probes_before, fallbacks_before) = crate::horn::probe_counters();
-        // Parallel counters are process-wide (pool workers can't write a
-        // reader's thread-locals), so with concurrent readers the deltas may
-        // include each other's pool work — observability, not answers.
+        // Parallel counters are thread-local too: pooled work is counted on
+        // the thread that dispatches it, which is this one.
         let (waves_before, rounds_before, tasks_before) = crate::pool::parallel_counters();
         // Storage observability: spill faults and page-outs, two atomic
-        // loads with the same process-wide delta convention.
+        // loads — the one process-wide delta left, shared with other queries.
         let (faults_before, spills_before) = crate::storage::storage_counters();
         // Deadline counters are thread-local like the probe counters.
         let (dl_checks_before, dl_exceeded_before) = crate::deadline::deadline_counters();

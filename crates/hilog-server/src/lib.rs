@@ -362,7 +362,7 @@ impl Server {
     }
 
     /// The read side of the serving pair, for in-process queries that skip
-    /// HTTP entirely (the bench's no-HTTP variant uses this).
+    /// HTTP entirely.
     pub fn snapshots(&self) -> SnapshotHandle {
         self.state.snapshots.clone()
     }

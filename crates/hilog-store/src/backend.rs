@@ -1,9 +1,7 @@
-//! The storage facade the serving layer writes through.
+//! The storage the serving layer writes through.
 //!
-//! [`StorageBackend`] is deliberately narrow — append a batch, write a
-//! checkpoint, flush, report stats — so the writer path stays identical
-//! whether anything touches disk or not.  [`InMemory`] is a no-op (today's
-//! behaviour, zero overhead); [`Durable`] composes the [`crate::wal`] and
+//! [`Durable`] is deliberately narrow — append a batch, write a checkpoint,
+//! flush, report stats.  It composes the [`crate::wal`] and
 //! [`crate::manifest`] modules under one data directory:
 //!
 //! ```text
@@ -31,7 +29,6 @@ use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Configuration of a [`Durable`] backend.
 #[derive(Debug, Clone)]
@@ -70,12 +67,6 @@ impl StoreConfig {
         self
     }
 
-    /// Switches to interval fsync (the `<10%` serving-overhead setting).
-    pub fn fsync_interval(mut self, window: Duration) -> Self {
-        self.fsync = FsyncPolicy::Interval(window);
-        self
-    }
-
     /// Replaces the filesystem backend (fault injection hooks in here).
     pub fn io(mut self, io: Arc<dyn StoreIo>) -> Self {
         self.io = io;
@@ -92,7 +83,7 @@ impl StoreConfig {
 /// A point-in-time view of the storage layer, reported by `GET /stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct StorageStats {
-    /// `false` for [`InMemory`] (every other field is then zero).
+    /// `false` for an in-memory writer (every other field is then zero).
     pub durable: bool,
     /// Records currently in the WAL (since the last checkpoint/truncate).
     pub wal_records: usize,
@@ -119,59 +110,6 @@ pub struct StorageStats {
     pub io_retries: u64,
     /// Faults injected by a fault-injecting I/O backend (0 in production).
     pub injected_faults: u64,
-}
-
-/// What the serving layer asks of storage.  Object-safe so the server holds
-/// a `Box<dyn StorageBackend>` chosen at startup.
-pub trait StorageBackend: std::fmt::Debug + Send {
-    /// Makes the batch that will publish `epoch` durable *before* it is
-    /// applied.  This is the commit point: a batch whose append returned is
-    /// replayed after a crash; one whose append tore is truncated away.
-    fn append_batch(&mut self, epoch: u64, ops: &[Op]) -> Result<(), StoreError>;
-
-    /// Persists a checkpoint, prunes older recovery points and truncates
-    /// the WAL (whose records the checkpoint subsumes).  `dirty: None` is a
-    /// *full* checkpoint, `Some(set)` an *incremental* one that rewrites
-    /// only the relations in `set` (see [`crate::manifest`]).  Returns the
-    /// manifest's path, or `None` for backends that store nothing; what was
-    /// written shows in [`StorageStats`].
-    fn write_checkpoint(
-        &mut self,
-        data: &CheckpointData,
-        dirty: Option<&BTreeSet<RelKey>>,
-    ) -> Result<Option<PathBuf>, StoreError>;
-
-    /// Forces everything buffered to stable storage (graceful shutdown).
-    fn flush(&mut self) -> Result<(), StoreError>;
-
-    /// Current storage counters.
-    fn stats(&self) -> StorageStats;
-}
-
-/// The zero-overhead backend: nothing is stored, every call succeeds.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct InMemory;
-
-impl StorageBackend for InMemory {
-    fn append_batch(&mut self, _epoch: u64, _ops: &[Op]) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn write_checkpoint(
-        &mut self,
-        _data: &CheckpointData,
-        _dirty: Option<&BTreeSet<RelKey>>,
-    ) -> Result<Option<PathBuf>, StoreError> {
-        Ok(None)
-    }
-
-    fn flush(&mut self) -> Result<(), StoreError> {
-        Ok(())
-    }
-
-    fn stats(&self) -> StorageStats {
-        StorageStats::default()
-    }
 }
 
 /// What [`Durable::open`] found on disk, for the recovery path to replay.
@@ -261,10 +199,11 @@ impl Durable {
     pub fn data_dir(&self) -> &Path {
         &self.dir
     }
-}
 
-impl StorageBackend for Durable {
-    fn append_batch(&mut self, epoch: u64, ops: &[Op]) -> Result<(), StoreError> {
+    /// Makes the batch that will publish `epoch` durable *before* it is
+    /// applied.  This is the commit point: a batch whose append returned is
+    /// replayed after a crash; one whose append tore is truncated away.
+    pub fn append_batch(&mut self, epoch: u64, ops: &[Op]) -> Result<(), StoreError> {
         // Safe to retry: a failed append rolls its partial frame back before
         // returning (and poisons the log if even the rollback fails, which
         // makes the retry fail too rather than corrupt the tail).
@@ -272,11 +211,16 @@ impl StorageBackend for Durable {
         with_retry(self.retry, &self.retries, || wal.append(epoch, ops))
     }
 
-    fn write_checkpoint(
+    /// Persists a checkpoint, prunes older recovery points and truncates
+    /// the WAL (whose records the checkpoint subsumes).  `dirty: None` is a
+    /// *full* checkpoint, `Some(set)` an *incremental* one that rewrites
+    /// only the relations in `set` (see [`crate::manifest`]).  Returns the
+    /// manifest's path; what was written shows in [`StorageStats`].
+    pub fn write_checkpoint(
         &mut self,
         data: &CheckpointData,
         dirty: Option<&BTreeSet<RelKey>>,
-    ) -> Result<Option<PathBuf>, StoreError> {
+    ) -> Result<PathBuf, StoreError> {
         // Retried as a unit: everything goes through temp files, so a failed
         // attempt leaves the previous manifest — whose files are only pruned
         // after a newer one is durable — fully loadable, plus stray
@@ -301,15 +245,17 @@ impl StorageBackend for Durable {
         // one lands (truncation is idempotent).
         let wal = &mut self.wal;
         with_retry(self.retry, &self.retries, || wal.truncate())?;
-        Ok(Some(path))
+        Ok(path)
     }
 
-    fn flush(&mut self) -> Result<(), StoreError> {
+    /// Forces everything buffered to stable storage (graceful shutdown).
+    pub fn flush(&mut self) -> Result<(), StoreError> {
         let wal = &mut self.wal;
         with_retry(self.retry, &self.retries, || wal.flush())
     }
 
-    fn stats(&self) -> StorageStats {
+    /// Current storage counters.
+    pub fn stats(&self) -> StorageStats {
         let data_dir_bytes = self
             .io
             .list_dir(&self.dir)

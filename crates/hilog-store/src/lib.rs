@@ -2,7 +2,7 @@
 //!
 //! PR 6 split the engine into a single [`DbWriter`](hilog_engine::DbWriter)
 //! and lock-free reader snapshots; this crate makes the writer's state
-//! survive the process.  Three pieces, composed behind one trait:
+//! survive the process.  Three pieces, composed by [`backend::Durable`]:
 //!
 //! * a **write-ahead log** ([`wal`]) of mutation batches — length-prefixed,
 //!   CRC-32-checksummed records, one per published epoch, appended *before*
@@ -21,10 +21,9 @@
 //!   path the live server uses (torn final record truncated, checksums
 //!   verified), resume serving at the recovered epoch.
 //!
-//! The [`backend::StorageBackend`] trait hides all of it from the serving
-//! layer: [`backend::InMemory`] is today's behaviour at zero overhead,
-//! [`backend::Durable`] is WAL + recovery points under a `--data-dir`.  The
-//! publish pipeline becomes
+//! [`serving::PersistentWriter`] hides all of it from the serving layer: in
+//! memory it holds no store, durable it holds a [`backend::Durable`] — WAL +
+//! recovery points under a `--data-dir`.  The publish pipeline becomes
 //!
 //! ```text
 //! WAL-append  →  apply incrementally  →  Arc-swap snapshot
@@ -48,7 +47,7 @@ pub mod ops;
 pub mod serving;
 pub mod wal;
 
-pub use backend::{Durable, InMemory, StorageBackend, StorageStats, StoreConfig};
+pub use backend::{Durable, StorageStats, StoreConfig};
 pub use error::StoreError;
 pub use io::{FaultIo, FaultPlan, IoStats, OpenMode, RealIo, RetryPolicy, StoreFile, StoreIo};
 pub use manifest::{rel_key, CheckpointData, Manifest, RelKey, SegmentEntry};

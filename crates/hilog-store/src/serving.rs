@@ -1,5 +1,4 @@
-//! The durable writer: [`hilog_engine::DbWriter`] behind a
-//! [`StorageBackend`].
+//! The durable writer: [`hilog_engine::DbWriter`] over a [`Durable`] store.
 //!
 //! [`PersistentWriter`] is what a server holds instead of a bare `DbWriter`.
 //! Its publish pipeline is
@@ -15,7 +14,7 @@
 //! crash interrupted (the crash/replay differential oracle in
 //! `tests/recovery.rs` checks this against fresh evaluation).
 
-use crate::backend::{Durable, InMemory, StorageBackend, StorageStats, StoreConfig};
+use crate::backend::{Durable, StorageStats, StoreConfig};
 use crate::error::StoreError;
 use crate::manifest::{rel_key, CheckpointData, RelKey};
 use crate::ops::Op;
@@ -87,7 +86,8 @@ pub struct DegradedState {
 #[derive(Debug)]
 pub struct PersistentWriter {
     writer: DbWriter,
-    backend: Box<dyn StorageBackend>,
+    /// `None`: in memory — nothing is stored and no storage call can fail.
+    store: Option<Durable>,
     /// `Some` once a non-transient storage failure put the writer in
     /// read-only degraded mode: mutations are refused, the last good
     /// snapshot keeps serving, and a successful checkpoint re-arms.
@@ -164,7 +164,7 @@ impl PersistentWriter {
         (
             PersistentWriter {
                 writer,
-                backend: Box::new(InMemory),
+                store: None,
                 dirty: BTreeSet::new(),
                 degraded: None,
             },
@@ -187,14 +187,13 @@ impl PersistentWriter {
         config: &StoreConfig,
         seed: HiLogDb,
     ) -> Result<(PersistentWriter, SnapshotHandle, RecoveryReport), StoreError> {
-        let (backend, recovered) = Durable::open(config)?;
-        let mut backend = Box::new(backend);
+        let (mut store, recovered) = Durable::open(config)?;
         match recovered.checkpoint {
             None => {
                 let (writer, handle) = seed.into_serving();
                 let mut this = PersistentWriter {
                     writer,
-                    backend,
+                    store: Some(store),
                     dirty: BTreeSet::new(),
                     degraded: None,
                 };
@@ -240,11 +239,11 @@ impl PersistentWriter {
                 // checkpoint epoch; the records' own epochs are contiguous
                 // above it, so the writer now sits at the last record's
                 // epoch and new batches extend the same monotone sequence.
-                backend.flush()?;
+                store.flush()?;
                 Ok((
                     PersistentWriter {
                         writer,
-                        backend,
+                        store: Some(store),
                         dirty,
                         degraded: None,
                     },
@@ -280,7 +279,8 @@ impl PersistentWriter {
             });
         }
         let epoch = self.writer.epoch() + 1;
-        if let Err(error) = self.backend.append_batch(epoch, ops) {
+        let store = self.store.as_mut();
+        if let Some(Err(error)) = store.map(|s| s.append_batch(epoch, ops)) {
             if matches!(error, StoreError::Io(_)) {
                 self.degraded = Some(DegradedState {
                     reason: error.to_string(),
@@ -316,9 +316,8 @@ impl PersistentWriter {
     /// Writes an *incremental* checkpoint: fresh segment files only for the
     /// relations dirtied since the newest manifest, a manifest stitching
     /// them together with every clean relation's existing segment, then
-    /// truncates the WAL.  The cost scales with the mutation delta, not the
-    /// store — at 10^6 facts spread over many relations a small update
-    /// checkpoints orders of magnitude faster than [`Self::checkpoint`].
+    /// truncates the WAL.  The segments written scale with the mutation
+    /// delta, not the store: a clean relation's segment is never rewritten.
     /// The model is not persisted (it rebuilds lazily); use
     /// [`Self::checkpoint`] for a warm-model recovery point.
     pub fn checkpoint_incremental(&mut self) -> Result<CheckpointOutcome, StoreError> {
@@ -338,12 +337,15 @@ impl PersistentWriter {
             model,
         };
         let dirty = incremental.then_some(&self.dirty);
-        let path = self.backend.write_checkpoint(&data, dirty)?;
+        let path = match &mut self.store {
+            Some(store) => Some(store.write_checkpoint(&data, dirty)?),
+            None => None,
+        };
         // A checkpoint that reached disk proves storage is writable again:
         // leave degraded mode.  Its manifest is the new reuse basis.
         self.degraded = None;
         self.dirty.clear();
-        let stats = self.backend.stats();
+        let stats = self.storage_stats();
         let symbols_dropped = gc_symbol_pool();
         let live_symbols = symbol_pool_stats().live;
         Ok(CheckpointOutcome {
@@ -358,13 +360,13 @@ impl PersistentWriter {
 
     /// Forces buffered WAL records to stable storage.
     pub fn flush(&mut self) -> Result<(), StoreError> {
-        self.backend.flush()
+        self.store.as_mut().map_or(Ok(()), Durable::flush)
     }
 
     /// Graceful shutdown: flush the WAL and, when `checkpoint` is set, write
     /// a final checkpoint so the next boot skips replay entirely.
     pub fn shutdown(&mut self, checkpoint: bool) -> Result<(), StoreError> {
-        self.backend.flush()?;
+        self.flush()?;
         if checkpoint {
             self.checkpoint()?;
         }
@@ -373,7 +375,7 @@ impl PersistentWriter {
 
     /// Storage counters for `GET /stats`.
     pub fn storage_stats(&self) -> StorageStats {
-        self.backend.stats()
+        self.store.as_ref().map(Durable::stats).unwrap_or_default()
     }
 
     /// `Some` while the writer is in read-only degraded mode.

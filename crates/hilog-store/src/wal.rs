@@ -38,7 +38,7 @@ pub enum FsyncPolicy {
     /// `fsync` at most once per interval: batches inside the window are
     /// buffered by the OS, so a crash can lose the last ≤ interval of
     /// *acknowledged* writes (never corrupting the log — the tail truncates
-    /// cleanly).  The serving benchmark runs this at ~10 ms.
+    /// cleanly).
     Interval(Duration),
     /// Never `fsync` explicitly; durability is whatever the OS flushes on
     /// its own.  For tests and benchmarks.

@@ -1,5 +1,5 @@
 //! Builders for the generic-versus-specialised transitive-closure workloads
-//! (Examples 2.1 and 5.2, experiment E11).
+//! (Examples 2.1 and 5.2; `examples/generic_closures.rs`).
 
 use crate::graphs::{edges_to_facts, Edge};
 use hilog_core::program::Program;

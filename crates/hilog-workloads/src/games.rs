@@ -3,7 +3,6 @@
 use crate::graphs::{chain, edges_to_facts, random_dag, Edge};
 use hilog_core::program::Program;
 use hilog_syntax::parse_program;
-use std::collections::BTreeSet;
 
 /// The normal win/move program of Example 6.1 over the given move edges:
 ///
@@ -48,8 +47,7 @@ pub fn hilog_game_program(games: &[(&str, Vec<Edge>)]) -> Program {
 ///
 /// The shards share no atoms, so the dependency condensation splits into
 /// `shards` independent blocks — the canonical workload for per-component
-/// patching and wave-parallel evaluation.  Serving/parallel benchmarks sweep
-/// the shard count against the thread count.
+/// patching and wave-parallel evaluation.
 pub fn sharded_game_text(shards: usize, per_shard: usize, seed: u64) -> String {
     let mut text = String::new();
     for s in 0..shards {
@@ -78,9 +76,9 @@ pub fn sharded_game_program(shards: usize, per_shard: usize, seed: u64) -> Progr
 /// entire settled suffix below it, so the game's remoteness — and with it
 /// the number of global alternating iterations a whole-program well-founded
 /// evaluator performs — grows linearly with `len`.  A component-at-a-time
-/// schedule settles each position exactly once instead, which is why the
-/// parallel benchmark uses chains to expose the wave evaluator's scheduling
-/// advantage independently of the hardware thread count.
+/// schedule settles each position exactly once instead, so chains expose
+/// the wave evaluator's scheduling advantage independently of the hardware
+/// thread count.
 pub fn sharded_chain_game_text(shards: usize, len: usize) -> String {
     let mut text = String::new();
     for s in 0..shards {
@@ -96,19 +94,6 @@ pub fn sharded_chain_game_text(shards: usize, len: usize) -> String {
 pub fn sharded_chain_game_program(shards: usize, len: usize) -> Program {
     parse_program(&sharded_chain_game_text(shards, len))
         .expect("generated sharded chain game program parses")
-}
-
-/// Each shard's move-edge set (same seeding as [`sharded_game_text`]), for
-/// callers that need to generate *fresh* edges — update workloads that must
-/// avoid asserting a duplicate the session would short-circuit.
-pub fn sharded_game_edges(shards: usize, per_shard: usize, seed: u64) -> Vec<BTreeSet<Edge>> {
-    (0..shards)
-        .map(|s| {
-            random_dag(per_shard, 2.0, seed + s as u64)
-                .into_iter()
-                .collect()
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -159,13 +144,9 @@ mod tests {
         assert!(is_range_restricted_normal(&large));
         // One game rule per shard plus that shard's move facts.
         assert!(large.len() > small.len());
-        let edges = sharded_game_edges(4, 8, 7);
-        assert_eq!(edges.len(), 4);
-        assert_eq!(
-            large.len(),
-            4 + edges.iter().map(|e| e.len()).sum::<usize>()
-        );
+        let edges = |s: u64| random_dag(8, 2.0, 7 + s).len();
+        assert_eq!(large.len(), 4 + (0..4).map(edges).sum::<usize>());
         // Same seed, same prefix: shard 0 is identical in both programs.
-        assert_eq!(edges[0], sharded_game_edges(1, 8, 7)[0]);
+        assert!(sharded_game_text(4, 8, 7).starts_with(&sharded_game_text(1, 8, 7)));
     }
 }

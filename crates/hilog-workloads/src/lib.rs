@@ -2,7 +2,7 @@
 //!
 //! Workload and program generators for the reproduction of Ross, *"On
 //! Negation in HiLog"*.  The paper has no empirical evaluation of its own, so
-//! the experiments in EXPERIMENTS.md are driven by synthetic program families
+//! the tests, the examples and `benchmark/` run on synthetic program families
 //! that exercise the constructions it defines:
 //!
 //! * [`graphs`] — edge-list generators (chains, cycles, random DAGs, layered
@@ -10,7 +10,7 @@
 //!   the transitive-closure workloads of Examples 2.1 / 5.2;
 //! * [`games`] — builders for the normal and HiLog win/move programs;
 //! * [`closure`] — builders for generic HiLog closures and their specialised
-//!   normal counterparts (experiment E11);
+//!   normal counterparts (`examples/generic_closures.rs`);
 //! * [`parts`] — random part hierarchies for the parts-explosion aggregation
 //!   program of Section 6;
 //! * [`random_programs`] — random range-restricted normal programs, strongly
@@ -45,7 +45,7 @@ pub use closure::{generic_closure_program, specialized_closure_program};
 pub use durability::{durability_workload, DurabilityWorkload, DurabilityWorkloadConfig};
 pub use games::{
     hilog_game_program, normal_game_program, sharded_chain_game_program, sharded_chain_game_text,
-    sharded_game_edges, sharded_game_program, sharded_game_text,
+    sharded_game_program, sharded_game_text,
 };
 pub use graphs::{chain, cycle, edges_to_facts, layered_game_graph, node_name, random_dag, Edge};
 pub use parts::{random_part_hierarchy, PartHierarchy};

@@ -14,8 +14,8 @@
 //!   stratification (Figure 1), magic sets, aggregation, and the `HiLogDb`
 //!   session facade;
 //! * [`datalog`] — the baseline normal Datalog engine;
-//! * [`workloads`] — program and data generators used by the tests,
-//!   benchmarks and experiments.
+//! * [`workloads`] — program and data generators used by the tests, the
+//!   examples and the benchmark (`benchmark/`).
 
 #![forbid(unsafe_code)]
 

@@ -8,13 +8,13 @@
 //!
 //! The suite drives randomized stores (first-order and HiLog-shaped atoms,
 //! duplicate keys, shared argument values) and randomized patterns (argument
-//! subsets opened to variables, variable predicate names), comparing three
+//! subsets opened to variables, variable predicate names), comparing two
 //! answers per probe:
 //!
-//! 1. the indexed `candidates` path (indexes built lazily by the probes
-//!    themselves, maintained incrementally by the mutations);
-//! 2. the same call under `scan_only_guard` (the pre-index baseline);
-//! 3. a brute-force match over `store.iter()`.
+//! 1. the `candidates` path (indexes built lazily by the probes themselves,
+//!    maintained incrementally by the mutations; open patterns take the
+//!    functor-bucket scan, variable names the arity scan);
+//! 2. a brute-force match over `store.iter()`.
 //!
 //! **The tabled evaluator's program index** (the `program_index_*` tests):
 //! the EDB in such a store plus the rules by head, built by the first cold
@@ -37,7 +37,7 @@
 //! `HILOG_INDEX_ORACLE_CASES` scales the case count up in CI.
 
 use hilog_core::unify::match_with;
-use hilog_engine::horn::{scan_only_guard, AtomStore};
+use hilog_engine::horn::AtomStore;
 use hilog_engine::DbSnapshot;
 use hilog_repro::prelude::*;
 use rand::rngs::StdRng;
@@ -144,18 +144,10 @@ fn via_full_scan(store: &AtomStore, pattern: &Term) -> BTreeSet<Term> {
 
 fn check_pattern(store: &AtomStore, pattern: &Term, seed: u64) {
     let indexed = via_candidates(store, pattern);
-    let scanned = {
-        let _guard = scan_only_guard();
-        via_candidates(store, pattern)
-    };
     let brute = via_full_scan(store, pattern);
     assert_eq!(
         indexed, brute,
         "seed {seed}: indexed candidates diverge from the full scan for `{pattern}`"
-    );
-    assert_eq!(
-        scanned, brute,
-        "seed {seed}: scan-only candidates diverge from the full scan for `{pattern}`"
     );
 }
 

@@ -20,9 +20,12 @@
 //! the *same* thread count (and across different thread counts) must yield
 //! byte-identical answer/truth/plan JSON and identical model iteration
 //! order.  Evaluation statistics are deliberately excluded from those
-//! comparisons — the pooled-task counters are process-wide and legitimately
-//! vary with scheduling — which is exactly why the determinism guarantee is
-//! stated over answers, not over stats.
+//! comparisons — the `parallel_*` counters say where the work ran, so they
+//! differ between thread counts by design — which is exactly why the
+//! determinism guarantee is stated over answers, not over stats.  The
+//! counters themselves are per query and exact (counted on the dispatching
+//! thread, join probes of pool tasks handed back to it), and the last test
+//! pins them on a grounding that joins.
 
 use hilog_repro::engine::well_founded_of_ground;
 use hilog_repro::prelude::*;
@@ -30,7 +33,9 @@ use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
     NormalProgramConfig,
 };
-use hilog_workloads::{sharded_chain_game_program, sharded_game_program};
+use hilog_workloads::{
+    random_dag, sharded_chain_game_program, sharded_game_program, specialized_closure_program,
+};
 
 /// Thread counts every oracle runs at; `1` runs every wave inline.
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -190,7 +195,7 @@ fn incremental_patching_agrees_across_thread_counts() {
 
 /// The stable observable part of a query result: answers, overall truth,
 /// plan, and fallback — everything except the stats member, whose pooled
-/// counters are process-wide and may vary between runs.
+/// counters differ between thread counts.
 fn observable_json(result: &QueryResult) -> Vec<(String, String)> {
     let full: serde_json::Value =
         serde_json::from_str(&serde_json::to_string(result).unwrap()).unwrap();
@@ -261,4 +266,52 @@ fn model_iteration_order_is_thread_count_independent() {
             ),
         }
     }
+}
+
+#[test]
+fn per_query_counters_are_exact_when_grounding_joins_on_the_pool() {
+    // The win/move families have one positive literal per rule and never
+    // probe an index while grounding.  Transitive closure joins two
+    // (`tc_edge(X, Y) :- edge(X, Z), tc_edge(Z, Y).`), from frontiers of
+    // 64+ atoms: at four threads those rounds run partitioned
+    // on the pool, and every probe a pool task makes must come back to the
+    // query that dispatched it.  Each partition repeats the serial round's
+    // open scans and probes its own slice of the frontier, so the pooled
+    // run counts no fewer probes than the inline one.
+    let edges = random_dag(48, 3.0, 17);
+    assert!(edges.len() >= 64, "{} edges", edges.len());
+    let program = specialized_closure_program("edge", &edges);
+    let stats_at = |threads: usize| {
+        let mut db = db_with_threads(program.clone(), threads);
+        let result = db
+            .query(&parse_query("?- P(X, Y).").unwrap())
+            .expect("full-model query evaluates");
+        assert_eq!(result.plan.strategy, PlanStrategy::FullModel);
+        assert!(result.answers.len() >= edges.len());
+        result.stats
+    };
+    let inline = stats_at(1);
+    assert!(
+        inline.index_probes > 0,
+        "the closure rule joins on an index"
+    );
+    assert_eq!(
+        (
+            inline.parallel_waves,
+            inline.parallel_partitioned_rounds,
+            inline.parallel_tasks
+        ),
+        (0, 0, 0),
+        "eval_threads = 1 dispatches nothing, whatever other tests pool meanwhile"
+    );
+    let pooled = stats_at(4);
+    assert!(pooled.parallel_tasks > 0, "{pooled:?}");
+    assert!(pooled.parallel_waves > 0, "{pooled:?}");
+    assert!(pooled.parallel_partitioned_rounds > 0, "{pooled:?}");
+    assert!(
+        pooled.index_probes >= inline.index_probes,
+        "probes made on pool threads were lost: {} at four threads, {} inline",
+        pooled.index_probes,
+        inline.index_probes
+    );
 }

@@ -12,7 +12,7 @@
 
 use hilog_repro::prelude::*;
 use hilog_workloads::serving::{serving_workload, ServingWorkloadConfig};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -167,13 +167,16 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
         .build();
     let (mut writer, handle) = db.into_serving();
     let writer_done = AtomicBool::new(false);
-    let (_, _, tasks_before) = parallel_counters();
+    // Pooled tasks are counted on the thread that dispatches them: each
+    // reader reports its own total (a new thread starts at zero).
+    let pooled_tasks = AtomicUsize::new(0);
 
     std::thread::scope(|scope| {
         for reader in 0..readers {
             let handle = handle.clone();
             let queries = &workload.queries;
             let writer_done = &writer_done;
+            let pooled_tasks = &pooled_tasks;
             scope.spawn(move || {
                 let mut checked = 0;
                 let mut pass = 0;
@@ -215,6 +218,7 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
                     }
                 }
                 assert!(checked >= queries_per_reader);
+                pooled_tasks.fetch_add(parallel_counters().2, Ordering::SeqCst);
             });
         }
 
@@ -232,9 +236,8 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
         writer_done.store(true, Ordering::SeqCst);
     });
 
-    let (_, _, tasks_after) = parallel_counters();
     assert!(
-        tasks_after > tasks_before,
+        pooled_tasks.load(Ordering::SeqCst) > 0,
         "parallel serving never dispatched a pooled task"
     );
 }

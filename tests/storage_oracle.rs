@@ -183,11 +183,13 @@ fn spill_store_is_observationally_identical_to_in_memory_under_churn() {
             "seed {seed}: ordered iteration diverged"
         );
         // With a 24-fact budget and ~60+ atoms across churn, the spill
-        // store must actually have exercised the paging path.
+        // store must actually have exercised the paging path — rows paged
+        // out, and probes faulting them back in.
         let stats = spill.storage_stats();
         assert!(
-            stats.spill_writes > 0,
-            "seed {seed}: nothing ever spilled — the oracle tested nothing"
+            stats.spill_writes > 0 && stats.residency_faults > 0,
+            "seed {seed}: nothing ever spilled and faulted back ({stats:?}) — the oracle \
+             tested nothing"
         );
     }
 }
