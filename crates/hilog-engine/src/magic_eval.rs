@@ -30,6 +30,14 @@
 //! [`crate::session::HiLogDb`] *maintain* tables under mutation instead of
 //! dropping whole predicate closures.
 //!
+//! The same edges drive the fixpoint of a scope (the tables one settle owns:
+//! its subgoal and the positive subgoals reached from it).  A member is
+//! expanded when it joins, and again only after a round in which a table it
+//! reads — an edge of either sign — gained answers; the scope is complete
+//! when no member is due.  So a subgoal costs one expansion per round in
+//! which its inputs moved, not one per round of its scope, and re-solving a
+//! table whose dependencies are all warm is a single expansion.
+//!
 //! Subgoals must have ground predicate names and ground negative subgoals at
 //! selection time (the program must not *flounder*, footnote 10); the
 //! left-to-right subgoal order of the source rules is the sideways
@@ -109,18 +117,24 @@ pub struct EvalStats {
     /// [`ModelSource::NotUsed`].
     pub model_source: ModelSource,
     /// Number of subgoal tables the session *patched in place* (exact
-    /// answer-level edit of fact-backed tables) across the mutations since
-    /// the previous query.  Always zero for a raw [`QueryEvaluator`].
+    /// answer-level edit of fact-backed tables), one per table per changed
+    /// fact, across the mutations since the previous query.  Always zero for
+    /// a raw [`QueryEvaluator`].
     pub tables_patched: usize,
-    /// Number of subgoal tables the session dropped (instance-level reverse
-    /// dependency closure of the mutated atoms) across the mutations since
-    /// the previous query.
+    /// Number of subgoal tables the session dropped across the mutations
+    /// since the previous query: a table whose re-solve failed (a resource
+    /// limit, a dependency cycle through negation the mutation closed) or
+    /// that a rule-level mutation's head reaches through the recorded edges.
+    /// A fact-level mutation that can be re-solved drops nothing.
     pub tables_dropped: usize,
-    /// Number of derived subgoal tables the session *refilled eagerly*
-    /// instead of dropping: an asserted fact whose recorded dependency
-    /// closure is all-positive can only *add* answers, so the affected
-    /// tables are re-solved immediately, seeded with every surviving warm
-    /// table.  Always zero for a raw [`QueryEvaluator`].
+    /// Number of rule-derived subgoal tables the session *re-solved* across
+    /// the mutations since the previous query: of the tables in the
+    /// instance-level reverse dependency closure of the mutated atoms, the
+    /// ones that read a table whose answers really changed — the others are
+    /// put back untouched and not counted.  A re-solve runs when the
+    /// mutation is settled (a batch's at publish), seeded with every table
+    /// that stands, so the next query finds the table warm.  Always zero for
+    /// a raw [`QueryEvaluator`].
     pub tables_refilled: usize,
     /// Number of completed subgoal tables that survived into this query and
     /// were available for reuse when it started.
@@ -459,6 +473,23 @@ impl QueryEvaluator {
             .collect()
     }
 
+    /// Consumes the evaluator, handing back the *whole* map: the seeded
+    /// tables as they came plus the tables this run created and completed —
+    /// for a caller that moved its map in rather than cloning it (the
+    /// session's maintenance pass, which runs one evaluator per re-solved
+    /// table and cannot afford a copy of the map for each).  What an aborted
+    /// evaluation left incomplete is removed, in time proportional to what
+    /// the run created.  Only for runs that went through [`Self::settle`]
+    /// alone: a conjunctive query's auxiliary table is not looked for.
+    pub(crate) fn into_all_tables(mut self) -> HashMap<Term, Arc<Table>> {
+        for key in &self.created {
+            if self.tables.get(key).is_some_and(|table| !table.complete) {
+                self.tables.remove(key);
+            }
+        }
+        self.tables
+    }
+
     /// Starts an empty table for the normalised `key`.
     fn create_table(&mut self, key: Term) {
         self.created.push(key.clone());
@@ -514,14 +545,21 @@ impl QueryEvaluator {
     /// Answers a single-atom subgoal: returns all ground instances of
     /// `pattern` that are true in the well-founded model of the program.
     pub fn solve_atom(&mut self, pattern: &Term) -> Result<Vec<Term>, EngineError> {
+        let key = self.settle(pattern)?;
+        Ok(self.tables[&key].answers.collect_atoms())
+    }
+
+    /// Completes the table for `pattern`, evaluating whatever it needs, and
+    /// returns the table's key — [`Self::solve_atom`] without reading the
+    /// answers out, which is all the session's table maintenance wants.
+    pub(crate) fn settle(&mut self, pattern: &Term) -> Result<Term, EngineError> {
         if pattern.is_var() {
             return Err(EngineError::Floundering(format!(
                 "subgoal `{pattern}` is an unbound variable"
             )));
         }
         let key = self.normalize(pattern);
-        let key = self.evaluate_completely(key, &mut Vec::new())?;
-        Ok(self.tables[&key].answers.collect_atoms())
+        self.evaluate_completely(key, &mut Vec::new())
     }
 
     /// Answers a query (a conjunction of literals), returning one
@@ -646,17 +684,17 @@ impl QueryEvaluator {
         ))
     }
 
-    /// Sum of the answers currently held by the tables in `scope` — the
-    /// fixpoint measure of [`Self::evaluate_completely`].  Computed over the
-    /// scope (not per-expansion deltas) so that answers contributed to a
-    /// scope table by a *nested* settle — e.g. a negative subgoal elsewhere
+    /// The answers each table in `scope` currently holds — what
+    /// [`Self::evaluate_completely`] measures growth against.  Read off the
+    /// tables (not off a per-expansion flag) so that answers contributed to
+    /// a scope table by a *nested* settle — e.g. a negative subgoal elsewhere
     /// in the scope completing a table this scope also reads positively —
-    /// are observed and the affected rule bodies are re-joined.
-    fn scope_answers(&self, scope: &[Term]) -> usize {
+    /// are observed and the rule bodies that read it are re-joined.
+    fn scope_answers(&self, scope: &[Term]) -> Vec<usize> {
         scope
             .iter()
             .map(|k| self.tables.get(k).map_or(0, |t| t.answers.len()))
-            .sum()
+            .collect()
     }
 
     /// Ensures the table for the *normalised* key exists and is complete,
@@ -702,24 +740,44 @@ impl QueryEvaluator {
         // The set of subgoal keys whose fixpoint this evaluation owns.  New
         // positive subgoals encountered during expansion join the scope.
         //
-        // The round criterion compares the scope's total answer count, not a
+        // A member is expanded in the round it joins, and again in a later
+        // round only if a table it reads *grew* during the round before: an
+        // expansion is a function of the program and of the answers of the
+        // tables it selects, so one whose dependencies all stand where they
+        // stood when it last began would select the same subgoals and derive
+        // the same answers.  The fixpoint is reached when no member is due.
+        //
+        // Growth is read off the tables' answer counts, not off a
         // per-expansion "changed" flag: a nested settle (of a negative
         // subgoal selected within this scope) can complete a table the scope
         // also reads positively, and the rule bodies whose branches died on
         // that table while it was still empty must be re-joined — otherwise
         // the scope completes prematurely, missing answers and masking
-        // negative cycles behind them.
+        // negative cycles behind them.  For the same reason an edge of
+        // *either* sign counts as a read: `record_edge` lets the negative
+        // selection overwrite the positive edge to that very table.
         let mut scope: Vec<Term> = vec![key.clone()];
+        let mut due = vec![true];
         loop {
             check_deadline()?;
             let before = self.scope_answers(&scope);
             let mut i = 0;
             while i < scope.len() {
-                let subgoal_key = scope[i].clone();
+                if due.get(i).copied().unwrap_or(true) {
+                    let subgoal_key = scope[i].clone();
+                    self.expand(&subgoal_key, &mut scope, in_progress)?;
+                }
                 i += 1;
-                self.expand(&subgoal_key, &mut scope, in_progress)?;
             }
-            if self.scope_answers(&scope) == before {
+            // A table that joined during the round is measured from empty.
+            let grown: BTreeSet<&Term> = scope
+                .iter()
+                .zip(self.scope_answers(&scope))
+                .enumerate()
+                .filter(|(i, (_, now))| *now > before.get(*i).copied().unwrap_or(0))
+                .map(|(_, (k, _))| k)
+                .collect();
+            if grown.is_empty() {
                 break;
             }
             if self.derived > self.opts.max_atoms {
@@ -727,6 +785,20 @@ impl QueryEvaluator {
                     "query evaluation derived more than {} answers",
                     self.opts.max_atoms
                 )));
+            }
+            due = scope
+                .iter()
+                .map(|k| {
+                    let deps = &self.tables[k].deps;
+                    if deps.len() <= grown.len() {
+                        deps.keys().any(|d| grown.contains(d))
+                    } else {
+                        grown.iter().any(|g| deps.contains_key(*g))
+                    }
+                })
+                .collect();
+            if !due.contains(&true) {
+                break;
             }
         }
         for k in &scope {
@@ -1093,6 +1165,87 @@ mod tests {
                 .into_iter()
                 .collect()
         );
+    }
+
+    #[test]
+    fn a_subgoal_is_expanded_once_per_round_in_which_something_it_reads_grew() {
+        // The open game query over warm ground tables: `winning(X)` reads
+        // `move(X, Y)` (complete) and every `winning(p_i)` (complete), and
+        // nothing reads `winning(X)` — its one expansion is the fixpoint.
+        let program = parse_program(
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             move(a, b). move(b, c). move(c, d). move(a, d).",
+        )
+        .unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        ev.solve_atom(&parse_term("move(X, Y)").unwrap()).unwrap();
+        for position in ["a", "b", "c", "d"] {
+            ev.solve_atom(&parse_term(&format!("winning({position})")).unwrap())
+                .unwrap();
+        }
+        let warm = ev.stats().rule_applications;
+        let answers = ev.solve_atom(&parse_term("winning(X)").unwrap()).unwrap();
+        assert_eq!(ev.stats().rule_applications - warm, 1);
+        assert_eq!(
+            answers,
+            [
+                parse_term("winning(a)").unwrap(),
+                parse_term("winning(c)").unwrap()
+            ]
+        );
+        // From cold the same query is two expansions of `winning(X)` (the
+        // first finds `move(X, Y)` empty), one of `move(X, Y)` — the facts
+        // are matched once, not once per round — and the ground tables under
+        // them: 13 where re-expanding every member of a scope until the
+        // scope's answer count stood still took 26.
+        let mut cold = QueryEvaluator::new(&program, EvalOptions::default());
+        assert_eq!(
+            cold.solve_atom(&parse_term("winning(X)").unwrap()).unwrap(),
+            answers
+        );
+        assert_eq!(cold.stats().rule_applications, 13);
+        // Positive recursion, where a scope holds many tables and a round
+        // used to re-expand all of them: 26 against 72, same answers.
+        let program = parse_program(
+            "tc(G)(X, Y) :- graph(G), G(X, Y).\n\
+             tc(G)(X, Y) :- graph(G), G(X, Z), tc(G)(Z, Y).\n\
+             graph(e). e(a, b). e(b, c). e(c, d).",
+        )
+        .unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        let mut reached = ev.solve_atom(&parse_term("tc(e)(a, Y)").unwrap()).unwrap();
+        reached.sort();
+        let expected = ["tc(e)(a, b)", "tc(e)(a, c)", "tc(e)(a, d)"];
+        assert_eq!(reached, expected.map(|t| parse_term(t).unwrap()));
+        assert_eq!(ev.stats().rule_applications, 26);
+    }
+
+    #[test]
+    fn a_table_read_positively_then_settled_negatively_in_one_expansion_is_reread() {
+        // Expanding `p(a)`: the first rule selects `q(b)` positively — a new,
+        // empty table that joins the scope, so the branch dies — and the
+        // second settles the same `q(b)` negatively, which completes it with
+        // an answer and overwrites the recorded edge's sign.  The round
+        // criterion has to take that negative edge to a table that grew as a
+        // reason to expand `p(a)` again, or `p(a)` is lost (the premature
+        // fixpoint of PR 4).
+        let program = parse_program(
+            "p(X) :- e(X, Y), q(Y), not r(Y).\n\
+             p(X) :- e(X, Y), not q(Y).\n\
+             e(a, b). e(c, d). q(b).",
+        )
+        .unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        let key = ev.settle(&parse_term("p(a)").unwrap()).unwrap();
+        let q_b = parse_term("q(b)").unwrap();
+        assert_eq!(ev.tables[&key].deps.get(&q_b), Some(&DepSign::Neg));
+        let mut db = HiLogDb::new(program.clone());
+        let model = db.model().unwrap().clone();
+        for atom in ["p(a)", "p(c)", "p(b)"] {
+            let atom = parse_term(atom).unwrap();
+            assert_eq!(ev.holds(&atom).unwrap(), model.is_true(&atom), "{atom}");
+        }
+        assert!(ev.holds(&parse_term("p(a)").unwrap()).unwrap());
     }
 
     #[test]

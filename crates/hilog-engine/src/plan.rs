@@ -97,9 +97,16 @@ pub struct QueryPlan {
     /// in place* (exact answer-level edits of fact-backed tables, via the
     /// recorded instance-level dependency graph).
     pub patched_subqueries: usize,
-    /// Number of subgoal tables the mutations since the last query dropped
-    /// (the instance-level reverse dependency closure of the mutated atoms;
-    /// tables outside it survive untouched).
+    /// Number of rule-derived subgoal tables the mutations since the last
+    /// query *re-solved*: the tables in the instance-level reverse dependency
+    /// closure of the mutated atoms that read a table whose answers changed.
+    /// Tables outside the closure, and tables inside it whose dependencies
+    /// all kept their answers, survive untouched and are not counted.
+    pub refilled_subqueries: usize,
+    /// Number of subgoal tables the mutations since the last query dropped:
+    /// a re-solve that failed (a resource limit, a cycle through negation
+    /// the mutation closed), or the reverse dependency closure of a
+    /// rule-level mutation's head.
     pub dropped_subqueries: usize,
     /// Human-readable reason for the routing decision.
     pub reason: String,
@@ -137,11 +144,14 @@ impl fmt::Display for QueryPlan {
             },
             self.cached_subqueries
         )?;
-        if self.patched_subqueries > 0 || self.dropped_subqueries > 0 {
+        if self.patched_subqueries > 0
+            || self.refilled_subqueries > 0
+            || self.dropped_subqueries > 0
+        {
             writeln!(
                 f,
-                "  tables:    {} patched in place, {} dropped since the last query",
-                self.patched_subqueries, self.dropped_subqueries
+                "  tables:    {} patched in place, {} re-solved, {} dropped since the last query",
+                self.patched_subqueries, self.refilled_subqueries, self.dropped_subqueries
             )?;
         }
         write!(f, "  because:   {}", self.reason)

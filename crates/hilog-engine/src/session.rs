@@ -292,6 +292,7 @@ impl HiLogDbBuilder {
             analysis: None,
             generation: 0,
             fact_copies: None,
+            unsettled: Vec::new(),
             pending_patched: 0,
             pending_dropped: 0,
             pending_refilled: 0,
@@ -327,15 +328,23 @@ pub struct HiLogDb {
     /// for it); from then on every edit of a bodiless rule moves it in the
     /// same step.  The keys share the `Arc`s of the rules' own heads.
     fact_copies: Option<HashMap<Term, usize>>,
-    /// Subgoal tables patched in place by mutations since the last query
-    /// (reported through [`EvalStats::tables_patched`], then reset).
+    /// The effective fact-level changes (fact, `true` for asserted) the
+    /// subgoal tables have not been settled under yet, in the order they
+    /// were made (none is queued while the session holds no table).  Empty
+    /// whenever a caller can reach the session: the public
+    /// mutators settle before they return, and a [`DbWriter`] — the one
+    /// holder that queues a whole batch — settles before it publishes or
+    /// hands the session out (see `tables::settle_tables`).
+    unsettled: Vec<(Term, bool)>,
+    /// Subgoal tables patched in place by mutations since the last query,
+    /// one per table per fact (reported through
+    /// [`EvalStats::tables_patched`], then reset).
     pending_patched: usize,
-    /// Subgoal tables dropped by mutations since the last query.
+    /// Subgoal tables dropped by mutations since the last query: a failed
+    /// re-solve, or the reverse closure of a rule-level mutation.
     pending_dropped: usize,
-    /// Derived subgoal tables *refilled eagerly* (monotone delta: the
-    /// mutation reaches them through positive edges only, so their old
-    /// answers stay valid and only additions are derived) since the last
-    /// query.
+    /// Rule-derived subgoal tables *re-solved* by mutations since the last
+    /// query, because a table they read changed its answers.
     pending_refilled: usize,
 }
 
@@ -447,13 +456,23 @@ impl HiLogDb {
     /// Asserts a ground fact.
     ///
     /// The dependency analysis is kept (facts add no edges); subgoal tables
-    /// are maintained through their recorded dependency edges (tables
-    /// outside the instance-level closure survive, fact-backed tables are
-    /// patched in place), and when nothing reads the predicate at all the
-    /// cached ground program and model are *patched* instead of discarded.
-    /// Nothing here walks the program: the cost is that of what the fact
-    /// changes, whatever the store holds.
+    /// are maintained through their recorded dependency edges before this
+    /// returns (tables outside the instance-level closure survive,
+    /// fact-backed tables are patched in place, the rule-derived tables
+    /// whose dependencies changed their answers are re-solved), and when
+    /// nothing reads the predicate at all the cached ground program and
+    /// model are *patched* instead of discarded.  Nothing here walks the
+    /// program: the cost is that of what the fact changes, whatever the
+    /// store holds.
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
+        self.assert_fact_unsettled(fact)?;
+        self.settle_tables();
+        Ok(())
+    }
+
+    /// [`Self::assert_fact`], leaving the subgoal tables to a later
+    /// `settle_tables`: how a [`DbWriter`] makes a batch one pass.
+    pub(crate) fn assert_fact_unsettled(&mut self, fact: Term) -> Result<(), EngineError> {
         if !fact.is_ground() {
             return Err(EngineError::Floundering(format!(
                 "assert_fact requires a ground atom, got `{fact}`"
@@ -476,8 +495,17 @@ impl HiLogDb {
     }
 
     /// Retracts one occurrence of a ground fact; returns `false` — after one
-    /// probe — if the program contains no such fact.
+    /// probe — if the program contains no such fact.  The subgoal tables
+    /// are settled before this returns, as for [`Self::assert_fact`].
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
+        let retracted = self.retract_fact_unsettled(fact);
+        self.settle_tables();
+        retracted
+    }
+
+    /// [`Self::retract_fact`], leaving the subgoal tables to a later
+    /// `settle_tables`.
+    pub(crate) fn retract_fact_unsettled(&mut self, fact: &Term) -> bool {
         if !self.has_fact(fact) {
             return false;
         }
@@ -514,6 +542,9 @@ impl HiLogDb {
     /// overlaps the head (plus their recorded-edge reverse closure) are
     /// dropped, and every other table survives.
     pub fn assert_rule(&mut self, rule: Rule) {
+        // Fact-level changes a writer's batch queued are settled under the
+        // rules they were made under.
+        self.settle_tables();
         self.drop_tables_for_head(&rule.head);
         if rule.is_fact() {
             self.count_copy(&rule.head);
@@ -533,6 +564,7 @@ impl HiLogDb {
     /// grounding/model caches have no provenance for the retracted rule's
     /// instantiations and are rebuilt lazily.
     pub fn retract_rule(&mut self, rule: &Rule) -> bool {
+        self.settle_tables();
         // A structurally identical copy may remain; then nothing changed.
         let last_copy = if rule.is_fact() {
             // Bodiless rules are the multiset's: presence and remaining
@@ -609,17 +641,22 @@ impl HiLogDb {
     /// evaluating anything.
     pub fn explain(&self, query: &Query) -> QueryPlan {
         let mut plan = self.snap.explain(query);
-        plan.patched_subqueries = self.pending_patched;
-        plan.dropped_subqueries = self.pending_dropped;
+        self.decorate(&mut plan);
         plan
+    }
+
+    /// What table maintenance did since the last query, onto a plan.
+    fn decorate(&self, plan: &mut QueryPlan) {
+        plan.patched_subqueries = self.pending_patched;
+        plan.refilled_subqueries = self.pending_refilled;
+        plan.dropped_subqueries = self.pending_dropped;
     }
 
     /// Answers a query through the plan [`explain`](HiLogDb::explain)
     /// chooses, reusing every cache the session holds.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult, EngineError> {
         let mut result = self.snap.query(query)?;
-        result.plan.patched_subqueries = self.pending_patched;
-        result.plan.dropped_subqueries = self.pending_dropped;
+        self.decorate(&mut result.plan);
         // Consumed only on success, so a failed query (no stats to carry
         // them) leaves the mutation window's counters for the next one.
         result.stats.tables_patched = std::mem::take(&mut self.pending_patched);

@@ -52,10 +52,11 @@ impl HiLogDb {
     /// change to `fact`.  `asserted` is `true` for assertion, `false` for
     /// retraction.
     ///
-    /// Subgoal tables are maintained through the instance-level recorded
-    /// dependency graph ([`Self::maintain_tables_for_fact`]: unaffected
-    /// tables survive, fact-backed tables are patched in place, the rest of
-    /// the affected closure is dropped).  The cached grounding is
+    /// The subgoal tables are not touched here: the change is queued, and
+    /// [`Self::settle_tables`] folds a whole batch of them into the tables
+    /// in one pass over the instance-level recorded dependency graph
+    /// (unaffected tables survive, fact-backed tables are patched in place,
+    /// the readers of what changed are re-solved).  The cached grounding is
     /// *maintained* (the grounding driver continued from the fact on assert,
     /// DRed overdelete/rederive on retract), and under the well-founded
     /// semantics the cached model is marked dirty for the predicate-level
@@ -75,7 +76,12 @@ impl HiLogDb {
         // The Figure 1 outcome records the settling order, which even a pure
         // EDB fact can extend; recompute it on demand.
         lock_mut(&mut self.snap.core).modular = None;
-        self.maintain_tables_for_fact(fact, asserted);
+        // A table tabled after this change is tabled under it: with none
+        // held there is nothing to settle, and a store that is only written
+        // to pays nothing for the queue.
+        if !lock_mut(&mut self.snap.tables).is_empty() {
+            self.unsettled.push((fact.clone(), asserted));
+        }
         // `assert_fact` only admits ground atoms, but `assert_rule` (and the
         // builder) accept facts with variable predicate names, and those can
         // reach here through `retract_fact`; without a predicate identity

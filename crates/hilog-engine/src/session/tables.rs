@@ -1,94 +1,144 @@
 //! Instance-level maintenance of the subgoal tables under mutation.
 //!
 //! Each completed [`Table`] carries the dependency edges recorded while it
-//! was filled; mutations walk the *reverse* closure of those edges
-//! (instance-level, unlike the predicate-level analysis the grounding
-//! maintenance uses) to decide which tables to patch in place, which to
-//! refill eagerly, which to drop, and which to leave untouched.
+//! was filled — the instance-level `dp` / `dn` of Section 6.1 — and Figure 1
+//! / Definition 6.5 say what to do with such a graph: settle the lowest
+//! components first and reduce whatever reads them *modulo their model*, so
+//! a reader whose lower components kept their model reduces to exactly the
+//! rules it had.  [`HiLogDb::settle_tables`] is that procedure applied to a
+//! batch of fact-level changes:
+//!
+//! * the *reverse closure* of the changed tables under the recorded edges
+//!   (instance-level, unlike the predicate-level analysis the grounding
+//!   maintenance uses) is where the pass **looks** — every table outside it
+//!   is left untouched;
+//! * inside it, fact-backed tables are **patched** in place, and the
+//!   rule-derived ones are set aside and walked in dependency order: a table
+//!   none of whose dependencies changed its answers is put back as it was
+//!   (the early cut-off of demand-driven incremental computation), the
+//!   others are **re-solved** eagerly, off the readers' path;
+//! * only a table whose re-solve fails is **dropped** — the next query that
+//!   needs it fails, or falls back, exactly as a fresh session's would.
+//!
+//! Rule-level mutations change what a *pattern* can derive, not what a fact
+//! set holds, and drop the reverse closure of the rule's head outright.
 
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
-use crate::magic::DepSign;
 use crate::magic_eval::{QueryEvaluator, Table};
 use crate::snapshot::lock_mut;
 use crate::storage::RelationStorage;
+use hilog_core::analysis::strongly_connected_components;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-/// The keys of every subgoal table whose answers could change when the set
-/// of atoms matching `probe` changes: the tables whose pattern unifies with
-/// `probe`, plus the reverse closure under the dependency edges the tables
-/// recorded while they were filled.
-///
-/// This is *instance-level* where the session's `DepAnalysis` is
-/// predicate-level: a mutation to one game of a HiLog win/move database
-/// leaves the other games' `winning(g)(x)` tables untouched even though
-/// every one of them shares the (variable-headed) winning rule.  It is
-/// sound because a kept table's evaluation only ever consulted the tables
-/// its recorded closure names: if none of them overlaps `probe`, refilling
-/// the kept table would never read a changed atom — and any *newly
-/// selectable* subgoal requires some consulted table to gain answers first,
-/// which puts it inside the closure.
-fn tables_affected_by(tables: &HashMap<Term, Arc<Table>>, probe: &Term) -> BTreeSet<Term> {
-    let renamed = rename_apart(probe);
-    let mut queue: Vec<Term> = tables
-        .iter()
-        .filter(|(_, t)| {
-            let mut theta = Substitution::new();
-            unify_with(&t.pattern, &renamed, &mut theta)
-        })
-        .map(|(key, _)| key.clone())
-        .collect();
-    let mut readers: HashMap<&Term, Vec<&Term>> = HashMap::new();
-    for (key, table) in tables {
-        for dep in table.deps.keys() {
-            readers.entry(dep).or_default().push(key);
-        }
-    }
-    let mut affected: BTreeSet<Term> = BTreeSet::new();
-    while let Some(key) = queue.pop() {
-        if !affected.insert(key.clone()) {
-            continue;
-        }
-        if let Some(rs) = readers.get(&key) {
-            queue.extend(rs.iter().map(|r| (*r).clone()));
-        }
-    }
-    affected
+type Tables = HashMap<Term, Arc<Table>>;
+
+/// The dependency graph the tables of a map recorded, by *position*: built
+/// once per maintenance pass — and only once a pass has found a table to
+/// start from — so that everything after it (the closure, the order, the
+/// walk) is integer work, not term hashing.
+struct TableGraph {
+    /// The table keys; a table's position is its index here.
+    keys: Vec<Term>,
+    position: HashMap<Term, usize>,
+    /// Positions of the tables each table read while it was filled.
+    reads: Vec<Vec<usize>>,
+    /// Tables that read a table the map does not hold.
+    dangling: Vec<bool>,
+    /// The strongly connected components of `reads`, dependencies before
+    /// readers, mutually recursive tables as one group.
+    groups: Vec<Vec<usize>>,
 }
 
-/// `true` when every recorded dependency edge in `key`'s transitive
-/// downward closure is positive.  An asserted fact reaching such a table
-/// can only add answers (the evaluation consulted no negated subgoal), so
-/// the table can be rebuilt eagerly rather than dropped.  A dep whose table
-/// is gone makes the answer conservatively `false`.
-fn positive_closure(tables: &HashMap<Term, Arc<Table>>, key: &Term) -> bool {
-    let mut queue = vec![key.clone()];
-    let mut seen = BTreeSet::new();
-    while let Some(key) = queue.pop() {
-        if !seen.insert(key.clone()) {
-            continue;
-        }
-        let Some(table) = tables.get(&key) else {
-            return false;
-        };
-        for (dep, sign) in &table.deps {
-            if *sign == DepSign::Neg {
-                return false;
+impl TableGraph {
+    fn of(tables: &Tables) -> TableGraph {
+        let keys: Vec<Term> = tables.keys().cloned().collect();
+        let position: HashMap<Term, usize> = keys.iter().cloned().zip(0..).collect();
+        let mut reads = vec![Vec::new(); keys.len()];
+        let mut dangling = vec![false; keys.len()];
+        for (key, table) in tables {
+            let v = position[key];
+            for dep in table.deps.keys() {
+                match position.get(dep) {
+                    Some(&w) => reads[v].push(w),
+                    None => dangling[v] = true,
+                }
             }
-            queue.push(dep.clone());
+        }
+        let groups = strongly_connected_components(keys.len(), |v| reads[v].iter().copied());
+        TableGraph {
+            keys,
+            position,
+            reads,
+            dangling,
+            groups,
         }
     }
-    true
+
+    /// One flag per position, set for the tables `keys` names.
+    fn flags(&self, keys: &[Term]) -> Vec<bool> {
+        let mut flags = vec![false; self.keys.len()];
+        for key in keys {
+            flags[self.position[key]] = true;
+        }
+        flags
+    }
+
+    /// Flags every table whose answers could change when the answers of the
+    /// flagged `seeds` do: the seeds plus their reverse closure under the
+    /// recorded edges.
+    ///
+    /// This is *instance-level* where the session's `DepAnalysis` is
+    /// predicate-level: a mutation to one game of a HiLog win/move database
+    /// leaves the other games' `winning(g)(x)` tables untouched even though
+    /// every one of them shares the (variable-headed) winning rule.  It is
+    /// sound because a kept table's evaluation only ever consulted the
+    /// tables its recorded closure names: if none of them is a seed,
+    /// refilling the kept table would never read a changed atom — and any
+    /// *newly selectable* subgoal requires some consulted table to gain
+    /// answers first, which puts it inside the closure.
+    ///
+    /// One sweep in dependency order: a group is in the closure if a member
+    /// is a seed or reads a table that is.
+    fn reverse_closure(&self, seeds: Vec<bool>) -> Vec<bool> {
+        let mut affected = seeds;
+        for group in &self.groups {
+            let reached = |&v: &usize| affected[v] || self.reads[v].iter().any(|&w| affected[w]);
+            if group.iter().any(reached) {
+                for &v in group {
+                    affected[v] = true;
+                }
+            }
+        }
+        affected
+    }
+}
+
+/// Whether `pattern` (a table's normalised pattern) could cover an instance
+/// of `probe` (renamed apart by the caller).  A ground probe — every
+/// fact-level change but the retraction of a non-ground bodiless rule — is
+/// *matched*, which copies no term and binds nothing before the first
+/// mismatch: this runs once per table per changed fact.
+fn overlaps(pattern: &Term, probe: &Term) -> bool {
+    let mut theta = Substitution::new();
+    if probe.is_ground() {
+        match_with(pattern, probe, &mut theta)
+    } else {
+        unify_with(pattern, probe, &mut theta)
+    }
 }
 
 /// Renames a probe term's variables into a reserved generation so that
 /// unifying it against a table's normalised pattern (whose variables are
 /// generation-0 `_N*`) can never capture a variable by name.
 fn rename_apart(probe: &Term) -> Term {
+    if probe.is_ground() {
+        return probe.clone();
+    }
     let theta: Substitution = probe
         .variables()
         .iter()
@@ -97,94 +147,171 @@ fn rename_apart(probe: &Term) -> Term {
     theta.apply(probe)
 }
 
+/// Whether two versions of a table hold the same answers.
+fn same_answers(new: &Table, old: &Table) -> bool {
+    if new.answers.len() != old.answers.len() {
+        return false;
+    }
+    let mut same = true;
+    old.answers
+        .for_each_atom(&mut |answer| same = same && new.answers.contains(answer));
+    same
+}
+
 impl HiLogDb {
-    /// Folds a fact-level change into the subgoal tables: tables outside
-    /// the instance-level affected set survive untouched; affected tables
-    /// with no recorded subgoal edges (their answers are exactly the
-    /// matching bodyless instances) are *patched* by the exact answer
-    /// delta; affected tables with rule-derived answers are dropped and
-    /// refilled by the next query that needs them.
-    pub(super) fn maintain_tables_for_fact(&mut self, fact: &Term, asserted: bool) {
-        let tables = lock_mut(&mut self.snap.tables);
-        let affected = tables_affected_by(tables, fact);
-        if affected.is_empty() {
+    /// Settles the subgoal tables under the fact-level changes queued since
+    /// they were last settled: **one pass per batch**, however many facts the
+    /// batch asserted or retracted.
+    ///
+    /// 1. Every table whose pattern covers a changed fact is *directly
+    ///    touched*.  A touched table with no recorded subgoal edges holds
+    ///    exactly the matching bodiless instances and is patched in place,
+    ///    fact by fact in the order the changes were made, noting whether
+    ///    its answer set really moved.
+    /// 2. The reverse closure of the tables that moved, and of the touched
+    ///    rule-derived ones, is where the pass looks (one index of the
+    ///    recorded edges per batch; none when nothing is touched).  Every
+    ///    rule-derived table in it is **set aside first**, so that no
+    ///    evaluation below can read it: a batch can make one affected table
+    ///    select another that the old graph never ordered before it (assert
+    ///    `move(a, b)` and `move(b, c)` together: `winning(a)` now reads
+    ///    `winning(b)`), and it must find that table settled or absent,
+    ///    never stale.
+    /// 3. The tables set aside are walked in dependency order — the strongly
+    ///    connected components of the recorded edges, dependencies before
+    ///    readers, mutually recursive tables as one group.  A group that is
+    ///    not directly touched and whose every dependency is back in the map
+    ///    with the answers it had gets the same `Arc`s back: by induction on
+    ///    the order its replay would select the same subgoals and derive the
+    ///    same answers (Figure 1's argument, on the instance graph).  Any
+    ///    other group is re-solved, each member by an evaluator seeded with
+    ///    the live map and under the resource limits a cold query for it
+    ///    would face; every table such a run completes is kept, and a member
+    ///    counts as *changed* only if its answers differ from the version
+    ///    set aside.  A re-solve that fails (a limit, the deadline, a cycle
+    ///    through negation the batch closed) leaves the table dropped, which
+    ///    its readers see as a change.
+    ///
+    /// A dependency missing from the map is treated as changed.  The pass
+    /// itself never leaves one (see the assertion in `DbSnapshot::fork`);
+    /// the fallback keeps a map that came in that way correct.
+    pub(crate) fn settle_tables(&mut self) {
+        let deltas = std::mem::take(&mut self.unsettled);
+        if deltas.is_empty() {
             return;
         }
-        // The retracted ground instance survives in a table if some other
-        // bodyless route still derives it (a builtin-guarded twin) — the
-        // same check the DRed path applies to the ground program.
-        let spontaneous =
-            !asserted && fact.is_ground() && spontaneous_fact(&self.snap.program, fact);
-        // Classify before mutating the table map: the monotone check walks
-        // recorded edges into tables that may themselves be affected.
-        let monotone: BTreeSet<Term> = if asserted {
-            affected
-                .iter()
-                .filter(|key| positive_closure(tables, key))
-                .cloned()
-                .collect()
-        } else {
-            BTreeSet::new()
-        };
-        let mut refill = Vec::new();
-        for key in affected {
-            let table = tables.get_mut(&key).expect("affected keys exist");
-            let mut theta = Substitution::new();
-            if table.deps.is_empty()
-                && fact.is_ground()
-                && match_with(&table.pattern, fact, &mut theta)
-            {
-                let table = Arc::make_mut(table);
-                if asserted {
-                    table.answers.insert(fact.clone());
-                } else if !spontaneous {
-                    table.answers.remove(fact);
-                }
-                self.pending_patched += 1;
-            } else if monotone.contains(&key) {
-                // The assert reaches this derived table through positive
-                // edges only, so its answer delta is monotone: re-solve it
-                // now, seeded with every surviving warm table, instead of
-                // leaving a cold miss for the next query.
-                tables.remove(&key);
-                refill.push(key);
-            } else {
-                tables.remove(&key);
-                self.pending_dropped += 1;
-            }
-        }
-        self.refill_tables(refill);
+        // The map is worked on by value: a re-solve moves it into its
+        // evaluator and back instead of cloning it.
+        let mut tables = std::mem::take(lock_mut(&mut self.snap.tables));
+        self.settle_under(&deltas, &mut tables);
+        *lock_mut(&mut self.snap.tables) = tables;
     }
 
-    /// Re-solves dropped-but-monotone table patterns against the updated
-    /// program (through the maintained program index, which the caller has
-    /// already brought up to date).  The evaluator is seeded with every
-    /// surviving table, so the refill only re-derives the affected subtree;
-    /// the tables it completes (including any fresh dependencies) — and
-    /// only those — flow back into the session.  A
-    /// pattern the evaluator cannot settle falls back to the drop counter —
-    /// the next query recovers exactly as it would have without the refill.
-    fn refill_tables(&mut self, keys: Vec<Term>) {
-        if keys.is_empty() {
-            return;
-        }
-        let snap = &mut self.snap;
-        let seeded = lock_mut(&mut snap.tables).clone();
-        let mut evaluator = QueryEvaluator::with_tables(
-            snap.program_index(),
-            snap.opts,
-            seeded,
-            snap.storage.clone(),
-        );
-        let mut failed = 0usize;
-        for key in &keys {
-            if evaluator.solve_atom(key).is_err() {
-                failed += 1;
+    fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables) {
+        let probes: Vec<Term> = deltas.iter().map(|(fact, _)| rename_apart(fact)).collect();
+        // A retracted ground instance survives in a table if some other
+        // bodiless route still derives it (a builtin-guarded twin) — the
+        // same check the DRed path applies to the ground program; asked
+        // once per retraction, and only if a table holds the fact.
+        let mut spontaneous: Vec<Option<bool>> = vec![None; deltas.len()];
+        let program = &self.snap.program;
+        // The patched tables whose answers moved, and the rule-derived
+        // tables whose own pattern covers a changed fact.
+        let (mut moved, mut direct) = (Vec::new(), Vec::new());
+        for (key, table) in tables.iter_mut() {
+            let hits: Vec<usize> = (0..probes.len())
+                .filter(|&i| overlaps(&table.pattern, &probes[i]))
+                .collect();
+            if hits.is_empty() {
+                continue;
+            }
+            if !table.deps.is_empty() || hits.iter().any(|&i| !deltas[i].0.is_ground()) {
+                direct.push(key.clone());
+                continue;
+            }
+            let table = Arc::make_mut(table);
+            let mut answers_moved = false;
+            for i in hits {
+                let (fact, asserted) = &deltas[i];
+                answers_moved |= if *asserted {
+                    table.answers.insert(fact.clone())
+                } else {
+                    !*spontaneous[i].get_or_insert_with(|| spontaneous_fact(program, fact))
+                        && table.answers.remove(fact)
+                };
+                self.pending_patched += 1;
+            }
+            if answers_moved {
+                moved.push(key.clone());
             }
         }
-        lock_mut(&mut snap.tables).extend(evaluator.into_tables());
-        self.pending_refilled += keys.len() - failed;
-        self.pending_dropped += failed;
+        if moved.is_empty() && direct.is_empty() {
+            return;
+        }
+        // Where the pass looks.  `changed` flags what a reader cannot stand
+        // on: so far the patched tables that moved, which stay in the map;
+        // every other table in the closure is set aside.
+        let graph = TableGraph::of(tables);
+        let mut changed = graph.flags(&moved);
+        let direct = graph.flags(&direct);
+        let seeds = changed.iter().zip(&direct).map(|(m, d)| m | d).collect();
+        let affected = graph.reverse_closure(seeds);
+        let aside: Vec<Option<Arc<Table>>> = (graph.keys.iter().enumerate())
+            .map(|(v, key)| {
+                (affected[v] && !changed[v])
+                    .then(|| tables.remove(key))
+                    .flatten()
+            })
+            .collect();
+        let mut index = None;
+        for group in &graph.groups {
+            // A group is set aside as a whole or not at all.
+            if aside[group[0]].is_none() {
+                continue;
+            }
+            // No member of this group is flagged yet, so an edge inside it
+            // holds nothing up; every other dependency has had its turn.
+            let stands = group.iter().all(|&v| {
+                !direct[v] && !graph.dangling[v] && graph.reads[v].iter().all(|&w| !changed[w])
+            });
+            if stands {
+                for &v in group {
+                    tables.insert(graph.keys[v].clone(), aside[v].clone().expect("set aside"));
+                }
+                continue;
+            }
+            for &v in group {
+                let key = &graph.keys[v];
+                // An earlier re-solve may have completed it on its way.
+                if tables.contains_key(key) {
+                    continue;
+                }
+                let mut evaluator = QueryEvaluator::with_tables(
+                    index
+                        .get_or_insert_with(|| self.snap.program_index())
+                        .clone(),
+                    self.snap.opts,
+                    std::mem::take(tables),
+                    self.snap.storage.clone(),
+                );
+                // A failure shows as the table's absence below.
+                let _ = evaluator.settle(key);
+                *tables = evaluator.into_all_tables();
+            }
+            for &v in group {
+                let old = aside[v].as_ref().expect("set aside");
+                match tables.get(&graph.keys[v]) {
+                    Some(new) => {
+                        self.pending_refilled += 1;
+                        changed[v] = !same_answers(new, old);
+                    }
+                    None => {
+                        self.pending_dropped += 1;
+                        changed[v] = true;
+                    }
+                }
+            }
+        }
     }
 
     /// Drops every table in the instance-level reverse closure of a rule
@@ -192,8 +319,19 @@ impl HiLogDb {
     /// head covers, and whatever reads them).
     pub(super) fn drop_tables_for_head(&mut self, head: &Term) {
         let tables = lock_mut(&mut self.snap.tables);
-        for key in tables_affected_by(tables, head) {
-            tables.remove(&key);
+        let probe = rename_apart(head);
+        let covered: Vec<Term> = tables
+            .iter()
+            .filter(|(_, table)| overlaps(&table.pattern, &probe))
+            .map(|(key, _)| key.clone())
+            .collect();
+        if covered.is_empty() {
+            return;
+        }
+        let graph = TableGraph::of(tables);
+        let affected = graph.reverse_closure(graph.flags(&covered));
+        for (key, _) in graph.keys.iter().zip(affected).filter(|(_, hit)| *hit) {
+            tables.remove(key);
             self.pending_dropped += 1;
         }
     }
@@ -202,6 +340,7 @@ impl HiLogDb {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::magic_eval::normalize_pattern;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
@@ -326,22 +465,103 @@ mod tests {
         let repeat = db.query(&query).unwrap();
         assert_eq!(repeat.stats.rule_applications, 0);
         // Retracting one of the two copies is equally a no-op; retracting
-        // the second is not: the winning tables are dropped, while the
-        // fact-backed move tables are patched in place and survive.
+        // the second is not: the fact-backed move tables are patched in
+        // place, the winning tables that read them are re-solved before the
+        // retraction returns, and nothing is dropped.
         assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
         assert_eq!(db.explain(&query).cached_subqueries, warm);
         assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
         let plan = db.explain(&query);
-        assert!(plan.dropped_subqueries > 0, "winning tables must drop");
         assert!(plan.patched_subqueries > 0, "move tables must be patched");
         assert!(
-            plan.cached_subqueries >= plan.patched_subqueries,
-            "patched and untouched tables must survive"
+            plan.refilled_subqueries > 0,
+            "winning tables must be re-solved"
         );
-        // The patched tables answer correctly: b still wins through
-        // move(b, c), and nothing else does.
+        assert_eq!(plan.dropped_subqueries, 0, "a re-solve is not a drop");
+        assert_eq!(plan.cached_subqueries, warm, "every table is still warm");
+        // The settled tables answer correctly without evaluating anything:
+        // b still wins through move(b, c), and nothing else does.
         let after = db.query(&query).unwrap();
+        assert_eq!(after.stats.rule_applications, 0);
+        assert_eq!(after.stats.tables_refilled, plan.refilled_subqueries);
+        let fresh = HiLogDb::new(db.program().clone()).query(&query).unwrap();
+        assert_eq!(after.answers, fresh.answers);
         assert_eq!(after.answers.len(), 1);
         assert_eq!(after.answers[0].binding("X").unwrap(), &Term::sym("b"));
+    }
+
+    /// The table the session holds for `pattern`: its `Arc` tells a table
+    /// that was put back from one that was re-solved.
+    fn table(db: &mut HiLogDb, pattern: &str) -> Arc<Table> {
+        let key = normalize_pattern(&parse_term(pattern).unwrap());
+        lock_mut(&mut db.snap.tables)[&key].clone()
+    }
+
+    #[test]
+    fn a_batch_resolves_a_recursive_group_as_one_and_puts_standing_tables_back() {
+        // A 3-cycle a -> b -> c -> a with a shortcut a -> c, a tail
+        // c -> t1 -> t2, a reader s -> a, and a component of its own
+        // u -> v -> w.
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program(
+                "tc(X, Y) :- e(X, Y).\n\
+                 tc(X, Y) :- e(X, Z), tc(Z, Y).\n\
+                 e(a, b). e(b, c). e(c, a). e(a, c). e(c, t1). e(t1, t2).\n\
+                 e(s, a). e(u, v). e(v, w).",
+            )
+            .unwrap(),
+        )
+        .into_serving();
+        let queries: Vec<_> = ["a", "b", "c", "s", "u"]
+            .iter()
+            .map(|from| parse_query(&format!("?- tc({from}, Y).")).unwrap())
+            .collect();
+        let check = |handle: &crate::snapshot::SnapshotHandle| {
+            let snapshot = handle.current();
+            for query in &queries {
+                let served = snapshot.query(query).unwrap();
+                let fresh = HiLogDb::new(snapshot.program().clone())
+                    .query(query)
+                    .unwrap();
+                assert_eq!(served.answers, fresh.answers, "{query}");
+                assert_eq!(served.stats.rule_applications, 0, "{query} not warm");
+            }
+        };
+        // Readers warm the tables; a mutation-free publish adopts them.
+        for query in &queries {
+            handle.current().query(query).unwrap();
+        }
+        writer.publish();
+        let before = table(writer.db(), "tc(u, Y)");
+        // One batch cuts the cycle and extends the tail: tc(t2), tc(t1), the
+        // group {tc(a), tc(b), tc(c)} — mutually recursive when recorded, a
+        // chain afterwards — and their reader tc(s) change and are re-solved
+        // in the one pass; the other component is not looked at.
+        assert!(writer.retract_fact(&parse_term("e(c, a)").unwrap()));
+        writer
+            .assert_fact(parse_term("e(t2, t3)").unwrap())
+            .unwrap();
+        writer.publish();
+        let plan = writer.db().explain(&queries[0]);
+        assert_eq!(plan.refilled_subqueries, 6, "{plan}");
+        assert_eq!(plan.dropped_subqueries, 0, "{plan}");
+        assert_eq!(plan.patched_subqueries, 2, "e(c, Y) and e(t2, Y)");
+        assert!(Arc::ptr_eq(&before, &table(writer.db(), "tc(u, Y)")));
+        check(&handle);
+        // The shortcut goes: tc(a) is re-solved and comes out as it was, so
+        // its reader tc(s) — inside the closure — gets its `Arc` back.
+        writer.db().query(&queries[0]).unwrap();
+        let (a_before, s_before) = (
+            table(writer.db(), "tc(a, Y)"),
+            table(writer.db(), "tc(s, Y)"),
+        );
+        assert!(writer.retract_fact(&parse_term("e(a, c)").unwrap()));
+        writer.publish();
+        let plan = writer.db().explain(&queries[0]);
+        assert_eq!(plan.refilled_subqueries, 1, "{plan}");
+        assert_eq!(plan.dropped_subqueries, 0, "{plan}");
+        assert!(!Arc::ptr_eq(&a_before, &table(writer.db(), "tc(a, Y)")));
+        assert!(Arc::ptr_eq(&s_before, &table(writer.db(), "tc(s, Y)")));
+        check(&handle);
     }
 }

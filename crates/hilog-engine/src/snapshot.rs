@@ -235,6 +235,17 @@ impl DbSnapshot {
     /// published model is exact.
     fn fork(&mut self, epoch: u64) -> DbSnapshot {
         self.settled_model();
+        // What the session's table maintenance relies on, checked wherever
+        // debug assertions run: the map holds complete tables only, and
+        // every table a table read is in it too.  (The maintenance pass
+        // treats a missing dependency as changed — a fallback for a map
+        // that came in that way, not a state it produces.)
+        debug_assert!({
+            let tables = lock_mut(&mut self.tables);
+            tables
+                .values()
+                .all(|t| t.complete && t.deps.keys().all(|dep| tables.contains_key(dep)))
+        });
         DbSnapshot {
             program: self.program.clone(),
             opts: self.opts,
@@ -283,9 +294,7 @@ impl DbSnapshot {
     /// complete tables (an evaluator hands back nothing else), so this is
     /// its length.
     pub fn cached_subqueries(&self) -> usize {
-        let tables = read_lock(&self.tables);
-        debug_assert!(tables.values().all(|t| t.complete));
-        tables.len()
+        read_lock(&self.tables).len()
     }
 
     /// Number of distinct ground facts in the tabled evaluator's program
@@ -317,9 +326,9 @@ impl DbSnapshot {
     }
 
     /// Builds the plan [`query`](DbSnapshot::query) would execute, without
-    /// evaluating anything.  Tables are never patched or dropped through
-    /// this surface, so those plan fields are zero here (the owning session
-    /// fills them in).
+    /// evaluating anything.  Tables are never patched, re-solved or dropped
+    /// through this surface, so those plan fields are zero here (the owning
+    /// session fills them in).
     pub fn explain(&self, query: &Query) -> QueryPlan {
         let (cached_model, stale_model) = {
             let core = read_lock(&self.core);
@@ -362,6 +371,7 @@ impl DbSnapshot {
             stale_model,
             cached_subqueries: self.cached_subqueries(),
             patched_subqueries: 0,
+            refilled_subqueries: 0,
             dropped_subqueries: 0,
             reason,
         }
@@ -961,17 +971,23 @@ impl DbWriter {
 
     /// Asserts a ground fact into the current batch (semi-naive incremental
     /// maintenance; see [`HiLogDb::assert_fact`]).  Not visible to readers
-    /// until [`publish`](DbWriter::publish).
+    /// until [`publish`](DbWriter::publish).  The grounding and the model
+    /// are maintained here, fact by fact; the subgoal tables are not — the
+    /// change is queued, and the batch's fact-level changes are folded into
+    /// them together, in one pass, by [`publish`](DbWriter::publish) (or by
+    /// [`db`](DbWriter::db), or by the next rule-level mutation, whichever
+    /// comes first).
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
         self.adopt_reader_tables();
-        self.db.assert_fact(fact)
+        self.db.assert_fact_unsettled(fact)
     }
 
     /// Retracts one occurrence of a ground fact in the current batch (DRed
-    /// maintenance; see [`HiLogDb::retract_fact`]).
+    /// maintenance; see [`HiLogDb::retract_fact`]); the subgoal tables are
+    /// settled with the batch, as for [`assert_fact`](DbWriter::assert_fact).
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
         self.adopt_reader_tables();
-        self.db.retract_fact(fact)
+        self.db.retract_fact_unsettled(fact)
     }
 
     /// Asserts a rule into the current batch (see [`HiLogDb::assert_rule`]).
@@ -988,11 +1004,14 @@ impl DbWriter {
     }
 
     /// Direct access to the underlying session — the escape hatch for routes
-    /// without a writer wrapper ([`HiLogDb::stable_models`], …).  Reading
-    /// through it leaves the batch as it is; mutating through it opens the
-    /// batch exactly like the writer's own wrappers (without first adopting
-    /// reader tables).
+    /// without a writer wrapper ([`HiLogDb::stable_models`], …).  The
+    /// subgoal tables are settled under the batch so far before the session
+    /// is handed out, so it never answers (or explains) from a stale table.
+    /// Reading through it leaves the batch as it is; mutating through it
+    /// opens the batch exactly like the writer's own wrappers (without first
+    /// adopting reader tables), settling the tables per mutation.
     pub fn db(&mut self) -> &mut HiLogDb {
+        self.db.settle_tables();
         &mut self.db
     }
 
@@ -1002,8 +1021,14 @@ impl DbWriter {
     /// untouched.  A mutation-free publish first adopts the tables reader
     /// queries computed on the outgoing snapshot (the programs are
     /// identical), so warmth accumulates across epochs instead of resetting.
+    /// A publish after mutations first settles the subgoal tables under the
+    /// batch's fact-level changes — one pass for the batch, on the writer's
+    /// side, re-solving the tables whose answers the batch can have changed
+    /// — so the snapshot readers get holds no stale table and (resource
+    /// limits permitting) no missing one.
     pub fn publish(&mut self) -> Arc<DbSnapshot> {
         self.adopt_reader_tables();
+        self.db.settle_tables();
         self.epoch += 1;
         let snapshot = Arc::new(self.db.working().fork(self.epoch));
         *write_lock(&self.handle.cell) = snapshot.clone();

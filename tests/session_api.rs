@@ -355,8 +355,8 @@ fn example_6_4_family_verdicts_are_path_independent() {
 
 /// Instance-level table maintenance: a mutation to one game of a shared
 /// (variable-headed) HiLog rule keeps the other game's tables, patches the
-/// mutated game's fact tables in place, and drops only the mutated game's
-/// derived tables — observable through the new `EvalStats` counters.
+/// mutated game's fact tables in place, and re-solves only the mutated
+/// game's derived tables — observable through the `EvalStats` counters.
 #[test]
 fn mutations_patch_and_keep_tables_at_the_instance_level() {
     let mut db = HiLogDb::new(
@@ -374,11 +374,16 @@ fn mutations_patch_and_keep_tables_at_the_instance_level() {
     let h_first = db.query(&h_query).unwrap();
     assert!(h_first.stats.rule_applications > 0);
     // A new g edge: the g fact tables are patched, the winning(g) tables are
-    // dropped, and everything h survives untouched.
+    // re-solved (none dropped), and everything h survives untouched.
     db.assert_fact(parse_term("g(c, d)").unwrap()).unwrap();
     let plan = db.explain(&h_query);
     assert!(plan.patched_subqueries > 0, "g fact tables must be patched");
-    assert!(plan.dropped_subqueries > 0, "winning(g) tables must drop");
+    assert!(
+        plan.refilled_subqueries > 0,
+        "winning(g) tables must be re-solved"
+    );
+    assert_eq!(plan.dropped_subqueries, 0, "a re-solve is not a drop");
+    assert!(plan.to_string().contains("re-solved"), "{plan}");
     let h_second = db.query(&h_query).unwrap();
     assert_eq!(
         h_second.stats.rule_applications, 0,
@@ -387,9 +392,12 @@ fn mutations_patch_and_keep_tables_at_the_instance_level() {
     assert!(h_second.stats.cached_subqueries > 0);
     assert!(h_second.stats.tables_reused > 0);
     assert_eq!(h_second.stats.tables_patched, plan.patched_subqueries);
-    assert_eq!(h_second.stats.tables_dropped, plan.dropped_subqueries);
-    // The patched g tables answer correctly: chain a -> b -> c -> d.
+    assert_eq!(h_second.stats.tables_refilled, plan.refilled_subqueries);
+    assert_eq!(h_second.stats.tables_dropped, 0);
+    // The settled g tables answer correctly, and from cache: chain
+    // a -> b -> c -> d.
     let g_after = db.query(&g_query).unwrap();
+    assert_eq!(g_after.stats.rule_applications, 0);
     let xs: BTreeSet<String> = g_after
         .answers
         .iter()
@@ -481,6 +489,91 @@ fn monotone_asserts_refill_derived_tables_eagerly() {
         "the refilled table must already contain the extended chain"
     );
     check_against_fresh(&mut db, &query, "monotone eager refill");
+}
+
+/// The early cut-off: a write that changes no derived answer re-solves the
+/// table that reads the changed facts and nothing above it.  `b` already
+/// wins through the dead end `c`; a second dead-end successor `d` leaves it
+/// winning, so `winning(a)` and `winning(r)` — inside the reverse closure —
+/// are put back as they were, and reading them evaluates nothing.
+#[test]
+fn a_write_that_changes_no_answer_resolves_only_the_table_it_touches() {
+    let mut db = HiLogDb::new(
+        parse_program(
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             move(r, a). move(a, b). move(b, c).",
+        )
+        .unwrap(),
+    );
+    let ancestors: Vec<_> = ["?- winning(r).", "?- winning(a).", "?- winning(b)."]
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
+    db.query(&ancestors[0]).unwrap();
+    db.assert_fact(parse_term("move(b, d)").unwrap()).unwrap();
+    let plan = db.explain(&ancestors[0]);
+    assert_eq!(plan.patched_subqueries, 1, "move(b, Y)\n{plan}");
+    assert_eq!(plan.refilled_subqueries, 1, "winning(b)\n{plan}");
+    assert_eq!(plan.dropped_subqueries, 0, "{plan}");
+    for query in &ancestors {
+        let result = db.query(query).unwrap();
+        assert_eq!(result.stats.rule_applications, 0, "{query} was not warm");
+        check_against_fresh(&mut db, query, "no derived answer changed");
+    }
+    // A write that does change an answer travels as far as the answers do.
+    // `c` gets a move and wins: `b` is re-solved, still wins through `d`,
+    // and the pass stops there.  Then `d` gets one: `b` stops winning, `a`
+    // starts, `r` stops — four tables re-solved, none dropped.
+    for (fact, resolved) in [("move(c, e)", 2), ("move(d, f)", 4)] {
+        db.assert_fact(parse_term(fact).unwrap()).unwrap();
+        let plan = db.explain(&ancestors[0]);
+        assert_eq!(plan.refilled_subqueries, resolved, "{fact}\n{plan}");
+        assert_eq!(plan.dropped_subqueries, 0, "{fact}\n{plan}");
+        for query in &ancestors {
+            let result = db.query(query).unwrap();
+            assert_eq!(result.stats.rule_applications, 0, "{query} was not warm");
+            check_against_fresh(&mut db, query, fact);
+        }
+    }
+    assert_eq!(
+        db.holds(&parse_term("winning(r)").unwrap()).unwrap(),
+        Truth::False
+    );
+}
+
+/// The same-batch hazard: `winning(a)`, `winning(b)` and `winning(c)` are
+/// tabled with no path between them, then one batch asserts `move(a, b)`
+/// and `move(b, c)`.  Re-solving `winning(a)` now selects `winning(b)`,
+/// which the recorded graph never ordered before it: it must find that
+/// table settled under the whole batch or absent, never as it was (`b`
+/// losing, which would make `a` win).  Either order of the two facts.
+#[test]
+fn a_batch_never_reads_a_table_it_has_not_settled_yet() {
+    let positions: Vec<_> = ["a", "b", "c"]
+        .iter()
+        .map(|p| parse_query(&format!("?- winning({p}).")).unwrap())
+        .collect();
+    for batch in [["move(a, b)", "move(b, c)"], ["move(b, c)", "move(a, b)"]] {
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program("winning(X) :- move(X, Y), not winning(Y). move(x, y).").unwrap(),
+        )
+        .into_serving();
+        for query in &positions {
+            assert_eq!(handle.current().query(query).unwrap().truth, Truth::False);
+        }
+        for fact in batch {
+            writer.assert_fact(parse_term(fact).unwrap()).unwrap();
+        }
+        let snapshot = writer.publish();
+        let mut fresh = HiLogDb::new(snapshot.program().clone());
+        for (query, wins) in positions.iter().zip([false, true, false]) {
+            let served = snapshot.query(query).unwrap();
+            let context = format!("{query} after {batch:?}");
+            assert_results_agree(&served, &fresh.query(query).unwrap(), &context);
+            assert_eq!(served.is_true(), wins, "{context}");
+            assert_eq!(served.stats.rule_applications, 0, "{context}: not warm");
+        }
+    }
 }
 
 #[test]
@@ -575,6 +668,109 @@ fn a_fallback_behind_pending_seeds_patches_the_model_before_reading_it() {
     assert!(!answer_set(&served).iter().any(|a| a.contains("X = c")));
 }
 
+/// One randomized stream of write batches through a `DbWriter`: every batch
+/// is 1–8 asserts and retracts drawn from a small pool of facts — so
+/// duplicates, retractions of absent facts, and an assert undone in its own
+/// batch all occur, and the game families close (and reopen) cycles through
+/// negation — settled in one table-maintenance pass at `publish`.  After
+/// every publish each query must answer as a fresh session over the
+/// published program does, and **from warm tables**: a query that evaluated
+/// without a fallback at the previous epoch and does so at this one applies
+/// no rule, because the pass re-solved whatever the batch changed.  (When
+/// the batch closed a cycle through negation the re-solve fails, the table
+/// is dropped, and the query falls back exactly as the fresh session's
+/// does.)  One early snapshot stays pinned and keeps answering its epoch.
+fn run_batch_stream(seed: u64, rounds: usize) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
+    let node = |i: usize| format!("n{i}");
+    const NODES: usize = 5;
+    // (rules and initial facts, the relations the stream writes, queries)
+    let (text, relations, mut queries): (&str, &[&str], Vec<String>) = match seed % 3 {
+        0 => (
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             move(n0, n1). move(n1, n2). move(n3, n4).",
+            &["move"],
+            vec!["?- winning(X).".into(), "?- move(n0, X).".into()],
+        ),
+        1 => (
+            "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+             game(g). game(h). g(n0, n1). g(n1, n2). h(n2, n1).",
+            &["g", "h"],
+            vec!["?- winning(g)(X).".into(), "?- h(X, Y).".into()],
+        ),
+        _ => (
+            "tc(X, Y) :- e(X, Y).\n\
+             tc(X, Y) :- e(X, Z), tc(Z, Y).\n\
+             e(n0, n1). e(n1, n2). e(n2, n0). e(n2, n3).",
+            &["e"],
+            vec!["?- tc(X, n3).".into()],
+        ),
+    };
+    for i in 0..NODES {
+        queries.push(match seed % 3 {
+            0 => format!("?- winning({}).", node(i)),
+            1 => format!("?- winning({})({}).", ["g", "h"][i % 2], node(i)),
+            _ => format!("?- tc({}, Y).", node(i)),
+        });
+    }
+    let queries: Vec<_> = queries.iter().map(|q| parse_query(q).unwrap()).collect();
+    let (mut writer, handle) = HiLogDb::new(parse_program(text).unwrap()).into_serving();
+    // Whether each query evaluated without a fallback at the last epoch.
+    let mut settled = vec![false; queries.len()];
+    let mut pinned: Option<(std::sync::Arc<DbSnapshot>, Vec<BTreeSet<String>>)> = None;
+    for round in 0..rounds {
+        for _ in 0..rng.gen_range(1..=8) {
+            let relation = relations[rng.gen_range(0..relations.len())];
+            let (from, to) = (rng.gen_range(0..NODES), rng.gen_range(0..NODES));
+            let fact = Term::apps(relation, vec![Term::sym(node(from)), Term::sym(node(to))]);
+            if rng.gen_bool(0.5) {
+                writer.assert_fact(fact).unwrap();
+            } else {
+                writer.retract_fact(&fact);
+            }
+        }
+        writer.publish();
+        let snapshot = handle.current();
+        let mut fresh = HiLogDb::new(snapshot.program().clone());
+        let mut answers = Vec::with_capacity(queries.len());
+        for (query, settled) in queries.iter().zip(&mut settled) {
+            let context = format!("seed {seed}, round {round}, {query}");
+            let served = snapshot.query(query).expect("published snapshot answers");
+            let reference = fresh.query(query).expect("fresh session answers");
+            assert_results_agree(
+                &served,
+                &reference,
+                &format!("{context}\n{}", snapshot.program()),
+            );
+            let evaluated = served.fallback.is_none();
+            if *settled && evaluated {
+                assert_eq!(
+                    served.stats.rule_applications,
+                    0,
+                    "{context}: the batch left a cold table\n{}",
+                    snapshot.program()
+                );
+            }
+            *settled = evaluated;
+            answers.push(answer_set(&served));
+        }
+        match &pinned {
+            None if round == 1 => pinned = Some((snapshot, answers)),
+            None => {}
+            Some((old, expected)) => {
+                let i = round % queries.len();
+                let again = old.query(&queries[i]).expect("pinned snapshot answers");
+                assert_eq!(
+                    &answer_set(&again),
+                    &expected[i],
+                    "seed {seed}, round {round}: the pinned epoch moved on {}",
+                    queries[i]
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(proptest_cases(12)))]
 
@@ -585,6 +781,14 @@ proptest! {
     #[test]
     fn randomized_mutation_sequences_match_fresh_sessions(seed in 0u64..1_000_000) {
         run_mutation_sequence(seed, 6);
+    }
+
+    /// Randomized streams of write *batches* through the serving writer,
+    /// one table-maintenance pass each: every published epoch answers as a
+    /// fresh session does, from tables the pass kept warm.
+    #[test]
+    fn randomized_batch_streams_publish_settled_warm_tables(seed in 0u64..1_000_000) {
+        run_batch_stream(seed, 8);
     }
 }
 
