@@ -330,16 +330,6 @@ impl Model {
         self.base.insert(atom);
     }
 
-    /// Removes an atom from the model entirely (base, true and undefined
-    /// sets); it becomes false by the closed-world convention.  Returns
-    /// `true` if the atom was in the base.  Used by incremental maintenance
-    /// to retire atoms whose last supporting rule instantiation disappeared.
-    pub fn remove(&mut self, atom: &Term) -> bool {
-        self.true_atoms.remove(atom);
-        self.undefined.remove(atom);
-        self.base.remove(atom)
-    }
-
     /// Merges another model into this one (union of bases, true sets and
     /// undefined sets).  The caller is responsible for the two models having
     /// disjoint or agreeing vocabularies (as in Figure 1, where `M := M ∪ M_T`

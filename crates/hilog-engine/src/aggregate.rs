@@ -31,7 +31,7 @@ use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::horn::{join_body, AtomStore, EvalOptions, NegationMode};
 use hilog_core::interpretation::Model;
-use hilog_core::literal::{AggregateFunc, Literal};
+use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
 use hilog_core::subst::Substitution;
@@ -146,80 +146,101 @@ fn evaluate_aggregate_rule(
         )));
     }
 
-    // Grouping variables: pattern variables that occur outside the aggregate
-    // literal (head or other body literals).
-    let mut outside: Vec<Var> = rule.head.variables();
-    for lit in &rest {
-        outside.extend(lit.variables());
+    let mut heads = Vec::new();
+    for theta in contexts {
+        let pattern = theta.apply(&agg.pattern);
+        for extended in solve_aggregate(rule, agg, &theta, derived.candidates(&pattern))? {
+            let head = extended.apply(&rule.head);
+            if !head.is_ground() {
+                return Err(EngineError::Floundering(format!(
+                    "aggregate rule `{rule}` produced the non-ground head `{head}`"
+                )));
+            }
+            heads.push(head);
+        }
     }
-    let value_vars = agg.value.variables();
-    let group_vars: Vec<Var> = agg
-        .pattern
+    Ok(heads)
+}
+
+/// The one aggregate operator: evaluates the aggregate literal `agg` of
+/// `rule` under `theta` over `candidates` — the settled atoms that may match
+/// its pattern — and returns `theta` extended once per group, by the group's
+/// key and its folded result.
+///
+/// The matches of the instantiated pattern are grouped by the pattern
+/// variables that also occur outside the aggregate literal (in the head or
+/// another body literal) — "the sum is grouped by Mach, X and Y" in the
+/// paper's example; variables local to the pattern, and those of the
+/// collected value, are aggregated over.  Every variable set is taken
+/// *after* applying `theta`: a caller's substitution may have aliased rule
+/// variables (a head variable renamed to a table's normalised variable), and
+/// grouping must bind exactly the variables the instantiated pattern still
+/// carries.  `count` counts every collected tuple; `sum` / `min` / `max`
+/// fold integers, and a group that collected anything else is
+/// [`EngineError::Unsupported`] on every route.  A pattern nothing matches
+/// has no group, so the rule does not fire for it.
+pub(crate) fn solve_aggregate<'a>(
+    rule: &Rule,
+    agg: &Aggregate,
+    theta: &Substitution,
+    candidates: impl IntoIterator<Item = &'a Term>,
+) -> Result<Vec<Substitution>, EngineError> {
+    // Instantiated first, and found in the body by its instantiated form:
+    // a caller may hand the literal over with `theta` already applied.
+    let agg = &agg.apply(theta);
+    let (pattern, value) = (&agg.pattern, &agg.value);
+    let mut outside: Vec<Var> = theta.apply(&rule.head).variables();
+    for other in &rule.body {
+        let other = other.apply(theta);
+        if !matches!(&other, Literal::Aggregate(a) if a == agg) {
+            outside.extend(other.variables());
+        }
+    }
+    let value_vars = value.variables();
+    let group_vars: Vec<Var> = pattern
         .variables()
         .into_iter()
         .filter(|v| outside.contains(v) && !value_vars.contains(v))
         .collect();
 
-    let mut heads = Vec::new();
-    for theta in contexts {
-        let pattern = theta.apply(&agg.pattern);
-        let mut groups: BTreeMap<Vec<(Var, Term)>, Vec<Term>> = BTreeMap::new();
-        for candidate in derived.candidates(&pattern) {
-            let mut m = Substitution::new();
-            if match_with(&pattern, candidate, &mut m) {
-                let key: Vec<(Var, Term)> = group_vars
-                    .iter()
-                    .filter(|v| !theta.contains(v))
-                    .map(|v| (v.clone(), m.apply(&Term::Var(v.clone()))))
-                    .collect();
-                groups
-                    .entry(key)
-                    .or_default()
-                    .push(m.apply(&theta.apply(&agg.value)));
-            }
-        }
-        for (key, values) in groups {
-            // `count` counts every collected tuple; the numeric aggregates
-            // combine the integer values (non-integer collected terms cannot
-            // be summed and make the rule inapplicable for that group).
-            let ints: Vec<i64> = values
+    let mut groups: BTreeMap<Vec<(Var, Term)>, Vec<Term>> = BTreeMap::new();
+    for candidate in candidates {
+        let mut m = Substitution::new();
+        if match_with(pattern, candidate, &mut m) {
+            let key: Vec<(Var, Term)> = group_vars
                 .iter()
-                .filter_map(|t| match t {
-                    Term::Int(i) => Some(*i),
-                    _ => None,
-                })
+                .map(|v| (v.clone(), m.apply(&Term::Var(v.clone()))))
                 .collect();
-            if agg.func != AggregateFunc::Count && ints.len() != values.len() {
-                return Err(EngineError::Unsupported(format!(
-                    "aggregate `{agg}` collected non-integer values"
-                )));
-            }
-            let result = match agg.func {
-                AggregateFunc::Sum => ints.iter().sum(),
-                AggregateFunc::Count => values.len() as i64,
-                AggregateFunc::Min => ints.iter().copied().min().unwrap_or(0),
-                AggregateFunc::Max => ints.iter().copied().max().unwrap_or(0),
-            };
-            let mut extended = theta.clone();
-            let mut ok = true;
-            for (v, t) in &key {
-                if !unify_with(&Term::Var(v.clone()), t, &mut extended) {
-                    ok = false;
-                    break;
-                }
-            }
-            if ok && unify_with(&agg.result, &Term::Int(result), &mut extended) {
-                let head = extended.apply(&rule.head);
-                if !head.is_ground() {
-                    return Err(EngineError::Floundering(format!(
-                        "aggregate rule `{rule}` produced the non-ground head `{head}`"
-                    )));
-                }
-                heads.push(head);
-            }
+            groups.entry(key).or_default().push(m.apply(value));
         }
     }
-    Ok(heads)
+
+    let mut solutions = Vec::new();
+    for (key, values) in groups {
+        let ints = || {
+            let ints = values.iter().map(|t| match t {
+                Term::Int(i) => Ok(*i),
+                _ => Err(EngineError::Unsupported(format!(
+                    "aggregate `{agg}` collected the non-integer value `{t}`"
+                ))),
+            });
+            ints.collect::<Result<Vec<i64>, _>>()
+        };
+        let result = match agg.func {
+            AggregateFunc::Count => values.len() as i64,
+            AggregateFunc::Sum => ints()?.iter().sum(),
+            AggregateFunc::Min => ints()?.into_iter().min().unwrap_or(0),
+            AggregateFunc::Max => ints()?.into_iter().max().unwrap_or(0),
+        };
+        let mut extended = theta.clone();
+        let bound = key
+            .iter()
+            .all(|(v, t)| unify_with(&Term::Var(v.clone()), t, &mut extended));
+        if bound && unify_with(&agg.result, &Term::Int(result), &mut extended) {
+            solutions.push(extended);
+        }
+    }
+    Ok(solutions)
 }
 
 /// Builds the paper's parts-explosion program for a set of machines.

@@ -44,7 +44,8 @@
 //!   value, delegates every read to it, and keeps its caches maintained
 //!   under `assert_fact` / `retract_fact` / `assert_rule` / `retract_rule`
 //!   (the grounding driver continued from the new fact, DRed, instance-level
-//!   model patches and subgoal-table maintenance) instead of discarding them.
+//!   subgoal-table maintenance) instead of discarding them; the model after
+//!   a write is [`well_founded_eval`] over the maintained grounding.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -93,9 +94,7 @@ pub use storage::{
     clear_spill_faults, inject_spill_faults, spill_io_errors, storage_counters, FactStore,
     RelationStorage, RelationStorageStats, StorageConfig, DEFAULT_SPILL_BUDGET,
 };
-pub use wfs::{
-    well_founded_eval, well_founded_model_over_universe, well_founded_of_ground, well_founded_patch,
-};
+pub use wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_of_ground};
 
 /// Convenience prelude pulling in the most frequently used engine items.
 pub mod prelude {
@@ -114,5 +113,5 @@ pub mod prelude {
     pub use crate::snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
     pub use crate::stable::StableOptions;
     pub use crate::storage::{FactStore, RelationStorage, StorageConfig};
-    pub use crate::wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_patch};
+    pub use crate::wfs::{well_founded_eval, well_founded_model_over_universe};
 }

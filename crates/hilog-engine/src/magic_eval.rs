@@ -55,12 +55,13 @@
 //! session (see [`crate::snapshot::DbSnapshot`]); a raw [`QueryEvaluator`]
 //! builds its own.
 
+use crate::aggregate::solve_aggregate;
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
 use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
-use hilog_core::literal::{AggregateFunc, Literal};
+use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
@@ -106,11 +107,6 @@ pub struct EvalStats {
     /// full-model plans executed by [`crate::session::HiLogDb`]; a cached
     /// model answers with `groundings == 0`.
     pub groundings: usize,
-    /// Number of incremental model patches (semi-naive delta propagation
-    /// over the affected components) applied while answering.  Non-zero only
-    /// for full-model plans of a [`crate::session::HiLogDb`] whose cached
-    /// model had pending fact-level deltas.
-    pub patches: usize,
     /// How the model that answered this query was obtained — the
     /// observability hook for the session's incremental maintenance.
     /// Magic-sets plans never consult a model and report
@@ -157,10 +153,10 @@ pub struct EvalStats {
     /// ([`hilog_core::symbol::gc_symbol_pool`]).  A raw [`QueryEvaluator`]
     /// reports 0; the session and snapshot query paths fill it.
     pub live_symbols: usize,
-    /// Number of SCC waves the well-founded evaluator (full or patch)
-    /// scheduled onto the work pool while this query ran.  Zero whenever the
-    /// query reused a cached model or `eval_threads <= 1` (the waves then
-    /// run inline and nothing is pooled).  Like the other parallel counters
+    /// Number of SCC waves the well-founded evaluator scheduled onto the
+    /// work pool while this query ran.  Zero whenever the query reused a
+    /// cached model or `eval_threads <= 1` (the waves then run inline and
+    /// nothing is pooled).  Like the other parallel counters
     /// this is counted on the dispatching thread, so it is exact per query
     /// (see [`crate::pool::parallel_counters`]).
     pub parallel_waves: usize,
@@ -207,13 +203,12 @@ pub enum ModelSource {
     /// model was needed).
     #[default]
     NotUsed,
-    /// The cached model was still exact and was reused as-is.
+    /// The cached model was reused as-is (a cached model is always exact).
     Cached,
-    /// The cached model had pending fact-level deltas and was *patched* in
-    /// place: the affected strongly connected components were re-evaluated
-    /// against the incrementally maintained ground program.
-    Patched,
-    /// No usable cached model existed; it was rebuilt from scratch.
+    /// No cached model existed — none was built yet, or a mutation dropped
+    /// it — and it was evaluated from the grounding, which
+    /// `EvalStats::groundings == 0` says was already at hand (cached, or
+    /// kept current by the session's incremental maintenance).
     Rebuilt,
 }
 
@@ -222,7 +217,6 @@ impl std::fmt::Display for ModelSource {
         match self {
             ModelSource::NotUsed => write!(f, "not-used"),
             ModelSource::Cached => write!(f, "cached"),
-            ModelSource::Patched => write!(f, "patched"),
             ModelSource::Rebuilt => write!(f, "rebuilt"),
         }
     }
@@ -933,57 +927,7 @@ impl QueryEvaluator {
                             let answers: Vec<Term> = self.tables[&key]
                                 .answers
                                 .collect_candidates(&instantiated_pattern);
-                            // Group by the pattern variables that occur
-                            // outside the aggregate literal.  All variable
-                            // sets are taken *after* applying `theta`: the
-                            // subgoal pattern may have aliased rule variables
-                            // (e.g. a head variable renamed to a table's
-                            // normalised variable), and grouping must bind
-                            // exactly the variables the instantiated pattern
-                            // still carries.
-                            let mut outside: Vec<Var> = theta.apply(&renamed.head).variables();
-                            for other in renamed.body.iter().filter(|l| *l != lit) {
-                                outside.extend(other.apply(&theta).variables());
-                            }
-                            let value_vars = theta.apply(&agg.value).variables();
-                            let group_vars: Vec<Var> = instantiated_pattern
-                                .variables()
-                                .into_iter()
-                                .filter(|v| outside.contains(v) && !value_vars.contains(v))
-                                .collect();
-                            let mut groups: BTreeMap<Vec<(Var, Term)>, Vec<i64>> = BTreeMap::new();
-                            for answer in answers {
-                                let mut m = Substitution::new();
-                                if match_with(&instantiated_pattern, &answer, &mut m) {
-                                    let k: Vec<(Var, Term)> = group_vars
-                                        .iter()
-                                        .map(|v| (v.clone(), m.apply(&Term::Var(v.clone()))))
-                                        .collect();
-                                    if let Term::Int(i) = m.apply(&theta.apply(&agg.value)) {
-                                        groups.entry(k).or_default().push(i);
-                                    }
-                                }
-                            }
-                            for (group_key, values) in groups {
-                                let result = match agg.func {
-                                    AggregateFunc::Sum => values.iter().sum(),
-                                    AggregateFunc::Count => values.len() as i64,
-                                    AggregateFunc::Min => values.iter().copied().min().unwrap_or(0),
-                                    AggregateFunc::Max => values.iter().copied().max().unwrap_or(0),
-                                };
-                                let mut extended = theta.clone();
-                                let mut ok = true;
-                                for (v, t) in &group_key {
-                                    if !unify_with(&Term::Var(v.clone()), t, &mut extended) {
-                                        ok = false;
-                                        break;
-                                    }
-                                }
-                                if ok && unify_with(&agg.result, &Term::Int(result), &mut extended)
-                                {
-                                    next.push(extended);
-                                }
-                            }
+                            next.extend(solve_aggregate(&renamed, agg, &theta, &answers)?);
                         }
                     }
                 }
@@ -1024,12 +968,30 @@ impl QueryEvaluator {
 /// table up without constructing an evaluator.
 pub(crate) fn normalize_pattern(pattern: &Term) -> Term {
     let vars = pattern.variables();
-    let theta: Substitution = vars
-        .iter()
-        .enumerate()
-        .map(|(i, v)| (v.clone(), Term::var(format!("_N{i}"))))
+    if vars.is_empty() {
+        return pattern.clone();
+    }
+    // A simultaneous renaming, written out: `Substitution::apply` follows
+    // chains, and a pattern that already carries a `_Nk` behind a fresh
+    // variable (a rule variable bound to its table's pattern: `q(Y, _N0)`)
+    // would be handed `Y ↦ _N0, _N0 ↦ _N1` and come back `q(_N1, _N1)`.
+    fn rename(term: &Term, vars: &[Var], canonical: &[Term]) -> Term {
+        match term {
+            Term::Var(v) => {
+                let position = vars.iter().position(|w| w == v);
+                canonical[position.expect("a variable of the pattern")].clone()
+            }
+            Term::Sym(_) | Term::Int(_) => term.clone(),
+            Term::App(name, args) => Term::app(
+                rename(name, vars, canonical),
+                args.iter().map(|a| rename(a, vars, canonical)).collect(),
+            ),
+        }
+    }
+    let canonical: Vec<Term> = (0..vars.len())
+        .map(|i| Term::var(format!("_N{i}")))
         .collect();
-    theta.apply(pattern)
+    rename(pattern, &vars, &canonical)
 }
 
 #[cfg(test)]
@@ -1059,6 +1021,21 @@ mod tests {
             text.push_str(&format!("move1(p{}, p{}).\n", i, i + 1));
         }
         parse_program(&text).unwrap()
+    }
+
+    #[test]
+    fn normalisation_renames_simultaneously() {
+        // A subgoal selected under an open table carries that table's `_N0`
+        // wherever the rule put the variable; a fresh variable in front of
+        // it must not be merged with it.
+        let selected = Term::apps("q", vec![Term::var("Y"), Term::var("_N0")]);
+        let key = normalize_pattern(&selected);
+        assert_eq!(key, parse_term("q(_N0, _N1)").unwrap());
+        assert_eq!(normalize_pattern(&key), key);
+        // End to end: `p(X)` reads the second column of `q`, not its diagonal.
+        let program = parse_program("q(a, b). q(c, c). p(X) :- q(Y, X).").unwrap();
+        let answers = true_answers(&program, "?- p(X).");
+        assert_eq!(answers.len(), 2, "{answers:?}");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 //! Callers reach it through `HiLogDb::check_modular` /
 //! `DbSnapshot::check_modular`, which cache the outcome.
 
+use crate::aggregate::solve_aggregate;
 use crate::deadline::check_deadline;
 use crate::error::EngineError;
 use crate::grounder::relevant_ground;
@@ -37,7 +38,7 @@ use crate::horn::EvalOptions;
 use crate::wfs::well_founded_eval;
 use hilog_core::analysis::{ground_predicate_name, DependencyGraph, EdgeSign};
 use hilog_core::interpretation::Model;
-use hilog_core::literal::{AggregateFunc, Literal};
+use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
 use hilog_core::subst::Substitution;
@@ -340,63 +341,13 @@ pub fn hilog_reduce(
                         if agg.pattern.name().is_ground()
                             && settled.contains(agg.pattern.name()) =>
                     {
-                        // Evaluate the aggregate over the settled model.  The
-                        // grouping variables are the pattern variables that
-                        // also occur outside the aggregate literal (in the
-                        // head or another body literal) — "the sum is grouped
-                        // by Mach, X and Y" in the paper's example; variables
-                        // local to the pattern are aggregated over.
-                        let pattern = &agg.pattern;
-                        let mut groups: std::collections::BTreeMap<
-                            Vec<(hilog_core::term::Var, Term)>,
-                            Vec<i64>,
-                        > = std::collections::BTreeMap::new();
-                        let mut outside_vars: Vec<hilog_core::term::Var> = rule.head.variables();
-                        for other in rule.body.iter().filter(|l| *l != lit) {
-                            outside_vars.extend(other.variables());
-                        }
-                        let value_vars = agg.value.variables();
-                        let group_vars: Vec<hilog_core::term::Var> = pattern
-                            .variables()
-                            .into_iter()
-                            .filter(|v| outside_vars.contains(v) && !value_vars.contains(v))
-                            .collect();
-                        for candidate in model.true_atoms() {
-                            let mut m = Substitution::new();
-                            if match_with(pattern, candidate, &mut m) {
-                                let key: Vec<(hilog_core::term::Var, Term)> = group_vars
-                                    .iter()
-                                    .map(|v| (v.clone(), m.apply(&Term::Var(v.clone()))))
-                                    .collect();
-                                if let Term::Int(i) = m.apply(&agg.value) {
-                                    groups.entry(key).or_default().push(i);
-                                }
-                            }
-                        }
-                        for (key, values) in groups {
-                            let result = apply_aggregate(agg.func, &values);
-                            let mut extended = theta.clone();
-                            let mut ok = true;
-                            for (v, t) in &key {
-                                if !hilog_core::unify::unify_with(
-                                    &Term::Var(v.clone()),
-                                    t,
-                                    &mut extended,
-                                ) {
-                                    ok = false;
-                                    break;
-                                }
-                            }
-                            if ok
-                                && hilog_core::unify::unify_with(
-                                    &agg.result,
-                                    &Term::Int(result),
-                                    &mut extended,
-                                )
-                            {
-                                next.push((extended, kept.clone()));
-                            }
-                        }
+                        // Evaluate the aggregate over the settled model; a
+                        // fold the operator cannot perform is a reason to
+                        // reject, like any other failed reduction.
+                        let solutions =
+                            solve_aggregate(rule, agg, &theta, model.true_atoms().iter())
+                                .map_err(|e| e.to_string())?;
+                        next.extend(solutions.into_iter().map(|ext| (ext, kept.clone())));
                     }
                     _ => {
                         let mut kept = kept;
@@ -424,15 +375,6 @@ pub fn hilog_reduce(
         }
     }
     Ok(out)
-}
-
-fn apply_aggregate(func: AggregateFunc, values: &[i64]) -> i64 {
-    match func {
-        AggregateFunc::Sum => values.iter().sum(),
-        AggregateFunc::Count => values.len() as i64,
-        AggregateFunc::Min => values.iter().copied().min().unwrap_or(0),
-        AggregateFunc::Max => values.iter().copied().max().unwrap_or(0),
-    }
 }
 
 #[cfg(test)]

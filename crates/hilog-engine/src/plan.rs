@@ -83,13 +83,8 @@ pub struct QueryPlan {
     /// and for queries without a leading positive literal.
     pub adornment: String,
     /// Whether a cached full model exists that a full-model route could
-    /// answer from without re-grounding.
+    /// answer from as it stands (a cached model is always exact).
     pub cached_model: bool,
-    /// Whether the cached model has pending fact-level deltas: a full-model
-    /// route will *patch* it (semi-naive re-evaluation of the affected
-    /// components) before answering, rather than rebuild it.  `false`
-    /// whenever `cached_model` is `false`.
-    pub stale_model: bool,
     /// Number of completed subgoal tables the session holds; a magic-sets
     /// route reuses any of them that the query touches.
     pub cached_subqueries: usize,
@@ -135,13 +130,7 @@ impl fmt::Display for QueryPlan {
         writeln!(
             f,
             "  caches:    model {}, {} complete subgoal tables",
-            if !self.cached_model {
-                "cold"
-            } else if self.stale_model {
-                "warm (stale, will patch)"
-            } else {
-                "warm"
-            },
+            if self.cached_model { "warm" } else { "cold" },
             self.cached_subqueries
         )?;
         if self.patched_subqueries > 0

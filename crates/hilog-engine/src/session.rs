@@ -19,7 +19,7 @@
 //! delegate (the snapshot's interior locks are uncontended, since `&mut
 //! self` is exclusive), and what is genuinely session-only lives here and in
 //! the two maintenance modules: the mutation paths (`maintain`: delta
-//! grounding, DRed, model seeds; `tables`: instance-level subgoal-table
+//! grounding, DRed; `tables`: instance-level subgoal-table
 //! maintenance), which reach the snapshot's caches lock-free, and the
 //! mutation-window counters a query's plan and stats are decorated with.
 //! The tabled evaluator's program index is maintained here too: once a
@@ -261,8 +261,8 @@ impl HiLogDbBuilder {
     /// caller asserts the model is *the* model of `program` under the chosen
     /// semantics — grounding and subgoal tables still rebuild lazily, and
     /// every mutation path treats the seeded model exactly like one the
-    /// session computed itself (patched in place when the grounding is warm,
-    /// dropped when it cannot be maintained).
+    /// session computed itself (edited in place by a pure-EDB fact, dropped
+    /// by any other mutation).
     pub fn warm_model(mut self, model: Model) -> Self {
         self.warm_model = Some(model);
         self
@@ -614,8 +614,7 @@ impl HiLogDb {
     }
 
     /// The cached full model under the session's semantics, computing it on
-    /// first use (see [`DbSnapshot::model`]) and folding pending fact-level
-    /// deltas in first.
+    /// first use (see [`DbSnapshot::model`]).
     pub fn model(&mut self) -> Result<&Model, EngineError> {
         self.snap.model()?;
         let core = lock_mut(&mut self.snap.core);
@@ -703,13 +702,12 @@ impl HiLogDb {
         DbWriter::from_db_at(self, epoch)
     }
 
-    /// The cached full model, if one is warm — pending fact-level deltas are
-    /// discharged first so the returned model is exact (`None` if no model
-    /// has been computed).  Checkpointing uses
+    /// The cached full model, if one is warm (`None` if no model has been
+    /// computed, or a mutation has dropped it since).  Checkpointing uses
     /// this to persist the model without forcing an evaluation: a session
-    /// that never computed its model simply checkpoints without one.
-    pub fn cached_model(&mut self) -> Option<Arc<Model>> {
-        self.snap.settled_model()
+    /// whose model is not at hand simply checkpoints without one.
+    pub fn cached_model(&self) -> Option<Arc<Model>> {
+        self.snap.cached_model()
     }
 
     /// The working snapshot, for the writer to publish from and to fold

@@ -1,10 +1,12 @@
-//! Incremental maintenance of the grounding and the model under mutation.
+//! Incremental maintenance of the grounding under mutation.
 //!
-//! A fact-level change does not discard the working snapshot's caches: the
-//! relevant instantiation is *maintained*, and the well-founded model is
-//! marked with the **seed atoms** the change touched, so the next route
-//! that needs it re-evaluates only their instance-level reverse closure.
-//! The predicate-level [`DepAnalysis`] decides how far a change can reach.
+//! A fact-level change does not discard the working snapshot's grounding:
+//! the relevant instantiation and its possibly-true store are *maintained*.
+//! The model is either exact or absent: a fact nothing reads edits it in
+//! place, any other change drops it, and the next route that needs it runs
+//! [`well_founded_eval`](crate::wfs::well_founded_eval) over the maintained
+//! grounding.  The predicate-level [`DepAnalysis`] decides how far a change
+//! can reach.
 //!
 //! An assert runs the same semi-naive driver that ground the program cold
 //! ([`crate::grounder`]'s `ground_from`) — there from an empty store, here
@@ -13,7 +15,7 @@
 //! instances and with a failure (drop the caches; the next read re-grounds).
 //! A retract is DRed overdelete/rederive over the cached ground rules.
 
-use super::{HiLogDb, Semantics};
+use super::HiLogDb;
 use crate::ground::GroundRule;
 use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
@@ -28,8 +30,7 @@ use std::sync::Arc;
 /// Returns `true` if `atom` falls inside an optional predicate-level scope
 /// (`None` means "everything" — a variable-headed rule or a fact without a
 /// predicate identity made the mutation global).  Used only to bound the
-/// DRed sweep of [`HiLogDb::retract_from_ground`]; the *model* patch works
-/// at the finer instance level (seed atoms + [`affected_closure`]).
+/// DRed sweep of [`HiLogDb::retract_from_ground`].
 fn pred_scope_affects(preds: Option<&BTreeSet<PredKey>>, atom: &Term) -> bool {
     match preds {
         None => true,
@@ -58,10 +59,8 @@ impl HiLogDb {
     /// (unaffected tables survive, fact-backed tables are patched in place,
     /// the readers of what changed are re-solved).  The cached grounding is
     /// *maintained* (the grounding driver continued from the fact on assert,
-    /// DRed overdelete/rederive on retract), and under the well-founded
-    /// semantics the cached model is marked dirty for the predicate-level
-    /// closure — the next query that needs it re-evaluates only the
-    /// affected components.
+    /// DRed overdelete/rederive on retract); the cached model is edited in
+    /// place when nothing reads the fact's predicate and dropped otherwise.
     pub(super) fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
         // What `spontaneous_fact` (reached twice from here on a retraction)
         // relies on to skip the program's facts.
@@ -85,8 +84,7 @@ impl HiLogDb {
         // `assert_fact` only admits ground atoms, but `assert_rule` (and the
         // builder) accept facts with variable predicate names, and those can
         // reach here through `retract_fact`; without a predicate identity
-        // the predicate-level scope is global.  (The *model* patch is scoped
-        // at the instance level either way — see `apply_fact_delta`.)
+        // the predicate-level scope is global.
         let keyed = match pred_key(fact) {
             Some(key) => self.analysis().affected_by(&key).map(|set| (key, set)),
             None => None,
@@ -154,45 +152,32 @@ impl HiLogDb {
         }
     }
 
-    /// Folds a fact-level change into the warm caches: the grounding is
-    /// patched in place, and the model is marked dirty with the **seed
-    /// atoms** the maintenance actually touched, so the next use re-evaluates
-    /// only their instance-level reverse closure.  `preds` is the
-    /// predicate-level reverse closure (when one exists) and only bounds the
-    /// DRed sweep of a retraction.  Cold (or unmaintainable) caches are
-    /// dropped and rebuilt lazily as before.
+    /// Folds a fact-level change that some rule may read into the warm
+    /// caches: the grounding is maintained in place and the model — which
+    /// the change can move anywhere in its reverse closure — is dropped, for
+    /// the next route that needs it to evaluate from the maintained
+    /// grounding.  `preds` is the predicate-level reverse closure (when one
+    /// exists) and only bounds the DRed sweep of a retraction.  Cold (or
+    /// unmaintainable) caches are dropped and rebuilt lazily.
     fn apply_fact_delta(&mut self, fact: &Term, asserted: bool, preds: Option<BTreeSet<PredKey>>) {
         let core = lock_mut(&mut self.snap.core);
-        // Stable models are not patchable (the delta can flip whole models in
-        // and out of existence), but they are rebuilt from the *maintained*
-        // grounding, which is where the expensive work sits.
+        // Stable models go too (the delta can flip whole models in and out
+        // of existence); like the model they are rebuilt from the
+        // *maintained* grounding, which is where the expensive work sits.
         core.stable = None;
-        let seeds = if core.ground.is_some() && core.possibly.is_some() {
-            if asserted {
+        core.model = None;
+        let maintained = core.ground.is_some()
+            && core.possibly.is_some()
+            && if asserted {
                 self.assert_into_ground(fact)
             } else {
-                self.retract_from_ground(fact, preds.as_ref())
-            }
-        } else {
-            None
-        };
-        let well_founded = self.snap.semantics == Semantics::WellFounded;
-        let core = lock_mut(&mut self.snap.core);
-        let Some(seeds) = seeds else {
+                self.retract_from_ground(fact, preds.as_ref());
+                true
+            };
+        if !maintained {
+            let core = lock_mut(&mut self.snap.core);
             core.ground = None;
             core.possibly = None;
-            core.model = None;
-            core.dirty = None;
-            return;
-        };
-        if well_founded && core.model.is_some() {
-            match core.dirty.as_mut() {
-                Some(previous) => previous.extend(seeds),
-                None => core.dirty = Some(seeds),
-            }
-        } else {
-            core.model = None;
-            core.dirty = None;
         }
     }
 
@@ -202,20 +187,15 @@ impl HiLogDb {
     /// ([`ground_from`] — the heads and the instantiations come from the
     /// same joins), appended to the cached ground program.
     ///
-    /// Returns the **seed atoms** of the change — the fact plus the head of
-    /// every appended instantiation, i.e. every atom whose rule set grew —
-    /// from which the model patch derives its instance-level affected
-    /// closure.  Returns `None` when the continuation cannot be completed
-    /// (a resource limit, the deadline, a floundering instance — the store is
-    /// then only partially extended); the caller drops the caches and the
-    /// next read re-grounds, surfacing the error exactly like a fresh session.
-    fn assert_into_ground(&mut self, fact: &Term) -> Option<BTreeSet<Term>> {
+    /// Returns `false` when the continuation cannot be completed (a resource
+    /// limit, the deadline, a floundering instance — the store is then only
+    /// partially extended); the caller drops the caches and the next read
+    /// re-grounds, surfacing the error exactly like a fresh session.
+    fn assert_into_ground(&mut self, fact: &Term) -> bool {
         let (program, opts) = (&self.snap.program, self.snap.opts);
         let core = lock_mut(&mut self.snap.core);
         let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
         let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
-        let mut seeds: BTreeSet<Term> = BTreeSet::new();
-        seeds.insert(fact.clone());
         let fact_was_new = possibly.insert(fact.clone());
         // The asserted fact's bodyless instance is new unless the atom was
         // already a ground fact (a duplicate assertion, or a builtin-guarded
@@ -227,8 +207,10 @@ impl HiLogDb {
             // Continuation instances carry at least one brand-new positive
             // body atom, so they cannot repeat any cached rule.
             let frontier = AtomStore::from_atoms([fact.clone()]);
-            for rule in ground_from(program, possibly, Some(frontier), opts).ok()? {
-                seeds.insert(rule.head.clone());
+            let Ok(instances) = ground_from(program, possibly, Some(frontier), opts) else {
+                return false;
+            };
+            for rule in instances {
                 ground.push(rule);
             }
         }
@@ -237,7 +219,7 @@ impl HiLogDb {
         // long-lived session cannot silently grow past what a fresh grounding
         // would reject.  Falling back surfaces the `LimitExceeded` on the
         // next query, exactly like a fresh session.
-        (ground.rules.len() <= opts.max_atoms).then_some(seeds)
+        ground.rules.len() <= opts.max_atoms
     }
 
     /// DRed-style maintenance for a retracted fact: *overdelete* the forward
@@ -245,25 +227,16 @@ impl HiLogDb {
     /// every overdeleted atom that still has a supported instantiation, and
     /// finally drop the instantiations that lost support.
     ///
-    /// Returns the **seed atoms** of the change — the fact, every atom that
-    /// stayed deleted, and the head of every dropped instantiation (an atom
-    /// that lost a rule may change truth even if other rules keep it
-    /// possibly-true) — or `None` if the caches cannot be maintained.
-    ///
     /// `preds` is the predicate-level reverse-dependency closure (when one
     /// exists): every atom that can be overdeleted (and every rule that can
     /// lose support) has its head inside it, so the index and the final
     /// sweep skip rules headed outside it entirely — a retraction confined
     /// to one component never walks the others' rules.
-    fn retract_from_ground(
-        &mut self,
-        fact: &Term,
-        preds: Option<&BTreeSet<PredKey>>,
-    ) -> Option<BTreeSet<Term>> {
+    fn retract_from_ground(&mut self, fact: &Term, preds: Option<&BTreeSet<PredKey>>) {
         let program = &self.snap.program;
         let core = lock_mut(&mut self.snap.core);
-        let possibly = Arc::make_mut(core.possibly.as_mut()?);
-        let ground = Arc::make_mut(core.ground.as_mut()?);
+        let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
+        let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
         // One pass over the in-scope rules builds the index both fixpoints
         // run on (rules by positive body atom), so neither loop ever rescans
         // the ground program per round.
@@ -335,24 +308,12 @@ impl HiLogDb {
                 }
             }
         }
-        // Seeds for the instance-level model patch: the fact, whatever
-        // stayed deleted, and (below) the head of every dropped rule.
-        let mut seeds: BTreeSet<Term> = BTreeSet::new();
-        seeds.insert(fact.clone());
-        seeds.extend(deleted.iter().cloned());
         // Drop the instantiations that lost support.  (`possibly` shrank, so
         // this is exactly what a fresh relevant instantiation would omit;
         // out-of-scope rules cannot have lost anything.)
-        ground.rules.retain(|r| {
-            let keep = !pred_scope_affects(preds, &r.head)
-                || (r.pos.iter().all(|a| possibly.contains(a))
-                    && !(r.is_fact() && r.head == *fact && !spontaneous));
-            if !keep {
-                seeds.insert(r.head.clone());
-            }
-            keep
-        });
-        Some(seeds)
+        ground
+            .rules
+            .retain(|r| !pred_scope_affects(preds, &r.head) || rederives(r, possibly));
     }
 
     fn analysis(&mut self) -> &DepAnalysis {
@@ -365,7 +326,7 @@ impl HiLogDb {
 
 /// A predicate identity: the (ground) predicate-name term plus arity.
 /// Symbols are `Arc`-backed, so cloning a first-order name is one refcount
-/// bump — this key is on the per-atom hot path of the model patch.
+/// bump — this key is on the per-rule path of the DRed sweep.
 type PredKey = (Term, Option<usize>);
 
 fn pred_key(atom: &Term) -> Option<PredKey> {
@@ -473,7 +434,7 @@ mod tests {
     use crate::horn::EvalOptions;
     use crate::magic_eval::ModelSource;
     use hilog_core::interpretation::Truth;
-    use hilog_core::rule::Rule;
+    use hilog_core::rule::{Query, Rule};
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
     fn game_db() -> HiLogDb {
@@ -484,6 +445,27 @@ mod tests {
             )
             .unwrap(),
         )
+    }
+
+    /// What a write that is not pure-EDB leaves behind, read through the
+    /// full-model query `open`: the model is evaluated again (`Rebuilt`)
+    /// from the grounding the write kept current (no grounding pass), it
+    /// equals a fresh session's on every atom, and the re-read is `Cached`.
+    fn assert_model_re_evaluated_from_the_maintained_grounding(db: &mut HiLogDb, open: &Query) {
+        assert!(!db.explain(open).cached_model, "the write kept the model");
+        let read = db.query(open).unwrap();
+        assert_eq!(read.stats.groundings, 0, "the write dropped the grounding");
+        assert_eq!(read.stats.model_source, ModelSource::Rebuilt);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(read.answers, fresh.query(open).unwrap().answers);
+        let fresh_model = fresh.model().unwrap().clone();
+        let model = db.model().unwrap();
+        for atom in model.base().iter().chain(fresh_model.base()) {
+            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
+        }
+        let again = db.query(open).unwrap();
+        assert_eq!(again.stats.groundings, 0);
+        assert_eq!(again.stats.model_source, ModelSource::Cached);
     }
 
     #[test]
@@ -506,6 +488,7 @@ mod tests {
             after.stats.groundings, 0,
             "pure EDB fact forced re-grounding"
         );
+        assert_eq!(after.stats.model_source, ModelSource::Cached);
         assert_eq!(
             db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
             Truth::True
@@ -546,41 +529,25 @@ mod tests {
     }
 
     #[test]
-    fn assert_fact_patches_the_model_without_regrounding() {
+    fn assert_fact_keeps_the_grounding_and_drops_the_model() {
         let mut db = game_db();
         let unbound = parse_query("?- P(a, X).").unwrap();
         let first = db.query(&unbound).unwrap();
         assert_eq!(first.stats.groundings, 1);
         assert_eq!(first.stats.model_source, ModelSource::Rebuilt);
-        // `move` is read by `winning`: not pure EDB, so the old session
-        // dropped the model and re-grounded; now it patches instead.
+        assert!(db.explain(&unbound).cached_model);
+        // `move` is read by `winning`: not pure EDB, so the model goes —
+        // but the grounding is continued from the fact, not rebuilt.
         db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
-        let plan = db.explain(&unbound);
-        assert!(plan.cached_model);
-        assert!(plan.stale_model, "pending delta not reported by the plan");
-        let second = db.query(&unbound).unwrap();
-        assert_eq!(second.stats.groundings, 0, "patching must not re-ground");
-        assert_eq!(second.stats.patches, 1);
-        assert_eq!(second.stats.model_source, ModelSource::Patched);
-        // The patched model agrees with a fresh session on every atom.
-        let mut fresh = HiLogDb::new(db.program().clone());
-        let fresh_model = fresh.model().unwrap().clone();
-        let patched = db.model().unwrap();
-        for atom in patched.base().iter().chain(fresh_model.base()) {
-            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
-        let third = db.query(&unbound).unwrap();
-        assert_eq!(third.stats.model_source, ModelSource::Cached);
-        assert_eq!(third.stats.patches, 0);
+        assert_model_re_evaluated_from_the_maintained_grounding(&mut db, &unbound);
     }
 
     #[test]
-    fn single_scc_patch_freezes_untouched_instances() {
+    fn a_tail_assert_in_one_scc_re_evaluates_the_maintained_grounding() {
         // One long chain game is a single predicate-level SCC; asserting an
-        // edge at its tail must patch the model by re-evaluating only the
-        // instance-level reverse closure of the change (the upstream
-        // positions), with every downstream truth frozen — and agree with a
-        // fresh session on every atom.
+        // edge at its tail flips every upstream position, and the model
+        // evaluated from the continued grounding must agree with a fresh
+        // session on every atom.
         let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
         for i in 0..30 {
             text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
@@ -590,27 +557,17 @@ mod tests {
         db.query(&open).unwrap();
         db.assert_fact(parse_term("move(p30, p31)").unwrap())
             .unwrap();
-        let result = db.query(&open).unwrap();
-        assert_eq!(result.stats.groundings, 0);
-        assert_eq!(result.stats.model_source, ModelSource::Patched);
-        let mut fresh = HiLogDb::new(db.program().clone());
-        let fresh_model = fresh.model().unwrap().clone();
-        let patched = db.model().unwrap();
-        for atom in patched.base().iter().chain(fresh_model.base()) {
-            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
+        assert_model_re_evaluated_from_the_maintained_grounding(&mut db, &open);
     }
 
     #[test]
-    fn consecutive_asserts_are_folded_into_one_patch() {
+    fn consecutive_asserts_cost_one_evaluation() {
         let mut db = game_db();
         let unbound = parse_query("?- P(a, X).").unwrap();
         db.query(&unbound).unwrap();
         db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
         db.assert_fact(parse_term("move(d, e)").unwrap()).unwrap();
-        let result = db.query(&unbound).unwrap();
-        assert_eq!(result.stats.patches, 1, "deltas were not accumulated");
-        assert_eq!(result.stats.groundings, 0);
+        assert_model_re_evaluated_from_the_maintained_grounding(&mut db, &unbound);
         assert_eq!(
             db.holds(&parse_term("winning(d)").unwrap()).unwrap(),
             Truth::True
@@ -636,15 +593,7 @@ mod tests {
         // Retract edge(b, c): tc(a, c) survives via edge(a, c); tc(b, c),
         // tc(b, d) die.
         assert!(db.retract_fact(&parse_term("edge(b, c)").unwrap()));
-        let result = db.query(&unbound).unwrap();
-        assert_eq!(result.stats.groundings, 0, "DRed path re-grounded");
-        assert_eq!(result.stats.model_source, ModelSource::Patched);
-        let mut fresh = HiLogDb::new(db.program().clone());
-        let fresh_model = fresh.model().unwrap().clone();
-        let patched = db.model().unwrap();
-        for atom in patched.base().iter().chain(fresh_model.base()) {
-            assert_eq!(patched.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
+        assert_model_re_evaluated_from_the_maintained_grounding(&mut db, &unbound);
         assert_eq!(
             db.holds(&parse_term("tc(b, c)").unwrap()).unwrap(),
             Truth::False
@@ -770,9 +719,9 @@ mod tests {
     }
 
     #[test]
-    fn hilog_programs_with_variable_heads_still_patch_the_grounding() {
+    fn hilog_programs_with_variable_heads_still_maintain_the_grounding() {
         // The HiLog game rule has a non-ground head predicate name, so the
-        // per-predicate dirty scope degenerates to All — but the grounding is
+        // predicate-level scope degenerates to All — but the grounding is
         // still maintained incrementally (no re-grounding pass).
         let mut db = HiLogDb::new(
             parse_program(
@@ -786,9 +735,7 @@ mod tests {
         let open = parse_query("?- P(a, b).").unwrap();
         assert_eq!(db.query(&open).unwrap().stats.groundings, 1);
         db.assert_fact(parse_term("m(c, d)").unwrap()).unwrap();
-        let after = db.query(&open).unwrap();
-        assert_eq!(after.stats.groundings, 0, "HiLog delta re-grounded");
-        assert_eq!(after.stats.model_source, ModelSource::Patched);
+        assert_model_re_evaluated_from_the_maintained_grounding(&mut db, &open);
         assert_eq!(
             db.holds(&parse_term("winning(m)(c)").unwrap()).unwrap(),
             Truth::True

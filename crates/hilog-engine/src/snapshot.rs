@@ -88,7 +88,7 @@ use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
-use crate::wfs::{affected_closure, well_founded_eval, well_founded_patch};
+use crate::wfs::well_founded_eval;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -134,19 +134,11 @@ pub(crate) struct SnapCore {
     /// saturated.  Kept in lockstep with `ground` so the semi-naive
     /// continuation has a closed store to extend.
     pub(crate) possibly: Option<Arc<FactStore>>,
-    /// Full model under the snapshot's semantics.
+    /// Full model under the snapshot's semantics: exact for `program`, or
+    /// absent.  The owning session edits it in place for a pure-EDB fact and
+    /// drops it on any other mutation; the next route that needs it
+    /// evaluates whatever grounding `ground` holds.
     pub(crate) model: Option<Arc<Model>>,
-    /// Pending fact-level deltas not yet folded into `model`: the **seed
-    /// atoms** the owning session's mutations actually touched (new facts,
-    /// heads of new or dropped ground-rule instances), accumulated across
-    /// mutations.  `Some` only while both `model` and `ground` are warm
-    /// under [`Semantics::WellFounded`]; discharged lazily by the next route
-    /// that needs the model, which re-evaluates only the seeds'
-    /// instance-level reverse closure ([`affected_closure`]) with the rest
-    /// of the model — even inside the same strongly connected component —
-    /// frozen at its previous values.  Always `None` in a published
-    /// snapshot: publishing discharges first.
-    pub(crate) dirty: Option<BTreeSet<Term>>,
     /// Stable models (filled by [`DbSnapshot::stable_models`]).
     pub(crate) stable: Option<Arc<Vec<Model>>>,
     /// Figure 1 outcome (filled by [`DbSnapshot::check_modular`]).
@@ -230,11 +222,8 @@ impl DbSnapshot {
     }
 
     /// Publishes the working state at `epoch`: an `Arc`-sharing copy of the
-    /// program and every cache.  Pending model deltas are discharged first
-    /// (the incremental patch the next query would have applied), so the
-    /// published model is exact.
+    /// program and every cache.
     fn fork(&mut self, epoch: u64) -> DbSnapshot {
-        self.settled_model();
         // What the session's table maintenance relies on, checked wherever
         // debug assertions run: the map holds complete tables only, and
         // every table a table read is in it too.  (The maintenance pass
@@ -259,13 +248,9 @@ impl DbSnapshot {
         }
     }
 
-    /// The cached full model, if one is warm, with pending fact-level deltas
-    /// discharged first so it is exact; never forces an evaluation.
-    pub(crate) fn settled_model(&mut self) -> Option<Arc<Model>> {
-        lock_mut(&mut self.core).model.as_ref()?;
-        // A warm model is reused or patched, never rebuilt, and neither can
-        // fail.
-        self.model_impl().ok().map(|(model, _, _)| model)
+    /// The cached full model, if one is warm; never forces an evaluation.
+    pub(crate) fn cached_model(&self) -> Option<Arc<Model>> {
+        read_lock(&self.core).model.clone()
     }
 
     /// The program this snapshot answers from.
@@ -330,13 +315,7 @@ impl DbSnapshot {
     /// through this surface, so those plan fields are zero here (the owning
     /// session fills them in).
     pub fn explain(&self, query: &Query) -> QueryPlan {
-        let (cached_model, stale_model) = {
-            let core = read_lock(&self.core);
-            (
-                core.model.is_some(),
-                core.model.is_some() && core.dirty.is_some(),
-            )
-        };
+        let cached_model = read_lock(&self.core).model.is_some();
         let (strategy, reason) = if self.semantics != Semantics::WellFounded {
             (
                 PlanStrategy::FullModel,
@@ -368,7 +347,6 @@ impl DbSnapshot {
             query: query.to_string(),
             adornment: adornment(query),
             cached_model,
-            stale_model,
             cached_subqueries: self.cached_subqueries(),
             patched_subqueries: 0,
             refilled_subqueries: 0,
@@ -553,24 +531,21 @@ impl DbSnapshot {
         let stats = EvalStats {
             answers: answers.len(),
             groundings,
-            patches: usize::from(model_source == ModelSource::Patched),
             model_source,
             ..EvalStats::default()
         };
         Ok((answers, stats))
     }
 
-    /// The exact model plus how it was obtained — reused as-is, *patched*
-    /// (the owning session's pending fact-level deltas folded in by
-    /// re-evaluating only the affected instances), or rebuilt — and how many
-    /// grounding passes the call performed.  Double-checked: the warm path
-    /// is one read lock; anything else computes under the write lock, so
-    /// concurrent first-readers build the model once and the rest reuse it.
+    /// The exact model plus how it was obtained — reused as-is or rebuilt
+    /// (after a write that is not pure-EDB the owning session has kept the
+    /// grounding current and dropped the model, so a rebuild evaluates the
+    /// maintained grounding) — and how many grounding passes the call
+    /// performed.  Double-checked: the warm path is one read lock; anything
+    /// else computes under the write lock, so concurrent first-readers build
+    /// the model once and the rest reuse it.
     fn model_impl(&self) -> Result<(Arc<Model>, ModelSource, usize), EngineError> {
-        let cached = |core: &SnapCore| match (&core.model, &core.dirty) {
-            (Some(model), None) => Some((model.clone(), ModelSource::Cached, 0)),
-            _ => None,
-        };
+        let cached = |core: &SnapCore| Some((core.model.clone()?, ModelSource::Cached, 0));
         if let Some(hit) = cached(&read_lock(&self.core)) {
             return Ok(hit);
         }
@@ -579,26 +554,6 @@ impl DbSnapshot {
         // Another reader may have built it between our two lock acquisitions.
         if let Some(hit) = cached(core) {
             return Ok(hit);
-        }
-        if let (Some(previous), Some(seeds)) = (core.model.take(), core.dirty.take()) {
-            // Invariant: `dirty` is only set while the grounding is warm and
-            // the semantics is well-founded.
-            debug_assert!(self.semantics == Semantics::WellFounded);
-            let ground = core.ground.as_ref().expect("dirty implies warm ground");
-            // Instance-level warm start: only the seeds' reverse closure
-            // through the maintained ground rules is re-evaluated; everything
-            // else — including untouched atoms of the *same* strongly
-            // connected component — keeps its previous truth as frozen
-            // context.
-            let closure = affected_closure(ground, seeds);
-            let patched = Arc::new(well_founded_patch(
-                ground,
-                Arc::unwrap_or_clone(previous),
-                |atom| closure.contains(atom),
-                self.opts.eval_threads,
-            ));
-            core.model = Some(patched.clone());
-            return Ok((patched, ModelSource::Patched, 0));
         }
         let mut groundings = 0;
         let model = match self.semantics {
@@ -940,10 +895,10 @@ impl DbWriter {
         self.db.semantics()
     }
 
-    /// The session's cached full model, pending deltas discharged (see
-    /// [`HiLogDb::cached_model`]).  Checkpointing persists this alongside
-    /// the program; `None` simply means the checkpoint carries no model.
-    pub fn cached_model(&mut self) -> Option<Arc<Model>> {
+    /// The session's cached full model (see [`HiLogDb::cached_model`]).
+    /// Checkpointing persists this alongside the program; `None` simply
+    /// means the checkpoint carries no model.
+    pub fn cached_model(&self) -> Option<Arc<Model>> {
         self.db.cached_model()
     }
 
@@ -971,8 +926,8 @@ impl DbWriter {
 
     /// Asserts a ground fact into the current batch (semi-naive incremental
     /// maintenance; see [`HiLogDb::assert_fact`]).  Not visible to readers
-    /// until [`publish`](DbWriter::publish).  The grounding and the model
-    /// are maintained here, fact by fact; the subgoal tables are not — the
+    /// until [`publish`](DbWriter::publish).  The grounding is maintained
+    /// here, fact by fact; the subgoal tables are not — the
     /// change is queued, and the batch's fact-level changes are folded into
     /// them together, in one pass, by [`publish`](DbWriter::publish) (or by
     /// [`db`](DbWriter::db), or by the next rule-level mutation, whichever

@@ -12,14 +12,15 @@
 //! * `W_P(I) = T_P(I) ∪ ¬·U_P(I)`, iterated from the empty interpretation to
 //!   its least fixpoint, the well-founded partial model.
 //!
-//! There is **one evaluation order**: [`well_founded_eval`] (a whole model)
-//! and [`well_founded_patch`] (a model after a localized change) settle the
-//! strongly connected components of the ground atom dependency graph wave
-//! by wave, lower components first — Ross's component-by-component
-//! evaluation (Section 6, Figure 1) applied to the atoms of the well-founded
-//! construction.  The thread count only decides where a wave's components
-//! run (inline at `threads = 1`, on the engine work pool above that), never
-//! the model.  The literal global `W_P` iteration is kept too, with no
+//! There is **one evaluation**: [`well_founded_eval`] settles the strongly
+//! connected components of the ground atom dependency graph wave by wave,
+//! lower components first — Ross's component-by-component evaluation
+//! (Section 6, Figure 1) applied to the atoms of the well-founded
+//! construction — and it is how every model is obtained, the model after a
+//! write included (the session keeps the *grounding* current and evaluates
+//! it again).  The thread count only decides where a wave's components run
+//! (inline at `threads = 1`, on the engine work pool above that), never the
+//! model.  The literal global `W_P` iteration is kept too, with no
 //! production caller: it is the definitional reference the oracles hold the
 //! wave schedule to.
 //!
@@ -33,10 +34,9 @@ use crate::ground::{GroundProgram, IndexedProgram, IndexedRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
 use hilog_core::analysis::strongly_connected_components;
-use hilog_core::interpretation::{Model, Truth};
+use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
-use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A three-valued assignment over the atoms of an [`IndexedProgram`], by
@@ -96,8 +96,8 @@ fn greatest_unfounded_set(program: &IndexedProgram, i: &Assignment) -> Vec<bool>
 /// fixpoint, literally as Definition 3.5 states it.
 ///
 /// No production path calls this — every evaluation goes through
-/// [`well_founded_eval`] / [`well_founded_patch`] — and it re-scans the whole
-/// program once per iteration, which is quadratic on deep chains.  It exists
+/// [`well_founded_eval`] — and it re-scans the whole program once per
+/// iteration, which is quadratic on deep chains.  It exists
 /// so the oracles (`tests/parallel_oracle.rs`, the unit tests below) can hold
 /// the wave schedule, at every thread count, to the paper's definition.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
@@ -162,16 +162,13 @@ fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
 /// count, and is the one Definition 3.5's global iteration yields.
 pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
     let indexed = IndexedProgram::build(program);
-    let n = indexed.atom_count();
-    let frozen = vec![false; n];
-    let assignment = wave_fixpoint(&indexed, &vec![None; n], &frozen, threads);
+    let assignment = wave_fixpoint(&indexed, threads);
     assemble_model(&indexed, &assignment)
 }
 
-/// Condenses the dependency graph of the non-frozen atoms — one vertex per
-/// atom, an edge from every rule head to each of its (positive *and*
-/// negative) body atoms; frozen atoms are fixed external context and join
-/// no component — and levels the condensation into topological waves.
+/// Condenses the atom dependency graph — one vertex per atom, an edge from
+/// every rule head to each of its (positive *and* negative) body atoms — and
+/// levels the condensation into topological waves.
 ///
 /// Returns `(sccs, waves)`: the strongly connected components as sorted
 /// member lists, dependencies before dependents (the shared Tarjan's
@@ -179,24 +176,13 @@ pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
 /// dependency chain through other components has length `k`.  Components of
 /// one wave share no dependency edges, so they may evaluate concurrently;
 /// waves run in index order with a barrier between them.
-fn condensation_waves(
-    indexed: &IndexedProgram,
-    frozen: &[bool],
-) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+fn condensation_waves(indexed: &IndexedProgram) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
     let n = indexed.atom_count();
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     for rule in &indexed.rules {
-        debug_assert!(!frozen[rule.head as usize], "rule head is frozen context");
-        for &b in rule.pos.iter().chain(rule.neg.iter()) {
-            if !frozen[b as usize] {
-                adj[rule.head as usize].push(b);
-            }
-        }
+        adj[rule.head as usize].extend(rule.pos.iter().chain(rule.neg.iter()));
     }
-    // A frozen atom heads no rule and no edge reaches it, so it comes back
-    // as an isolated singleton; dropping those keeps the emission order.
     let mut sccs = strongly_connected_components(n, |v| adj[v].iter().map(|&w| w as usize));
-    sccs.retain(|members| !frozen[members[0]]);
     let mut scc_of = vec![usize::MAX; n];
     for (si, members) in sccs.iter_mut().enumerate() {
         members.sort_unstable();
@@ -255,8 +241,7 @@ const PARALLEL_WAVE_MIN_RULES: usize = 256;
 
 /// Runs the wave schedule to a settled assignment: every wave's components
 /// evaluate against the assignment settled so far, and their results land
-/// before the next wave starts.  Frozen entries of the initial assignment
-/// are external context and are never written.
+/// before the next wave starts.
 ///
 /// The assignment lives in shared atomic cells so pool workers can publish
 /// component results directly: each atom is written by exactly one
@@ -267,15 +252,10 @@ const PARALLEL_WAVE_MIN_RULES: usize = 256;
 /// per wave would cost more than the waves themselves on deep programs.  At
 /// `threads = 1` the pool has no workers and each wave is a plain loop on
 /// the calling thread.
-fn wave_fixpoint(
-    indexed: &IndexedProgram,
-    init: &Assignment,
-    frozen: &[bool],
-    threads: usize,
-) -> Vec<Option<bool>> {
-    let (sccs, waves) = condensation_waves(indexed, frozen);
-    let cell = |&value| AtomicU8::new(encode_truth(value));
-    let shared: Vec<AtomicU8> = init.iter().map(cell).collect();
+fn wave_fixpoint(indexed: &IndexedProgram, threads: usize) -> Vec<Option<bool>> {
+    let (sccs, waves) = condensation_waves(indexed);
+    let unsettled = |_| AtomicU8::new(encode_truth(None));
+    let shared: Vec<AtomicU8> = (0..indexed.atom_count()).map(unsettled).collect();
     let shared = &shared;
     crate::pool::with_wave_pool(threads, |pool| {
         for wave in &waves {
@@ -321,9 +301,8 @@ fn wave_fixpoint(
 /// non-member body atom read from the settled assignment as fixed context.
 /// A settled external atom counts as founded exactly when it is not false
 /// (at the fixpoint of the full computation the unfounded set is the set of
-/// false atoms) — the convention [`well_founded_patch`] relies on for its
-/// frozen context.  Returns the members' final truth values, in member
-/// order; publishing them is the caller's job.
+/// false atoms).  Returns the members' final truth values, in member order;
+/// publishing them is the caller's job.
 fn eval_component(
     indexed: &IndexedProgram,
     members: &[usize],
@@ -410,122 +389,6 @@ fn eval_component(
     local
 }
 
-/// Re-evaluates the well-founded model after a localized change, touching
-/// only the *affected* part of the program — the one patch entry point.
-///
-/// `affected` classifies atoms: affected atoms are recomputed, unaffected
-/// ones keep their truth value from `previous`.  The caller must pass a
-/// classification that is **closed under reverse dependencies** — whenever an
-/// atom is affected, the head of every rule whose body mentions it must be
-/// affected too.  Under that contract the program splits along its
-/// dependency condensation: the unaffected strongly connected components form
-/// a lower module with no edges from the affected components, so (by the
-/// splitting property of the well-founded semantics) their old truth values
-/// are still exact, and only the affected sub-program is evaluated — by the
-/// wave schedule of [`well_founded_eval`], on `threads` threads — with the
-/// unaffected atoms *frozen* at the previous model's values (a frozen atom
-/// counts as founded exactly when it is not false).
-///
-/// `previous` is consumed and updated surgically: the unaffected entries are
-/// kept in place, the affected ones are retired and replaced by the
-/// re-evaluation's result — the patch costs O(affected) plus one scan of the
-/// previous base, never a rebuild of the whole model.  [`affected_closure`]
-/// computes the classification [`crate::session::HiLogDb`] passes; `|_| true`
-/// degenerates to [`well_founded_eval`].
-pub fn well_founded_patch(
-    program: &GroundProgram,
-    previous: Model,
-    mut affected: impl FnMut(&Term) -> bool,
-    threads: usize,
-) -> Model {
-    let affected_rules: GroundProgram = program
-        .rules
-        .iter()
-        .filter(|r| affected(&r.head))
-        .cloned()
-        .collect();
-    let indexed = IndexedProgram::build(&affected_rules);
-    let n = indexed.atom_count();
-    let mut assignment = vec![None; n];
-    let mut frozen = vec![false; n];
-    for (id, atom) in indexed.atoms.iter() {
-        if !affected(atom) {
-            let id = id as usize;
-            frozen[id] = true;
-            assignment[id] = match previous.truth(atom) {
-                Truth::True => Some(true),
-                Truth::False => Some(false),
-                Truth::Undefined => None,
-            };
-        }
-    }
-    let assignment = wave_fixpoint(&indexed, &assignment, &frozen, threads);
-
-    // Surgical assembly: retire every previously affected base atom (an
-    // affected atom outside the re-evaluated rules has no rules left and is
-    // false), then install the re-evaluation's result.  Unaffected entries
-    // are never touched; new frozen atoms (context atoms a new rule mentions
-    // for the first time) join the base with their — unchanged — truth.
-    let mut model = previous;
-    let stale: Vec<Term> = model
-        .base()
-        .iter()
-        .filter(|atom| affected(atom))
-        .cloned()
-        .collect();
-    for atom in &stale {
-        model.remove(atom);
-    }
-    for (id, atom) in indexed.atoms.iter() {
-        if frozen[id as usize] {
-            model.add_base_atom(atom.clone());
-            continue;
-        }
-        match assignment[id as usize] {
-            Some(true) => model.set_true(atom.clone()),
-            Some(false) => model.set_false(atom.clone()),
-            None => model.set_undefined(atom.clone()),
-        }
-    }
-    model
-}
-
-/// Instance-level reverse dependency closure over a ground program: the
-/// least superset of `seeds` closed under "the head of any rule whose body
-/// (positive *or negative*) mentions a member is also a member".
-///
-/// This is exactly the `affected` classification [`well_founded_patch`]
-/// requires — whenever an atom is in the closure, so is the head of every
-/// rule reading it — computed at the **instance** level rather than the
-/// predicate level.  Feeding it the atoms an incremental mutation actually
-/// touched (new facts, heads of new or dropped rule instances) *warm-starts*
-/// the alternating fixpoint inside a strongly connected component: only the
-/// atoms reachable in reverse from the change are re-evaluated, and the rest
-/// of the component keeps the previous model's values as frozen context.
-/// [`crate::session::HiLogDb`] uses this for every fact-level model patch.
-pub fn affected_closure(
-    program: &GroundProgram,
-    seeds: impl IntoIterator<Item = Term>,
-) -> BTreeSet<Term> {
-    let mut readers: HashMap<&Term, Vec<&Term>> = HashMap::new();
-    for rule in &program.rules {
-        for body in rule.pos.iter().chain(rule.neg.iter()) {
-            readers.entry(body).or_default().push(&rule.head);
-        }
-    }
-    let mut affected: BTreeSet<Term> = BTreeSet::new();
-    let mut queue: Vec<Term> = seeds.into_iter().collect();
-    while let Some(atom) = queue.pop() {
-        if !affected.insert(atom.clone()) {
-            continue;
-        }
-        if let Some(heads) = readers.get(&atom) {
-            queue.extend(heads.iter().map(|h| (*h).clone()));
-        }
-    }
-    affected
-}
-
 /// Checks whether a *total* candidate assignment over the ground program's
 /// atoms is a fixpoint of `W_P` — the characterisation of stable models used
 /// by Definition 3.6.  `candidate` maps every atom of the program to a truth
@@ -589,31 +452,6 @@ mod tests {
 
     fn t(s: &str) -> Term {
         parse_term(s).unwrap()
-    }
-
-    /// Patches `old_model` onto `ground` at every thread count, holds each
-    /// result to Definition 3.5's model of `ground`, and returns that model.
-    fn patched_at_every_thread_count(
-        ground: &GroundProgram,
-        old_model: &Model,
-        affected: impl Fn(&Term) -> bool + Copy,
-    ) -> Model {
-        let fresh = well_founded_of_ground(ground);
-        for threads in THREAD_COUNTS {
-            let patched = well_founded_patch(ground, old_model.clone(), affected, threads);
-            assert_eq!(patched, fresh, "patch diverged at threads={threads}");
-        }
-        fresh
-    }
-
-    /// The grounding of `prelude` plus the win/move game over the chain
-    /// `p0 -> p1 -> ... -> p<moves>`.
-    fn ground_chain_game(prelude: &str, moves: usize) -> GroundProgram {
-        let mut text = format!("{prelude} winning(X) :- move(X, Y), not winning(Y).\n");
-        for i in 0..moves {
-            text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
-        }
-        relevant_ground(&parse_program(&text).unwrap(), EvalOptions::default()).unwrap()
     }
 
     #[test]
@@ -777,96 +615,6 @@ mod tests {
     }
 
     #[test]
-    fn patch_with_everything_affected_is_full_recomputation() {
-        let p = parse_program(
-            "p :- q. q :- p. r :- s, not p. s. t :- not r. u :- not u.\n\
-             winning(X) :- move(X, Y), not winning(Y). move(a, b). move(b, c).",
-        )
-        .unwrap();
-        let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
-        patched_at_every_thread_count(&gp, &Model::empty(), |_| true);
-    }
-
-    #[test]
-    fn patch_recomputes_only_the_affected_module() {
-        // Two independent games over separate move relations; mutate one and
-        // patch with the other frozen.
-        let before = parse_program(
-            "w1(X) :- m1(X, Y), not w1(Y).\n\
-             w2(X) :- m2(X, Y), not w2(Y).\n\
-             m1(a, b). m2(u, v).",
-        )
-        .unwrap();
-        let after = parse_program(
-            "w1(X) :- m1(X, Y), not w1(Y).\n\
-             w2(X) :- m2(X, Y), not w2(Y).\n\
-             m1(a, b). m2(u, v). m1(b, c).",
-        )
-        .unwrap();
-        let old_model =
-            well_founded_of_ground(&relevant_ground(&before, EvalOptions::default()).unwrap());
-        let new_ground = relevant_ground(&after, EvalOptions::default()).unwrap();
-        // Affected: everything reachable (in reverse) from m1 — the w1/m1
-        // module; the w2/m2 module is frozen.
-        let affected = |atom: &Term| {
-            let name = atom.name().to_string();
-            name == "m1" || name == "w1"
-        };
-        let patched = patched_at_every_thread_count(&new_ground, &old_model, affected);
-        assert_eq!(patched.truth(&t("w1(b)")), Truth::True);
-        assert_eq!(patched.truth(&t("w1(a)")), Truth::False);
-        assert_eq!(patched.truth(&t("w2(u)")), Truth::True);
-    }
-
-    #[test]
-    fn instance_level_patch_inside_one_scc_matches_fresh_recomputation() {
-        // One predicate-level SCC (the whole chain game), mutated at its far
-        // end: the instance-level closure of the new edge contains only the
-        // upstream positions, and patching exactly that closure — with the
-        // rest of the component frozen at the previous model — reproduces
-        // the fresh model.
-        let old_model = well_founded_of_ground(&ground_chain_game("", 6));
-        let new_ground = ground_chain_game("", 7);
-        // Seeds: what the mutation touched — the new edge and the heads of
-        // the rule instances it enabled.
-        let seeds = [t("move(p6, p7)"), t("winning(p6)")];
-        let closure = affected_closure(&new_ground, seeds);
-        // The closure climbs the chain through the alternating rules but
-        // never leaves it, and includes every winning(pK).
-        assert!(closure.contains(&t("winning(p0)")));
-        assert!(closure.contains(&t("winning(p6)")));
-        assert!(!closure.contains(&t("move(p0, p1)")));
-        patched_at_every_thread_count(&new_ground, &old_model, |atom| closure.contains(atom));
-    }
-
-    #[test]
-    fn affected_closure_follows_negative_edges_and_stops_elsewhere() {
-        let p = parse_program("a :- e. b :- not a. c :- b. unrelated :- other. other. e.").unwrap();
-        let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
-        let closure = affected_closure(&gp, [t("e")]);
-        for atom in ["e", "a", "b", "c"] {
-            assert!(closure.contains(&t(atom)), "{atom} missing");
-        }
-        assert!(!closure.contains(&t("unrelated")));
-        assert!(!closure.contains(&t("other")));
-    }
-
-    #[test]
-    fn patch_preserves_frozen_undefined_context() {
-        // `u :- not u.` is undefined and unaffected; the affected rule
-        // `p :- u.` must come out undefined too (not false), because the
-        // frozen undefined context atom is founded, not unfounded.
-        let p = parse_program("u :- not u. p :- u. q.").unwrap();
-        let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
-        let old_model = well_founded_of_ground(&gp);
-        let affected = |atom: &Term| atom.name().to_string() == "p";
-        let patched = patched_at_every_thread_count(&gp, &old_model, affected);
-        assert_eq!(patched.truth(&t("p")), Truth::Undefined);
-        assert_eq!(patched.truth(&t("u")), Truth::Undefined);
-        assert_eq!(patched.truth(&t("q")), Truth::True);
-    }
-
-    #[test]
     fn wave_evaluation_matches_serial_on_mixed_programs() {
         // Total, partial, cyclic, and multi-SCC shapes; the wave schedule
         // must reproduce Definition 3.5's model at every thread count, the
@@ -924,7 +672,7 @@ mod tests {
                 .collect(),
         );
         let indexed = IndexedProgram::build(&gp);
-        let (_, waves) = condensation_waves(&indexed, &vec![false; indexed.atom_count()]);
+        let (_, waves) = condensation_waves(&indexed);
         assert!(waves.len() >= 2_000, "{} waves", waves.len());
 
         let model = well_founded_eval(&gp, 1);
@@ -939,18 +687,5 @@ mod tests {
             );
         }
         assert_eq!(model, well_founded_eval(&gp, 4));
-    }
-
-    #[test]
-    fn patch_is_thread_count_independent_and_keeps_frozen_undefined_context() {
-        let prelude = "u :- not u. p :- u. q.";
-        let old_model = well_founded_eval(&ground_chain_game(prelude, 6), 1);
-        let new_ground = ground_chain_game(prelude, 7);
-        let closure = affected_closure(&new_ground, [t("move(p6, p7)"), t("winning(p6)")]);
-        let patched =
-            patched_at_every_thread_count(&new_ground, &old_model, |atom| closure.contains(atom));
-        // The frozen-undefined convention: `u` is outside the closure and
-        // undefined, so `p :- u.` stays undefined rather than false.
-        assert_eq!(patched.truth(&t("p")), Truth::Undefined);
     }
 }

@@ -305,7 +305,8 @@ impl PersistentWriter {
 
     /// Writes a *full* checkpoint of the current state (truncating the WAL)
     /// and garbage-collects the global symbol pool: a fresh segment for
-    /// every relation plus, when the writer has one warm, the model — a
+    /// every relation plus, when the writer has one warm, the model (a model
+    /// a write has dropped since it was last read is simply not written) — a
     /// self-contained recovery point that names no older file.  Persisted
     /// files use payload-local symbol ids, so the GC never remaps anything
     /// on disk.

@@ -46,8 +46,8 @@ pub fn hilog_game_program(games: &[(&str, Vec<Edge>)]) -> Program {
 /// ```
 ///
 /// The shards share no atoms, so the dependency condensation splits into
-/// `shards` independent blocks — the canonical workload for per-component
-/// patching and wave-parallel evaluation.
+/// `shards` independent blocks — the canonical workload for wave-parallel
+/// evaluation.
 pub fn sharded_game_text(shards: usize, per_shard: usize, seed: u64) -> String {
     let mut text = String::new();
     for s in 0..shards {

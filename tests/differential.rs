@@ -181,22 +181,27 @@ fn hilog_programs_agree_across_plan_families() {
 
 #[test]
 fn incremental_assertion_matches_fresh_sessions_on_hilog_programs() {
-    // The incremental path (semi-naive delta grounding + per-component
-    // model patch) against a from-scratch session, on programs whose
-    // variable-headed rules force the degenerate `DirtyScope::All` route.
+    // The incremental path (semi-naive delta grounding, then the model
+    // evaluated from the maintained grounding) against a from-scratch
+    // session, on programs whose variable-headed rules make every
+    // mutation's predicate-level scope global.
     for seed in seeds(0) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
         let mut db = HiLogDb::new(program.clone());
         db.model().expect("warm the caches");
         let fact = parse_term(&format!("r0(c0, c{})", 1 + (seed % 3))).unwrap();
         db.assert_fact(fact.clone()).unwrap();
-        let patched = db.model().expect("patched model").clone();
+        let maintained = db.model().expect("model after the assert").clone();
 
         let mut extended = program;
         extended.push(Rule::fact(fact));
         let mut fresh = HiLogDb::new(extended);
         let reference = fresh.model().expect("fresh model").clone();
-        assert_same_model(&patched, &reference, &format!("seed {seed}, incremental"));
+        assert_same_model(
+            &maintained,
+            &reference,
+            &format!("seed {seed}, incremental"),
+        );
     }
 }
 

@@ -8,9 +8,10 @@
 //! So these tests compare thread counts 1/2/4/8 **to each other**, and
 //! compare every one of them — `1` included — to
 //! `engine::well_founded_of_ground`, the literal global `W_P` iteration that
-//! no production path calls, on the same relevant grounding.  The patch path
-//! gets the same treatment: a patched model at each thread count against a
-//! fresh evaluation of the mutated program.  The partitioned semi-naive
+//! no production path calls, on the same relevant grounding.  The model after
+//! a mutation gets the same treatment: evaluated from the session's
+//! maintained grounding at each thread count, against a fresh evaluation of
+//! the mutated program.  The partitioned semi-naive
 //! rounds are pinned through the bound-query suite.  The program families
 //! are those of `tests/differential.rs` — the pinned regression corpus in
 //! `tests/corpus/differential_seeds.txt` always runs first, and
@@ -164,9 +165,9 @@ fn bound_queries_agree_across_thread_counts() {
 
 #[test]
 fn incremental_patching_agrees_across_thread_counts() {
-    // The one patch path at every thread count: the same assertion sequence
-    // applied to warm sessions must pass, at every step, through the model a
-    // fresh evaluation of the mutated program defines.
+    // The incrementally maintained grounding at every thread count: the same
+    // assertion sequence applied to warm sessions must pass, at every step,
+    // through the model a fresh evaluation of the mutated program defines.
     for seed in seeds(0).into_iter().take(25) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
         let mut sessions: Vec<(usize, HiLogDb)> = THREAD_COUNTS
@@ -181,11 +182,11 @@ fn incremental_patching_agrees_across_thread_counts() {
             let mut fresh: Option<Model> = None;
             for (threads, db) in &mut sessions {
                 db.assert_fact(fact.clone()).expect("fact asserts");
-                let patched = db.model().expect("patched model").clone();
+                let maintained = db.model().expect("model after the assert").clone();
                 let expected = fresh.get_or_insert_with(|| reference_model(db.program()));
                 assert_eq!(
-                    &patched, expected,
-                    "patched model diverges from fresh evaluation at threads={threads} \
+                    &maintained, expected,
+                    "model after the assert diverges from fresh evaluation at threads={threads} \
                      (seed {seed}, step {step})"
                 );
             }

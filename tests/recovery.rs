@@ -568,7 +568,9 @@ fn incremental_after_full_reuses_the_full_checkpoints_segments() {
 
 /// A full checkpoint is self-contained: with every file of every older
 /// recovery point deleted by hand, the store still recovers from it alone —
-/// and warm, because the model rode along.
+/// and warm, because the model rode along.  The model rides along when the
+/// writer holds one: a write that is not pure-EDB drops it, and the next
+/// full checkpoint then simply carries none.
 #[test]
 fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
     let dir = temp_dir("self-contained", 0);
@@ -582,7 +584,8 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
 
     {
         // A seed whose model is already computed keeps it warm through the
-        // fact-level mutations below, so the full checkpoint persists it.
+        // pure-EDB mutations below (nothing reads `colour`: the model is
+        // edited in place), so the full checkpoint persists it.
         let mut seed = HiLogDb::new(program.clone());
         seed.model().expect("seed model");
         let (mut writer, _, _) = PersistentWriter::open(&config, seed).expect("fresh open");
@@ -590,7 +593,7 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
         writer
             .checkpoint_incremental()
             .expect("incremental checkpoint, epoch 1");
-        writer.apply_batch(&assert_fact("move(c, d)")).unwrap();
+        writer.apply_batch(&assert_fact("colour(b, blue)")).unwrap();
         writer.checkpoint().expect("full checkpoint, epoch 2");
     }
 
@@ -604,19 +607,38 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
         }
     }
 
-    let (writer, handle, report) =
-        PersistentWriter::open(&config, HiLogDb::new(program)).expect("reopen");
+    let (mut writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(program.clone())).expect("reopen");
     assert_eq!(report.checkpoint_epoch, Some(2));
     assert_eq!(writer.epoch(), 2);
     // A variable in predicate position forces the full-model route: it must
     // be answered from the restored model, with no grounding pass.
     let result = handle
         .current()
+        .query(&parse_query("?- P(b, blue).").unwrap())
+        .unwrap();
+    assert_eq!(result.answers.len(), 1, "P = colour");
+    assert_eq!(result.stats.model_source, ModelSource::Cached);
+    assert_eq!(result.stats.groundings, 0);
+
+    // `move` is read by `winning`: the write drops the writer's model, the
+    // full checkpoint after it has none to write, and recovery evaluates one
+    // on first use — the same answers, not warm.
+    writer.apply_batch(&assert_fact("move(c, d)")).unwrap();
+    writer.checkpoint().expect("full checkpoint, epoch 3");
+    drop(writer);
+    let epoch_3_model = dir.join(format!("model-{:020}.hmod", 3));
+    assert!(!epoch_3_model.exists(), "a dropped model was persisted");
+    let (_writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(program)).expect("second reopen");
+    assert_eq!(report.checkpoint_epoch, Some(3));
+    let result = handle
+        .current()
         .query(&parse_query("?- P(c, d).").unwrap())
         .unwrap();
     assert_eq!(result.answers.len(), 1, "P = move");
-    assert_eq!(result.stats.model_source, ModelSource::Cached);
-    assert_eq!(result.stats.groundings, 0);
+    assert_eq!(result.stats.model_source, ModelSource::Rebuilt);
+    assert_eq!(result.stats.groundings, 1);
 
     std::fs::remove_dir_all(&dir).ok();
 }

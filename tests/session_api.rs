@@ -601,9 +601,10 @@ fn retract_rule_is_exposed_end_to_end() {
 }
 
 #[test]
-fn update_heavy_sessions_report_patched_models() {
-    // The serving pattern the incremental bench measures: alternating
-    // asserts and full-model point queries must patch, not re-ground.
+fn update_heavy_sessions_re_evaluate_the_maintained_grounding() {
+    // Alternating asserts and full-model point queries: every read after a
+    // write evaluates the model again, from the grounding the write kept
+    // current — it never re-grounds — and the re-read is the cached model.
     let mut db = HiLogDb::new(
         parse_program("winning(X) :- move(X, Y), not winning(Y). move(p0, p1).").unwrap(),
     );
@@ -614,19 +615,22 @@ fn update_heavy_sessions_report_patched_models() {
             .unwrap();
         let result = db.query(&query).unwrap();
         assert_eq!(result.stats.groundings, 0, "assert {i} re-grounded");
-        assert_eq!(result.stats.patches, 1);
-        assert_eq!(result.stats.model_source, ModelSource::Patched);
+        assert_eq!(result.stats.model_source, ModelSource::Rebuilt);
+        let again = db.query(&query).unwrap();
+        assert_eq!(again.stats.model_source, ModelSource::Cached);
+        assert_eq!(again.answers, result.answers);
     }
     check_against_fresh(&mut db, &parse_query("?- P(X).").unwrap(), "update-heavy");
 }
 
 #[test]
-fn a_fallback_behind_pending_seeds_patches_the_model_before_reading_it() {
+fn a_fallback_after_a_write_evaluates_the_model_before_reading_it() {
     // a and b attack each other, so the tabled route meets a negative cycle
-    // on every `win` query and falls back to the full model.  If that model
-    // is warm but has pending seeds (a mutation since), the fallback must
-    // patch it first — on the session, through `DbWriter::db()`, and in the
-    // snapshot a later publish hands to readers.
+    // on every `win` query and falls back to the full model.  A model that
+    // was warm before a mutation is not that model any more: the fallback
+    // must find it gone and evaluate the maintained grounding — on the
+    // session, through `DbWriter::db()`, and in the snapshot a later publish
+    // hands to readers.
     let program = parse_program(
         "win(X) :- move(X, Y), not win(Y).\n\
          move(a, b). move(b, a). move(b, c).",
@@ -634,20 +638,29 @@ fn a_fallback_behind_pending_seeds_patches_the_model_before_reading_it() {
     .unwrap();
     let query = parse_query("?- win(X).").unwrap();
     let fresh = |program: &Program| HiLogDb::new(program.clone()).query(&query).unwrap();
-    let assert_patched = |result: &QueryResult, program: &Program, context: &str| {
+    let assert_re_evaluated = |result: &QueryResult, program: &Program, context: &str| {
         assert!(result.fallback.is_some(), "{context}: no fallback");
-        assert_eq!(result.stats.model_source, ModelSource::Patched, "{context}");
-        assert_eq!(result.stats.patches, 1, "{context}");
+        assert!(
+            !result.plan.cached_model,
+            "{context}: a model outlived the write"
+        );
+        assert_eq!(result.stats.model_source, ModelSource::Rebuilt, "{context}");
+        assert_eq!(result.stats.groundings, 0, "{context}: re-grounded");
+        assert_results_agree(result, &fresh(program), context);
+    };
+    let assert_cached = |result: &QueryResult, program: &Program, context: &str| {
+        assert_eq!(result.stats.model_source, ModelSource::Cached, "{context}");
         assert_results_agree(result, &fresh(program), context);
     };
 
     let mut db = HiLogDb::new(program.clone());
     db.model().unwrap();
     db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
-    assert!(db.explain(&query).stale_model, "seeds must be pending");
     let result = db.query(&query).unwrap();
-    assert_patched(&result, db.program(), "session");
+    assert_re_evaluated(&result, db.program(), "session");
     assert!(answer_set(&result).iter().any(|a| a.contains("X = c")));
+    let again = db.query(&query).unwrap();
+    assert_cached(&again, db.program(), "session, re-read");
 
     let (mut writer, handle) = HiLogDb::new(program).into_serving();
     writer.db().model().unwrap();
@@ -655,17 +668,19 @@ fn a_fallback_behind_pending_seeds_patches_the_model_before_reading_it() {
         .assert_fact(parse_term("move(c, d)").unwrap())
         .unwrap();
     let result = writer.db().query(&query).unwrap();
-    assert_patched(&result, writer.program(), "writer.db()");
-    // Seeds pending again at publish: the snapshot must not serve them
-    // undischarged.
+    assert_re_evaluated(&result, writer.program(), "writer.db()");
+    let again = writer.db().query(&query).unwrap();
+    assert_cached(&again, writer.program(), "writer.db(), re-read");
+    // Written again before the publish: the snapshot carries the maintained
+    // grounding and no model, and its first reader evaluates one.
     assert!(writer.retract_fact(&parse_term("move(c, d)").unwrap()));
-    assert!(writer.db().explain(&query).stale_model);
     let snapshot = writer.publish();
     let served = handle.current().query(&query).unwrap();
-    assert!(served.fallback.is_some());
-    assert_eq!(served.stats.model_source, ModelSource::Cached);
-    assert_results_agree(&served, &fresh(snapshot.program()), "published snapshot");
+    assert_re_evaluated(&served, snapshot.program(), "published snapshot");
     assert!(!answer_set(&served).iter().any(|a| a.contains("X = c")));
+    let again = handle.current().query(&query).unwrap();
+    assert!(again.fallback.is_some());
+    assert_cached(&again, snapshot.program(), "published snapshot, re-read");
 }
 
 /// One randomized stream of write batches through a `DbWriter`: every batch
