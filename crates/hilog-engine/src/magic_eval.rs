@@ -30,6 +30,18 @@
 //! [`crate::session::HiLogDb`] *maintain* tables under mutation instead of
 //! dropping whole predicate closures.
 //!
+//! The rewritten program derives `dp(H, A)` / `dn(H, A)` per head *instance*
+//! `H` (`dn(w(M)(X), w(M)(Y)) :- sup_0_2(M, X, Y).`), and so do the tables:
+//! a table whose pattern is non-ground stands for many head instances, and
+//! each edge it records (`Table.deps`) lists, beside the sign, the instances
+//! that selected the subgoal — in variables shared with the subgoal's key, so
+//! that matching the key against one changed answer yields the head
+//! instances that answer can bear on.  A selection made before anything
+//! bound the head is recorded under a variant of the pattern itself: it was
+//! read on behalf of the whole table.  The session's table maintenance uses
+//! the instances to re-derive such a table where a write can change it
+//! rather than whole; a table with a ground pattern records none.
+//!
 //! The same edges drive the fixpoint of a scope (the tables one settle owns:
 //! its subgoal and the positive subgoals reached from it).  A member is
 //! expanded when it joins, and again only after a round in which a table it
@@ -130,8 +142,16 @@ pub struct EvalStats {
     /// put back untouched and not counted.  A re-solve runs when the
     /// mutation is settled (a batch's at publish), seeded with every table
     /// that stands, so the next query finds the table warm.  Always zero for
-    /// a raw [`QueryEvaluator`].
+    /// a raw [`QueryEvaluator`].  A non-ground table re-derived *in part* —
+    /// at the head instances a changed dependency supports, see
+    /// `instances_rederived` — counts once here, never as a patch.
     pub tables_refilled: usize,
+    /// Number of head instances of non-ground tables the session re-derived
+    /// as bound sub-queries across the mutations since the previous query,
+    /// instead of re-solving their tables whole: the answers a write could
+    /// change, read off the head instances every recorded dependency keeps.
+    /// Always zero for a raw [`QueryEvaluator`].
+    pub instances_rederived: usize,
     /// Number of completed subgoal tables that survived into this query and
     /// were available for reuse when it started.
     pub tables_reused: usize,
@@ -248,9 +268,25 @@ pub(crate) struct Table {
     /// indexes stay resident.
     pub(crate) answers: FactStore,
     pub(crate) complete: bool,
-    /// Direct subgoal edges: normalised key of the dependency, strongest
-    /// polarity it was selected under ([`DepSign::Neg`] dominates).
-    pub(crate) deps: BTreeMap<Term, DepSign>,
+    /// Direct subgoal edges, by the normalised key of the dependency.
+    pub(crate) deps: BTreeMap<Term, Dep>,
+}
+
+/// One recorded dependency of a table on a subgoal `A`: Section 6.1's
+/// `dp(H, A)` / `dn(H, A)` for that `A`, *with* the `H`.
+#[derive(Debug, Clone)]
+pub(crate) struct Dep {
+    /// Strongest polarity `A` was selected under ([`DepSign::Neg`]
+    /// dominates).
+    pub(crate) sign: DepSign,
+    /// The head instances `H` that selected `A`, each in variables shared
+    /// with the dependency's key (see [`normalize_reader`]) and held once up
+    /// to renaming: matching the key against a changed answer of `A`
+    /// instantiates a reader to the head instances that answer can affect.
+    /// A reader that is still a variant of the table's pattern read `A` on
+    /// behalf of the whole table.  Empty for a table whose pattern is
+    /// ground: its only head instance is itself.
+    pub(crate) readers: BTreeSet<Term>,
 }
 
 impl Table {
@@ -552,8 +588,7 @@ impl QueryEvaluator {
                 "subgoal `{pattern}` is an unbound variable"
             )));
         }
-        let key = self.normalize(pattern);
-        self.evaluate_completely(key, &mut Vec::new())
+        self.evaluate_completely(normalize_pattern(pattern), &mut Vec::new())
     }
 
     /// Answers a query (a conjunction of literals), returning one
@@ -602,28 +637,36 @@ impl QueryEvaluator {
         Ok(answers.iter().any(|a| a == atom))
     }
 
-    /// Canonical key for a subgoal pattern: variables are renamed in order of
-    /// first occurrence so that variants share a table.  The normalised term
-    /// itself is the (structural) table key.
-    fn normalize(&self, pattern: &Term) -> Term {
-        normalize_pattern(pattern)
-    }
-
     fn fresh_generation(&mut self) -> u32 {
         self.rename_counter += 1;
         self.rename_counter
     }
 
-    /// Records the dependency edge `from -> to` with the given polarity
-    /// ([`DepSign::Neg`] dominates a previously recorded positive edge).
-    fn record_edge(&mut self, from: &Term, to: Term, sign: DepSign) {
-        if let Some(table) = self.tables.get_mut(from) {
-            let table = Arc::make_mut(table);
-            let entry = table.deps.entry(to).or_insert(sign);
-            if sign == DepSign::Neg {
-                *entry = DepSign::Neg;
+    /// Records that the table `from` selected `atom` with the given
+    /// polarity ([`DepSign::Neg`] dominates a previously recorded positive
+    /// edge) and returns the key of the table `atom` is answered from.
+    /// `head` is the instance of the rule head doing the selecting — given
+    /// for a table whose pattern is non-ground, where it says which of the
+    /// table's answers the selection can bear on.
+    fn record_edge(&mut self, from: &Term, atom: &Term, head: Option<Term>, sign: DepSign) -> Term {
+        let (to, reader) = match head {
+            Some(head) => {
+                let (to, reader) = normalize_reader(atom, &head);
+                (to, Some(reader))
             }
+            None => (normalize_pattern(atom), None),
+        };
+        if let Some(table) = self.tables.get_mut(from) {
+            let dep = (Arc::make_mut(table).deps.entry(to.clone())).or_insert_with(|| Dep {
+                sign,
+                readers: BTreeSet::new(),
+            });
+            if sign == DepSign::Neg {
+                dep.sign = DepSign::Neg;
+            }
+            dep.readers.extend(reader);
         }
+        to
     }
 
     /// Builds the [`EngineError::NotModularlyStratified`] report for a
@@ -646,7 +689,7 @@ impl QueryEvaluator {
             let Some(table) = self.tables.get(&node) else {
                 continue;
             };
-            for (dep, sign) in &table.deps {
+            for (dep, Dep { sign, .. }) in &table.deps {
                 let neg = has_neg || sign.is_negative();
                 if dep == key && neg {
                     let mut rendered = format!("`{key}`");
@@ -845,6 +888,8 @@ impl QueryEvaluator {
         in_progress: &mut Vec<Term>,
     ) -> Result<(), EngineError> {
         let pattern = self.tables[subgoal_key].pattern.clone();
+        // An open table keeps the head instance behind every selection.
+        let open = !pattern.is_ground();
         let mut derived: Vec<Term> = Vec::new();
         for fact in self.index.facts.collect_candidates(&pattern) {
             self.stats.head_unifications += 1;
@@ -871,6 +916,7 @@ impl QueryEvaluator {
                 }
                 let mut next = Vec::new();
                 for theta in branches {
+                    let head = || open.then(|| theta.apply(&renamed.head));
                     match lit {
                         Literal::Pos(atom) => {
                             let instantiated = theta.apply(atom);
@@ -880,8 +926,8 @@ impl QueryEvaluator {
                                      when selected"
                                 )));
                             }
-                            let target = self.normalize(&instantiated);
-                            self.record_edge(subgoal_key, target.clone(), DepSign::Pos);
+                            let target =
+                                self.record_edge(subgoal_key, &instantiated, head(), DepSign::Pos);
                             let key = self.table_for_positive(target, scope, in_progress)?;
                             // Probe the table's argument indexes with the
                             // already-resolved subgoal: only answers agreeing
@@ -903,8 +949,8 @@ impl QueryEvaluator {
                                      non-ground (the rule order flounders, footnote 10)"
                                 )));
                             }
-                            let target = self.normalize(&instantiated);
-                            self.record_edge(subgoal_key, target.clone(), DepSign::Neg);
+                            let target =
+                                self.record_edge(subgoal_key, &instantiated, head(), DepSign::Neg);
                             let key = self.evaluate_completely(target, in_progress)?;
                             let is_true = self.tables[&key].answers.contains(&instantiated);
                             if !is_true {
@@ -921,8 +967,12 @@ impl QueryEvaluator {
                         }
                         Literal::Aggregate(agg) => {
                             let instantiated_pattern = theta.apply(&agg.pattern);
-                            let target = self.normalize(&instantiated_pattern);
-                            self.record_edge(subgoal_key, target.clone(), DepSign::Neg);
+                            let target = self.record_edge(
+                                subgoal_key,
+                                &instantiated_pattern,
+                                head(),
+                                DepSign::Neg,
+                            );
                             let key = self.evaluate_completely(target, in_progress)?;
                             let answers: Vec<Term> = self.tables[&key]
                                 .answers
@@ -964,34 +1014,61 @@ impl QueryEvaluator {
 
 /// Canonical table key for a subgoal pattern: variables renamed to `_N0`,
 /// `_N1`, … in order of first occurrence, so variant patterns share a table.
-/// Exposed to the session facade so a warm single-atom query can look its
-/// table up without constructing an evaluator.
+/// The normalised term itself is the (structural) key.  Exposed to the
+/// session facade so a warm single-atom query can look its table up without
+/// constructing an evaluator.
 pub(crate) fn normalize_pattern(pattern: &Term) -> Term {
     let vars = pattern.variables();
     if vars.is_empty() {
         return pattern.clone();
     }
-    // A simultaneous renaming, written out: `Substitution::apply` follows
-    // chains, and a pattern that already carries a `_Nk` behind a fresh
-    // variable (a rule variable bound to its table's pattern: `q(Y, _N0)`)
-    // would be handed `Y ↦ _N0, _N0 ↦ _N1` and come back `q(_N1, _N1)`.
-    fn rename(term: &Term, vars: &[Var], canonical: &[Term]) -> Term {
-        match term {
-            Term::Var(v) => {
-                let position = vars.iter().position(|w| w == v);
-                canonical[position.expect("a variable of the pattern")].clone()
-            }
-            Term::Sym(_) | Term::Int(_) => term.clone(),
-            Term::App(name, args) => Term::app(
-                rename(name, vars, canonical),
-                args.iter().map(|a| rename(a, vars, canonical)).collect(),
-            ),
+    rename_canonically(pattern, &vars, &canonical_variables(vars.len()))
+}
+
+/// A selected atom and the head instance that selected it, renamed together
+/// — the atom's variables first, so the first component is the atom's table
+/// key ([`normalize_pattern`] of it) and the second says, in that key's
+/// variables, which head instances an answer of that table bears on.
+pub(crate) fn normalize_reader(atom: &Term, head: &Term) -> (Term, Term) {
+    let mut vars = atom.variables();
+    for var in head.variables() {
+        if !vars.contains(&var) {
+            vars.push(var);
         }
     }
-    let canonical: Vec<Term> = (0..vars.len())
-        .map(|i| Term::var(format!("_N{i}")))
-        .collect();
-    rename(pattern, &vars, &canonical)
+    if vars.is_empty() {
+        return (atom.clone(), head.clone());
+    }
+    let canonical = canonical_variables(vars.len());
+    (
+        rename_canonically(atom, &vars, &canonical),
+        rename_canonically(head, &vars, &canonical),
+    )
+}
+
+fn canonical_variables(count: usize) -> Vec<Term> {
+    (0..count).map(|i| Term::var(format!("_N{i}"))).collect()
+}
+
+/// A simultaneous renaming `vars[i] ↦ canonical[i]`, written out:
+/// `Substitution::apply` follows chains, and a pattern that already carries
+/// a `_Nk` behind a fresh variable (a rule variable bound to its table's
+/// pattern: `q(Y, _N0)`) would be handed `Y ↦ _N0, _N0 ↦ _N1` and come back
+/// `q(_N1, _N1)`.
+fn rename_canonically(term: &Term, vars: &[Var], canonical: &[Term]) -> Term {
+    match term {
+        Term::Var(v) => {
+            let position = vars.iter().position(|w| w == v);
+            canonical[position.expect("a variable of the term")].clone()
+        }
+        Term::Sym(_) | Term::Int(_) => term.clone(),
+        Term::App(name, args) => Term::app(
+            rename_canonically(name, vars, canonical),
+            (args.iter())
+                .map(|a| rename_canonically(a, vars, canonical))
+                .collect(),
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -1215,7 +1292,7 @@ mod tests {
         let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
         let key = ev.settle(&parse_term("p(a)").unwrap()).unwrap();
         let q_b = parse_term("q(b)").unwrap();
-        assert_eq!(ev.tables[&key].deps.get(&q_b), Some(&DepSign::Neg));
+        assert_eq!(ev.tables[&key].deps[&q_b].sign, DepSign::Neg);
         let mut db = HiLogDb::new(program.clone());
         let model = db.model().unwrap().clone();
         for atom in ["p(a)", "p(c)", "p(b)"] {

@@ -98,6 +98,10 @@ pub struct QueryPlan {
     /// Tables outside the closure, and tables inside it whose dependencies
     /// all kept their answers, survive untouched and are not counted.
     pub refilled_subqueries: usize,
+    /// Number of head instances of non-ground tables the mutations since the
+    /// last query re-derived as bound sub-queries — a table settled that way
+    /// counts once under `refilled_subqueries`, whatever it holds.
+    pub rederived_instances: usize,
     /// Number of subgoal tables the mutations since the last query dropped:
     /// a re-solve that failed (a resource limit, a cycle through negation
     /// the mutation closed), or the reverse dependency closure of a
@@ -139,8 +143,12 @@ impl fmt::Display for QueryPlan {
         {
             writeln!(
                 f,
-                "  tables:    {} patched in place, {} re-solved, {} dropped since the last query",
-                self.patched_subqueries, self.refilled_subqueries, self.dropped_subqueries
+                "  tables:    {} patched in place, {} re-solved ({} instances re-derived), {} \
+                 dropped since the last query",
+                self.patched_subqueries,
+                self.refilled_subqueries,
+                self.rederived_instances,
+                self.dropped_subqueries
             )?;
         }
         write!(f, "  because:   {}", self.reason)

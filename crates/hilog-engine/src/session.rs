@@ -296,6 +296,7 @@ impl HiLogDbBuilder {
             pending_patched: 0,
             pending_dropped: 0,
             pending_refilled: 0,
+            pending_rederived: 0,
         }
     }
 }
@@ -346,6 +347,9 @@ pub struct HiLogDb {
     /// Rule-derived subgoal tables *re-solved* by mutations since the last
     /// query, because a table they read changed its answers.
     pending_refilled: usize,
+    /// Head instances of non-ground tables re-derived as bound sub-queries
+    /// by mutations since the last query.
+    pending_rederived: usize,
 }
 
 impl HiLogDb {
@@ -648,6 +652,7 @@ impl HiLogDb {
     fn decorate(&self, plan: &mut QueryPlan) {
         plan.patched_subqueries = self.pending_patched;
         plan.refilled_subqueries = self.pending_refilled;
+        plan.rederived_instances = self.pending_rederived;
         plan.dropped_subqueries = self.pending_dropped;
     }
 
@@ -661,6 +666,7 @@ impl HiLogDb {
         result.stats.tables_patched = std::mem::take(&mut self.pending_patched);
         result.stats.tables_dropped = std::mem::take(&mut self.pending_dropped);
         result.stats.tables_refilled = std::mem::take(&mut self.pending_refilled);
+        result.stats.instances_rederived = std::mem::take(&mut self.pending_rederived);
         let storage = self.storage_stats();
         result.stats.storage_resident_facts = storage.resident_facts;
         result.stats.storage_spilled_facts = storage.spilled_facts;

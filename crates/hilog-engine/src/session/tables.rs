@@ -16,23 +16,78 @@
 //!   rule-derived ones are set aside and walked in dependency order: a table
 //!   none of whose dependencies changed its answers is put back as it was
 //!   (the early cut-off of demand-driven incremental computation), the
-//!   others are **re-solved** eagerly, off the readers' path;
+//!   others are **re-solved** eagerly, off the readers' path — whole, or,
+//!   for a non-ground table, at the head instances the changes can reach;
 //! * only a table whose re-solve fails is **dropped** — the next query that
 //!   needs it fails, or falls back, exactly as a fresh session's would.
 //!
 //! Rule-level mutations change what a *pattern* can derive, not what a fact
 //! set holds, and drop the reverse closure of the rule's head outright.
+//!
+//! # Re-deriving a non-ground table per head instance
+//!
+//! **Record.**  Section 6.1's relations are `dp(H, A)` / `dn(H, A)`: the head
+//! *instance* `H` whose rule selected the subgoal instance `A`.  A table
+//! with a non-ground pattern keeps the `H`: every recorded dependency on a
+//! table `w` lists its *readers* — for each selection `a = θ(L)` answered
+//! from `w`, the head instance `h = θ(head)`, in variables shared with `w`'s
+//! key, once up to renaming ([`Dep`]).  A table with a ground pattern
+//! records none: its only head instance is itself.
+//!
+//! **Patch.**  Every table the pass settles leaves its *difference* behind,
+//! `{added, removed}`: for a patched fact table the facts that moved it, for
+//! a re-solved table what comparing it with the version set aside finds, for
+//! a dropped one nothing (its extent is unknown).  When the group whose turn
+//! it is is a single non-ground table that reads no table of its own group,
+//! the *affected head instances* are
+//!
+//! > `H` = the changed facts the table's own pattern covers ∪
+//! > { `θ′(h)` : `w` a changed dependency, `h` ∈ readers(`w`), `δ` ∈
+//! > difference(`w`), `θ′` the match of `w`'s key against `δ` },
+//!
+//! and the table is re-derived at those alone: each `h ∈ H` is settled as a
+//! bound sub-query by the evaluator the pass uses anyway (normally a table
+//! that is warm, or that the pass has just re-solved), the answers under `h`
+//! in a copy-on-write copy of the table are replaced by that sub-query's
+//! answers, and the readers under `h` by one edge to the table of `h` — so
+//! that the next change to the instance arrives as a difference of that
+//! table.  The table counts as changed only by its own difference.
+//!
+//! **Fallbacks.**  The table is re-solved whole, which also records it
+//! afresh, when a dependency is missing or changed by an unknown amount;
+//! when a changed fact its pattern covers is not ground; when some member of
+//! `H` is still a variant of the pattern (the selection was made before
+//! anything bound the head: a *whole-table* reader, `p(X) :- q(Y), r(X, Y).`
+//! under a change to `q`); and when `H` has as many members as the table has
+//! recorded readers — what the full re-solve would replay, a measure read
+//! off the recorded evaluation and not a threshold anyone sets.  If a
+//! sub-query fails (a limit, a cycle through negation only that instance
+//! reaches) the table is dropped exactly as after a failed re-solve; if a
+//! sub-query completes the table itself on its way, that version stands.
+//!
+//! **Why it is sound.**  Take any ground instance of a rule for the table
+//! and walk its body left to right in the old state and in the new.  The
+//! first literal whose truth differs was selected by the recorded evaluation
+//! under a `θ` at least as general as the instance — every literal before it
+//! succeeded then as it does now — so its `(a, h)` is on file; the atom `δ`
+//! it differs at is in the difference of `a`'s table, which is known; and
+//! `θ′(h)` covers the instance's head.  An instance whose head is outside
+//! `H` therefore replays literal for literal as recorded — Figure 1 /
+//! Definition 6.5's argument at the granularity of head instances — and for
+//! the instances inside `H` the invariant is re-established by the edge to
+//! their own, freshly settled table.
 
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
-use crate::magic_eval::{QueryEvaluator, Table};
+use crate::magic::DepSign;
+use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table};
 use crate::snapshot::lock_mut;
-use crate::storage::RelationStorage;
+use crate::storage::{FactStore, RelationStorage};
 use hilog_core::analysis::strongly_connected_components;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
 
 type Tables = HashMap<Term, Arc<Table>>;
@@ -147,15 +202,214 @@ fn rename_apart(probe: &Term) -> Term {
     theta.apply(probe)
 }
 
-/// Whether two versions of a table hold the same answers.
-fn same_answers(new: &Table, old: &Table) -> bool {
-    if new.answers.len() != old.answers.len() {
-        return false;
+/// How a table's answers moved in a pass.
+#[derive(Debug, Default)]
+struct Difference {
+    added: Vec<Term>,
+    removed: Vec<Term>,
+}
+
+impl Difference {
+    fn is_empty(&self) -> bool {
+        self.added.is_empty() && self.removed.is_empty()
     }
-    let mut same = true;
-    old.answers
-        .for_each_atom(&mut |answer| same = same && new.answers.contains(answer));
-    same
+
+    /// One more edit of the table, folded in *net*: an answer that went and
+    /// came back within the batch did not move.
+    fn note(&mut self, atom: &Term, added: bool) {
+        let (same, opposite) = if added {
+            (&mut self.added, &mut self.removed)
+        } else {
+            (&mut self.removed, &mut self.added)
+        };
+        match opposite.iter().position(|a| a == atom) {
+            Some(undone) => {
+                opposite.swap_remove(undone);
+            }
+            None => same.push(atom.clone()),
+        }
+    }
+
+    /// What `new` holds that `old` does not, and the reverse.
+    fn between(new: &FactStore, old: &FactStore) -> Difference {
+        let mut removed = Vec::new();
+        old.for_each_atom(&mut |a| {
+            if !new.contains(a) {
+                removed.push(a.clone());
+            }
+        });
+        let mut added = Vec::new();
+        // Everything of `new` is accounted for when the sizes say so.
+        if new.len() + removed.len() > old.len() {
+            new.for_each_atom(&mut |a| {
+                if !old.contains(a) {
+                    added.push(a.clone());
+                }
+            });
+        }
+        Difference { added, removed }
+    }
+}
+
+/// What a pass has established about one table, for the tables that read it.
+#[derive(Debug)]
+enum Change {
+    /// Its answers are what they were (or its turn has not come).
+    None,
+    /// Its answers moved, by this much.
+    Known(Difference),
+    /// It was dropped: whatever read it cannot stand on anything.
+    Unknown,
+}
+
+impl From<Difference> for Change {
+    fn from(difference: Difference) -> Change {
+        if difference.is_empty() {
+            Change::None
+        } else {
+            Change::Known(difference)
+        }
+    }
+}
+
+/// The head instances of the non-ground table `old` (at position `v`) that
+/// the changes below it can bear on: the changed facts its own pattern
+/// covers (`direct`), and for every changed dependency `w`, answer `δ` of
+/// its difference and recorded reader `h`, the instance `θ′(h)` with `θ′`
+/// the match of `w`'s key against `δ` — normalised, each once.  `None` when
+/// the table has to be re-solved whole instead: a dependency is gone or
+/// changed by an unknown amount, a changed fact is not ground, an instance
+/// comes out as a variant of the pattern (a whole-table reader), or there
+/// are as many instances as the recorded evaluation has readers — what the
+/// full re-solve would replay.
+fn affected_instances<'a>(
+    old: &Table,
+    graph: &TableGraph,
+    v: usize,
+    direct: impl Iterator<Item = &'a Term>,
+    changes: &[Change],
+) -> Option<BTreeSet<Term>> {
+    if graph.dangling[v] {
+        return None;
+    }
+    let replayed: usize = old.deps.values().map(|dep| dep.readers.len()).sum();
+    let mut instances = BTreeSet::new();
+    let mut admit = |instance: Term| {
+        let instance = normalize_pattern(&instance);
+        instance != old.pattern && {
+            instances.insert(instance);
+            instances.len() < replayed
+        }
+    };
+    for fact in direct {
+        if !(fact.is_ground() && admit(fact.clone())) {
+            return None;
+        }
+    }
+    for &w in &graph.reads[v] {
+        let difference = match &changes[w] {
+            Change::None => continue,
+            Change::Known(difference) => difference,
+            Change::Unknown => return None,
+        };
+        let key = &graph.keys[w];
+        let readers = &old.deps[key].readers;
+        for delta in difference.added.iter().chain(&difference.removed) {
+            let mut theta = Substitution::new();
+            let answers_key = match_with(key, delta, &mut theta);
+            debug_assert!(answers_key, "`{delta}` is not an answer of `{key}`");
+            if !readers.iter().all(|reader| admit(theta.apply(reader))) {
+                return None;
+            }
+        }
+    }
+    Some(instances)
+}
+
+/// `old` with the answers and the readers under each of `instances`
+/// replaced by what the instance's own table — settled, in `tables` — says:
+/// its answers, and one edge to it, so that the next change to the instance
+/// arrives as a difference of that table.  Returns the table (the same
+/// `Arc` when no answer and no edge moved, otherwise a copy if anything
+/// else still holds it) and how its answers moved.
+fn graft(
+    mut table: Arc<Table>,
+    instances: &BTreeSet<Term>,
+    tables: &Tables,
+) -> (Arc<Table>, Difference) {
+    let mut difference = Difference::default();
+    for instance in instances {
+        let settled = &tables[instance].answers;
+        let (mut stale, mut fresh) = (Vec::new(), Vec::new());
+        table.answers.for_each_candidate(instance, &mut |answer| {
+            if subsumes(instance, answer) && !settled.contains(answer) {
+                stale.push(answer.clone());
+            }
+        });
+        settled.for_each_atom(&mut |answer| {
+            if !table.answers.contains(answer) {
+                fresh.push(answer.clone());
+            }
+        });
+        if stale.is_empty() && fresh.is_empty() {
+            continue;
+        }
+        // One instance may cover another; both read the same new state, so
+        // the second finds nothing left to do and no answer is noted twice.
+        let answers = &mut Arc::make_mut(&mut table).answers;
+        for answer in &stale {
+            answers.remove(answer);
+        }
+        for answer in &fresh {
+            answers.insert(answer.clone());
+        }
+        difference.removed.append(&mut stale);
+        difference.added.append(&mut fresh);
+    }
+    // A reader is *under* an instance that covers it.  What the instance
+    // read is its own table's business from here on: every edge on its
+    // behalf goes, but the one to that table.
+    let open: Vec<&Term> = instances.iter().filter(|h| !h.is_ground()).collect();
+    let under = |reader: &Term| {
+        instances.contains(reader) || open.iter().any(|instance| subsumes(instance, reader))
+    };
+    let mut outdated: Vec<(Term, Term)> = Vec::new();
+    for (key, dep) in &table.deps {
+        for reader in &dep.readers {
+            let own_table = key == reader && instances.contains(reader);
+            if !own_table && under(reader) {
+                outdated.push((key.clone(), reader.clone()));
+            }
+        }
+    }
+    let missing: Vec<&Term> = (instances.iter())
+        .filter(|&h| !(table.deps.get(h)).is_some_and(|dep| dep.readers.contains(h)))
+        .collect();
+    if outdated.is_empty() && missing.is_empty() {
+        return (table, difference);
+    }
+    let deps = &mut Arc::make_mut(&mut table).deps;
+    for (key, reader) in outdated {
+        let dep = deps.get_mut(&key).expect("just read");
+        dep.readers.remove(&reader);
+        if dep.readers.is_empty() {
+            deps.remove(&key);
+        }
+    }
+    for instance in missing {
+        let dep = deps.entry(instance.clone()).or_insert_with(|| Dep {
+            sign: DepSign::Pos,
+            readers: BTreeSet::new(),
+        });
+        dep.readers.insert(instance.clone());
+    }
+    (table, difference)
+}
+
+/// Whether `instance` is an instance of `general` — one-way matching, the
+/// instance's variables standing for themselves.
+fn subsumes(general: &Term, instance: &Term) -> bool {
+    match_with(general, instance, &mut Substitution::new())
 }
 
 impl HiLogDb {
@@ -166,8 +420,8 @@ impl HiLogDb {
     /// 1. Every table whose pattern covers a changed fact is *directly
     ///    touched*.  A touched table with no recorded subgoal edges holds
     ///    exactly the matching bodiless instances and is patched in place,
-    ///    fact by fact in the order the changes were made, noting whether
-    ///    its answer set really moved.
+    ///    fact by fact in the order the changes were made, noting by how
+    ///    much its answer set really moved.
     /// 2. The reverse closure of the tables that moved, and of the touched
     ///    rule-derived ones, is where the pass looks (one index of the
     ///    recorded edges per batch; none when nothing is touched).  Every
@@ -183,14 +437,18 @@ impl HiLogDb {
     ///    not directly touched and whose every dependency is back in the map
     ///    with the answers it had gets the same `Arc`s back: by induction on
     ///    the order its replay would select the same subgoals and derive the
-    ///    same answers (Figure 1's argument, on the instance graph).  Any
-    ///    other group is re-solved, each member by an evaluator seeded with
-    ///    the live map and under the resource limits a cold query for it
-    ///    would face; every table such a run completes is kept, and a member
-    ///    counts as *changed* only if its answers differ from the version
-    ///    set aside.  A re-solve that fails (a limit, the deadline, a cycle
+    ///    same answers (Figure 1's argument, on the instance graph).  A
+    ///    group that is one non-ground table reading no table of its own
+    ///    group is **re-derived per instance** where that is less work than
+    ///    replaying it (the module documentation says when, and why it is
+    ///    sound).  Any other group is re-solved whole, each member by an
+    ///    evaluator seeded with the live map and under the resource limits a
+    ///    cold query for it would face; every table such a run completes is
+    ///    kept.  Either way a member leaves its *difference* behind for its
+    ///    readers, and counts as changed only if that is not empty.  A
+    ///    re-solve or sub-query that fails (a limit, the deadline, a cycle
     ///    through negation the batch closed) leaves the table dropped, which
-    ///    its readers see as a change.
+    ///    its readers see as a change of unknown extent.
     ///
     /// A dependency missing from the map is treated as changed.  The pass
     /// itself never leaves one (see the assertion in `DbSnapshot::fork`);
@@ -215,8 +473,8 @@ impl HiLogDb {
         // once per retraction, and only if a table holds the fact.
         let mut spontaneous: Vec<Option<bool>> = vec![None; deltas.len()];
         let program = &self.snap.program;
-        // The patched tables whose answers moved, and the rule-derived
-        // tables whose own pattern covers a changed fact.
+        // The patched tables whose answers moved (and by how much), and the
+        // rule-derived tables whose own pattern covers a changed fact.
         let (mut moved, mut direct) = (Vec::new(), Vec::new());
         for (key, table) in tables.iter_mut() {
             let hits: Vec<usize> = (0..probes.len())
@@ -230,35 +488,43 @@ impl HiLogDb {
                 continue;
             }
             let table = Arc::make_mut(table);
-            let mut answers_moved = false;
+            let mut difference = Difference::default();
             for i in hits {
                 let (fact, asserted) = &deltas[i];
-                answers_moved |= if *asserted {
+                let edited = if *asserted {
                     table.answers.insert(fact.clone())
                 } else {
                     !*spontaneous[i].get_or_insert_with(|| spontaneous_fact(program, fact))
                         && table.answers.remove(fact)
                 };
+                if edited {
+                    difference.note(fact, *asserted);
+                }
                 self.pending_patched += 1;
             }
-            if answers_moved {
-                moved.push(key.clone());
+            if !difference.is_empty() {
+                moved.push((key.clone(), difference));
             }
         }
         if moved.is_empty() && direct.is_empty() {
             return;
         }
-        // Where the pass looks.  `changed` flags what a reader cannot stand
+        // Where the pass looks.  `changes` says what a reader cannot stand
         // on: so far the patched tables that moved, which stay in the map;
         // every other table in the closure is set aside.
         let graph = TableGraph::of(tables);
-        let mut changed = graph.flags(&moved);
         let direct = graph.flags(&direct);
-        let seeds = changed.iter().zip(&direct).map(|(m, d)| m | d).collect();
+        let mut seeds = direct.clone();
+        let mut changes: Vec<Change> = graph.keys.iter().map(|_| Change::None).collect();
+        for (key, difference) in moved {
+            let v = graph.position[&key];
+            seeds[v] = true;
+            changes[v] = Change::Known(difference);
+        }
         let affected = graph.reverse_closure(seeds);
-        let aside: Vec<Option<Arc<Table>>> = (graph.keys.iter().enumerate())
+        let mut aside: Vec<Option<Arc<Table>>> = (graph.keys.iter().enumerate())
             .map(|(v, key)| {
-                (affected[v] && !changed[v])
+                (affected[v] && matches!(changes[v], Change::None))
                     .then(|| tables.remove(key))
                     .flatten()
             })
@@ -272,7 +538,9 @@ impl HiLogDb {
             // No member of this group is flagged yet, so an edge inside it
             // holds nothing up; every other dependency has had its turn.
             let stands = group.iter().all(|&v| {
-                !direct[v] && !graph.dangling[v] && graph.reads[v].iter().all(|&w| !changed[w])
+                !direct[v]
+                    && !graph.dangling[v]
+                    && (graph.reads[v].iter()).all(|&w| matches!(changes[w], Change::None))
             });
             if stands {
                 for &v in group {
@@ -280,38 +548,80 @@ impl HiLogDb {
                 }
                 continue;
             }
-            for &v in group {
+            let rederivable = match group[..] {
+                [v] if !graph.keys[v].is_ground() && !graph.reads[v].contains(&v) => {
+                    let covered = (deltas.iter().zip(&probes))
+                        .filter(|(_, probe)| direct[v] && overlaps(&graph.keys[v], probe))
+                        .map(|((fact, _), _)| fact);
+                    let old = aside[v].as_ref().expect("set aside");
+                    affected_instances(old, &graph, v, covered, &changes).map(|h| (v, h))
+                }
+                _ => None,
+            };
+            if let Some((v, instances)) = rederivable {
                 let key = &graph.keys[v];
-                // An earlier re-solve may have completed it on its way.
-                if tables.contains_key(key) {
+                // Each instance is a bound sub-query: normally a table that
+                // is warm, or that this pass has just re-solved.  One that
+                // completes the table itself on its way ends the matter:
+                // that version stands, and is accounted for below.
+                let settled = instances.iter().all(|instance| {
+                    self.pending_rederived += 1;
+                    self.resolve(&mut index, tables, instance) && !tables.contains_key(key)
+                });
+                if settled {
+                    let old = aside[v].take().expect("set aside");
+                    let (table, difference) = graft(old, &instances, tables);
+                    tables.insert(key.clone(), table);
+                    self.pending_refilled += 1;
+                    changes[v] = difference.into();
                     continue;
                 }
-                let mut evaluator = QueryEvaluator::with_tables(
-                    index
-                        .get_or_insert_with(|| self.snap.program_index())
-                        .clone(),
-                    self.snap.opts,
-                    std::mem::take(tables),
-                    self.snap.storage.clone(),
-                );
-                // A failure shows as the table's absence below.
-                let _ = evaluator.settle(key);
-                *tables = evaluator.into_all_tables();
+            } else {
+                for &v in group {
+                    // A failure shows as the table's absence below.
+                    self.resolve(&mut index, tables, &graph.keys[v]);
+                }
             }
             for &v in group {
                 let old = aside[v].as_ref().expect("set aside");
-                match tables.get(&graph.keys[v]) {
+                changes[v] = match tables.get(&graph.keys[v]) {
                     Some(new) => {
                         self.pending_refilled += 1;
-                        changed[v] = !same_answers(new, old);
+                        Difference::between(&new.answers, &old.answers).into()
                     }
                     None => {
                         self.pending_dropped += 1;
-                        changed[v] = true;
+                        Change::Unknown
                     }
-                }
+                };
             }
         }
+    }
+
+    /// Completes the table for `pattern` (a key) in `tables` — a look when
+    /// an earlier evaluation of the pass completed it on its way, otherwise
+    /// one evaluator seeded with the whole map, moved in and out.  `false`
+    /// if the evaluation failed, which leaves the table absent.
+    fn resolve(
+        &self,
+        index: &mut Option<Arc<ProgramIndex>>,
+        tables: &mut Tables,
+        pattern: &Term,
+    ) -> bool {
+        if tables.contains_key(pattern) {
+            return true;
+        }
+        let mut evaluator = QueryEvaluator::with_tables(
+            index
+                .get_or_insert_with(|| self.snap.program_index())
+                .clone(),
+            self.snap.opts,
+            std::mem::take(tables),
+            self.snap.storage.clone(),
+        );
+        let settled = evaluator.settle(pattern).is_ok();
+        *tables = evaluator.into_all_tables();
+        settled
     }
 
     /// Drops every table in the instance-level reverse closure of a rule
@@ -340,7 +650,6 @@ impl HiLogDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::magic_eval::normalize_pattern;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
@@ -478,7 +787,11 @@ mod tests {
             "winning tables must be re-solved"
         );
         assert_eq!(plan.dropped_subqueries, 0, "a re-solve is not a drop");
-        assert_eq!(plan.cached_subqueries, warm, "every table is still warm");
+        // Every table is still warm, and the open table was re-derived at
+        // `winning(a)` alone — through two tables nobody had asked for yet,
+        // that instance's own and the `move(a, Y)` it reads.
+        assert_eq!(plan.rederived_instances, 1, "{plan}");
+        assert_eq!(plan.cached_subqueries, warm + 2, "{plan}");
         // The settled tables answer correctly without evaluating anything:
         // b still wins through move(b, c), and nothing else does.
         let after = db.query(&query).unwrap();
@@ -544,12 +857,19 @@ mod tests {
         writer.publish();
         let plan = writer.db().explain(&queries[0]);
         assert_eq!(plan.refilled_subqueries, 6, "{plan}");
+        // Two of the six are chained to what changed through a shared
+        // variable and re-derived where it changed: `tc(t1, Y)` at `t3`,
+        // `tc(s, Y)` at `a` (gone with the cycle) and at `t3`.
+        assert_eq!(plan.rederived_instances, 3, "{plan}");
         assert_eq!(plan.dropped_subqueries, 0, "{plan}");
         assert_eq!(plan.patched_subqueries, 2, "e(c, Y) and e(t2, Y)");
         assert!(Arc::ptr_eq(&before, &table(writer.db(), "tc(u, Y)")));
         check(&handle);
-        // The shortcut goes: tc(a) is re-solved and comes out as it was, so
-        // its reader tc(s) — inside the closure — gets its `Arc` back.
+        // The shortcut goes: tc(a) — whose second rule reads `e(a, Z)` on
+        // behalf of every answer — is re-solved whole and comes out as it
+        // was, and so are the two instance tables `tc(a, a)` and `tc(a, t3)`
+        // the pass above left under it; its reader tc(s) — inside the
+        // closure — gets its `Arc` back.
         writer.db().query(&queries[0]).unwrap();
         let (a_before, s_before) = (
             table(writer.db(), "tc(a, Y)"),
@@ -558,10 +878,231 @@ mod tests {
         assert!(writer.retract_fact(&parse_term("e(a, c)").unwrap()));
         writer.publish();
         let plan = writer.db().explain(&queries[0]);
-        assert_eq!(plan.refilled_subqueries, 1, "{plan}");
+        assert_eq!(plan.refilled_subqueries, 3, "{plan}");
+        assert_eq!(plan.rederived_instances, 0, "{plan}");
         assert_eq!(plan.dropped_subqueries, 0, "{plan}");
         assert!(!Arc::ptr_eq(&a_before, &table(writer.db(), "tc(a, Y)")));
         assert!(Arc::ptr_eq(&s_before, &table(writer.db(), "tc(s, Y)")));
         check(&handle);
+    }
+
+    /// What the pass did since the counters were last read, then resets
+    /// them: `(re-solved, instances re-derived, dropped)`.
+    fn counts(writer: &mut crate::snapshot::DbWriter) -> (usize, usize, usize) {
+        let probe = parse_query("?- probe.").unwrap();
+        let stats = writer.db().query(&probe).unwrap().stats;
+        (
+            stats.tables_refilled,
+            stats.instances_rederived,
+            stats.tables_dropped,
+        )
+    }
+
+    /// The published snapshot answers `query` as a fresh session over its
+    /// program does, and without applying a rule.
+    fn assert_warm_and_fresh(handle: &crate::snapshot::SnapshotHandle, query: &str) {
+        let query = parse_query(query).unwrap();
+        let snapshot = handle.current();
+        let served = snapshot.query(&query).unwrap();
+        let fresh = HiLogDb::new(snapshot.program().clone())
+            .query(&query)
+            .unwrap();
+        assert_eq!(served.answers, fresh.answers, "{query}");
+        assert_eq!(served.fallback.is_some(), fresh.fallback.is_some());
+        assert_eq!(served.stats.rule_applications, 0, "{query} not warm");
+    }
+
+    #[test]
+    fn an_open_table_is_rederived_at_the_instances_a_write_can_change() {
+        // A chain n0 -> ... -> n9 with two branches off it, and n10 with two
+        // dead ends below it: n10 -> n11, n10 -> n12.
+        let mut moves: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
+        moves.extend([(2, 10), (6, 10), (10, 11), (10, 12)]);
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for (from, to) in &moves {
+            text.push_str(&format!("move(n{from}, n{to}).\n"));
+        }
+        let (mut writer, handle) = HiLogDb::new(parse_program(&text).unwrap()).into_serving();
+        let open = "?- winning(X).";
+        handle.current().query(&parse_query(open).unwrap()).unwrap();
+        for n in 0..13 {
+            let ground = parse_query(&format!("?- winning(n{n}).")).unwrap();
+            handle.current().query(&ground).unwrap();
+        }
+        writer.publish();
+        counts(&mut writer);
+        let recorded: usize = (table(writer.db(), "winning(X)").deps.values())
+            .map(|dep| dep.readers.len())
+            .sum();
+        assert_eq!(recorded, 1 + moves.len(), "`move(X, Y)` and one per move");
+        // n11 gets a move and starts winning; n10 keeps winning through n12,
+        // so that is the one position that flips.  The instances to look at
+        // are the source of the new move and the one position with a move
+        // into the table that changed — not the thirteen the table covers.
+        writer
+            .assert_fact(parse_term("move(n11, n13)").unwrap())
+            .unwrap();
+        writer.publish();
+        let (resolved, rederived, dropped) = counts(&mut writer);
+        assert_eq!(rederived, 2, "winning(n11), winning(n10)");
+        // winning(n11) changes, its reader winning(n10) does not and stops
+        // the pass there; the open table counts once.
+        assert_eq!((resolved, dropped), (3, 0));
+        assert_warm_and_fresh(&handle, open);
+        let after = handle.current().query(&parse_query(open).unwrap()).unwrap();
+        assert!(after
+            .answers
+            .iter()
+            .any(|a| a.binding("X").unwrap() == &Term::sym("n11")));
+        // The two instances now read their own tables: their old edges are
+        // gone, one edge each took their place.
+        let deps = &table(writer.db(), "winning(X)").deps;
+        for instance in ["winning(n10)", "winning(n11)"] {
+            let instance = parse_term(instance).unwrap();
+            assert!(deps[&instance].readers.contains(&instance));
+        }
+        let n12 = parse_term("winning(n12)").unwrap();
+        assert!(!deps.contains_key(&n12), "only winning(n10) read it");
+        // A toggle that moves no answer — n10 gets, then loses, a third dead
+        // end — re-derives winning(n10) each time.  The first round still
+        // has n10's instance edge to write; repeated, no answer and no edge
+        // changes, and the table is the same allocation throughout.
+        let toggle = parse_term("move(n10, n14)").unwrap();
+        let toggle_pair = |writer: &mut crate::snapshot::DbWriter| {
+            writer.assert_fact(toggle.clone()).unwrap();
+            writer.publish();
+            assert!(writer.retract_fact(&toggle));
+            writer.publish();
+            let (resolved, rederived, dropped) = counts(writer);
+            // winning(n10) and the open table, twice over.
+            assert_eq!((resolved, rederived, dropped), (4, 2, 0));
+            table(writer.db(), "winning(X)")
+        };
+        let first = toggle_pair(&mut writer);
+        let second = toggle_pair(&mut writer);
+        assert!(Arc::ptr_eq(&first, &second));
+        assert_warm_and_fresh(&handle, open);
+    }
+
+    #[test]
+    fn a_head_variable_bound_by_a_later_literal_is_covered_by_the_recorded_reader() {
+        // `Z` is bound by the last literal only: the reader `not b(Y)` is
+        // recorded under is `p(x, Z)` with `Z` open, the one `c(Y, Z)` is
+        // recorded under shares `Z` with it.
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program(
+                "p(X, Z) :- a(X, Y), not b(Y), c(Y, Z).\n\
+                 a(x1, y1). a(x2, y2). a(x3, y3). a(x4, y4).\n\
+                 c(y1, z1). c(y2, z2). c(y3, z3). c(y4, z4). b(y4).",
+            )
+            .unwrap(),
+        )
+        .into_serving();
+        let open = "?- p(X, Z).";
+        handle.current().query(&parse_query(open).unwrap()).unwrap();
+        writer.publish();
+        counts(&mut writer);
+        // One batch makes `b(y1)` true and takes `c(y1, z1)` away: a join of
+        // the `b` delta against the new state no longer reaches `z1`.
+        writer.assert_fact(parse_term("b(y1)").unwrap()).unwrap();
+        assert!(writer.retract_fact(&parse_term("c(y1, z1)").unwrap()));
+        writer.publish();
+        let (resolved, rederived, dropped) = counts(&mut writer);
+        assert_eq!(rederived, 2, "p(x1, Z) for `b`, p(x1, z1) for `c`");
+        assert_eq!((resolved, dropped), (1, 0), "the open table, in part");
+        assert_warm_and_fresh(&handle, open);
+        // And back, with another `Z`: `p(x1, z9)` appears.
+        assert!(writer.retract_fact(&parse_term("b(y1)").unwrap()));
+        writer
+            .assert_fact(parse_term("c(y1, z9)").unwrap())
+            .unwrap();
+        writer.publish();
+        let (_, rederived, dropped) = counts(&mut writer);
+        assert!(rederived > 0);
+        assert_eq!(dropped, 0);
+        assert_warm_and_fresh(&handle, open);
+        let answers = handle.current().query(&parse_query(open).unwrap()).unwrap();
+        assert_eq!(answers.answers.len(), 3, "x1 (z9), x2, x3");
+    }
+
+    #[test]
+    fn whole_table_readers_and_recursive_groups_are_resolved_whole() {
+        // `q(Y)` is selected before anything binds `X`: whatever changes in
+        // `q` bears on every answer of `p(X)`.
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program(
+                "p(X) :- q(Y), r(X, Y).\n\
+                 q(c). r(a, c). r(b, c). r(d, e).\n\
+                 tc(X, Y) :- e(X, Y).\n\
+                 tc(X, Y) :- e(X, Z), tc(Z, Y).\n\
+                 e(a, b). e(b, a).",
+            )
+            .unwrap(),
+        )
+        .into_serving();
+        for query in ["?- p(X).", "?- tc(a, Y)."] {
+            handle
+                .current()
+                .query(&parse_query(query).unwrap())
+                .unwrap();
+        }
+        writer.publish();
+        counts(&mut writer);
+        let before = table(writer.db(), "p(X)");
+        writer.assert_fact(parse_term("q(e)").unwrap()).unwrap();
+        writer.publish();
+        assert_eq!(counts(&mut writer), (1, 0, 0), "p(X), whole");
+        assert!(!Arc::ptr_eq(&before, &table(writer.db(), "p(X)")));
+        assert_warm_and_fresh(&handle, "?- p(X).");
+        // tc(a, Y) and tc(b, Y) read each other: one group, re-solved as one.
+        writer.assert_fact(parse_term("e(b, c)").unwrap()).unwrap();
+        writer.publish();
+        assert_eq!(counts(&mut writer), (2, 0, 0), "tc(a, Y), tc(b, Y)");
+        assert_warm_and_fresh(&handle, "?- tc(a, Y).");
+    }
+
+    #[test]
+    fn a_cycle_through_negation_behind_one_instance_drops_the_table() {
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 move(n0, n1). move(n1, n2). move(n2, n3). move(n3, n4).\n\
+                 move(n4, n5). move(n6, n7). move(n7, n8). move(n8, n9).",
+            )
+            .unwrap(),
+        )
+        .into_serving();
+        let open = parse_query("?- winning(X).").unwrap();
+        let pinned = handle.current();
+        let before = pinned.query(&open).unwrap();
+        assert!(before.fallback.is_none());
+        writer.publish();
+        counts(&mut writer);
+        // n6 has moves but nobody moves to it: the open table is the only
+        // table that covers winning(n6).  A move n6 -> n6 makes that instance
+        // depend on itself through negation (Example 6.4's shape), and the
+        // instance is the only thing the delta names: settling it meets the
+        // cycle, and the table goes the way a failed re-solve goes.
+        writer
+            .assert_fact(parse_term("move(n6, n6)").unwrap())
+            .unwrap();
+        writer.publish();
+        assert_eq!(counts(&mut writer), (0, 1, 1), "winning(n6), the table");
+        let snapshot = handle.current();
+        let served = snapshot.query(&open).unwrap();
+        let fresh = HiLogDb::new(snapshot.program().clone())
+            .query(&open)
+            .unwrap();
+        assert!(served.fallback.is_some() && fresh.fallback.is_some());
+        assert_eq!(served.answers, fresh.answers);
+        assert_eq!(served.truth, fresh.truth);
+        // The ground tables below n6 were never looked at, and the epoch
+        // pinned before the write answers as it did.
+        let untouched = parse_query("?- winning(n7).").unwrap();
+        assert_eq!(
+            snapshot.query(&untouched).unwrap().stats.rule_applications,
+            0
+        );
+        assert_eq!(pinned.query(&open).unwrap().answers, before.answers);
     }
 }

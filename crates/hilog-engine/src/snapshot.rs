@@ -96,8 +96,12 @@ use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Subgoal tables by their normalised pattern.
+type Tables = HashMap<Term, Arc<Table>>;
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
 /// either only swaps `Arc`s or leaves the caches in a consistent (possibly
@@ -109,6 +113,11 @@ fn read_lock<T>(lock: &RwLock<T>) -> RwLockReadGuard<'_, T> {
 /// Writes a possibly poisoned lock; see [`read_lock`].
 fn write_lock<T>(lock: &RwLock<T>) -> RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Locks a possibly poisoned mutex; see [`read_lock`].
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The owner's lock-free access: `&mut` proves nobody else holds the lock,
@@ -180,7 +189,15 @@ pub struct DbSnapshot {
     /// queries answered on this snapshot.  The read routes only ever *add*
     /// tables — under a frozen program a completed table cannot go stale;
     /// the owning session patches and drops them as it mutates the program.
-    pub(crate) tables: RwLock<HashMap<Term, Arc<Table>>>,
+    pub(crate) tables: RwLock<Tables>,
+    /// On a published snapshot, the tables
+    /// [`merge_tables`](DbSnapshot::merge_tables) has inserted since the
+    /// fork (or since the writer last asked) — what queries answered *on
+    /// this snapshot* added to the map it was published with.  Written under
+    /// the write lock of `tables`; drained by the writer, which adopts
+    /// exactly these instead of probing its map for every table the
+    /// snapshot holds.  A working snapshot keeps none: its owner has the map.
+    merged: Option<Mutex<Tables>>,
     /// The program as the tabled evaluator reads it (facts in an indexed
     /// store, rules by head): `None` until the first tabled query that
     /// misses the warm path builds it, then shared by `Arc` with every
@@ -216,6 +233,7 @@ impl DbSnapshot {
                 ..SnapCore::default()
             }),
             tables: RwLock::new(HashMap::new()),
+            merged: None,
             index: RwLock::new(None),
             storage,
         }
@@ -226,9 +244,11 @@ impl DbSnapshot {
     fn fork(&mut self, epoch: u64) -> DbSnapshot {
         // What the session's table maintenance relies on, checked wherever
         // debug assertions run: the map holds complete tables only, and
-        // every table a table read is in it too.  (The maintenance pass
-        // treats a missing dependency as changed — a fallback for a map
-        // that came in that way, not a state it produces.)
+        // every table a table read is in it too — the tables of the head
+        // instances a non-ground table was re-derived at included.  (The
+        // maintenance pass treats a missing dependency as changed — a
+        // fallback for a map that came in that way, not a state it
+        // produces.)
         debug_assert!({
             let tables = lock_mut(&mut self.tables);
             tables
@@ -243,6 +263,7 @@ impl DbSnapshot {
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
             tables: RwLock::new(lock_mut(&mut self.tables).clone()),
+            merged: Some(Mutex::new(Tables::new())),
             index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
         }
@@ -350,6 +371,7 @@ impl DbSnapshot {
             cached_subqueries: self.cached_subqueries(),
             patched_subqueries: 0,
             refilled_subqueries: 0,
+            rederived_instances: 0,
             dropped_subqueries: 0,
             reason,
         }
@@ -637,11 +659,23 @@ impl DbSnapshot {
     /// good as any other while the program stands still, so a racing
     /// query's table — or one the owning session already holds and
     /// maintains — is simply kept.
-    pub(crate) fn merge_tables(&self, fresh: HashMap<Term, Arc<Table>>) {
+    pub(crate) fn merge_tables(&self, fresh: Tables) {
         let mut tables = write_lock(&self.tables);
+        let mut merged = self.merged.as_ref().map(lock);
         for (key, table) in fresh {
-            tables.entry(key).or_insert(table);
+            if let Entry::Vacant(gap) = tables.entry(key) {
+                if let Some(merged) = &mut merged {
+                    merged.insert(gap.key().clone(), table.clone());
+                }
+                gap.insert(table);
+            }
         }
+    }
+
+    /// The tables merged into this (published) snapshot since it was forked
+    /// or since the last call: each is handed out once.
+    fn take_merged_tables(&self) -> Tables {
+        (self.merged.as_ref()).map_or_else(Tables::new, |merged| std::mem::take(&mut *lock(merged)))
     }
 }
 
@@ -913,7 +947,12 @@ impl DbWriter {
         if self.db.generation() == self.published_generation {
             let published = self.current();
             let working = self.db.working();
-            working.merge_tables(read_lock(&published.tables).clone());
+            // What readers added, not what the map holds: first writer wins
+            // per key, as in `merge_tables`.
+            let tables = lock_mut(&mut working.tables);
+            for (key, table) in published.take_merged_tables() {
+                tables.entry(key).or_insert(table);
+            }
             // The same condition makes a reader-built program index the
             // writer's: without it every publish would hand readers a
             // snapshot that has to index the whole program again.
