@@ -27,7 +27,7 @@
 //! (cyclic) hierarchy is reported as not modularly stratified when the round
 //! limit is exceeded.
 
-use crate::deadline::check_deadline;
+use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::horn::{join_body, AtomStore, EvalOptions, NegationMode};
 use hilog_core::interpretation::Model;

@@ -27,7 +27,7 @@ pub enum EngineError {
     /// The query's deadline passed while evaluation was still running.  The
     /// deadline is checked at the same hook sites as the resource limits, so
     /// a runaway query returns instead of pinning a worker; see
-    /// [`crate::deadline`].
+    /// [`crate::ambient`].
     DeadlineExceeded(String),
     /// A construct is not supported by the invoked evaluation path (e.g. an
     /// aggregate literal reaching the plain grounder instead of the

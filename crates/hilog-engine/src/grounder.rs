@@ -25,7 +25,7 @@
 //! definition written down literally, kept as the reference the oracles
 //! compare against.
 
-use crate::deadline::check_deadline;
+use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
 use crate::horn::{ground_head, join_body, saturate, AtomStore, EvalOptions, NegationMode};
@@ -477,10 +477,10 @@ mod tests {
         let program = parse_program(&text).unwrap();
         let opts = EvalOptions::with_eval_threads(1);
         let counted = |run: &mut dyn FnMut()| {
-            let before = crate::horn::probe_counters();
+            let before = crate::ambient::counters();
             run();
-            let after = crate::horn::probe_counters();
-            (after.0 - before.0, after.1 - before.1)
+            let counted = crate::ambient::counters() - before;
+            (counted.index_probes, counted.index_fallback_scans)
         };
         let mut model = AtomStore::new();
         let model_cost = counted(&mut || {

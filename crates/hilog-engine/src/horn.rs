@@ -13,7 +13,7 @@
 //! ([`crate::grounder`]) — cold from an empty store, or continued from an
 //! asserted fact.
 
-use crate::deadline::check_deadline;
+use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::storage::RelationStorage;
 use hilog_core::intern::{AtomId, TermInterner};
@@ -24,7 +24,6 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::match_with;
 use std::borrow::Borrow;
-use std::cell::Cell;
 use std::collections::{BTreeSet, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{PoisonError, RwLock};
@@ -98,41 +97,6 @@ pub enum NegationMode {
     Ignore,
     /// Reject programs containing negative literals.
     Forbid,
-}
-
-thread_local! {
-    /// Cumulative candidate probes answered from an argument index.
-    static INDEX_PROBES: Cell<usize> = const { Cell::new(0) };
-    /// Cumulative candidate probes that fell back to a functor-bucket or
-    /// whole-store (arity) scan.
-    static INDEX_FALLBACK_SCANS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Snapshot of this thread's cumulative `(index_probes, index_fallback_scans)`
-/// counters, maintained by every [`AtomStore::candidates`] call.  The session
-/// facade subtracts snapshots around a query to report per-query numbers in
-/// its `EvalStats`; benchmarks read them directly.  Probes against a
-/// `(functor, arity)` key with no stored atoms count as neither (they are
-/// O(1) rejections, not scans).
-pub fn probe_counters() -> (usize, usize) {
-    (
-        INDEX_PROBES.with(Cell::get),
-        INDEX_FALLBACK_SCANS.with(Cell::get),
-    )
-}
-
-/// Takes the probes this thread counted since `before` back out of its
-/// counters and returns them: a pool task hands them to its dispatcher, which
-/// [`credit_probes`] them — once, also when the task ran inline on it.
-fn take_probes_since((probes, scans): (usize, usize)) -> (usize, usize) {
-    let taken = INDEX_PROBES.replace(probes) - probes;
-    (taken, INDEX_FALLBACK_SCANS.replace(scans) - scans)
-}
-
-/// Adds probes counted on a pool thread to this thread's counters.
-fn credit_probes((probes, scans): (usize, usize)) {
-    INDEX_PROBES.set(INDEX_PROBES.get() + probes);
-    INDEX_FALLBACK_SCANS.set(INDEX_FALLBACK_SCANS.get() + scans);
 }
 
 /// The `(predicate name, arity)` identity of a stored relation.
@@ -466,7 +430,7 @@ impl AtomStore {
     pub fn candidates<'a>(&'a self, pattern: &Term) -> Candidates<'a> {
         let arity = pattern.arity();
         if !pattern.name().is_ground() {
-            INDEX_FALLBACK_SCANS.with(|c| c.set(c.get() + 1));
+            count(|c| &c.index_fallback_scans, 1);
             return Candidates {
                 inner: CandidatesInner::ByArity(self.atoms.iter(), arity),
             };
@@ -480,7 +444,7 @@ impl AtomStore {
             };
         };
         if let Some(posting) = rel.probe(pattern, &self.interner) {
-            INDEX_PROBES.with(|c| c.set(c.get() + 1));
+            count(|c| &c.index_probes, 1);
             return Candidates {
                 inner: CandidatesInner::Probe {
                     ids: posting.into_iter(),
@@ -488,7 +452,7 @@ impl AtomStore {
                 },
             };
         }
-        INDEX_FALLBACK_SCANS.with(|c| c.set(c.get() + 1));
+        count(|c| &c.index_fallback_scans, 1);
         Candidates {
             inner: CandidatesInner::Keyed {
                 ids: rel.rows.iter(),
@@ -765,26 +729,23 @@ pub(crate) fn saturate(
                     parts[partition_of(atom, partitions)].insert(atom.clone());
                 }
                 parts.retain(|part| !part.is_empty());
-                crate::pool::note_partitioned_round();
+                count(|c| &c.parallel_partitioned_rounds, 1);
                 let firing = &firing;
                 let tasks: Vec<_> = parts
                     .iter()
                     .map(|part| {
                         move || {
-                            let before = probe_counters();
                             let mut found = Vec::new();
                             fire(firing, frozen, part, mode, &mut |rule, theta, head| {
                                 found.push((rule, theta, head));
                                 Ok(())
                             })?;
-                            Ok::<_, EngineError>((found, take_probes_since(before)))
+                            Ok::<_, EngineError>(found)
                         }
                     })
                     .collect();
                 for found in crate::pool::run_tasks(opts.eval_threads, tasks) {
-                    let (found, probes) = found?;
-                    credit_probes(probes);
-                    for (rule, theta, head) in found {
+                    for (rule, theta, head) in found? {
                         land(rule, theta, head)?;
                     }
                 }
@@ -871,6 +832,7 @@ fn partition_of(atom: &Term, partitions: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ambient::counters;
     use hilog_syntax::parse_program;
 
     fn lm(text: &str) -> AtomStore {
@@ -1088,11 +1050,10 @@ mod tests {
         let bound_second = Term::apps("edge", vec![Term::var("X"), Term::sym("n7")]);
         let bound_both = Term::apps("edge", vec![Term::sym("n3"), Term::sym("n7")]);
         for pattern in [&bound_first, &bound_second, &bound_both] {
-            let (probes_before, _) = probe_counters();
+            let before = counters();
             let indexed = matches(&store, pattern);
-            let (probes_after, _) = probe_counters();
             assert!(
-                probes_after > probes_before,
+                counters().index_probes > before.index_probes,
                 "bound pattern {pattern} did not use an index"
             );
             let scanned = brute_force(&store, pattern);
@@ -1103,11 +1064,10 @@ mod tests {
         // An open pattern still scans the relation (and is counted as such),
         // and the functor-bucket scan yields the brute-force set too.
         let open = Term::apps("edge", vec![Term::var("X"), Term::var("Y")]);
-        let (_, fallbacks_before) = probe_counters();
+        let before = counters();
         assert_eq!(matches(&store, &open), brute_force(&store, &open));
         assert_eq!(matches(&store, &open).len(), 100);
-        let (_, fallbacks_after) = probe_counters();
-        assert!(fallbacks_after > fallbacks_before);
+        assert!(counters().index_fallback_scans > before.index_fallback_scans);
     }
 
     #[test]

@@ -51,7 +51,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
-pub mod deadline;
+pub mod ambient;
 pub mod error;
 pub mod extension;
 pub mod ground;
@@ -70,7 +70,7 @@ pub mod storage;
 pub mod wfs;
 
 pub use aggregate::{evaluate_aggregate_program, parts_explosion_program, AggregateModel};
-pub use deadline::{check_deadline, deadline_counters, with_deadline};
+pub use ambient::{check_deadline, counters, with_deadline, Counters};
 pub use error::EngineError;
 pub use extension::{
     domain_independent_wfs_with_constants, preserved_by_extension_stable,
@@ -78,21 +78,18 @@ pub use extension::{
 };
 pub use ground::{GroundProgram, GroundRule};
 pub use grounder::{ground_over_universe, relevant_ground, relevant_ground_into};
-pub use horn::{
-    least_model, least_model_into, probe_counters, AtomStore, Candidates, EvalOptions, NegationMode,
-};
+pub use horn::{least_model, least_model_into, AtomStore, Candidates, EvalOptions, NegationMode};
 pub use magic::{magic_transform, MagicProgram};
 pub use magic_eval::{EvalStats, ModelSource, QueryEvaluator};
 pub use modular::ModularOutcome;
 pub use plan::{PlanStrategy, QueryPlan};
-pub use pool::{default_eval_threads, parallel_counters, run_tasks};
+pub use pool::{default_eval_threads, run_tasks};
 pub use session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
 pub use snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
 pub use spill::SpillStore;
 pub use stable::{stable_models_over_universe, StableOptions};
 pub use storage::{
-    clear_spill_faults, inject_spill_faults, spill_io_errors, storage_counters, FactStore,
-    RelationStorage, RelationStorageStats, StorageConfig, DEFAULT_SPILL_BUDGET,
+    FactStore, RelationStorage, RelationStorageStats, StorageConfig, DEFAULT_SPILL_BUDGET,
 };
 pub use wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_of_ground};
 
@@ -108,7 +105,7 @@ pub mod prelude {
     pub use crate::magic_eval::{EvalStats, ModelSource, QueryEvaluator};
     pub use crate::modular::ModularOutcome;
     pub use crate::plan::{PlanStrategy, QueryPlan};
-    pub use crate::pool::{default_eval_threads, parallel_counters, run_tasks};
+    pub use crate::pool::{default_eval_threads, run_tasks};
     pub use crate::session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
     pub use crate::snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
     pub use crate::stable::StableOptions;

@@ -68,7 +68,7 @@
 //! builds its own.
 
 use crate::aggregate::solve_aggregate;
-use crate::deadline::check_deadline;
+use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
@@ -92,6 +92,14 @@ const QUERY_HEAD: &str = "__query_answer";
 ///
 /// Serialises to JSON via the workspace `serde` stub, so the server and the
 /// benchmark emit it directly.
+///
+/// The *ambient* counts — `index_*`, `parallel_*`, `storage_residency_faults`,
+/// `storage_spill_writes`, `deadline_*` — are counted where the work happens,
+/// in the per-thread counters of [`crate::ambient`]: this thread's count
+/// while the query ran plus what its pool workers handed back, so exact per
+/// query whatever else the process evaluates.  `DbSnapshot::query` fills
+/// them; a raw [`QueryEvaluator`] reports 0 (difference two
+/// [`crate::ambient::counters`] reads instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvalStats {
     /// Number of distinct subgoals tabled by the evaluation (tables it was
@@ -158,9 +166,7 @@ pub struct EvalStats {
     /// Number of candidate lookups answered from an **argument index** while
     /// this query ran (`AtomStore::candidates` probing the most selective
     /// index over the pattern's bound argument positions) — grounding joins
-    /// and subgoal-table joins both count.  Filled per query by
-    /// [`crate::session::HiLogDb::query`]; a raw [`QueryEvaluator`] reports 0
-    /// (read [`crate::horn::probe_counters`] directly instead).
+    /// and subgoal-table joins both count.
     pub index_probes: usize,
     /// Number of candidate lookups that fell back to a functor-bucket or
     /// whole-store scan (fully open patterns, or patterns with a variable
@@ -176,9 +182,7 @@ pub struct EvalStats {
     /// Number of SCC waves the well-founded evaluator scheduled onto the
     /// work pool while this query ran.  Zero whenever the query reused a
     /// cached model or `eval_threads <= 1` (the waves then run inline and
-    /// nothing is pooled).  Like the other parallel counters
-    /// this is counted on the dispatching thread, so it is exact per query
-    /// (see [`crate::pool::parallel_counters`]).
+    /// nothing is pooled).
     pub parallel_waves: usize,
     /// Number of semi-naive rounds evaluated as hash-partitioned concurrent
     /// joins (frontier split by the first bound argument, partitions joined
@@ -198,22 +202,35 @@ pub struct EvalStats {
     pub storage_spilled_facts: usize,
     /// Bytes appended to spill segment files by the session's stores.
     pub storage_segment_bytes: u64,
-    /// Residency faults (spilled rows decoded back into memory) while this
-    /// query ran.  Unlike the index and parallel counters this is a delta of
-    /// process-wide totals (see [`crate::storage::storage_counters`]).
+    /// Spilled rows this query decoded back into memory (residency faults),
+    /// on its own thread or its pool workers' — no other query's.
     pub storage_residency_faults: u64,
-    /// Rows paged out to spill segments while this query ran (same
-    /// process-wide delta convention).
+    /// Rows this query paged out to spill segments.
     pub storage_spill_writes: u64,
     /// Deadline checks performed while this query ran (one per resource-
     /// limit hook visit when a deadline was installed; zero when the query
-    /// carried no deadline).  A thread-local delta, exact per query — see
-    /// [`crate::deadline::deadline_counters`].
+    /// carried no deadline).
     pub deadline_checks: u64,
     /// Deadline checks that found the deadline already passed while this
     /// query ran (0 or 1 in practice: the first hit aborts evaluation with
     /// [`crate::EngineError::DeadlineExceeded`]).
     pub deadline_exceeded: u64,
+}
+
+impl EvalStats {
+    /// Takes one query's ambient counts — the difference of two
+    /// [`crate::ambient::counters`] reads — into the fields that report them.
+    pub(crate) fn absorb(&mut self, counted: Counters) {
+        self.index_probes = counted.index_probes as usize;
+        self.index_fallback_scans = counted.index_fallback_scans as usize;
+        self.parallel_waves = counted.parallel_waves as usize;
+        self.parallel_partitioned_rounds = counted.parallel_partitioned_rounds as usize;
+        self.parallel_tasks = counted.parallel_tasks as usize;
+        self.storage_residency_faults = counted.residency_faults;
+        self.storage_spill_writes = counted.spill_writes;
+        self.deadline_checks = counted.deadline_checks;
+        self.deadline_exceeded = counted.deadline_exceeded;
+    }
 }
 
 /// How a full-model plan obtained the model it answered from.

@@ -31,7 +31,7 @@
 //! `DbSnapshot::check_modular`, which cache the outcome.
 
 use crate::aggregate::solve_aggregate;
-use crate::deadline::check_deadline;
+use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::grounder::relevant_ground;
 use crate::horn::EvalOptions;

@@ -13,38 +13,32 @@
 //! between them, and scoped threads let tasks borrow the shared read-only
 //! evaluation state (`IndexedProgram`, `AtomStore`, the settled assignment)
 //! without `Arc` plumbing.
+//!
+//! **Counting.**  The per-thread counters of [`crate::ambient`] follow the
+//! work back to whoever dispatched it, here and nowhere else.  A thread
+//! publishing to a pool *with workers* counts the wave and its tasks itself.
+//! Whatever a *spawned* worker counts while it runs tasks — probes, spill
+//! faults and page-outs, every field — it returns when it retires, and the
+//! thread that spawned it adds that to its own, once, at the join.  A task
+//! that runs inline (a one-thread or one-task batch, a worker-less wave
+//! pool, the publisher draining its own wave) counts where it runs, which
+//! already is the dispatching thread.
 
-use std::cell::Cell;
+use crate::ambient::{count, counters, credit, Counters};
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::thread::ScopedJoinHandle;
 
-// What this thread dispatched to a pool that had workers, counted where it
-// is dispatched — like the join-index probe counters, a caller's delta holds
-// its own work only.  Inline fallbacks and worker-less pools count nothing.
-thread_local! {
-    /// SCC waves published by [`WavePool::run_batch`].
-    static PARALLEL_WAVES: Cell<usize> = const { Cell::new(0) };
-    /// Semi-naive rounds evaluated as hash-partitioned concurrent joins.
-    static PARALLEL_PARTITIONED_ROUNDS: Cell<usize> = const { Cell::new(0) };
-    /// Jobs of those waves plus tasks [`run_tasks`] spawned workers for.
-    static PARALLEL_TASKS: Cell<usize> = const { Cell::new(0) };
-}
-
-/// Snapshot of this thread's cumulative `(parallel_waves,
-/// parallel_partitioned_rounds, parallel_tasks)` counters.  The snapshot
-/// facade subtracts snapshots taken around a query to report per-query
-/// numbers in `EvalStats`: exact, whatever other threads evaluate meanwhile.
-pub fn parallel_counters() -> (usize, usize, usize) {
-    (
-        PARALLEL_WAVES.get(),
-        PARALLEL_PARTITIONED_ROUNDS.get(),
-        PARALLEL_TASKS.get(),
-    )
-}
-
-/// Records one semi-naive round evaluated as partitioned concurrent joins.
-pub(crate) fn note_partitioned_round() {
-    PARALLEL_PARTITIONED_ROUNDS.set(PARALLEL_PARTITIONED_ROUNDS.get() + 1);
+/// Joins spawned workers — each returns all its thread ever counted — and
+/// credits that to this thread.  A worker's panic carries on in the caller.
+fn credit_workers(workers: Vec<ScopedJoinHandle<'_, Counters>>) {
+    for worker in workers {
+        credit(
+            worker
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+        );
+    }
 }
 
 /// The default `eval_threads` for [`crate::horn::EvalOptions`]: the
@@ -70,9 +64,9 @@ pub fn default_eval_threads() -> usize {
 /// the results in task order.
 ///
 /// With `threads <= 1` or fewer than two tasks the batch runs inline on the
-/// calling thread — no threads are spawned, no counters move, and the call
-/// is exactly a `map`.  Otherwise `min(threads, tasks)` workers race over a
-/// shared queue; each finished task's result is stored in its own slot, so
+/// calling thread — no threads are spawned, no pool counter moves, and the
+/// call is exactly a `map`.  Otherwise `min(threads, tasks)` workers race over
+/// a shared queue; each finished task's result is stored in its own slot, so
 /// the returned order never depends on the schedule.  A panicking task
 /// propagates through the scope and panics the caller.
 pub fn run_tasks<T, F>(threads: usize, tasks: Vec<F>) -> Vec<T>
@@ -87,17 +81,18 @@ where
     let queue: Vec<(usize, F)> = tasks.into_iter().enumerate().collect();
     let queue = Mutex::new(queue.into_iter());
     let workers = threads.min(slots.len());
-    PARALLEL_TASKS.set(PARALLEL_TASKS.get() + slots.len());
+    count(|c| &c.parallel_tasks, slots.len() as u64);
     std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                // Hold the queue lock only for the dequeue, not the task.
-                let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
-                let Some((index, task)) = next else { break };
-                let out = task();
-                *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
-            });
-        }
+        let work = || loop {
+            // Hold the queue lock only for the dequeue, not the task.
+            let next = queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+            let Some((index, task)) = next else {
+                break counters();
+            };
+            let out = task();
+            *slots[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
+        };
+        credit_workers((0..workers).map(|_| scope.spawn(work)).collect());
     });
     slots
         .into_iter()
@@ -128,7 +123,7 @@ where
 /// visible to the next batch's jobs.
 pub struct WavePool<'scope> {
     /// Worker threads besides the publisher; zero means every batch runs
-    /// inline and [`parallel_counters`] never move.
+    /// inline and counts as neither a pooled wave nor pooled tasks.
     workers: usize,
     state: Mutex<WaveState<'scope>>,
     /// Signalled when jobs are published (workers wait on this).
@@ -167,10 +162,11 @@ impl<'scope> WavePool<'scope> {
         }
     }
 
-    /// Worker loop: take a job or sleep until one is published; exit on
-    /// shutdown.  A guard decrements `pending` even if the job panics, so
-    /// the publisher is never left waiting on a batch that cannot finish.
-    fn work(&self) {
+    /// Worker loop: take a job or sleep until one is published; on shutdown
+    /// retire, returning what this thread counted.  A guard decrements
+    /// `pending` even if the job panics, so the publisher is never left
+    /// waiting on a batch that cannot finish.
+    fn work(&self) -> Counters {
         loop {
             let job = {
                 let mut state = lock_state(self);
@@ -179,7 +175,7 @@ impl<'scope> WavePool<'scope> {
                         break job;
                     }
                     if state.shutdown {
-                        return;
+                        return counters();
                     }
                     state = self
                         .work_ready
@@ -226,8 +222,8 @@ impl<'scope> WavePool<'scope> {
             jobs.into_iter().for_each(|job| job());
             return;
         }
-        PARALLEL_WAVES.set(PARALLEL_WAVES.get() + 1);
-        PARALLEL_TASKS.set(PARALLEL_TASKS.get() + jobs.len());
+        count(|c| &c.parallel_waves, 1);
+        count(|c| &c.parallel_tasks, jobs.len() as u64);
         let multiple = jobs.len() > 1;
         {
             let mut state = lock_state(self);
@@ -260,7 +256,7 @@ impl<'scope> WavePool<'scope> {
 /// publishing thread itself is the remaining one).  With `threads <= 1` no
 /// worker is spawned and every batch runs inline on the calling thread —
 /// still through the pool API, so callers need no serial twin, but without
-/// touching [`parallel_counters`]: nothing was pooled.
+/// counting a wave or a task: nothing was pooled.
 ///
 /// `'env` is the lifetime of the evaluation state the jobs borrow; it
 /// outlives the pool, so batches can capture references to it freely.
@@ -279,11 +275,10 @@ pub fn with_wave_pool<'env, R>(threads: usize, body: impl FnOnce(&WavePool<'env>
     }
     std::thread::scope(|scope| {
         let shutdown = Shutdown(&pool);
-        for _ in 0..workers {
-            scope.spawn(|| pool.work());
-        }
+        let spawned = (0..workers).map(|_| scope.spawn(|| pool.work())).collect();
         let out = body(&pool);
         drop(shutdown);
+        credit_workers(spawned);
         out
     })
 }
@@ -302,30 +297,33 @@ mod tests {
 
     #[test]
     fn serial_fallback_does_not_touch_the_task_counter() {
-        let (_, _, before) = parallel_counters();
+        let before = counters();
         assert_eq!(run_tasks(1, vec![|| 1, || 2, || 3]), vec![1, 2, 3]);
         assert_eq!(run_tasks(8, vec![|| 42]), vec![42]);
-        let (_, _, after) = parallel_counters();
-        assert_eq!(after, before, "inline execution must not count as pooled");
+        assert_eq!(
+            counters(),
+            before,
+            "inline execution must not count as pooled"
+        );
     }
 
     /// Runs two five-job batches through a wave pool of `threads` threads
     /// and returns how far the (waves, tasks) counters moved meanwhile.
-    fn wave_pool_counter_deltas(threads: usize) -> (usize, usize) {
+    fn wave_pool_counter_deltas(threads: usize) -> (u64, u64) {
         let ran = AtomicUsize::new(0);
-        let (waves_before, _, tasks_before) = parallel_counters();
+        let before = counters();
         with_wave_pool(threads, |pool| {
             for wake_workers in [false, true] {
-                let count = || {
+                let tick = || {
                     ran.fetch_add(1, Ordering::Relaxed);
                 };
-                let jobs = (0..5).map(|_| Box::new(count) as Job<'_>).collect();
+                let jobs = (0..5).map(|_| Box::new(tick) as Job<'_>).collect();
                 pool.run_batch(jobs, wake_workers);
             }
         });
         assert_eq!(ran.load(Ordering::Relaxed), 10, "every job ran");
-        let (waves_after, _, tasks_after) = parallel_counters();
-        (waves_after - waves_before, tasks_after - tasks_before)
+        let counted = counters() - before;
+        (counted.parallel_waves, counted.parallel_tasks)
     }
 
     // The counters belong to the dispatching thread — this test's own — so
@@ -345,22 +343,94 @@ mod tests {
 
     #[test]
     fn pooled_execution_counts_tasks() {
-        let (_, _, before) = parallel_counters();
+        let before = counters();
         let tasks: Vec<_> = (0..10).map(|i| move || i).collect();
         assert_eq!(run_tasks(3, tasks), (0..10).collect::<Vec<_>>());
-        let (_, _, after) = parallel_counters();
-        assert_eq!(after, before + 10);
+        assert_eq!((counters() - before).parallel_tasks, 10);
+    }
+
+    /// What one task of the forwarding tests counts: something in every
+    /// field a task can move, the deadline's included.
+    fn count_one_of_each() {
+        count(|c| &c.index_probes, 1);
+        count(|c| &c.index_fallback_scans, 2);
+        count(|c| &c.residency_faults, 3);
+        count(|c| &c.spill_writes, 4);
+        count(|c| &c.spill_io_errors, 5);
+        count(|c| &c.deadline_checks, 6);
+        count(|c| &c.deadline_exceeded, 7);
+    }
+
+    fn one_of_each_times(tasks: u64) -> Counters {
+        Counters {
+            index_probes: tasks,
+            index_fallback_scans: 2 * tasks,
+            residency_faults: 3 * tasks,
+            spill_writes: 4 * tasks,
+            spill_io_errors: 5 * tasks,
+            deadline_checks: 6 * tasks,
+            deadline_exceeded: 7 * tasks,
+            ..Counters::default()
+        }
+    }
+
+    #[test]
+    fn whatever_a_spawned_worker_counts_comes_back_once_in_every_field() {
+        let before = counters();
+        run_tasks(4, vec![count_one_of_each; 9]);
+        assert_eq!(
+            counters() - before,
+            Counters {
+                parallel_tasks: 9,
+                ..one_of_each_times(9)
+            }
+        );
+        // A wave pool's jobs run on its workers or on the helping publisher,
+        // as the schedule has it: each is counted once either way.
+        let before = counters();
+        with_wave_pool(3, |pool| {
+            for wake_workers in [false, true] {
+                let jobs = (0..6)
+                    .map(|_| Box::new(count_one_of_each) as Job<'_>)
+                    .collect();
+                pool.run_batch(jobs, wake_workers);
+            }
+        });
+        assert_eq!(
+            counters() - before,
+            Counters {
+                parallel_waves: 2,
+                parallel_tasks: 12,
+                ..one_of_each_times(12)
+            }
+        );
+    }
+
+    #[test]
+    fn a_task_run_inline_is_not_credited_twice() {
+        let before = counters();
+        run_tasks(1, vec![count_one_of_each; 3]);
+        run_tasks(8, vec![count_one_of_each]);
+        with_wave_pool(1, |pool| {
+            pool.run_batch(vec![Box::new(count_one_of_each) as Job<'_>], true)
+        });
+        assert_eq!(counters() - before, one_of_each_times(5));
     }
 
     #[test]
     fn another_threads_pool_work_is_not_counted_here() {
-        let before = parallel_counters();
+        let before = counters();
         let theirs = std::thread::scope(|scope| {
-            let busy = scope.spawn(|| wave_pool_counter_deltas(3));
+            let busy = scope.spawn(|| {
+                let before = counters();
+                run_tasks(4, vec![count_one_of_each; 9]);
+                (wave_pool_counter_deltas(3), counters() - before)
+            });
             busy.join().expect("the busy thread finishes")
         });
-        assert_eq!(theirs, (2, 10));
-        assert_eq!(parallel_counters(), before);
+        assert_eq!(theirs.0, (2, 10));
+        assert_eq!(theirs.1.index_probes, 9, "credited to its dispatcher");
+        assert_eq!(counters(), before);
     }
 
     #[test]

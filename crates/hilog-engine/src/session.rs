@@ -758,7 +758,7 @@ mod tests {
         let mut db = game_db();
         let query = parse_query("?- winning(X).").unwrap();
         let err =
-            crate::deadline::with_deadline(Some(Instant::now() - Duration::from_millis(1)), || {
+            crate::ambient::with_deadline(Some(Instant::now() - Duration::from_millis(1)), || {
                 db.query(&query).unwrap_err()
             });
         assert!(matches!(err, EngineError::DeadlineExceeded(_)));
@@ -770,13 +770,47 @@ mod tests {
         assert_eq!(result.stats.deadline_exceeded, 0);
         // A generous deadline passes while still being checked.
         let result =
-            crate::deadline::with_deadline(Some(Instant::now() + Duration::from_secs(60)), || {
+            crate::ambient::with_deadline(Some(Instant::now() + Duration::from_secs(60)), || {
                 let mut fresh = game_db();
                 fresh.query(&query).unwrap()
             });
         assert_eq!(result.answers.len(), 1);
         assert!(result.stats.deadline_checks > 0);
         assert_eq!(result.stats.deadline_exceeded, 0);
+    }
+
+    #[test]
+    fn expired_deadline_stops_a_model_rebuild_over_a_warm_grounding() {
+        use std::time::{Duration, Instant};
+        // The full-model route after a write: the grounding is maintained,
+        // the model dropped, and the rebuild is one wave evaluation under
+        // the snapshot's write lock.  Nothing in it looks at the clock, so
+        // the deadline has to be looked at before it starts.
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..200 {
+            text.push_str(&format!("move(n{i}, n{}).\n", i + 1));
+        }
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        let query = parse_query("?- P(X).").unwrap();
+        let answers = db.query(&query).unwrap().answers.len();
+        db.assert_fact(parse_term("move(n200, n201)").unwrap())
+            .unwrap();
+        assert!(!db.explain(&query).cached_model, "the write dropped it");
+        let before = crate::ambient::counters();
+        let err =
+            crate::ambient::with_deadline(Some(Instant::now() - Duration::from_millis(1)), || {
+                db.query(&query).map(|result| result.stats).unwrap_err()
+            });
+        assert!(matches!(err, EngineError::DeadlineExceeded(_)), "{err}");
+        let counted = crate::ambient::counters() - before;
+        assert_eq!(counted.deadline_exceeded, 1);
+        // The model is absent, not half-built, and the session usable: the
+        // same read without a deadline evaluates the maintained grounding.
+        assert!(!db.explain(&query).cached_model);
+        let result = db.query(&query).unwrap();
+        assert_eq!(result.stats.model_source, crate::ModelSource::Rebuilt);
+        assert_eq!(result.stats.groundings, 0);
+        assert_eq!(result.answers.len(), answers + 1, "winning(n200) is new");
     }
 
     #[test]

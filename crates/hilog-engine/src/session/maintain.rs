@@ -797,7 +797,7 @@ mod tests {
         let mut db = game_db();
         let unbound = parse_query("?- P(a, X).").unwrap();
         assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
-        crate::deadline::with_deadline(Some(std::time::Instant::now()), || {
+        crate::ambient::with_deadline(Some(std::time::Instant::now()), || {
             db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
         });
         let after = db.query(&unbound).unwrap();

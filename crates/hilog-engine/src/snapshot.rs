@@ -76,6 +76,7 @@
 //! assert_eq!(handle.current().query(&query).unwrap().answers.len(), 2);
 //! ```
 
+use crate::ambient::{check_deadline, counters};
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::grounder::relevant_ground_into;
@@ -384,19 +385,9 @@ impl DbSnapshot {
         // Table-maintenance observability: how many tables were available
         // for reuse when this query started — the count the plan just read.
         let tables_reused = plan.cached_subqueries;
-        // Join-index observability: every candidate lookup this query causes
-        // (grounding joins and subgoal-table joins alike) lands in these
-        // counters.  They are thread-local, so the deltas are per-query even
-        // with many readers querying concurrently.
-        let (probes_before, fallbacks_before) = crate::horn::probe_counters();
-        // Parallel counters are thread-local too: pooled work is counted on
-        // the thread that dispatches it, which is this one.
-        let (waves_before, rounds_before, tasks_before) = crate::pool::parallel_counters();
-        // Storage observability: spill faults and page-outs, two atomic
-        // loads — the one process-wide delta left, shared with other queries.
-        let (faults_before, spills_before) = crate::storage::storage_counters();
-        // Deadline counters are thread-local like the probe counters.
-        let (dl_checks_before, dl_exceeded_before) = crate::deadline::deadline_counters();
+        // What this query counts outside its evaluator lands in this
+        // thread's counters: the difference of two reads is the query's.
+        let before = counters();
         let mut result = match plan.strategy {
             PlanStrategy::MagicSets => match self.query_magic(query) {
                 Ok((answers, stats)) => assemble(answers, stats, plan, None),
@@ -417,19 +408,7 @@ impl DbSnapshot {
             }
         };
         result.stats.tables_reused = tables_reused;
-        let (probes_after, fallbacks_after) = crate::horn::probe_counters();
-        result.stats.index_probes = probes_after - probes_before;
-        result.stats.index_fallback_scans = fallbacks_after - fallbacks_before;
-        let (waves_after, rounds_after, tasks_after) = crate::pool::parallel_counters();
-        result.stats.parallel_waves = waves_after - waves_before;
-        result.stats.parallel_partitioned_rounds = rounds_after - rounds_before;
-        result.stats.parallel_tasks = tasks_after - tasks_before;
-        let (faults_after, spills_after) = crate::storage::storage_counters();
-        result.stats.storage_residency_faults = faults_after.saturating_sub(faults_before);
-        result.stats.storage_spill_writes = spills_after.saturating_sub(spills_before);
-        let (dl_checks_after, dl_exceeded_after) = crate::deadline::deadline_counters();
-        result.stats.deadline_checks = dl_checks_after - dl_checks_before;
-        result.stats.deadline_exceeded = dl_exceeded_after - dl_exceeded_before;
+        result.stats.absorb(counters() - before);
         result.stats.live_symbols = hilog_core::symbol::symbol_pool_stats().live;
         Ok(result)
     }
@@ -577,10 +556,14 @@ impl DbSnapshot {
         if let Some(hit) = cached(core) {
             return Ok(hit);
         }
+        // A wave evaluation, once started, runs to completion under this
+        // lock: the last look at the deadline is between the grounding and
+        // it (likewise in `ensure_stable_locked`; Figure 1 checks per round).
         let mut groundings = 0;
         let model = match self.semantics {
             Semantics::WellFounded => {
                 groundings += self.ensure_ground_locked(core)?;
+                check_deadline()?;
                 well_founded_eval(
                     core.ground.as_deref().expect("just grounded"),
                     self.opts.eval_threads,
@@ -635,6 +618,7 @@ impl DbSnapshot {
             return Ok(stable.clone());
         }
         self.ensure_ground_locked(core)?;
+        check_deadline()?;
         let ground = core.ground.as_deref().expect("just grounded");
         let stable = Arc::new(stable_models_of_ground(ground, self.stable_opts)?);
         core.stable = Some(stable.clone());

@@ -32,11 +32,15 @@
 //!
 //! Eviction is relation-LRU: when the decoded-payload count exceeds the
 //! budget, the least-recently-probed relations are paged out first, so hot
-//! relations stay resident end to end.
+//! relations stay resident end to end.  A segment write that fails keeps its
+//! rows resident — a degraded cache, never a wrong answer — and is counted as
+//! a `spill_io_error`: per store in [`RelationStorageStats`] (the server's
+//! `GET /stats`), per thread in [`crate::ambient`].  The write path has no
+//! fault-injection hook; the unit tests arm a test-build-only plan on the
+//! store's `SpillDir`.
 
-use crate::storage::{note_residency_fault, note_spill_io_error, note_spill_write};
-use crate::storage::{spill_fault_due, RelationStorage};
-use crate::storage::{RelationStorageStats, DEFAULT_SPILL_BUDGET};
+use crate::ambient::count;
+use crate::storage::{RelationStorage, RelationStorageStats, DEFAULT_SPILL_BUDGET};
 use hilog_core::codec::{PayloadReader, PayloadWriter};
 use hilog_core::term::Term;
 use std::collections::hash_map::DefaultHasher;
@@ -59,16 +63,27 @@ static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 struct SpillDir {
     path: PathBuf,
     owned: bool,
+    /// Segment writes the unit tests want to see fail.
+    #[cfg(test)]
+    faults: tests::FaultPlan,
 }
 
 impl SpillDir {
-    fn auto() -> Self {
-        let path = std::env::temp_dir().join(format!(
-            "hilog-spill-{}-{}",
-            std::process::id(),
-            SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-        ));
-        SpillDir { path, owned: true }
+    fn new(path: Option<PathBuf>) -> Self {
+        let owned = path.is_none();
+        let path = path.unwrap_or_else(|| {
+            std::env::temp_dir().join(format!(
+                "hilog-spill-{}-{}",
+                std::process::id(),
+                SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+            ))
+        });
+        SpillDir {
+            path,
+            owned,
+            #[cfg(test)]
+            faults: Default::default(),
+        }
     }
 }
 
@@ -94,16 +109,11 @@ struct Segment {
 
 impl Segment {
     /// Appends `bytes`, claiming its offset first so clones sharing the
-    /// segment never interleave within a record.  A failed write (injected
-    /// or real — disk full, cache dir removed) is reported to the caller,
-    /// which keeps the row resident; the claimed byte range is simply never
-    /// referenced again (segments are append-only caches, holes are fine).
+    /// segment never interleave within a record.  A failed write (disk
+    /// full, cache dir removed) is reported to the caller, which keeps the
+    /// row resident; the claimed byte range is simply never referenced
+    /// again (segments are append-only caches, holes are fine).
     fn append(&self, bytes: &[u8]) -> std::io::Result<(u64, u32)> {
-        if spill_fault_due() {
-            return Err(std::io::Error::other(
-                "injected fault: spill segment write failed (ENOSPC)",
-            ));
-        }
         let offset = self.end.fetch_add(bytes.len() as u64, Ordering::SeqCst);
         #[cfg(unix)]
         self.file.write_all_at(bytes, offset)?;
@@ -193,7 +203,7 @@ impl SpillRelation {
         let term = decode_row(&segment.read(offset, len));
         self.slots[slot as usize].term = Some(term.clone());
         self.resident += 1;
-        note_residency_fault();
+        count(|c| &c.residency_faults, 1);
         (term, 1)
     }
 
@@ -227,6 +237,7 @@ struct SpillInner {
     /// Lifetime counters for [`RelationStorageStats`].
     faults: u64,
     spill_writes: u64,
+    io_errors: u64,
     segment_bytes: u64,
 }
 
@@ -264,6 +275,7 @@ impl Clone for SpillStore {
                 clock: inner.clock,
                 faults: inner.faults,
                 spill_writes: inner.spill_writes,
+                io_errors: inner.io_errors,
                 segment_bytes: inner.segment_bytes,
             }),
             dir: Arc::clone(&self.dir),
@@ -293,13 +305,9 @@ impl SpillStore {
     /// An empty store spilling to `dir` (an auto-created temp directory
     /// when `None`) with the given resident-payload budget.
     pub fn new(dir: Option<PathBuf>, resident_budget: usize) -> Self {
-        let dir = match dir {
-            Some(path) => Arc::new(SpillDir { path, owned: false }),
-            None => Arc::new(SpillDir::auto()),
-        };
         SpillStore {
             inner: Mutex::new(SpillInner::default()),
-            dir,
+            dir: Arc::new(SpillDir::new(dir)),
             budget: resident_budget.max(1),
         }
     }
@@ -320,21 +328,21 @@ impl SpillStore {
 
     /// Pages out every resident row of `rel`, appending rows not yet on
     /// disk to the relation's segment file.  Returns `(evicted, writes,
-    /// bytes)`.
+    /// bytes, failed)`.
     ///
     /// Resilience contract: a failed segment write (disk full, cache dir
     /// removed, injected fault) **keeps the affected rows resident** and
     /// stops this eviction attempt — the store overshoots its residency
     /// budget rather than lose a payload that exists nowhere else.  The
-    /// next budget enforcement retries naturally; persistent failures show
-    /// up in [`crate::storage::spill_io_errors`].
+    /// next budget enforcement retries naturally; every failed attempt is
+    /// reported (`failed`) and counted by the caller as a `spill_io_error`.
     fn evict_relation(
         dir: &SpillDir,
         key: &(Term, Option<usize>),
         rel: &mut SpillRelation,
-    ) -> (usize, u64, u64) {
+    ) -> (usize, u64, u64, bool) {
         if rel.resident == 0 {
-            return (0, 0, 0);
+            return (0, 0, 0, false);
         }
         if rel.segment.is_none() {
             let segment = (|| -> std::io::Result<Segment> {
@@ -359,8 +367,7 @@ impl SpillStore {
                 Err(_) => {
                     // Can't create the cache file: nothing pages out, all
                     // rows stay resident and correct.
-                    note_spill_io_error();
-                    return (0, 0, 0);
+                    return (0, 0, 0, true);
                 }
             }
         }
@@ -368,22 +375,29 @@ impl SpillStore {
         let mut evicted = 0usize;
         let mut writes = 0u64;
         let mut bytes = 0u64;
+        let mut failed = false;
         for &slot in &rel.order {
             let entry = &mut rel.slots[slot as usize];
             let Some(term) = &entry.term else { continue };
             if entry.disk.is_none() {
                 let encoded = encode_row(term);
-                match segment.append(&encoded) {
+                #[cfg(not(test))]
+                let appended = segment.append(&encoded);
+                #[cfg(test)]
+                let appended = dir
+                    .faults
+                    .next_write()
+                    .and_then(|()| segment.append(&encoded));
+                match appended {
                     Ok(location) => {
                         entry.disk = Some(location);
                         writes += 1;
                         bytes += encoded.len() as u64;
-                        note_spill_write();
                     }
                     Err(_) => {
                         // The row's only copy is the in-memory one: keep it
                         // resident and abandon this eviction pass.
-                        note_spill_io_error();
+                        failed = true;
                         break;
                     }
                 }
@@ -392,7 +406,7 @@ impl SpillStore {
             evicted += 1;
         }
         rel.resident -= evicted;
-        (evicted, writes, bytes)
+        (evicted, writes, bytes, failed)
     }
 
     /// Enforces the residency budget by paging out the least recently
@@ -409,10 +423,13 @@ impl SpillStore {
                 .map(|(key, _)| key.clone());
             let Some(key) = victim else { break };
             let rel = inner.relations.get_mut(&key).expect("victim exists");
-            let (evicted, writes, bytes) = Self::evict_relation(&self.dir, &key, rel);
+            let (evicted, writes, bytes, failed) = Self::evict_relation(&self.dir, &key, rel);
             inner.resident -= evicted;
             inner.spill_writes += writes;
+            inner.io_errors += u64::from(failed);
             inner.segment_bytes += bytes;
+            count(|c| &c.spill_writes, writes);
+            count(|c| &c.spill_io_errors, u64::from(failed));
             if evicted == 0 {
                 // The eviction attempt failed (I/O error on the victim):
                 // stop rather than spin on the same victim; the budget is
@@ -666,6 +683,7 @@ impl RelationStorage for SpillStore {
             segment_bytes: inner.segment_bytes,
             residency_faults: inner.faults,
             spill_writes: inner.spill_writes,
+            spill_io_errors: inner.io_errors,
         }
     }
 }
@@ -673,6 +691,39 @@ impl RelationStorage for SpillStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ambient::counters;
+
+    /// Which of a spill directory's segment writes fail: those numbered
+    /// `[from, from + count)`, counting from the moment the plan is armed.
+    /// `count = u64::MAX` is a disk that never recovers.
+    #[derive(Debug, Default)]
+    pub(super) struct FaultPlan(Mutex<Option<(u64, u64, u64)>>);
+
+    impl FaultPlan {
+        fn arm(&self, from: u64, count: u64) {
+            *self.0.lock().unwrap() = Some((0, from, count));
+        }
+
+        fn disarm(&self) {
+            *self.0.lock().unwrap() = None;
+        }
+
+        /// Numbers one segment write and fails it if the armed plan says so.
+        pub(super) fn next_write(&self) -> std::io::Result<()> {
+            let mut plan = self.0.lock().unwrap();
+            let Some((next, from, count)) = plan.as_mut() else {
+                return Ok(());
+            };
+            let index = *next;
+            *next += 1;
+            if index >= *from && index - *from < *count {
+                return Err(std::io::Error::other(
+                    "injected fault: spill segment write failed (ENOSPC)",
+                ));
+            }
+            Ok(())
+        }
+    }
 
     fn atom(name: &str, a: &str, b: &str) -> Term {
         Term::apps(name, vec![Term::sym(a), Term::sym(b)])
@@ -763,12 +814,12 @@ mod tests {
 
     #[test]
     fn injected_write_fault_keeps_rows_resident_and_answers_correct() {
-        use crate::storage::{clear_spill_faults, inject_spill_faults, spill_io_errors};
         let mut store = SpillStore::new(None, 4);
+        let before = counters();
         // Fill one relation past the budget with the disk dead: every
         // eviction attempt fails, so all rows must stay resident and every
         // answer must stay correct.
-        inject_spill_faults(0, u64::MAX);
+        store.dir.faults.arm(0, u64::MAX);
         for i in 0..12 {
             store.insert(atom("f", &format!("k{i}"), "v"));
         }
@@ -778,12 +829,17 @@ mod tests {
         let stats = store.storage_stats();
         assert_eq!(stats.spilled_facts, 0, "failed evictions spill nothing");
         assert_eq!(stats.resident_facts, 16, "rows survive in memory");
-        assert!(spill_io_errors() > 0, "the failures were counted");
+        assert!(stats.spill_io_errors > 0, "the failures were counted");
+        assert_eq!(
+            (counters() - before).spill_io_errors,
+            stats.spill_io_errors,
+            "on the store and on the thread they happened on alike"
+        );
         for i in 0..12 {
             assert!(store.contains(&atom("f", &format!("k{i}"), "v")));
         }
         // The disk comes back: the next budget enforcement pages out again.
-        clear_spill_faults();
+        store.dir.faults.disarm();
         for i in 0..4 {
             store.insert(atom("h", &format!("k{i}"), "v"));
         }
@@ -797,20 +853,20 @@ mod tests {
 
     #[test]
     fn one_shot_write_fault_is_survived_mid_eviction() {
-        use crate::storage::{clear_spill_faults, inject_spill_faults};
         let mut store = SpillStore::new(None, 4);
-        // Fail exactly the third segment write this thread performs: the
+        // Fail exactly the third segment write the store performs: the
         // eviction pass stops there, rows before it are spilled, rows from
         // it on stay resident, and everything keeps answering.
-        inject_spill_faults(2, 1);
+        store.dir.faults.arm(2, 1);
         for r in 0..4 {
             for i in 0..6 {
                 store.insert(atom(&format!("rel{r}"), &format!("k{i}"), "v"));
             }
         }
-        clear_spill_faults();
+        store.dir.faults.disarm();
         let stats = store.storage_stats();
         assert_eq!(stats.resident_facts + stats.spilled_facts, 24);
+        assert_eq!(stats.spill_io_errors, 1, "the one failure was counted");
         for r in 0..4 {
             for i in 0..6 {
                 assert!(store.contains(&atom(&format!("rel{r}"), &format!("k{i}"), "v")));

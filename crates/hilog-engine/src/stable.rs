@@ -14,7 +14,7 @@
 //! consequences that hold in every stable model extending them and prunes the
 //! search soundly.
 
-use crate::deadline::check_deadline;
+use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
 use crate::grounder::ground_over_universe;

@@ -27,91 +27,15 @@
 //! Backend selection is per store via [`StorageConfig`]; the
 //! `HILOG_STORAGE=spill` environment variable flips the process-wide
 //! default so CI can run the entire suite on the spill backend.
+//!
+//! Crossing the residency boundary is counted per store, for its lifetime
+//! ([`RelationStorageStats`]), and per thread ([`crate::ambient`], where a
+//! query's `EvalStats` take their exact share from) — never process-wide.
 
 use crate::horn::AtomStore;
 use crate::spill::SpillStore;
 use hilog_core::term::Term;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Cumulative process-wide spill counters, mirrored into per-query
-/// [`crate::magic_eval::EvalStats`] deltas by the session facade.  Global
-/// atomics rather than thread-locals because a spill store is shared across
-/// snapshot reader threads and partitioned-join workers; the deltas a
-/// single-writer benchmark observes are exact, concurrent readers may see
-/// each other's faults (documented in `EvalStats`).
-static RESIDENCY_FAULTS: AtomicU64 = AtomicU64::new(0);
-static SPILL_WRITES: AtomicU64 = AtomicU64::new(0);
-
-static SPILL_IO_ERRORS: AtomicU64 = AtomicU64::new(0);
-
-pub(crate) fn note_residency_fault() {
-    RESIDENCY_FAULTS.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_spill_write() {
-    SPILL_WRITES.fetch_add(1, Ordering::Relaxed);
-}
-
-pub(crate) fn note_spill_io_error() {
-    SPILL_IO_ERRORS.fetch_add(1, Ordering::Relaxed);
-}
-
-/// Snapshot of the process-wide cumulative `(residency_faults,
-/// spill_writes)` counters — rows decoded back from a segment file, and
-/// rows paged out to one.  Both are `0` for the in-memory backend.
-pub fn storage_counters() -> (u64, u64) {
-    (
-        RESIDENCY_FAULTS.load(Ordering::Relaxed),
-        SPILL_WRITES.load(Ordering::Relaxed),
-    )
-}
-
-/// Process-wide count of spill I/O failures survived: eviction attempts
-/// that hit a write error (injected or real) and fell back to keeping the
-/// relation resident.  Non-zero values mean the cache is degraded (the
-/// residency budget may be overshot), never that answers are wrong.
-pub fn spill_io_errors() -> u64 {
-    SPILL_IO_ERRORS.load(Ordering::Relaxed)
-}
-
-thread_local! {
-    /// Fault window for spill segment writes on this thread:
-    /// `(fail_from, fail_count)` over a per-thread op counter.  Thread-local
-    /// on purpose — evictions run on the thread that mutates the store, and
-    /// a process-global plan would let parallel tests fault each other.
-    static SPILL_FAULT_PLAN: std::cell::Cell<Option<(u64, u64)>> =
-        const { std::cell::Cell::new(None) };
-    static SPILL_FAULT_OPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-/// Arms fault injection for this thread's spill segment writes: operations
-/// with index in `[from, from + count)` (counted from the call) fail with
-/// an injected `ENOSPC`-style error.  `count = u64::MAX` models a disk
-/// that never recovers.  See [`clear_spill_faults`].
-pub fn inject_spill_faults(from: u64, count: u64) {
-    SPILL_FAULT_OPS.with(|cell| cell.set(0));
-    SPILL_FAULT_PLAN.with(|cell| cell.set(Some((from, count))));
-}
-
-/// Disarms [`inject_spill_faults`] for this thread.
-pub fn clear_spill_faults() {
-    SPILL_FAULT_PLAN.with(|cell| cell.set(None));
-}
-
-/// Numbers one spill write op on this thread and reports whether the armed
-/// plan says it must fail.  Always `false` when no plan is armed.
-pub(crate) fn spill_fault_due() -> bool {
-    let Some((from, count)) = SPILL_FAULT_PLAN.with(|cell| cell.get()) else {
-        return false;
-    };
-    let index = SPILL_FAULT_OPS.with(|cell| {
-        let i = cell.get();
-        cell.set(i + 1);
-        i
-    });
-    index >= from && index - from < count
-}
 
 /// Per-store storage observability: how much of the store is resident
 /// versus paged out, and what moving rows across the boundary has cost.
@@ -131,6 +55,10 @@ pub struct RelationStorageStats {
     pub residency_faults: u64,
     /// Rows paged out to a segment file over this store's lifetime.
     pub spill_writes: u64,
+    /// Eviction attempts over this store's lifetime that hit a segment I/O
+    /// error and kept their rows resident: a degraded cache (budget
+    /// overshot), never wrong answers.
+    pub spill_io_errors: u64,
 }
 
 impl RelationStorageStats {
@@ -144,6 +72,7 @@ impl RelationStorageStats {
         self.segment_bytes += other.segment_bytes;
         self.residency_faults += other.residency_faults;
         self.spill_writes += other.spill_writes;
+        self.spill_io_errors += other.spill_io_errors;
     }
 }
 

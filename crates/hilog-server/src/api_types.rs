@@ -167,10 +167,19 @@ pub struct StatsResponse {
     pub spill_spilled_facts: usize,
     /// Bytes in the snapshot's spill segment files.
     pub spill_segment_bytes: u64,
-    /// Process-lifetime residency faults (spilled rows decoded back).
+    /// Spilled rows decoded back into memory.  This and the two fields
+    /// below are lifetime totals *of the stores the answering snapshot
+    /// holds* — not of the process, so two servers in one process report
+    /// their own, and not of the server: a store published anew starts from
+    /// its writer-side copy's totals, without what readers of the snapshot
+    /// before it caused.
     pub spill_residency_faults: u64,
-    /// Process-lifetime rows paged out to spill segments.
+    /// Rows paged out to spill segments (same scope).
     pub spill_writes: u64,
+    /// Eviction attempts that hit a segment I/O error and kept their rows
+    /// resident (same scope).  Non-zero means a degraded spill cache —
+    /// residency budget overshot — never wrong answers.
+    pub spill_io_errors: u64,
     /// Interned symbols still referenced outside the global pool.
     pub live_symbols: usize,
     /// Total entries in the global symbol pool (live plus pool-only, the
@@ -266,6 +275,7 @@ impl Serialize for StatsResponse {
             false,
         );
         serde::write_field(out, "spill_writes", &self.spill_writes, false);
+        serde::write_field(out, "spill_io_errors", &self.spill_io_errors, false);
         serde::write_field(out, "live_symbols", &self.live_symbols, false);
         serde::write_field(out, "interned_symbols", &self.interned_symbols, false);
         serde::write_field(out, "degraded", &self.degraded, false);

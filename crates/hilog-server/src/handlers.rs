@@ -233,7 +233,6 @@ fn stats(state: &ServerState) -> Response {
         (writer.storage_stats(), degraded)
     };
     let spill = snapshot.storage_stats();
-    let (spill_residency_faults, spill_writes) = hilog_engine::storage_counters();
     let symbols = hilog_core::symbol_pool_stats();
     Response::ok(to_string(&StatsResponse {
         epoch: snapshot.epoch(),
@@ -254,8 +253,9 @@ fn stats(state: &ServerState) -> Response {
         spill_resident_facts: spill.resident_facts,
         spill_spilled_facts: spill.spilled_facts,
         spill_segment_bytes: spill.segment_bytes,
-        spill_residency_faults,
-        spill_writes,
+        spill_residency_faults: spill.residency_faults,
+        spill_writes: spill.spill_writes,
+        spill_io_errors: spill.spill_io_errors,
         live_symbols: symbols.live,
         interned_symbols: symbols.interned,
         degraded,

@@ -34,7 +34,7 @@
 
 use hilog_datalog::DatalogEngine;
 use hilog_repro::engine::grounder::ground_against;
-use hilog_repro::engine::{least_model_into, parallel_counters, relevant_ground_into};
+use hilog_repro::engine::{counters, least_model_into, relevant_ground_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -256,7 +256,7 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
     // and the store the driver leaves behind is the least model — whether
     // the rounds run inline, partitioned over four tasks, or into a spill
     // store that keeps 16 rows resident.
-    let (_, partitioned_before, _) = parallel_counters();
+    let before = counters();
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
             let serial = EvalOptions::with_eval_threads(1);
@@ -297,9 +297,8 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
             }
         }
     }
-    let (_, partitioned_after, _) = parallel_counters();
     assert!(
-        partitioned_after > partitioned_before,
+        counters().parallel_partitioned_rounds > before.parallel_partitioned_rounds,
         "no wide case reached a partitioned round"
     );
 }

@@ -25,10 +25,11 @@
 //! differ between thread counts by design — which is exactly why the
 //! determinism guarantee is stated over answers, not over stats.  The
 //! counters themselves are per query and exact (counted on the dispatching
-//! thread, join probes of pool tasks handed back to it), and the last test
-//! pins them on a grounding that joins.
+//! thread, whatever its pool workers count handed back to it), and the last
+//! two tests pin them on a grounding that joins — into an in-memory store
+//! through a session, and straight into a spill store that pages.
 
-use hilog_repro::engine::well_founded_of_ground;
+use hilog_repro::engine::{counters, relevant_ground_into, well_founded_of_ground};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -315,4 +316,72 @@ fn per_query_counters_are_exact_when_grounding_joins_on_the_pool() {
         pooled.index_probes,
         inline.index_probes
     );
+}
+
+#[test]
+fn pool_tasks_hand_back_their_spill_traffic_as_well_as_their_probes() {
+    // The same closure grounded straight into a spill store that keeps one
+    // row resident: the partitions of a round probe the store from pool
+    // threads, and every row they fault in or page out there is counted by
+    // the thread that dispatched them — not two of the fields, all of them.
+    // The store keeps its own lifetime totals under its lock, whoever
+    // probes it, so "nothing was lost on the way back" is an equation.
+    let edges = random_dag(48, 3.0, 17);
+    let program = specialized_closure_program("edge", &edges);
+    let grounded_at = |threads: usize| {
+        let mut store = FactStore::new(&StorageConfig::Spill {
+            dir: None,
+            resident_budget: 1,
+        });
+        let before = counters();
+        let ground = relevant_ground_into(
+            &program,
+            EvalOptions::with_eval_threads(threads),
+            &mut store,
+        )
+        .expect("closure grounds");
+        (counters() - before, store.storage_stats(), ground)
+    };
+    let (inline, inline_store, inline_ground) = grounded_at(1);
+    assert_eq!(
+        (
+            inline.parallel_waves,
+            inline.parallel_partitioned_rounds,
+            inline.parallel_tasks
+        ),
+        (0, 0, 0)
+    );
+    assert!(inline.residency_faults > 0 && inline.spill_writes > 0);
+    let (pooled, pooled_store, pooled_ground) = grounded_at(4);
+    assert!(pooled.parallel_partitioned_rounds > 0, "{pooled:?}");
+    assert!(pooled.parallel_tasks > 0, "{pooled:?}");
+    for (route, counted, store) in [
+        ("inline", inline, inline_store),
+        ("pooled", pooled, pooled_store),
+    ] {
+        assert_eq!(
+            (
+                counted.residency_faults,
+                counted.spill_writes,
+                counted.spill_io_errors
+            ),
+            (
+                store.residency_faults,
+                store.spill_writes,
+                store.spill_io_errors
+            ),
+            "{route}: the dispatching thread's counts are not the store's own"
+        );
+    }
+    // Equal to the inline run they are not, and need not be: every partition
+    // repeats the round's leading probe of the store and of its slice of the
+    // frontier.  What may not happen is a pooled run counting *fewer*.
+    assert!(pooled.index_probes >= inline.index_probes);
+    assert!(pooled.index_fallback_scans >= inline.index_fallback_scans);
+    assert!(pooled.residency_faults >= inline.residency_faults);
+    let rules = |ground: &GroundProgram| -> std::collections::BTreeSet<String> {
+        ground.rules.iter().map(|rule| rule.to_string()).collect()
+    };
+    assert_eq!(pooled_ground.len(), inline_ground.len());
+    assert_eq!(rules(&pooled_ground), rules(&inline_ground));
 }

@@ -10,9 +10,10 @@
 //! Scaled up in CI via `HILOG_SERVING_READERS` (reader-thread count) and
 //! `HILOG_SERVING_QUERIES` (queries per reader).
 
+use hilog_repro::engine::counters;
 use hilog_repro::prelude::*;
 use hilog_workloads::serving::{serving_workload, ServingWorkloadConfig};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn env_usize(name: &str, default: usize) -> usize {
     std::env::var(name)
@@ -169,7 +170,7 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
     let writer_done = AtomicBool::new(false);
     // Pooled tasks are counted on the thread that dispatches them: each
     // reader reports its own total (a new thread starts at zero).
-    let pooled_tasks = AtomicUsize::new(0);
+    let pooled_tasks = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for reader in 0..readers {
@@ -218,7 +219,7 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
                     }
                 }
                 assert!(checked >= queries_per_reader);
-                pooled_tasks.fetch_add(parallel_counters().2, Ordering::SeqCst);
+                pooled_tasks.fetch_add(counters().parallel_tasks, Ordering::SeqCst);
             });
         }
 
@@ -273,6 +274,124 @@ fn pinned_snapshot_is_immune_to_later_publishes() {
     let mut oracle = HiLogDb::new(pinned_program);
     let expected = oracle.query(&query).unwrap();
     assert_eq!(answer_key(&after), answer_key(&expected));
+}
+
+/// A session over `program` on the spill backend with one resident row:
+/// every probe pages its rows in and the rest out again.
+fn faulting_db(program: &Program) -> HiLogDb {
+    HiLogDb::builder()
+        .program(program.clone())
+        .storage(StorageConfig::Spill {
+            dir: None,
+            resident_budget: 1,
+        })
+        .build()
+}
+
+/// The same program with every row resident, whatever `HILOG_STORAGE` says.
+fn resident_db(program: &Program) -> HiLogDb {
+    HiLogDb::builder()
+        .program(program.clone())
+        .storage(StorageConfig::InMemory)
+        .build()
+}
+
+/// Spill traffic is counted on the thread it happens on and in the store it
+/// happens to: a reader faulting rows in and out as fast as it can moves no
+/// other session's per-query storage counts.  (They were deltas of
+/// process-wide totals once, and 2–4 of 20,000 in-memory queries reported a
+/// neighbour's faults.)
+#[test]
+fn a_faulting_spill_reader_leaks_no_storage_counts_into_in_memory_queries() {
+    let program = serving_workload(&ServingWorkloadConfig::default(), 42).program;
+    let (_spill_writer, spill) = faulting_db(&program).into_serving();
+    let (_resident_writer, resident) = resident_db(&program).into_serving();
+    let query = parse_query("?- move(X, Y).").unwrap();
+    let faults = AtomicU64::new(0);
+    let stop = AtomicBool::new(false);
+    // Whatever happens in the scope, the neighbour is told to stop: a panic
+    // in here would otherwise wait for a thread nobody stops.
+    struct StopOnDrop<'a>(&'a AtomicBool);
+    impl Drop for StopOnDrop<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::SeqCst);
+        }
+    }
+    let (leaks, faults_meanwhile) = std::thread::scope(|scope| {
+        let _stop = StopOnDrop(&stop);
+        scope.spawn(|| {
+            let snapshot = spill.current();
+            while !stop.load(Ordering::SeqCst) {
+                let stats = snapshot.query(&query).expect("spill query").stats;
+                faults.fetch_add(stats.storage_residency_faults, Ordering::SeqCst);
+            }
+        });
+        // Wait for the neighbour to be faulting, not for a while.
+        while faults.load(Ordering::SeqCst) == 0 {
+            std::thread::yield_now();
+        }
+        let faults_before = faults.load(Ordering::SeqCst);
+        let snapshot = resident.current();
+        let leaks: Vec<_> = (0..20_000)
+            .filter_map(|i| {
+                let stats = snapshot.query(&query).expect("in-memory query").stats;
+                let traffic = (stats.storage_residency_faults, stats.storage_spill_writes);
+                (traffic != (0, 0)).then_some((i, traffic))
+            })
+            .collect();
+        (leaks, faults.load(Ordering::SeqCst) - faults_before)
+    });
+    assert!(
+        leaks.is_empty(),
+        "in-memory queries reported another session's (faults, page-outs): {leaks:?}"
+    );
+    assert!(
+        faults_meanwhile > 0,
+        "the spill reader was not faulting while the in-memory queries ran"
+    );
+}
+
+/// The same over HTTP: two servers in one process, one of them paging, and
+/// each `GET /stats` reports the stores its own snapshot holds.
+#[test]
+fn two_servers_in_one_process_report_their_own_spill_stats() {
+    use hilog_server::{client, Server, ServerConfig};
+
+    let program = serving_workload(&ServingWorkloadConfig::default(), 42).program;
+    let serve = |db: HiLogDb| {
+        let server = Server::bind(ServerConfig::ephemeral().workers(2), db).expect("bind");
+        let connection = client::Connection::open(server.local_addr()).expect("connect");
+        let shutdown = server.handle();
+        (
+            connection,
+            shutdown,
+            std::thread::spawn(move || server.serve()),
+        )
+    };
+    let (mut paging, paging_shutdown, paging_thread) = serve(faulting_db(&program));
+    let (mut quiet, quiet_shutdown, quiet_thread) = serve(resident_db(&program));
+    let body = serde_json::to_string(&QueryBody {
+        query: "?- move(X, Y).",
+    })
+    .unwrap();
+    for _ in 0..3 {
+        for connection in [&mut paging, &mut quiet] {
+            let response = connection.post("/query", &body).expect("query");
+            assert_eq!(response.status, 200, "{}", response.body);
+        }
+    }
+    let stats = paging.get("/stats").expect("stats");
+    assert!(stat(&stats, "spill_residency_faults") > 0, "{}", stats.body);
+    assert!(stat(&stats, "spill_writes") > 0, "{}", stats.body);
+    assert_eq!(stat(&stats, "spill_io_errors"), 0, "{}", stats.body);
+    let stats = quiet.get("/stats").expect("stats");
+    for name in ["spill_residency_faults", "spill_writes", "spill_io_errors"] {
+        assert_eq!(stat(&stats, name), 0, "`{name}` in {}", stats.body);
+    }
+    paging_shutdown.shutdown();
+    quiet_shutdown.shutdown();
+    paging_thread.join().expect("paging server exits");
+    quiet_thread.join().expect("quiet server exits");
 }
 
 /// HTTP round-trip, all of it on **one** kept connection: the server's
