@@ -520,21 +520,25 @@ impl QueryEvaluator {
             .collect()
     }
 
-    /// Consumes the evaluator, handing back the *whole* map: the seeded
+    /// Consumes the evaluator, handing back the *whole* map — the seeded
     /// tables as they came plus the tables this run created and completed —
-    /// for a caller that moved its map in rather than cloning it (the
-    /// session's maintenance pass, which runs one evaluator per re-solved
-    /// table and cannot afford a copy of the map for each).  What an aborted
-    /// evaluation left incomplete is removed, in time proportional to what
-    /// the run created.  Only for runs that went through [`Self::settle`]
-    /// alone: a conjunctive query's auxiliary table is not looked for.
-    pub(crate) fn into_all_tables(mut self) -> HashMap<Term, Arc<Table>> {
-        for key in &self.created {
-            if self.tables.get(key).is_some_and(|table| !table.complete) {
+    /// and the keys of the latter, for a caller that moved its map in rather
+    /// than cloning it (the session's maintenance pass, which runs one
+    /// evaluator per re-solved table, cannot afford a copy of the map for
+    /// each, and indexes what comes back new).  What an aborted evaluation
+    /// left incomplete is removed, in time proportional to what the run
+    /// created.  Only for runs that went through [`Self::settle`] alone: a
+    /// conjunctive query's auxiliary table is not looked for.
+    pub(crate) fn into_all_tables(mut self) -> (HashMap<Term, Arc<Table>>, Vec<Term>) {
+        let mut created = std::mem::take(&mut self.created);
+        created.retain(|key| {
+            let complete = self.tables.get(key).is_some_and(|table| table.complete);
+            if !complete {
                 self.tables.remove(key);
             }
-        }
-        self.tables
+            complete
+        });
+        (self.tables, created)
     }
 
     /// Starts an empty table for the normalised `key`.

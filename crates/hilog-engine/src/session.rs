@@ -292,6 +292,7 @@ impl HiLogDbBuilder {
             analysis: None,
             generation: 0,
             fact_copies: None,
+            table_graph: None,
             unsettled: Vec::new(),
             pending_patched: 0,
             pending_dropped: 0,
@@ -329,6 +330,18 @@ pub struct HiLogDb {
     /// for it); from then on every edit of a bodiless rule moves it in the
     /// same step.  The keys share the `Arc`s of the rules' own heads.
     fact_copies: Option<HashMap<Term, usize>>,
+    /// The edges the subgoal tables of the working map recorded, indexed by
+    /// position, with the reverse edges and the tables bucketed by functor
+    /// (see `tables::TableGraph`): what a table-maintenance pass reads
+    /// instead of the map, so that it costs the closure it reaches.
+    /// Writer-only like `fact_copies`: never cloned into a published
+    /// snapshot, and `None` until the first pass builds it from the map (a
+    /// session that only reads never pays for it); from then on each of the
+    /// four sites a table enters or leaves the working map — a query of this
+    /// session merging what it completed, the adoption of reader tables, the
+    /// maintenance pass, the drop of a rule head's closure — moves it in the
+    /// same step.
+    table_graph: Option<tables::TableGraph>,
     /// The effective fact-level changes (fact, `true` for asserted) the
     /// subgoal tables have not been settled under yet, in the order they
     /// were made (none is queued while the session holds no table).  Empty
@@ -659,7 +672,11 @@ impl HiLogDb {
     /// Answers a query through the plan [`explain`](HiLogDb::explain)
     /// chooses, reusing every cache the session holds.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult, EngineError> {
-        let mut result = self.snap.query(query)?;
+        let result = self.snap.query(query);
+        // Whether or not it succeeded: tables completed before a failure
+        // are kept too.
+        self.index_merged_tables();
+        let mut result = result?;
         self.decorate(&mut result.plan);
         // Consumed only on success, so a failed query (no stats to carry
         // them) leaves the mutation window's counters for the next one.
@@ -716,8 +733,8 @@ impl HiLogDb {
         self.snap.cached_model()
     }
 
-    /// The working snapshot, for the writer to publish from and to fold
-    /// reader-computed tables into.
+    /// The working snapshot, for the writer to fold a reader-built program
+    /// index into.
     pub(crate) fn working(&mut self) -> &mut DbSnapshot {
         &mut self.snap
     }

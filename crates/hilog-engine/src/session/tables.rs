@@ -24,6 +24,46 @@
 //! Rule-level mutations change what a *pattern* can derive, not what a fact
 //! set holds, and drop the reverse closure of the rule's head outright.
 //!
+//! # The edge index lives with the writer
+//!
+//! Neither pass reads the map to find out where to look.  The session keeps
+//! one index of the recorded edges beside its working map ([`TableGraph`],
+//! `HiLogDb`'s `table_graph`): every key at a stable position, `reads` and
+//! the reverse `readers` as lists of positions, and the tables bucketed by
+//! the outermost functor and arity of their pattern.  It belongs to the
+//! writer alone — no published snapshot carries it, a session that never
+//! writes never builds it — and it is built from the map **once**, by the
+//! first pass; after that it is *moved with the map*, in the same step, at
+//! each of the four sites where a table enters or leaves the writer's map,
+//! and there are no others:
+//!
+//! 1. a query of the session itself completes tables, which
+//!    `DbSnapshot::merge_tables` puts into the working map and logs
+//!    (`HiLogDb::query` indexes the log before it returns);
+//! 2. the writer adopts the tables readers completed on the published
+//!    snapshot (`HiLogDb::adopt_tables`; every way into a `DbWriter`'s
+//!    session adopts first, `DbWriter::db` included);
+//! 3. the pass itself: every table an evaluator of [`HiLogDb::resolve`]
+//!    created and completed enters (a re-solved table thereby trades its old
+//!    edges for its new ones), [`graft`] reports the edges it edited, a table
+//!    whose re-solve failed leaves — and a table set aside and put back
+//!    untouched keeps its position and its edges, so it costs the index
+//!    nothing;
+//! 4. [`HiLogDb::drop_tables_for_head`] takes the closure of a rule head out
+//!    of both.
+//!
+//! So a pass costs what it reaches.  The tables covering a changed fact are
+//! looked for in the bucket of the fact's functor; the reverse closure is a
+//! breadth-first walk of `readers` from them; and the dependency order of
+//! the walk is Tarjan over the **closure only**.  That is Tarjan over the
+//! whole graph: the closure is closed under readers, a cycle through one of
+//! its tables consists of transitive readers of that table, so every
+//! strongly connected component that meets the closure lies inside it, and
+//! an edge leaving the closure leads to a table the batch cannot have
+//! changed, which orders nothing.  Wherever debug assertions run, every
+//! publish compares the maintained index with one built from the map
+//! (`HiLogDb::fork`).
+//!
 //! # Re-deriving a non-ground table per head instance
 //!
 //! **Record.**  Section 6.1's relations are `dp(H, A)` / `dn(H, A)`: the head
@@ -81,71 +121,218 @@ use super::maintain::spontaneous_fact;
 use super::HiLogDb;
 use crate::magic::DepSign;
 use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table};
-use crate::snapshot::lock_mut;
+use crate::snapshot::{lock_mut, DbSnapshot};
 use crate::storage::{FactStore, RelationStorage};
 use hilog_core::analysis::strongly_connected_components;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
-use std::collections::{BTreeSet, HashMap};
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 type Tables = HashMap<Term, Arc<Table>>;
 
-/// The dependency graph the tables of a map recorded, by *position*: built
-/// once per maintenance pass — and only once a pass has found a table to
-/// start from — so that everything after it (the closure, the order, the
-/// walk) is integer work, not term hashing.
-struct TableGraph {
-    /// The table keys; a table's position is its index here.
+/// The dependency graph the tables of the **writer's** map recorded, by
+/// *position* — kept by the session beside the map ([`HiLogDb`]'s
+/// `table_graph`) and moved in the same step as the map at each of the four
+/// sites a table enters or leaves it, so that a maintenance pass reads the
+/// edges of the tables it reaches and nothing about the rest: the tables
+/// covering a changed fact come out of the buckets of that fact's functor,
+/// the reverse closure is a walk of `readers`, and the order of the walk is
+/// Tarjan over the closure alone.  Writer-only: never cloned into a published
+/// snapshot, built from the map once, by the first pass that needs it.
+///
+/// A key holds a position while the map holds its table **or** a table in
+/// the map read it (a *dangling* edge: the maintenance pass never leaves one,
+/// a map that came in that way is served by treating the reader as changed);
+/// a position neither holds is on the free list.
+#[derive(Debug, Default)]
+pub(super) struct TableGraph {
+    /// The key at each position (stale at a free one).
     keys: Vec<Term>,
     position: HashMap<Term, usize>,
-    /// Positions of the tables each table read while it was filled.
+    /// Whether the map holds the table at this position.
+    present: Vec<bool>,
+    /// Positions of the tables each table read while it was filled, and the
+    /// reverse: the tables that read it.
     reads: Vec<Vec<usize>>,
-    /// Tables that read a table the map does not hold.
-    dangling: Vec<bool>,
-    /// The strongly connected components of `reads`, dependencies before
-    /// readers, mutually recursive tables as one group.
-    groups: Vec<Vec<usize>>,
+    readers: Vec<Vec<usize>>,
+    /// Positions of the tables in the map, by the (ground) outermost functor
+    /// and arity of their pattern — the only tables that can cover a fact
+    /// with that functor and arity — and those whose functor is a variable,
+    /// which can cover any.  The idiom of `ProgramIndex`' `by_head` /
+    /// `wildcard`.
+    by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
+    wildcard: Vec<usize>,
+    free: Vec<usize>,
+    /// Scratch for [`Self::reverse_closure`] / [`Self::subgraph`]: a
+    /// position's number inside the closure being built, [`OUTSIDE`]
+    /// whenever neither is running.  Lives here so that a pass allocates in
+    /// proportion to its closure.
+    local: Vec<usize>,
+    /// Positions a pass looked at: bucket entries probed and closure members
+    /// walked.  What the unit tests hold equal across map sizes.
+    #[cfg(test)]
+    visited: usize,
+}
+
+const OUTSIDE: usize = usize::MAX;
+
+/// Removes one occurrence of `v` from a list of positions.
+fn forget(list: &mut Vec<usize>, v: usize) {
+    let at = list.iter().position(|&w| w == v).expect("linked");
+    list.swap_remove(at);
 }
 
 impl TableGraph {
+    /// The index of a map, from scratch: what the first pass over a map
+    /// starts from, and what the maintained index is compared with wherever
+    /// debug assertions run.
     fn of(tables: &Tables) -> TableGraph {
-        let keys: Vec<Term> = tables.keys().cloned().collect();
-        let position: HashMap<Term, usize> = keys.iter().cloned().zip(0..).collect();
-        let mut reads = vec![Vec::new(); keys.len()];
-        let mut dangling = vec![false; keys.len()];
+        let mut graph = TableGraph::default();
         for (key, table) in tables {
-            let v = position[key];
-            for dep in table.deps.keys() {
-                match position.get(dep) {
-                    Some(&w) => reads[v].push(w),
-                    None => dangling[v] = true,
-                }
+            graph.enter(key, &table.deps);
+        }
+        graph
+    }
+
+    /// The position `key` holds, giving it one if it holds none.
+    fn slot(&mut self, key: &Term) -> usize {
+        if let Some(&v) = self.position.get(key) {
+            return v;
+        }
+        let v = match self.free.pop() {
+            Some(v) => {
+                self.keys[v] = key.clone();
+                v
+            }
+            None => {
+                self.keys.push(key.clone());
+                self.present.push(false);
+                self.reads.push(Vec::new());
+                self.readers.push(Vec::new());
+                self.local.push(OUTSIDE);
+                self.keys.len() - 1
+            }
+        };
+        self.position.insert(key.clone(), v);
+        v
+    }
+
+    /// Gives up the position of a key the map neither holds nor reads.
+    fn release(&mut self, v: usize) {
+        if !self.present[v] && self.readers[v].is_empty() {
+            self.position.remove(&self.keys[v]);
+            self.free.push(v);
+        }
+    }
+
+    fn bucket(&mut self, key: &Term) -> &mut Vec<usize> {
+        let functor = key.outermost_functor();
+        if functor.is_ground() {
+            (self.by_head.entry((functor.clone(), key.arity()))).or_default()
+        } else {
+            &mut self.wildcard
+        }
+    }
+
+    fn link(&mut self, v: usize, dep: &Term) {
+        let w = self.slot(dep);
+        self.reads[v].push(w);
+        self.readers[w].push(v);
+    }
+
+    fn unlink(&mut self, v: usize, w: usize) {
+        forget(&mut self.readers[w], v);
+        self.release(w);
+    }
+
+    /// The map now holds, for `key`, a table that recorded the edges `deps`
+    /// — a new table, or another version of one it held.
+    fn enter(&mut self, key: &Term, deps: &BTreeMap<Term, Dep>) {
+        let v = self.slot(key);
+        if !self.present[v] {
+            self.present[v] = true;
+            self.bucket(key).push(v);
+        }
+        // The new edges first: a dependency both versions read keeps its
+        // position throughout.
+        let outdated = std::mem::take(&mut self.reads[v]);
+        for dep in deps.keys() {
+            self.link(v, dep);
+        }
+        for w in outdated {
+            self.unlink(v, w);
+        }
+    }
+
+    /// The table for `key` stays in the map with some edges `removed` and
+    /// others `added` (a removal is applied first).
+    fn relink(&mut self, key: &Term, removed: &[Term], added: &[Term]) {
+        let v = self.position[key];
+        for dep in removed {
+            let w = self.position[dep];
+            forget(&mut self.reads[v], w);
+            self.unlink(v, w);
+        }
+        for dep in added {
+            self.link(v, dep);
+        }
+    }
+
+    /// The table for `key` left the map.
+    fn leave(&mut self, key: &Term) {
+        self.leave_at(self.position[key]);
+    }
+
+    fn leave_at(&mut self, v: usize) {
+        let key = self.keys[v].clone();
+        forget(self.bucket(&key), v);
+        for w in std::mem::take(&mut self.reads[v]) {
+            self.unlink(v, w);
+        }
+        // Only now: an edge to itself must not give the position up twice.
+        self.present[v] = false;
+        self.release(v);
+    }
+
+    /// Calls `hit` with the position of every table in the map whose pattern
+    /// could cover an instance of `probe` (renamed apart by the caller):
+    /// looked for among the tables of the probe's functor and arity, not
+    /// among all of them.
+    fn covering(&mut self, probe: &Term, mut hit: impl FnMut(usize)) {
+        let functor = probe.outermost_functor();
+        let everything;
+        let (bucket, wildcard): (&[usize], &[usize]) = if functor.is_ground() {
+            let bucket = self.by_head.get(&(functor.clone(), probe.arity()));
+            (
+                bucket.map(Vec::as_slice).unwrap_or_default(),
+                &self.wildcard,
+            )
+        } else {
+            // A probe with a variable for a functor (a retracted `X(a).`)
+            // can be an instance of anything.
+            everything = (0..self.keys.len())
+                .filter(|&v| self.present[v])
+                .collect::<Vec<_>>();
+            (&everything, &[])
+        };
+        #[cfg(test)]
+        {
+            self.visited += bucket.len() + wildcard.len();
+        }
+        for &v in bucket.iter().chain(wildcard) {
+            if overlaps(&self.keys[v], probe) {
+                hit(v);
             }
         }
-        let groups = strongly_connected_components(keys.len(), |v| reads[v].iter().copied());
-        TableGraph {
-            keys,
-            position,
-            reads,
-            dangling,
-            groups,
-        }
     }
 
-    /// One flag per position, set for the tables `keys` names.
-    fn flags(&self, keys: &[Term]) -> Vec<bool> {
-        let mut flags = vec![false; self.keys.len()];
-        for key in keys {
-            flags[self.position[key]] = true;
-        }
-        flags
-    }
-
-    /// Flags every table whose answers could change when the answers of the
-    /// flagged `seeds` do: the seeds plus their reverse closure under the
-    /// recorded edges.
+    /// The positions of every table whose answers could change when the
+    /// answers of the tables at `seeds` (distinct positions) do: the seeds,
+    /// in the order given, then their reverse closure under the recorded
+    /// edges, breadth first.
     ///
     /// This is *instance-level* where the session's `DepAnalysis` is
     /// predicate-level: a mutation to one game of a HiLog win/move database
@@ -156,20 +343,137 @@ impl TableGraph {
     /// refilling the kept table would never read a changed atom — and any
     /// *newly selectable* subgoal requires some consulted table to gain
     /// answers first, which puts it inside the closure.
-    ///
-    /// One sweep in dependency order: a group is in the closure if a member
-    /// is a seed or reads a table that is.
-    fn reverse_closure(&self, seeds: Vec<bool>) -> Vec<bool> {
-        let mut affected = seeds;
-        for group in &self.groups {
-            let reached = |&v: &usize| affected[v] || self.reads[v].iter().any(|&w| affected[w]);
-            if group.iter().any(reached) {
-                for &v in group {
-                    affected[v] = true;
+    fn reverse_closure(&mut self, seeds: &[usize]) -> Vec<usize> {
+        let mut members = seeds.to_vec();
+        for &v in seeds {
+            self.local[v] = 0;
+        }
+        let mut next = 0;
+        while let Some(&v) = members.get(next) {
+            next += 1;
+            for &reader in &self.readers[v] {
+                if self.local[reader] == OUTSIDE {
+                    self.local[reader] = 0;
+                    members.push(reader);
                 }
             }
         }
-        affected
+        for &v in &members {
+            self.local[v] = OUTSIDE;
+        }
+        #[cfg(test)]
+        {
+            self.visited += members.len();
+        }
+        members
+    }
+
+    /// The recorded edges among `members` — a set closed under readers, so
+    /// every cycle through a member lies inside it and its strongly connected
+    /// components are the whole graph's — numbered by their place in
+    /// `members`.
+    fn subgraph(&mut self, members: &[usize]) -> Closure {
+        for (number, &v) in members.iter().enumerate() {
+            self.local[v] = number;
+        }
+        let mut starts = Vec::with_capacity(members.len() + 1);
+        let mut edges = Vec::new();
+        let mut dangling = Vec::with_capacity(members.len());
+        for &v in members {
+            starts.push(edges.len());
+            let mut reads_absent = false;
+            for &w in &self.reads[v] {
+                reads_absent |= !self.present[w];
+                if self.local[w] != OUTSIDE {
+                    edges.push(self.local[w]);
+                }
+            }
+            dangling.push(reads_absent);
+        }
+        starts.push(edges.len());
+        for &v in members {
+            self.local[v] = OUTSIDE;
+        }
+        let mut closure = Closure {
+            keys: members.iter().map(|&v| self.keys[v].clone()).collect(),
+            starts,
+            edges,
+            dangling,
+            groups: Vec::new(),
+        };
+        closure.groups =
+            strongly_connected_components(members.len(), |v| closure.reads(v).iter().copied());
+        closure
+    }
+
+    /// The index without its positions: per key whether the map holds it,
+    /// what it reads and who reads it, and per bucket (`None` for the
+    /// wildcard list) the keys in it — equal for two indexes of one map.
+    #[cfg(any(test, debug_assertions))]
+    fn canonical(&self) -> Canonical<'_> {
+        let named = |list: &[usize]| list.iter().map(|&w| &self.keys[w]).collect();
+        let edges = (self.position.iter())
+            .map(|(key, &v)| {
+                let entry = (
+                    self.present[v],
+                    named(&self.reads[v]),
+                    named(&self.readers[v]),
+                );
+                (key, entry)
+            })
+            .collect();
+        let mut buckets: BTreeMap<_, BTreeSet<&Term>> = BTreeMap::new();
+        for (head, bucket) in &self.by_head {
+            buckets.insert(Some(head), named(bucket));
+        }
+        buckets.insert(None, named(&self.wildcard));
+        buckets.retain(|_, bucket| !bucket.is_empty());
+        (edges, buckets)
+    }
+
+    /// Checks the maintained index against one built from `tables`.
+    #[cfg(any(test, debug_assertions))]
+    fn assert_describes(&self, tables: &Tables) {
+        let rebuilt = TableGraph::of(tables);
+        assert_eq!(
+            self.canonical(),
+            rebuilt.canonical(),
+            "the maintained table index is out of step with the map"
+        );
+    }
+}
+
+/// [`TableGraph::canonical`]: `key -> (in the map, reads, readers)` and
+/// `bucket -> keys`.
+#[cfg(any(test, debug_assertions))]
+type Canonical<'a> = (
+    BTreeMap<&'a Term, (bool, BTreeSet<&'a Term>, BTreeSet<&'a Term>)>,
+    BTreeMap<Option<&'a (Term, Option<usize>)>, BTreeSet<&'a Term>>,
+);
+
+/// The part of the recorded graph one pass walks: the reverse closure of
+/// what a batch touched, its tables numbered from 0 — the seeds first — and
+/// the edges among them as they stood when the pass began (the index itself
+/// moves on as the pass re-solves).  An edge out of the closure leads to a
+/// table the pass leaves alone, which holds nothing up, unless the map does
+/// not hold it: `dangling`.
+struct Closure {
+    keys: Vec<Term>,
+    /// The tables each table read, one list after the other in `edges`:
+    /// table `v`'s is `edges[starts[v]..starts[v + 1]]`.
+    starts: Vec<usize>,
+    edges: Vec<usize>,
+    /// Tables that read a table the map does not hold.
+    dangling: Vec<bool>,
+    /// The strongly connected components of the edges, dependencies before
+    /// readers, mutually recursive tables as one group.
+    groups: Vec<Vec<usize>>,
+}
+
+impl Closure {
+    /// The tables of the closure that table `v` read.
+    fn reads(&self, v: usize) -> &[usize] {
+        &self.edges[self.starts[v]..self.starts[v + 1]]
     }
 }
 
@@ -272,8 +576,8 @@ impl From<Difference> for Change {
     }
 }
 
-/// The head instances of the non-ground table `old` (at position `v`) that
-/// the changes below it can bear on: the changed facts its own pattern
+/// The head instances of the non-ground table `old` (number `v` in the pass's
+/// closure) that the changes below it can bear on: the changed facts its own pattern
 /// covers (`direct`), and for every changed dependency `w`, answer `δ` of
 /// its difference and recorded reader `h`, the instance `θ′(h)` with `θ′`
 /// the match of `w`'s key against `δ` — normalised, each once.  `None` when
@@ -284,7 +588,7 @@ impl From<Difference> for Change {
 /// full re-solve would replay.
 fn affected_instances<'a>(
     old: &Table,
-    graph: &TableGraph,
+    graph: &Closure,
     v: usize,
     direct: impl Iterator<Item = &'a Term>,
     changes: &[Change],
@@ -306,7 +610,7 @@ fn affected_instances<'a>(
             return None;
         }
     }
-    for &w in &graph.reads[v] {
+    for &w in graph.reads(v) {
         let difference = match &changes[w] {
             Change::None => continue,
             Change::Known(difference) => difference,
@@ -326,17 +630,24 @@ fn affected_instances<'a>(
     Some(instances)
 }
 
+/// The recorded edges an edit of a table's `deps` took away and put in.
+#[derive(Debug, Default)]
+struct EdgeChange {
+    removed: Vec<Term>,
+    added: Vec<Term>,
+}
+
 /// `old` with the answers and the readers under each of `instances`
 /// replaced by what the instance's own table — settled, in `tables` — says:
 /// its answers, and one edge to it, so that the next change to the instance
 /// arrives as a difference of that table.  Returns the table (the same
 /// `Arc` when no answer and no edge moved, otherwise a copy if anything
-/// else still holds it) and how its answers moved.
+/// else still holds it), how its answers moved, and which of its edges did.
 fn graft(
     mut table: Arc<Table>,
     instances: &BTreeSet<Term>,
     tables: &Tables,
-) -> (Arc<Table>, Difference) {
+) -> (Arc<Table>, Difference, EdgeChange) {
     let mut difference = Difference::default();
     for instance in instances {
         let settled = &tables[instance].answers;
@@ -385,8 +696,9 @@ fn graft(
     let missing: Vec<&Term> = (instances.iter())
         .filter(|&h| !(table.deps.get(h)).is_some_and(|dep| dep.readers.contains(h)))
         .collect();
+    let mut edges = EdgeChange::default();
     if outdated.is_empty() && missing.is_empty() {
-        return (table, difference);
+        return (table, difference, edges);
     }
     let deps = &mut Arc::make_mut(&mut table).deps;
     for (key, reader) in outdated {
@@ -394,16 +706,20 @@ fn graft(
         dep.readers.remove(&reader);
         if dep.readers.is_empty() {
             deps.remove(&key);
+            edges.removed.push(key);
         }
     }
     for instance in missing {
-        let dep = deps.entry(instance.clone()).or_insert_with(|| Dep {
-            sign: DepSign::Pos,
-            readers: BTreeSet::new(),
+        let dep = deps.entry(instance.clone()).or_insert_with(|| {
+            edges.added.push(instance.clone());
+            Dep {
+                sign: DepSign::Pos,
+                readers: BTreeSet::new(),
+            }
         });
         dep.readers.insert(instance.clone());
     }
-    (table, difference)
+    (table, difference, edges)
 }
 
 /// Whether `instance` is an instance of `general` — one-way matching, the
@@ -418,13 +734,16 @@ impl HiLogDb {
     /// batch asserted or retracted.
     ///
     /// 1. Every table whose pattern covers a changed fact is *directly
-    ///    touched*.  A touched table with no recorded subgoal edges holds
+    ///    touched* (looked for among the tables of the fact's functor and
+    ///    arity, not among all of them).  A touched table with no recorded subgoal edges holds
     ///    exactly the matching bodiless instances and is patched in place,
     ///    fact by fact in the order the changes were made, noting by how
     ///    much its answer set really moved.
     /// 2. The reverse closure of the tables that moved, and of the touched
-    ///    rule-derived ones, is where the pass looks (one index of the
-    ///    recorded edges per batch; none when nothing is touched).  Every
+    ///    rule-derived ones, is where the pass looks: read off the index of
+    ///    the recorded edges the session keeps beside the map (the module
+    ///    documentation says who moves it), so finding it costs the closure
+    ///    and not the map — nothing at all when nothing is touched.  Every
     ///    rule-derived table in it is **set aside first**, so that no
     ///    evaluation below can read it: a batch can make one affected table
     ///    select another that the old graph never ordered before it (assert
@@ -458,14 +777,30 @@ impl HiLogDb {
         if deltas.is_empty() {
             return;
         }
-        // The map is worked on by value: a re-solve moves it into its
-        // evaluator and back instead of cloning it.
-        let mut tables = std::mem::take(lock_mut(&mut self.snap.tables));
-        self.settle_under(&deltas, &mut tables);
+        // The map and its index are worked on by value: a re-solve moves
+        // the map into its evaluator and back instead of cloning it.
+        let (tables, graph) = self.tables_and_graph();
+        let (mut tables, mut graph) = (std::mem::take(tables), std::mem::take(graph));
+        self.settle_under(&deltas, &mut tables, &mut graph);
         *lock_mut(&mut self.snap.tables) = tables;
+        self.table_graph = Some(graph);
     }
 
-    fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables) {
+    /// The writer's map and the index of its recorded edges — built from
+    /// the map here, by the first caller, and from then on moved with the
+    /// map by everything that puts a table in or takes one out.
+    fn tables_and_graph(&mut self) -> (&mut Tables, &mut TableGraph) {
+        let tables = lock_mut(&mut self.snap.tables);
+        let graph = (self.table_graph).get_or_insert_with(|| TableGraph::of(tables));
+        (tables, graph)
+    }
+
+    fn settle_under(
+        &mut self,
+        deltas: &[(Term, bool)],
+        tables: &mut Tables,
+        graph: &mut TableGraph,
+    ) {
         let probes: Vec<Term> = deltas.iter().map(|(fact, _)| rename_apart(fact)).collect();
         // A retracted ground instance survives in a table if some other
         // bodiless route still derives it (a builtin-guarded twin) — the
@@ -473,23 +808,26 @@ impl HiLogDb {
         // once per retraction, and only if a table holds the fact.
         let mut spontaneous: Vec<Option<bool>> = vec![None; deltas.len()];
         let program = &self.snap.program;
+        // (table, change) for every table whose pattern covers a changed
+        // fact: a table's hits together, in the order the changes were made.
+        let mut hits: Vec<(usize, usize)> = Vec::new();
+        for (i, probe) in probes.iter().enumerate() {
+            graph.covering(probe, |v| hits.push((v, i)));
+        }
+        hits.sort_unstable();
         // The patched tables whose answers moved (and by how much), and the
         // rule-derived tables whose own pattern covers a changed fact.
         let (mut moved, mut direct) = (Vec::new(), Vec::new());
-        for (key, table) in tables.iter_mut() {
-            let hits: Vec<usize> = (0..probes.len())
-                .filter(|&i| overlaps(&table.pattern, &probes[i]))
-                .collect();
-            if hits.is_empty() {
-                continue;
-            }
-            if !table.deps.is_empty() || hits.iter().any(|&i| !deltas[i].0.is_ground()) {
-                direct.push(key.clone());
+        for hits in hits.chunk_by(|a, b| a.0 == b.0) {
+            let v = hits[0].0;
+            let table = tables.get_mut(&graph.keys[v]).expect("indexed");
+            if !table.deps.is_empty() || hits.iter().any(|&(_, i)| !deltas[i].0.is_ground()) {
+                direct.push(v);
                 continue;
             }
             let table = Arc::make_mut(table);
             let mut difference = Difference::default();
-            for i in hits {
+            for &(_, i) in hits {
                 let (fact, asserted) = &deltas[i];
                 let edited = if *asserted {
                     table.answers.insert(fact.clone())
@@ -503,34 +841,36 @@ impl HiLogDb {
                 self.pending_patched += 1;
             }
             if !difference.is_empty() {
-                moved.push((key.clone(), difference));
+                moved.push((v, difference));
             }
         }
         if moved.is_empty() && direct.is_empty() {
             return;
         }
-        // Where the pass looks.  `changes` says what a reader cannot stand
-        // on: so far the patched tables that moved, which stay in the map;
-        // every other table in the closure is set aside.
-        let graph = TableGraph::of(tables);
-        let direct = graph.flags(&direct);
-        let mut seeds = direct.clone();
-        let mut changes: Vec<Change> = graph.keys.iter().map(|_| Change::None).collect();
-        for (key, difference) in moved {
-            let v = graph.position[&key];
-            seeds[v] = true;
-            changes[v] = Change::Known(difference);
+        // Where the pass looks: the closure, its tables numbered with the
+        // directly touched ones first and the patched ones after them.
+        // `changes` says what a reader cannot stand on: so far the patched
+        // tables that moved, which stay in the map; every other table in
+        // the closure is set aside.
+        let seeds: Vec<usize> = (direct.iter().copied())
+            .chain(moved.iter().map(|(v, _)| *v))
+            .collect();
+        let members = graph.reverse_closure(&seeds);
+        let closure = graph.subgraph(&members);
+        let touched = direct.len();
+        let direct = |v: usize| v < touched;
+        let mut changes: Vec<Change> = members.iter().map(|_| Change::None).collect();
+        for (change, (_, difference)) in changes[touched..].iter_mut().zip(moved) {
+            *change = Change::Known(difference);
         }
-        let affected = graph.reverse_closure(seeds);
-        let mut aside: Vec<Option<Arc<Table>>> = (graph.keys.iter().enumerate())
-            .map(|(v, key)| {
-                (affected[v] && matches!(changes[v], Change::None))
-                    .then(|| tables.remove(key))
-                    .flatten()
+        let mut aside: Vec<Option<Arc<Table>>> = (closure.keys.iter().zip(&changes))
+            .map(|(key, change)| match change {
+                Change::None => tables.remove(key),
+                _ => None,
             })
             .collect();
         let mut index = None;
-        for group in &graph.groups {
+        for group in &closure.groups {
             // A group is set aside as a whole or not at all.
             if aside[group[0]].is_none() {
                 continue;
@@ -538,39 +878,51 @@ impl HiLogDb {
             // No member of this group is flagged yet, so an edge inside it
             // holds nothing up; every other dependency has had its turn.
             let stands = group.iter().all(|&v| {
-                !direct[v]
-                    && !graph.dangling[v]
-                    && (graph.reads[v].iter()).all(|&w| matches!(changes[w], Change::None))
+                !direct(v)
+                    && !closure.dangling[v]
+                    && (closure.reads(v).iter()).all(|&w| matches!(changes[w], Change::None))
             });
             if stands {
                 for &v in group {
-                    tables.insert(graph.keys[v].clone(), aside[v].clone().expect("set aside"));
+                    let old = aside[v].take().expect("set aside");
+                    // A re-solve below may have completed the table on its
+                    // way; the version that stood all along takes its place.
+                    match tables.entry(closure.keys[v].clone()) {
+                        Entry::Vacant(gap) => {
+                            gap.insert(old);
+                        }
+                        Entry::Occupied(mut newer) => {
+                            graph.enter(newer.key(), &old.deps);
+                            newer.insert(old);
+                        }
+                    }
                 }
                 continue;
             }
             let rederivable = match group[..] {
-                [v] if !graph.keys[v].is_ground() && !graph.reads[v].contains(&v) => {
+                [v] if !closure.keys[v].is_ground() && !closure.reads(v).contains(&v) => {
                     let covered = (deltas.iter().zip(&probes))
-                        .filter(|(_, probe)| direct[v] && overlaps(&graph.keys[v], probe))
+                        .filter(|(_, probe)| direct(v) && overlaps(&closure.keys[v], probe))
                         .map(|((fact, _), _)| fact);
                     let old = aside[v].as_ref().expect("set aside");
-                    affected_instances(old, &graph, v, covered, &changes).map(|h| (v, h))
+                    affected_instances(old, &closure, v, covered, &changes).map(|h| (v, h))
                 }
                 _ => None,
             };
             if let Some((v, instances)) = rederivable {
-                let key = &graph.keys[v];
+                let key = &closure.keys[v];
                 // Each instance is a bound sub-query: normally a table that
                 // is warm, or that this pass has just re-solved.  One that
                 // completes the table itself on its way ends the matter:
                 // that version stands, and is accounted for below.
                 let settled = instances.iter().all(|instance| {
                     self.pending_rederived += 1;
-                    self.resolve(&mut index, tables, instance) && !tables.contains_key(key)
+                    self.resolve(&mut index, tables, graph, instance) && !tables.contains_key(key)
                 });
                 if settled {
                     let old = aside[v].take().expect("set aside");
-                    let (table, difference) = graft(old, &instances, tables);
+                    let (table, difference, edges) = graft(old, &instances, tables);
+                    graph.relink(key, &edges.removed, &edges.added);
                     tables.insert(key.clone(), table);
                     self.pending_refilled += 1;
                     changes[v] = difference.into();
@@ -579,17 +931,18 @@ impl HiLogDb {
             } else {
                 for &v in group {
                     // A failure shows as the table's absence below.
-                    self.resolve(&mut index, tables, &graph.keys[v]);
+                    self.resolve(&mut index, tables, graph, &closure.keys[v]);
                 }
             }
             for &v in group {
-                let old = aside[v].as_ref().expect("set aside");
-                changes[v] = match tables.get(&graph.keys[v]) {
+                let old = aside[v].take().expect("set aside");
+                changes[v] = match tables.get(&closure.keys[v]) {
                     Some(new) => {
                         self.pending_refilled += 1;
                         Difference::between(&new.answers, &old.answers).into()
                     }
                     None => {
+                        graph.leave(&closure.keys[v]);
                         self.pending_dropped += 1;
                         Change::Unknown
                     }
@@ -600,12 +953,14 @@ impl HiLogDb {
 
     /// Completes the table for `pattern` (a key) in `tables` — a look when
     /// an earlier evaluation of the pass completed it on its way, otherwise
-    /// one evaluator seeded with the whole map, moved in and out.  `false`
+    /// one evaluator seeded with the whole map, moved in and out; every
+    /// table the evaluation completed enters `graph` with the map.  `false`
     /// if the evaluation failed, which leaves the table absent.
     fn resolve(
         &self,
         index: &mut Option<Arc<ProgramIndex>>,
         tables: &mut Tables,
+        graph: &mut TableGraph,
         pattern: &Term,
     ) -> bool {
         if tables.contains_key(pattern) {
@@ -620,30 +975,70 @@ impl HiLogDb {
             self.snap.storage.clone(),
         );
         let settled = evaluator.settle(pattern).is_ok();
-        *tables = evaluator.into_all_tables();
+        let created;
+        (*tables, created) = evaluator.into_all_tables();
+        for key in &created {
+            graph.enter(key, &tables[key].deps);
+        }
         settled
     }
 
     /// Drops every table in the instance-level reverse closure of a rule
     /// head (a new or retracted rule can change exactly the instances its
-    /// head covers, and whatever reads them).
+    /// head covers, and whatever reads them): the tables of the head's
+    /// functor that cover it, and a walk of their readers.
     pub(super) fn drop_tables_for_head(&mut self, head: &Term) {
-        let tables = lock_mut(&mut self.snap.tables);
-        let probe = rename_apart(head);
-        let covered: Vec<Term> = tables
-            .iter()
-            .filter(|(_, table)| overlaps(&table.pattern, &probe))
-            .map(|(key, _)| key.clone())
-            .collect();
-        if covered.is_empty() {
+        if lock_mut(&mut self.snap.tables).is_empty() {
             return;
         }
-        let graph = TableGraph::of(tables);
-        let affected = graph.reverse_closure(graph.flags(&covered));
-        for (key, _) in graph.keys.iter().zip(affected).filter(|(_, hit)| *hit) {
-            tables.remove(key);
-            self.pending_dropped += 1;
+        let (tables, graph) = self.tables_and_graph();
+        let mut covered = Vec::new();
+        graph.covering(&rename_apart(head), |v| covered.push(v));
+        let closure = graph.reverse_closure(&covered);
+        for &v in &closure {
+            tables.remove(&graph.keys[v]);
+            graph.leave_at(v);
         }
+        self.pending_dropped += closure.len();
+    }
+
+    /// The tables queries of this session completed since this was last
+    /// called — what `DbSnapshot::merge_tables` put into the working map —
+    /// enter the index.  (One of the four sites a table enters the writer's
+    /// map; with no index yet there is nothing to keep in step.)
+    pub(super) fn index_merged_tables(&mut self) {
+        let merged = self.snap.take_merged_tables();
+        if let Some(graph) = &mut self.table_graph {
+            for (key, table) in &merged {
+                graph.enter(key, &table.deps);
+            }
+        }
+    }
+
+    /// Takes in tables completed on a published snapshot of exactly this
+    /// session's program, filling gaps only: first writer wins per key, as
+    /// in `DbSnapshot::merge_tables`.
+    pub(crate) fn adopt_tables(&mut self, completed: Vec<(Term, Arc<Table>)>) {
+        let tables = lock_mut(&mut self.snap.tables);
+        for (key, table) in completed {
+            if let Entry::Vacant(gap) = tables.entry(key) {
+                if let Some(graph) = &mut self.table_graph {
+                    graph.enter(gap.key(), &table.deps);
+                }
+                gap.insert(table);
+            }
+        }
+    }
+
+    /// Publishes the working state at `epoch` (`DbSnapshot::fork`), after
+    /// checking — wherever debug assertions run, so at every publish of
+    /// every test — that the maintained index is the index of the map.
+    pub(crate) fn fork(&mut self, epoch: u64) -> DbSnapshot {
+        #[cfg(debug_assertions)]
+        if let Some(graph) = &self.table_graph {
+            graph.assert_describes(lock_mut(&mut self.snap.tables));
+        }
+        self.snap.fork(epoch)
     }
 }
 
@@ -982,6 +1377,151 @@ mod tests {
         let second = toggle_pair(&mut writer);
         assert!(Arc::ptr_eq(&first, &second));
         assert_warm_and_fresh(&handle, open);
+    }
+
+    /// The 13-node game of the test above beside `unrelated` warm tables
+    /// `tc(u_i, Y)` (and as many `e(u_i, Y)`) over a relation of their own —
+    /// a binary tree, so one cold query tables every node — under one `move`
+    /// assert: the positions the pass looked at.
+    fn positions_visited_beside(unrelated: usize) -> usize {
+        let mut moves: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
+        moves.extend([(2, 10), (6, 10), (10, 11), (10, 12)]);
+        let mut text = String::from(
+            "winning(X) :- move(X, Y), not winning(Y).\n\
+             tc(X, Y) :- e(X, Y).\n\
+             tc(X, Y) :- e(X, Z), tc(Z, Y).\n",
+        );
+        for (from, to) in &moves {
+            text.push_str(&format!("move(n{from}, n{to}).\n"));
+        }
+        for child in 1..unrelated {
+            text.push_str(&format!("e(u{}, u{child}).\n", (child - 1) / 2));
+        }
+        let (mut writer, handle) = HiLogDb::new(parse_program(&text).unwrap()).into_serving();
+        let open = "?- winning(X).";
+        let mut queries = vec![open.to_string(), "?- tc(u0, Y).".to_string()];
+        queries.extend((0..13).map(|n| format!("?- winning(n{n}).")));
+        for query in &queries {
+            handle
+                .current()
+                .query(&parse_query(query).unwrap())
+                .unwrap();
+        }
+        writer.publish();
+        counts(&mut writer);
+        let before = lock_mut(&mut writer.db().snap.tables).clone();
+        let is_unrelated = |key: &Term| {
+            let functor = key.outermost_functor();
+            functor == &Term::sym("tc") || functor == &Term::sym("e")
+        };
+        let held = before.keys().filter(|key| is_unrelated(key)).count();
+        assert_eq!(held, 2 * unrelated, "tc(u_i, Y) and e(u_i, Y) per node");
+        writer
+            .assert_fact(parse_term("move(n11, n13)").unwrap())
+            .unwrap();
+        writer.publish();
+        // What the pass does is what it did without the bystanders ...
+        assert_eq!(counts(&mut writer), (3, 2, 0));
+        assert_warm_and_fresh(&handle, open);
+        // ... none of which it replaced ...
+        let after = lock_mut(&mut writer.db().snap.tables).clone();
+        for (key, table) in before.iter().filter(|(key, _)| is_unrelated(key)) {
+            assert!(Arc::ptr_eq(table, &after[key]), "{key} was replaced");
+        }
+        // ... or looked at: the one index this session ever built is the
+        // one the pass read.
+        let graph = writer.db().table_graph.as_ref().expect("built by the pass");
+        graph.assert_describes(&after);
+        graph.visited
+    }
+
+    #[test]
+    fn the_pass_does_not_look_at_the_rest_of_the_map() {
+        let beside_few = positions_visited_beside(10);
+        // `move(n11, Y)` is the one table of the fact's functor that covers
+        // it among the `move(n_i, Y)` the game tabled; the closure is that
+        // table, `winning(n11)`, and the two tables that read it.
+        assert!((4..40).contains(&beside_few), "{beside_few}");
+        assert_eq!(beside_few, positions_visited_beside(2_000));
+    }
+
+    /// A table for `key` that recorded an edge to each of `deps`.
+    fn table_reading(key: &Term, deps: &[&Term]) -> Arc<Table> {
+        let edge = || Dep {
+            sign: DepSign::Pos,
+            readers: BTreeSet::new(),
+        };
+        Arc::new(Table {
+            pattern: key.clone(),
+            answers: FactStore::new(&crate::storage::StorageConfig::default()),
+            complete: true,
+            deps: deps.iter().map(|&dep| (dep.clone(), edge())).collect(),
+        })
+    }
+
+    #[test]
+    fn the_index_follows_the_map_through_dangling_edges_and_reused_positions() {
+        let key = |text: &str| normalize_pattern(&parse_term(text).unwrap());
+        let (p, q, r, open, hilog) = (
+            key("p(a)"),
+            key("q(a, b)"),
+            key("r(a)"),
+            key("p(X)"),
+            key("G(a)"),
+        );
+        let mut tables = Tables::new();
+        let mut graph = TableGraph::of(&tables);
+        let put = |graph: &mut TableGraph, tables: &mut Tables, key: &Term, deps: &[&Term]| {
+            let table = table_reading(key, deps);
+            graph.enter(key, &table.deps);
+            tables.insert(key.clone(), table);
+            graph.assert_describes(tables);
+        };
+        // `q` is read before the map holds it (a dangling edge), `p` reads
+        // itself, and a variable-named pattern is in nobody's bucket.
+        put(&mut graph, &mut tables, &p, &[&q, &p]);
+        put(&mut graph, &mut tables, &open, &[&p, &q]);
+        put(&mut graph, &mut tables, &hilog, &[&r]);
+        put(&mut graph, &mut tables, &q, &[]);
+        let named = |graph: &TableGraph, positions: &[usize]| -> BTreeSet<Term> {
+            positions.iter().map(|&v| graph.keys[v].clone()).collect()
+        };
+        let covering = |graph: &mut TableGraph, probe: &str| {
+            let mut hit = Vec::new();
+            graph.covering(&parse_term(probe).unwrap(), |v| hit.push(v));
+            named(graph, &hit)
+        };
+        assert_eq!(
+            covering(&mut graph, "p(a)"),
+            BTreeSet::from([p.clone(), open.clone(), hilog.clone()])
+        );
+        assert_eq!(covering(&mut graph, "q(a, b)"), BTreeSet::from([q.clone()]));
+        // The closure of `q`: its readers and theirs, not `G(a)`.
+        let seed = graph.position[&q];
+        let closure = graph.reverse_closure(&[seed]);
+        assert_eq!(closure[0], seed);
+        assert_eq!(
+            named(&graph, &closure),
+            BTreeSet::from([q.clone(), p.clone(), open.clone()])
+        );
+        // Another version of `p` with other edges; an edge edited in place.
+        put(&mut graph, &mut tables, &p, &[&r]);
+        let edited = table_reading(&open, &[&q, &r]);
+        graph.relink(&open, std::slice::from_ref(&p), std::slice::from_ref(&r));
+        tables.insert(open.clone(), edited);
+        graph.assert_describes(&tables);
+        // Tables leave; the positions they and their dangling `r` held are
+        // given to whatever comes next.
+        let positions = graph.keys.len();
+        for gone in [&p, &hilog, &open, &q] {
+            tables.remove(gone);
+            graph.leave(gone);
+            graph.assert_describes(&tables);
+        }
+        assert!(graph.position.is_empty());
+        put(&mut graph, &mut tables, &r, &[&q]);
+        put(&mut graph, &mut tables, &p, &[&p]);
+        assert_eq!(graph.keys.len(), positions, "positions were not reused");
     }
 
     #[test]

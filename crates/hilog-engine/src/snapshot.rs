@@ -191,14 +191,15 @@ pub struct DbSnapshot {
     /// tables — under a frozen program a completed table cannot go stale;
     /// the owning session patches and drops them as it mutates the program.
     pub(crate) tables: RwLock<Tables>,
-    /// On a published snapshot, the tables
-    /// [`merge_tables`](DbSnapshot::merge_tables) has inserted since the
-    /// fork (or since the writer last asked) — what queries answered *on
-    /// this snapshot* added to the map it was published with.  Written under
-    /// the write lock of `tables`; drained by the writer, which adopts
-    /// exactly these instead of probing its map for every table the
-    /// snapshot holds.  A working snapshot keeps none: its owner has the map.
-    merged: Option<Mutex<Tables>>,
+    /// The tables [`merge_tables`](DbSnapshot::merge_tables) has inserted
+    /// since the fork (or since the writer last asked) — what queries
+    /// answered *on this snapshot* added to the map it started with.  Written
+    /// under the write lock of `tables`; drained by the writer: of a
+    /// published snapshot it adopts exactly these instead of probing its map
+    /// for every table the snapshot holds, of its own working snapshot it
+    /// indexes them (after every query, so the log never outgrows one
+    /// query's tables).
+    merged: Mutex<Vec<(Term, Arc<Table>)>>,
     /// The program as the tabled evaluator reads it (facts in an indexed
     /// store, rules by head): `None` until the first tabled query that
     /// misses the warm path builds it, then shared by `Arc` with every
@@ -234,7 +235,7 @@ impl DbSnapshot {
                 ..SnapCore::default()
             }),
             tables: RwLock::new(HashMap::new()),
-            merged: None,
+            merged: Mutex::new(Vec::new()),
             index: RwLock::new(None),
             storage,
         }
@@ -242,7 +243,7 @@ impl DbSnapshot {
 
     /// Publishes the working state at `epoch`: an `Arc`-sharing copy of the
     /// program and every cache.
-    fn fork(&mut self, epoch: u64) -> DbSnapshot {
+    pub(crate) fn fork(&mut self, epoch: u64) -> DbSnapshot {
         // What the session's table maintenance relies on, checked wherever
         // debug assertions run: the map holds complete tables only, and
         // every table a table read is in it too — the tables of the head
@@ -264,7 +265,7 @@ impl DbSnapshot {
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
             tables: RwLock::new(lock_mut(&mut self.tables).clone()),
-            merged: Some(Mutex::new(Tables::new())),
+            merged: Mutex::new(Vec::new()),
             index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
         }
@@ -645,21 +646,19 @@ impl DbSnapshot {
     /// maintains — is simply kept.
     pub(crate) fn merge_tables(&self, fresh: Tables) {
         let mut tables = write_lock(&self.tables);
-        let mut merged = self.merged.as_ref().map(lock);
+        let mut merged = lock(&self.merged);
         for (key, table) in fresh {
             if let Entry::Vacant(gap) = tables.entry(key) {
-                if let Some(merged) = &mut merged {
-                    merged.insert(gap.key().clone(), table.clone());
-                }
+                merged.push((gap.key().clone(), table.clone()));
                 gap.insert(table);
             }
         }
     }
 
-    /// The tables merged into this (published) snapshot since it was forked
-    /// or since the last call: each is handed out once.
-    fn take_merged_tables(&self) -> Tables {
-        (self.merged.as_ref()).map_or_else(Tables::new, |merged| std::mem::take(&mut *lock(merged)))
+    /// The tables merged into this snapshot since it was forked or since
+    /// the last call: each is handed out once.
+    pub(crate) fn take_merged_tables(&self) -> Vec<(Term, Arc<Table>)> {
+        std::mem::take(&mut *lock(&self.merged))
     }
 }
 
@@ -869,7 +868,7 @@ impl DbWriter {
     /// durable storage layer uses the latter so a session rebuilt from
     /// checkpoint + WAL resumes at the epoch it went down with.)
     pub(crate) fn from_db_at(mut db: HiLogDb, epoch: u64) -> (DbWriter, SnapshotHandle) {
-        let snapshot = Arc::new(db.working().fork(epoch));
+        let snapshot = Arc::new(db.fork(epoch));
         let handle = SnapshotHandle {
             cell: Arc::new(RwLock::new(snapshot)),
         };
@@ -930,17 +929,12 @@ impl DbWriter {
     fn adopt_reader_tables(&mut self) {
         if self.db.generation() == self.published_generation {
             let published = self.current();
-            let working = self.db.working();
-            // What readers added, not what the map holds: first writer wins
-            // per key, as in `merge_tables`.
-            let tables = lock_mut(&mut working.tables);
-            for (key, table) in published.take_merged_tables() {
-                tables.entry(key).or_insert(table);
-            }
+            // What readers added, not what the map holds.
+            self.db.adopt_tables(published.take_merged_tables());
             // The same condition makes a reader-built program index the
             // writer's: without it every publish would hand readers a
             // snapshot that has to index the whole program again.
-            let index = lock_mut(&mut working.index);
+            let index = lock_mut(&mut self.db.working().index);
             if index.is_none() {
                 *index = read_lock(&published.index).clone();
             }
@@ -986,9 +980,12 @@ impl DbWriter {
     /// subgoal tables are settled under the batch so far before the session
     /// is handed out, so it never answers (or explains) from a stale table.
     /// Reading through it leaves the batch as it is; mutating through it
-    /// opens the batch exactly like the writer's own wrappers (without first
-    /// adopting reader tables), settling the tables per mutation.
+    /// opens the batch exactly like the writer's own wrappers — the tables
+    /// readers completed on the published snapshot are adopted first, while
+    /// the programs are still the same, because a mutation closes that
+    /// window for the epoch — settling the tables per mutation.
     pub fn db(&mut self) -> &mut HiLogDb {
+        self.adopt_reader_tables();
         self.db.settle_tables();
         &mut self.db
     }
@@ -1008,7 +1005,7 @@ impl DbWriter {
         self.adopt_reader_tables();
         self.db.settle_tables();
         self.epoch += 1;
-        let snapshot = Arc::new(self.db.working().fork(self.epoch));
+        let snapshot = Arc::new(self.db.fork(self.epoch));
         *write_lock(&self.handle.cell) = snapshot.clone();
         self.published_generation = self.db.generation();
         snapshot
@@ -1228,6 +1225,30 @@ mod tests {
         let served = next.query(&query).unwrap();
         assert_eq!(served.answers, fresh.answers);
         assert!(served.stats.rule_applications > 0, "stale tables adopted");
+    }
+
+    #[test]
+    fn a_mutation_through_db_adopts_reader_tables_first() {
+        let (mut writer, handle) = HiLogDb::new(
+            parse_program(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 reach(X) :- edge(X, Y).\n\
+                 move(a, b). move(b, c). edge(u, v).",
+            )
+            .unwrap(),
+        )
+        .into_serving();
+        let win = parse_query("?- winning(X).").unwrap();
+        handle.current().query(&win).unwrap();
+        // The mutation closes the adoption window for this epoch: what
+        // readers completed so far is taken in before it, or lost for good.
+        writer
+            .db()
+            .assert_fact(parse_term("edge(v, w)").unwrap())
+            .unwrap();
+        let snapshot = writer.publish();
+        let warm = snapshot.query(&win).unwrap();
+        assert_eq!(warm.stats.rule_applications, 0, "reader tables were lost");
     }
 
     #[test]

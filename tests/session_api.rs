@@ -706,6 +706,17 @@ struct PassRoutes {
 /// is dropped, and the query falls back exactly as the fresh session's
 /// does.)  One early snapshot stays pinned and keeps answering its epoch.
 ///
+/// Between the fact-level writes the stream goes through the other doors by
+/// which a table enters or leaves the writer's map: a query of the writer's
+/// own session *inside* the batch (`writer.db().query(..)`: the batch so far
+/// is settled, the tables the query completes go in through the working
+/// snapshot) held to a fresh session over the unpublished program, and
+/// `assert_rule` / `retract_rule` from a pool of three — a second rule for
+/// the family's derived relation, `reach(X, X) :- bonus(X).`, and `safe`,
+/// which reads both through negation — over a `bonus` relation the stream
+/// writes too.  A rule-level mutation drops the closure of its head, so the
+/// epoch after one is held to the fresh session but not to warm tables.
+///
 /// Six families by `seed % 6`, the first query of each an open one whose
 /// table the pass re-derives per instance where it can: the normal and the
 /// HiLog game (enough positions that the instances a batch names are fewer
@@ -720,66 +731,95 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
                       game(g). game(h). g(n0, n1). g(n1, n2). g(n3, n4). g(n5, n6).\n\
                       g(n6, n7). g(n8, n9). g(n10, n11). h(n2, n1). h(n4, n7).";
     // (rules and initial facts, nodes, the relations the stream writes with
-    // their arities, the open queries, the query asked of every node)
+    // their arities, the open queries, the query asked of every node, the
+    // instance of the derived relation the rule pool derives and negates)
     type PointQuery = fn(usize) -> String;
-    let (text, nodes, relations, open, point): (_, usize, &[(&str, usize)], &[&str], PointQuery) =
-        match seed % 6 {
-            0 => (
-                "winning(X) :- move(X, Y), not winning(Y).\n\
+    type Family = (
+        &'static str,
+        usize,
+        &'static [(&'static str, usize)],
+        &'static [&'static str],
+        PointQuery,
+        &'static str,
+    );
+    let (text, nodes, relations, open, point, derived): Family = match seed % 6 {
+        0 => (
+            "winning(X) :- move(X, Y), not winning(Y).\n\
                  move(n0, n1). move(n1, n2). move(n3, n4). move(n5, n6). move(n6, n7).\n\
                  move(n7, n8). move(n2, n9). move(n9, n10). move(n10, n11).",
-                12,
-                &[("move", 2)],
-                &["?- winning(X).", "?- move(n0, X)."],
-                |i| format!("?- winning(n{i})."),
-            ),
-            1 => (
-                hilog_game,
-                12,
-                &[("g", 2), ("h", 2)],
-                &["?- winning(g)(X).", "?- h(X, Y)."],
-                |i| format!("?- winning({})(n{i}).", ["g", "h"][i % 2]),
-            ),
-            2 => (
-                "tc(X, Y) :- e(X, Y).\n\
+            12,
+            &[("move", 2)],
+            &["?- winning(X).", "?- move(n0, X)."],
+            |i| format!("?- winning(n{i})."),
+            "winning(X)",
+        ),
+        1 => (
+            hilog_game,
+            12,
+            &[("g", 2), ("h", 2)],
+            &["?- winning(g)(X).", "?- h(X, Y)."],
+            |i| format!("?- winning({})(n{i}).", ["g", "h"][i % 2]),
+            "winning(g)(X)",
+        ),
+        2 => (
+            "tc(X, Y) :- e(X, Y).\n\
                  tc(X, Y) :- e(X, Z), tc(Z, Y).\n\
                  e(n0, n1). e(n1, n2). e(n2, n0). e(n2, n3).",
-                5,
-                &[("e", 2)],
-                &["?- tc(X, n3)."],
-                |i| format!("?- tc(n{i}, Y)."),
-            ),
-            3 => (
-                "p(X, Z) :- a(X, Y), not b(Y), c(Y, Z).\n\
+            5,
+            &[("e", 2)],
+            &["?- tc(X, n3)."],
+            |i| format!("?- tc(n{i}, Y)."),
+            "tc(X, X)",
+        ),
+        3 => (
+            "p(X, Z) :- a(X, Y), not b(Y), c(Y, Z).\n\
                  a(n0, n1). a(n2, n3). a(n4, n5). a(n6, n7). a(n1, n1). a(n3, n5).\n\
                  c(n1, n2). c(n3, n4). c(n5, n6). c(n7, n0). c(n5, n0). b(n7).",
-                8,
-                &[("a", 2), ("b", 1), ("c", 2)],
-                &["?- p(X, Z)."],
-                |i| format!("?- p(n{i}, Z)."),
-            ),
-            4 => (
-                "total(X, N) :- item(X), N = sum(Q, part(X, Y, Q)).\n\
+            8,
+            &[("a", 2), ("b", 1), ("c", 2)],
+            &["?- p(X, Z)."],
+            |i| format!("?- p(n{i}, Z)."),
+            "p(X, X)",
+        ),
+        4 => (
+            "total(X, N) :- item(X), N = sum(Q, part(X, Y, Q)).\n\
                  used(Y, N) :- N = sum(Q, part(X, Y, Q)).\n\
                  item(n0). item(n1). item(n2). item(n3). item(n4). item(n5). item(n6).\n\
                  part(n0, n1, 2). part(n0, n2, 1). part(n1, n3, 3). part(n2, n3, 1).\n\
                  part(n3, n4, 2). part(n4, n5, 1). part(n5, n6, 2). part(n6, n7, 1).",
-                8,
-                &[("part", 3), ("item", 1)],
-                &["?- total(X, N).", "?- used(Y, N)."],
-                |i| format!("?- total(n{i}, N)."),
-            ),
-            _ => (
-                hilog_game,
-                12,
-                &[("g", 2), ("h", 2)],
-                &["?- game(M), winning(M)(X).", "?- winning(M)(X)."],
-                |i| format!("?- winning({})(n{i}).", ["g", "h"][i % 2]),
-            ),
-        };
+            8,
+            &[("part", 3), ("item", 1)],
+            &["?- total(X, N).", "?- used(Y, N)."],
+            |i| format!("?- total(n{i}, N)."),
+            "total(X, 1)",
+        ),
+        _ => (
+            hilog_game,
+            12,
+            &[("g", 2), ("h", 2)],
+            &["?- game(M), winning(M)(X).", "?- winning(M)(X)."],
+            |i| format!("?- winning({})(n{i}).", ["g", "h"][i % 2]),
+            "winning(h)(X)",
+        ),
+    };
     let queries: Vec<_> = (open.iter().map(|q| q.to_string()))
         .chain((0..nodes).map(point))
         .map(|q| parse_query(&q).unwrap())
+        .collect();
+    // The other doors draw from a generator of their own: the fact-level
+    // stream of a seed is the one it was before they were opened.
+    let mut doors = StdRng::seed_from_u64(seed ^ 0xD0025);
+    let rules = parse_program(&format!(
+        "{derived} :- bonus(X).\n\
+         reach(X, X) :- bonus(X).\n\
+         safe(X) :- bonus(X), not {derived}, not reach(X, X)."
+    ))
+    .unwrap()
+    .rules;
+    // What the writer's session is asked inside a batch: the stream's
+    // queries, and the relations only the rule pool derives.
+    let reads: Vec<_> = (queries.iter().cloned())
+        .chain(["?- safe(X).", "?- reach(X, Y)."].map(|q| parse_query(q).unwrap()))
         .collect();
     let (mut writer, handle) = HiLogDb::new(parse_program(text).unwrap()).into_serving();
     // Whether each query evaluated without a fallback at the last epoch.
@@ -787,11 +827,51 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
     let mut pinned: Option<(std::sync::Arc<DbSnapshot>, Vec<BTreeSet<String>>)> = None;
     let mut routes = PassRoutes::default();
     // The writer's counters run on until a query of the *session* reads
-    // them, which this stream never issues: a pass's share is the growth.
+    // them: a pass's share is the growth since the last look, plus what a
+    // read inside the batch took with it.
     let (mut rederived, mut dropped) = (0, 0);
     let mut open_answers: Vec<Option<BTreeSet<String>>> = vec![None; open.len()];
     for round in 0..rounds {
+        let (mut read_rederived, mut read_dropped) = (0, 0);
+        let mut rules_moved = false;
         for _ in 0..rng.gen_range(1..=8) {
+            match doors.gen_range(0..12) {
+                0 | 1 => {
+                    let query = &reads[doors.gen_range(0..reads.len())];
+                    let served = writer.db().query(query).expect("the session answers");
+                    let reference = HiLogDb::new(writer.program().clone())
+                        .query(query)
+                        .expect("fresh session answers");
+                    let context = format!("seed {seed}, round {round}, {query} inside the batch");
+                    assert_results_agree(
+                        &served,
+                        &reference,
+                        &format!("{context}\n{}", writer.program()),
+                    );
+                    read_rederived += served.stats.instances_rederived - rederived;
+                    read_dropped += served.stats.tables_dropped - dropped;
+                    (rederived, dropped) = (0, 0);
+                }
+                2 => {
+                    let rule = &rules[doors.gen_range(0..rules.len())];
+                    if doors.gen_bool(0.6) {
+                        writer.assert_rule(rule.clone());
+                        rules_moved = true;
+                    } else {
+                        rules_moved |= writer.retract_rule(rule);
+                    }
+                }
+                3 => {
+                    let bonus =
+                        Term::apps("bonus", vec![Term::sym(node(doors.gen_range(0..nodes)))]);
+                    if doors.gen_bool(0.7) {
+                        writer.assert_fact(bonus).unwrap();
+                    } else {
+                        writer.retract_fact(&bonus);
+                    }
+                }
+                _ => {}
+            }
             let (relation, arity) = relations[rng.gen_range(0..relations.len())];
             // Three draws in four point forward, so that the games stay
             // acyclic for a while before a batch closes a cycle.
@@ -815,10 +895,14 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
         }
         writer.publish();
         let plan = writer.db().explain(&queries[0]);
-        let pass_rederived = plan.rederived_instances - rederived;
-        let pass_dropped = plan.dropped_subqueries - dropped;
+        let pass_rederived = read_rederived + plan.rederived_instances - rederived;
+        let pass_dropped = read_dropped + plan.dropped_subqueries - dropped;
         (rederived, dropped) = (plan.rederived_instances, plan.dropped_subqueries);
         routes.rederived += pass_rederived;
+        if rules_moved {
+            settled.fill(false);
+            open_answers.fill(None);
+        }
         let snapshot = handle.current();
         let mut fresh = HiLogDb::new(snapshot.program().clone());
         let mut answers = Vec::with_capacity(queries.len());
