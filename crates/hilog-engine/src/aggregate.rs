@@ -29,7 +29,8 @@
 
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
-use crate::horn::{join_body, AtomStore, EvalOptions, NegationMode};
+use crate::horn::{join_body, EvalOptions, NegationMode};
+use crate::storage::FactStore;
 use hilog_core::interpretation::Model;
 use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
 use hilog_core::program::Program;
@@ -90,7 +91,11 @@ pub fn evaluate_aggregate_program(
         for fact in &aggregate_facts {
             seeded.push(Rule::fact(fact.clone()));
         }
-        let derived = crate::horn::least_model(&seeded, NegationMode::Forbid, opts)?;
+        let derived = FactStore::InMemory(crate::horn::least_model(
+            &seeded,
+            NegationMode::Forbid,
+            opts,
+        )?);
 
         // Recompute every aggregate rule's conclusions over the fresh atoms.
         let mut new_aggregate_facts: BTreeSet<Term> = BTreeSet::new();
@@ -101,7 +106,7 @@ pub fn evaluate_aggregate_program(
         }
         if new_aggregate_facts == aggregate_facts {
             // Fixpoint: assemble the final model.
-            let mut atoms: BTreeSet<Term> = derived.atoms().clone();
+            let mut atoms: BTreeSet<Term> = derived.collect_atoms().into_iter().collect();
             atoms.extend(aggregate_facts.iter().cloned());
             let model = Model::from_true_atoms(atoms);
             return Ok(AggregateModel { model, rounds });
@@ -114,7 +119,7 @@ pub fn evaluate_aggregate_program(
 /// returning the ground heads it concludes.
 fn evaluate_aggregate_rule(
     rule: &Rule,
-    derived: &AtomStore,
+    derived: &FactStore,
     opts: EvalOptions,
 ) -> Result<Vec<Term>, EngineError> {
     // Split the body into the aggregate literal and the rest; the rest is
@@ -149,7 +154,7 @@ fn evaluate_aggregate_rule(
     let mut heads = Vec::new();
     for theta in contexts {
         let pattern = theta.apply(&agg.pattern);
-        for extended in solve_aggregate(rule, agg, &theta, derived.candidates(&pattern))? {
+        for extended in solve_aggregate(rule, agg, &theta, &derived.collect_candidates(&pattern))? {
             let head = extended.apply(&rule.head);
             if !head.is_ground() {
                 return Err(EngineError::Floundering(format!(

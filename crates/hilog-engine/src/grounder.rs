@@ -18,7 +18,7 @@
 //! `saturate`) instantiating the rule at every match, so the possibly-true
 //! set and the ground rules come out of the same single join pass:
 //! `ground_from` is that, and it has three callers differing only in the
-//! store they pass — [`relevant_ground`] (a scratch store, cold),
+//! store they pass — [`relevant_ground`] (an in-memory scratch store, cold),
 //! [`relevant_ground_into`] (the session's configured backend, cold; it
 //! keeps the store) and the session's `assert_fact` (the warm store,
 //! continued from the new fact).  [`ground_against`] is the paper's
@@ -29,7 +29,7 @@ use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule};
 use crate::horn::{ground_head, join_body, saturate, AtomStore, EvalOptions, NegationMode};
-use crate::storage::RelationStorage;
+use crate::storage::FactStore;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
@@ -45,18 +45,18 @@ use std::collections::BTreeSet;
 /// non-ground after the positive body is bound — i.e. when the program is not
 /// range restricted enough for bottom-up evaluation (Definition 5.5 / 5.6).
 pub fn relevant_ground(program: &Program, opts: EvalOptions) -> Result<GroundProgram, EngineError> {
-    relevant_ground_into(program, opts, &mut AtomStore::new())
+    relevant_ground_into(program, opts, &mut FactStore::InMemory(AtomStore::new()))
 }
 
 /// [`relevant_ground`] with the possibly-true set materialised *into* a
-/// caller-provided (empty) store, which afterwards holds the least model of
-/// the program with negative literals ignored — the closed store a later
-/// continuation extends.  Pass a spill-backed store and its cold relations
-/// page to disk as the grounding runs.
+/// caller-provided (empty) store on either backend, which afterwards holds
+/// the least model of the program with negative literals ignored — the
+/// closed store a later continuation extends.  Pass a spill-backed store and
+/// its cold relations page to disk as the grounding runs.
 pub fn relevant_ground_into(
     program: &Program,
     opts: EvalOptions,
-    store: &mut dyn RelationStorage,
+    store: &mut FactStore,
 ) -> Result<GroundProgram, EngineError> {
     Ok(GroundProgram {
         rules: ground_from(program, store, None, opts)?,
@@ -74,7 +74,7 @@ pub fn relevant_ground_into(
 /// grounding of the extended program computes.
 pub(crate) fn ground_from(
     program: &Program,
-    store: &mut dyn RelationStorage,
+    store: &mut FactStore,
     frontier: Option<AtomStore>,
     opts: EvalOptions,
 ) -> Result<Vec<GroundRule>, EngineError> {
@@ -110,7 +110,7 @@ pub(crate) fn ground_from(
 /// the store — and the differential oracle holds the two equal as sets.
 pub fn ground_against(
     program: &Program,
-    candidates: &dyn RelationStorage,
+    candidates: &FactStore,
     opts: EvalOptions,
 ) -> Result<GroundProgram, EngineError> {
     let mut rules = Vec::new();
@@ -420,7 +420,7 @@ mod tests {
         let base = "winning(X) :- move(X, Y), not winning(Y).\n\
                     move(a, b). move(b, c).";
         let mut program = parse_program(base).unwrap();
-        let mut store = AtomStore::new();
+        let mut store = FactStore::InMemory(AtomStore::new());
         let old_ground =
             relevant_ground_into(&program, EvalOptions::default(), &mut store).unwrap();
 
@@ -448,8 +448,9 @@ mod tests {
     #[test]
     fn empty_frontier_grounds_nothing() {
         let program = parse_program("p(X) :- q(X). q(a).").unwrap();
-        let mut store =
-            least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
+        let mut store = FactStore::InMemory(
+            least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap(),
+        );
         let rules = ground_from(
             &program,
             &mut store,
@@ -495,7 +496,7 @@ mod tests {
         let ground_cost = counted(&mut || ground = db.ground_program().unwrap().clone());
         assert!(model_cost.0 > 0, "the chain joins through the indexes");
         assert_eq!(ground_cost, model_cost, "grounding joined on its own");
-        let reference = ground_against(&program, &model, opts).unwrap();
+        let reference = ground_against(&program, &FactStore::InMemory(model), opts).unwrap();
         let fused: BTreeSet<_> = ground.rules.iter().collect();
         assert_eq!(fused, reference.rules.iter().collect::<BTreeSet<_>>());
         assert_eq!(ground.len(), reference.len());

@@ -15,7 +15,7 @@
 
 use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
-use crate::storage::RelationStorage;
+use crate::storage::FactStore;
 use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -403,13 +403,6 @@ impl AtomStore {
         self.relations.len()
     }
 
-    /// Iterates the ordered atom view from `lower` (inclusive) — the range
-    /// walk behind the trait's name-keyed probe.
-    pub(crate) fn atoms_from<'a>(&'a self, lower: &Term) -> impl Iterator<Item = &'a Term> {
-        use std::ops::Bound;
-        self.atoms.range((Bound::Included(lower), Bound::Unbounded))
-    }
-
     /// Candidate atoms that could match the given (possibly partially
     /// instantiated) pattern.
     ///
@@ -514,13 +507,12 @@ impl<'a> Iterator for Candidates<'a> {
 /// Extends the substitutions in `seeds` by matching `pattern` against the
 /// atoms of `store`, returning every successful extension.
 ///
-/// Takes the store through the [`RelationStorage`] trait so one compiled
-/// join path serves every backend; the dynamic dispatch is one virtual call
-/// per *probe*, not per candidate.
+/// One join path serves both backends: the [`FactStore`] picks its backend
+/// once per *probe* (one `match`), never per candidate.
 pub fn extend_by_matching(
     seeds: Vec<Substitution>,
     pattern: &Term,
-    store: &dyn RelationStorage,
+    store: &FactStore,
 ) -> Vec<Substitution> {
     let mut out = Vec::new();
     for theta in seeds {
@@ -531,7 +523,7 @@ pub fn extend_by_matching(
             }
             continue;
         }
-        store.for_each_candidate(&instantiated, &mut |candidate| {
+        store.for_each_candidate(&instantiated, |candidate| {
             let mut extended = theta.clone();
             if match_with(&instantiated, candidate, &mut extended) {
                 out.push(extended);
@@ -551,8 +543,8 @@ pub fn extend_by_matching(
 /// delta store instead — the semi-naive restriction.
 pub fn join_body(
     rule: &Rule,
-    store: &dyn RelationStorage,
-    delta: Option<(&dyn RelationStorage, usize)>,
+    store: &FactStore,
+    delta: Option<(&FactStore, usize)>,
     mode: NegationMode,
 ) -> Result<Vec<Substitution>, EngineError> {
     let mut thetas = vec![Substitution::new()];
@@ -608,21 +600,23 @@ pub fn least_model(
     mode: NegationMode,
     opts: EvalOptions,
 ) -> Result<AtomStore, EngineError> {
-    let mut store = AtomStore::new();
+    let mut store = FactStore::InMemory(AtomStore::new());
     least_model_into(program, mode, opts, &mut store)?;
+    let FactStore::InMemory(store) = store else {
+        unreachable!("the driver never changes a store's backend")
+    };
     Ok(store)
 }
 
-/// [`least_model`] evaluated *into* a caller-provided (empty) store — the
-/// backend-polymorphic entry point: pass a spill-backed store and the least
-/// model materialises with cold relations paged to disk.  This is the
-/// semi-naive driver (`saturate`) from a cold start with nothing to do per
-/// match.
+/// [`least_model`] evaluated *into* a caller-provided (empty) store on
+/// either backend: pass a spill-backed store and the least model
+/// materialises with cold relations paged to disk.  This is the semi-naive
+/// driver (`saturate`) from a cold start with nothing to do per match.
 pub fn least_model_into(
     program: &Program,
     mode: NegationMode,
     opts: EvalOptions,
-    store: &mut dyn RelationStorage,
+    store: &mut FactStore,
 ) -> Result<(), EngineError> {
     saturate(program, store, None, mode, opts, &mut |_, _, _| Ok(()))
 }
@@ -663,7 +657,7 @@ pub fn least_model_into(
 /// extended** and no longer closed; discard it.
 pub(crate) fn saturate(
     program: &Program,
-    store: &mut dyn RelationStorage,
+    store: &mut FactStore,
     frontier: Option<AtomStore>,
     mode: NegationMode,
     opts: EvalOptions,
@@ -672,14 +666,14 @@ pub(crate) fn saturate(
     // One walk of the program selects the rules a frontier can fire (with
     // their positive-literal counts) and, cold, runs round 0 on the rest.
     let cold = frontier.is_none();
-    let mut frontier = frontier.unwrap_or_default();
+    let mut frontier = FactStore::InMemory(frontier.unwrap_or_default());
     let mut firing: Vec<(&Rule, usize)> = Vec::new();
     for rule in program.iter() {
         let positives = rule.positive_atoms().count();
         if positives > 0 {
             firing.push((rule, positives));
         } else if cold {
-            for theta in join_body(rule, &*store, None, mode)? {
+            for theta in join_body(rule, store, None, mode)? {
                 let head = ground_head(rule, &theta)?;
                 on_match(rule, &theta, &head)?;
                 if store.insert(head.clone()) {
@@ -724,10 +718,10 @@ pub(crate) fn saturate(
                 // each of their tasks, drawing the others from the store, so
                 // no match is lost to the split; the repeats are the ones a
                 // serial round makes too (one per frontier atom read).
-                let mut parts: Vec<AtomStore> = vec![AtomStore::new(); partitions];
-                for atom in frontier.iter() {
+                let mut parts = vec![FactStore::InMemory(AtomStore::new()); partitions];
+                frontier.for_each_atom(|atom| {
                     parts[partition_of(atom, partitions)].insert(atom.clone());
-                }
+                });
                 parts.retain(|part| !part.is_empty());
                 count(|c| &c.parallel_partitioned_rounds, 1);
                 let firing = &firing;
@@ -756,7 +750,7 @@ pub(crate) fn saturate(
         for atom in next.iter() {
             store.insert(atom.clone());
         }
-        frontier = next;
+        frontier = FactStore::InMemory(next);
     }
     Ok(())
 }
@@ -768,8 +762,8 @@ pub(crate) fn saturate(
 /// per partition on a pool thread.
 fn fire<'r>(
     firing: &[(&'r Rule, usize)],
-    store: &dyn RelationStorage,
-    frontier: &AtomStore,
+    store: &FactStore,
+    frontier: &FactStore,
     mode: NegationMode,
     visit: &mut dyn FnMut(&'r Rule, Substitution, Term) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
@@ -1131,7 +1125,7 @@ mod tests {
     /// driver's contract asks), returning how many matches it handed out.
     fn continue_from(
         program: &Program,
-        store: &mut AtomStore,
+        store: &mut FactStore,
         seeds: &[Term],
         opts: EvalOptions,
     ) -> Result<usize, EngineError> {
@@ -1161,15 +1155,16 @@ mod tests {
                     tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
                     edge(a, b). edge(c, d).";
         let mut program = parse_program(base).unwrap();
-        let mut store =
-            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
+        let mut store = FactStore::InMemory(
+            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap(),
+        );
         let before = store.len();
         let new_edge = Term::apps("edge", vec![Term::sym("b"), Term::sym("c")]);
         program.push(Rule::fact(new_edge.clone()));
         let matches =
             continue_from(&program, &mut store, &[new_edge], EvalOptions::default()).unwrap();
         let fresh = least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
-        assert_eq!(store.atoms(), fresh.atoms());
+        assert_eq!(store.collect_atoms(), Vec::from_iter(fresh.iter().cloned()));
         // The continuation added exactly the difference: the new edge plus
         // the new tc pairs crossing it (a->c, a->d, b->c, b->d; c is already
         // linked to d), each matched exactly once.
@@ -1182,7 +1177,7 @@ mod tests {
     fn a_continuation_respects_the_atom_budget() {
         let program = parse_program("nat(z). nat(s(X)) :- nat(X).").unwrap();
         // The base program diverges, so close only the fact by hand.
-        let mut store = AtomStore::from_atoms([Term::sym("seed")]);
+        let mut store = FactStore::InMemory(AtomStore::from_atoms([Term::sym("seed")]));
         let r = continue_from(
             &program,
             &mut store,
@@ -1206,7 +1201,7 @@ mod tests {
         }
         let program = parse_program(&text).unwrap();
         let run = |threads: usize| {
-            let mut store = AtomStore::new();
+            let mut store = FactStore::InMemory(AtomStore::new());
             let mut heads: Vec<Term> = Vec::new();
             saturate(
                 &program,
@@ -1221,7 +1216,7 @@ mod tests {
             )
             .unwrap();
             heads.sort();
-            (store.atoms().clone(), heads)
+            (store.collect_atoms(), heads)
         };
         let (serial_store, serial_heads) = run(1);
         let (pooled_store, pooled_heads) = run(4);

@@ -88,9 +88,7 @@ pub use session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
 pub use snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
 pub use spill::SpillStore;
 pub use stable::{stable_models_over_universe, StableOptions};
-pub use storage::{
-    FactStore, RelationStorage, RelationStorageStats, StorageConfig, DEFAULT_SPILL_BUDGET,
-};
+pub use storage::{FactStore, RelationStorageStats, StorageConfig};
 pub use wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_of_ground};
 
 /// Convenience prelude pulling in the most frequently used engine items.
@@ -109,6 +107,6 @@ pub mod prelude {
     pub use crate::session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
     pub use crate::snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
     pub use crate::stable::StableOptions;
-    pub use crate::storage::{FactStore, RelationStorage, StorageConfig};
+    pub use crate::storage::{FactStore, StorageConfig};
     pub use crate::wfs::{well_founded_eval, well_founded_model_over_universe};
 }

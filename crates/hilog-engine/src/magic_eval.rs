@@ -72,7 +72,7 @@ use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
-use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
+use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};

@@ -20,7 +20,7 @@ use crate::ground::GroundRule;
 use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
 use crate::snapshot::{lock_mut, SnapCore};
-use crate::storage::{FactStore, RelationStorage};
+use crate::storage::FactStore;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
@@ -346,7 +346,7 @@ fn pred_key(atom: &Term) -> Option<PredKey> {
 /// cost is a glance at each fact plus a join per builtin-only rule, not a
 /// join per stored fact.
 pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
-    let empty = AtomStore::new();
+    let empty = FactStore::InMemory(AtomStore::new());
     program.proper_rules().any(|rule| {
         rule.positive_atoms().count() == 0
             && rule.negative_atoms().count() == 0

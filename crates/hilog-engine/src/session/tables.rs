@@ -122,7 +122,7 @@ use super::HiLogDb;
 use crate::magic::DepSign;
 use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table};
 use crate::snapshot::{lock_mut, DbSnapshot};
-use crate::storage::{FactStore, RelationStorage};
+use crate::storage::FactStore;
 use hilog_core::analysis::strongly_connected_components;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
@@ -537,7 +537,7 @@ impl Difference {
     /// What `new` holds that `old` does not, and the reverse.
     fn between(new: &FactStore, old: &FactStore) -> Difference {
         let mut removed = Vec::new();
-        old.for_each_atom(&mut |a| {
+        old.for_each_atom(|a| {
             if !new.contains(a) {
                 removed.push(a.clone());
             }
@@ -545,7 +545,7 @@ impl Difference {
         let mut added = Vec::new();
         // Everything of `new` is accounted for when the sizes say so.
         if new.len() + removed.len() > old.len() {
-            new.for_each_atom(&mut |a| {
+            new.for_each_atom(|a| {
                 if !old.contains(a) {
                     added.push(a.clone());
                 }
@@ -652,12 +652,12 @@ fn graft(
     for instance in instances {
         let settled = &tables[instance].answers;
         let (mut stale, mut fresh) = (Vec::new(), Vec::new());
-        table.answers.for_each_candidate(instance, &mut |answer| {
+        table.answers.for_each_candidate(instance, |answer| {
             if subsumes(instance, answer) && !settled.contains(answer) {
                 stale.push(answer.clone());
             }
         });
-        settled.for_each_atom(&mut |answer| {
+        settled.for_each_atom(|answer| {
             if !table.answers.contains(answer) {
                 fresh.push(answer.clone());
             }

@@ -88,7 +88,7 @@ use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
-use crate::storage::{FactStore, RelationStorage, RelationStorageStats, StorageConfig};
+use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use crate::wfs::well_founded_eval;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;

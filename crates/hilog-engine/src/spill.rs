@@ -1,4 +1,4 @@
-//! The spill-to-disk relation storage backend.
+//! The spill-to-disk backend of [`crate::storage::FactStore`].
 //!
 //! A [`SpillStore`] holds the same logical content as an
 //! [`crate::horn::AtomStore`] but pages *cold relations' fact payloads* out
@@ -40,7 +40,7 @@
 //! store's `SpillDir`.
 
 use crate::ambient::count;
-use crate::storage::{RelationStorage, RelationStorageStats, DEFAULT_SPILL_BUDGET};
+use crate::storage::RelationStorageStats;
 use hilog_core::codec::{PayloadReader, PayloadWriter};
 use hilog_core::term::Term;
 use std::collections::hash_map::DefaultHasher;
@@ -251,12 +251,13 @@ impl SpillInner {
     }
 }
 
-/// Spill-to-disk [`RelationStorage`] backend; see the module docs.
+/// The spill backend of [`crate::storage::FactStore`]; see the module docs.
 ///
 /// Interior mutability (`Mutex`) because faulting rows in and updating the
 /// LRU clock happen under `&self` probes, and a shared store must stay
 /// `Sync` for snapshot readers and partitioned-join workers.  Probe results
-/// are collected under the lock and visited outside it.
+/// are decoded under the lock and visited outside it: a spilled row has no
+/// `&Term` to lend, so the store visits rather than iterates.
 #[derive(Debug)]
 pub struct SpillStore {
     inner: Mutex<SpillInner>,
@@ -310,16 +311,6 @@ impl SpillStore {
             dir: Arc::new(SpillDir::new(dir)),
             budget: resident_budget.max(1),
         }
-    }
-
-    /// An empty store with the default budget (tests, ad hoc use).
-    pub fn with_default_budget() -> Self {
-        SpillStore::new(None, DEFAULT_SPILL_BUDGET)
-    }
-
-    /// The resident-payload budget.
-    pub fn budget(&self) -> usize {
-        self.budget
     }
 
     fn lock(&self) -> MutexGuard<'_, SpillInner> {
@@ -439,10 +430,9 @@ impl SpillStore {
             }
         }
     }
-}
 
-impl RelationStorage for SpillStore {
-    fn insert(&mut self, atom: Term) -> bool {
+    /// Inserts a ground atom; returns `true` if it was new.
+    pub(crate) fn insert(&mut self, atom: Term) -> bool {
         debug_assert!(
             atom.is_ground(),
             "SpillStore::insert of non-ground atom {atom}"
@@ -484,7 +474,8 @@ impl RelationStorage for SpillStore {
         true
     }
 
-    fn remove(&mut self, atom: &Term) -> bool {
+    /// Removes a ground atom; returns `true` if it was present.
+    pub(crate) fn remove(&mut self, atom: &Term) -> bool {
         let key = (atom.name().clone(), atom.arity());
         let hash = term_hash(atom);
         let inner = &mut *self.lock();
@@ -527,7 +518,9 @@ impl RelationStorage for SpillStore {
         true
     }
 
-    fn contains(&self, atom: &Term) -> bool {
+    /// Returns `true` if the atom is present, faulting in at most the rows
+    /// that share its structural hash.
+    pub(crate) fn contains(&self, atom: &Term) -> bool {
         let key = (atom.name().clone(), atom.arity());
         let hash = term_hash(atom);
         let inner = &mut *self.lock();
@@ -543,11 +536,15 @@ impl RelationStorage for SpillStore {
         found.is_some()
     }
 
-    fn len(&self) -> usize {
+    /// Number of atoms.
+    pub(crate) fn len(&self) -> usize {
         self.lock().len
     }
 
-    fn for_each_candidate(&self, pattern: &Term, visit: &mut dyn FnMut(&Term)) {
+    /// Visits the candidates for `pattern`, selected as
+    /// [`crate::horn::AtomStore::candidates`] selects them, faulting in
+    /// exactly the rows of the posting list or relations it walks.
+    pub(crate) fn for_each_candidate(&self, pattern: &Term, mut visit: impl FnMut(&Term)) {
         let collected: Vec<Term> = {
             let inner = &mut *self.lock();
             inner.clock += 1;
@@ -616,7 +613,8 @@ impl RelationStorage for SpillStore {
         }
     }
 
-    fn for_each_atom(&self, visit: &mut dyn FnMut(&Term)) {
+    /// Visits every atom in term order, faulting every spilled row in.
+    pub(crate) fn for_each_atom(&self, mut visit: impl FnMut(&Term)) {
         let collected: BTreeSet<Term> = {
             let inner = &mut *self.lock();
             inner.clock += 1;
@@ -641,35 +639,8 @@ impl RelationStorage for SpillStore {
         }
     }
 
-    fn for_each_named(&self, name: &Term, arity: Option<usize>, visit: &mut dyn FnMut(&Term)) {
-        let collected: BTreeSet<Term> = {
-            let inner = &mut *self.lock();
-            inner.clock += 1;
-            let clock = inner.clock;
-            let mut faults = 0u64;
-            let mut sorted = BTreeSet::new();
-            for (key, rel) in inner.relations.iter_mut() {
-                if &key.0 != name || (arity.is_some() && key.1 != arity) {
-                    continue;
-                }
-                rel.touch = clock;
-                for slot in rel.order.clone() {
-                    let (term, f) = rel.slot_term(slot);
-                    faults += f;
-                    sorted.insert(term);
-                }
-            }
-            inner.resident += faults as usize;
-            inner.faults += faults;
-            self.enforce_budget(inner, None);
-            sorted
-        };
-        for term in &collected {
-            visit(term);
-        }
-    }
-
-    fn storage_stats(&self) -> RelationStorageStats {
+    /// Storage observability counters for this store.
+    pub(crate) fn storage_stats(&self) -> RelationStorageStats {
         let inner = self.lock();
         RelationStorageStats {
             resident_facts: inner.resident,
@@ -729,6 +700,12 @@ mod tests {
         Term::apps(name, vec![Term::sym(a), Term::sym(b)])
     }
 
+    fn candidates(store: &SpillStore, pattern: &Term) -> Vec<Term> {
+        let mut out = Vec::new();
+        store.for_each_candidate(pattern, |t| out.push(t.clone()));
+        out
+    }
+
     #[test]
     fn insert_contains_remove_roundtrip() {
         let mut store = SpillStore::new(None, 4);
@@ -761,7 +738,7 @@ mod tests {
         // A bound probe on the cold relation faults exactly the posting
         // list back in and still answers correctly.
         let pattern = Term::apps("cold", vec![Term::sym("a3"), Term::var("Y")]);
-        let hits = store.collect_candidates(&pattern);
+        let hits = candidates(&store, &pattern);
         assert_eq!(hits, vec![atom("cold", "a3", "x")]);
         assert!(store.storage_stats().residency_faults > 0);
         assert!(store.contains(&atom("cold", "a7", "x")));
@@ -793,7 +770,7 @@ mod tests {
         assert!(!store.contains(&atom("r", "k2", "v")));
         assert_eq!(store.len(), 7);
         let pattern = Term::apps("r", vec![Term::var("X"), Term::var("Y")]);
-        assert_eq!(store.collect_candidates(&pattern).len(), 7);
+        assert_eq!(candidates(&store, &pattern).len(), 7);
     }
 
     #[test]
@@ -808,7 +785,8 @@ mod tests {
             store.insert(b.clone());
             expected.insert(b);
         }
-        let collected = store.collect_atoms();
+        let mut collected = Vec::new();
+        store.for_each_atom(|t| collected.push(t.clone()));
         assert_eq!(collected, expected.into_iter().collect::<Vec<_>>());
     }
 

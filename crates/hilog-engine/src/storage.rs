@@ -1,21 +1,20 @@
-//! Pluggable relation storage: the [`RelationStorage`] trait the evaluator
-//! speaks, and the backend-polymorphic [`FactStore`] every long-lived store
-//! in the engine (the session's possibly-true store, subgoal-table answers)
-//! is made of.
+//! Pluggable relation storage: [`FactStore`], the one store type every set
+//! of ground atoms in the engine is made of — the session's possibly-true
+//! store, subgoal-table answers, the program index's facts and the join
+//! inputs.
 //!
 //! The join machinery in [`crate::horn`], the grounder, and the tabled
-//! magic evaluator only need a small contract from a fact store:
+//! magic evaluator need a small contract from a fact store:
 //! insert/remove/contains, candidate enumeration for a (possibly partially
-//! instantiated) pattern, ordered iteration, and name-keyed ranges.  That
-//! contract is [`RelationStorage`]; it is object safe, so the evaluation
-//! functions take `&dyn RelationStorage` and one compiled join path serves
-//! every backend (cozo evaluates the same semi-naive program over swappable
-//! `TempStore`s inside a transaction — same shape).
+//! instantiated) pattern, and ordered iteration.  [`FactStore`] states it
+//! once, as inherent methods that each `match` over the two backends, and
+//! the evaluation functions take `&FactStore` — a concrete store, statically
+//! dispatched, as cozo hands its semi-naive program `TempStore`s.
 //!
-//! Two backends ship:
+//! The two backends:
 //!
-//! * **In-memory** — [`crate::horn::AtomStore`], today's behaviour,
-//!   bit-identical results and performance; the default.
+//! * **In-memory** — [`crate::horn::AtomStore`]: everything resident,
+//!   lazily built argument indexes; the default.
 //! * **Spill** — [`crate::spill::SpillStore`], which keeps every
 //!   argument-position index (and each relation's bookkeeping) in memory
 //!   but pages *cold relations' fact payloads* out to per-relation segment
@@ -23,6 +22,11 @@
 //!   A fact base larger than RAM keeps answering bound queries at
 //!   interactive latency because bound probes only decode the posting list
 //!   they hit.
+//!
+//! Candidates and atoms are *visited* by callback rather than lent as
+//! borrowed iterators, because a spilled row has no `&Term` to lend — it is
+//! decoded on the fly under the store's lock; `Term` is `Arc`-backed, so the
+//! in-memory backend loses nothing by sharing through `&Term` callbacks.
 //!
 //! Backend selection is per store via [`StorageConfig`]; the
 //! `HILOG_STORAGE=spill` environment variable flips the process-wide
@@ -76,145 +80,10 @@ impl RelationStorageStats {
     }
 }
 
-/// The storage contract the evaluator needs from a set of ground atoms.
-///
-/// Extracted from [`AtomStore`]'s inherent API: the join machinery
-/// ([`crate::horn::join_body`], [`crate::horn::extend_by_matching`], the
-/// semi-naive rounds), the grounder, and the magic evaluator's subgoal
-/// tables call only these methods, so any implementor can back them.
-/// Candidate enumeration and iteration use visitor callbacks instead of
-/// borrowed iterators because a spilled row has no `&Term` to lend — it is
-/// decoded on the fly; `Term` is `Arc`-backed, so the in-memory backend
-/// loses nothing by sharing through `&Term` callbacks either.
-pub trait RelationStorage: std::fmt::Debug + Send + Sync {
-    /// Inserts a ground atom; returns `true` if it was new.
-    fn insert(&mut self, atom: Term) -> bool;
-
-    /// Removes a ground atom; returns `true` if it was present.
-    fn remove(&mut self, atom: &Term) -> bool;
-
-    /// Returns `true` if the atom is present.
-    fn contains(&self, atom: &Term) -> bool;
-
-    /// Number of atoms.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the store is empty.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Visits candidate atoms that could match the given (possibly
-    /// partially instantiated) pattern — a superset of the actual matches
-    /// restricted by the backend's best access path; callers still
-    /// unify/match against each candidate.  Mirrors
-    /// [`AtomStore::candidates`]'s selection order: relation narrowing,
-    /// most selective argument index, functor-bucket scan, arity scan.
-    fn for_each_candidate(&self, pattern: &Term, visit: &mut dyn FnMut(&Term));
-
-    /// Visits every atom in term order.
-    fn for_each_atom(&self, visit: &mut dyn FnMut(&Term));
-
-    /// Visits every atom whose predicate name equals `name` (restricted to
-    /// one arity when `arity` is `Some`) in term order — the name-keyed
-    /// range probe [`hilog_core::interpretation::Model::base_candidates`]
-    /// performs on the ordered model base.
-    fn for_each_named(&self, name: &Term, arity: Option<usize>, visit: &mut dyn FnMut(&Term));
-
-    /// Storage observability counters for this store.
-    fn storage_stats(&self) -> RelationStorageStats;
-
-    /// Collects the candidates for `pattern` into owned terms (a
-    /// convenience over [`RelationStorage::for_each_candidate`]; `Term`
-    /// clones are `Arc` bumps).
-    fn collect_candidates(&self, pattern: &Term) -> Vec<Term> {
-        let mut out = Vec::new();
-        self.for_each_candidate(pattern, &mut |t| out.push(t.clone()));
-        out
-    }
-
-    /// Collects every atom in term order.
-    fn collect_atoms(&self) -> Vec<Term> {
-        let mut out = Vec::new();
-        self.for_each_atom(&mut |t| out.push(t.clone()));
-        out
-    }
-}
-
-impl RelationStorage for AtomStore {
-    fn insert(&mut self, atom: Term) -> bool {
-        AtomStore::insert(self, atom)
-    }
-
-    fn remove(&mut self, atom: &Term) -> bool {
-        AtomStore::remove(self, atom)
-    }
-
-    fn contains(&self, atom: &Term) -> bool {
-        AtomStore::contains(self, atom)
-    }
-
-    fn len(&self) -> usize {
-        AtomStore::len(self)
-    }
-
-    fn for_each_candidate(&self, pattern: &Term, visit: &mut dyn FnMut(&Term)) {
-        for candidate in self.candidates(pattern) {
-            visit(candidate);
-        }
-    }
-
-    fn for_each_atom(&self, visit: &mut dyn FnMut(&Term)) {
-        for atom in self.iter() {
-            visit(atom);
-        }
-    }
-
-    fn for_each_named(&self, name: &Term, arity: Option<usize>, visit: &mut dyn FnMut(&Term)) {
-        if !name.is_ground() {
-            // No contiguous range to walk; filter the ordered view.
-            for atom in self.iter() {
-                if atom.name() == name && (arity.is_none() || atom.arity() == arity) {
-                    visit(atom);
-                }
-            }
-            return;
-        }
-        // A bare symbol atom is its own name and orders before every
-        // application, so it sits outside the range below.  An application
-        // atom is *not* its own name (its name is its head), so a stored
-        // atom equal to a compound `name` does not belong to the range —
-        // same as `Model::base_candidates`, whose range starts at
-        // `App(name, [])`.
-        if arity.is_none() && !matches!(name, Term::App(_, _)) && AtomStore::contains(self, name) {
-            visit(name);
-        }
-        // Term order is name-major for applications: every `name(..)` atom
-        // is contiguous starting at the empty application (same walk as
-        // `Model::base_candidates`).
-        for atom in self.atoms_from(&Term::app(name.clone(), Vec::new())) {
-            if atom.name() != name {
-                break;
-            }
-            if arity.is_none() || atom.arity() == arity {
-                visit(atom);
-            }
-        }
-    }
-
-    fn storage_stats(&self) -> RelationStorageStats {
-        RelationStorageStats {
-            resident_facts: self.len(),
-            relations: self.relation_count(),
-            ..RelationStorageStats::default()
-        }
-    }
-}
-
 /// Which backend a [`FactStore`] uses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum StorageConfig {
-    /// Everything in memory ([`AtomStore`]) — the exact pre-trait baseline.
+    /// Everything in memory ([`AtomStore`]).
     InMemory,
     /// Hot relations and all indexes in memory; cold relations' fact
     /// payloads paged to per-relation segment files.
@@ -267,10 +136,8 @@ fn env_budget() -> usize {
         .unwrap_or(DEFAULT_SPILL_BUDGET)
 }
 
-/// A fact store over one of the pluggable backends.  This is the concrete
-/// type long-lived engine state is made of; everything it can do it says
-/// once, through [`RelationStorage`] (import the trait to call it),
-/// dispatching over the backend enum.
+/// A set of ground atoms on one of the two backends — the one store type
+/// the evaluator speaks; see the module docs.
 #[derive(Debug, Clone)]
 pub enum FactStore {
     /// Everything resident ([`AtomStore`]).
@@ -280,6 +147,7 @@ pub enum FactStore {
 }
 
 impl Default for FactStore {
+    /// An empty in-memory store, whatever `HILOG_STORAGE` says.
     fn default() -> Self {
         FactStore::InMemory(AtomStore::new())
     }
@@ -297,64 +165,96 @@ impl FactStore {
         }
     }
 
-    /// `true` when this store pages relations to segment files under a
-    /// residency budget (the [`StorageConfig::Spill`] backend).
-    pub fn is_spill(&self) -> bool {
-        matches!(self, FactStore::Spill(_))
-    }
-
-    fn as_dyn(&self) -> &dyn RelationStorage {
+    /// Inserts a ground atom; returns `true` if it was new.
+    pub fn insert(&mut self, atom: Term) -> bool {
         match self {
-            FactStore::InMemory(s) => s,
-            FactStore::Spill(s) => s,
+            FactStore::InMemory(s) => s.insert(atom),
+            FactStore::Spill(s) => s.insert(atom),
         }
     }
 
-    fn as_dyn_mut(&mut self) -> &mut dyn RelationStorage {
+    /// Removes a ground atom; returns `true` if it was present.
+    pub fn remove(&mut self, atom: &Term) -> bool {
         match self {
-            FactStore::InMemory(s) => s,
-            FactStore::Spill(s) => s,
+            FactStore::InMemory(s) => s.remove(atom),
+            FactStore::Spill(s) => s.remove(atom),
         }
     }
-}
 
-impl RelationStorage for FactStore {
-    fn insert(&mut self, atom: Term) -> bool {
-        self.as_dyn_mut().insert(atom)
+    /// Returns `true` if the atom is present.
+    pub fn contains(&self, atom: &Term) -> bool {
+        match self {
+            FactStore::InMemory(s) => s.contains(atom),
+            FactStore::Spill(s) => s.contains(atom),
+        }
     }
 
-    fn remove(&mut self, atom: &Term) -> bool {
-        self.as_dyn_mut().remove(atom)
+    /// Number of atoms.
+    pub fn len(&self) -> usize {
+        match self {
+            FactStore::InMemory(s) => s.len(),
+            FactStore::Spill(s) => s.len(),
+        }
     }
 
-    fn contains(&self, atom: &Term) -> bool {
-        self.as_dyn().contains(atom)
+    /// Returns `true` if the store is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
     }
 
-    fn len(&self) -> usize {
-        self.as_dyn().len()
+    /// Visits candidate atoms that could match the given (possibly
+    /// partially instantiated) pattern — a superset of the actual matches
+    /// restricted by the backend's best access path; callers still
+    /// unify/match against each candidate.  Both backends select as
+    /// [`AtomStore::candidates`] does: relation narrowing, most selective
+    /// argument index, relation scan, arity scan.
+    pub fn for_each_candidate(&self, pattern: &Term, visit: impl FnMut(&Term)) {
+        match self {
+            FactStore::InMemory(s) => s.candidates(pattern).for_each(visit),
+            FactStore::Spill(s) => s.for_each_candidate(pattern, visit),
+        }
     }
 
-    fn for_each_candidate(&self, pattern: &Term, visit: &mut dyn FnMut(&Term)) {
-        self.as_dyn().for_each_candidate(pattern, visit)
+    /// Visits every atom in term order.
+    pub fn for_each_atom(&self, visit: impl FnMut(&Term)) {
+        match self {
+            FactStore::InMemory(s) => s.iter().for_each(visit),
+            FactStore::Spill(s) => s.for_each_atom(visit),
+        }
     }
 
-    fn for_each_atom(&self, visit: &mut dyn FnMut(&Term)) {
-        self.as_dyn().for_each_atom(visit)
+    /// The candidates for `pattern` as owned terms (`Term` clones are `Arc`
+    /// bumps).
+    pub fn collect_candidates(&self, pattern: &Term) -> Vec<Term> {
+        let mut out = Vec::new();
+        self.for_each_candidate(pattern, |t| out.push(t.clone()));
+        out
     }
 
-    fn for_each_named(&self, name: &Term, arity: Option<usize>, visit: &mut dyn FnMut(&Term)) {
-        self.as_dyn().for_each_named(name, arity, visit)
+    /// Every atom in term order, as owned terms.
+    pub fn collect_atoms(&self) -> Vec<Term> {
+        let mut out = Vec::new();
+        self.for_each_atom(|t| out.push(t.clone()));
+        out
     }
 
-    fn storage_stats(&self) -> RelationStorageStats {
-        self.as_dyn().storage_stats()
+    /// Storage observability counters for this store.
+    pub fn storage_stats(&self) -> RelationStorageStats {
+        match self {
+            FactStore::InMemory(s) => RelationStorageStats {
+                resident_facts: s.len(),
+                relations: s.relation_count(),
+                ..RelationStorageStats::default()
+            },
+            FactStore::Spill(s) => s.storage_stats(),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ambient::counters;
 
     fn atom(name: &str, args: &[&str]) -> Term {
         Term::apps(name, args.iter().map(|a| Term::sym(*a)).collect::<Vec<_>>())
@@ -375,30 +275,49 @@ mod tests {
     }
 
     #[test]
-    fn trait_candidates_agree_with_inherent_iterator() {
-        let mut store = AtomStore::new();
+    fn the_enum_visits_exactly_what_the_atom_store_yields_and_counts_it_once() {
+        // The in-memory variant is the atom store itself: the same candidate
+        // sequence in the same order, and one visit through the enum moves
+        // the probe counters (`horn.index_probe_share` is computed from them)
+        // by exactly what one `AtomStore::candidates` call moves them.
+        let mut atoms = AtomStore::new();
         for i in 0..16 {
-            store.insert(atom("edge", &[&format!("n{i}"), &format!("n{}", i + 1)]));
+            atoms.insert(atom("edge", &[&format!("n{i}"), &format!("n{}", i + 1)]));
+            atoms.insert(atom("node", &[&format!("n{i}")]));
         }
-        let pat = Term::apps("edge", vec![Term::sym("n3"), Term::var("Y")]);
-        let via_iter: Vec<Term> = store.candidates(&pat).cloned().collect();
-        let via_trait = RelationStorage::collect_candidates(&store, &pat);
-        assert_eq!(via_iter, via_trait);
-    }
-
-    #[test]
-    fn named_range_restricts_by_name_and_arity() {
-        let mut store = AtomStore::new();
-        store.insert(atom("p", &["a"]));
-        store.insert(atom("p", &["a", "b"]));
-        store.insert(atom("q", &["a"]));
-        let name = Term::sym("p");
-        let mut all = Vec::new();
-        store.for_each_named(&name, None, &mut |t| all.push(t.clone()));
-        assert_eq!(all.len(), 2);
-        let mut unary = Vec::new();
-        store.for_each_named(&name, Some(1), &mut |t| unary.push(t.clone()));
-        assert_eq!(unary, vec![atom("p", &["a"])]);
+        let store = FactStore::InMemory(atoms.clone());
+        let patterns = [
+            Term::apps("edge", vec![Term::sym("n3"), Term::var("Y")]),
+            Term::apps("edge", vec![Term::var("X"), Term::var("Y")]),
+            Term::app(Term::var("P"), vec![Term::var("X")]),
+            Term::apps("absent", vec![Term::var("X")]),
+        ];
+        let probes_during = |run: &mut dyn FnMut()| {
+            let before = counters();
+            run();
+            let moved = counters() - before;
+            (moved.index_probes, moved.index_fallback_scans)
+        };
+        for pattern in &patterns {
+            let mut direct = Vec::new();
+            let direct_cost = probes_during(&mut || {
+                direct = atoms.candidates(pattern).cloned().collect();
+            });
+            let mut visited = Vec::new();
+            let enum_cost = probes_during(&mut || {
+                store.for_each_candidate(pattern, |t| visited.push(t.clone()));
+            });
+            assert_eq!(visited, direct, "candidate sequence for {pattern}");
+            assert_eq!(enum_cost, direct_cost, "probe counters for {pattern}");
+        }
+        // The bound pattern probed an index, the open and variable-named
+        // ones fell back to scans: each route was exercised.
+        let routes = probes_during(&mut || {
+            for pattern in &patterns[..3] {
+                store.for_each_candidate(pattern, |_| {});
+            }
+        });
+        assert_eq!(routes, (1, 2));
     }
 
     #[test]

@@ -260,7 +260,7 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
             let serial = EvalOptions::with_eval_threads(1);
-            let mut model = AtomStore::new();
+            let mut model = FactStore::default();
             least_model_into(&program, NegationMode::Ignore, serial, &mut model)
                 .expect("least model");
             let reference = ground_against(&program, &model, serial).expect("definitional");

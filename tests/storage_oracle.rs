@@ -2,14 +2,14 @@
 //! arbitrary insert/remove churn and probing, a [`FactStore`] on the spill
 //! backend must be observationally identical to one on the in-memory
 //! backend — same novelty/presence results, same candidate sets, same
-//! name-keyed ranges, same ordered iteration.  The spill store runs with a
-//! deliberately tiny residency budget so relations keep getting paged out
-//! and faulted back *between* the probes that compare them.
+//! ordered iteration.  The spill store runs with a deliberately tiny
+//! residency budget so relations keep getting paged out and faulted back
+//! *between* the probes that compare them.
 //!
 //! Seeds are pinned (`SEED_BASE` + case index) so failures reproduce;
 //! `HILOG_STORAGE_ORACLE_CASES` scales the case count up in CI.
 
-use hilog_engine::{FactStore, RelationStorage, StorageConfig};
+use hilog_engine::{FactStore, StorageConfig};
 use hilog_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -17,8 +17,9 @@ use rand::{Rng, SeedableRng};
 const SEED_BASE: u64 = 0x5709_4A6E;
 
 /// Residency budget in facts — far below the stores' sizes, so cold
-/// relations spill continuously.
-const TINY_BUDGET: usize = 24;
+/// relations spill continuously: the churn of each of the first 1,000 seeds
+/// outgrows it.
+const TINY_BUDGET: usize = 20;
 
 fn cases() -> u64 {
     std::env::var("HILOG_STORAGE_ORACLE_CASES")
@@ -106,13 +107,6 @@ fn matches_of(store: &FactStore, pattern: &Term) -> Vec<Term> {
     out
 }
 
-/// Name-keyed range probe, as the ordered model base performs it.
-fn named_of(store: &FactStore, name: &Term, arity: Option<usize>) -> Vec<Term> {
-    let mut out = Vec::new();
-    store.for_each_named(name, arity, &mut |t| out.push(t.clone()));
-    out
-}
-
 fn compare_probes(mem: &FactStore, spill: &FactStore, rng: &mut StdRng, pop: &[Term], seed: u64) {
     let pattern = random_pattern(rng, pop);
     assert_eq!(
@@ -125,17 +119,6 @@ fn compare_probes(mem: &FactStore, spill: &FactStore, rng: &mut StdRng, pop: &[T
             mem.contains(atom),
             spill.contains(atom),
             "seed {seed}: containment diverges for `{atom}`"
-        );
-        let name = atom.name().clone();
-        let arity = if rng.gen_bool(0.5) {
-            atom.arity()
-        } else {
-            None
-        };
-        assert_eq!(
-            named_of(mem, &name, arity),
-            named_of(spill, &name, arity),
-            "seed {seed}: named range diverges for `{name}`/{arity:?}"
         );
     }
 }
@@ -182,7 +165,7 @@ fn spill_store_is_observationally_identical_to_in_memory_under_churn() {
             spill.collect_atoms(),
             "seed {seed}: ordered iteration diverged"
         );
-        // With a 24-fact budget and ~60+ atoms across churn, the spill
+        // With a 20-fact budget and ~60+ atoms across churn, the spill
         // store must actually have exercised the paging path — rows paged
         // out, and probes faulting them back in.
         let stats = spill.storage_stats();
