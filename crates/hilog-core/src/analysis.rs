@@ -8,11 +8,12 @@
 //! *ground* predicate names — inside the Figure 1 procedure for HiLog
 //! programs.
 
+use crate::hash::TermMap;
 use crate::literal::Literal;
 use crate::program::Program;
 use crate::rule::Rule;
 use crate::term::Term;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 /// The predicate *name* of an atom: `t` for `t(t1, ..., tn)`, the atom itself
 /// for a bare symbol / variable (a propositional or variable atom).
@@ -46,7 +47,7 @@ pub enum EdgeSign {
 #[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     nodes: Vec<Term>,
-    index: HashMap<Term, usize>,
+    index: TermMap<Term, usize>,
     /// Adjacency: `edges[u]` is the list of `(v, sign)` with an edge `u -> v`.
     edges: Vec<Vec<(usize, EdgeSign)>>,
 }
@@ -400,7 +401,7 @@ pub fn is_locally_stratified_ground(rules: &[Rule]) -> bool {
 pub fn rules_by_component(program: &Program) -> Vec<(BTreeSet<Term>, Vec<Rule>)> {
     let graph = DependencyGraph::predicate_graph(program);
     let sccs = graph.scc_terms();
-    let mut component_of: HashMap<Term, usize> = HashMap::new();
+    let mut component_of: TermMap<Term, usize> = TermMap::default();
     for (ci, comp) in sccs.iter().enumerate() {
         for t in comp {
             component_of.insert(t.clone(), ci);

@@ -24,11 +24,11 @@
 //! favours a dumb, obviously-correct decoder over compactness.
 
 use crate::builtin::{BuiltinCall, BuiltinOp};
+use crate::hash::TermMap;
 use crate::literal::{Aggregate, AggregateFunc, Literal};
 use crate::rule::Rule;
 use crate::symbol::Symbol;
 use crate::term::{Term, Var};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -103,9 +103,9 @@ type TermKey = Term;
 /// `[symbol table][term table][body]`.
 #[derive(Debug, Default)]
 pub struct PayloadWriter {
-    symbol_ids: HashMap<Symbol, u32>,
+    symbol_ids: TermMap<Symbol, u32>,
     symbol_table: Vec<Symbol>,
-    term_ids: HashMap<TermKey, u32>,
+    term_ids: TermMap<TermKey, u32>,
     term_table: Vec<u8>,
     term_count: u32,
     body: Vec<u8>,

@@ -13,8 +13,8 @@
 //! (`hilog_engine::horn`); the engine's ground programs keep their own
 //! program-local dense-id table (`hilog_engine::ground::AtomTable`).
 
+use crate::hash::TermMap;
 use crate::term::Term;
-use std::collections::HashMap;
 
 /// A stable, store-local identifier for an interned term.
 ///
@@ -43,7 +43,7 @@ impl AtomId {
 #[derive(Debug, Clone, Default)]
 pub struct TermInterner {
     terms: Vec<Term>,
-    ids: HashMap<Term, AtomId>,
+    ids: TermMap<Term, AtomId>,
 }
 
 impl TermInterner {

@@ -31,7 +31,9 @@
 //!   strongly connected components ([`analysis`]);
 //! * a stable **binary codec** for symbols, terms and rules with
 //!   payload-local interning tables, used by the durable storage layer
-//!   ([`codec`]).
+//!   ([`codec`]);
+//! * the one **hasher** of every term-keyed map: symbols hash their interned
+//!   pointer, maps hash with a seeded multiply-fold hasher ([`hash`]).
 //!
 //! Evaluation (grounding, well-founded and stable semantics, modular
 //! stratification, magic sets) lives in the companion crate `hilog-engine`;
@@ -44,6 +46,7 @@ pub mod analysis;
 pub mod builtin;
 pub mod codec;
 pub mod error;
+pub mod hash;
 pub mod herbrand;
 pub mod intern;
 pub mod interpretation;
@@ -60,6 +63,7 @@ pub mod universal;
 pub use builtin::{BuiltinCall, BuiltinOp};
 pub use codec::{crc32, CodecError, PayloadReader, PayloadWriter};
 pub use error::CoreError;
+pub use hash::{TermMap, TermSet};
 pub use herbrand::{HerbrandBounds, HerbrandUniverse, Vocabulary};
 pub use intern::{AtomId, TermInterner};
 pub use interpretation::{Interpretation, Model, Truth};

@@ -4,16 +4,38 @@
 //! symbols (Section 2 of the paper): a single pool of *symbols* is used in
 //! every role, and every symbol may be applied at every arity.  A [`Symbol`]
 //! is therefore just an immutable, cheaply clonable name.
+//!
+//! ## Identity, hashing and order
+//!
+//! Symbols are hash-consed in one global pool, so a name has exactly one
+//! allocation for as long as any [`Symbol`] for it is alive, and that
+//! allocation's address *is* the symbol's identity:
+//!
+//! * **`Eq` and `Hash` are identity.**  Equality compares pointers and
+//!   hashing feeds the pointer — one machine word — to the hasher.  Every
+//!   join probe, table lookup and interner hit in the engine hashes terms
+//!   made of symbols, so this is the per-atom constant under evaluation; see
+//!   [`crate::hash`] for the hasher those maps use.
+//! * **`Ord` is text.**  Ordering compares names byte-wise (after a pointer
+//!   fast path), so every `BTreeSet` / `BTreeMap` of terms — answers, models,
+//!   JSON, codec output — is ordered the same in every process.
+//!
+//! Why pointer identity is text identity: [`Symbol::new`] returns the pooled
+//! allocation whenever one exists, and [`gc_symbol_pool`] only drops entries
+//! whose sole owner is the pool (`strong_count == 1`), i.e. names no
+//! `Symbol` refers to.  So two live symbols with the same text always share
+//! one allocation, and a name collected and re-interned later gets a fresh
+//! allocation that no surviving symbol could be compared against.  A hash is
+//! therefore meaningful only within one process: nothing persisted may
+//! depend on it (the codec writes names, never pointers or hashes).
 
-use std::borrow::Borrow;
-use std::collections::HashSet;
+use crate::hash::TermSet;
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, OnceLock};
 
 /// The global symbol pool: every [`Symbol::new`] hands out the one shared
-/// allocation for its name, so structurally equal symbols are always
-/// pointer-equal and the equality fast path below never misses.
+/// allocation for its name, which is what makes pointer equality exact.
 ///
 /// The pool grows while names are interned and is drained explicitly:
 /// [`gc_symbol_pool`] drops every entry whose only owner is the pool itself,
@@ -22,18 +44,17 @@ use std::sync::{Arc, Mutex, OnceLock};
 /// process lifetime.  Persisted files use payload-local symbol ids (see
 /// [`crate::codec`]), so collecting the pool never invalidates anything on
 /// disk.
-fn pool() -> &'static Mutex<HashSet<Arc<str>>> {
-    static POOL: OnceLock<Mutex<HashSet<Arc<str>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(HashSet::new()))
+fn pool() -> &'static Mutex<TermSet<Arc<str>>> {
+    static POOL: OnceLock<Mutex<TermSet<Arc<str>>>> = OnceLock::new();
+    POOL.get_or_init(|| Mutex::new(TermSet::default()))
 }
 
 /// An interned, immutable HiLog symbol.
 ///
 /// Symbols are hash-consed: [`Symbol::new`] interns the name in a global
 /// pool, so two symbols with the same name always share one allocation.
-/// Cloning is an [`Arc`] bump and equality is a pointer comparison (with a
-/// defensive textual fallback); ordering and hashing remain textual so
-/// collections stay deterministic and `Borrow<str>` lookups keep working.
+/// Cloning is an [`Arc`] bump; equality and hashing are by that allocation,
+/// ordering is by name (see the module docs).
 ///
 /// ```
 /// use hilog_core::Symbol;
@@ -101,10 +122,10 @@ pub fn symbol_pool_stats() -> SymbolPoolStats {
 /// only remaining owner is the pool itself, returning how many were dropped.
 ///
 /// Soundness: `Symbol::new` takes the same lock, so no new reference to an
-/// entry can appear between the strong-count check and the drop.  A name
-/// collected here and re-interned later simply gets a fresh allocation; the
-/// textual fallback in `PartialEq` keeps equality correct across pool
-/// generations.
+/// entry can appear between the strong-count check and the drop, and an
+/// entry some `Symbol` still holds is never dropped — which is what keeps
+/// pointer identity equal to text identity (module docs).  A name collected
+/// here and re-interned later simply gets a fresh allocation.
 pub fn gc_symbol_pool() -> usize {
     let mut pool = pool().lock().unwrap_or_else(|e| e.into_inner());
     let before = pool.len();
@@ -114,11 +135,7 @@ pub fn gc_symbol_pool() -> usize {
 
 impl PartialEq for Symbol {
     fn eq(&self, other: &Self) -> bool {
-        // Interning makes equal names pointer-equal; the textual fallback
-        // matters across pool generations — after `gc_symbol_pool` a
-        // re-interned name gets a fresh allocation, so equality stays
-        // structural by definition.
-        Arc::ptr_eq(&self.0, &other.0) || self.0 == other.0
+        Arc::ptr_eq(&self.0, &other.0)
     }
 }
 
@@ -126,8 +143,8 @@ impl Eq for Symbol {}
 
 impl Hash for Symbol {
     fn hash<H: Hasher>(&self, state: &mut H) {
-        // Textual, so it agrees with `str`'s hash (required by `Borrow<str>`).
-        self.0.hash(state);
+        // The interned allocation's address: equal exactly when `eq` is.
+        state.write_usize(Arc::as_ptr(&self.0) as *const u8 as usize);
     }
 }
 
@@ -174,12 +191,6 @@ impl From<String> for Symbol {
     }
 }
 
-impl Borrow<str> for Symbol {
-    fn borrow(&self) -> &str {
-        &self.0
-    }
-}
-
 impl AsRef<str> for Symbol {
     fn as_ref(&self) -> &str {
         &self.0
@@ -189,7 +200,9 @@ impl AsRef<str> for Symbol {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashSet;
+    use crate::hash::{hash_one, TermSet};
+    use crate::term::Term;
+    use std::sync::Barrier;
 
     #[test]
     fn equality_is_by_name() {
@@ -209,16 +222,17 @@ mod tests {
     #[test]
     fn independent_constructions_are_hash_consed() {
         // Two symbols built from the same text share the pooled allocation,
-        // so the equality fast path is a pointer comparison.
+        // so equality is a pointer comparison.
         let a = Symbol::new("hash_consed_probe");
         let b = Symbol::new(String::from("hash_consed_probe"));
         assert!(Arc::ptr_eq(&a.0, &b.0));
         assert_eq!(a, b);
+        assert_eq!(hash_one(&a), hash_one(&b));
     }
 
     #[test]
     fn hash_set_membership() {
-        let mut set = HashSet::new();
+        let mut set = TermSet::default();
         set.insert(Symbol::new("game"));
         assert!(set.contains(&Symbol::new("game")));
         assert!(!set.contains(&Symbol::new("games")));
@@ -240,13 +254,6 @@ mod tests {
         assert!(Symbol::new("Abc").needs_quoting());
         assert!(Symbol::new("a-b").needs_quoting());
         assert!(Symbol::new("").needs_quoting());
-    }
-
-    #[test]
-    fn borrow_as_str() {
-        let s = Symbol::new("assoc");
-        let set: HashSet<Symbol> = [s.clone()].into_iter().collect();
-        assert!(set.contains("assoc"));
     }
 
     #[test]
@@ -272,17 +279,66 @@ mod tests {
     }
 
     #[test]
-    fn equality_survives_pool_generations() {
-        let old = Symbol::new("gc_generation_probe_zq");
-        // Simulate a pool generation change: force the entry out, re-intern.
-        {
-            let mut pool = pool().lock().unwrap_or_else(|e| e.into_inner());
-            pool.remove("gc_generation_probe_zq");
+    fn hash_agrees_with_eq_across_pool_collections() {
+        // A live name survives a collection as the same allocation: a term
+        // hashed into a set before the collection is found by a term rebuilt
+        // from text after it.
+        let live = Symbol::new("gc_hash_probe_live_zq");
+        let before = Term::app(Term::Sym(live.clone()), vec![Term::int(1)]);
+        let set: TermSet<Term> = [before.clone()].into_iter().collect();
+        gc_symbol_pool();
+        let rebuilt = Term::apps("gc_hash_probe_live_zq", vec![Term::int(1)]);
+        assert!(Arc::ptr_eq(
+            &live.0,
+            &Symbol::new("gc_hash_probe_live_zq").0
+        ));
+        assert_eq!(rebuilt, before);
+        assert_eq!(hash_one(&rebuilt), hash_one(&before));
+        assert!(set.contains(&rebuilt));
+        // A name nothing holds is collected; interned again, it is one
+        // allocation for every holder, so Hash and Eq agree among them.
+        drop(Symbol::new("gc_hash_probe_dead_zq"));
+        gc_symbol_pool();
+        let a = Symbol::new("gc_hash_probe_dead_zq");
+        let b = Symbol::new(String::from("gc_hash_probe_dead_zq"));
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(a, b);
+        assert_eq!(hash_one(&a), hash_one(&b));
+        assert_ne!(a, Symbol::new("gc_hash_probe_dead_zq_other"));
+    }
+
+    #[test]
+    fn hash_agrees_with_eq_for_symbols_interned_on_four_threads() {
+        const THREADS: usize = 4;
+        const NAMES: usize = 200;
+        let barrier = Arc::new(Barrier::new(THREADS));
+        let handles: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let barrier = Arc::clone(&barrier);
+                std::thread::spawn(move || {
+                    barrier.wait();
+                    // Each thread walks the names from its own offset, so
+                    // the threads race to intern every name first.
+                    let mut symbols = vec![None; NAMES];
+                    for k in 0..NAMES {
+                        let i = (k + t * NAMES / THREADS) % NAMES;
+                        symbols[i] = Some(Symbol::new(format!("concurrent_probe_{i}_zq")));
+                    }
+                    symbols.into_iter().map(Option::unwrap).collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let per_thread: Vec<Vec<Symbol>> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        let first: TermSet<Term> = per_thread[0].iter().cloned().map(Term::Sym).collect();
+        assert_eq!(first.len(), NAMES);
+        for symbols in &per_thread[1..] {
+            for (i, symbol) in symbols.iter().enumerate() {
+                assert!(Arc::ptr_eq(&symbol.0, &per_thread[0][i].0), "name {i}");
+                assert_eq!(symbol, &per_thread[0][i]);
+                assert_eq!(hash_one(symbol), hash_one(&per_thread[0][i]));
+                assert!(first.contains(&Term::Sym(symbol.clone())));
+            }
         }
-        let new = Symbol::new("gc_generation_probe_zq");
-        assert!(!Arc::ptr_eq(&old.0, &new.0));
-        assert_eq!(old, new);
-        assert_eq!(old.cmp(&new), std::cmp::Ordering::Equal);
     }
 
     #[test]

@@ -13,6 +13,14 @@
 //! program of Section 6 (which multiplies and sums quantities) can be
 //! expressed; they behave like ordinary constant symbols with respect to the
 //! semantics.
+//!
+//! `Eq` and `Hash` are structural over the term tree and *identity* at the
+//! leaves: a [`Symbol`] compares and hashes by its interned allocation (see
+//! [`crate::symbol`]), so hashing a term costs one word per node and never
+//! reads a name.  `Ord` is structural over the tree and *textual* at the
+//! leaves, so ordered collections of terms iterate the same in every
+//! process.  Hash values are per process: term-keyed maps use
+//! [`crate::hash::TermMap`], and nothing persisted depends on a hash.
 
 use crate::symbol::Symbol;
 use std::cmp::Ordering;

@@ -10,8 +10,9 @@
 //! [`IndexedProgram`] is the id-based form the fixpoint computations use: it
 //! interns atoms into dense indices and groups rules by head.
 
+use hilog_core::hash::TermMap;
 use hilog_core::term::Term;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// A fully instantiated rule.
@@ -150,7 +151,7 @@ impl FromIterator<GroundRule> for GroundProgram {
 #[derive(Debug, Clone, Default)]
 pub struct AtomTable {
     atoms: Vec<Term>,
-    index: HashMap<Term, u32>,
+    index: TermMap<Term, u32>,
 }
 
 impl AtomTable {

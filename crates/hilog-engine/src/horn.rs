@@ -16,6 +16,7 @@
 use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::storage::FactStore;
+use hilog_core::hash::{hash_one, TermMap};
 use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -24,7 +25,7 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::match_with;
 use std::borrow::Borrow;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
 use std::sync::{PoisonError, RwLock};
 
@@ -165,7 +166,7 @@ struct Relation {
     /// concurrent snapshot readers probing the same warm relation only take
     /// the read lock; the write lock is held briefly when a reader is the
     /// first to need an index at some position.
-    indexes: RwLock<HashMap<usize, HashMap<Term, Vec<AtomId>>>>,
+    indexes: RwLock<TermMap<usize, TermMap<Term, Vec<AtomId>>>>,
 }
 
 impl Clone for Relation {
@@ -219,7 +220,7 @@ impl Relation {
     /// any bound position has no posting at all (an empty posting list is
     /// maximally selective: no candidate can match the pattern).
     fn pick_posting(
-        indexes: &HashMap<usize, HashMap<Term, Vec<AtomId>>>,
+        indexes: &TermMap<usize, TermMap<Term, Vec<AtomId>>>,
         args: &[Term],
         ground: &[usize],
     ) -> Vec<AtomId> {
@@ -241,8 +242,8 @@ impl Relation {
         rows: &[AtomId],
         pos: usize,
         interner: &TermInterner,
-    ) -> HashMap<Term, Vec<AtomId>> {
-        let mut index: HashMap<Term, Vec<AtomId>> = HashMap::new();
+    ) -> TermMap<Term, Vec<AtomId>> {
+        let mut index: TermMap<Term, Vec<AtomId>> = TermMap::default();
         for &id in rows {
             if let Some(arg) = interner.resolve(id).args().get(pos) {
                 index.entry(arg.clone()).or_default().push(id);
@@ -275,7 +276,7 @@ pub struct AtomStore {
     /// Ordered view of the live atoms: deterministic iteration and the
     /// `atoms()` set view.  Entries share their `Arc`s with the interner.
     atoms: BTreeSet<Term>,
-    relations: HashMap<RelKey, Relation>,
+    relations: TermMap<RelKey, Relation>,
 }
 
 impl AtomStore {
@@ -815,12 +816,11 @@ fn partition_count(frontier_len: usize, opts: EvalOptions) -> usize {
 /// match — but hashing the first argument keeps the rows of one join key
 /// together, so a partition's joins stay on warm posting lists.
 fn partition_of(atom: &Term, partitions: usize) -> usize {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    match atom.args().first() {
-        Some(arg) => arg.hash(&mut hasher),
-        None => atom.hash(&mut hasher),
-    }
-    (hasher.finish() as usize) % partitions
+    let hash = match atom.args().first() {
+        Some(arg) => hash_one(arg),
+        None => hash_one(atom),
+    };
+    (hash as usize) % partitions
 }
 
 #[cfg(test)]

@@ -73,13 +73,14 @@ use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic::DepSign;
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use hilog_core::hash::TermMap;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::{match_with, unify_with};
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// Head predicate name of the auxiliary rule
@@ -342,7 +343,7 @@ pub(crate) struct ProgramIndex {
     /// arity of the head, so that a subgoal only considers rules that could
     /// match it (the discrimination the magic predicates provide in the
     /// rewritten program).
-    by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
+    by_head: TermMap<(Term, Option<usize>), Vec<usize>>,
     /// Positions in `rules` of the rules whose head's outermost functor is a
     /// variable: candidates for every subgoal.
     wildcard: Vec<usize>,
@@ -354,7 +355,7 @@ impl ProgramIndex {
         let mut index = ProgramIndex {
             facts: FactStore::new(storage),
             rules: Vec::new(),
-            by_head: HashMap::new(),
+            by_head: TermMap::default(),
             wildcard: Vec::new(),
         };
         for rule in program.iter() {
@@ -454,7 +455,7 @@ pub struct QueryEvaluator {
     /// so seeding from a published [`crate::snapshot::DbSnapshot`] shares
     /// them structurally; `Arc::make_mut` copies a table on its first write
     /// only if a snapshot still holds it (copy-on-write).
-    tables: HashMap<Term, Arc<Table>>,
+    tables: TermMap<Term, Arc<Table>>,
     /// Keys of the tables this evaluator created — never the seeded ones —
     /// so that handing its work back, and counting it, costs in proportion
     /// to the work and not to the warm tables it started from.
@@ -477,7 +478,7 @@ impl QueryEvaluator {
     pub fn new(program: &Program, opts: EvalOptions) -> Self {
         let storage = StorageConfig::default();
         let index = Arc::new(ProgramIndex::build(program, &storage));
-        Self::with_tables(index, opts, HashMap::new(), storage)
+        Self::with_tables(index, opts, TermMap::default(), storage)
     }
 
     /// Creates an evaluator over an already indexed program, seeded with
@@ -487,7 +488,7 @@ impl QueryEvaluator {
     pub(crate) fn with_tables(
         index: Arc<ProgramIndex>,
         opts: EvalOptions,
-        tables: HashMap<Term, Arc<Table>>,
+        tables: TermMap<Term, Arc<Table>>,
         storage: StorageConfig,
     ) -> Self {
         QueryEvaluator {
@@ -508,7 +509,7 @@ impl QueryEvaluator {
     /// already, an aborted evaluation leaves incomplete ones behind, and the
     /// auxiliary query table is not a table of the program.  Every table
     /// returned is a valid table of the base program.
-    pub(crate) fn into_tables(mut self) -> HashMap<Term, Arc<Table>> {
+    pub(crate) fn into_tables(mut self) -> TermMap<Term, Arc<Table>> {
         self.drop_query_table();
         let mut tables = self.tables;
         self.created
@@ -529,7 +530,7 @@ impl QueryEvaluator {
     /// left incomplete is removed, in time proportional to what the run
     /// created.  Only for runs that went through [`Self::settle`] alone: a
     /// conjunctive query's auxiliary table is not looked for.
-    pub(crate) fn into_all_tables(mut self) -> (HashMap<Term, Arc<Table>>, Vec<Term>) {
+    pub(crate) fn into_all_tables(mut self) -> (TermMap<Term, Arc<Table>>, Vec<Term>) {
         let mut created = std::mem::take(&mut self.created);
         created.retain(|key| {
             let complete = self.tables.get(key).is_some_and(|table| table.complete);
@@ -1528,7 +1529,7 @@ mod tests {
                 StorageConfig::InMemory,
             )
         };
-        let mut first = evaluator(HashMap::new());
+        let mut first = evaluator(TermMap::default());
         first
             .solve_atom(&parse_term("winning(move1)(p4)").unwrap())
             .unwrap();

@@ -71,13 +71,13 @@ use crate::plan::QueryPlan;
 use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle};
 use crate::stable::StableOptions;
 use crate::storage::{RelationStorageStats, StorageConfig};
+use hilog_core::hash::TermMap;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::term::{Term, Var};
 use maintain::DepAnalysis;
 use serde::Serialize;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -329,7 +329,7 @@ pub struct HiLogDb {
     /// mutation counts the program (a session that only reads never pays
     /// for it); from then on every edit of a bodiless rule moves it in the
     /// same step.  The keys share the `Arc`s of the rules' own heads.
-    fact_copies: Option<HashMap<Term, usize>>,
+    fact_copies: Option<TermMap<Term, usize>>,
     /// The edges the subgoal tables of the working map recorded, indexed by
     /// position, with the reverse edges and the tables bucketed by functor
     /// (see `tables::TableGraph`): what a table-maintenance pass reads
@@ -431,7 +431,7 @@ impl HiLogDb {
     /// first caller.  Every mutator reaches it through [`Self::has_fact`] /
     /// [`Self::count_copy`] *before* it edits the program, so the count never
     /// sees an edit it is about to be told of.
-    fn fact_copies(&mut self) -> &mut HashMap<Term, usize> {
+    fn fact_copies(&mut self) -> &mut TermMap<Term, usize> {
         let program = &self.snap.program;
         self.fact_copies
             .get_or_insert_with(|| count_fact_copies(program))
@@ -746,8 +746,8 @@ impl HiLogDb {
 }
 
 /// The multiset of `program`'s bodiless-rule heads: head → copies.
-fn count_fact_copies(program: &Program) -> HashMap<Term, usize> {
-    let mut copies = HashMap::new();
+fn count_fact_copies(program: &Program) -> TermMap<Term, usize> {
+    let mut copies = TermMap::default();
     for fact in program.facts() {
         *copies.entry(fact.head.clone()).or_insert(0) += 1;
     }

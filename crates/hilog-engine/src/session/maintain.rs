@@ -21,10 +21,11 @@ use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
 use crate::snapshot::{lock_mut, SnapCore};
 use crate::storage::FactStore;
+use hilog_core::hash::TermMap;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 /// Returns `true` if `atom` falls inside an optional predicate-level scope
@@ -240,7 +241,7 @@ impl HiLogDb {
         // One pass over the in-scope rules builds the index both fixpoints
         // run on (rules by positive body atom), so neither loop ever rescans
         // the ground program per round.
-        let mut rules_by_pos: HashMap<&Term, Vec<usize>> = HashMap::new();
+        let mut rules_by_pos: TermMap<&Term, Vec<usize>> = TermMap::default();
         for (i, rule) in ground.rules.iter().enumerate() {
             if !pred_scope_affects(preds, &rule.head) {
                 continue;
@@ -361,7 +362,7 @@ pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
 #[derive(Debug, Clone, Default)]
 pub(super) struct DepAnalysis {
     /// `dependents[p]` = head predicates of rules whose body reads `p`.
-    dependents: HashMap<PredKey, BTreeSet<PredKey>>,
+    dependents: TermMap<PredKey, BTreeSet<PredKey>>,
     /// Head predicates of rules with a variable predicate name somewhere in
     /// the body: they read *every* predicate.
     universal_readers: BTreeSet<PredKey>,

@@ -124,14 +124,15 @@ use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Ta
 use crate::snapshot::{lock_mut, DbSnapshot};
 use crate::storage::FactStore;
 use hilog_core::analysis::strongly_connected_components;
+use hilog_core::hash::TermMap;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-type Tables = HashMap<Term, Arc<Table>>;
+type Tables = TermMap<Term, Arc<Table>>;
 
 /// The dependency graph the tables of the **writer's** map recorded, by
 /// *position* — kept by the session beside the map ([`HiLogDb`]'s
@@ -151,7 +152,7 @@ type Tables = HashMap<Term, Arc<Table>>;
 pub(super) struct TableGraph {
     /// The key at each position (stale at a free one).
     keys: Vec<Term>,
-    position: HashMap<Term, usize>,
+    position: TermMap<Term, usize>,
     /// Whether the map holds the table at this position.
     present: Vec<bool>,
     /// Positions of the tables each table read while it was filled, and the
@@ -163,7 +164,7 @@ pub(super) struct TableGraph {
     /// with that functor and arity — and those whose functor is a variable,
     /// which can cover any.  The idiom of `ProgramIndex`' `by_head` /
     /// `wildcard`.
-    by_head: HashMap<(Term, Option<usize>), Vec<usize>>,
+    by_head: TermMap<(Term, Option<usize>), Vec<usize>>,
     wildcard: Vec<usize>,
     free: Vec<usize>,
     /// Scratch for [`Self::reverse_closure`] / [`Self::subgraph`]: a
@@ -1469,7 +1470,7 @@ mod tests {
             key("p(X)"),
             key("G(a)"),
         );
-        let mut tables = Tables::new();
+        let mut tables = Tables::default();
         let mut graph = TableGraph::of(&tables);
         let put = |graph: &mut TableGraph, tables: &mut Tables, key: &Term, deps: &[&Term]| {
             let table = table_reading(key, deps);

@@ -90,6 +90,7 @@ use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use crate::wfs::well_founded_eval;
+use hilog_core::hash::TermMap;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -98,11 +99,11 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Subgoal tables by their normalised pattern.
-type Tables = HashMap<Term, Arc<Table>>;
+type Tables = TermMap<Term, Arc<Table>>;
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
 /// either only swaps `Arc`s or leaves the caches in a consistent (possibly
@@ -234,7 +235,7 @@ impl DbSnapshot {
                 model: warm_model.map(Arc::new),
                 ..SnapCore::default()
             }),
-            tables: RwLock::new(HashMap::new()),
+            tables: RwLock::new(TermMap::default()),
             merged: Mutex::new(Vec::new()),
             index: RwLock::new(None),
             storage,
@@ -1192,7 +1193,7 @@ mod tests {
         snapshot
             .query(&parse_query("?- move(a, X).").unwrap())
             .unwrap();
-        let held: HashMap<Term, Arc<Table>> = read_lock(&snapshot.tables).clone();
+        let held: TermMap<Term, Arc<Table>> = read_lock(&snapshot.tables).clone();
         assert_eq!(held.len(), 1);
         let cold = snapshot
             .query(&parse_query("?- winning(X).").unwrap())

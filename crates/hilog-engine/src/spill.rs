@@ -2,11 +2,11 @@
 //!
 //! A [`SpillStore`] holds the same logical content as an
 //! [`crate::horn::AtomStore`] but pages *cold relations' fact payloads* out
-//! to per-relation segment files: every relation keeps its bookkeeping —
+//! to the store's segment file: every relation keeps its bookkeeping —
 //! per-argument-position hash indexes, the structural-hash membership map,
 //! insertion order — in memory, while the decoded `Term` payloads of rows
 //! in relations that have not been probed recently are dropped after being
-//! appended (once) to the relation's segment file.  A later probe *faults*
+//! appended (once) to the segment.  A later probe *faults*
 //! the rows it actually needs back in with positioned reads
 //! (`pread`-style `read_at`; the OS page cache is the paging layer — the
 //! build environment has no mmap crate, and positioned reads over a cached
@@ -27,8 +27,15 @@
 //! not durable state (durability is `hilog-store`'s WAL + checkpoints), so
 //! no fsync, no recovery, and clones of a store (the session publishes its
 //! possibly-store into snapshots via `Arc::make_mut`) share the same
-//! append-only segment files — offsets recorded by either clone stay valid
-//! because nothing is ever overwritten or truncated.
+//! append-only segment — offsets recorded by either clone stay valid
+//! because nothing is ever overwritten or truncated.  Every store has a
+//! segment file of its own in the configured directory, removed with the
+//! store's last clone, so stores configured with one directory (a session's
+//! possibly-store, program index and table answers all are) never touch
+//! each other's bytes.
+//!
+//! The membership map's hash is [`hash_one`], the engine's one term hasher:
+//! per process, never written to disk.
 //!
 //! Eviction is relation-LRU: when the decoded-payload count exceeds the
 //! budget, the least-recently-probed relations are paged out first, so hot
@@ -42,11 +49,10 @@
 use crate::ambient::count;
 use crate::storage::RelationStorageStats;
 use hilog_core::codec::{PayloadReader, PayloadWriter};
+use hilog_core::hash::{hash_one, TermMap};
 use hilog_core::term::Term;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
-use std::hash::{Hash, Hasher};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -54,55 +60,92 @@ use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 #[cfg(unix)]
 use std::os::unix::fs::FileExt;
 
-/// Process-unique suffix for auto-created spill directories.
+/// Process-unique suffix for spill segment names.
 static SPILL_DIR_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// The spill directory, shared by every clone of a store; auto-created
-/// directories are removed when the last clone drops.
+/// One store's place on disk, shared by every clone of that store and by no
+/// other store: a segment file of its own in the configured directory (the
+/// system temp dir when none is configured), created on the first page-out
+/// and removed when the last clone drops.
+///
+/// Every relation of the store and every clone appends to that one
+/// [`Segment`] through its one `end`, so no two appenders ever hold separate
+/// ends over the same file — which is what happened when segments were named
+/// by relation and two stores (or two clones) paged out the same one.
 #[derive(Debug)]
 struct SpillDir {
+    /// The segment file's path, unique among live stores (pid + counter).
     path: PathBuf,
-    owned: bool,
+    /// The segment, once the store first pages out.
+    segment: Mutex<Option<Arc<Segment>>>,
     /// Segment writes the unit tests want to see fail.
     #[cfg(test)]
     faults: tests::FaultPlan,
 }
 
 impl SpillDir {
-    fn new(path: Option<PathBuf>) -> Self {
-        let owned = path.is_none();
-        let path = path.unwrap_or_else(|| {
-            std::env::temp_dir().join(format!(
-                "hilog-spill-{}-{}",
-                std::process::id(),
-                SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
-            ))
-        });
+    fn new(dir: Option<PathBuf>) -> Self {
+        let dir = dir.unwrap_or_else(std::env::temp_dir);
+        let path = dir.join(format!(
+            "hilog-spill-{}-{}.seg",
+            std::process::id(),
+            SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
         SpillDir {
             path,
-            owned,
+            segment: Mutex::new(None),
             #[cfg(test)]
             faults: Default::default(),
         }
+    }
+
+    /// The store's segment, created on first use.  The name is unique among
+    /// live stores, so a file already there is a dead process's leftover and
+    /// is truncated.  A failed creation is retried by the next page-out.
+    fn segment(&self) -> std::io::Result<Arc<Segment>> {
+        let mut slot = self.segment.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some(segment) = &*slot {
+            return Ok(Arc::clone(segment));
+        }
+        if let Some(dir) = self.path.parent() {
+            std::fs::create_dir_all(dir)?;
+        }
+        let file = OpenOptions::new()
+            .create(true)
+            .read(true)
+            .write(true)
+            .truncate(true)
+            .open(&self.path)?;
+        let segment = Arc::new(Segment {
+            file,
+            end: AtomicU64::new(0),
+        });
+        *slot = Some(Arc::clone(&segment));
+        Ok(segment)
     }
 }
 
 impl Drop for SpillDir {
     fn drop(&mut self) {
-        if self.owned {
-            // Best effort: the directory is a cache keyed by pid; a leak is
+        let created = self
+            .segment
+            .get_mut()
+            .unwrap_or_else(PoisonError::into_inner)
+            .is_some();
+        if created {
+            // Best effort: the file is a cache keyed by pid; a leak is
             // harmless and reaped by the OS temp cleaner.
-            let _ = std::fs::remove_dir_all(&self.path);
+            let _ = std::fs::remove_file(&self.path);
         }
     }
 }
 
-/// One relation's append-only segment file, shared by clones of the store.
+/// A store's append-only segment file, shared by its relations and clones.
 #[derive(Debug)]
 struct Segment {
     file: File,
     /// Logical end of the file.  Appends claim `[end, end + len)` with a
-    /// fetch-add, then write with `write_all_at`, so clones sharing the
+    /// fetch-add, then write with `write_all_at`, so appenders sharing the
     /// segment never interleave within a record.
     end: AtomicU64,
 }
@@ -171,17 +214,17 @@ struct SpillRelation {
     order: Vec<u32>,
     slots: Vec<Slot>,
     /// Structural term hash → live slots (membership / removal path).
-    by_hash: HashMap<u64, Vec<u32>>,
+    by_hash: TermMap<u64, Vec<u32>>,
     /// Argument-position indexes, maintained eagerly on insert/remove so a
     /// probe over a cold relation never faults rows in just to build an
     /// index.  Keys are argument subterms (`Arc` bumps) — the "all indexes
     /// stay in memory" half of the spill contract.
-    indexes: HashMap<usize, HashMap<Term, Vec<u32>>>,
+    indexes: TermMap<usize, TermMap<Term, Vec<u32>>>,
     /// Rows currently resident (decoded payload in memory).
     resident: usize,
     /// LRU clock of the last operation that touched this relation.
     touch: u64,
-    /// Segment file, created on this relation's first eviction.
+    /// The store's segment, taken on this relation's first eviction.
     segment: Option<Arc<Segment>>,
 }
 
@@ -228,7 +271,7 @@ impl SpillRelation {
 
 #[derive(Debug, Default)]
 struct SpillInner {
-    relations: HashMap<(Term, Option<usize>), SpillRelation>,
+    relations: TermMap<(Term, Option<usize>), SpillRelation>,
     /// Total live atoms.
     len: usize,
     /// Total resident (decoded) rows across relations.
@@ -285,12 +328,6 @@ impl Clone for SpillStore {
     }
 }
 
-fn term_hash(term: &Term) -> u64 {
-    let mut hasher = DefaultHasher::new();
-    term.hash(&mut hasher);
-    hasher.finish()
-}
-
 fn encode_row(atom: &Term) -> Vec<u8> {
     let mut writer = PayloadWriter::new();
     writer.write_term(atom);
@@ -303,8 +340,9 @@ fn decode_row(bytes: &[u8]) -> Term {
 }
 
 impl SpillStore {
-    /// An empty store spilling to `dir` (an auto-created temp directory
-    /// when `None`) with the given resident-payload budget.
+    /// An empty store spilling to a segment file of its own in `dir` (the
+    /// system temp directory when `None`) with the given resident-payload
+    /// budget.
     pub fn new(dir: Option<PathBuf>, resident_budget: usize) -> Self {
         SpillStore {
             inner: Mutex::new(SpillInner::default()),
@@ -318,7 +356,7 @@ impl SpillStore {
     }
 
     /// Pages out every resident row of `rel`, appending rows not yet on
-    /// disk to the relation's segment file.  Returns `(evicted, writes,
+    /// disk to the store's segment file.  Returns `(evicted, writes,
     /// bytes, failed)`.
     ///
     /// Resilience contract: a failed segment write (disk full, cache dir
@@ -327,34 +365,13 @@ impl SpillStore {
     /// budget rather than lose a payload that exists nowhere else.  The
     /// next budget enforcement retries naturally; every failed attempt is
     /// reported (`failed`) and counted by the caller as a `spill_io_error`.
-    fn evict_relation(
-        dir: &SpillDir,
-        key: &(Term, Option<usize>),
-        rel: &mut SpillRelation,
-    ) -> (usize, u64, u64, bool) {
+    fn evict_relation(dir: &SpillDir, rel: &mut SpillRelation) -> (usize, u64, u64, bool) {
         if rel.resident == 0 {
             return (0, 0, 0, false);
         }
         if rel.segment.is_none() {
-            let segment = (|| -> std::io::Result<Segment> {
-                std::fs::create_dir_all(&dir.path)?;
-                let mut hasher = DefaultHasher::new();
-                key.hash(&mut hasher);
-                let path = dir.path.join(format!("rel-{:016x}.seg", hasher.finish()));
-                let file = OpenOptions::new()
-                    .create(true)
-                    .read(true)
-                    .write(true)
-                    .truncate(false)
-                    .open(&path)?;
-                let end = file.metadata().map(|m| m.len()).unwrap_or(0);
-                Ok(Segment {
-                    file,
-                    end: AtomicU64::new(end),
-                })
-            })();
-            match segment {
-                Ok(segment) => rel.segment = Some(Arc::new(segment)),
+            match dir.segment() {
+                Ok(segment) => rel.segment = Some(segment),
                 Err(_) => {
                     // Can't create the cache file: nothing pages out, all
                     // rows stay resident and correct.
@@ -414,7 +431,7 @@ impl SpillStore {
                 .map(|(key, _)| key.clone());
             let Some(key) = victim else { break };
             let rel = inner.relations.get_mut(&key).expect("victim exists");
-            let (evicted, writes, bytes, failed) = Self::evict_relation(&self.dir, &key, rel);
+            let (evicted, writes, bytes, failed) = Self::evict_relation(&self.dir, rel);
             inner.resident -= evicted;
             inner.spill_writes += writes;
             inner.io_errors += u64::from(failed);
@@ -438,7 +455,7 @@ impl SpillStore {
             "SpillStore::insert of non-ground atom {atom}"
         );
         let key = (atom.name().clone(), atom.arity());
-        let hash = term_hash(&atom);
+        let hash = hash_one(&atom);
         let inner = &mut *self.lock();
         inner.clock += 1;
         let clock = inner.clock;
@@ -477,7 +494,7 @@ impl SpillStore {
     /// Removes a ground atom; returns `true` if it was present.
     pub(crate) fn remove(&mut self, atom: &Term) -> bool {
         let key = (atom.name().clone(), atom.arity());
-        let hash = term_hash(atom);
+        let hash = hash_one(atom);
         let inner = &mut *self.lock();
         let Some(rel) = inner.touch(&key) else {
             return false;
@@ -522,7 +539,7 @@ impl SpillStore {
     /// that share its structural hash.
     pub(crate) fn contains(&self, atom: &Term) -> bool {
         let key = (atom.name().clone(), atom.arity());
-        let hash = term_hash(atom);
+        let hash = hash_one(atom);
         let inner = &mut *self.lock();
         let Some(rel) = inner.touch(&key) else {
             return false;
@@ -663,6 +680,7 @@ impl SpillStore {
 mod tests {
     use super::*;
     use crate::ambient::counters;
+    use crate::storage::{FactStore, StorageConfig};
 
     /// Which of a spill directory's segment writes fail: those numbered
     /// `[from, from + count)`, counting from the moment the plan is armed.
@@ -865,5 +883,78 @@ mod tests {
         assert!(clone.contains(&atom("s", "k1", "v")));
         assert!(clone.contains(&atom("s", "extra", "v")));
         assert!(!store.contains(&atom("s", "extra", "v")));
+    }
+
+    fn rows(store: &FactStore, name: &str) -> Vec<Term> {
+        let mut out = Vec::new();
+        let pattern = Term::apps(name, vec![Term::var("X"), Term::var("Y")]);
+        store.for_each_candidate(&pattern, |t| out.push(t.clone()));
+        out
+    }
+
+    #[test]
+    fn stores_configured_with_one_directory_keep_their_own_rows() {
+        // A session hands one `StorageConfig` to its possibly-store, its
+        // program index and every table's answers.  Two stores paging the
+        // same relation into one directory used to append to one file with
+        // two ends and read each other's bytes back ("dangling term id").
+        let dir = std::env::temp_dir().join(format!(
+            "hilog-spill-shared-{}-{}",
+            std::process::id(),
+            SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
+        ));
+        let config = StorageConfig::Spill {
+            dir: Some(dir.clone()),
+            resident_budget: 2,
+        };
+        let mut stores = [FactStore::new(&config), FactStore::new(&config)];
+        for i in 0..20 {
+            for (n, store) in stores.iter_mut().enumerate() {
+                store.insert(atom("r", &format!("s{n}k{i}"), "v"));
+                store.insert(atom("other", &format!("s{n}k{i}"), "v"));
+            }
+        }
+        for (n, store) in stores.iter().enumerate() {
+            let expected: Vec<Term> = (0..20)
+                .map(|i| atom("r", &format!("s{n}k{i}"), "v"))
+                .collect();
+            assert_eq!(rows(store, "r"), expected, "store {n}");
+            assert!(store.storage_stats().residency_faults > 0);
+        }
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 2, "a file each");
+        drop(stores);
+        assert_eq!(
+            std::fs::read_dir(&dir).unwrap().count(),
+            0,
+            "each file leaves with its store; the configured directory stays"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn clones_that_each_page_out_a_new_relation_keep_their_own_rows() {
+        // `r` appears after the clone, so each clone pages it out on its
+        // own; rows either clone appends later must not land on the other's
+        // (with a segment per relation name, each clone opened the file with
+        // an end of its own).
+        let store = SpillStore::new(None, 2);
+        let mut clones = [store.clone(), store];
+        for round in 0..3 {
+            for (n, clone) in clones.iter_mut().enumerate() {
+                for i in 0..4 {
+                    clone.insert(atom("r", &format!("c{n}r{round}k{i}"), "v"));
+                }
+                for i in 0..4 {
+                    clone.insert(atom("other", &format!("c{n}r{round}k{i}"), "v"));
+                }
+            }
+        }
+        for (n, clone) in clones.into_iter().enumerate() {
+            let expected: Vec<Term> = (0..3)
+                .flat_map(|round| (0..4).map(move |i| (round, i)))
+                .map(|(round, i)| atom("r", &format!("c{n}r{round}k{i}"), "v"))
+                .collect();
+            assert_eq!(rows(&FactStore::Spill(clone), "r"), expected, "clone {n}");
+        }
     }
 }

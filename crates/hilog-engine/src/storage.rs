@@ -88,8 +88,9 @@ pub enum StorageConfig {
     /// Hot relations and all indexes in memory; cold relations' fact
     /// payloads paged to per-relation segment files.
     Spill {
-        /// Directory for the segment files.  `None` creates (and on drop of
-        /// the last clone removes) a fresh directory under the system temp
+        /// Directory for the segment files: each store creates (and on drop
+        /// of its last clone removes) one segment file of its own in it, so
+        /// many stores may share one directory.  `None` uses the system temp
         /// dir.  The directory is a cache, not durable state: durability is
         /// the WAL + checkpoints in `hilog-store`.
         dir: Option<PathBuf>,

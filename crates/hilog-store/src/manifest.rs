@@ -15,7 +15,9 @@
 //! `fsync` + atomic rename, and immutable once renamed into place.
 //!
 //! * **Segment** (`rel-<hash:016x>-<epoch:020>.hseg`, magic `HSEG`) — the
-//!   facts of *one* relation (one predicate key: name term + arity).
+//!   facts of *one* relation (one predicate key: name term + arity).  The
+//!   hash is FNV-1a over the key's codec bytes, fixed per key text across
+//!   processes, and each manifest entry records the one its file carries.
 //! * **Model** (`model-<epoch:020>.hmod`, magic `HMOD`) — the warm
 //!   three-valued model: its true / undefined / remaining-base atom sets.
 //! * **Manifest** (`manifest-<epoch:020>.hman`, magic `HMAN`) — the
@@ -44,10 +46,9 @@
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreIo};
 use hilog_core::codec::{crc32, PayloadReader, PayloadWriter};
-use hilog_core::{Model, Program, Rule, Term};
+use hilog_core::{Model, Program, Rule, Term, TermMap};
 use hilog_engine::Semantics;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
-use std::hash::{Hash, Hasher};
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: &[u8; 4] = b"HSEG";
@@ -107,10 +108,21 @@ pub fn rel_key(fact: &Term) -> RelKey {
     (fact.name().clone(), fact.arity())
 }
 
+/// The number a new segment of `key` is named by: FNV-1a (64-bit) over the
+/// key's codec payload, the bytes [`write_key`] puts in the segment itself.
+/// It depends on the key's text only — never on `impl Hash`, whose values
+/// are per process (symbols hash by address, maps by a per-process seed) —
+/// so a file name means the same relation in every process.  Loading never
+/// recomputes it: an entry carries the hash its file was named with.
 fn key_hash(key: &RelKey) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
+    let mut writer = PayloadWriter::new();
+    write_key(&mut writer, key);
+    writer
+        .finish()
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
 }
 
 /// One manifest entry: where a relation's facts live.
@@ -118,7 +130,8 @@ fn key_hash(key: &RelKey) -> u64 {
 pub struct SegmentEntry {
     /// The relation this segment holds.
     pub key: RelKey,
-    /// Structural hash of `key`, fixed into the segment file name.
+    /// The number fixed into the segment file name when it was written
+    /// (see `key_hash`); kept as written, never recomputed.
     pub hash: u64,
     /// The checkpoint epoch that wrote the segment (part of the file name,
     /// so a rewrite never clobbers a file an older manifest still names).
@@ -532,7 +545,7 @@ pub fn commit_checkpoint(
             rules.push(rule.clone());
         }
     }
-    let reusable: HashMap<&RelKey, &SegmentEntry> = reuse
+    let reusable: TermMap<&RelKey, &SegmentEntry> = reuse
         .map(|(previous, dirty)| {
             let clean = previous.entries.iter().filter(|e| !dirty.contains(&e.key));
             clean.map(|e| (&e.key, e)).collect()
@@ -760,6 +773,72 @@ mod tests {
         // The surviving manifest still loads end-to-end.
         let loaded = load_manifest(&real(), &dir.join(manifest_file_name(3))).unwrap();
         load_manifest_data(&real(), &dir, &loaded).unwrap();
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn sorted_rules(program: &Program) -> Vec<String> {
+        let mut rules: Vec<String> = program.rules.iter().map(|r| r.to_string()).collect();
+        rules.sort();
+        rules
+    }
+
+    #[test]
+    fn a_segment_name_depends_on_the_key_text_only() {
+        // Golden: the name is a function of the key's codec bytes, the same
+        // in every process and however the key's terms were built.
+        let key = rel_key(&parse_term("edge(a, b)").unwrap());
+        assert_eq!(
+            segment_file_name(key_hash(&key), 7),
+            "rel-1e5c413f42bbea48-00000000000000000007.hseg"
+        );
+        let built = (hilog_core::Term::sym("edge"), Some(2));
+        assert_eq!(key_hash(&built), key_hash(&key));
+        assert_ne!(key_hash(&(built.0.clone(), Some(3))), key_hash(&key));
+        assert_ne!(key_hash(&(built.0, None)), key_hash(&key));
+    }
+
+    #[test]
+    fn a_manifest_whose_entry_hashes_key_hash_would_not_produce_still_loads() {
+        // Data directories written before segment names came from codec
+        // bytes name their segments by other numbers; every entry carries
+        // its own, so they recover, extend and prune as before.
+        let dir = temp_dir("foreign-hash");
+        let program = sample_program();
+        let (mut manifest, _, _) =
+            commit_checkpoint(&real(), &dir, &data(4, &program), None).unwrap();
+        for (i, entry) in manifest.entries.iter_mut().enumerate() {
+            let foreign = 0xdead_beef_0000_0000 | i as u64;
+            assert_ne!(foreign, key_hash(&entry.key));
+            let renamed = segment_file_name(foreign, entry.epoch);
+            fs::rename(dir.join(entry.file_name()), dir.join(renamed)).unwrap();
+            entry.hash = foreign;
+        }
+        write_manifest(&real(), &dir, &manifest).unwrap();
+        let (loaded, loaded_manifest) = load_latest_recovery(&real(), &dir).unwrap().unwrap();
+        assert_eq!(loaded_manifest, manifest);
+        assert_eq!(sorted_rules(&loaded.program), sorted_rules(&program));
+
+        // An incremental checkpoint copies the foreign entries forward and
+        // names only the dirty relation's new segment by `key_hash`.
+        let mut program = program;
+        let blue = parse_term("colour(b, blue)").unwrap();
+        program.push(Rule::fact(blue.clone()));
+        let dirty: BTreeSet<RelKey> = [rel_key(&blue)].into();
+        let (next, written, _) =
+            commit_checkpoint(&real(), &dir, &data(5, &program), Some((&manifest, &dirty)))
+                .unwrap();
+        assert_eq!(written, 1);
+        for entry in &next.entries {
+            if entry.key == rel_key(&blue) {
+                assert_eq!(entry.hash, key_hash(&entry.key));
+            } else {
+                assert_eq!(entry.hash >> 32, 0xdead_beef, "copied forward as written");
+            }
+        }
+        prune_incremental(&real(), &dir, 1).unwrap();
+        let (loaded, _) = load_latest_recovery(&real(), &dir).unwrap().unwrap();
+        assert_eq!(loaded.epoch, 5);
+        assert_eq!(sorted_rules(&loaded.program), sorted_rules(&program));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -2,7 +2,9 @@
 //! program re-parses to the same program, both for the paper's programs and
 //! for generated workloads.
 
+use hilog_core::hash::{hash_one, TermSet};
 use hilog_core::program::Program;
+use hilog_core::Term;
 use hilog_syntax::{parse_program, parse_term, program_to_source};
 use hilog_workloads::random_programs::{
     random_ground_extension, random_range_restricted_normal, random_strongly_restricted_hilog,
@@ -75,6 +77,48 @@ fn quoted_symbols_and_integers_roundtrip() {
         let reparsed = parse_term(&term.to_string()).unwrap();
         assert_eq!(term, reparsed, "{text}");
     }
+}
+
+#[test]
+fn parsed_and_constructed_terms_agree_on_hash_and_eq() {
+    // Symbols hash and compare by their interned allocation: a term the
+    // parser builds and one built by hand from the same names share every
+    // symbol, so `Hash` agrees with `Eq` across the two routes.
+    let built = [
+        Term::app(
+            Term::apps("winning", vec![Term::sym("move1")]),
+            vec![Term::sym("p4")],
+        ),
+        Term::apps(
+            "part",
+            vec![Term::sym("Front Wheel"), Term::sym("spoke"), Term::int(47)],
+        ),
+        Term::apps(
+            "f",
+            vec![Term::cons(
+                Term::sym("a"),
+                Term::cons(Term::sym("b"), Term::var("T")),
+            )],
+        ),
+        Term::apps("p", vec![]),
+        Term::sym("p"),
+    ];
+    let texts = [
+        "winning(move1)(p4)",
+        "part('Front Wheel', spoke, 47)",
+        "f([a, b | T])",
+        "p()",
+        "p",
+    ];
+    let set: TermSet<Term> = built.iter().cloned().collect();
+    assert_eq!(set.len(), built.len(), "`p()` and `p` stay distinct");
+    for (text, built) in texts.iter().zip(&built) {
+        let parsed = parse_term(text).unwrap();
+        assert_eq!(&parsed, built, "{text}");
+        assert_eq!(hash_one(&parsed), hash_one(built), "{text}");
+        assert!(set.contains(&parsed), "{text}");
+    }
+    assert!(!set.contains(&parse_term("winning(move1)(p5)").unwrap()));
 }
 
 #[test]
