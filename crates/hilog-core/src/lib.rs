@@ -72,7 +72,7 @@ pub use program::{Program, RuleSeq};
 pub use restriction::{ProgramClass, RestrictionReport};
 pub use rule::{Query, Rule};
 pub use subst::Substitution;
-pub use symbol::{gc_symbol_pool, symbol_pool_stats, Symbol, SymbolPoolStats};
+pub use symbol::{gc_symbol_pool, symbol_pool_len, symbol_pool_stats, Symbol, SymbolPoolStats};
 pub use term::{Term, Var};
 
 /// Convenience prelude re-exporting the types used by almost every consumer.

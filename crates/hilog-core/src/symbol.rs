@@ -108,7 +108,16 @@ pub struct SymbolPoolStats {
     pub live: usize,
 }
 
-/// Counts interned and live names in the global pool.
+/// Number of names in the global pool, live or awaiting [`gc_symbol_pool`]:
+/// O(1), one lock and a length — unlike [`symbol_pool_stats`], which walks
+/// every entry to tell the live ones apart.
+pub fn symbol_pool_len() -> usize {
+    pool().lock().unwrap_or_else(|e| e.into_inner()).len()
+}
+
+/// Counts interned and live names in the global pool: a walk of every entry
+/// under the pool's lock, for the occasional census (`GET /stats`, a
+/// checkpoint's outcome) — not for a per-query path.
 pub fn symbol_pool_stats() -> SymbolPoolStats {
     let pool = pool().lock().unwrap_or_else(|e| e.into_inner());
     let live = pool.iter().filter(|arc| Arc::strong_count(arc) > 1).count();

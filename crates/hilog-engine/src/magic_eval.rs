@@ -174,11 +174,13 @@ pub struct EvalStats {
     /// predicate name).  A sudden growth relative to `index_probes` is the
     /// observable signature of a regression to full scans.
     pub index_fallback_scans: usize,
-    /// Number of names in the global symbol pool with at least one live
-    /// reference when this query finished — the observability hook for the
-    /// pool's checkpoint-time garbage collection
-    /// ([`hilog_core::symbol::gc_symbol_pool`]).  A raw [`QueryEvaluator`]
-    /// reports 0; the session and snapshot query paths fill it.
+    /// Number of names in the global symbol pool when the query finished:
+    /// live, plus any awaiting the checkpoint-time GC
+    /// ([`hilog_core::symbol::gc_symbol_pool`]); right after that GC every
+    /// entry is live.  Read in O(1); the exact live / interned census walks
+    /// the pool, so it stays off the query path (`GET /stats` and a
+    /// checkpoint's outcome report it).  A raw [`QueryEvaluator`] reports
+    /// 0; the session and snapshot query paths fill it.
     pub live_symbols: usize,
     /// Number of SCC waves the well-founded evaluator scheduled onto the
     /// work pool while this query ran.  Zero whenever the query reused a
@@ -438,7 +440,17 @@ impl ProgramIndex {
     }
 }
 
+/// Subgoal tables by their normalised pattern.  Tables are `Arc`d so a map
+/// shares them structurally with every copy of it; `Arc::make_mut` copies a
+/// table on its first write only if another map still holds it.
+pub(crate) type Tables = TermMap<Term, Arc<Table>>;
+
 /// A memoising query/subquery evaluator over a fixed program.
+///
+/// It reads its tables through two levels: the completed tables it was
+/// seeded with (`base`, shared and never written) and the tables it creates
+/// (`own`, the only ones it writes).  Keys are disjoint — a table is created
+/// only for a key neither level holds.
 #[derive(Debug)]
 pub struct QueryEvaluator {
     /// The program: its facts to probe, its rules by head.
@@ -448,21 +460,22 @@ pub struct QueryEvaluator {
     /// `index.rules.len()` — so wrapping a query never copies anything.
     query_rule: Option<Rule>,
     opts: EvalOptions,
-    /// Subgoal tables keyed by their normalised pattern *structurally* (the
-    /// `Arc`-backed [`Term`] itself), so seeding, lookup and the session's
-    /// maintenance never render a pattern to text — and two patterns that
-    /// would print identically can never share a table.  Tables are `Arc`d
-    /// so seeding from a published [`crate::snapshot::DbSnapshot`] shares
-    /// them structurally; `Arc::make_mut` copies a table on its first write
-    /// only if a snapshot still holds it (copy-on-write).
-    tables: TermMap<Term, Arc<Table>>,
-    /// Keys of the tables this evaluator created — never the seeded ones —
-    /// so that handing its work back, and counting it, costs in proportion
-    /// to the work and not to the warm tables it started from.
-    created: Vec<Term>,
+    /// The completed tables the evaluator was seeded with — a snapshot's
+    /// map, shared by one `Arc` bump however many tables it holds, which is
+    /// how [`crate::session::HiLogDb`] and [`crate::snapshot::DbSnapshot`]
+    /// reuse work across queries.  A complete table is only ever read, so
+    /// nothing here is written and nothing is copied.
+    base: Arc<Tables>,
+    /// The tables this evaluator created, keyed structurally by their
+    /// normalised pattern (the `Arc`-backed [`Term`] itself), so lookup and
+    /// the session's maintenance never render a pattern to text — and two
+    /// patterns that would print identically can never share a table.
+    /// Handing the work back, and counting it, cost in proportion to these
+    /// and not to the warm tables the evaluator started from.
+    own: Tables,
     rename_counter: u32,
     /// `rule_applications`, `head_unifications` and `cached_subqueries` so
-    /// far; the table counts are read off `created` on demand.
+    /// far; the table counts are read off `own` on demand.
     stats: EvalStats,
     /// Number of answers inserted by *this* evaluator (seeded answers are
     /// not counted): the resource-limit measure, so that a warm evaluator
@@ -478,25 +491,24 @@ impl QueryEvaluator {
     pub fn new(program: &Program, opts: EvalOptions) -> Self {
         let storage = StorageConfig::default();
         let index = Arc::new(ProgramIndex::build(program, &storage));
-        Self::with_tables(index, opts, TermMap::default(), storage)
+        Self::over(index, opts, Arc::default(), storage)
     }
 
     /// Creates an evaluator over an already indexed program, seeded with
-    /// tables from a previous run over the same program.  Complete tables
-    /// are trusted as-is, which is how [`crate::session::HiLogDb`] reuses
-    /// work across queries.
-    pub(crate) fn with_tables(
+    /// the completed tables of a previous run over the same program.  They
+    /// are trusted as-is and never written.
+    pub(crate) fn over(
         index: Arc<ProgramIndex>,
         opts: EvalOptions,
-        tables: TermMap<Term, Arc<Table>>,
+        base: Arc<Tables>,
         storage: StorageConfig,
     ) -> Self {
         QueryEvaluator {
             index,
             query_rule: None,
             opts,
-            tables,
-            created: Vec::new(),
+            base,
+            own: Tables::default(),
             rename_counter: 0,
             stats: EvalStats::default(),
             derived: 0,
@@ -508,44 +520,31 @@ impl QueryEvaluator {
     /// completed* back to the caller: the seeded tables are the caller's
     /// already, an aborted evaluation leaves incomplete ones behind, and the
     /// auxiliary query table is not a table of the program.  Every table
-    /// returned is a valid table of the base program.
-    pub(crate) fn into_tables(mut self) -> TermMap<Term, Arc<Table>> {
+    /// returned is a valid table of the base program.  The evaluator's hold
+    /// on its base ends here, so a caller that holds the only other `Arc` of
+    /// it owns it outright again.
+    pub(crate) fn into_tables(mut self) -> Tables {
         self.drop_query_table();
-        let mut tables = self.tables;
-        self.created
-            .into_iter()
-            .filter_map(|key| {
-                let table = tables.remove(&key)?;
-                table.complete.then_some((key, table))
-            })
-            .collect()
+        self.own.retain(|_, table| table.complete);
+        self.own
     }
 
-    /// Consumes the evaluator, handing back the *whole* map — the seeded
-    /// tables as they came plus the tables this run created and completed —
-    /// and the keys of the latter, for a caller that moved its map in rather
-    /// than cloning it (the session's maintenance pass, which runs one
-    /// evaluator per re-solved table, cannot afford a copy of the map for
-    /// each, and indexes what comes back new).  What an aborted evaluation
-    /// left incomplete is removed, in time proportional to what the run
-    /// created.  Only for runs that went through [`Self::settle`] alone: a
-    /// conjunctive query's auxiliary table is not looked for.
-    pub(crate) fn into_all_tables(mut self) -> (TermMap<Term, Arc<Table>>, Vec<Term>) {
-        let mut created = std::mem::take(&mut self.created);
-        created.retain(|key| {
-            let complete = self.tables.get(key).is_some_and(|table| table.complete);
-            if !complete {
-                self.tables.remove(key);
-            }
-            complete
-        });
-        (self.tables, created)
+    /// The table for the normalised `key`, created or seeded.
+    fn table(&self, key: &Term) -> Option<&Table> {
+        self.own
+            .get(key)
+            .or_else(|| self.base.get(key))
+            .map(Arc::as_ref)
+    }
+
+    /// The table for a key the evaluation has already created or found.
+    fn table_at(&self, key: &Term) -> &Table {
+        self.table(key).expect("the table was created or seeded")
     }
 
     /// Starts an empty table for the normalised `key`.
     fn create_table(&mut self, key: Term) {
-        self.created.push(key.clone());
-        self.tables
+        self.own
             .insert(key.clone(), Arc::new(Table::new(key, &self.storage)));
     }
 
@@ -554,9 +553,8 @@ impl QueryEvaluator {
     /// `__query_answer` comes out quoted).
     fn drop_query_table(&mut self) {
         let aux_functor = Term::sym(QUERY_HEAD);
-        let is_aux = |key: &Term| key.outermost_functor() == &aux_functor;
-        self.created.retain(|key| !is_aux(key));
-        self.tables.retain(|key, _| !is_aux(key));
+        self.own
+            .retain(|key, _| key.outermost_functor() != &aux_functor);
     }
 
     /// The rule at `position`: a rule of the index, or — one past its end —
@@ -571,13 +569,15 @@ impl QueryEvaluator {
 
     /// The positions of the non-fact rules that could match a subgoal with
     /// the given pattern (the facts are probed, not enumerated — see
-    /// [`Self::expand`]).
+    /// [`Self::expand`]).  The auxiliary query rule answers its own pattern
+    /// and nothing else: it is not a rule of the program, so a subgoal with
+    /// a variable predicate name must not find `__query_answer` among its
+    /// instances.
     fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
         let mut out = self.index.candidate_rules(pattern);
-        let functor = pattern.outermost_functor();
         if self.query_rule.as_ref().is_some_and(|r| {
-            !functor.is_ground()
-                || (r.head.outermost_functor() == functor && r.head.arity() == pattern.arity())
+            r.head.outermost_functor() == pattern.outermost_functor()
+                && r.head.arity() == pattern.arity()
         }) {
             out.push(self.index.rules.len());
         }
@@ -586,10 +586,9 @@ impl QueryEvaluator {
 
     /// Evaluation statistics so far.
     pub fn stats(&self) -> EvalStats {
-        let created = self.created.iter().filter_map(|key| self.tables.get(key));
         EvalStats {
-            subqueries: created.clone().count(),
-            answers: created.map(|t| t.answers.len()).sum(),
+            subqueries: self.own.len(),
+            answers: self.own.values().map(|t| t.answers.len()).sum(),
             ..self.stats
         }
     }
@@ -598,7 +597,7 @@ impl QueryEvaluator {
     /// `pattern` that are true in the well-founded model of the program.
     pub fn solve_atom(&mut self, pattern: &Term) -> Result<Vec<Term>, EngineError> {
         let key = self.settle(pattern)?;
-        Ok(self.tables[&key].answers.collect_atoms())
+        Ok(self.table_at(&key).answers.collect_atoms())
     }
 
     /// Completes the table for `pattern`, evaluating whatever it needs, and
@@ -678,7 +677,9 @@ impl QueryEvaluator {
             }
             None => (normalize_pattern(atom), None),
         };
-        if let Some(table) = self.tables.get_mut(from) {
+        // Only a table being filled selects anything, and those are all
+        // this evaluator's own.
+        if let Some(table) = self.own.get_mut(from) {
             let dep = (Arc::make_mut(table).deps.entry(to.clone())).or_insert_with(|| Dep {
                 sign,
                 readers: BTreeSet::new(),
@@ -708,7 +709,7 @@ impl QueryEvaluator {
             if !visited.insert((node.clone(), has_neg)) {
                 continue;
             }
-            let Some(table) = self.tables.get(&node) else {
+            let Some(table) = self.table(&node) else {
                 continue;
             };
             for (dep, Dep { sign, .. }) in &table.deps {
@@ -752,7 +753,7 @@ impl QueryEvaluator {
     fn scope_answers(&self, scope: &[Term]) -> Vec<usize> {
         scope
             .iter()
-            .map(|k| self.tables.get(k).map_or(0, |t| t.answers.len()))
+            .map(|k| self.table(k).map_or(0, |t| t.answers.len()))
             .collect()
     }
 
@@ -776,7 +777,7 @@ impl QueryEvaluator {
                 "subgoal `{key}` is an unbound variable"
             )));
         }
-        if let Some(table) = self.tables.get(&key) {
+        if let Some(table) = self.table(&key) {
             if table.complete {
                 self.stats.cached_subqueries += 1;
                 return Ok(key);
@@ -848,7 +849,7 @@ impl QueryEvaluator {
             due = scope
                 .iter()
                 .map(|k| {
-                    let deps = &self.tables[k].deps;
+                    let deps = &self.table_at(k).deps;
                     if deps.len() <= grown.len() {
                         deps.keys().any(|d| grown.contains(d))
                     } else {
@@ -861,7 +862,7 @@ impl QueryEvaluator {
             }
         }
         for k in &scope {
-            if let Some(t) = self.tables.get_mut(k) {
+            if let Some(t) = self.own.get_mut(k) {
                 Arc::make_mut(t).complete = true;
             }
         }
@@ -877,7 +878,7 @@ impl QueryEvaluator {
         scope: &mut Vec<Term>,
         in_progress: &[Term],
     ) -> Result<Term, EngineError> {
-        if let Some(table) = self.tables.get(&key) {
+        if let Some(table) = self.table(&key) {
             if !table.complete && !scope.contains(&key) {
                 // The subgoal is being settled in an enclosing evaluation
                 // whose completion transitively needs *this* evaluation: a
@@ -909,7 +910,7 @@ impl QueryEvaluator {
         scope: &mut Vec<Term>,
         in_progress: &mut Vec<Term>,
     ) -> Result<(), EngineError> {
-        let pattern = self.tables[subgoal_key].pattern.clone();
+        let pattern = self.table_at(subgoal_key).pattern.clone();
         // An open table keeps the head instance behind every selection.
         let open = !pattern.is_ground();
         let mut derived: Vec<Term> = Vec::new();
@@ -954,8 +955,10 @@ impl QueryEvaluator {
                             // Probe the table's argument indexes with the
                             // already-resolved subgoal: only answers agreeing
                             // with its bound argument positions are visited.
-                            let answers: Vec<Term> =
-                                self.tables[&key].answers.collect_candidates(&instantiated);
+                            let answers: Vec<Term> = self
+                                .table_at(&key)
+                                .answers
+                                .collect_candidates(&instantiated);
                             for answer in answers {
                                 let mut extended = theta.clone();
                                 if unify_with(&instantiated, &answer, &mut extended) {
@@ -974,7 +977,7 @@ impl QueryEvaluator {
                             let target =
                                 self.record_edge(subgoal_key, &instantiated, head(), DepSign::Neg);
                             let key = self.evaluate_completely(target, in_progress)?;
-                            let is_true = self.tables[&key].answers.contains(&instantiated);
+                            let is_true = self.table_at(&key).answers.contains(&instantiated);
                             if !is_true {
                                 next.push(theta);
                             }
@@ -996,7 +999,8 @@ impl QueryEvaluator {
                                 DepSign::Neg,
                             );
                             let key = self.evaluate_completely(target, in_progress)?;
-                            let answers: Vec<Term> = self.tables[&key]
+                            let answers: Vec<Term> = self
+                                .table_at(&key)
                                 .answers
                                 .collect_candidates(&instantiated_pattern);
                             next.extend(solve_aggregate(&renamed, agg, &theta, &answers)?);
@@ -1017,7 +1021,7 @@ impl QueryEvaluator {
                 }
             }
         }
-        let table = self.tables.get_mut(subgoal_key).expect("table exists");
+        let table = self.own.get_mut(subgoal_key).expect("a table being filled");
         let before = table.answers.len();
         if !derived.is_empty() {
             let table = Arc::make_mut(table);
@@ -1029,7 +1033,7 @@ impl QueryEvaluator {
                 }
             }
         }
-        self.derived += self.tables[subgoal_key].answers.len() - before;
+        self.derived += self.own[subgoal_key].answers.len() - before;
         Ok(())
     }
 }
@@ -1214,9 +1218,9 @@ mod tests {
         let stats = ev.stats();
         // No table mentions move2 positions.
         assert!(
-            !ev.tables.keys().any(|k| k.to_string().contains("move2(x")),
+            !ev.own.keys().any(|k| k.to_string().contains("move2(x")),
             "irrelevant subgoals were tabled: {:?}",
-            ev.tables.keys().collect::<Vec<_>>()
+            ev.own.keys().collect::<Vec<_>>()
         );
         assert!(stats.subqueries > 0);
     }
@@ -1314,7 +1318,7 @@ mod tests {
         let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
         let key = ev.settle(&parse_term("p(a)").unwrap()).unwrap();
         let q_b = parse_term("q(b)").unwrap();
-        assert_eq!(ev.tables[&key].deps[&q_b].sign, DepSign::Neg);
+        assert_eq!(ev.table_at(&key).deps[&q_b].sign, DepSign::Neg);
         let mut db = HiLogDb::new(program.clone());
         let model = db.model().unwrap().clone();
         for atom in ["p(a)", "p(c)", "p(b)"] {
@@ -1474,6 +1478,25 @@ mod tests {
     }
 
     #[test]
+    fn a_variable_predicate_name_does_not_read_the_auxiliary_query_rule() {
+        // The conjunction wraps into `__query_answer(X, Y, M)`, of the same
+        // arity as `M(X, Y, c)`: were the auxiliary rule a candidate for that
+        // subgoal, `M = '__query_answer'` would come back as an answer, and
+        // the subgoal's table would read a rule the program does not have.
+        let program = parse_program("e(a, b). c(a, b, c).").unwrap();
+        let query = parse_query("?- e(X, Y), M(X, Y, c).").unwrap();
+        let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
+        let names: Vec<String> = (ev.answer_query(&query).unwrap().iter())
+            .map(|s| s.apply(&Term::var("M")).to_string())
+            .collect();
+        assert_eq!(names, ["c"]);
+        let tables = ev.into_tables();
+        assert!(tables.values().all(|t| t.deps.values().all(|dep| {
+            (dep.readers.iter()).all(|h| h.outermost_functor() != &Term::sym(QUERY_HEAD))
+        })));
+    }
+
+    #[test]
     fn program_index_holds_facts_as_a_set_and_rules_as_the_program_does() {
         let program = parse_program(
             "p(X) :- q(X).\n\
@@ -1522,14 +1545,14 @@ mod tests {
         let program = game(6);
         let index = Arc::new(ProgramIndex::build(&program, &StorageConfig::InMemory));
         let evaluator = |tables| {
-            QueryEvaluator::with_tables(
+            QueryEvaluator::over(
                 index.clone(),
                 EvalOptions::default(),
-                tables,
+                Arc::new(tables),
                 StorageConfig::InMemory,
             )
         };
-        let mut first = evaluator(TermMap::default());
+        let mut first = evaluator(Tables::default());
         first
             .solve_atom(&parse_term("winning(move1)(p4)").unwrap())
             .unwrap();

@@ -120,7 +120,7 @@
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
 use crate::magic::DepSign;
-use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table};
+use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, Tables};
 use crate::snapshot::{lock_mut, DbSnapshot};
 use crate::storage::FactStore;
 use hilog_core::analysis::strongly_connected_components;
@@ -131,8 +131,6 @@ use hilog_core::unify::{match_with, unify_with};
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
-
-type Tables = TermMap<Term, Arc<Table>>;
 
 /// The dependency graph the tables of the **writer's** map recorded, by
 /// *position* — kept by the session beside the map ([`HiLogDb`]'s
@@ -783,15 +781,18 @@ impl HiLogDb {
         let (tables, graph) = self.tables_and_graph();
         let (mut tables, mut graph) = (std::mem::take(tables), std::mem::take(graph));
         self.settle_under(&deltas, &mut tables, &mut graph);
-        *lock_mut(&mut self.snap.tables) = tables;
+        *lock_mut(&mut self.snap.tables) = Arc::new(tables);
         self.table_graph = Some(graph);
     }
 
     /// The writer's map and the index of its recorded edges — built from
     /// the map here, by the first caller, and from then on moved with the
-    /// map by everything that puts a table in or takes one out.
+    /// map by everything that puts a table in or takes one out.  The map is
+    /// the writer's own from here on: copied if a published snapshot still
+    /// shares it — the one copy a publish costs, paid by the first write
+    /// after it.
     fn tables_and_graph(&mut self) -> (&mut Tables, &mut TableGraph) {
-        let tables = lock_mut(&mut self.snap.tables);
+        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
         let graph = (self.table_graph).get_or_insert_with(|| TableGraph::of(tables));
         (tables, graph)
     }
@@ -954,9 +955,10 @@ impl HiLogDb {
 
     /// Completes the table for `pattern` (a key) in `tables` — a look when
     /// an earlier evaluation of the pass completed it on its way, otherwise
-    /// one evaluator seeded with the whole map, moved in and out; every
-    /// table the evaluation completed enters `graph` with the map.  `false`
-    /// if the evaluation failed, which leaves the table absent.
+    /// one evaluator over the whole map, moved into an `Arc` base and taken
+    /// back out of it once the evaluator is gone; every table the evaluation
+    /// completed enters the map and `graph`.  `false` if the evaluation
+    /// failed, which leaves the table absent.
     fn resolve(
         &self,
         index: &mut Option<Arc<ProgramIndex>>,
@@ -967,19 +969,22 @@ impl HiLogDb {
         if tables.contains_key(pattern) {
             return true;
         }
-        let mut evaluator = QueryEvaluator::with_tables(
+        let base = Arc::new(std::mem::take(tables));
+        let mut evaluator = QueryEvaluator::over(
             index
                 .get_or_insert_with(|| self.snap.program_index())
                 .clone(),
             self.snap.opts,
-            std::mem::take(tables),
+            Arc::clone(&base),
             self.snap.storage.clone(),
         );
         let settled = evaluator.settle(pattern).is_ok();
-        let created;
-        (*tables, created) = evaluator.into_all_tables();
-        for key in &created {
-            graph.enter(key, &tables[key].deps);
+        let created = evaluator.into_tables();
+        // The evaluator held the only other `Arc`: this never copies.
+        *tables = Arc::unwrap_or_clone(base);
+        for (key, table) in created {
+            graph.enter(&key, &table.deps);
+            tables.insert(key, table);
         }
         settled
     }
@@ -1020,7 +1025,10 @@ impl HiLogDb {
     /// session's program, filling gaps only: first writer wins per key, as
     /// in `DbSnapshot::merge_tables`.
     pub(crate) fn adopt_tables(&mut self, completed: Vec<(Term, Arc<Table>)>) {
-        let tables = lock_mut(&mut self.snap.tables);
+        if completed.is_empty() {
+            return;
+        }
+        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
         for (key, table) in completed {
             if let Entry::Vacant(gap) = tables.entry(key) {
                 if let Some(graph) = &mut self.table_graph {

@@ -82,7 +82,7 @@ use crate::ground::GroundProgram;
 use crate::grounder::relevant_ground_into;
 use crate::horn::EvalOptions;
 use crate::magic_eval::{
-    normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table,
+    normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table, Tables,
 };
 use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
@@ -90,7 +90,6 @@ use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use crate::wfs::well_founded_eval;
-use hilog_core::hash::TermMap;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -101,9 +100,6 @@ use hilog_core::unify::match_with;
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-
-/// Subgoal tables by their normalised pattern.
-type Tables = TermMap<Term, Arc<Table>>;
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
 /// either only swaps `Arc`s or leaves the caches in a consistent (possibly
@@ -191,7 +187,12 @@ pub struct DbSnapshot {
     /// queries answered on this snapshot.  The read routes only ever *add*
     /// tables — under a frozen program a completed table cannot go stale;
     /// the owning session patches and drops them as it mutates the program.
-    pub(crate) tables: RwLock<Tables>,
+    /// The map is `Arc`d: a cold query seeds its evaluator with one `Arc`
+    /// bump, a fork shares it with the published copy, and every writer goes
+    /// through `Arc::make_mut` — so the map is copied only while someone
+    /// else still holds it (the writer's first table write after a publish,
+    /// or a reader merging while another reader's evaluator runs).
+    pub(crate) tables: RwLock<Arc<Tables>>,
     /// The tables [`merge_tables`](DbSnapshot::merge_tables) has inserted
     /// since the fork (or since the writer last asked) — what queries
     /// answered *on this snapshot* added to the map it started with.  Written
@@ -235,7 +236,7 @@ impl DbSnapshot {
                 model: warm_model.map(Arc::new),
                 ..SnapCore::default()
             }),
-            tables: RwLock::new(TermMap::default()),
+            tables: RwLock::new(Arc::default()),
             merged: Mutex::new(Vec::new()),
             index: RwLock::new(None),
             storage,
@@ -265,7 +266,7 @@ impl DbSnapshot {
             semantics: self.semantics,
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
-            tables: RwLock::new(lock_mut(&mut self.tables).clone()),
+            tables: RwLock::new(Arc::clone(lock_mut(&mut self.tables))),
             merged: Mutex::new(Vec::new()),
             index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
@@ -411,7 +412,7 @@ impl DbSnapshot {
         };
         result.stats.tables_reused = tables_reused;
         result.stats.absorb(counters() - before);
-        result.stats.live_symbols = hilog_core::symbol::symbol_pool_stats().live;
+        result.stats.live_symbols = hilog_core::symbol::symbol_pool_len();
         Ok(result)
     }
 
@@ -503,13 +504,12 @@ impl DbSnapshot {
                 return Ok((answers, stats));
             }
         }
-        // Seeding clones the table map, but the tables themselves are `Arc`d
-        // — this is per-entry refcount bumps, not a copy of any answer set.
-        let tables = read_lock(&self.tables).clone();
-        let mut evaluator = QueryEvaluator::with_tables(
+        // Seeding shares the map: one `Arc` bump, however many tables it
+        // holds.  The evaluator writes only the tables it creates.
+        let mut evaluator = QueryEvaluator::over(
             self.program_index(),
             self.opts,
-            tables,
+            Arc::clone(&read_lock(&self.tables)),
             self.storage.clone(),
         );
         let solved = evaluator.answer_query(query);
@@ -518,7 +518,9 @@ impl DbSnapshot {
         let stats = evaluator.stats();
         // Tables completed before a failure are still valid and are kept;
         // only the new ones come back, so the write lock is held for
-        // O(new tables), not O(all tables).
+        // O(new tables), not O(all tables).  `into_tables` drops the
+        // evaluator's share of the map before the merge takes the lock: a
+        // reader alone on this snapshot merges in place, without a copy.
         self.merge_tables(evaluator.into_tables());
         let answers = solved?
             .iter()
@@ -646,7 +648,11 @@ impl DbSnapshot {
     /// query's table — or one the owning session already holds and
     /// maintains — is simply kept.
     pub(crate) fn merge_tables(&self, fresh: Tables) {
-        let mut tables = write_lock(&self.tables);
+        if fresh.is_empty() {
+            return;
+        }
+        let mut shared = write_lock(&self.tables);
+        let tables = Arc::make_mut(&mut shared);
         let mut merged = lock(&self.merged);
         for (key, table) in fresh {
             if let Entry::Vacant(gap) = tables.entry(key) {
@@ -1193,7 +1199,7 @@ mod tests {
         snapshot
             .query(&parse_query("?- move(a, X).").unwrap())
             .unwrap();
-        let held: TermMap<Term, Arc<Table>> = read_lock(&snapshot.tables).clone();
+        let held: Tables = (**read_lock(&snapshot.tables)).clone();
         assert_eq!(held.len(), 1);
         let cold = snapshot
             .query(&parse_query("?- winning(X).").unwrap())
@@ -1205,6 +1211,105 @@ mod tests {
         for (key, table) in &held {
             assert!(Arc::ptr_eq(table, &after[key]));
         }
+    }
+
+    /// The allocation behind a snapshot's table map (a raw pointer, so that
+    /// asking does not share the map).
+    fn map_of(snapshot: &DbSnapshot) -> *const Tables {
+        Arc::as_ptr(&read_lock(&snapshot.tables))
+    }
+
+    /// A chain `p0 -> p1 -> ... -> p{n}` under the game rule.
+    fn chain_game(n: usize) -> Program {
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..n {
+            text.push_str(&format!("move(p{i}, p{}).\n", i + 1));
+        }
+        parse_program(&text).unwrap()
+    }
+
+    #[test]
+    fn a_cold_query_adds_its_tables_to_the_map_without_copying_it() {
+        let (mut writer, handle) = HiLogDb::new(chain_game(120)).into_serving();
+        let writer_map =
+            |writer: &mut DbWriter| Arc::as_ptr(lock_mut(&mut writer.db.working().tables));
+        let snapshot = handle.current();
+        assert_eq!(map_of(&snapshot), writer_map(&mut writer), "publish shares");
+        // The first merge parts the reader's map from the writer's; from
+        // then on one thread's cold queries add to it in place.
+        let probe = |i: usize| parse_query(&format!("?- move(p{i}, Y).")).unwrap();
+        snapshot.query(&probe(0)).unwrap();
+        let map = map_of(&snapshot);
+        for i in 1..120 {
+            snapshot.query(&probe(i)).unwrap();
+        }
+        assert_eq!(snapshot.cached_subqueries(), 120);
+        let cold = snapshot
+            .query(&parse_query("?- winning(p100).").unwrap())
+            .unwrap();
+        assert!(cold.stats.subqueries > 0);
+        assert_eq!(map_of(&snapshot), map, "a cold query copied the map");
+        assert_eq!(snapshot.cached_subqueries(), 120 + cold.stats.subqueries);
+        let key = normalize_pattern(&parse_term("winning(p100)").unwrap());
+        assert!(read_lock(&snapshot.tables).contains_key(&key));
+        // A mutation-free publish adopts them, and the next snapshot and
+        // the writer share one map ...
+        let next = writer.publish();
+        let published = map_of(&next);
+        assert_eq!(writer_map(&mut writer), published);
+        assert_eq!(next.cached_subqueries(), snapshot.cached_subqueries());
+        // ... until the writer's next table write, which copies it for the
+        // writer and leaves the published one as it was.
+        writer
+            .assert_fact(parse_term("move(p120, p121)").unwrap())
+            .unwrap();
+        writer.db();
+        assert_ne!(writer_map(&mut writer), published);
+        assert_eq!(map_of(&next), published);
+        assert_eq!(next.cached_subqueries(), snapshot.cached_subqueries());
+    }
+
+    #[test]
+    fn concurrent_cold_readers_merge_each_table_once() {
+        let program = chain_game(24);
+        let mut queries: Vec<String> = (0..=24)
+            .flat_map(|i| [format!("?- winning(p{i})."), format!("?- move(p{i}, Y).")])
+            .collect();
+        queries.push("?- winning(X).".to_string());
+        let queries: Vec<Query> = queries.iter().map(|q| parse_query(q).unwrap()).collect();
+        let fresh: Vec<_> = (queries.iter())
+            .map(|q| HiLogDb::new(program.clone()).query(q).unwrap().answers)
+            .collect();
+        let (_writer, handle) = HiLogDb::new(program).into_serving();
+        let snapshot = handle.current();
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4 {
+                let (snapshot, queries, fresh, barrier) = (&snapshot, &queries, &fresh, &barrier);
+                s.spawn(move || {
+                    barrier.wait();
+                    // Each thread starts at its own offset and half of them
+                    // walk backwards, so the probes overlap cold and warm.
+                    for k in 0..queries.len() {
+                        let k = (k + t * queries.len() / 4) % queries.len();
+                        let i = if t % 2 == 0 { k } else { queries.len() - 1 - k };
+                        let served = snapshot.query(&queries[i]).unwrap();
+                        assert_eq!(served.answers, fresh[i], "{}", queries[i]);
+                    }
+                });
+            }
+        });
+        // Every table in the map was merged once, by the first writer for
+        // its key, and is handed out once.
+        let merged = snapshot.take_merged_tables();
+        let map = read_lock(&snapshot.tables);
+        assert_eq!(merged.len(), map.len());
+        let keys: BTreeSet<&Term> = merged.iter().map(|(key, _)| key).collect();
+        assert_eq!(keys.len(), merged.len(), "a key was merged twice");
+        for (key, table) in &merged {
+            assert!(Arc::ptr_eq(table, &map[key]), "{key} was replaced");
+        }
+        assert!(snapshot.take_merged_tables().is_empty());
     }
 
     #[test]
