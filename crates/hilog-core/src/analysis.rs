@@ -381,6 +381,11 @@ pub fn is_stratified(program: &Program) -> bool {
 /// locally stratified iff no cycle of the ground-atom dependency graph passes
 /// through a negative edge.
 ///
+/// This is the **definitional reference**: the engine's Figure 1 reads the
+/// same verdict off the condensation its well-founded evaluation builds
+/// (`stratified_eval` in `hilog-engine`), and the oracles hold the two
+/// equal.
+///
 /// # Panics
 ///
 /// Panics if a rule is not ground; callers instantiate first.

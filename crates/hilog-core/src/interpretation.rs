@@ -263,19 +263,14 @@ impl Model {
     /// still match/unify against each candidate — this only narrows the
     /// walk, exactly like the engine's argument-indexed candidate probes.
     pub fn base_candidates<'a>(&'a self, pattern: &'a Term) -> BaseCandidates<'a> {
-        let name = pattern.name();
-        if let (Term::App(_, _), true) = (pattern, name.is_ground()) {
-            // `App(name, [])` is the least application with this name, and
-            // every non-application orders before all applications, so the
-            // range below starts exactly at the name's first atom.
-            let lower = Term::app(name.clone(), Vec::new());
-            return BaseCandidates::Named {
-                range: self.base.range(lower..),
-                name,
-                arity: pattern.arity(),
-            };
-        }
-        BaseCandidates::All(self.base.iter())
+        named_range(&self.base, pattern)
+    }
+
+    /// The true atoms that could match an atom pattern: the same name-keyed
+    /// range seek as [`Model::base_candidates`], over the true set.  The
+    /// candidates come in the true set's order.
+    pub fn true_candidates<'a>(&'a self, pattern: &'a Term) -> BaseCandidates<'a> {
+        named_range(&self.true_atoms, pattern)
     }
 
     /// The true atoms.
@@ -331,23 +326,19 @@ impl Model {
     }
 
     /// Merges another model into this one (union of bases, true sets and
-    /// undefined sets).  The caller is responsible for the two models having
-    /// disjoint or agreeing vocabularies (as in Figure 1, where `M := M ∪ M_T`
-    /// joins models of disjoint predicate sets).
-    pub fn merge(&mut self, other: &Model) {
-        self.base.extend(other.base.iter().cloned());
-        self.true_atoms.extend(other.true_atoms.iter().cloned());
-        self.undefined.extend(other.undefined.iter().cloned());
+    /// undefined sets), moving its atoms rather than copying them.  The
+    /// caller is responsible for the two models having disjoint or agreeing
+    /// vocabularies (as in Figure 1, where `M := M ∪ M_T` joins models of
+    /// disjoint predicate sets).
+    pub fn merge(&mut self, mut other: Model) {
+        self.base.append(&mut other.base);
+        self.true_atoms.append(&mut other.true_atoms);
+        self.undefined.append(&mut other.undefined);
         // An atom true in one part and undefined in another would be a bug in
         // the caller; prefer the stronger value.
-        let resolved: Vec<Term> = self
-            .undefined
-            .iter()
-            .filter(|a| self.true_atoms.contains(*a))
-            .cloned()
-            .collect();
-        for a in resolved {
-            self.undefined.remove(&a);
+        if !self.undefined.is_empty() {
+            let true_atoms = &self.true_atoms;
+            self.undefined.retain(|a| !true_atoms.contains(a));
         }
     }
 
@@ -419,9 +410,28 @@ impl Model {
     }
 }
 
-/// Iterator returned by [`Model::base_candidates`]: either the contiguous
-/// name-keyed range of the ordered base, or the whole base for patterns
-/// without a ground predicate name.
+/// The atoms of one of a model's ordered sets that could match `pattern`.
+///
+/// `App(name, [])` is the least application with this name, and every
+/// non-application orders before all applications, so the range starts
+/// exactly at the name's first atom.
+fn named_range<'a>(set: &'a BTreeSet<Term>, pattern: &'a Term) -> BaseCandidates<'a> {
+    let name = pattern.name();
+    if let (Term::App(_, _), true) = (pattern, name.is_ground()) {
+        let lower = Term::app(name.clone(), Vec::new());
+        return BaseCandidates::Named {
+            range: set.range(lower..),
+            name,
+            arity: pattern.arity(),
+        };
+    }
+    BaseCandidates::All(set.iter())
+}
+
+/// Iterator returned by [`Model::base_candidates`] and
+/// [`Model::true_candidates`]: either the contiguous name-keyed range of the
+/// ordered set, or the whole set for patterns without a ground predicate
+/// name.
 #[derive(Debug, Clone)]
 pub enum BaseCandidates<'a> {
     /// Contiguous range of atoms sharing the pattern's ground name.
@@ -433,7 +443,7 @@ pub enum BaseCandidates<'a> {
         /// The pattern's arity; candidates of other arities are skipped.
         arity: Option<usize>,
     },
-    /// Full-base fallback (variable predicate name).
+    /// Whole-set fallback (variable predicate name).
     All(std::collections::btree_set::Iter<'a, Term>),
 }
 
@@ -534,6 +544,23 @@ mod tests {
     }
 
     #[test]
+    fn true_candidates_walk_only_the_named_true_range() {
+        let edge = |a: &str, b: &str| Term::apps("edge", vec![Term::sym(a), Term::sym(b)]);
+        let mv = Term::apps("move", vec![Term::sym("a"), Term::sym("b")]);
+        let model = Model::new(
+            [edge("a", "b"), edge("b", "c"), edge("c", "d"), mv.clone()],
+            [edge("c", "d"), edge("a", "b"), mv],
+            [],
+        );
+        let pattern = Term::apps("edge", vec![Term::var("X"), Term::var("Y")]);
+        let found: Vec<Term> = model.true_candidates(&pattern).cloned().collect();
+        // The true edge atoms only, in the true set's order.
+        assert_eq!(found, vec![edge("a", "b"), edge("c", "d")]);
+        let open = Term::app(Term::var("P"), vec![Term::var("X"), Term::var("Y")]);
+        assert_eq!(model.true_candidates(&open).count(), 3);
+    }
+
+    #[test]
     fn interpretation_truth_values() {
         let mut i = Interpretation::new();
         assert!(i.insert_true(atom("s")));
@@ -603,7 +630,7 @@ mod tests {
     fn model_merge_prefers_true_over_undefined() {
         let mut a = Model::new([atom("p")], [], [atom("p")]);
         let b = Model::from_true_atoms([atom("p")]);
-        a.merge(&b);
+        a.merge(b);
         assert_eq!(a.truth(&atom("p")), Truth::True);
     }
 

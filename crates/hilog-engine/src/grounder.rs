@@ -35,7 +35,7 @@ use hilog_core::program::Program;
 use hilog_core::rule::Rule;
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
-use std::collections::BTreeSet;
+use hilog_core::TermSet;
 
 /// Relevant instantiation of a program (negation allowed, aggregates not).
 ///
@@ -80,7 +80,7 @@ pub(crate) fn ground_from(
 ) -> Result<Vec<GroundRule>, EngineError> {
     // The driver matches an instance once per frontier atom it reads (and a
     // program may repeat a rule), so instances are deduplicated as they land.
-    let mut seen: BTreeSet<GroundRule> = BTreeSet::new();
+    let mut seen: TermSet<GroundRule> = TermSet::default();
     let mut rules = Vec::new();
     saturate(
         program,
@@ -124,7 +124,8 @@ pub fn ground_against(
     Ok(GroundProgram::from_rules(rules))
 }
 
-fn check_rule_budget(rules: usize, opts: EvalOptions) -> Result<(), EngineError> {
+/// The grounding's budget: at most `opts.max_atoms` ground rules.
+pub(crate) fn check_rule_budget(rules: usize, opts: EvalOptions) -> Result<(), EngineError> {
     if rules > opts.max_atoms {
         return Err(EngineError::LimitExceeded(format!(
             "relevant instantiation exceeded {} ground rules",
@@ -303,6 +304,7 @@ mod tests {
     use crate::horn::least_model;
     use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
     use hilog_syntax::parse_program;
+    use std::collections::BTreeSet;
 
     fn ground(text: &str) -> GroundProgram {
         relevant_ground(&parse_program(text).unwrap(), EvalOptions::default()).unwrap()

@@ -28,7 +28,6 @@ use hilog_core::program::Program;
 use hilog_core::restriction::is_strongly_range_restricted;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::term::{Term, Var};
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// Reserved predicate names introduced by the transformation.
@@ -334,31 +333,32 @@ pub fn magic_transform(program: &Program, query: &Query) -> Result<MagicProgram,
     })
 }
 
-/// Collects the predicate names (outermost functors) introduced by the
-/// transformation, for shape tests.
-pub fn introduced_predicates(magic: &MagicProgram) -> BTreeSet<String> {
-    let mut out = BTreeSet::new();
-    for rule in magic.full_program().iter() {
-        if let Term::Sym(s) = rule.head.outermost_functor() {
-            let name = s.name();
-            if name == names::MAGIC
-                || name == names::DP
-                || name == names::DN
-                || name == names::DN_SETTLED
-                || name == names::BOX_FALSE
-                || name.starts_with(names::SUP)
-            {
-                out.insert(name.to_string());
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hilog_syntax::{parse_program, parse_query};
+    use std::collections::BTreeSet;
+
+    /// Collects the predicate names (outermost functors) introduced by the
+    /// transformation, for shape tests.
+    fn introduced_predicates(magic: &MagicProgram) -> BTreeSet<String> {
+        let mut out = BTreeSet::new();
+        for rule in magic.full_program().iter() {
+            if let Term::Sym(s) = rule.head.outermost_functor() {
+                let name = s.name();
+                if name == names::MAGIC
+                    || name == names::DP
+                    || name == names::DN
+                    || name == names::DN_SETTLED
+                    || name == names::BOX_FALSE
+                    || name.starts_with(names::SUP)
+                {
+                    out.insert(name.to_string());
+                }
+            }
+        }
+        out
+    }
 
     /// The abbreviated game program of Example 6.6.
     fn game_program() -> Program {

@@ -21,6 +21,21 @@
 //!    replace the remaining rules by their *HiLog reduction* modulo the model
 //!    (Definition 6.5); repeat.
 //!
+//! Each step costs what its component costs:
+//!
+//! * A lowest component made only of ground facts is its own model `M_T`:
+//!   the facts are true and nothing else is, with no grounding and no
+//!   evaluation.  Every program's first round is such a component.
+//! * Any other component is instantiated (relevant grounding) and handed to
+//!   the well-founded evaluation's `stratified_eval`, which condenses the
+//!   ground atom graph once: a negative edge inside a strongly connected
+//!   component means the component is not locally stratified, and
+//!   otherwise the wave schedule settles it over that same condensation.
+//! * The reduction seeks the settled model by predicate name
+//!   ([`Model::true_candidates`]: the model's sets are ordered by name
+//!   first) instead of scanning every true atom, and it deduplicates the
+//!   reduced rules by hash.
+//!
 //! If the procedure terminates with no rules left, the program is modularly
 //! stratified for HiLog and the accumulated model is its total well-founded
 //! model, which is also its unique stable model (Theorem 6.1).
@@ -33,9 +48,9 @@
 use crate::aggregate::solve_aggregate;
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
-use crate::grounder::relevant_ground;
+use crate::grounder::{check_rule_budget, relevant_ground};
 use crate::horn::EvalOptions;
-use crate::wfs::well_founded_eval;
+use crate::wfs::stratified_eval;
 use hilog_core::analysis::{ground_predicate_name, DependencyGraph, EdgeSign};
 use hilog_core::interpretation::Model;
 use hilog_core::literal::Literal;
@@ -44,6 +59,7 @@ use hilog_core::rule::Rule;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::match_with;
+use hilog_core::TermSet;
 use std::collections::BTreeSet;
 
 /// The result of running the Figure 1 procedure.
@@ -138,13 +154,7 @@ pub(crate) fn figure1_procedure(
         // Step 3: dependency graph over ground predicate names of R.
         let mut graph = DependencyGraph::new();
         for rule in &remaining {
-            for atom in
-                std::iter::once(&rule.head).chain(rule.body.iter().filter_map(|l| match l {
-                    Literal::Pos(a) | Literal::Neg(a) => Some(a),
-                    Literal::Aggregate(a) => Some(&a.pattern),
-                    Literal::Builtin(_) => None,
-                }))
-            {
+            for atom in std::iter::once(&rule.head).chain(rule.body.iter().filter_map(named_atom)) {
                 if let Some(name) = ground_predicate_name(atom) {
                     graph.add_node(name);
                 }
@@ -175,10 +185,10 @@ pub(crate) fn figure1_procedure(
         }
 
         // Step 5: the rules defining the lowest components.
-        let lowest_rules: Vec<Rule> = ground_headed
+        let lowest_rules: Vec<&Rule> = ground_headed
             .iter()
+            .copied()
             .filter(|r| lowest.contains(r.head.name()))
-            .map(|r| (*r).clone())
             .collect();
         for rule in &lowest_rules {
             if rule_has_variable_predicate_name(rule) {
@@ -190,41 +200,37 @@ pub(crate) fn figure1_procedure(
                 ));
             }
         }
-        let component_program = Program::from_rules(lowest_rules);
-        let ground_component = match relevant_ground(&component_program, opts) {
-            Ok(g) => g,
-            Err(EngineError::Floundering(msg)) => {
-                return Ok(ModularOutcome::rejected(
-                    format!("lowest component cannot be instantiated bottom-up: {msg}"),
-                    rounds,
-                ))
-            }
-            Err(other) => return Err(other),
-        };
-        let ground_rules: Vec<Rule> = ground_component
-            .rules
+        let component_model = if lowest_rules
             .iter()
-            .map(|gr| {
-                Rule::new(
-                    gr.head.clone(),
-                    gr.pos
-                        .iter()
-                        .map(|a| Literal::Pos(a.clone()))
-                        .chain(gr.neg.iter().map(|a| Literal::Neg(a.clone())))
-                        .collect(),
-                )
-            })
-            .collect();
-        if !hilog_core::analysis::is_locally_stratified_ground(&ground_rules) {
-            return Ok(ModularOutcome::rejected(
-                format!(
-                    "the reduction of the lowest component {:?} is not locally stratified",
-                    lowest.iter().map(|t| t.to_string()).collect::<Vec<_>>()
-                ),
-                rounds,
-            ));
-        }
-        let component_model = well_founded_eval(&ground_component, opts.eval_threads);
+            .all(|r| r.is_fact() && r.head.is_ground())
+        {
+            settle_facts(lowest_rules.iter().map(|r| r.head.clone()), opts)?
+        } else {
+            let component_program =
+                Program::from_rules(lowest_rules.into_iter().cloned().collect());
+            let ground_component = match relevant_ground(&component_program, opts) {
+                Ok(g) => g,
+                Err(EngineError::Floundering(msg)) => {
+                    return Ok(ModularOutcome::rejected(
+                        format!("lowest component cannot be instantiated bottom-up: {msg}"),
+                        rounds,
+                    ))
+                }
+                Err(other) => return Err(other),
+            };
+            match stratified_eval(&ground_component, opts.eval_threads) {
+                Some(component_model) => component_model,
+                None => {
+                    return Ok(ModularOutcome::rejected(
+                        format!(
+                            "the reduction of the lowest component {:?} is not locally stratified",
+                            lowest.iter().map(|t| t.to_string()).collect::<Vec<_>>()
+                        ),
+                        rounds,
+                    ))
+                }
+            }
+        };
         debug_assert!(
             component_model.is_total(),
             "locally stratified component must have a total well-founded model"
@@ -233,11 +239,10 @@ pub(crate) fn figure1_procedure(
         // Step 6: settle, merge, reduce.
         rounds.push(lowest.iter().cloned().collect());
         settled.extend(lowest.iter().cloned());
-        model.merge(&component_model);
-        let survivors: Vec<Rule> = remaining
-            .iter()
+        model.merge(component_model);
+        let survivors: Vec<Rule> = std::mem::take(&mut remaining)
+            .into_iter()
             .filter(|r| !(r.head.name().is_ground() && lowest.contains(r.head.name())))
-            .cloned()
             .collect();
         remaining = match hilog_reduce(&survivors, &settled, &model, opts) {
             Ok(rules) => rules,
@@ -247,134 +252,241 @@ pub(crate) fn figure1_procedure(
     Ok(ModularOutcome::accepted(model, rounds))
 }
 
-fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
-    let atom_has = |a: &Term| !a.name().is_ground();
-    if atom_has(&rule.head) {
-        return true;
+/// The model of a component of ground facts: the facts are true and nothing
+/// else is, as the grounding and the well-founded evaluation would say (a
+/// fact-only program is trivially locally stratified).  The grounding's rule
+/// budget still applies: one ground rule per distinct fact.
+fn settle_facts(
+    heads: impl Iterator<Item = Term>,
+    opts: EvalOptions,
+) -> Result<Model, EngineError> {
+    let model = Model::from_true_atoms(heads);
+    check_rule_budget(model.base().len(), opts)?;
+    Ok(model)
+}
+
+/// The atom whose predicate name a literal depends on: the atom of an atom
+/// literal, the pattern of an aggregate, none for a builtin.
+fn named_atom(lit: &Literal) -> Option<&Term> {
+    match lit {
+        Literal::Pos(a) | Literal::Neg(a) => Some(a),
+        Literal::Aggregate(a) => Some(&a.pattern),
+        Literal::Builtin(_) => None,
     }
-    rule.body.iter().any(|l| match l {
-        Literal::Pos(a) | Literal::Neg(a) => atom_has(a),
-        Literal::Aggregate(a) => atom_has(&a.pattern),
-        Literal::Builtin(_) => false,
-    })
+}
+
+fn has_variable_name(lit: &Literal) -> bool {
+    named_atom(lit).is_some_and(|a| !a.name().is_ground())
+}
+
+fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
+    !rule.head.name().is_ground() || rule.body.iter().any(has_variable_name)
 }
 
 /// The HiLog reduction of a set of rules modulo a (total) model for the
 /// settled predicates (Definition 6.5).
 ///
 /// Literals whose (ground) predicate name is settled are resolved against the
-/// model: true positive literals instantiate the rule's variables, false ones
-/// delete the instance; negative settled literals delete the literal (if
-/// false in the model) or the instance (if true).  Literals over unsettled
-/// predicates are kept.  A settled negative or aggregate literal that is
-/// still non-ground after the positive settled literals have been joined
-/// cannot be resolved; the reduction conservatively reports failure.
+/// model: true positive literals instantiate the rule's variables (the model
+/// is sought by predicate name, never scanned whole), false ones delete the
+/// instance; negative settled literals delete the literal (if false in the
+/// model) or the instance (if true).  Literals over unsettled predicates are
+/// kept.  A literal the rest of the body could still bind — a settled
+/// negative literal that is not yet ground, a builtin not yet evaluable, a
+/// literal whose predicate name is still a variable — is kept and tried
+/// again once the body has been joined, so the outcome does not depend on
+/// the order of the body.  A settled negative literal that is still
+/// non-ground after that cannot be resolved, and the reduction
+/// conservatively reports failure.
 pub fn hilog_reduce(
     rules: &[Rule],
     settled: &BTreeSet<Term>,
     model: &Model,
     opts: EvalOptions,
 ) -> Result<Vec<Rule>, String> {
+    let reduction = Reduction {
+        settled,
+        model,
+        opts,
+    };
     let mut out: Vec<Rule> = Vec::new();
-    let mut seen: BTreeSet<String> = BTreeSet::new();
+    let mut seen: TermSet<Rule> = TermSet::default();
     for rule in rules {
-        // Each partial instantiation carries its substitution and the
-        // literals kept (not yet resolvable).
-        let mut branches: Vec<(Substitution, Vec<Literal>)> =
-            vec![(Substitution::new(), Vec::new())];
-        for lit in &rule.body {
-            let mut next: Vec<(Substitution, Vec<Literal>)> = Vec::new();
-            for (theta, kept) in branches {
-                let lit_inst = lit.apply(&theta);
-                match &lit_inst {
-                    Literal::Pos(atom)
-                        if atom.name().is_ground() && settled.contains(atom.name()) =>
-                    {
-                        if atom.is_ground() {
-                            if model.is_true(atom) {
-                                next.push((theta, kept));
-                            }
-                            continue;
-                        }
-                        for candidate in model.true_atoms() {
-                            let mut extended = theta.clone();
-                            if match_with(atom, candidate, &mut extended) {
-                                next.push((extended, kept.clone()));
-                            }
-                        }
-                    }
-                    Literal::Neg(atom)
-                        if atom.name().is_ground() && settled.contains(atom.name()) =>
-                    {
-                        if !atom.is_ground() {
-                            return Err(format!(
-                                "cannot reduce the non-ground settled negative literal `not {atom}` \
-                                 of rule `{rule}`"
-                            ));
-                        }
-                        if !model.is_true(atom) {
-                            next.push((theta, kept));
-                        }
-                    }
-                    Literal::Builtin(b) => {
-                        let mut extended = theta.clone();
-                        if b.variables().iter().all(|v| extended.get(v).is_some())
-                            || b.left.is_ground() && b.right.is_ground()
-                        {
-                            match b.apply(&theta).eval(&mut extended) {
-                                Ok(true) => next.push((extended, kept)),
-                                Ok(false) => {}
-                                Err(_) => {
-                                    // Not yet evaluable; defer.
-                                    let mut kept = kept;
-                                    kept.push(lit.clone());
-                                    next.push((theta, kept));
-                                }
-                            }
-                        } else {
-                            let mut kept = kept;
-                            kept.push(lit.clone());
-                            next.push((theta, kept));
-                        }
-                    }
-                    Literal::Aggregate(agg)
-                        if agg.pattern.name().is_ground()
-                            && settled.contains(agg.pattern.name()) =>
-                    {
-                        // Evaluate the aggregate over the settled model; a
-                        // fold the operator cannot perform is a reason to
-                        // reject, like any other failed reduction.
-                        let solutions =
-                            solve_aggregate(rule, agg, &theta, model.true_atoms().iter())
-                                .map_err(|e| e.to_string())?;
-                        next.extend(solutions.into_iter().map(|ext| (ext, kept.clone())));
-                    }
-                    _ => {
-                        let mut kept = kept;
-                        kept.push(lit.clone());
-                        next.push((theta, kept));
-                    }
-                }
-                if next.len() > opts.max_atoms {
+        for Branch { theta, kept, retry } in reduction.reduce(rule)? {
+            let body: Vec<Literal> = kept.iter().map(|l| l.apply(&theta)).collect();
+            if retry {
+                let unresolved = body.iter().find_map(|l| match l {
+                    Literal::Neg(atom) if reduction.is_settled(atom) => Some(atom),
+                    _ => None,
+                });
+                if let Some(atom) = unresolved {
                     return Err(format!(
-                        "HiLog reduction of rule `{rule}` exceeded {} partial instantiations",
-                        opts.max_atoms
+                        "cannot reduce the non-ground settled negative literal `not {atom}` \
+                         of rule `{rule}`"
                     ));
                 }
             }
-            branches = next;
-        }
-        for (theta, kept) in branches {
-            let head = theta.apply(&rule.head);
-            let body: Vec<Literal> = kept.iter().map(|l| l.apply(&theta)).collect();
-            let reduced = Rule::new(head, body);
-            let key = reduced.to_string();
-            if seen.insert(key) {
+            let reduced = Rule::new(theta.apply(&rule.head), body);
+            if seen.insert(reduced.clone()) {
                 out.push(reduced);
             }
         }
     }
     Ok(out)
+}
+
+/// A partial instantiation of a rule in [`hilog_reduce`].
+struct Branch {
+    /// The bindings made so far.
+    theta: Substitution,
+    /// The literals kept (not resolvable, or not yet), uninstantiated.
+    kept: Vec<Literal>,
+    /// Some kept literal could resolve once more variables are bound.
+    retry: bool,
+}
+
+/// What [`hilog_reduce`] reduces modulo.
+struct Reduction<'a> {
+    settled: &'a BTreeSet<Term>,
+    model: &'a Model,
+    opts: EvalOptions,
+}
+
+impl Reduction<'_> {
+    fn is_settled(&self, atom: &Term) -> bool {
+        atom.name().is_ground() && self.settled.contains(atom.name())
+    }
+
+    /// The branches of `rule`'s reduction, in order: one pass over the
+    /// body, then one more over the kept literals of any branch that kept a
+    /// literal later bindings could resolve, until no kept literal resolves.
+    fn reduce(&self, rule: &Rule) -> Result<Vec<Branch>, String> {
+        let root = Branch {
+            theta: Substitution::new(),
+            kept: Vec::new(),
+            retry: false,
+        };
+        let mut pending = self.pass(rule, &rule.body, root)?;
+        pending.reverse();
+        let mut done = Vec::new();
+        while let Some(branch) = pending.pop() {
+            if !branch.retry {
+                done.push(branch);
+                continue;
+            }
+            let again = Branch {
+                theta: branch.theta.clone(),
+                kept: Vec::new(),
+                retry: false,
+            };
+            let again = self.pass(rule, &branch.kept, again)?;
+            if again.len() == 1 && again[0].kept.len() == branch.kept.len() {
+                // Nothing resolved, so nothing will.
+                done.push(branch);
+            } else {
+                // Every literal resolved shortens `kept`, so this ends.
+                pending.extend(again.into_iter().rev());
+            }
+        }
+        Ok(done)
+    }
+
+    /// Reduces `body` left to right from `start`.
+    fn pass(&self, rule: &Rule, body: &[Literal], start: Branch) -> Result<Vec<Branch>, String> {
+        let mut branches = vec![start];
+        for lit in body {
+            let mut next: Vec<Branch> = Vec::new();
+            for branch in branches {
+                self.step(rule, lit, branch, &mut next)?;
+                if next.len() > self.opts.max_atoms {
+                    return Err(format!(
+                        "HiLog reduction of rule `{rule}` exceeded {} partial instantiations",
+                        self.opts.max_atoms
+                    ));
+                }
+            }
+            branches = next;
+        }
+        Ok(branches)
+    }
+
+    /// Resolves one literal of `rule` in one branch, pushing what survives.
+    fn step(
+        &self,
+        rule: &Rule,
+        lit: &Literal,
+        branch: Branch,
+        next: &mut Vec<Branch>,
+    ) -> Result<(), String> {
+        let keep = |mut branch: Branch, retry: bool, next: &mut Vec<Branch>| {
+            branch.kept.push(lit.clone());
+            branch.retry |= retry;
+            next.push(branch);
+        };
+        let theta = &branch.theta;
+        match lit.apply(theta) {
+            Literal::Pos(atom) if self.is_settled(&atom) => {
+                if atom.is_ground() {
+                    if self.model.is_true(&atom) {
+                        next.push(branch);
+                    }
+                    return Ok(());
+                }
+                for candidate in self.model.true_candidates(&atom) {
+                    let mut extended = theta.clone();
+                    if match_with(&atom, candidate, &mut extended) {
+                        next.push(Branch {
+                            theta: extended,
+                            kept: branch.kept.clone(),
+                            retry: branch.retry,
+                        });
+                    }
+                }
+            }
+            Literal::Neg(atom) if self.is_settled(&atom) => {
+                if !atom.is_ground() {
+                    keep(branch, true, next);
+                } else if !self.model.is_true(&atom) {
+                    next.push(branch);
+                }
+            }
+            Literal::Builtin(b) => {
+                let mut extended = theta.clone();
+                if b.variables().iter().all(|v| extended.get(v).is_some())
+                    || b.left.is_ground() && b.right.is_ground()
+                {
+                    match b.eval(&mut extended) {
+                        Ok(true) => next.push(Branch {
+                            theta: extended,
+                            ..branch
+                        }),
+                        Ok(false) => {}
+                        // Not yet evaluable; defer.
+                        Err(_) => keep(branch, true, next),
+                    }
+                } else {
+                    keep(branch, true, next);
+                }
+            }
+            Literal::Aggregate(agg) if self.is_settled(&agg.pattern) => {
+                // Evaluate the aggregate over the settled model; a fold the
+                // operator cannot perform is a reason to reject, like any
+                // other failed reduction.
+                let candidates = self.model.true_candidates(&agg.pattern);
+                let solutions =
+                    solve_aggregate(rule, &agg, theta, candidates).map_err(|e| e.to_string())?;
+                next.extend(solutions.into_iter().map(|theta| Branch {
+                    theta,
+                    kept: branch.kept.clone(),
+                    retry: branch.retry,
+                }));
+            }
+            // Unsettled: kept for good if its predicate name is ground, tried
+            // again if a later binding could settle it.
+            other => keep(branch, has_variable_name(&other), next),
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -518,6 +630,77 @@ mod tests {
         assert!(out.modularly_stratified, "{:?}", out.reason);
         let m = out.model.unwrap();
         assert_eq!(m.truth(&t("total(bike, 3)")), Truth::True);
+    }
+
+    fn round_names(out: &ModularOutcome) -> Vec<Vec<String>> {
+        let names = |round: &Vec<Term>| round.iter().map(|t| t.to_string()).collect();
+        out.rounds.iter().map(names).collect()
+    }
+
+    #[test]
+    fn examples_6_1_and_6_3_settle_their_facts_in_the_first_round() {
+        let out = run("winning(X) :- move(X, Y), not winning(Y).\n\
+                       move(a, b). move(b, c). move(a, c).");
+        assert_eq!(round_names(&out), [vec!["move"], vec!["winning"]]);
+        let out = run("winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                       game(move1). game(move2).\n\
+                       move1(a, b). move1(b, c).\n\
+                       move2(x, y). move2(y, z).");
+        assert_eq!(
+            round_names(&out),
+            [
+                vec!["game", "move1", "move2"],
+                vec!["winning(move1)", "winning(move2)"]
+            ]
+        );
+    }
+
+    #[test]
+    fn the_verdict_does_not_depend_on_body_literal_order() {
+        // A stratified program, so Figure 1 must accept it (Lemma 6.2)
+        // whichever way its body is written.
+        let facts = "r(a). r(b). q(a).";
+        let negation_first = run(&format!("p(X) :- not q(X), r(X). {facts}"));
+        let negation_last = run(&format!("p(X) :- r(X), not q(X). {facts}"));
+        assert!(
+            negation_first.modularly_stratified,
+            "{:?}",
+            negation_first.reason
+        );
+        assert!(
+            negation_last.modularly_stratified,
+            "{:?}",
+            negation_last.reason
+        );
+        assert_eq!(negation_first.rounds, negation_last.rounds);
+        assert_eq!(negation_first.model, negation_last.model);
+        let model = negation_first.model.unwrap();
+        let truths: Vec<String> = model.true_atoms().iter().map(|a| a.to_string()).collect();
+        assert_eq!(truths, ["p(b)", "q(a)", "r(a)", "r(b)"]);
+        assert!(model.is_total());
+        // A settled negative literal nothing in the body binds is still
+        // rejected.
+        let out = run("p(X) :- t(X), not q(X, Y). t(a). q(a, b).");
+        assert!(!out.modularly_stratified);
+        assert!(out
+            .reason
+            .unwrap()
+            .contains("cannot reduce the non-ground settled negative"));
+    }
+
+    #[test]
+    fn a_literal_named_by_a_later_binding_is_reduced_too() {
+        // `R(X, Y)` is only settled once `rel(R)` has bound `R`; it must
+        // still be joined, not left in the reduced rule.
+        let bound_first = run("reach(R)(X, Y) :- rel(R), R(X, Y). rel(e). e(a, b).");
+        let bound_last = run("reach(R)(X, Y) :- R(X, Y), rel(R). rel(e). e(a, b).");
+        assert!(bound_first.modularly_stratified, "{:?}", bound_first.reason);
+        assert_eq!(round_names(&bound_first), round_names(&bound_last));
+        assert_eq!(bound_first.model, bound_last.model);
+        assert_eq!(
+            bound_first.model.unwrap().truth(&t("reach(e)(a, b)")),
+            Truth::True
+        );
     }
 
     #[test]

@@ -162,21 +162,51 @@ fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
 /// count, and is the one Definition 3.5's global iteration yields.
 pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
     let indexed = IndexedProgram::build(program);
-    let assignment = wave_fixpoint(&indexed, threads);
+    let assignment = wave_fixpoint(&indexed, &condensation_waves(&indexed), threads);
     assemble_model(&indexed, &assignment)
+}
+
+/// The well-founded model of a ground program that is *locally stratified*
+/// (Definition 6.2: no cycle of the atom dependency graph passes through a
+/// negative edge), or `None` if it is not — Step 5 of Figure 1 in one pass.
+///
+/// A negative edge lies on a cycle exactly when its two ends share a
+/// strongly connected component, so the test reads the condensation
+/// [`well_founded_eval`] builds anyway, and the wave schedule then runs over
+/// that same condensation.  A locally stratified program's model is total.
+pub(crate) fn stratified_eval(program: &GroundProgram, threads: usize) -> Option<Model> {
+    let indexed = IndexedProgram::build(program);
+    let condensation = condensation_waves(&indexed);
+    let scc_of = &condensation.scc_of;
+    let negative_cycle = indexed.rules.iter().any(|rule| {
+        let head = scc_of[rule.head as usize];
+        rule.neg.iter().any(|&q| scc_of[q as usize] == head)
+    });
+    if negative_cycle {
+        return None;
+    }
+    let assignment = wave_fixpoint(&indexed, &condensation, threads);
+    Some(assemble_model(&indexed, &assignment))
+}
+
+/// The condensation of the atom dependency graph, levelled into waves.
+struct Condensation {
+    /// The strongly connected components as sorted member lists,
+    /// dependencies before dependents (the shared Tarjan's order).
+    sccs: Vec<Vec<usize>>,
+    /// Each atom's index into `sccs`.
+    scc_of: Vec<usize>,
+    /// Per wave `k`, the indices into `sccs` whose longest dependency chain
+    /// through other components has length `k`.
+    waves: Vec<Vec<usize>>,
 }
 
 /// Condenses the atom dependency graph — one vertex per atom, an edge from
 /// every rule head to each of its (positive *and* negative) body atoms — and
-/// levels the condensation into topological waves.
-///
-/// Returns `(sccs, waves)`: the strongly connected components as sorted
-/// member lists, dependencies before dependents (the shared Tarjan's
-/// order), and per wave `k` the indices into `sccs` whose longest
-/// dependency chain through other components has length `k`.  Components of
-/// one wave share no dependency edges, so they may evaluate concurrently;
-/// waves run in index order with a barrier between them.
-fn condensation_waves(indexed: &IndexedProgram) -> (Vec<Vec<usize>>, Vec<Vec<usize>>) {
+/// levels the condensation into topological waves.  Components of one wave
+/// share no dependency edges, so they may evaluate concurrently; waves run
+/// in index order with a barrier between them.
+fn condensation_waves(indexed: &IndexedProgram) -> Condensation {
     let n = indexed.atom_count();
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     for rule in &indexed.rules {
@@ -214,7 +244,11 @@ fn condensation_waves(indexed: &IndexedProgram) -> (Vec<Vec<usize>>, Vec<Vec<usi
     for (si, &lvl) in level.iter().enumerate() {
         waves[lvl].push(si);
     }
-    (sccs, waves)
+    Condensation {
+        sccs,
+        scc_of,
+        waves,
+    }
 }
 
 /// Truth encoding for the shared wave-evaluation cells: `0` = undefined /
@@ -239,9 +273,9 @@ fn decode_truth(cell: u8) -> Option<bool> {
 /// the publishing thread than to hand to a sleeping worker.
 const PARALLEL_WAVE_MIN_RULES: usize = 256;
 
-/// Runs the wave schedule to a settled assignment: every wave's components
-/// evaluate against the assignment settled so far, and their results land
-/// before the next wave starts.
+/// Runs the wave schedule over `condensation` to a settled assignment: every
+/// wave's components evaluate against the assignment settled so far, and
+/// their results land before the next wave starts.
 ///
 /// The assignment lives in shared atomic cells so pool workers can publish
 /// component results directly: each atom is written by exactly one
@@ -252,13 +286,17 @@ const PARALLEL_WAVE_MIN_RULES: usize = 256;
 /// per wave would cost more than the waves themselves on deep programs.  At
 /// `threads = 1` the pool has no workers and each wave is a plain loop on
 /// the calling thread.
-fn wave_fixpoint(indexed: &IndexedProgram, threads: usize) -> Vec<Option<bool>> {
-    let (sccs, waves) = condensation_waves(indexed);
+fn wave_fixpoint(
+    indexed: &IndexedProgram,
+    condensation: &Condensation,
+    threads: usize,
+) -> Vec<Option<bool>> {
+    let Condensation { sccs, waves, .. } = condensation;
     let unsettled = |_| AtomicU8::new(encode_truth(None));
     let shared: Vec<AtomicU8> = (0..indexed.atom_count()).map(unsettled).collect();
     let shared = &shared;
     crate::pool::with_wave_pool(threads, |pool| {
-        for wave in &waves {
+        for wave in waves {
             // Waking a worker costs a context switch; only do it when the
             // wave carries more work than that.  The estimate reads wave
             // structure alone, so the schedule stays thread-count-honest
@@ -277,7 +315,6 @@ fn wave_fixpoint(indexed: &IndexedProgram, threads: usize) -> Vec<Option<bool>> 
             let jobs: Vec<crate::pool::Job<'_>> = wave
                 .chunks(chunk_size)
                 .map(|chunk| {
-                    let sccs = &sccs;
                     Box::new(move || {
                         for &si in chunk {
                             let members = &sccs[si];
@@ -436,7 +473,10 @@ mod tests {
     use crate::ground::GroundRule;
     use crate::grounder::relevant_ground;
     use crate::session::HiLogDb;
+    use hilog_core::analysis::is_locally_stratified_ground;
     use hilog_core::interpretation::Truth;
+    use hilog_core::literal::Literal;
+    use hilog_core::rule::Rule;
     use hilog_syntax::{parse_program, parse_term};
 
     /// Thread counts the schedule is held to the reference at; `1` runs
@@ -644,6 +684,63 @@ mod tests {
     }
 
     #[test]
+    fn stratified_eval_agrees_with_the_definitional_references() {
+        // Random ground programs over a handful of atoms, so positive and
+        // negative cycles are common: `stratified_eval` accepts exactly the
+        // programs the atom-graph reference calls locally stratified, and
+        // its model is Definition 3.5's.
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut draw = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        let atom = |i: u64| Term::sym(format!("a{i}"));
+        let (mut accepted, mut rejected) = (0, 0);
+        for _ in 0..400 {
+            let atoms = 2 + draw(6);
+            let rules: Vec<GroundRule> = (0..1 + draw(10))
+                .map(|_| {
+                    let head = atom(draw(atoms));
+                    let pos = (0..draw(3)).map(|_| atom(draw(atoms))).collect();
+                    let neg = (0..draw(2)).map(|_| atom(draw(atoms))).collect();
+                    GroundRule::new(head, pos, neg)
+                })
+                .collect();
+            let as_rules: Vec<Rule> = rules
+                .iter()
+                .map(|r| {
+                    let pos = r.pos.iter().cloned().map(Literal::Pos);
+                    let neg = r.neg.iter().cloned().map(Literal::Neg);
+                    Rule::new(r.head.clone(), pos.chain(neg).collect())
+                })
+                .collect();
+            let stratified = is_locally_stratified_ground(&as_rules);
+            let gp = GroundProgram::from_rules(rules);
+            for threads in [1, 4] {
+                match stratified_eval(&gp, threads) {
+                    Some(m) => {
+                        assert!(stratified, "accepted a negative cycle: {as_rules:?}");
+                        assert!(m.is_total());
+                        assert_eq!(m, well_founded_of_ground(&gp));
+                    }
+                    None => assert!(!stratified, "rejected a stratified program: {as_rules:?}"),
+                }
+            }
+            if stratified {
+                accepted += 1;
+            } else {
+                rejected += 1;
+            }
+        }
+        assert!(
+            accepted > 40 && rejected > 40,
+            "{accepted} accepted, {rejected} rejected"
+        );
+    }
+
+    #[test]
     fn wave_evaluation_of_empty_program_is_empty() {
         for threads in THREAD_COUNTS {
             let m = well_founded_eval(&GroundProgram::new(), threads);
@@ -672,7 +769,7 @@ mod tests {
                 .collect(),
         );
         let indexed = IndexedProgram::build(&gp);
-        let (_, waves) = condensation_waves(&indexed);
+        let waves = condensation_waves(&indexed).waves;
         assert!(waves.len() >= 2_000, "{} waves", waves.len());
 
         let model = well_founded_eval(&gp, 1);

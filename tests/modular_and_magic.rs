@@ -3,14 +3,28 @@
 //! game workloads through the `HiLogDb` session facade.
 
 use hilog_core::interpretation::Model;
+use hilog_core::program::Program;
+use hilog_core::rule::Rule;
 use hilog_engine::session::{HiLogDb, Semantics};
 use hilog_engine::EngineError;
 use hilog_syntax::parse_term;
 use hilog_workloads::{
     chain, cycle, hilog_game_program, layered_game_graph, node_name, normal_game_program,
-    random_dag,
+    random_dag, random_range_restricted_normal, random_strongly_restricted_hilog,
+    HilogProgramConfig, NormalProgramConfig,
 };
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// Case count of the randomized suites, overridable from CI via
+/// `HILOG_PROPTEST_CASES` (as in `tests/session_api.rs`).
+fn cases(default: u32) -> u32 {
+    std::env::var("HILOG_PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(default)
+}
 
 /// Well-founded model through the session facade.
 fn wfs(program: &hilog_core::Program) -> Result<Model, EngineError> {
@@ -116,6 +130,93 @@ fn repeated_point_queries_are_answered_from_session_tables() {
     assert_eq!(second.stats.rule_applications, 0);
     assert!(second.stats.cached_subqueries > 0);
     assert_eq!(second.truth, first.truth);
+}
+
+/// The program with every rule's body shuffled (seeded Fisher–Yates).
+fn permute_bodies(program: &Program, seed: u64) -> Program {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let permuted = program.iter().map(|rule| {
+        let mut body = rule.body.clone();
+        for i in (1..body.len()).rev() {
+            body.swap(i, rng.gen_range(0..=i));
+        }
+        Rule::new(rule.head.clone(), body)
+    });
+    Program::from_rules(permuted.collect())
+}
+
+/// Figure 1's invariants on one program: the order of a rule's body never
+/// changes the verdict, the rounds or the model, and an accepted program's
+/// model is its well-founded model (Theorem 6.1).  Returns the verdict.
+fn check_figure_1_invariants(program: &Program, seed: u64) -> bool {
+    let outcome = HiLogDb::new(program.clone())
+        .check_modular()
+        .unwrap()
+        .clone();
+    let permuted = permute_bodies(program, seed);
+    let twin = HiLogDb::new(permuted.clone())
+        .check_modular()
+        .unwrap()
+        .clone();
+    assert_eq!(
+        outcome.modularly_stratified, twin.modularly_stratified,
+        "verdicts differ ({:?} vs {:?}) on\n{program}\nand\n{permuted}",
+        outcome.reason, twin.reason
+    );
+    assert_eq!(outcome.rounds, twin.rounds, "rounds differ on\n{program}");
+    assert_eq!(outcome.model, twin.model, "models differ on\n{program}");
+    if let Some(model) = &outcome.model {
+        let wfm = wfs(program).unwrap();
+        assert!(wfm.is_total(), "accepted with a partial WFS:\n{program}");
+        for atom in wfm.base().iter().chain(model.base()) {
+            assert_eq!(model.truth(atom), wfm.truth(atom), "{atom} in\n{program}");
+        }
+    }
+    outcome.modularly_stratified
+}
+
+#[test]
+fn figure_1_invariants_hold_on_random_programs() {
+    // The generated tail below is random; this pins that the two generators
+    // reach both verdicts at all.
+    let verdicts: Vec<bool> = (0..40)
+        .map(|seed| {
+            let config = NormalProgramConfig::default();
+            check_figure_1_invariants(&random_range_restricted_normal(config, seed), seed)
+        })
+        .collect();
+    assert!(verdicts.contains(&true) && verdicts.contains(&false));
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(cases(48)))]
+
+    /// Random range-restricted normal programs (stratified, modularly
+    /// stratified and three-valued alike) keep Figure 1's invariants.
+    #[test]
+    fn figure_1_is_body_order_blind_on_normal_programs(
+        seed in 0u64..1_000_000,
+        rules in 2usize..10,
+        idb_predicates in 1usize..5,
+    ) {
+        let config = NormalProgramConfig { rules, idb_predicates, ..NormalProgramConfig::default() };
+        check_figure_1_invariants(&random_range_restricted_normal(config, seed), seed ^ 0x5eed);
+    }
+
+    /// Random strongly range-restricted HiLog programs keep them too.
+    #[test]
+    fn figure_1_is_body_order_blind_on_hilog_programs(
+        seed in 0u64..1_000_000,
+        relation_names in 1usize..4,
+        with_negation in 0u8..2,
+    ) {
+        let config = HilogProgramConfig {
+            relation_names,
+            with_negation: with_negation == 1,
+            ..HilogProgramConfig::default()
+        };
+        check_figure_1_invariants(&random_strongly_restricted_hilog(config, seed), seed ^ 0x5eed);
+    }
 }
 
 proptest! {
