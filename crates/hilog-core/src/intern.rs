@@ -85,6 +85,11 @@ impl TermInterner {
         self.terms.is_empty()
     }
 
+    /// Every interned term, indexed by id.
+    pub fn terms(&self) -> &[Term] {
+        &self.terms
+    }
+
     /// Iterates over `(id, term)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (AtomId, &Term)> {
         self.terms

@@ -25,9 +25,8 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::match_with;
 use std::borrow::Borrow;
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
-use std::sync::{PoisonError, RwLock};
+use std::sync::{OnceLock, PoisonError, RwLock};
 
 /// Resource limits for bottom-up evaluation.  They exist because HiLog
 /// Herbrand universes are infinite: a non-range-restricted program (or a
@@ -266,6 +265,14 @@ impl Relation {
 /// [`remove`](AtomStore::remove), so long-lived stores (the session's
 /// possibly-true store, the evaluator's subgoal tables) keep their indexes
 /// warm across mutations.
+///
+/// The store is a *set*: a write costs an interner probe, a relation push
+/// and the built indexes' postings, and sorts nothing.  Term order exists
+/// only for [`iter`](AtomStore::iter) (and so for
+/// [`FactStore::for_each_atom`]): the first ordered read after a write sorts
+/// the live ids by term, O(n log n) comparisons, and the order is cached
+/// until the next insert or remove that changes the set — a complete table
+/// nobody writes sorts once however often it is read.
 #[derive(Debug, Clone, Default)]
 pub struct AtomStore {
     /// Stable ids for every atom ever inserted (ids survive removal).
@@ -273,9 +280,9 @@ pub struct AtomStore {
     /// Per-id liveness; `false` entries are removed (or never-inserted) ids.
     live: Vec<bool>,
     live_count: usize,
-    /// Ordered view of the live atoms: deterministic iteration and the
-    /// `atoms()` set view.  Entries share their `Arc`s with the interner.
-    atoms: BTreeSet<Term>,
+    /// The live ids in term order, filled by the first [`AtomStore::iter`]
+    /// after a write and emptied by every write that changes the set.
+    ordered: OnceLock<Vec<AtomId>>,
     relations: TermMap<RelKey, Relation>,
 }
 
@@ -313,7 +320,7 @@ impl AtomStore {
         }
         self.live[id.index()] = true;
         self.live_count += 1;
-        self.atoms.insert(atom.clone());
+        self.ordered.take();
         let key = (atom.name(), atom.arity());
         if !self.relations.contains_key(&key as &dyn RelKeyRef) {
             self.relations
@@ -351,7 +358,7 @@ impl AtomStore {
         }
         self.live[id.index()] = false;
         self.live_count -= 1;
-        self.atoms.remove(atom);
+        self.ordered.take();
         if let Some(rel) = self
             .relations
             .get_mut(&(atom.name(), atom.arity()) as &dyn RelKeyRef)
@@ -389,14 +396,33 @@ impl AtomStore {
         self.live_count == 0
     }
 
-    /// Iterates over all atoms in term order.
+    /// Iterates over all atoms in term order.  The first call after a write
+    /// sorts the live atoms; later calls walk the cached order.
     pub fn iter(&self) -> impl Iterator<Item = &Term> {
-        self.atoms.iter()
+        let ordered = self.ordered.get_or_init(|| {
+            let mut ids: Vec<AtomId> = self
+                .interner
+                .iter()
+                .filter(|&(id, _)| self.is_live(id))
+                .map(|(id, _)| id)
+                .collect();
+            // Distinct ids are distinct terms, so an unstable sort is exact.
+            ids.sort_unstable_by(|&a, &b| self.interner.resolve(a).cmp(self.interner.resolve(b)));
+            ids
+        });
+        ordered.iter().map(|&id| self.interner.resolve(id))
     }
 
-    /// The full atom set.
-    pub fn atoms(&self) -> &BTreeSet<Term> {
-        &self.atoms
+    /// Iterates over all atoms in id (first-insertion) order, sorting
+    /// nothing: for the loops that only need the set.
+    fn iter_by_id(&self) -> impl Iterator<Item = &Term> {
+        self.by_id()
+            .filter_map(|(atom, &live)| live.then_some(atom))
+    }
+
+    /// Every interned atom beside its liveness flag, in id order.
+    fn by_id(&self) -> LiveTerms<'_> {
+        self.interner.terms().iter().zip(&self.live)
     }
 
     /// Number of `(name, arity)` relations ever touched.
@@ -419,6 +445,8 @@ impl AtomStore {
     ///
     /// Candidates are a superset of the actual matches restricted by the
     /// chosen access path; callers still unify/match against each candidate.
+    /// No route sorts: candidates come in posting, row or id order (see
+    /// [`Candidates`]).
     /// Returns a concrete [`Candidates`] iterator (no boxed trait object —
     /// this is the hot path of [`join_body`]).
     pub fn candidates<'a>(&'a self, pattern: &Term) -> Candidates<'a> {
@@ -426,7 +454,7 @@ impl AtomStore {
         if !pattern.name().is_ground() {
             count(|c| &c.index_fallback_scans, 1);
             return Candidates {
-                inner: CandidatesInner::ByArity(self.atoms.iter(), arity),
+                inner: CandidatesInner::ByArity(self.by_id(), arity),
             };
         }
         let Some(rel) = self
@@ -460,10 +488,16 @@ impl AtomStore {
 ///
 /// Index probes walk a posting list restricted to the pattern's most
 /// selective bound argument; keyed fallbacks iterate the `(name, arity)`
-/// relation; patterns with a variable predicate name scan the whole store,
-/// keeping atoms of the pattern's arity.  Every yielded atom has the
-/// pattern's arity, for ground-named patterns also its exact predicate name,
-/// and for index probes additionally the probed argument's value.
+/// relation; patterns with a variable predicate name walk the store's
+/// interned atoms by id, keeping the live ones of the pattern's arity.  Every
+/// yielded atom has the pattern's arity, for ground-named patterns also its
+/// exact predicate name, and for index probes additionally the probed
+/// argument's value.
+///
+/// The order is the access path's, never term order: a posting list and a
+/// relation's rows are in insertion order, the arity scan in id (first
+/// insertion) order.  Each route costs the atoms it walks and nothing more;
+/// a caller that needs term order reads [`AtomStore::iter`].
 #[derive(Debug, Clone)]
 pub struct Candidates<'a> {
     inner: CandidatesInner<'a>,
@@ -480,8 +514,11 @@ enum CandidatesInner<'a> {
         ids: std::slice::Iter<'a, AtomId>,
         interner: &'a TermInterner,
     },
-    ByArity(std::collections::btree_set::Iter<'a, Term>, Option<usize>),
+    ByArity(LiveTerms<'a>, Option<usize>),
 }
+
+/// An [`AtomStore`]'s interned atoms zipped with their liveness, in id order.
+type LiveTerms<'a> = std::iter::Zip<std::slice::Iter<'a, Term>, std::slice::Iter<'a, bool>>;
 
 impl<'a> Iterator for Candidates<'a> {
     type Item = &'a Term;
@@ -491,7 +528,9 @@ impl<'a> Iterator for Candidates<'a> {
             CandidatesInner::Empty => None,
             CandidatesInner::Probe { ids, interner } => ids.next().map(|id| interner.resolve(id)),
             CandidatesInner::Keyed { ids, interner } => ids.next().map(|&id| interner.resolve(id)),
-            CandidatesInner::ByArity(iter, arity) => iter.find(|a| a.arity() == *arity),
+            CandidatesInner::ByArity(atoms, arity) => atoms
+                .find(|&(atom, &live)| live && atom.arity() == *arity)
+                .map(|(atom, _)| atom),
         }
     }
 
@@ -500,7 +539,7 @@ impl<'a> Iterator for Candidates<'a> {
             CandidatesInner::Empty => (0, Some(0)),
             CandidatesInner::Probe { ids, .. } => ids.size_hint(),
             CandidatesInner::Keyed { ids, .. } => ids.size_hint(),
-            CandidatesInner::ByArity(iter, _) => (0, iter.size_hint().1),
+            CandidatesInner::ByArity(atoms, _) => (0, atoms.size_hint().1),
         }
     }
 }
@@ -719,10 +758,13 @@ pub(crate) fn saturate(
                 // each of their tasks, drawing the others from the store, so
                 // no match is lost to the split; the repeats are the ones a
                 // serial round makes too (one per frontier atom read).
+                let FactStore::InMemory(atoms) = &frontier else {
+                    unreachable!("the frontier is always in memory")
+                };
                 let mut parts = vec![FactStore::InMemory(AtomStore::new()); partitions];
-                frontier.for_each_atom(|atom| {
+                for atom in atoms.iter_by_id() {
                     parts[partition_of(atom, partitions)].insert(atom.clone());
-                });
+                }
                 parts.retain(|part| !part.is_empty());
                 count(|c| &c.parallel_partitioned_rounds, 1);
                 let firing = &firing;
@@ -748,7 +790,7 @@ pub(crate) fn saturate(
                 fire(&firing, frozen, &frontier, mode, &mut land)?;
             }
         }
-        for atom in next.iter() {
+        for atom in next.iter_by_id() {
             store.insert(atom.clone());
         }
         frontier = FactStore::InMemory(next);
@@ -828,6 +870,7 @@ mod tests {
     use super::*;
     use crate::ambient::counters;
     use hilog_syntax::parse_program;
+    use std::collections::BTreeSet;
 
     fn lm(text: &str) -> AtomStore {
         least_model(

@@ -224,6 +224,12 @@ struct SpillRelation {
     resident: usize,
     /// LRU clock of the last operation that touched this relation.
     touch: u64,
+    /// The relation's place in the store's creation order (relations never
+    /// leave the map, so it is the map's length when this one entered).
+    /// Operations that touch several relations stamp them with one clock;
+    /// eviction breaks those ties on this, never on the map's walk order,
+    /// which the seeded term hasher makes differ from process to process.
+    created: usize,
     /// The store's segment, taken on this relation's first eviction.
     segment: Option<Arc<Segment>>,
 }
@@ -418,16 +424,17 @@ impl SpillStore {
     }
 
     /// Enforces the residency budget by paging out the least recently
-    /// touched relations — never `hot_key`, which the caller is actively
-    /// working in, unless it is the only relation left with resident rows
-    /// (then it simply overshoots rather than thrash).
+    /// touched relations, the earliest created first among equally recent
+    /// ones — never `hot_key`, which the caller is actively working in,
+    /// unless it is the only relation left with resident rows (then it
+    /// simply overshoots rather than thrash).
     fn enforce_budget(&self, inner: &mut SpillInner, hot_key: Option<&(Term, Option<usize>)>) {
         while inner.resident > self.budget {
             let victim = inner
                 .relations
                 .iter()
                 .filter(|(key, rel)| rel.resident > 0 && Some(*key) != hot_key)
-                .min_by_key(|(_, rel)| rel.touch)
+                .min_by_key(|(_, rel)| (rel.touch, rel.created))
                 .map(|(key, _)| key.clone());
             let Some(key) = victim else { break };
             let rel = inner.relations.get_mut(&key).expect("victim exists");
@@ -459,7 +466,14 @@ impl SpillStore {
         let inner = &mut *self.lock();
         inner.clock += 1;
         let clock = inner.clock;
-        let rel = inner.relations.entry(key.clone()).or_default();
+        let created = inner.relations.len();
+        let rel = inner
+            .relations
+            .entry(key.clone())
+            .or_insert_with(|| SpillRelation {
+                created,
+                ..SpillRelation::default()
+            });
         rel.touch = clock;
         let (found, faults) = rel.find_slot(hash, &atom);
         if found.is_some() {
@@ -570,8 +584,9 @@ impl SpillStore {
             let arity = pattern.arity();
             let mut out: Vec<Term> = Vec::new();
             if !pattern.name().is_ground() {
-                // Arity scan across every relation, in term order to mirror
-                // the in-memory backend's ordered fallback.
+                // Arity scan across every relation.  The relation map's walk
+                // order differs between processes (seeded hasher), so the
+                // rows are sorted: one sequence in every process.
                 let mut sorted: BTreeSet<Term> = BTreeSet::new();
                 for (key, rel) in inner.relations.iter_mut() {
                     if key.1 != arity {
@@ -806,6 +821,34 @@ mod tests {
         let mut collected = Vec::new();
         store.for_each_atom(|t| collected.push(t.clone()));
         assert_eq!(collected, expected.into_iter().collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn a_tie_in_recency_evicts_the_earliest_created_relation() {
+        // `for_each_atom` stamps every relation with one clock, so the next
+        // page-out picks among equals.  Each round's names hash to a
+        // different walk order of the relation map; the victim must still be
+        // the relation created first, whatever its name (they are created in
+        // reverse name order, so name order would pick the last).
+        for round in 0..8 {
+            let mut store = SpillStore::new(None, 8);
+            let names: Vec<String> = (0..4).rev().map(|i| format!("r{round}_{i}")).collect();
+            for name in &names {
+                store.insert(atom(name, "a", "x"));
+                store.insert(atom(name, "b", "x"));
+            }
+            store.for_each_atom(|_| {});
+            store.insert(atom("fresh", "a", "x"));
+            store.insert(atom("fresh", "b", "x"));
+            let inner = store.lock();
+            let paged_out: Vec<&str> = names
+                .iter()
+                .filter(|name| inner.relations[&(Term::sym(name.as_str()), Some(2))].resident == 0)
+                .map(String::as_str)
+                .collect();
+            assert_eq!(paged_out, [names[0].as_str()], "round {round}");
+            assert_eq!(inner.spill_writes, 2, "round {round}");
+        }
     }
 
     #[test]

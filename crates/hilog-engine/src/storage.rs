@@ -23,6 +23,12 @@
 //!   interactive latency because bound probes only decode the posting list
 //!   they hit.
 //!
+//! Neither backend keeps term order up on a write, yet
+//! [`FactStore::for_each_atom`] visits in term order: the in-memory backend
+//! sorts its live atoms on the first ordered read after a write and caches
+//! that order until the next write; the spill backend sorts on every ordered
+//! read (it decodes spilled rows anyway).  Candidate enumeration never sorts.
+//!
 //! Candidates and atoms are *visited* by callback rather than lent as
 //! borrowed iterators, because a spilled row has no `&Term` to lend — it is
 //! decoded on the fly under the store's lock; `Term` is `Arc`-backed, so the
@@ -216,7 +222,11 @@ impl FactStore {
         }
     }
 
-    /// Visits every atom in term order.
+    /// Visits every atom in term order.  In memory, the first ordered read
+    /// after a write sorts the store (O(n log n) term comparisons) and the
+    /// order is cached until the next write; on the spill backend every
+    /// ordered read sorts.  A caller that only needs the set should not ask
+    /// for an order.
     pub fn for_each_atom(&self, visit: impl FnMut(&Term)) {
         match self {
             FactStore::InMemory(s) => s.iter().for_each(visit),

@@ -4,7 +4,8 @@
 //! picks — an argument-index probe, the functor-bucket fallback, or the
 //! arity scan for variable predicate names — the matches it yields must be
 //! **exactly** the full-scan-and-unify set, and every lazily built index
-//! must stay consistent through arbitrary insert/remove churn.
+//! must stay consistent through arbitrary insert/remove churn — as must the
+//! term order `iter()` caches between writes.
 //!
 //! The suite drives randomized stores (first-order and HiLog-shaped atoms,
 //! duplicate keys, shared argument values) and randomized patterns (argument
@@ -166,6 +167,18 @@ fn candidates_via_any_index_equal_the_scan_and_unify_filter() {
     }
 }
 
+/// Every pattern with a variable predicate name the generator's atoms can
+/// match: a bare variable (the 0-ary symbols) and `P(X0, ..)` for arities
+/// 0 to 3.
+fn variable_name_patterns() -> Vec<Term> {
+    let mut patterns = vec![Term::var("P")];
+    for arity in 0..4 {
+        let args = (0..arity).map(|i| Term::var(format!("X{i}"))).collect();
+        patterns.push(Term::app(Term::var("P"), args));
+    }
+    patterns
+}
+
 #[test]
 fn insert_and_remove_keep_every_lazily_built_index_consistent() {
     for case in 0..cases() {
@@ -199,11 +212,25 @@ fn insert_and_remove_keep_every_lazily_built_index_consistent() {
             let pattern = random_pattern(&mut rng, &population);
             check_pattern(&store, &pattern, seed);
             assert_eq!(store.len(), mirror.len(), "seed {seed} step {step}");
-            assert_eq!(
-                store.atoms(),
-                &mirror,
-                "seed {seed} step {step}: atom set diverged"
+            // `iter` sorts on the first read after a write and caches the
+            // order (`check_pattern` read it once already): it must be the
+            // mirror's sequence, never an order a write made stale.
+            assert!(
+                store.iter().eq(&mirror),
+                "seed {seed} step {step}: `iter` is not the set in term order"
             );
+            for pattern in variable_name_patterns() {
+                let scanned: BTreeSet<Term> = store.candidates(&pattern).cloned().collect();
+                let want: BTreeSet<Term> = mirror
+                    .iter()
+                    .filter(|atom| atom.arity() == pattern.arity())
+                    .cloned()
+                    .collect();
+                assert_eq!(
+                    scanned, want,
+                    "seed {seed} step {step}: the arity scan for `{pattern}` diverged"
+                );
+            }
         }
         // Final sweep over every population member, bound and open.
         for atom in &population {

@@ -2,9 +2,10 @@
 //! arbitrary insert/remove churn and probing, a [`FactStore`] on the spill
 //! backend must be observationally identical to one on the in-memory
 //! backend — same novelty/presence results, same candidate sets, same
-//! ordered iteration.  The spill store runs with a deliberately tiny
-//! residency budget so relations keep getting paged out and faulted back
-//! *between* the probes that compare them.
+//! ordered iteration, read after every write as well as at the end.  The
+//! spill store runs with a deliberately tiny residency budget so relations
+//! keep getting paged out and faulted back *between* the probes that compare
+//! them.
 //!
 //! Seeds are pinned (`SEED_BASE` + case index) so failures reproduce;
 //! `HILOG_STORAGE_ORACLE_CASES` scales the case count up in CI.
@@ -13,6 +14,7 @@ use hilog_engine::{FactStore, StorageConfig};
 use hilog_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeSet;
 
 const SEED_BASE: u64 = 0x5709_4A6E;
 
@@ -174,6 +176,48 @@ fn spill_store_is_observationally_identical_to_in_memory_under_churn() {
             "seed {seed}: nothing ever spilled and faulted back ({stats:?}) — the oracle \
              tested nothing"
         );
+    }
+}
+
+#[test]
+fn both_backends_visit_the_set_in_term_order_after_every_write() {
+    // The in-memory backend sorts on the first ordered read after a write
+    // and caches that order; the spill backend sorts on every read.  Reads
+    // interleaved with the churn catch an order cached past a write.
+    for case in 0..cases() {
+        let seed = SEED_BASE ^ (0x0DE5 << 20) ^ case;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut mem = FactStore::new(&StorageConfig::InMemory);
+        let mut spill = FactStore::new(&StorageConfig::Spill {
+            dir: None,
+            resident_budget: TINY_BUDGET,
+        });
+        let mut mirror: BTreeSet<Term> = BTreeSet::new();
+        let mut population: Vec<Term> = (0..40).map(|_| random_atom(&mut rng)).collect();
+        for step in 0..80 {
+            let atom = population[rng.gen_range(0..population.len())].clone();
+            if rng.gen_bool(0.65) {
+                assert_eq!(mem.insert(atom.clone()), mirror.insert(atom.clone()));
+                spill.insert(atom);
+            } else {
+                assert_eq!(mem.remove(&atom), mirror.remove(&atom));
+                spill.remove(&atom);
+            }
+            if rng.gen_bool(0.15) {
+                population.push(random_atom(&mut rng));
+            }
+            let want: Vec<Term> = mirror.iter().cloned().collect();
+            assert_eq!(
+                mem.collect_atoms(),
+                want,
+                "seed {seed} step {step}: in memory"
+            );
+            assert_eq!(
+                spill.collect_atoms(),
+                want,
+                "seed {seed} step {step}: spill"
+            );
+        }
     }
 }
 
