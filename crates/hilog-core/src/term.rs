@@ -68,6 +68,17 @@ impl Var {
     pub fn generation(&self) -> u32 {
         self.generation
     }
+
+    /// The interned base name: what the codec numbers, without a trip
+    /// through the symbol pool.
+    pub(crate) fn symbol(&self) -> &Symbol {
+        &self.name
+    }
+
+    /// The variable named by an already-interned symbol, in `generation`.
+    pub(crate) fn from_symbol(name: Symbol, generation: u32) -> Self {
+        Var { name, generation }
+    }
 }
 
 impl fmt::Debug for Var {

@@ -40,6 +40,8 @@
 #![warn(missing_docs)]
 
 pub mod backend;
+#[cfg(test)]
+mod decode_fuzz;
 pub mod error;
 pub mod io;
 pub mod manifest;

@@ -117,12 +117,14 @@ pub fn rel_key(fact: &Term) -> RelKey {
 fn key_hash(key: &RelKey) -> u64 {
     let mut writer = PayloadWriter::new();
     write_key(&mut writer, key);
-    writer
-        .finish()
-        .iter()
-        .fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
-            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-        })
+    fnv1a(&writer.finish())
+}
+
+/// FNV-1a (64-bit): a digest of bytes that is the same in every process.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |hash, &byte| {
+        (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
 }
 
 /// One manifest entry: where a relation's facts live.
@@ -274,7 +276,8 @@ fn write_terms<'a>(writer: &mut PayloadWriter, terms: impl IntoIterator<Item = &
 }
 
 fn read_terms(reader: &mut PayloadReader<'_>) -> Result<Vec<Term>, StoreError> {
-    let count = reader.read_u32()? as usize;
+    // Each term is one id.
+    let count = reader.read_count(4)?;
     let mut terms = Vec::with_capacity(count);
     for _ in 0..count {
         terms.push(reader.read_term()?);
@@ -303,10 +306,7 @@ pub fn write_segment(
     epoch: u64,
     facts: &[Term],
 ) -> Result<SegmentEntry, StoreError> {
-    let mut writer = PayloadWriter::new();
-    write_key(&mut writer, key);
-    write_terms(&mut writer, facts);
-    let payload = writer.finish();
+    let payload = encode_segment(key, facts);
     let hash = key_hash(key);
     let bytes = write_framed(
         io,
@@ -324,6 +324,15 @@ pub fn write_segment(
     })
 }
 
+/// The payload of a segment holding `facts` of relation `key`.
+pub(crate) fn encode_segment(key: &RelKey, facts: &[Term]) -> Vec<u8> {
+    // About one `App` per fact, and a new argument symbol every few facts.
+    let mut writer = PayloadWriter::with_capacity(facts.len() + facts.len() / 4 + 1);
+    write_key(&mut writer, key);
+    write_terms(&mut writer, facts);
+    writer.finish()
+}
+
 /// Reads and validates one segment, checking it holds the relation its
 /// manifest entry claims (count included — a stale same-name file from a
 /// different run fails here instead of silently changing the program).
@@ -334,7 +343,16 @@ pub fn load_segment(
 ) -> Result<Vec<Term>, StoreError> {
     let path = dir.join(entry.file_name());
     let payload = read_framed(io, &path, SEGMENT_MAGIC)?;
-    let mut reader = PayloadReader::new(&payload)?;
+    decode_segment(&payload, &path, entry)
+}
+
+/// The facts of a segment payload read from `path`, checked against `entry`.
+pub(crate) fn decode_segment(
+    payload: &[u8],
+    path: &Path,
+    entry: &SegmentEntry,
+) -> Result<Vec<Term>, StoreError> {
+    let mut reader = PayloadReader::new(payload)?;
     let key = read_key(&mut reader)?;
     if key != entry.key {
         return Err(StoreError::Corrupt(format!(
@@ -360,20 +378,30 @@ pub fn load_segment(
 /// Writes the model file for checkpoint `epoch` (same temp + fsync + rename
 /// discipline as a segment) and returns its size.
 fn write_model(io: &dyn StoreIo, dir: &Path, epoch: u64, model: &Model) -> Result<u64, StoreError> {
+    let payload = encode_model(model);
+    write_framed(io, dir, &model_file_name(epoch), MODEL_MAGIC, &payload)
+}
+
+/// The payload of a model file.
+pub(crate) fn encode_model(model: &Model) -> Vec<u8> {
     let mut writer = PayloadWriter::new();
     // True and undefined atoms, then the base atoms not already in either
     // set (`Model::new` re-extends the base with both).
     write_terms(&mut writer, model.true_atoms());
     write_terms(&mut writer, model.undefined_atoms());
     write_terms(&mut writer, model.false_base_atoms());
-    let payload = writer.finish();
-    write_framed(io, dir, &model_file_name(epoch), MODEL_MAGIC, &payload)
+    writer.finish()
 }
 
 /// Reads and validates the model file of checkpoint `epoch`.
 fn load_model(io: &dyn StoreIo, dir: &Path, epoch: u64) -> Result<Model, StoreError> {
     let payload = read_framed(io, &dir.join(model_file_name(epoch)), MODEL_MAGIC)?;
-    let mut reader = PayloadReader::new(&payload)?;
+    decode_model(&payload)
+}
+
+/// The model a model-file payload holds.
+pub(crate) fn decode_model(payload: &[u8]) -> Result<Model, StoreError> {
+    let mut reader = PayloadReader::new(payload)?;
     let true_atoms = read_terms(&mut reader)?;
     let undefined = read_terms(&mut reader)?;
     let base_rest = read_terms(&mut reader)?;
@@ -384,6 +412,13 @@ fn load_model(io: &dyn StoreIo, dir: &Path, epoch: u64) -> Result<Model, StoreEr
 /// Writes the manifest file for `manifest.epoch` (temp + fsync + rename)
 /// and returns its size.  Every file it names must already be in place.
 fn write_manifest(io: &dyn StoreIo, dir: &Path, manifest: &Manifest) -> Result<u64, StoreError> {
+    let payload = encode_manifest(manifest);
+    let name = manifest_file_name(manifest.epoch);
+    write_framed(io, dir, &name, MANIFEST_MAGIC, &payload)
+}
+
+/// The payload of a manifest file.
+pub(crate) fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
     let mut writer = PayloadWriter::new();
     writer.write_u64(manifest.epoch);
     writer.write_u8(semantics_tag(manifest.semantics));
@@ -400,24 +435,30 @@ fn write_manifest(io: &dyn StoreIo, dir: &Path, manifest: &Manifest) -> Result<u
         writer.write_u64(entry.bytes);
     }
     writer.write_u8(manifest.has_model as u8);
-    let payload = writer.finish();
-    let name = manifest_file_name(manifest.epoch);
-    write_framed(io, dir, &name, MANIFEST_MAGIC, &payload)
+    writer.finish()
 }
 
 /// Reads and validates one manifest file (not its segments — see
 /// [`load_manifest_data`] for the end-to-end load).
 pub fn load_manifest(io: &dyn StoreIo, path: &Path) -> Result<Manifest, StoreError> {
     let payload = read_framed(io, path, MANIFEST_MAGIC)?;
-    let mut reader = PayloadReader::new(&payload)?;
+    decode_manifest(&payload)
+}
+
+/// The manifest a manifest-file payload holds.
+pub(crate) fn decode_manifest(payload: &[u8]) -> Result<Manifest, StoreError> {
+    let mut reader = PayloadReader::new(payload)?;
     let epoch = reader.read_u64()?;
     let semantics = semantics_from_tag(reader.read_u8()?)?;
-    let rule_count = reader.read_u32()? as usize;
+    // A rule is at least a head id and a body length.
+    let rule_count = reader.read_count(8)?;
     let mut rules = Vec::with_capacity(rule_count);
     for _ in 0..rule_count {
         rules.push(reader.read_rule()?);
     }
-    let entry_count = reader.read_u32()? as usize;
+    // An entry is at least a key (term id + arity flag), hash, epoch,
+    // fact count and size.
+    let entry_count = reader.read_count(4 + 1 + 8 + 8 + 4 + 8)?;
     let mut entries = Vec::with_capacity(entry_count);
     for _ in 0..entry_count {
         let key = read_key(&mut reader)?;
@@ -856,5 +897,109 @@ mod tests {
             Err(StoreError::Corrupt(_) | StoreError::Codec(_))
         ));
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fixed_checkpoint_writes_the_pinned_files() {
+        // A HiLog relation with ints, an arity-9 one, repeated subterms, and
+        // rules with `not`, a builtin and an aggregate; model included.
+        let dir = temp_dir("pinned");
+        let base = "tc(G)(X, Y) :- graph(G), G(X, Y), not blocked(X).\n\
+                    tc(G)(X, Z) :- graph(G), G(X, Y), tc(G)(Y, Z), Z \\= X.\n\
+                    graph(e1). e1(p0, p1). e1(p1, p2). e1(p2, p0). blocked(p2).\n\
+                    cost(f(a, b), 12). cost(g(f(a, b), f(a, b)), -3).\n\
+                    wide(1, 2, 3, 4, 5, 6, 7, 8, 9).\n";
+        let program = parse_program(&format!("{base}total(N) :- N = sum(Q, cost(P, Q)).")).unwrap();
+        let mut saved = data(9, &program);
+        // The grounder takes no aggregates: the model is the rest's.
+        let mut db = hilog_engine::HiLogDb::new(parse_program(base).unwrap());
+        saved.model = Some(db.model().unwrap().clone());
+        let (manifest, written, _) = commit_checkpoint(&real(), &dir, &saved, None).unwrap();
+        assert_eq!(written, 5);
+        let mut files: Vec<String> = manifest.entries.iter().map(|e| e.file_name()).collect();
+        files.push(model_file_name(9));
+        files.push(manifest_file_name(9));
+        let pinned: Vec<(String, usize, String)> = files
+            .into_iter()
+            .map(|name| {
+                let bytes = fs::read(dir.join(&name)).unwrap();
+                (name, bytes.len(), format!("{:016x}", fnv1a(&bytes)))
+            })
+            .collect();
+        // Captured from the structural writer this codec replaced.
+        let expected = [
+            (
+                "rel-e4eed198e1d3ff23-00000000000000000009.hseg",
+                77,
+                "3833c626a6b51e71",
+            ),
+            (
+                "rel-839e355d7df94ba8-00000000000000000009.hseg",
+                180,
+                "3e2eb5817e9e7cf8",
+            ),
+            (
+                "rel-67ce351da8e74ee9-00000000000000000009.hseg",
+                140,
+                "f40e60262bd9e4fa",
+            ),
+            (
+                "rel-b5fe7d04af2c3ca9-00000000000000000009.hseg",
+                75,
+                "4d02fb589a6f1501",
+            ),
+            (
+                "rel-8b03e18e77b32d6d-00000000000000000009.hseg",
+                176,
+                "f002ee9392342510",
+            ),
+            ("model-00000000000000000009.hmod", 677, "ebcf754c091d93fe"),
+            (
+                "manifest-00000000000000000009.hman",
+                628,
+                "9e1f90847b694318",
+            ),
+        ];
+        let expected: Vec<(String, usize, String)> = expected
+            .iter()
+            .map(|&(name, len, digest)| (name.to_string(), len, digest.to_string()))
+            .collect();
+        assert_eq!(pinned, expected);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_term_count_the_payload_cannot_hold_is_an_error() {
+        // Empty tables, then `u32::MAX` terms.
+        let mut payload = vec![0u8; 8];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        let mut reader = PayloadReader::new(&payload).unwrap();
+        assert!(read_terms(&mut reader).is_err());
+    }
+
+    fn load_framed_manifest(tag: &str, payload: &[u8]) -> Result<Manifest, StoreError> {
+        let dir = temp_dir(tag);
+        let name = manifest_file_name(1);
+        write_framed(&real(), &dir, &name, MANIFEST_MAGIC, payload).unwrap();
+        let loaded = load_manifest(&real(), &dir.join(name));
+        fs::remove_dir_all(&dir).ok();
+        loaded
+    }
+
+    #[test]
+    fn a_rule_count_the_manifest_cannot_hold_is_an_error() {
+        // Empty tables, epoch 0, well-founded, then `u32::MAX` rules.
+        let mut payload = vec![0u8; 17];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(load_framed_manifest("rule-count", &payload).is_err());
+    }
+
+    #[test]
+    fn an_entry_count_the_manifest_cannot_hold_is_an_error() {
+        // Empty tables, epoch 0, well-founded, no rules, then `u32::MAX`
+        // entries.
+        let mut payload = vec![0u8; 21];
+        payload.extend_from_slice(&u32::MAX.to_le_bytes());
+        assert!(load_framed_manifest("entry-count", &payload).is_err());
     }
 }

@@ -46,7 +46,9 @@ impl fmt::Display for Op {
 /// Encodes one WAL-record payload: the epoch the batch publishes, then the
 /// operations in application order.
 pub fn encode_batch(epoch: u64, ops: &[Op]) -> Vec<u8> {
-    let mut writer = PayloadWriter::new();
+    // A fact op is about three distinct terms: its own `App` and two new
+    // argument symbols.
+    let mut writer = PayloadWriter::with_capacity(3 * ops.len());
     writer.write_u64(epoch);
     writer.write_u32(ops.len() as u32);
     for op in ops {
@@ -76,7 +78,8 @@ pub fn encode_batch(epoch: u64, ops: &[Op]) -> Vec<u8> {
 pub fn decode_batch(payload: &[u8]) -> Result<(u64, Vec<Op>), StoreError> {
     let mut reader = PayloadReader::new(payload)?;
     let epoch = reader.read_u64()?;
-    let count = reader.read_u32()? as usize;
+    // The smallest op is a fact: a tag and a term id.
+    let count = reader.read_count(5)?;
     let mut ops = Vec::with_capacity(count);
     for _ in 0..count {
         let op = match reader.read_u8()? {
@@ -102,6 +105,7 @@ pub fn decode_batch(payload: &[u8]) -> Result<(u64, Vec<Op>), StoreError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::manifest::fnv1a;
     use hilog_syntax::{parse_program, parse_term};
 
     fn term(s: &str) -> Term {
@@ -135,9 +139,53 @@ mod tests {
     }
 
     #[test]
+    fn an_op_count_the_payload_cannot_hold_is_an_error() {
+        // Empty symbol and term tables, epoch 0, then `u32::MAX` ops: 20
+        // bytes that once asked for a 275 GB `Vec<Op>`.
+        let mut payload = vec![0u8; 20];
+        payload[16..].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(decode_batch(&payload).is_err());
+    }
+
+    #[test]
     fn trailing_garbage_is_rejected() {
         let mut payload = encode_batch(1, &[Op::AssertFact(term("p(a)"))]);
         payload.push(0);
         assert!(decode_batch(&payload).is_err());
+    }
+
+    #[test]
+    fn a_fixed_batch_encodes_to_the_pinned_bytes() {
+        // Facts, a HiLog name, ints, an arity-9 `App`, repeated subterms,
+        // `not` / builtin / aggregate literals, and a rule over variables of
+        // non-zero generation.
+        let x2 = Term::Var(hilog_core::Var::new("X").with_generation(2));
+        let renamed = Rule {
+            head: Term::app(Term::sym("r"), vec![x2.clone()]),
+            body: vec![hilog_core::Literal::Pos(Term::app(
+                Term::sym("s"),
+                vec![x2, Term::var("X")],
+            ))],
+        };
+        let ops = vec![
+            Op::AssertFact(term("edge(a, b)")),
+            Op::AssertFact(term("edge(b, a)")),
+            Op::AssertFact(term("tc(e1)(p0, p1)")),
+            Op::AssertFact(term("cost(widget, 12, -3)")),
+            Op::AssertFact(term("wide(1, 2, 3, 4, 5, 6, 7, 8, 9)")),
+            Op::AssertFact(term("nest(f(a, b), f(a, b), g(f(a, b)))")),
+            Op::RetractFact(term("edge(a, b)")),
+            Op::AssertRule(rule("tc(G)(X, Y) :- G(X, Y), not blocked(X), T is X * 2.")),
+            Op::AssertRule(rule("total(W, N) :- whole(W), N = sum(Q, parts(W, P, Q)).")),
+            Op::RetractRule(renamed),
+        ];
+        let payload = encode_batch(0x00c0_ffee, &ops);
+        // Captured from the structural writer this codec replaced.
+        assert_eq!(
+            (payload.len(), format!("{:016x}", fnv1a(&payload))),
+            (924, "2dc09568f8863786".to_string()),
+            "the batch bytes moved: {payload:02x?}"
+        );
+        assert_eq!(decode_batch(&payload).unwrap(), (0x00c0_ffee, ops));
     }
 }
