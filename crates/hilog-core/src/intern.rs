@@ -10,8 +10,8 @@
 //! guarantees the id ↔ term bijection).
 //!
 //! This is the id layer under the engine's argument-indexed `AtomStore`
-//! (`hilog_engine::horn`); the engine's ground programs keep their own
-//! program-local dense-id table (`hilog_engine::ground::AtomTable`).
+//! (`horn.rs` in `hilog-engine`); the engine's ground programs keep their own
+//! program-local dense-id table (`AtomTable` in `hilog-engine`'s `ground.rs`).
 
 use crate::hash::TermMap;
 use crate::term::Term;

@@ -56,7 +56,8 @@ const MAX_AGGREGATE_ROUNDS: usize = 10_000;
 /// Evaluates a program whose only non-monotone construct is aggregation that
 /// is modularly stratified (acyclic at the instance level), such as the
 /// parts-explosion program.  Negation in rule bodies is not supported on this
-/// path (combine with [`crate::modular`] for programs that need both).
+/// path (combine with Figure 1, [`crate::Semantics::ModularCheck`], for programs
+/// that need both).
 pub fn evaluate_aggregate_program(
     program: &Program,
     opts: EvalOptions,

@@ -10,18 +10,17 @@
 //! passes, magic-settle iterations, stable search nodes, Figure 1 rounds) and
 //! between the grounding and the evaluation of a full-model build.
 //! [`with_deadline`] installs it for one closure (one query) on the calling
-//! thread; pool workers carry none, and a well-founded wave evaluation
-//! ([`crate::wfs`]) has no hook — once started it runs to completion, so the
-//! deadline bounds when a model build may *begin*, not how long one takes.
+//! thread.  A well-founded evaluation ([`crate::wfs`]) has no hook — once
+//! started it runs to completion, so the deadline bounds when a model build
+//! may *begin*, not how long one takes.
 //!
 //! **The counters.**  What `EvalStats` reports beyond the evaluator's own
-//! counts — index probes, pooled work, spill traffic, deadline checks — is
-//! counted here, on the thread where it happens, one thread-local access per
-//! increment.  [`counters`] reads this thread's cumulative values; a query's
-//! share is the difference of two reads, which `DbSnapshot::query` hands to
-//! `EvalStats`.  What a query's *spawned* pool workers count, [`crate::pool`]
-//! hands back — every field, once — so that difference is exact whatever
-//! other threads, sessions or servers in the process are doing.
+//! counts — index probes, spill traffic, deadline checks — is counted here,
+//! on the thread where it happens, one thread-local access per increment.
+//! [`counters`] reads this thread's cumulative values; a query's share is the
+//! difference of two reads, which `DbSnapshot::query` hands to `EvalStats`.
+//! Evaluation never leaves the calling thread, so that difference is exact
+//! whatever other threads, sessions or servers in the process are doing.
 
 use crate::error::EngineError;
 use std::cell::Cell;
@@ -58,10 +57,6 @@ macro_rules! counters {
             fn read(&self) -> Counters {
                 Counters { $($field: self.$field.get(),)* }
             }
-
-            fn add(&self, more: Counters) {
-                $(bump(&self.$field, more.$field);)*
-            }
         }
     };
 }
@@ -74,20 +69,14 @@ counters! {
     /// for a variable predicate name, the whole store by arity.  A lookup
     /// of a `(name, arity)` with no stored atoms counts as neither.
     index_fallback_scans,
-    /// SCC waves published to a wave pool that had workers.
-    parallel_waves,
-    /// Semi-naive rounds evaluated as hash-partitioned concurrent joins.
-    parallel_partitioned_rounds,
-    /// Jobs of those waves plus tasks `run_tasks` spawned workers for.
-    parallel_tasks,
     /// Spilled rows decoded back from a segment file.
     residency_faults,
     /// Rows paged out to a segment file.
     spill_writes,
     /// Eviction attempts that hit a segment I/O error and kept their rows
-    /// resident instead (see [`crate::spill`]).
+    /// resident instead (see `spill.rs`).
     spill_io_errors,
-    /// [`check_deadline`] calls made under an installed deadline.
+    /// `check_deadline` calls made under an installed deadline.
     deadline_checks,
     /// Those that found the deadline passed.
     deadline_exceeded,
@@ -112,7 +101,7 @@ fn bump(cell: &Cell<u64>, n: u64) {
 }
 
 /// This thread's cumulative counters: exact, and moved by nobody else's
-/// evaluation — only by pool workers this thread spawned, when they retire.
+/// evaluation.
 pub fn counters() -> Counters {
     BLOCK.with(|block| block.counters.read())
 }
@@ -121,11 +110,6 @@ pub fn counters() -> Counters {
 /// `count(|c| &c.index_probes, 1)`.  One thread-local access.
 pub(crate) fn count(pick: impl FnOnce(&CounterCells) -> &Cell<u64>, n: u64) {
     BLOCK.with(|block| bump(pick(&block.counters), n));
-}
-
-/// Adds what a spawned pool worker counted to this thread's ([`crate::pool`]).
-pub(crate) fn credit(counted: Counters) {
-    BLOCK.with(|block| block.counters.add(counted));
 }
 
 /// Runs `f` with the calling thread's evaluation deadline set to
@@ -218,17 +202,11 @@ mod tests {
         let before = counters();
         count(|c| &c.index_probes, 3);
         count(|c| &c.spill_writes, 2);
-        credit(Counters {
-            index_probes: 4,
-            residency_faults: 1,
-            ..Counters::default()
-        });
         assert_eq!(
             counters() - before,
             Counters {
-                index_probes: 7,
+                index_probes: 3,
                 spill_writes: 2,
-                residency_faults: 1,
                 ..Counters::default()
             }
         );

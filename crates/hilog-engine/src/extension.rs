@@ -173,7 +173,7 @@ pub fn domain_independent_wfs_with_constants(
 /// The well-founded model of a program via relevant instantiation.
 fn well_founded_model(program: &Program, opts: EvalOptions) -> Result<Model, EngineError> {
     let ground = relevant_ground(program, opts)?;
-    Ok(well_founded_eval(&ground, opts.eval_threads))
+    Ok(well_founded_eval(&ground, 1))
 }
 
 /// Compares the model of `P ∪ Q` against the model of `P`, collecting the

@@ -171,24 +171,9 @@ impl AtomTable {
         id
     }
 
-    /// Looks up an atom's id without interning.
-    pub fn lookup(&self, atom: &Term) -> Option<u32> {
-        self.index.get(atom).copied()
-    }
-
-    /// The atom for an id.
-    pub fn atom(&self, id: u32) -> &Term {
-        &self.atoms[id as usize]
-    }
-
     /// Number of interned atoms.
     pub fn len(&self) -> usize {
         self.atoms.len()
-    }
-
-    /// Returns `true` if no atom has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.atoms.is_empty()
     }
 
     /// Iterates over `(id, atom)` pairs.
@@ -244,11 +229,6 @@ impl IndexedProgram {
     /// Number of atoms.
     pub fn atom_count(&self) -> usize {
         self.atoms.len()
-    }
-
-    /// Number of rules.
-    pub fn rule_count(&self) -> usize {
-        self.rules.len()
     }
 }
 
@@ -310,9 +290,8 @@ mod tests {
         let id1 = t.intern(&a);
         let id2 = t.intern(&a);
         assert_eq!(id1, id2);
-        assert_eq!(t.atom(id1), &a);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.lookup(&atom("q", &[])), None);
+        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(id1, &a)]);
     }
 
     #[test]
@@ -323,9 +302,10 @@ mod tests {
             GroundRule::fact(atom("r", &["a"])),
         ]);
         let ip = IndexedProgram::build(&gp);
-        assert_eq!(ip.rule_count(), 3);
+        assert_eq!(ip.rules.len(), 3);
         assert_eq!(ip.atom_count(), 3);
-        let p_id = ip.atoms.lookup(&atom("p", &["a"])).unwrap();
+        let p = atom("p", &["a"]);
+        let (p_id, _) = ip.atoms.iter().find(|(_, a)| **a == p).unwrap();
         assert_eq!(ip.rules_by_head[p_id as usize].len(), 2);
     }
 }

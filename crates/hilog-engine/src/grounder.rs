@@ -478,7 +478,7 @@ mod tests {
             text.push_str(&format!("move(n{}, n{}).\n", i, i + 1));
         }
         let program = parse_program(&text).unwrap();
-        let opts = EvalOptions::with_eval_threads(1);
+        let opts = EvalOptions::default();
         let counted = |run: &mut dyn FnMut()| {
             let before = crate::ambient::counters();
             run();

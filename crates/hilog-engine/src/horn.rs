@@ -6,9 +6,9 @@
 //! program whose least model gives its semantics.  The least model is
 //! computed bottom-up by semi-naive iteration, and that iteration is written
 //! once: `saturate` owns the round policy (delta restriction, the limits
-//! and the deadline, the partitioned round, the floundering check) and hands
-//! each match `(rule, θ)` to its caller.  [`least_model_into`] is the driver
-//! with nothing to do per match; the *relevant instantiation* used to ground
+//! and the deadline, the floundering check) and hands each match
+//! `(rule, θ)` to its caller.  [`least_model_into`] is the driver with
+//! nothing to do per match; the *relevant instantiation* used to ground
 //! programs with negation is the driver instantiating the rule per match
 //! ([`crate::grounder`]) — cold from an empty store, or continued from an
 //! asserted fact.
@@ -16,7 +16,7 @@
 use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::storage::FactStore;
-use hilog_core::hash::{hash_one, TermMap};
+use hilog_core::hash::TermMap;
 use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -39,15 +39,9 @@ pub struct EvalOptions {
     pub max_atoms: usize,
     /// Maximum number of semi-naive rounds before aborting.
     pub max_rounds: usize,
-    /// Threads an evaluation may use: they share the components of each
-    /// SCC wave of the well-founded fixpoint and the hash partitions of a
-    /// semi-naive join round.  The algorithm is the same at every count —
-    /// `1` runs the same wave schedule inline on the calling thread, spawns
-    /// nothing and leaves the `parallel_*` stats at zero.  The default is
-    /// [`crate::pool::default_eval_threads`] (the machine's available
-    /// parallelism, overridable with `HILOG_EVAL_THREADS`).  Evaluation
-    /// results are identical at every thread count — only where the work
-    /// runs and the `parallel_*` stats change.
+    /// Inert: reads 1 and is ignored, since evaluation runs on the calling
+    /// thread.  Kept while the benchmark package reads it (ROADMAP 1(c)
+    /// removes it).
     pub eval_threads: usize,
 }
 
@@ -56,7 +50,7 @@ impl Default for EvalOptions {
         EvalOptions {
             max_atoms: 500_000,
             max_rounds: 100_000,
-            eval_threads: crate::pool::default_eval_threads(),
+            eval_threads: 1,
         }
     }
 }
@@ -69,21 +63,12 @@ impl EvalOptions {
             ..EvalOptions::default()
         }
     }
+}
 
-    /// Options with an explicit worker-thread count (clamped to at least 1).
-    pub fn with_eval_threads(eval_threads: usize) -> Self {
-        EvalOptions {
-            eval_threads: eval_threads.max(1),
-            ..EvalOptions::default()
-        }
-    }
-
-    /// Returns these options with the worker-thread count replaced (clamped
-    /// to at least 1).
-    pub fn eval_threads(mut self, eval_threads: usize) -> Self {
-        self.eval_threads = eval_threads.max(1);
-        self
-    }
+/// Inert: always 1, since evaluation runs on the calling thread.  Kept
+/// while the benchmark package reads it (ROADMAP 1(c) removes it).
+pub fn default_eval_threads() -> usize {
+    1
 }
 
 /// How to treat negative literals during a positive (over-approximating)
@@ -448,7 +433,7 @@ impl AtomStore {
     /// No route sorts: candidates come in posting, row or id order (see
     /// [`Candidates`]).
     /// Returns a concrete [`Candidates`] iterator (no boxed trait object —
-    /// this is the hot path of [`join_body`]).
+    /// this is the hot path of `join_body`).
     pub fn candidates<'a>(&'a self, pattern: &Term) -> Candidates<'a> {
         let arity = pattern.arity();
         if !pattern.name().is_ground() {
@@ -688,10 +673,6 @@ pub fn least_model_into(
 /// later round, though once per frontier atom it reads within that round.
 /// Invariant throughout: the frontier is a subset of the store.
 ///
-/// A frontier of at least [`PARTITION_MIN_FRONTIER`] atoms is split by hash
-/// over `opts.eval_threads` tasks on [`crate::pool`]; the matches, and so the
-/// saturated store, are the same set at every thread count.
-///
 /// On `Err` — `max_rounds`, `max_atoms`, the deadline, a floundering head,
 /// or whatever `on_match` returns — the store is left **partially
 /// extended** and no longer closed; discard it.
@@ -749,46 +730,7 @@ pub(crate) fn saturate(
                 }
                 Ok(())
             };
-            let partitions = partition_count(frontier.len(), opts);
-            if partitions > 1 {
-                // The frontier splits by hash of the first argument and the
-                // partitions join concurrently against the frozen store.
-                // Sound because the frontier is already in the store: a rule
-                // matching frontier atoms from several partitions fires in
-                // each of their tasks, drawing the others from the store, so
-                // no match is lost to the split; the repeats are the ones a
-                // serial round makes too (one per frontier atom read).
-                let FactStore::InMemory(atoms) = &frontier else {
-                    unreachable!("the frontier is always in memory")
-                };
-                let mut parts = vec![FactStore::InMemory(AtomStore::new()); partitions];
-                for atom in atoms.iter_by_id() {
-                    parts[partition_of(atom, partitions)].insert(atom.clone());
-                }
-                parts.retain(|part| !part.is_empty());
-                count(|c| &c.parallel_partitioned_rounds, 1);
-                let firing = &firing;
-                let tasks: Vec<_> = parts
-                    .iter()
-                    .map(|part| {
-                        move || {
-                            let mut found = Vec::new();
-                            fire(firing, frozen, part, mode, &mut |rule, theta, head| {
-                                found.push((rule, theta, head));
-                                Ok(())
-                            })?;
-                            Ok::<_, EngineError>(found)
-                        }
-                    })
-                    .collect();
-                for found in crate::pool::run_tasks(opts.eval_threads, tasks) {
-                    for (rule, theta, head) in found? {
-                        land(rule, theta, head)?;
-                    }
-                }
-            } else {
-                fire(&firing, frozen, &frontier, mode, &mut land)?;
-            }
+            fire(&firing, frozen, &frontier, mode, &mut land)?;
         }
         for atom in next.iter_by_id() {
             store.insert(atom.clone());
@@ -800,9 +742,7 @@ pub(crate) fn saturate(
 
 /// One frontier's worth of joins: every rule of `firing` (a rule with its
 /// positive-literal count), once per positive position with that position
-/// restricted to `frontier`, visiting `(rule, θ, θ(head))` per match.  The
-/// serial round runs it over the whole frontier, a partitioned round once
-/// per partition on a pool thread.
+/// restricted to `frontier`, visiting `(rule, θ, θ(head))` per match.
 fn fire<'r>(
     firing: &[(&'r Rule, usize)],
     store: &FactStore,
@@ -833,36 +773,6 @@ pub(crate) fn ground_head(rule: &Rule, theta: &Substitution) -> Result<Term, Eng
              restricted (Definition 5.5) so bottom-up evaluation cannot bind it"
         )))
     }
-}
-
-/// Frontiers smaller than this evaluate serially even when `eval_threads`
-/// allows partitioning: below it the per-partition bookkeeping costs more
-/// than the joins it spreads.
-const PARTITION_MIN_FRONTIER: usize = 64;
-
-/// How many partitions a frontier should split into under `opts`: the
-/// thread count when the frontier is large enough to be worth splitting,
-/// otherwise 1 (serial).
-fn partition_count(frontier_len: usize, opts: EvalOptions) -> usize {
-    if opts.eval_threads > 1 && frontier_len >= PARTITION_MIN_FRONTIER {
-        opts.eval_threads
-    } else {
-        1
-    }
-}
-
-/// The partition an atom belongs to: hash of its first argument (the
-/// position the per-argument indexes make cheap to join on), falling back
-/// to the whole atom for 0-ary atoms.  Any within-process assignment works
-/// for correctness — partitioning only redistributes which task finds a
-/// match — but hashing the first argument keeps the rows of one join key
-/// together, so a partition's joins stay on warm posting lists.
-fn partition_of(atom: &Term, partitions: usize) -> usize {
-    let hash = match atom.args().first() {
-        Some(arg) => hash_one(arg),
-        None => hash_one(atom),
-    };
-    (hash as usize) % partitions
 }
 
 #[cfg(test)]
@@ -1228,43 +1138,5 @@ mod tests {
             EvalOptions::with_max_atoms(20),
         );
         assert!(matches!(r, Err(EngineError::LimitExceeded(_))));
-    }
-
-    #[test]
-    fn the_model_is_the_same_at_every_thread_count() {
-        // 80 edges put every frontier past PARTITION_MIN_FRONTIER, so
-        // threads = 4 runs partitioned rounds; the matches (as a multiset
-        // of heads) and the store must be the serial ones.
-        let mut text = String::from(
-            "tc(X, Y) :- edge(X, Y).\n\
-             tc(X, Y) :- edge(X, Z), tc(Z, Y).\n",
-        );
-        for i in 0..80 {
-            text.push_str(&format!("edge(n{}, n{}).\n", i, i + 1));
-        }
-        let program = parse_program(&text).unwrap();
-        let run = |threads: usize| {
-            let mut store = FactStore::InMemory(AtomStore::new());
-            let mut heads: Vec<Term> = Vec::new();
-            saturate(
-                &program,
-                &mut store,
-                None,
-                NegationMode::Forbid,
-                EvalOptions::with_eval_threads(threads),
-                &mut |_, _, head| {
-                    heads.push(head.clone());
-                    Ok(())
-                },
-            )
-            .unwrap();
-            heads.sort();
-            (store.collect_atoms(), heads)
-        };
-        let (serial_store, serial_heads) = run(1);
-        let (pooled_store, pooled_heads) = run(4);
-        assert_eq!(serial_store.len(), 80 + 81 * 80 / 2);
-        assert_eq!(serial_store, pooled_store);
-        assert_eq!(serial_heads, pooled_heads);
     }
 }

@@ -64,7 +64,7 @@
 //! proportion to the facts it *matches*, not to the facts of its relation
 //! (the relevance the magic predicates buy in the rewritten program).  The
 //! index is built once per program and *maintained* under mutation by the
-//! session (see [`crate::snapshot::DbSnapshot`]); a raw [`QueryEvaluator`]
+//! session (see [`crate::snapshot::DbSnapshot`]); a raw `QueryEvaluator`
 //! builds its own.
 
 use crate::aggregate::solve_aggregate;
@@ -94,13 +94,12 @@ const QUERY_HEAD: &str = "__query_answer";
 /// Serialises to JSON via the workspace `serde` stub, so the server and the
 /// benchmark emit it directly.
 ///
-/// The *ambient* counts — `index_*`, `parallel_*`, `storage_residency_faults`,
+/// The *ambient* counts — `index_*`, `storage_residency_faults`,
 /// `storage_spill_writes`, `deadline_*` — are counted where the work happens,
-/// in the per-thread counters of [`crate::ambient`]: this thread's count
-/// while the query ran plus what its pool workers handed back, so exact per
-/// query whatever else the process evaluates.  `DbSnapshot::query` fills
-/// them; a raw [`QueryEvaluator`] reports 0 (difference two
-/// [`crate::ambient::counters`] reads instead).
+/// in the per-thread counters of `ambient.rs`: this thread's count while the
+/// query ran, so exact per query whatever else the process evaluates.
+/// `DbSnapshot::query` fills them; a raw `QueryEvaluator` reports 0
+/// (difference two [`crate::counters`] reads instead).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, serde::Serialize)]
 pub struct EvalStats {
     /// Number of distinct subgoals tabled by the evaluation (tables it was
@@ -136,7 +135,7 @@ pub struct EvalStats {
     /// Number of subgoal tables the session *patched in place* (exact
     /// answer-level edit of fact-backed tables), one per table per changed
     /// fact, across the mutations since the previous query.  Always zero for
-    /// a raw [`QueryEvaluator`].
+    /// a raw `QueryEvaluator`.
     pub tables_patched: usize,
     /// Number of subgoal tables the session dropped across the mutations
     /// since the previous query: a table whose re-solve failed (a resource
@@ -151,7 +150,7 @@ pub struct EvalStats {
     /// put back untouched and not counted.  A re-solve runs when the
     /// mutation is settled (a batch's at publish), seeded with every table
     /// that stands, so the next query finds the table warm.  Always zero for
-    /// a raw [`QueryEvaluator`].  A non-ground table re-derived *in part* —
+    /// a raw `QueryEvaluator`.  A non-ground table re-derived *in part* —
     /// at the head instances a changed dependency supports, see
     /// `instances_rederived` — counts once here, never as a patch.
     pub tables_refilled: usize,
@@ -159,7 +158,7 @@ pub struct EvalStats {
     /// as bound sub-queries across the mutations since the previous query,
     /// instead of re-solving their tables whole: the answers a write could
     /// change, read off the head instances every recorded dependency keeps.
-    /// Always zero for a raw [`QueryEvaluator`].
+    /// Always zero for a raw `QueryEvaluator`.
     pub instances_rederived: usize,
     /// Number of completed subgoal tables that survived into this query and
     /// were available for reuse when it started.
@@ -179,22 +178,15 @@ pub struct EvalStats {
     /// ([`hilog_core::symbol::gc_symbol_pool`]); right after that GC every
     /// entry is live.  Read in O(1); the exact live / interned census walks
     /// the pool, so it stays off the query path (`GET /stats` and a
-    /// checkpoint's outcome report it).  A raw [`QueryEvaluator`] reports
+    /// checkpoint's outcome report it).  A raw `QueryEvaluator` reports
     /// 0; the session and snapshot query paths fill it.
     pub live_symbols: usize,
-    /// Number of SCC waves the well-founded evaluator scheduled onto the
-    /// work pool while this query ran.  Zero whenever the query reused a
-    /// cached model or `eval_threads <= 1` (the waves then run inline and
-    /// nothing is pooled).
+    /// Inert: always 0, since evaluation runs on the calling thread.  Kept
+    /// so every `/query` body keeps its shape (ROADMAP 1(c) removes it).
     pub parallel_waves: usize,
-    /// Number of semi-naive rounds evaluated as hash-partitioned concurrent
-    /// joins (frontier split by the first bound argument, partitions joined
-    /// on the pool) while this query ran.
+    /// Inert: always 0 (see `parallel_waves`).
     pub parallel_partitioned_rounds: usize,
-    /// Number of tasks (SCC-wave chunks + join partitions) run by a pool
-    /// that had worker threads while this query ran.  Inline fallbacks and
-    /// everything at `eval_threads <= 1` don't count, so a non-zero value
-    /// certifies work was dispatched to a multi-threaded pool.
+    /// Inert: always 0 (see `parallel_waves`).
     pub parallel_tasks: usize,
     /// Facts resident in memory across the session's relation stores (the
     /// possibly-true store plus every subgoal table) when this query
@@ -205,8 +197,8 @@ pub struct EvalStats {
     pub storage_spilled_facts: usize,
     /// Bytes appended to spill segment files by the session's stores.
     pub storage_segment_bytes: u64,
-    /// Spilled rows this query decoded back into memory (residency faults),
-    /// on its own thread or its pool workers' — no other query's.
+    /// Spilled rows this query decoded back into memory (residency faults)
+    /// — no other query's.
     pub storage_residency_faults: u64,
     /// Rows this query paged out to spill segments.
     pub storage_spill_writes: u64,
@@ -226,9 +218,6 @@ impl EvalStats {
     pub(crate) fn absorb(&mut self, counted: Counters) {
         self.index_probes = counted.index_probes as usize;
         self.index_fallback_scans = counted.index_fallback_scans as usize;
-        self.parallel_waves = counted.parallel_waves as usize;
-        self.parallel_partitioned_rounds = counted.parallel_partitioned_rounds as usize;
-        self.parallel_tasks = counted.parallel_tasks as usize;
         self.storage_residency_faults = counted.residency_faults;
         self.storage_spill_writes = counted.spill_writes;
         self.deadline_checks = counted.deadline_checks;
@@ -487,13 +476,6 @@ pub struct QueryEvaluator {
 }
 
 impl QueryEvaluator {
-    /// Creates an evaluator for the program (indexing it first).
-    pub fn new(program: &Program, opts: EvalOptions) -> Self {
-        let storage = StorageConfig::default();
-        let index = Arc::new(ProgramIndex::build(program, &storage));
-        Self::over(index, opts, Arc::default(), storage)
-    }
-
     /// Creates an evaluator over an already indexed program, seeded with
     /// the completed tables of a previous run over the same program.  They
     /// are trusted as-is and never written.
@@ -645,17 +627,6 @@ impl QueryEvaluator {
                 match_with(&head, &answer, &mut theta).then(|| theta.restrict(&vars))
             })
             .collect())
-    }
-
-    /// Returns `true` if the ground atom is true in the well-founded model.
-    pub fn holds(&mut self, atom: &Term) -> Result<bool, EngineError> {
-        if !atom.is_ground() {
-            return Err(EngineError::Floundering(format!(
-                "holds() requires a ground atom, got `{atom}`"
-            )));
-        }
-        let answers = self.solve_atom(atom)?;
-        Ok(answers.iter().any(|a| a == atom))
     }
 
     fn fresh_generation(&mut self) -> u32 {
@@ -1103,6 +1074,27 @@ mod tests {
     use crate::session::HiLogDb;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
+
+    impl QueryEvaluator {
+        /// An evaluator for the program (indexing it first), seeded with
+        /// no tables.
+        fn new(program: &Program, opts: EvalOptions) -> Self {
+            let storage = StorageConfig::default();
+            let index = Arc::new(ProgramIndex::build(program, &storage));
+            Self::over(index, opts, Arc::default(), storage)
+        }
+
+        /// Whether the ground atom is true in the well-founded model.
+        fn holds(&mut self, atom: &Term) -> Result<bool, EngineError> {
+            if !atom.is_ground() {
+                return Err(EngineError::Floundering(format!(
+                    "holds() requires a ground atom, got `{atom}`"
+                )));
+            }
+            let answers = self.solve_atom(atom)?;
+            Ok(answers.iter().any(|a| a == atom))
+        }
+    }
 
     /// The true answers of `query` through a fresh session's planner.
     fn true_answers(program: &Program, query: &str) -> Vec<Substitution> {

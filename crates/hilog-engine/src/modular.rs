@@ -30,7 +30,7 @@
 //!   the well-founded evaluation's `stratified_eval`, which condenses the
 //!   ground atom graph once: a negative edge inside a strongly connected
 //!   component means the component is not locally stratified, and
-//!   otherwise the wave schedule settles it over that same condensation.
+//!   otherwise its components are settled over that same condensation.
 //! * The reduction seeks the settled model by predicate name
 //!   ([`Model::true_candidates`]: the model's sets are ordered by name
 //!   first) instead of scanning every true atom, and it deduplicates the
@@ -218,7 +218,7 @@ pub(crate) fn figure1_procedure(
                 }
                 Err(other) => return Err(other),
             };
-            match stratified_eval(&ground_component, opts.eval_threads) {
+            match stratified_eval(&ground_component) {
                 Some(component_model) => component_model,
                 None => {
                     return Ok(ModularOutcome::rejected(

@@ -10,8 +10,7 @@
 //! inspect (and log or serialise) the decision before running it:
 //!
 //! ```
-//! use hilog_engine::plan::{query_is_bound, PlanStrategy};
-//! use hilog_engine::session::HiLogDb;
+//! use hilog_engine::{HiLogDb, PlanStrategy};
 //! use hilog_syntax::{parse_program, parse_query};
 //!
 //! let program = parse_program(
@@ -21,7 +20,6 @@
 //! let db = HiLogDb::new(program);
 //! // A bound query (ground predicate name) gets the magic-sets route...
 //! let bound = parse_query("?- winning(a).").unwrap();
-//! assert!(query_is_bound(&bound));
 //! assert_eq!(db.explain(&bound).strategy, PlanStrategy::MagicSets);
 //! // ...an unbound one (variable predicate name) falls back to the model.
 //! let open = parse_query("?- P(a, X).").unwrap();

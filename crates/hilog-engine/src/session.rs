@@ -42,7 +42,7 @@
 //! *is* present, to retract that occurrence.
 //!
 //! ```
-//! use hilog_engine::session::HiLogDb;
+//! use hilog_engine::HiLogDb;
 //! use hilog_syntax::{parse_program, parse_query};
 //!
 //! let program = parse_program(
@@ -305,8 +305,8 @@ impl HiLogDbBuilder {
 /// A stateful HiLog database session.
 ///
 /// Owns a [`Program`] plus every cache the engine can amortise across
-/// queries; see the [module documentation](crate::session) for the overall
-/// shape and a usage example.
+/// queries; `session.rs`' module documentation has the overall shape and a
+/// usage example.
 #[derive(Debug)]
 pub struct HiLogDb {
     /// The working snapshot: the program, every cache, and the one
@@ -386,13 +386,6 @@ impl HiLogDb {
     /// The session's evaluation limits.
     pub fn options(&self) -> EvalOptions {
         self.snap.options()
-    }
-
-    /// Overrides the evaluation thread count (clamped to at least 1) without
-    /// touching any cache: the thread count changes the evaluation schedule,
-    /// never its result, so cached models and tables stay valid.
-    pub fn set_eval_threads(&mut self, eval_threads: usize) {
-        self.snap.opts.eval_threads = eval_threads.max(1);
     }
 
     /// The semantics queries are answered under.
@@ -800,7 +793,7 @@ mod tests {
     fn expired_deadline_stops_a_model_rebuild_over_a_warm_grounding() {
         use std::time::{Duration, Instant};
         // The full-model route after a write: the grounding is maintained,
-        // the model dropped, and the rebuild is one wave evaluation under
+        // the model dropped, and the rebuild is one evaluation under
         // the snapshot's write lock.  Nothing in it looks at the clock, so
         // the deadline has to be looked at before it starts.
         let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");

@@ -53,7 +53,7 @@
 //! batch, unlike the chunk-shared program) instead of rebuilding it.
 //!
 //! ```
-//! use hilog_engine::session::HiLogDb;
+//! use hilog_engine::HiLogDb;
 //! use hilog_syntax::{parse_program, parse_query, parse_term};
 //!
 //! let program = parse_program(
@@ -158,8 +158,8 @@ pub(crate) struct SnapCore {
 ///
 /// The type is `Send + Sync`: wrap it in an `Arc` (which is what
 /// [`SnapshotHandle::current`] hands out) and share it across as many reader
-/// threads as you like.  See the [module documentation](crate::snapshot)
-/// for the overall shape.
+/// threads as you like.  `snapshot.rs`' module documentation has the overall
+/// shape.
 #[derive(Debug)]
 pub struct DbSnapshot {
     /// The program, `Arc`d so a published copy shares it with the session;
@@ -560,7 +560,7 @@ impl DbSnapshot {
         if let Some(hit) = cached(core) {
             return Ok(hit);
         }
-        // A wave evaluation, once started, runs to completion under this
+        // A model evaluation, once started, runs to completion under this
         // lock: the last look at the deadline is between the grounding and
         // it (likewise in `ensure_stable_locked`; Figure 1 checks per round).
         let mut groundings = 0;
@@ -568,10 +568,7 @@ impl DbSnapshot {
             Semantics::WellFounded => {
                 groundings += self.ensure_ground_locked(core)?;
                 check_deadline()?;
-                well_founded_eval(
-                    core.ground.as_deref().expect("just grounded"),
-                    self.opts.eval_threads,
-                )
+                well_founded_eval(core.ground.as_deref().expect("just grounded"), 1)
             }
             Semantics::Stable => {
                 let stable = self.ensure_stable_locked(core)?;
@@ -852,7 +849,8 @@ impl SnapshotHandle {
 ///
 /// Mutations accumulate into the current batch; nothing is visible to
 /// readers until [`publish`](DbWriter::publish) swaps the next snapshot into
-/// the shared cell.  See the [module documentation](crate::snapshot).
+/// the shared cell.  `snapshot.rs`' module documentation has the overall
+/// shape.
 #[derive(Debug)]
 pub struct DbWriter {
     db: HiLogDb,

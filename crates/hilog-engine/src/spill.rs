@@ -304,7 +304,7 @@ impl SpillInner {
 ///
 /// Interior mutability (`Mutex`) because faulting rows in and updating the
 /// LRU clock happen under `&self` probes, and a shared store must stay
-/// `Sync` for snapshot readers and partitioned-join workers.  Probe results
+/// `Sync` for concurrent snapshot readers.  Probe results
 /// are decoded under the lock and visited outside it: a spilled row has no
 /// `&Term` to lend, so the store visits rather than iterates.
 #[derive(Debug)]

@@ -20,7 +20,7 @@ use crate::ground::{GroundProgram, GroundRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
 use crate::wfs::{is_two_valued_fixpoint, well_founded_eval};
-use hilog_core::interpretation::{Model, Truth};
+use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
 use std::collections::BTreeSet;
@@ -240,23 +240,6 @@ pub fn stable_models_over_universe(
     stable_models_of_ground(&ground_over_universe(program, universe, eval)?, opts)
 }
 
-/// Definition 3.7: a ground atom is true according to the stable-model
-/// semantics if it is true in every stable model, false if it is false in
-/// every stable model, and undefined otherwise.  Returns `None` when there
-/// are no stable models (the semantics is not defined, as for Example 3.1's
-/// `u :- not u`).
-pub fn stable_consensus_truth(models: &[Model], atom: &Term) -> Option<Truth> {
-    if models.is_empty() {
-        return None;
-    }
-    let first = models[0].truth(atom);
-    if models.iter().all(|m| m.truth(atom) == first) {
-        Some(first)
-    } else {
-        Some(Truth::Undefined)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -294,10 +277,6 @@ mod tests {
             assert!(m.is_false(&t("t")));
             assert!(m.is_true(&t("p")) ^ m.is_true(&t("q")));
         }
-        // r is true according to the stable-model semantics, p is undefined.
-        assert_eq!(stable_consensus_truth(&ms, &t("r")), Some(Truth::True));
-        assert_eq!(stable_consensus_truth(&ms, &t("t")), Some(Truth::False));
-        assert_eq!(stable_consensus_truth(&ms, &t("p")), Some(Truth::Undefined));
     }
 
     #[test]
@@ -305,7 +284,6 @@ mod tests {
         // The rule u :- not u destroys all stable models.
         let ms = models("p :- q. q :- p. r :- s, not p. s. t :- not r. u :- not u.");
         assert!(ms.is_empty());
-        assert_eq!(stable_consensus_truth(&ms, &t("s")), None);
     }
 
     #[test]

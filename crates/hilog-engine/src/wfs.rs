@@ -13,16 +13,14 @@
 //!   its least fixpoint, the well-founded partial model.
 //!
 //! There is **one evaluation**: [`well_founded_eval`] settles the strongly
-//! connected components of the ground atom dependency graph wave by wave,
-//! lower components first — Ross's component-by-component evaluation
-//! (Section 6, Figure 1) applied to the atoms of the well-founded
-//! construction — and it is how every model is obtained, the model after a
-//! write included (the session keeps the *grounding* current and evaluates
-//! it again).  The thread count only decides where a wave's components run
-//! (inline at `threads = 1`, on the engine work pool above that), never the
-//! model.  The literal global `W_P` iteration is kept too, with no
-//! production caller: it is the definitional reference the oracles hold the
-//! wave schedule to.
+//! connected components of the ground atom dependency graph one at a time on
+//! the calling thread, lower components first — Ross's
+//! component-by-component evaluation (Section 6, Figure 1) applied to the
+//! atoms of the well-founded construction — and it is how every model is
+//! obtained, the model after a write included (the session keeps the
+//! *grounding* current and evaluates it again).  The literal global `W_P`
+//! iteration is kept too, with no production caller: it is the definitional
+//! reference the oracles hold the component order to.
 //!
 //! The HiLog well-founded semantics is obtained by applying exactly the same
 //! construction to the HiLog instantiation of the program (Section 4); the
@@ -37,7 +35,6 @@ use hilog_core::analysis::strongly_connected_components;
 use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// A three-valued assignment over the atoms of an [`IndexedProgram`], by
 /// atom id: `Some(true)` = true, `Some(false)` = false, `None` = undefined.
@@ -99,7 +96,7 @@ fn greatest_unfounded_set(program: &IndexedProgram, i: &Assignment) -> Vec<bool>
 /// [`well_founded_eval`] — and it re-scans the whole program once per
 /// iteration, which is quadratic on deep chains.  It exists
 /// so the oracles (`tests/parallel_oracle.rs`, the unit tests below) can hold
-/// the wave schedule, at every thread count, to the paper's definition.
+/// the component order to the paper's definition.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
     let indexed = IndexedProgram::build(program);
     let n = indexed.atom_count();
@@ -130,7 +127,7 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 
 /// Builds a [`Model`] from a settled assignment over an indexed program's
 /// atoms.  The result depends only on the assignment values (the model's
-/// sets are ordered), never on the schedule that produced them.
+/// sets are ordered), never on the order that produced them.
 fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
     let mut true_atoms = Vec::new();
     let mut undefined = Vec::new();
@@ -147,22 +144,22 @@ fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
 }
 
 /// Computes the well-founded model of a ground program — the one model
-/// entry point, for every caller and every thread count.
+/// entry point, for every caller.
 ///
 /// The atom dependency graph is condensed into strongly connected
-/// components, the condensation is levelled into topological *waves* (an
-/// SCC's wave is one past the deepest wave it depends on), and each wave's
-/// components — mutually independent by construction — are settled, each by
-/// an alternating fixpoint over its own rules with every earlier-settled
-/// atom read as fixed external context: the splitting property of the
-/// well-founded semantics applied along the whole condensation.  No
-/// component is ever re-scanned, so this is the fast order on one core too;
-/// `threads` only spreads a wave's components over the engine work pool
-/// (`1` runs every wave inline).  The model is identical at every thread
-/// count, and is the one Definition 3.5's global iteration yields.
-pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
+/// components and the components are settled in Tarjan order, dependencies
+/// first, each by an alternating fixpoint over its own rules with every
+/// earlier-settled atom read as fixed external context: the splitting
+/// property of the well-founded semantics applied along the whole
+/// condensation.  No component is ever re-scanned, and the model is the one
+/// Definition 3.5's global iteration yields.
+///
+/// `_threads` is inert: evaluation runs on the calling thread.  The
+/// parameter stays only while the benchmark package pins this signature
+/// (ROADMAP 1(c) removes it).
+pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
     let indexed = IndexedProgram::build(program);
-    let assignment = wave_fixpoint(&indexed, &condensation_waves(&indexed), threads);
+    let assignment = settle_components(&indexed, &condensation(&indexed));
     assemble_model(&indexed, &assignment)
 }
 
@@ -172,11 +169,12 @@ pub fn well_founded_eval(program: &GroundProgram, threads: usize) -> Model {
 ///
 /// A negative edge lies on a cycle exactly when its two ends share a
 /// strongly connected component, so the test reads the condensation
-/// [`well_founded_eval`] builds anyway, and the wave schedule then runs over
-/// that same condensation.  A locally stratified program's model is total.
-pub(crate) fn stratified_eval(program: &GroundProgram, threads: usize) -> Option<Model> {
+/// [`well_founded_eval`] builds anyway, and the components are then settled
+/// over that same condensation.  A locally stratified program's model is
+/// total.
+pub(crate) fn stratified_eval(program: &GroundProgram) -> Option<Model> {
     let indexed = IndexedProgram::build(program);
-    let condensation = condensation_waves(&indexed);
+    let condensation = condensation(&indexed);
     let scc_of = &condensation.scc_of;
     let negative_cycle = indexed.rules.iter().any(|rule| {
         let head = scc_of[rule.head as usize];
@@ -185,28 +183,22 @@ pub(crate) fn stratified_eval(program: &GroundProgram, threads: usize) -> Option
     if negative_cycle {
         return None;
     }
-    let assignment = wave_fixpoint(&indexed, &condensation, threads);
+    let assignment = settle_components(&indexed, &condensation);
     Some(assemble_model(&indexed, &assignment))
 }
 
-/// The condensation of the atom dependency graph, levelled into waves.
+/// The condensation of the atom dependency graph.
 struct Condensation {
     /// The strongly connected components as sorted member lists,
     /// dependencies before dependents (the shared Tarjan's order).
     sccs: Vec<Vec<usize>>,
     /// Each atom's index into `sccs`.
     scc_of: Vec<usize>,
-    /// Per wave `k`, the indices into `sccs` whose longest dependency chain
-    /// through other components has length `k`.
-    waves: Vec<Vec<usize>>,
 }
 
 /// Condenses the atom dependency graph — one vertex per atom, an edge from
-/// every rule head to each of its (positive *and* negative) body atoms — and
-/// levels the condensation into topological waves.  Components of one wave
-/// share no dependency edges, so they may evaluate concurrently; waves run
-/// in index order with a barrier between them.
-fn condensation_waves(indexed: &IndexedProgram) -> Condensation {
+/// every rule head to each of its (positive *and* negative) body atoms.
+fn condensation(indexed: &IndexedProgram) -> Condensation {
     let n = indexed.atom_count();
     let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
     for rule in &indexed.rules {
@@ -220,117 +212,21 @@ fn condensation_waves(indexed: &IndexedProgram) -> Condensation {
             scc_of[m] = si;
         }
     }
+    Condensation { sccs, scc_of }
+}
 
-    // Wave levels: dependencies come before dependents, so each component's
-    // cross-component successors are already levelled.
-    let mut level = vec![0usize; sccs.len()];
-    let mut max_level = 0usize;
-    for si in 0..sccs.len() {
-        let mut lvl = 0usize;
-        for &m in &sccs[si] {
-            for &w in &adj[m] {
-                let ws = scc_of[w as usize];
-                if ws != si {
-                    debug_assert!(ws < si, "dependency emitted after dependent");
-                    lvl = lvl.max(level[ws] + 1);
-                }
-            }
+/// Settles every component of `condensation` in order into one assignment.
+/// Tarjan's order puts each component after everything it depends on, so a
+/// component only ever reads atoms that are already settled.
+fn settle_components(indexed: &IndexedProgram, condensation: &Condensation) -> Vec<Option<bool>> {
+    let mut assignment = vec![None; indexed.atom_count()];
+    for members in &condensation.sccs {
+        let values = eval_component(indexed, members, &assignment);
+        for (&atom, value) in members.iter().zip(values) {
+            assignment[atom] = value;
         }
-        level[si] = lvl;
-        max_level = max_level.max(lvl);
     }
-    let mut waves: Vec<Vec<usize>> =
-        vec![Vec::new(); if sccs.is_empty() { 0 } else { max_level + 1 }];
-    for (si, &lvl) in level.iter().enumerate() {
-        waves[lvl].push(si);
-    }
-    Condensation {
-        sccs,
-        scc_of,
-        waves,
-    }
-}
-
-/// Truth encoding for the shared wave-evaluation cells: `0` = undefined /
-/// unsettled, `1` = false, `2` = true.
-fn encode_truth(value: Option<bool>) -> u8 {
-    match value {
-        None => 0,
-        Some(false) => 1,
-        Some(true) => 2,
-    }
-}
-
-fn decode_truth(cell: u8) -> Option<bool> {
-    match cell {
-        1 => Some(false),
-        2 => Some(true),
-        _ => None,
-    }
-}
-
-/// Below this many ground rules, a wave is cheaper to evaluate inline on
-/// the publishing thread than to hand to a sleeping worker.
-const PARALLEL_WAVE_MIN_RULES: usize = 256;
-
-/// Runs the wave schedule over `condensation` to a settled assignment: every
-/// wave's components evaluate against the assignment settled so far, and
-/// their results land before the next wave starts.
-///
-/// The assignment lives in shared atomic cells so pool workers can publish
-/// component results directly: each atom is written by exactly one
-/// component of one wave, components of a wave are mutually independent, and
-/// `run_batch` only returns once the whole wave has finished — so every read
-/// sees exactly the settled prefix, at every thread count and schedule.  The
-/// workers persist across waves ([`crate::pool::with_wave_pool`]); spawning
-/// per wave would cost more than the waves themselves on deep programs.  At
-/// `threads = 1` the pool has no workers and each wave is a plain loop on
-/// the calling thread.
-fn wave_fixpoint(
-    indexed: &IndexedProgram,
-    condensation: &Condensation,
-    threads: usize,
-) -> Vec<Option<bool>> {
-    let Condensation { sccs, waves, .. } = condensation;
-    let unsettled = |_| AtomicU8::new(encode_truth(None));
-    let shared: Vec<AtomicU8> = (0..indexed.atom_count()).map(unsettled).collect();
-    let shared = &shared;
-    crate::pool::with_wave_pool(threads, |pool| {
-        for wave in waves {
-            // Waking a worker costs a context switch; only do it when the
-            // wave carries more work than that.  The estimate reads wave
-            // structure alone, so the schedule stays thread-count-honest
-            // and the results identical either way.
-            let wave_rules: usize = wave
-                .iter()
-                .flat_map(|&si| sccs[si].iter())
-                .map(|&m| indexed.rules_by_head[m].len())
-                .sum();
-            let wake_workers = wave_rules >= PARALLEL_WAVE_MIN_RULES;
-            // One job per chunk of components, not per component: a wave of
-            // hundreds of singleton SCCs would otherwise pay queue traffic
-            // and allocation per atom.  Chunking is by wave position —
-            // deterministic — and writes stay disjoint.
-            let chunk_size = wave.len().div_ceil(threads.max(1));
-            let jobs: Vec<crate::pool::Job<'_>> = wave
-                .chunks(chunk_size)
-                .map(|chunk| {
-                    Box::new(move || {
-                        for &si in chunk {
-                            let members = &sccs[si];
-                            let values = eval_component(indexed, members, shared);
-                            for (&atom, value) in members.iter().zip(values) {
-                                shared[atom].store(encode_truth(value), Ordering::Release);
-                            }
-                        }
-                    }) as crate::pool::Job<'_>
-                })
-                .collect();
-            pool.run_batch(jobs, wake_workers);
-        }
-    });
-    let settled = |cell: &AtomicU8| decode_truth(cell.load(Ordering::Acquire));
-    shared.iter().map(settled).collect()
+    assignment
 }
 
 /// Settles one strongly connected component: the alternating `W_P` fixpoint
@@ -339,11 +235,11 @@ fn wave_fixpoint(
 /// A settled external atom counts as founded exactly when it is not false
 /// (at the fixpoint of the full computation the unfounded set is the set of
 /// false atoms).  Returns the members' final truth values, in member order;
-/// publishing them is the caller's job.
+/// recording them is the caller's job.
 fn eval_component(
     indexed: &IndexedProgram,
     members: &[usize],
-    settled: &[AtomicU8],
+    settled: &Assignment,
 ) -> Vec<Option<bool>> {
     // Members are sorted, so a binary search beats a hash map at the
     // typical component size (a singleton, for any stratified program).
@@ -356,7 +252,7 @@ fn eval_component(
     let value = |local: &[Option<bool>], a: u32| -> Option<bool> {
         match local_idx(a) {
             Some(li) => local[li],
-            None => decode_truth(settled[a as usize].load(Ordering::Acquire)),
+            None => settled[a as usize],
         }
     };
 
@@ -397,9 +293,7 @@ fn eval_component(
                 }
                 let supported = rule.pos.iter().all(|&p| match local_idx(p) {
                     Some(pl) => founded[pl],
-                    None => {
-                        decode_truth(settled[p as usize].load(Ordering::Acquire)) != Some(false)
-                    }
+                    None => settled[p as usize] != Some(false),
                 });
                 if supported {
                     founded[head] = true;
@@ -464,7 +358,7 @@ pub fn well_founded_model_over_universe(
     opts: EvalOptions,
 ) -> Result<Model, EngineError> {
     let ground = ground_over_universe(program, universe, opts)?;
-    Ok(well_founded_eval(&ground, opts.eval_threads))
+    Ok(well_founded_eval(&ground, 1))
 }
 
 #[cfg(test)]
@@ -478,10 +372,6 @@ mod tests {
     use hilog_core::literal::Literal;
     use hilog_core::rule::Rule;
     use hilog_syntax::{parse_program, parse_term};
-
-    /// Thread counts the schedule is held to the reference at; `1` runs
-    /// every wave inline.
-    const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 
     fn wfs(text: &str) -> Model {
         HiLogDb::new(parse_program(text).unwrap())
@@ -655,10 +545,9 @@ mod tests {
     }
 
     #[test]
-    fn wave_evaluation_matches_serial_on_mixed_programs() {
-        // Total, partial, cyclic, and multi-SCC shapes; the wave schedule
-        // must reproduce Definition 3.5's model at every thread count, the
-        // inline `threads = 1` included.
+    fn component_evaluation_matches_the_reference_on_mixed_programs() {
+        // Total, partial, cyclic, and multi-SCC shapes; settling component
+        // by component must reproduce Definition 3.5's model.
         let programs = [
             "p :- q. q :- p. r :- s, not p. s. t :- not r. u :- not u.",
             "p :- not q. q :- not p. r :- p. r :- q. t :- p, not p.",
@@ -672,14 +561,11 @@ mod tests {
         for text in programs {
             let gp =
                 relevant_ground(&parse_program(text).unwrap(), EvalOptions::default()).unwrap();
-            let reference = well_founded_of_ground(&gp);
-            for threads in THREAD_COUNTS {
-                assert_eq!(
-                    well_founded_eval(&gp, threads),
-                    reference,
-                    "threads={threads} diverged on `{text}`"
-                );
-            }
+            assert_eq!(
+                well_founded_eval(&gp, 1),
+                well_founded_of_ground(&gp),
+                "diverged on `{text}`"
+            );
         }
     }
 
@@ -718,15 +604,13 @@ mod tests {
                 .collect();
             let stratified = is_locally_stratified_ground(&as_rules);
             let gp = GroundProgram::from_rules(rules);
-            for threads in [1, 4] {
-                match stratified_eval(&gp, threads) {
-                    Some(m) => {
-                        assert!(stratified, "accepted a negative cycle: {as_rules:?}");
-                        assert!(m.is_total());
-                        assert_eq!(m, well_founded_of_ground(&gp));
-                    }
-                    None => assert!(!stratified, "rejected a stratified program: {as_rules:?}"),
+            match stratified_eval(&gp) {
+                Some(m) => {
+                    assert!(stratified, "accepted a negative cycle: {as_rules:?}");
+                    assert!(m.is_total());
+                    assert_eq!(m, well_founded_of_ground(&gp));
                 }
+                None => assert!(!stratified, "rejected a stratified program: {as_rules:?}"),
             }
             if stratified {
                 accepted += 1;
@@ -741,21 +625,18 @@ mod tests {
     }
 
     #[test]
-    fn wave_evaluation_of_empty_program_is_empty() {
-        for threads in THREAD_COUNTS {
-            let m = well_founded_eval(&GroundProgram::new(), threads);
-            assert!(m.is_total());
-            assert!(m.base().is_empty());
-        }
+    fn component_evaluation_of_empty_program_is_empty() {
+        let m = well_founded_eval(&GroundProgram::new(), 1);
+        assert!(m.is_total());
+        assert!(m.base().is_empty());
     }
 
     #[test]
-    fn deep_chain_settles_wave_by_wave_on_the_calling_thread() {
+    fn deep_chain_settles_component_by_component() {
         // Every position of a chain game is its own component and depends
         // on the next one, so the condensation is as deep as the chain:
-        // more than 2,000 waves, each run inline at `threads = 1`.  Built
-        // directly as a ground program: the point is the schedule, not the
-        // grounder.
+        // more than 2,000 components.  Built directly as a ground program:
+        // the point is the component order, not the grounder.
         let n = 2_500usize;
         let pos = |i: usize| Term::sym(format!("p{i}"));
         let winning = |i: usize| Term::apps("winning", vec![pos(i)]);
@@ -769,8 +650,8 @@ mod tests {
                 .collect(),
         );
         let indexed = IndexedProgram::build(&gp);
-        let waves = condensation_waves(&indexed).waves;
-        assert!(waves.len() >= 2_000, "{} waves", waves.len());
+        let sccs = condensation(&indexed).sccs;
+        assert!(sccs.len() >= 2_000, "{} components", sccs.len());
 
         let model = well_founded_eval(&gp, 1);
         assert!(model.is_total());
@@ -783,6 +664,5 @@ mod tests {
                 "winning(p{i})"
             );
         }
-        assert_eq!(model, well_founded_eval(&gp, 4));
     }
 }

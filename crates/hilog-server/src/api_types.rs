@@ -3,7 +3,7 @@
 //! serialise through the workspace `serde` stub (the engine's
 //! `QueryResult`/`QueryPlan`/`EvalStats` already implement it).
 
-use hilog_engine::session::QueryResult;
+use hilog_engine::QueryResult;
 use serde::Serialize;
 use serde_json::Value;
 

@@ -33,12 +33,9 @@ pub struct ServerConfig {
     /// returns after a graceful shutdown (ignored without `data_dir`).  On
     /// by default: the next boot then skips WAL replay entirely.
     pub checkpoint_on_shutdown: bool,
-    /// Worker threads used *inside* a single evaluation (the engine's
-    /// SCC-wave well-founded fixpoint and partitioned semi-naive rounds).
-    /// Independent of `workers`, which scales concurrent requests.  `1`
-    /// evaluates on the request's own thread (same algorithm, nothing
-    /// spawned); the default follows the engine
-    /// (`HILOG_EVAL_THREADS` or the machine's available parallelism).
+    /// Inert: reads 1 and is ignored, since each evaluation runs on its
+    /// request's thread and `workers` is what scales concurrent requests.
+    /// Kept while the benchmark package reads it (ROADMAP 1(c) removes it).
     pub eval_threads: usize,
     /// Default per-query deadline in milliseconds, used when a `/query`
     /// body carries no `timeout_ms`.  `None` disables the server-side
@@ -77,7 +74,7 @@ impl Default for ServerConfig {
             data_dir: None,
             fsync: FsyncPolicy::PerBatch,
             checkpoint_on_shutdown: true,
-            eval_threads: hilog_engine::default_eval_threads(),
+            eval_threads: 1,
             default_timeout_ms: Some(30_000),
             max_backlog: 256,
             socket_timeout: Some(Duration::from_secs(10)),
@@ -118,13 +115,6 @@ impl ServerConfig {
     /// Sets the WAL fsync policy.
     pub fn fsync(mut self, policy: FsyncPolicy) -> Self {
         self.fsync = policy;
-        self
-    }
-
-    /// Sets the per-evaluation thread count (clamped to at least 1; `1`
-    /// evaluates inline on the calling thread).
-    pub fn eval_threads(mut self, eval_threads: usize) -> Self {
-        self.eval_threads = eval_threads.max(1);
         self
     }
 

@@ -196,9 +196,12 @@ pub fn read_request(
             _ => return Err(Response::error(400, "malformed header line")),
         };
         if name.eq_ignore_ascii_case("content-length") {
-            let length = value
-                .parse()
-                .map_err(|_| Response::error(400, "invalid Content-Length"))?;
+            // RFC 9110 §8.6: `1*DIGIT`.  `str::parse` alone also takes `+5`,
+            // which a proxy in front of this server may frame differently.
+            let length = Some(value)
+                .filter(|digits| digits.bytes().all(|b| b.is_ascii_digit()))
+                .and_then(|digits| digits.parse().ok())
+                .ok_or_else(|| Response::error(400, "invalid Content-Length"))?;
             // Two lengths that disagree are two framings of one stream.
             if content_length.is_some_and(|seen| seen != length) {
                 return Err(Response::error(400, "conflicting Content-Length headers"));
@@ -425,6 +428,10 @@ mod tests {
             ),
             (
                 "POST /query HTTP/1.1\r\nContent-Length: five\r\n\r\nhello".into(),
+                Err(400),
+            ),
+            (
+                "POST /query HTTP/1.1\r\nContent-Length: +5\r\n\r\nhello".into(),
                 Err(400),
             ),
             (

@@ -99,8 +99,7 @@ pub mod http;
 
 pub use config::ServerConfig;
 
-use hilog_engine::session::HiLogDb;
-use hilog_engine::SnapshotHandle;
+use hilog_engine::{HiLogDb, SnapshotHandle};
 use hilog_store::{PersistentWriter, RecoveryReport, StoreConfig};
 use std::collections::HashMap;
 use std::io::{self, BufReader};
@@ -295,13 +294,9 @@ impl Server {
     /// durable store: an existing directory wins over `db`, whose program is
     /// then ignored in favour of the recovered state — check
     /// [`Server::recovery`] to see which happened.
-    pub fn bind(config: ServerConfig, mut db: HiLogDb) -> io::Result<Server> {
+    pub fn bind(config: ServerConfig, db: HiLogDb) -> io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
         let local_addr = listener.local_addr()?;
-        // The config is the single source of truth for evaluation
-        // parallelism; it also flows through recovery, which rebuilds the
-        // session from this seed's options.
-        db.set_eval_threads(config.eval_threads);
         let (writer, snapshots, recovery) = match &config.data_dir {
             None => {
                 let (writer, snapshots) = PersistentWriter::in_memory(db);

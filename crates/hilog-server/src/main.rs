@@ -1,7 +1,7 @@
 //! The `hilog-server` binary: serve a HiLog program over JSON/HTTP.
 //!
 //! ```text
-//! hilog-server [--addr HOST:PORT] [--workers N] [--eval-threads N]
+//! hilog-server [--addr HOST:PORT] [--workers N]
 //!              [--semantics wfs|stable|modular] [--program FILE]
 //!              [--data-dir DIR] [--fsync batch|interval|never]
 //!              [--no-final-checkpoint] [--timeout-ms N|none]
@@ -19,8 +19,7 @@
 //! directory recovers the exact pre-crash state (`--program` then only
 //! seeds a *fresh* directory).  The process serves until killed.
 
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::session::{HiLogDb, Semantics};
+use hilog_engine::{HiLogDb, Semantics};
 use hilog_server::{Server, ServerConfig};
 use hilog_store::FsyncPolicy;
 use hilog_syntax::parse_program;
@@ -29,7 +28,7 @@ use std::time::Duration;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: hilog-server [--addr HOST:PORT] [--workers N] [--eval-threads N] \
+        "usage: hilog-server [--addr HOST:PORT] [--workers N] \
          [--semantics wfs|stable|modular] [--program FILE] \
          [--data-dir DIR] [--fsync batch|interval|never] [--no-final-checkpoint] \
          [--timeout-ms N|none] [--max-backlog N] [--socket-timeout-ms N|none]\n  \
@@ -61,13 +60,6 @@ fn main() -> ExitCode {
                 Ok(Ok(n)) if n > 0 => config.workers = n,
                 _ => {
                     eprintln!("--workers requires a positive integer");
-                    return usage();
-                }
-            },
-            "--eval-threads" => match value("--eval-threads").map(|v| v.parse::<usize>()) {
-                Ok(Ok(n)) if n > 0 => config.eval_threads = n,
-                _ => {
-                    eprintln!("--eval-threads requires a positive integer (1 = inline evaluation)");
                     return usage();
                 }
             },
@@ -165,7 +157,6 @@ fn main() -> ExitCode {
     let db = HiLogDb::builder()
         .program(program)
         .semantics(semantics)
-        .options(EvalOptions::default().eval_threads(config.eval_threads))
         .build();
     let server = match Server::bind(config.clone(), db) {
         Ok(s) => s,
@@ -184,10 +175,9 @@ fn main() -> ExitCode {
         );
     }
     println!(
-        "hilog-server listening on http://{} ({} workers, {} eval threads, {} semantics{})",
+        "hilog-server listening on http://{} ({} workers, {} semantics{})",
         server.local_addr(),
         config.workers,
-        config.eval_threads,
         semantics,
         match &config.data_dir {
             Some(dir) => format!(", durable under {}", dir.display()),

@@ -46,8 +46,8 @@ pub fn hilog_game_program(games: &[(&str, Vec<Edge>)]) -> Program {
 /// ```
 ///
 /// The shards share no atoms, so the dependency condensation splits into
-/// `shards` independent blocks — the canonical workload for wave-parallel
-/// evaluation.
+/// `shards` independent blocks: a wide condensation of many small
+/// components.
 pub fn sharded_game_text(shards: usize, per_shard: usize, seed: u64) -> String {
     let mut text = String::new();
     for s in 0..shards {
@@ -77,8 +77,7 @@ pub fn sharded_game_program(shards: usize, per_shard: usize, seed: u64) -> Progr
 /// the number of global alternating iterations a whole-program well-founded
 /// evaluator performs — grows linearly with `len`.  A component-at-a-time
 /// schedule settles each position exactly once instead, so chains expose
-/// the wave evaluator's scheduling advantage independently of the hardware
-/// thread count.
+/// what component-by-component evaluation saves.
 pub fn sharded_chain_game_text(shards: usize, len: usize) -> String {
     let mut text = String::new();
     for s in 0..shards {

@@ -17,7 +17,7 @@ pub struct PartHierarchy {
 
 impl PartHierarchy {
     /// Renders the hierarchy as the `(relation, whole, part, qty)` tuples
-    /// expected by `hilog_engine::aggregate::parts_explosion_program`.
+    /// expected by `hilog_engine::parts_explosion_program`.
     pub fn as_facts<'a>(&'a self, relation: &'a str) -> Vec<(&'a str, &'a str, &'a str, i64)> {
         self.triples
             .iter()

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example generic_closures`.
 
 use hilog_datalog::engine::DatalogEngine;
-use hilog_engine::horn::{least_model, EvalOptions, NegationMode};
+use hilog_engine::{least_model, EvalOptions, NegationMode};
 use hilog_syntax::parse_term;
 use hilog_workloads::{chain, generic_closure_program, random_dag, specialized_closure_program};
 

@@ -5,8 +5,7 @@
 //!
 //! Run with `cargo run --example magic_sets_demo`.
 
-use hilog_engine::magic::magic_transform;
-use hilog_engine::session::HiLogDb;
+use hilog_engine::{magic_transform, HiLogDb};
 use hilog_syntax::{parse_program, parse_query};
 
 fn main() {

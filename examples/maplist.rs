@@ -5,7 +5,7 @@
 //!
 //! Run with `cargo run --example maplist`.
 
-use hilog_engine::session::HiLogDb;
+use hilog_engine::HiLogDb;
 use hilog_syntax::{parse_program, parse_query};
 
 fn main() {

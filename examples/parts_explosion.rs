@@ -3,8 +3,7 @@
 //!
 //! Run with `cargo run --example parts_explosion`.
 
-use hilog_engine::aggregate::{evaluate_aggregate_program, parts_explosion_program};
-use hilog_engine::horn::EvalOptions;
+use hilog_engine::{evaluate_aggregate_program, parts_explosion_program, EvalOptions};
 use hilog_syntax::parse_term;
 use hilog_workloads::random_part_hierarchy;
 

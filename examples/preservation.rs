@@ -9,12 +9,10 @@
 //! Run with `cargo run --example preservation`.
 
 use hilog_core::Term;
-use hilog_engine::extension::{
+use hilog_engine::{
     domain_independent_wfs_with_constants, preserved_by_extension_stable,
-    preserved_by_extension_wfs,
+    preserved_by_extension_wfs, EvalOptions, StableOptions,
 };
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::stable::StableOptions;
 use hilog_syntax::parse_program;
 
 fn main() {

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo run --example quickstart`.
 
-use hilog_engine::session::{HiLogDb, Semantics};
+use hilog_engine::{HiLogDb, Semantics};
 use hilog_syntax::{parse_program, parse_query, parse_term};
 
 fn main() {

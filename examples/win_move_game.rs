@@ -6,7 +6,7 @@
 //!
 //! Run with `cargo run --example win_move_game`.
 
-use hilog_engine::session::{HiLogDb, Semantics};
+use hilog_engine::{HiLogDb, Semantics};
 use hilog_syntax::{parse_query, parse_term};
 use hilog_workloads::{hilog_game_program, node_name, random_dag};
 

@@ -29,6 +29,13 @@ pub use hilog_workloads as workloads;
 /// workspace crate.
 pub mod prelude {
     pub use hilog_core::prelude::*;
-    pub use hilog_engine::prelude::*;
+    pub use hilog_engine::{
+        evaluate_aggregate_program, least_model, magic_transform, parts_explosion_program,
+        preserved_by_extension_stable, preserved_by_extension_wfs, relevant_ground,
+        well_founded_eval, well_founded_model_over_universe, AtomStore, DbSnapshot, DbWriter,
+        EngineError, EvalOptions, EvalStats, FactStore, GroundProgram, GroundRule, HiLogDb,
+        HiLogDbBuilder, ModelSource, ModularOutcome, NegationMode, PlanStrategy, QueryAnswer,
+        QueryPlan, QueryResult, Semantics, SnapshotHandle, StableOptions, StorageConfig,
+    };
     pub use hilog_syntax::{parse_program, parse_query, parse_term};
 }

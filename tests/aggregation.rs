@@ -5,9 +5,10 @@
 //! Figure 1's reduction — held to each other.
 
 use hilog_core::program::Program;
-use hilog_engine::aggregate::{evaluate_aggregate_program, parts_explosion_program};
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::{EngineError, HiLogDb, Semantics};
+use hilog_engine::{
+    evaluate_aggregate_program, parts_explosion_program, EngineError, EvalOptions, HiLogDb,
+    Semantics,
+};
 use hilog_syntax::{parse_program, parse_query, parse_term};
 use hilog_workloads::random_part_hierarchy;
 use proptest::prelude::*;

@@ -70,12 +70,10 @@ fn backends() -> [StorageConfig; 2] {
     ]
 }
 
-/// A session on `storage` evaluating on the calling thread, whatever
-/// `HILOG_EVAL_THREADS` or `HILOG_STORAGE` say.
+/// A session on `storage`, whatever `HILOG_STORAGE` says.
 fn session(program: &Program, storage: &StorageConfig) -> HiLogDb {
     HiLogDb::builder()
         .program(program.clone())
-        .options(EvalOptions::with_eval_threads(1))
         .storage(storage.clone())
         .build()
 }

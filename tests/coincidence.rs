@@ -11,7 +11,7 @@
 use hilog_core::herbrand::Vocabulary;
 use hilog_core::restriction::is_range_restricted_normal;
 use hilog_datalog::engine::DatalogEngine;
-use hilog_engine::session::HiLogDb;
+use hilog_engine::HiLogDb;
 use hilog_workloads::random_programs::{random_range_restricted_normal, NormalProgramConfig};
 use proptest::prelude::*;
 

@@ -6,9 +6,7 @@ use hilog_core::analysis::is_stratified;
 use hilog_core::interpretation::Model;
 use hilog_core::restriction::{is_datahilog, is_strongly_range_restricted};
 use hilog_core::universal::{decode_atom, universal_transform};
-use hilog_engine::horn::{least_model, EvalOptions, NegationMode};
-use hilog_engine::session::HiLogDb;
-use hilog_engine::EngineError;
+use hilog_engine::{least_model, EngineError, EvalOptions, HiLogDb, NegationMode};
 use hilog_syntax::parse_program;
 use hilog_workloads::{chain, hilog_game_program, random_dag};
 use proptest::prelude::*;

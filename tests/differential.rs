@@ -24,8 +24,8 @@
 //!   independent session, and incremental `assert_fact` vs fresh sessions;
 //! * both families — the **grounding** itself: the relevant instantiation
 //!   the semi-naive driver emits from its one join pass vs the paper's
-//!   definition (`ground_against` over the finished least model), serial,
-//!   partitioned and spill-backed, and a session's *maintained* grounding
+//!   definition (`ground_against` over the finished least model), on the
+//!   default and the spill backend, and a session's *maintained* grounding
 //!   after an assert stream vs a fresh session's.
 //!
 //! The seeds in `tests/corpus/differential_seeds.txt` are a committed
@@ -33,8 +33,7 @@
 //! any additional generated seeds.
 
 use hilog_datalog::DatalogEngine;
-use hilog_repro::engine::grounder::ground_against;
-use hilog_repro::engine::{counters, least_model_into, relevant_ground_into};
+use hilog_repro::engine::{ground_against, least_model_into, relevant_ground_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -206,8 +205,7 @@ fn incremental_assertion_matches_fresh_sessions_on_hilog_programs() {
 }
 
 /// Both generated families at their default size, plus (every fourth seed) a
-/// wide variant whose round-0 frontier passes the 64-atom partition
-/// threshold, so `eval_threads = 4` really runs partitioned rounds.
+/// wide variant whose semi-naive frontiers run to a hundred atoms and more.
 fn grounding_cases(seed: u64) -> Vec<(Program, String)> {
     let mut cases = vec![
         (
@@ -254,30 +252,25 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
     // possibly-true store; Section 4's definition joins every rule against
     // the *finished* store.  Same set of ground rules, no instance twice,
     // and the store the driver leaves behind is the least model — whether
-    // the rounds run inline, partitioned over four tasks, or into a spill
-    // store that keeps 16 rows resident.
-    let before = counters();
+    // the rounds run into the default store or into a spill store that
+    // keeps 16 rows resident.  (One thread evaluates: the name's "thread
+    // count" is the one there is.)
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
-            let serial = EvalOptions::with_eval_threads(1);
+            let opts = EvalOptions::default();
             let mut model = FactStore::default();
-            least_model_into(&program, NegationMode::Ignore, serial, &mut model)
+            least_model_into(&program, NegationMode::Ignore, opts, &mut model)
                 .expect("least model");
-            let reference = ground_against(&program, &model, serial).expect("definitional");
+            let reference = ground_against(&program, &model, opts).expect("definitional");
             let spill = StorageConfig::Spill {
                 dir: None,
                 resident_budget: 16,
             };
-            let runs: [(&str, EvalOptions, FactStore); 3] = [
-                ("threads 1", serial, FactStore::default()),
-                (
-                    "threads 4",
-                    EvalOptions::with_eval_threads(4),
-                    FactStore::default(),
-                ),
-                ("spill", serial, FactStore::new(&spill)),
+            let runs: [(&str, FactStore); 2] = [
+                ("default backend", FactStore::default()),
+                ("spill", FactStore::new(&spill)),
             ];
-            for (route, opts, mut store) in runs {
+            for (route, mut store) in runs {
                 let fused = relevant_ground_into(&program, opts, &mut store).expect("fused");
                 assert_eq!(
                     rule_set(&fused),
@@ -297,10 +290,6 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
             }
         }
     }
-    assert!(
-        counters().parallel_partitioned_rounds > before.parallel_partitioned_rounds,
-        "no wide case reached a partitioned round"
-    );
 }
 
 #[test]

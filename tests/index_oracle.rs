@@ -38,8 +38,7 @@
 //! `HILOG_INDEX_ORACLE_CASES` scales the case count up in CI.
 
 use hilog_core::unify::match_with;
-use hilog_engine::horn::AtomStore;
-use hilog_engine::DbSnapshot;
+use hilog_engine::{AtomStore, DbSnapshot};
 use hilog_repro::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

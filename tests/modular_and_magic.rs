@@ -5,8 +5,7 @@
 use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
-use hilog_engine::session::{HiLogDb, Semantics};
-use hilog_engine::EngineError;
+use hilog_engine::{EngineError, HiLogDb, Semantics};
 use hilog_syntax::parse_term;
 use hilog_workloads::{
     chain, cycle, hilog_game_program, layered_game_graph, node_name, normal_game_program,

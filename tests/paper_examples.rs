@@ -4,9 +4,9 @@
 
 use hilog_core::interpretation::Truth;
 use hilog_core::restriction::ProgramClass;
-use hilog_engine::horn::{least_model, EvalOptions, NegationMode};
-use hilog_engine::session::HiLogDb;
-use hilog_engine::wfs::well_founded_model_over_universe;
+use hilog_engine::{
+    least_model, well_founded_model_over_universe, EvalOptions, HiLogDb, NegationMode,
+};
 use hilog_syntax::{parse_program, parse_query, parse_term};
 
 fn db(text: &str) -> HiLogDb {
@@ -192,8 +192,7 @@ fn example_6_4_not_modularly_stratified() {
 fn example_6_6_magic_rewriting_shape() {
     let program = parse_program("w(M)(X) :- g(M), M(X, Y), not w(M)(Y). g(m). m(a, b).").unwrap();
     let magic =
-        hilog_engine::magic::magic_transform(&program, &parse_query("?- w(m)(a).").unwrap())
-            .unwrap();
+        hilog_engine::magic_transform(&program, &parse_query("?- w(m)(a).").unwrap()).unwrap();
     let text = magic.full_program().to_string();
     assert!(text.contains("magic(w(m)(a), '+')."));
     assert!(text.contains("magic(w(M)(Y), '-')"));
@@ -204,7 +203,7 @@ fn example_6_6_magic_rewriting_shape() {
 /// The parts-explosion program of Section 6 (bicycle / wheels / spokes).
 #[test]
 fn section_6_parts_explosion() {
-    let program = hilog_engine::aggregate::parts_explosion_program(
+    let program = hilog_engine::parts_explosion_program(
         &[("m", "parts")],
         &[
             ("parts", "bicycle", "wheel", 2),
@@ -212,8 +211,7 @@ fn section_6_parts_explosion() {
         ],
     );
     let result =
-        hilog_engine::aggregate::evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap();
+        hilog_engine::evaluate_aggregate_program(&program, EvalOptions::default()).unwrap();
     assert!(result
         .model
         .is_true(&parse_term("contains(m, bicycle, spoke, 94)").unwrap()));

@@ -1,9 +1,9 @@
 //! Section 5: preservation under extensions (Theorems 5.3 and 5.4) checked
 //! over generated program families, plus the paper's counterexamples.
 
-use hilog_engine::extension::{preserved_by_extension_stable, preserved_by_extension_wfs};
-use hilog_engine::horn::EvalOptions;
-use hilog_engine::stable::StableOptions;
+use hilog_engine::{
+    preserved_by_extension_stable, preserved_by_extension_wfs, EvalOptions, StableOptions,
+};
 use hilog_syntax::parse_program;
 use hilog_workloads::random_programs::{
     random_ground_extension, random_range_restricted_normal, random_strongly_restricted_hilog,

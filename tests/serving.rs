@@ -10,7 +10,6 @@
 //! Scaled up in CI via `HILOG_SERVING_READERS` (reader-thread count) and
 //! `HILOG_SERVING_QUERIES` (queries per reader).
 
-use hilog_repro::engine::counters;
 use hilog_repro::prelude::*;
 use hilog_workloads::serving::{serving_workload, ServingWorkloadConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -144,12 +143,10 @@ fn concurrent_readers_agree_with_fresh_sessions_at_every_epoch() {
     });
 }
 
-/// The same racing-readers contract with parallel evaluation enabled: the
-/// writer session evaluates with four worker threads, so every *cold*
-/// published snapshot warms its model through the SCC-wave fixpoint while
-/// readers race the publish stream.  The oracle is deliberately a fresh
-/// **single-threaded** session at the answering epoch — pinning the serving
-/// layer and the parallel evaluator against the serial semantics at once.
+/// The same racing-readers contract on the full-model route: readers that
+/// share a *cold* published snapshot race to warm its model behind the
+/// snapshot's lock while the writer keeps publishing.  The oracle is a fresh
+/// session at the answering epoch, for the answers and the model alike.
 #[test]
 fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
     let readers = env_usize("HILOG_SERVING_READERS", 4);
@@ -162,22 +159,14 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
         0xBEEF,
     );
 
-    let db = HiLogDb::builder()
-        .program(workload.program.clone())
-        .options(EvalOptions::with_eval_threads(4))
-        .build();
-    let (mut writer, handle) = db.into_serving();
+    let (mut writer, handle) = HiLogDb::new(workload.program.clone()).into_serving();
     let writer_done = AtomicBool::new(false);
-    // Pooled tasks are counted on the thread that dispatches them: each
-    // reader reports its own total (a new thread starts at zero).
-    let pooled_tasks = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for reader in 0..readers {
             let handle = handle.clone();
             let queries = &workload.queries;
             let writer_done = &writer_done;
-            let pooled_tasks = &pooled_tasks;
             scope.spawn(move || {
                 let mut checked = 0;
                 let mut pass = 0;
@@ -187,29 +176,26 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
                     let query = parse_query(q).expect("workload query parses");
                     let snapshot = handle.current();
                     let served = snapshot.query(&query).expect("snapshot query succeeds");
-                    let mut oracle = HiLogDb::builder()
-                        .program(snapshot.program().clone())
-                        .options(EvalOptions::with_eval_threads(1))
-                        .build();
+                    let mut oracle = HiLogDb::new(snapshot.program().clone());
                     let expected = oracle.query(&query).expect("oracle query succeeds");
                     assert_eq!(
                         answer_key(&served),
                         answer_key(&expected),
-                        "reader {reader} diverged from the serial oracle at epoch {} on {q}",
+                        "reader {reader} diverged from the oracle at epoch {} on {q}",
                         snapshot.epoch(),
                     );
                     // Every few queries, warm the snapshot's full model —
                     // queries route through the tabled evaluator, so this is
                     // what actually drives the cold snapshot through the
-                    // wave-parallel fixpoint — and hold it to the serial
-                    // oracle's model.
+                    // well-founded evaluation — and hold it to the oracle's
+                    // model.
                     if checked % 4 == 0 {
                         let served_model = snapshot.model().expect("snapshot model evaluates");
                         let expected_model = oracle.model().expect("oracle model evaluates");
                         assert_eq!(
                             &*served_model,
                             expected_model,
-                            "reader {reader}: parallel-warmed model diverged at epoch {}",
+                            "reader {reader}: the warmed model diverged at epoch {}",
                             snapshot.epoch(),
                         );
                     }
@@ -219,7 +205,6 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
                     }
                 }
                 assert!(checked >= queries_per_reader);
-                pooled_tasks.fetch_add(counters().parallel_tasks, Ordering::SeqCst);
             });
         }
 
@@ -236,11 +221,6 @@ fn parallel_snapshots_agree_with_serial_sessions_under_racing_readers() {
         }
         writer_done.store(true, Ordering::SeqCst);
     });
-
-    assert!(
-        pooled_tasks.load(Ordering::SeqCst) > 0,
-        "parallel serving never dispatched a pooled task"
-    );
 }
 
 /// A reader that pinned a snapshot keeps answering at that epoch while the
