@@ -9,9 +9,12 @@
 //! insert/remove churn (liveness is the owner's concern — the interner only
 //! guarantees the id ↔ term bijection).
 //!
-//! This is the id layer under the engine's argument-indexed `AtomStore`
-//! (`horn.rs` in `hilog-engine`); the engine's ground programs keep their own
-//! program-local dense-id table (`AtomTable` in `hilog-engine`'s `ground.rs`).
+//! Two owners in `hilog-engine` hold one each: the argument-indexed
+//! `AtomStore` (`horn.rs`), whose relations and posting lists hold ids, and
+//! every `GroundProgram` (`ground.rs`), whose rules are id triples over its
+//! own interner — the grounder interns each atom once, as its instance
+//! lands, and every well-founded fixpoint indexes its assignment by
+//! [`AtomId::index`].
 
 use crate::hash::TermMap;
 use crate::term::Term;

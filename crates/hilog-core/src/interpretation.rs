@@ -318,11 +318,12 @@ impl Model {
         self.undefined.insert(atom);
     }
 
-    /// Marks a base atom false.
-    pub fn set_false(&mut self, atom: Term) {
-        self.true_atoms.remove(&atom);
-        self.undefined.remove(&atom);
-        self.base.insert(atom);
+    /// Drops an atom from the model altogether (base, true and undefined
+    /// sets): the atom is false and no longer part of the relevant base.
+    pub fn remove_atom(&mut self, atom: &Term) {
+        self.base.remove(atom);
+        self.true_atoms.remove(atom);
+        self.undefined.remove(atom);
     }
 
     /// Merges another model into this one (union of bases, true sets and
@@ -619,8 +620,9 @@ mod tests {
         assert!(m.is_true(&atom("a")));
         assert!(m.is_undefined(&atom("b")));
         assert!(m.is_false(&atom("c")));
-        m.set_false(atom("a"));
+        m.remove_atom(&atom("a"));
         assert!(m.is_false(&atom("a")));
+        assert!(!m.base().contains(&atom("a")));
         m.set_true(atom("b"));
         assert!(m.is_true(&atom("b")));
         assert!(m.is_total());

@@ -7,12 +7,15 @@
 //! grounder, and aggregates are handled by the dedicated aggregation
 //! evaluator before reaching this representation.
 //!
-//! [`IndexedProgram`] is the id-based form the fixpoint computations use: it
-//! interns atoms into dense indices and groups rules by head.
+//! A [`GroundProgram`] holds one atom table for the whole instantiation:
+//! the grounder interns each atom once, as its instance lands, and stores
+//! the rule as an id triple.  Every fixpoint of the well-founded and
+//! stable-model constructions indexes its assignment by those ids; the
+//! term form [`GroundRule`] is what builds rules and what displays them.
 
-use hilog_core::hash::TermMap;
+use hilog_core::hash::TermSet;
+use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::term::Term;
-use std::collections::BTreeSet;
 use std::fmt;
 
 /// A fully instantiated rule.
@@ -71,11 +74,38 @@ impl fmt::Display for GroundRule {
     }
 }
 
-/// A set of ground rules.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+/// A ground rule over a [`GroundProgram`]'s atom ids: the form every
+/// fixpoint reads.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct IdRule {
+    /// Head atom id.
+    pub head: AtomId,
+    /// Positive body atom ids.
+    pub pos: Vec<AtomId>,
+    /// Negative body atom ids.
+    pub neg: Vec<AtomId>,
+}
+
+impl IdRule {
+    /// Returns `true` if the body is empty.
+    pub fn is_fact(&self) -> bool {
+        self.pos.is_empty() && self.neg.is_empty()
+    }
+}
+
+/// A set of ground rules: one atom table and the rules as id triples over
+/// it.
+///
+/// Ids are never reused: a rule removed by maintenance can leave an id that
+/// no rule mentions, and the relevant base of a computed model is the atoms
+/// some rule mentions, not every id.
+#[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
-    /// The rules.
-    pub rules: Vec<GroundRule>,
+    /// The atom table: every atom a rule mentions (and, after maintenance,
+    /// possibly some no rule mentions any more).
+    pub(crate) atoms: TermInterner,
+    /// The rules, in insertion order.
+    pub(crate) id_rules: Vec<IdRule>,
 }
 
 impl GroundProgram {
@@ -87,148 +117,79 @@ impl GroundProgram {
     /// Builds a ground program from rules, removing exact duplicates while
     /// preserving first-occurrence order.
     pub fn from_rules(rules: Vec<GroundRule>) -> Self {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::with_capacity(rules.len());
-        for r in rules {
-            if seen.insert(r.clone()) {
-                out.push(r);
+        let mut program = GroundProgram::new();
+        let mut seen = TermSet::default();
+        for rule in &rules {
+            let ids = program.intern(rule);
+            if seen.insert(ids.clone()) {
+                program.id_rules.push(ids);
             }
         }
-        GroundProgram { rules: out }
+        program
     }
 
     /// Number of rules.
     pub fn len(&self) -> usize {
-        self.rules.len()
+        self.id_rules.len()
     }
 
     /// Returns `true` if there are no rules.
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty()
+        self.id_rules.is_empty()
     }
 
     /// Appends a rule.
     pub fn push(&mut self, rule: GroundRule) {
-        self.rules.push(rule);
+        let ids = self.intern(&rule);
+        self.id_rules.push(ids);
     }
 
-    /// Every atom occurring in the program (heads and bodies).  This is the
-    /// *relevant base* over which computed models are reported.
-    pub fn atoms(&self) -> BTreeSet<Term> {
-        let mut out = BTreeSet::new();
-        for r in &self.rules {
-            out.insert(r.head.clone());
-            out.extend(r.pos.iter().cloned());
-            out.extend(r.neg.iter().cloned());
+    /// The rules, as terms, in insertion order.
+    pub fn rules(&self) -> impl Iterator<Item = GroundRule> + '_ {
+        self.id_rules.iter().map(|r| self.resolve(r))
+    }
+
+    /// Interns a rule's atoms, returning its id triple.
+    pub(crate) fn intern(&mut self, rule: &GroundRule) -> IdRule {
+        let atoms = &mut self.atoms;
+        IdRule {
+            head: atoms.intern(&rule.head),
+            pos: rule.pos.iter().map(|a| atoms.intern(a)).collect(),
+            neg: rule.neg.iter().map(|a| atoms.intern(a)).collect(),
         }
-        out
     }
 
-    /// Merges two ground programs.
-    pub fn union(&self, other: &GroundProgram) -> GroundProgram {
-        let mut rules = self.rules.clone();
-        rules.extend(other.rules.iter().cloned());
-        GroundProgram::from_rules(rules)
+    /// The rule an id triple stands for.
+    fn resolve(&self, rule: &IdRule) -> GroundRule {
+        let term = |&id: &AtomId| self.atoms.resolve(id).clone();
+        GroundRule {
+            head: term(&rule.head),
+            pos: rule.pos.iter().map(term).collect(),
+            neg: rule.neg.iter().map(term).collect(),
+        }
+    }
+
+    /// Per atom id, whether some rule mentions it: the relevant base.
+    pub(crate) fn mentioned(&self) -> Vec<bool> {
+        let mut mentioned = vec![false; self.atoms.len()];
+        for rule in &self.id_rules {
+            for atom in std::iter::once(&rule.head)
+                .chain(&rule.pos)
+                .chain(&rule.neg)
+            {
+                mentioned[atom.index()] = true;
+            }
+        }
+        mentioned
     }
 }
 
 impl fmt::Display for GroundProgram {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for r in &self.rules {
+        for r in self.rules() {
             writeln!(f, "{r}")?;
         }
         Ok(())
-    }
-}
-
-impl FromIterator<GroundRule> for GroundProgram {
-    fn from_iter<I: IntoIterator<Item = GroundRule>>(iter: I) -> Self {
-        GroundProgram::from_rules(iter.into_iter().collect())
-    }
-}
-
-/// An atom table interning ground atoms into dense `u32` ids.
-#[derive(Debug, Clone, Default)]
-pub struct AtomTable {
-    atoms: Vec<Term>,
-    index: TermMap<Term, u32>,
-}
-
-impl AtomTable {
-    /// Creates an empty table.
-    pub fn new() -> Self {
-        AtomTable::default()
-    }
-
-    /// Interns an atom, returning its id.
-    pub fn intern(&mut self, atom: &Term) -> u32 {
-        if let Some(&id) = self.index.get(atom) {
-            return id;
-        }
-        let id = self.atoms.len() as u32;
-        self.atoms.push(atom.clone());
-        self.index.insert(atom.clone(), id);
-        id
-    }
-
-    /// Number of interned atoms.
-    pub fn len(&self) -> usize {
-        self.atoms.len()
-    }
-
-    /// Iterates over `(id, atom)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (u32, &Term)> {
-        self.atoms.iter().enumerate().map(|(i, a)| (i as u32, a))
-    }
-}
-
-/// An id-based rule.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct IndexedRule {
-    /// Head atom id.
-    pub head: u32,
-    /// Positive body atom ids.
-    pub pos: Vec<u32>,
-    /// Negative body atom ids.
-    pub neg: Vec<u32>,
-}
-
-/// A ground program interned into dense atom ids, with a rules-by-head index.
-#[derive(Debug, Clone)]
-pub struct IndexedProgram {
-    /// The atom table.
-    pub atoms: AtomTable,
-    /// The rules.
-    pub rules: Vec<IndexedRule>,
-    /// For each atom id, the indices of rules whose head is that atom.
-    pub rules_by_head: Vec<Vec<u32>>,
-}
-
-impl IndexedProgram {
-    /// Builds the indexed form of a ground program.
-    pub fn build(program: &GroundProgram) -> IndexedProgram {
-        let mut atoms = AtomTable::new();
-        let mut rules = Vec::with_capacity(program.len());
-        for r in &program.rules {
-            let head = atoms.intern(&r.head);
-            let pos = r.pos.iter().map(|a| atoms.intern(a)).collect();
-            let neg = r.neg.iter().map(|a| atoms.intern(a)).collect();
-            rules.push(IndexedRule { head, pos, neg });
-        }
-        let mut rules_by_head = vec![Vec::new(); atoms.len()];
-        for (i, r) in rules.iter().enumerate() {
-            rules_by_head[r.head as usize].push(i as u32);
-        }
-        IndexedProgram {
-            atoms,
-            rules,
-            rules_by_head,
-        }
-    }
-
-    /// Number of atoms.
-    pub fn atom_count(&self) -> usize {
-        self.atoms.len()
     }
 }
 
@@ -262,50 +223,18 @@ mod tests {
     }
 
     #[test]
-    fn atoms_collects_relevant_base() {
-        let gp = GroundProgram::from_rules(vec![GroundRule::new(
+    fn rules_round_trip_through_the_atom_table() {
+        let rule = GroundRule::new(
             atom("winning", &["a"]),
             vec![atom("move", &["a", "b"])],
             vec![atom("winning", &["b"])],
-        )]);
-        let atoms = gp.atoms();
-        assert_eq!(atoms.len(), 3);
-        assert!(atoms.contains(&atom("winning", &["b"])));
-    }
-
-    #[test]
-    fn union_merges_and_dedups() {
-        let a = GroundProgram::from_rules(vec![GroundRule::fact(atom("p", &["a"]))]);
-        let b = GroundProgram::from_rules(vec![
-            GroundRule::fact(atom("p", &["a"])),
-            GroundRule::fact(atom("q", &["b"])),
-        ]);
-        assert_eq!(a.union(&b).len(), 2);
-    }
-
-    #[test]
-    fn atom_table_interns_stably() {
-        let mut t = AtomTable::new();
-        let a = atom("p", &["a"]);
-        let id1 = t.intern(&a);
-        let id2 = t.intern(&a);
-        assert_eq!(id1, id2);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.iter().collect::<Vec<_>>(), vec![(id1, &a)]);
-    }
-
-    #[test]
-    fn indexed_program_groups_rules_by_head() {
+        );
         let gp = GroundProgram::from_rules(vec![
-            GroundRule::new(atom("p", &["a"]), vec![], vec![atom("q", &["a"])]),
-            GroundRule::new(atom("p", &["a"]), vec![atom("r", &["a"])], vec![]),
-            GroundRule::fact(atom("r", &["a"])),
+            rule.clone(),
+            GroundRule::fact(atom("move", &["a", "b"])),
         ]);
-        let ip = IndexedProgram::build(&gp);
-        assert_eq!(ip.rules.len(), 3);
-        assert_eq!(ip.atom_count(), 3);
-        let p = atom("p", &["a"]);
-        let (p_id, _) = ip.atoms.iter().find(|(_, a)| **a == p).unwrap();
-        assert_eq!(ip.rules_by_head[p_id as usize].len(), 2);
+        assert_eq!(gp.atoms.len(), 3, "each atom is interned once");
+        assert_eq!(gp.rules().next(), Some(rule));
+        assert_eq!(gp.mentioned(), vec![true; 3]);
     }
 }

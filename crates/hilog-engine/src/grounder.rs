@@ -27,7 +27,7 @@
 
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
-use crate::ground::{GroundProgram, GroundRule};
+use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::horn::{ground_head, join_body, saturate, AtomStore, EvalOptions, NegationMode};
 use crate::storage::FactStore;
 use hilog_core::literal::Literal;
@@ -58,16 +58,18 @@ pub fn relevant_ground_into(
     opts: EvalOptions,
     store: &mut FactStore,
 ) -> Result<GroundProgram, EngineError> {
-    Ok(GroundProgram {
-        rules: ground_from(program, store, None, opts)?,
-    })
+    let mut ground = GroundProgram::new();
+    ground_from(program, store, None, opts, &mut ground)?;
+    Ok(ground)
 }
 
 /// The semi-naive driver with the rule instantiated at every match: saturates
-/// `store` from `frontier` (`None` = cold, see [`saturate`]) and returns the
-/// distinct instances in first-match order.
+/// `store` from `frontier` (`None` = cold, see [`saturate`]) and appends the
+/// distinct instances to `ground` in first-match order, interning each atom
+/// into `ground`'s table as its instance lands.  The rule budget counts the
+/// whole of `ground`, so a continuation is capped like a cold grounding.
 ///
-/// A continuation returns exactly the instances with at least one positive
+/// A continuation appends exactly the instances with at least one positive
 /// body atom outside the store as it stood before the frontier joined it —
 /// instances the old store fully supported belong to an earlier call — so
 /// appending them to that earlier call's result reproduces what a cold
@@ -77,11 +79,11 @@ pub(crate) fn ground_from(
     store: &mut FactStore,
     frontier: Option<AtomStore>,
     opts: EvalOptions,
-) -> Result<Vec<GroundRule>, EngineError> {
+    ground: &mut GroundProgram,
+) -> Result<(), EngineError> {
     // The driver matches an instance once per frontier atom it reads (and a
     // program may repeat a rule), so instances are deduplicated as they land.
-    let mut seen: TermSet<GroundRule> = TermSet::default();
-    let mut rules = Vec::new();
+    let mut seen: TermSet<IdRule> = TermSet::default();
     saturate(
         program,
         store,
@@ -89,15 +91,14 @@ pub(crate) fn ground_from(
         NegationMode::Ignore,
         opts,
         &mut |rule, theta, head| {
-            let instance = instantiate_rule(rule, theta, head.clone())?;
+            let instance = ground.intern(&instantiate_rule(rule, theta, head.clone())?);
             if seen.insert(instance.clone()) {
-                rules.push(instance);
-                check_rule_budget(rules.len(), opts)?;
+                ground.id_rules.push(instance);
+                check_rule_budget(ground.len(), opts)?;
             }
             Ok(())
         },
-    )?;
-    Ok(rules)
+    )
 }
 
 /// The paper's definition of the relevant instantiation, literally: each
@@ -318,7 +319,7 @@ mod tests {
         );
         // Two facts + two instantiated rules (for X/a and X/b).
         assert_eq!(gp.len(), 4);
-        let texts: Vec<String> = gp.rules.iter().map(|r| r.to_string()).collect();
+        let texts: Vec<String> = gp.rules().map(|r| r.to_string()).collect();
         assert!(texts.contains(&"winning(a) :- move(a, b), not winning(b).".to_string()));
         assert!(texts.contains(&"winning(b) :- move(b, c), not winning(c).".to_string()));
     }
@@ -329,7 +330,7 @@ mod tests {
             "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
              game(move1). move1(a, b). move1(b, c).",
         );
-        let texts: Vec<String> = gp.rules.iter().map(|r| r.to_string()).collect();
+        let texts: Vec<String> = gp.rules().map(|r| r.to_string()).collect();
         assert!(texts.contains(
             &"winning(move1)(a) :- game(move1), move1(a, b), not winning(move1)(b).".to_string()
         ));
@@ -346,15 +347,16 @@ mod tests {
         );
         // The irrelevant fact does not generate winning instances.
         assert_eq!(gp.len(), 3);
-        assert!(!gp
-            .atoms()
-            .contains(&Term::apps("winning", vec![Term::sym("z")])));
+        assert_eq!(
+            gp.atoms.get(&Term::apps("winning", vec![Term::sym("z")])),
+            None
+        );
     }
 
     #[test]
     fn builtins_are_resolved_during_grounding() {
         let gp = ground("big(X) :- size(X, N), N > 2. size(a, 1). size(b, 5).");
-        let texts: Vec<String> = gp.rules.iter().map(|r| r.to_string()).collect();
+        let texts: Vec<String> = gp.rules().map(|r| r.to_string()).collect();
         assert!(texts.contains(&"big(b) :- size(b, 5).".to_string()));
         assert!(!texts.iter().any(|t| t.starts_with("big(a)")));
     }
@@ -390,7 +392,7 @@ mod tests {
         let normal = HerbrandUniverse::normal(&p, HerbrandBounds::default());
         let gp = ground_over_universe(&p, normal.terms(), EvalOptions::default()).unwrap();
         assert_eq!(gp.len(), 2);
-        assert!(gp.rules.iter().any(|r| r.to_string() == "p :- not q(a)."));
+        assert!(gp.rules().any(|r| r.to_string() == "p :- not q(a)."));
 
         let hilog = HerbrandUniverse::hilog(&p, HerbrandBounds::new(1, 0, 100));
         let gh = ground_over_universe(&p, hilog.terms(), EvalOptions::default()).unwrap();
@@ -429,22 +431,25 @@ mod tests {
         let fact = Term::apps("move", vec![Term::sym("c"), Term::sym("d")]);
         program.push(hilog_core::rule::Rule::fact(fact.clone()));
         store.insert(fact.clone());
-        let mut rules = old_ground.rules.clone();
-        rules.push(GroundRule::fact(fact.clone()));
-        rules.extend(
-            ground_from(
-                &program,
-                &mut store,
-                Some(AtomStore::from_atoms([fact])),
-                EvalOptions::default(),
-            )
-            .unwrap(),
-        );
+        let mut patched = old_ground;
+        patched.push(GroundRule::fact(fact.clone()));
+        ground_from(
+            &program,
+            &mut store,
+            Some(AtomStore::from_atoms([fact])),
+            EvalOptions::default(),
+            &mut patched,
+        )
+        .unwrap();
         let fresh = relevant_ground(&program, EvalOptions::default()).unwrap();
-        let patched_set: BTreeSet<_> = rules.iter().collect();
-        let fresh_set: BTreeSet<_> = fresh.rules.iter().collect();
+        let patched_set: BTreeSet<_> = patched.rules().collect();
+        let fresh_set: BTreeSet<_> = fresh.rules().collect();
         assert_eq!(patched_set, fresh_set);
-        assert_eq!(rules.len(), fresh.len(), "old ∪ delta repeated an instance");
+        assert_eq!(
+            patched.len(),
+            fresh.len(),
+            "old ∪ delta repeated an instance"
+        );
     }
 
     #[test]
@@ -453,14 +458,16 @@ mod tests {
         let mut store = FactStore::InMemory(
             least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap(),
         );
-        let rules = ground_from(
+        let mut ground = GroundProgram::new();
+        ground_from(
             &program,
             &mut store,
             Some(AtomStore::new()),
             EvalOptions::default(),
+            &mut ground,
         )
         .unwrap();
-        assert!(rules.is_empty());
+        assert!(ground.is_empty());
     }
 
     #[test]
@@ -499,8 +506,8 @@ mod tests {
         assert!(model_cost.0 > 0, "the chain joins through the indexes");
         assert_eq!(ground_cost, model_cost, "grounding joined on its own");
         let reference = ground_against(&program, &FactStore::InMemory(model), opts).unwrap();
-        let fused: BTreeSet<_> = ground.rules.iter().collect();
-        assert_eq!(fused, reference.rules.iter().collect::<BTreeSet<_>>());
+        let fused: BTreeSet<_> = ground.rules().collect();
+        assert_eq!(fused, reference.rules().collect::<BTreeSet<_>>());
         assert_eq!(ground.len(), reference.len());
     }
 

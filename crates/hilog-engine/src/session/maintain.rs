@@ -16,7 +16,7 @@
 //! A retract is DRed overdelete/rederive over the cached ground rules.
 
 use super::HiLogDb;
-use crate::ground::GroundRule;
+use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
 use crate::snapshot::{lock_mut, SnapCore};
@@ -117,11 +117,7 @@ impl HiLogDb {
             // Same cumulative cap as `assert_into_ground`: fall back to full
             // re-grounding (and its `LimitExceeded`) instead of silently
             // growing past what a fresh session would reject.
-            if core
-                .ground
-                .as_ref()
-                .is_some_and(|g| g.rules.len() > max_atoms)
-            {
+            if core.ground.as_ref().is_some_and(|g| g.len() > max_atoms) {
                 *core = SnapCore::default();
                 return;
             }
@@ -138,16 +134,20 @@ impl HiLogDb {
                 Arc::make_mut(possibly).remove(fact);
             }
             if let Some(ground) = &mut core.ground {
-                Arc::make_mut(ground)
-                    .rules
-                    .retain(|r| !(r.is_fact() && r.head == *fact));
+                let ground = Arc::make_mut(ground);
+                if let Some(id) = ground.atoms.get(fact) {
+                    ground.id_rules.retain(|r| !(r.is_fact() && r.head == id));
+                }
             }
+            // No rule reads or derives the fact, so with its fact instance
+            // gone no rule mentions it: it leaves the base, as a fresh
+            // grounding would never have put it there.
             if let Some(model) = &mut core.model {
-                Arc::make_mut(model).set_false(fact.clone());
+                Arc::make_mut(model).remove_atom(fact);
             }
             if let Some(models) = &mut core.stable {
                 for m in Arc::make_mut(models).iter_mut() {
-                    m.set_false(fact.clone());
+                    m.remove_atom(fact);
                 }
             }
         }
@@ -186,7 +186,8 @@ impl HiLogDb {
     /// `{fact}` over the warm possibly-true store, instantiating the rules
     /// each round's frontier enables as the frontier lands
     /// ([`ground_from`] — the heads and the instantiations come from the
-    /// same joins), appended to the cached ground program.
+    /// same joins), appended to the cached ground program, whose rule budget
+    /// the driver checks against the whole grounding.
     ///
     /// Returns `false` when the continuation cannot be completed (a resource
     /// limit, the deadline, a floundering instance — the store is then only
@@ -200,27 +201,24 @@ impl HiLogDb {
         let fact_was_new = possibly.insert(fact.clone());
         // The asserted fact's bodyless instance is new unless the atom was
         // already a ground fact (a duplicate assertion, or a builtin-guarded
-        // rule's instance): only then is a scan needed.
-        if fact_was_new || !ground.rules.iter().any(|r| r.is_fact() && r.head == *fact) {
+        // rule's instance): only then is a scan needed, and only if some
+        // rule mentions the atom at all.
+        let held = |id| ground.id_rules.iter().any(|r| r.is_fact() && r.head == id);
+        if fact_was_new || !ground.atoms.get(fact).is_some_and(held) {
             ground.push(GroundRule::fact(fact.clone()));
         }
         if fact_was_new {
             // Continuation instances carry at least one brand-new positive
             // body atom, so they cannot repeat any cached rule.
             let frontier = AtomStore::from_atoms([fact.clone()]);
-            let Ok(instances) = ground_from(program, possibly, Some(frontier), opts) else {
+            if ground_from(program, possibly, Some(frontier), opts, ground).is_err() {
                 return false;
-            };
-            for rule in instances {
-                ground.push(rule);
             }
         }
-        // The driver bounds the store and each call's instances; enforce the
-        // same *cumulative* limit a fresh grounding would hit, so a
-        // long-lived session cannot silently grow past what a fresh grounding
-        // would reject.  Falling back surfaces the `LimitExceeded` on the
-        // next query, exactly like a fresh session.
-        ground.rules.len() <= opts.max_atoms
+        // The driver checks the cumulative budget as instances land; the
+        // fact instance above still counts.  Falling back surfaces the
+        // `LimitExceeded` on the next query, exactly like a fresh session.
+        ground.len() <= opts.max_atoms
     }
 
     /// DRed-style maintenance for a retracted fact: *overdelete* the forward
@@ -237,37 +235,40 @@ impl HiLogDb {
         let program = &self.snap.program;
         let core = lock_mut(&mut self.snap.core);
         let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
-        let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
+        let GroundProgram { atoms, id_rules } =
+            Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
+        // An atom no rule mentions supports nothing and is derived by nothing.
+        let Some(fact_id) = atoms.get(fact) else {
+            possibly.remove(fact);
+            return;
+        };
+        let in_scope = |rule: &IdRule| pred_scope_affects(preds, atoms.resolve(rule.head));
         // One pass over the in-scope rules builds the index both fixpoints
         // run on (rules by positive body atom), so neither loop ever rescans
         // the ground program per round.
-        let mut rules_by_pos: TermMap<&Term, Vec<usize>> = TermMap::default();
-        for (i, rule) in ground.rules.iter().enumerate() {
-            if !pred_scope_affects(preds, &rule.head) {
-                continue;
-            }
-            for atom in &rule.pos {
-                rules_by_pos.entry(atom).or_default().push(i);
+        let mut rules_by_pos: Vec<Vec<usize>> = vec![Vec::new(); atoms.len()];
+        for (i, rule) in id_rules.iter().enumerate() {
+            if in_scope(rule) {
+                for atom in &rule.pos {
+                    rules_by_pos[atom.index()].push(i);
+                }
             }
         }
         // Overdelete: everything whose derivation may pass through `fact`,
         // by worklist over the index.
-        let mut deleted: BTreeSet<Term> = BTreeSet::new();
-        deleted.insert(fact.clone());
-        let mut worklist = vec![fact.clone()];
+        let mut deleted = vec![false; atoms.len()];
+        deleted[fact_id.index()] = true;
+        let mut worklist = vec![fact_id];
         while let Some(atom) = worklist.pop() {
-            let Some(readers) = rules_by_pos.get(&atom) else {
-                continue;
-            };
-            for &ri in readers {
-                let head = &ground.rules[ri].head;
-                if !deleted.contains(head) {
-                    deleted.insert(head.clone());
-                    worklist.push(head.clone());
+            for &ri in &rules_by_pos[atom.index()] {
+                let head = id_rules[ri].head;
+                if !deleted[head.index()] {
+                    deleted[head.index()] = true;
+                    worklist.push(head);
                 }
             }
         }
-        for atom in &deleted {
+        for (_, atom) in atoms.iter().filter(|(id, _)| deleted[id.index()]) {
             possibly.remove(atom);
         }
         // The retracted EDB instance only survives if another bodyless route
@@ -277,44 +278,35 @@ impl HiLogDb {
         // instantiations is fully supported by surviving atoms.  Only rules
         // whose head was overdeleted can rederive anything; seed with those,
         // then chase the index from each re-added atom.
-        let candidates: Vec<usize> = ground
-            .rules
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| deleted.contains(&r.head))
-            .map(|(i, _)| i)
-            .collect();
-        let rederives = |rule: &GroundRule, possibly: &FactStore| {
-            rule.pos.iter().all(|a| possibly.contains(a))
-                && !(rule.is_fact() && rule.head == *fact && !spontaneous)
+        let rederives = |rule: &IdRule, possibly: &FactStore| {
+            rule.pos
+                .iter()
+                .all(|&a| possibly.contains(atoms.resolve(a)))
+                && !(rule.is_fact() && rule.head == fact_id && !spontaneous)
         };
-        let mut worklist: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&ri| rederives(&ground.rules[ri], possibly))
+        let mut worklist: Vec<usize> = (0..id_rules.len())
+            .filter(|&ri| deleted[id_rules[ri].head.index()] && rederives(&id_rules[ri], possibly))
             .collect();
         while let Some(ri) = worklist.pop() {
-            let head = &ground.rules[ri].head;
-            if !deleted.remove(head) {
+            let head = id_rules[ri].head;
+            if !deleted[head.index()] {
                 continue;
             }
-            possibly.insert(head.clone());
+            deleted[head.index()] = false;
+            possibly.insert(atoms.resolve(head).clone());
             // Re-adding `head` can revalidate overdeleted rules reading it.
-            if let Some(readers) = rules_by_pos.get(head) {
-                for &reader in readers {
-                    let rule = &ground.rules[reader];
-                    if deleted.contains(&rule.head) && rederives(rule, possibly) {
-                        worklist.push(reader);
-                    }
+            for &reader in &rules_by_pos[head.index()] {
+                let rule = &id_rules[reader];
+                if deleted[rule.head.index()] && rederives(rule, possibly) {
+                    worklist.push(reader);
                 }
             }
         }
         // Drop the instantiations that lost support.  (`possibly` shrank, so
         // this is exactly what a fresh relevant instantiation would omit;
-        // out-of-scope rules cannot have lost anything.)
-        ground
-            .rules
-            .retain(|r| !pred_scope_affects(preds, &r.head) || rederives(r, possibly));
+        // out-of-scope rules cannot have lost anything.)  Their atoms keep
+        // their ids; the model's base is what the surviving rules mention.
+        id_rules.retain(|r| !in_scope(r) || rederives(r, possibly));
     }
 
     fn analysis(&mut self) -> &DepAnalysis {
@@ -451,7 +443,8 @@ mod tests {
     /// What a write that is not pure-EDB leaves behind, read through the
     /// full-model query `open`: the model is evaluated again (`Rebuilt`)
     /// from the grounding the write kept current (no grounding pass), it
-    /// equals a fresh session's on every atom, and the re-read is `Cached`.
+    /// equals a fresh session's whole (base included), and the re-read is
+    /// `Cached`.
     fn assert_model_re_evaluated_from_the_maintained_grounding(db: &mut HiLogDb, open: &Query) {
         assert!(!db.explain(open).cached_model, "the write kept the model");
         let read = db.query(open).unwrap();
@@ -459,11 +452,7 @@ mod tests {
         assert_eq!(read.stats.model_source, ModelSource::Rebuilt);
         let mut fresh = HiLogDb::new(db.program().clone());
         assert_eq!(read.answers, fresh.query(open).unwrap().answers);
-        let fresh_model = fresh.model().unwrap().clone();
-        let model = db.model().unwrap();
-        for atom in model.base().iter().chain(fresh_model.base()) {
-            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
         let again = db.query(open).unwrap();
         assert_eq!(again.stats.groundings, 0);
         assert_eq!(again.stats.model_source, ModelSource::Cached);
@@ -499,6 +488,27 @@ mod tests {
             db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
             Truth::False
         );
+        // The patched model is the one a fresh session computes, base
+        // included: a retracted fact nothing mentions any more leaves it.
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 0);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+    }
+
+    #[test]
+    fn retracting_an_unread_fact_leaves_no_phantom_in_any_model() {
+        // The same patch over the stable models: warm both, assert and
+        // retract a fact no rule reads, and every model is a fresh one.
+        let mut db = HiLogDb::new(parse_program("p(X) :- q(X). q(a).").unwrap());
+        db.model().unwrap();
+        db.stable_models().unwrap();
+        let unread = parse_term("unread(a)").unwrap();
+        db.assert_fact(unread.clone()).unwrap();
+        assert!(db.retract_fact(&unread));
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert!(!db.model().unwrap().base().contains(&unread));
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+        assert_eq!(db.stable_models().unwrap(), fresh.stable_models().unwrap());
     }
 
     #[test]
@@ -699,11 +709,7 @@ mod tests {
         assert_eq!(warm.answers.len(), 1);
         let mut fresh = HiLogDb::new(db.program().clone());
         assert_eq!(warm.answers, fresh.query(&open).unwrap().answers);
-        let fresh_model = fresh.model().unwrap().clone();
-        let model = db.model().unwrap();
-        for atom in model.base().iter().chain(fresh_model.base()) {
-            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
         // A non-ground bodiless rule is no twin of any ground fact either
         // (it makes the full model flounder, so only the tables are warm):
         // it neither keeps a retracted fact alive nor is touched by it.
@@ -810,14 +816,10 @@ mod tests {
         let mut fresh = HiLogDb::new(db.program().clone());
         assert_eq!(after.answers, fresh.query(&unbound).unwrap().answers);
         assert_eq!(
-            db.ground_program().unwrap().rules.len(),
-            fresh.ground_program().unwrap().rules.len()
+            db.ground_program().unwrap().len(),
+            fresh.ground_program().unwrap().len()
         );
-        let fresh_model = fresh.model().unwrap().clone();
-        let model = db.model().unwrap();
-        for atom in model.base().iter().chain(fresh_model.base()) {
-            assert_eq!(model.truth(atom), fresh_model.truth(atom), "{atom}");
-        }
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
         assert_eq!(
             db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
             Truth::True

@@ -59,6 +59,7 @@ pub fn stable_models_of_ground(
     let undefined: Vec<Term> = wfm.undefined_atoms().iter().cloned().collect();
     let mut solver = Solver {
         program,
+        rules: program.rules().collect(),
         base: wfm.base().iter().cloned().collect(),
         undefined,
         models: Vec::new(),
@@ -73,6 +74,8 @@ pub fn stable_models_of_ground(
 
 struct Solver<'a> {
     program: &'a GroundProgram,
+    /// The program's rules as terms, materialised once per search.
+    rules: Vec<GroundRule>,
     base: Vec<Term>,
     undefined: Vec<Term>,
     models: Vec<Model>,
@@ -92,7 +95,7 @@ impl Solver<'_> {
         loop {
             let mut changed = false;
             // T_P step.
-            for rule in &self.program.rules {
+            for rule in &self.rules {
                 if rule.pos.iter().all(|a| true_set.contains(a))
                     && rule.neg.iter().all(|a| false_set.contains(a))
                     && !true_set.contains(&rule.head)
@@ -128,7 +131,6 @@ impl Solver<'_> {
     ) -> BTreeSet<Term> {
         let mut founded: BTreeSet<Term> = BTreeSet::new();
         let usable: Vec<bool> = self
-            .program
             .rules
             .iter()
             .map(|r| {
@@ -139,7 +141,7 @@ impl Solver<'_> {
         let mut changed = true;
         while changed {
             changed = false;
-            for (ri, rule) in self.program.rules.iter().enumerate() {
+            for (ri, rule) in self.rules.iter().enumerate() {
                 if !usable[ri] || founded.contains(&rule.head) {
                     continue;
                 }
@@ -208,9 +210,8 @@ impl Solver<'_> {
 /// `M`; delete the remaining negative literals) equals the true atoms of `M`.
 pub fn gelfond_lifschitz_check(program: &GroundProgram, candidate: &Model) -> bool {
     // Build the reduct.
-    let reduct: Vec<&GroundRule> = program
-        .rules
-        .iter()
+    let reduct: Vec<GroundRule> = program
+        .rules()
         .filter(|r| r.neg.iter().all(|a| !candidate.is_true(a)))
         .collect();
     // Least model of the (definite) reduct.

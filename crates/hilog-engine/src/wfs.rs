@@ -28,27 +28,29 @@
 //! see [`crate::grounder`]).
 
 use crate::error::EngineError;
-use crate::ground::{GroundProgram, IndexedProgram, IndexedRule};
+use crate::ground::{GroundProgram, IdRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
 use hilog_core::analysis::strongly_connected_components;
+use hilog_core::intern::AtomId;
 use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
 
-/// A three-valued assignment over the atoms of an [`IndexedProgram`], by
-/// atom id: `Some(true)` = true, `Some(false)` = false, `None` = undefined.
+/// A three-valued assignment over a [`GroundProgram`]'s atoms, indexed by
+/// [`AtomId::index`]: `Some(true)` = true, `Some(false)` = false, `None` =
+/// undefined.
 type Assignment = [Option<bool>];
 
 /// One application of the `T_P` operator (Definition 3.5): the set of atoms
 /// with a rule whose positive body atoms are all true and whose negative body
 /// atoms are all false in `I`.
-fn t_p(program: &IndexedProgram, i: &Assignment) -> Vec<u32> {
-    let body_true = |r: &IndexedRule| {
-        r.pos.iter().all(|&p| i[p as usize] == Some(true))
-            && r.neg.iter().all(|&n| i[n as usize] == Some(false))
+fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
+    let body_true = |r: &IdRule| {
+        r.pos.iter().all(|p| i[p.index()] == Some(true))
+            && r.neg.iter().all(|n| i[n.index()] == Some(false))
     };
-    let fired = program.rules.iter().filter(|r| body_true(r));
+    let fired = program.id_rules.iter().filter(|r| body_true(r));
     fired.map(|r| r.head).collect()
 }
 
@@ -60,27 +62,27 @@ fn t_p(program: &IndexedProgram, i: &Assignment) -> Vec<u32> {
 /// (condition 1: no body literal's complement is in `I`) whose positive body
 /// atoms are all founded (the negation of condition 2).  Everything not
 /// founded is unfounded.
-fn greatest_unfounded_set(program: &IndexedProgram, i: &Assignment) -> Vec<bool> {
-    let mut founded = vec![false; program.atom_count()];
+fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
+    let mut founded = vec![false; program.atoms.len()];
     // usable[r] = rule r has no witness of unusability of type 1.
     let usable: Vec<bool> = program
-        .rules
+        .id_rules
         .iter()
         .map(|r| {
-            r.pos.iter().all(|&p| i[p as usize] != Some(false))
-                && r.neg.iter().all(|&q| i[q as usize] != Some(true))
+            r.pos.iter().all(|p| i[p.index()] != Some(false))
+                && r.neg.iter().all(|q| i[q.index()] != Some(true))
         })
         .collect();
     // Least fixpoint by worklist.
     let mut changed = true;
     while changed {
         changed = false;
-        for (ri, rule) in program.rules.iter().enumerate() {
-            if !usable[ri] || founded[rule.head as usize] {
+        for (rule, &usable) in program.id_rules.iter().zip(&usable) {
+            if !usable || founded[rule.head.index()] {
                 continue;
             }
-            if rule.pos.iter().all(|&p| founded[p as usize]) {
-                founded[rule.head as usize] = true;
+            if rule.pos.iter().all(|p| founded[p.index()]) {
+                founded[rule.head.index()] = true;
                 changed = true;
             }
         }
@@ -95,20 +97,18 @@ fn greatest_unfounded_set(program: &IndexedProgram, i: &Assignment) -> Vec<bool>
 /// No production path calls this — every evaluation goes through
 /// [`well_founded_eval`] — and it re-scans the whole program once per
 /// iteration, which is quadratic on deep chains.  It exists
-/// so the oracles (`tests/parallel_oracle.rs`, the unit tests below) can hold
+/// so the oracles (`tests/wfs_reference.rs`, the unit tests below) can hold
 /// the component order to the paper's definition.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
-    let indexed = IndexedProgram::build(program);
-    let n = indexed.atom_count();
-    let mut assignment = vec![None; n];
+    let mut assignment = vec![None; program.atoms.len()];
     loop {
         let mut changed = false;
         // W_P(I) = T_P(I) ∪ ¬ · U_P(I).
-        let trues = t_p(&indexed, &assignment);
-        let unfounded = greatest_unfounded_set(&indexed, &assignment);
+        let trues = t_p(program, &assignment);
+        let unfounded = greatest_unfounded_set(program, &assignment);
         for a in trues {
-            if assignment[a as usize] != Some(true) {
-                assignment[a as usize] = Some(true);
+            if assignment[a.index()] != Some(true) {
+                assignment[a.index()] = Some(true);
                 changed = true;
             }
         }
@@ -122,19 +122,25 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
             break;
         }
     }
-    assemble_model(&indexed, &assignment)
+    assemble_model(program, &assignment)
 }
 
-/// Builds a [`Model`] from a settled assignment over an indexed program's
-/// atoms.  The result depends only on the assignment values (the model's
-/// sets are ordered), never on the order that produced them.
-fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
+/// Builds a [`Model`] from a settled assignment over a ground program's
+/// atoms.  The base is the atoms some rule mentions (an id maintenance left
+/// behind is no part of it).  The result depends only on the assignment
+/// values (the model's sets are ordered), never on the order that produced
+/// them.
+fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
+    let mentioned = program.mentioned();
     let mut true_atoms = Vec::new();
     let mut undefined = Vec::new();
     let mut base = Vec::new();
-    for (id, atom) in indexed.atoms.iter() {
+    for (id, atom) in program.atoms.iter() {
+        if !mentioned[id.index()] {
+            continue;
+        }
         base.push(atom.clone());
-        match assignment[id as usize] {
+        match assignment[id.index()] {
             Some(true) => true_atoms.push(atom.clone()),
             Some(false) => {}
             None => undefined.push(atom.clone()),
@@ -158,9 +164,8 @@ fn assemble_model(indexed: &IndexedProgram, assignment: &Assignment) -> Model {
 /// parameter stays only while the benchmark package pins this signature
 /// (ROADMAP 1(c) removes it).
 pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
-    let indexed = IndexedProgram::build(program);
-    let assignment = settle_components(&indexed, &condensation(&indexed));
-    assemble_model(&indexed, &assignment)
+    let assignment = settle_components(program, &condensation(program));
+    assemble_model(program, &assignment)
 }
 
 /// The well-founded model of a ground program that is *locally stratified*
@@ -173,18 +178,17 @@ pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
 /// over that same condensation.  A locally stratified program's model is
 /// total.
 pub(crate) fn stratified_eval(program: &GroundProgram) -> Option<Model> {
-    let indexed = IndexedProgram::build(program);
-    let condensation = condensation(&indexed);
+    let condensation = condensation(program);
     let scc_of = &condensation.scc_of;
-    let negative_cycle = indexed.rules.iter().any(|rule| {
-        let head = scc_of[rule.head as usize];
-        rule.neg.iter().any(|&q| scc_of[q as usize] == head)
+    let negative_cycle = program.id_rules.iter().any(|rule| {
+        let head = scc_of[rule.head.index()];
+        rule.neg.iter().any(|q| scc_of[q.index()] == head)
     });
     if negative_cycle {
         return None;
     }
-    let assignment = settle_components(&indexed, &condensation);
-    Some(assemble_model(&indexed, &assignment))
+    let assignment = settle_components(program, &condensation);
+    Some(assemble_model(program, &assignment))
 }
 
 /// The condensation of the atom dependency graph.
@@ -196,15 +200,15 @@ struct Condensation {
     scc_of: Vec<usize>,
 }
 
-/// Condenses the atom dependency graph — one vertex per atom, an edge from
-/// every rule head to each of its (positive *and* negative) body atoms.
-fn condensation(indexed: &IndexedProgram) -> Condensation {
-    let n = indexed.atom_count();
-    let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for rule in &indexed.rules {
-        adj[rule.head as usize].extend(rule.pos.iter().chain(rule.neg.iter()));
+/// Condenses the atom dependency graph — one vertex per atom id, an edge
+/// from every rule head to each of its (positive *and* negative) body atoms.
+fn condensation(program: &GroundProgram) -> Condensation {
+    let n = program.atoms.len();
+    let mut adj: Vec<Vec<AtomId>> = vec![Vec::new(); n];
+    for rule in &program.id_rules {
+        adj[rule.head.index()].extend(rule.pos.iter().chain(&rule.neg));
     }
-    let mut sccs = strongly_connected_components(n, |v| adj[v].iter().map(|&w| w as usize));
+    let mut sccs = strongly_connected_components(n, |v| adj[v].iter().map(|a| a.index()));
     let mut scc_of = vec![usize::MAX; n];
     for (si, members) in sccs.iter_mut().enumerate() {
         members.sort_unstable();
@@ -218,10 +222,18 @@ fn condensation(indexed: &IndexedProgram) -> Condensation {
 /// Settles every component of `condensation` in order into one assignment.
 /// Tarjan's order puts each component after everything it depends on, so a
 /// component only ever reads atoms that are already settled.
-fn settle_components(indexed: &IndexedProgram, condensation: &Condensation) -> Vec<Option<bool>> {
-    let mut assignment = vec![None; indexed.atom_count()];
+fn settle_components(program: &GroundProgram, condensation: &Condensation) -> Vec<Option<bool>> {
+    let mut rules_by_head: Vec<Vec<&IdRule>> = vec![Vec::new(); program.atoms.len()];
+    for rule in &program.id_rules {
+        rules_by_head[rule.head.index()].push(rule);
+    }
+    let mut assignment = vec![None; program.atoms.len()];
     for members in &condensation.sccs {
-        let values = eval_component(indexed, members, &assignment);
+        let rules: Vec<&IdRule> = members
+            .iter()
+            .flat_map(|&m| rules_by_head[m].iter().copied())
+            .collect();
+        let values = eval_component(&rules, members, &assignment);
         for (&atom, value) in members.iter().zip(values) {
             assignment[atom] = value;
         }
@@ -230,37 +242,29 @@ fn settle_components(indexed: &IndexedProgram, condensation: &Condensation) -> V
 }
 
 /// Settles one strongly connected component: the alternating `W_P` fixpoint
-/// restricted to the rules whose head lies in the component, with every
-/// non-member body atom read from the settled assignment as fixed context.
-/// A settled external atom counts as founded exactly when it is not false
-/// (at the fixpoint of the full computation the unfounded set is the set of
-/// false atoms).  Returns the members' final truth values, in member order;
-/// recording them is the caller's job.
-fn eval_component(
-    indexed: &IndexedProgram,
-    members: &[usize],
-    settled: &Assignment,
-) -> Vec<Option<bool>> {
+/// restricted to `rules`, the rules whose head lies in the component, with
+/// every non-member body atom read from the settled assignment as fixed
+/// context.  A settled external atom counts as founded exactly when it is
+/// not false (at the fixpoint of the full computation the unfounded set is
+/// the set of false atoms).  Returns the members' final truth values, in
+/// member order; recording them is the caller's job.
+fn eval_component(rules: &[&IdRule], members: &[usize], settled: &Assignment) -> Vec<Option<bool>> {
     // Members are sorted, so a binary search beats a hash map at the
     // typical component size (a singleton, for any stratified program).
-    let local_idx = |a: u32| members.binary_search(&(a as usize)).ok();
+    let local_idx = |a: AtomId| members.binary_search(&a.index()).ok();
     let mut local: Vec<Option<bool>> = vec![None; members.len()];
-    let rule_ids: Vec<u32> = members
-        .iter()
-        .flat_map(|&m| indexed.rules_by_head[m].iter().copied())
-        .collect();
-    let value = |local: &[Option<bool>], a: u32| -> Option<bool> {
+    let value = |local: &[Option<bool>], a: AtomId| -> Option<bool> {
         match local_idx(a) {
             Some(li) => local[li],
-            None => settled[a as usize],
+            None => settled[a.index()],
         }
     };
 
     loop {
         let mut changed = false;
         // T_P restricted to the component's rules.
-        let rules = rule_ids.iter().map(|&ri| &indexed.rules[ri as usize]);
         let trues: Vec<usize> = rules
+            .iter()
             .filter(|rule| {
                 rule.pos.iter().all(|&p| value(&local, p) == Some(true))
                     && rule.neg.iter().all(|&q| value(&local, q) == Some(false))
@@ -270,10 +274,9 @@ fn eval_component(
         // Greatest unfounded set restricted to the members: the founded
         // least fixpoint over the component's rules, externals pre-founded
         // unless false.
-        let usable: Vec<bool> = rule_ids
+        let usable: Vec<bool> = rules
             .iter()
-            .map(|&ri| {
-                let rule = &indexed.rules[ri as usize];
+            .map(|rule| {
                 rule.pos.iter().all(|&p| value(&local, p) != Some(false))
                     && rule.neg.iter().all(|&q| value(&local, q) != Some(true))
             })
@@ -282,18 +285,17 @@ fn eval_component(
         let mut grew = true;
         while grew {
             grew = false;
-            for (k, &ri) in rule_ids.iter().enumerate() {
-                if !usable[k] {
+            for (rule, &usable) in rules.iter().zip(&usable) {
+                if !usable {
                     continue;
                 }
-                let rule = &indexed.rules[ri as usize];
                 let head = local_idx(rule.head).expect("rule head is a member");
                 if founded[head] {
                     continue;
                 }
                 let supported = rule.pos.iter().all(|&p| match local_idx(p) {
                     Some(pl) => founded[pl],
-                    None => settled[p as usize] != Some(false),
+                    None => settled[p.index()] != Some(false),
                 });
                 if supported {
                     founded[head] = true;
@@ -322,31 +324,27 @@ fn eval_component(
 
 /// Checks whether a *total* candidate assignment over the ground program's
 /// atoms is a fixpoint of `W_P` — the characterisation of stable models used
-/// by Definition 3.6.  `candidate` maps every atom of the program to a truth
-/// value via [`Model::truth`] (atoms outside its base count as false).
+/// by Definition 3.6.  `candidate` maps every atom some rule mentions to a
+/// truth value via [`Model::is_true`] (atoms outside its base count as
+/// false).
 pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> bool {
-    let indexed = IndexedProgram::build(program);
-    let n = indexed.atom_count();
-    let mut assignment = vec![None; n];
-    for (id, atom) in indexed.atoms.iter() {
-        assignment[id as usize] = Some(candidate.is_true(atom));
-    }
+    let assignment: Vec<Option<bool>> = program
+        .atoms
+        .terms()
+        .iter()
+        .map(|atom| Some(candidate.is_true(atom)))
+        .collect();
     // T_P(I) must be exactly the true atoms, and U_P(I) exactly the false ones.
-    let mut derived = vec![false; n];
-    for a in t_p(&indexed, &assignment) {
-        derived[a as usize] = true;
+    let mut derived = vec![false; assignment.len()];
+    for a in t_p(program, &assignment) {
+        derived[a.index()] = true;
     }
-    let unfounded = greatest_unfounded_set(&indexed, &assignment);
-    for id in 0..n {
+    let unfounded = greatest_unfounded_set(program, &assignment);
+    let mentioned = program.mentioned();
+    (0..assignment.len()).filter(|&id| mentioned[id]).all(|id| {
         let is_true = assignment[id] == Some(true);
-        if is_true != derived[id] {
-            return false;
-        }
-        if is_true == unfounded[id] {
-            return false;
-        }
-    }
-    true
+        is_true == derived[id] && is_true != unfounded[id]
+    })
 }
 
 /// Computes the well-founded model of a program instantiated over an
@@ -649,8 +647,7 @@ mod tests {
                 })
                 .collect(),
         );
-        let indexed = IndexedProgram::build(&gp);
-        let sccs = condensation(&indexed).sccs;
+        let sccs = condensation(&gp).sccs;
         assert!(sccs.len() >= 2_000, "{} components", sccs.len());
 
         let model = well_founded_eval(&gp, 1);

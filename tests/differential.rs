@@ -26,7 +26,7 @@
 //!   the semi-naive driver emits from its one join pass vs the paper's
 //!   definition (`ground_against` over the finished least model), on the
 //!   default and the spill backend, and a session's *maintained* grounding
-//!   after an assert stream vs a fresh session's.
+//!   and model after an assert and retract stream vs a fresh session's.
 //!
 //! The seeds in `tests/corpus/differential_seeds.txt` are a committed
 //! regression corpus: they are always run, in every configuration, before
@@ -242,19 +242,18 @@ fn grounding_cases(seed: u64) -> Vec<(Program, String)> {
     cases
 }
 
-fn rule_set(ground: &GroundProgram) -> std::collections::BTreeSet<&GroundRule> {
-    ground.rules.iter().collect()
+fn rule_set(ground: &GroundProgram) -> std::collections::BTreeSet<GroundRule> {
+    ground.rules().collect()
 }
 
 #[test]
-fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count() {
+fn the_fused_grounding_is_the_definitional_one_on_every_backend() {
     // `relevant_ground` takes its instances from the joins that compute the
     // possibly-true store; Section 4's definition joins every rule against
     // the *finished* store.  Same set of ground rules, no instance twice,
     // and the store the driver leaves behind is the least model — whether
     // the rounds run into the default store or into a spill store that
-    // keeps 16 rows resident.  (One thread evaluates: the name's "thread
-    // count" is the one there is.)
+    // keeps 16 rows resident.
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
             let opts = EvalOptions::default();
@@ -293,12 +292,16 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend_and_thread_count
 }
 
 #[test]
-fn a_maintained_grounding_equals_a_cold_one_after_an_assert_stream() {
+fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream() {
     // Cold grounding is the driver from an empty store, `assert_fact` the
-    // driver continued from the new fact: after any stream of assertions
-    // (new edges, duplicates, derived atoms, facts no rule reads) the
-    // session's maintained ground program must be the set a fresh session
-    // grounds cold.
+    // driver continued from the new fact, `retract_fact` DRed over the
+    // grounding (or, for a fact no rule reads, an edit in place): after any
+    // stream of assertions (new edges, duplicates, derived atoms, facts no
+    // rule reads) and retractions (of those, and of the program's own facts)
+    // the session's maintained ground program must be the set a fresh
+    // session grounds cold, and its model a fresh session's, base included.
+    // The model is read after every write, so an unread fact's retraction
+    // patches a warm model.
     for seed in seeds(0) {
         for hilog in [false, true] {
             let program = if hilog {
@@ -307,15 +310,29 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_stream() {
                 random_range_restricted_normal(NormalProgramConfig::default(), seed)
             };
             let mut db = HiLogDb::new(program);
-            db.ground_program().expect("warm the grounding");
+            db.model().expect("warm the grounding and the model");
             // A cheap deterministic stream: the generators' own vocabulary,
-            // stepped by the seed.
+            // stepped by the seed.  Every third write is a retraction.
             let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-            for _ in 0..6 {
+            let mut asserted: Vec<Term> = Vec::new();
+            for step in 0..9 {
                 state = state
                     .wrapping_mul(6364136223846793005)
                     .wrapping_add(1442695040888963407);
                 let (a, b, pick) = ((state >> 33) % 5, (state >> 40) % 5, (state >> 50) % 5);
+                if step % 3 == 2 {
+                    // One of the stream's own facts, or one of the program's.
+                    let fact = if pick % 2 == 0 && !asserted.is_empty() {
+                        asserted.swap_remove(a as usize % asserted.len())
+                    } else {
+                        let facts: Vec<Term> =
+                            db.program().facts().map(|r| r.head.clone()).collect();
+                        facts[(state >> 20) as usize % facts.len()].clone()
+                    };
+                    db.retract_fact(&fact);
+                    db.model().expect("model after a retraction");
+                    continue;
+                }
                 let text = match (hilog, pick) {
                     (_, 0) => format!("unread(c{a}, c{b})"),
                     // A derived atom, often one the store already holds: the
@@ -325,7 +342,10 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_stream() {
                     (true, _) => format!("r{}(c{}, c{})", pick % 2, a % 4, b % 4),
                     (false, _) => format!("edb{}(c{a}, c{b})", pick % 2),
                 };
-                db.assert_fact(parse_term(&text).unwrap()).unwrap();
+                let fact = parse_term(&text).unwrap();
+                db.assert_fact(fact.clone()).unwrap();
+                db.model().expect("model after an assertion");
+                asserted.push(fact);
             }
             let maintained = db.ground_program().expect("maintained grounding").clone();
             let mut fresh = HiLogDb::new(db.program().clone());
@@ -337,6 +357,8 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_stream() {
                 cold.len(),
                 "repeated instance ({context})"
             );
+            let model = db.model().expect("maintained model").clone();
+            assert_eq!(&model, fresh.model().expect("cold model"), "{context}");
         }
     }
 }
