@@ -3,20 +3,19 @@
 //! The paper works with *partial interpretations*: consistent sets of ground
 //! literals (Definitions 2.2 and 3.2).  An atom is **true** if it appears
 //! positively, **false** if it appears negatively, and **undefined**
-//! otherwise.  Because both the normal and (especially) the HiLog Herbrand
-//! bases can be infinite, computed well-founded / stable models are
-//! represented finitely by a [`Model`]: an explicit *base* of relevant atoms
-//! together with its true and undefined subsets; every atom outside the base
-//! is false by convention (this matches the semantics of (strongly)
-//! range-restricted programs, where Observation 5.1 / Lemma 6.3 guarantee
-//! that atoms outside the relevant set are false).
+//! otherwise: every atom has exactly one truth value.  Because both the
+//! normal and (especially) the HiLog Herbrand bases can be infinite, computed
+//! well-founded / stable models are represented finitely by a [`Model`]: one
+//! ordered map from each atom of an explicit *base* of relevant atoms to its
+//! value.  Every atom outside the base is false (Observation 5.1 / Lemma 6.3
+//! guarantee this for (strongly) range-restricted programs).
 //!
 //! The module also implements the `extends` and `conservatively extends`
 //! relations of Definition 2.4, which Theorems 4.1, 4.2, 5.3 and 5.4 are
 //! stated in terms of.
 
 use crate::term::Term;
-use std::collections::BTreeSet;
+use std::collections::{btree_map, BTreeMap};
 use std::fmt;
 
 /// The three truth values of the well-founded semantics.
@@ -55,155 +54,35 @@ impl fmt::Display for Truth {
     }
 }
 
-/// A partial interpretation: a consistent set of ground literals, stored as
-/// the set of true atoms and the set of false atoms.
+/// A finitely represented three-valued model: one ordered map from each
+/// atom of the base to its truth value.
 ///
-/// Atoms in neither set are undefined.  Unlike [`Model`], an
-/// `Interpretation` carries no notion of a base: it is exactly the
-/// "consistent set of ground literals" of Definition 3.2.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct Interpretation {
-    true_atoms: BTreeSet<Term>,
-    false_atoms: BTreeSet<Term>,
-}
-
-impl Interpretation {
-    /// The empty interpretation (everything undefined).
-    pub fn new() -> Self {
-        Interpretation::default()
-    }
-
-    /// Marks an atom true.  Returns `false` if this would make the
-    /// interpretation inconsistent (the atom is already false).
-    pub fn insert_true(&mut self, atom: Term) -> bool {
-        if self.false_atoms.contains(&atom) {
-            return false;
-        }
-        self.true_atoms.insert(atom);
-        true
-    }
-
-    /// Marks an atom false.  Returns `false` if this would make the
-    /// interpretation inconsistent (the atom is already true).
-    pub fn insert_false(&mut self, atom: Term) -> bool {
-        if self.true_atoms.contains(&atom) {
-            return false;
-        }
-        self.false_atoms.insert(atom);
-        true
-    }
-
-    /// The truth value of an atom.
-    pub fn truth(&self, atom: &Term) -> Truth {
-        if self.true_atoms.contains(atom) {
-            Truth::True
-        } else if self.false_atoms.contains(atom) {
-            Truth::False
-        } else {
-            Truth::Undefined
-        }
-    }
-
-    /// The set of true atoms.
-    pub fn true_atoms(&self) -> &BTreeSet<Term> {
-        &self.true_atoms
-    }
-
-    /// The set of false atoms.
-    pub fn false_atoms(&self) -> &BTreeSet<Term> {
-        &self.false_atoms
-    }
-
-    /// Total number of literals (true + false).
-    pub fn len(&self) -> usize {
-        self.true_atoms.len() + self.false_atoms.len()
-    }
-
-    /// Returns `true` if no literal is present.
-    pub fn is_empty(&self) -> bool {
-        self.true_atoms.is_empty() && self.false_atoms.is_empty()
-    }
-
-    /// Returns `true` if no atom is both true and false (Definition 3.1).
-    pub fn is_consistent(&self) -> bool {
-        self.true_atoms.is_disjoint(&self.false_atoms)
-    }
-
-    /// Merges another interpretation into this one; returns `false` if the
-    /// union would be inconsistent (in which case `self` is left unchanged).
-    pub fn merge(&mut self, other: &Interpretation) -> bool {
-        if other
-            .true_atoms
-            .iter()
-            .any(|a| self.false_atoms.contains(a))
-            || other
-                .false_atoms
-                .iter()
-                .any(|a| self.true_atoms.contains(a))
-        {
-            return false;
-        }
-        self.true_atoms.extend(other.true_atoms.iter().cloned());
-        self.false_atoms.extend(other.false_atoms.iter().cloned());
-        true
-    }
-}
-
-impl fmt::Display for Interpretation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{{")?;
-        let mut first = true;
-        for a in &self.true_atoms {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{a}")?;
-        }
-        for a in &self.false_atoms {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "not {a}")?;
-        }
-        write!(f, "}}")
-    }
-}
-
-/// A finitely represented three-valued model.
-///
-/// `base` is the set of *relevant* ground atoms (for computed models: every
-/// atom occurring in the relevant instantiation of the program).  Atoms in
-/// `base` are true, undefined or false according to `true_atoms` / `undefined`
-/// membership; atoms outside `base` are **false** (the closed-world
-/// convention justified by Observation 5.1 and Lemma 6.3 for the program
-/// classes this library evaluates).
+/// The base is the set of *relevant* ground atoms (for computed models: every
+/// atom occurring in the relevant instantiation of the program); atoms
+/// outside it are **false**.  Two models are equal when they have the same
+/// base and give each of its atoms the same value.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Model {
-    base: BTreeSet<Term>,
-    true_atoms: BTreeSet<Term>,
-    undefined: BTreeSet<Term>,
+    atoms: BTreeMap<Term, Truth>,
 }
 
 impl Model {
     /// Creates a model.  Atoms listed as true or undefined are added to the
-    /// base automatically.
+    /// base automatically; an atom listed as true is true, and otherwise an
+    /// atom listed as undefined is undefined.
     pub fn new(
         base: impl IntoIterator<Item = Term>,
         true_atoms: impl IntoIterator<Item = Term>,
         undefined: impl IntoIterator<Item = Term>,
     ) -> Self {
-        let mut base: BTreeSet<Term> = base.into_iter().collect();
-        let true_atoms: BTreeSet<Term> = true_atoms.into_iter().collect();
-        let undefined: BTreeSet<Term> = undefined.into_iter().collect();
-        base.extend(true_atoms.iter().cloned());
-        base.extend(undefined.iter().cloned());
-        Model {
-            base,
-            true_atoms,
-            undefined,
+        let mut model: Model = base.into_iter().map(|a| (a, Truth::False)).collect();
+        for atom in undefined {
+            model.atoms.insert(atom, Truth::Undefined);
         }
+        for atom in true_atoms {
+            model.atoms.insert(atom, Truth::True);
+        }
+        model
     }
 
     /// The empty model (empty base; every atom false).
@@ -213,287 +92,249 @@ impl Model {
 
     /// A model consisting only of true facts (total, everything else false).
     pub fn from_true_atoms(atoms: impl IntoIterator<Item = Term>) -> Self {
-        let true_atoms: BTreeSet<Term> = atoms.into_iter().collect();
-        Model {
-            base: true_atoms.clone(),
-            true_atoms,
-            undefined: BTreeSet::new(),
-        }
+        atoms.into_iter().map(|a| (a, Truth::True)).collect()
     }
 
     /// The truth value of a ground atom under this model.
     pub fn truth(&self, atom: &Term) -> Truth {
-        if self.true_atoms.contains(atom) {
-            Truth::True
-        } else if self.undefined.contains(atom) {
-            Truth::Undefined
-        } else {
-            Truth::False
-        }
+        self.atoms.get(atom).copied().unwrap_or(Truth::False)
     }
 
     /// Returns `true` if the atom is true.
     pub fn is_true(&self, atom: &Term) -> bool {
-        self.true_atoms.contains(atom)
+        self.truth(atom).is_true()
     }
 
     /// Returns `true` if the atom is false.
     pub fn is_false(&self, atom: &Term) -> bool {
-        !self.true_atoms.contains(atom) && !self.undefined.contains(atom)
+        self.truth(atom).is_false()
     }
 
     /// Returns `true` if the atom is undefined.
     pub fn is_undefined(&self, atom: &Term) -> bool {
-        self.undefined.contains(atom)
+        self.truth(atom).is_undefined()
     }
 
     /// The base of relevant atoms.
-    pub fn base(&self) -> &BTreeSet<Term> {
-        &self.base
+    pub fn base(&self) -> Atoms<'_> {
+        self.view(None)
+    }
+
+    /// The true atoms.
+    pub fn true_atoms(&self) -> Atoms<'_> {
+        self.view(Some(Truth::True))
+    }
+
+    /// The undefined atoms.
+    pub fn undefined_atoms(&self) -> Atoms<'_> {
+        self.view(Some(Truth::Undefined))
+    }
+
+    /// The false atoms of the base.  Atoms outside the base are also false
+    /// but are not enumerated here.
+    pub fn false_base_atoms(&self) -> Atoms<'_> {
+        self.view(Some(Truth::False))
+    }
+
+    fn view(&self, only: Option<Truth>) -> Atoms<'_> {
+        let atoms = &self.atoms;
+        Atoms { atoms, only }
     }
 
     /// The base atoms that could match a (possibly partially instantiated)
     /// atom pattern.
     ///
-    /// The base is ordered with application terms keyed by their predicate
-    /// name first, so all atoms sharing a ground name form one contiguous
-    /// range: the probe seeks to its start and stops at its end, never
-    /// scanning the rest of the base.  Patterns with a variable predicate
-    /// name (or bare-variable patterns) fall back to the full base.  Callers
-    /// still match/unify against each candidate — this only narrows the
-    /// walk, exactly like the engine's argument-indexed candidate probes.
-    pub fn base_candidates<'a>(&'a self, pattern: &'a Term) -> BaseCandidates<'a> {
-        named_range(&self.base, pattern)
+    /// Terms order by predicate name first, so all atoms sharing a ground
+    /// name form one contiguous range of the map: the probe seeks to its
+    /// start and stops at its end.  Patterns with a variable predicate name
+    /// (or bare-variable patterns) fall back to the full base.  Callers
+    /// still match/unify against each candidate.
+    pub fn base_candidates<'a>(&'a self, pattern: &'a Term) -> impl Iterator<Item = &'a Term> {
+        self.candidates(pattern, None)
     }
 
     /// The true atoms that could match an atom pattern: the same name-keyed
-    /// range seek as [`Model::base_candidates`], over the true set.  The
-    /// candidates come in the true set's order.
-    pub fn true_candidates<'a>(&'a self, pattern: &'a Term) -> BaseCandidates<'a> {
-        named_range(&self.true_atoms, pattern)
+    /// range seek as [`Model::base_candidates`], keeping the true entries.
+    pub fn true_candidates<'a>(&'a self, pattern: &'a Term) -> impl Iterator<Item = &'a Term> {
+        self.candidates(pattern, Some(Truth::True))
     }
 
-    /// The true atoms.
-    pub fn true_atoms(&self) -> &BTreeSet<Term> {
-        &self.true_atoms
-    }
-
-    /// The undefined atoms.
-    pub fn undefined_atoms(&self) -> &BTreeSet<Term> {
-        &self.undefined
-    }
-
-    /// The explicitly false atoms (base atoms that are neither true nor
-    /// undefined).  Atoms outside the base are also false but are not
-    /// enumerated here.
-    pub fn false_base_atoms(&self) -> impl Iterator<Item = &Term> {
-        self.base
-            .iter()
-            .filter(|a| !self.true_atoms.contains(*a) && !self.undefined.contains(*a))
+    /// `App(name, [])` is the least application with this name, and every
+    /// non-application orders before all applications.
+    fn candidates<'a>(
+        &'a self,
+        pattern: &'a Term,
+        only: Option<Truth>,
+    ) -> impl Iterator<Item = &'a Term> {
+        let name = pattern.name();
+        let named = matches!(pattern, Term::App(..)) && name.is_ground();
+        let entries = if named {
+            self.atoms.range(Term::app(name.clone(), Vec::new())..)
+        } else {
+            self.atoms.range::<Term, _>(..)
+        };
+        entries
+            .take_while(move |(atom, _)| !named || atom.name() == name)
+            .filter(move |(atom, &truth)| {
+                only.is_none_or(|o| o == truth) && (!named || atom.arity() == pattern.arity())
+            })
+            .map(|(atom, _)| atom)
     }
 
     /// Returns `true` if nothing is undefined (the model is *total* /
-    /// two-valued), the condition investigated in Section 6.
+    /// two-valued), the condition investigated in Section 6.  Walks the base.
     pub fn is_total(&self) -> bool {
-        self.undefined.is_empty()
+        !self.atoms.values().any(|t| t.is_undefined())
     }
 
-    /// Adds an atom to the base (making it false unless also inserted as true
-    /// or undefined).
-    pub fn add_base_atom(&mut self, atom: Term) {
-        self.base.insert(atom);
+    /// Gives an atom a truth value (adding it to the base) and returns the
+    /// value it had if it was already in the base.
+    pub fn insert(&mut self, atom: Term, truth: Truth) -> Option<Truth> {
+        self.atoms.insert(atom, truth)
     }
 
     /// Marks an atom true (adding it to the base).
     pub fn set_true(&mut self, atom: Term) {
-        self.undefined.remove(&atom);
-        self.base.insert(atom.clone());
-        self.true_atoms.insert(atom);
+        self.atoms.insert(atom, Truth::True);
     }
 
     /// Marks an atom undefined (adding it to the base).
     pub fn set_undefined(&mut self, atom: Term) {
-        self.true_atoms.remove(&atom);
-        self.base.insert(atom.clone());
-        self.undefined.insert(atom);
+        self.atoms.insert(atom, Truth::Undefined);
     }
 
-    /// Drops an atom from the model altogether (base, true and undefined
-    /// sets): the atom is false and no longer part of the relevant base.
+    /// Drops an atom from the model altogether: the atom is false and no
+    /// longer part of the relevant base.
     pub fn remove_atom(&mut self, atom: &Term) {
-        self.base.remove(atom);
-        self.true_atoms.remove(atom);
-        self.undefined.remove(atom);
+        self.atoms.remove(atom);
     }
 
-    /// Merges another model into this one (union of bases, true sets and
-    /// undefined sets), moving its atoms rather than copying them.  The
-    /// caller is responsible for the two models having disjoint or agreeing
-    /// vocabularies (as in Figure 1, where `M := M ∪ M_T` joins models of
-    /// disjoint predicate sets).
+    /// Merges another model into this one (union of bases), moving the
+    /// smaller model's atoms into the larger.  An atom in both keeps the
+    /// stronger value: true over undefined over false.  (Figure 1's
+    /// `M := M ∪ M_T` joins models of disjoint predicate sets.)
     pub fn merge(&mut self, mut other: Model) {
-        self.base.append(&mut other.base);
-        self.true_atoms.append(&mut other.true_atoms);
-        self.undefined.append(&mut other.undefined);
-        // An atom true in one part and undefined in another would be a bug in
-        // the caller; prefer the stronger value.
-        if !self.undefined.is_empty() {
-            let true_atoms = &self.true_atoms;
-            self.undefined.retain(|a| !true_atoms.contains(a));
+        if other.atoms.len() > self.atoms.len() {
+            std::mem::swap(self, &mut other);
         }
-    }
-
-    /// Converts to an [`Interpretation`] over the base (base atoms only).
-    pub fn to_interpretation(&self) -> Interpretation {
-        let mut interp = Interpretation::new();
-        for a in &self.true_atoms {
-            interp.insert_true(a.clone());
+        for (atom, truth) in other.atoms {
+            let slot = self.atoms.entry(atom).or_insert(truth);
+            if *slot != Truth::True && truth != Truth::False {
+                *slot = truth;
+            }
         }
-        for a in self.false_base_atoms() {
-            interp.insert_false(a.clone());
-        }
-        interp
     }
 
     /// Definition 2.4 (*extends*): every atom true in `smaller` is true in
     /// `self`, and every atom false in `smaller`'s base is false in `self`.
     pub fn extends(&self, smaller: &Model) -> bool {
-        smaller.base.iter().all(|a| match smaller.truth(a) {
-            Truth::True => self.truth(a) == Truth::True,
-            Truth::False => self.truth(a) == Truth::False,
-            Truth::Undefined => true,
-        })
+        let kept = |(a, &t): (&Term, &Truth)| t.is_undefined() || self.truth(a) == t;
+        smaller.atoms.iter().all(kept)
     }
 
     /// Definition 2.4 (*conservatively extends*), checked finitely.
     ///
     /// `self` (the model over the larger language) conservatively extends
-    /// `smaller` when:
-    ///
-    /// 1. every atom of `smaller`'s base has the *same* truth value in both
-    ///    models, and
-    /// 2. every atom that is true or undefined in `self` and whose predicate
-    ///    name is "generated by" the smaller program — as judged by the
-    ///    caller-supplied `name_generated` predicate — already belongs to
-    ///    `smaller`'s base (so the only extra information about the smaller
-    ///    program's predicates is negative).
+    /// `smaller` when every atom of `smaller`'s base has the *same* value in
+    /// both, and every atom true or undefined in `self` whose name is
+    /// generated by the smaller program (`name_generated`) is in `smaller`'s
+    /// base: the only extra information about its predicates is negative.
     pub fn conservatively_extends(
         &self,
         smaller: &Model,
         mut name_generated: impl FnMut(&Term) -> bool,
     ) -> bool {
-        for a in &smaller.base {
-            if self.truth(a) != smaller.truth(a) {
-                return false;
-            }
-        }
-        for a in self.true_atoms.iter().chain(self.undefined.iter()) {
-            if name_generated(a) && !smaller.base.contains(a) {
-                return false;
-            }
-        }
-        true
+        smaller.atoms.iter().all(|(a, &t)| self.truth(a) == t)
+            && self
+                .atoms
+                .iter()
+                .all(|(a, &t)| t.is_false() || !name_generated(a) || smaller.atoms.contains_key(a))
     }
 
     /// Restricts the model to the atoms satisfying the predicate (used to
     /// project a model of `P ∪ Q` back onto the atoms generated by `P`).
     pub fn restrict(&self, mut keep: impl FnMut(&Term) -> bool) -> Model {
-        Model {
-            base: self.base.iter().filter(|a| keep(a)).cloned().collect(),
-            true_atoms: self
-                .true_atoms
-                .iter()
-                .filter(|a| keep(a))
-                .cloned()
-                .collect(),
-            undefined: self.undefined.iter().filter(|a| keep(a)).cloned().collect(),
+        let kept = self.atoms.iter().filter(|(a, _)| keep(a));
+        kept.map(|(a, &t)| (a.clone(), t)).collect()
+    }
+}
+
+/// Builds a model from each base atom's value.
+impl FromIterator<(Term, Truth)> for Model {
+    fn from_iter<I: IntoIterator<Item = (Term, Truth)>>(atoms: I) -> Self {
+        let atoms = atoms.into_iter().collect();
+        Model { atoms }
+    }
+}
+
+/// A view of a model's base atoms in term order: all of them
+/// ([`Model::base`]) or those of one truth value ([`Model::true_atoms`],
+/// [`Model::undefined_atoms`], [`Model::false_base_atoms`]).
+#[derive(Debug, Clone, Copy)]
+pub struct Atoms<'a> {
+    atoms: &'a BTreeMap<Term, Truth>,
+    only: Option<Truth>,
+}
+
+impl<'a> Atoms<'a> {
+    /// The atoms, in term order.
+    pub fn iter(&self) -> AtomsIter<'a> {
+        let (entries, only) = (self.atoms.iter(), self.only);
+        AtomsIter { entries, only }
+    }
+
+    /// The number of atoms.  A view of one truth value walks the base.
+    pub fn len(&self) -> usize {
+        match self.only {
+            None => self.atoms.len(),
+            Some(_) => self.iter().count(),
         }
     }
-}
 
-/// The atoms of one of a model's ordered sets that could match `pattern`.
-///
-/// `App(name, [])` is the least application with this name, and every
-/// non-application orders before all applications, so the range starts
-/// exactly at the name's first atom.
-fn named_range<'a>(set: &'a BTreeSet<Term>, pattern: &'a Term) -> BaseCandidates<'a> {
-    let name = pattern.name();
-    if let (Term::App(_, _), true) = (pattern, name.is_ground()) {
-        let lower = Term::app(name.clone(), Vec::new());
-        return BaseCandidates::Named {
-            range: set.range(lower..),
-            name,
-            arity: pattern.arity(),
-        };
+    /// Returns `true` if the view holds no atom.
+    pub fn is_empty(&self) -> bool {
+        self.iter().next().is_none()
     }
-    BaseCandidates::All(set.iter())
+
+    /// Returns `true` if the atom is in the view.
+    pub fn contains(&self, atom: &Term) -> bool {
+        let truth = self.atoms.get(atom);
+        truth.is_some_and(|&t| self.only.is_none_or(|o| o == t))
+    }
 }
 
-/// Iterator returned by [`Model::base_candidates`] and
-/// [`Model::true_candidates`]: either the contiguous name-keyed range of the
-/// ordered set, or the whole set for patterns without a ground predicate
-/// name.
+impl<'a> IntoIterator for Atoms<'a> {
+    type Item = &'a Term;
+    type IntoIter = AtomsIter<'a>;
+
+    fn into_iter(self) -> AtomsIter<'a> {
+        self.iter()
+    }
+}
+
+/// The iterator of an [`Atoms`] view.
 #[derive(Debug, Clone)]
-pub enum BaseCandidates<'a> {
-    /// Contiguous range of atoms sharing the pattern's ground name.
-    Named {
-        /// Range cursor positioned at the name's first atom.
-        range: std::collections::btree_set::Range<'a, Term>,
-        /// The pattern's (ground) predicate name.
-        name: &'a Term,
-        /// The pattern's arity; candidates of other arities are skipped.
-        arity: Option<usize>,
-    },
-    /// Whole-set fallback (variable predicate name).
-    All(std::collections::btree_set::Iter<'a, Term>),
+pub struct AtomsIter<'a> {
+    entries: btree_map::Iter<'a, Term, Truth>,
+    only: Option<Truth>,
 }
 
-impl<'a> Iterator for BaseCandidates<'a> {
+impl<'a> Iterator for AtomsIter<'a> {
     type Item = &'a Term;
 
     fn next(&mut self) -> Option<&'a Term> {
-        match self {
-            BaseCandidates::Named { range, name, arity } => loop {
-                let atom = range.next()?;
-                // The range is sorted by name first: once the name moves past
-                // the pattern's, no later atom can match.
-                if atom.name() != *name {
-                    return None;
-                }
-                if atom.arity() == *arity {
-                    return Some(atom);
-                }
-            },
-            BaseCandidates::All(iter) => iter.next(),
-        }
+        let only = self.only;
+        self.entries
+            .find_map(|(a, &t)| only.is_none_or(|o| o == t).then_some(a))
     }
 }
 
 impl fmt::Display for Model {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(
-            f,
-            "true:      {:?}",
-            self.true_atoms
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-        )?;
-        writeln!(
-            f,
-            "undefined: {:?}",
-            self.undefined
-                .iter()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-        )?;
-        write!(
-            f,
-            "false:     {:?}",
-            self.false_base_atoms()
-                .map(|a| a.to_string())
-                .collect::<Vec<_>>()
-        )
+        let names = |atoms: Atoms<'_>| atoms.iter().map(|a| a.to_string()).collect::<Vec<_>>();
+        writeln!(f, "true:      {:?}", names(self.true_atoms()))?;
+        writeln!(f, "undefined: {:?}", names(self.undefined_atoms()))?;
+        write!(f, "false:     {:?}", names(self.false_base_atoms()))
     }
 }
 
@@ -555,43 +396,10 @@ mod tests {
         );
         let pattern = Term::apps("edge", vec![Term::var("X"), Term::var("Y")]);
         let found: Vec<Term> = model.true_candidates(&pattern).cloned().collect();
-        // The true edge atoms only, in the true set's order.
+        // The true edge atoms only, in term order.
         assert_eq!(found, vec![edge("a", "b"), edge("c", "d")]);
         let open = Term::app(Term::var("P"), vec![Term::var("X"), Term::var("Y")]);
         assert_eq!(model.true_candidates(&open).count(), 3);
-    }
-
-    #[test]
-    fn interpretation_truth_values() {
-        let mut i = Interpretation::new();
-        assert!(i.insert_true(atom("s")));
-        assert!(i.insert_false(atom("p")));
-        assert_eq!(i.truth(&atom("s")), Truth::True);
-        assert_eq!(i.truth(&atom("p")), Truth::False);
-        assert_eq!(i.truth(&atom("u")), Truth::Undefined);
-        assert!(i.is_consistent());
-        assert_eq!(i.len(), 2);
-    }
-
-    #[test]
-    fn interpretation_rejects_inconsistency() {
-        let mut i = Interpretation::new();
-        assert!(i.insert_true(atom("p")));
-        assert!(!i.insert_false(atom("p")));
-        assert!(i.is_consistent());
-    }
-
-    #[test]
-    fn interpretation_merge() {
-        let mut a = Interpretation::new();
-        a.insert_true(atom("p"));
-        let mut b = Interpretation::new();
-        b.insert_false(atom("q"));
-        assert!(a.merge(&b));
-        assert_eq!(a.truth(&atom("q")), Truth::False);
-        let mut c = Interpretation::new();
-        c.insert_false(atom("p"));
-        assert!(!a.merge(&c));
     }
 
     #[test]
@@ -608,7 +416,7 @@ mod tests {
         // Atoms outside the base are false.
         assert_eq!(m.truth(&atom("zzz")), Truth::False);
         assert!(!m.is_total());
-        assert_eq!(m.false_base_atoms().count(), 3);
+        assert_eq!(m.false_base_atoms().len(), 3);
     }
 
     #[test]
@@ -616,7 +424,7 @@ mod tests {
         let mut m = Model::empty();
         m.set_true(atom("a"));
         m.set_undefined(atom("b"));
-        m.add_base_atom(atom("c"));
+        m.insert(atom("c"), Truth::False);
         assert!(m.is_true(&atom("a")));
         assert!(m.is_undefined(&atom("b")));
         assert!(m.is_false(&atom("c")));
@@ -679,20 +487,63 @@ mod tests {
         assert!(!only_q.base().contains(&ra));
     }
 
+    /// Every atom has exactly one value, and the three views partition the
+    /// base, through `Model::new` with overlapping lists, every mutator and
+    /// `merge`.
     #[test]
-    fn to_interpretation_conversion() {
-        let m = Model::new([atom("p"), atom("q"), atom("u")], [atom("p")], [atom("u")]);
-        let i = m.to_interpretation();
-        assert_eq!(i.truth(&atom("p")), Truth::True);
-        assert_eq!(i.truth(&atom("q")), Truth::False);
-        assert_eq!(i.truth(&atom("u")), Truth::Undefined);
+    fn truth_is_a_function() {
+        let [p, q, r, s] = ["p", "q", "r", "s"].map(atom);
+        let check = |m: &Model, expected: &[(&Term, Truth)]| {
+            let views = [m.true_atoms(), m.undefined_atoms(), m.false_base_atoms()];
+            for a in [&p, &q, &r, &s] {
+                let holds = [m.is_true(a), m.is_false(a), m.is_undefined(a)];
+                assert_eq!(holds.iter().filter(|&&h| h).count(), 1, "{a} in {m}");
+                let in_base = usize::from(m.base().contains(a));
+                assert_eq!(views.iter().filter(|v| v.contains(a)).count(), in_base);
+                assert!(in_base == 1 || m.is_false(a));
+            }
+            assert_eq!(views.iter().map(|v| v.len()).sum::<usize>(), m.base().len());
+            let mut joined: Vec<&Term> = views.iter().flat_map(|v| v.iter()).collect();
+            joined.sort();
+            assert_eq!(joined, m.base().iter().collect::<Vec<_>>());
+            for (a, t) in expected {
+                assert_eq!(m.truth(a), *t, "{a} in {m}");
+            }
+        };
+        let mut m = Model::new([p.clone(), q.clone()], [p.clone()], [p.clone(), r.clone()]);
+        check(
+            &m,
+            &[
+                (&p, Truth::True),
+                (&q, Truth::False),
+                (&r, Truth::Undefined),
+            ],
+        );
+        m.set_undefined(p.clone());
+        check(&m, &[(&p, Truth::Undefined)]);
+        m.set_true(q.clone());
+        check(&m, &[(&q, Truth::True)]);
+        assert_eq!(m.insert(s.clone(), Truth::False), None);
+        check(&m, &[(&q, Truth::True), (&s, Truth::False)]);
+        assert_eq!(m.insert(s.clone(), Truth::Undefined), Some(Truth::False));
+        check(&m, &[(&s, Truth::Undefined)]);
+        m.remove_atom(&r);
+        check(&m, &[(&r, Truth::False)]);
+        assert!(!m.base().contains(&r));
+        // merge: true over undefined over false, whichever side holds which.
+        m.merge(Model::new([p.clone(), r.clone()], [p.clone()], []));
+        check(&m, &[(&p, Truth::True), (&r, Truth::False)]);
+        let mut small = Model::new([q.clone()], [], [r.clone()]);
+        small.merge(m.clone());
+        check(&small, &[(&q, Truth::True), (&r, Truth::Undefined)]);
+        check(&small.restrict(|a| a != &q), &[(&q, Truth::False)]);
+        let everywhere = Model::new([p.clone()], [p.clone()], [p.clone()]);
+        check(&everywhere, &[(&p, Truth::True)]);
     }
 
     #[test]
     fn display_does_not_panic() {
         let m = Model::new([atom("p")], [atom("p")], []);
         assert!(m.to_string().contains("true"));
-        let i = Interpretation::new();
-        assert_eq!(i.to_string(), "{}");
     }
 }

@@ -15,9 +15,11 @@
 //!   and comparison literals and the aggregation literal used by the
 //!   parts-explosion program of Section 6 ([`literal`], [`rule`],
 //!   [`program`]);
-//! * three-valued **Herbrand interpretations** and finitely represented
-//!   **models**, with the `extends` / `conservatively extends` relations of
-//!   Definitions 2.3–2.4 ([`interpretation`]);
+//! * three-valued **Herbrand interpretations** (Definitions 2.3 and 3.2),
+//!   represented finitely as **models**: one ordered map from each atom of a
+//!   base to its truth value, every other atom false, with the `extends` /
+//!   `conservatively extends` relations of Definition 2.4
+//!   ([`interpretation`]);
 //! * the **Herbrand universe** machinery: vocabulary extraction and bounded
 //!   enumeration of the (generally infinite) HiLog universe ([`herbrand`]);
 //! * the **universal-relation** (`call` / `apply_i`) transformation of
@@ -66,7 +68,7 @@ pub use error::CoreError;
 pub use hash::{TermMap, TermSet};
 pub use herbrand::{HerbrandBounds, HerbrandUniverse, Vocabulary};
 pub use intern::{AtomId, TermInterner};
-pub use interpretation::{Interpretation, Model, Truth};
+pub use interpretation::{Atoms, Model, Truth};
 pub use literal::{Aggregate, AggregateFunc, Literal};
 pub use program::{Program, RuleSeq};
 pub use restriction::{ProgramClass, RestrictionReport};
@@ -79,7 +81,7 @@ pub use term::{Term, Var};
 pub mod prelude {
     pub use crate::builtin::{BuiltinCall, BuiltinOp};
     pub use crate::herbrand::{HerbrandBounds, HerbrandUniverse, Vocabulary};
-    pub use crate::interpretation::{Interpretation, Model, Truth};
+    pub use crate::interpretation::{Model, Truth};
     pub use crate::literal::{Aggregate, AggregateFunc, Literal};
     pub use crate::program::Program;
     pub use crate::rule::{Query, Rule};

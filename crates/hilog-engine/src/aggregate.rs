@@ -107,8 +107,7 @@ pub fn evaluate_aggregate_program(
         }
         if new_aggregate_facts == aggregate_facts {
             // Fixpoint: assemble the final model.
-            let mut atoms: BTreeSet<Term> = derived.collect_atoms().into_iter().collect();
-            atoms.extend(aggregate_facts.iter().cloned());
+            let atoms = derived.collect_atoms().into_iter().chain(aggregate_facts);
             let model = Model::from_true_atoms(atoms);
             return Ok(AggregateModel { model, rounds });
         }

@@ -32,7 +32,7 @@
 //!   component means the component is not locally stratified, and
 //!   otherwise its components are settled over that same condensation.
 //! * The reduction seeks the settled model by predicate name
-//!   ([`Model::true_candidates`]: the model's sets are ordered by name
+//!   ([`Model::true_candidates`]: the model's map is ordered by name
 //!   first) instead of scanning every true atom, and it deduplicates the
 //!   reduced rules by hash.
 //!

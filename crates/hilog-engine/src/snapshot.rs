@@ -98,7 +98,7 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
 use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 /// Reads a possibly poisoned lock.  Every critical section in this module
@@ -805,25 +805,22 @@ fn conj(a: Truth, b: Truth) -> Truth {
     }
 }
 
-/// The consensus model of Definition 3.7 over a set of stable models.
+/// The consensus model of Definition 3.7 over a set of stable models: an
+/// atom of any model's base keeps the value every model gives it, and is
+/// undefined where they disagree.  Built in one pass over the bases (an atom
+/// in several bases gets the same value each time).
 fn consensus_model(models: &[Model]) -> Result<Model, EngineError> {
-    if models.is_empty() {
-        return Err(EngineError::NoStableModels);
-    }
-    let mut base: BTreeSet<Term> = BTreeSet::new();
-    for m in models {
-        base.extend(m.base().iter().cloned());
-    }
-    let mut true_atoms = Vec::new();
-    let mut undefined = Vec::new();
-    for atom in &base {
-        if models.iter().all(|m| m.is_true(atom)) {
-            true_atoms.push(atom.clone());
-        } else if !models.iter().all(|m| m.is_false(atom)) {
-            undefined.push(atom.clone());
+    let first = models.first().ok_or(EngineError::NoStableModels)?;
+    let consensus = |atom: &Term| {
+        let truth = first.truth(atom);
+        if models.iter().all(|m| m.truth(atom) == truth) {
+            truth
+        } else {
+            Truth::Undefined
         }
-    }
-    Ok(Model::new(base, true_atoms, undefined))
+    };
+    let base = models.iter().flat_map(|m| m.base());
+    Ok(base.map(|atom| (atom.clone(), consensus(atom))).collect())
 }
 
 /// The cloneable reader endpoint: pins the most recently published
@@ -1021,6 +1018,7 @@ impl DbWriter {
 mod tests {
     use super::*;
     use hilog_syntax::{parse_program, parse_query, parse_term};
+    use std::collections::BTreeSet;
 
     fn game() -> Program {
         parse_program(

@@ -67,7 +67,7 @@ pub fn stable_models_of_ground(
         opts,
     };
     let assumed_true: BTreeSet<Term> = wfm.true_atoms().iter().cloned().collect();
-    let assumed_false: BTreeSet<Term> = wfm.false_base_atoms().cloned().collect();
+    let assumed_false: BTreeSet<Term> = wfm.false_base_atoms().iter().cloned().collect();
     solver.search(assumed_true, assumed_false)?;
     Ok(solver.models)
 }

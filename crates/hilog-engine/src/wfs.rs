@@ -33,7 +33,7 @@ use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
 use hilog_core::analysis::strongly_connected_components;
 use hilog_core::intern::AtomId;
-use hilog_core::interpretation::Model;
+use hilog_core::interpretation::{Model, Truth};
 use hilog_core::program::Program;
 use hilog_core::term::Term;
 
@@ -126,27 +126,22 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 }
 
 /// Builds a [`Model`] from a settled assignment over a ground program's
-/// atoms.  The base is the atoms some rule mentions (an id maintenance left
-/// behind is no part of it).  The result depends only on the assignment
-/// values (the model's sets are ordered), never on the order that produced
-/// them.
+/// atoms, in one pass.  The base is the atoms some rule mentions (an id
+/// maintenance left behind is no part of it).  The result depends only on
+/// the assignment values (the model is ordered by term), never on the order
+/// that produced them.
 fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
     let mentioned = program.mentioned();
-    let mut true_atoms = Vec::new();
-    let mut undefined = Vec::new();
-    let mut base = Vec::new();
-    for (id, atom) in program.atoms.iter() {
-        if !mentioned[id.index()] {
-            continue;
-        }
-        base.push(atom.clone());
-        match assignment[id.index()] {
-            Some(true) => true_atoms.push(atom.clone()),
-            Some(false) => {}
-            None => undefined.push(atom.clone()),
-        }
-    }
-    Model::new(base, true_atoms, undefined)
+    let base = program.atoms.iter().filter(|(id, _)| mentioned[id.index()]);
+    base.map(|(id, atom)| {
+        let truth = match assignment[id.index()] {
+            Some(true) => Truth::True,
+            Some(false) => Truth::False,
+            None => Truth::Undefined,
+        };
+        (atom.clone(), truth)
+    })
+    .collect()
 }
 
 /// Computes the well-founded model of a ground program — the one model
@@ -366,7 +361,6 @@ mod tests {
     use crate::grounder::relevant_ground;
     use crate::session::HiLogDb;
     use hilog_core::analysis::is_locally_stratified_ground;
-    use hilog_core::interpretation::Truth;
     use hilog_core::literal::Literal;
     use hilog_core::rule::Rule;
     use hilog_syntax::{parse_program, parse_term};

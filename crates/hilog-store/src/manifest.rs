@@ -46,7 +46,7 @@
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreIo};
 use hilog_core::codec::{crc32, PayloadReader, PayloadWriter};
-use hilog_core::{Model, Program, Rule, Term, TermMap};
+use hilog_core::{Model, Program, Rule, Term, TermMap, Truth};
 use hilog_engine::Semantics;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -382,11 +382,10 @@ fn write_model(io: &dyn StoreIo, dir: &Path, epoch: u64, model: &Model) -> Resul
     write_framed(io, dir, &model_file_name(epoch), MODEL_MAGIC, &payload)
 }
 
-/// The payload of a model file.
+/// The payload of a model file: the true atoms, the undefined atoms, then
+/// the false atoms of the base — three disjoint lists of ground atoms.
 pub(crate) fn encode_model(model: &Model) -> Vec<u8> {
     let mut writer = PayloadWriter::new();
-    // True and undefined atoms, then the base atoms not already in either
-    // set (`Model::new` re-extends the base with both).
     write_terms(&mut writer, model.true_atoms());
     write_terms(&mut writer, model.undefined_atoms());
     write_terms(&mut writer, model.false_base_atoms());
@@ -399,14 +398,28 @@ fn load_model(io: &dyn StoreIo, dir: &Path, epoch: u64) -> Result<Model, StoreEr
     decode_model(&payload)
 }
 
-/// The model a model-file payload holds.
+/// The model a model-file payload holds.  An atom listed twice (within one
+/// list or across lists) or a non-ground atom is corruption: no model file
+/// [`encode_model`] writes holds either.
 pub(crate) fn decode_model(payload: &[u8]) -> Result<Model, StoreError> {
     let mut reader = PayloadReader::new(payload)?;
-    let true_atoms = read_terms(&mut reader)?;
-    let undefined = read_terms(&mut reader)?;
-    let base_rest = read_terms(&mut reader)?;
+    let mut model = Model::empty();
+    for truth in [Truth::True, Truth::Undefined, Truth::False] {
+        for atom in read_terms(&mut reader)? {
+            if !atom.is_ground() {
+                return Err(StoreError::Corrupt(format!(
+                    "non-ground atom `{atom}` in model payload"
+                )));
+            }
+            if let Some(first) = model.insert(atom.clone(), truth) {
+                return Err(StoreError::Corrupt(format!(
+                    "atom `{atom}` listed as {first} and as {truth} in model payload"
+                )));
+            }
+        }
+    }
     expect_end(&reader, "model")?;
-    Ok(Model::new(base_rest, true_atoms, undefined))
+    Ok(model)
 }
 
 /// Writes the manifest file for `manifest.epoch` (temp + fsync + rename)
@@ -750,6 +763,37 @@ mod tests {
         assert_eq!(loaded.epoch, 17);
         assert_eq!(loaded.model, saved.model);
         fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A model payload built list by list: true, undefined, false.
+    fn model_payload(lists: [&[&str]; 3]) -> Vec<u8> {
+        let mut writer = PayloadWriter::new();
+        for list in lists {
+            let atoms: Vec<Term> = list.iter().map(|a| parse_term(a).unwrap()).collect();
+            write_terms(&mut writer, &atoms);
+        }
+        writer.finish()
+    }
+
+    #[test]
+    fn a_model_payload_with_a_repeated_or_non_ground_atom_is_corrupt() {
+        let corrupt = |lists: [&[&str]; 3]| {
+            matches!(
+                decode_model(&model_payload(lists)),
+                Err(StoreError::Corrupt(_))
+            )
+        };
+        assert!(corrupt([&["p(a)"], &["p(a)"], &["q(X)"]]));
+        assert!(corrupt([&["p(a)"], &["p(a)"], &[]]));
+        assert!(corrupt([&["p(a)"], &[], &["p(a)"]]));
+        assert!(corrupt([&[], &[], &["q(b)", "q(b)"]]));
+        assert!(corrupt([&[], &[], &["q(X)"]]));
+        let model = decode_model(&model_payload([&["p(a)"], &["u(a)"], &["q(b)"]])).unwrap();
+        let atom = |a: &str| parse_term(a).unwrap();
+        assert_eq!(
+            model,
+            Model::new([atom("q(b)")], [atom("p(a)")], [atom("u(a)")])
+        );
     }
 
     #[test]

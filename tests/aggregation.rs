@@ -119,7 +119,7 @@ fn shared_hierarchies_are_grouped_per_machine() {
 /// the stand-alone aggregate evaluator's model, a session's open bound query
 /// (the tabled route), and the model Figure 1 accumulates.
 fn three_routes(program: &Program, pred: &str, arity: usize) -> [BTreeSet<String>; 3] {
-    let named = |atoms: &BTreeSet<hilog_core::term::Term>| -> BTreeSet<String> {
+    let named = |atoms: hilog_core::Atoms<'_>| -> BTreeSet<String> {
         let of_pred = atoms
             .iter()
             .filter(|atom| atom.name().to_string() == pred && atom.arity() == Some(arity));
