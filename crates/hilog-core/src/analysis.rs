@@ -1,12 +1,16 @@
-//! Program analysis: predicate names, dependency graphs, strongly connected
+//! Program analysis: the dependency relation, its strongly connected
 //! components, stratification and local stratification.
 //!
-//! Section 6 of the paper defines stratification (Definition 6.1) and local
-//! stratification (Definition 6.2) for normal programs, and uses strongly
-//! connected components of the predicate dependency graph both for modular
-//! stratification of normal programs (Definition 6.4) and — restricted to
-//! *ground* predicate names — inside the Figure 1 procedure for HiLog
-//! programs.
+//! Section 6 of the paper has one dependency relation: an edge runs from a
+//! rule's head to each body literal, positive or negative, with aggregation
+//! read as negation.  [`Literal::dependency`] is that edge's one definition,
+//! and [`DependencyGraph`] is the one graph built from it, over ground
+//! predicate names ([`DependencyGraph::predicate_graph`]) or over ground
+//! atoms ([`DependencyGraph::atom_graph`]).  Everything Section 6 reads off
+//! the relation reads it off this graph: stratification (Definition 6.1),
+//! local stratification (Definition 6.2), the lowest components of the
+//! Figure 1 procedure in `hilog-engine`, the strata of `hilog-datalog`, and
+//! how far a session's fact write can reach ([`DependencyGraph::readers_closure`]).
 
 use crate::hash::TermMap;
 use crate::literal::Literal;
@@ -15,68 +19,132 @@ use crate::rule::Rule;
 use crate::term::Term;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// The predicate *name* of an atom: `t` for `t(t1, ..., tn)`, the atom itself
-/// for a bare symbol / variable (a propositional or variable atom).
-pub fn predicate_name(atom: &Term) -> &Term {
-    atom.name()
-}
-
-/// The predicate name if it is ground, `None` otherwise.
-pub fn ground_predicate_name(atom: &Term) -> Option<Term> {
-    let name = atom.name();
-    if name.is_ground() {
-        Some(name.clone())
-    } else {
-        None
-    }
-}
-
-/// Polarity of a dependency edge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// Polarity of a dependency edge, between predicate names and between atoms.
+///
+/// The query-directed evaluator records the same polarity on the
+/// instance-level edges of its subgoal tables: there `Positive` and
+/// `Negative` are the evaluation-side counterparts of the `dp(H, A)` /
+/// `dn(H, A)` facts Section 6.1's magic rewriting derives.  `Positive <
+/// Negative`, so an edge recorded under both polarities is their `max`:
+/// negative dominates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum EdgeSign {
     /// The body literal is positive.
     Positive,
-    /// The body literal is negative (or an aggregate, which the paper treats
-    /// like negation for stratification purposes).
+    /// The body literal is negative, or an aggregate, which the paper treats
+    /// like negation for stratification purposes: the dependency must be
+    /// completely settled before the rule can proceed.
     Negative,
+}
+
+impl EdgeSign {
+    /// Returns `true` for [`EdgeSign::Negative`].
+    pub fn is_negative(self) -> bool {
+        self == EdgeSign::Negative
+    }
 }
 
 /// A dependency graph over ground predicate names (or over ground atoms, for
 /// local stratification).  Edges run from the head's node to each body
 /// literal's node.
+///
+/// A predicate graph also records what a graph over ground names cannot show
+/// as an edge: whether some rule's head name is a variable (such a rule can
+/// define any name), which heads read a literal whose name is a variable
+/// (they read every name), and which names head a rule with a body.
 #[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     nodes: Vec<Term>,
     index: TermMap<Term, usize>,
     /// Adjacency: `edges[u]` is the list of `(v, sign)` with an edge `u -> v`.
     edges: Vec<Vec<(usize, EdgeSign)>>,
+    /// Reverse adjacency: `readers[v]` lists every `u` with an edge `u -> v`
+    /// (twice if the edge has both signs).
+    readers: Vec<Vec<usize>>,
+    /// `derived[v]`: some rule with a body has head node `v`.
+    derived: Vec<bool>,
+    /// Head nodes of rules reading a literal that has no node.
+    reads_any: BTreeSet<usize>,
+    /// Some rule's head has no node.
+    variable_heads: bool,
 }
 
 impl DependencyGraph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        DependencyGraph::default()
-    }
-
     /// Adds (or finds) a node.
-    pub fn add_node(&mut self, term: Term) -> usize {
-        if let Some(&i) = self.index.get(&term) {
+    fn add_node(&mut self, term: &Term) -> usize {
+        if let Some(&i) = self.index.get(term) {
             return i;
         }
         let i = self.nodes.len();
         self.index.insert(term.clone(), i);
-        self.nodes.push(term);
+        self.nodes.push(term.clone());
         self.edges.push(Vec::new());
+        self.readers.push(Vec::new());
+        self.derived.push(false);
         i
     }
 
     /// Adds an edge `from -> to` with the given sign.
-    pub fn add_edge(&mut self, from: Term, to: Term, sign: EdgeSign) {
-        let u = self.add_node(from);
-        let v = self.add_node(to);
-        if !self.edges[u].contains(&(v, sign)) {
-            self.edges[u].push((v, sign));
+    fn add_edge(&mut self, from: usize, to: usize, sign: EdgeSign) {
+        if !self.edges[from].contains(&(to, sign)) {
+            self.edges[from].push((to, sign));
+            self.readers[to].push(from);
         }
+    }
+
+    /// The graph of `rules` whose node for an atom is `node_of(atom)`: every
+    /// node any rule mentions, one edge from each head node to each body
+    /// node, by [`Literal::dependency`].
+    fn build<'a>(
+        rules: impl IntoIterator<Item = &'a Rule>,
+        node_of: fn(&Term) -> Option<&Term>,
+    ) -> DependencyGraph {
+        let mut g = DependencyGraph::default();
+        for rule in rules {
+            let head = node_of(&rule.head).map(|h| g.add_node(h));
+            g.variable_heads |= head.is_none();
+            for (atom, sign) in rule.body.iter().filter_map(Literal::dependency) {
+                match (head, node_of(atom)) {
+                    (Some(u), Some(body)) => {
+                        let v = g.add_node(body);
+                        g.add_edge(u, v, sign);
+                    }
+                    (None, Some(body)) => {
+                        g.add_node(body);
+                    }
+                    (Some(u), None) => {
+                        g.reads_any.insert(u);
+                    }
+                    (None, None) => {}
+                }
+            }
+            if let Some(u) = head {
+                g.derived[u] |= !rule.body.is_empty();
+            }
+        }
+        g
+    }
+
+    /// The *predicate* dependency graph of some rules (Figure 1's step 3):
+    /// every ground predicate name any rule mentions is a node, and each rule
+    /// whose head name is ground has one edge to each ground body name.
+    /// Variable names have no node; [`Self::has_variable_heads`] and
+    /// [`Self::reads_any`] record where they occur.
+    pub fn predicate_graph<'a>(rules: impl IntoIterator<Item = &'a Rule>) -> DependencyGraph {
+        fn ground_name(atom: &Term) -> Option<&Term> {
+            Some(atom.name()).filter(|name| name.is_ground())
+        }
+        Self::build(rules, ground_name)
+    }
+
+    /// The *atom* dependency graph of a **ground** program: one node per
+    /// ground atom, one edge per (head, body atom) pair.  Used for local
+    /// stratification (Definition 6.2).
+    pub fn atom_graph(rules: &[Rule]) -> DependencyGraph {
+        fn itself(atom: &Term) -> Option<&Term> {
+            Some(atom)
+        }
+        Self::build(rules, itself)
     }
 
     /// The nodes of the graph.
@@ -94,61 +162,48 @@ impl DependencyGraph {
         self.nodes.is_empty()
     }
 
-    /// Looks up a node index.
-    pub fn node_index(&self, term: &Term) -> Option<usize> {
-        self.index.get(term).copied()
-    }
-
     /// Outgoing edges of a node.
     pub fn successors(&self, node: usize) -> &[(usize, EdgeSign)] {
         &self.edges[node]
     }
 
-    /// Builds the *predicate* dependency graph of a program: one node per
-    /// ground predicate name, one edge per (head, body literal) pair where
-    /// both names are ground.  Non-ground predicate names are skipped (they
-    /// are handled separately by the Figure 1 procedure).
-    pub fn predicate_graph(program: &Program) -> DependencyGraph {
-        let mut g = DependencyGraph::new();
-        for rule in program.iter() {
-            let head_name = match ground_predicate_name(&rule.head) {
-                Some(n) => n,
-                None => continue,
-            };
-            g.add_node(head_name.clone());
-            for lit in &rule.body {
-                let (atom, sign) = match lit {
-                    Literal::Pos(a) => (a, EdgeSign::Positive),
-                    Literal::Neg(a) => (a, EdgeSign::Negative),
-                    Literal::Aggregate(agg) => (&agg.pattern, EdgeSign::Negative),
-                    Literal::Builtin(_) => continue,
-                };
-                if let Some(body_name) = ground_predicate_name(atom) {
-                    g.add_edge(head_name.clone(), body_name, sign);
-                }
-            }
-        }
-        g
+    /// Returns `true` if some rule's head predicate name is a variable: such
+    /// a rule can define any name.
+    pub fn has_variable_heads(&self) -> bool {
+        self.variable_heads
     }
 
-    /// Builds the *atom* dependency graph of a **ground** program: one node
-    /// per ground atom, one edge per (head, body atom) pair.  Used for local
-    /// stratification (Definition 6.2).
-    pub fn atom_graph(rules: &[Rule]) -> DependencyGraph {
-        let mut g = DependencyGraph::new();
-        for rule in rules {
-            g.add_node(rule.head.clone());
-            for lit in &rule.body {
-                let (atom, sign) = match lit {
-                    Literal::Pos(a) => (a, EdgeSign::Positive),
-                    Literal::Neg(a) => (a, EdgeSign::Negative),
-                    Literal::Aggregate(agg) => (&agg.pattern, EdgeSign::Negative),
-                    Literal::Builtin(_) => continue,
-                };
-                g.add_edge(rule.head.clone(), atom.clone(), sign);
+    /// The heads of rules that read a literal whose predicate name is a
+    /// variable: they read every name.
+    pub fn reads_any(&self) -> impl Iterator<Item = &Term> {
+        self.reads_any.iter().map(|&v| &self.nodes[v])
+    }
+
+    /// Returns `true` if `name` heads a rule with a body — a builtin-only
+    /// body like `f :- 1 < 2.` included, although it adds no edge.
+    pub fn derives(&self, name: &Term) -> bool {
+        self.index.get(name).is_some_and(|&v| self.derived[v])
+    }
+
+    /// Every name whose derivations may change when `name` gains or loses a
+    /// fact: `name` itself, every [`Self::reads_any`] head, and the
+    /// transitive readers of both.  `None` means every name — some rule's
+    /// head name is a variable.
+    pub fn readers_closure(&self, name: &Term) -> Option<BTreeSet<Term>> {
+        if self.variable_heads {
+            return None;
+        }
+        let mut closure = BTreeSet::from([name.clone()]);
+        let mut seen = vec![false; self.nodes.len()];
+        let mut queue: Vec<usize> = self.index.get(name).copied().into_iter().collect();
+        queue.extend(&self.reads_any);
+        while let Some(v) = queue.pop() {
+            if !std::mem::replace(&mut seen[v], true) {
+                closure.insert(self.nodes[v].clone());
+                queue.extend(&self.readers[v]);
             }
         }
-        g
+        Some(closure)
     }
 
     /// Strongly connected components, computed by
@@ -171,15 +226,6 @@ impl DependencyGraph {
             }
         }
         component_of
-    }
-
-    /// The strongly connected components as sets of node terms, in reverse
-    /// topological (lower-components-first) order.
-    pub fn scc_terms(&self) -> Vec<Vec<Term>> {
-        self.sccs()
-            .into_iter()
-            .map(|c| c.into_iter().map(|i| self.nodes[i].clone()).collect())
-            .collect()
     }
 
     /// Returns the nodes whose strongly connected components have no outgoing
@@ -208,70 +254,52 @@ impl DependencyGraph {
         out
     }
 
+    /// The least level of each node's component, in one pass over
+    /// [`Self::sccs`]: components come dependencies first, so every edge out
+    /// of a component reaches one whose level is already final.  A positive
+    /// edge keeps the level, a negative one raises it by one.  `None` if an
+    /// edge inside a component is negative.
+    fn levels(&self) -> Option<(Vec<usize>, Vec<usize>)> {
+        let sccs = self.sccs();
+        let component_of = self.component_of(&sccs);
+        let mut level = vec![0usize; sccs.len()];
+        for (c, comp) in sccs.iter().enumerate() {
+            for &v in comp {
+                for &(w, sign) in &self.edges[v] {
+                    let negative = usize::from(sign.is_negative());
+                    if component_of[w] == c {
+                        if negative == 1 {
+                            return None;
+                        }
+                    } else {
+                        level[c] = level[c].max(level[component_of[w]] + negative);
+                    }
+                }
+            }
+        }
+        Some((component_of, level))
+    }
+
     /// Returns `true` if no strongly connected component contains a negative
     /// edge.  For the predicate graph this is exactly stratifiability
     /// (Definition 6.1); for the atom graph of a finite ground program it is
     /// local stratifiability (Definition 6.2).
     pub fn no_negative_cycle(&self) -> bool {
-        let sccs = self.sccs();
-        let component_of = self.component_of(&sccs);
-        for v in 0..self.nodes.len() {
-            for &(w, sign) in &self.edges[v] {
-                if sign == EdgeSign::Negative && component_of[v] == component_of[w] {
-                    return false;
-                }
-            }
-        }
-        true
+        self.levels().is_some()
     }
 
-    /// Assigns stratification levels to nodes if possible: every node gets a
-    /// level such that along a positive edge the level does not increase and
-    /// along a negative edge it strictly decreases (head has greater level
-    /// than negated body predicates, at least as great as positive ones).
-    /// Returns `None` if the graph is not stratifiable.
+    /// Assigns the least stratification levels to nodes if possible: along a
+    /// positive edge the level does not increase and along a negative edge it
+    /// strictly decreases (head has greater level than negated body
+    /// predicates, at least as great as positive ones).  Returns `None` if
+    /// the graph is not stratifiable.
     pub fn strata(&self) -> Option<BTreeMap<Term, usize>> {
-        if !self.no_negative_cycle() {
-            return None;
-        }
-        let sccs = self.sccs();
-        let component_of = self.component_of(&sccs);
-        // Components are in reverse topological order (dependencies first),
-        // so a single pass in *reverse* of that order (dependents first) with
-        // relaxation iterated to fixpoint assigns minimal levels.  Since the
-        // condensation is a DAG, iterate levels until stable.
-        let mut level = vec![0usize; sccs.len()];
-        let mut changed = true;
-        let mut guard = 0usize;
-        while changed {
-            changed = false;
-            guard += 1;
-            if guard > sccs.len() + 2 {
-                // Should be impossible on a DAG.
-                return None;
-            }
-            for v in 0..self.nodes.len() {
-                for &(w, sign) in &self.edges[v] {
-                    let (cv, cw) = (component_of[v], component_of[w]);
-                    if cv == cw {
-                        continue;
-                    }
-                    let need = match sign {
-                        EdgeSign::Positive => level[cw],
-                        EdgeSign::Negative => level[cw] + 1,
-                    };
-                    if level[cv] < need {
-                        level[cv] = need;
-                        changed = true;
-                    }
-                }
-            }
-        }
+        let (component_of, level) = self.levels()?;
         Some(
             self.nodes
                 .iter()
-                .enumerate()
-                .map(|(i, t)| (t.clone(), level[component_of[i]]))
+                .zip(component_of)
+                .map(|(t, c)| (t.clone(), level[c]))
                 .collect(),
         )
     }
@@ -361,20 +389,8 @@ where
 /// are reported unstratified (levels cannot be assigned to unknown names); the
 /// Figure 1 procedure handles those separately.
 pub fn is_stratified(program: &Program) -> bool {
-    // Every predicate name that participates must be ground.
-    for rule in program.iter() {
-        if ground_predicate_name(&rule.head).is_none() {
-            return false;
-        }
-        for lit in &rule.body {
-            if let Some(atom) = lit.atom() {
-                if ground_predicate_name(atom).is_none() {
-                    return false;
-                }
-            }
-        }
-    }
-    DependencyGraph::predicate_graph(program).no_negative_cycle()
+    let graph = DependencyGraph::predicate_graph(program.iter());
+    !graph.has_variable_heads() && graph.reads_any().next().is_none() && graph.no_negative_cycle()
 }
 
 /// Definition 6.2 restricted to a finite ground program: the program is
@@ -397,33 +413,6 @@ pub fn is_locally_stratified_ground(rules: &[Rule]) -> bool {
         );
     }
     DependencyGraph::atom_graph(rules).no_negative_cycle()
-}
-
-/// Groups the rules of a program by the strongly connected component of
-/// their (ground) head predicate name, returning the groups in
-/// lower-component-first order together with the set of names in each
-/// component.  Rules whose head name is non-ground are not returned.
-pub fn rules_by_component(program: &Program) -> Vec<(BTreeSet<Term>, Vec<Rule>)> {
-    let graph = DependencyGraph::predicate_graph(program);
-    let sccs = graph.scc_terms();
-    let mut component_of: TermMap<Term, usize> = TermMap::default();
-    for (ci, comp) in sccs.iter().enumerate() {
-        for t in comp {
-            component_of.insert(t.clone(), ci);
-        }
-    }
-    let mut groups: Vec<(BTreeSet<Term>, Vec<Rule>)> = sccs
-        .iter()
-        .map(|c| (c.iter().cloned().collect(), Vec::new()))
-        .collect();
-    for rule in program.iter() {
-        if let Some(name) = ground_predicate_name(&rule.head) {
-            if let Some(&ci) = component_of.get(&name) {
-                groups[ci].1.push(rule.clone());
-            }
-        }
-    }
-    groups
 }
 
 #[cfg(test)]
@@ -464,25 +453,10 @@ mod tests {
     }
 
     #[test]
-    fn predicate_names() {
-        let atom = Term::app(
-            Term::apps("winning", vec![Term::var("M")]),
-            vec![Term::var("X")],
-        );
-        assert_eq!(predicate_name(&atom).to_string(), "winning(M)");
-        assert_eq!(ground_predicate_name(&atom), None);
-        let ground = Term::app(Term::apps("winning", vec![sym("move1")]), vec![sym("a")]);
-        assert_eq!(
-            ground_predicate_name(&ground).unwrap().to_string(),
-            "winning(move1)"
-        );
-    }
-
-    #[test]
     fn stratification_of_pqr() {
         let p = stratified_pqr();
         assert!(is_stratified(&p));
-        let strata = DependencyGraph::predicate_graph(&p).strata().unwrap();
+        let strata = DependencyGraph::predicate_graph(p.iter()).strata().unwrap();
         assert!(strata[&sym("p")] > strata[&sym("r")]);
         assert!(strata[&sym("p")] >= strata[&sym("q")]);
     }
@@ -492,7 +466,7 @@ mod tests {
         // "This program is not stratified because winning depends negatively
         // on itself." (Example 6.1)
         assert!(!is_stratified(&win_move()));
-        assert!(DependencyGraph::predicate_graph(&win_move())
+        assert!(DependencyGraph::predicate_graph(win_move().iter())
             .strata()
             .is_none());
     }
@@ -528,16 +502,18 @@ mod tests {
             Rule::new(sym("q"), vec![Literal::pos(sym("p"))]),
             Rule::new(sym("r"), vec![Literal::pos(sym("p"))]),
         ]);
-        let g = DependencyGraph::predicate_graph(&p);
-        let sccs = g.scc_terms();
-        assert_eq!(sccs.len(), 2);
-        // p,q component must come before r (reverse topological order).
-        let first: BTreeSet<String> = sccs[0].iter().map(|t| t.to_string()).collect();
+        let g = DependencyGraph::predicate_graph(p.iter());
+        let sccs: Vec<BTreeSet<String>> = g
+            .sccs()
+            .into_iter()
+            .map(|c| c.into_iter().map(|v| g.nodes()[v].to_string()).collect())
+            .collect();
+        // The p,q component must come before r (reverse topological order).
         assert_eq!(
-            first,
-            ["p".to_string(), "q".to_string()].into_iter().collect()
+            sccs,
+            [vec!["p", "q"], vec!["r"]]
+                .map(|c| c.into_iter().map(String::from).collect::<BTreeSet<_>>())
         );
-        assert_eq!(sccs[1], vec![sym("r")]);
     }
 
     #[test]
@@ -555,14 +531,13 @@ mod tests {
             };
             adjacency.push(vec![next]);
         }
-        let node = |i: usize| Term::sym(format!("n{i}"));
-        let mut graph = DependencyGraph::new();
+        let mut graph = DependencyGraph::default();
         for v in 0..adjacency.len() {
-            graph.add_node(node(v));
+            graph.add_node(&Term::sym(format!("n{v}")));
         }
         for (v, successors) in adjacency.iter().enumerate() {
             for &w in successors {
-                graph.add_edge(node(v), node(w), EdgeSign::Positive);
+                graph.add_edge(v, w, EdgeSign::Positive);
             }
         }
 
@@ -584,7 +559,7 @@ mod tests {
     #[test]
     fn sink_components_are_the_lowest() {
         let p = stratified_pqr();
-        let g = DependencyGraph::predicate_graph(&p);
+        let g = DependencyGraph::predicate_graph(p.iter());
         let sinks: BTreeSet<String> = g
             .sink_component_nodes()
             .iter()
@@ -641,22 +616,9 @@ mod tests {
             Rule::new(sym("b"), vec![Literal::neg(sym("c"))]),
             Rule::fact(sym("c")),
         ]);
-        let strata = DependencyGraph::predicate_graph(&p).strata().unwrap();
+        let strata = DependencyGraph::predicate_graph(p.iter()).strata().unwrap();
         assert!(strata[&sym("a")] > strata[&sym("b")]);
         assert!(strata[&sym("b")] > strata[&sym("c")]);
-    }
-
-    #[test]
-    fn rules_grouped_by_component() {
-        let p = stratified_pqr();
-        let groups = rules_by_component(&p);
-        assert_eq!(groups.len(), 3);
-        // Each group's rules have heads in that group.
-        for (names, rules) in &groups {
-            for r in rules {
-                assert!(names.contains(&ground_predicate_name(&r.head).unwrap()));
-            }
-        }
     }
 
     #[test]
@@ -675,13 +637,150 @@ mod tests {
             ),
             Rule::fact(Term::apps("in", vec![sym("a"), Term::int(1)])),
         ]);
-        let g = DependencyGraph::predicate_graph(&p);
-        let contains_idx = g.node_index(&sym("contains")).unwrap();
-        assert!(g
-            .successors(contains_idx)
+        let g = DependencyGraph::predicate_graph(p.iter());
+        let contains = g
+            .nodes()
             .iter()
-            .any(|&(_, s)| s == EdgeSign::Negative));
+            .position(|n| *n == sym("contains"))
+            .unwrap();
+        assert!(g.successors(contains).iter().any(|&(_, s)| s.is_negative()));
         // Still stratified: no cycle.
         assert!(is_stratified(&p));
+    }
+
+    /// The levels the stratifier assigned before its one pass: relax every
+    /// edge between components until nothing rises.
+    fn relaxed_levels(g: &DependencyGraph) -> BTreeMap<Term, usize> {
+        let mut level = vec![0usize; g.len()];
+        let mut changed = true;
+        while changed {
+            changed = false;
+            for v in 0..g.len() {
+                for &(w, sign) in g.successors(v) {
+                    let need = level[w] + usize::from(sign.is_negative());
+                    if level[v] < need {
+                        level[v] = need;
+                        changed = true;
+                    }
+                }
+            }
+        }
+        g.nodes().iter().cloned().zip(level).collect()
+    }
+
+    #[test]
+    fn strata_are_the_relaxed_levels_on_a_chain_and_a_diamond() {
+        // a :- not b.  b :- c.  c :- not d.  d.
+        let chain = Program::from_rules(vec![
+            Rule::new(sym("a"), vec![Literal::neg(sym("b"))]),
+            Rule::new(sym("b"), vec![Literal::pos(sym("c"))]),
+            Rule::new(sym("c"), vec![Literal::neg(sym("d"))]),
+            Rule::fact(sym("d")),
+        ]);
+        // top :- l, not r.  l :- not bottom.  r :- bottom.  bottom.
+        let diamond = Program::from_rules(vec![
+            Rule::new(
+                sym("top"),
+                vec![Literal::pos(sym("l")), Literal::neg(sym("r"))],
+            ),
+            Rule::new(sym("l"), vec![Literal::neg(sym("bottom"))]),
+            Rule::new(sym("r"), vec![Literal::pos(sym("bottom"))]),
+            Rule::fact(sym("bottom")),
+        ]);
+        for (program, top) in [(chain, ("a", 2)), (diamond, ("top", 1))] {
+            let g = DependencyGraph::predicate_graph(program.iter());
+            let strata = g.strata().unwrap();
+            assert_eq!(strata, relaxed_levels(&g), "{program}");
+            assert_eq!(strata[&sym(top.0)], top.1);
+        }
+    }
+
+    fn closure_names(g: &DependencyGraph, name: &str) -> Option<BTreeSet<String>> {
+        g.readers_closure(&sym(name))
+            .map(|c| c.iter().map(Term::to_string).collect())
+    }
+
+    #[test]
+    fn a_variable_headed_rule_makes_every_closure_global() {
+        // X(a) :- p(X).  p(q).
+        let p = Program::from_rules(vec![
+            Rule::new(
+                Term::app(Term::var("X"), vec![sym("a")]),
+                vec![Literal::pos(Term::apps("p", vec![Term::var("X")]))],
+            ),
+            Rule::fact(Term::apps("p", vec![sym("q")])),
+        ]);
+        let g = DependencyGraph::predicate_graph(p.iter());
+        assert!(g.has_variable_heads());
+        assert_eq!(g.readers_closure(&sym("p")), None);
+        assert!(!is_stratified(&p));
+        // A variable-headed fact alone does the same.
+        let fact = Program::from_rules(vec![Rule::fact(Term::app(Term::var("X"), vec![sym("a")]))]);
+        assert_eq!(
+            DependencyGraph::predicate_graph(fact.iter()).readers_closure(&sym("p")),
+            None
+        );
+    }
+
+    #[test]
+    fn a_head_reading_a_variable_name_is_in_every_closure() {
+        // any :- X(a).  top :- any.  p :- q.  q.
+        let p = Program::from_rules(vec![
+            Rule::new(
+                sym("any"),
+                vec![Literal::pos(Term::app(Term::var("X"), vec![sym("a")]))],
+            ),
+            Rule::new(sym("top"), vec![Literal::pos(sym("any"))]),
+            Rule::new(sym("p"), vec![Literal::pos(sym("q"))]),
+            Rule::fact(sym("q")),
+        ]);
+        let g = DependencyGraph::predicate_graph(p.iter());
+        assert_eq!(g.reads_any().collect::<Vec<_>>(), vec![&sym("any")]);
+        let with = |names: &[&str]| Some(names.iter().map(|n| n.to_string()).collect());
+        assert_eq!(closure_names(&g, "q"), with(&["any", "p", "q", "top"]));
+        assert_eq!(closure_names(&g, "unseen"), with(&["any", "top", "unseen"]));
+        assert!(!is_stratified(&p));
+    }
+
+    #[test]
+    fn a_variable_named_aggregate_pattern_is_not_stratified() {
+        use crate::literal::{Aggregate, AggregateFunc};
+        // n(N) :- N = count(Y, X(Y)).
+        let p = Program::from_rules(vec![Rule::new(
+            Term::apps("n", vec![Term::var("N")]),
+            vec![Literal::Aggregate(Aggregate::new(
+                AggregateFunc::Count,
+                Term::var("N"),
+                Term::var("Y"),
+                Term::app(Term::var("X"), vec![Term::var("Y")]),
+            ))],
+        )]);
+        assert!(!is_stratified(&p));
+    }
+
+    #[test]
+    fn a_builtin_only_body_derives_its_head_without_an_edge() {
+        use crate::builtin::{BuiltinCall, BuiltinOp};
+        // f :- 1 < 2.  e.
+        let p = Program::from_rules(vec![
+            Rule::new(
+                sym("f"),
+                vec![Literal::Builtin(BuiltinCall::new(
+                    BuiltinOp::Lt,
+                    Term::int(1),
+                    Term::int(2),
+                ))],
+            ),
+            Rule::fact(sym("e")),
+        ]);
+        let g = DependencyGraph::predicate_graph(p.iter());
+        assert!(g.derives(&sym("f")));
+        assert!(g.successors(0).is_empty());
+        // A fact-only name nothing reads reaches only itself, underived.
+        assert!(!g.derives(&sym("e")));
+        assert_eq!(
+            closure_names(&g, "e"),
+            Some(BTreeSet::from(["e".to_string()]))
+        );
     }
 }

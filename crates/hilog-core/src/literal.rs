@@ -7,6 +7,7 @@
 //! (`N = sum P : in(Mach, X, Y, _, P)`), which the paper treats as the
 //! aggregate analogue of negation for modular stratification.
 
+use crate::analysis::EdgeSign;
 use crate::builtin::BuiltinCall;
 use crate::subst::Substitution;
 use crate::term::{Term, Var};
@@ -146,19 +147,23 @@ impl Literal {
         }
     }
 
-    /// Returns `true` for positive atom literals.
-    pub fn is_positive_atom(&self) -> bool {
-        matches!(self, Literal::Pos(_))
-    }
-
     /// Returns `true` for negative atom literals.
     pub fn is_negative_atom(&self) -> bool {
         matches!(self, Literal::Neg(_))
     }
 
-    /// Returns `true` for builtin or aggregate literals.
-    pub fn is_evaluable(&self) -> bool {
-        matches!(self, Literal::Builtin(_) | Literal::Aggregate(_))
+    /// The atom this literal makes its rule's head depend on, and the
+    /// polarity of that dependency: the atom of an atom literal, an
+    /// aggregate's pattern under [`EdgeSign::Negative`] (the paper reads
+    /// aggregation as negation), and `None` for a builtin.  Every dependency
+    /// graph is built from this one map.
+    pub fn dependency(&self) -> Option<(&Term, EdgeSign)> {
+        match self {
+            Literal::Pos(a) => Some((a, EdgeSign::Positive)),
+            Literal::Neg(a) => Some((a, EdgeSign::Negative)),
+            Literal::Aggregate(a) => Some((&a.pattern, EdgeSign::Negative)),
+            Literal::Builtin(_) => None,
+        }
     }
 
     /// Applies a substitution to the literal.
@@ -217,7 +222,6 @@ mod tests {
         let atom = Term::apps("winning", vec![Term::var("X")]);
         let pos = Literal::pos(atom.clone());
         let neg = Literal::neg(atom.clone());
-        assert!(pos.is_positive_atom());
         assert!(neg.is_negative_atom());
         assert_eq!(pos.atom(), Some(&atom));
         assert_eq!(neg.atom(), Some(&atom));
@@ -229,7 +233,7 @@ mod tests {
     fn evaluable_literals_have_no_atom() {
         let b = Literal::Builtin(BuiltinCall::new(BuiltinOp::Lt, Term::int(1), Term::int(2)));
         assert!(b.atom().is_none());
-        assert!(b.is_evaluable());
+        assert!(b.dependency().is_none());
         assert!(b.complement().is_none());
     }
 
@@ -271,6 +275,26 @@ mod tests {
         ]);
         assert_eq!(lit.apply(&theta).to_string(), "not move(a)");
         assert!(lit.apply(&theta).is_ground());
+    }
+
+    #[test]
+    fn dependencies_read_aggregation_as_negation() {
+        let atom = Term::apps("p", vec![Term::var("X")]);
+        assert_eq!(
+            Literal::pos(atom.clone()).dependency(),
+            Some((&atom, EdgeSign::Positive))
+        );
+        assert_eq!(
+            Literal::neg(atom.clone()).dependency(),
+            Some((&atom, EdgeSign::Negative))
+        );
+        let agg = Literal::Aggregate(Aggregate::new(
+            AggregateFunc::Count,
+            Term::var("N"),
+            Term::var("X"),
+            atom.clone(),
+        ));
+        assert_eq!(agg.dependency(), Some((&atom, EdgeSign::Negative)));
     }
 
     #[test]

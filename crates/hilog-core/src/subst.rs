@@ -54,11 +54,6 @@ impl Substitution {
         self.map.insert(var, term);
     }
 
-    /// Removes the binding for `var`, if any.
-    pub fn unbind(&mut self, var: &Var) {
-        self.map.remove(var);
-    }
-
     /// Iterates over the bindings in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Term)> {
         self.map.iter()

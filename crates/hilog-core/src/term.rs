@@ -186,11 +186,6 @@ impl Term {
         matches!(self, Term::Var(_))
     }
 
-    /// Returns `true` if the term is a bare symbol or integer.
-    pub fn is_atomic_constant(&self) -> bool {
-        matches!(self, Term::Sym(_) | Term::Int(_))
-    }
-
     /// The *name* of the term when viewed as an atom (Definition 2.1):
     /// for `t(t1, ..., tn)` the name is `t`; a bare symbol, integer or
     /// variable is its own name.

@@ -211,7 +211,7 @@ impl DatalogEngine {
     /// Evaluates a stratified program stratum by stratum (Definition 6.1 /
     /// the classical iterated-fixpoint semantics).  The result is total.
     pub fn stratified_model(&self) -> Result<DatalogModel, DatalogError> {
-        let graph = hilog_core::analysis::DependencyGraph::predicate_graph(&self.program);
+        let graph = hilog_core::analysis::DependencyGraph::predicate_graph(self.program.iter());
         let strata = graph.strata().ok_or_else(|| {
             DatalogError::NotStratified(
                 "the predicate dependency graph has a negative cycle".into(),

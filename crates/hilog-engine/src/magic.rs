@@ -50,34 +50,6 @@ pub mod names {
     pub const MINUS: &str = "-";
 }
 
-/// The polarity of an instance-level subgoal dependency, as recorded by the
-/// query-directed evaluator's tables.
-///
-/// This is the evaluation-side counterpart of the `dp` / `dn` bookkeeping
-/// predicates the transformation emits (see [`names::DP`] / [`names::DN`]):
-/// where the rewritten program *derives* `dp(H, A)` / `dn(H, A)` facts for
-/// every head instance `H` whose rule selected the subgoal instance `A`,
-/// [`crate::magic_eval::QueryEvaluator`] records the same edge on `H`'s
-/// subgoal table.  A dependency used both positively and negatively is
-/// recorded as [`DepSign::Neg`] — only the negative edges matter for the
-/// Example 6.4 cycle check, and either polarity propagates invalidation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum DepSign {
-    /// The subgoal was selected positively (`dp`).
-    Pos,
-    /// The subgoal was selected under negation or aggregation (`dn`): its
-    /// table had to be *completely settled* before the selecting rule could
-    /// proceed, so a cycle through such an edge is a cycle through negation.
-    Neg,
-}
-
-impl DepSign {
-    /// Returns `true` for [`DepSign::Neg`].
-    pub fn is_negative(self) -> bool {
-        self == DepSign::Neg
-    }
-}
-
 /// The output of the magic-sets transformation.
 #[derive(Debug, Clone)]
 pub struct MagicProgram {

@@ -13,7 +13,7 @@
 //!
 //! Every subgoal table records the positive/negative dependency edges
 //! discovered while it was filled (the instance-level counterpart of the
-//! `dp` / `dn` bookkeeping predicates — see [`crate::magic::DepSign`]).  When
+//! `dp` / `dn` bookkeeping predicates — see [`EdgeSign`]).  When
 //! settling a subgoal requires a subgoal that is still being evaluated
 //! higher up the chain — a negative dependency cycle at the instance level,
 //! as in Example 6.4 — the evaluator reports
@@ -71,8 +71,8 @@ use crate::aggregate::solve_aggregate;
 use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
-use crate::magic::DepSign;
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use hilog_core::analysis::EdgeSign;
 use hilog_core::hash::TermMap;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -285,9 +285,9 @@ pub(crate) struct Table {
 /// `dp(H, A)` / `dn(H, A)` for that `A`, *with* the `H`.
 #[derive(Debug, Clone)]
 pub(crate) struct Dep {
-    /// Strongest polarity `A` was selected under ([`DepSign::Neg`]
+    /// Strongest polarity `A` was selected under ([`EdgeSign::Negative`]
     /// dominates).
-    pub(crate) sign: DepSign,
+    pub(crate) sign: EdgeSign,
     /// The head instances `H` that selected `A`, each in variables shared
     /// with the dependency's key (see [`normalize_reader`]) and held once up
     /// to renaming: matching the key against a changed answer of `A`
@@ -635,12 +635,18 @@ impl QueryEvaluator {
     }
 
     /// Records that the table `from` selected `atom` with the given
-    /// polarity ([`DepSign::Neg`] dominates a previously recorded positive
+    /// polarity ([`EdgeSign::Negative`] dominates a previously recorded positive
     /// edge) and returns the key of the table `atom` is answered from.
     /// `head` is the instance of the rule head doing the selecting — given
     /// for a table whose pattern is non-ground, where it says which of the
     /// table's answers the selection can bear on.
-    fn record_edge(&mut self, from: &Term, atom: &Term, head: Option<Term>, sign: DepSign) -> Term {
+    fn record_edge(
+        &mut self,
+        from: &Term,
+        atom: &Term,
+        head: Option<Term>,
+        sign: EdgeSign,
+    ) -> Term {
         let (to, reader) = match head {
             Some(head) => {
                 let (to, reader) = normalize_reader(atom, &head);
@@ -655,9 +661,7 @@ impl QueryEvaluator {
                 sign,
                 readers: BTreeSet::new(),
             });
-            if sign == DepSign::Neg {
-                dep.sign = DepSign::Neg;
-            }
+            dep.sign = dep.sign.max(sign);
             dep.readers.extend(reader);
         }
         to
@@ -673,7 +677,7 @@ impl QueryEvaluator {
     fn not_modularly_stratified(&self, key: &Term) -> EngineError {
         /// One DFS frame: the table reached, whether the path to it crossed
         /// a negative edge, and the edges walked so far (for the report).
-        type Frame = (Term, bool, Vec<(Term, DepSign)>);
+        type Frame = (Term, bool, Vec<(Term, EdgeSign)>);
         let mut stack: Vec<Frame> = vec![(key.clone(), false, Vec::new())];
         let mut visited: BTreeSet<(Term, bool)> = BTreeSet::new();
         while let Some((node, has_neg, path)) = stack.pop() {
@@ -920,8 +924,12 @@ impl QueryEvaluator {
                                      when selected"
                                 )));
                             }
-                            let target =
-                                self.record_edge(subgoal_key, &instantiated, head(), DepSign::Pos);
+                            let target = self.record_edge(
+                                subgoal_key,
+                                &instantiated,
+                                head(),
+                                EdgeSign::Positive,
+                            );
                             let key = self.table_for_positive(target, scope, in_progress)?;
                             // Probe the table's argument indexes with the
                             // already-resolved subgoal: only answers agreeing
@@ -945,8 +953,12 @@ impl QueryEvaluator {
                                      non-ground (the rule order flounders, footnote 10)"
                                 )));
                             }
-                            let target =
-                                self.record_edge(subgoal_key, &instantiated, head(), DepSign::Neg);
+                            let target = self.record_edge(
+                                subgoal_key,
+                                &instantiated,
+                                head(),
+                                EdgeSign::Negative,
+                            );
                             let key = self.evaluate_completely(target, in_progress)?;
                             let is_true = self.table_at(&key).answers.contains(&instantiated);
                             if !is_true {
@@ -967,7 +979,7 @@ impl QueryEvaluator {
                                 subgoal_key,
                                 &instantiated_pattern,
                                 head(),
-                                DepSign::Neg,
+                                EdgeSign::Negative,
                             );
                             let key = self.evaluate_completely(target, in_progress)?;
                             let answers: Vec<Term> = self
@@ -1310,7 +1322,7 @@ mod tests {
         let mut ev = QueryEvaluator::new(&program, EvalOptions::default());
         let key = ev.settle(&parse_term("p(a)").unwrap()).unwrap();
         let q_b = parse_term("q(b)").unwrap();
-        assert_eq!(ev.table_at(&key).deps[&q_b].sign, DepSign::Neg);
+        assert_eq!(ev.table_at(&key).deps[&q_b].sign, EdgeSign::Negative);
         let mut db = HiLogDb::new(program.clone());
         let model = db.model().unwrap().clone();
         for atom in ["p(a)", "p(c)", "p(b)"] {

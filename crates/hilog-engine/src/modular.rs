@@ -51,7 +51,7 @@ use crate::error::EngineError;
 use crate::grounder::{check_rule_budget, relevant_ground};
 use crate::horn::EvalOptions;
 use crate::wfs::stratified_eval;
-use hilog_core::analysis::{ground_predicate_name, DependencyGraph, EdgeSign};
+use hilog_core::analysis::DependencyGraph;
 use hilog_core::interpretation::Model;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -152,28 +152,7 @@ pub(crate) fn figure1_procedure(
         }
 
         // Step 3: dependency graph over ground predicate names of R.
-        let mut graph = DependencyGraph::new();
-        for rule in &remaining {
-            for atom in std::iter::once(&rule.head).chain(rule.body.iter().filter_map(named_atom)) {
-                if let Some(name) = ground_predicate_name(atom) {
-                    graph.add_node(name);
-                }
-            }
-        }
-        for rule in &ground_headed {
-            let head_name = rule.head.name().clone();
-            for lit in &rule.body {
-                let (atom, sign) = match lit {
-                    Literal::Pos(a) => (a, EdgeSign::Positive),
-                    Literal::Neg(a) => (a, EdgeSign::Negative),
-                    Literal::Aggregate(a) => (&a.pattern, EdgeSign::Negative),
-                    Literal::Builtin(_) => continue,
-                };
-                if let Some(body_name) = ground_predicate_name(atom) {
-                    graph.add_edge(head_name.clone(), body_name, sign);
-                }
-            }
-        }
+        let graph = DependencyGraph::predicate_graph(&remaining);
 
         // Step 4: the lowest (sink) components.
         let lowest: BTreeSet<Term> = graph.sink_component_nodes().into_iter().collect();
@@ -265,18 +244,8 @@ fn settle_facts(
     Ok(model)
 }
 
-/// The atom whose predicate name a literal depends on: the atom of an atom
-/// literal, the pattern of an aggregate, none for a builtin.
-fn named_atom(lit: &Literal) -> Option<&Term> {
-    match lit {
-        Literal::Pos(a) | Literal::Neg(a) => Some(a),
-        Literal::Aggregate(a) => Some(&a.pattern),
-        Literal::Builtin(_) => None,
-    }
-}
-
 fn has_variable_name(lit: &Literal) -> bool {
-    named_atom(lit).is_some_and(|a| !a.name().is_ground())
+    lit.dependency().is_some_and(|(a, _)| !a.name().is_ground())
 }
 
 fn rule_has_variable_predicate_name(rule: &Rule) -> bool {

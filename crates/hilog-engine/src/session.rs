@@ -71,12 +71,12 @@ use crate::plan::QueryPlan;
 use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle};
 use crate::stable::StableOptions;
 use crate::storage::{RelationStorageStats, StorageConfig};
+use hilog_core::analysis::DependencyGraph;
 use hilog_core::hash::TermMap;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::term::{Term, Var};
-use maintain::DepAnalysis;
 use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
@@ -315,9 +315,11 @@ pub struct HiLogDb {
     /// `Arc`, and the next mutation copies-on-write whatever a published
     /// snapshot still holds.
     snap: DbSnapshot,
-    /// Cached predicate-dependency analysis; survives fact-level mutations
-    /// (facts add no dependency edges) and is rebuilt after rule-level ones.
-    analysis: Option<DepAnalysis>,
+    /// The program's predicate dependency graph, built lazily per program
+    /// version: it survives fact-level mutations (a fact adds no edge, and
+    /// a ground one neither a variable head nor a derived name) and is
+    /// dropped by rule-level ones.
+    analysis: Option<DependencyGraph>,
     /// Bumped by every mutation of the program.  The
     /// [`DbWriter`] compares it with the value it
     /// published at to know whether its program is still the published one.

@@ -5,8 +5,9 @@
 //! The model is either exact or absent: a fact nothing reads edits it in
 //! place, any other change drops it, and the next route that needs it runs
 //! [`well_founded_eval`](crate::wfs::well_founded_eval) over the maintained
-//! grounding.  The predicate-level [`DepAnalysis`] decides how far a change
-//! can reach.
+//! grounding.  How far a change can reach is read off the program's one
+//! predicate dependency graph ([`DependencyGraph::readers_closure`]), which
+//! the session caches per program version.
 //!
 //! An assert runs the same semi-naive driver that ground the program cold
 //! ([`crate::grounder`]'s `ground_from`) — there from an empty store, here
@@ -21,24 +22,18 @@ use crate::grounder::ground_from;
 use crate::horn::{join_body, AtomStore, NegationMode};
 use crate::snapshot::{lock_mut, SnapCore};
 use crate::storage::FactStore;
-use hilog_core::hash::TermMap;
-use hilog_core::literal::Literal;
+use hilog_core::analysis::DependencyGraph;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Returns `true` if `atom` falls inside an optional predicate-level scope
-/// (`None` means "everything" — a variable-headed rule or a fact without a
-/// predicate identity made the mutation global).  Used only to bound the
-/// DRed sweep of [`HiLogDb::retract_from_ground`].
-fn pred_scope_affects(preds: Option<&BTreeSet<PredKey>>, atom: &Term) -> bool {
-    match preds {
-        None => true,
-        // Ground atoms always have a predicate key; default to affected
-        // for safety.
-        Some(preds) => pred_key(atom).is_none_or(|k| preds.contains(&k)),
-    }
+/// Returns `true` if the name of `atom` falls inside an optional scope of
+/// predicate names (`None` means "everything" — a variable-headed rule or a
+/// fact with a variable name made the mutation global).  Used only to bound
+/// the DRed sweep of [`HiLogDb::retract_from_ground`].
+fn pred_scope_affects(preds: Option<&BTreeSet<Term>>, atom: &Term) -> bool {
+    preds.is_none_or(|preds| preds.contains(atom.name()))
 }
 
 impl HiLogDb {
@@ -86,16 +81,17 @@ impl HiLogDb {
         // builder) accept facts with variable predicate names, and those can
         // reach here through `retract_fact`; without a predicate identity
         // the predicate-level scope is global.
-        let keyed = match pred_key(fact) {
-            Some(key) => self.analysis().affected_by(&key).map(|set| (key, set)),
-            None => None,
+        let name = fact.name();
+        let affected = if name.is_ground() {
+            self.analysis().readers_closure(name)
+        } else {
+            None
         };
-        let Some((key, affected)) = keyed else {
+        let Some(affected) = affected else {
             self.apply_fact_delta(fact, asserted, None);
             return;
         };
-        let analysis = self.analysis.as_ref().expect("analysis just built");
-        let pure_edb = affected.len() == 1 && !analysis.derived.contains(&key);
+        let pure_edb = affected.len() == 1 && !self.analysis().derives(name);
         if !pure_edb {
             self.apply_fact_delta(fact, asserted, Some(affected));
             return;
@@ -160,7 +156,7 @@ impl HiLogDb {
     /// grounding.  `preds` is the predicate-level reverse closure (when one
     /// exists) and only bounds the DRed sweep of a retraction.  Cold (or
     /// unmaintainable) caches are dropped and rebuilt lazily.
-    fn apply_fact_delta(&mut self, fact: &Term, asserted: bool, preds: Option<BTreeSet<PredKey>>) {
+    fn apply_fact_delta(&mut self, fact: &Term, asserted: bool, preds: Option<BTreeSet<Term>>) {
         let core = lock_mut(&mut self.snap.core);
         // Stable models go too (the delta can flip whole models in and out
         // of existence); like the model they are rebuilt from the
@@ -231,7 +227,7 @@ impl HiLogDb {
     /// lose support) has its head inside it, so the index and the final
     /// sweep skip rules headed outside it entirely — a retraction confined
     /// to one component never walks the others' rules.
-    fn retract_from_ground(&mut self, fact: &Term, preds: Option<&BTreeSet<PredKey>>) {
+    fn retract_from_ground(&mut self, fact: &Term, preds: Option<&BTreeSet<Term>>) {
         let program = &self.snap.program;
         let core = lock_mut(&mut self.snap.core);
         let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
@@ -309,22 +305,13 @@ impl HiLogDb {
         id_rules.retain(|r| !in_scope(r) || rederives(r, possibly));
     }
 
-    fn analysis(&mut self) -> &DepAnalysis {
-        if self.analysis.is_none() {
-            self.analysis = Some(DepAnalysis::build(&self.snap.program));
-        }
-        self.analysis.as_ref().expect("just built")
+    /// The program's predicate dependency graph, built on first use after
+    /// each rule-level change.
+    fn analysis(&mut self) -> &DependencyGraph {
+        let program = &self.snap.program;
+        self.analysis
+            .get_or_insert_with(|| DependencyGraph::predicate_graph(program.iter()))
     }
-}
-
-/// A predicate identity: the (ground) predicate-name term plus arity.
-/// Symbols are `Arc`-backed, so cloning a first-order name is one refcount
-/// bump — this key is on the per-rule path of the DRed sweep.
-type PredKey = (Term, Option<usize>);
-
-fn pred_key(atom: &Term) -> Option<PredKey> {
-    let name = atom.name();
-    name.is_ground().then(|| (name.clone(), atom.arity()))
 }
 
 /// Returns `true` if some rule other than a program fact still produces the
@@ -347,77 +334,6 @@ pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
                 .map(|thetas| thetas.iter().any(|theta| theta.apply(&rule.head) == *fact))
                 .unwrap_or(false)
     })
-}
-
-/// Reverse dependency information over the program's predicates, used to
-/// decide which caches a fact-level mutation can reach.
-#[derive(Debug, Clone, Default)]
-pub(super) struct DepAnalysis {
-    /// `dependents[p]` = head predicates of rules whose body reads `p`.
-    dependents: TermMap<PredKey, BTreeSet<PredKey>>,
-    /// Head predicates of rules with a variable predicate name somewhere in
-    /// the body: they read *every* predicate.
-    universal_readers: BTreeSet<PredKey>,
-    /// `true` when some proper rule's head predicate name is non-ground; such
-    /// a rule can define any predicate, so every mutation is global.
-    wildcard_heads: bool,
-    /// Head predicates of proper (non-fact) rules.
-    derived: BTreeSet<PredKey>,
-}
-
-impl DepAnalysis {
-    fn build(program: &Program) -> Self {
-        let mut analysis = DepAnalysis::default();
-        for rule in program.proper_rules() {
-            let Some(head) = pred_key(&rule.head) else {
-                analysis.wildcard_heads = true;
-                continue;
-            };
-            analysis.derived.insert(head.clone());
-            for lit in &rule.body {
-                let atom = match lit {
-                    Literal::Pos(a) | Literal::Neg(a) => a,
-                    Literal::Aggregate(a) => &a.pattern,
-                    Literal::Builtin(_) => continue,
-                };
-                match pred_key(atom) {
-                    Some(body_key) => {
-                        analysis
-                            .dependents
-                            .entry(body_key)
-                            .or_default()
-                            .insert(head.clone());
-                    }
-                    None => {
-                        analysis.universal_readers.insert(head.clone());
-                    }
-                }
-            }
-        }
-        analysis
-    }
-
-    /// Every predicate whose cached state may change when `key` gains or
-    /// loses a fact (transitive reverse closure, always including the
-    /// universal readers).  `None` means "everything" — a variable-headed
-    /// rule exists.
-    fn affected_by(&self, key: &PredKey) -> Option<BTreeSet<PredKey>> {
-        if self.wildcard_heads {
-            return None;
-        }
-        let mut affected: BTreeSet<PredKey> = BTreeSet::new();
-        let mut queue: Vec<PredKey> = vec![key.clone()];
-        queue.extend(self.universal_readers.iter().cloned());
-        while let Some(k) = queue.pop() {
-            if !affected.insert(k.clone()) {
-                continue;
-            }
-            if let Some(readers) = self.dependents.get(&k) {
-                queue.extend(readers.iter().cloned());
-            }
-        }
-        Some(affected)
-    }
 }
 
 #[cfg(test)]

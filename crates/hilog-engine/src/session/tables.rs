@@ -119,11 +119,10 @@
 
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
-use crate::magic::DepSign;
 use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, Tables};
 use crate::snapshot::{lock_mut, DbSnapshot};
 use crate::storage::FactStore;
-use hilog_core::analysis::strongly_connected_components;
+use hilog_core::analysis::{strongly_connected_components, EdgeSign};
 use hilog_core::hash::TermMap;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
@@ -333,8 +332,8 @@ impl TableGraph {
     /// in the order given, then their reverse closure under the recorded
     /// edges, breadth first.
     ///
-    /// This is *instance-level* where the session's `DepAnalysis` is
-    /// predicate-level: a mutation to one game of a HiLog win/move database
+    /// This is *instance-level* where the session's predicate dependency
+    /// graph is predicate-level: a mutation to one game of a HiLog win/move database
     /// leaves the other games' `winning(g)(x)` tables untouched even though
     /// every one of them shares the (variable-headed) winning rule.  It is
     /// sound because a kept table's evaluation only ever consulted the
@@ -712,7 +711,7 @@ fn graft(
         let dep = deps.entry(instance.clone()).or_insert_with(|| {
             edges.added.push(instance.clone());
             Dep {
-                sign: DepSign::Pos,
+                sign: EdgeSign::Positive,
                 readers: BTreeSet::new(),
             }
         });
@@ -1457,7 +1456,7 @@ mod tests {
     /// A table for `key` that recorded an edge to each of `deps`.
     fn table_reading(key: &Term, deps: &[&Term]) -> Arc<Table> {
         let edge = || Dep {
-            sign: DepSign::Pos,
+            sign: EdgeSign::Positive,
             readers: BTreeSet::new(),
         };
         Arc::new(Table {

@@ -28,5 +28,6 @@ pub mod printer;
 
 pub use parser::{
     parse_clauses, parse_program, parse_query, parse_rule, parse_term, Clause, ParseError,
+    MAX_TERM_DEPTH,
 };
 pub use printer::{program_to_source, query_to_source, rule_to_source};

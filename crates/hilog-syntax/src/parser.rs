@@ -17,6 +17,10 @@
 //!
 //! `X = sum(V, Pattern)` (and `count` / `min` / `max`) in a body parses as an
 //! aggregation literal rather than a unification builtin.
+//!
+//! The text is untrusted, and the parser, `Display` and evaluation all
+//! recurse over a term's nesting, so no term may nest deeper than
+//! [`MAX_TERM_DEPTH`] levels.
 
 use crate::lexer::{tokenize, LexError, Spanned, Token};
 use hilog_core::builtin::{BuiltinCall, BuiltinOp};
@@ -25,6 +29,16 @@ use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
 use hilog_core::term::Term;
 use std::fmt;
+
+/// The deepest nesting a parsed term may have.  Every application (an
+/// argument list, or an arithmetic operator), parenthesis, prefix minus and
+/// list cell is one level, so a list may hold at most this many elements.
+/// A term at the bound goes through parse, `Display`, a query and drop on a
+/// 2 MiB thread stack in a debug build, with margin.
+pub const MAX_TERM_DEPTH: usize = 256;
+
+/// A term and the levels it nests, as [`MAX_TERM_DEPTH`] counts them.
+type Nested = (Term, usize);
 
 /// A parse error with source position.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -131,50 +145,71 @@ impl Parser {
     }
 
     // ---- terms and arithmetic expressions -------------------------------
+    //
+    // Each parser takes `room`, the levels still free above it, and returns
+    // the levels its term nests: a nested parse gets one level less, and a
+    // term built level by level (an application chain, an operator chain, a
+    // list) is checked as each level lands.
 
-    fn parse_primary(&mut self) -> Result<Term, ParseError> {
+    /// `depth` if it fits in `room`, an error naming the bound otherwise.
+    fn within(&self, depth: usize, room: usize) -> Result<usize, ParseError> {
+        if depth > room {
+            return Err(self.error_here(format!(
+                "term nests deeper than the {MAX_TERM_DEPTH} levels allowed"
+            )));
+        }
+        Ok(depth)
+    }
+
+    /// The room left one level down.
+    fn descend(&self, room: usize) -> Result<usize, ParseError> {
+        Ok(room - self.within(1, room)?)
+    }
+
+    fn parse_primary(&mut self, room: usize) -> Result<Nested, ParseError> {
         match self.next() {
             Some(Spanned {
                 token: Token::Symbol(s),
                 ..
-            }) => Ok(Term::sym(s)),
+            }) => Ok((Term::sym(s), 0)),
             Some(Spanned {
                 token: Token::Variable(v),
                 ..
             }) => {
                 if v == "_" {
-                    Ok(self.fresh_anon())
+                    Ok((self.fresh_anon(), 0))
                 } else {
-                    Ok(Term::var(v))
+                    Ok((Term::var(v), 0))
                 }
             }
             Some(Spanned {
                 token: Token::Integer(i),
                 ..
-            }) => Ok(Term::int(i)),
+            }) => Ok((Term::int(i), 0)),
             Some(Spanned {
                 token: Token::Minus,
                 ..
             }) => {
                 // Negative number literal or arithmetic negation.
-                let inner = self.parse_primary_with_apps()?;
-                match inner {
-                    Term::Int(i) => Ok(Term::int(-i)),
-                    other => Ok(Term::apps("-", vec![other])),
-                }
+                let (inner, depth) = self.parse_primary_with_apps(self.descend(room)?)?;
+                let negated = match inner {
+                    Term::Int(i) => Term::int(-i),
+                    other => Term::apps("-", vec![other]),
+                };
+                Ok((negated, depth + 1))
             }
             Some(Spanned {
                 token: Token::LParen,
                 ..
             }) => {
-                let t = self.parse_expr()?;
+                let (t, depth) = self.parse_expr(self.descend(room)?)?;
                 self.expect(&Token::RParen)?;
-                Ok(t)
+                Ok((t, depth + 1))
             }
             Some(Spanned {
                 token: Token::LBracket,
                 ..
-            }) => self.parse_list(),
+            }) => self.parse_list(room),
             Some(s) => Err(ParseError {
                 message: format!("expected a term, found `{}`", s.token),
                 line: s.line,
@@ -184,82 +219,101 @@ impl Parser {
         }
     }
 
-    fn parse_list(&mut self) -> Result<Term, ParseError> {
+    fn parse_list(&mut self, room: usize) -> Result<Nested, ParseError> {
         if self.peek() == Some(&Token::RBracket) {
             self.pos += 1;
-            return Ok(Term::nil());
+            return Ok((Term::nil(), 0));
         }
-        let mut elements = vec![self.parse_expr()?];
+        let inner = self.descend(room)?;
+        let mut elements = vec![self.parse_expr(inner)?];
         while self.peek() == Some(&Token::Comma) {
             self.pos += 1;
-            elements.push(self.parse_expr()?);
+            self.within(elements.len() + 1, room)?;
+            elements.push(self.parse_expr(inner)?);
         }
         let tail = if self.peek() == Some(&Token::Pipe) {
             self.pos += 1;
-            self.parse_expr()?
+            self.parse_expr(inner)?
         } else {
-            Term::nil()
+            (Term::nil(), 0)
         };
         self.expect(&Token::RBracket)?;
-        let mut acc = tail;
-        for e in elements.into_iter().rev() {
+        let (mut acc, mut depth) = tail;
+        for (e, d) in elements.into_iter().rev() {
             acc = Term::cons(e, acc);
+            depth = self.within(depth.max(d) + 1, room)?;
         }
-        Ok(acc)
+        Ok((acc, depth))
     }
 
     /// A primary followed by any number of argument lists (curried HiLog
     /// application): `tc(G)(X, Y)` parses as `(tc applied to G) applied to X, Y`.
-    fn parse_primary_with_apps(&mut self) -> Result<Term, ParseError> {
-        let mut term = self.parse_primary()?;
+    fn parse_primary_with_apps(&mut self, room: usize) -> Result<Nested, ParseError> {
+        let (mut term, mut depth) = self.parse_primary(room)?;
         while self.peek() == Some(&Token::LParen) {
             self.pos += 1;
+            let inner = self.descend(room)?;
             let mut args = Vec::new();
             if self.peek() != Some(&Token::RParen) {
-                args.push(self.parse_expr()?);
-                while self.peek() == Some(&Token::Comma) {
+                loop {
+                    let (arg, d) = self.parse_expr(inner)?;
+                    args.push(arg);
+                    depth = depth.max(d);
+                    if self.peek() != Some(&Token::Comma) {
+                        break;
+                    }
                     self.pos += 1;
-                    args.push(self.parse_expr()?);
                 }
             }
             self.expect(&Token::RParen)?;
             term = Term::app(term, args);
+            depth = self.within(depth + 1, room)?;
         }
-        Ok(term)
+        Ok((term, depth))
+    }
+
+    /// One level of left-associative binary operators over `operand`.
+    fn parse_binary(
+        &mut self,
+        room: usize,
+        operator: fn(Option<&Token>) -> Option<&'static str>,
+        operand: fn(&mut Self, usize) -> Result<Nested, ParseError>,
+    ) -> Result<Nested, ParseError> {
+        let (mut left, mut depth) = operand(self, room)?;
+        while let Some(op) = operator(self.peek()) {
+            self.pos += 1;
+            let (right, d) = operand(self, self.descend(room)?)?;
+            left = Term::apps(op, vec![left, right]);
+            depth = self.within(depth.max(d) + 1, room)?;
+        }
+        Ok((left, depth))
     }
 
     /// Multiplicative level of arithmetic expressions.
-    fn parse_factor(&mut self) -> Result<Term, ParseError> {
-        let mut left = self.parse_primary_with_apps()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Star) => "*",
-                Some(Token::Slash) => "div",
-                Some(Token::Div) => "div",
-                Some(Token::Mod) => "mod",
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_primary_with_apps()?;
-            left = Term::apps(op, vec![left, right]);
-        }
-        Ok(left)
+    fn parse_factor(&mut self, room: usize) -> Result<Nested, ParseError> {
+        self.parse_binary(
+            room,
+            |token| match token {
+                Some(Token::Star) => Some("*"),
+                Some(Token::Slash | Token::Div) => Some("div"),
+                Some(Token::Mod) => Some("mod"),
+                _ => None,
+            },
+            Self::parse_primary_with_apps,
+        )
     }
 
     /// Additive level of arithmetic expressions.
-    fn parse_expr(&mut self) -> Result<Term, ParseError> {
-        let mut left = self.parse_factor()?;
-        loop {
-            let op = match self.peek() {
-                Some(Token::Plus) => "+",
-                Some(Token::Minus) => "-",
-                _ => break,
-            };
-            self.pos += 1;
-            let right = self.parse_factor()?;
-            left = Term::apps(op, vec![left, right]);
-        }
-        Ok(left)
+    fn parse_expr(&mut self, room: usize) -> Result<Nested, ParseError> {
+        self.parse_binary(
+            room,
+            |token| match token {
+                Some(Token::Plus) => Some("+"),
+                Some(Token::Minus) => Some("-"),
+                _ => None,
+            },
+            Self::parse_factor,
+        )
     }
 
     // ---- literals, rules, queries ---------------------------------------
@@ -267,10 +321,10 @@ impl Parser {
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
         if self.peek() == Some(&Token::Not) {
             self.pos += 1;
-            let atom = self.parse_primary_with_apps()?;
+            let atom = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
             return Ok(Literal::Neg(atom));
         }
-        let left = self.parse_expr()?;
+        let left = self.parse_expr(MAX_TERM_DEPTH)?.0;
         let op = match self.peek() {
             Some(Token::Is) => Some(BuiltinOp::Is),
             Some(Token::Eq) => Some(BuiltinOp::Eq),
@@ -287,7 +341,7 @@ impl Parser {
             None => Ok(Literal::Pos(left)),
             Some(op) => {
                 self.pos += 1;
-                let right = self.parse_expr()?;
+                let right = self.parse_expr(MAX_TERM_DEPTH)?.0;
                 // `X = sum(V, Pattern)` is an aggregation literal.
                 if op == BuiltinOp::Eq {
                     if let Some(agg) = as_aggregate(&left, &right) {
@@ -315,7 +369,7 @@ impl Parser {
             self.expect(&Token::Dot)?;
             return Ok(Clause::Query(Query::new(body)));
         }
-        let head = self.parse_primary_with_apps()?;
+        let head = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
         match self.peek() {
             Some(Token::Dot) => {
                 self.pos += 1;
@@ -436,7 +490,7 @@ pub fn parse_rule(input: &str) -> Result<Rule, ParseError> {
 /// Parses a single term (no trailing dot).
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
     let mut parser = Parser::new(input)?;
-    let term = parser.parse_expr()?;
+    let term = parser.parse_expr(MAX_TERM_DEPTH)?.0;
     if !parser.at_end() {
         return Err(parser.error_here("unexpected trailing tokens after term"));
     }
@@ -576,6 +630,51 @@ mod tests {
         assert!(parse_term("p(a) extra").is_err());
         let err = parse_program("p.\nq :- .").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    /// One text per way a term nests, `levels` deep.
+    fn nested_texts(levels: usize) -> [String; 6] {
+        [
+            format!("{}a{}", "f(".repeat(levels), ")".repeat(levels)),
+            format!("{}a{}", "(".repeat(levels), ")".repeat(levels)),
+            format!("{}a", "- ".repeat(levels)),
+            format!("[{}]", vec!["a"; levels].join(", ")),
+            format!("f{}", "(a)".repeat(levels)),
+            vec!["a"; levels + 1].join(" + "),
+        ]
+    }
+
+    #[test]
+    fn terms_nest_up_to_the_bound_on_a_small_stack() {
+        // A connection thread's stack: a term at the bound parses, prints
+        // and drops there, and anything deeper is refused before it is
+        // built, however deep the text goes.
+        std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(|| {
+                for text in nested_texts(MAX_TERM_DEPTH) {
+                    let term = parse_term(&text).unwrap_or_else(|e| panic!("{e}: {text:.40}"));
+                    assert!(!term.to_string().is_empty());
+                }
+                // `p(...)` is one more level.
+                for text in nested_texts(MAX_TERM_DEPTH - 1) {
+                    let rule = parse_rule(&format!("p({text}) :- q({text}).")).unwrap();
+                    assert!(!rule.to_string().is_empty());
+                }
+                for levels in [MAX_TERM_DEPTH + 1, 100_000] {
+                    for text in nested_texts(levels) {
+                        let err = parse_term(&text).unwrap_err();
+                        assert!(
+                            err.message.contains(&MAX_TERM_DEPTH.to_string()),
+                            "{err}: {text:.40}"
+                        );
+                        assert!(parse_query(&format!("?- p({text}).")).is_err());
+                    }
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
     }
 
     #[test]

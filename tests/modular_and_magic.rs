@@ -3,10 +3,12 @@
 //! game workloads through the `HiLogDb` session facade.
 
 use hilog_core::interpretation::Model;
+use hilog_core::literal::Literal;
 use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_engine::{EngineError, HiLogDb, Semantics};
-use hilog_syntax::parse_term;
+use hilog_core::rule::{Query, Rule};
+use hilog_core::term::Term;
+use hilog_engine::{EngineError, HiLogDb, QueryResult, Semantics};
+use hilog_syntax::{parse_program, parse_query, parse_term};
 use hilog_workloads::{
     chain, cycle, hilog_game_program, layered_game_graph, node_name, normal_game_program,
     random_dag, random_range_restricted_normal, random_strongly_restricted_hilog,
@@ -170,8 +172,90 @@ fn check_figure_1_invariants(program: &Program, seed: u64) -> bool {
         for atom in wfm.base().iter().chain(model.base()) {
             assert_eq!(model.truth(atom), wfm.truth(atom), "{atom} in\n{program}");
         }
+        // The cross-route theorem, in Section 6.1's left-to-right form: on a
+        // program Figure 1 accepts, a bound query leaves the tabled route as
+        // not modularly stratified only because a body selects a literal
+        // before a settled one that Figure 1's reduction resolves first
+        // (`tests/corpus/figure_1_left_to_right.hl`).  With every body's
+        // settled literals moved to the front, in round order, the same
+        // query is answered on the tabled route, with the same answers.
+        let mut db = HiLogDb::new(program.clone());
+        let mut settled_first = None;
+        for atom in model.base() {
+            let query = Query::new(vec![Literal::pos(atom.clone())]);
+            let result = db.query(&query).unwrap();
+            if !is_not_modularly_stratified(&result) {
+                continue;
+            }
+            let reordered = settled_first
+                .get_or_insert_with(|| {
+                    HiLogDb::new(settled_literals_first(program, &outcome.rounds))
+                })
+                .query(&query)
+                .unwrap();
+            assert_eq!(
+                reordered.fallback, None,
+                "`?- {atom}.` falls back on a program Figure 1 accepts, in either body \
+                 order: {:?}\n{program}",
+                result.fallback
+            );
+            assert_eq!(
+                reordered.answers, result.answers,
+                "`?- {atom}.` in\n{program}"
+            );
+        }
     }
     outcome.modularly_stratified
+}
+
+/// Whether a query left the tabled route because it found a cycle through
+/// negation.
+fn is_not_modularly_stratified(result: &QueryResult) -> bool {
+    result
+        .fallback
+        .as_ref()
+        .is_some_and(|note| note.contains("not modularly stratified"))
+}
+
+/// `program` with each body's literals over names settled in Figure 1's
+/// `rounds` moved to the front, earliest round first; the rest keep their
+/// order behind them.
+fn settled_literals_first(program: &Program, rounds: &[Vec<Term>]) -> Program {
+    let round_of = |literal: &Literal| {
+        literal
+            .dependency()
+            .and_then(|(atom, _)| rounds.iter().position(|names| names.contains(atom.name())))
+            .unwrap_or(usize::MAX)
+    };
+    Program::from_rules(
+        program
+            .iter()
+            .map(|rule| {
+                let mut body = rule.body.clone();
+                body.sort_by_key(round_of);
+                Rule::new(rule.head.clone(), body)
+            })
+            .collect(),
+    )
+}
+
+/// The committed counterexample to the body-order-blind reading of the
+/// cross-route theorem: Figure 1 accepts the program, the tabled route
+/// falls back on `?- idb0(c1).` in the source order, and the invariants'
+/// left-to-right form holds.
+#[test]
+fn figure_1_accepts_a_program_the_tabled_route_reads_left_to_right() {
+    let program = parse_program(include_str!("corpus/figure_1_left_to_right.hl")).unwrap();
+    let mut db = HiLogDb::new(program.clone());
+    assert!(db.check_modular().unwrap().modularly_stratified);
+    let result = db.query(&parse_query("?- idb0(c1).").unwrap()).unwrap();
+    assert!(
+        is_not_modularly_stratified(&result),
+        "{:?}",
+        result.fallback
+    );
+    assert!(result.is_true());
+    assert!(check_figure_1_invariants(&program, 0));
 }
 
 #[test]

@@ -625,6 +625,62 @@ fn connections_end_when_the_client_says_so_or_framing_is_lost() {
     serving.join().expect("server thread exits cleanly");
 }
 
+/// Request bodies that nest without end are client errors, not a stack
+/// overflow on the connection thread: JSON past 128 levels is `400`, a query
+/// term past `MAX_TERM_DEPTH` does not parse (`422`), and a query at the
+/// bound is answered there, after which the connection serves on.
+#[test]
+fn deeply_nested_bodies_are_refused_and_the_server_serves_on() {
+    use hilog_server::{client, Server, ServerConfig};
+    use hilog_syntax::MAX_TERM_DEPTH;
+
+    let nested = |levels: usize| format!("{}a{}", "f(".repeat(levels), ")".repeat(levels));
+    // `deep(...)` is the level above the bound's.
+    let deepest = nested(MAX_TERM_DEPTH - 1);
+    let program = format!("move(a, b). move(b, c). deep({deepest}).");
+    let db = HiLogDb::new(parse_program(&program).unwrap());
+    let server = Server::bind(ServerConfig::ephemeral().workers(2), db).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+    let query = |text: &str| serde_json::to_string(&QueryBody { query: text }).unwrap();
+
+    let refused = [
+        (format!(r#"{{"query": {}"#, "[".repeat(5_000)), 400),
+        (query(&format!("?- move({}, X).", nested(5_000))), 422),
+        (
+            query(&format!("?- move([{}], X).", vec!["a"; 100_000].join(","))),
+            422,
+        ),
+    ];
+    let mut connection = client::Connection::open(addr).expect("connect");
+    for (body, status) in &refused {
+        let response = connection
+            .post("/query", body)
+            .expect("an answer, not an abort");
+        assert_eq!(response.status, *status, "{}", response.body);
+    }
+    // At the bound, on the connection thread: the term is read, matched,
+    // printed into the answer and dropped.
+    let response = connection.post("/query", &query("?- deep(X).")).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(response.body.contains(&deepest), "{}", response.body);
+    let at_bound = query(&format!("?- deep({deepest})."));
+    let response = connection.post("/query", &at_bound).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(
+        response.body.contains(r#""truth":"true""#),
+        "{}",
+        response.body
+    );
+    let response = connection.post("/query", &query("?- move(a, X).")).unwrap();
+    assert_eq!(response.status, 200, "{}", response.body);
+    assert!(response.body.contains(r#""X":"b""#), "{}", response.body);
+
+    shutdown.shutdown();
+    serving.join().expect("server thread exits cleanly");
+}
+
 /// Serialisation helper for the round-trip test's query bodies.
 struct QueryBody<'a> {
     query: &'a str,
