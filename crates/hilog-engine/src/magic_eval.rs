@@ -80,6 +80,7 @@ use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::{match_with, unify_with};
+use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -429,10 +430,361 @@ impl ProgramIndex {
     }
 }
 
-/// Subgoal tables by their normalised pattern.  Tables are `Arc`d so a map
-/// shares them structurally with every copy of it; `Arc::make_mut` copies a
-/// table on its first write only if another map still holds it.
-pub(crate) type Tables = TermMap<Term, Arc<Table>>;
+/// A table's position in a [`Tables`] arena.
+pub(crate) type TableId = usize;
+
+/// Complete subgoal tables by their normalised pattern — every map of them,
+/// a snapshot's or an evaluator's base — with the reverse of the edges they
+/// recorded, which the operations that put tables in and take them out
+/// move in the same step.  Tables are `Arc`d so a map shares them with
+/// every copy of it; `Arc::make_mut` copies one only if another map holds it.
+///
+/// A key has a stable position while the arena holds its table **or** a
+/// table it holds read it (a *dangling* edge: the maintenance pass never
+/// leaves one, and treats a reader of one as changed); a position neither
+/// holds is on the free list.  A table's reads are its `deps` keys.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Tables {
+    slots: Vec<Slot>,
+    /// The door: the position of every key with a table or a reader,
+    /// shared with every copy of the arena until one of them adds or drops
+    /// a key (a pass that re-solves tables in place never does).
+    ids: Arc<TermMap<Term, TableId>>,
+    /// Positions of the tables held, by the (ground) outermost functor and
+    /// arity of their pattern — the only tables that can cover a fact with
+    /// that functor and arity — and those whose functor is a variable,
+    /// which can cover any.  The idiom of `ProgramIndex`' `by_head` /
+    /// `wildcard`.
+    by_head: TermMap<(Term, Option<usize>), Vec<TableId>>,
+    wildcard: Vec<TableId>,
+    free: Vec<TableId>,
+    /// Tables held and not set aside.
+    len: usize,
+    /// Positions with readers and no table: the keys dangling edges lead
+    /// to.  0 in every map the maintenance pass leaves.
+    dangling: usize,
+    /// Bucket entries probed and closure members walked by the passes:
+    /// what the unit tests hold equal across map sizes.
+    #[cfg(test)]
+    pub(crate) visited: usize,
+}
+
+#[derive(Debug, Clone)]
+struct Slot {
+    /// The key at this position (stale at a free one).
+    key: Term,
+    table: Option<Arc<Table>>,
+    /// The table was set aside ([`Tables::set_aside`]): held for its
+    /// edges, hidden from every lookup.
+    aside: bool,
+    /// The positions of the tables that read this one, once per edge;
+    /// shared like the door, so that a copy of the arena copies no list.
+    readers: Arc<Vec<TableId>>,
+}
+
+/// Removes one occurrence of `v` from a list of positions.
+fn forget(list: &mut Vec<TableId>, v: TableId) {
+    let at = list.iter().position(|&w| w == v).expect("linked");
+    list.swap_remove(at);
+}
+
+impl Tables {
+    /// Number of tables in view.
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    pub(crate) fn get(&self, key: &Term) -> Option<&Arc<Table>> {
+        let slot = &self.slots[*self.ids.get(key)?];
+        slot.table.as_ref().filter(|_| !slot.aside)
+    }
+
+    pub(crate) fn contains_key(&self, key: &Term) -> bool {
+        self.get(key).is_some()
+    }
+
+    /// The tables in view, by key.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (&Term, &Arc<Table>)> {
+        (self.slots.iter())
+            .filter(|slot| !slot.aside)
+            .filter_map(|slot| Some((&slot.key, slot.table.as_ref()?)))
+    }
+
+    /// Holds `table` under its pattern: a new table, or another version of
+    /// one held.
+    pub(crate) fn insert(&mut self, table: Arc<Table>) {
+        let id = self.slot(&table.pattern);
+        self.put_back(id, table);
+    }
+
+    /// Inserts each of `fresh` whose pattern holds no table, calling
+    /// `entered` on it: any complete table for a pattern is as good as any
+    /// other while the program stands still.
+    pub(crate) fn fill(
+        &mut self,
+        fresh: impl IntoIterator<Item = Arc<Table>>,
+        mut entered: impl FnMut(&Arc<Table>),
+    ) {
+        for table in fresh {
+            if !self.contains_key(&table.pattern) {
+                entered(&table);
+                self.insert(table);
+            }
+        }
+    }
+
+    /// Takes the table at `id` out of view and hands it over; its edges stay
+    /// until [`Self::put_back`] or [`Self::remove`].
+    pub(crate) fn set_aside(&mut self, id: TableId) -> Arc<Table> {
+        let slot = &mut self.slots[id];
+        assert!(!slot.aside, "set aside twice");
+        slot.aside = true;
+        self.len -= 1;
+        Arc::clone(slot.table.as_ref().expect("held"))
+    }
+
+    /// The slot `id` shows `table` from now on: the table set aside comes
+    /// back untouched, or a new version replaces the one held (set aside or
+    /// not), re-linked from the old version's edges to its own.
+    pub(crate) fn put_back(&mut self, id: TableId, table: Arc<Table>) {
+        let slot = &mut self.slots[id];
+        if slot.table.is_none() || std::mem::take(&mut slot.aside) {
+            self.len += 1;
+        }
+        if slot
+            .table
+            .as_ref()
+            .is_some_and(|held| Arc::ptr_eq(held, &table))
+        {
+            return;
+        }
+        match slot.table.replace(Arc::clone(&table)) {
+            Some(old) => {
+                // Both versions' edges side by side, in key order: one both
+                // read is not touched at all.
+                let mut new = table.deps.keys().peekable();
+                let mut gone = old.deps.keys().peekable();
+                loop {
+                    let order = match (new.peek(), gone.peek()) {
+                        (None, None) => break,
+                        (Some(_), None) => Ordering::Less,
+                        (None, Some(_)) => Ordering::Greater,
+                        (Some(a), Some(b)) if a == b => Ordering::Equal,
+                        (Some(a), Some(b)) => a.cmp(b),
+                    };
+                    match order {
+                        Ordering::Less => self.link(id, new.next().expect("peeked")),
+                        Ordering::Greater => self.unlink(id, gone.next().expect("peeked")),
+                        Ordering::Equal => {
+                            new.next();
+                            gone.next();
+                        }
+                    }
+                }
+            }
+            None => {
+                let key = self.slots[id].key.clone();
+                if !self.slots[id].readers.is_empty() {
+                    self.dangling -= 1;
+                }
+                self.bucket(&key).push(id);
+                for dep in table.deps.keys() {
+                    self.link(id, dep);
+                }
+            }
+        }
+    }
+
+    /// Drops the table at `id` (in view or set aside) and its edges.
+    pub(crate) fn remove(&mut self, id: TableId) {
+        let key = self.slots[id].key.clone();
+        forget(self.bucket(&key), id);
+        let table = Arc::clone(self.slots[id].table.as_ref().expect("held"));
+        for dep in table.deps.keys() {
+            self.unlink(id, dep);
+        }
+        // Only now: an edge to itself must not give the position up twice.
+        let slot = &mut self.slots[id];
+        slot.table = None;
+        if !std::mem::take(&mut slot.aside) {
+            self.len -= 1;
+        }
+        if !slot.readers.is_empty() {
+            self.dangling += 1;
+        }
+        self.release(id);
+    }
+
+    /// The answers of the table in view at `id`, made the arena's own.
+    pub(crate) fn answers_mut(&mut self, id: TableId) -> &mut FactStore {
+        let table = self.slots[id].table.as_mut().expect("held");
+        &mut Arc::make_mut(table).answers
+    }
+
+    /// The key at position `id`.
+    pub(crate) fn key(&self, id: TableId) -> &Term {
+        &self.slots[id].key
+    }
+
+    /// The table held at `id`, in view or set aside.
+    pub(crate) fn held(&self, id: TableId) -> Option<&Arc<Table>> {
+        self.slots[id].table.as_ref()
+    }
+
+    /// Whether the table at `id` read a key with no table (looked for only
+    /// while the arena has such a key).
+    pub(crate) fn reads_absent(&self, id: TableId) -> bool {
+        self.dangling > 0
+            && (self.held(id).into_iter())
+                .flat_map(|table| table.deps.keys())
+                .any(|dep| self.slots[self.ids[dep]].table.is_none())
+    }
+
+    /// The positions of the tables that read the one at `id`.
+    pub(crate) fn readers(&self, id: TableId) -> &[TableId] {
+        &self.slots[id].readers
+    }
+
+    /// The tables held whose pattern can have an instance of `probe` for
+    /// an instance: those of its (ground) outermost functor and arity and
+    /// those whose functor is a variable — every one, for a probe with a
+    /// variable for a functor (a retracted `X(a).`).
+    pub(crate) fn candidates(&self, probe: &Term) -> Vec<TableId> {
+        let functor = probe.outermost_functor();
+        if !functor.is_ground() {
+            return (0..self.slots.len())
+                .filter(|&id| self.slots[id].table.is_some())
+                .collect();
+        }
+        let bucket = self.by_head.get(&(functor.clone(), probe.arity()));
+        (bucket.into_iter().flatten().chain(&self.wildcard))
+            .copied()
+            .collect()
+    }
+
+    /// The number of positions ever handed out: every `TableId` is below it.
+    pub(crate) fn span(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// The position `key` holds, giving it one if it holds none.
+    fn slot(&mut self, key: &Term) -> TableId {
+        if let Some(&id) = self.ids.get(key) {
+            return id;
+        }
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.slots[id].key = key.clone();
+                id
+            }
+            None => {
+                self.slots.push(Slot {
+                    key: key.clone(),
+                    table: None,
+                    aside: false,
+                    readers: Arc::default(),
+                });
+                self.slots.len() - 1
+            }
+        };
+        Arc::make_mut(&mut self.ids).insert(key.clone(), id);
+        id
+    }
+
+    /// Gives up the position of a key with neither a table nor a reader.
+    fn release(&mut self, id: TableId) {
+        let slot = &self.slots[id];
+        if slot.table.is_none() && slot.readers.is_empty() {
+            Arc::make_mut(&mut self.ids).remove(&slot.key);
+            self.free.push(id);
+        }
+    }
+
+    fn bucket(&mut self, key: &Term) -> &mut Vec<TableId> {
+        let functor = key.outermost_functor();
+        if functor.is_ground() {
+            (self.by_head.entry((functor.clone(), key.arity()))).or_default()
+        } else {
+            &mut self.wildcard
+        }
+    }
+
+    fn link(&mut self, id: TableId, dep: &Term) {
+        let w = self.slot(dep);
+        let slot = &mut self.slots[w];
+        if slot.table.is_none() && slot.readers.is_empty() {
+            self.dangling += 1;
+        }
+        Arc::make_mut(&mut slot.readers).push(id);
+    }
+
+    fn unlink(&mut self, id: TableId, dep: &Term) {
+        let w = self.ids[dep];
+        let slot = &mut self.slots[w];
+        forget(Arc::make_mut(&mut slot.readers), id);
+        if slot.table.is_none() && slot.readers.is_empty() {
+            self.dangling -= 1;
+        }
+        self.release(w);
+    }
+
+    /// The arena without its positions: per key whether a table is held
+    /// and set aside and who reads it, per bucket (`None`: the wildcard
+    /// list) its keys — equal for two arenas of the same tables.
+    #[cfg(any(test, debug_assertions))]
+    fn canonical(&self) -> impl PartialEq + std::fmt::Debug + '_ {
+        let named = |list: &[TableId]| -> BTreeSet<&Term> {
+            list.iter().map(|&w| &self.slots[w].key).collect()
+        };
+        let edges: BTreeMap<_, _> = (self.ids.iter())
+            .map(|(key, &id)| {
+                let slot = &self.slots[id];
+                assert_eq!(&slot.key, key, "the door names another slot");
+                let state = (slot.table.is_some(), slot.aside, named(&slot.readers));
+                (key, state)
+            })
+            .collect();
+        let mut buckets = BTreeMap::new();
+        for (head, bucket) in &self.by_head {
+            buckets.insert(Some(head), named(bucket));
+        }
+        buckets.insert(None, named(&self.wildcard));
+        buckets.retain(|_, bucket| !bucket.is_empty());
+        (edges, buckets)
+    }
+
+    /// Checks the arena against one rebuilt from its own `(key, table)`
+    /// pairs — the tables set aside set aside again — and that every
+    /// position is either behind the door or free.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn assert_describes(&self) {
+        let mut rebuilt = Tables::default();
+        for slot in &self.slots {
+            if let Some(table) = &slot.table {
+                rebuilt.insert(Arc::clone(table));
+            }
+        }
+        for slot in self.slots.iter().filter(|slot| slot.aside) {
+            rebuilt.set_aside(rebuilt.ids[&slot.key]);
+        }
+        assert_eq!(
+            self.canonical(),
+            rebuilt.canonical(),
+            "the table arena is out of step with its tables"
+        );
+        assert_eq!((self.len, self.dangling), (rebuilt.len, rebuilt.dangling));
+        let mut positions: Vec<TableId> = self.ids.values().chain(&self.free).copied().collect();
+        positions.sort_unstable();
+        assert!(
+            positions.iter().copied().eq(0..self.slots.len()),
+            "a position is lost or held twice"
+        );
+    }
+}
 
 /// A memoising query/subquery evaluator over a fixed program.
 ///
@@ -460,8 +812,9 @@ pub struct QueryEvaluator {
     /// the session's maintenance never render a pattern to text — and two
     /// patterns that would print identically can never share a table.
     /// Handing the work back, and counting it, cost in proportion to these
-    /// and not to the warm tables the evaluator started from.
-    own: Tables,
+    /// and not to the warm tables the evaluator started from.  A plain map:
+    /// a table being filled still changes its edges.
+    own: TermMap<Term, Arc<Table>>,
     rename_counter: u32,
     /// `rule_applications`, `head_unifications` and `cached_subqueries` so
     /// far; the table counts are read off `own` on demand.
@@ -490,7 +843,7 @@ impl QueryEvaluator {
             query_rule: None,
             opts,
             base,
-            own: Tables::default(),
+            own: TermMap::default(),
             rename_counter: 0,
             stats: EvalStats::default(),
             derived: 0,
@@ -505,7 +858,7 @@ impl QueryEvaluator {
     /// returned is a valid table of the base program.  The evaluator's hold
     /// on its base ends here, so a caller that holds the only other `Arc` of
     /// it owns it outright again.
-    pub(crate) fn into_tables(mut self) -> Tables {
+    pub(crate) fn into_tables(mut self) -> TermMap<Term, Arc<Table>> {
         self.drop_query_table();
         self.own.retain(|_, table| table.complete);
         self.own
@@ -1082,6 +1435,13 @@ fn rename_canonically(term: &Term, vars: &[Var], canonical: &[Term]) -> Term {
 
 #[cfg(test)]
 mod tests {
+    impl Tables {
+        /// The keys behind the door, and the positions ever handed out.
+        pub(crate) fn footprint(&self) -> (usize, usize) {
+            (self.ids.len(), self.slots.len())
+        }
+    }
+
     use super::*;
     use crate::session::HiLogDb;
     use hilog_core::interpretation::Truth;
@@ -1548,7 +1908,7 @@ mod tests {
     fn seeded_tables_are_neither_counted_nor_handed_back() {
         let program = game(6);
         let index = Arc::new(ProgramIndex::build(&program, &StorageConfig::InMemory));
-        let evaluator = |tables| {
+        let evaluator = |tables: Tables| {
             QueryEvaluator::over(
                 index.clone(),
                 EvalOptions::default(),
@@ -1563,7 +1923,9 @@ mod tests {
         let seeded = first.into_tables();
         assert!(!seeded.is_empty());
         // The second evaluator starts from those tables and needs more.
-        let mut second = evaluator(seeded.clone());
+        let mut base = Tables::default();
+        base.fill(seeded.clone().into_values(), |_| {});
+        let mut second = evaluator(base);
         second
             .solve_atom(&parse_term("winning(move1)(p2)").unwrap())
             .unwrap();

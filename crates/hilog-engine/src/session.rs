@@ -292,7 +292,6 @@ impl HiLogDbBuilder {
             analysis: None,
             generation: 0,
             fact_copies: None,
-            table_graph: None,
             unsettled: Vec::new(),
             pending_patched: 0,
             pending_dropped: 0,
@@ -313,7 +312,8 @@ pub struct HiLogDb {
     /// implementation of every read route.  Mutations reach its caches
     /// lock-free (`&mut self` is exclusive); publishing shares them by
     /// `Arc`, and the next mutation copies-on-write whatever a published
-    /// snapshot still holds.
+    /// snapshot still holds.  Its table map keeps its own edges (`Tables`),
+    /// which a table-maintenance pass reads.
     snap: DbSnapshot,
     /// The program's predicate dependency graph, built lazily per program
     /// version: it survives fact-level mutations (a fact adds no edge, and
@@ -332,18 +332,6 @@ pub struct HiLogDb {
     /// for it); from then on every edit of a bodiless rule moves it in the
     /// same step.  The keys share the `Arc`s of the rules' own heads.
     fact_copies: Option<TermMap<Term, usize>>,
-    /// The edges the subgoal tables of the working map recorded, indexed by
-    /// position, with the reverse edges and the tables bucketed by functor
-    /// (see `tables::TableGraph`): what a table-maintenance pass reads
-    /// instead of the map, so that it costs the closure it reaches.
-    /// Writer-only like `fact_copies`: never cloned into a published
-    /// snapshot, and `None` until the first pass builds it from the map (a
-    /// session that only reads never pays for it); from then on each of the
-    /// four sites a table enters or leaves the working map — a query of this
-    /// session merging what it completed, the adoption of reader tables, the
-    /// maintenance pass, the drop of a rule head's closure — moves it in the
-    /// same step.
-    table_graph: Option<tables::TableGraph>,
     /// The effective fact-level changes (fact, `true` for asserted) the
     /// subgoal tables have not been settled under yet, in the order they
     /// were made (none is queued while the session holds no table).  Empty
@@ -667,11 +655,7 @@ impl HiLogDb {
     /// Answers a query through the plan [`explain`](HiLogDb::explain)
     /// chooses, reusing every cache the session holds.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult, EngineError> {
-        let result = self.snap.query(query);
-        // Whether or not it succeeded: tables completed before a failure
-        // are kept too.
-        self.index_merged_tables();
-        let mut result = result?;
+        let mut result = self.snap.query(query)?;
         self.decorate(&mut result.plan);
         // Consumed only on success, so a failed query (no stats to carry
         // them) leaves the mutation window's counters for the next one.

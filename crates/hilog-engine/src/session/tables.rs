@@ -24,45 +24,30 @@
 //! Rule-level mutations change what a *pattern* can derive, not what a fact
 //! set holds, and drop the reverse closure of the rule's head outright.
 //!
-//! # The edge index lives with the writer
+//! # The edges live with the tables
 //!
-//! Neither pass reads the map to find out where to look.  The session keeps
-//! one index of the recorded edges beside its working map ([`TableGraph`],
-//! `HiLogDb`'s `table_graph`): every key at a stable position, `reads` and
-//! the reverse `readers` as lists of positions, and the tables bucketed by
-//! the outermost functor and arity of their pattern.  It belongs to the
-//! writer alone — no published snapshot carries it, a session that never
-//! writes never builds it — and it is built from the map **once**, by the
-//! first pass; after that it is *moved with the map*, in the same step, at
-//! each of the four sites where a table enters or leaves the writer's map,
-//! and there are no others:
-//!
-//! 1. a query of the session itself completes tables, which
-//!    `DbSnapshot::merge_tables` puts into the working map and logs
-//!    (`HiLogDb::query` indexes the log before it returns);
-//! 2. the writer adopts the tables readers completed on the published
-//!    snapshot (`HiLogDb::adopt_tables`; every way into a `DbWriter`'s
-//!    session adopts first, `DbWriter::db` included);
-//! 3. the pass itself: every table an evaluator of [`HiLogDb::resolve`]
-//!    created and completed enters (a re-solved table thereby trades its old
-//!    edges for its new ones), [`graft`] reports the edges it edited, a table
-//!    whose re-solve failed leaves — and a table set aside and put back
-//!    untouched keeps its position and its edges, so it costs the index
-//!    nothing;
-//! 4. [`HiLogDb::drop_tables_for_head`] takes the closure of a rule head out
-//!    of both.
+//! Neither pass reads the whole map to find out where to look.  The map is
+//! an arena ([`Tables`]) that keeps every key at a stable position, the
+//! *readers* of each table as a list of positions, and the tables bucketed
+//! by the outermost functor and arity of their pattern; whatever puts a
+//! table in or takes one out — a query merging what it completed, the
+//! writer adopting what readers completed, the pass, the drop of a rule
+//! head's closure — goes through its `insert` / `remove`, which move the
+//! edges in the same step.  The pass *sets aside* the tables of its closure:
+//! out of view of every evaluation, edges in place, so a table put back as
+//! it was costs the arena nothing.
 //!
 //! So a pass costs what it reaches.  The tables covering a changed fact are
 //! looked for in the bucket of the fact's functor; the reverse closure is a
-//! breadth-first walk of `readers` from them; and the dependency order of
+//! breadth-first walk of the readers from them; and the dependency order of
 //! the walk is Tarjan over the **closure only**.  That is Tarjan over the
 //! whole graph: the closure is closed under readers, a cycle through one of
 //! its tables consists of transitive readers of that table, so every
 //! strongly connected component that meets the closure lies inside it, and
 //! an edge leaving the closure leads to a table the batch cannot have
 //! changed, which orders nothing.  Wherever debug assertions run, every
-//! publish compares the maintained index with one built from the map
-//! (`HiLogDb::fork`).
+//! publish compares the arena with one rebuilt from its own tables
+//! (`DbSnapshot::fork`).
 //!
 //! # Re-deriving a non-ground table per head instance
 //!
@@ -119,209 +104,33 @@
 
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
-use crate::magic_eval::{normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, Tables};
-use crate::snapshot::{lock_mut, DbSnapshot};
+use crate::magic_eval::{
+    normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, TableId, Tables,
+};
+use crate::snapshot::lock_mut;
 use crate::storage::FactStore;
 use hilog_core::analysis::{strongly_connected_components, EdgeSign};
-use hilog_core::hash::TermMap;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
-use std::collections::hash_map::Entry;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The dependency graph the tables of the **writer's** map recorded, by
-/// *position* — kept by the session beside the map ([`HiLogDb`]'s
-/// `table_graph`) and moved in the same step as the map at each of the four
-/// sites a table enters or leaves it, so that a maintenance pass reads the
-/// edges of the tables it reaches and nothing about the rest: the tables
-/// covering a changed fact come out of the buckets of that fact's functor,
-/// the reverse closure is a walk of `readers`, and the order of the walk is
-/// Tarjan over the closure alone.  Writer-only: never cloned into a published
-/// snapshot, built from the map once, by the first pass that needs it.
-///
-/// A key holds a position while the map holds its table **or** a table in
-/// the map read it (a *dangling* edge: the maintenance pass never leaves one,
-/// a map that came in that way is served by treating the reader as changed);
-/// a position neither holds is on the free list.
-#[derive(Debug, Default)]
-pub(super) struct TableGraph {
-    /// The key at each position (stale at a free one).
-    keys: Vec<Term>,
-    position: TermMap<Term, usize>,
-    /// Whether the map holds the table at this position.
-    present: Vec<bool>,
-    /// Positions of the tables each table read while it was filled, and the
-    /// reverse: the tables that read it.
-    reads: Vec<Vec<usize>>,
-    readers: Vec<Vec<usize>>,
-    /// Positions of the tables in the map, by the (ground) outermost functor
-    /// and arity of their pattern — the only tables that can cover a fact
-    /// with that functor and arity — and those whose functor is a variable,
-    /// which can cover any.  The idiom of `ProgramIndex`' `by_head` /
-    /// `wildcard`.
-    by_head: TermMap<(Term, Option<usize>), Vec<usize>>,
-    wildcard: Vec<usize>,
-    free: Vec<usize>,
-    /// Scratch for [`Self::reverse_closure`] / [`Self::subgraph`]: a
-    /// position's number inside the closure being built, [`OUTSIDE`]
-    /// whenever neither is running.  Lives here so that a pass allocates in
-    /// proportion to its closure.
-    local: Vec<usize>,
-    /// Positions a pass looked at: bucket entries probed and closure members
-    /// walked.  What the unit tests hold equal across map sizes.
-    #[cfg(test)]
-    visited: usize,
-}
-
-const OUTSIDE: usize = usize::MAX;
-
-/// Removes one occurrence of `v` from a list of positions.
-fn forget(list: &mut Vec<usize>, v: usize) {
-    let at = list.iter().position(|&w| w == v).expect("linked");
-    list.swap_remove(at);
-}
-
-impl TableGraph {
-    /// The index of a map, from scratch: what the first pass over a map
-    /// starts from, and what the maintained index is compared with wherever
-    /// debug assertions run.
-    fn of(tables: &Tables) -> TableGraph {
-        let mut graph = TableGraph::default();
-        for (key, table) in tables {
-            graph.enter(key, &table.deps);
-        }
-        graph
-    }
-
-    /// The position `key` holds, giving it one if it holds none.
-    fn slot(&mut self, key: &Term) -> usize {
-        if let Some(&v) = self.position.get(key) {
-            return v;
-        }
-        let v = match self.free.pop() {
-            Some(v) => {
-                self.keys[v] = key.clone();
-                v
-            }
-            None => {
-                self.keys.push(key.clone());
-                self.present.push(false);
-                self.reads.push(Vec::new());
-                self.readers.push(Vec::new());
-                self.local.push(OUTSIDE);
-                self.keys.len() - 1
-            }
-        };
-        self.position.insert(key.clone(), v);
-        v
-    }
-
-    /// Gives up the position of a key the map neither holds nor reads.
-    fn release(&mut self, v: usize) {
-        if !self.present[v] && self.readers[v].is_empty() {
-            self.position.remove(&self.keys[v]);
-            self.free.push(v);
-        }
-    }
-
-    fn bucket(&mut self, key: &Term) -> &mut Vec<usize> {
-        let functor = key.outermost_functor();
-        if functor.is_ground() {
-            (self.by_head.entry((functor.clone(), key.arity()))).or_default()
-        } else {
-            &mut self.wildcard
-        }
-    }
-
-    fn link(&mut self, v: usize, dep: &Term) {
-        let w = self.slot(dep);
-        self.reads[v].push(w);
-        self.readers[w].push(v);
-    }
-
-    fn unlink(&mut self, v: usize, w: usize) {
-        forget(&mut self.readers[w], v);
-        self.release(w);
-    }
-
-    /// The map now holds, for `key`, a table that recorded the edges `deps`
-    /// — a new table, or another version of one it held.
-    fn enter(&mut self, key: &Term, deps: &BTreeMap<Term, Dep>) {
-        let v = self.slot(key);
-        if !self.present[v] {
-            self.present[v] = true;
-            self.bucket(key).push(v);
-        }
-        // The new edges first: a dependency both versions read keeps its
-        // position throughout.
-        let outdated = std::mem::take(&mut self.reads[v]);
-        for dep in deps.keys() {
-            self.link(v, dep);
-        }
-        for w in outdated {
-            self.unlink(v, w);
-        }
-    }
-
-    /// The table for `key` stays in the map with some edges `removed` and
-    /// others `added` (a removal is applied first).
-    fn relink(&mut self, key: &Term, removed: &[Term], added: &[Term]) {
-        let v = self.position[key];
-        for dep in removed {
-            let w = self.position[dep];
-            forget(&mut self.reads[v], w);
-            self.unlink(v, w);
-        }
-        for dep in added {
-            self.link(v, dep);
-        }
-    }
-
-    /// The table for `key` left the map.
-    fn leave(&mut self, key: &Term) {
-        self.leave_at(self.position[key]);
-    }
-
-    fn leave_at(&mut self, v: usize) {
-        let key = self.keys[v].clone();
-        forget(self.bucket(&key), v);
-        for w in std::mem::take(&mut self.reads[v]) {
-            self.unlink(v, w);
-        }
-        // Only now: an edge to itself must not give the position up twice.
-        self.present[v] = false;
-        self.release(v);
-    }
-
-    /// Calls `hit` with the position of every table in the map whose pattern
-    /// could cover an instance of `probe` (renamed apart by the caller):
-    /// looked for among the tables of the probe's functor and arity, not
-    /// among all of them.
-    fn covering(&mut self, probe: &Term, mut hit: impl FnMut(usize)) {
-        let functor = probe.outermost_functor();
-        let everything;
-        let (bucket, wildcard): (&[usize], &[usize]) = if functor.is_ground() {
-            let bucket = self.by_head.get(&(functor.clone(), probe.arity()));
-            (
-                bucket.map(Vec::as_slice).unwrap_or_default(),
-                &self.wildcard,
-            )
-        } else {
-            // A probe with a variable for a functor (a retracted `X(a).`)
-            // can be an instance of anything.
-            everything = (0..self.keys.len())
-                .filter(|&v| self.present[v])
-                .collect::<Vec<_>>();
-            (&everything, &[])
-        };
+/// The walks a maintenance pass makes over the arena: each reads the edges
+/// of the tables it reaches and nothing about the rest.
+impl Tables {
+    /// Calls `hit` with the position of every table held whose pattern could
+    /// cover an instance of `probe` (renamed apart by the caller): looked
+    /// for among the tables of the probe's functor and arity, not among all
+    /// of them.
+    fn covering(&mut self, probe: &Term, mut hit: impl FnMut(TableId)) {
+        let candidates = self.candidates(probe);
         #[cfg(test)]
         {
-            self.visited += bucket.len() + wildcard.len();
+            self.visited += candidates.len();
         }
-        for &v in bucket.iter().chain(wildcard) {
-            if overlaps(&self.keys[v], probe) {
+        for v in candidates {
+            if overlaps(self.key(v), probe) {
                 hit(v);
             }
         }
@@ -341,23 +150,20 @@ impl TableGraph {
     /// refilling the kept table would never read a changed atom — and any
     /// *newly selectable* subgoal requires some consulted table to gain
     /// answers first, which puts it inside the closure.
-    fn reverse_closure(&mut self, seeds: &[usize]) -> Vec<usize> {
+    fn reverse_closure(&mut self, seeds: &[TableId]) -> Vec<TableId> {
         let mut members = seeds.to_vec();
+        let mut seen = vec![false; self.span()];
         for &v in seeds {
-            self.local[v] = 0;
+            seen[v] = true;
         }
         let mut next = 0;
         while let Some(&v) = members.get(next) {
             next += 1;
-            for &reader in &self.readers[v] {
-                if self.local[reader] == OUTSIDE {
-                    self.local[reader] = 0;
+            for &reader in self.readers(v) {
+                if !std::mem::replace(&mut seen[reader], true) {
                     members.push(reader);
                 }
             }
-        }
-        for &v in &members {
-            self.local[v] = OUTSIDE;
         }
         #[cfg(test)]
         {
@@ -369,110 +175,46 @@ impl TableGraph {
     /// The recorded edges among `members` — a set closed under readers, so
     /// every cycle through a member lies inside it and its strongly connected
     /// components are the whole graph's — numbered by their place in
-    /// `members`.
-    fn subgraph(&mut self, members: &[usize]) -> Closure {
-        for (number, &v) in members.iter().enumerate() {
-            self.local[v] = number;
+    /// `members`: the members' readers lists read backwards, so no key is
+    /// looked up.  (This scratch, like `reverse_closure`'s, spans every
+    /// position: a fill of one word each, cheaper than hashing the few
+    /// hundred a pass reaches.)
+    fn subgraph(&self, members: &[TableId]) -> Closure {
+        let mut number = vec![usize::MAX; self.span()];
+        for (n, &v) in members.iter().enumerate() {
+            number[v] = n;
         }
-        let mut starts = Vec::with_capacity(members.len() + 1);
-        let mut edges = Vec::new();
-        let mut dangling = Vec::with_capacity(members.len());
-        for &v in members {
-            starts.push(edges.len());
-            let mut reads_absent = false;
-            for &w in &self.reads[v] {
-                reads_absent |= !self.present[w];
-                if self.local[w] != OUTSIDE {
-                    edges.push(self.local[w]);
-                }
+        let mut reads = vec![Vec::new(); members.len()];
+        for (w, &dep) in members.iter().enumerate() {
+            for &reader in self.readers(dep) {
+                reads[number[reader]].push(w);
             }
-            dangling.push(reads_absent);
         }
-        starts.push(edges.len());
-        for &v in members {
-            self.local[v] = OUTSIDE;
+        let groups = strongly_connected_components(members.len(), |v| reads[v].iter().copied());
+        Closure {
+            keys: members.iter().map(|&v| self.key(v).clone()).collect(),
+            reads,
+            dangling: members.iter().map(|&v| self.reads_absent(v)).collect(),
+            groups,
         }
-        let mut closure = Closure {
-            keys: members.iter().map(|&v| self.keys[v].clone()).collect(),
-            starts,
-            edges,
-            dangling,
-            groups: Vec::new(),
-        };
-        closure.groups =
-            strongly_connected_components(members.len(), |v| closure.reads(v).iter().copied());
-        closure
-    }
-
-    /// The index without its positions: per key whether the map holds it,
-    /// what it reads and who reads it, and per bucket (`None` for the
-    /// wildcard list) the keys in it — equal for two indexes of one map.
-    #[cfg(any(test, debug_assertions))]
-    fn canonical(&self) -> Canonical<'_> {
-        let named = |list: &[usize]| list.iter().map(|&w| &self.keys[w]).collect();
-        let edges = (self.position.iter())
-            .map(|(key, &v)| {
-                let entry = (
-                    self.present[v],
-                    named(&self.reads[v]),
-                    named(&self.readers[v]),
-                );
-                (key, entry)
-            })
-            .collect();
-        let mut buckets: BTreeMap<_, BTreeSet<&Term>> = BTreeMap::new();
-        for (head, bucket) in &self.by_head {
-            buckets.insert(Some(head), named(bucket));
-        }
-        buckets.insert(None, named(&self.wildcard));
-        buckets.retain(|_, bucket| !bucket.is_empty());
-        (edges, buckets)
-    }
-
-    /// Checks the maintained index against one built from `tables`.
-    #[cfg(any(test, debug_assertions))]
-    fn assert_describes(&self, tables: &Tables) {
-        let rebuilt = TableGraph::of(tables);
-        assert_eq!(
-            self.canonical(),
-            rebuilt.canonical(),
-            "the maintained table index is out of step with the map"
-        );
     }
 }
 
-/// [`TableGraph::canonical`]: `key -> (in the map, reads, readers)` and
-/// `bucket -> keys`.
-#[cfg(any(test, debug_assertions))]
-type Canonical<'a> = (
-    BTreeMap<&'a Term, (bool, BTreeSet<&'a Term>, BTreeSet<&'a Term>)>,
-    BTreeMap<Option<&'a (Term, Option<usize>)>, BTreeSet<&'a Term>>,
-);
-
 /// The part of the recorded graph one pass walks: the reverse closure of
 /// what a batch touched, its tables numbered from 0 — the seeds first — and
-/// the edges among them as they stood when the pass began (the index itself
+/// the edges among them as they stood when the pass began (the arena itself
 /// moves on as the pass re-solves).  An edge out of the closure leads to a
 /// table the pass leaves alone, which holds nothing up, unless the map does
 /// not hold it: `dangling`.
 struct Closure {
     keys: Vec<Term>,
-    /// The tables each table read, one list after the other in `edges`:
-    /// table `v`'s is `edges[starts[v]..starts[v + 1]]`.
-    starts: Vec<usize>,
-    edges: Vec<usize>,
+    /// The tables of the closure each table read.
+    reads: Vec<Vec<usize>>,
     /// Tables that read a table the map does not hold.
     dangling: Vec<bool>,
     /// The strongly connected components of the edges, dependencies before
     /// readers, mutually recursive tables as one group.
     groups: Vec<Vec<usize>>,
-}
-
-impl Closure {
-    /// The tables of the closure that table `v` read.
-    fn reads(&self, v: usize) -> &[usize] {
-        &self.edges[self.starts[v]..self.starts[v + 1]]
-    }
 }
 
 /// Whether `pattern` (a table's normalised pattern) could cover an instance
@@ -608,7 +350,7 @@ fn affected_instances<'a>(
             return None;
         }
     }
-    for &w in graph.reads(v) {
+    for &w in &graph.reads[v] {
         let difference = match &changes[w] {
             Change::None => continue,
             Change::Known(difference) => difference,
@@ -628,27 +370,20 @@ fn affected_instances<'a>(
     Some(instances)
 }
 
-/// The recorded edges an edit of a table's `deps` took away and put in.
-#[derive(Debug, Default)]
-struct EdgeChange {
-    removed: Vec<Term>,
-    added: Vec<Term>,
-}
-
 /// `old` with the answers and the readers under each of `instances`
 /// replaced by what the instance's own table — settled, in `tables` — says:
 /// its answers, and one edge to it, so that the next change to the instance
 /// arrives as a difference of that table.  Returns the table (the same
 /// `Arc` when no answer and no edge moved, otherwise a copy if anything
-/// else still holds it), how its answers moved, and which of its edges did.
+/// else still holds it) and how its answers moved.
 fn graft(
     mut table: Arc<Table>,
     instances: &BTreeSet<Term>,
     tables: &Tables,
-) -> (Arc<Table>, Difference, EdgeChange) {
+) -> (Arc<Table>, Difference) {
     let mut difference = Difference::default();
     for instance in instances {
-        let settled = &tables[instance].answers;
+        let settled = &tables.get(instance).expect("settled").answers;
         let (mut stale, mut fresh) = (Vec::new(), Vec::new());
         table.answers.for_each_candidate(instance, |answer| {
             if subsumes(instance, answer) && !settled.contains(answer) {
@@ -694,9 +429,8 @@ fn graft(
     let missing: Vec<&Term> = (instances.iter())
         .filter(|&h| !(table.deps.get(h)).is_some_and(|dep| dep.readers.contains(h)))
         .collect();
-    let mut edges = EdgeChange::default();
     if outdated.is_empty() && missing.is_empty() {
-        return (table, difference, edges);
+        return (table, difference);
     }
     let deps = &mut Arc::make_mut(&mut table).deps;
     for (key, reader) in outdated {
@@ -704,20 +438,16 @@ fn graft(
         dep.readers.remove(&reader);
         if dep.readers.is_empty() {
             deps.remove(&key);
-            edges.removed.push(key);
         }
     }
     for instance in missing {
-        let dep = deps.entry(instance.clone()).or_insert_with(|| {
-            edges.added.push(instance.clone());
-            Dep {
-                sign: EdgeSign::Positive,
-                readers: BTreeSet::new(),
-            }
+        let dep = deps.entry(instance.clone()).or_insert_with(|| Dep {
+            sign: EdgeSign::Positive,
+            readers: BTreeSet::new(),
         });
         dep.readers.insert(instance.clone());
     }
-    (table, difference, edges)
+    (table, difference)
 }
 
 /// Whether `instance` is an instance of `general` — one-way matching, the
@@ -738,16 +468,14 @@ impl HiLogDb {
     ///    fact by fact in the order the changes were made, noting by how
     ///    much its answer set really moved.
     /// 2. The reverse closure of the tables that moved, and of the touched
-    ///    rule-derived ones, is where the pass looks: read off the index of
-    ///    the recorded edges the session keeps beside the map (the module
-    ///    documentation says who moves it), so finding it costs the closure
-    ///    and not the map — nothing at all when nothing is touched.  Every
-    ///    rule-derived table in it is **set aside first**, so that no
-    ///    evaluation below can read it: a batch can make one affected table
-    ///    select another that the old graph never ordered before it (assert
-    ///    `move(a, b)` and `move(b, c)` together: `winning(a)` now reads
-    ///    `winning(b)`), and it must find that table settled or absent,
-    ///    never stale.
+    ///    rule-derived ones, is where the pass looks: read off the reverse
+    ///    edges the map keeps, so finding it costs the closure and not the
+    ///    map.  Every rule-derived table in it is **set aside first**, so
+    ///    that no evaluation below can read it: a batch can make one
+    ///    affected table select another that the old graph never ordered
+    ///    before it (assert `move(a, b)` and `move(b, c)` together:
+    ///    `winning(a)` now reads `winning(b)`), and it must find that table
+    ///    settled or absent, never stale.
     /// 3. The tables set aside are walked in dependency order — the strongly
     ///    connected components of the recorded edges, dependencies before
     ///    readers, mutually recursive tables as one group.  A group that is
@@ -775,33 +503,17 @@ impl HiLogDb {
         if deltas.is_empty() {
             return;
         }
-        // The map and its index are worked on by value: a re-solve moves
-        // the map into its evaluator and back instead of cloning it.
-        let (tables, graph) = self.tables_and_graph();
-        let (mut tables, mut graph) = (std::mem::take(tables), std::mem::take(graph));
-        self.settle_under(&deltas, &mut tables, &mut graph);
+        // The map is worked on by value: a re-solve moves it into its
+        // evaluator and back instead of cloning it.  It is the writer's own
+        // from here on: copied if a published snapshot still shares it — the
+        // one copy a publish costs, paid by the first write after it.
+        let shared = std::mem::take(lock_mut(&mut self.snap.tables));
+        let mut tables = Arc::unwrap_or_clone(shared);
+        self.settle_under(&deltas, &mut tables);
         *lock_mut(&mut self.snap.tables) = Arc::new(tables);
-        self.table_graph = Some(graph);
     }
 
-    /// The writer's map and the index of its recorded edges — built from
-    /// the map here, by the first caller, and from then on moved with the
-    /// map by everything that puts a table in or takes one out.  The map is
-    /// the writer's own from here on: copied if a published snapshot still
-    /// shares it — the one copy a publish costs, paid by the first write
-    /// after it.
-    fn tables_and_graph(&mut self) -> (&mut Tables, &mut TableGraph) {
-        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
-        let graph = (self.table_graph).get_or_insert_with(|| TableGraph::of(tables));
-        (tables, graph)
-    }
-
-    fn settle_under(
-        &mut self,
-        deltas: &[(Term, bool)],
-        tables: &mut Tables,
-        graph: &mut TableGraph,
-    ) {
+    fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables) {
         let probes: Vec<Term> = deltas.iter().map(|(fact, _)| rename_apart(fact)).collect();
         // A retracted ground instance survives in a table if some other
         // bodiless route still derives it (a builtin-guarded twin) — the
@@ -811,9 +523,9 @@ impl HiLogDb {
         let program = &self.snap.program;
         // (table, change) for every table whose pattern covers a changed
         // fact: a table's hits together, in the order the changes were made.
-        let mut hits: Vec<(usize, usize)> = Vec::new();
+        let mut hits: Vec<(TableId, usize)> = Vec::new();
         for (i, probe) in probes.iter().enumerate() {
-            graph.covering(probe, |v| hits.push((v, i)));
+            tables.covering(probe, |v| hits.push((v, i)));
         }
         hits.sort_unstable();
         // The patched tables whose answers moved (and by how much), and the
@@ -821,20 +533,20 @@ impl HiLogDb {
         let (mut moved, mut direct) = (Vec::new(), Vec::new());
         for hits in hits.chunk_by(|a, b| a.0 == b.0) {
             let v = hits[0].0;
-            let table = tables.get_mut(&graph.keys[v]).expect("indexed");
-            if !table.deps.is_empty() || hits.iter().any(|&(_, i)| !deltas[i].0.is_ground()) {
+            let rule_derived = !tables.held(v).expect("covering").deps.is_empty();
+            if rule_derived || hits.iter().any(|&(_, i)| !deltas[i].0.is_ground()) {
                 direct.push(v);
                 continue;
             }
-            let table = Arc::make_mut(table);
+            let answers = tables.answers_mut(v);
             let mut difference = Difference::default();
             for &(_, i) in hits {
                 let (fact, asserted) = &deltas[i];
                 let edited = if *asserted {
-                    table.answers.insert(fact.clone())
+                    answers.insert(fact.clone())
                 } else {
                     !*spontaneous[i].get_or_insert_with(|| spontaneous_fact(program, fact))
-                        && table.answers.remove(fact)
+                        && answers.remove(fact)
                 };
                 if edited {
                     difference.note(fact, *asserted);
@@ -853,20 +565,20 @@ impl HiLogDb {
         // `changes` says what a reader cannot stand on: so far the patched
         // tables that moved, which stay in the map; every other table in
         // the closure is set aside.
-        let seeds: Vec<usize> = (direct.iter().copied())
+        let seeds: Vec<TableId> = (direct.iter().copied())
             .chain(moved.iter().map(|(v, _)| *v))
             .collect();
-        let members = graph.reverse_closure(&seeds);
-        let closure = graph.subgraph(&members);
+        let members = tables.reverse_closure(&seeds);
+        let closure = tables.subgraph(&members);
         let touched = direct.len();
         let direct = |v: usize| v < touched;
         let mut changes: Vec<Change> = members.iter().map(|_| Change::None).collect();
         for (change, (_, difference)) in changes[touched..].iter_mut().zip(moved) {
             *change = Change::Known(difference);
         }
-        let mut aside: Vec<Option<Arc<Table>>> = (closure.keys.iter().zip(&changes))
-            .map(|(key, change)| match change {
-                Change::None => tables.remove(key),
+        let mut aside: Vec<Option<Arc<Table>>> = (members.iter().zip(&changes))
+            .map(|(&id, change)| match change {
+                Change::None => Some(tables.set_aside(id)),
                 _ => None,
             })
             .collect();
@@ -881,27 +593,18 @@ impl HiLogDb {
             let stands = group.iter().all(|&v| {
                 !direct(v)
                     && !closure.dangling[v]
-                    && (closure.reads(v).iter()).all(|&w| matches!(changes[w], Change::None))
+                    && (closure.reads[v].iter()).all(|&w| matches!(changes[w], Change::None))
             });
             if stands {
                 for &v in group {
-                    let old = aside[v].take().expect("set aside");
                     // A re-solve below may have completed the table on its
                     // way; the version that stood all along takes its place.
-                    match tables.entry(closure.keys[v].clone()) {
-                        Entry::Vacant(gap) => {
-                            gap.insert(old);
-                        }
-                        Entry::Occupied(mut newer) => {
-                            graph.enter(newer.key(), &old.deps);
-                            newer.insert(old);
-                        }
-                    }
+                    tables.put_back(members[v], aside[v].take().expect("set aside"));
                 }
                 continue;
             }
             let rederivable = match group[..] {
-                [v] if !closure.keys[v].is_ground() && !closure.reads(v).contains(&v) => {
+                [v] if !closure.keys[v].is_ground() && !closure.reads[v].contains(&v) => {
                     let covered = (deltas.iter().zip(&probes))
                         .filter(|(_, probe)| direct(v) && overlaps(&closure.keys[v], probe))
                         .map(|((fact, _), _)| fact);
@@ -918,13 +621,12 @@ impl HiLogDb {
                 // that version stands, and is accounted for below.
                 let settled = instances.iter().all(|instance| {
                     self.pending_rederived += 1;
-                    self.resolve(&mut index, tables, graph, instance) && !tables.contains_key(key)
+                    self.resolve(&mut index, tables, instance) && !tables.contains_key(key)
                 });
                 if settled {
                     let old = aside[v].take().expect("set aside");
-                    let (table, difference, edges) = graft(old, &instances, tables);
-                    graph.relink(key, &edges.removed, &edges.added);
-                    tables.insert(key.clone(), table);
+                    let (table, difference) = graft(old, &instances, tables);
+                    tables.put_back(members[v], table);
                     self.pending_refilled += 1;
                     changes[v] = difference.into();
                     continue;
@@ -932,7 +634,7 @@ impl HiLogDb {
             } else {
                 for &v in group {
                     // A failure shows as the table's absence below.
-                    self.resolve(&mut index, tables, graph, &closure.keys[v]);
+                    self.resolve(&mut index, tables, &closure.keys[v]);
                 }
             }
             for &v in group {
@@ -943,7 +645,7 @@ impl HiLogDb {
                         Difference::between(&new.answers, &old.answers).into()
                     }
                     None => {
-                        graph.leave(&closure.keys[v]);
+                        tables.remove(members[v]);
                         self.pending_dropped += 1;
                         Change::Unknown
                     }
@@ -956,13 +658,13 @@ impl HiLogDb {
     /// an earlier evaluation of the pass completed it on its way, otherwise
     /// one evaluator over the whole map, moved into an `Arc` base and taken
     /// back out of it once the evaluator is gone; every table the evaluation
-    /// completed enters the map and `graph`.  `false` if the evaluation
-    /// failed, which leaves the table absent.
+    /// completed enters the map (a re-solved one trading its old edges for
+    /// its new).  `false` if the evaluation failed, which leaves the table
+    /// absent.
     fn resolve(
         &self,
         index: &mut Option<Arc<ProgramIndex>>,
         tables: &mut Tables,
-        graph: &mut TableGraph,
         pattern: &Term,
     ) -> bool {
         if tables.contains_key(pattern) {
@@ -981,9 +683,8 @@ impl HiLogDb {
         let created = evaluator.into_tables();
         // The evaluator held the only other `Arc`: this never copies.
         *tables = Arc::unwrap_or_clone(base);
-        for (key, table) in created {
-            graph.enter(&key, &table.deps);
-            tables.insert(key, table);
+        for table in created.into_values() {
+            tables.insert(table);
         }
         settled
     }
@@ -996,57 +697,14 @@ impl HiLogDb {
         if lock_mut(&mut self.snap.tables).is_empty() {
             return;
         }
-        let (tables, graph) = self.tables_and_graph();
+        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
         let mut covered = Vec::new();
-        graph.covering(&rename_apart(head), |v| covered.push(v));
-        let closure = graph.reverse_closure(&covered);
+        tables.covering(&rename_apart(head), |v| covered.push(v));
+        let closure = tables.reverse_closure(&covered);
         for &v in &closure {
-            tables.remove(&graph.keys[v]);
-            graph.leave_at(v);
+            tables.remove(v);
         }
         self.pending_dropped += closure.len();
-    }
-
-    /// The tables queries of this session completed since this was last
-    /// called — what `DbSnapshot::merge_tables` put into the working map —
-    /// enter the index.  (One of the four sites a table enters the writer's
-    /// map; with no index yet there is nothing to keep in step.)
-    pub(super) fn index_merged_tables(&mut self) {
-        let merged = self.snap.take_merged_tables();
-        if let Some(graph) = &mut self.table_graph {
-            for (key, table) in &merged {
-                graph.enter(key, &table.deps);
-            }
-        }
-    }
-
-    /// Takes in tables completed on a published snapshot of exactly this
-    /// session's program, filling gaps only: first writer wins per key, as
-    /// in `DbSnapshot::merge_tables`.
-    pub(crate) fn adopt_tables(&mut self, completed: Vec<(Term, Arc<Table>)>) {
-        if completed.is_empty() {
-            return;
-        }
-        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
-        for (key, table) in completed {
-            if let Entry::Vacant(gap) = tables.entry(key) {
-                if let Some(graph) = &mut self.table_graph {
-                    graph.enter(gap.key(), &table.deps);
-                }
-                gap.insert(table);
-            }
-        }
-    }
-
-    /// Publishes the working state at `epoch` (`DbSnapshot::fork`), after
-    /// checking — wherever debug assertions run, so at every publish of
-    /// every test — that the maintained index is the index of the map.
-    pub(crate) fn fork(&mut self, epoch: u64) -> DbSnapshot {
-        #[cfg(debug_assertions)]
-        if let Some(graph) = &self.table_graph {
-            graph.assert_describes(lock_mut(&mut self.snap.tables));
-        }
-        self.snap.fork(epoch)
     }
 }
 
@@ -1055,6 +713,7 @@ mod tests {
     use super::*;
     use hilog_core::interpretation::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
+    use std::collections::BTreeMap;
 
     fn game_db() -> HiLogDb {
         HiLogDb::new(
@@ -1210,7 +869,25 @@ mod tests {
     /// that was put back from one that was re-solved.
     fn table(db: &mut HiLogDb, pattern: &str) -> Arc<Table> {
         let key = normalize_pattern(&parse_term(pattern).unwrap());
-        lock_mut(&mut db.snap.tables)[&key].clone()
+        lock_mut(&mut db.snap.tables).get(&key).unwrap().clone()
+    }
+
+    #[test]
+    fn a_table_a_write_re_solves_or_drops_is_released() {
+        let mut db = game_db();
+        let query = parse_query("?- winning(a).").unwrap();
+        db.query(&query).unwrap();
+        // `winning(b)` loses and `winning(a)` with it: both are re-solved.
+        let resolved = Arc::downgrade(&table(&mut db, "winning(a)"));
+        assert!(db.retract_fact(&parse_term("move(b, c)").unwrap()));
+        db.query(&query).unwrap();
+        assert!(resolved.upgrade().is_none(), "a re-solved table is held");
+        // A rule edit drops the tables of its head.
+        let dropped = Arc::downgrade(&table(&mut db, "winning(a)"));
+        let rule = db.program().rules[0].clone();
+        assert!(db.retract_rule(&rule));
+        db.query(&parse_query("?- move(a, X).").unwrap()).unwrap();
+        assert!(dropped.upgrade().is_none(), "a dropped table is held");
     }
 
     #[test]
@@ -1422,7 +1099,7 @@ mod tests {
             let functor = key.outermost_functor();
             functor == &Term::sym("tc") || functor == &Term::sym("e")
         };
-        let held = before.keys().filter(|key| is_unrelated(key)).count();
+        let held = before.iter().filter(|(key, _)| is_unrelated(key)).count();
         assert_eq!(held, 2 * unrelated, "tc(u_i, Y) and e(u_i, Y) per node");
         writer
             .assert_fact(parse_term("move(n11, n13)").unwrap())
@@ -1434,13 +1111,14 @@ mod tests {
         // ... none of which it replaced ...
         let after = lock_mut(&mut writer.db().snap.tables).clone();
         for (key, table) in before.iter().filter(|(key, _)| is_unrelated(key)) {
-            assert!(Arc::ptr_eq(table, &after[key]), "{key} was replaced");
+            assert!(
+                Arc::ptr_eq(table, after.get(key).unwrap()),
+                "{key} was replaced"
+            );
         }
-        // ... or looked at: the one index this session ever built is the
-        // one the pass read.
-        let graph = writer.db().table_graph.as_ref().expect("built by the pass");
-        graph.assert_describes(&after);
-        graph.visited
+        // ... or looked at.
+        after.assert_describes();
+        after.visited - before.visited
     }
 
     #[test]
@@ -1467,8 +1145,30 @@ mod tests {
         })
     }
 
+    /// The position of the table held for `key`, if any.
+    fn held(tables: &Tables, key: &Term) -> Option<TableId> {
+        (tables.candidates(key).into_iter()).find(|&v| tables.key(v) == key)
+    }
+
+    fn position(tables: &Tables, key: &Term) -> TableId {
+        held(tables, key).expect("held")
+    }
+
+    /// SplitMix64: a pinned seed gives the same sequence on every platform.
+    struct Rng(u64);
+
+    impl Rng {
+        fn below(&mut self, n: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % n as u64) as usize
+        }
+    }
+
     #[test]
-    fn the_index_follows_the_map_through_dangling_edges_and_reused_positions() {
+    fn the_arena_equals_its_rebuild_op_by_op() {
         let key = |text: &str| normalize_pattern(&parse_term(text).unwrap());
         let (p, q, r, open, hilog) = (
             key("p(a)"),
@@ -1478,58 +1178,127 @@ mod tests {
             key("G(a)"),
         );
         let mut tables = Tables::default();
-        let mut graph = TableGraph::of(&tables);
-        let put = |graph: &mut TableGraph, tables: &mut Tables, key: &Term, deps: &[&Term]| {
-            let table = table_reading(key, deps);
-            graph.enter(key, &table.deps);
-            tables.insert(key.clone(), table);
-            graph.assert_describes(tables);
+        let put = |tables: &mut Tables, key: &Term, deps: &[&Term]| {
+            tables.insert(table_reading(key, deps));
+            tables.assert_describes();
         };
         // `q` is read before the map holds it (a dangling edge), `p` reads
         // itself, and a variable-named pattern is in nobody's bucket.
-        put(&mut graph, &mut tables, &p, &[&q, &p]);
-        put(&mut graph, &mut tables, &open, &[&p, &q]);
-        put(&mut graph, &mut tables, &hilog, &[&r]);
-        put(&mut graph, &mut tables, &q, &[]);
-        let named = |graph: &TableGraph, positions: &[usize]| -> BTreeSet<Term> {
-            positions.iter().map(|&v| graph.keys[v].clone()).collect()
+        put(&mut tables, &p, &[&q, &p]);
+        put(&mut tables, &open, &[&p, &q]);
+        put(&mut tables, &hilog, &[&r]);
+        assert!(!tables.contains_key(&q));
+        put(&mut tables, &q, &[]);
+        let named = |tables: &Tables, positions: &[TableId]| -> BTreeSet<Term> {
+            positions.iter().map(|&v| tables.key(v).clone()).collect()
         };
-        let covering = |graph: &mut TableGraph, probe: &str| {
+        let covering = |tables: &mut Tables, probe: &str| {
             let mut hit = Vec::new();
-            graph.covering(&parse_term(probe).unwrap(), |v| hit.push(v));
-            named(graph, &hit)
+            tables.covering(&parse_term(probe).unwrap(), |v| hit.push(v));
+            named(tables, &hit)
         };
         assert_eq!(
-            covering(&mut graph, "p(a)"),
+            covering(&mut tables, "p(a)"),
             BTreeSet::from([p.clone(), open.clone(), hilog.clone()])
         );
-        assert_eq!(covering(&mut graph, "q(a, b)"), BTreeSet::from([q.clone()]));
+        assert_eq!(
+            covering(&mut tables, "q(a, b)"),
+            BTreeSet::from([q.clone()])
+        );
         // The closure of `q`: its readers and theirs, not `G(a)`.
-        let seed = graph.position[&q];
-        let closure = graph.reverse_closure(&[seed]);
+        let seed = position(&tables, &q);
+        let closure = tables.reverse_closure(&[seed]);
         assert_eq!(closure[0], seed);
         assert_eq!(
-            named(&graph, &closure),
+            named(&tables, &closure),
             BTreeSet::from([q.clone(), p.clone(), open.clone()])
         );
-        // Another version of `p` with other edges; an edge edited in place.
-        put(&mut graph, &mut tables, &p, &[&r]);
-        let edited = table_reading(&open, &[&q, &r]);
-        graph.relink(&open, std::slice::from_ref(&p), std::slice::from_ref(&r));
-        tables.insert(open.clone(), edited);
-        graph.assert_describes(&tables);
+        // Another version of `p` with other edges; a grafted `open`.
+        put(&mut tables, &p, &[&r]);
+        put(&mut tables, &open, &[&q, &r]);
+        // Set aside: out of view, edges in place; put back as it was.
+        let at = position(&tables, &open);
+        let aside = tables.set_aside(at);
+        tables.assert_describes();
+        assert!(!tables.contains_key(&open));
+        assert_eq!(tables.len(), 3);
+        tables.put_back(at, aside);
+        tables.assert_describes();
+        // Set aside, then replaced by a re-solve that reads otherwise.
+        let at = position(&tables, &p);
+        let _old = tables.set_aside(at);
+        put(&mut tables, &p, &[&q, &p]);
+        assert_eq!(position(&tables, &p), at);
+        assert_eq!(tables.len(), 4);
         // Tables leave; the positions they and their dangling `r` held are
         // given to whatever comes next.
-        let positions = graph.keys.len();
+        let (_, positions) = tables.footprint();
         for gone in [&p, &hilog, &open, &q] {
-            tables.remove(gone);
-            graph.leave(gone);
-            graph.assert_describes(&tables);
+            tables.remove(position(&tables, gone));
+            tables.assert_describes();
         }
-        assert!(graph.position.is_empty());
-        put(&mut graph, &mut tables, &r, &[&q]);
-        put(&mut graph, &mut tables, &p, &[&p]);
-        assert_eq!(graph.keys.len(), positions, "positions were not reused");
+        assert_eq!(tables.footprint().0, 0, "a key outlived its tables");
+        put(&mut tables, &r, &[&q]);
+        put(&mut tables, &p, &[&p]);
+        assert_eq!(tables.footprint().1, positions, "positions were not reused");
+
+        // Then every operation at random over a handful of keys — absent
+        // dependencies, self-edges and HiLog patterns among them — against
+        // a plain map of what should be in view.
+        let keys = [&p, &q, &r, &open, &hilog, &key("s(b)"), &key("t(X, a)")];
+        let mut shown: BTreeMap<Term, Arc<Table>> = (tables.iter())
+            .map(|(key, table)| (key.clone(), table.clone()))
+            .collect();
+        let mut aside: Vec<(TableId, Arc<Table>)> = Vec::new();
+        let mut rng = Rng(0x5eed_0044);
+        for _ in 0..2_000 {
+            let k = keys[rng.below(keys.len())];
+            let held = held(&tables, k);
+            match rng.below(5) {
+                // A new table, or a new version — a re-solve, if the key
+                // is set aside.
+                0 | 1 => {
+                    let deps: Vec<&Term> = (0..rng.below(4))
+                        .map(|_| keys[rng.below(keys.len())])
+                        .collect();
+                    let table = table_reading(k, &deps);
+                    tables.insert(table.clone());
+                    aside.retain(|(v, _)| tables.key(*v) != k);
+                    shown.insert(k.clone(), table);
+                }
+                2 => {
+                    if let Some(v) = held {
+                        tables.remove(v);
+                        aside.retain(|&(w, _)| w != v);
+                        shown.remove(k);
+                    }
+                }
+                3 => {
+                    if let Some(table) = shown.remove(k) {
+                        let v = held.expect("in view");
+                        assert!(Arc::ptr_eq(&tables.set_aside(v), &table));
+                        aside.push((v, table));
+                    }
+                }
+                _ => {
+                    if !aside.is_empty() {
+                        let (v, table) = aside.swap_remove(rng.below(aside.len()));
+                        tables.put_back(v, table.clone());
+                        shown.insert(tables.key(v).clone(), table);
+                    }
+                }
+            }
+            tables.assert_describes();
+            assert_eq!(tables.len(), shown.len());
+            assert_eq!(tables.iter().count(), shown.len());
+            for (key, table) in &shown {
+                assert!(Arc::ptr_eq(tables.get(key).unwrap(), table), "{key}");
+            }
+            assert!(
+                tables.footprint().1 <= keys.len(),
+                "a free position was not reused"
+            );
+        }
     }
 
     #[test]

@@ -35,11 +35,12 @@
 //!
 //! Subgoal tables flow in both directions.  A published snapshot starts
 //! with the writer's completed tables; queries answered on reader threads
-//! add tables to the snapshot's own map; and the writer *adopts* those
-//! reader-computed tables back — but only while its program is still
+//! add tables to the snapshot's own map, which logs them; and the writer
+//! *adopts* the logged tables back — but only while its program is still
 //! exactly the program the snapshot was built from (before the first
-//! mutation of a batch, or at a mutation-free publish).  Adopted tables
-//! then enjoy the session's instance-level maintenance like any other.
+//! mutation of a batch, or at a mutation-free publish).  Every map is one
+//! arena (`Tables`) that keeps its own edges, so adopted tables then enjoy
+//! the session's instance-level maintenance like any other.
 //!
 //! The tabled evaluator's `ProgramIndex` (the EDB in an argument-indexed
 //! store, the rules by head) travels the same way.  It is one more lazily
@@ -97,7 +98,6 @@ use hilog_core::rule::{Query, Rule};
 use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
-use std::collections::hash_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -193,15 +193,13 @@ pub struct DbSnapshot {
     /// else still holds it (the writer's first table write after a publish,
     /// or a reader merging while another reader's evaluator runs).
     pub(crate) tables: RwLock<Arc<Tables>>,
-    /// The tables [`merge_tables`](DbSnapshot::merge_tables) has inserted
-    /// since the fork (or since the writer last asked) — what queries
-    /// answered *on this snapshot* added to the map it started with.  Written
-    /// under the write lock of `tables`; drained by the writer: of a
-    /// published snapshot it adopts exactly these instead of probing its map
-    /// for every table the snapshot holds, of its own working snapshot it
-    /// indexes them (after every query, so the log never outgrows one
-    /// query's tables).
-    merged: Mutex<Vec<(Term, Arc<Table>)>>,
+    /// Of a *published* snapshot, the tables
+    /// [`merge_tables`](DbSnapshot::merge_tables) has inserted since the
+    /// fork (or since the writer last asked), written under the write lock
+    /// of `tables`: the writer adopts exactly these instead of probing its
+    /// map for every table the snapshot holds.  `None` for a session's
+    /// working snapshot, whose map is the writer's own.
+    merged: Option<Mutex<Vec<Arc<Table>>>>,
     /// The program as the tabled evaluator reads it (facts in an indexed
     /// store, rules by head): `None` until the first tabled query that
     /// misses the warm path builds it, then shared by `Arc` with every
@@ -237,7 +235,7 @@ impl DbSnapshot {
                 ..SnapCore::default()
             }),
             tables: RwLock::new(Arc::default()),
-            merged: Mutex::new(Vec::new()),
+            merged: None,
             index: RwLock::new(None),
             storage,
         }
@@ -246,19 +244,21 @@ impl DbSnapshot {
     /// Publishes the working state at `epoch`: an `Arc`-sharing copy of the
     /// program and every cache.
     pub(crate) fn fork(&mut self, epoch: u64) -> DbSnapshot {
-        // What the session's table maintenance relies on, checked wherever
-        // debug assertions run: the map holds complete tables only, and
-        // every table a table read is in it too — the tables of the head
-        // instances a non-ground table was re-derived at included.  (The
-        // maintenance pass treats a missing dependency as changed — a
-        // fallback for a map that came in that way, not a state it
-        // produces.)
-        debug_assert!({
+        // What the session's table maintenance relies on, checked at every
+        // publish wherever debug assertions run: the map holds complete
+        // tables only, every table a table read is in it too — the tables of
+        // the head instances a non-ground table was re-derived at included —
+        // and its edges are those of a map rebuilt from its tables.  (The
+        // pass treats a missing dependency as changed — a fallback for a
+        // map that came in that way, not a state it produces.)
+        #[cfg(debug_assertions)]
+        {
             let tables = lock_mut(&mut self.tables);
-            tables
-                .values()
-                .all(|t| t.complete && t.deps.keys().all(|dep| tables.contains_key(dep)))
-        });
+            assert!(tables
+                .iter()
+                .all(|(_, t)| t.complete && t.deps.keys().all(|dep| tables.contains_key(dep))));
+            tables.assert_describes();
+        }
         DbSnapshot {
             program: self.program.clone(),
             opts: self.opts,
@@ -267,7 +267,7 @@ impl DbSnapshot {
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
             tables: RwLock::new(Arc::clone(lock_mut(&mut self.tables))),
-            merged: Mutex::new(Vec::new()),
+            merged: Some(Mutex::default()),
             index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
         }
@@ -329,7 +329,7 @@ impl DbSnapshot {
         if let Some(index) = &*read_lock(&self.index) {
             total.merge(&index.storage_stats());
         }
-        for table in read_lock(&self.tables).values() {
+        for (_, table) in read_lock(&self.tables).iter() {
             total.merge(&table.answers.storage_stats());
         }
         total
@@ -521,7 +521,7 @@ impl DbSnapshot {
         // O(new tables), not O(all tables).  `into_tables` drops the
         // evaluator's share of the map before the merge takes the lock: a
         // reader alone on this snapshot merges in place, without a copy.
-        self.merge_tables(evaluator.into_tables());
+        self.merge_tables(evaluator.into_tables().into_values());
         let answers = solved?
             .iter()
             .map(|theta| true_answer(theta, &vars))
@@ -639,30 +639,27 @@ impl DbSnapshot {
         Ok(modular)
     }
 
-    /// Merges completed tables into the snapshot's map, filling gaps only.
-    /// First writer wins per key: any complete table for a pattern is as
-    /// good as any other while the program stands still, so a racing
-    /// query's table — or one the owning session already holds and
-    /// maintains — is simply kept.
-    pub(crate) fn merge_tables(&self, fresh: Tables) {
-        if fresh.is_empty() {
+    /// Merges completed tables into the snapshot's map, filling gaps only
+    /// ([`Tables::fill`]): what a query completed, or what the writer adopts
+    /// from a published snapshot.
+    pub(crate) fn merge_tables(&self, fresh: impl IntoIterator<Item = Arc<Table>>) {
+        let mut fresh = fresh.into_iter().peekable();
+        if fresh.peek().is_none() {
             return;
         }
         let mut shared = write_lock(&self.tables);
-        let tables = Arc::make_mut(&mut shared);
-        let mut merged = lock(&self.merged);
-        for (key, table) in fresh {
-            if let Entry::Vacant(gap) = tables.entry(key) {
-                merged.push((gap.key().clone(), table.clone()));
-                gap.insert(table);
+        let mut merged = self.merged.as_ref().map(lock);
+        Arc::make_mut(&mut shared).fill(fresh, |table| {
+            if let Some(merged) = &mut merged {
+                merged.push(table.clone());
             }
-        }
+        });
     }
 
-    /// The tables merged into this snapshot since it was forked or since
-    /// the last call: each is handed out once.
-    pub(crate) fn take_merged_tables(&self) -> Vec<(Term, Arc<Table>)> {
-        std::mem::take(&mut *lock(&self.merged))
+    /// The tables merged into this published snapshot since it was forked
+    /// or since the last call: each is handed out once.
+    pub(crate) fn take_merged_tables(&self) -> Vec<Arc<Table>> {
+        (self.merged.as_ref()).map_or_else(Vec::new, |merged| std::mem::take(&mut *lock(merged)))
     }
 }
 
@@ -870,7 +867,7 @@ impl DbWriter {
     /// durable storage layer uses the latter so a session rebuilt from
     /// checkpoint + WAL resumes at the epoch it went down with.)
     pub(crate) fn from_db_at(mut db: HiLogDb, epoch: u64) -> (DbWriter, SnapshotHandle) {
-        let snapshot = Arc::new(db.fork(epoch));
+        let snapshot = Arc::new(db.working().fork(epoch));
         let handle = SnapshotHandle {
             cell: Arc::new(RwLock::new(snapshot)),
         };
@@ -932,7 +929,7 @@ impl DbWriter {
         if self.db.generation() == self.published_generation {
             let published = self.current();
             // What readers added, not what the map holds.
-            self.db.adopt_tables(published.take_merged_tables());
+            (self.db.working()).merge_tables(published.take_merged_tables());
             // The same condition makes a reader-built program index the
             // writer's: without it every publish would hand readers a
             // snapshot that has to index the whole program again.
@@ -1007,7 +1004,7 @@ impl DbWriter {
         self.adopt_reader_tables();
         self.db.settle_tables();
         self.epoch += 1;
-        let snapshot = Arc::new(self.db.fork(self.epoch));
+        let snapshot = Arc::new(self.db.working().fork(self.epoch));
         *write_lock(&self.handle.cell) = snapshot.clone();
         self.published_generation = self.db.generation();
         snapshot
@@ -1204,8 +1201,8 @@ mod tests {
         // Everything new is this query's; what was there is the same `Arc`.
         assert_eq!(after.len(), held.len() + cold.stats.subqueries);
         assert_eq!(cold.stats.tables_reused, held.len());
-        for (key, table) in &held {
-            assert!(Arc::ptr_eq(table, &after[key]));
+        for (key, table) in held.iter() {
+            assert!(Arc::ptr_eq(table, after.get(key).unwrap()));
         }
     }
 
@@ -1300,10 +1297,14 @@ mod tests {
         let merged = snapshot.take_merged_tables();
         let map = read_lock(&snapshot.tables);
         assert_eq!(merged.len(), map.len());
-        let keys: BTreeSet<&Term> = merged.iter().map(|(key, _)| key).collect();
+        let keys: BTreeSet<&Term> = merged.iter().map(|table| &table.pattern).collect();
         assert_eq!(keys.len(), merged.len(), "a key was merged twice");
-        for (key, table) in &merged {
-            assert!(Arc::ptr_eq(table, &map[key]), "{key} was replaced");
+        for table in &merged {
+            let key = &table.pattern;
+            assert!(
+                Arc::ptr_eq(table, map.get(key).unwrap()),
+                "{key} was replaced"
+            );
         }
         assert!(snapshot.take_merged_tables().is_empty());
     }

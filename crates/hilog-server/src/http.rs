@@ -325,6 +325,128 @@ mod tests {
             .collect()
     }
 
+    /// The statuses [`read_request`] refuses a request it cannot frame with.
+    const REFUSALS: [u16; 5] = [400, 408, 413, 431, 501];
+
+    /// Mutants per run of the fuzz below, over 32: `HILOG_CODEC_CASES` scales
+    /// it, as it does the store's decoder fuzz.
+    fn cases() -> usize {
+        std::env::var("HILOG_CODEC_CASES")
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(8)
+    }
+
+    /// SplitMix64: a pinned seed gives the same mutants on every platform.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+    }
+
+    /// One edit of a request stream: a flipped byte, a non-UTF-8 run, a
+    /// `Content-Length` grown to a long run of digits, a header line said
+    /// twice, or a cut.
+    fn mutate(bytes: &mut Vec<u8>, rng: &mut Rng) {
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(5) {
+            0 if at < bytes.len() => bytes[at] ^= 1 + rng.below(255) as u8,
+            1 => {
+                let run: &[u8] = [&[0xff, 0xfe][..], &[0xc3], &[0xe2, 0x82], &[0x80]][rng.below(4)];
+                bytes.splice(at..at, run.iter().copied());
+            }
+            2 => {
+                const NAME: &[u8] = b"Content-Length: ";
+                if let Some(name) = bytes.windows(NAME.len()).position(|w| w == NAME) {
+                    let at = name + NAME.len();
+                    bytes.splice(at..at, "9".repeat(1 + rng.below(40)).into_bytes());
+                }
+            }
+            3 => {
+                let starts: Vec<usize> = (1..bytes.len())
+                    .filter(|&i| bytes[i - 1] == b'\n')
+                    .collect();
+                if !starts.is_empty() {
+                    let start = starts[rng.below(starts.len())];
+                    let end = (bytes[start..].iter().position(|&b| b == b'\n'))
+                        .map_or(bytes.len(), |n| start + n + 1);
+                    let line = bytes[start..end].to_vec();
+                    bytes.splice(start..start, line);
+                }
+            }
+            _ => bytes.truncate(at),
+        }
+    }
+
+    #[test]
+    fn mutated_pipelines_are_framed_or_refused_by_status() {
+        const PIPELINE: &[u8] = b"POST /query HTTP/1.1\r\nContent-Length: 5\r\n\
+              Connection: keep-alive\r\n\r\nhelloGET /stats HTTP/1.1\r\nX-Id: 7\r\n\r\n\
+              POST /assert HTTP/1.0\r\nContent-Length: 2\r\n\r\n{}";
+        let framed = |request: &Request| {
+            let Request {
+                method,
+                path,
+                body,
+                close,
+            } = request;
+            (method.clone(), path.clone(), body.clone(), *close)
+        };
+        let whole: Vec<_> = (requests_in(PIPELINE, 64).iter())
+            .map(|r| framed(r.as_ref().expect("well-formed")))
+            .collect();
+        assert_eq!(whole.len(), 3);
+        // Cut anywhere: the requests before the cut as they were, then at
+        // most one refusal, which ends the connection.
+        for cut in 0..=PIPELINE.len() {
+            let seen = requests_in(&PIPELINE[..cut], 64);
+            for (i, outcome) in seen.iter().enumerate() {
+                match outcome {
+                    Ok(request) => assert_eq!(framed(request), whole[i], "cut at {cut}"),
+                    Err(status) => {
+                        assert!(REFUSALS.contains(status), "cut at {cut}: {status}");
+                        assert_eq!(i + 1, seen.len());
+                    }
+                }
+            }
+        }
+        let mut rng = Rng(0x4854_5450_2f31_2e31);
+        let mut refused = std::collections::BTreeSet::new();
+        for case in 0..cases() * 32 {
+            let mut bytes = PIPELINE.to_vec();
+            for _ in 0..=rng.below(3) {
+                mutate(&mut bytes, &mut rng);
+            }
+            for outcome in requests_in(&bytes, 64) {
+                if let Err(status) = outcome {
+                    assert!(
+                        REFUSALS.contains(&status),
+                        "mutant {case} answered {status}: {:?}",
+                        String::from_utf8_lossy(&bytes)
+                    );
+                    refused.insert(status);
+                }
+            }
+        }
+        // The mutants reach past the request line: a long run of digits is
+        // a body too large, not only a malformed line.
+        assert_eq!(
+            refused,
+            [400, 413].into(),
+            "what the mutants were refused with"
+        );
+    }
+
     #[test]
     fn kept_response_is_one_framed_message_without_a_connection_header() {
         let (mut client, mut server) = pair();

@@ -93,9 +93,9 @@
 
 pub mod api_types;
 pub mod client;
-pub mod config;
-pub mod handlers;
-pub mod http;
+mod config;
+mod handlers;
+mod http;
 
 pub use config::ServerConfig;
 
