@@ -29,7 +29,8 @@
 
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
-use crate::horn::{join_body, EvalOptions, NegationMode};
+use crate::horn::{EvalOptions, NegationMode};
+use crate::join::RulePlan;
 use crate::storage::FactStore;
 use hilog_core::interpretation::Model;
 use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
@@ -143,13 +144,17 @@ fn evaluate_aggregate_rule(
         rest.iter().map(|l| (*l).clone()).collect(),
     );
     check_deadline()?;
-    let contexts = join_body(&context_rule, derived, None, NegationMode::Forbid)?;
-    if contexts.len() > opts.max_atoms {
-        return Err(EngineError::LimitExceeded(format!(
-            "aggregate rule `{rule}` produced more than {} grouping contexts",
-            opts.max_atoms
-        )));
-    }
+    let mut contexts = Vec::new();
+    RulePlan::compile(&context_rule).join(derived, None, NegationMode::Forbid, &mut |m| {
+        contexts.push(m.bindings());
+        if contexts.len() > opts.max_atoms {
+            return Err(EngineError::LimitExceeded(format!(
+                "aggregate rule `{rule}` produced more than {} grouping contexts",
+                opts.max_atoms
+            )));
+        }
+        Ok(())
+    })?;
 
     let mut heads = Vec::new();
     for theta in contexts {

@@ -15,7 +15,8 @@
 //!   verbatim (e.g. the non-range-restricted programs of Example 4.1).
 //!
 //! Relevant instantiation is the semi-naive driver ([`crate::horn`]'s
-//! `saturate`) instantiating the rule at every match, so the possibly-true
+//! `saturate`) building the ground rule from every match — the head from the
+//! slots, the positive body from the atoms matched — so the possibly-true
 //! set and the ground rules come out of the same single join pass:
 //! `ground_from` is that, and it has three callers differing only in the
 //! store they pass — [`relevant_ground`] (an in-memory scratch store, cold),
@@ -28,7 +29,8 @@
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule, IdRule};
-use crate::horn::{ground_head, join_body, saturate, AtomStore, EvalOptions, NegationMode};
+use crate::horn::{saturate, AtomStore, EvalOptions, NegationMode};
+use crate::join::{Match, RulePlan};
 use crate::storage::FactStore;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -65,9 +67,11 @@ pub fn relevant_ground_into(
 
 /// The semi-naive driver with the rule instantiated at every match: saturates
 /// `store` from `frontier` (`None` = cold, see [`saturate`]) and appends the
-/// distinct instances to `ground` in first-match order, interning each atom
-/// into `ground`'s table as its instance lands.  The rule budget counts the
-/// whole of `ground`, so a continuation is capped like a cold grounding.
+/// distinct instances to `ground` in first-match order, each built straight
+/// from the match — the head from the slots, the positive body from the
+/// atoms matched, the negative body from the slots — and interned into
+/// `ground`'s table as it lands.  The rule budget counts the whole of
+/// `ground`, so a continuation is capped like a cold grounding.
 ///
 /// A continuation appends exactly the instances with at least one positive
 /// body atom outside the store as it stood before the frontier joined it —
@@ -90,8 +94,14 @@ pub(crate) fn ground_from(
         frontier,
         NegationMode::Ignore,
         opts,
-        &mut |rule, theta, head| {
-            let instance = ground.intern(&instantiate_rule(rule, theta, head.clone())?);
+        &mut |m, head| {
+            let negatives = m.negatives()?;
+            let atoms = &mut ground.atoms;
+            let instance = IdRule {
+                head: atoms.intern(head),
+                pos: m.atoms.iter().map(|a| atoms.intern(a)).collect(),
+                neg: negatives.iter().map(|a| atoms.intern(a)).collect(),
+            };
             if seen.insert(instance.clone()) {
                 ground.id_rules.push(instance);
                 check_rule_budget(ground.len(), opts)?;
@@ -117,10 +127,10 @@ pub fn ground_against(
     let mut rules = Vec::new();
     for rule in program.iter() {
         check_deadline()?;
-        for theta in join_body(rule, candidates, None, NegationMode::Ignore)? {
-            rules.push(instantiate_rule(rule, &theta, ground_head(rule, &theta)?)?);
-            check_rule_budget(rules.len(), opts)?;
-        }
+        RulePlan::compile(rule).join(candidates, None, NegationMode::Ignore, &mut |m| {
+            rules.push(instance(m)?);
+            check_rule_budget(rules.len(), opts)
+        })?;
     }
     Ok(GroundProgram::from_rules(rules))
 }
@@ -136,44 +146,10 @@ pub(crate) fn check_rule_budget(rules: usize, opts: EvalOptions) -> Result<(), E
     Ok(())
 }
 
-/// The instance of `rule` under `theta`, given the ground `head =
-/// theta(rule.head)`.
-fn instantiate_rule(
-    rule: &Rule,
-    theta: &Substitution,
-    head: Term,
-) -> Result<GroundRule, EngineError> {
-    let mut pos = Vec::new();
-    let mut neg = Vec::new();
-    for lit in &rule.body {
-        match lit {
-            Literal::Pos(a) => {
-                let a = theta.apply(a);
-                debug_assert!(a.is_ground());
-                pos.push(a);
-            }
-            Literal::Neg(a) => {
-                let a = theta.apply(a);
-                if !a.is_ground() {
-                    return Err(EngineError::Floundering(format!(
-                        "negative literal `not {a}` of rule `{rule}` is not ground after binding \
-                         the positive body"
-                    )));
-                }
-                neg.push(a);
-            }
-            Literal::Builtin(_) => {
-                // Builtins were checked during the join; they leave no residue
-                // in the ground rule.
-            }
-            Literal::Aggregate(_) => {
-                return Err(EngineError::Unsupported(
-                    "aggregate literals are handled by the aggregation evaluator".into(),
-                ))
-            }
-        }
-    }
-    Ok(GroundRule::new(head, pos, neg))
+/// The ground rule a match stands for.
+fn instance(m: &Match<'_>) -> Result<GroundRule, EngineError> {
+    let head = m.head()?;
+    Ok(GroundRule::new(head, m.atoms.to_vec(), m.negatives()?))
 }
 
 /// Literal instantiation over an explicit universe: every variable of every

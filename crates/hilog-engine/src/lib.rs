@@ -8,13 +8,14 @@
 //!   evaluation of definite programs — the semantics of negation-free HiLog
 //!   programs and of their universal-relation images (Section 2).  The round
 //!   policy (delta restriction, limits, deadline) is written once, in one
-//!   driver that hands each match `(rule, θ)` to its caller.
+//!   driver that joins each rule through its compiled plan — one join
+//!   executor over one slot frame — and hands each match to its caller.
 //! * **Grounding** ([`relevant_ground`]): relevant instantiation for
-//!   (strongly) range-restricted programs — that driver instantiating the
-//!   rule per match, cold from an empty store or continued from an asserted
-//!   fact, so the possibly-true set and the ground rules come from one join
-//!   pass — and literal instantiation over bounded Herbrand-universe slices
-//!   (Section 4).
+//!   (strongly) range-restricted programs — that driver building the ground
+//!   rule from each match, cold from an empty store or continued from an
+//!   asserted fact, so the possibly-true set and the ground rules come from
+//!   one join pass — and literal instantiation over bounded Herbrand-universe
+//!   slices (Section 4).
 //! * **Well-founded semantics** ([`well_founded_eval`]): the `T_P` / `U_P` /
 //!   `W_P` construction of Definitions 3.3–3.5, applied to normal and HiLog
 //!   instantiations alike (Section 4), settled one component of the atom
@@ -62,6 +63,7 @@ mod extension;
 mod ground;
 mod grounder;
 mod horn;
+mod join;
 mod magic;
 mod magic_eval;
 mod modular;

@@ -19,7 +19,8 @@
 use super::HiLogDb;
 use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::grounder::ground_from;
-use crate::horn::{join_body, AtomStore, NegationMode};
+use crate::horn::{AtomStore, NegationMode};
+use crate::join::RulePlan;
 use crate::snapshot::{lock_mut, SnapCore};
 use crate::storage::FactStore;
 use hilog_core::analysis::DependencyGraph;
@@ -328,11 +329,16 @@ impl HiLogDb {
 pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
     let empty = FactStore::InMemory(AtomStore::new());
     program.proper_rules().any(|rule| {
-        rule.positive_atoms().count() == 0
-            && rule.negative_atoms().count() == 0
-            && join_body(rule, &empty, None, NegationMode::Ignore)
-                .map(|thetas| thetas.iter().any(|theta| theta.apply(&rule.head) == *fact))
-                .unwrap_or(false)
+        if rule.positive_atoms().count() > 0 || rule.negative_atoms().count() > 0 {
+            return false;
+        }
+        let plan = RulePlan::compile(rule);
+        let mut derives = false;
+        let joined = plan.join(&empty, None, NegationMode::Ignore, &mut |m| {
+            derives |= m.frame.instantiate(&plan.head) == *fact;
+            Ok(())
+        });
+        joined.is_ok() && derives
     })
 }
 

@@ -27,7 +27,7 @@ pub const WAL_FILE: &str = "wal.log";
 
 /// Frames larger than this are treated as torn tails rather than attempted
 /// allocations — a length word of garbage must not OOM recovery.
-const MAX_RECORD_BYTES: u32 = 1 << 30;
+pub(crate) const MAX_RECORD_BYTES: u32 = 1 << 30;
 
 /// When appended records are forced to stable storage.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
