@@ -85,8 +85,13 @@ impl Symbol {
     }
 
     /// Returns `true` if the symbol requires quoting in concrete syntax,
-    /// i.e. it does not match `[a-z][A-Za-z0-9_]*`.
+    /// i.e. it does not match `[a-z][A-Za-z0-9_]*` or it is one of the
+    /// syntax's keywords (`not`, `is`, `mod`, `div`): `X mod 2` parses to
+    /// the application `mod(X, 2)`, which prints as `'mod'(X, 2)`.
     pub fn needs_quoting(&self) -> bool {
+        if matches!(&*self.0, "not" | "is" | "mod" | "div") {
+            return true;
+        }
         let mut chars = self.0.chars();
         match chars.next() {
             Some(c) if c.is_ascii_lowercase() => {
@@ -263,6 +268,10 @@ mod tests {
         assert!(Symbol::new("Abc").needs_quoting());
         assert!(Symbol::new("a-b").needs_quoting());
         assert!(Symbol::new("").needs_quoting());
+        for keyword in ["not", "is", "mod", "div"] {
+            assert!(Symbol::new(keyword).needs_quoting());
+        }
+        assert!(!Symbol::new("nota").needs_quoting());
     }
 
     #[test]

@@ -464,7 +464,11 @@ impl fmt::Display for Term {
                     }
                     return write!(f, "]");
                 }
-                write!(f, "{name}(")?;
+                match &**name {
+                    // `-3(a)` would read as `-(3(a))`.
+                    Term::Int(i) if *i < 0 => write!(f, "({name})(")?,
+                    _ => write!(f, "{name}(")?,
+                }
                 for (i, a) in args.iter().enumerate() {
                     if i > 0 {
                         write!(f, ", ")?;
@@ -526,6 +530,10 @@ mod tests {
             vec![Term::var("Y")],
         );
         assert_eq!(t.to_string(), "p(a, X)(Y)");
+        // A negative number applied is parenthesised, a positive one not.
+        let negative = Term::app(Term::int(-3), vec![Term::sym("a")]);
+        assert_eq!(negative.to_string(), "(-3)(a)");
+        assert_eq!(Term::app(Term::int(3), vec![]).to_string(), "3()");
     }
 
     #[test]

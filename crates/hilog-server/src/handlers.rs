@@ -128,11 +128,7 @@ fn mutate(state: &ServerState, body: &[u8], mutation: Mutation) -> Response {
         texts.push(text.clone());
     }
     for text in &request.rules {
-        let mut normalized = text.trim().to_string();
-        if !normalized.ends_with('.') {
-            normalized.push('.');
-        }
-        let rule = match parse_rule(&normalized) {
+        let rule = match parse_rule(text) {
             Ok(r) => r,
             Err(e) => return Response::error(422, &format!("rule `{text}` does not parse: {e}")),
         };

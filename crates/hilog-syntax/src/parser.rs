@@ -21,8 +21,13 @@
 //! The text is untrusted, and the parser, `Display` and evaluation all
 //! recurse over a term's nesting, so no term may nest deeper than
 //! [`MAX_TERM_DEPTH`] levels.
+//!
+//! The parser holds one token at a time, lexed from the caller's text when
+//! the parse reaches it, and every entry point parses that text as given,
+//! so an error's position is a position in it.  A query's `?-` and a
+//! query's or rule's final `.` are optional.
 
-use crate::lexer::{tokenize, LexError, Spanned, Token};
+use crate::lexer::{Lexer, Spanned, Token};
 use hilog_core::builtin::{BuiltinCall, BuiltinOp};
 use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
 use hilog_core::program::Program;
@@ -40,14 +45,19 @@ pub const MAX_TERM_DEPTH: usize = 256;
 /// A term and the levels it nests, as [`MAX_TERM_DEPTH`] counts them.
 type Nested = (Term, usize);
 
-/// A parse error with source position.
+/// A lexical or parse error, at a position in the text that was parsed.
+///
+/// An error at a token is reported at the token's first character; an
+/// input that ends too early, at its last token (or, when it holds none, at
+/// its end).  Of two errors in one text, the first in text order is
+/// reported.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Human readable message.
     pub message: String,
-    /// 1-based line (0 when the input ended unexpectedly).
+    /// 1-based line.
     pub line: usize,
-    /// 1-based column.
+    /// 1-based column, counted in characters.
     pub column: usize,
 }
 
@@ -63,16 +73,6 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> Self {
-        ParseError {
-            message: e.message,
-            line: e.line,
-            column: e.column,
-        }
-    }
-}
-
 /// A top-level clause: either a rule/fact or a query.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Clause {
@@ -82,61 +82,109 @@ pub enum Clause {
     Query(Query),
 }
 
-struct Parser {
-    tokens: Vec<Spanned>,
-    pos: usize,
+/// A recursive-descent parser over a [`Lexer`]: it holds the token it looks
+/// at, and lexes the one after only when the parse reaches it.
+struct Parser<'a> {
+    lexer: Lexer<'a>,
+    /// The next token, once looked at.
+    peeked: Option<Spanned<'a>>,
+    /// Where the last token taken starts.
+    last: Option<(usize, usize)>,
+    /// The lexer's error at the next token.  The parse sees the input end
+    /// there, and this is the error it reports: nothing after it was read.
+    lex_error: Option<ParseError>,
     anon_counter: usize,
 }
 
-impl Parser {
-    fn new(input: &str) -> Result<Self, ParseError> {
-        Ok(Parser {
-            tokens: tokenize(input)?,
-            pos: 0,
+impl<'a> Parser<'a> {
+    fn new(input: &'a str) -> Self {
+        Parser {
+            lexer: Lexer::new(input),
+            peeked: None,
+            last: None,
+            lex_error: None,
             anon_counter: 0,
-        })
-    }
-
-    fn peek(&self) -> Option<&Token> {
-        self.tokens.get(self.pos).map(|s| &s.token)
-    }
-
-    fn next(&mut self) -> Option<Spanned> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
         }
-        t
     }
 
-    fn error_here(&self, message: impl Into<String>) -> ParseError {
-        match self.tokens.get(self.pos).or_else(|| self.tokens.last()) {
-            Some(s) => ParseError {
-                message: message.into(),
-                line: s.line,
-                column: s.column,
-            },
-            None => ParseError {
-                message: message.into(),
-                line: 0,
-                column: 0,
-            },
+    fn peek(&mut self) -> Option<&Token<'a>> {
+        if self.peeked.is_none() && self.lex_error.is_none() {
+            match self.lexer.next_token() {
+                Ok(next) => self.peeked = next,
+                Err(e) => self.lex_error = Some(e),
+            }
         }
+        self.peeked.as_ref().map(|s| &s.token)
+    }
+
+    fn next(&mut self) -> Option<Spanned<'a>> {
+        self.peek();
+        let next = self.peeked.take();
+        if let Some(s) = &next {
+            self.last = Some((s.line, s.column));
+        }
+        next
+    }
+
+    /// Takes the next token if it is `expected`.
+    fn eat(&mut self, expected: &Token) -> bool {
+        let found = self.peek() == Some(expected);
+        if found {
+            self.next();
+        }
+        found
+    }
+
+    /// An error at the next token, at the last one when the input is used
+    /// up, or at the end of an input with no token.  A lexical error at the
+    /// next token is the error.
+    fn error_here(&mut self, message: impl Into<String>) -> ParseError {
+        self.peek();
+        if let Some(e) = &self.lex_error {
+            return e.clone();
+        }
+        let (line, column) = match &self.peeked {
+            Some(s) => (s.line, s.column),
+            None => self.last.unwrap_or_else(|| self.lexer.position()),
+        };
+        ParseError {
+            message: message.into(),
+            line,
+            column,
+        }
+    }
+
+    /// "expected `what`, found" the next token, or the end of input.
+    fn expected(&mut self, what: &str) -> ParseError {
+        let found = match self.peek() {
+            Some(t) => format!("`{t}`"),
+            None => "end of input".to_string(),
+        };
+        self.error_here(format!("expected {what}, found {found}"))
     }
 
     fn expect(&mut self, expected: &Token) -> Result<(), ParseError> {
-        match self.peek() {
-            Some(t) if t == expected => {
-                self.pos += 1;
-                Ok(())
-            }
-            Some(t) => Err(self.error_here(format!("expected `{expected}`, found `{t}`"))),
-            None => Err(self.error_here(format!("expected `{expected}`, found end of input"))),
+        if self.eat(expected) {
+            return Ok(());
+        }
+        Err(self.expected(&format!("`{expected}`")))
+    }
+
+    /// Whether the input is used up; the lexer's error if it stopped short
+    /// of the end.
+    fn end(&mut self) -> Result<bool, ParseError> {
+        match (self.peek().is_none(), &self.lex_error) {
+            (true, Some(e)) => Err(e.clone()),
+            (at_end, _) => Ok(at_end),
         }
     }
 
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
+    /// The error `message` unless the input is used up.
+    fn finish(&mut self, message: &str) -> Result<(), ParseError> {
+        if self.end()? {
+            return Ok(());
+        }
+        Err(self.error_here(message))
     }
 
     fn fresh_anon(&mut self) -> Term {
@@ -152,7 +200,7 @@ impl Parser {
     // list) is checked as each level lands.
 
     /// `depth` if it fits in `room`, an error naming the bound otherwise.
-    fn within(&self, depth: usize, room: usize) -> Result<usize, ParseError> {
+    fn within(&mut self, depth: usize, room: usize) -> Result<usize, ParseError> {
         if depth > room {
             return Err(self.error_here(format!(
                 "term nests deeper than the {MAX_TERM_DEPTH} levels allowed"
@@ -162,77 +210,55 @@ impl Parser {
     }
 
     /// The room left one level down.
-    fn descend(&self, room: usize) -> Result<usize, ParseError> {
+    fn descend(&mut self, room: usize) -> Result<usize, ParseError> {
         Ok(room - self.within(1, room)?)
     }
 
     fn parse_primary(&mut self, room: usize) -> Result<Nested, ParseError> {
-        match self.next() {
-            Some(Spanned {
-                token: Token::Symbol(s),
-                ..
-            }) => Ok((Term::sym(s), 0)),
-            Some(Spanned {
-                token: Token::Variable(v),
-                ..
-            }) => {
-                if v == "_" {
-                    Ok((self.fresh_anon(), 0))
-                } else {
-                    Ok((Term::var(v), 0))
-                }
-            }
-            Some(Spanned {
-                token: Token::Integer(i),
-                ..
-            }) => Ok((Term::int(i), 0)),
-            Some(Spanned {
-                token: Token::Minus,
-                ..
-            }) => {
+        let Some(next) = self.next() else {
+            return Err(self.expected("a term"));
+        };
+        match next.token {
+            Token::Symbol(s) => Ok((Term::sym(s), 0)),
+            Token::Variable("_") => Ok((self.fresh_anon(), 0)),
+            Token::Variable(v) => Ok((Term::var(v), 0)),
+            Token::Integer(i) => Ok((Term::int(i), 0)),
+            Token::Minus => {
                 // Negative number literal or arithmetic negation.
-                let (inner, depth) = self.parse_primary_with_apps(self.descend(room)?)?;
+                let inner = self.descend(room)?;
+                let (inner, depth) = self.parse_primary_with_apps(inner)?;
                 let negated = match inner {
                     Term::Int(i) => Term::int(-i),
                     other => Term::apps("-", vec![other]),
                 };
                 Ok((negated, depth + 1))
             }
-            Some(Spanned {
-                token: Token::LParen,
-                ..
-            }) => {
-                let (t, depth) = self.parse_expr(self.descend(room)?)?;
+            Token::LParen => {
+                let inner = self.descend(room)?;
+                let (t, depth) = self.parse_expr(inner)?;
                 self.expect(&Token::RParen)?;
                 Ok((t, depth + 1))
             }
-            Some(Spanned {
-                token: Token::LBracket,
-                ..
-            }) => self.parse_list(room),
-            Some(s) => Err(ParseError {
-                message: format!("expected a term, found `{}`", s.token),
-                line: s.line,
-                column: s.column,
+            Token::LBracket => self.parse_list(room),
+            other => Err(ParseError {
+                message: format!("expected a term, found `{other}`"),
+                line: next.line,
+                column: next.column,
             }),
-            None => Err(self.error_here("expected a term, found end of input")),
         }
     }
 
     fn parse_list(&mut self, room: usize) -> Result<Nested, ParseError> {
-        if self.peek() == Some(&Token::RBracket) {
-            self.pos += 1;
+        if self.eat(&Token::RBracket) {
             return Ok((Term::nil(), 0));
         }
         let inner = self.descend(room)?;
         let mut elements = vec![self.parse_expr(inner)?];
-        while self.peek() == Some(&Token::Comma) {
-            self.pos += 1;
+        while self.eat(&Token::Comma) {
             self.within(elements.len() + 1, room)?;
             elements.push(self.parse_expr(inner)?);
         }
-        let tail = if self.peek() == Some(&Token::Pipe) {
-            self.pos += 1;
+        let tail = if self.eat(&Token::Pipe) {
             self.parse_expr(inner)?
         } else {
             (Term::nil(), 0)
@@ -250,8 +276,7 @@ impl Parser {
     /// application): `tc(G)(X, Y)` parses as `(tc applied to G) applied to X, Y`.
     fn parse_primary_with_apps(&mut self, room: usize) -> Result<Nested, ParseError> {
         let (mut term, mut depth) = self.parse_primary(room)?;
-        while self.peek() == Some(&Token::LParen) {
-            self.pos += 1;
+        while self.eat(&Token::LParen) {
             let inner = self.descend(room)?;
             let mut args = Vec::new();
             if self.peek() != Some(&Token::RParen) {
@@ -259,10 +284,9 @@ impl Parser {
                     let (arg, d) = self.parse_expr(inner)?;
                     args.push(arg);
                     depth = depth.max(d);
-                    if self.peek() != Some(&Token::Comma) {
+                    if !self.eat(&Token::Comma) {
                         break;
                     }
-                    self.pos += 1;
                 }
             }
             self.expect(&Token::RParen)?;
@@ -281,8 +305,9 @@ impl Parser {
     ) -> Result<Nested, ParseError> {
         let (mut left, mut depth) = operand(self, room)?;
         while let Some(op) = operator(self.peek()) {
-            self.pos += 1;
-            let (right, d) = operand(self, self.descend(room)?)?;
+            self.next();
+            let inner = self.descend(room)?;
+            let (right, d) = operand(self, inner)?;
             left = Term::apps(op, vec![left, right]);
             depth = self.within(depth.max(d) + 1, room)?;
         }
@@ -319,83 +344,69 @@ impl Parser {
     // ---- literals, rules, queries ---------------------------------------
 
     fn parse_literal(&mut self) -> Result<Literal, ParseError> {
-        if self.peek() == Some(&Token::Not) {
-            self.pos += 1;
+        if self.eat(&Token::Not) {
             let atom = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
             return Ok(Literal::Neg(atom));
         }
         let left = self.parse_expr(MAX_TERM_DEPTH)?.0;
         let op = match self.peek() {
-            Some(Token::Is) => Some(BuiltinOp::Is),
-            Some(Token::Eq) => Some(BuiltinOp::Eq),
-            Some(Token::Neq) => Some(BuiltinOp::Neq),
-            Some(Token::ArithEq) => Some(BuiltinOp::ArithEq),
-            Some(Token::ArithNeq) => Some(BuiltinOp::ArithNeq),
-            Some(Token::Lt) => Some(BuiltinOp::Lt),
-            Some(Token::Le) => Some(BuiltinOp::Le),
-            Some(Token::Gt) => Some(BuiltinOp::Gt),
-            Some(Token::Ge) => Some(BuiltinOp::Ge),
-            _ => None,
+            Some(Token::Is) => BuiltinOp::Is,
+            Some(Token::Eq) => BuiltinOp::Eq,
+            Some(Token::Neq) => BuiltinOp::Neq,
+            Some(Token::ArithEq) => BuiltinOp::ArithEq,
+            Some(Token::ArithNeq) => BuiltinOp::ArithNeq,
+            Some(Token::Lt) => BuiltinOp::Lt,
+            Some(Token::Le) => BuiltinOp::Le,
+            Some(Token::Gt) => BuiltinOp::Gt,
+            Some(Token::Ge) => BuiltinOp::Ge,
+            _ => return Ok(Literal::Pos(left)),
         };
-        match op {
-            None => Ok(Literal::Pos(left)),
-            Some(op) => {
-                self.pos += 1;
-                let right = self.parse_expr(MAX_TERM_DEPTH)?.0;
-                // `X = sum(V, Pattern)` is an aggregation literal.
-                if op == BuiltinOp::Eq {
-                    if let Some(agg) = as_aggregate(&left, &right) {
-                        return Ok(Literal::Aggregate(agg));
-                    }
-                }
-                Ok(Literal::Builtin(BuiltinCall::new(op, left, right)))
+        self.next();
+        let right = self.parse_expr(MAX_TERM_DEPTH)?.0;
+        // `X = sum(V, Pattern)` is an aggregation literal.
+        if op == BuiltinOp::Eq {
+            if let Some(agg) = as_aggregate(&left, &right) {
+                return Ok(Literal::Aggregate(agg));
             }
         }
+        Ok(Literal::Builtin(BuiltinCall::new(op, left, right)))
     }
 
     fn parse_body(&mut self) -> Result<Vec<Literal>, ParseError> {
         let mut body = vec![self.parse_literal()?];
-        while self.peek() == Some(&Token::Comma) {
-            self.pos += 1;
+        while self.eat(&Token::Comma) {
             body.push(self.parse_literal()?);
         }
         Ok(body)
     }
 
-    fn parse_clause(&mut self) -> Result<Clause, ParseError> {
-        if self.peek() == Some(&Token::QueryArrow) {
-            self.pos += 1;
-            let body = self.parse_body()?;
-            self.expect(&Token::Dot)?;
-            return Ok(Clause::Query(Query::new(body)));
+    /// The `.` that ends a clause; at the end of the input it may be left
+    /// out when `optional`.
+    fn end_clause(&mut self, optional: bool) -> Result<(), ParseError> {
+        if self.eat(&Token::Dot) || (optional && self.peek().is_none()) {
+            return Ok(());
         }
-        let head = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
-        match self.peek() {
-            Some(Token::Dot) => {
-                self.pos += 1;
-                Ok(Clause::Rule(Rule::fact(head)))
-            }
-            Some(Token::Arrow) => {
-                self.pos += 1;
-                let body = self.parse_body()?;
-                self.expect(&Token::Dot)?;
-                Ok(Clause::Rule(Rule::new(head, body)))
-            }
-            Some(t) => {
-                Err(self.error_here(format!("expected `.` or `:-` after rule head, found `{t}`")))
-            }
-            None => {
-                Err(self.error_here("expected `.` or `:-` after rule head, found end of input"))
-            }
-        }
+        Err(self.expected("`.`"))
     }
 
-    fn parse_clauses(&mut self) -> Result<Vec<Clause>, ParseError> {
-        let mut out = Vec::new();
-        while !self.at_end() {
-            out.push(self.parse_clause()?);
+    /// A query after its `?-`.
+    fn parse_query(&mut self, dot_optional: bool) -> Result<Query, ParseError> {
+        let body = self.parse_body()?;
+        self.end_clause(dot_optional)?;
+        Ok(Query::new(body))
+    }
+
+    fn parse_rule(&mut self, dot_optional: bool) -> Result<Rule, ParseError> {
+        let head = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
+        if self.eat(&Token::Arrow) {
+            let body = self.parse_body()?;
+            self.end_clause(dot_optional)?;
+            return Ok(Rule::new(head, body));
         }
-        Ok(out)
+        if self.eat(&Token::Dot) || (dot_optional && self.peek().is_none()) {
+            return Ok(Rule::fact(head));
+        }
+        Err(self.expected("`.` or `:-` after rule head"))
     }
 }
 
@@ -423,77 +434,61 @@ fn as_aggregate(result: &Term, right: &Term) -> Option<Aggregate> {
     None
 }
 
-/// Parses a whole program (rules and facts).  Queries are rejected; use
-/// [`parse_clauses`] or [`parse_query`] for query text.
+/// Parses a whole program (rules and facts), each clause going into the
+/// program as it is parsed.  Queries are rejected; use [`parse_clauses`]
+/// or [`parse_query`] for query text.
 pub fn parse_program(input: &str) -> Result<Program, ParseError> {
-    let mut parser = Parser::new(input)?;
-    let clauses = parser.parse_clauses()?;
+    let mut parser = Parser::new(input);
     let mut program = Program::new();
-    for clause in clauses {
-        match clause {
-            Clause::Rule(r) => program.push(r),
-            Clause::Query(_) => {
-                return Err(ParseError {
-                    message: "queries (`?- ...`) are not allowed in a program; use parse_query"
-                        .into(),
-                    line: 0,
-                    column: 0,
-                })
-            }
+    while !parser.end()? {
+        if parser.peek() == Some(&Token::QueryArrow) {
+            return Err(parser
+                .error_here("queries (`?- ...`) are not allowed in a program; use parse_query"));
         }
+        program.push(parser.parse_rule(false)?);
     }
     Ok(program)
 }
 
 /// Parses a mixed sequence of rules and queries.
 pub fn parse_clauses(input: &str) -> Result<Vec<Clause>, ParseError> {
-    Parser::new(input)?.parse_clauses()
+    let mut parser = Parser::new(input);
+    let mut clauses = Vec::new();
+    while !parser.end()? {
+        clauses.push(if parser.eat(&Token::QueryArrow) {
+            Clause::Query(parser.parse_query(false)?)
+        } else {
+            Clause::Rule(parser.parse_rule(false)?)
+        });
+    }
+    Ok(clauses)
 }
 
 /// Parses a single query.  The leading `?-` and trailing `.` are optional.
 pub fn parse_query(input: &str) -> Result<Query, ParseError> {
-    let trimmed = input.trim();
-    let text = if trimmed.starts_with("?-") {
-        trimmed.to_string()
-    } else {
-        format!(
-            "?- {}",
-            trimmed.trim_end_matches('.').trim_end().to_string() + "."
-        )
-    };
-    let mut parser = Parser::new(&text)?;
-    let clauses = parser.parse_clauses()?;
-    match clauses.as_slice() {
-        [Clause::Query(q)] => Ok(q.clone()),
-        _ => Err(ParseError {
-            message: "expected exactly one query".into(),
-            line: 0,
-            column: 0,
-        }),
-    }
+    let mut parser = Parser::new(input);
+    parser.eat(&Token::QueryArrow);
+    let query = parser.parse_query(true)?;
+    parser.finish("expected exactly one query")?;
+    Ok(query)
 }
 
-/// Parses a single rule or fact.
+/// Parses a single rule or fact.  The trailing `.` is optional.
 pub fn parse_rule(input: &str) -> Result<Rule, ParseError> {
-    let mut parser = Parser::new(input)?;
-    let clauses = parser.parse_clauses()?;
-    match clauses.as_slice() {
-        [Clause::Rule(r)] => Ok(r.clone()),
-        _ => Err(ParseError {
-            message: "expected exactly one rule".into(),
-            line: 0,
-            column: 0,
-        }),
+    let mut parser = Parser::new(input);
+    if matches!(parser.peek(), None | Some(Token::QueryArrow)) {
+        return Err(parser.error_here("expected exactly one rule"));
     }
+    let rule = parser.parse_rule(true)?;
+    parser.finish("expected exactly one rule")?;
+    Ok(rule)
 }
 
 /// Parses a single term (no trailing dot).
 pub fn parse_term(input: &str) -> Result<Term, ParseError> {
-    let mut parser = Parser::new(input)?;
+    let mut parser = Parser::new(input);
     let term = parser.parse_expr(MAX_TERM_DEPTH)?.0;
-    if !parser.at_end() {
-        return Err(parser.error_here("unexpected trailing tokens after term"));
-    }
+    parser.finish("unexpected trailing tokens after term")?;
     Ok(term)
 }
 
@@ -630,6 +625,91 @@ mod tests {
         assert!(parse_term("p(a) extra").is_err());
         let err = parse_program("p.\nq :- .").unwrap_err();
         assert_eq!(err.line, 2);
+    }
+
+    fn error_at(result: Result<impl fmt::Debug, ParseError>) -> (usize, usize, String) {
+        let e = result.unwrap_err();
+        (e.line, e.column, e.message)
+    }
+
+    #[test]
+    fn errors_are_positioned_in_the_callers_text() {
+        // An input that ends too early errs at its last token, with or
+        // without the `?-` the caller may leave out.
+        let eoi = "expected `)`, found end of input".to_string();
+        assert_eq!(error_at(parse_query("p(X")), (1, 3, eoi.clone()));
+        assert_eq!(error_at(parse_query("?- p(X")), (1, 6, eoi.clone()));
+        assert_eq!(error_at(parse_rule("p(X) :- q(X")), (1, 11, eoi));
+        assert_eq!(
+            error_at(parse_query("winning(X), $")),
+            (1, 13, "unexpected character `$`".into())
+        );
+        assert_eq!(
+            error_at(parse_query("p. q")),
+            (1, 4, "expected exactly one query".into())
+        );
+        assert_eq!(
+            error_at(parse_rule("p. q.")),
+            (1, 4, "expected exactly one rule".into())
+        );
+        assert_eq!(
+            error_at(parse_program("p.\n  ?- p.")),
+            (
+                2,
+                3,
+                "queries (`?- ...`) are not allowed in a program; use parse_query".into()
+            )
+        );
+        // Columns count characters, not bytes.
+        assert_eq!(error_at(parse_term("'λ' $")).1, 5);
+    }
+
+    #[test]
+    fn an_input_without_a_token_errs_at_its_end() {
+        let message = "expected a term, found end of input".to_string();
+        assert_eq!(error_at(parse_term("")), (1, 1, message.clone()));
+        assert_eq!(error_at(parse_term(" % c\n ")), (2, 2, message));
+        assert_eq!(error_at(parse_rule("")).2, "expected exactly one rule");
+    }
+
+    #[test]
+    fn the_first_error_in_the_text_is_reported() {
+        // A parse error before a lexical one wins ...
+        assert_eq!(
+            error_at(parse_program("p :- .\nq $ r.")),
+            (1, 6, "expected a term, found `.`".into())
+        );
+        // ... and a lexical error before a parse error.
+        assert_eq!(
+            error_at(parse_program("p $ :- .")),
+            (1, 3, "unexpected character `$`".into())
+        );
+        // A text that parses up to a lexical error does not parse.
+        assert!(parse_term("p $").is_err());
+        assert!(parse_program("p. q. #").is_err());
+        assert!(parse_query("p, q #").is_err());
+    }
+
+    #[test]
+    fn the_final_dot_of_a_query_or_rule_is_optional() {
+        assert_eq!(
+            parse_query("?- p(X)").unwrap(),
+            parse_query("p(X).").unwrap()
+        );
+        assert_eq!(
+            parse_query("% why\n?- p").unwrap(),
+            parse_query("p").unwrap()
+        );
+        assert_eq!(
+            parse_rule("p :- q").unwrap(),
+            parse_rule("p :- q.").unwrap()
+        );
+        assert_eq!(parse_rule(" p ").unwrap(), Rule::fact(Term::sym("p")));
+        // Only one: a second `.` is not part of the clause.
+        assert!(parse_query("p..").is_err());
+        assert!(parse_rule("p :- q..").is_err());
+        // A program's clauses each need theirs.
+        assert!(parse_program("p :- q").is_err());
     }
 
     /// One text per way a term nests, `levels` deep.

@@ -22,6 +22,12 @@
 //! * random strongly range-restricted **HiLog** programs (outside the
 //!   naive engine's fragment) — full-model plans vs magic-sets plans of an
 //!   independent session, and incremental `assert_fact` vs fresh sessions;
+//! * **HiLog** programs against their **universal-relation image**
+//!   (Section 2; the encoding of Chen, Kifer and Warren): `HiLogDb`'s
+//!   model of `P` and the naive engine's well-founded model of
+//!   `universal_transform(P)`, atom for atom through `encode_atom` /
+//!   `decode_atom` in both directions — random strongly range-restricted
+//!   programs, the generic closure, and acyclic and cyclic HiLog games;
 //! * both families — the **grounding** itself: the relevant instantiation
 //!   the semi-naive driver emits from its one join pass vs the paper's
 //!   definition (`ground_against` over the finished least model), on the
@@ -33,12 +39,14 @@
 //! any additional generated seeds.
 
 use hilog_datalog::DatalogEngine;
+use hilog_repro::core::universal::{decode_atom, encode_atom, universal_transform};
 use hilog_repro::engine::{ground_against, least_model_into, relevant_ground_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
     NormalProgramConfig,
 };
+use hilog_workloads::{chain, cycle, generic_closure_program, hilog_game_program, random_dag};
 
 /// The committed regression corpus of pinned seeds.
 fn pinned_seeds() -> Vec<u64> {
@@ -205,6 +213,80 @@ fn incremental_assertion_matches_fresh_sessions_on_hilog_programs() {
             &format!("seed {seed}, incremental"),
         );
     }
+}
+
+/// A random strongly range-restricted HiLog program, and in turn the
+/// generic closure, an acyclic HiLog game or a cyclic one (whose odd cycles
+/// leave atoms undefined).
+fn universal_cases(seed: u64) -> Vec<(Program, String)> {
+    let dag = |n| random_dag(n, 1.5, seed);
+    let mut cyclic = dag(6);
+    cyclic.extend(cycle(3 + (seed % 3) as usize));
+    let family = match seed % 3 {
+        0 => (
+            "closure",
+            generic_closure_program(&[("e1", dag(7)), ("e2", cycle(3))]),
+        ),
+        1 => (
+            "acyclic game",
+            hilog_game_program(&[("m1", dag(8)), ("m2", chain(4))]),
+        ),
+        _ => (
+            "cyclic game",
+            hilog_game_program(&[("m1", cyclic), ("m2", cycle(4))]),
+        ),
+    };
+    vec![
+        (
+            random_strongly_restricted_hilog(HilogProgramConfig::default(), seed),
+            format!("seed {seed}, random HiLog"),
+        ),
+        (family.1, format!("seed {seed}, {}", family.0)),
+    ]
+}
+
+#[test]
+fn hilog_programs_agree_with_their_universal_image() {
+    // The image is a normal program over one `call` predicate, so the
+    // naive engine evaluates it with code the HiLog engine does not share.
+    // It is never stratified, hence the well-founded model.
+    let (mut programs, mut atoms, mut undefined) = (0, 0, 0);
+    for seed in seeds(0) {
+        for (program, context) in universal_cases(seed) {
+            let ours = HiLogDb::new(program.clone())
+                .model()
+                .expect("HiLogDb evaluates the program")
+                .clone();
+            let image = universal_transform(&program).expect("no reserved symbols");
+            let theirs = DatalogEngine::new(image)
+                .expect("the image is a normal program")
+                .well_founded_model()
+                .expect("naive engine evaluates the image");
+            for atom in ours.base() {
+                let encoded = encode_atom(atom);
+                assert_eq!(
+                    ours.truth(atom),
+                    theirs.truth(&encoded),
+                    "`{atom}` and its image `{encoded}` diverge ({context})"
+                );
+            }
+            for encoded in theirs.base() {
+                let atom = decode_atom(encoded).expect("an image atom is `call(..)`");
+                assert_eq!(
+                    theirs.truth(encoded),
+                    ours.truth(&atom),
+                    "image `{encoded}` and `{atom}` diverge ({context})"
+                );
+                undefined += usize::from(theirs.truth(encoded) == Truth::Undefined);
+            }
+            programs += 1;
+            atoms += ours.base().len().max(theirs.base().len());
+        }
+    }
+    eprintln!(
+        "universal image: {atoms} HiLog atoms ({undefined} undefined) over {programs} programs"
+    );
+    assert!(undefined > 0, "the cyclic games leave atoms undefined");
 }
 
 /// Both generated families at their default size, plus (every fourth seed) a

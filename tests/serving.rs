@@ -469,17 +469,36 @@ fn http_round_trip_matches_in_process_answers() {
     // and, being fully read, without giving up the connection.
     let response = connection.post("/query", "not json").unwrap();
     assert_eq!((response.status, response.close), (400, false));
+    // A parse error names a position in the text the client sent.
     let response = connection
         .post("/query", r#"{"query": "winning(X"}"#)
         .unwrap();
     assert_eq!((response.status, response.close), (422, false));
+    assert!(
+        response
+            .body
+            .contains("parse error at 1:9: expected `)`, found end of input"),
+        "{}",
+        response.body
+    );
+    let response = connection
+        .post("/assert", r#"{"rules": ["winning(X) :- move(X, $)"]}"#)
+        .unwrap();
+    assert_eq!(response.status, 422);
+    assert!(
+        response
+            .body
+            .contains("parse error at 1:23: unexpected character `$`"),
+        "{}",
+        response.body
+    );
     let response = connection
         .post("/assert", r#"{"facts": ["move(X, p1)"]}"#)
         .unwrap();
     assert_eq!(response.status, 422, "non-ground fact is rejected");
     let response = connection.get("/missing").unwrap();
     assert_eq!((response.status, response.close), (404, false));
-    sent += 4;
+    sent += 5;
 
     let response = connection.get("/stats").unwrap();
     sent += 1;
@@ -508,6 +527,19 @@ fn http_round_trip_matches_in_process_answers() {
         .map(|r| &r.head)
         .collect();
     assert_eq!(count("indexed_facts"), Some(facts.len() as u64));
+
+    // A rule's final `.` is optional: the server parses the text as sent.
+    for (path, rule) in [
+        ("/assert", "reach(X) :- move(p0, X)"),
+        ("/retract", "reach(X) :- move(p0, X)."),
+    ] {
+        let response = connection
+            .post(path, &format!(r#"{{"rules": ["{rule}"]}}"#))
+            .unwrap();
+        assert_eq!(response.status, 200, "{path}: {}", response.body);
+        let json = response.json().unwrap();
+        assert_eq!(json.get("applied").and_then(|v| v.as_u64()), Some(1));
+    }
 
     shutdown.shutdown();
     serving.join().expect("server thread exits cleanly");
