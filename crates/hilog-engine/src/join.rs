@@ -4,10 +4,12 @@
 //! rule compiled once, its variables numbered into slots.  The semi-naive
 //! driver (and with it the grounder and the assert continuation), the
 //! aggregate evaluator's context join, the session's spontaneous-fact check
-//! and the definitional grounding reference run [`RulePlan::join`]; the
-//! tabled evaluator keeps its own selection order (literal by literal over
-//! the branches, which its counts depend on) and runs the same plans with
-//! the same [`Frame`] operations.
+//! and the definitional grounding reference run [`RulePlan::join`].  Three
+//! callers keep their own selection order and run the same plans with the
+//! same [`Frame`] operations: the tabled evaluator (literal by literal over
+//! the branches, which its counts depend on), Figure 1's HiLog reduction
+//! (the first literal the settled model can resolve) and the full-model
+//! query route (left to right over a three-valued model).
 //!
 //! A [`Frame`] is the slots of one evaluation with an undo trail: a match
 //! binds slots and the trail takes them back, so a join builds no
@@ -255,7 +257,7 @@ impl Frame {
         match pat {
             Pat::Ground(term) => Term::clone(term),
             Pat::Slot(slot) => match &self.slots[*slot] {
-                Some(value) => self.resolve(value),
+                Some(value) => self.resolve(value, &[]),
                 None => slot_var(*slot),
             },
             Pat::App(name, args) => Term::App(
@@ -268,22 +270,27 @@ impl Frame {
         }
     }
 
-    /// `term` with its bound slot variables replaced by their values.
-    fn resolve(&self, term: &Term) -> Term {
-        self.resolve_shared(term).unwrap_or_else(|| term.clone())
+    /// `term` with its bound slot variables replaced by their values, and
+    /// each unbound slot `names` names by its name.
+    fn resolve(&self, term: &Term, names: &[Var]) -> Term {
+        self.resolve_shared(term, names)
+            .unwrap_or_else(|| term.clone())
     }
 
     /// `Some(resolved)` if resolving changes `term`; untouched subterms are
     /// shared.
-    fn resolve_shared(&self, term: &Term) -> Option<Term> {
+    fn resolve_shared(&self, term: &Term, names: &[Var]) -> Option<Term> {
         match term {
-            Term::Var(v) => (self.slots[slot_of(v)].as_ref()).map(|value| self.resolve(value)),
+            Term::Var(v) => match &self.slots[slot_of(v)] {
+                Some(value) => Some(self.resolve(value, names)),
+                None => names.get(slot_of(v)).map(|name| Term::Var(name.clone())),
+            },
             Term::Sym(_) | Term::Int(_) => None,
             Term::App(name, args) => {
-                let new_name = self.resolve_shared(name);
+                let new_name = self.resolve_shared(name, names);
                 let mut new_args: Option<Vec<Term>> = None;
                 for (i, arg) in args.iter().enumerate() {
-                    match self.resolve_shared(arg) {
+                    match self.resolve_shared(arg, names) {
                         Some(changed) => new_args
                             .get_or_insert_with(|| args[..i].to_vec())
                             .push(changed),
@@ -406,29 +413,41 @@ impl Frame {
         }
     }
 
-    /// Evaluates a builtin over the bindings, binding what `is` and `=`
-    /// bind; `Ok(false)` when it fails.
+    /// Evaluates a builtin of the plan's rule over the bindings, binding
+    /// what `is` and `=` bind; `Ok(false)` when it fails.  An error shows
+    /// the builtin as the rule spells it, its unbound variables by name.
     pub(crate) fn eval_builtin(
         &mut self,
+        plan: &RulePlan,
         op: BuiltinOp,
         left: &Pat,
         right: &Pat,
     ) -> Result<bool, EngineError> {
         let call = BuiltinCall::new(op, self.instantiate(left), self.instantiate(right));
         let mut theta = Substitution::new();
-        let holds = call.eval(&mut theta).map_err(EngineError::Core)?;
+        let holds = call.eval(&mut theta).map_err(|error| {
+            let named = |term: &Term| self.resolve(term, &plan.vars);
+            let named = BuiltinCall::new(op, named(&call.left), named(&call.right));
+            EngineError::Core(named.eval(&mut Substitution::new()).err().unwrap_or(error))
+        })?;
         if holds {
             self.absorb(&[], &theta);
         }
         Ok(holds)
     }
 
-    /// The bound variables of the plan's rule, each to its value: the
-    /// substitution the aggregate operator reads.
+    /// The bound variables of the plan's rule, each to its value, in which
+    /// an unbound slot of the rule is its variable: the substitution the
+    /// aggregate operator reads, and the bindings of a reduced rule or an
+    /// answer.
     pub(crate) fn bindings(&self, plan: &RulePlan) -> Substitution {
-        (plan.vars.iter().zip(&self.slots))
-            .filter_map(|(var, value)| Some((var.clone(), self.resolve(value.as_ref()?))))
-            .collect()
+        let mut theta = Substitution::new();
+        for (var, value) in plan.vars.iter().zip(&self.slots) {
+            if let Some(value) = value {
+                theta.bind(var.clone(), self.resolve(value, &plan.vars));
+            }
+        }
+        theta
     }
 
     /// Binds the unbound slots `theta` binds — by slot variable, or by the
@@ -543,7 +562,7 @@ impl<'j> Join<'j> {
             },
             Step::Builtin(op, left, right) => {
                 let mark = self.frame.mark();
-                let result = match self.frame.eval_builtin(*op, left, right) {
+                let result = match self.frame.eval_builtin(plan, *op, left, right) {
                     Ok(true) => self.step(at + 1),
                     Ok(false) => Ok(()),
                     Err(e) => Err(e),
@@ -751,6 +770,27 @@ mod tests {
                 moved, probes,
                 "probes and scans of {rule} (delta {delta:?} at {at})"
             );
+        }
+    }
+
+    #[test]
+    fn a_builtin_error_names_the_rule_variables() {
+        // The frame evaluates over slots; the error reads as the rule is
+        // written, not `unbound variable _S_3`.
+        let facts = store("p(a).");
+        for (rule, error) in [
+            (
+                "h(X, Y) :- p(X), Y is Z + 1.",
+                "arithmetic error: unbound variable Z",
+            ),
+            (
+                "h(X) :- p(X), X \\= Z.",
+                "uninstantiated builtin: \\= requires ground operands, got a \\= Z",
+            ),
+        ] {
+            let plan = RulePlan::compile(&parse_program(rule).unwrap().rules[0]);
+            let joined = plan.join(&facts, None, NegationMode::Forbid, &mut |_| Ok(()));
+            assert_eq!(joined.unwrap_err().to_string(), error, "{rule}");
         }
     }
 

@@ -1400,7 +1400,7 @@ impl QueryEvaluator {
                             }
                         }
                         Step::Builtin(op, left, right) => {
-                            if frame.eval_builtin(*op, left, right)? {
+                            if frame.eval_builtin(plan, *op, left, right)? {
                                 next.push(frame);
                             }
                         }

@@ -31,9 +31,10 @@
 //!   ground atom graph once: a negative edge inside a strongly connected
 //!   component means the component is not locally stratified, and
 //!   otherwise its components are settled over that same condensation.
-//! * The reduction seeks the settled model by predicate name
+//! * The reduction walks each surviving rule's compiled plan over one slot
+//!   frame, seeks the settled model by predicate name
 //!   ([`Model::true_candidates`]: the model's map is ordered by name
-//!   first) instead of scanning every true atom, and it deduplicates the
+//!   first) instead of scanning every true atom, and deduplicates the
 //!   reduced rules by hash.
 //!
 //! If the procedure terminates with no rules left, the program is modularly
@@ -50,15 +51,14 @@ use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::grounder::{check_rule_budget, relevant_ground};
 use crate::horn::EvalOptions;
+use crate::join::{Frame, Pat, RulePlan, Step};
 use crate::wfs::stratified_eval;
 use hilog_core::analysis::DependencyGraph;
 use hilog_core::interpretation::Model;
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
-use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
-use hilog_core::unify::match_with;
 use hilog_core::TermSet;
 use std::collections::BTreeSet;
 
@@ -255,204 +255,179 @@ fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
 /// The HiLog reduction of a set of rules modulo a (total) model for the
 /// settled predicates (Definition 6.5).
 ///
-/// Literals whose (ground) predicate name is settled are resolved against the
-/// model: true positive literals instantiate the rule's variables (the model
-/// is sought by predicate name, never scanned whole), false ones delete the
-/// instance; negative settled literals delete the literal (if false in the
-/// model) or the instance (if true).  Literals over unsettled predicates are
-/// kept.  A literal the rest of the body could still bind — a settled
-/// negative literal that is not yet ground, a builtin not yet evaluable, a
-/// literal whose predicate name is still a variable — is kept and tried
-/// again once the body has been joined, so the outcome does not depend on
-/// the order of the body.  A settled negative literal that is still
-/// non-ground after that cannot be resolved, and the reduction
-/// conservatively reports failure.
-pub fn hilog_reduce(
+/// Each rule's plan is walked depth first over one [`Frame`], each time
+/// resolving the first literal in body order that can be resolved now: a
+/// settled positive literal joins the model's true atoms (sought by
+/// predicate name, never scanned whole); a settled negative literal once
+/// ground, and a builtin once both sides are ground, delete themselves or
+/// the instance (a builtin that errs stays); a settled aggregate is folded
+/// over the model.  A binding may settle a literal's name.  When nothing
+/// more resolves, the head and the unresolved literals are emitted under the
+/// bindings, so the outcome does not depend on the order of the body.  A
+/// settled negative literal still non-ground then cannot be resolved, and
+/// the reduction conservatively reports failure.
+fn hilog_reduce(
     rules: &[Rule],
     settled: &BTreeSet<Term>,
     model: &Model,
     opts: EvalOptions,
 ) -> Result<Vec<Rule>, String> {
-    let reduction = Reduction {
-        settled,
-        model,
-        opts,
-    };
     let mut out: Vec<Rule> = Vec::new();
     let mut seen: TermSet<Rule> = TermSet::default();
     for rule in rules {
-        for Branch { theta, kept, retry } in reduction.reduce(rule)? {
-            let body: Vec<Literal> = kept.iter().map(|l| l.apply(&theta)).collect();
-            if retry {
-                let unresolved = body.iter().find_map(|l| match l {
-                    Literal::Neg(atom) if reduction.is_settled(atom) => Some(atom),
-                    _ => None,
-                });
-                if let Some(atom) = unresolved {
-                    return Err(format!(
-                        "cannot reduce the non-ground settled negative literal `not {atom}` \
-                         of rule `{rule}`"
-                    ));
-                }
-            }
-            let reduced = Rule::new(theta.apply(&rule.head), body);
-            if seen.insert(reduced.clone()) {
-                out.push(reduced);
-            }
+        let plan = RulePlan::compile(rule);
+        Reduction {
+            settled,
+            model,
+            opts,
+            plan: &plan,
+            frame: plan.frame(),
+            resolved: vec![false; rule.body.len()],
+            instantiations: 0,
+            out: &mut out,
+            seen: &mut seen,
         }
+        .walk()?;
     }
     Ok(out)
 }
 
-/// A partial instantiation of a rule in [`hilog_reduce`].
-struct Branch {
-    /// The bindings made so far.
-    theta: Substitution,
-    /// The literals kept (not resolvable, or not yet), uninstantiated.
-    kept: Vec<Literal>,
-    /// Some kept literal could resolve once more variables are bound.
-    retry: bool,
-}
-
-/// What [`hilog_reduce`] reduces modulo.
+/// One rule's reduction in progress.
 struct Reduction<'a> {
     settled: &'a BTreeSet<Term>,
     model: &'a Model,
     opts: EvalOptions,
+    plan: &'a RulePlan,
+    frame: Frame,
+    /// Which body literals the walk has resolved.
+    resolved: Vec<bool>,
+    /// The partial instantiations made so far, against `opts.max_atoms`.
+    instantiations: usize,
+    out: &'a mut Vec<Rule>,
+    seen: &'a mut TermSet<Rule>,
 }
 
 impl Reduction<'_> {
-    fn is_settled(&self, atom: &Term) -> bool {
-        atom.name().is_ground() && self.settled.contains(atom.name())
-    }
-
-    /// The branches of `rule`'s reduction, in order: one pass over the
-    /// body, then one more over the kept literals of any branch that kept a
-    /// literal later bindings could resolve, until no kept literal resolves.
-    fn reduce(&self, rule: &Rule) -> Result<Vec<Branch>, String> {
-        let root = Branch {
-            theta: Substitution::new(),
-            kept: Vec::new(),
-            retry: false,
+    /// Whether the atom `pat` stands for has a settled name under the
+    /// bindings: a name the rule spells is read off the pattern, with no
+    /// atom built.
+    fn is_settled(&self, pat: &Pat) -> bool {
+        let name = match pat {
+            Pat::App(name, _) => self.frame.instantiate(name),
+            atom => self.frame.instantiate(atom).name().clone(),
         };
-        let mut pending = self.pass(rule, &rule.body, root)?;
-        pending.reverse();
-        let mut done = Vec::new();
-        while let Some(branch) = pending.pop() {
-            if !branch.retry {
-                done.push(branch);
-                continue;
-            }
-            let again = Branch {
-                theta: branch.theta.clone(),
-                kept: Vec::new(),
-                retry: false,
-            };
-            let again = self.pass(rule, &branch.kept, again)?;
-            if again.len() == 1 && again[0].kept.len() == branch.kept.len() {
-                // Nothing resolved, so nothing will.
-                done.push(branch);
-            } else {
-                // Every literal resolved shortens `kept`, so this ends.
-                pending.extend(again.into_iter().rev());
-            }
-        }
-        Ok(done)
+        name.is_ground() && self.settled.contains(&name)
     }
 
-    /// Reduces `body` left to right from `start`.
-    fn pass(&self, rule: &Rule, body: &[Literal], start: Branch) -> Result<Vec<Branch>, String> {
-        let mut branches = vec![start];
-        for lit in body {
-            let mut next: Vec<Branch> = Vec::new();
-            for branch in branches {
-                self.step(rule, lit, branch, &mut next)?;
-                if next.len() > self.opts.max_atoms {
-                    return Err(format!(
-                        "HiLog reduction of rule `{rule}` exceeded {} partial instantiations",
-                        self.opts.max_atoms
-                    ));
-                }
-            }
-            branches = next;
+    /// One more partial instantiation: resolves the first body literal that
+    /// can be resolved now, or emits the instance if none can.
+    fn walk(&mut self) -> Result<(), String> {
+        self.instantiations += 1;
+        if self.instantiations > self.opts.max_atoms {
+            return Err(format!(
+                "HiLog reduction of rule `{}` exceeded {} partial instantiations",
+                self.plan.rule, self.opts.max_atoms
+            ));
         }
-        Ok(branches)
-    }
-
-    /// Resolves one literal of `rule` in one branch, pushing what survives.
-    fn step(
-        &self,
-        rule: &Rule,
-        lit: &Literal,
-        branch: Branch,
-        next: &mut Vec<Branch>,
-    ) -> Result<(), String> {
-        let keep = |mut branch: Branch, retry: bool, next: &mut Vec<Branch>| {
-            branch.kept.push(lit.clone());
-            branch.retry |= retry;
-            next.push(branch);
-        };
-        let theta = &branch.theta;
-        match lit.apply(theta) {
-            Literal::Pos(atom) if self.is_settled(&atom) => {
-                if atom.is_ground() {
-                    if self.model.is_true(&atom) {
-                        next.push(branch);
-                    }
+        for at in 0..self.resolved.len() {
+            if !self.resolved[at] {
+                self.resolved[at] = true;
+                let resolved = self.resolve(at);
+                self.resolved[at] = false;
+                if resolved? {
                     return Ok(());
                 }
-                for candidate in self.model.true_candidates(&atom) {
-                    let mut extended = theta.clone();
-                    if match_with(&atom, candidate, &mut extended) {
-                        next.push(Branch {
-                            theta: extended,
-                            kept: branch.kept.clone(),
-                            retry: branch.retry,
-                        });
+            }
+        }
+        self.emit()
+    }
+
+    /// Resolves literal `at` in every way it resolves under the bindings,
+    /// walking on from each; `false` if it cannot be resolved yet.
+    fn resolve(&mut self, at: usize) -> Result<bool, String> {
+        let (plan, model) = (self.plan, self.model);
+        let ready = match &plan.body[at] {
+            Step::Pos(pat) | Step::Aggregate(pat) => self.is_settled(pat),
+            Step::Neg(pat) => self.is_settled(pat) && self.frame.instantiate(pat).is_ground(),
+            Step::Builtin(_, left, right) => {
+                self.frame.instantiate(left).is_ground()
+                    && self.frame.instantiate(right).is_ground()
+            }
+        };
+        if !ready {
+            return Ok(false);
+        }
+        match &plan.body[at] {
+            Step::Pos(pat) => {
+                let atom = self.frame.instantiate(pat);
+                if atom.is_ground() {
+                    if model.is_true(&atom) {
+                        self.walk()?;
                     }
+                    return Ok(true);
                 }
-            }
-            Literal::Neg(atom) if self.is_settled(&atom) => {
-                if !atom.is_ground() {
-                    keep(branch, true, next);
-                } else if !self.model.is_true(&atom) {
-                    next.push(branch);
-                }
-            }
-            Literal::Builtin(b) => {
-                let mut extended = theta.clone();
-                if b.variables().iter().all(|v| extended.get(v).is_some())
-                    || b.left.is_ground() && b.right.is_ground()
-                {
-                    match b.eval(&mut extended) {
-                        Ok(true) => next.push(Branch {
-                            theta: extended,
-                            ..branch
-                        }),
-                        Ok(false) => {}
-                        // Not yet evaluable; defer.
-                        Err(_) => keep(branch, true, next),
+                for candidate in model.true_candidates(&atom) {
+                    let mark = self.frame.mark();
+                    if self.frame.unify_pat(pat, candidate) {
+                        self.walk()?;
                     }
-                } else {
-                    keep(branch, true, next);
+                    self.frame.undo(mark);
                 }
             }
-            Literal::Aggregate(agg) if self.is_settled(&agg.pattern) => {
-                // Evaluate the aggregate over the settled model; a fold the
-                // operator cannot perform is a reason to reject, like any
-                // other failed reduction.
-                let candidates = self.model.true_candidates(&agg.pattern);
+            Step::Neg(pat) => {
+                if !model.is_true(&self.frame.instantiate(pat)) {
+                    self.walk()?;
+                }
+            }
+            Step::Builtin(op, left, right) => {
+                let mark = self.frame.mark();
+                match self.frame.eval_builtin(plan, *op, left, right) {
+                    Ok(true) => self.walk()?,
+                    Ok(false) => {}
+                    Err(_) => return Ok(false),
+                }
+                self.frame.undo(mark);
+            }
+            Step::Aggregate(pat) => {
+                let pattern = self.frame.instantiate(pat);
+                let Literal::Aggregate(agg) = &plan.rule.body[at] else {
+                    unreachable!("an aggregate step compiles an aggregate literal")
+                };
+                // A fold the operator cannot perform is a reason to reject,
+                // like any other failed reduction.
+                let theta = self.frame.bindings(plan);
                 let solutions =
-                    solve_aggregate(rule, &agg, theta, candidates).map_err(|e| e.to_string())?;
-                next.extend(solutions.into_iter().map(|theta| Branch {
-                    theta,
-                    kept: branch.kept.clone(),
-                    retry: branch.retry,
-                }));
+                    solve_aggregate(&plan.rule, agg, &theta, model.true_candidates(&pattern))
+                        .map_err(|e| e.to_string())?;
+                for extended in solutions {
+                    let mark = self.frame.mark();
+                    self.frame.absorb_rule(plan, &extended);
+                    self.walk()?;
+                    self.frame.undo(mark);
+                }
             }
-            // Unsettled: kept for good if its predicate name is ground, tried
-            // again if a later binding could settle it.
-            other => keep(branch, has_variable_name(&other), next),
+        }
+        Ok(true)
+    }
+
+    /// Emits the instance: the head and the unresolved literals under the
+    /// bindings.
+    fn emit(&mut self) -> Result<(), String> {
+        let (plan, theta) = (self.plan, self.frame.bindings(self.plan));
+        let rule = &plan.rule;
+        let body = (rule.body.iter().zip(&plan.body).zip(&self.resolved))
+            .filter(|(_, done)| !**done)
+            .map(|((lit, step), _)| match step {
+                Step::Neg(pat) if self.is_settled(pat) => Err(format!(
+                    "cannot reduce the non-ground settled negative literal `{}` of rule `{rule}`",
+                    lit.apply(&theta)
+                )),
+                _ => Ok(lit.apply(&theta)),
+            })
+            .collect::<Result<_, _>>()?;
+        let reduced = Rule::new(theta.apply(&rule.head), body);
+        if self.seen.insert(reduced.clone()) {
+            self.out.push(reduced);
         }
         Ok(())
     }
@@ -669,6 +644,128 @@ mod tests {
         assert_eq!(
             bound_first.model.unwrap().truth(&t("reach(e)(a, b)")),
             Truth::True
+        );
+    }
+
+    /// Each rule's reduction (the reduced rules in order, or the error)
+    /// modulo a fixed settled set and model.
+    fn reduce(rules: &[&str], opts: EvalOptions) -> Vec<Result<Vec<String>, String>> {
+        let settled: BTreeSet<Term> = ["e", "q", "r", "cost", "rel", "item", "in"]
+            .iter()
+            .map(Term::sym)
+            .collect();
+        let model = Model::from_true_atoms(
+            parse_program(
+                "e(a, b). e(b, c). q(a). q(b). r(b). cost(a, 3). cost(b, 5). rel(e). \
+                 item(bike). in(bike, wheel, 2). in(bike, frame, 1).",
+            )
+            .unwrap()
+            .iter()
+            .map(|r| r.head.clone()),
+        );
+        let reduced = |rule: &&str| {
+            let rule = parse_program(rule).unwrap().rules[0].clone();
+            let rules = hilog_reduce(&[rule], &settled, &model, opts)?;
+            Ok(rules.iter().map(|r| r.to_string()).collect())
+        };
+        rules.iter().map(reduced).collect()
+    }
+
+    #[test]
+    fn the_reduction_reduces_as_the_branch_reduction_did() {
+        // Every row was read off the reduction over branches of cloned
+        // substitutions, with its second pass, that the plan walk replaced.
+        let ok = |rules: &[&str]| Ok(rules.iter().map(|r| r.to_string()).collect());
+        let rows: Vec<(&str, Result<Vec<String>, String>)> =
+            vec![
+            // A ground settled positive, true and false.
+            ("h(X) :- q(a), u(X).", ok(&["h(X) :- u(X)."])),
+            ("h(X) :- q(c), u(X).", ok(&[])),
+            // A non-ground settled positive joins the model.
+            (
+                "h(X) :- q(X), u(X).",
+                ok(&["h(a) :- u(a).", "h(b) :- u(b)."]),
+            ),
+            // A settled negative bound by a later positive.
+            ("h(X) :- not r(X), q(X), u(X).", ok(&["h(a) :- u(a)."])),
+            // A builtin bound late.
+            (
+                "h(X, N) :- N > 4, cost(X, N), u(X).",
+                ok(&["h(b, 5) :- u(b)."]),
+            ),
+            // A builtin that errs on ground operands stays in the body.
+            (
+                "h(X) :- q(X), X > 1, u(X).",
+                ok(&["h(a) :- a > 1, u(a).", "h(b) :- b > 1, u(b)."]),
+            ),
+            // An `is` whose left side nothing binds stays in the body.
+            (
+                "h(X, N) :- cost(X, P), N is P * 2, u(N).",
+                ok(&[
+                    "h(a, N) :- N is '*'(3, 2), u(N).",
+                    "h(b, N) :- N is '*'(5, 2), u(N).",
+                ]),
+            ),
+            // A variable name bound to a settled name, before and after.
+            (
+                "reach(R)(X, Y) :- R(X, Y), rel(R).",
+                ok(&["reach(e)(a, b).", "reach(e)(b, c)."]),
+            ),
+            (
+                "reach(R)(X, Y) :- rel(R), R(X, Y), u(X).",
+                ok(&["reach(e)(a, b) :- u(a).", "reach(e)(b, c) :- u(b)."]),
+            ),
+            // A variable name nothing binds stays, and so does an unsettled
+            // literal.
+            ("h(X) :- P(X), u(X).", ok(&["h(X) :- P(X), u(X)."])),
+            // Settled `sum` and `count` aggregates.
+            (
+                "total(X, N) :- item(X), N = sum(P, in(X, Y, P)).",
+                ok(&["total(bike, 3)."]),
+            ),
+            (
+                "deg(X, N) :- N = count(Y, e(X, Y)), u(X).",
+                ok(&["deg(a, 1) :- u(a).", "deg(b, 1) :- u(b)."]),
+            ),
+            (
+                "bad(N) :- N = sum(X, q(X)).",
+                Err("unsupported: aggregate `N = sum(X, q(X))` collected the non-integer value \
+                     `a`"
+                    .into()),
+            ),
+            // Equal instances are emitted once.
+            ("h :- q(X), u(z).", ok(&["h :- u(z)."])),
+            // A settled negative literal only an unsettled one binds.
+            (
+                "h(X) :- u(X), not e(X, Y).",
+                Err("cannot reduce the non-ground settled negative literal `not e(X, Y)` of \
+                     rule `h(X) :- u(X), not e(X, Y).`"
+                    .into()),
+            ),
+        ];
+        let (rules, expected): (Vec<&str>, Vec<_>) = rows.into_iter().unzip();
+        for ((rule, got), want) in rules
+            .iter()
+            .zip(reduce(&rules, EvalOptions::default()))
+            .zip(expected)
+        {
+            assert_eq!(got, want, "{rule}");
+        }
+        // The budget on partial instantiations.
+        let budget = EvalOptions::with_max_atoms(3);
+        assert_eq!(
+            reduce(
+                &["h(X) :- q(X).", "h(X, Y) :- q(X), e(Y, Z), u(Z)."],
+                budget
+            ),
+            [
+                ok(&["h(a).", "h(b)."]),
+                Err(
+                    "HiLog reduction of rule `h(X, Y) :- q(X), e(Y, Z), u(Z).` exceeded 3 \
+                     partial instantiations"
+                        .into()
+                )
+            ]
         );
     }
 

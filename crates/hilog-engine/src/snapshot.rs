@@ -5,7 +5,8 @@
 //! meaning" in this crate, and it lives here: [`DbSnapshot::query`] (and
 //! `holds` / `model` / `stable_models` / `check_modular` / `explain`) route
 //! through the plan, the magic-sets evaluator or the lazily built full
-//! model, filling caches behind interior locks.  Everything that reads goes
+//! model (whose route walks the query's compiled plan over the model),
+//! filling caches behind interior locks.  Everything that reads goes
 //! through it:
 //!
 //! * A [`HiLogDb`] session *owns* one working snapshot by value.  Its reads
@@ -82,6 +83,7 @@ use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::grounder::relevant_ground_into;
 use crate::horn::EvalOptions;
+use crate::join::{Frame, RulePlan, Step};
 use crate::magic_eval::{
     normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table, Tables,
 };
@@ -712,93 +714,115 @@ fn true_answer(theta: &Substitution, vars: &[Var]) -> QueryAnswer {
     }
 }
 
-/// Three-valued conjunctive evaluation of a query against a model.  Branches
-/// carry the weakest truth seen so far; false literals prune.
+/// Three-valued conjunctive evaluation of a query against a model: the
+/// query's plan walked left to right, depth first, over one frame.  A path
+/// carries the weakest truth of its literals, a false literal ends it, and
+/// each answer keeps the strongest truth of its paths.
 fn eval_against_model(model: &Model, query: &Query) -> Result<Vec<QueryAnswer>, EngineError> {
-    let vars = query.variables();
-    let mut branches: Vec<(Substitution, Truth)> = vec![(Substitution::new(), Truth::True)];
-    for lit in &query.literals {
-        let mut next = Vec::new();
-        for (theta, truth) in branches {
-            match lit {
-                Literal::Pos(atom) => {
-                    let instantiated = theta.apply(atom);
-                    if instantiated.is_ground() {
-                        match model.truth(&instantiated) {
-                            Truth::False => {}
-                            t => next.push((theta.clone(), conj(truth, t))),
-                        }
-                    } else {
-                        // Ground-named patterns walk only the name's
-                        // contiguous range of the ordered base.
-                        for candidate in model.base_candidates(&instantiated) {
-                            let t = model.truth(candidate);
-                            if t == Truth::False {
-                                continue;
-                            }
-                            let mut extended = theta.clone();
-                            if match_with(&instantiated, candidate, &mut extended) {
-                                next.push((extended, conj(truth, t)));
-                            }
-                        }
-                    }
-                }
-                Literal::Neg(atom) => {
-                    let instantiated = theta.apply(atom);
-                    if !instantiated.is_ground() {
-                        return Err(EngineError::Floundering(format!(
-                            "negative literal `not {instantiated}` is non-ground when selected \
-                             (bind its variables with an earlier positive literal)"
-                        )));
-                    }
-                    match model.truth(&instantiated) {
-                        Truth::True => {}
-                        Truth::False => next.push((theta.clone(), truth)),
-                        Truth::Undefined => next.push((theta.clone(), Truth::Undefined)),
-                    }
-                }
-                Literal::Builtin(b) => {
-                    let mut extended = theta.clone();
-                    match b.eval(&mut extended) {
-                        Ok(true) => next.push((extended, truth)),
-                        Ok(false) => {}
-                        Err(e) => return Err(EngineError::Core(e)),
-                    }
-                }
-                Literal::Aggregate(_) => {
-                    return Err(EngineError::Unsupported(
-                        "aggregate literals in full-model query evaluation are unsupported; \
-                         ask a bound query (magic-sets plan) or use the aggregation evaluator"
-                            .into(),
-                    ))
-                }
-            }
-        }
-        branches = next;
+    let plan = RulePlan::compile(&query.as_answer_rule());
+    let mut walk = ModelWalk {
+        model,
+        plan: &plan,
+        frame: plan.frame(),
+        vars: query.variables(),
+        answers: BTreeMap::new(),
+        error: None,
+    };
+    walk.step(0, Truth::True);
+    if let Some((_, error)) = walk.error {
+        return Err(error);
     }
-    // Group by bindings, keeping the strongest truth per instance.
-    let mut best: BTreeMap<Vec<(Var, Term)>, Truth> = BTreeMap::new();
-    for (theta, truth) in branches {
-        let bindings: Vec<(Var, Term)> = vars
-            .iter()
-            .map(|v| (v.clone(), theta.apply(&Term::Var(v.clone()))))
-            .collect();
-        let entry = best.entry(bindings).or_insert(truth);
-        if *entry == Truth::Undefined && truth == Truth::True {
-            *entry = Truth::True;
-        }
-    }
-    Ok(best
-        .into_iter()
-        .map(|(bindings, truth)| QueryAnswer { bindings, truth })
-        .collect())
+    let answer = |(bindings, truth)| QueryAnswer { bindings, truth };
+    Ok(walk.answers.into_iter().map(answer).collect())
 }
 
-fn conj(a: Truth, b: Truth) -> Truth {
-    if a == Truth::Undefined || b == Truth::Undefined {
-        Truth::Undefined
-    } else {
-        Truth::True
+/// One [`eval_against_model`] walk: the answers so far, and the error at
+/// the earliest literal a path errs at (the one a literal-by-literal walk
+/// meets first).
+struct ModelWalk<'a> {
+    model: &'a Model,
+    plan: &'a RulePlan,
+    frame: Frame,
+    vars: Vec<Var>,
+    answers: BTreeMap<Vec<(Var, Term)>, Truth>,
+    error: Option<(usize, EngineError)>,
+}
+
+impl ModelWalk<'_> {
+    /// Walks on from literal `at` along a path of truth `truth`.
+    fn step(&mut self, at: usize, truth: Truth) {
+        if self.error.as_ref().is_some_and(|(first, _)| *first <= at) {
+            return;
+        }
+        let (plan, model) = (self.plan, self.model);
+        // The path's truth once a literal of truth `t`, not false, joins it.
+        let and = |t| if t == Truth::Undefined { t } else { truth };
+        let error = match plan.body.get(at) {
+            None => {
+                let theta = self.frame.bindings(plan);
+                let value = |v: &Var| (v.clone(), theta.apply(&Term::Var(v.clone())));
+                let best =
+                    (self.answers.entry(self.vars.iter().map(value).collect())).or_insert(truth);
+                if truth == Truth::True {
+                    *best = truth;
+                }
+                return;
+            }
+            Some(Step::Pos(pat)) => {
+                let atom = self.frame.instantiate(pat);
+                if atom.is_ground() {
+                    match model.truth(&atom) {
+                        Truth::False => {}
+                        t => self.step(at + 1, and(t)),
+                    }
+                    return;
+                }
+                // Ground-named patterns walk only the name's contiguous
+                // range of the ordered base.
+                for candidate in model.base_candidates(&atom) {
+                    let t = model.truth(candidate);
+                    let mark = self.frame.mark();
+                    if t != Truth::False && self.frame.unify_pat(pat, candidate) {
+                        self.step(at + 1, and(t));
+                    }
+                    self.frame.undo(mark);
+                }
+                return;
+            }
+            Some(Step::Neg(pat)) => {
+                let atom = self.frame.instantiate(pat);
+                if atom.is_ground() {
+                    match model.truth(&atom) {
+                        Truth::True => {}
+                        t => self.step(at + 1, and(t)),
+                    }
+                    return;
+                }
+                let literal = plan.rule.body[at].apply(&self.frame.bindings(plan));
+                EngineError::Floundering(format!(
+                    "negative literal `{literal}` is non-ground when selected (bind its \
+                     variables with an earlier positive literal)"
+                ))
+            }
+            Some(Step::Builtin(op, left, right)) => {
+                let mark = self.frame.mark();
+                let holds = self.frame.eval_builtin(plan, *op, left, right);
+                if let Ok(true) = holds {
+                    self.step(at + 1, truth);
+                }
+                self.frame.undo(mark);
+                match holds {
+                    Ok(_) => return,
+                    Err(error) => error,
+                }
+            }
+            Some(Step::Aggregate(_)) => EngineError::Unsupported(
+                "aggregate literals in full-model query evaluation are unsupported; ask a \
+                 bound query (magic-sets plan) or use the aggregation evaluator"
+                    .into(),
+            ),
+        };
+        self.error = Some((at, error));
     }
 }
 
@@ -1464,5 +1488,117 @@ mod tests {
                 .unwrap(),
             Truth::True
         );
+    }
+
+    #[test]
+    fn the_model_route_answers_as_the_branch_walk_did() {
+        // Every row was read off the walk over a vector of substitutions
+        // that the plan walk replaced.
+        let atoms = |text: &str| {
+            parse_program(text)
+                .unwrap()
+                .iter()
+                .map(|r| r.head.clone())
+                .collect::<Vec<_>>()
+        };
+        let model = Model::new(
+            atoms("q(a). q(z)."),
+            atoms("p(a). p(b). e(a, b). e(b, a). n(1). n(2). f(a)(b)."),
+            atoms("p(c). e(a, c). u(a). f(a)(c)."),
+        );
+        let answer = |query: &str| match eval_against_model(&model, &parse_query(query).unwrap()) {
+            Ok(answers) => Ok(answers
+                .iter()
+                .map(|a| {
+                    let bindings: Vec<String> =
+                        a.bindings.iter().map(|(v, t)| format!("{v}={t}")).collect();
+                    format!("{} {}", bindings.join(" "), a.truth)
+                })
+                .collect::<Vec<_>>()),
+            Err(e) => Err(e.to_string()),
+        };
+        type Row = (&'static str, Result<Vec<&'static str>, &'static str>);
+        let rows: Vec<Row> = vec![
+            (
+                "?- p(X).",
+                Ok(vec!["X=a true", "X=b true", "X=c undefined"]),
+            ),
+            // A true and an undefined instance of one query.
+            ("?- e(a, Y), p(Y).", Ok(vec!["Y=b true", "Y=c undefined"])),
+            // A negative literal on an undefined atom.
+            (
+                "?- p(X), not u(X).",
+                Ok(vec!["X=a undefined", "X=b true", "X=c undefined"]),
+            ),
+            ("?- not u(a).", Ok(vec![" undefined"])),
+            ("?- not q(a).", Ok(vec![" true"])),
+            ("?- not p(a).", Ok(vec![])),
+            // A builtin that binds, one that tests, and ones that err.
+            (
+                "?- n(X), Y is X + 1.",
+                Ok(vec!["X=1 Y=2 true", "X=2 Y=3 true"]),
+            ),
+            ("?- n(X), X > 1.", Ok(vec!["X=2 true"])),
+            (
+                "?- p(X), Y is X + 1.",
+                Err("arithmetic error: non-numeric symbol a"),
+            ),
+            (
+                "?- Y is Z + 1.",
+                Err("arithmetic error: unbound variable Z"),
+            ),
+            (
+                "?- p(X), X \\= Y.",
+                Err("uninstantiated builtin: \\= requires ground operands, got a \\= Y"),
+            ),
+            // Of two errors, the one at the earlier literal.
+            (
+                "?- P(X), Y is X + 1, not q(Y, Z).",
+                Err("arithmetic error: non-numeric symbol a"),
+            ),
+            // Floundering, and an aggregate.
+            (
+                "?- p(X), not e(X, Y).",
+                Err(
+                    "floundering: negative literal `not e(a, Y)` is non-ground when selected \
+                     (bind its variables with an earlier positive literal)",
+                ),
+            ),
+            (
+                "?- N = count(X, p(X)).",
+                Err(
+                    "unsupported: aggregate literals in full-model query evaluation are \
+                     unsupported; ask a bound query (magic-sets plan) or use the aggregation \
+                     evaluator",
+                ),
+            ),
+            // Bindings to variables of the query.
+            ("?- X = Y.", Ok(vec!["X=Y Y=Y true"])),
+            (
+                "?- e(X, Y), Z = g(Y, W).",
+                Ok(vec![
+                    "X=a Y=b Z=g(b, W) W=W true",
+                    "X=a Y=c Z=g(c, W) W=W undefined",
+                    "X=b Y=a Z=g(a, W) W=W true",
+                ]),
+            ),
+            // HiLog names and atoms.
+            ("?- f(P)(X).", Ok(vec!["P=a X=b true", "P=a X=c undefined"])),
+            (
+                "?- X, not X.",
+                Ok(vec![
+                    "X=e(a, c) undefined",
+                    "X=p(c) undefined",
+                    "X=u(a) undefined",
+                    "X=f(a)(c) undefined",
+                ]),
+            ),
+        ];
+        for (query, want) in rows {
+            let want = want
+                .map(|w| w.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+                .map_err(|e| e.to_string());
+            assert_eq!(answer(query), want, "{query}");
+        }
     }
 }

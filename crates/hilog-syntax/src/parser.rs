@@ -32,7 +32,8 @@ use hilog_core::builtin::{BuiltinCall, BuiltinOp};
 use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
-use hilog_core::term::Term;
+use hilog_core::subst::Substitution;
+use hilog_core::term::{Term, Var};
 use std::fmt;
 
 /// The deepest nesting a parsed term may have.  Every application (an
@@ -93,7 +94,8 @@ struct Parser<'a> {
     /// The lexer's error at the next token.  The parse sees the input end
     /// there, and this is the error it reports: nothing after it was read.
     lex_error: Option<ParseError>,
-    anon_counter: usize,
+    /// The anonymous variables of the clause being parsed.
+    anonymous: u32,
 }
 
 impl<'a> Parser<'a> {
@@ -103,7 +105,7 @@ impl<'a> Parser<'a> {
             peeked: None,
             last: None,
             lex_error: None,
-            anon_counter: 0,
+            anonymous: 0,
         }
     }
 
@@ -187,9 +189,24 @@ impl<'a> Parser<'a> {
         Err(self.error_here(message))
     }
 
+    /// A stand-in for the clause's next anonymous variable: a variable no
+    /// text spells, named once the clause is parsed.
     fn fresh_anon(&mut self) -> Term {
-        self.anon_counter += 1;
-        Term::var(format!("_Anon{}", self.anon_counter))
+        self.anonymous += 1;
+        Term::Var(Var::new("_").with_generation(self.anonymous))
+    }
+
+    /// Names the clause's anonymous variables `_Anon1`, `_Anon2`, … in
+    /// order, skipping every name the clause spells, so that none joins a
+    /// named variable.  `vars` are the clause's variables.
+    fn name_anonymous(&mut self, vars: &[Var]) -> Substitution {
+        self.anonymous = 0;
+        let names = (1..)
+            .map(|n| Var::new(format!("_Anon{n}")))
+            .filter(|name| !vars.contains(name));
+        (vars.iter().filter(|v| v.generation() > 0).zip(names))
+            .map(|(anonymous, name)| (anonymous.clone(), Term::Var(name)))
+            .collect()
     }
 
     // ---- terms and arithmetic expressions -------------------------------
@@ -391,22 +408,30 @@ impl<'a> Parser<'a> {
 
     /// A query after its `?-`.
     fn parse_query(&mut self, dot_optional: bool) -> Result<Query, ParseError> {
-        let body = self.parse_body()?;
+        let mut query = Query::new(self.parse_body()?);
         self.end_clause(dot_optional)?;
-        Ok(Query::new(body))
+        if self.anonymous > 0 {
+            let theta = self.name_anonymous(&query.variables());
+            query = Query::new(query.literals.iter().map(|l| l.apply(&theta)).collect());
+        }
+        Ok(query)
     }
 
     fn parse_rule(&mut self, dot_optional: bool) -> Result<Rule, ParseError> {
         let head = self.parse_primary_with_apps(MAX_TERM_DEPTH)?.0;
-        if self.eat(&Token::Arrow) {
+        let rule = if self.eat(&Token::Arrow) {
             let body = self.parse_body()?;
             self.end_clause(dot_optional)?;
-            return Ok(Rule::new(head, body));
+            Rule::new(head, body)
+        } else if self.eat(&Token::Dot) || (dot_optional && self.peek().is_none()) {
+            Rule::fact(head)
+        } else {
+            return Err(self.expected("`.` or `:-` after rule head"));
+        };
+        if self.anonymous > 0 {
+            return Ok(rule.apply(&self.name_anonymous(&rule.variables())));
         }
-        if self.eat(&Token::Dot) || (dot_optional && self.peek().is_none()) {
-            return Ok(Rule::fact(head));
-        }
-        Err(self.expected("`.` or `:-` after rule head"))
+        Ok(rule)
     }
 }
 
@@ -489,6 +514,9 @@ pub fn parse_term(input: &str) -> Result<Term, ParseError> {
     let mut parser = Parser::new(input);
     let term = parser.parse_expr(MAX_TERM_DEPTH)?.0;
     parser.finish("unexpected trailing tokens after term")?;
+    if parser.anonymous > 0 {
+        return Ok(parser.name_anonymous(&term.variables()).apply(&term));
+    }
     Ok(term)
 }
 
@@ -782,6 +810,42 @@ mod tests {
         // The two `_` occurrences become different variables.
         let vars = r.variables();
         assert_eq!(vars.len(), 3);
+    }
+
+    #[test]
+    fn an_anonymous_variable_joins_no_named_one() {
+        // The clause spells `_Anon1`, so its `_` takes the next name.
+        for (text, printed, vars) in [
+            (
+                "p(_Anon1, _) :- q(_Anon1).",
+                "p(_Anon1, _Anon2) :- q(_Anon1).",
+                2,
+            ),
+            (
+                "p(_, _Anon1) :- q(_Anon1).",
+                "p(_Anon2, _Anon1) :- q(_Anon1).",
+                2,
+            ),
+            (
+                "p(_, _Anon2, _) :- q(_Anon2).",
+                "p(_Anon1, _Anon2, _Anon3) :- q(_Anon2).",
+                3,
+            ),
+        ] {
+            let rule = parse_rule(text).unwrap();
+            assert_eq!(rule.to_string(), printed);
+            assert_eq!(rule.variables().len(), vars, "{text}");
+            assert_eq!(parse_rule(printed).unwrap(), rule);
+        }
+        // Each clause names its own, and a query and a term theirs.
+        let program = parse_program("p(_). q(_Anon1, _).").unwrap();
+        assert_eq!(program.to_string(), "p(_Anon1).\nq(_Anon1, _Anon2).\n");
+        let query = parse_query("?- p(_, _Anon1).").unwrap();
+        assert_eq!(query.to_string(), "?- p(_Anon2, _Anon1).");
+        assert_eq!(
+            parse_term("f(_Anon1, _)").unwrap().to_string(),
+            "f(_Anon1, _Anon2)"
+        );
     }
 
     #[test]

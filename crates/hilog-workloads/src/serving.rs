@@ -82,9 +82,11 @@ pub fn serving_workload(config: &ServingWorkloadConfig, seed: u64) -> ServingWor
     let nodes = config.nodes.max(2);
     let base = random_dag(nodes, config.avg_out_degree, seed);
 
-    // Churn edges: forward edges not in the base graph.
+    // Churn edges: forward edges not in the base graph (a sorted set of
+    // forward edges), as many as there are.
+    let pool = config.churn_pool.min(nodes * (nodes - 1) / 2 - base.len());
     let mut churn: Vec<Edge> = Vec::new();
-    while churn.len() < config.churn_pool {
+    while churn.len() < pool {
         let u = rng.gen_range(0..nodes - 1);
         let v = rng.gen_range(u + 1..nodes);
         if !base.contains(&(u, v)) && !churn.contains(&(u, v)) {
@@ -120,8 +122,13 @@ pub fn serving_workload(config: &ServingWorkloadConfig, seed: u64) -> ServingWor
     // Batches: each picks `batch_size` churn edges; `asserted` tracks which
     // are live so retract batches name edges that are actually present.
     let mut asserted = vec![false; churn.len()];
-    let mut batches = Vec::with_capacity(config.write_batches);
-    for round in 0..config.write_batches {
+    let write_batches = if churn.is_empty() {
+        0
+    } else {
+        config.write_batches
+    };
+    let mut batches = Vec::with_capacity(write_batches);
+    for round in 0..write_batches {
         let assert = round % 2 == 0;
         let mut facts = Vec::with_capacity(config.batch_size);
         let mut tries = 0;
@@ -186,6 +193,38 @@ mod tests {
                 assert!(t.is_ground());
             }
         }
+    }
+
+    #[test]
+    fn a_churn_pool_larger_than_the_free_edges_is_capped() {
+        // 8 nodes have 28 forward pairs, fewer than the default pool of 40.
+        let config = ServingWorkloadConfig {
+            nodes: 8,
+            queries: 4,
+            ..ServingWorkloadConfig::default()
+        };
+        let w = serving_workload(&config, 17);
+        let base: Vec<String> = w.program.iter().map(|r| r.head.to_string()).collect();
+        let index = |t: &hilog_core::term::Term| t.to_string()[1..].parse::<usize>().unwrap();
+        let mut churn: Vec<String> = Vec::new();
+        for batch in &w.batches {
+            for f in &batch.facts {
+                let t = parse_term(f).unwrap();
+                assert!(
+                    index(&t.args()[0]) < index(&t.args()[1]),
+                    "{f} is not forward"
+                );
+                assert!(!base.contains(f), "{f} is a base edge");
+                if !churn.contains(f) {
+                    churn.push(f.clone());
+                }
+            }
+        }
+        assert_eq!(w.batches.len(), config.write_batches);
+        assert!(!churn.is_empty() && churn.len() <= 28 - (base.len() - 1));
+        // Two nodes have one forward pair, the base edge: no churn, no writes.
+        let config = ServingWorkloadConfig { nodes: 2, ..config };
+        assert!(serving_workload(&config, 17).batches.is_empty());
     }
 
     #[test]

@@ -38,8 +38,9 @@
 //! regression corpus: they are always run, in every configuration, before
 //! any additional generated seeds.
 
+mod common;
+
 use hilog_datalog::DatalogEngine;
-use hilog_repro::core::universal::{decode_atom, encode_atom, universal_transform};
 use hilog_repro::engine::{ground_against, least_model_into, relevant_ground_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
@@ -247,9 +248,6 @@ fn universal_cases(seed: u64) -> Vec<(Program, String)> {
 
 #[test]
 fn hilog_programs_agree_with_their_universal_image() {
-    // The image is a normal program over one `call` predicate, so the
-    // naive engine evaluates it with code the HiLog engine does not share.
-    // It is never stratified, hence the well-founded model.
     let (mut programs, mut atoms, mut undefined) = (0, 0, 0);
     for seed in seeds(0) {
         for (program, context) in universal_cases(seed) {
@@ -257,30 +255,11 @@ fn hilog_programs_agree_with_their_universal_image() {
                 .model()
                 .expect("HiLogDb evaluates the program")
                 .clone();
-            let image = universal_transform(&program).expect("no reserved symbols");
-            let theirs = DatalogEngine::new(image)
-                .expect("the image is a normal program")
-                .well_founded_model()
-                .expect("naive engine evaluates the image");
-            for atom in ours.base() {
-                let encoded = encode_atom(atom);
-                assert_eq!(
-                    ours.truth(atom),
-                    theirs.truth(&encoded),
-                    "`{atom}` and its image `{encoded}` diverge ({context})"
-                );
-            }
-            for encoded in theirs.base() {
-                let atom = decode_atom(encoded).expect("an image atom is `call(..)`");
-                assert_eq!(
-                    theirs.truth(encoded),
-                    ours.truth(&atom),
-                    "image `{encoded}` and `{atom}` diverge ({context})"
-                );
-                undefined += usize::from(theirs.truth(encoded) == Truth::Undefined);
-            }
+            let (checked, open) =
+                common::assert_agrees_with_universal_image(&program, &ours, &context);
             programs += 1;
-            atoms += ours.base().len().max(theirs.base().len());
+            atoms += checked;
+            undefined += open;
         }
     }
     eprintln!(
