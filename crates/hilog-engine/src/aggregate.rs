@@ -16,22 +16,20 @@
 //! and so there is no looping through summation.  This is the aggregate
 //! analog of modular stratification."
 //!
-//! The evaluator implements that reading with an iterate-and-recompute
-//! scheme: each round recomputes, from scratch,
-//! the least model of the non-aggregate rules together with the aggregate
-//! conclusions of the previous round, and then recomputes every aggregate
-//! group's value over the fresh atoms.  For acyclic (modularly stratified)
-//! part hierarchies the values of groups at subpart depth `d` are correct
-//! and stable after round `d + 1`, so the process reaches a fixpoint in at
-//! most `depth + 2` rounds and yields the perfect model; a non-terminating
-//! (cyclic) hierarchy is reported as not modularly stratified when the round
-//! limit is exceeded.
+//! The evaluator is Section 6.1's query-directed one
+//! ([`crate::magic_eval`]), which runs exactly that check: a subgoal read
+//! through an aggregate is settled completely before its group is folded,
+//! so a sum over lower and lower arguments completes, and a group that
+//! needs itself — a cyclic part hierarchy — is a dependency cycle through
+//! aggregation at the instance level, reported as
+//! [`EngineError::NotModularlyStratified`].  The model is the program's
+//! facts together with the answers of one open subgoal per head of its
+//! other rules.
 
-use crate::ambient::check_deadline;
 use crate::error::EngineError;
-use crate::horn::{EvalOptions, NegationMode};
-use crate::join::RulePlan;
-use crate::storage::FactStore;
+use crate::horn::EvalOptions;
+use crate::magic_eval::{normalize_pattern, ProgramIndex, QueryEvaluator};
+use crate::storage::StorageConfig;
 use hilog_core::interpretation::Model;
 use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
 use hilog_core::program::Program;
@@ -40,29 +38,26 @@ use hilog_core::subst::Substitution;
 use hilog_core::term::{Term, Var};
 use hilog_core::unify::{match_with, unify_with};
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// Result of aggregate evaluation.
 #[derive(Debug, Clone)]
 pub struct AggregateModel {
     /// The computed (total, two-valued) model.
     pub model: Model,
-    /// Number of recomputation rounds performed.
-    pub rounds: usize,
 }
-
-/// Maximum number of outer recomputation rounds before declaring the program
-/// not modularly stratified for aggregation.
-const MAX_AGGREGATE_ROUNDS: usize = 10_000;
 
 /// Evaluates a program whose only non-monotone construct is aggregation that
 /// is modularly stratified (acyclic at the instance level), such as the
 /// parts-explosion program.  Negation in rule bodies is not supported on this
 /// path (combine with Figure 1, [`crate::Semantics::ModularCheck`], for programs
-/// that need both).
+/// that need both), and neither is a rule whose head is a bare variable,
+/// which no subgoal can enumerate.
 pub fn evaluate_aggregate_program(
     program: &Program,
     opts: EvalOptions,
 ) -> Result<AggregateModel, EngineError> {
+    let mut heads = BTreeSet::new();
     for rule in program.iter() {
         if rule.has_negation() {
             return Err(EngineError::Unsupported(
@@ -71,105 +66,29 @@ pub fn evaluate_aggregate_program(
                     .into(),
             ));
         }
-    }
-    let (aggregate_rules, plain_rules): (Vec<&Rule>, Vec<&Rule>) =
-        program.iter().partition(|r| r.has_aggregate());
-    let plain_program = Program::from_rules(plain_rules.iter().map(|r| (*r).clone()).collect());
-
-    // The aggregate conclusions of the previous round, as facts.
-    let mut aggregate_facts: BTreeSet<Term> = BTreeSet::new();
-    let mut rounds = 0usize;
-    loop {
-        rounds += 1;
-        if rounds > MAX_AGGREGATE_ROUNDS {
-            return Err(EngineError::NotModularlyStratified(format!(
-                "aggregate evaluation did not converge within {MAX_AGGREGATE_ROUNDS} rounds; the \
-                 aggregation is cyclic at the instance level"
+        if rule.head.is_var() {
+            return Err(EngineError::Unsupported(format!(
+                "rule `{rule}` has a variable for its head, so no subgoal enumerates what it \
+                 derives"
             )));
         }
-        // Recompute the least model of the plain rules plus the current
-        // aggregate conclusions.
-        let mut seeded = plain_program.clone();
-        for fact in &aggregate_facts {
-            seeded.push(Rule::fact(fact.clone()));
-        }
-        let derived = FactStore::InMemory(crate::horn::least_model(
-            &seeded,
-            NegationMode::Forbid,
-            opts,
-        )?);
-
-        // Recompute every aggregate rule's conclusions over the fresh atoms.
-        let mut new_aggregate_facts: BTreeSet<Term> = BTreeSet::new();
-        for rule in &aggregate_rules {
-            for head in evaluate_aggregate_rule(rule, &derived, opts)? {
-                new_aggregate_facts.insert(head);
-            }
-        }
-        if new_aggregate_facts == aggregate_facts {
-            // Fixpoint: assemble the final model.
-            let atoms = derived.collect_atoms().into_iter().chain(aggregate_facts);
-            let model = Model::from_true_atoms(atoms);
-            return Ok(AggregateModel { model, rounds });
-        }
-        aggregate_facts = new_aggregate_facts;
-    }
-}
-
-/// Evaluates a single aggregate rule against a set of derived atoms,
-/// returning the ground heads it concludes.
-fn evaluate_aggregate_rule(
-    rule: &Rule,
-    derived: &FactStore,
-    opts: EvalOptions,
-) -> Result<Vec<Term>, EngineError> {
-    // Split the body into the aggregate literal and the rest; the rest is
-    // joined first (left-to-right) to bind the grouping context.
-    let (aggregates, rest): (Vec<&Literal>, Vec<&Literal>) = rule
-        .body
-        .iter()
-        .partition(|l| matches!(l, Literal::Aggregate(_)));
-    if aggregates.len() != 1 {
-        return Err(EngineError::Unsupported(format!(
-            "rule `{rule}` must contain exactly one aggregate literal, found {}",
-            aggregates.len()
-        )));
-    }
-    let agg = match aggregates[0] {
-        Literal::Aggregate(a) => a,
-        _ => unreachable!(),
-    };
-    let context_rule = Rule::new(
-        rule.head.clone(),
-        rest.iter().map(|l| (*l).clone()).collect(),
-    );
-    check_deadline()?;
-    let mut contexts = Vec::new();
-    RulePlan::compile(&context_rule).join(derived, None, NegationMode::Forbid, &mut |m| {
-        contexts.push(m.bindings());
-        if contexts.len() > opts.max_atoms {
-            return Err(EngineError::LimitExceeded(format!(
-                "aggregate rule `{rule}` produced more than {} grouping contexts",
-                opts.max_atoms
-            )));
-        }
-        Ok(())
-    })?;
-
-    let mut heads = Vec::new();
-    for theta in contexts {
-        let pattern = theta.apply(&agg.pattern);
-        for extended in solve_aggregate(rule, agg, &theta, &derived.collect_candidates(&pattern))? {
-            let head = extended.apply(&rule.head);
-            if !head.is_ground() {
-                return Err(EngineError::Floundering(format!(
-                    "aggregate rule `{rule}` produced the non-ground head `{head}`"
-                )));
-            }
-            heads.push(head);
+        if !(rule.is_fact() && rule.head.is_ground()) {
+            heads.insert(normalize_pattern(&rule.head));
         }
     }
-    Ok(heads)
+    let storage = StorageConfig::InMemory;
+    let index = Arc::new(ProgramIndex::build(program, &storage));
+    let mut evaluator = QueryEvaluator::over(index, opts, Arc::default(), storage);
+    let mut atoms: BTreeSet<Term> = (program.facts())
+        .filter(|rule| rule.head.is_ground())
+        .map(|rule| rule.head.clone())
+        .collect();
+    for head in &heads {
+        atoms.extend(evaluator.solve_atom(head)?);
+    }
+    Ok(AggregateModel {
+        model: Model::from_true_atoms(atoms),
+    })
 }
 
 /// The one aggregate operator: evaluates the aggregate literal `agg` of
@@ -280,159 +199,259 @@ pub fn parts_explosion_program(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilog_syntax::{parse_program, parse_term};
+    use crate::session::HiLogDb;
+    use hilog_syntax::parse_program;
 
-    #[test]
-    fn bicycle_example_from_section_6() {
-        // "if a bicycle has two wheels, and each wheel has 47 spokes, then we
-        // would like to infer that a bicycle has 94 spokes."
-        let program = parts_explosion_program(
-            &[("bike_machine", "bike_parts")],
-            &[
-                ("bike_parts", "bicycle", "wheel", 2),
-                ("bike_parts", "wheel", "spoke", 47),
-            ],
-        );
-        let result = evaluate_aggregate_program(&program, EvalOptions::default()).unwrap();
-        let m = &result.model;
-        assert!(m.is_true(&parse_term("contains(bike_machine, bicycle, wheel, 2)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(bike_machine, wheel, spoke, 47)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(bike_machine, bicycle, spoke, 94)").unwrap()));
-        assert!(result.rounds <= 5);
+    /// The sorted true atoms of a model, one line each.
+    fn sorted_atoms(model: &Model) -> Vec<String> {
+        let mut atoms: Vec<String> = model.true_atoms().iter().map(|a| a.to_string()).collect();
+        atoms.sort();
+        atoms
     }
 
-    #[test]
-    fn deeper_hierarchy_multiplies_quantities_along_paths() {
-        // car -> 4 wheels -> 5 bolts each -> 2 washers each = 40 washers.
-        let program = parts_explosion_program(
-            &[("car_machine", "car_parts")],
-            &[
-                ("car_parts", "car", "wheel", 4),
-                ("car_parts", "wheel", "bolt", 5),
-                ("car_parts", "bolt", "washer", 2),
-            ],
-        );
-        let m = evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap()
-            .model;
-        assert!(m.is_true(&parse_term("contains(car_machine, car, bolt, 20)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(car_machine, car, washer, 40)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(car_machine, wheel, washer, 10)").unwrap()));
+    /// The sorted true atoms of a model, or the kind of an error.
+    type Outcome = Result<Vec<String>, String>;
+
+    /// What `evaluate_aggregate_program` returns.
+    fn outcome(program: &Program) -> Outcome {
+        match evaluate_aggregate_program(program, EvalOptions::default()) {
+            Ok(result) => Ok(sorted_atoms(&result.model)),
+            Err(e) => Err(format!("{e:?}").split('(').next().unwrap().to_string()),
+        }
     }
 
-    #[test]
-    fn shared_subparts_are_summed_across_paths() {
-        // A diamond: gadget has 2 arms and 3 legs; arms and legs each use 1
-        // screw; total screws = 2 + 3 = 5.
-        let program = parts_explosion_program(
-            &[("g", "gp")],
-            &[
-                ("gp", "gadget", "arm", 2),
-                ("gp", "gadget", "leg", 3),
-                ("gp", "arm", "screw", 1),
-                ("gp", "leg", "screw", 1),
-            ],
-        );
-        let m = evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap()
-            .model;
-        assert!(m.is_true(&parse_term("contains(g, gadget, screw, 5)").unwrap()));
-    }
+    /// The part facts of `cold_eval`'s parts family at 20 parts and seed 17
+    /// (`random_part_hierarchy(20, 10, 21)`).
+    const COLD_EVAL_PARTS: &str = "\
+        m_parts(part0, part1, 4). m_parts(part1, part2, 2). m_parts(part2, part3, 4). \
+        m_parts(part2, part4, 2). m_parts(part4, part5, 1). m_parts(part1, part6, 2). \
+        m_parts(part2, part7, 4). m_parts(part1, part8, 1). m_parts(part8, part9, 2). \
+        m_parts(part0, part10, 4). m_parts(part1, part11, 4). m_parts(part7, part12, 1). \
+        m_parts(part4, part13, 2). m_parts(part10, part14, 3). m_parts(part10, part15, 1). \
+        m_parts(part9, part16, 2). m_parts(part12, part17, 4). m_parts(part13, part18, 3). \
+        m_parts(part2, part19, 2). m_parts(part11, part16, 4). m_parts(part18, part19, 2). \
+        m_parts(part6, part14, 3). m_parts(part15, part17, 2). m_parts(part7, part16, 3). \
+        m_parts(part9, part18, 2). m_parts(part14, part17, 4). m_parts(part8, part11, 4).";
 
     #[test]
-    fn multiple_machines_share_part_hierarchies_via_assoc() {
-        // "Having an assoc relation allows machines that share part
-        // hierarchies" — two machines referencing the same part relation get
-        // the same totals, independently grouped by machine.
-        let program = parts_explosion_program(
-            &[("m1", "shared_parts"), ("m2", "shared_parts")],
-            &[("shared_parts", "box", "panel", 6)],
-        );
-        let m = evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap()
-            .model;
-        assert!(m.is_true(&parse_term("contains(m1, box, panel, 6)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(m2, box, panel, 6)").unwrap()));
-    }
-
-    #[test]
-    fn cyclic_part_hierarchy_is_rejected() {
-        // widget contains itself: the aggregation never stabilises.
-        let program = parts_explosion_program(&[("m", "p")], &[("p", "widget", "widget", 2)]);
-        // The evaluation diverges: either the round limit detects the cycle or
-        // the multiplied quantities overflow first — in both cases the
-        // program is rejected rather than silently producing values.
-        let err = evaluate_aggregate_program(&program, EvalOptions::default()).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                EngineError::NotModularlyStratified(_)
-                    | EngineError::LimitExceeded(_)
-                    | EngineError::Core(_)
+    fn the_evaluator_answers_as_pinned() {
+        // Every row was read off the iterate-and-recompute fixpoint the
+        // tabled evaluator replaced, on the same program, but the cyclic
+        // one: that fixpoint doubled the widget count until the product
+        // overflowed (`Core`), where the tabled evaluator finds the sum
+        // reading itself.
+        let ok = |atoms: &[&str]| Ok(atoms.iter().map(|a| a.to_string()).collect());
+        let rows: Vec<(&str, Program, Outcome)> =
+            vec![
+            (
+                "bicycle",
+                parts_explosion_program(
+                    &[("bike_machine", "bike_parts")],
+                    &[
+                        ("bike_parts", "bicycle", "wheel", 2),
+                        ("bike_parts", "wheel", "spoke", 47),
+                    ],
+                ),
+                ok(&[
+                    "assoc(bike_machine, bike_parts)",
+                    "bike_parts(bicycle, wheel, 2)",
+                    "bike_parts(wheel, spoke, 47)",
+                    "contains(bike_machine, bicycle, spoke, 94)",
+                    "contains(bike_machine, bicycle, wheel, 2)",
+                    "contains(bike_machine, wheel, spoke, 47)",
+                    "in(bike_machine, bicycle, spoke, wheel, 94)",
+                    "in(bike_machine, bicycle, wheel, null, 2)",
+                    "in(bike_machine, wheel, spoke, null, 47)",
+                ]),
             ),
-            "{err}"
-        );
+            (
+                "car",
+                parts_explosion_program(
+                    &[("car_machine", "car_parts")],
+                    &[
+                        ("car_parts", "car", "wheel", 4),
+                        ("car_parts", "wheel", "bolt", 5),
+                        ("car_parts", "bolt", "washer", 2),
+                    ],
+                ),
+                ok(&[
+                    "assoc(car_machine, car_parts)",
+                    "car_parts(bolt, washer, 2)",
+                    "car_parts(car, wheel, 4)",
+                    "car_parts(wheel, bolt, 5)",
+                    "contains(car_machine, bolt, washer, 2)",
+                    "contains(car_machine, car, bolt, 20)",
+                    "contains(car_machine, car, washer, 40)",
+                    "contains(car_machine, car, wheel, 4)",
+                    "contains(car_machine, wheel, bolt, 5)",
+                    "contains(car_machine, wheel, washer, 10)",
+                    "in(car_machine, bolt, washer, null, 2)",
+                    "in(car_machine, car, bolt, wheel, 20)",
+                    "in(car_machine, car, washer, wheel, 40)",
+                    "in(car_machine, car, wheel, null, 4)",
+                    "in(car_machine, wheel, bolt, null, 5)",
+                    "in(car_machine, wheel, washer, bolt, 10)",
+                ]),
+            ),
+            (
+                // A diamond: the screws of both paths are summed.
+                "gadget",
+                parts_explosion_program(
+                    &[("g", "gp")],
+                    &[
+                        ("gp", "gadget", "arm", 2),
+                        ("gp", "gadget", "leg", 3),
+                        ("gp", "arm", "screw", 1),
+                        ("gp", "leg", "screw", 1),
+                    ],
+                ),
+                ok(&[
+                    "assoc(g, gp)",
+                    "contains(g, arm, screw, 1)",
+                    "contains(g, gadget, arm, 2)",
+                    "contains(g, gadget, leg, 3)",
+                    "contains(g, gadget, screw, 5)",
+                    "contains(g, leg, screw, 1)",
+                    "gp(arm, screw, 1)",
+                    "gp(gadget, arm, 2)",
+                    "gp(gadget, leg, 3)",
+                    "gp(leg, screw, 1)",
+                    "in(g, arm, screw, null, 1)",
+                    "in(g, gadget, arm, null, 2)",
+                    "in(g, gadget, leg, null, 3)",
+                    "in(g, gadget, screw, arm, 2)",
+                    "in(g, gadget, screw, leg, 3)",
+                    "in(g, leg, screw, null, 1)",
+                ]),
+            ),
+            (
+                // Two machines share one part relation through `assoc`.
+                "shared assoc",
+                parts_explosion_program(
+                    &[("m1", "shared_parts"), ("m2", "shared_parts")],
+                    &[("shared_parts", "box", "panel", 6)],
+                ),
+                ok(&[
+                    "assoc(m1, shared_parts)",
+                    "assoc(m2, shared_parts)",
+                    "contains(m1, box, panel, 6)",
+                    "contains(m2, box, panel, 6)",
+                    "in(m1, box, panel, null, 6)",
+                    "in(m2, box, panel, null, 6)",
+                    "shared_parts(box, panel, 6)",
+                ]),
+            ),
+            (
+                // The part relation's name is data: the HiLog `Part(X, Y, N)`.
+                "HiLog-parameterised",
+                parts_explosion_program(
+                    &[("m1", "parts_a"), ("m2", "parts_b")],
+                    &[("parts_a", "alpha", "gear", 3), ("parts_b", "beta", "gear", 7)],
+                ),
+                ok(&[
+                    "assoc(m1, parts_a)",
+                    "assoc(m2, parts_b)",
+                    "contains(m1, alpha, gear, 3)",
+                    "contains(m2, beta, gear, 7)",
+                    "in(m1, alpha, gear, null, 3)",
+                    "in(m2, beta, gear, null, 7)",
+                    "parts_a(alpha, gear, 3)",
+                    "parts_b(beta, gear, 7)",
+                ]),
+            ),
+            (
+                "count, min, max",
+                parse_program(
+                    "kinds(X, N) :- item(X), N = count(P, part(X, P, Q)).\n\
+                     biggest(X, N) :- item(X), N = max(Q, part(X, P, Q)).\n\
+                     smallest(X, N) :- item(X), N = min(Q, part(X, P, Q)).\n\
+                     item(bike).\n\
+                     part(bike, wheel, 2). part(bike, spoke, 94). part(bike, frame, 1).",
+                )
+                .unwrap(),
+                ok(&[
+                    "biggest(bike, 94)",
+                    "item(bike)",
+                    "kinds(bike, 3)",
+                    "part(bike, frame, 1)",
+                    "part(bike, spoke, 94)",
+                    "part(bike, wheel, 2)",
+                    "smallest(bike, 1)",
+                ]),
+            ),
+            (
+                "negation",
+                parse_program(
+                    "total(X, N) :- item(X), not hidden(X), N = sum(P, part(X, Y, P)). item(a).",
+                )
+                .unwrap(),
+                Err("Unsupported".into()),
+            ),
+            (
+                // widget contains itself: its sum reads itself.
+                "cyclic hierarchy",
+                parts_explosion_program(&[("m", "p")], &[("p", "widget", "widget", 2)]),
+                Err("NotModularlyStratified".into()),
+            ),
+        ];
+        for (name, program, expected) in rows {
+            assert_eq!(outcome(&program), expected, "{name}");
+        }
+
+        // `cold_eval`'s parts program: its count and the FNV-1a digest of
+        // its sorted true atoms, a line each.
+        let mut program = parts_explosion_program(&[("m", "m_parts")], &[]);
+        for fact in parse_program(COLD_EVAL_PARTS).unwrap().iter() {
+            program.push(fact.clone());
+        }
+        let atoms = outcome(&program).unwrap();
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for byte in atoms.iter().flat_map(|a| a.bytes().chain([b'\n'])) {
+            digest = (digest ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+        }
+        assert_eq!((atoms.len(), digest), (183, 0xf68e_7642_71cb_f0c0));
     }
 
     #[test]
-    fn count_min_max_aggregates() {
+    fn a_variable_head_is_unsupported_and_named() {
+        let program = parse_program("X :- p(X). p(q(a)). q(a).").unwrap();
+        let err = evaluate_aggregate_program(&program, EvalOptions::default()).unwrap_err();
+        assert!(matches!(err, EngineError::Unsupported(_)), "{err}");
+        assert!(err.to_string().contains("rule `X :- p(X).`"), "{err}");
+    }
+
+    #[test]
+    fn a_rule_with_two_aggregates_folds_both() {
+        // Each aggregate is settled and folded in turn: the same value on
+        // the tabled route (through a session's query and through this
+        // evaluator) and in Figure 1's model.
         let program = parse_program(
-            "kinds(X, N) :- item(X), N = count(P, part(X, P, Q)).\n\
-             biggest(X, N) :- item(X), N = max(Q, part(X, P, Q)).\n\
-             smallest(X, N) :- item(X), N = min(Q, part(X, P, Q)).\n\
-             item(bike).\n\
-             part(bike, wheel, 2). part(bike, spoke, 94). part(bike, frame, 1).",
+            "weird(X, N, M) :- item(X), N = sum(P, a(X, P)), M = sum(Q, b(X, Q)). \
+             item(i). a(i, 1). b(i, 2).",
         )
         .unwrap();
-        let m = evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap()
-            .model;
-        assert!(m.is_true(&parse_term("kinds(bike, 3)").unwrap()));
-        assert!(m.is_true(&parse_term("biggest(bike, 94)").unwrap()));
-        assert!(m.is_true(&parse_term("smallest(bike, 1)").unwrap()));
-    }
-
-    #[test]
-    fn negation_is_rejected_on_this_path() {
-        let program = parse_program(
-            "total(X, N) :- item(X), not hidden(X), N = sum(P, part(X, Y, P)). item(a).",
-        )
-        .unwrap();
-        assert!(matches!(
-            evaluate_aggregate_program(&program, EvalOptions::default()),
-            Err(EngineError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn rules_with_two_aggregates_are_rejected() {
-        let program = parse_program(
-            "weird(X, N, M) :- item(X), N = sum(P, a(X, P)), M = sum(Q, b(X, Q)). item(i). a(i, 1). b(i, 2).",
-        )
-        .unwrap();
-        assert!(matches!(
-            evaluate_aggregate_program(&program, EvalOptions::default()),
-            Err(EngineError::Unsupported(_))
-        ));
-    }
-
-    #[test]
-    fn hilog_parameterised_parts_relation() {
-        // The Part variable of the paper's program is a genuine HiLog
-        // feature: the part relation *name* is data.  Two machines with
-        // different part relations coexist in one program.
-        let program = parts_explosion_program(
-            &[("m1", "parts_a"), ("m2", "parts_b")],
-            &[
-                ("parts_a", "alpha", "gear", 3),
-                ("parts_b", "beta", "gear", 7),
-            ],
-        );
-        let m = evaluate_aggregate_program(&program, EvalOptions::default())
-            .unwrap()
-            .model;
-        assert!(m.is_true(&parse_term("contains(m1, alpha, gear, 3)").unwrap()));
-        assert!(m.is_true(&parse_term("contains(m2, beta, gear, 7)").unwrap()));
-        assert!(!m.is_true(&parse_term("contains(m1, beta, gear, 7)").unwrap()));
+        let weird = |model: &Model| -> Vec<String> {
+            let atoms = sorted_atoms(model);
+            atoms
+                .into_iter()
+                .filter(|a| a.starts_with("weird"))
+                .collect()
+        };
+        let expected = vec!["weird(i, 1, 2)".to_string()];
+        let result = evaluate_aggregate_program(&program, EvalOptions::default()).unwrap();
+        assert_eq!(weird(&result.model), expected);
+        let query = hilog_syntax::parse_query("?- weird(X, N, M).").unwrap();
+        let answers = HiLogDb::new(program.clone()).query(&query).unwrap().answers;
+        let tabled: Vec<String> = answers
+            .iter()
+            .map(|a| {
+                let [x, n, m] = ["X", "N", "M"].map(|v| a.binding(v).unwrap().to_string());
+                format!("weird({x}, {n}, {m})")
+            })
+            .collect();
+        assert_eq!(tabled, expected);
+        let outcome = HiLogDb::new(program).check_modular().unwrap().clone();
+        assert!(outcome.modularly_stratified, "{:?}", outcome.reason);
+        assert_eq!(weird(outcome.model.as_ref().unwrap()), expected);
     }
 }

@@ -3,13 +3,13 @@
 //! Every join of a rule body against stored atoms runs a [`RulePlan`]: the
 //! rule compiled once, its variables numbered into slots.  The semi-naive
 //! driver (and with it the grounder and the assert continuation), the
-//! aggregate evaluator's context join, the session's spontaneous-fact check
-//! and the definitional grounding reference run [`RulePlan::join`].  Three
-//! callers keep their own selection order and run the same plans with the
-//! same [`Frame`] operations: the tabled evaluator (literal by literal over
-//! the branches, which its counts depend on), Figure 1's HiLog reduction
-//! (the first literal the settled model can resolve) and the full-model
-//! query route (left to right over a three-valued model).
+//! session's spontaneous-fact check and the definitional grounding reference
+//! run [`RulePlan::join`].  Three callers walk the same plans depth first
+//! over one [`Frame`] with the same operations, each against its own
+//! source: the tabled evaluator (left to right over subgoal tables), Figure
+//! 1's HiLog reduction (the first literal the settled model can resolve)
+//! and the full-model query route (left to right over a three-valued
+//! model).
 //!
 //! A [`Frame`] is the slots of one evaluation with an undo trail: a match
 //! binds slots and the trail takes them back, so a join builds no
@@ -195,22 +195,13 @@ fn slot_of(var: &Var) -> usize {
 }
 
 /// The slots of one evaluation of a plan, with the undo trail.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub(crate) struct Frame {
     slots: Vec<Option<Term>>,
     trail: Vec<usize>,
 }
 
 impl Frame {
-    /// A copy of the bindings with an empty trail: a branch the tabled
-    /// evaluator keeps for the next literal.
-    pub(crate) fn branch(&self) -> Frame {
-        Frame {
-            slots: self.slots.clone(),
-            trail: Vec::new(),
-        }
-    }
-
     /// The trail position to [`undo`](Self::undo) back to.
     pub(crate) fn mark(&self) -> usize {
         self.trail.len()
@@ -516,11 +507,6 @@ impl Match<'_> {
             }
         }
         Ok(out)
-    }
-
-    /// The bound variables of the rule, each to its value.
-    pub(crate) fn bindings(&self) -> Substitution {
-        self.frame.bindings(self.plan)
     }
 }
 

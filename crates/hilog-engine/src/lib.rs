@@ -30,7 +30,10 @@
 //!   shape of Example 6.6, and the query-directed (memoising,
 //!   negation-settling) evaluator that realises its relevance behaviour.
 //! * **Modularly stratified aggregation** ([`evaluate_aggregate_program`]):
-//!   the parts-explosion program of Section 6.
+//!   the parts-explosion program of Section 6, settled by the query-directed
+//!   evaluator, which folds a group once what it reads is complete and
+//!   reports a cycle through aggregation.  Figure 1 settles a component that
+//!   aggregates through itself the same way.
 //! * **Preservation under extensions / domain independence**
 //!   ([`preserved_by_extension_wfs`]): checkers for the Section 5 properties
 //!   on concrete extension witnesses.

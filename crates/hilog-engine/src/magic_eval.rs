@@ -64,7 +64,7 @@
 //! index keyed on `(outermost functor, arity)`.  An expansion unifies a
 //! plan's head with the subgoal pattern in a fresh [`Frame`] — the
 //! pattern's variables become slots beside the rule's, so no rule is
-//! renamed — and carries one frame per branch through the body.
+//! renamed — and walks the body depth first over that one frame.
 //! Expanding a subgoal asks the store for `collect_candidates(pattern)` —
 //! the same "find the stored atoms a pattern could match" operation the
 //! grounder's joins and the table joins use — so a bound subgoal costs in
@@ -1039,10 +1039,10 @@ impl QueryEvaluator {
     /// visiting each table at most twice (once per "negative edge seen yet"
     /// state).
     fn not_modularly_stratified(&self, key: &Term) -> EngineError {
-        /// One DFS frame: the table reached, whether the path to it crossed
+        /// One DFS visit: the table reached, whether the path to it crossed
         /// a negative edge, and the edges walked so far (for the report).
-        type Frame = (Term, bool, Vec<(Term, EdgeSign)>);
-        let mut stack: Vec<Frame> = vec![(key.clone(), false, Vec::new())];
+        type Visit = (Term, bool, Vec<(Term, EdgeSign)>);
+        let mut stack: Vec<Visit> = vec![(key.clone(), false, Vec::new())];
         let mut visited: BTreeSet<(Term, bool)> = BTreeSet::new();
         while let Some((node, has_neg, path)) = stack.pop() {
             if !visited.insert((node.clone(), has_neg)) {
@@ -1301,13 +1301,13 @@ impl QueryEvaluator {
     /// subgoal's pattern: the facts the index's store offers for the pattern
     /// (a probe on its bound argument positions, not a walk of the
     /// relation), then the candidate rules' plans.  Each plan's head is
-    /// unified with the pattern in a fresh frame, and the body is selected
-    /// literal by literal over all branches (one frame each) — the order the
-    /// counts and the scope order depend on.  Dependency edges are recorded
-    /// as subgoals are selected — *before* they are settled, so that a
-    /// cycle-closing selection is already in the graph when the settle
-    /// detects it.  A positive subgoal no rule can match is complete when
-    /// `table_for_positive` returns, so its answers are read here at once.
+    /// unified with the pattern in a fresh frame, and the body is walked
+    /// depth first, left to right, over that one frame ([`Self::select`]).
+    /// Dependency edges are recorded as subgoals are selected — *before*
+    /// they are settled, so that a cycle-closing selection is already in the
+    /// graph when the settle detects it.  A positive subgoal no rule can
+    /// match is complete when `table_for_positive` returns, so its answers
+    /// are read here at once.
     fn expand(
         &mut self,
         subgoal_key: &Term,
@@ -1315,13 +1315,15 @@ impl QueryEvaluator {
         in_progress: &mut Vec<Term>,
     ) -> Result<(), EngineError> {
         let pattern = self.table_at(subgoal_key).pattern.clone();
-        // An open table keeps the head instance behind every selection.
-        let open = !pattern.is_ground();
-        let mut derived = self.matching_facts(&pattern);
+        let mut walk = Walk {
+            subgoal_key,
+            scope,
+            in_progress,
+            derived: self.matching_facts(&pattern),
+        };
         for rule_index in self.candidate_rules(&pattern) {
             // Held through its own `Arc` while the expansion writes tables.
             let plan = Arc::clone(self.rule(rule_index));
-            let plan = &*plan;
             self.stats.head_unifications += 1;
             // The head unifies with the subgoal pattern in a fresh frame:
             // the pattern's variables become slots beside the rule's, so
@@ -1332,117 +1334,9 @@ impl QueryEvaluator {
                 continue;
             }
             self.stats.rule_applications += 1;
-            let mut branches = vec![frame];
-            // The heads of the matches of a last positive literal, built
-            // while the match is bound: no branch is kept for them.
-            let mut heads = Vec::new();
-            for (at, step) in plan.body.iter().enumerate() {
-                if branches.is_empty() {
-                    break;
-                }
-                let last = at + 1 == plan.body.len();
-                let mut next = Vec::new();
-                for mut frame in branches {
-                    let head = |frame: &Frame| open.then(|| frame.instantiate(&plan.head));
-                    match step {
-                        Step::Pos(atom) => {
-                            let instantiated = frame.instantiate(atom);
-                            if !instantiated.name().is_ground() && instantiated.is_var() {
-                                return Err(EngineError::Floundering(format!(
-                                    "positive subgoal `{instantiated}` is an unbound variable \
-                                     when selected"
-                                )));
-                            }
-                            let target = self.record_edge(
-                                subgoal_key,
-                                &instantiated,
-                                head(&frame),
-                                EdgeSign::Positive,
-                            );
-                            let key = self.table_for_positive(target, scope, in_progress)?;
-                            // Probe the table's argument indexes with the
-                            // already-resolved subgoal: only answers agreeing
-                            // with its bound argument positions are visited.
-                            let answers: Vec<Term> = self
-                                .table_at(&key)
-                                .answers
-                                .collect_candidates(&instantiated);
-                            for answer in answers {
-                                let mark = frame.mark();
-                                if frame.unify_pat(atom, &answer) {
-                                    if last {
-                                        heads.push(frame.instantiate(&plan.head));
-                                    } else {
-                                        next.push(frame.branch());
-                                    }
-                                }
-                                frame.undo(mark);
-                            }
-                        }
-                        Step::Neg(atom) => {
-                            let instantiated = frame.instantiate(atom);
-                            if !instantiated.is_ground() {
-                                return Err(EngineError::Floundering(format!(
-                                    "negative subgoal `not {instantiated}` is selected while \
-                                     non-ground (the rule order flounders, footnote 10)"
-                                )));
-                            }
-                            let target = self.record_edge(
-                                subgoal_key,
-                                &instantiated,
-                                head(&frame),
-                                EdgeSign::Negative,
-                            );
-                            let key = self.evaluate_completely(target, in_progress)?;
-                            let is_true = self.table_at(&key).answers.contains(&instantiated);
-                            if !is_true {
-                                next.push(frame);
-                            }
-                        }
-                        Step::Builtin(op, left, right) => {
-                            if frame.eval_builtin(plan, *op, left, right)? {
-                                next.push(frame);
-                            }
-                        }
-                        Step::Aggregate(agg_pattern) => {
-                            let Literal::Aggregate(agg) = &plan.rule.body[at] else {
-                                unreachable!("an aggregate step compiles an aggregate literal")
-                            };
-                            let instantiated_pattern = frame.instantiate(agg_pattern);
-                            let target = self.record_edge(
-                                subgoal_key,
-                                &instantiated_pattern,
-                                head(&frame),
-                                EdgeSign::Negative,
-                            );
-                            let key = self.evaluate_completely(target, in_progress)?;
-                            let answers: Vec<Term> = self
-                                .table_at(&key)
-                                .answers
-                                .collect_candidates(&instantiated_pattern);
-                            let theta = frame.bindings(plan);
-                            for extended in solve_aggregate(&plan.rule, agg, &theta, &answers)? {
-                                let mut branch = frame.branch();
-                                branch.absorb_rule(plan, &extended);
-                                next.push(branch);
-                            }
-                        }
-                    }
-                }
-                branches = next;
-            }
-            let built = branches.iter().map(|frame| frame.instantiate(&plan.head));
-            for answer in heads.into_iter().chain(built) {
-                if answer.is_ground() {
-                    derived.push(answer);
-                } else {
-                    return Err(EngineError::Floundering(format!(
-                        "rule `{}` produced the non-ground answer `{answer}`",
-                        plan.rule
-                    )));
-                }
-            }
+            self.select(&plan, 0, &mut frame, &mut walk)?;
         }
+        let derived = walk.derived;
         let table = self.own.get_mut(subgoal_key).expect("a table being filled");
         let before = table.answers.len();
         if !derived.is_empty() {
@@ -1458,6 +1352,106 @@ impl QueryEvaluator {
         self.derived += self.own[subgoal_key].answers.len() - before;
         Ok(())
     }
+
+    /// Selects body literal `at` of `plan` under the frame's bindings and
+    /// walks on from every way it holds, undoing each binding after; past
+    /// the last literal the head is an answer.
+    fn select(
+        &mut self,
+        plan: &RulePlan,
+        at: usize,
+        frame: &mut Frame,
+        walk: &mut Walk<'_>,
+    ) -> Result<(), EngineError> {
+        let (pat, sign) = match plan.body.get(at) {
+            None => {
+                let answer = frame.instantiate(&plan.head);
+                if !answer.is_ground() {
+                    return Err(EngineError::Floundering(format!(
+                        "rule `{}` produced the non-ground answer `{answer}`",
+                        plan.rule
+                    )));
+                }
+                walk.derived.push(answer);
+                return Ok(());
+            }
+            Some(Step::Builtin(op, left, right)) => {
+                let mark = frame.mark();
+                if frame.eval_builtin(plan, *op, left, right)? {
+                    self.select(plan, at + 1, frame, walk)?;
+                }
+                frame.undo(mark);
+                return Ok(());
+            }
+            Some(Step::Pos(pat)) => (pat, EdgeSign::Positive),
+            Some(Step::Neg(pat) | Step::Aggregate(pat)) => (pat, EdgeSign::Negative),
+        };
+        let instantiated = frame.instantiate(pat);
+        match &plan.body[at] {
+            Step::Pos(_) if instantiated.is_var() => {
+                return Err(EngineError::Floundering(format!(
+                    "positive subgoal `{instantiated}` is an unbound variable when selected"
+                )))
+            }
+            Step::Neg(_) if !instantiated.is_ground() => {
+                return Err(EngineError::Floundering(format!(
+                    "negative subgoal `not {instantiated}` is selected while non-ground (the \
+                     rule order flounders, footnote 10)"
+                )))
+            }
+            _ => {}
+        }
+        // An open table keeps the head instance behind every selection.
+        let head = (!walk.subgoal_key.is_ground()).then(|| frame.instantiate(&plan.head));
+        let target = self.record_edge(walk.subgoal_key, &instantiated, head, sign);
+        if let Step::Pos(atom) = &plan.body[at] {
+            let key = self.table_for_positive(target, walk.scope, walk.in_progress)?;
+            // Probe the table's argument indexes with the already-resolved
+            // subgoal: only answers agreeing with its bound argument
+            // positions are visited.
+            let answers = self
+                .table_at(&key)
+                .answers
+                .collect_candidates(&instantiated);
+            for answer in answers {
+                let mark = frame.mark();
+                if frame.unify_pat(atom, &answer) {
+                    self.select(plan, at + 1, frame, walk)?;
+                }
+                frame.undo(mark);
+            }
+            return Ok(());
+        }
+        // A negative or aggregate subgoal is settled completely first.
+        let key = self.evaluate_completely(target, walk.in_progress)?;
+        let Literal::Aggregate(agg) = &plan.rule.body[at] else {
+            if !self.table_at(&key).answers.contains(&instantiated) {
+                self.select(plan, at + 1, frame, walk)?;
+            }
+            return Ok(());
+        };
+        let answers = self
+            .table_at(&key)
+            .answers
+            .collect_candidates(&instantiated);
+        let theta = frame.bindings(plan);
+        for extended in solve_aggregate(&plan.rule, agg, &theta, &answers)? {
+            let mark = frame.mark();
+            frame.absorb_rule(plan, &extended);
+            self.select(plan, at + 1, frame, walk)?;
+            frame.undo(mark);
+        }
+        Ok(())
+    }
+}
+
+/// One expansion's walk of its rule bodies: the subgoal it fills, the
+/// scope and settle chain its selections join, and the answers so far.
+struct Walk<'w> {
+    subgoal_key: &'w Term,
+    scope: &'w mut Vec<Term>,
+    in_progress: &'w mut Vec<Term>,
+    derived: Vec<Term>,
 }
 
 /// Canonical table key for a subgoal pattern: variables renamed to `_N0`,

@@ -26,6 +26,10 @@
 //! * A lowest component made only of ground facts is its own model `M_T`:
 //!   the facts are true and nothing else is, with no grounding and no
 //!   evaluation.  Every program's first round is such a component.
+//! * A component that aggregates through itself (the parts explosion's `in`
+//!   and `contains`) is settled by the aggregate evaluator over its reduced
+//!   rules, which read only the component's own names; a cycle through
+//!   aggregation at the instance level is a rejection.
 //! * Any other component is instantiated (relevant grounding) and handed to
 //!   the well-founded evaluation's `stratified_eval`, which condenses the
 //!   ground atom graph once: a negative edge inside a strongly connected
@@ -46,7 +50,7 @@
 //! Callers reach it through `HiLogDb::check_modular` /
 //! `DbSnapshot::check_modular`, which cache the outcome.
 
-use crate::aggregate::solve_aggregate;
+use crate::aggregate::{evaluate_aggregate_program, solve_aggregate};
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::grounder::{check_rule_budget, relevant_ground};
@@ -185,29 +189,11 @@ pub(crate) fn figure1_procedure(
         {
             settle_facts(lowest_rules.iter().map(|r| r.head.clone()), opts)?
         } else {
-            let component_program =
-                Program::from_rules(lowest_rules.into_iter().cloned().collect());
-            let ground_component = match relevant_ground(&component_program, opts) {
-                Ok(g) => g,
-                Err(EngineError::Floundering(msg)) => {
-                    return Ok(ModularOutcome::rejected(
-                        format!("lowest component cannot be instantiated bottom-up: {msg}"),
-                        rounds,
-                    ))
-                }
-                Err(other) => return Err(other),
-            };
-            match stratified_eval(&ground_component) {
-                Some(component_model) => component_model,
-                None => {
-                    return Ok(ModularOutcome::rejected(
-                        format!(
-                            "the reduction of the lowest component {:?} is not locally stratified",
-                            lowest.iter().map(|t| t.to_string()).collect::<Vec<_>>()
-                        ),
-                        rounds,
-                    ))
-                }
+            let rules = lowest_rules.into_iter().cloned().collect();
+            let names: Vec<String> = lowest.iter().map(|t| t.to_string()).collect();
+            match settle_component(rules, &names, opts)? {
+                Ok(component_model) => component_model,
+                Err(reason) => return Ok(ModularOutcome::rejected(reason, rounds)),
             }
         };
         debug_assert!(
@@ -242,6 +228,46 @@ fn settle_facts(
     let model = Model::from_true_atoms(heads);
     check_rule_budget(model.base().len(), opts)?;
     Ok(model)
+}
+
+/// The (total) model of a lowest component that has proper rules, or the
+/// reason it is rejected.  A component that aggregates through itself (the
+/// parts explosion) is settled by the aggregate evaluator: after the
+/// reduction its rules read only the component's own names, and the tabled
+/// evaluator settles every group it folds, reporting a cycle through
+/// aggregation.  Any other component is instantiated and its ground atom
+/// graph condensed.
+fn settle_component(
+    rules: Vec<Rule>,
+    names: &[String],
+    opts: EvalOptions,
+) -> Result<Result<Model, String>, EngineError> {
+    let program = Program::from_rules(rules);
+    if program.iter().any(Rule::has_aggregate) {
+        return match evaluate_aggregate_program(&program, opts) {
+            Ok(settled) => Ok(Ok(settled.model)),
+            Err(
+                e @ (EngineError::NotModularlyStratified(_)
+                | EngineError::Floundering(_)
+                | EngineError::Unsupported(_)),
+            ) => Ok(Err(format!(
+                "the aggregation of the lowest component {names:?} cannot be settled: {e}"
+            ))),
+            Err(other) => Err(other),
+        };
+    }
+    let ground = match relevant_ground(&program, opts) {
+        Ok(ground) => ground,
+        Err(EngineError::Floundering(msg)) => {
+            return Ok(Err(format!(
+                "lowest component cannot be instantiated bottom-up: {msg}"
+            )))
+        }
+        Err(other) => return Err(other),
+    };
+    Ok(stratified_eval(&ground).ok_or_else(|| {
+        format!("the reduction of the lowest component {names:?} is not locally stratified")
+    }))
 }
 
 fn has_variable_name(lit: &Literal) -> bool {
@@ -574,6 +600,19 @@ mod tests {
         assert!(out.modularly_stratified, "{:?}", out.reason);
         let m = out.model.unwrap();
         assert_eq!(m.truth(&t("total(bike, 3)")), Truth::True);
+    }
+
+    #[test]
+    fn a_component_that_aggregates_and_negates_is_rejected_not_an_error() {
+        let out = run("c(X, N) :- item(X), not d(X), N = sum(P, c(X, P)).\n\
+                       d(X) :- item(X), not c(X, 1).\n\
+                       item(a).");
+        assert!(!out.modularly_stratified);
+        let reason = out.reason.unwrap();
+        assert!(
+            reason.contains("[\"c\", \"d\"]") && reason.contains("negation"),
+            "{reason}"
+        );
     }
 
     fn round_names(out: &ModularOutcome) -> Vec<Vec<String>> {

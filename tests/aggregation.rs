@@ -1,8 +1,10 @@
 //! Section 6's parts-explosion aggregation, cross-checked against an
 //! independently computed reference (path-quantity products over the part
-//! DAG), and the three routes that evaluate an aggregate literal — the
-//! stand-alone aggregate evaluator, the session's tabled evaluator and
-//! Figure 1's reduction — held to each other.
+//! DAG), and the routes that evaluate an aggregate literal held to each
+//! other: the tabled evaluator, through `evaluate_aggregate_program` and
+//! through a session's query, and Figure 1, which folds a settled aggregate
+//! in its reduction and settles a component that aggregates through itself
+//! with the aggregate evaluator.
 
 use hilog_core::program::Program;
 use hilog_engine::{
@@ -116,8 +118,8 @@ fn shared_hierarchies_are_grouped_per_machine() {
 }
 
 /// The true atoms named `pred` (of arity `arity`) as each route sees them:
-/// the stand-alone aggregate evaluator's model, a session's open bound query
-/// (the tabled route), and the model Figure 1 accumulates.
+/// the aggregate evaluator's model, a session's open query (the tabled
+/// route), and the model Figure 1 accumulates.
 fn three_routes(program: &Program, pred: &str, arity: usize) -> [BTreeSet<String>; 3] {
     let named = |atoms: hilog_core::Atoms<'_>| -> BTreeSet<String> {
         let of_pred = atoms
@@ -248,30 +250,9 @@ fn sum_count_min_max_agree_across_routes_on_random_hierarchies() {
             );
         }
         assert_eq!(totals.len(), wholes.len(), "{context}");
-        // The paper's recursive program, the sum read back through `in`:
-        // Figure 1 does not reduce through it yet, the other two must agree.
+        // The paper's recursive program, the sum read back through `in`.
         let explosion = parts_explosion_program(&[("m", "parts")], &hierarchy.as_facts("parts"));
-        let reference = evaluate_aggregate_program(&explosion, EvalOptions::default()).unwrap();
-        let query = parse_query("?- contains(m, X, Y, N).").unwrap();
-        let tabled = HiLogDb::new(explosion).query(&query).unwrap();
-        let tabled: BTreeSet<String> = tabled
-            .answers
-            .iter()
-            .map(|a| {
-                let [x, y, n] = ["X", "Y", "N"].map(|v| a.binding(v).unwrap());
-                format!("contains(m, {x}, {y}, {n})")
-            })
-            .collect();
-        let contains = reference
-            .model
-            .true_atoms()
-            .iter()
-            .filter(|atom| atom.name().to_string() == "contains");
-        assert_eq!(
-            tabled,
-            contains.map(|a| a.to_string()).collect(),
-            "{context}"
-        );
+        assert_routes_agree(&explosion, "contains", 4, &context);
     }
 }
 
@@ -290,5 +271,36 @@ proptest! {
             let atom = parse_term(&format!("contains(m, {whole}, {part}, {qty})")).unwrap();
             prop_assert!(result.model.is_true(&atom), "expected {} = {}", atom, qty);
         }
+        // Figure 1 settles the `in` / `contains` component through the
+        // aggregation, and its `contains` atoms are the reference's.
+        let mut db = HiLogDb::new(program);
+        let outcome = db.check_modular().unwrap();
+        prop_assert!(outcome.modularly_stratified, "{:?}", outcome.reason);
+        let model = outcome.model.as_ref().unwrap();
+        let contains: BTreeSet<String> = model
+            .true_atoms()
+            .iter()
+            .filter(|atom| atom.name().to_string() == "contains")
+            .map(|atom| atom.to_string())
+            .collect();
+        let expected: BTreeSet<String> = reference
+            .iter()
+            .map(|((whole, part), qty)| format!("contains(m, {whole}, {part}, {qty})"))
+            .collect();
+        prop_assert_eq!(contains, expected);
     }
+}
+
+#[test]
+fn figure1_rejects_a_cyclic_part_hierarchy_with_a_reason() {
+    // widget contains itself: the sum over its parts reads itself.
+    let program = parts_explosion_program(&[("m", "p")], &[("p", "widget", "widget", 2)]);
+    let mut db = HiLogDb::new(program);
+    let outcome = db.check_modular().unwrap();
+    assert!(!outcome.modularly_stratified);
+    let reason = outcome.reason.as_deref().unwrap_or_default();
+    assert!(
+        reason.contains("aggregation") && reason.contains("contains(m, widget"),
+        "{reason}"
+    );
 }
