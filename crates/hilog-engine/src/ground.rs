@@ -7,14 +7,16 @@
 //! grounder, and aggregates are handled by the dedicated aggregation
 //! evaluator before reaching this representation.
 //!
-//! A [`GroundProgram`] holds one atom table for the whole instantiation:
-//! the grounder interns each atom once, as its instance lands, and stores
-//! the rule as an id triple.  Every fixpoint of the well-founded and
-//! stable-model constructions indexes its assignment by those ids; the
+//! A [`GroundProgram`] is one resident object: an in-memory [`AtomStore`]
+//! whose live atoms are exactly the rules' heads (an atom only a body names
+//! is interned, not live), and the rules as id triples over its interner.
+//! Every fixpoint of the well-founded and stable-model constructions
+//! indexes its assignment by those ids; the
 //! term form [`GroundRule`] is what builds rules and what displays them.
 
+use crate::horn::AtomStore;
 use hilog_core::hash::TermSet;
-use hilog_core::intern::{AtomId, TermInterner};
+use hilog_core::intern::AtomId;
 use hilog_core::term::Term;
 use std::fmt;
 
@@ -54,23 +56,11 @@ impl fmt::Display for GroundRule {
         if self.is_fact() {
             return write!(f, "{}.", self.head);
         }
-        write!(f, "{} :- ", self.head)?;
-        let mut first = true;
-        for a in &self.pos {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "{a}")?;
-        }
-        for a in &self.neg {
-            if !first {
-                write!(f, ", ")?;
-            }
-            first = false;
-            write!(f, "not {a}")?;
-        }
-        write!(f, ".")
+        let pos = self.pos.iter().map(Term::to_string);
+        let body: Vec<String> = pos
+            .chain(self.neg.iter().map(|a| format!("not {a}")))
+            .collect();
+        write!(f, "{} :- {}.", self.head, body.join(", "))
     }
 }
 
@@ -93,17 +83,17 @@ impl IdRule {
     }
 }
 
-/// A set of ground rules: one atom table and the rules as id triples over
-/// it.
+/// A set of ground rules: one atom store and the rules as id triples over
+/// its interner.
 ///
 /// Ids are never reused: a rule removed by maintenance can leave an id that
 /// no rule mentions, and the relevant base of a computed model is the atoms
 /// some rule mentions, not every id.
 #[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
-    /// The atom table: every atom a rule mentions (and, after maintenance,
-    /// possibly some no rule mentions any more).
-    pub(crate) atoms: TermInterner,
+    /// The rules' heads, live; every atom a rule mentions (and, after
+    /// maintenance, possibly some no rule mentions any more), interned.
+    pub(crate) atoms: AtomStore,
     /// The rules, in insertion order.
     pub(crate) id_rules: Vec<IdRule>,
 }
@@ -149,9 +139,15 @@ impl GroundProgram {
         self.id_rules.iter().map(|r| self.resolve(r))
     }
 
-    /// Interns a rule's atoms, returning its id triple.
-    pub(crate) fn intern(&mut self, rule: &GroundRule) -> IdRule {
+    /// The possibly-true atoms: the heads of the rules.
+    pub fn possibly_true(&self) -> &AtomStore {
+        &self.atoms
+    }
+
+    /// Interns a rule's atoms, its head live, returning its id triple.
+    fn intern(&mut self, rule: &GroundRule) -> IdRule {
         let atoms = &mut self.atoms;
+        atoms.insert(rule.head.clone());
         IdRule {
             head: atoms.intern(&rule.head),
             pos: rule.pos.iter().map(|a| atoms.intern(a)).collect(),
@@ -161,7 +157,7 @@ impl GroundProgram {
 
     /// The rule an id triple stands for.
     fn resolve(&self, rule: &IdRule) -> GroundRule {
-        let term = |&id: &AtomId| self.atoms.resolve(id).clone();
+        let term = |&id: &AtomId| self.atoms.interner().resolve(id).clone();
         GroundRule {
             head: term(&rule.head),
             pos: rule.pos.iter().map(term).collect(),
@@ -171,7 +167,7 @@ impl GroundProgram {
 
     /// Per atom id, whether some rule mentions it: the relevant base.
     pub(crate) fn mentioned(&self) -> Vec<bool> {
-        let mut mentioned = vec![false; self.atoms.len()];
+        let mut mentioned = vec![false; self.atoms.interner().len()];
         for rule in &self.id_rules {
             for atom in std::iter::once(&rule.head)
                 .chain(&rule.pos)
@@ -233,8 +229,14 @@ mod tests {
             rule.clone(),
             GroundRule::fact(atom("move", &["a", "b"])),
         ]);
-        assert_eq!(gp.atoms.len(), 3, "each atom is interned once");
+        assert_eq!(gp.atoms.interner().len(), 3, "each atom is interned once");
         assert_eq!(gp.rules().next(), Some(rule));
         assert_eq!(gp.mentioned(), vec![true; 3]);
+        // Only the heads are possibly true: `winning(b)` occurs negatively.
+        let heads: Vec<&Term> = gp.possibly_true().iter().collect();
+        assert_eq!(
+            heads,
+            vec![&atom("move", &["a", "b"]), &atom("winning", &["a"])]
+        );
     }
 }

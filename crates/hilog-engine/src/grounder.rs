@@ -17,21 +17,20 @@
 //! Relevant instantiation is the semi-naive driver ([`crate::horn`]'s
 //! `saturate`) building the ground rule from every match — the head from the
 //! slots, the positive body from the atoms matched — so the possibly-true
-//! set and the ground rules come out of the same single join pass:
-//! `ground_from` is that, and it has three callers differing only in the
-//! store they pass — [`relevant_ground`] (an in-memory scratch store, cold),
-//! [`relevant_ground_into`] (the session's configured backend, cold; it
-//! keeps the store) and the session's `assert_fact` (the warm store,
-//! continued from the new fact).  [`ground_against`] is the paper's
-//! definition written down literally, kept as the reference the oracles
-//! compare against.
+//! set and the ground rules come out of the same single join pass, into one
+//! resident [`GroundProgram`] whose own atom store is the set the driver
+//! saturates: `ground_from` is that, called cold by [`relevant_ground`] and
+//! continued from the new fact by the session's `assert_fact`.
+//! [`ground_against`] is the paper's definition written down literally,
+//! kept as the reference the oracles compare against.
 
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::horn::{saturate, AtomStore, EvalOptions, NegationMode};
-use crate::join::{Match, RulePlan};
+use crate::join::RulePlan;
 use crate::storage::FactStore;
+use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::Rule;
@@ -42,45 +41,37 @@ use hilog_core::TermSet;
 /// Relevant instantiation of a program (negation allowed, aggregates not).
 ///
 /// Returns the ground rules whose positive bodies are satisfiable within the
-/// over-approximation of derivable atoms.  Errors with
+/// over-approximation of derivable atoms (the least model with negative
+/// literals ignored: [`GroundProgram::possibly_true`]).  Errors with
 /// [`EngineError::Floundering`] if a head or negative literal remains
-/// non-ground after the positive body is bound — i.e. when the program is not
-/// range restricted enough for bottom-up evaluation (Definition 5.5 / 5.6).
+/// non-ground after the positive body is bound — i.e. when the program is
+/// not range restricted enough for bottom-up evaluation (Definition 5.5 /
+/// 5.6).
 pub fn relevant_ground(program: &Program, opts: EvalOptions) -> Result<GroundProgram, EngineError> {
-    relevant_ground_into(program, opts, &mut FactStore::InMemory(AtomStore::new()))
-}
-
-/// [`relevant_ground`] with the possibly-true set materialised *into* a
-/// caller-provided (empty) store on either backend, which afterwards holds
-/// the least model of the program with negative literals ignored — the
-/// closed store a later continuation extends.  Pass a spill-backed store and
-/// its cold relations page to disk as the grounding runs.
-pub fn relevant_ground_into(
-    program: &Program,
-    opts: EvalOptions,
-    store: &mut FactStore,
-) -> Result<GroundProgram, EngineError> {
     let mut ground = GroundProgram::new();
-    ground_from(program, store, None, opts, &mut ground)?;
+    ground_from(program, None, opts, &mut ground)?;
     Ok(ground)
 }
 
-/// The semi-naive driver with the rule instantiated at every match: saturates
-/// `store` from `frontier` (`None` = cold, see [`saturate`]) and appends the
-/// distinct instances to `ground` in first-match order, each built straight
-/// from the match — the head from the slots, the positive body from the
-/// atoms matched, the negative body from the slots — and interned into
-/// `ground`'s table as it lands.  The rule budget counts the whole of
-/// `ground`, so a continuation is capped like a cold grounding.
+/// The semi-naive driver with the rule instantiated at every match:
+/// saturates `ground`'s atom store from `frontier` (`None` = cold, see
+/// [`saturate`]) and appends the distinct instances to `ground` in
+/// first-match order, each built straight from the match — the head from
+/// the slots, the positive body from the atoms matched, the negative body
+/// from the slots.  The rule budget counts the whole of `ground`, so a
+/// continuation is capped like a cold grounding.
+///
+/// The rounds read the store, so instances are numbered in a scratch table
+/// and renumbered onto the store's ids once it is closed.
 ///
 /// A continuation appends exactly the instances with at least one positive
 /// body atom outside the store as it stood before the frontier joined it —
 /// instances the old store fully supported belong to an earlier call — so
 /// appending them to that earlier call's result reproduces what a cold
-/// grounding of the extended program computes.
+/// grounding of the extended program computes.  On `Err` the grounding is
+/// left unusable; discard it.
 pub(crate) fn ground_from(
     program: &Program,
-    store: &mut FactStore,
     frontier: Option<AtomStore>,
     opts: EvalOptions,
     ground: &mut GroundProgram,
@@ -88,27 +79,45 @@ pub(crate) fn ground_from(
     // The driver matches an instance once per frontier atom it reads (and a
     // program may repeat a rule), so instances are deduplicated as they land.
     let mut seen: TermSet<IdRule> = TermSet::default();
+    let mut scratch = TermInterner::new();
+    let first = ground.id_rules.len();
+    let mut store = FactStore::InMemory(std::mem::take(&mut ground.atoms));
     saturate(
         program,
-        store,
+        &mut store,
         frontier,
         NegationMode::Ignore,
         opts,
         &mut |m, head| {
             let negatives = m.negatives()?;
-            let atoms = &mut ground.atoms;
             let instance = IdRule {
-                head: atoms.intern(head),
-                pos: m.atoms.iter().map(|a| atoms.intern(a)).collect(),
-                neg: negatives.iter().map(|a| atoms.intern(a)).collect(),
+                head: scratch.intern(head),
+                pos: m.atoms.iter().map(|a| scratch.intern(a)).collect(),
+                neg: negatives.iter().map(|a| scratch.intern(a)).collect(),
             };
             if seen.insert(instance.clone()) {
                 ground.id_rules.push(instance);
-                check_rule_budget(ground.len(), opts)?;
+                check_rule_budget(ground.id_rules.len(), opts)?;
             }
             Ok(())
         },
-    )
+    )?;
+    let FactStore::InMemory(atoms) = store else {
+        unreachable!("the driver never changes a store's backend")
+    };
+    ground.atoms = atoms;
+    let ids: Vec<AtomId> = (scratch.terms().iter())
+        .map(|atom| ground.atoms.intern(atom))
+        .collect();
+    for rule in &mut ground.id_rules[first..] {
+        for id in std::iter::once(&mut rule.head)
+            .chain(&mut rule.pos)
+            .chain(&mut rule.neg)
+        {
+            *id = ids[id.index()];
+        }
+    }
+    Ok(())
 }
 
 /// The paper's definition of the relevant instantiation, literally: each
@@ -128,7 +137,7 @@ pub fn ground_against(
     for rule in program.iter() {
         check_deadline()?;
         RulePlan::compile(rule).join(candidates, None, NegationMode::Ignore, &mut |m| {
-            rules.push(instance(m)?);
+            rules.push(GroundRule::new(m.head()?, m.atoms.to_vec(), m.negatives()?));
             check_rule_budget(rules.len(), opts)
         })?;
     }
@@ -144,12 +153,6 @@ pub(crate) fn check_rule_budget(rules: usize, opts: EvalOptions) -> Result<(), E
         )));
     }
     Ok(())
-}
-
-/// The ground rule a match stands for.
-fn instance(m: &Match<'_>) -> Result<GroundRule, EngineError> {
-    let head = m.head()?;
-    Ok(GroundRule::new(head, m.atoms.to_vec(), m.negatives()?))
 }
 
 /// Literal instantiation over an explicit universe: every variable of every
@@ -182,18 +185,10 @@ pub fn ground_over_universe(
                 )));
             }
         }
-        enumerate_assignments(
-            &vars,
-            universe,
-            &mut |theta| match instantiate_ground_instance(rule, theta) {
-                Ok(Some(r)) => {
-                    rules.push(r);
-                    Ok(())
-                }
-                Ok(None) => Ok(()),
-                Err(e) => Err(e),
-            },
-        )?;
+        enumerate_assignments(&vars, universe, &mut |theta| {
+            rules.extend(instantiate_ground_instance(rule, theta)?);
+            Ok(())
+        })?;
         if rules.len() > opts.max_atoms {
             return Err(EngineError::LimitExceeded(format!(
                 "universe instantiation exceeded {} ground rules",
@@ -324,7 +319,9 @@ mod tests {
         // The irrelevant fact does not generate winning instances.
         assert_eq!(gp.len(), 3);
         assert_eq!(
-            gp.atoms.get(&Term::apps("winning", vec![Term::sym("z")])),
+            gp.atoms
+                .interner()
+                .get(&Term::apps("winning", vec![Term::sym("z")])),
             None
         );
     }
@@ -400,18 +397,13 @@ mod tests {
         let base = "winning(X) :- move(X, Y), not winning(Y).\n\
                     move(a, b). move(b, c).";
         let mut program = parse_program(base).unwrap();
-        let mut store = FactStore::InMemory(AtomStore::new());
-        let old_ground =
-            relevant_ground_into(&program, EvalOptions::default(), &mut store).unwrap();
+        let mut patched = relevant_ground(&program, EvalOptions::default()).unwrap();
 
         let fact = Term::apps("move", vec![Term::sym("c"), Term::sym("d")]);
         program.push(hilog_core::rule::Rule::fact(fact.clone()));
-        store.insert(fact.clone());
-        let mut patched = old_ground;
         patched.push(GroundRule::fact(fact.clone()));
         ground_from(
             &program,
-            &mut store,
             Some(AtomStore::from_atoms([fact])),
             EvalOptions::default(),
             &mut patched,
@@ -426,18 +418,21 @@ mod tests {
             fresh.len(),
             "old ∪ delta repeated an instance"
         );
+        let heads: BTreeSet<_> = fresh.rules().map(|r| r.head).collect();
+        let possibly: BTreeSet<_> = patched.possibly_true().iter().cloned().collect();
+        assert_eq!(
+            possibly, heads,
+            "the continued store is not the rules' heads"
+        );
     }
 
     #[test]
     fn empty_frontier_grounds_nothing() {
         let program = parse_program("p(X) :- q(X). q(a).").unwrap();
-        let mut store = FactStore::InMemory(
-            least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap(),
-        );
         let mut ground = GroundProgram::new();
+        ground.atoms = least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
         ground_from(
             &program,
-            &mut store,
             Some(AtomStore::new()),
             EvalOptions::default(),
             &mut ground,
@@ -481,6 +476,7 @@ mod tests {
         let ground_cost = counted(&mut || ground = db.ground_program().unwrap().clone());
         assert!(model_cost.0 > 0, "the chain joins through the indexes");
         assert_eq!(ground_cost, model_cost, "grounding joined on its own");
+        assert!(ground.possibly_true().iter().eq(model.iter()));
         let reference = ground_against(&program, &FactStore::InMemory(model), opts).unwrap();
         let fused: BTreeSet<_> = ground.rules().collect();
         assert_eq!(fused, reference.rules().collect::<BTreeSet<_>>());

@@ -17,7 +17,7 @@
 use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::join::{Match, RulePlan};
-use crate::storage::FactStore;
+use crate::storage::{FactStore, RelationStorageStats};
 use hilog_core::hash::TermMap;
 use hilog_core::intern::{AtomId, TermInterner};
 use hilog_core::program::Program;
@@ -245,7 +245,7 @@ impl Relation {
 ///
 /// Indexes are built on the first probe that needs them and maintained
 /// incrementally by [`insert`](AtomStore::insert) /
-/// [`remove`](AtomStore::remove), so long-lived stores (the session's
+/// [`remove`](AtomStore::remove), so long-lived stores (a grounding's
 /// possibly-true store, the evaluator's subgoal tables) keep their indexes
 /// warm across mutations.
 ///
@@ -284,8 +284,23 @@ impl AtomStore {
         store
     }
 
-    fn is_live(&self, id: AtomId) -> bool {
+    /// Whether the atom an id stands for is in the set.
+    pub(crate) fn is_live(&self, id: AtomId) -> bool {
         self.live.get(id.index()).copied().unwrap_or(false)
+    }
+
+    /// The atom's id, interned if new but not added to the set.
+    pub(crate) fn intern(&mut self, atom: &Term) -> AtomId {
+        let id = self.interner.intern(atom);
+        if self.live.len() <= id.index() {
+            self.live.resize(id.index() + 1, false);
+        }
+        id
+    }
+
+    /// Every atom ever interned, in the set or not, by id.
+    pub(crate) fn interner(&self) -> &TermInterner {
+        &self.interner
     }
 
     /// Inserts a ground atom; returns `true` if it was new.
@@ -294,10 +309,7 @@ impl AtomStore {
             atom.is_ground(),
             "AtomStore::insert of non-ground atom {atom}"
         );
-        let id = self.interner.intern(&atom);
-        if self.live.len() <= id.index() {
-            self.live.resize(id.index() + 1, false);
-        }
+        let id = self.intern(&atom);
         if self.live[id.index()] {
             return false;
         }
@@ -408,9 +420,13 @@ impl AtomStore {
         self.interner.terms().iter().zip(&self.live)
     }
 
-    /// Number of `(name, arity)` relations ever touched.
-    pub(crate) fn relation_count(&self) -> usize {
-        self.relations.len()
+    /// Storage counters: every atom resident.
+    pub(crate) fn storage_stats(&self) -> RelationStorageStats {
+        RelationStorageStats {
+            resident_facts: self.len(),
+            relations: self.relations.len(),
+            ..RelationStorageStats::default()
+        }
     }
 
     /// Candidate atoms that could match the given (possibly partially
@@ -565,7 +581,7 @@ pub fn least_model_into(
 /// [`Match`] (the plan, its slots, the positive atoms it matched) and the
 /// ground head built from the slots (the driver needs it for the store) —
 /// to `on_match`: [`least_model_into`] ignores them, the grounder builds
-/// the ground rule from them ([`crate::grounder::relevant_ground_into`],
+/// the ground rule from them ([`crate::grounder::relevant_ground`],
 /// the session's assert path), so the heads and the instantiations come
 /// from the same single join pass.
 ///

@@ -86,7 +86,7 @@ pub use extension::{
     preserved_by_extension_wfs, PreservationVerdict,
 };
 pub use ground::{GroundProgram, GroundRule};
-pub use grounder::{ground_against, relevant_ground, relevant_ground_into};
+pub use grounder::{ground_against, relevant_ground};
 pub use horn::{
     default_eval_threads, least_model, least_model_into, AtomStore, Candidates, EvalOptions,
     NegationMode,

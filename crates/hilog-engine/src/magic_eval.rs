@@ -198,8 +198,8 @@ pub struct EvalStats {
     /// Inert: always 0 (see `parallel_waves`).
     pub parallel_tasks: usize,
     /// Facts resident in memory across the session's relation stores (the
-    /// possibly-true store plus every subgoal table) when this query
-    /// finished.  Under the in-memory backend this is the total fact count.
+    /// grounding's, the program index's and every subgoal table's) when this
+    /// query finished.  Under the in-memory backend this is the total.
     pub storage_resident_facts: usize,
     /// Facts whose payloads currently live only in spill segment files
     /// (always zero under the in-memory backend).
@@ -1327,11 +1327,15 @@ impl QueryEvaluator {
             self.stats.head_unifications += 1;
             // The head unifies with the subgoal pattern in a fresh frame:
             // the pattern's variables become slots beside the rule's, so
-            // nothing is renamed.
+            // nothing is renamed.  A bare-variable head would nest the
+            // subgoal without end (`X :- aux(X)` selects `aux(G)`, then
+            // `aux(aux(G))`, …: Example 6.5): its body is walked open.
             let mut frame = plan.frame();
-            let goal = frame.import(&pattern);
-            if !frame.unify_pat(&plan.head, &goal) {
-                continue;
+            if !plan.rule.head.is_var() {
+                let goal = frame.import(&pattern);
+                if !frame.unify_pat(&plan.head, &goal) {
+                    continue;
+                }
             }
             self.stats.rule_applications += 1;
             self.select(&plan, 0, &mut frame, &mut walk)?;
@@ -1401,8 +1405,12 @@ impl QueryEvaluator {
             }
             _ => {}
         }
-        // An open table keeps the head instance behind every selection.
-        let head = (!walk.subgoal_key.is_ground()).then(|| frame.instantiate(&plan.head));
+        // An open table keeps the head instance behind every selection (of
+        // a body walked open, the table's own pattern: any instance).
+        let head = (!walk.subgoal_key.is_ground()).then(|| match plan.rule.head.is_var() {
+            true => walk.subgoal_key.clone(),
+            false => frame.instantiate(&plan.head),
+        });
         let target = self.record_edge(walk.subgoal_key, &instantiated, head, sign);
         if let Step::Pos(atom) = &plan.body[at] {
             let key = self.table_for_positive(target, walk.scope, walk.in_progress)?;

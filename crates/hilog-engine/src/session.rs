@@ -269,9 +269,9 @@ impl HiLogDbBuilder {
     }
 
     /// Chooses the relation-storage backend for the session's long-lived
-    /// stores (the possibly-true store and the subgoal-table answers).  The
-    /// default is [`StorageConfig::from_env`]: in-memory unless
-    /// `HILOG_STORAGE=spill` flips the process-wide default.
+    /// stores (the program index's facts and the subgoal-table answers; a
+    /// grounding is resident).  The default is [`StorageConfig::from_env`]:
+    /// in-memory unless `HILOG_STORAGE=spill` flips the process-wide default.
     pub fn storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
         self

@@ -1,7 +1,8 @@
 //! Incremental maintenance of the grounding under mutation.
 //!
 //! A fact-level change does not discard the working snapshot's grounding:
-//! the relevant instantiation and its possibly-true store are *maintained*.
+//! the relevant instantiation — its rules and its possibly-true store, one
+//! resident object — is *maintained*.
 //! The model is either exact or absent: a fact nothing reads edits it in
 //! place, any other change drops it, and the next route that needs it runs
 //! [`well_founded_eval`](crate::wfs::well_founded_eval) over the maintained
@@ -11,7 +12,7 @@
 //!
 //! An assert runs the same semi-naive driver that ground the program cold
 //! ([`crate::grounder`]'s `ground_from`) — there from an empty store, here
-//! from `{fact}` over the warm possibly-true store — so this module owns no
+//! from `{fact}` over the grounding's warm store — so this module owns no
 //! round loop and no limit checks of its own, only what to do with the new
 //! instances and with a failure (drop the caches; the next read re-grounds).
 //! A retract is DRed overdelete/rederive over the cached ground rules.
@@ -101,13 +102,10 @@ impl HiLogDb {
         let core = lock_mut(&mut self.snap.core);
         if asserted {
             // Nothing reads the predicate and no rule derives it: the fact
-            // only adds itself to the stores, the ground program and the
-            // model — an exact patch, no re-evaluation needed.  (The
-            // duplicate short-circuit in `assert_fact` guarantees this is a
-            // genuinely new fact.)
-            if let Some(possibly) = &mut core.possibly {
-                Arc::make_mut(possibly).insert(fact.clone());
-            }
+            // only adds itself to the ground program (its fact instance,
+            // and so its possibly-true store) and the model — an exact patch,
+            // no re-evaluation needed.  (The duplicate short-circuit in
+            // `assert_fact` guarantees this is a genuinely new fact.)
             if let Some(ground) = &mut core.ground {
                 Arc::make_mut(ground).push(GroundRule::fact(fact.clone()));
             }
@@ -127,14 +125,12 @@ impl HiLogDb {
                 }
             }
         } else {
-            if let Some(possibly) = &mut core.possibly {
-                Arc::make_mut(possibly).remove(fact);
-            }
             if let Some(ground) = &mut core.ground {
                 let ground = Arc::make_mut(ground);
-                if let Some(id) = ground.atoms.get(fact) {
+                if let Some(id) = ground.atoms.interner().get(fact) {
                     ground.id_rules.retain(|r| !(r.is_fact() && r.head == id));
                 }
+                ground.atoms.remove(fact);
             }
             // No rule reads or derives the fact, so with its fact instance
             // gone no rule mentions it: it leaves the base, as a fresh
@@ -165,7 +161,6 @@ impl HiLogDb {
         core.stable = None;
         core.model = None;
         let maintained = core.ground.is_some()
-            && core.possibly.is_some()
             && if asserted {
                 self.assert_into_ground(fact)
             } else {
@@ -173,14 +168,12 @@ impl HiLogDb {
                 true
             };
         if !maintained {
-            let core = lock_mut(&mut self.snap.core);
-            core.ground = None;
-            core.possibly = None;
+            lock_mut(&mut self.snap.core).ground = None;
         }
     }
 
     /// Semi-naive continuation for an asserted fact: the driver from
-    /// `{fact}` over the warm possibly-true store, instantiating the rules
+    /// `{fact}` over the warm grounding's store, instantiating the rules
     /// each round's frontier enables as the frontier lands
     /// ([`ground_from`] — the heads and the instantiations come from the
     /// same joins), appended to the cached ground program, whose rule budget
@@ -193,22 +186,20 @@ impl HiLogDb {
     fn assert_into_ground(&mut self, fact: &Term) -> bool {
         let (program, opts) = (&self.snap.program, self.snap.opts);
         let core = lock_mut(&mut self.snap.core);
-        let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
         let ground = Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
-        let fact_was_new = possibly.insert(fact.clone());
+        let fact_was_new = ground.atoms.insert(fact.clone());
+        let id = ground.atoms.intern(fact);
         // The asserted fact's bodyless instance is new unless the atom was
         // already a ground fact (a duplicate assertion, or a builtin-guarded
-        // rule's instance): only then is a scan needed, and only if some
-        // rule mentions the atom at all.
-        let held = |id| ground.id_rules.iter().any(|r| r.is_fact() && r.head == id);
-        if fact_was_new || !ground.atoms.get(fact).is_some_and(held) {
+        // rule's instance): only then is a scan needed.
+        if fact_was_new || !ground.id_rules.iter().any(|r| r.is_fact() && r.head == id) {
             ground.push(GroundRule::fact(fact.clone()));
         }
         if fact_was_new {
             // Continuation instances carry at least one brand-new positive
             // body atom, so they cannot repeat any cached rule.
             let frontier = AtomStore::from_atoms([fact.clone()]);
-            if ground_from(program, possibly, Some(frontier), opts, ground).is_err() {
+            if ground_from(program, Some(frontier), opts, ground).is_err() {
                 return false;
             }
         }
@@ -231,21 +222,21 @@ impl HiLogDb {
     fn retract_from_ground(&mut self, fact: &Term, preds: Option<&BTreeSet<Term>>) {
         let program = &self.snap.program;
         let core = lock_mut(&mut self.snap.core);
-        let possibly = Arc::make_mut(core.possibly.as_mut().expect("checked by caller"));
         let GroundProgram { atoms, id_rules } =
             Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
         // An atom no rule mentions supports nothing and is derived by nothing.
-        let Some(fact_id) = atoms.get(fact) else {
-            possibly.remove(fact);
+        let Some(fact_id) = atoms.interner().get(fact) else {
             return;
         };
-        let in_scope = |rule: &IdRule| pred_scope_affects(preds, atoms.resolve(rule.head));
+        let scoped: Vec<bool> = (id_rules.iter())
+            .map(|rule| pred_scope_affects(preds, atoms.interner().resolve(rule.head)))
+            .collect();
         // One pass over the in-scope rules builds the index both fixpoints
         // run on (rules by positive body atom), so neither loop ever rescans
         // the ground program per round.
-        let mut rules_by_pos: Vec<Vec<usize>> = vec![Vec::new(); atoms.len()];
+        let mut rules_by_pos: Vec<Vec<usize>> = vec![Vec::new(); atoms.interner().len()];
         for (i, rule) in id_rules.iter().enumerate() {
-            if in_scope(rule) {
+            if scoped[i] {
                 for atom in &rule.pos {
                     rules_by_pos[atom.index()].push(i);
                 }
@@ -253,7 +244,7 @@ impl HiLogDb {
         }
         // Overdelete: everything whose derivation may pass through `fact`,
         // by worklist over the index.
-        let mut deleted = vec![false; atoms.len()];
+        let mut deleted = vec![false; atoms.interner().len()];
         deleted[fact_id.index()] = true;
         let mut worklist = vec![fact_id];
         while let Some(atom) = worklist.pop() {
@@ -265,8 +256,12 @@ impl HiLogDb {
                 }
             }
         }
-        for (_, atom) in atoms.iter().filter(|(id, _)| deleted[id.index()]) {
-            possibly.remove(atom);
+        let overdeleted: Vec<Term> = (atoms.interner().iter())
+            .filter(|(id, _)| deleted[id.index()])
+            .map(|(_, atom)| atom.clone())
+            .collect();
+        for atom in &overdeleted {
+            atoms.remove(atom);
         }
         // The retracted EDB instance only survives if another bodyless route
         // to the same ground fact exists (e.g. a builtin-guarded rule).
@@ -275,14 +270,12 @@ impl HiLogDb {
         // instantiations is fully supported by surviving atoms.  Only rules
         // whose head was overdeleted can rederive anything; seed with those,
         // then chase the index from each re-added atom.
-        let rederives = |rule: &IdRule, possibly: &FactStore| {
-            rule.pos
-                .iter()
-                .all(|&a| possibly.contains(atoms.resolve(a)))
+        let rederives = |rule: &IdRule, atoms: &AtomStore| {
+            rule.pos.iter().all(|&a| atoms.is_live(a))
                 && !(rule.is_fact() && rule.head == fact_id && !spontaneous)
         };
         let mut worklist: Vec<usize> = (0..id_rules.len())
-            .filter(|&ri| deleted[id_rules[ri].head.index()] && rederives(&id_rules[ri], possibly))
+            .filter(|&ri| deleted[id_rules[ri].head.index()] && rederives(&id_rules[ri], atoms))
             .collect();
         while let Some(ri) = worklist.pop() {
             let head = id_rules[ri].head;
@@ -290,20 +283,21 @@ impl HiLogDb {
                 continue;
             }
             deleted[head.index()] = false;
-            possibly.insert(atoms.resolve(head).clone());
+            atoms.insert(atoms.interner().resolve(head).clone());
             // Re-adding `head` can revalidate overdeleted rules reading it.
             for &reader in &rules_by_pos[head.index()] {
                 let rule = &id_rules[reader];
-                if deleted[rule.head.index()] && rederives(rule, possibly) {
+                if deleted[rule.head.index()] && rederives(rule, atoms) {
                     worklist.push(reader);
                 }
             }
         }
-        // Drop the instantiations that lost support.  (`possibly` shrank, so
+        // Drop the instantiations that lost support.  (The store shrank, so
         // this is exactly what a fresh relevant instantiation would omit;
         // out-of-scope rules cannot have lost anything.)  Their atoms keep
         // their ids; the model's base is what the surviving rules mention.
-        id_rules.retain(|r| !in_scope(r) || rederives(r, possibly));
+        let mut scoped = scoped.into_iter();
+        id_rules.retain(|r| !scoped.next().expect("one flag a rule") || rederives(r, atoms));
     }
 
     /// The program's predicate dependency graph, built on first use after

@@ -51,7 +51,7 @@
 //! shares it, the writer adopts a reader-built one together with the reader
 //! tables, and from then on the session's mutations *maintain* it in place
 //! (copy-on-write while a published snapshot still holds the previous
-//! version, exactly like the possibly-true store — a whole-index copy per
+//! version, exactly like the grounding — a whole-index copy per
 //! batch, unlike the chunk-shared program) instead of rebuilding it.
 //!
 //! ```
@@ -81,7 +81,7 @@
 use crate::ambient::{check_deadline, counters};
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
-use crate::grounder::relevant_ground_into;
+use crate::grounder::relevant_ground;
 use crate::horn::EvalOptions;
 use crate::join::{Frame, RulePlan, Step};
 use crate::magic_eval::{
@@ -91,7 +91,7 @@ use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
-use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
+use crate::storage::{RelationStorageStats, StorageConfig};
 use crate::wfs::well_founded_eval;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
@@ -136,13 +136,8 @@ pub(crate) struct SnapCore {
     /// Relevant instantiation of the program, maintained *incrementally* by
     /// the owning session under fact-level mutations (the grounding driver
     /// continued from the fact on assert, DRed overdelete/rederive on
-    /// retract).
+    /// retract).  Resident on every backend, with its possibly-true store.
     pub(crate) ground: Option<Arc<GroundProgram>>,
-    /// The over-approximated true-or-undefined store backing `ground` (the
-    /// least model of the positive program): the store the grounding driver
-    /// saturated.  Kept in lockstep with `ground` so the semi-naive
-    /// continuation has a closed store to extend.
-    pub(crate) possibly: Option<Arc<FactStore>>,
     /// Full model under the snapshot's semantics: exact for `program`, or
     /// absent.  The owning session edits it in place for a pure-EDB fact and
     /// drops it on any other mutation; the next route that needs it
@@ -209,8 +204,7 @@ pub struct DbSnapshot {
     /// mutations.  Always describes exactly `program`.
     pub(crate) index: RwLock<Option<Arc<ProgramIndex>>>,
     /// Relation-storage backend for the long-lived stores (the
-    /// possibly-true store, the subgoal-table answers and the program
-    /// index's facts).
+    /// subgoal-table answers and the program index's facts).
     pub(crate) storage: StorageConfig,
 }
 
@@ -318,15 +312,15 @@ impl DbSnapshot {
     }
 
     /// Aggregate relation-storage statistics over this snapshot's stores:
-    /// the possibly-true store (when grounding has run), the program
-    /// index's fact store (when a tabled query has built it) and every
-    /// subgoal table's answer store.  Under [`StorageConfig::InMemory`]
-    /// everything is resident and the spill fields are zero.  O(#tables) —
-    /// kept off the query path of published snapshots.
+    /// the grounding's (resident) store, the program index's fact store
+    /// (when a tabled query has built it) and every subgoal table's answer
+    /// store.  Under [`StorageConfig::InMemory`] everything is resident and
+    /// the spill fields are zero.  O(#tables) — kept off the query path of
+    /// published snapshots.
     pub fn storage_stats(&self) -> RelationStorageStats {
         let mut total = RelationStorageStats::default();
-        if let Some(possibly) = &read_lock(&self.core).possibly {
-            total.merge(&possibly.storage_stats());
+        if let Some(ground) = &read_lock(&self.core).ground {
+            total.merge(&ground.possibly_true().storage_stats());
         }
         if let Some(index) = &*read_lock(&self.index) {
             total.merge(&index.storage_stats());
@@ -400,7 +394,11 @@ impl DbSnapshot {
                     err @ (EngineError::NotModularlyStratified(_) | EngineError::Floundering(_)),
                 ) => {
                     // The tabled route cannot settle this query; the
-                    // bottom-up well-founded construction still can.
+                    // bottom-up well-founded construction still can, unless
+                    // the program aggregates (no grounding holds that).
+                    if self.program.has_aggregate() {
+                        return Err(err);
+                    }
                     let note = err.to_string();
                     let (answers, stats) = self.query_full(query)?;
                     assemble(answers, stats, plan, Some(note))
@@ -601,17 +599,8 @@ impl DbSnapshot {
         if core.ground.is_some() {
             return Ok(0);
         }
-        // The grounding keeps the store it saturated: the possibly-true
-        // store is the closed store the semi-naive continuation of
-        // `assert_fact` extends.  Built on the configured backend, so a
-        // spill session pages its cold relations to disk from the start.
-        let mut possibly = FactStore::new(&self.storage);
-        core.ground = Some(Arc::new(relevant_ground_into(
-            &self.program,
-            self.opts,
-            &mut possibly,
-        )?));
-        core.possibly = Some(Arc::new(possibly));
+        // In memory on every backend: its store numbers its rules.
+        core.ground = Some(Arc::new(relevant_ground(&self.program, self.opts)?));
         Ok(1)
     }
 
@@ -1401,6 +1390,35 @@ mod tests {
             warm.stats.storage_residency_faults > 0,
             "a published snapshot's query lost the storage-counter delta"
         );
+    }
+
+    #[test]
+    fn a_spill_session_keeps_its_grounding_resident() {
+        // The grounding is one resident object on every backend: after
+        // `model()` nothing is spilled, however small the budget.  What the
+        // backend does page — the program index's facts and the table
+        // answers — spills and faults back once a bound query builds them.
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..40 {
+            text.push_str(&format!("move(n{i}, n{}).\n", i + 1));
+        }
+        let mut db = HiLogDb::builder()
+            .program(parse_program(&text).unwrap())
+            .storage(StorageConfig::Spill {
+                dir: None,
+                resident_budget: 4,
+            })
+            .build();
+        db.model().unwrap();
+        let possibly = db.ground_program().unwrap().possibly_true().len();
+        let grounded = db.storage_stats();
+        assert_eq!(grounded.resident_facts, possibly);
+        assert_eq!(grounded.spilled_facts, 0);
+        assert_eq!(grounded.residency_faults, 0);
+        db.query(&parse_query("?- winning(n0).").unwrap()).unwrap();
+        let queried = db.storage_stats();
+        assert!(queried.spilled_facts > 0, "{queried:?}");
+        assert!(queried.residency_faults > 0, "{queried:?}");
     }
 
     #[test]

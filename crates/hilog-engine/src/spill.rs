@@ -26,12 +26,12 @@
 //! Segment files are append-only and process-lifetime: they are a *cache*,
 //! not durable state (durability is `hilog-store`'s WAL + checkpoints), so
 //! no fsync, no recovery, and clones of a store (the session publishes its
-//! possibly-store into snapshots via `Arc::make_mut`) share the same
+//! program index and tables into snapshots via `Arc::make_mut`) share the same
 //! append-only segment — offsets recorded by either clone stay valid
 //! because nothing is ever overwritten or truncated.  Every store has a
 //! segment file of its own in the configured directory, removed with the
 //! store's last clone, so stores configured with one directory (a session's
-//! possibly-store, program index and table answers all are) never touch
+//! program index and table answers all are) never touch
 //! each other's bytes.
 //!
 //! The membership map's hash is [`hash_one`], the engine's one term hasher:
@@ -944,8 +944,8 @@ mod tests {
 
     #[test]
     fn stores_configured_with_one_directory_keep_their_own_rows() {
-        // A session hands one `StorageConfig` to its possibly-store, its
-        // program index and every table's answers.  Two stores paging the
+        // A session hands one `StorageConfig` to its program index and
+        // every table's answers.  Two stores paging the
         // same relation into one directory used to append to one file with
         // two ends and read each other's bytes back ("dangling term id").
         let dir = std::env::temp_dir().join(format!(

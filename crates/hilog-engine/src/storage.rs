@@ -1,7 +1,10 @@
-//! Pluggable relation storage: [`FactStore`], the one store type every set
-//! of ground atoms in the engine is made of — the session's possibly-true
-//! store, subgoal-table answers, the program index's facts and the join
-//! inputs.
+//! Pluggable relation storage: [`FactStore`], the one store type the
+//! evaluator speaks — subgoal-table answers, the program index's facts and
+//! the join inputs.
+//!
+//! A grounding's possibly-true store is the `GroundProgram`'s own
+//! [`AtomStore`], resident on every backend: its interner numbers the
+//! ground rules, which every model evaluation reads whole.
 //!
 //! The join machinery in [`crate::horn`], the grounder, and the tabled
 //! magic evaluator need a small contract from a fact store:
@@ -74,7 +77,8 @@ pub struct RelationStorageStats {
 
 impl RelationStorageStats {
     /// Accumulates another store's stats into this one (the session sums
-    /// its possibly-true store and every subgoal table into one report).
+    /// its grounding's store, the program index and every subgoal table into
+    /// one report).
     pub fn merge(&mut self, other: &RelationStorageStats) {
         self.resident_facts += other.resident_facts;
         self.spilled_facts += other.spilled_facts;
@@ -266,11 +270,7 @@ impl FactStore {
     /// Storage observability counters for this store.
     pub fn storage_stats(&self) -> RelationStorageStats {
         match self {
-            FactStore::InMemory(s) => RelationStorageStats {
-                resident_facts: s.len(),
-                relations: s.relation_count(),
-                ..RelationStorageStats::default()
-            },
+            FactStore::InMemory(s) => s.storage_stats(),
             FactStore::Spill(s) => s.storage_stats(),
         }
     }

@@ -63,7 +63,7 @@ fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
 /// atoms are all founded (the negation of condition 2).  Everything not
 /// founded is unfounded.
 fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
-    let mut founded = vec![false; program.atoms.len()];
+    let mut founded = vec![false; program.atoms.interner().len()];
     // usable[r] = rule r has no witness of unusability of type 1.
     let usable: Vec<bool> = program
         .id_rules
@@ -100,7 +100,7 @@ fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> 
 /// so the oracles (`tests/wfs_reference.rs`, the unit tests below) can hold
 /// the component order to the paper's definition.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
-    let mut assignment = vec![None; program.atoms.len()];
+    let mut assignment = vec![None; program.atoms.interner().len()];
     loop {
         let mut changed = false;
         // W_P(I) = T_P(I) ∪ ¬ · U_P(I).
@@ -132,7 +132,8 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 /// that produced them.
 fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
     let mentioned = program.mentioned();
-    let base = program.atoms.iter().filter(|(id, _)| mentioned[id.index()]);
+    let atoms = program.atoms.interner();
+    let base = atoms.iter().filter(|(id, _)| mentioned[id.index()]);
     base.map(|(id, atom)| {
         let truth = match assignment[id.index()] {
             Some(true) => Truth::True,
@@ -198,7 +199,7 @@ struct Condensation {
 /// Condenses the atom dependency graph — one vertex per atom id, an edge
 /// from every rule head to each of its (positive *and* negative) body atoms.
 fn condensation(program: &GroundProgram) -> Condensation {
-    let n = program.atoms.len();
+    let n = program.atoms.interner().len();
     let mut adj: Vec<Vec<AtomId>> = vec![Vec::new(); n];
     for rule in &program.id_rules {
         adj[rule.head.index()].extend(rule.pos.iter().chain(&rule.neg));
@@ -218,11 +219,11 @@ fn condensation(program: &GroundProgram) -> Condensation {
 /// Tarjan's order puts each component after everything it depends on, so a
 /// component only ever reads atoms that are already settled.
 fn settle_components(program: &GroundProgram, condensation: &Condensation) -> Vec<Option<bool>> {
-    let mut rules_by_head: Vec<Vec<&IdRule>> = vec![Vec::new(); program.atoms.len()];
+    let mut rules_by_head: Vec<Vec<&IdRule>> = vec![Vec::new(); program.atoms.interner().len()];
     for rule in &program.id_rules {
         rules_by_head[rule.head.index()].push(rule);
     }
-    let mut assignment = vec![None; program.atoms.len()];
+    let mut assignment = vec![None; program.atoms.interner().len()];
     for members in &condensation.sccs {
         let rules: Vec<&IdRule> = members
             .iter()
@@ -323,12 +324,8 @@ fn eval_component(rules: &[&IdRule], members: &[usize], settled: &Assignment) ->
 /// truth value via [`Model::is_true`] (atoms outside its base count as
 /// false).
 pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> bool {
-    let assignment: Vec<Option<bool>> = program
-        .atoms
-        .terms()
-        .iter()
-        .map(|atom| Some(candidate.is_true(atom)))
-        .collect();
+    let atoms = program.atoms.interner().terms();
+    let assignment: Vec<Option<bool>> = atoms.iter().map(|a| Some(candidate.is_true(a))).collect();
     // T_P(I) must be exactly the true atoms, and U_P(I) exactly the false ones.
     let mut derived = vec![false; assignment.len()];
     for a in t_p(program, &assignment) {

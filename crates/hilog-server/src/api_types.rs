@@ -160,7 +160,8 @@ pub struct StatsResponse {
     /// Segments referenced by the current manifest.
     pub manifest_segments: usize,
     /// Facts resident in memory across the published snapshot's relation
-    /// stores (possibly-true store + subgoal tables).
+    /// stores (the grounding's possibly-true store, the program index and
+    /// the subgoal tables).
     pub spill_resident_facts: usize,
     /// Facts whose payloads live only in spill segment files (zero under
     /// the in-memory relation backend).

@@ -292,6 +292,23 @@ proptest! {
 }
 
 #[test]
+fn a_bound_query_on_a_cyclic_part_hierarchy_reports_the_cycle() {
+    // The tabled route meets the sum reading itself; the full model cannot
+    // stand in for it (no grounding holds an aggregate), so the query
+    // reports the cycle rather than the grounder's refusal.
+    let program = parts_explosion_program(&[("m", "p")], &[("p", "widget", "widget", 2)]);
+    let mut db = HiLogDb::new(program);
+    let query = parse_query("?- contains(m, widget, Y, N).").unwrap();
+    match db.query(&query) {
+        Err(EngineError::NotModularlyStratified(reason)) => assert!(
+            reason.contains("aggregat") && reason.contains("contains(m, widget"),
+            "{reason}"
+        ),
+        other => panic!("expected the cycle verdict, got {other:?}"),
+    }
+}
+
+#[test]
 fn figure1_rejects_a_cyclic_part_hierarchy_with_a_reason() {
     // widget contains itself: the sum over its parts reads itself.
     let program = parts_explosion_program(&[("m", "p")], &[("p", "widget", "widget", 2)]);

@@ -30,9 +30,11 @@
 //!   programs, the generic closure, and acyclic and cyclic HiLog games;
 //! * both families — the **grounding** itself: the relevant instantiation
 //!   the semi-naive driver emits from its one join pass vs the paper's
-//!   definition (`ground_against` over the finished least model), on the
-//!   default and the spill backend, and a session's *maintained* grounding
-//!   and model after an assert and retract stream vs a fresh session's.
+//!   definition (`ground_against` over the finished least model), its
+//!   possibly-true store vs the least model (which the driver also computes
+//!   into a spill store), and a session's *maintained* grounding and model
+//!   after an assert and retract stream vs a fresh session's; every
+//!   grounding's possibly-true atoms are exactly the heads of its rules.
 //!
 //! The seeds in `tests/corpus/differential_seeds.txt` are a committed
 //! regression corpus: they are always run, in every configuration, before
@@ -41,7 +43,7 @@
 mod common;
 
 use hilog_datalog::DatalogEngine;
-use hilog_repro::engine::{ground_against, least_model_into, relevant_ground_into};
+use hilog_repro::engine::{ground_against, least_model_into};
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
@@ -310,14 +312,26 @@ fn rule_set(ground: &GroundProgram) -> std::collections::BTreeSet<GroundRule> {
     ground.rules().collect()
 }
 
+/// The grounding's invariant: its possibly-true atoms are exactly the heads
+/// of its rules.
+fn assert_live_atoms_are_the_heads(ground: &GroundProgram, context: &str) {
+    let heads: std::collections::BTreeSet<Term> = ground.rules().map(|rule| rule.head).collect();
+    let live: Vec<&Term> = ground.possibly_true().iter().collect();
+    assert!(
+        live.iter().copied().eq(heads.iter()),
+        "the possibly-true atoms are not the rules' heads ({context})"
+    );
+}
+
 #[test]
 fn the_fused_grounding_is_the_definitional_one_on_every_backend() {
     // `relevant_ground` takes its instances from the joins that compute the
     // possibly-true store; Section 4's definition joins every rule against
     // the *finished* store.  Same set of ground rules, no instance twice,
-    // and the store the driver leaves behind is the least model — whether
-    // the rounds run into the default store or into a spill store that
-    // keeps 16 rows resident.
+    // and the store the driver leaves behind in the grounding (always
+    // resident) is the least model and the rules' heads.  The same driver,
+    // with nothing to do per match, computes that least model into the
+    // default store and into a spill store that keeps 16 rows resident.
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
             let opts = EvalOptions::default();
@@ -325,32 +339,36 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend() {
             least_model_into(&program, NegationMode::Ignore, opts, &mut model)
                 .expect("least model");
             let reference = ground_against(&program, &model, opts).expect("definitional");
-            let spill = StorageConfig::Spill {
+            let fused = relevant_ground(&program, opts).expect("fused");
+            assert_eq!(
+                rule_set(&fused),
+                rule_set(&reference),
+                "fused grounding differs from the definition ({context})"
+            );
+            assert_eq!(
+                fused.len(),
+                reference.len(),
+                "an instance was emitted twice ({context})"
+            );
+            assert!(
+                fused
+                    .possibly_true()
+                    .iter()
+                    .eq(model.collect_atoms().iter()),
+                "the grounding's store is not the least model ({context})"
+            );
+            assert_live_atoms_are_the_heads(&fused, &context);
+            let mut spilled = FactStore::new(&StorageConfig::Spill {
                 dir: None,
                 resident_budget: 16,
-            };
-            let runs: [(&str, FactStore); 2] = [
-                ("default backend", FactStore::default()),
-                ("spill", FactStore::new(&spill)),
-            ];
-            for (route, mut store) in runs {
-                let fused = relevant_ground_into(&program, opts, &mut store).expect("fused");
-                assert_eq!(
-                    rule_set(&fused),
-                    rule_set(&reference),
-                    "fused grounding differs from the definition ({context}, {route})"
-                );
-                assert_eq!(
-                    fused.len(),
-                    reference.len(),
-                    "an instance was emitted twice ({context}, {route})"
-                );
-                assert_eq!(
-                    store.collect_atoms(),
-                    model.collect_atoms(),
-                    "the driver's store is not the least model ({context}, {route})"
-                );
-            }
+            });
+            least_model_into(&program, NegationMode::Ignore, opts, &mut spilled)
+                .expect("least model into the spill store");
+            assert_eq!(
+                spilled.collect_atoms(),
+                model.collect_atoms(),
+                "the spill store's least model differs ({context})"
+            );
         }
     }
 }
@@ -375,6 +393,9 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream()
             };
             let mut db = HiLogDb::new(program);
             db.model().expect("warm the grounding and the model");
+            let context = format!("seed {seed}, hilog {hilog}");
+            let cold = db.ground_program().expect("cold grounding");
+            assert_live_atoms_are_the_heads(cold, &context);
             // A cheap deterministic stream: the generators' own vocabulary,
             // stepped by the seed.  Every third write is a retraction.
             let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
@@ -395,6 +416,8 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream()
                     };
                     db.retract_fact(&fact);
                     db.model().expect("model after a retraction");
+                    let ground = db.ground_program().expect("grounding after a retraction");
+                    assert_live_atoms_are_the_heads(ground, &format!("{context}, step {step}"));
                     continue;
                 }
                 let text = match (hilog, pick) {
@@ -409,12 +432,13 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream()
                 let fact = parse_term(&text).unwrap();
                 db.assert_fact(fact.clone()).unwrap();
                 db.model().expect("model after an assertion");
+                let ground = db.ground_program().expect("grounding after an assertion");
+                assert_live_atoms_are_the_heads(ground, &format!("{context}, step {step}"));
                 asserted.push(fact);
             }
             let maintained = db.ground_program().expect("maintained grounding").clone();
             let mut fresh = HiLogDb::new(db.program().clone());
             let cold = fresh.ground_program().expect("cold grounding");
-            let context = format!("seed {seed}, hilog {hilog}");
             assert_eq!(rule_set(&maintained), rule_set(cold), "{context}");
             assert_eq!(
                 maintained.len(),

@@ -4,7 +4,7 @@
 
 mod common;
 
-use hilog_core::interpretation::Model;
+use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
@@ -345,4 +345,103 @@ proptest! {
             prop_assert_eq!(figure1.truth(atom), wfm.truth(atom), "{}", atom);
         }
     }
+}
+
+/// Example 6.5 with its variable-headed rule `X :- aux(X)`, which every
+/// subgoal's pattern unifies with.
+const EXAMPLE_6_5: &str = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                           game(move1). move1(a, b).\n\
+                           X :- aux(X).\n\
+                           aux(move1(b, c)) :- not winning(move1)(a).";
+
+#[test]
+fn example_6_5_queries_return_on_the_tabled_route() {
+    // Every subgoal's pattern unifies with `X :- aux(X)`; pushed into the
+    // body it became `aux(G)`, `aux(aux(G))`, … without end.  Each query
+    // runs on its own thread against a wall clock, so a route that nests
+    // again fails the bound instead of hanging the suite.  The program is
+    // not modularly stratified (Figure 1 rejects it), so the tabled route
+    // meets a cycle through negation and the full model answers: each
+    // answer undefined.
+    let cases = [
+        ("?- winning(move1)(a).", ""),
+        ("?- aux(X).", "X=move1(b, c)"),
+        ("?- aux(X0), not aux(X0).", "X0=move1(b, c)"),
+    ];
+    for (text, bindings) in cases {
+        let (sent, received) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut db = HiLogDb::new(parse_program(EXAMPLE_6_5).unwrap());
+            let _ = sent.send(db.query(&parse_query(text).unwrap()));
+        });
+        let result = received
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("`{text}` did not return within 20 s"))
+            .unwrap_or_else(|err| panic!("`{text}`: {err}"));
+        let note = result.fallback.clone().unwrap_or_default();
+        assert!(
+            note.contains("depends on itself through negation") && note.contains("aux(_N0)"),
+            "`{text}` was not answered by the full model: {note:?}"
+        );
+        let answers: Vec<(String, Truth)> = (result.answers.iter())
+            .map(|answer| {
+                let bound: Vec<String> = (answer.bindings.iter())
+                    .map(|(var, value)| format!("{var}={value}"))
+                    .collect();
+                (bound.join(", "), answer.truth)
+            })
+            .collect();
+        assert_eq!(
+            answers,
+            vec![(bindings.to_string(), Truth::Undefined)],
+            "{text}"
+        );
+    }
+}
+
+#[test]
+fn a_benign_variable_head_is_answered_on_the_tabled_route() {
+    // `X :- q(X)` unifies with every subgoal too, but nothing it derives
+    // reads back through negation: the tabled route answers alone (it kept
+    // nesting `q(G)`, `q(q(G))`, … before), as the full model does.
+    let program = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                X :- q(X).\n\
+                game(move1). q(move1(a, b)). q(move1(b, c)).";
+    let model = HiLogDb::new(parse_program(program).unwrap())
+        .model()
+        .unwrap()
+        .clone();
+    let cases = [
+        ("?- winning(move1)(a).", vec![]),
+        ("?- winning(move1)(b).", vec!["".to_string()]),
+        (
+            "?- move1(X, Y).",
+            vec!["X=a, Y=b".to_string(), "X=b, Y=c".to_string()],
+        ),
+    ];
+    for (text, expected) in cases {
+        let (sent, received) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut db = HiLogDb::new(parse_program(program).unwrap());
+            let _ = sent.send(db.query(&parse_query(text).unwrap()));
+        });
+        let result = received
+            .recv_timeout(std::time::Duration::from_secs(20))
+            .unwrap_or_else(|_| panic!("`{text}` did not return within 20 s"))
+            .unwrap_or_else(|err| panic!("`{text}`: {err}"));
+        assert_eq!(result.fallback, None, "{text}");
+        let answers: Vec<String> = (result.answers.iter())
+            .map(|answer| {
+                assert_eq!(answer.truth, Truth::True);
+                let bound: Vec<String> = (answer.bindings.iter())
+                    .map(|(var, value)| format!("{var}={value}"))
+                    .collect();
+                bound.join(", ")
+            })
+            .collect();
+        assert_eq!(answers, expected, "{text}");
+    }
+    assert!(!model.is_true(&parse_term("winning(move1)(a)").unwrap()));
+    assert!(model.is_true(&parse_term("winning(move1)(b)").unwrap()));
+    assert!(model.is_true(&parse_term("move1(b, c)").unwrap()));
 }
