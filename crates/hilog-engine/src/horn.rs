@@ -631,6 +631,7 @@ pub(crate) fn saturate(
             })?;
             for head in heads {
                 if store.insert(head.clone()) {
+                    check_deadline()?;
                     frontier.insert(head);
                 }
             }
@@ -653,6 +654,10 @@ pub(crate) fn saturate(
             let mut land = |m: &Match<'_>, head: Term| {
                 on_match(m, &head)?;
                 if !frozen.contains(&head) && !next.contains(&head) {
+                    // A round can be the whole evaluation (every rule of a
+                    // game reads only the facts): each new atom, here and in
+                    // round 0, looks at the deadline.
+                    check_deadline()?;
                     if frozen.len() + next.len() >= opts.max_atoms {
                         return Err(EngineError::LimitExceeded(format!(
                             "semi-naive evaluation exceeded {} atoms",

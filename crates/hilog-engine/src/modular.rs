@@ -265,7 +265,7 @@ fn settle_component(
         }
         Err(other) => return Err(other),
     };
-    Ok(stratified_eval(&ground).ok_or_else(|| {
+    Ok(stratified_eval(&ground)?.ok_or_else(|| {
         format!("the reduction of the lowest component {names:?} is not locally stratified")
     }))
 }

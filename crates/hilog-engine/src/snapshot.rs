@@ -92,7 +92,7 @@ use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{RelationStorageStats, StorageConfig};
-use crate::wfs::well_founded_eval;
+use crate::wfs::checked_well_founded_eval;
 use hilog_core::interpretation::{Model, Truth};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
@@ -560,15 +560,13 @@ impl DbSnapshot {
         if let Some(hit) = cached(core) {
             return Ok(hit);
         }
-        // A model evaluation, once started, runs to completion under this
-        // lock: the last look at the deadline is between the grounding and
-        // it (likewise in `ensure_stable_locked`; Figure 1 checks per round).
+        // The grounding looks at the deadline at each new atom and the
+        // well-founded evaluation at each component; Figure 1 per round.
         let mut groundings = 0;
         let model = match self.semantics {
             Semantics::WellFounded => {
                 groundings += self.ensure_ground_locked(core)?;
-                check_deadline()?;
-                well_founded_eval(core.ground.as_deref().expect("just grounded"), 1)
+                checked_well_founded_eval(core.ground.as_deref().expect("just grounded"))?
             }
             Semantics::Stable => {
                 let stable = self.ensure_stable_locked(core)?;

@@ -27,6 +27,7 @@
 //! caller chooses the instantiation strategy (relevant or bounded-universe,
 //! see [`crate::grounder`]).
 
+use crate::ambient::{check_deadline, with_deadline};
 use crate::error::EngineError;
 use crate::ground::{GroundProgram, IdRule};
 use crate::grounder::ground_over_universe;
@@ -156,12 +157,20 @@ fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
 /// condensation.  No component is ever re-scanned, and the model is the one
 /// Definition 3.5's global iteration yields.
 ///
+/// It runs to completion whatever deadline the calling thread carries:
+/// `checked_well_founded_eval` is the same evaluation under it.
 /// `_threads` is inert: evaluation runs on the calling thread.  The
-/// parameter stays only while the benchmark package pins this signature
-/// (ROADMAP 1(c) removes it).
+/// parameter, and this wrapper, stay only while the benchmark package pins
+/// this signature (ROADMAP 1(c) removes it).
 pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
-    let assignment = settle_components(program, &condensation(program));
-    assemble_model(program, &assignment)
+    with_deadline(None, || checked_well_founded_eval(program)).expect("no deadline to pass")
+}
+
+/// [`well_founded_eval`] under the calling thread's deadline, which it
+/// checks once per component.
+pub(crate) fn checked_well_founded_eval(program: &GroundProgram) -> Result<Model, EngineError> {
+    let assignment = settle_components(program, &condensation(program))?;
+    Ok(assemble_model(program, &assignment))
 }
 
 /// The well-founded model of a ground program that is *locally stratified*
@@ -171,9 +180,9 @@ pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
 /// A negative edge lies on a cycle exactly when its two ends share a
 /// strongly connected component, so the test reads the condensation
 /// [`well_founded_eval`] builds anyway, and the components are then settled
-/// over that same condensation.  A locally stratified program's model is
-/// total.
-pub(crate) fn stratified_eval(program: &GroundProgram) -> Option<Model> {
+/// over that same condensation, checking the deadline once per component.
+/// A locally stratified program's model is total.
+pub(crate) fn stratified_eval(program: &GroundProgram) -> Result<Option<Model>, EngineError> {
     let condensation = condensation(program);
     let scc_of = &condensation.scc_of;
     let negative_cycle = program.id_rules.iter().any(|rule| {
@@ -181,10 +190,10 @@ pub(crate) fn stratified_eval(program: &GroundProgram) -> Option<Model> {
         rule.neg.iter().any(|q| scc_of[q.index()] == head)
     });
     if negative_cycle {
-        return None;
+        return Ok(None);
     }
-    let assignment = settle_components(program, &condensation);
-    Some(assemble_model(program, &assignment))
+    let assignment = settle_components(program, &condensation)?;
+    Ok(Some(assemble_model(program, &assignment)))
 }
 
 /// The condensation of the atom dependency graph.
@@ -215,16 +224,21 @@ fn condensation(program: &GroundProgram) -> Condensation {
     Condensation { sccs, scc_of }
 }
 
-/// Settles every component of `condensation` in order into one assignment.
-/// Tarjan's order puts each component after everything it depends on, so a
-/// component only ever reads atoms that are already settled.
-fn settle_components(program: &GroundProgram, condensation: &Condensation) -> Vec<Option<bool>> {
+/// Settles every component of `condensation` in order into one assignment,
+/// checking the deadline before each.  Tarjan's order puts each component
+/// after everything it depends on, so a component only ever reads atoms
+/// that are already settled.
+fn settle_components(
+    program: &GroundProgram,
+    condensation: &Condensation,
+) -> Result<Vec<Option<bool>>, EngineError> {
     let mut rules_by_head: Vec<Vec<&IdRule>> = vec![Vec::new(); program.atoms.interner().len()];
     for rule in &program.id_rules {
         rules_by_head[rule.head.index()].push(rule);
     }
     let mut assignment = vec![None; program.atoms.interner().len()];
     for members in &condensation.sccs {
+        check_deadline()?;
         let rules: Vec<&IdRule> = members
             .iter()
             .flat_map(|&m| rules_by_head[m].iter().copied())
@@ -234,7 +248,7 @@ fn settle_components(program: &GroundProgram, condensation: &Condensation) -> Ve
             assignment[atom] = value;
         }
     }
-    assignment
+    Ok(assignment)
 }
 
 /// Settles one strongly connected component: the alternating `W_P` fixpoint
@@ -593,7 +607,7 @@ mod tests {
                 .collect();
             let stratified = is_locally_stratified_ground(&as_rules);
             let gp = GroundProgram::from_rules(rules);
-            match stratified_eval(&gp) {
+            match stratified_eval(&gp).unwrap() {
                 Some(m) => {
                     assert!(stratified, "accepted a negative cycle: {as_rules:?}");
                     assert!(m.is_total());

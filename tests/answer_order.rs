@@ -216,13 +216,13 @@ fn post_query_bodies_are_pinned_byte_for_byte() {
 /// the writes, warm again (`live_symbols` masked).
 const PINNED_BODIES: [[&str; 4]; 2] = [
     [
-        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":26,"answers":35,"rule_applications":36,"head_unifications":36,"cached_subqueries":11,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":0,"index_probes":23,"index_fallback_scans":2,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":13,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- winning(X).","adornment":"f","cached_model":false,"cached_subqueries":0,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":26,"answers":35,"rule_applications":48,"head_unifications":48,"cached_subqueries":11,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":0,"index_probes":34,"index_fallback_scans":3,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":25,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- winning(X).","adornment":"f","cached_model":false,"cached_subqueries":0,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":26,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- winning(X).","adornment":"f","cached_model":false,"cached_subqueries":26,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":30,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- winning(X).","adornment":"f","cached_model":false,"cached_subqueries":30,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":30,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- winning(X).","adornment":"f","cached_model":false,"cached_subqueries":30,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
     ],
     [
-        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":27,"answers":91,"rule_applications":171,"head_unifications":171,"cached_subqueries":0,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":0,"index_probes":394,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":12,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- tc(e1)(p0, X).","adornment":"bf","cached_model":false,"cached_subqueries":0,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":27,"answers":91,"rule_applications":61,"head_unifications":61,"cached_subqueries":0,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":0,"index_probes":119,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":24,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- tc(e1)(p0, X).","adornment":"bf","cached_model":false,"cached_subqueries":0,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":27,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- tc(e1)(p0, X).","adornment":"bf","cached_model":false,"cached_subqueries":27,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p20"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":83,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- tc(e1)(p0, X).","adornment":"bf","cached_model":false,"cached_subqueries":83,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,
         r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p20"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":83,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_resident_facts":0,"storage_spilled_facts":0,"storage_segment_bytes":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","query":"?- tc(e1)(p0, X).","adornment":"bf","cached_model":false,"cached_subqueries":83,"patched_subqueries":0,"refilled_subqueries":0,"rederived_instances":0,"dropped_subqueries":0,"reason":"the first literal has a ground predicate name, so query-directed (magic-sets) evaluation visits only the relevant subgoals and reuses the session's completed tables"},"fallback":null}}"#,

@@ -456,6 +456,42 @@ fn query_deadline_answers_504_and_counts() {
 /// queries keep answering, `/stats` reports why, and a successful
 /// checkpoint after the disk heals re-arms the writer — all of it on one
 /// kept connection, whose `503`s do not cost it the socket.
+/// A 5 ms deadline on a full-model query over a large grounding returns
+/// within a named slack: the grounding looks at the deadline at each new
+/// atom, round 0's facts included, and the well-founded evaluation at each
+/// component.  While a semi-naive round and the whole evaluation ran
+/// unchecked, these queries returned after 52–80 ms.
+#[test]
+fn a_full_model_build_stops_at_its_deadline() {
+    use hilog_repro::engine::with_deadline;
+    use hilog_workloads::{cycle, normal_game_program, random_dag, sharded_game_program};
+    use std::time::Instant;
+
+    // 20 ms past the deadline; an unoptimised build is given ten times that.
+    let slack = Duration::from_millis(if cfg!(debug_assertions) { 200 } else { 20 });
+    let mut cyclic = cycle(20_000);
+    cyclic.extend(random_dag(20_000, 1.0, 3));
+    let programs = [
+        ("sharded", sharded_game_program(40, 400, 17)),
+        ("cyclic", normal_game_program(&cyclic)),
+    ];
+    let query = parse_query("?- P(X).").unwrap();
+    for (name, program) in programs {
+        let mut db = HiLogDb::new(program);
+        let started = Instant::now();
+        let deadline = started + Duration::from_millis(5);
+        let result = with_deadline(Some(deadline), || db.query(&query));
+        let took = started.elapsed();
+        assert!(
+            matches!(result, Err(EngineError::DeadlineExceeded(_))),
+            "{name}: {:?}",
+            result.map(|r| r.truth)
+        );
+        eprintln!("{name}: deadline exceeded after {took:?}");
+        assert!(took < Duration::from_millis(5) + slack, "{name}: {took:?}");
+    }
+}
+
 #[test]
 fn degraded_server_answers_503_and_checkpoint_rearms() {
     let dir = temp_dir("http-degraded", 0);

@@ -445,3 +445,79 @@ fn a_benign_variable_head_is_answered_on_the_tabled_route() {
     assert!(model.is_true(&parse_term("winning(move1)(b)").unwrap()));
     assert!(model.is_true(&parse_term("move1(b, c)").unwrap()));
 }
+
+#[test]
+fn a_negation_chain_of_twenty_thousand_is_answered_on_a_two_mib_stack() {
+    // Each position reads the next one's table negatively.  When a
+    // selection settled its negative subgoal by a nested call, a 2 MiB
+    // thread (a connection thread's) overflowed its stack on `chain(1000)`
+    // and the process aborted.  On the cycle the tabled route meets the
+    // cycle through negation and the full model answers, undefined.  With
+    // the moves derived, each position's next one is found only after its
+    // `m(p_i, Y)` table completes: the chain is discovered one link at a
+    // time.
+    let derived = |edges: &[hilog_workloads::Edge]| {
+        let rules = "winning(X) :- m(X, Y), not winning(Y).\nm(X, Y) :- move(X, Y).\n";
+        let facts = hilog_workloads::edges_to_facts("move", edges);
+        parse_program(&format!("{rules}{facts}")).unwrap()
+    };
+    for (shape, program, falls_back) in [
+        ("chain", normal_game_program(&chain(20_000)), false),
+        ("cycle", normal_game_program(&cycle(20_000)), true),
+        ("derived chain", derived(&chain(20_000)), false),
+    ] {
+        let answered = std::thread::Builder::new()
+            .stack_size(2 << 20)
+            .spawn(move || {
+                let query = parse_query("?- winning(p0).").unwrap();
+                let result = HiLogDb::new(program.clone()).query(&query).unwrap();
+                let model = HiLogDb::new(program).model().unwrap().clone();
+                let truth = model.truth(&parse_term("winning(p0)").unwrap());
+                (result.truth, result.fallback.is_some(), truth)
+            })
+            .unwrap()
+            .join()
+            .unwrap_or_else(|_| panic!("{shape}(20000) panicked"));
+        let (bound, fell_back, full) = answered;
+        assert_eq!(bound, full, "{shape}(20000)");
+        assert_eq!(fell_back, falls_back, "{shape}(20000)");
+    }
+}
+
+#[test]
+fn term_growing_queries_stop_at_their_deadline() {
+    // Each expansion opens a subgoal one `f` (or `s`) deeper than the last,
+    // without end.  Bottom up the first program's model is `{p(a)}`; the
+    // tabled route keeps opening tables, and each expansion looks at the
+    // deadline.  Subgoal abstraction (ROADMAP 17(b)) would end the descent.
+    let grows = "p(X) :- p(f(X)). p(a).";
+    let cases = [
+        (grows, "?- p(a)."),
+        (grows, "?- p(X)."),
+        ("q(X) :- q(s(X)), not r(X). r(a). q(a).", "?- q(a)."),
+    ];
+    let budget = std::time::Duration::from_millis(300);
+    for (program, query) in cases {
+        let (outcome, took) = std::thread::Builder::new()
+            .stack_size(64 << 20)
+            .spawn(move || {
+                let mut db = HiLogDb::new(parse_program(program).unwrap());
+                let started = std::time::Instant::now();
+                let result = hilog_engine::with_deadline(Some(started + budget), || {
+                    db.query(&parse_query(query).unwrap())
+                });
+                (result.map(|result| result.truth), started.elapsed())
+            })
+            .unwrap()
+            .join()
+            .unwrap_or_else(|_| panic!("`{query}` panicked"));
+        assert!(
+            matches!(outcome, Err(EngineError::DeadlineExceeded(_))),
+            "`{query}` on `{program}`: {outcome:?}"
+        );
+        assert!(
+            took < budget + std::time::Duration::from_secs(1),
+            "`{query}` on `{program}` returned after {took:?}"
+        );
+    }
+}

@@ -713,6 +713,44 @@ fn deeply_nested_bodies_are_refused_and_the_server_serves_on() {
     serving.join().expect("server thread exits cleanly");
 }
 
+#[test]
+fn a_long_negation_chain_is_answered_and_the_server_serves_on() {
+    use hilog_server::{client, Server, ServerConfig};
+    use hilog_workloads::{chain, normal_game_program};
+
+    // Each position of the chain reads the next one's table negatively.
+    // When a selection settled its negative subgoal by a nested call, a
+    // connection thread's 2 MiB stack overflowed on this query and the
+    // process aborted; the settle loop holds the chain in tables.
+    let db = HiLogDb::new(normal_game_program(&chain(2000)));
+    let server = Server::bind(ServerConfig::ephemeral().workers(1), db).expect("bind");
+    let addr = server.local_addr();
+    let shutdown = server.handle();
+    let serving = std::thread::spawn(move || server.serve());
+    let mut connection = client::Connection::open(addr).expect("connect");
+    let body = serde_json::to_string(&QueryBody {
+        query: "?- winning(p0).",
+    })
+    .unwrap();
+    let response = connection.post("/query", &body).expect("an answer");
+    assert_eq!(response.status, 200, "{}", response.body);
+    // p1999 moves to the dead end p2000, so the odd positions win.
+    assert!(
+        response.body.contains(r#""truth":"false""#),
+        "{}",
+        response.body
+    );
+    assert!(
+        response.body.contains(r#""fallback":null"#),
+        "{}",
+        response.body
+    );
+    let stats = client::get(addr, "/stats").expect("the server is up");
+    assert_eq!(stats.status, 200, "{}", stats.body);
+    shutdown.shutdown();
+    serving.join().expect("server thread exits cleanly");
+}
+
 /// Serialisation helper for the round-trip test's query bodies.
 struct QueryBody<'a> {
     query: &'a str,
