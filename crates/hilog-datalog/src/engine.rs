@@ -453,33 +453,6 @@ fn eval_builtin(
     Ok(out)
 }
 
-/// The specialised transitive-closure baseline of Example 2.1: a direct
-/// semi-naive closure over an edge list, with none of the generic HiLog
-/// machinery.
-pub fn specialized_transitive_closure(edges: &[(Term, Term)]) -> BTreeSet<(Term, Term)> {
-    let mut closure: BTreeSet<(Term, Term)> = edges.iter().cloned().collect();
-    let mut successors: BTreeMap<Term, BTreeSet<Term>> = BTreeMap::new();
-    for (x, y) in edges {
-        successors.entry(x.clone()).or_default().insert(y.clone());
-    }
-    let mut delta: Vec<(Term, Term)> = closure.iter().cloned().collect();
-    while !delta.is_empty() {
-        let mut next = Vec::new();
-        for (x, y) in delta {
-            if let Some(succ) = successors.get(&y) {
-                for z in succ {
-                    let pair = (x.clone(), z.clone());
-                    if closure.insert(pair.clone()) {
-                        next.push(pair);
-                    }
-                }
-            }
-        }
-        delta = next;
-    }
-    closure
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -576,27 +549,6 @@ mod tests {
         let m = e.stratified_model().unwrap();
         assert!(m.is_true(&parse_term("adult(amy)").unwrap()));
         assert!(!m.is_true(&parse_term("adult(tim)").unwrap()));
-    }
-
-    #[test]
-    fn specialized_closure_matches_rule_based_closure() {
-        let edges: Vec<(Term, Term)> = vec![
-            (Term::sym("a"), Term::sym("b")),
-            (Term::sym("b"), Term::sym("c")),
-            (Term::sym("c"), Term::sym("d")),
-        ];
-        let closure = specialized_transitive_closure(&edges);
-        assert_eq!(closure.len(), 6);
-        assert!(closure.contains(&(Term::sym("a"), Term::sym("d"))));
-        // Agreement with the rule-based evaluation.
-        let e = engine(
-            "tc(X, Y) :- edge(X, Y). tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
-             edge(a, b). edge(b, c). edge(c, d).",
-        );
-        let m = e.least_model().unwrap();
-        for (x, y) in &closure {
-            assert!(m.contains(&Term::apps("tc", vec![x.clone(), y.clone()])));
-        }
     }
 
     #[test]

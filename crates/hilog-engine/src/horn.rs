@@ -33,7 +33,13 @@ use std::sync::{OnceLock, PoisonError, RwLock};
 /// instantiation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvalOptions {
-    /// Maximum number of distinct derived atoms before aborting.
+    /// The size budget of one evaluation; each route counts its own unit:
+    /// - `saturate`: distinct atoms;
+    /// - the grounder: ground rules (`ground_over_universe` also bounds one
+    ///   rule's instances);
+    /// - the tabled route: answers summed over the tables the evaluation
+    ///   creates, so an answer held by two tables counts twice;
+    /// - Figure 1's reduction: partial instantiations of one rule.
     pub max_atoms: usize,
     /// Maximum number of semi-naive rounds before aborting.
     pub max_rounds: usize,

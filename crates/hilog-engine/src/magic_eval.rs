@@ -211,15 +211,6 @@ pub struct EvalStats {
     pub parallel_partitioned_rounds: usize,
     /// Inert: always 0 (see `parallel_waves`).
     pub parallel_tasks: usize,
-    /// Facts resident in memory across the session's relation stores (the
-    /// grounding's, the program index's and every subgoal table's) when this
-    /// query finished.  Under the in-memory backend this is the total.
-    pub storage_resident_facts: usize,
-    /// Facts whose payloads currently live only in spill segment files
-    /// (always zero under the in-memory backend).
-    pub storage_spilled_facts: usize,
-    /// Bytes appended to spill segment files by the session's stores.
-    pub storage_segment_bytes: u64,
     /// Spilled rows this query decoded back into memory (residency faults)
     /// — no other query's.
     pub storage_residency_faults: u64,

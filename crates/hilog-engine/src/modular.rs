@@ -157,6 +157,7 @@ pub(crate) fn figure1_procedure(
 
         // Step 3: dependency graph over ground predicate names of R.
         let graph = DependencyGraph::predicate_graph(&remaining);
+        check_deadline()?;
 
         // Step 4: the lowest (sink) components.
         let lowest: BTreeSet<Term> = graph.sink_component_nodes().into_iter().collect();
@@ -209,9 +210,13 @@ pub(crate) fn figure1_procedure(
             .into_iter()
             .filter(|r| !(r.head.name().is_ground() && lowest.contains(r.head.name())))
             .collect();
+        check_deadline()?;
         remaining = match hilog_reduce(&survivors, &settled, &model, opts) {
             Ok(rules) => rules,
-            Err(reason) => return Ok(ModularOutcome::rejected(reason, rounds)),
+            Err(EngineError::NotModularlyStratified(reason)) => {
+                return Ok(ModularOutcome::rejected(reason, rounds))
+            }
+            Err(other) => return Err(other),
         };
     }
     Ok(ModularOutcome::accepted(model, rounds))
@@ -292,12 +297,16 @@ fn rule_has_variable_predicate_name(rule: &Rule) -> bool {
 /// bindings, so the outcome does not depend on the order of the body.  A
 /// settled negative literal still non-ground then cannot be resolved, and
 /// the reduction conservatively reports failure.
+///
+/// A failure is [`EngineError::NotModularlyStratified`] with the reason the
+/// program is rejected; any other error (a passed deadline) is not a
+/// verdict.
 fn hilog_reduce(
     rules: &[Rule],
     settled: &BTreeSet<Term>,
     model: &Model,
     opts: EvalOptions,
-) -> Result<Vec<Rule>, String> {
+) -> Result<Vec<Rule>, EngineError> {
     let mut out: Vec<Rule> = Vec::new();
     let mut seen: TermSet<Rule> = TermSet::default();
     for rule in rules {
@@ -347,14 +356,15 @@ impl Reduction<'_> {
 
     /// One more partial instantiation: resolves the first body literal that
     /// can be resolved now, or emits the instance if none can.
-    fn walk(&mut self) -> Result<(), String> {
+    fn walk(&mut self) -> Result<(), EngineError> {
         self.instantiations += 1;
         if self.instantiations > self.opts.max_atoms {
-            return Err(format!(
+            return Err(EngineError::NotModularlyStratified(format!(
                 "HiLog reduction of rule `{}` exceeded {} partial instantiations",
                 self.plan.rule, self.opts.max_atoms
-            ));
+            )));
         }
+        check_deadline()?;
         for at in 0..self.resolved.len() {
             if !self.resolved[at] {
                 self.resolved[at] = true;
@@ -370,7 +380,7 @@ impl Reduction<'_> {
 
     /// Resolves literal `at` in every way it resolves under the bindings,
     /// walking on from each; `false` if it cannot be resolved yet.
-    fn resolve(&mut self, at: usize) -> Result<bool, String> {
+    fn resolve(&mut self, at: usize) -> Result<bool, EngineError> {
         let (plan, model) = (self.plan, self.model);
         let ready = match &plan.body[at] {
             Step::Pos(pat) | Step::Aggregate(pat) => self.is_settled(pat),
@@ -424,7 +434,7 @@ impl Reduction<'_> {
                 let theta = self.frame.bindings(plan);
                 let solutions =
                     solve_aggregate(&plan.rule, agg, &theta, model.true_candidates(&pattern))
-                        .map_err(|e| e.to_string())?;
+                        .map_err(|e| EngineError::NotModularlyStratified(e.to_string()))?;
                 for extended in solutions {
                     let mark = self.frame.mark();
                     self.frame.absorb_rule(plan, &extended);
@@ -438,16 +448,19 @@ impl Reduction<'_> {
 
     /// Emits the instance: the head and the unresolved literals under the
     /// bindings.
-    fn emit(&mut self) -> Result<(), String> {
+    fn emit(&mut self) -> Result<(), EngineError> {
         let (plan, theta) = (self.plan, self.frame.bindings(self.plan));
         let rule = &plan.rule;
         let body = (rule.body.iter().zip(&plan.body).zip(&self.resolved))
             .filter(|(_, done)| !**done)
             .map(|((lit, step), _)| match step {
-                Step::Neg(pat) if self.is_settled(pat) => Err(format!(
-                    "cannot reduce the non-ground settled negative literal `{}` of rule `{rule}`",
-                    lit.apply(&theta)
-                )),
+                Step::Neg(pat) if self.is_settled(pat) => {
+                    Err(EngineError::NotModularlyStratified(format!(
+                        "cannot reduce the non-ground settled negative literal `{}` of rule \
+                         `{rule}`",
+                        lit.apply(&theta)
+                    )))
+                }
                 _ => Ok(lit.apply(&theta)),
             })
             .collect::<Result<_, _>>()?;
@@ -704,8 +717,11 @@ mod tests {
         );
         let reduced = |rule: &&str| {
             let rule = parse_program(rule).unwrap().rules[0].clone();
-            let rules = hilog_reduce(&[rule], &settled, &model, opts)?;
-            Ok(rules.iter().map(|r| r.to_string()).collect())
+            match hilog_reduce(&[rule], &settled, &model, opts) {
+                Ok(rules) => Ok(rules.iter().map(|r| r.to_string()).collect()),
+                Err(EngineError::NotModularlyStratified(reason)) => Err(reason),
+                Err(other) => panic!("{other}"),
+            }
         };
         rules.iter().map(reduced).collect()
     }

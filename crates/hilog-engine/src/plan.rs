@@ -1,13 +1,14 @@
-//! Explainable query plans for the [`HiLogDb`](crate::session::HiLogDb)
-//! session facade.
+//! Query plans for the [`HiLogDb`](crate::session::HiLogDb) session facade.
 //!
 //! Section 6.1 of the paper motivates two complementary evaluation routes
 //! for a modularly stratified HiLog program: the magic-sets / query-directed
 //! route, which only visits atoms *relevant* to a bound query, and full
 //! bottom-up evaluation of the (relevant) instantiation, which answers any
-//! query at the price of materialising the whole model.  A [`QueryPlan`]
-//! records which route the session picks for a query and why, so callers can
-//! inspect (and log or serialise) the decision before running it:
+//! query at the price of materialising the whole model.  A [`QueryPlan`] is
+//! that routing decision and nothing else: the route, the semantics and the
+//! adornment, fixed before anything is evaluated.  What the evaluation then
+//! did is the result's [`EvalStats`](crate::EvalStats); what the stores hold
+//! is [`HiLogDb::storage_stats`](crate::session::HiLogDb::storage_stats).
 //!
 //! ```
 //! use hilog_engine::{HiLogDb, PlanStrategy};
@@ -60,56 +61,43 @@ impl Serialize for PlanStrategy {
     }
 }
 
-/// An explainable query plan, as returned by
+/// The routing decision for a query, as returned by
 /// [`HiLogDb::explain`](crate::session::HiLogDb::explain).
 ///
-/// The plan is purely descriptive: building one performs no evaluation.
+/// Building one performs no evaluation and reads no cache: the route follows
+/// from the query and the semantics alone.
 /// [`HiLogDb::query`](crate::session::HiLogDb::query) attaches the plan it
 /// executed to every [`QueryResult`](crate::session::QueryResult), and the
-/// whole struct serialises to JSON via the workspace `serde` stub.
+/// struct serialises to JSON via the workspace `serde` stub.
 #[derive(Debug, Clone, Serialize)]
 pub struct QueryPlan {
     /// The chosen evaluation route.
     pub strategy: PlanStrategy,
     /// The semantics the session answers under.
     pub semantics: Semantics,
-    /// Rendering of the planned query.
-    pub query: String,
     /// Binding pattern of the first positive literal, one character per
     /// argument: `b` for a ground (bound) argument, `f` for a free one —
     /// the classical magic-sets adornment.  Empty for argument-less atoms
     /// and for queries without a leading positive literal.
     pub adornment: String,
-    /// Whether a cached full model exists that a full-model route could
-    /// answer from as it stands (a cached model is always exact).
-    pub cached_model: bool,
-    /// Number of completed subgoal tables the session holds; a magic-sets
-    /// route reuses any of them that the query touches.
-    pub cached_subqueries: usize,
-    /// Number of subgoal tables the mutations since the last query *patched
-    /// in place* (exact answer-level edits of fact-backed tables, via the
-    /// recorded instance-level dependency graph).
-    pub patched_subqueries: usize,
-    /// Number of rule-derived subgoal tables the mutations since the last
-    /// query *re-solved*: the tables in the instance-level reverse dependency
-    /// closure of the mutated atoms that read a table whose answers changed.
-    /// Tables outside the closure, and tables inside it whose dependencies
-    /// all kept their answers, survive untouched and are not counted.
-    pub refilled_subqueries: usize,
-    /// Number of head instances of non-ground tables the mutations since the
-    /// last query re-derived as bound sub-queries — a table settled that way
-    /// counts once under `refilled_subqueries`, whatever it holds.
-    pub rederived_instances: usize,
-    /// Number of subgoal tables the mutations since the last query dropped:
-    /// a re-solve that failed (a resource limit, a cycle through negation
-    /// the mutation closed), or the reverse dependency closure of a
-    /// rule-level mutation's head.
-    pub dropped_subqueries: usize,
-    /// Human-readable reason for the routing decision.
-    pub reason: String,
 }
 
 impl QueryPlan {
+    /// The plan for `query` under `semantics`: magic sets for a bound query
+    /// under the well-founded semantics, the full model otherwise.
+    pub(crate) fn new(query: &Query, semantics: Semantics) -> Self {
+        let strategy = if semantics == Semantics::WellFounded && query_is_bound(query) {
+            PlanStrategy::MagicSets
+        } else {
+            PlanStrategy::FullModel
+        };
+        QueryPlan {
+            strategy,
+            semantics,
+            adornment: adornment(query),
+        }
+    }
+
     /// Returns `true` if the plan uses query-directed (magic-sets style)
     /// evaluation.
     pub fn is_magic_sets(&self) -> bool {
@@ -120,36 +108,34 @@ impl QueryPlan {
     pub fn is_full_model(&self) -> bool {
         self.strategy == PlanStrategy::FullModel
     }
+
+    /// Why the route was chosen; the strategy and the semantics decide it.
+    pub fn reason(&self) -> &'static str {
+        match (self.semantics, self.strategy) {
+            (Semantics::WellFounded, PlanStrategy::MagicSets) => {
+                "the first literal has a ground predicate name, so query-directed \
+                 (magic-sets) evaluation visits only the relevant subgoals and reuses the \
+                 session's completed tables"
+            }
+            (Semantics::WellFounded, PlanStrategy::FullModel) => {
+                "the query has no leading positive literal with a ground predicate name \
+                 (it is unbound), so it is answered from the session's cached full model"
+            }
+            _ => {
+                "this semantics is defined through the full model, so the query is answered \
+                 from the session's cached model"
+            }
+        }
+    }
 }
 
 impl fmt::Display for QueryPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "plan for {}", self.query)?;
-        writeln!(f, "  strategy:  {} ({})", self.strategy, self.semantics)?;
+        writeln!(f, "strategy:  {} ({})", self.strategy, self.semantics)?;
         if !self.adornment.is_empty() {
-            writeln!(f, "  adornment: {}", self.adornment)?;
+            writeln!(f, "adornment: {}", self.adornment)?;
         }
-        writeln!(
-            f,
-            "  caches:    model {}, {} complete subgoal tables",
-            if self.cached_model { "warm" } else { "cold" },
-            self.cached_subqueries
-        )?;
-        if self.patched_subqueries > 0
-            || self.refilled_subqueries > 0
-            || self.dropped_subqueries > 0
-        {
-            writeln!(
-                f,
-                "  tables:    {} patched in place, {} re-solved ({} instances re-derived), {} \
-                 dropped since the last query",
-                self.patched_subqueries,
-                self.refilled_subqueries,
-                self.rederived_instances,
-                self.dropped_subqueries
-            )?;
-        }
-        write!(f, "  because:   {}", self.reason)
+        write!(f, "because:   {}", self.reason())
     }
 }
 
@@ -157,7 +143,7 @@ impl fmt::Display for QueryPlan {
 /// uses: its first literal is a positive atom whose predicate name is ground,
 /// so query-directed evaluation can seed a subgoal from it (the left-to-right
 /// sideways information passing of Section 6.1).
-pub fn query_is_bound(query: &Query) -> bool {
+fn query_is_bound(query: &Query) -> bool {
     match query.literals.first() {
         Some(Literal::Pos(atom)) => atom.name().is_ground(),
         _ => false,
@@ -166,7 +152,7 @@ pub fn query_is_bound(query: &Query) -> bool {
 
 /// The magic-sets adornment of the query's first positive literal: `b` per
 /// ground argument, `f` per open one.
-pub fn adornment(query: &Query) -> String {
+fn adornment(query: &Query) -> String {
     match query.literals.first() {
         Some(Literal::Pos(atom)) => atom
             .args()
@@ -203,5 +189,49 @@ mod tests {
             "f"
         );
         assert_eq!(adornment(&parse_query("?- p.").unwrap()), "");
+    }
+
+    #[test]
+    fn the_plan_is_the_route_and_its_reason_follows_from_it() {
+        let bound = parse_query("?- tc(a, Y).").unwrap();
+        let open = parse_query("?- P(a, Y).").unwrap();
+        let routes = [
+            (
+                &bound,
+                Semantics::WellFounded,
+                PlanStrategy::MagicSets,
+                "magic-sets",
+            ),
+            (
+                &open,
+                Semantics::WellFounded,
+                PlanStrategy::FullModel,
+                "unbound",
+            ),
+            (
+                &bound,
+                Semantics::Stable,
+                PlanStrategy::FullModel,
+                "this semantics",
+            ),
+            (
+                &bound,
+                Semantics::ModularCheck,
+                PlanStrategy::FullModel,
+                "this semantics",
+            ),
+        ];
+        for (query, semantics, strategy, reason) in routes {
+            let plan = QueryPlan::new(query, semantics);
+            assert_eq!(plan.strategy, strategy, "{query} under {semantics}");
+            assert!(plan.reason().contains(reason), "{}", plan.reason());
+        }
+        assert_eq!(
+            QueryPlan::new(&bound, Semantics::WellFounded).to_string(),
+            format!(
+                "strategy:  magic-sets (well-founded)\nadornment: bf\nbecause:   {}",
+                QueryPlan::new(&bound, Semantics::WellFounded).reason()
+            )
+        );
     }
 }

@@ -21,7 +21,7 @@
 //! the two maintenance modules: the mutation paths (`maintain`: delta
 //! grounding, DRed; `tables`: instance-level subgoal-table
 //! maintenance), which reach the snapshot's caches lock-free, and the
-//! mutation-window counters a query's plan and stats are decorated with.
+//! mutation-window counters a query's stats carry.
 //! The tabled evaluator's program index is maintained here too: once a
 //! query has built it, every `assert_*` / `retract_*` mirrors its one
 //! program edit into it (a store insert or remove for a ground fact) rather
@@ -639,34 +639,20 @@ impl HiLogDb {
     /// Builds the plan [`query`](HiLogDb::query) would execute, without
     /// evaluating anything.
     pub fn explain(&self, query: &Query) -> QueryPlan {
-        let mut plan = self.snap.explain(query);
-        self.decorate(&mut plan);
-        plan
-    }
-
-    /// What table maintenance did since the last query, onto a plan.
-    fn decorate(&self, plan: &mut QueryPlan) {
-        plan.patched_subqueries = self.pending_patched;
-        plan.refilled_subqueries = self.pending_refilled;
-        plan.rederived_instances = self.pending_rederived;
-        plan.dropped_subqueries = self.pending_dropped;
+        self.snap.explain(query)
     }
 
     /// Answers a query through the plan [`explain`](HiLogDb::explain)
-    /// chooses, reusing every cache the session holds.
+    /// chooses, reusing every cache the session holds.  Its stats also
+    /// carry what table maintenance did since the last query.
     pub fn query(&mut self, query: &Query) -> Result<QueryResult, EngineError> {
         let mut result = self.snap.query(query)?;
-        self.decorate(&mut result.plan);
         // Consumed only on success, so a failed query (no stats to carry
         // them) leaves the mutation window's counters for the next one.
         result.stats.tables_patched = std::mem::take(&mut self.pending_patched);
         result.stats.tables_dropped = std::mem::take(&mut self.pending_dropped);
         result.stats.tables_refilled = std::mem::take(&mut self.pending_refilled);
         result.stats.instances_rederived = std::mem::take(&mut self.pending_rederived);
-        let storage = self.storage_stats();
-        result.stats.storage_resident_facts = storage.resident_facts;
-        result.stats.storage_spilled_facts = storage.spilled_facts;
-        result.stats.storage_segment_bytes = storage.segment_bytes;
         Ok(result)
     }
 
@@ -791,7 +777,7 @@ mod tests {
         let answers = db.query(&query).unwrap().answers.len();
         db.assert_fact(parse_term("move(n200, n201)").unwrap())
             .unwrap();
-        assert!(!db.explain(&query).cached_model, "the write dropped it");
+        assert!(db.cached_model().is_none(), "the write dropped it");
         let before = crate::ambient::counters();
         let err =
             crate::ambient::with_deadline(Some(Instant::now() - Duration::from_millis(1)), || {
@@ -802,7 +788,7 @@ mod tests {
         assert_eq!(counted.deadline_exceeded, 1);
         // The model is absent, not half-built, and the session usable: the
         // same read without a deadline evaluates the maintained grounding.
-        assert!(!db.explain(&query).cached_model);
+        assert!(db.cached_model().is_none());
         let result = db.query(&query).unwrap();
         assert_eq!(result.stats.model_source, crate::ModelSource::Rebuilt);
         assert_eq!(result.stats.groundings, 0);
@@ -937,10 +923,7 @@ mod tests {
         assert_eq!(result.answers[0].binding("X").unwrap(), &Term::sym("b"));
         // The conjunction's subgoal tables are retained (the auxiliary
         // `__query_answer` table is not).
-        let cached = db
-            .explain(&parse_query("?- game(M).").unwrap())
-            .cached_subqueries;
-        assert!(cached > 0);
+        assert!(db.snap.cached_subqueries() > 0);
     }
 
     #[test]
@@ -982,8 +965,11 @@ mod tests {
         assert!(json.contains("\"X\":\"b\""));
         assert!(json.contains("\"truth\":\"true\""));
         assert!(json.contains("\"strategy\":\"magic-sets\""));
-        let plan_json = serde_json::to_string(&result.plan).unwrap();
-        assert!(plan_json.contains("\"semantics\":\"well-founded\""));
+        // The plan is the route alone: what ran is in `stats`.
+        assert_eq!(
+            serde_json::to_string(&result.plan).unwrap(),
+            r#"{"strategy":"magic-sets","semantics":"well-founded","adornment":"f"}"#
+        );
         let stats_json = serde_json::to_string(&result.stats).unwrap();
         assert!(stats_json.contains("\"rule_applications\""));
     }

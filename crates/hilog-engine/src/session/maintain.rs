@@ -362,7 +362,7 @@ mod tests {
     /// equals a fresh session's whole (base included), and the re-read is
     /// `Cached`.
     fn assert_model_re_evaluated_from_the_maintained_grounding(db: &mut HiLogDb, open: &Query) {
-        assert!(!db.explain(open).cached_model, "the write kept the model");
+        assert!(db.cached_model().is_none(), "the write kept the model");
         let read = db.query(open).unwrap();
         assert_eq!(read.stats.groundings, 0, "the write dropped the grounding");
         assert_eq!(read.stats.model_source, ModelSource::Rebuilt);
@@ -462,7 +462,7 @@ mod tests {
         let first = db.query(&unbound).unwrap();
         assert_eq!(first.stats.groundings, 1);
         assert_eq!(first.stats.model_source, ModelSource::Rebuilt);
-        assert!(db.explain(&unbound).cached_model);
+        assert!(db.cached_model().is_some());
         // `move` is read by `winning`: not pure EDB, so the model goes —
         // but the grounding is continued from the fact, not rebuilt.
         db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();

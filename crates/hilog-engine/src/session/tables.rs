@@ -739,12 +739,13 @@ mod tests {
         let reach = parse_query("?- reach(X).").unwrap();
         db.query(&win).unwrap();
         db.query(&reach).unwrap();
-        let warm = db.explain(&win).cached_subqueries;
-        assert!(warm > 0);
+        assert!(db.snap.cached_subqueries() > 0);
         // A new edge fact only reaches `reach`: the winning tables survive.
         db.assert_fact(parse_term("edge(v, w)").unwrap()).unwrap();
-        let after = db.explain(&win).cached_subqueries;
-        assert!(after > 0, "unrelated tables were dropped");
+        assert!(
+            db.snap.cached_subqueries() > 0,
+            "unrelated tables were dropped"
+        );
         let second = db.query(&win).unwrap();
         assert_eq!(second.stats.rule_applications, 0);
         // And the reach query sees the new fact.
@@ -807,8 +808,10 @@ mod tests {
         );
         assert!(db.retract_rule(&bonus_rule));
         // Unrelated tables survive...
-        let plan = db.explain(&win);
-        assert!(plan.cached_subqueries > 0, "unrelated tables were dropped");
+        assert!(
+            db.snap.cached_subqueries() > 0,
+            "unrelated tables were dropped"
+        );
         // ...and the retracted rule derives nothing any more.
         assert_eq!(
             db.holds(&parse_term("bonus(c)").unwrap()).unwrap(),
@@ -823,13 +826,13 @@ mod tests {
         let mut db = game_db();
         let query = parse_query("?- winning(X).").unwrap();
         db.query(&query).unwrap();
-        let warm = db.explain(&query).cached_subqueries;
+        let warm = db.snap.cached_subqueries();
         assert!(warm > 0);
         // `move(a, b)` is already a program fact: re-asserting it must not
         // drop the tables in move's dependency closure.
         db.assert_fact(parse_term("move(a, b)").unwrap()).unwrap();
         assert_eq!(
-            db.explain(&query).cached_subqueries,
+            db.snap.cached_subqueries(),
             warm,
             "duplicate assert invalidated caches"
         );
@@ -840,25 +843,24 @@ mod tests {
         // place, the winning tables that read them are re-solved before the
         // retraction returns, and nothing is dropped.
         assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
-        assert_eq!(db.explain(&query).cached_subqueries, warm);
+        assert_eq!(db.snap.cached_subqueries(), warm);
         assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
-        let plan = db.explain(&query);
-        assert!(plan.patched_subqueries > 0, "move tables must be patched");
+        let after = db.query(&query).unwrap();
+        let stats = after.stats;
+        assert!(stats.tables_patched > 0, "move tables must be patched");
         assert!(
-            plan.refilled_subqueries > 0,
+            stats.tables_refilled > 0,
             "winning tables must be re-solved"
         );
-        assert_eq!(plan.dropped_subqueries, 0, "a re-solve is not a drop");
+        assert_eq!(stats.tables_dropped, 0, "a re-solve is not a drop");
         // Every table is still warm, and the open table was re-derived at
         // `winning(a)` alone — through two tables nobody had asked for yet,
         // that instance's own and the `move(a, Y)` it reads.
-        assert_eq!(plan.rederived_instances, 1, "{plan}");
-        assert_eq!(plan.cached_subqueries, warm + 2, "{plan}");
+        assert_eq!(stats.instances_rederived, 1, "{stats:?}");
+        assert_eq!(stats.tables_reused, warm + 2, "{stats:?}");
         // The settled tables answer correctly without evaluating anything:
         // b still wins through move(b, c), and nothing else does.
-        let after = db.query(&query).unwrap();
-        assert_eq!(after.stats.rule_applications, 0);
-        assert_eq!(after.stats.tables_refilled, plan.refilled_subqueries);
+        assert_eq!(stats.rule_applications, 0);
         let fresh = HiLogDb::new(db.program().clone()).query(&query).unwrap();
         assert_eq!(after.answers, fresh.answers);
         assert_eq!(after.answers.len(), 1);
@@ -935,14 +937,14 @@ mod tests {
             .assert_fact(parse_term("e(t2, t3)").unwrap())
             .unwrap();
         writer.publish();
-        let plan = writer.db().explain(&queries[0]);
-        assert_eq!(plan.refilled_subqueries, 6, "{plan}");
+        let stats = writer.db().query(&queries[0]).unwrap().stats;
+        assert_eq!(stats.tables_refilled, 6, "{stats:?}");
         // Two of the six are chained to what changed through a shared
         // variable and re-derived where it changed: `tc(t1, Y)` at `t3`,
         // `tc(s, Y)` at `a` (gone with the cycle) and at `t3`.
-        assert_eq!(plan.rederived_instances, 3, "{plan}");
-        assert_eq!(plan.dropped_subqueries, 0, "{plan}");
-        assert_eq!(plan.patched_subqueries, 2, "e(c, Y) and e(t2, Y)");
+        assert_eq!(stats.instances_rederived, 3, "{stats:?}");
+        assert_eq!(stats.tables_dropped, 0, "{stats:?}");
+        assert_eq!(stats.tables_patched, 2, "e(c, Y) and e(t2, Y)");
         assert!(Arc::ptr_eq(&before, &table(writer.db(), "tc(u, Y)")));
         check(&handle);
         // The shortcut goes: tc(a) — whose second rule reads `e(a, Z)` on
@@ -950,17 +952,13 @@ mod tests {
         // was, and so are the two instance tables `tc(a, a)` and `tc(a, t3)`
         // the pass above left under it; its reader tc(s) — inside the
         // closure — gets its `Arc` back.
-        writer.db().query(&queries[0]).unwrap();
         let (a_before, s_before) = (
             table(writer.db(), "tc(a, Y)"),
             table(writer.db(), "tc(s, Y)"),
         );
         assert!(writer.retract_fact(&parse_term("e(a, c)").unwrap()));
         writer.publish();
-        let plan = writer.db().explain(&queries[0]);
-        assert_eq!(plan.refilled_subqueries, 3, "{plan}");
-        assert_eq!(plan.rederived_instances, 0, "{plan}");
-        assert_eq!(plan.dropped_subqueries, 0, "{plan}");
+        assert_eq!(counts(&mut writer), (3, 0, 0));
         assert!(!Arc::ptr_eq(&a_before, &table(writer.db(), "tc(a, Y)")));
         assert!(Arc::ptr_eq(&s_before, &table(writer.db(), "tc(s, Y)")));
         check(&handle);

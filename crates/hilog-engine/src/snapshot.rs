@@ -88,7 +88,7 @@ use crate::magic_eval::{
     normalize_pattern, EvalStats, ModelSource, ProgramIndex, QueryEvaluator, Table, Tables,
 };
 use crate::modular::{figure1_procedure, ModularOutcome};
-use crate::plan::{adornment, query_is_bound, PlanStrategy, QueryPlan};
+use crate::plan::{PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::{stable_models_of_ground, StableOptions};
 use crate::storage::{RelationStorageStats, StorageConfig};
@@ -332,49 +332,9 @@ impl DbSnapshot {
     }
 
     /// Builds the plan [`query`](DbSnapshot::query) would execute, without
-    /// evaluating anything.  Tables are never patched, re-solved or dropped
-    /// through this surface, so those plan fields are zero here (the owning
-    /// session fills them in).
+    /// evaluating anything.
     pub fn explain(&self, query: &Query) -> QueryPlan {
-        let cached_model = read_lock(&self.core).model.is_some();
-        let (strategy, reason) = if self.semantics != Semantics::WellFounded {
-            (
-                PlanStrategy::FullModel,
-                format!(
-                    "the {} semantics is defined through the full model, so the query is \
-                     answered from the session's cached model",
-                    self.semantics
-                ),
-            )
-        } else if query_is_bound(query) {
-            (
-                PlanStrategy::MagicSets,
-                "the first literal has a ground predicate name, so query-directed \
-                 (magic-sets) evaluation visits only the relevant subgoals and reuses the \
-                 session's completed tables"
-                    .to_string(),
-            )
-        } else {
-            (
-                PlanStrategy::FullModel,
-                "the query has no leading positive literal with a ground predicate name \
-                 (it is unbound), so it is answered from the session's cached full model"
-                    .to_string(),
-            )
-        };
-        QueryPlan {
-            strategy,
-            semantics: self.semantics,
-            query: query.to_string(),
-            adornment: adornment(query),
-            cached_model,
-            cached_subqueries: self.cached_subqueries(),
-            patched_subqueries: 0,
-            refilled_subqueries: 0,
-            rederived_instances: 0,
-            dropped_subqueries: 0,
-            reason,
-        }
+        QueryPlan::new(query, self.semantics)
     }
 
     /// Answers a query through the plan [`explain`](DbSnapshot::explain)
@@ -382,8 +342,8 @@ impl DbSnapshot {
     pub fn query(&self, query: &Query) -> Result<QueryResult, EngineError> {
         let plan = self.explain(query);
         // Table-maintenance observability: how many tables were available
-        // for reuse when this query started — the count the plan just read.
-        let tables_reused = plan.cached_subqueries;
+        // for reuse when this query started.
+        let tables_reused = self.cached_subqueries();
         // What this query counts outside its evaluator lands in this
         // thread's counters: the difference of two reads is the query's.
         let before = counters();

@@ -38,4 +38,4 @@ pub use parser::{
     parse_clauses, parse_program, parse_query, parse_rule, parse_term, Clause, ParseError,
     MAX_TERM_DEPTH,
 };
-pub use printer::{program_to_source, query_to_source, rule_to_source};
+pub use printer::program_to_source;

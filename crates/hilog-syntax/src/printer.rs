@@ -1,21 +1,11 @@
-//! Pretty printing helpers.
+//! Pretty printing of whole programs.
 //!
 //! The `Display` implementations on the core types already emit re-parseable
-//! concrete syntax; this module adds whole-program helpers and a few
-//! niceties (section comments, stable ordering of facts).
+//! concrete syntax for a term, rule or query; this module adds the
+//! whole-program rendering (section comments, facts after rules).
 
 use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-
-/// Renders a rule as concrete syntax (identical to its `Display` output).
-pub fn rule_to_source(rule: &Rule) -> String {
-    rule.to_string()
-}
-
-/// Renders a query as concrete syntax.
-pub fn query_to_source(query: &Query) -> String {
-    query.to_string()
-}
+use hilog_core::rule::Rule;
 
 /// Renders a program as concrete syntax, one clause per line, with proper
 /// rules first and facts afterwards (grouped for readability).  The output
@@ -44,7 +34,7 @@ pub fn program_to_source(program: &Program) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::parser::{parse_program, parse_query};
+    use crate::parser::parse_program;
     use std::collections::BTreeSet;
 
     #[test]
@@ -58,14 +48,6 @@ mod tests {
         let a: BTreeSet<String> = p.iter().map(|r| r.to_string()).collect();
         let b: BTreeSet<String> = reparsed.iter().map(|r| r.to_string()).collect();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn query_and_rule_helpers() {
-        let q = parse_query("?- winning(a).").unwrap();
-        assert_eq!(query_to_source(&q), "?- winning(a).");
-        let p = parse_program("p :- q.").unwrap();
-        assert_eq!(rule_to_source(&p.rules[0]), "p :- q.");
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Section 6.1 / Example 6.6: print the magic-sets rewriting of the
 //! (abbreviated) game program, then evaluate the query through a `HiLogDb`
-//! session — whose planner picks exactly the magic-sets route for this bound
-//! query — and cross-check against the full model.
+//! session — whose plan is the magic-sets route for this bound query, and
+//! whose stats count what that route touched — and cross-check against the
+//! full model.
 //!
 //! Run with `cargo run --example magic_sets_demo`.
 
@@ -24,11 +25,12 @@ fn main() {
     println!("== magic-sets rewriting of {query} ==");
     println!("{magic}");
 
-    // Query-directed evaluation (the rewriting's operational counterpart),
-    // chosen by the session's planner because the query is bound.
+    // Query-directed evaluation (the rewriting's operational counterpart):
+    // the plan says the route and why (the query is bound), before anything
+    // runs; the result's stats say what the evaluation did.
     let mut db = HiLogDb::new(program);
     let plan = db.explain(&query);
-    println!("== plan ==\n{plan}");
+    println!("== plan for {query} ==\n{plan}");
     assert!(plan.is_magic_sets());
     let result = db.query(&query).expect("query evaluates");
     let stats = result.stats;

@@ -1,6 +1,6 @@
 //! Quickstart: open a `HiLogDb` session over a HiLog program with negation,
-//! ask queries through the explainable planner, check modular stratification,
-//! and assert a new fact incrementally.
+//! ask queries (the plan names the route, the stats count the work), check
+//! modular stratification, and assert a new fact incrementally.
 //!
 //! Run with `cargo run --example quickstart`.
 
@@ -23,9 +23,10 @@ fn main() {
     // 1. One stateful session owns the program and all caches.
     let mut db = HiLogDb::builder().program(program.clone()).build();
 
-    // 2. A bound query gets a magic-sets plan; ask who wins the nim endgame.
+    // 2. A bound query gets a magic-sets plan: the route and why, decided
+    //    before anything runs.  Ask who wins the nim endgame.
     let query = parse_query("?- winning(nim)(X).").unwrap();
-    println!("== plan ==\n{}", db.explain(&query));
+    println!("== plan for {query} ==\n{}", db.explain(&query));
     let result = db.query(&query).expect("query evaluates");
     println!("== answers ==");
     for answer in &result.answers {
@@ -35,7 +36,7 @@ fn main() {
     assert_eq!(result.answers.len(), 2, "n1 and n3 win");
 
     // 3. Asking again reuses the session's subgoal tables: no rule is
-    //    re-applied.
+    //    re-applied.  What a query did is in its `stats`, and only there.
     let again = db.query(&query).expect("cached query evaluates");
     assert_eq!(again.stats.rule_applications, 0);
     assert!(again.stats.cached_subqueries > 0);

@@ -55,7 +55,7 @@ fn main() {
     // A point query on the small game only tables subgoals of the small game.
     let root = parse_term(&format!("winning(small_game)({})", node_name(0))).unwrap();
     let query = parse_query(&format!("?- winning(small_game)({}).", node_name(0))).unwrap();
-    println!("== plan ==\n{}", db.explain(&query));
+    println!("== plan for {query} ==\n{}", db.explain(&query));
     let result = db.query(&query).expect("query evaluates");
     let stats = result.stats;
     println!(

@@ -452,15 +452,15 @@ fn query_deadline_answers_504_and_counts() {
     serving.join().expect("server exits");
 }
 
-/// A dead disk under a live server: mutations degrade to `503` while
-/// queries keep answering, `/stats` reports why, and a successful
-/// checkpoint after the disk heals re-arms the writer — all of it on one
-/// kept connection, whose `503`s do not cost it the socket.
 /// A 5 ms deadline on a full-model query over a large grounding returns
 /// within a named slack: the grounding looks at the deadline at each new
 /// atom, round 0's facts included, and the well-founded evaluation at each
 /// component.  While a semi-naive round and the whole evaluation ran
-/// unchecked, these queries returned after 52–80 ms.
+/// unchecked, these queries returned after 52–80 ms.  Figure 1 looks at it
+/// between the steps of a round and at each partial instantiation of the
+/// reduction; while it looked once a round, the sharded game returned after
+/// 128–140 ms.  A passed deadline is an error, not a verdict: the same
+/// session without one still accepts the program.
 #[test]
 fn a_full_model_build_stops_at_its_deadline() {
     use hilog_repro::engine::with_deadline;
@@ -471,13 +471,22 @@ fn a_full_model_build_stops_at_its_deadline() {
     let slack = Duration::from_millis(if cfg!(debug_assertions) { 200 } else { 20 });
     let mut cyclic = cycle(20_000);
     cyclic.extend(random_dag(20_000, 1.0, 3));
-    let programs = [
-        ("sharded", sharded_game_program(40, 400, 17)),
-        ("cyclic", normal_game_program(&cyclic)),
+    let sharded = sharded_game_program(40, 400, 17);
+    let cases = [
+        ("sharded", sharded.clone(), Semantics::WellFounded),
+        (
+            "cyclic",
+            normal_game_program(&cyclic),
+            Semantics::WellFounded,
+        ),
+        ("sharded, Figure 1", sharded, Semantics::ModularCheck),
     ];
     let query = parse_query("?- P(X).").unwrap();
-    for (name, program) in programs {
-        let mut db = HiLogDb::new(program);
+    for (name, program, semantics) in cases {
+        let mut db = HiLogDb::builder()
+            .program(program)
+            .semantics(semantics)
+            .build();
         let started = Instant::now();
         let deadline = started + Duration::from_millis(5);
         let result = with_deadline(Some(deadline), || db.query(&query));
@@ -489,9 +498,17 @@ fn a_full_model_build_stops_at_its_deadline() {
         );
         eprintln!("{name}: deadline exceeded after {took:?}");
         assert!(took < Duration::from_millis(5) + slack, "{name}: {took:?}");
+        if semantics == Semantics::ModularCheck {
+            let accepted = db.check_modular().expect("no deadline, no error");
+            assert!(accepted.modularly_stratified, "{:?}", accepted.reason);
+        }
     }
 }
 
+/// A dead disk under a live server: mutations degrade to `503` while
+/// queries keep answering, `/stats` reports why, and a successful
+/// checkpoint after the disk heals re-arms the writer — all of it on one
+/// kept connection, whose `503`s do not cost it the socket.
 #[test]
 fn degraded_server_answers_503_and_checkpoint_rearms() {
     let dir = temp_dir("http-degraded", 0);

@@ -47,6 +47,34 @@ fn bound_queries_get_magic_plans_and_unbound_ones_full_model_plans() {
     assert_eq!(unbound.strategy, PlanStrategy::FullModel);
 }
 
+/// A query's stats are its work, counted once: the session and a published
+/// snapshot of the same program report the same counts for the same query,
+/// cold and warm, on both routes.  Only `live_symbols` is left out: it is
+/// the length of the process-wide symbol pool.
+#[test]
+fn a_query_counts_alike_through_the_session_and_a_published_snapshot() {
+    let mut db = game_db();
+    let (_writer, handle) = game_db().into_serving();
+    let snapshot = handle.current();
+    let queries =
+        ["?- winning(X).", "?- winning(a).", "?- P(a, X)."].map(|q| parse_query(q).unwrap());
+    for pass in ["cold", "warm"] {
+        for query in &queries {
+            let session = db.query(query).unwrap().stats;
+            let served = snapshot.query(query).unwrap().stats;
+            let without_pool = |stats: EvalStats| EvalStats {
+                live_symbols: 0,
+                ..stats
+            };
+            assert_eq!(
+                without_pool(session),
+                without_pool(served),
+                "{pass} `{query}`"
+            );
+        }
+    }
+}
+
 #[test]
 fn second_bound_query_reuses_tables_second_unbound_query_reuses_model() {
     let mut db = game_db();
@@ -376,24 +404,20 @@ fn mutations_patch_and_keep_tables_at_the_instance_level() {
     // A new g edge: the g fact tables are patched, the winning(g) tables are
     // re-solved (none dropped), and everything h survives untouched.
     db.assert_fact(parse_term("g(c, d)").unwrap()).unwrap();
-    let plan = db.explain(&h_query);
-    assert!(plan.patched_subqueries > 0, "g fact tables must be patched");
+    let h_second = db.query(&h_query).unwrap();
+    let stats = h_second.stats;
+    assert!(stats.tables_patched > 0, "g fact tables must be patched");
     assert!(
-        plan.refilled_subqueries > 0,
+        stats.tables_refilled > 0,
         "winning(g) tables must be re-solved"
     );
-    assert_eq!(plan.dropped_subqueries, 0, "a re-solve is not a drop");
-    assert!(plan.to_string().contains("re-solved"), "{plan}");
-    let h_second = db.query(&h_query).unwrap();
+    assert_eq!(stats.tables_dropped, 0, "a re-solve is not a drop");
     assert_eq!(
-        h_second.stats.rule_applications, 0,
+        stats.rule_applications, 0,
         "the untouched game's tables were dropped"
     );
-    assert!(h_second.stats.cached_subqueries > 0);
-    assert!(h_second.stats.tables_reused > 0);
-    assert_eq!(h_second.stats.tables_patched, plan.patched_subqueries);
-    assert_eq!(h_second.stats.tables_refilled, plan.refilled_subqueries);
-    assert_eq!(h_second.stats.tables_dropped, 0);
+    assert!(stats.cached_subqueries > 0);
+    assert!(stats.tables_reused > 0);
     // The settled g tables answer correctly, and from cache: chain
     // a -> b -> c -> d.
     let g_after = db.query(&g_query).unwrap();
@@ -423,7 +447,7 @@ fn pure_edb_asserts_drop_zero_tables_and_patch_in_place() {
     let colours = parse_query("?- colour(X, C).").unwrap();
     db.query(&win).unwrap();
     db.query(&colours).unwrap();
-    let warm = db.explain(&win).cached_subqueries;
+    let warm = db.query(&win).unwrap().stats.tables_reused;
     db.assert_fact(parse_term("colour(b, blue)").unwrap())
         .unwrap();
     let result = db.query(&colours).unwrap();
@@ -511,10 +535,10 @@ fn a_write_that_changes_no_answer_resolves_only_the_table_it_touches() {
         .collect();
     db.query(&ancestors[0]).unwrap();
     db.assert_fact(parse_term("move(b, d)").unwrap()).unwrap();
-    let plan = db.explain(&ancestors[0]);
-    assert_eq!(plan.patched_subqueries, 1, "move(b, Y)\n{plan}");
-    assert_eq!(plan.refilled_subqueries, 1, "winning(b)\n{plan}");
-    assert_eq!(plan.dropped_subqueries, 0, "{plan}");
+    let stats = db.query(&ancestors[0]).unwrap().stats;
+    assert_eq!(stats.tables_patched, 1, "move(b, Y)\n{stats:?}");
+    assert_eq!(stats.tables_refilled, 1, "winning(b)\n{stats:?}");
+    assert_eq!(stats.tables_dropped, 0, "{stats:?}");
     for query in &ancestors {
         let result = db.query(query).unwrap();
         assert_eq!(result.stats.rule_applications, 0, "{query} was not warm");
@@ -526,9 +550,9 @@ fn a_write_that_changes_no_answer_resolves_only_the_table_it_touches() {
     // starts, `r` stops — four tables re-solved, none dropped.
     for (fact, resolved) in [("move(c, e)", 2), ("move(d, f)", 4)] {
         db.assert_fact(parse_term(fact).unwrap()).unwrap();
-        let plan = db.explain(&ancestors[0]);
-        assert_eq!(plan.refilled_subqueries, resolved, "{fact}\n{plan}");
-        assert_eq!(plan.dropped_subqueries, 0, "{fact}\n{plan}");
+        let stats = db.query(&ancestors[0]).unwrap().stats;
+        assert_eq!(stats.tables_refilled, resolved, "{fact}\n{stats:?}");
+        assert_eq!(stats.tables_dropped, 0, "{fact}\n{stats:?}");
         for query in &ancestors {
             let result = db.query(query).unwrap();
             assert_eq!(result.stats.rule_applications, 0, "{query} was not warm");
@@ -640,11 +664,11 @@ fn a_fallback_after_a_write_evaluates_the_model_before_reading_it() {
     let fresh = |program: &Program| HiLogDb::new(program.clone()).query(&query).unwrap();
     let assert_re_evaluated = |result: &QueryResult, program: &Program, context: &str| {
         assert!(result.fallback.is_some(), "{context}: no fallback");
-        assert!(
-            !result.plan.cached_model,
+        assert_eq!(
+            result.stats.model_source,
+            ModelSource::Rebuilt,
             "{context}: a model outlived the write"
         );
-        assert_eq!(result.stats.model_source, ModelSource::Rebuilt, "{context}");
         assert_eq!(result.stats.groundings, 0, "{context}: re-grounded");
         assert_results_agree(result, &fresh(program), context);
     };
@@ -827,9 +851,9 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
     let mut pinned: Option<(std::sync::Arc<DbSnapshot>, Vec<BTreeSet<String>>)> = None;
     let mut routes = PassRoutes::default();
     // The writer's counters run on until a query of the *session* reads
-    // them: a pass's share is the growth since the last look, plus what a
-    // read inside the batch took with it.
-    let (mut rederived, mut dropped) = (0, 0);
+    // them: a pass's share is what a probe after the publish reads, plus
+    // what a read inside the batch took with it.
+    let probe = parse_query("?- probe.").unwrap();
     let mut open_answers: Vec<Option<BTreeSet<String>>> = vec![None; open.len()];
     for round in 0..rounds {
         let (mut read_rederived, mut read_dropped) = (0, 0);
@@ -848,9 +872,8 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
                         &reference,
                         &format!("{context}\n{}", writer.program()),
                     );
-                    read_rederived += served.stats.instances_rederived - rederived;
-                    read_dropped += served.stats.tables_dropped - dropped;
-                    (rederived, dropped) = (0, 0);
+                    read_rederived += served.stats.instances_rederived;
+                    read_dropped += served.stats.tables_dropped;
                 }
                 2 => {
                     let rule = &rules[doors.gen_range(0..rules.len())];
@@ -894,10 +917,13 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
             }
         }
         writer.publish();
-        let plan = writer.db().explain(&queries[0]);
-        let pass_rederived = read_rederived + plan.rederived_instances - rederived;
-        let pass_dropped = read_dropped + plan.dropped_subqueries - dropped;
-        (rederived, dropped) = (plan.rederived_instances, plan.dropped_subqueries);
+        let pass = writer
+            .db()
+            .query(&probe)
+            .expect("the session answers")
+            .stats;
+        let pass_rederived = read_rederived + pass.instances_rederived;
+        let pass_dropped = read_dropped + pass.tables_dropped;
         routes.rederived += pass_rederived;
         if rules_moved {
             settled.fill(false);

@@ -17,7 +17,7 @@ use hilog_core::program::Program;
 use hilog_core::term::Term;
 use hilog_syntax::{
     parse_clauses, parse_program, parse_query, parse_rule, parse_term, program_to_source,
-    query_to_source, rule_to_source, ParseError,
+    ParseError,
 };
 use hilog_workloads::{
     durability_workload, generic_closure_program, hilog_game_program, random_dag,
@@ -237,7 +237,7 @@ fn check_parsers(text: &str) -> usize {
     check(
         "parse_query",
         query.map(|query| {
-            let printed = query_to_source(&query);
+            let printed = query.to_string();
             assert_eq!(parse_query(&printed).as_ref(), Ok(&query), "{text:?}");
         }),
     );
@@ -245,7 +245,7 @@ fn check_parsers(text: &str) -> usize {
     check(
         "parse_rule",
         rule.map(|rule| {
-            let printed = rule_to_source(&rule);
+            let printed = rule.to_string();
             assert_eq!(parse_rule(&printed).as_ref(), Ok(&rule), "{text:?}");
         }),
     );
