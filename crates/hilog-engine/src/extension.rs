@@ -20,8 +20,8 @@
 use crate::error::EngineError;
 use crate::grounder::relevant_ground;
 use crate::horn::EvalOptions;
-use crate::stable::{stable_models_of_ground, StableOptions};
-use crate::wfs::well_founded_eval;
+use crate::stable::stable_models_of_ground;
+use crate::wfs::checked_well_founded_eval;
 use hilog_core::herbrand::Vocabulary;
 use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
@@ -76,7 +76,6 @@ pub fn preserved_by_extension_stable(
     program: &Program,
     extension: &Program,
     eval: EvalOptions,
-    stable: StableOptions,
 ) -> Result<PreservationVerdict, EngineError> {
     if !extension.is_ground() {
         return Err(EngineError::Unsupported(
@@ -90,16 +89,16 @@ pub fn preserved_by_extension_stable(
     }
     // The definition only constrains extensions that themselves have a stable
     // model ("the stable-model semantics is not robust under union").
-    let extension_models = stable_models_of_ground(&relevant_ground(extension, eval)?, stable)?;
+    let extension_models = stable_models_of_ground(&relevant_ground(extension, eval)?, eval)?;
     if extension_models.is_empty() {
         return Ok(PreservationVerdict {
             preserved: true,
             violations: Vec::new(),
         });
     }
-    let base_models = stable_models_of_ground(&relevant_ground(program, eval)?, stable)?;
+    let base_models = stable_models_of_ground(&relevant_ground(program, eval)?, eval)?;
     let union_models =
-        stable_models_of_ground(&relevant_ground(&program.union(extension), eval)?, stable)?;
+        stable_models_of_ground(&relevant_ground(&program.union(extension), eval)?, eval)?;
     let vocab = Vocabulary::of_program(program);
     let mut violations = Vec::new();
     let mut preserved = true;
@@ -172,8 +171,7 @@ pub fn domain_independent_wfs_with_constants(
 
 /// The well-founded model of a program via relevant instantiation.
 fn well_founded_model(program: &Program, opts: EvalOptions) -> Result<Model, EngineError> {
-    let ground = relevant_ground(program, opts)?;
-    Ok(well_founded_eval(&ground, 1))
+    checked_well_founded_eval(&relevant_ground(program, opts)?)
 }
 
 /// Compares the model of `P ∪ Q` against the model of `P`, collecting the
@@ -225,13 +223,8 @@ mod tests {
         assert!(!verdict.preserved);
         assert_eq!(verdict.violations, vec![Term::sym("p")]);
         // The same extension also breaks the stable-model semantics.
-        let verdict_stable = preserved_by_extension_stable(
-            &program,
-            &extension,
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
+        let verdict_stable =
+            preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
         assert!(!verdict_stable.preserved);
     }
 
@@ -260,13 +253,8 @@ mod tests {
         let verdict =
             preserved_by_extension_wfs(&program, &extension, EvalOptions::default()).unwrap();
         assert!(verdict.preserved, "violations: {:?}", verdict.violations);
-        let verdict_stable = preserved_by_extension_stable(
-            &program,
-            &extension,
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
+        let verdict_stable =
+            preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
         assert!(verdict_stable.preserved);
     }
 
@@ -313,13 +301,8 @@ mod tests {
         // stable-model semantics.
         let program = p("X(a) :- X(X), not X(a).");
         let extension = p("r(r).");
-        let verdict = preserved_by_extension_stable(
-            &program,
-            &extension,
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
+        let verdict =
+            preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
         assert!(!verdict.preserved);
     }
 
@@ -344,13 +327,8 @@ mod tests {
         // one stable model; q :- not q destroys its own stable models.
         let program = p("p :- not r. r :- not p.");
         let extension = p("z :- not z.");
-        let verdict = preserved_by_extension_stable(
-            &program,
-            &extension,
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
+        let verdict =
+            preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
         assert!(verdict.preserved);
     }
 

@@ -11,8 +11,10 @@
 //! whose live atoms are exactly the rules' heads (an atom only a body names
 //! is interned, not live), and the rules as id triples over its interner.
 //! Every fixpoint of the well-founded and stable-model constructions
-//! indexes its assignment by those ids; the
-//! term form [`GroundRule`] is what builds rules and what displays them.
+//! indexes its assignment by those ids: the well-founded evaluation, the
+//! stable-model search's `W_P` propagation and its Gelfond–Lifschitz
+//! cross-check.  The term form [`GroundRule`] is what builds rules, what
+//! displays them and what the tests' references read.
 
 use crate::horn::AtomStore;
 use hilog_core::hash::TermSet;

@@ -26,6 +26,10 @@ use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, PoisonError, RwLock};
 
+/// The most rounds one semi-naive saturation, or one run of the Figure 1
+/// procedure, takes before it errs with [`EngineError::LimitExceeded`].
+pub(crate) const ROUND_LIMIT: usize = 100_000;
+
 /// Resource limits for bottom-up evaluation.  They exist because HiLog
 /// Herbrand universes are infinite: a non-range-restricted program (or a
 /// range-restricted one with recursively applied function symbols, as the
@@ -39,10 +43,9 @@ pub struct EvalOptions {
     ///   rule's instances);
     /// - the tabled route: answers summed over the tables the evaluation
     ///   creates, so an answer held by two tables counts twice;
-    /// - Figure 1's reduction: partial instantiations of one rule.
+    /// - Figure 1's reduction: partial instantiations of one rule;
+    /// - the stable-model search: search nodes.
     pub max_atoms: usize,
-    /// Maximum number of semi-naive rounds before aborting.
-    pub max_rounds: usize,
     /// Inert: reads 1 and is ignored, since evaluation runs on the calling
     /// thread.  Kept while the benchmark package reads it (ROADMAP 1(c)
     /// removes it).
@@ -53,7 +56,6 @@ impl Default for EvalOptions {
     fn default() -> Self {
         EvalOptions {
             max_atoms: 500_000,
-            max_rounds: 100_000,
             eval_threads: 1,
         }
     }
@@ -608,7 +610,7 @@ pub fn least_model_into(
 /// later round, though once per frontier atom it reads within that round.
 /// Invariant throughout: the frontier is a subset of the store.
 ///
-/// On `Err` — `max_rounds`, `max_atoms`, the deadline, a floundering head,
+/// On `Err` — [`ROUND_LIMIT`], `max_atoms`, the deadline, a floundering head,
 /// or whatever `on_match` returns — the store is left **partially
 /// extended** and no longer closed; discard it.
 pub(crate) fn saturate(
@@ -648,10 +650,9 @@ pub(crate) fn saturate(
     while !frontier.is_empty() {
         rounds += 1;
         check_deadline()?;
-        if rounds > opts.max_rounds {
+        if rounds > ROUND_LIMIT {
             return Err(EngineError::LimitExceeded(format!(
-                "semi-naive evaluation exceeded {} rounds",
-                opts.max_rounds
+                "semi-naive evaluation exceeded {ROUND_LIMIT} rounds"
             )));
         }
         let mut next = AtomStore::new();

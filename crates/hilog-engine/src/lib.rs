@@ -20,9 +20,11 @@
 //!   `W_P` construction of Definitions 3.3–3.5, applied to normal and HiLog
 //!   instantiations alike (Section 4), settled one component of the atom
 //!   dependency graph at a time on the calling thread.
-//! * **Stable models** ([`stable_models_over_universe`], [`StableOptions`]):
-//!   two-valued fixpoints of `W_P` (Definition 3.6) with a WFS-guided search
-//!   and a Gelfond–Lifschitz cross-check.
+//! * **Stable models** ([`stable_models_over_universe`]): two-valued
+//!   fixpoints of `W_P` (Definition 3.6), every one enumerated by a search
+//!   over the grounding's atom ids that starts from the well-founded model
+//!   and propagates with the same `T_P` / `U_P`, with a Gelfond–Lifschitz
+//!   cross-check.
 //! * **Modular stratification for HiLog** ([`ModularOutcome`]): the Figure 1
 //!   procedure, HiLog reduction (Definition 6.5), and the normal-program
 //!   specialisation (Definition 6.4, Lemma 6.2).
@@ -98,6 +100,6 @@ pub use plan::{PlanStrategy, QueryPlan};
 pub use session::{HiLogDb, HiLogDbBuilder, QueryAnswer, QueryResult, Semantics};
 pub use snapshot::{DbSnapshot, DbWriter, SnapshotHandle};
 pub use spill::SpillStore;
-pub use stable::{stable_models_over_universe, StableOptions};
+pub use stable::stable_models_over_universe;
 pub use storage::{FactStore, RelationStorageStats, StorageConfig};
 pub use wfs::{well_founded_eval, well_founded_model_over_universe, well_founded_of_ground};

@@ -54,7 +54,7 @@ use crate::aggregate::{evaluate_aggregate_program, solve_aggregate};
 use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::grounder::{check_rule_budget, relevant_ground};
-use crate::horn::EvalOptions;
+use crate::horn::{EvalOptions, ROUND_LIMIT};
 use crate::join::{Frame, Pat, RulePlan, Step};
 use crate::wfs::stratified_eval;
 use hilog_core::analysis::DependencyGraph;
@@ -120,10 +120,9 @@ pub(crate) fn figure1_procedure(
     while !remaining.is_empty() {
         guard += 1;
         check_deadline()?;
-        if guard > opts.max_rounds {
+        if guard > ROUND_LIMIT {
             return Err(EngineError::LimitExceeded(format!(
-                "Figure 1 procedure exceeded {} rounds",
-                opts.max_rounds
+                "Figure 1 procedure exceeded {ROUND_LIMIT} rounds"
             )));
         }
 

@@ -69,7 +69,6 @@ use crate::magic_eval::{EvalStats, ProgramIndex};
 use crate::modular::ModularOutcome;
 use crate::plan::QueryPlan;
 use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle};
-use crate::stable::StableOptions;
 use crate::storage::{RelationStorageStats, StorageConfig};
 use hilog_core::analysis::DependencyGraph;
 use hilog_core::hash::TermMap;
@@ -213,7 +212,6 @@ impl Serialize for QueryResult {
 pub struct HiLogDbBuilder {
     program: Program,
     opts: EvalOptions,
-    stable_opts: StableOptions,
     semantics: Semantics,
     warm_model: Option<Model>,
     storage: StorageConfig,
@@ -236,13 +234,6 @@ impl HiLogDbBuilder {
     /// stored copy of [`EvalOptions`].
     pub fn options(mut self, opts: EvalOptions) -> Self {
         self.opts = opts;
-        self
-    }
-
-    /// Sets the stable-model search limits (only used under
-    /// [`Semantics::Stable`]).
-    pub fn stable_options(mut self, opts: StableOptions) -> Self {
-        self.stable_opts = opts;
         self
     }
 
@@ -284,7 +275,6 @@ impl HiLogDbBuilder {
             snap: DbSnapshot::new(
                 self.program,
                 self.opts,
-                self.stable_opts,
                 self.semantics,
                 self.warm_model,
                 self.storage,
@@ -381,11 +371,6 @@ impl HiLogDb {
     /// The semantics queries are answered under.
     pub fn semantics(&self) -> Semantics {
         self.snap.semantics()
-    }
-
-    /// The session's stable-model search limits.
-    pub fn stable_options(&self) -> StableOptions {
-        self.snap.stable_opts
     }
 
     // ------------------------------------------------------------------

@@ -90,7 +90,7 @@ use crate::magic_eval::{
 use crate::modular::{figure1_procedure, ModularOutcome};
 use crate::plan::{PlanStrategy, QueryPlan};
 use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
-use crate::stable::{stable_models_of_ground, StableOptions};
+use crate::stable::stable_models_of_ground;
 use crate::storage::{RelationStorageStats, StorageConfig};
 use crate::wfs::checked_well_founded_eval;
 use hilog_core::interpretation::{Model, Truth};
@@ -170,7 +170,6 @@ pub struct DbSnapshot {
     /// fact multiset is deliberately *not* here: only mutations read it.
     pub(crate) program: Arc<Program>,
     pub(crate) opts: EvalOptions,
-    pub(crate) stable_opts: StableOptions,
     pub(crate) semantics: Semantics,
     /// Publication counter: 0 for a session's working state and for the
     /// snapshot [`HiLogDb::into_serving`] publishes, +1 per
@@ -215,7 +214,6 @@ impl DbSnapshot {
     pub(crate) fn new(
         program: Program,
         opts: EvalOptions,
-        stable_opts: StableOptions,
         semantics: Semantics,
         warm_model: Option<Model>,
         storage: StorageConfig,
@@ -223,7 +221,6 @@ impl DbSnapshot {
         DbSnapshot {
             program: Arc::new(program),
             opts,
-            stable_opts,
             semantics,
             epoch: 0,
             core: RwLock::new(SnapCore {
@@ -258,7 +255,6 @@ impl DbSnapshot {
         DbSnapshot {
             program: self.program.clone(),
             opts: self.opts,
-            stable_opts: self.stable_opts,
             semantics: self.semantics,
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
@@ -570,7 +566,7 @@ impl DbSnapshot {
         self.ensure_ground_locked(core)?;
         check_deadline()?;
         let ground = core.ground.as_deref().expect("just grounded");
-        let stable = Arc::new(stable_models_of_ground(ground, self.stable_opts)?);
+        let stable = Arc::new(stable_models_of_ground(ground, self.opts)?);
         core.stable = Some(stable.clone());
         Ok(stable)
     }
@@ -773,22 +769,24 @@ impl ModelWalk<'_> {
     }
 }
 
-/// The consensus model of Definition 3.7 over a set of stable models: an
-/// atom of any model's base keeps the value every model gives it, and is
-/// undefined where they disagree.  Built in one pass over the bases (an atom
-/// in several bases gets the same value each time).
+/// The consensus model of Definition 3.7 over the stable models of one
+/// grounding, which share one base (the atoms its rules mention): an atom
+/// keeps the value every model gives it, and is undefined where they
+/// disagree.  Each atom is decided once, reading every model, and looks at
+/// the deadline.
 fn consensus_model(models: &[Model]) -> Result<Model, EngineError> {
     let first = models.first().ok_or(EngineError::NoStableModels)?;
-    let consensus = |atom: &Term| {
+    debug_assert!(models
+        .iter()
+        .all(|m| m.base().iter().eq(first.base().iter())));
+    let mut consensus = Model::empty();
+    for atom in first.base() {
+        check_deadline()?;
         let truth = first.truth(atom);
-        if models.iter().all(|m| m.truth(atom) == truth) {
-            truth
-        } else {
-            Truth::Undefined
-        }
-    };
-    let base = models.iter().flat_map(|m| m.base());
-    Ok(base.map(|atom| (atom.clone(), consensus(atom))).collect())
+        let agreed = models.iter().all(|m| m.truth(atom) == truth);
+        consensus.insert(atom.clone(), if agreed { truth } else { Truth::Undefined });
+    }
+    Ok(consensus)
 }
 
 /// The cloneable reader endpoint: pins the most recently published

@@ -41,12 +41,12 @@ use hilog_core::term::Term;
 /// A three-valued assignment over a [`GroundProgram`]'s atoms, indexed by
 /// [`AtomId::index`]: `Some(true)` = true, `Some(false)` = false, `None` =
 /// undefined.
-type Assignment = [Option<bool>];
+pub(crate) type Assignment = [Option<bool>];
 
 /// One application of the `T_P` operator (Definition 3.5): the set of atoms
 /// with a rule whose positive body atoms are all true and whose negative body
 /// atoms are all false in `I`.
-fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
+pub(crate) fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
     let body_true = |r: &IdRule| {
         r.pos.iter().all(|p| i[p.index()] == Some(true))
             && r.neg.iter().all(|n| i[n.index()] == Some(false))
@@ -63,7 +63,7 @@ fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
 /// (condition 1: no body literal's complement is in `I`) whose positive body
 /// atoms are all founded (the negation of condition 2).  Everything not
 /// founded is unfounded.
-fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
+pub(crate) fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
     let mut founded = vec![false; program.atoms.interner().len()];
     // usable[r] = rule r has no witness of unusability of type 1.
     let usable: Vec<bool> = program
@@ -131,7 +131,7 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 /// maintenance left behind is no part of it).  The result depends only on
 /// the assignment values (the model is ordered by term), never on the order
 /// that produced them.
-fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
+pub(crate) fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
     let mentioned = program.mentioned();
     let atoms = program.atoms.interner();
     let base = atoms.iter().filter(|(id, _)| mentioned[id.index()]);
@@ -158,10 +158,12 @@ fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
 /// Definition 3.5's global iteration yields.
 ///
 /// It runs to completion whatever deadline the calling thread carries:
-/// `checked_well_founded_eval` is the same evaluation under it.
-/// `_threads` is inert: evaluation runs on the calling thread.  The
-/// parameter, and this wrapper, stay only while the benchmark package pins
-/// this signature (ROADMAP 1(c) removes it).
+/// `checked_well_founded_eval` is the same evaluation under it, and every
+/// caller inside the workspace's crates uses that one.  Only the benchmark
+/// package and the tests call this wrapper; `_threads` is inert, since
+/// evaluation runs on the calling thread.  The parameter, and this wrapper,
+/// stay only while the benchmark package pins this signature (ROADMAP 1(c)
+/// removes it).
 pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
     with_deadline(None, || checked_well_founded_eval(program)).expect("no deadline to pass")
 }
@@ -169,8 +171,15 @@ pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
 /// [`well_founded_eval`] under the calling thread's deadline, which it
 /// checks once per component.
 pub(crate) fn checked_well_founded_eval(program: &GroundProgram) -> Result<Model, EngineError> {
-    let assignment = settle_components(program, &condensation(program))?;
-    Ok(assemble_model(program, &assignment))
+    Ok(assemble_model(program, &well_founded_assignment(program)?))
+}
+
+/// The settled assignment [`checked_well_founded_eval`] assembles its model
+/// from: the stable-model search starts from it.
+pub(crate) fn well_founded_assignment(
+    program: &GroundProgram,
+) -> Result<Vec<Option<bool>>, EngineError> {
+    settle_components(program, &condensation(program))
 }
 
 /// The well-founded model of a ground program that is *locally stratified*
@@ -332,25 +341,28 @@ fn eval_component(rules: &[&IdRule], members: &[usize], settled: &Assignment) ->
     local
 }
 
-/// Checks whether a *total* candidate assignment over the ground program's
-/// atoms is a fixpoint of `W_P` — the characterisation of stable models used
-/// by Definition 3.6.  `candidate` maps every atom some rule mentions to a
-/// truth value via [`Model::is_true`] (atoms outside its base count as
-/// false).
-pub fn is_two_valued_fixpoint(program: &GroundProgram, candidate: &Model) -> bool {
-    let atoms = program.atoms.interner().terms();
-    let assignment: Vec<Option<bool>> = atoms.iter().map(|a| Some(candidate.is_true(a))).collect();
+/// Checks whether a *total* assignment over the atoms some rule mentions is
+/// a fixpoint of `W_P` — the characterisation of stable models used by
+/// Definition 3.6 (an atom no rule mentions is not read).
+pub(crate) fn is_two_valued_fixpoint(program: &GroundProgram, assignment: &Assignment) -> bool {
     // T_P(I) must be exactly the true atoms, and U_P(I) exactly the false ones.
     let mut derived = vec![false; assignment.len()];
-    for a in t_p(program, &assignment) {
+    for a in t_p(program, assignment) {
         derived[a.index()] = true;
     }
-    let unfounded = greatest_unfounded_set(program, &assignment);
+    let unfounded = greatest_unfounded_set(program, assignment);
     let mentioned = program.mentioned();
     (0..assignment.len()).filter(|&id| mentioned[id]).all(|id| {
         let is_true = assignment[id] == Some(true);
         is_true == derived[id] && is_true != unfounded[id]
     })
+}
+
+/// The total assignment a model gives a ground program's atoms (an atom
+/// outside the model's base reads false).
+pub(crate) fn assignment_of(program: &GroundProgram, model: &Model) -> Vec<Option<bool>> {
+    let atoms = program.atoms.interner().terms();
+    atoms.iter().map(|a| Some(model.is_true(a))).collect()
 }
 
 /// Computes the well-founded model of a program instantiated over an
@@ -362,7 +374,7 @@ pub fn well_founded_model_over_universe(
     opts: EvalOptions,
 ) -> Result<Model, EngineError> {
     let ground = ground_over_universe(program, universe, opts)?;
-    Ok(well_founded_eval(&ground, 1))
+    checked_well_founded_eval(&ground)
 }
 
 #[cfg(test)]
@@ -533,11 +545,11 @@ mod tests {
         let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
         let m = well_founded_of_ground(&gp);
         assert!(m.is_total());
-        assert!(is_two_valued_fixpoint(&gp, &m));
+        assert!(is_two_valued_fixpoint(&gp, &assignment_of(&gp, &m)));
         // Flipping an atom breaks the fixpoint property.
         let mut wrong = m.clone();
         wrong.set_true(t("winning(a)"));
-        assert!(!is_two_valued_fixpoint(&gp, &wrong));
+        assert!(!is_two_valued_fixpoint(&gp, &assignment_of(&gp, &wrong)));
     }
 
     #[test]

@@ -205,8 +205,7 @@ impl PersistentWriter {
                 let mut builder = HiLogDb::builder()
                     .program(ckpt.program)
                     .semantics(ckpt.semantics)
-                    .options(seed.options())
-                    .stable_options(seed.stable_options());
+                    .options(seed.options());
                 if let Some(model) = ckpt.model {
                     builder = builder.warm_model(model);
                 }

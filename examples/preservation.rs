@@ -11,7 +11,7 @@
 use hilog_core::Term;
 use hilog_engine::{
     domain_independent_wfs_with_constants, preserved_by_extension_stable,
-    preserved_by_extension_wfs, EvalOptions, StableOptions,
+    preserved_by_extension_wfs, EvalOptions,
 };
 use hilog_syntax::parse_program;
 
@@ -65,13 +65,7 @@ fn main() {
     // semantics is not preserved.
     let weak = parse_program("X(a) :- X(X), not X(a).").unwrap();
     let tiny = parse_program("r(r).").unwrap();
-    let verdict = preserved_by_extension_stable(
-        &weak,
-        &tiny,
-        EvalOptions::default(),
-        StableOptions::default(),
-    )
-    .unwrap();
+    let verdict = preserved_by_extension_stable(&weak, &tiny, EvalOptions::default()).unwrap();
     println!(
         "Theorem 5.4 counterexample  X(a) :- X(X), not X(a).  preserved under {{r(r).}}: {}",
         verdict.preserved

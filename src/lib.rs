@@ -35,7 +35,7 @@ pub mod prelude {
         well_founded_eval, well_founded_model_over_universe, AtomStore, DbSnapshot, DbWriter,
         EngineError, EvalOptions, EvalStats, FactStore, GroundProgram, GroundRule, HiLogDb,
         HiLogDbBuilder, ModelSource, ModularOutcome, NegationMode, PlanStrategy, QueryAnswer,
-        QueryPlan, QueryResult, Semantics, SnapshotHandle, StableOptions, StorageConfig,
+        QueryPlan, QueryResult, Semantics, SnapshotHandle, StorageConfig,
     };
     pub use hilog_syntax::{parse_program, parse_query, parse_term};
 }

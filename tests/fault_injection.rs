@@ -460,7 +460,11 @@ fn query_deadline_answers_504_and_counts() {
 /// between the steps of a round and at each partial instantiation of the
 /// reduction; while it looked once a round, the sharded game returned after
 /// 128–140 ms.  A passed deadline is an error, not a verdict: the same
-/// session without one still accepts the program.
+/// session without one still accepts the program.  The stable-model search
+/// looks at it at each `W_P` step of its propagation: on a grounding built
+/// beforehand, a 4,000-position cycle's two stable models take ≈ 0.46 s to
+/// enumerate with no deadline (release), and while the search looked only
+/// at its nodes, a 200-position cycle's returned after 65–76 ms.
 #[test]
 fn a_full_model_build_stops_at_its_deadline() {
     use hilog_repro::engine::with_deadline;
@@ -503,6 +507,23 @@ fn a_full_model_build_stops_at_its_deadline() {
             assert!(accepted.modularly_stratified, "{:?}", accepted.reason);
         }
     }
+
+    let name = "stable models, cycle(4000)";
+    let mut db = HiLogDb::builder()
+        .program(normal_game_program(&cycle(4_000)))
+        .semantics(Semantics::Stable)
+        .build();
+    db.ground_program().expect("no deadline, no error");
+    let started = Instant::now();
+    let deadline = started + Duration::from_millis(5);
+    let result = with_deadline(Some(deadline), || db.stable_models().map(<[Model]>::len));
+    let took = started.elapsed();
+    assert!(
+        matches!(result, Err(EngineError::DeadlineExceeded(_))),
+        "{name}: {result:?}"
+    );
+    eprintln!("{name}: deadline exceeded after {took:?}");
+    assert!(took < Duration::from_millis(5) + slack, "{name}: {took:?}");
 }
 
 /// A dead disk under a live server: mutations degrade to `503` while

@@ -1,9 +1,7 @@
 //! Section 5: preservation under extensions (Theorems 5.3 and 5.4) checked
 //! over generated program families, plus the paper's counterexamples.
 
-use hilog_engine::{
-    preserved_by_extension_stable, preserved_by_extension_wfs, EvalOptions, StableOptions,
-};
+use hilog_engine::{preserved_by_extension_stable, preserved_by_extension_wfs, EvalOptions};
 use hilog_syntax::parse_program;
 use hilog_workloads::random_programs::{
     random_ground_extension, random_range_restricted_normal, random_strongly_restricted_hilog,
@@ -48,7 +46,6 @@ proptest! {
             &program,
             &extension,
             EvalOptions::default(),
-            StableOptions::default(),
         )
         .expect("checkable");
         prop_assert!(verdict.preserved, "seeds ({program_seed}, {extension_seed})");
@@ -80,13 +77,8 @@ fn example_5_1_counterexample() {
         let extension = parse_program(&format!("{a}({b}). {b}({a}).")).unwrap();
         let wfs = preserved_by_extension_wfs(&program, &extension, EvalOptions::default()).unwrap();
         assert!(!wfs.preserved, "extension {a}/{b}");
-        let stable = preserved_by_extension_stable(
-            &program,
-            &extension,
-            EvalOptions::default(),
-            StableOptions::default(),
-        )
-        .unwrap();
+        let stable =
+            preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
         assert!(!stable.preserved, "extension {a}/{b}");
     }
     // A *one*-directional pair does not make p true, so it is preserved:
@@ -103,13 +95,8 @@ fn example_5_1_counterexample() {
 fn theorem_5_4_needs_strong_range_restriction() {
     let program = parse_program("X(a) :- X(X), not X(a).").unwrap();
     let extension = parse_program("r(r).").unwrap();
-    let verdict = preserved_by_extension_stable(
-        &program,
-        &extension,
-        EvalOptions::default(),
-        StableOptions::default(),
-    )
-    .unwrap();
+    let verdict =
+        preserved_by_extension_stable(&program, &extension, EvalOptions::default()).unwrap();
     assert!(!verdict.preserved);
     // The well-founded semantics, by contrast, *is* preserved for this
     // range-restricted program (Theorem 5.3 needs only range restriction).
