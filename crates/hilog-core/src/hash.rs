@@ -23,7 +23,7 @@
 //! library's [`RandomState`], so bucket placement differs from run to run.
 //! Nothing durable may depend on a value hashed here: pointers and the seed
 //! change with the process (on-disk names are derived from codec bytes
-//! instead — see `hilog_store::manifest`).
+//! instead — see `crates/hilog-store/src/manifest.rs`).
 //!
 //! Use the aliases: [`TermMap`] / [`TermSet`] for maps and sets, and
 //! [`hash_one`] where a bare `u64` is wanted (hash partitioning, the spill

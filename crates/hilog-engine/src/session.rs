@@ -213,7 +213,6 @@ pub struct HiLogDbBuilder {
     program: Program,
     opts: EvalOptions,
     semantics: Semantics,
-    warm_model: Option<Model>,
     storage: StorageConfig,
 }
 
@@ -243,22 +242,6 @@ impl HiLogDbBuilder {
         self
     }
 
-    /// Seeds the session with an already-computed full model for the initial
-    /// program, so the first full-model query skips evaluation entirely.
-    ///
-    /// This is the recovery path of the durable storage layer: a checkpoint
-    /// persists the model alongside the program, and restoring it here makes
-    /// restart-to-first-answer independent of model (re)computation.  The
-    /// caller asserts the model is *the* model of `program` under the chosen
-    /// semantics — grounding and subgoal tables still rebuild lazily, and
-    /// every mutation path treats the seeded model exactly like one the
-    /// session computed itself (edited in place by a pure-EDB fact, dropped
-    /// by any other mutation).
-    pub fn warm_model(mut self, model: Model) -> Self {
-        self.warm_model = Some(model);
-        self
-    }
-
     /// Chooses the relation-storage backend for the session's long-lived
     /// stores (the program index's facts and the subgoal-table answers; a
     /// grounding is resident).  The default is [`StorageConfig::from_env`]:
@@ -272,13 +255,7 @@ impl HiLogDbBuilder {
     /// lazily by the first query that needs it.
     pub fn build(self) -> HiLogDb {
         HiLogDb {
-            snap: DbSnapshot::new(
-                self.program,
-                self.opts,
-                self.semantics,
-                self.warm_model,
-                self.storage,
-            ),
+            snap: DbSnapshot::new(self.program, self.opts, self.semantics, self.storage),
             analysis: None,
             generation: 0,
             fact_copies: None,
@@ -676,11 +653,11 @@ impl HiLogDb {
     }
 
     /// The cached full model, if one is warm (`None` if no model has been
-    /// computed, or a mutation has dropped it since).  Checkpointing uses
-    /// this to persist the model without forcing an evaluation: a session
-    /// whose model is not at hand simply checkpoints without one.
-    pub fn cached_model(&self) -> Option<Arc<Model>> {
-        self.snap.cached_model()
+    /// computed, or a mutation has dropped it since); never forces an
+    /// evaluation.
+    #[cfg(test)]
+    pub(crate) fn cached_model(&self) -> Option<Arc<Model>> {
+        self.snap.core.read().unwrap().model.clone()
     }
 
     /// The working snapshot, for the writer to fold a reader-built program

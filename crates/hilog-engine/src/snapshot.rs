@@ -208,14 +208,12 @@ pub struct DbSnapshot {
 }
 
 impl DbSnapshot {
-    /// A cold working snapshot (optionally seeded with an already-computed
-    /// model of `program`); what [`crate::session::HiLogDbBuilder::build`]
-    /// wraps.
+    /// A cold working snapshot; what
+    /// [`crate::session::HiLogDbBuilder::build`] wraps.
     pub(crate) fn new(
         program: Program,
         opts: EvalOptions,
         semantics: Semantics,
-        warm_model: Option<Model>,
         storage: StorageConfig,
     ) -> Self {
         DbSnapshot {
@@ -223,10 +221,7 @@ impl DbSnapshot {
             opts,
             semantics,
             epoch: 0,
-            core: RwLock::new(SnapCore {
-                model: warm_model.map(Arc::new),
-                ..SnapCore::default()
-            }),
+            core: RwLock::default(),
             tables: RwLock::new(Arc::default()),
             merged: None,
             index: RwLock::new(None),
@@ -263,11 +258,6 @@ impl DbSnapshot {
             index: RwLock::new(lock_mut(&mut self.index).clone()),
             storage: self.storage.clone(),
         }
-    }
-
-    /// The cached full model, if one is warm; never forces an evaluation.
-    pub(crate) fn cached_model(&self) -> Option<Arc<Model>> {
-        read_lock(&self.core).model.clone()
     }
 
     /// The program this snapshot answers from.
@@ -878,13 +868,6 @@ impl DbWriter {
     /// The semantics queries are answered under.
     pub fn semantics(&self) -> Semantics {
         self.db.semantics()
-    }
-
-    /// The session's cached full model (see [`HiLogDb::cached_model`]).
-    /// Checkpointing persists this alongside the program; `None` simply
-    /// means the checkpoint carries no model.
-    pub fn cached_model(&self) -> Option<Arc<Model>> {
-        self.db.cached_model()
     }
 
     /// Adopts the tables reader queries computed on the published snapshot

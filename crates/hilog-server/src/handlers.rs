@@ -175,7 +175,7 @@ fn mutate(state: &ServerState, body: &[u8], mutation: Mutation) -> Response {
 }
 
 /// `POST /checkpoint` with an empty body (or `{"mode": "full"}`) writes a
-/// full checkpoint (every relation's segment, plus the warm model);
+/// full checkpoint (every relation's segment);
 /// `{"mode": "incremental"}` rewrites only the relations dirtied since the
 /// newest manifest.
 fn checkpoint(state: &ServerState, body: &[u8]) -> Response {

@@ -13,7 +13,7 @@
 //! | `POST /query`   | `{"query": "?- winning(X)."}`             | Answers against the pinned snapshot; returns `{epoch, result}` |
 //! | `POST /assert`  | `{"facts": [...], "rules": [...]}`        | One batch: WAL-append, apply, publish, return `{epoch, applied, missing}` |
 //! | `POST /retract` | `{"facts": [...], "rules": [...]}`        | Same, removing entries; absent ones land in `missing` |
-//! | `POST /checkpoint` | `{"mode": "incremental"}` (optional)   | Writes a checkpoint (per-relation segments + manifest: every relation and the warm model by default, only dirtied relations when incremental), truncates the WAL, GCs the symbol pool |
+//! | `POST /checkpoint` | `{"mode": "incremental"}` (optional)   | Writes a checkpoint (per-relation segments + manifest: every relation by default, only dirtied relations when incremental), truncates the WAL, GCs the symbol pool |
 //! | `GET /stats`    | —                                         | Serving + storage counters (epoch, rules, WAL, checkpoints, symbols) |
 //!
 //! ## Concurrency model

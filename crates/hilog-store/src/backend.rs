@@ -9,13 +9,13 @@
 //!   wal.log                              the write-ahead log
 //!   manifest-<epoch:020>.hman            recovery points, newest first
 //!   rel-<hash:016x>-<epoch:020>.hseg     one relation's facts, named by manifests
-//!   model-<epoch:020>.hmod               the warm model of a full checkpoint
 //! ```
 //!
-//! A checkpoint commits in one order: segments (and, for a full one, the
-//! model file) → manifest → directory fsync → prune older recovery points →
-//! truncate the WAL.  A failure before the prune leaves the previous
-//! recovery point and the whole WAL in place.
+//! A checkpoint commits in one order: segments → manifest → directory fsync
+//! → prune older recovery points → truncate the WAL.  A failure before the
+//! prune leaves the previous recovery point and the whole WAL in place.  The
+//! prune also deletes any `model-<epoch:020>.hmod` file, which only
+//! directories written before models left the recovery point hold.
 
 use crate::error::StoreError;
 use crate::io::{with_retry, RealIo, RetryPolicy, StoreIo};
@@ -26,11 +26,11 @@ use crate::manifest::{
 use crate::ops::Op;
 use crate::wal::{FsyncPolicy, Wal, WalRecord, WAL_FILE};
 use std::collections::BTreeSet;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Configuration of a [`Durable`] backend.
+/// Configuration of the durable store [`crate::PersistentWriter::open`] opens.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
     /// Directory holding the WAL and recovery points (created if absent).
@@ -98,9 +98,9 @@ pub struct StorageStats {
     /// full one; for an incremental one only the dirtied relations (clean
     /// ones reuse their old segments and don't count).
     pub last_checkpoint_segments: usize,
-    /// Bytes the most recent checkpoint added: new segments + manifest, plus
-    /// the model file of a full one — the observable "delta size" an
-    /// incremental checkpoint is supposed to shrink.
+    /// Bytes the most recent checkpoint added: new segments + manifest — the
+    /// observable "delta size" an incremental checkpoint is supposed to
+    /// shrink.
     pub last_checkpoint_bytes: u64,
     /// Segments the current manifest references, reused ones included.
     pub manifest_segments: usize,
@@ -193,11 +193,6 @@ impl Durable {
                 wal_records,
             },
         ))
-    }
-
-    /// The data directory this backend writes under.
-    pub fn data_dir(&self) -> &Path {
-        &self.dir
     }
 
     /// Makes the batch that will publish `epoch` durable *before* it is

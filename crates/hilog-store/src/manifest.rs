@@ -1,12 +1,13 @@
 //! Recovery points: per-relation segment files + a manifest.
 //!
 //! A recovery point captures everything the writer cannot rebuild from
-//! thin air — the program's rules (initial + asserted, minus retracted)
-//! and, when the session had one warm, the full model — stamped with the
-//! epoch it represents.  Derived state (grounding, per-argument indexes,
-//! subgoal tables, stable models) deliberately stays out: it rebuilds
-//! lazily on first use, which keeps recovery points compact and the format
-//! stable under engine-internal changes.
+//! thin air — the program's rules (initial + asserted, minus retracted) —
+//! stamped with the epoch it represents and the semantics it answers
+//! under.  Derived state (models, grounding, per-argument indexes, subgoal
+//! tables) deliberately stays out: it rebuilds lazily on first use, which
+//! keeps recovery points compact and the format stable under
+//! engine-internal changes, and means no torn cache file can cost a
+//! recovery point its committed epochs.
 //!
 //! ## Files
 //!
@@ -18,24 +19,23 @@
 //!   facts of *one* relation (one predicate key: name term + arity).  The
 //!   hash is FNV-1a over the key's codec bytes, fixed per key text across
 //!   processes, and each manifest entry records the one its file carries.
-//! * **Model** (`model-<epoch:020>.hmod`, magic `HMOD`) — the warm
-//!   three-valued model: its true / undefined / remaining-base atom sets.
 //! * **Manifest** (`manifest-<epoch:020>.hman`, magic `HMAN`) — the
 //!   recovery point itself: the epoch, the semantics, every *non-fact* rule
 //!   (always rewritten — the rules blob is tiny next to the fact payload),
 //!   one entry per relation naming the segment that holds its facts, and
-//!   whether this epoch's model file belongs to it.
+//!   a flag byte written as 0.  Directories written before models left the
+//!   recovery point set it to 1 beside a `model-<epoch:020>.hmod` file;
+//!   recovery reads the flag, never opens the file, and the next prune
+//!   deletes it.
 //!
 //! ## Full and incremental checkpoints
 //!
 //! Both are one call, [`commit_checkpoint`].  A *full* checkpoint reuses
 //! nothing: every relation gets a fresh segment at the checkpoint's epoch,
-//! so the recovery point is self-contained, and the warm model (when there
-//! is one) rides along.  An *incremental* one writes new segments only for
-//! relations dirtied since the previous manifest and copies every clean
-//! relation's entry forward, re-pointing at segments earlier checkpoints
-//! wrote; it never carries a model (the model rebuilds lazily, which is
-//! always sound), so a small fact delta never forces a model-sized write.
+//! so the recovery point is self-contained.  An *incremental* one writes new
+//! segments only for relations dirtied since the previous manifest and
+//! copies every clean relation's entry forward, re-pointing at segments
+//! earlier checkpoints wrote.
 //!
 //! Either way the files a manifest names are in place before it is, and no
 //! file is deleted until a newer manifest is durable, so a crash leaves the
@@ -46,13 +46,12 @@
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreIo};
 use hilog_core::codec::{crc32, PayloadReader, PayloadWriter};
-use hilog_core::{Model, Program, Rule, Term, TermMap, Truth};
+use hilog_core::{Program, Rule, Term, TermMap};
 use hilog_engine::Semantics;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 
 const SEGMENT_MAGIC: &[u8; 4] = b"HSEG";
-const MODEL_MAGIC: &[u8; 4] = b"HMOD";
 const MANIFEST_MAGIC: &[u8; 4] = b"HMAN";
 const VERSION: u32 = 1;
 
@@ -69,10 +68,6 @@ pub struct CheckpointData {
     pub semantics: Semantics,
     /// The full current program (rules + facts).
     pub program: Program,
-    /// The full model, when the session had computed one; restoring it makes
-    /// the first full-model query free.  `None` is always sound — the model
-    /// rebuilds lazily.
-    pub model: Option<Model>,
 }
 
 fn semantics_tag(semantics: Semantics) -> u8 {
@@ -157,12 +152,6 @@ pub fn segment_file_name(hash: u64, epoch: u64) -> String {
     format!("rel-{hash:016x}-{epoch:020}.hseg")
 }
 
-/// The canonical file name of the model a full checkpoint at `epoch`
-/// carries.
-pub fn model_file_name(epoch: u64) -> String {
-    format!("model-{epoch:020}.hmod")
-}
-
 /// The canonical manifest file name (zero-padded: lexicographic order is
 /// numeric order).
 pub fn manifest_file_name(epoch: u64) -> String {
@@ -187,11 +176,6 @@ pub struct Manifest {
     pub rules: Vec<Rule>,
     /// One entry per non-empty relation.
     pub entries: Vec<SegmentEntry>,
-    /// `true` when [`model_file_name`]`(epoch)` holds this recovery point's
-    /// warm model.  Never copied forward: the file is named only by the
-    /// manifest of the checkpoint that wrote it, so a leftover model file
-    /// at an epoch whose manifest says `false` is an orphan, not state.
-    pub has_model: bool,
 }
 
 fn write_framed(
@@ -375,53 +359,6 @@ pub(crate) fn decode_segment(
     Ok(facts)
 }
 
-/// Writes the model file for checkpoint `epoch` (same temp + fsync + rename
-/// discipline as a segment) and returns its size.
-fn write_model(io: &dyn StoreIo, dir: &Path, epoch: u64, model: &Model) -> Result<u64, StoreError> {
-    let payload = encode_model(model);
-    write_framed(io, dir, &model_file_name(epoch), MODEL_MAGIC, &payload)
-}
-
-/// The payload of a model file: the true atoms, the undefined atoms, then
-/// the false atoms of the base — three disjoint lists of ground atoms.
-pub(crate) fn encode_model(model: &Model) -> Vec<u8> {
-    let mut writer = PayloadWriter::new();
-    write_terms(&mut writer, model.true_atoms());
-    write_terms(&mut writer, model.undefined_atoms());
-    write_terms(&mut writer, model.false_base_atoms());
-    writer.finish()
-}
-
-/// Reads and validates the model file of checkpoint `epoch`.
-fn load_model(io: &dyn StoreIo, dir: &Path, epoch: u64) -> Result<Model, StoreError> {
-    let payload = read_framed(io, &dir.join(model_file_name(epoch)), MODEL_MAGIC)?;
-    decode_model(&payload)
-}
-
-/// The model a model-file payload holds.  An atom listed twice (within one
-/// list or across lists) or a non-ground atom is corruption: no model file
-/// [`encode_model`] writes holds either.
-pub(crate) fn decode_model(payload: &[u8]) -> Result<Model, StoreError> {
-    let mut reader = PayloadReader::new(payload)?;
-    let mut model = Model::empty();
-    for truth in [Truth::True, Truth::Undefined, Truth::False] {
-        for atom in read_terms(&mut reader)? {
-            if !atom.is_ground() {
-                return Err(StoreError::Corrupt(format!(
-                    "non-ground atom `{atom}` in model payload"
-                )));
-            }
-            if let Some(first) = model.insert(atom.clone(), truth) {
-                return Err(StoreError::Corrupt(format!(
-                    "atom `{atom}` listed as {first} and as {truth} in model payload"
-                )));
-            }
-        }
-    }
-    expect_end(&reader, "model")?;
-    Ok(model)
-}
-
 /// Writes the manifest file for `manifest.epoch` (temp + fsync + rename)
 /// and returns its size.  Every file it names must already be in place.
 fn write_manifest(io: &dyn StoreIo, dir: &Path, manifest: &Manifest) -> Result<u64, StoreError> {
@@ -447,7 +384,8 @@ pub(crate) fn encode_manifest(manifest: &Manifest) -> Vec<u8> {
         writer.write_u32(entry.facts);
         writer.write_u64(entry.bytes);
     }
-    writer.write_u8(manifest.has_model as u8);
+    // The model flag of the format's version 1: no model file is written.
+    writer.write_u8(0);
     writer.finish()
 }
 
@@ -487,27 +425,25 @@ pub(crate) fn decode_manifest(payload: &[u8]) -> Result<Manifest, StoreError> {
             bytes,
         });
     }
-    let has_model = match reader.read_u8()? {
-        0 => false,
-        1 => true,
-        other => {
-            return Err(StoreError::Corrupt(format!("unknown model flag {other}")));
-        }
-    };
+    // The model flag: 1 named a model file, which recovery no longer reads
+    // (a model is derived state and rebuilds on first use).
+    match reader.read_u8()? {
+        0 | 1 => {}
+        other => return Err(StoreError::Corrupt(format!("unknown model flag {other}"))),
+    }
     expect_end(&reader, "manifest")?;
     Ok(Manifest {
         epoch,
         semantics,
         rules,
         entries,
-        has_model,
     })
 }
 
-/// Loads the full state a manifest describes: its rules, every segment's
-/// facts, and the model file when the manifest names one.  Fails if *any*
-/// of those files is missing, torn, or holds a different relation than the
-/// manifest claims — the caller then falls back to an older recovery point.
+/// Loads the full state a manifest describes: its rules and every segment's
+/// facts.  Fails if *any* segment is missing, torn, or holds a different
+/// relation than the manifest claims — the caller then falls back to an
+/// older recovery point.
 pub fn load_manifest_data(
     io: &dyn StoreIo,
     dir: &Path,
@@ -522,16 +458,10 @@ pub fn load_manifest_data(
             program.push(Rule::fact(fact));
         }
     }
-    let model = if manifest.has_model {
-        Some(load_model(io, dir, manifest.epoch)?)
-    } else {
-        None
-    };
     Ok(CheckpointData {
         epoch: manifest.epoch,
         semantics: manifest.semantics,
         program,
-        model,
     })
 }
 
@@ -572,9 +502,8 @@ pub fn load_latest_recovery(
     Ok(None)
 }
 
-/// Commits the next recovery point — segments, then the model file (written
-/// whenever `data.model` is set), then the manifest that names them, then a
-/// directory fsync — and returns the manifest, how many segments were
+/// Commits the next recovery point — segments, then the manifest that names
+/// them, then a directory fsync — and returns the manifest, how many segments were
 /// written, and the bytes added.  An error (the directory fsync's included)
 /// means the recovery point may not be durable: the caller must neither
 /// prune older ones nor truncate the WAL.
@@ -619,23 +548,21 @@ pub fn commit_checkpoint(
             }
         }
     }
-    if let Some(model) = &data.model {
-        delta_bytes += write_model(io, dir, data.epoch, model)?;
-    }
     let manifest = Manifest {
         epoch: data.epoch,
         semantics: data.semantics,
         rules,
         entries,
-        has_model: data.model.is_some(),
     };
     delta_bytes += write_manifest(io, dir, &manifest)?;
     io.sync_dir(dir)?;
     Ok((manifest, written, delta_bytes))
 }
 
-/// Deletes all but the newest `keep` manifests, every segment and model
-/// file no retained manifest names, and stray `.tmp` files.  A manifest that
+/// Deletes all but the newest `keep` manifests, every segment no retained
+/// manifest names, every model file (no manifest names one any more: they
+/// are what directories written before models left the recovery point
+/// still hold), and stray `.tmp` files.  A manifest that
 /// fails to parse is *kept* (deleting it could orphan the fallback chain the
 /// loader walks); its files stay pinned only if a parsable manifest names
 /// them.  A retained manifest that cannot be *read* fails the prune before
@@ -653,9 +580,6 @@ pub fn prune_incremental(io: &dyn StoreIo, dir: &Path, keep: usize) -> Result<us
         for entry in &manifest.entries {
             referenced.insert(entry.file_name());
         }
-        if manifest.has_model {
-            referenced.insert(model_file_name(manifest.epoch));
-        }
     }
     let mut removed = 0usize;
     for (_, path) in candidates.into_iter().skip(keep) {
@@ -669,7 +593,7 @@ pub fn prune_incremental(io: &dyn StoreIo, dir: &Path, keep: usize) -> Result<us
             && ["rel-", "model-", "manifest-"]
                 .iter()
                 .any(|prefix| name.starts_with(prefix));
-        if is_stray_tmp || ((is_segment || is_model) && !referenced.contains(&name)) {
+        if is_stray_tmp || is_model || (is_segment && !referenced.contains(&name)) {
             io.remove_file(&dir.join(name))?;
             removed += 1;
         }
@@ -702,7 +626,6 @@ mod tests {
             epoch,
             semantics: Semantics::WellFounded,
             program: program.clone(),
-            model: None,
         }
     }
 
@@ -745,55 +668,6 @@ mod tests {
         recovered.sort();
         assert_eq!(original, recovered);
         fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn full_checkpoint_roundtrips_the_model() {
-        let dir = temp_dir("model");
-        let program = parse_program(
-            "winning(X) :- move(X, Y), not winning(Y).\n\
-             move(a, b). move(b, c). move(c, b).",
-        )
-        .unwrap();
-        let mut saved = data(17, &program);
-        saved.model = Some(hilog_engine::HiLogDb::new(program).model().unwrap().clone());
-        let (manifest, _, _) = commit_checkpoint(&real(), &dir, &saved, None).unwrap();
-        assert!(manifest.has_model);
-        let (loaded, _) = load_latest_recovery(&real(), &dir).unwrap().unwrap();
-        assert_eq!(loaded.epoch, 17);
-        assert_eq!(loaded.model, saved.model);
-        fs::remove_dir_all(&dir).ok();
-    }
-
-    /// A model payload built list by list: true, undefined, false.
-    fn model_payload(lists: [&[&str]; 3]) -> Vec<u8> {
-        let mut writer = PayloadWriter::new();
-        for list in lists {
-            let atoms: Vec<Term> = list.iter().map(|a| parse_term(a).unwrap()).collect();
-            write_terms(&mut writer, &atoms);
-        }
-        writer.finish()
-    }
-
-    #[test]
-    fn a_model_payload_with_a_repeated_or_non_ground_atom_is_corrupt() {
-        let corrupt = |lists: [&[&str]; 3]| {
-            matches!(
-                decode_model(&model_payload(lists)),
-                Err(StoreError::Corrupt(_))
-            )
-        };
-        assert!(corrupt([&["p(a)"], &["p(a)"], &["q(X)"]]));
-        assert!(corrupt([&["p(a)"], &["p(a)"], &[]]));
-        assert!(corrupt([&["p(a)"], &[], &["p(a)"]]));
-        assert!(corrupt([&[], &[], &["q(b)", "q(b)"]]));
-        assert!(corrupt([&[], &[], &["q(X)"]]));
-        let model = decode_model(&model_payload([&["p(a)"], &["u(a)"], &["q(b)"]])).unwrap();
-        let atom = |a: &str| parse_term(a).unwrap();
-        assert_eq!(
-            model,
-            Model::new([atom("q(b)")], [atom("p(a)")], [atom("u(a)")])
-        );
     }
 
     #[test]
@@ -946,7 +820,7 @@ mod tests {
     #[test]
     fn a_fixed_checkpoint_writes_the_pinned_files() {
         // A HiLog relation with ints, an arity-9 one, repeated subterms, and
-        // rules with `not`, a builtin and an aggregate; model included.
+        // rules with `not`, a builtin and an aggregate.
         let dir = temp_dir("pinned");
         let base = "tc(G)(X, Y) :- graph(G), G(X, Y), not blocked(X).\n\
                     tc(G)(X, Z) :- graph(G), G(X, Y), tc(G)(Y, Z), Z \\= X.\n\
@@ -954,14 +828,10 @@ mod tests {
                     cost(f(a, b), 12). cost(g(f(a, b), f(a, b)), -3).\n\
                     wide(1, 2, 3, 4, 5, 6, 7, 8, 9).\n";
         let program = parse_program(&format!("{base}total(N) :- N = sum(Q, cost(P, Q)).")).unwrap();
-        let mut saved = data(9, &program);
-        // The grounder takes no aggregates: the model is the rest's.
-        let mut db = hilog_engine::HiLogDb::new(parse_program(base).unwrap());
-        saved.model = Some(db.model().unwrap().clone());
-        let (manifest, written, _) = commit_checkpoint(&real(), &dir, &saved, None).unwrap();
+        let (manifest, written, _) =
+            commit_checkpoint(&real(), &dir, &data(9, &program), None).unwrap();
         assert_eq!(written, 5);
         let mut files: Vec<String> = manifest.entries.iter().map(|e| e.file_name()).collect();
-        files.push(model_file_name(9));
         files.push(manifest_file_name(9));
         let pinned: Vec<(String, usize, String)> = files
             .into_iter()
@@ -970,7 +840,9 @@ mod tests {
                 (name, bytes.len(), format!("{:016x}", fnv1a(&bytes)))
             })
             .collect();
-        // Captured from the structural writer this codec replaced.
+        // Captured from the structural writer this codec replaced; the
+        // manifest re-pinned when its model flag became a constant 0 (the
+        // frame's checksum and that byte are all that moved).
         let expected = [
             (
                 "rel-e4eed198e1d3ff23-00000000000000000009.hseg",
@@ -997,11 +869,10 @@ mod tests {
                 176,
                 "f002ee9392342510",
             ),
-            ("model-00000000000000000009.hmod", 677, "ebcf754c091d93fe"),
             (
                 "manifest-00000000000000000009.hman",
                 628,
-                "9e1f90847b694318",
+                "69daed6c9017c9cb",
             ),
         ];
         let expected: Vec<(String, usize, String)> = expected

@@ -52,8 +52,8 @@ pub struct CheckpointOutcome {
     /// [`PersistentWriter::checkpoint`], one per *dirtied* relation for
     /// [`PersistentWriter::checkpoint_incremental`].
     pub segments_written: usize,
-    /// Bytes this checkpoint added to the data directory: new segments, the
-    /// manifest and (full checkpoints with a warm model) the model file.
+    /// Bytes this checkpoint added to the data directory: new segments and
+    /// the manifest.
     pub bytes_written: u64,
 }
 
@@ -178,11 +178,11 @@ impl PersistentWriter {
     ///   epoch-0 baseline checkpoint (the WAL alone never carries the
     ///   initial program, so recovery is always checkpoint + tail).
     /// * **Existing directory** — rebuild the session from the newest valid
-    ///   checkpoint (program, semantics, and — when present — the model,
-    ///   seeded warm), replay the WAL tail through the live mutation path,
-    ///   and resume publishing at the recovered epoch.  `seed` contributes
-    ///   only its evaluation options; its program is ignored in favour of
-    ///   the recovered one.
+    ///   checkpoint (program and semantics; the model evaluates lazily, as
+    ///   in any cold session), replay the WAL tail through the live mutation
+    ///   path, and resume publishing at the recovered epoch.  `seed`
+    ///   contributes only its evaluation options; its program is ignored in
+    ///   favour of the recovered one.
     pub fn open(
         config: &StoreConfig,
         seed: HiLogDb,
@@ -202,14 +202,11 @@ impl PersistentWriter {
             }
             Some(ckpt) => {
                 let report_epoch = ckpt.epoch;
-                let mut builder = HiLogDb::builder()
+                let db = HiLogDb::builder()
                     .program(ckpt.program)
                     .semantics(ckpt.semantics)
-                    .options(seed.options());
-                if let Some(model) = ckpt.model {
-                    builder = builder.warm_model(model);
-                }
-                let db = builder.build();
+                    .options(seed.options())
+                    .build();
                 // Replay strictly after the checkpoint: records at or below
                 // its epoch survive only when the process died between
                 // checkpointing and truncating the log.
@@ -304,11 +301,9 @@ impl PersistentWriter {
 
     /// Writes a *full* checkpoint of the current state (truncating the WAL)
     /// and garbage-collects the global symbol pool: a fresh segment for
-    /// every relation plus, when the writer has one warm, the model (a model
-    /// a write has dropped since it was last read is simply not written) — a
-    /// self-contained recovery point that names no older file.  Persisted
-    /// files use payload-local symbol ids, so the GC never remaps anything
-    /// on disk.
+    /// every relation — a self-contained recovery point that names no older
+    /// file.  Persisted files use payload-local symbol ids, so the GC never
+    /// remaps anything on disk.
     pub fn checkpoint(&mut self) -> Result<CheckpointOutcome, StoreError> {
         self.write_checkpoint(false)
     }
@@ -318,23 +313,15 @@ impl PersistentWriter {
     /// them together with every clean relation's existing segment, then
     /// truncates the WAL.  The segments written scale with the mutation
     /// delta, not the store: a clean relation's segment is never rewritten.
-    /// The model is not persisted (it rebuilds lazily); use
-    /// [`Self::checkpoint`] for a warm-model recovery point.
     pub fn checkpoint_incremental(&mut self) -> Result<CheckpointOutcome, StoreError> {
         self.write_checkpoint(true)
     }
 
     fn write_checkpoint(&mut self, incremental: bool) -> Result<CheckpointOutcome, StoreError> {
-        let model = if incremental {
-            None
-        } else {
-            self.writer.cached_model().map(|m| (*m).clone())
-        };
         let data = CheckpointData {
             epoch: self.writer.epoch(),
             semantics: self.writer.semantics(),
             program: self.writer.program().clone(),
-            model,
         };
         let dirty = incremental.then_some(&self.dirty);
         let path = match &mut self.store {
@@ -510,31 +497,6 @@ mod tests {
         assert_eq!(report.replayed_records, 0);
         assert_eq!(writer.epoch(), 1);
         assert_true(&handle, "?- move(c, d).");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn recovery_restores_model_warm() {
-        let dir = temp_dir("warm");
-        let config = StoreConfig::new(&dir);
-        {
-            let (mut writer, _handle, _) = PersistentWriter::open(&config, game_db()).unwrap();
-            // Warm the writer-side model so the checkpoint persists it.
-            writer.writer.db().model().unwrap();
-            let _ = writer.checkpoint().unwrap();
-        }
-        let (_writer, handle, report) = PersistentWriter::open(&config, game_db()).unwrap();
-        assert!(report.recovered);
-        // A variable in predicate position forces the full-model route; the
-        // model must come back warm from the checkpoint — answered without
-        // rebuilding (and without any grounding pass).
-        let result = handle
-            .current()
-            .query(&parse_query("?- P(a, b).").unwrap())
-            .unwrap();
-        assert_eq!(result.answers.len(), 1); // P = move
-        assert_eq!(result.stats.model_source, hilog_engine::ModelSource::Cached);
-        assert_eq!(result.stats.groundings, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

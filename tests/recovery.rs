@@ -21,7 +21,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 use std::io::Write as _;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 fn env_usize(name: &str, default: usize) -> usize {
@@ -567,12 +567,11 @@ fn incremental_after_full_reuses_the_full_checkpoints_segments() {
 }
 
 /// A full checkpoint is self-contained: with every file of every older
-/// recovery point deleted by hand, the store still recovers from it alone —
-/// and warm, because the model rode along.  The model rides along when the
-/// writer holds one: a write that is not pure-EDB drops it, and the next
-/// full checkpoint then simply carries none.
+/// recovery point deleted by hand, the store still recovers from it alone.
+/// A recovery point holds no model, so the first full-model read evaluates
+/// one, even though the seed's model was warm before every write.
 #[test]
-fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
+fn full_checkpoint_is_self_contained() {
     let dir = temp_dir("self-contained", 0);
     let config = StoreConfig::new(&dir);
     let program = parse_program(
@@ -583,9 +582,6 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
     let assert_fact = |text: &str| vec![Op::AssertFact(parse_term(text).unwrap())];
 
     {
-        // A seed whose model is already computed keeps it warm through the
-        // pure-EDB mutations below (nothing reads `colour`: the model is
-        // edited in place), so the full checkpoint persists it.
         let mut seed = HiLogDb::new(program.clone());
         seed.model().expect("seed model");
         let (mut writer, _, _) = PersistentWriter::open(&config, seed).expect("fresh open");
@@ -607,40 +603,111 @@ fn full_checkpoint_is_self_contained_and_restores_the_model_warm() {
         }
     }
 
-    let (mut writer, handle, report) =
-        PersistentWriter::open(&config, HiLogDb::new(program.clone())).expect("reopen");
+    let (writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(program)).expect("reopen");
     assert_eq!(report.checkpoint_epoch, Some(2));
     assert_eq!(writer.epoch(), 2);
-    // A variable in predicate position forces the full-model route: it must
-    // be answered from the restored model, with no grounding pass.
+    // A variable in predicate position forces the full-model route.
     let result = handle
         .current()
         .query(&parse_query("?- P(b, blue).").unwrap())
         .unwrap();
     assert_eq!(result.answers.len(), 1, "P = colour");
-    assert_eq!(result.stats.model_source, ModelSource::Cached);
-    assert_eq!(result.stats.groundings, 0);
-
-    // `move` is read by `winning`: the write drops the writer's model, the
-    // full checkpoint after it has none to write, and recovery evaluates one
-    // on first use — the same answers, not warm.
-    writer.apply_batch(&assert_fact("move(c, d)")).unwrap();
-    writer.checkpoint().expect("full checkpoint, epoch 3");
-    drop(writer);
-    let epoch_3_model = dir.join(format!("model-{:020}.hmod", 3));
-    assert!(!epoch_3_model.exists(), "a dropped model was persisted");
-    let (_writer, handle, report) =
-        PersistentWriter::open(&config, HiLogDb::new(program)).expect("second reopen");
-    assert_eq!(report.checkpoint_epoch, Some(3));
-    let result = handle
-        .current()
-        .query(&parse_query("?- P(c, d).").unwrap())
-        .unwrap();
-    assert_eq!(result.answers.len(), 1, "P = move");
     assert_eq!(result.stats.model_source, ModelSource::Rebuilt);
-    assert_eq!(result.stats.groundings, 1);
 
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// What a full checkpoint left when recovery points still carried a model:
+/// the same segments, a manifest whose model-flag byte (its payload's last)
+/// is 1, and a `model-<epoch>.hmod` file beside it.  Rewrites the manifest
+/// of `epoch` that way, the frame's checksum included, and returns the path
+/// the model file had.
+fn mark_manifest_as_naming_a_model(dir: &Path, epoch: u64) -> PathBuf {
+    let manifest = dir.join(format!("manifest-{epoch:020}.hman"));
+    let mut bytes = std::fs::read(&manifest).unwrap();
+    *bytes.last_mut().unwrap() = 1;
+    let crc = hilog_core::crc32(&bytes[12..]);
+    bytes[8..12].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&manifest, bytes).unwrap();
+    dir.join(format!("model-{epoch:020}.hmod"))
+}
+
+/// A directory whose newest manifest names a model file recovers whole
+/// whether that file is torn or missing: a model is derived state, so
+/// recovery never opens it and comes up at the manifest's own epoch with
+/// every committed batch.  The full checkpoint truncated the WAL, so
+/// falling back to the epoch-0 baseline would lose both batches.
+fn recover_beside_a_named_model_file(torn: bool) {
+    let context = if torn {
+        "(torn model file)"
+    } else {
+        "(missing model file)"
+    };
+    let dir = temp_dir("legacy-model", torn as u64);
+    let config = StoreConfig::new(&dir);
+    let program = parse_program(
+        "winning(X) :- move(X, Y), not winning(Y).\n\
+         move(a, b). move(b, c).",
+    )
+    .unwrap();
+    let expected = {
+        let mut seed = HiLogDb::new(program.clone());
+        seed.model().expect("seed model");
+        let (mut writer, _, _) = PersistentWriter::open(&config, seed).expect("fresh open");
+        writer
+            .apply_batch(&[Op::AssertFact(parse_term("move(c, d)").unwrap())])
+            .unwrap();
+        writer
+            .apply_batch(&[Op::AssertFact(parse_term("colour(a, red)").unwrap())])
+            .unwrap();
+        writer.checkpoint().expect("full checkpoint, epoch 2");
+        writer.program().clone()
+    };
+    let model_file = mark_manifest_as_naming_a_model(&dir, 2);
+    if torn {
+        // A model frame whose checksum does not match its payload.
+        let mut bytes = b"HMOD".to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&hilog_core::crc32(b"model").to_le_bytes());
+        bytes.extend_from_slice(b"modem");
+        std::fs::write(&model_file, bytes).unwrap();
+    } else {
+        std::fs::remove_file(&model_file).ok();
+    }
+
+    let (mut writer, handle, report) =
+        PersistentWriter::open(&config, HiLogDb::new(program)).expect("reopen");
+    assert_eq!(report.checkpoint_epoch, Some(2), "{context}");
+    assert_eq!(writer.epoch(), 2, "{context}");
+    assert_eq!(
+        program_multiset(writer.program()),
+        program_multiset(&expected),
+        "{context}"
+    );
+    let mut fresh = HiLogDb::new(expected);
+    for query_text in ["?- winning(X).", "?- colour(X, Y).", "?- P(c, X)."] {
+        let query = parse_query(query_text).unwrap();
+        let recovered = handle.current().query(&query).unwrap();
+        let reference = fresh.query(&query).unwrap();
+        assert_results_agree(&recovered, &reference, &format!("({query_text}) {context}"));
+    }
+
+    // Nothing names the file any more: the next checkpoint's prune
+    // removes it.
+    writer.checkpoint_incremental().expect("next checkpoint");
+    assert!(!model_file.exists(), "the prune kept {context}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_recovery_point_naming_a_torn_model_file_recovers_whole() {
+    recover_beside_a_named_model_file(true);
+}
+
+#[test]
+fn a_recovery_point_naming_a_missing_model_file_recovers_whole() {
+    recover_beside_a_named_model_file(false);
 }
 
 /// Replay over a checkpointed program that spans several chunks of its
