@@ -89,9 +89,10 @@ use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::join::{Frame, RulePlan, Step};
+use crate::snapshot::{CatchUp, Log};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use hilog_core::analysis::{strongly_connected_components, EdgeSign};
-use hilog_core::hash::TermMap;
+use hilog_core::hash::{hash_one, TermMap};
 use hilog_core::literal::Literal;
 use hilog_core::program::Program;
 use hilog_core::rule::{Query, Rule};
@@ -336,7 +337,8 @@ impl Table {
 /// [`insert`](ProgramIndex::insert) / [`remove`](ProgramIndex::remove)
 /// instead of rebuilding it: a fact-level mutation is one store operation,
 /// a rule-level one re-keys the (small) rule part and never touches the
-/// store.
+/// store.  While the writer keeps a twin of it, it logs those calls, and
+/// catching the twin up replays them in order.
 #[derive(Debug, Clone)]
 pub(crate) struct ProgramIndex {
     /// Heads of the ground bodiless rules.
@@ -353,6 +355,15 @@ pub(crate) struct ProgramIndex {
     /// Positions in `rules` of the rules whose head's outermost functor is a
     /// variable: candidates for every subgoal.
     wildcard: Vec<usize>,
+    /// The `insert` / `remove` calls since the log started.
+    log: Log<Vec<IndexEdit>>,
+}
+
+/// One logged edit of a [`ProgramIndex`].
+#[derive(Debug, Clone)]
+enum IndexEdit {
+    Insert(Rule),
+    Remove { rule: Rule, last_copy: bool },
 }
 
 impl ProgramIndex {
@@ -363,6 +374,7 @@ impl ProgramIndex {
             rules: Vec::new(),
             by_head: TermMap::default(),
             wildcard: Vec::new(),
+            log: Log::default(),
         };
         for rule in program.iter() {
             index.insert(rule);
@@ -378,6 +390,7 @@ impl ProgramIndex {
     /// One more copy of `rule` was pushed onto the program: a fact goes to
     /// the store, any other rule is compiled (only it) and keyed.
     pub(crate) fn insert(&mut self, rule: &Rule) {
+        self.log_edit(|| IndexEdit::Insert(rule.clone()));
         if Self::is_indexed_fact(rule) {
             self.facts.insert(rule.head.clone());
             return;
@@ -403,6 +416,10 @@ impl ProgramIndex {
     /// One copy of `rule` (the first, as `retract_fact` / `retract_rule`
     /// remove it) left the program; `last_copy` says none remains.
     pub(crate) fn remove(&mut self, rule: &Rule, last_copy: bool) {
+        self.log_edit(|| IndexEdit::Remove {
+            rule: rule.clone(),
+            last_copy,
+        });
         if Self::is_indexed_fact(rule) {
             if last_copy {
                 self.facts.remove(&rule.head);
@@ -448,6 +465,57 @@ impl ProgramIndex {
     pub(crate) fn storage_stats(&self) -> RelationStorageStats {
         self.facts.storage_stats()
     }
+
+    /// Logs an edit while the log runs.  A log longer than the index holds
+    /// would replay more than a copy costs: it stops, and the next catch-up
+    /// falls back to the copy.
+    fn log_edit(&mut self, edit: impl FnOnce() -> IndexEdit) {
+        let Some(log) = &mut self.log.0 else {
+            return;
+        };
+        if log.len() <= self.facts.len() + self.rules.len() {
+            log.push(edit());
+        } else {
+            self.log = Log::default();
+        }
+    }
+}
+
+impl CatchUp for ProgramIndex {
+    fn start_log(&mut self) {
+        self.log = Log(Some(Vec::new()));
+    }
+
+    fn catch_up(&mut self, newer: &ProgramIndex) -> bool {
+        let Some(edits) = &newer.log.0 else {
+            return false;
+        };
+        self.log = Log::default();
+        for edit in edits {
+            match edit {
+                IndexEdit::Insert(rule) => self.insert(rule),
+                IndexEdit::Remove { rule, last_copy } => self.remove(rule, *last_copy),
+            }
+        }
+        #[cfg(debug_assertions)]
+        {
+            let facts = |index: &ProgramIndex| {
+                let mut facts = Vec::new();
+                index.facts.for_each_atom(|fact| facts.push(fact.clone()));
+                facts
+            };
+            let rules = |index: &ProgramIndex| -> Vec<Rule> {
+                (index.rules.iter()).map(|plan| plan.rule.clone()).collect()
+            };
+            assert_eq!(facts(self), facts(newer), "the twin's facts lag");
+            assert_eq!(rules(self), rules(newer), "the twin's rules lag");
+            assert_eq!(
+                (&self.by_head, &self.wildcard),
+                (&newer.by_head, &newer.wildcard)
+            );
+        }
+        true
+    }
 }
 
 /// A table's position in a [`Tables`] arena.
@@ -474,19 +542,36 @@ pub(crate) struct Tables {
     /// arity of their pattern — the only tables that can cover a fact with
     /// that functor and arity — and those whose functor is a variable,
     /// which can cover any.  The idiom of `ProgramIndex`' `by_head` /
-    /// `wildcard`.
-    by_head: TermMap<(Term, Option<usize>), Vec<TableId>>,
-    wildcard: Vec<TableId>,
+    /// `wildcard`, each position filed with its pattern's
+    /// [`first_argument`].
+    by_head: TermMap<(Term, Option<usize>), Vec<Filed>>,
+    wildcard: Vec<Filed>,
     free: Vec<TableId>,
     /// Tables held and not set aside.
     len: usize,
     /// Positions with readers and no table: the keys dangling edges lead
     /// to.  0 in every map the maintenance pass leaves.
     dangling: usize,
+    /// The slots and buckets edited since the log started.
+    log: Log<Edited>,
     /// Bucket entries probed and closure members walked by the passes:
     /// what the unit tests hold equal across map sizes.
     #[cfg(test)]
     pub(crate) visited: usize,
+}
+
+/// A position in a bucket, beside its pattern's [`first_argument`].
+type Filed = (Option<u64>, TableId);
+
+/// The hash of `term`'s first argument, if that is ground.  A table whose
+/// pattern's first argument hashes otherwise than a fact's cannot cover
+/// the fact, so a probe passes over it without reading the pattern: a
+/// changed `move(p3, p7)` is matched against the `move(p3, _)` tables and
+/// those with an open first argument, not against every `move` table.
+fn first_argument(term: &Term) -> Option<u64> {
+    (term.args().first())
+        .filter(|first| first.is_ground())
+        .map(hash_one)
 }
 
 #[derive(Debug, Clone)]
@@ -500,6 +585,17 @@ struct Slot {
     /// The positions of the tables that read this one, once per edge;
     /// shared like the door, so that a copy of the arena copies no list.
     readers: Arc<Vec<TableId>>,
+}
+
+/// What a [`Tables`] arena logs for its twin: the positions and buckets
+/// whose content an edit can have changed, each once.  Setting a table
+/// aside is not an edit: the pass puts back or removes every table it sets
+/// aside, and one put back as it was leaves its slot as it found it.
+#[derive(Debug, Default)]
+struct Edited {
+    slots: Vec<TableId>,
+    seen: Vec<bool>,
+    buckets: Vec<(Term, Option<usize>)>,
 }
 
 /// Removes one occurrence of `v` from a list of positions.
@@ -582,7 +678,9 @@ impl Tables {
         {
             return;
         }
-        match slot.table.replace(Arc::clone(&table)) {
+        let old = slot.table.replace(Arc::clone(&table));
+        self.edited(id);
+        match old {
             Some(old) => {
                 // Both versions' edges side by side, in key order: one both
                 // read is not touched at all.
@@ -611,7 +709,7 @@ impl Tables {
                 if !self.slots[id].readers.is_empty() {
                     self.dangling -= 1;
                 }
-                self.bucket(&key).push(id);
+                self.bucket(&key).push((first_argument(&key), id));
                 for dep in table.deps.keys() {
                     self.link(id, dep);
                 }
@@ -622,12 +720,15 @@ impl Tables {
     /// Drops the table at `id` (in view or set aside) and its edges.
     pub(crate) fn remove(&mut self, id: TableId) {
         let key = self.slots[id].key.clone();
-        forget(self.bucket(&key), id);
+        let bucket = self.bucket(&key);
+        let at = bucket.iter().position(|&(_, w)| w == id).expect("filed");
+        bucket.swap_remove(at);
         let table = Arc::clone(self.slots[id].table.as_ref().expect("held"));
         for dep in table.deps.keys() {
             self.unlink(id, dep);
         }
         // Only now: an edge to itself must not give the position up twice.
+        self.edited(id);
         let slot = &mut self.slots[id];
         slot.table = None;
         if !std::mem::take(&mut slot.aside) {
@@ -641,6 +742,7 @@ impl Tables {
 
     /// The answers of the table in view at `id`, made the arena's own.
     pub(crate) fn answers_mut(&mut self, id: TableId) -> &mut FactStore {
+        self.edited(id);
         let table = self.slots[id].table.as_mut().expect("held");
         &mut Arc::make_mut(table).answers
     }
@@ -671,7 +773,8 @@ impl Tables {
 
     /// The tables held whose pattern can have an instance of `probe` for
     /// an instance: those of its (ground) outermost functor and arity and
-    /// those whose functor is a variable — every one, for a probe with a
+    /// those whose functor is a variable, less those whose ground first
+    /// argument differs from the probe's — every one, for a probe with a
     /// variable for a functor (a retracted `X(a).`).
     pub(crate) fn candidates(&self, probe: &Term) -> Vec<TableId> {
         let functor = probe.outermost_functor();
@@ -680,9 +783,11 @@ impl Tables {
                 .filter(|&id| self.slots[id].table.is_some())
                 .collect();
         }
+        let first = first_argument(probe);
         let bucket = self.by_head.get(&(functor.clone(), probe.arity()));
         (bucket.into_iter().flatten().chain(&self.wildcard))
-            .copied()
+            .filter(|(filed, _)| first.is_none() || filed.is_none() || *filed == first)
+            .map(|&(_, id)| id)
             .collect()
     }
 
@@ -711,6 +816,7 @@ impl Tables {
                 self.slots.len() - 1
             }
         };
+        self.edited(id);
         Arc::make_mut(&mut self.ids).insert(key.clone(), id);
         id
     }
@@ -724,17 +830,36 @@ impl Tables {
         }
     }
 
-    fn bucket(&mut self, key: &Term) -> &mut Vec<TableId> {
+    fn bucket(&mut self, key: &Term) -> &mut Vec<Filed> {
         let functor = key.outermost_functor();
         if functor.is_ground() {
-            (self.by_head.entry((functor.clone(), key.arity()))).or_default()
+            let head = (functor.clone(), key.arity());
+            if let Some(edited) = &mut self.log.0 {
+                if !edited.buckets.contains(&head) {
+                    edited.buckets.push(head.clone());
+                }
+            }
+            (self.by_head.entry(head)).or_default()
         } else {
             &mut self.wildcard
         }
     }
 
+    /// Logs an edit of the slot at `id` while the log runs.
+    fn edited(&mut self, id: TableId) {
+        if let Some(edited) = &mut self.log.0 {
+            if edited.seen.len() <= id {
+                edited.seen.resize(id + 1, false);
+            }
+            if !std::mem::replace(&mut edited.seen[id], true) {
+                edited.slots.push(id);
+            }
+        }
+    }
+
     fn link(&mut self, id: TableId, dep: &Term) {
         let w = self.slot(dep);
+        self.edited(w);
         let slot = &mut self.slots[w];
         if slot.table.is_none() && slot.readers.is_empty() {
             self.dangling += 1;
@@ -744,6 +869,7 @@ impl Tables {
 
     fn unlink(&mut self, id: TableId, dep: &Term) {
         let w = self.ids[dep];
+        self.edited(w);
         let slot = &mut self.slots[w];
         forget(Arc::make_mut(&mut slot.readers), id);
         if slot.table.is_none() && slot.readers.is_empty() {
@@ -769,10 +895,15 @@ impl Tables {
             })
             .collect();
         let mut buckets = BTreeMap::new();
+        let filed = |list: &[Filed]| -> BTreeSet<(Option<u64>, &Term)> {
+            list.iter()
+                .map(|&(first, w)| (first, &self.slots[w].key))
+                .collect()
+        };
         for (head, bucket) in &self.by_head {
-            buckets.insert(Some(head), named(bucket));
+            buckets.insert(Some(head), filed(bucket));
         }
-        buckets.insert(None, named(&self.wildcard));
+        buckets.insert(None, filed(&self.wildcard));
         buckets.retain(|_, bucket| !bucket.is_empty());
         (edges, buckets)
     }
@@ -803,6 +934,56 @@ impl Tables {
             positions.iter().copied().eq(0..self.slots.len()),
             "a position is lost or held twice"
         );
+    }
+}
+
+impl CatchUp for Tables {
+    fn start_log(&mut self) {
+        self.log = Log(Some(Edited::default()));
+    }
+
+    /// Copies, by position, the slots and buckets `newer` edited, and the
+    /// door, the lists and the counts whole: the door is one `Arc`, the
+    /// lists are short.
+    fn catch_up(&mut self, newer: &Tables) -> bool {
+        let Some(edited) = &newer.log.0 else {
+            return false;
+        };
+        let span = self.slots.len();
+        self.slots.extend_from_slice(&newer.slots[span..]);
+        for &id in edited.slots.iter().filter(|&&id| id < span) {
+            self.slots[id].clone_from(&newer.slots[id]);
+        }
+        for head in &edited.buckets {
+            (self.by_head.entry(head.clone()).or_default()).clone_from(&newer.by_head[head]);
+        }
+        self.ids = Arc::clone(&newer.ids);
+        self.wildcard.clone_from(&newer.wildcard);
+        self.free.clone_from(&newer.free);
+        (self.len, self.dangling) = (newer.len, newer.dangling);
+        self.log = Log::default();
+        #[cfg(test)]
+        {
+            self.visited = newer.visited;
+        }
+        #[cfg(debug_assertions)]
+        {
+            let same = |a: &Slot, b: &Slot| {
+                a.key == b.key
+                    && a.aside == b.aside
+                    && a.readers == b.readers
+                    && match (&a.table, &b.table) {
+                        (Some(a), Some(b)) => Arc::ptr_eq(a, b),
+                        (a, b) => a.is_none() && b.is_none(),
+                    }
+            };
+            assert_eq!(self.slots.len(), newer.slots.len());
+            for (id, (a, b)) in self.slots.iter().zip(&newer.slots).enumerate() {
+                assert!(same(a, b), "the twin's slot {id} lags");
+            }
+            assert_eq!(self.by_head, newer.by_head, "the twin's buckets lag");
+        }
+        true
     }
 }
 
@@ -1803,7 +1984,7 @@ mod tests {
         let counts = |s: EvalStats| (s.rule_applications, s.head_unifications, s.deadline_checks);
         assert_eq!(counts(cold.stats), (4, 4, 1));
         assert_eq!(cold.stats.subqueries, 3);
-        let tables = Arc::clone(crate::snapshot::lock_mut(&mut db.working().tables));
+        let tables = crate::snapshot::lock_mut(&mut db.working().tables).share();
         for key in ["edge(a, _N0)", "edge(_N0, a)"] {
             let table = tables.get(&parse_term(key).unwrap()).expect("merged");
             assert!(table.complete && table.deps.is_empty(), "{key}");

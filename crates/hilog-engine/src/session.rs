@@ -68,7 +68,7 @@ use crate::horn::EvalOptions;
 use crate::magic_eval::{EvalStats, ProgramIndex};
 use crate::modular::ModularOutcome;
 use crate::plan::QueryPlan;
-use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle};
+use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle, Twinned};
 use crate::storage::{RelationStorageStats, StorageConfig};
 use hilog_core::analysis::DependencyGraph;
 use hilog_core::hash::TermMap;
@@ -278,9 +278,10 @@ pub struct HiLogDb {
     /// The working snapshot: the program, every cache, and the one
     /// implementation of every read route.  Mutations reach its caches
     /// lock-free (`&mut self` is exclusive); publishing shares them by
-    /// `Arc`, and the next mutation copies-on-write whatever a published
-    /// snapshot still holds.  Its table map keeps its own edges (`Tables`),
-    /// which a table-maintenance pass reads.
+    /// `Arc`, and the next mutation un-shares whatever a published snapshot
+    /// still holds (the program index and the table map by catching up
+    /// their twins, see [`Twinned`]).  Its table map keeps its own edges
+    /// (`Tables`), which a table-maintenance pass reads.
     snap: DbSnapshot,
     /// The program's predicate dependency graph, built lazily per program
     /// version: it survives fact-level mutations (a fact adds no edge, and
@@ -366,10 +367,14 @@ impl HiLogDb {
     }
 
     /// The tabled evaluator's program index, for maintenance: `None` until
-    /// a query has built one (then there is nothing to keep in step), and
-    /// copy-on-write like the program while a published snapshot shares it.
+    /// a query has built one (then there is nothing to keep in step).  While
+    /// a published snapshot shares it, the first edit takes back the twin
+    /// the snapshot before it shared, caught up from the last batch, rather
+    /// than copying it (see [`Twinned`]).
     fn index_mut(&mut self) -> Option<&mut ProgramIndex> {
-        lock_mut(&mut self.snap.index).as_mut().map(Arc::make_mut)
+        lock_mut(&mut self.snap.index)
+            .as_mut()
+            .map(Twinned::make_mut)
     }
 
     /// The fact multiset (see the field), counted from the program by the

@@ -29,18 +29,22 @@
 //! Neither pass reads the whole map to find out where to look.  The map is
 //! an arena ([`Tables`]) that keeps every key at a stable position, the
 //! *readers* of each table as a list of positions, and the tables bucketed
-//! by the outermost functor and arity of their pattern; whatever puts a
+//! by the outermost functor and arity of their pattern, each filed with the
+//! hash of its first argument where that is ground; whatever puts a
 //! table in or takes one out — a query merging what it completed, the
 //! writer adopting what readers completed, the pass, the drop of a rule
 //! head's closure — goes through its `insert` / `remove`, which move the
 //! edges in the same step.  The pass *sets aside* the tables of its closure:
 //! out of view of every evaluation, edges in place, so a table put back as
-//! it was costs the arena nothing.
+//! it was costs the arena nothing — nor the writer's twin of the arena,
+//! which is caught up by the slots an edit changed (`Twinned` in
+//! `snapshot.rs`).
 //!
 //! So a pass costs what it reaches.  The tables covering a changed fact are
-//! looked for in the bucket of the fact's functor; the reverse closure is a
-//! breadth-first walk of the readers from them; and the dependency order of
-//! the walk is Tarjan over the **closure only**.  That is Tarjan over the
+//! looked for in the bucket of the fact's functor, among those whose first
+//! argument can match the fact's; the reverse closure is a breadth-first
+//! walk of the readers from them; and the dependency order of the walk is
+//! Tarjan over the **closure only**.  That is Tarjan over the
 //! whole graph: the closure is closed under readers, a cycle through one of
 //! its tables consists of transitive readers of that table, so every
 //! strongly connected component that meets the closure lies inside it, and
@@ -110,6 +114,7 @@ use crate::magic_eval::{
 use crate::snapshot::lock_mut;
 use crate::storage::FactStore;
 use hilog_core::analysis::{strongly_connected_components, EdgeSign};
+use hilog_core::hash::TermSet;
 use hilog_core::subst::Substitution;
 use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
@@ -121,8 +126,8 @@ use std::sync::Arc;
 impl Tables {
     /// Calls `hit` with the position of every table held whose pattern could
     /// cover an instance of `probe` (renamed apart by the caller): looked
-    /// for among the tables of the probe's functor and arity, not among all
-    /// of them.
+    /// for among the tables of the probe's functor and arity whose first
+    /// argument can match ([`Tables::candidates`]), not among all of them.
     fn covering(&mut self, probe: &Term, mut hit: impl FnMut(TableId)) {
         let candidates = self.candidates(probe);
         #[cfg(test)]
@@ -412,15 +417,17 @@ fn graft(
     }
     // A reader is *under* an instance that covers it.  What the instance
     // read is its own table's business from here on: every edge on its
-    // behalf goes, but the one to that table.
+    // behalf goes, but the one to that table.  Every recorded reader is
+    // looked up: by hash, not by walking the ordered set.
+    let members: TermSet<&Term> = instances.iter().collect();
     let open: Vec<&Term> = instances.iter().filter(|h| !h.is_ground()).collect();
     let under = |reader: &Term| {
-        instances.contains(reader) || open.iter().any(|instance| subsumes(instance, reader))
+        members.contains(reader) || open.iter().any(|instance| subsumes(instance, reader))
     };
     let mut outdated: Vec<(Term, Term)> = Vec::new();
     for (key, dep) in &table.deps {
         for reader in &dep.readers {
-            let own_table = key == reader && instances.contains(reader);
+            let own_table = key == reader && members.contains(reader);
             if !own_table && under(reader) {
                 outdated.push((key.clone(), reader.clone()));
             }
@@ -505,12 +512,12 @@ impl HiLogDb {
         }
         // The map is worked on by value: a re-solve moves it into its
         // evaluator and back instead of cloning it.  It is the writer's own
-        // from here on: copied if a published snapshot still shares it — the
-        // one copy a publish costs, paid by the first write after it.
-        let shared = std::mem::take(lock_mut(&mut self.snap.tables));
-        let mut tables = Arc::unwrap_or_clone(shared);
+        // from here on: the first write after a publish takes back the twin
+        // the snapshot before it shared, caught up from the last batch, and
+        // copies the map only while a reader pins that twin.
+        let mut tables = std::mem::take(lock_mut(&mut self.snap.tables).make_mut());
         self.settle_under(&deltas, &mut tables);
-        *lock_mut(&mut self.snap.tables) = Arc::new(tables);
+        *lock_mut(&mut self.snap.tables).make_mut() = tables;
     }
 
     fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables) {
@@ -681,8 +688,7 @@ impl HiLogDb {
         );
         let settled = evaluator.settle(pattern).is_ok();
         let created = evaluator.into_tables();
-        // The evaluator held the only other `Arc`: this never copies.
-        *tables = Arc::unwrap_or_clone(base);
+        *tables = Arc::into_inner(base).expect("the evaluator let go of the map");
         for table in created.into_values() {
             tables.insert(table);
         }
@@ -697,7 +703,7 @@ impl HiLogDb {
         if lock_mut(&mut self.snap.tables).is_empty() {
             return;
         }
-        let tables = Arc::make_mut(lock_mut(&mut self.snap.tables));
+        let tables = lock_mut(&mut self.snap.tables).make_mut();
         let mut covered = Vec::new();
         tables.covering(&rename_apart(head), |v| covered.push(v));
         let closure = tables.reverse_closure(&covered);
@@ -1203,6 +1209,14 @@ mod tests {
             covering(&mut tables, "q(a, b)"),
             BTreeSet::from([q.clone()])
         );
+        // A probe with another first argument is matched against the open
+        // pattern alone: not `p(a)`, nor `G(a)` beside it.
+        let visited = tables.visited;
+        assert_eq!(
+            covering(&mut tables, "p(b)"),
+            BTreeSet::from([open.clone()])
+        );
+        assert_eq!(tables.visited - visited, 1);
         // The closure of `q`: its readers and theirs, not `G(a)`.
         let seed = position(&tables, &q);
         let closure = tables.reverse_closure(&[seed]);

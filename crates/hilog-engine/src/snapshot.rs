@@ -18,10 +18,13 @@
 //!   maintenance).
 //! * A published [`DbSnapshot`] is an `Arc`-sharing copy of the working one
 //!   at an *epoch*: the program and every heavyweight cache are shared by
-//!   `Arc` (publishing is a handful of refcount bumps, never a deep copy),
-//!   and the writer's next mutation copies-on-write whatever a reader still
-//!   pins — of the program, only the chunks of its rule sequence the batch
-//!   edits; of the caches, each one it touches, whole.  The type is
+//!   `Arc` (publishing is a handful of refcount bumps, never a deep copy).
+//!   The writer's next mutation un-shares what it edits.  Of the program it
+//!   copies only the chunks of its rule sequence the batch edits.  The
+//!   program index and the table arena are [`Twinned`]: the writer takes
+//!   back the version the snapshot before last held and replays the last
+//!   batch into it, and copies whole only while a reader pins that version.
+//!   The grounding and the model are copied whole.  The type is
 //!   `Send + Sync`, so any number of threads answer
 //!   queries from the same snapshot in parallel; caches the writer had not
 //!   filled yet are built lazily *inside* the snapshot — the first reader
@@ -49,10 +52,9 @@
 //! path builds it — never session construction or `into_serving`, so a
 //! store that is only ever written to never pays for it — a published copy
 //! shares it, the writer adopts a reader-built one together with the reader
-//! tables, and from then on the session's mutations *maintain* it in place
-//! (copy-on-write while a published snapshot still holds the previous
-//! version, exactly like the grounding — a whole-index copy per
-//! batch, unlike the chunk-shared program) instead of rebuilding it.
+//! tables, and from then on the session's mutations *maintain* it instead
+//! of rebuilding it: in place, or in its caught-up twin while a published
+//! snapshot shares it, exactly like the table arena.
 //!
 //! ```
 //! use hilog_engine::HiLogDb;
@@ -127,6 +129,127 @@ pub(crate) fn lock_mut<T>(lock: &mut RwLock<T>) -> &mut T {
     lock.get_mut().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// A cache the writer edits in place — the program index, the table arena
+/// — as a snapshot holds it: the version in use, shared by `Arc` with every
+/// snapshot published since, and on a session's working snapshot its
+/// *twin*, the version the snapshot before the last publish shared.
+///
+/// Left-right (Ramalhete and Correia, 2015) for a single writer.  A publish
+/// shares the working version, so the writer's first edit after it cannot
+/// be made in place.  By then the previous snapshot has usually been
+/// dropped, and the twin it shared differs from the working version by one
+/// batch, which the working version logged ([`CatchUp`]).
+/// [`make_mut`](Twinned::make_mut) replays that batch onto the twin and
+/// swaps the two.  It copies the working version whole only when there is
+/// no twin to take back — none yet, or a reader still pins it — or when the
+/// working version logged nothing, having been taken over whole (an index
+/// a reader built).
+#[derive(Debug, Default)]
+pub(crate) struct Twinned<T> {
+    current: Arc<T>,
+    twin: Option<Arc<T>>,
+    /// Whole copies [`make_mut`](Twinned::make_mut) made.
+    #[cfg(test)]
+    copies: usize,
+}
+
+/// A cache that logs its edits while it has a twin, so that the twin can be
+/// brought up to it instead of being dropped for a copy.
+pub(crate) trait CatchUp: Clone {
+    /// Logs every edit from now on, against the content as it stands.
+    fn start_log(&mut self);
+    /// Makes `self`, the content `newer` had when it started its log, equal
+    /// to `newer` by what that log holds; `false`, with `self` untouched,
+    /// if `newer` keeps no log.
+    fn catch_up(&mut self, newer: &Self) -> bool;
+}
+
+/// What a cache has logged of its edits for its twin: nothing while it has
+/// none.  A clone has none, so its log starts empty.
+#[derive(Debug)]
+pub(crate) struct Log<L>(pub(crate) Option<L>);
+
+impl<L> Default for Log<L> {
+    fn default() -> Self {
+        Log(None)
+    }
+}
+
+impl<L> Clone for Log<L> {
+    fn clone(&self) -> Self {
+        Log(None)
+    }
+}
+
+impl<T> Twinned<T> {
+    pub(crate) fn new(value: T) -> Self {
+        Twinned::from_arc(Arc::new(value))
+    }
+
+    fn from_arc(current: Arc<T>) -> Self {
+        Twinned {
+            current,
+            twin: None,
+            #[cfg(test)]
+            copies: 0,
+        }
+    }
+
+    /// The version in use, shared.
+    pub(crate) fn share(&self) -> Arc<T> {
+        Arc::clone(&self.current)
+    }
+
+    /// What a published snapshot holds: the version in use, and no twin.
+    pub(crate) fn fork(&self) -> Self {
+        Twinned::from_arc(self.share())
+    }
+}
+
+impl<T> std::ops::Deref for Twinned<T> {
+    type Target = T;
+
+    fn deref(&self) -> &T {
+        &self.current
+    }
+}
+
+/// The one copy-on-write door to the caches a snapshot edits.
+impl<T: CatchUp> Twinned<T> {
+    /// The version in use, made the writer's own: in place if nothing else
+    /// holds it; otherwise the twin, caught up, if no reader pins it; and
+    /// only otherwise a whole copy.  The version it replaces becomes the
+    /// twin.
+    pub(crate) fn make_mut(&mut self) -> &mut T {
+        if Arc::get_mut(&mut self.current).is_none() {
+            let newer = &self.current;
+            let caught_up = self
+                .twin
+                .take()
+                .and_then(|mut twin| Arc::get_mut(&mut twin)?.catch_up(newer).then_some(twin));
+            let mine = caught_up.unwrap_or_else(|| {
+                #[cfg(test)]
+                {
+                    self.copies += 1;
+                }
+                Arc::new(T::clone(&self.current))
+            });
+            self.twin = Some(std::mem::replace(&mut self.current, mine));
+            Arc::get_mut(&mut self.current)
+                .expect("just made")
+                .start_log();
+        }
+        Arc::get_mut(&mut self.current).expect("held alone")
+    }
+
+    /// A published snapshot's door: it keeps no twin, so the first merge
+    /// into a map the writer still shares copies it, and the copy is the
+    /// snapshot's alone from then on.
+    pub(crate) fn copy_mut(&mut self) -> &mut T {
+        Arc::make_mut(&mut self.current)
+    }
+}
+
 /// The lazily fillable caches of a snapshot, guarded together: the model
 /// routes fill them in dependency order (grounding before model before
 /// stable models) under one write lock, so concurrent first-readers do the
@@ -165,9 +288,11 @@ pub struct DbSnapshot {
     /// version).  The clone is shallow — the rule list is a persistent
     /// sequence of `Arc`d chunks — so a batch un-shares the chunks it
     /// edits and this snapshot keeps the rest in common with every later
-    /// epoch.  Every heavyweight cache below is `Arc`d for the same reason
-    /// (those are copied whole when edited while shared).  The session's
-    /// fact multiset is deliberately *not* here: only mutations read it.
+    /// epoch.  Every heavyweight cache below is `Arc`d for the same reason:
+    /// the grounding and the model are copied whole when edited while
+    /// shared, the table arena and the program index catch up their twin
+    /// ([`Twinned`]).  The session's fact multiset is deliberately *not*
+    /// here: only mutations read it.
     pub(crate) program: Arc<Program>,
     pub(crate) opts: EvalOptions,
     pub(crate) semantics: Semantics,
@@ -184,11 +309,14 @@ pub struct DbSnapshot {
     /// tables — under a frozen program a completed table cannot go stale;
     /// the owning session patches and drops them as it mutates the program.
     /// The map is `Arc`d: a cold query seeds its evaluator with one `Arc`
-    /// bump, a fork shares it with the published copy, and every writer goes
-    /// through `Arc::make_mut` — so the map is copied only while someone
-    /// else still holds it (the writer's first table write after a publish,
-    /// or a reader merging while another reader's evaluator runs).
-    pub(crate) tables: RwLock<Arc<Tables>>,
+    /// bump, and a fork shares it with the published copy.  The writer edits
+    /// it through [`Twinned::make_mut`]: its first table write after a
+    /// publish takes back the twin the snapshot before last held, caught up
+    /// from the last batch, and copies the map only while a reader pins that
+    /// twin.  A published snapshot copies the map when it merges into it
+    /// while another holder shares it (the writer, or another reader's
+    /// evaluator).
+    pub(crate) tables: RwLock<Twinned<Tables>>,
     /// Of a *published* snapshot, the tables
     /// [`merge_tables`](DbSnapshot::merge_tables) has inserted since the
     /// fork (or since the writer last asked), written under the write lock
@@ -199,9 +327,10 @@ pub struct DbSnapshot {
     /// The program as the tabled evaluator reads it (facts in an indexed
     /// store, rules by head): `None` until the first tabled query that
     /// misses the warm path builds it, then shared by `Arc` with every
-    /// published copy and maintained in place by the owning session's
-    /// mutations.  Always describes exactly `program`.
-    pub(crate) index: RwLock<Option<Arc<ProgramIndex>>>,
+    /// published copy and maintained by the owning session's mutations, in
+    /// place or in its caught-up twin, like `tables`.  Always describes
+    /// exactly `program`.
+    pub(crate) index: RwLock<Option<Twinned<ProgramIndex>>>,
     /// Relation-storage backend for the long-lived stores (the
     /// subgoal-table answers and the program index's facts).
     pub(crate) storage: StorageConfig,
@@ -222,7 +351,7 @@ impl DbSnapshot {
             semantics,
             epoch: 0,
             core: RwLock::default(),
-            tables: RwLock::new(Arc::default()),
+            tables: RwLock::default(),
             merged: None,
             index: RwLock::new(None),
             storage,
@@ -253,9 +382,9 @@ impl DbSnapshot {
             semantics: self.semantics,
             epoch,
             core: RwLock::new(lock_mut(&mut self.core).clone()),
-            tables: RwLock::new(Arc::clone(lock_mut(&mut self.tables))),
+            tables: RwLock::new(lock_mut(&mut self.tables).fork()),
             merged: Some(Mutex::default()),
-            index: RwLock::new(lock_mut(&mut self.index).clone()),
+            index: RwLock::new(lock_mut(&mut self.index).as_ref().map(Twinned::fork)),
             storage: self.storage.clone(),
         }
     }
@@ -408,11 +537,11 @@ impl DbSnapshot {
     /// concurrent first-readers build the index once.
     pub(crate) fn program_index(&self) -> Arc<ProgramIndex> {
         if let Some(index) = &*read_lock(&self.index) {
-            return index.clone();
+            return index.share();
         }
         write_lock(&self.index)
-            .get_or_insert_with(|| Arc::new(ProgramIndex::build(&self.program, &self.storage)))
-            .clone()
+            .get_or_insert_with(|| Twinned::new(ProgramIndex::build(&self.program, &self.storage)))
+            .share()
     }
 
     /// Magic-sets route: tabled evaluation seeded with the snapshot's
@@ -455,7 +584,7 @@ impl DbSnapshot {
         let mut evaluator = QueryEvaluator::over(
             self.program_index(),
             self.opts,
-            Arc::clone(&read_lock(&self.tables)),
+            read_lock(&self.tables).share(),
             self.storage.clone(),
         );
         let solved = evaluator.answer_query(query);
@@ -583,12 +712,13 @@ impl DbSnapshot {
             return;
         }
         let mut shared = write_lock(&self.tables);
-        let mut merged = self.merged.as_ref().map(lock);
-        Arc::make_mut(&mut shared).fill(fresh, |table| {
-            if let Some(merged) = &mut merged {
-                merged.push(table.clone());
+        match &self.merged {
+            Some(merged) => {
+                let mut merged = lock(merged);
+                (shared.copy_mut()).fill(fresh, |table| merged.push(table.clone()));
             }
-        });
+            None => shared.make_mut().fill(fresh, |_| {}),
+        }
     }
 
     /// The tables merged into this published snapshot since it was forked
@@ -887,7 +1017,7 @@ impl DbWriter {
             // snapshot that has to index the whole program again.
             let index = lock_mut(&mut self.db.working().index);
             if index.is_none() {
-                *index = read_lock(&published.index).clone();
+                *index = read_lock(&published.index).as_ref().map(Twinned::fork);
             }
         }
     }
@@ -1100,27 +1230,34 @@ mod tests {
         published
             .query(&parse_query("?- winning(X).").unwrap())
             .unwrap();
-        let built = read_lock(&published.index).clone().expect("built");
+        let built = read_lock(&published.index).as_ref().expect("built").share();
         // The first mutation of the batch adopts the reader's index (no
         // second build), then edits its own copy of it.
         writer
             .assert_fact(parse_term("move(c, d)").unwrap())
             .unwrap();
         let maintained = lock_mut(&mut writer.db().working().index)
-            .clone()
-            .expect("adopted");
+            .as_ref()
+            .expect("adopted")
+            .share();
         assert!(!Arc::ptr_eq(&built, &maintained), "edited in place");
         assert_eq!(built.fact_count(), 2);
         assert_eq!(maintained.fact_count(), 3);
         assert!(Arc::ptr_eq(
             &built,
-            read_lock(&published.index).as_ref().expect("still there")
+            &read_lock(&published.index)
+                .as_ref()
+                .expect("still there")
+                .current
         ));
         // The next epoch is published with the maintained index itself.
         let next = writer.publish();
         assert!(Arc::ptr_eq(
             &maintained,
-            read_lock(&next.index).as_ref().expect("carried by fork")
+            &read_lock(&next.index)
+                .as_ref()
+                .expect("carried by fork")
+                .current
         ));
         // A mutation behind the writer's wrappers closes the adoption
         // window for the index exactly as for the tables.
@@ -1161,7 +1298,7 @@ mod tests {
     /// The allocation behind a snapshot's table map (a raw pointer, so that
     /// asking does not share the map).
     fn map_of(snapshot: &DbSnapshot) -> *const Tables {
-        Arc::as_ptr(&read_lock(&snapshot.tables))
+        Arc::as_ptr(&read_lock(&snapshot.tables).current)
     }
 
     /// A chain `p0 -> p1 -> ... -> p{n}` under the game rule.
@@ -1177,7 +1314,7 @@ mod tests {
     fn a_cold_query_adds_its_tables_to_the_map_without_copying_it() {
         let (mut writer, handle) = HiLogDb::new(chain_game(120)).into_serving();
         let writer_map =
-            |writer: &mut DbWriter| Arc::as_ptr(lock_mut(&mut writer.db.working().tables));
+            |writer: &mut DbWriter| Arc::as_ptr(&lock_mut(&mut writer.db.working().tables).current);
         let snapshot = handle.current();
         assert_eq!(map_of(&snapshot), writer_map(&mut writer), "publish shares");
         // The first merge parts the reader's map from the writer's; from
@@ -1259,6 +1396,133 @@ mod tests {
             );
         }
         assert!(snapshot.take_merged_tables().is_empty());
+    }
+
+    /// The allocations behind a snapshot's program index and table arena.
+    fn caches_of(snapshot: &DbSnapshot) -> (*const ProgramIndex, *const Tables) {
+        let index = Arc::as_ptr(&read_lock(&snapshot.index).as_ref().expect("built").current);
+        (index, Arc::as_ptr(&read_lock(&snapshot.tables).current))
+    }
+
+    /// Whole copies the writer's index and arena have made so far.
+    fn copies(writer: &mut DbWriter) -> (usize, usize) {
+        let working = writer.db.working();
+        let index = lock_mut(&mut working.index).as_ref().expect("built");
+        (index.copies, lock_mut(&mut working.tables).copies)
+    }
+
+    /// A chain game whose tables and program index readers built, adopted
+    /// by the writer at a mutation-free publish.
+    fn warm_chain_writer() -> (DbWriter, SnapshotHandle) {
+        let (mut writer, handle) = HiLogDb::new(chain_game(60)).into_serving();
+        for query in ["?- winning(X).", "?- winning(p3).", "?- move(p7, Y)."] {
+            handle
+                .current()
+                .query(&parse_query(query).unwrap())
+                .unwrap();
+        }
+        writer.publish();
+        (writer, handle)
+    }
+
+    /// Asserts `move(p{i}, p{i + 1})`, settles the tables and publishes.
+    fn extend_chain(writer: &mut DbWriter, i: usize) -> Arc<DbSnapshot> {
+        let fact = parse_term(&format!("move(p{i}, p{})", i + 1)).unwrap();
+        writer.assert_fact(fact).unwrap();
+        writer.db();
+        writer.publish()
+    }
+
+    /// Every published epoch answers as a fresh session over its program.
+    fn assert_fresh(snapshot: &DbSnapshot) {
+        for query in ["?- winning(X).", "?- winning(p3).", "?- move(p7, Y)."] {
+            let query = parse_query(query).unwrap();
+            let fresh = HiLogDb::new(snapshot.program().clone()).query(&query);
+            assert_eq!(
+                snapshot.query(&query).unwrap().answers,
+                fresh.unwrap().answers,
+                "epoch {}: {query}",
+                snapshot.epoch()
+            );
+        }
+    }
+
+    #[test]
+    fn the_writer_takes_back_what_the_snapshot_before_last_held() {
+        let (mut writer, _handle) = warm_chain_writer();
+        // The caches each epoch was published with, by raw pointer: nothing
+        // here keeps a snapshot alive.
+        let mut published = vec![caches_of(&writer.current())];
+        for i in 60..66 {
+            let fact = parse_term(&format!("move(p{i}, p{})", i + 1)).unwrap();
+            writer.assert_fact(fact).unwrap();
+            writer.db();
+            // From the second write on, the working index and arena are the
+            // allocations the snapshot two epochs back held, caught up.
+            if published.len() > 1 {
+                let two_back = published[published.len() - 2];
+                assert_eq!(caches_of(writer.db.working()), two_back, "write {i}");
+            }
+            let snapshot = writer.publish();
+            published.push(caches_of(&snapshot));
+            assert_fresh(&snapshot);
+        }
+        // The first write after the first publish copied each; none since.
+        assert_eq!(copies(&mut writer), (1, 1));
+    }
+
+    #[test]
+    fn a_pinned_twin_is_copied_and_keeps_answering_its_epoch() {
+        let (mut writer, handle) = warm_chain_writer();
+        for i in 60..63 {
+            extend_chain(&mut writer, i);
+        }
+        assert_eq!(copies(&mut writer), (1, 1));
+        // A reader pins the epoch whose caches are the writer's next twin.
+        let pinned = handle.current();
+        let query = parse_query("?- winning(X).").unwrap();
+        let before = pinned.query(&query).unwrap().answers;
+        extend_chain(&mut writer, 63);
+        assert_eq!(copies(&mut writer), (1, 1), "the twin was free");
+        // Now the twin is the pinned one's: the writer copies instead.
+        assert_fresh(&extend_chain(&mut writer, 64));
+        assert_eq!(copies(&mut writer), (2, 2));
+        for i in 65..68 {
+            assert_fresh(&extend_chain(&mut writer, i));
+        }
+        assert_eq!(pinned.query(&query).unwrap().answers, before);
+        assert_fresh(&pinned);
+        // Unpinned, the pinned epoch's caches are never taken back: the
+        // writer's twins have moved on, and it catches them up as before.
+        drop(pinned);
+        for i in 68..71 {
+            assert_fresh(&extend_chain(&mut writer, i));
+        }
+        assert_eq!(copies(&mut writer), (2, 2));
+    }
+
+    #[test]
+    fn an_index_log_longer_than_the_index_gives_way_to_a_copy() {
+        let (mut writer, _handle) = warm_chain_writer();
+        for i in 60..62 {
+            extend_chain(&mut writer, i);
+        }
+        assert_eq!(copies(&mut writer).0, 1);
+        // A batch that toggles one fact more often than the index holds
+        // facts: replaying its log would cost more than a copy.
+        let toggled = parse_term("move(p0, p9)").unwrap();
+        for _ in 0..40 {
+            writer.assert_fact(toggled.clone()).unwrap();
+            assert!(writer.retract_fact(&toggled));
+        }
+        assert_fresh(&extend_chain(&mut writer, 62));
+        assert_fresh(&extend_chain(&mut writer, 63));
+        assert_eq!(copies(&mut writer).0, 2);
+        // The copy logs afresh, and the next twin is caught up again.
+        for i in 64..67 {
+            assert_fresh(&extend_chain(&mut writer, i));
+        }
+        assert_eq!(copies(&mut writer).0, 2);
     }
 
     #[test]

@@ -256,6 +256,92 @@ fn pinned_snapshot_is_immune_to_later_publishes() {
     assert_eq!(answer_key(&after), answer_key(&expected));
 }
 
+/// The writer's program index and table arena are twinned: its first edit
+/// after a publish takes back the version the snapshot before last held,
+/// brought up to date from the last batch, and copies whole only while a
+/// reader pins that version.  One writer streams batches.  Readers build
+/// the index and the tables on the first snapshot, and the writer adopts
+/// both.  Between batches the stream pins snapshots for one to three epochs
+/// and lets them go, and asserts and retracts a rule, which drops the
+/// tables of its head.  Every published epoch, and every pinned one on its
+/// release, answers as a fresh session over its own program does.
+#[test]
+fn twinned_caches_agree_with_fresh_sessions_at_every_epoch() {
+    let workload = serving_workload(
+        &ServingWorkloadConfig {
+            write_batches: 48,
+            queries: 48,
+            ..ServingWorkloadConfig::default()
+        },
+        0x7A1E,
+    );
+    let mut queries: Vec<Query> = (workload.queries.iter())
+        .map(|q| parse_query(q).expect("workload query parses"))
+        .collect();
+    queries.push(parse_query("?- winning(X).").unwrap());
+    let answers_of = |snapshot: &DbSnapshot| -> Vec<_> {
+        (queries.iter())
+            .map(|query| answer_key(&snapshot.query(query).expect("snapshot answers")))
+            .collect()
+    };
+    let fresh_answers = |snapshot: &DbSnapshot| -> Vec<_> {
+        let mut fresh = HiLogDb::new(snapshot.program().clone());
+        (queries.iter())
+            .map(|query| answer_key(&fresh.query(query).expect("fresh session answers")))
+            .collect()
+    };
+    let (mut writer, handle) = HiLogDb::new(workload.program.clone()).into_serving();
+    answers_of(&handle.current());
+    let bonus_rule = parse_program("winning(X) :- bonus(X).").unwrap().rules[0].clone();
+    let mut pinned: Vec<(std::sync::Arc<DbSnapshot>, u64)> = Vec::new();
+    let mut state = 0x7A1E_u64;
+    let mut next = move |bound: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % bound
+    };
+    for (round, batch) in workload.batches.iter().enumerate() {
+        for fact in &batch.facts {
+            let term = parse_term(fact).expect("workload fact parses");
+            if batch.assert {
+                writer.assert_fact(term).expect("workload facts are ground");
+            } else {
+                assert!(writer.retract_fact(&term), "retract of live fact {fact}");
+            }
+        }
+        match round % 8 {
+            3 => {
+                let node = format!("bonus(p{})", next(60));
+                writer.assert_fact(parse_term(&node).unwrap()).unwrap();
+                writer.assert_rule(bonus_rule.clone());
+            }
+            6 => assert!(writer.retract_rule(&bonus_rule)),
+            _ => {}
+        }
+        let snapshot = writer.publish();
+        let epoch = snapshot.epoch();
+        let served = answers_of(&snapshot);
+        assert_eq!(served, fresh_answers(&snapshot), "epoch {epoch}");
+        // Pins end on their release epoch, answering their own.
+        pinned.retain(|(old, release)| {
+            if *release > epoch {
+                return true;
+            }
+            assert_eq!(
+                answers_of(old),
+                fresh_answers(old),
+                "pinned epoch {} at {epoch}",
+                old.epoch()
+            );
+            false
+        });
+        if next(3) == 0 {
+            pinned.push((snapshot, epoch + 1 + next(3)));
+        }
+    }
+}
+
 /// A session over `program` on the spill backend with one resident row:
 /// every probe pages its rows in and the rest out again.
 fn faulting_db(program: &Program) -> HiLogDb {

@@ -728,7 +728,10 @@ struct PassRoutes {
 /// no rule, because the pass re-solved whatever the batch changed.  (When
 /// the batch closed a cycle through negation the re-solve fails, the table
 /// is dropped, and the query falls back exactly as the fresh session's
-/// does.)  One early snapshot stays pinned and keeps answering its epoch.
+/// does.)  One early snapshot stays pinned and keeps answering its epoch,
+/// and others are pinned for one to three epochs and let go: the writer
+/// takes back the program index and the table arena the snapshot before
+/// last held and catches them up, and copies them while a pin holds them.
 ///
 /// Between the fact-level writes the stream goes through the other doors by
 /// which a table enters or leaves the writer's map: a query of the writer's
@@ -855,6 +858,11 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
     // what a read inside the batch took with it.
     let probe = parse_query("?- probe.").unwrap();
     let mut open_answers: Vec<Option<BTreeSet<String>>> = vec![None; open.len()];
+    // Short pins, (snapshot, its answers, the round it is let go), drawn
+    // from a generator of their own for the same reason as the doors.
+    let mut pins = StdRng::seed_from_u64(seed ^ 0x7A1E);
+    let mut short_pins: Vec<(std::sync::Arc<DbSnapshot>, Vec<BTreeSet<String>>, usize)> =
+        Vec::new();
     for round in 0..rounds {
         let (mut read_rederived, mut read_dropped) = (0, 0);
         let mut rules_moved = false;
@@ -967,6 +975,24 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
                 }
             }
             *before = now;
+        }
+        short_pins.retain(|(old, expected, release)| {
+            if *release > round {
+                return true;
+            }
+            for (query, expected) in queries.iter().zip(expected) {
+                let again = old.query(query).expect("pinned snapshot answers");
+                assert_eq!(
+                    &answer_set(&again),
+                    expected,
+                    "seed {seed}, round {round}: a short pin moved on {query}"
+                );
+            }
+            false
+        });
+        if pins.gen_bool(0.3) {
+            let release = round + pins.gen_range(1..=3usize);
+            short_pins.push((snapshot.clone(), answers.clone(), release));
         }
         match &pinned {
             None if round == 1 => pinned = Some((snapshot, answers)),
