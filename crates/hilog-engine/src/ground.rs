@@ -10,10 +10,11 @@
 //! A [`GroundProgram`] is one resident object: an in-memory [`AtomStore`]
 //! whose live atoms are exactly the rules' heads (an atom only a body names
 //! is interned, not live), and the rules as id triples over its interner.
-//! Every fixpoint of the well-founded and stable-model constructions
-//! indexes its assignment by those ids: the well-founded evaluation, the
-//! stable-model search's `W_P` propagation and its Gelfond–Lifschitz
-//! cross-check.  The term form [`GroundRule`] is what builds rules, what
+//! The one `W_P` propagator (`wfs.rs`), shared by the well-founded
+//! evaluation and the stable-model search, keeps its values and per-atom
+//! counters by those ids and its per-rule counters by rule position; the
+//! definitional references and the Gelfond–Lifschitz cross-check read the
+//! same ids.  The term form [`GroundRule`] is what builds rules, what
 //! displays them and what the tests' references read.
 
 use crate::horn::AtomStore;

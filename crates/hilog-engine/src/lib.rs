@@ -19,12 +19,14 @@
 //! * **Well-founded semantics** ([`well_founded_eval`]): the `T_P` / `U_P` /
 //!   `W_P` construction of Definitions 3.3–3.5, applied to normal and HiLog
 //!   instantiations alike (Section 4), settled one component of the atom
-//!   dependency graph at a time on the calling thread.
+//!   dependency graph at a time on the calling thread by one `W_P`
+//!   propagator: counters for `T_P`, an unfounded-set pass per component,
+//!   and a trail of the values set.
 //! * **Stable models** ([`stable_models_over_universe`]): two-valued
 //!   fixpoints of `W_P` (Definition 3.6), every one enumerated by a search
-//!   over the grounding's atom ids that starts from the well-founded model
-//!   and propagates with the same `T_P` / `U_P`, with a Gelfond–Lifschitz
-//!   cross-check.
+//!   that starts from the propagator the well-founded settle leaves, settles
+//!   each node on it and backtracks by undoing its trail, with a
+//!   Gelfond–Lifschitz cross-check.
 //! * **Modular stratification for HiLog** ([`ModularOutcome`]): the Figure 1
 //!   procedure, HiLog reduction (Definition 6.5), and the normal-program
 //!   specialisation (Definition 6.4, Lemma 6.2).

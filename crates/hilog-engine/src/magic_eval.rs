@@ -1262,18 +1262,22 @@ impl QueryEvaluator {
                     let path: Vec<_> = back
                         .filter_map(|v| Some((visits[v].0, visits[v].2?.1)))
                         .collect();
+                    let steps: Vec<_> = path.into_iter().rev().chain([(dep, *sign)]).collect();
+                    // Three steps at each end: a reason as long as the
+                    // cycle would go into every response that carries it.
+                    let len = steps.len();
                     let mut rendered = format!("`{key}`");
-                    for (step, sign) in path.into_iter().rev().chain([(dep, *sign)]) {
-                        rendered.push_str(if sign.is_negative() {
-                            " -not-> "
-                        } else {
-                            " -> "
-                        });
-                        rendered.push_str(&format!("`{step}`"));
+                    for (i, (step, sign)) in steps.into_iter().enumerate() {
+                        if len <= 6 || i < 3 || i >= len - 3 {
+                            let arrow = if sign.is_negative() { "-not->" } else { "->" };
+                            rendered.push_str(&format!(" {arrow} `{step}`"));
+                        } else if i == len - 4 {
+                            rendered.push_str(&format!(" … `{step}`"));
+                        }
                     }
                     return EngineError::NotModularlyStratified(format!(
                         "the subgoal `{key}` depends on itself through negation or aggregation \
-                         (cf. Example 6.4): {rendered}"
+                         (cf. Example 6.4), over a cycle of {len} steps: {rendered}"
                     ));
                 }
                 if !visited.contains(&(dep, neg)) {
@@ -2323,5 +2327,26 @@ mod tests {
         assert!(stats.subqueries >= 8);
         assert!(stats.rule_applications > 0);
         assert!(stats.answers > 0);
+    }
+
+    #[test]
+    fn a_negative_cycle_is_reported_in_bounded_length() {
+        // A 1,000-position cycle: the reason names the subgoal, the cycle's
+        // length and three steps at each end, not the thousand between.
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..1_000 {
+            text.push_str(&format!("move(p{i}, p{}).\n", (i + 1) % 1_000));
+        }
+        let result = HiLogDb::new(parse_program(&text).unwrap())
+            .query(&parse_query("?- winning(p0).").unwrap())
+            .unwrap();
+        let reason = result.fallback.expect("a negative cycle falls back");
+        assert!(
+            reason.contains("the subgoal `winning(p0)`")
+                && reason.contains("over a cycle of 1000 steps"),
+            "{reason}"
+        );
+        assert_eq!(reason.matches("-not->").count(), 6, "{reason}");
+        assert!(reason.len() < 400, "{} bytes: {reason}", reason.len());
     }
 }

@@ -2,19 +2,17 @@
 //!
 //! Definition 3.6 characterises a stable model as a *two-valued fixpoint of
 //! `W_P`*, the operator whose least fixpoint is the well-founded model, and
-//! the search is built from that one operator: `wfs.rs`' `T_P` and greatest
-//! unfounded set, over the grounding's atom ids.  The original
-//! Gelfond–Lifschitz definition via the program reduct (Gelfond and
-//! Lifschitz, ICLP 1988) is kept as the reference and as a debug
-//! cross-check of every model the search accepts.
+//! the search runs on the `Propagator` the well-founded settle leaves
+//! (`wfs.rs`).  The Gelfond–Lifschitz definition via the program reduct
+//! (Gelfond and Lifschitz, ICLP 1988) is kept as the reference and as a
+//! debug cross-check of every model the search accepts.
 //!
-//! The search starts from the well-founded model (every stable model
-//! extends it, since `W_P` is monotone), then branches over the atoms it
-//! leaves undefined, in term order, true first, propagating with `W_P`
-//! seeded by the assumptions: if `I` is contained in a stable model `M`,
-//! then `W_P(I) ⊆ W_P(M) = M`, so iterating `W_P` from the assumptions
-//! yields consequences that hold in every stable model extending them and
-//! prunes the search soundly.
+//! Every stable model extends the well-founded one (`W_P` is monotone).
+//! The search branches over the atoms it leaves undefined, in term order,
+//! true first, and settles each node: if `I ⊆ M` for a stable `M`, then
+//! `W_P(I) ⊆ W_P(M) = M`, so what the settle derives holds in every stable
+//! model extending the assumptions.  It backtracks with the propagator's
+//! `undo`.  A total node settled without conflict is a stable model.
 //!
 //! Every stable model is enumerated: the stable semantics of a query is the
 //! consensus of all of them (Definition 3.7), and a prefix could agree where
@@ -22,16 +20,11 @@
 //! [`EvalOptions::max_atoms`]; a search that needs more errs with
 //! [`EngineError::LimitExceeded`].
 
-use crate::ambient::check_deadline;
 use crate::error::EngineError;
 use crate::ground::GroundProgram;
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
-use crate::wfs::{
-    assemble_model, assignment_of, greatest_unfounded_set, is_two_valued_fixpoint, t_p,
-    well_founded_assignment,
-};
-use hilog_core::intern::AtomId;
+use crate::wfs::Propagator;
 use hilog_core::interpretation::Model;
 use hilog_core::program::Program;
 use hilog_core::term::Term;
@@ -41,146 +34,73 @@ pub(crate) fn stable_models_of_ground(
     program: &GroundProgram,
     opts: EvalOptions,
 ) -> Result<Vec<Model>, EngineError> {
-    let seed = well_founded_assignment(program)?;
-    let base = program.mentioned();
-    let interner = program.atoms.interner();
-    let mut undefined: Vec<AtomId> = interner
-        .iter()
-        .map(|(id, _)| id)
-        .filter(|id| base[id.index()] && seed[id.index()].is_none())
+    let mut propagator = Propagator::well_founded(program)?;
+    // An atom no rule heads is false, so an undefined atom is in the base.
+    let terms = program.atoms.interner().terms();
+    let mut order: Vec<usize> = (0..terms.len())
+        .filter(|&atom| propagator.value(atom).is_none())
         .collect();
-    if undefined.is_empty() {
-        // The well-founded model is the unique stable model (Section 3.2).
-        return Ok(vec![assemble_model(program, &seed)]);
-    }
-    undefined.sort_by(|&a, &b| interner.resolve(a).cmp(interner.resolve(b)));
-    let mut search = Search {
-        program,
-        base,
-        assignment: seed,
-        trail: Vec::new(),
-    };
-    search.run(&undefined, opts.max_atoms)
+    order.sort_by(|&a, &b| terms[a].cmp(&terms[b]));
+    let models = search(&mut propagator, &order, opts.max_atoms)?;
+    debug_assert!(models.iter().all(|m| gelfond_lifschitz_check(program, m)));
+    Ok(models)
 }
 
-/// A depth-first search over one assignment: every value an assumption or
-/// its propagation sets goes on the trail, and backtracking unsets the
-/// trail down to the choice point's mark.
-struct Search<'a> {
-    program: &'a GroundProgram,
-    /// Per atom id, whether some rule mentions it: the atoms `W_P`'s
-    /// unfounded half decides.
-    base: Vec<bool>,
-    /// The well-founded model plus the assumptions and their consequences.
-    assignment: Vec<Option<bool>>,
-    /// The atoms set since the well-founded model, in the order set.
-    trail: Vec<AtomId>,
-}
-
-/// A branch point: the trail length before the atom was assumed, the
-/// atom's position in the branching order, and whether its false branch
-/// is the one being explored.
+/// A branch point: the propagator's mark before the atom was assumed, its
+/// position in the branching order, and whether it is on its false branch.
 struct Choice {
     mark: usize,
     at: usize,
     tried_false: bool,
 }
 
-impl Search<'_> {
-    /// Runs the search, branching on `order`'s atoms (the well-founded
-    /// model's undefined ones), each true first, at most `budget` nodes.
-    fn run(&mut self, order: &[AtomId], budget: usize) -> Result<Vec<Model>, EngineError> {
-        let mut models = Vec::new();
-        let mut choices: Vec<Choice> = Vec::new();
-        let mut nodes = 0usize;
-        loop {
-            nodes += 1;
-            if nodes > budget {
-                return Err(EngineError::LimitExceeded(format!(
-                    "stable-model search exceeded {budget} nodes"
-                )));
-            }
-            if self.propagate()? {
-                // Atoms before the last branch point are decided below it.
-                let from = choices.last().map_or(0, |c| c.at + 1);
-                let next =
-                    (from..order.len()).find(|&at| self.assignment[order[at].index()].is_none());
-                if let Some(at) = next {
-                    choices.push(Choice {
-                        mark: self.trail.len(),
-                        at,
-                        tried_false: false,
-                    });
-                    self.set(order[at], true);
-                    continue;
-                }
-                // A total assignment: a stable model iff it is a fixpoint
-                // of `W_P`.
-                if is_two_valued_fixpoint(self.program, &self.assignment) {
-                    let model = assemble_model(self.program, &self.assignment);
-                    debug_assert!(gelfond_lifschitz_check(self.program, &model));
-                    models.push(model);
-                }
-            }
-            // Backtrack to the deepest choice whose false branch is left.
-            loop {
-                let Some(choice) = choices.last_mut() else {
-                    return Ok(models);
-                };
-                for atom in self.trail.drain(choice.mark..) {
-                    self.assignment[atom.index()] = None;
-                }
-                if !choice.tried_false {
-                    choice.tried_false = true;
-                    let atom = order[choice.at];
-                    self.set(atom, false);
-                    break;
-                }
-                choices.pop();
-            }
+/// Searches depth first, branching on `order`'s atoms (the well-founded
+/// model's undefined ones), each true first, at most `budget` nodes.  A node
+/// settles `order` alone: an atom the well-founded model decides is founded
+/// (true) or false in every extension of it.
+fn search(
+    propagator: &mut Propagator<'_>,
+    order: &[usize],
+    budget: usize,
+) -> Result<Vec<Model>, EngineError> {
+    let mut models = Vec::new();
+    let mut choices: Vec<Choice> = Vec::new();
+    let mut nodes = 0usize;
+    loop {
+        nodes += 1;
+        if nodes > budget {
+            return Err(EngineError::LimitExceeded(format!(
+                "stable-model search exceeded {budget} nodes"
+            )));
         }
-    }
-
-    fn set(&mut self, atom: AtomId, value: bool) {
-        self.assignment[atom.index()] = Some(value);
-        self.trail.push(atom);
-    }
-
-    /// Iterates `W_P` from the assignment to a fixpoint, one deadline check
-    /// per step.  Returns `false` if a step contradicts the assignment (an
-    /// atom assumed false is derived, or one assumed true is unfounded).
-    fn propagate(&mut self) -> Result<bool, EngineError> {
-        let program = self.program;
+        if propagator.settle(order)? {
+            // Atoms before the last branch point are decided below it.
+            let from = choices.last().map_or(0, |c| c.at + 1);
+            let next = (from..order.len()).find(|&at| propagator.value(order[at]).is_none());
+            if let Some(at) = next {
+                choices.push(Choice {
+                    mark: propagator.mark(),
+                    at,
+                    tried_false: false,
+                });
+                propagator.set(order[at], true);
+                continue;
+            }
+            // A conflict-free total node: a two-valued fixpoint of `W_P`.
+            models.push(propagator.model());
+        }
+        // Backtrack to the deepest choice whose false branch is left.
         loop {
-            check_deadline()?;
-            let mut changed = false;
-            for atom in t_p(program, &self.assignment) {
-                match self.assignment[atom.index()] {
-                    Some(true) => {}
-                    Some(false) => return Ok(false),
-                    None => {
-                        self.set(atom, true);
-                        changed = true;
-                    }
-                }
+            let Some(choice) = choices.last_mut() else {
+                return Ok(models);
+            };
+            propagator.undo(choice.mark);
+            if !choice.tried_false {
+                choice.tried_false = true;
+                propagator.set(order[choice.at], false);
+                break;
             }
-            let unfounded = greatest_unfounded_set(program, &self.assignment);
-            for (id, _) in program.atoms.interner().iter() {
-                if !unfounded[id.index()] || !self.base[id.index()] {
-                    continue;
-                }
-                match self.assignment[id.index()] {
-                    Some(false) => {}
-                    Some(true) => return Ok(false),
-                    None => {
-                        self.set(id, false);
-                        changed = true;
-                    }
-                }
-            }
-            if !changed {
-                return Ok(true);
-            }
+            choices.pop();
         }
     }
 }
@@ -212,6 +132,13 @@ pub(crate) fn gelfond_lifschitz_check(program: &GroundProgram, candidate: &Model
     let derived_count = derived.iter().filter(|&&d| d).count();
     derived.iter().zip(&truth).all(|(&d, &t)| t == Some(d))
         && derived_count == candidate.true_atoms().len()
+}
+
+/// The total assignment a model gives a ground program's atoms (an atom
+/// outside the model's base reads false).
+fn assignment_of(program: &GroundProgram, model: &Model) -> Vec<Option<bool>> {
+    let atoms = program.atoms.interner().terms();
+    atoms.iter().map(|a| Some(model.is_true(a))).collect()
 }
 
 /// Enumerates the stable models of a program instantiated over an explicit
@@ -330,12 +257,10 @@ mod tests {
         assert_eq!(ms.len(), 2);
         for m in &ms {
             assert!(gelfond_lifschitz_check(&gp, m));
-            assert!(is_two_valued_fixpoint(&gp, &assignment_of(&gp, m)));
         }
-        // A non-stable total model fails both checks.
+        // A non-stable total model fails the check.
         let bogus = Model::from_true_atoms([t("p"), t("q"), t("r")]);
         assert!(!gelfond_lifschitz_check(&gp, &bogus));
-        assert!(!is_two_valued_fixpoint(&gp, &assignment_of(&gp, &bogus)));
     }
 
     #[test]

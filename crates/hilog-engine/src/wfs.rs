@@ -1,31 +1,30 @@
 //! The well-founded semantics (Section 3.1, extended to HiLog in Section 4).
 //!
-//! Definitions 3.3–3.5 of the paper are implemented directly on the
-//! instantiated (ground) program:
+//! Definitions 3.3–3.5 of the paper, on the instantiated (ground) program:
+//! `T_P(I)` derives an atom if some rule for it has every body literal true
+//! in `I`; `U_P(I)` is the greatest unfounded set with respect to `I`, the
+//! complement of the least *founded* set (an atom is founded if some rule
+//! for it has no body literal false in `I` and all its positive body atoms
+//! are founded); the least fixpoint of `W_P(I) = T_P(I) ∪ ¬·U_P(I)` is the
+//! well-founded partial model, and its two-valued fixpoints are the stable
+//! models (Definition 3.6, `stable.rs`).
 //!
-//! * `T_P(I)` — an atom is derived if some instantiated rule has every body
-//!   literal true in `I`;
-//! * `U_P(I)` — the greatest unfounded set with respect to `I`, computed as
-//!   the complement of the least *founded* set (an atom is founded if some
-//!   rule for it has no witness of unusability and all its positive body
-//!   atoms are already founded);
-//! * `W_P(I) = T_P(I) ∪ ¬·U_P(I)`, iterated from the empty interpretation to
-//!   its least fixpoint, the well-founded partial model.
+//! Both semantics run on one `Propagator` over the grounding's atom ids: `T_P`
+//! by counters of the body literals not yet true (Dowling and Gallier, JLP
+//! 1984), an atom with no rule left free of a false body literal false, and,
+//! when those run dry, one greatest-unfounded-set pass over a given set of
+//! atoms for what only a positive loop keeps open (the smodels order:
+//! Simons, Niemelä and Soininen, AIJ 2002).  Its trail of values set is the
+//! queue, and `undo` takes the counters back to a mark.
 //!
-//! There is **one evaluation**: [`well_founded_eval`] settles the strongly
-//! connected components of the ground atom dependency graph one at a time on
-//! the calling thread, lower components first — Ross's
-//! component-by-component evaluation (Section 6, Figure 1) applied to the
-//! atoms of the well-founded construction — and it is how every model is
-//! obtained, the model after a write included (the session keeps the
-//! *grounding* current and evaluates it again).  The literal global `W_P`
-//! iteration is kept too, with no production caller: it is the definitional
-//! reference the oracles hold the component order to.
-//!
-//! The HiLog well-founded semantics is obtained by applying exactly the same
-//! construction to the HiLog instantiation of the program (Section 4); the
-//! caller chooses the instantiation strategy (relevant or bounded-universe,
-//! see [`crate::grounder`]).
+//! [`well_founded_eval`] settles the strongly connected components of the
+//! atom dependency graph in order, lower first, each unfounded pass
+//! confined to one component — Ross's component-by-component evaluation
+//! (Section 6, Figure 1) applied to the atoms of the well-founded
+//! construction.  It is how every model is obtained, the model after a write
+//! included, from the HiLog instantiation (Section 4) [`crate::grounder`]
+//! builds.  The literal global `W_P` iteration, [`well_founded_of_ground`],
+//! is the definitional reference the oracles hold it to.
 
 use crate::ambient::{check_deadline, with_deadline};
 use crate::error::EngineError;
@@ -46,7 +45,7 @@ pub(crate) type Assignment = [Option<bool>];
 /// One application of the `T_P` operator (Definition 3.5): the set of atoms
 /// with a rule whose positive body atoms are all true and whose negative body
 /// atoms are all false in `I`.
-pub(crate) fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
+fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
     let body_true = |r: &IdRule| {
         r.pos.iter().all(|p| i[p.index()] == Some(true))
             && r.neg.iter().all(|n| i[n.index()] == Some(false))
@@ -63,7 +62,7 @@ pub(crate) fn t_p(program: &GroundProgram, i: &Assignment) -> Vec<AtomId> {
 /// (condition 1: no body literal's complement is in `I`) whose positive body
 /// atoms are all founded (the negation of condition 2).  Everything not
 /// founded is unfounded.
-pub(crate) fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
+fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) -> Vec<bool> {
     let mut founded = vec![false; program.atoms.interner().len()];
     // usable[r] = rule r has no witness of unusability of type 1.
     let usable: Vec<bool> = program
@@ -93,13 +92,9 @@ pub(crate) fn greatest_unfounded_set(program: &GroundProgram, i: &Assignment) ->
 
 /// The **definitional reference**: the well-founded (partial) model of a
 /// ground program by iterating the global `W_P` operator to its least
-/// fixpoint, literally as Definition 3.5 states it.
-///
-/// No production path calls this — every evaluation goes through
-/// [`well_founded_eval`] — and it re-scans the whole program once per
-/// iteration, which is quadratic on deep chains.  It exists
-/// so the oracles (`tests/wfs_reference.rs`, the unit tests below) can hold
-/// the component order to the paper's definition.
+/// fixpoint, literally as Definition 3.5 states it, re-scanning the whole
+/// program per iteration.  No production path calls it: the oracles hold
+/// [`well_founded_eval`] to it.
 pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
     let mut assignment = vec![None; program.atoms.interner().len()];
     loop {
@@ -150,12 +145,11 @@ pub(crate) fn assemble_model(program: &GroundProgram, assignment: &Assignment) -
 /// entry point, for every caller.
 ///
 /// The atom dependency graph is condensed into strongly connected
-/// components and the components are settled in Tarjan order, dependencies
-/// first, each by an alternating fixpoint over its own rules with every
-/// earlier-settled atom read as fixed external context: the splitting
-/// property of the well-founded semantics applied along the whole
-/// condensation.  No component is ever re-scanned, and the model is the one
-/// Definition 3.5's global iteration yields.
+/// components, settled in Tarjan order, dependencies first, on one
+/// `Propagator`: the splitting property of the well-founded semantics along
+/// the whole condensation.  Each value is propagated once and each
+/// unfounded pass covers one component, so no component is ever re-scanned,
+/// and the model is the one Definition 3.5's global iteration yields.
 ///
 /// It runs to completion whatever deadline the calling thread carries:
 /// `checked_well_founded_eval` is the same evaluation under it, and every
@@ -169,17 +163,9 @@ pub fn well_founded_eval(program: &GroundProgram, _threads: usize) -> Model {
 }
 
 /// [`well_founded_eval`] under the calling thread's deadline, which it
-/// checks once per component.
+/// checks once per unfounded pass, so at least once per component.
 pub(crate) fn checked_well_founded_eval(program: &GroundProgram) -> Result<Model, EngineError> {
-    Ok(assemble_model(program, &well_founded_assignment(program)?))
-}
-
-/// The settled assignment [`checked_well_founded_eval`] assembles its model
-/// from: the stable-model search starts from it.
-pub(crate) fn well_founded_assignment(
-    program: &GroundProgram,
-) -> Result<Vec<Option<bool>>, EngineError> {
-    settle_components(program, &condensation(program))
+    Ok(Propagator::well_founded(program)?.model())
 }
 
 /// The well-founded model of a ground program that is *locally stratified*
@@ -189,7 +175,7 @@ pub(crate) fn well_founded_assignment(
 /// A negative edge lies on a cycle exactly when its two ends share a
 /// strongly connected component, so the test reads the condensation
 /// [`well_founded_eval`] builds anyway, and the components are then settled
-/// over that same condensation, checking the deadline once per component.
+/// over that same condensation, checking the deadline once per pass.
 /// A locally stratified program's model is total.
 pub(crate) fn stratified_eval(program: &GroundProgram) -> Result<Option<Model>, EngineError> {
     let condensation = condensation(program);
@@ -201,8 +187,7 @@ pub(crate) fn stratified_eval(program: &GroundProgram) -> Result<Option<Model>, 
     if negative_cycle {
         return Ok(None);
     }
-    let assignment = settle_components(program, &condensation)?;
-    Ok(Some(assemble_model(program, &assignment)))
+    Ok(Some(settle_components(program, &condensation)?.model()))
 }
 
 /// The condensation of the atom dependency graph.
@@ -233,136 +218,258 @@ fn condensation(program: &GroundProgram) -> Condensation {
     Condensation { sccs, scc_of }
 }
 
-/// Settles every component of `condensation` in order into one assignment,
-/// checking the deadline before each.  Tarjan's order puts each component
-/// after everything it depends on, so a component only ever reads atoms
-/// that are already settled.
-fn settle_components(
-    program: &GroundProgram,
+/// Settles every component of `condensation` in order on one propagator.
+/// Tarjan's order puts each component after everything it depends on, so
+/// an unfounded pass over a component reads only settled atoms outside it,
+/// and propagation never sets an atom of a component already settled.
+fn settle_components<'a>(
+    program: &'a GroundProgram,
     condensation: &Condensation,
-) -> Result<Vec<Option<bool>>, EngineError> {
-    let mut rules_by_head: Vec<Vec<&IdRule>> = vec![Vec::new(); program.atoms.interner().len()];
-    for rule in &program.id_rules {
-        rules_by_head[rule.head.index()].push(rule);
-    }
-    let mut assignment = vec![None; program.atoms.interner().len()];
+) -> Result<Propagator<'a>, EngineError> {
+    let mut propagator = Propagator::new(program);
     for members in &condensation.sccs {
-        check_deadline()?;
-        let rules: Vec<&IdRule> = members
-            .iter()
-            .flat_map(|&m| rules_by_head[m].iter().copied())
-            .collect();
-        let values = eval_component(&rules, members, &assignment);
-        for (&atom, value) in members.iter().zip(values) {
-            assignment[atom] = value;
-        }
+        let consistent = propagator.settle(members)?;
+        debug_assert!(consistent, "the well-founded settle met a conflict");
     }
-    Ok(assignment)
+    Ok(propagator)
 }
 
-/// Settles one strongly connected component: the alternating `W_P` fixpoint
-/// restricted to `rules`, the rules whose head lies in the component, with
-/// every non-member body atom read from the settled assignment as fixed
-/// context.  A settled external atom counts as founded exactly when it is
-/// not false (at the fixpoint of the full computation the unfounded set is
-/// the set of false atoms).  Returns the members' final truth values, in
-/// member order; recording them is the caller's job.
-fn eval_component(rules: &[&IdRule], members: &[usize], settled: &Assignment) -> Vec<Option<bool>> {
-    // Members are sorted, so a binary search beats a hash map at the
-    // typical component size (a singleton, for any stratified program).
-    let local_idx = |a: AtomId| members.binary_search(&a.index()).ok();
-    let mut local: Vec<Option<bool>> = vec![None; members.len()];
-    let value = |local: &[Option<bool>], a: AtomId| -> Option<bool> {
-        match local_idx(a) {
-            Some(li) => local[li],
-            None => settled[a.index()],
-        }
-    };
+/// The one `W_P` propagator over a [`GroundProgram`], which the
+/// well-founded settle and the stable-model search share.  An atom is
+/// indexed by [`AtomId::index`], a rule by its position in `id_rules`.
+pub(crate) struct Propagator<'a> {
+    program: &'a GroundProgram,
+    /// Per atom, its value: `None` while undefined.
+    value: Vec<Option<bool>>,
+    /// Per atom, the rules whose head it is.
+    rules_of: Vec<Vec<u32>>,
+    /// Per atom, the body literals that read it, each `rule << 1 | positive`.
+    uses: Vec<Vec<u32>>,
+    /// Per rule, its body literals not yet true: at 0 its head is true.
+    pending: Vec<u32>,
+    /// Per rule, its body literals that are false.
+    falses: Vec<u32>,
+    /// Per atom, its rules with no false body literal: at 0 it is false.
+    open: Vec<u32>,
+    /// Every atom set, in the order set: those below `done` are propagated,
+    /// the rest are the queue.
+    trail: Vec<usize>,
+    done: usize,
+    /// Scratch of [`Propagator::unfounded`], so a pass costs its set: per
+    /// atom the last pass that put it in the set and that founded it, per
+    /// rule its positive body atoms in the set not yet founded, the founded
+    /// atoms whose readers are due.
+    pass: u32,
+    member: Vec<u32>,
+    founded: Vec<u32>,
+    support: Vec<u32>,
+    queue: Vec<usize>,
+}
 
-    loop {
-        let mut changed = false;
-        // T_P restricted to the component's rules.
-        let trues: Vec<usize> = rules
-            .iter()
-            .filter(|rule| {
-                rule.pos.iter().all(|&p| value(&local, p) == Some(true))
-                    && rule.neg.iter().all(|&q| value(&local, q) == Some(false))
-            })
-            .map(|rule| local_idx(rule.head).expect("rule head is a member"))
-            .collect();
-        // Greatest unfounded set restricted to the members: the founded
-        // least fixpoint over the component's rules, externals pre-founded
-        // unless false.
-        let usable: Vec<bool> = rules
-            .iter()
-            .map(|rule| {
-                rule.pos.iter().all(|&p| value(&local, p) != Some(false))
-                    && rule.neg.iter().all(|&q| value(&local, q) != Some(true))
-            })
-            .collect();
-        let mut founded = vec![false; members.len()];
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for (rule, &usable) in rules.iter().zip(&usable) {
-                if !usable {
+impl<'a> Propagator<'a> {
+    /// A propagator over `program` with every fact true and every atom that
+    /// heads no rule false, queued and not yet propagated.
+    fn new(program: &'a GroundProgram) -> Self {
+        let n = program.atoms.interner().len();
+        let rules = &program.id_rules;
+        let mut rules_of = vec![Vec::new(); n];
+        let mut uses = vec![Vec::new(); n];
+        for (r, rule) in (0u32..).zip(rules) {
+            rules_of[rule.head.index()].push(r);
+            let pos = rule.pos.iter().map(|p| (p, r << 1 | 1));
+            for (atom, literal) in pos.chain(rule.neg.iter().map(|q| (q, r << 1))) {
+                uses[atom.index()].push(literal);
+            }
+        }
+        let pending = rules.iter().map(|r| (r.pos.len() + r.neg.len()) as u32);
+        let mut propagator = Propagator {
+            program,
+            value: vec![None; n],
+            open: rules_of.iter().map(|of| of.len() as u32).collect(),
+            rules_of,
+            uses,
+            pending: pending.collect(),
+            falses: vec![0; rules.len()],
+            trail: Vec::new(),
+            done: 0,
+            pass: 0,
+            member: vec![0; n],
+            founded: vec![0; n],
+            support: vec![0; rules.len()],
+            queue: Vec::new(),
+        };
+        for rule in rules.iter().filter(|r| r.is_fact()) {
+            propagator.set(rule.head.index(), true);
+        }
+        for atom in 0..n {
+            if propagator.open[atom] == 0 {
+                propagator.set(atom, false);
+            }
+        }
+        propagator
+    }
+
+    /// The propagator settled to `program`'s well-founded model, component
+    /// by component.
+    pub(crate) fn well_founded(program: &'a GroundProgram) -> Result<Self, EngineError> {
+        settle_components(program, &condensation(program))
+    }
+
+    /// The value of `atom`.
+    pub(crate) fn value(&self, atom: usize) -> Option<bool> {
+        self.value[atom]
+    }
+
+    /// The model the values make.
+    pub(crate) fn model(&self) -> Model {
+        assemble_model(self.program, &self.value)
+    }
+
+    /// A mark to [undo](Self::undo) back to: the trail's length.
+    pub(crate) fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Sets `atom` to `value` and queues it, unless it has a value already:
+    /// `false` if that value is the other one.
+    pub(crate) fn set(&mut self, atom: usize, value: bool) -> bool {
+        match self.value[atom] {
+            Some(old) => old == value,
+            None => {
+                self.value[atom] = Some(value);
+                self.trail.push(atom);
+                true
+            }
+        }
+    }
+
+    /// Propagates, then sets false what one unfounded pass over `atoms`
+    /// finds, until a pass finds nothing, looking at the deadline once per
+    /// pass.  `Ok(false)` on a conflict: an atom set both ways, whether
+    /// derived, left with no open rule or found unfounded.
+    pub(crate) fn settle(&mut self, atoms: &[usize]) -> Result<bool, EngineError> {
+        loop {
+            if !self.propagate() {
+                return Ok(false);
+            }
+            check_deadline()?;
+            let unfounded = self.unfounded(atoms);
+            if unfounded.is_empty() {
+                return Ok(true);
+            }
+            for atom in unfounded {
+                if !self.set(atom, false) {
+                    return Ok(false);
+                }
+            }
+        }
+    }
+
+    /// Takes back every value set since `mark`, with what propagating it
+    /// counted.
+    pub(crate) fn undo(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let atom = self.trail.pop().expect("above the mark");
+            if self.trail.len() < self.done {
+                for k in 0..self.uses[atom].len() {
+                    let (rule, head, holds) = self.literal(atom, k);
+                    if holds {
+                        self.pending[rule] += 1;
+                    } else {
+                        self.falses[rule] -= 1;
+                        self.open[head] += u32::from(self.falses[rule] == 0);
+                    }
+                }
+            }
+            self.value[atom] = None;
+        }
+        self.done = self.done.min(mark);
+    }
+
+    /// Propagates the queued values through the counters: a rule whose body
+    /// is all true makes its head true (`T_P`), and an atom whose every rule
+    /// has a false body literal is false.  `false` on a conflict, with the
+    /// atom that met it fully counted.
+    fn propagate(&mut self) -> bool {
+        let mut consistent = true;
+        while consistent && self.done < self.trail.len() {
+            let atom = self.trail[self.done];
+            self.done += 1;
+            for k in 0..self.uses[atom].len() {
+                let (rule, head, holds) = self.literal(atom, k);
+                if holds {
+                    self.pending[rule] -= 1;
+                    if self.pending[rule] == 0 {
+                        consistent &= self.set(head, true);
+                    }
+                } else {
+                    self.falses[rule] += 1;
+                    if self.falses[rule] == 1 {
+                        self.open[head] -= 1;
+                        if self.open[head] == 0 {
+                            consistent &= self.set(head, false);
+                        }
+                    }
+                }
+            }
+        }
+        consistent
+    }
+
+    /// The `k`-th body literal that reads `atom`: its rule, the rule's head,
+    /// and whether `atom`'s value makes the literal true.
+    fn literal(&self, atom: usize, k: usize) -> (usize, usize, bool) {
+        let literal = self.uses[atom][k];
+        let rule = (literal >> 1) as usize;
+        let holds = (literal & 1 == 1) == (self.value[atom] == Some(true));
+        (rule, self.program.id_rules[rule].head.index(), holds)
+    }
+
+    /// The greatest unfounded set within `atoms`, those outside founded unless
+    /// false: the members not false and not founded by a rule free of false
+    /// body literals.  A true one is the caller's conflict.  The pass costs
+    /// the members' rules and readers, not the grounding.
+    fn unfounded(&mut self, atoms: &[usize]) -> Vec<usize> {
+        self.pass += 1;
+        let pass = self.pass;
+        for &atom in atoms {
+            if self.value[atom] != Some(false) {
+                self.member[atom] = pass;
+            }
+        }
+        let rules = &self.program.id_rules;
+        for &atom in atoms.iter().filter(|&&a| self.member[a] == pass) {
+            for &rule in &self.rules_of[atom] {
+                let rule = rule as usize;
+                if self.falses[rule] > 0 {
                     continue;
                 }
-                let head = local_idx(rule.head).expect("rule head is a member");
-                if founded[head] {
+                let inside = rules[rule].pos.iter();
+                self.support[rule] =
+                    inside.filter(|p| self.member[p.index()] == pass).count() as u32;
+                if self.support[rule] == 0 && self.founded[atom] != pass {
+                    self.founded[atom] = pass;
+                    self.queue.push(atom);
+                }
+            }
+        }
+        while let Some(atom) = self.queue.pop() {
+            for &literal in self.uses[atom].iter().filter(|&&l| l & 1 == 1) {
+                let rule = (literal >> 1) as usize;
+                let head = rules[rule].head.index();
+                if self.member[head] != pass || self.falses[rule] > 0 {
                     continue;
                 }
-                let supported = rule.pos.iter().all(|&p| match local_idx(p) {
-                    Some(pl) => founded[pl],
-                    None => settled[p.index()] != Some(false),
-                });
-                if supported {
-                    founded[head] = true;
-                    grew = true;
+                self.support[rule] -= 1;
+                if self.support[rule] == 0 && self.founded[head] != pass {
+                    self.founded[head] = pass;
+                    self.queue.push(head);
                 }
             }
         }
-        for li in trues {
-            if local[li] != Some(true) {
-                local[li] = Some(true);
-                changed = true;
-            }
-        }
-        for (li, &f) in founded.iter().enumerate() {
-            if !f && local[li].is_none() {
-                local[li] = Some(false);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
+        let unfounded = |&a: &usize| self.member[a] == pass && self.founded[a] != pass;
+        atoms.iter().copied().filter(unfounded).collect()
     }
-    local
-}
-
-/// Checks whether a *total* assignment over the atoms some rule mentions is
-/// a fixpoint of `W_P` — the characterisation of stable models used by
-/// Definition 3.6 (an atom no rule mentions is not read).
-pub(crate) fn is_two_valued_fixpoint(program: &GroundProgram, assignment: &Assignment) -> bool {
-    // T_P(I) must be exactly the true atoms, and U_P(I) exactly the false ones.
-    let mut derived = vec![false; assignment.len()];
-    for a in t_p(program, assignment) {
-        derived[a.index()] = true;
-    }
-    let unfounded = greatest_unfounded_set(program, assignment);
-    let mentioned = program.mentioned();
-    (0..assignment.len()).filter(|&id| mentioned[id]).all(|id| {
-        let is_true = assignment[id] == Some(true);
-        is_true == derived[id] && is_true != unfounded[id]
-    })
-}
-
-/// The total assignment a model gives a ground program's atoms (an atom
-/// outside the model's base reads false).
-pub(crate) fn assignment_of(program: &GroundProgram, model: &Model) -> Vec<Option<bool>> {
-    let atoms = program.atoms.interner().terms();
-    atoms.iter().map(|a| Some(model.is_true(a))).collect()
 }
 
 /// Computes the well-founded model of a program instantiated over an
@@ -383,6 +490,7 @@ mod tests {
     use crate::ground::GroundRule;
     use crate::grounder::relevant_ground;
     use crate::session::HiLogDb;
+    use crate::stable::gelfond_lifschitz_check;
     use hilog_core::analysis::is_locally_stratified_ground;
     use hilog_core::literal::Literal;
     use hilog_core::rule::Rule;
@@ -539,17 +647,17 @@ mod tests {
     }
 
     #[test]
-    fn two_valued_fixpoint_check_agrees_with_wfs_on_total_models() {
+    fn the_stable_check_agrees_with_wfs_on_total_models() {
         let p = parse_program("winning(X) :- move(X, Y), not winning(Y). move(a, b). move(b, c).")
             .unwrap();
         let gp = relevant_ground(&p, EvalOptions::default()).unwrap();
         let m = well_founded_of_ground(&gp);
         assert!(m.is_total());
-        assert!(is_two_valued_fixpoint(&gp, &assignment_of(&gp, &m)));
-        // Flipping an atom breaks the fixpoint property.
+        assert!(gelfond_lifschitz_check(&gp, &m));
+        // Flipping an atom makes it no stable model.
         let mut wrong = m.clone();
         wrong.set_true(t("winning(a)"));
-        assert!(!is_two_valued_fixpoint(&gp, &assignment_of(&gp, &wrong)));
+        assert!(!gelfond_lifschitz_check(&gp, &wrong));
     }
 
     #[test]
@@ -572,6 +680,12 @@ mod tests {
             "reach(X) :- source(X). reach(Y) :- reach(X), edge(X, Y).\n\
              blocked(X) :- node(X), not reach(X).\n\
              source(a). edge(a, b). node(a). node(b). node(c). edge(b, b).",
+            // Shapes only the unfounded pass, or a settle that walks one atom
+            // per round, decides.
+            LASSO,
+            TWO_LASSOS,
+            "p :- q. q :- p. r :- not p. s :- r, not q. u :- q, not s.",
+            &gated_loops(6),
         ];
         for text in programs {
             let gp =
@@ -584,12 +698,35 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stratified_eval_agrees_with_the_definitional_references() {
-        // Random ground programs over a handful of atoms, so positive and
-        // negative cycles are common: `stratified_eval` accepts exactly the
-        // programs the atom-graph reference calls locally stratified, and
-        // its model is Definition 3.5's.
+    /// A lasso game: a cycle of five positions with one exit, from `p0`.
+    /// Its model is total, and settling it walks the cycle one position at a
+    /// time.
+    const LASSO: &str = "winning(X) :- move(X, Y), not winning(Y).\n\
+         move(p0, p1). move(p1, p2). move(p2, p3). move(p3, p4). move(p4, p0). move(p0, out).";
+
+    /// Two lassos that share the node `n0`, each with an exit of its own.
+    const TWO_LASSOS: &str = "winning(X) :- move(X, Y), not winning(Y).\n\
+         move(n0, n1). move(n1, n2). move(n2, n0). move(n1, e1).\n\
+         move(n0, m1). move(m1, m2). move(m2, m3). move(m3, n0). move(m2, e2).";
+
+    /// A chain of `k` gated positive loops: `g0.`, and for each `i`
+    /// `x_i :- y_i.`, `y_i :- x_i.`, `y_i :- not g_i.` and
+    /// `g_{i+1} :- not x_i.`  Each loop becomes unfounded only once the one
+    /// before it is.
+    fn gated_loops(k: usize) -> String {
+        let mut text = String::from("g0.\n");
+        for i in 0..k {
+            let next = i + 1;
+            text.push_str(&format!(
+                "x{i} :- y{i}. y{i} :- x{i}. y{i} :- not g{i}. g{next} :- not x{i}.\n"
+            ));
+        }
+        text
+    }
+
+    /// Random ground programs over a handful of atoms, so positive and
+    /// negative cycles are common, with each one's rules as terms.
+    fn random_ground_programs(count: usize) -> Vec<Vec<GroundRule>> {
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         let mut draw = |bound: u64| {
             state ^= state << 13;
@@ -598,8 +735,8 @@ mod tests {
             state % bound
         };
         let atom = |i: u64| Term::sym(format!("a{i}"));
-        let (mut accepted, mut rejected) = (0, 0);
-        for _ in 0..400 {
+        let mut programs = Vec::new();
+        for _ in 0..count {
             let atoms = 2 + draw(6);
             let rules: Vec<GroundRule> = (0..1 + draw(10))
                 .map(|_| {
@@ -609,6 +746,18 @@ mod tests {
                     GroundRule::new(head, pos, neg)
                 })
                 .collect();
+            programs.push(rules);
+        }
+        programs
+    }
+
+    #[test]
+    fn stratified_eval_agrees_with_the_definitional_references() {
+        // `stratified_eval` accepts exactly the random programs the
+        // atom-graph reference calls locally stratified, and its model is
+        // Definition 3.5's.
+        let (mut accepted, mut rejected) = (0, 0);
+        for rules in random_ground_programs(400) {
             let as_rules: Vec<Rule> = rules
                 .iter()
                 .map(|r| {
@@ -636,6 +785,55 @@ mod tests {
         assert!(
             accepted > 40 && rejected > 40,
             "{accepted} accepted, {rejected} rejected"
+        );
+    }
+
+    #[test]
+    fn undo_restores_what_the_propagator_held_at_the_mark() {
+        // On the random programs, propagated but not settled, up to four
+        // nested assumptions on undefined atoms, each settled over every
+        // atom, conflicts included; undoing
+        // them one at a time must give back, at each mark, every value and
+        // counter the propagator held there.
+        let held = |p: &Propagator| {
+            let counters = (p.pending.clone(), p.falses.clone(), p.open.clone());
+            (p.value.clone(), counters, p.trail.clone(), p.done)
+        };
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut draw = |bound: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % bound as u64) as usize
+        };
+        let (mut undone, mut conflicts) = (0, 0);
+        for rules in random_ground_programs(400) {
+            let gp = GroundProgram::from_rules(rules);
+            let all: Vec<usize> = (0..gp.atoms.interner().len()).collect();
+            let mut propagator = Propagator::new(&gp);
+            let mut marks = Vec::new();
+            let mut consistent = propagator.propagate();
+            while consistent && marks.len() < 4 {
+                let open: Vec<usize> = (all.iter().copied())
+                    .filter(|&a| propagator.value(a).is_none())
+                    .collect();
+                if open.is_empty() {
+                    break;
+                }
+                marks.push((propagator.mark(), held(&propagator)));
+                propagator.set(open[draw(open.len())], draw(2) == 1);
+                consistent = propagator.settle(&all).unwrap();
+                conflicts += usize::from(!consistent);
+            }
+            while let Some((mark, at_mark)) = marks.pop() {
+                propagator.undo(mark);
+                assert!(held(&propagator) == at_mark, "undo({mark}) on {gp}");
+                undone += 1;
+            }
+        }
+        assert!(
+            undone > 200 && conflicts > 20,
+            "{undone} undos, {conflicts} conflicts"
         );
     }
 

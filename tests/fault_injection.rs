@@ -461,10 +461,11 @@ fn query_deadline_answers_504_and_counts() {
 /// reduction; while it looked once a round, the sharded game returned after
 /// 128–140 ms.  A passed deadline is an error, not a verdict: the same
 /// session without one still accepts the program.  The stable-model search
-/// looks at it at each `W_P` step of its propagation: on a grounding built
-/// beforehand, a 4,000-position cycle's two stable models take ≈ 0.46 s to
-/// enumerate with no deadline (release), and while the search looked only
-/// at its nodes, a 200-position cycle's returned after 65–76 ms.
+/// looks at it at each unfounded pass, so at least once a node: on a
+/// grounding built beforehand, twenty independent two-position cycles have
+/// 2^20 stable models, far more than 5 ms of search.  (A 4,000-position
+/// cycle, the case here before the search settled a node in time linear in
+/// the grounding, now enumerates its two models in ≈ 4 ms, release.)
 #[test]
 fn a_full_model_build_stops_at_its_deadline() {
     use hilog_repro::engine::with_deadline;
@@ -508,9 +509,12 @@ fn a_full_model_build_stops_at_its_deadline() {
         }
     }
 
-    let name = "stable models, cycle(4000)";
+    let name = "stable models, 20 two-cycles";
+    let two_cycles: Vec<(usize, usize)> = (0..20)
+        .flat_map(|i| [(2 * i, 2 * i + 1), (2 * i + 1, 2 * i)])
+        .collect();
     let mut db = HiLogDb::builder()
-        .program(normal_game_program(&cycle(4_000)))
+        .program(normal_game_program(&two_cycles))
         .semantics(Semantics::Stable)
         .build();
     db.ground_program().expect("no deadline, no error");

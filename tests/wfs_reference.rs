@@ -26,13 +26,17 @@
 //! true atoms.
 
 use hilog_repro::engine::well_founded_of_ground;
+use hilog_repro::engine::with_deadline;
 use hilog_repro::prelude::*;
 use hilog_workloads::random_programs::{
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
     NormalProgramConfig,
 };
-use hilog_workloads::{sharded_chain_game_program, sharded_game_program};
+use hilog_workloads::{
+    cycle, normal_game_program, sharded_chain_game_program, sharded_game_program,
+};
 use std::collections::{BTreeSet, HashMap};
+use std::time::{Duration, Instant};
 
 /// The committed regression corpus shared with `tests/differential.rs`.
 fn pinned_seeds() -> Vec<u64> {
@@ -129,6 +133,44 @@ fn two_cycles(k: usize) -> Program {
     let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
     for i in 0..k {
         text.push_str(&format!("move(a{i}, b{i}). move(b{i}, a{i}).\n"));
+    }
+    parse_program(&text).unwrap()
+}
+
+/// The lasso game: `cycle(n)` plus one exit move, from `p0` to a position
+/// with no moves.  Its model is total, and settling it walks the cycle one
+/// position at a time.
+fn lasso(n: usize) -> Program {
+    let mut edges = cycle(n);
+    edges.push((0, n + 1));
+    normal_game_program(&edges)
+}
+
+/// Two lassos that share the position `p0`, each with an exit of its own.
+fn two_lassos() -> Program {
+    normal_game_program(&[
+        (0, 1),
+        (1, 2),
+        (2, 0),
+        (1, 9),
+        (0, 3),
+        (3, 4),
+        (4, 5),
+        (5, 0),
+        (4, 8),
+    ])
+}
+
+/// A chain of `k` gated positive loops: `g0.`, and for each `i`
+/// `x_i :- y_i.`, `y_i :- x_i.`, `y_i :- not g_i.` and `g_{i+1} :- not x_i.`
+/// Each loop becomes unfounded only once the one before it is.
+fn gated_loops(k: usize) -> Program {
+    let mut text = String::from("g0.\n");
+    for i in 0..k {
+        let next = i + 1;
+        text.push_str(&format!(
+            "x{i} :- y{i}. y{i} :- x{i}. y{i} :- not g{i}. g{next} :- not x{i}.\n"
+        ));
     }
     parse_program(&text).unwrap()
 }
@@ -254,6 +296,30 @@ fn stable_models_are_the_brute_force_ones() {
             &format!("{k} two-cycles"),
         );
         assert_eq!(found, Some(1 << k), "{k} two-cycles");
+    }
+    // Shapes only the unfounded pass, or a settle that walks one atom per
+    // round, decides.
+    let shapes = [
+        ("a lasso", lasso(7)),
+        ("two lassos sharing a node", two_lassos()),
+        (
+            "a positive loop under a negation",
+            parse_program(
+                "p :- q. q :- p. r :- not p. s :- r, not q. u :- q, not s. v :- not v, p.",
+            )
+            .unwrap(),
+        ),
+        ("gated loops", gated_loops(6)),
+        (
+            "a positive loop under a choice",
+            parse_program("p :- not q. q :- not p. x :- y. y :- x. y :- p. r :- not x.").unwrap(),
+        ),
+    ];
+    for (context, program) in &shapes {
+        assert!(
+            assert_stable_models_are_the_brute_force_ones(program, 16, context).is_some(),
+            "{context}"
+        );
     }
     // Random normal programs whose well-founded model leaves at most 14
     // atoms undefined.
@@ -384,4 +450,43 @@ fn model_iteration_order_is_the_reference_order() {
             "model iteration order changed (run {run})"
         );
     }
+}
+
+/// Runs `f` under a 10 s deadline.  A settle that re-scans a component per
+/// round decides the lasso below in minutes, a linear one in well under a
+/// second, in either build.
+fn within_ten_seconds<T>(what: &str, f: impl FnOnce() -> Result<T, EngineError>) -> T {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    with_deadline(Some(deadline), f).unwrap_or_else(|err| panic!("{what}: {err}"))
+}
+
+#[test]
+fn the_model_of_a_long_lasso_settles_in_linear_time() {
+    let mut db = HiLogDb::new(lasso(20_000));
+    let model = within_ten_seconds("the lasso's model", || db.model().cloned());
+    assert!(model.is_total());
+    assert!(model.is_true(&parse_term("winning(p0)").unwrap()));
+    assert!(model.is_false(&parse_term("winning(p19999)").unwrap()));
+}
+
+#[test]
+fn a_bound_query_on_a_long_lasso_settles_in_linear_time() {
+    // The cycle sends the query to the full model.
+    let mut db = HiLogDb::new(lasso(20_000));
+    let query = parse_query("?- winning(p0).").unwrap();
+    let result = within_ten_seconds("?- winning(p0).", || db.query(&query));
+    assert_eq!(result.truth, Truth::True);
+    assert!(result.fallback.is_some());
+}
+
+#[test]
+fn the_stable_search_over_a_long_cycle_is_linear() {
+    let mut db = HiLogDb::builder()
+        .program(normal_game_program(&cycle(20_000)))
+        .semantics(Semantics::Stable)
+        .build();
+    let models = within_ten_seconds("the stable models of cycle(20000)", || {
+        db.stable_models().map(<[Model]>::len)
+    });
+    assert_eq!(models, 2);
 }
