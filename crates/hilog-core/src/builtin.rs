@@ -141,7 +141,7 @@ impl fmt::Display for BuiltinCall {
 /// Expressions are HiLog terms whose applications use the symbols `+`, `-`,
 /// `*`, `div` and `mod` at arity 2 (and `-` at arity 1 for negation); leaves
 /// must be integers.
-pub fn eval_arith(term: &Term) -> Result<i64, CoreError> {
+fn eval_arith(term: &Term) -> Result<i64, CoreError> {
     match term {
         Term::Int(i) => Ok(*i),
         Term::Var(v) => Err(CoreError::Arithmetic(format!("unbound variable {v}"))),
@@ -261,7 +261,7 @@ mod tests {
             Term::var("N"),
             bin("*", Term::var("P"), Term::var("M")),
         );
-        let mut theta = Substitution::from_bindings([
+        let mut theta = Substitution::from_iter([
             (Var::new("P"), Term::int(2)),
             (Var::new("M"), Term::int(47)),
         ]);
@@ -350,7 +350,7 @@ mod tests {
     #[test]
     fn apply_substitutes_operands() {
         let call = BuiltinCall::new(BuiltinOp::Lt, Term::var("X"), Term::int(3));
-        let theta = Substitution::from_bindings([(Var::new("X"), Term::int(1))]);
+        let theta = Substitution::from_iter([(Var::new("X"), Term::int(1))]);
         assert_eq!(call.apply(&theta).left, Term::int(1));
     }
 }

@@ -36,7 +36,7 @@ impl AtomId {
 /// Hash-consing table from terms to stable [`AtomId`]s.
 ///
 /// ```
-/// use hilog_core::{intern::TermInterner, Term};
+/// use hilog_core::{Term, TermInterner};
 /// let mut interner = TermInterner::new();
 /// let a = interner.intern(&Term::apps("move", vec![Term::sym("a"), Term::sym("b")]));
 /// let b = interner.intern(&Term::apps("move", vec![Term::sym("a"), Term::sym("b")]));

@@ -198,11 +198,6 @@ impl Model {
         self.atoms.insert(atom, Truth::True);
     }
 
-    /// Marks an atom undefined (adding it to the base).
-    pub fn set_undefined(&mut self, atom: Term) {
-        self.atoms.insert(atom, Truth::Undefined);
-    }
-
     /// Drops an atom from the model altogether: the atom is false and no
     /// longer part of the relevant base.
     pub fn remove_atom(&mut self, atom: &Term) {
@@ -249,13 +244,6 @@ impl Model {
                 .atoms
                 .iter()
                 .all(|(a, &t)| t.is_false() || !name_generated(a) || smaller.atoms.contains_key(a))
-    }
-
-    /// Restricts the model to the atoms satisfying the predicate (used to
-    /// project a model of `P ∪ Q` back onto the atoms generated by `P`).
-    pub fn restrict(&self, mut keep: impl FnMut(&Term) -> bool) -> Model {
-        let kept = self.atoms.iter().filter(|(a, _)| keep(a));
-        kept.map(|(a, &t)| (a.clone(), t)).collect()
     }
 }
 
@@ -423,7 +411,7 @@ mod tests {
     fn model_mutators() {
         let mut m = Model::empty();
         m.set_true(atom("a"));
-        m.set_undefined(atom("b"));
+        m.insert(atom("b"), Truth::Undefined);
         m.insert(atom("c"), Truth::False);
         assert!(m.is_true(&atom("a")));
         assert!(m.is_undefined(&atom("b")));
@@ -477,16 +465,6 @@ mod tests {
         assert!(!bad2.conservatively_extends(&smaller, generated));
     }
 
-    #[test]
-    fn restriction_projects_model() {
-        let qa = Term::apps("q", vec![Term::sym("a")]);
-        let ra = Term::apps("r", vec![Term::sym("a")]);
-        let m = Model::from_true_atoms([qa.clone(), ra.clone()]);
-        let only_q = m.restrict(|a| matches!(a.name(), Term::Sym(s) if s.name() == "q"));
-        assert!(only_q.is_true(&qa));
-        assert!(!only_q.base().contains(&ra));
-    }
-
     /// Every atom has exactly one value, and the three views partition the
     /// base, through `Model::new` with overlapping lists, every mutator and
     /// `merge`.
@@ -519,7 +497,7 @@ mod tests {
                 (&r, Truth::Undefined),
             ],
         );
-        m.set_undefined(p.clone());
+        assert_eq!(m.insert(p.clone(), Truth::Undefined), Some(Truth::True));
         check(&m, &[(&p, Truth::Undefined)]);
         m.set_true(q.clone());
         check(&m, &[(&q, Truth::True)]);
@@ -536,7 +514,6 @@ mod tests {
         let mut small = Model::new([q.clone()], [], [r.clone()]);
         small.merge(m.clone());
         check(&small, &[(&q, Truth::True), (&r, Truth::Undefined)]);
-        check(&small.restrict(|a| a != &q), &[(&q, Truth::False)]);
         let everywhere = Model::new([p.clone()], [p.clone()], [p.clone()]);
         check(&everywhere, &[(&p, Truth::True)]);
     }

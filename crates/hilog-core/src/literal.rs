@@ -189,16 +189,6 @@ impl Literal {
     pub fn is_ground(&self) -> bool {
         self.variables().is_empty()
     }
-
-    /// The complement of an atom literal (positive becomes negative and vice
-    /// versa); evaluable literals have no complement.
-    pub fn complement(&self) -> Option<Literal> {
-        match self {
-            Literal::Pos(a) => Some(Literal::Neg(a.clone())),
-            Literal::Neg(a) => Some(Literal::Pos(a.clone())),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Literal {
@@ -225,8 +215,6 @@ mod tests {
         assert!(neg.is_negative_atom());
         assert_eq!(pos.atom(), Some(&atom));
         assert_eq!(neg.atom(), Some(&atom));
-        assert_eq!(pos.complement(), Some(neg.clone()));
-        assert_eq!(neg.complement(), Some(pos));
     }
 
     #[test]
@@ -234,7 +222,6 @@ mod tests {
         let b = Literal::Builtin(BuiltinCall::new(BuiltinOp::Lt, Term::int(1), Term::int(2)));
         assert!(b.atom().is_none());
         assert!(b.dependency().is_none());
-        assert!(b.complement().is_none());
     }
 
     #[test]
@@ -269,7 +256,7 @@ mod tests {
     #[test]
     fn substitution_application() {
         let lit = Literal::neg(Term::app(Term::var("G"), vec![Term::var("X")]));
-        let theta = Substitution::from_bindings([
+        let theta = Substitution::from_iter([
             (Var::new("G"), Term::sym("move")),
             (Var::new("X"), Term::sym("a")),
         ]);

@@ -20,7 +20,7 @@ use std::collections::BTreeSet;
 /// Variables occurring in *argument* positions of an atom (anywhere inside
 /// the argument terms), excluding variables that occur only in the predicate
 /// name.
-pub fn argument_variables(atom: &Term) -> BTreeSet<Var> {
+fn argument_variables(atom: &Term) -> BTreeSet<Var> {
     let mut out = BTreeSet::new();
     for arg in atom.args() {
         for v in arg.variables() {
@@ -32,7 +32,7 @@ pub fn argument_variables(atom: &Term) -> BTreeSet<Var> {
 
 /// Variables occurring in the *predicate name* of an atom (anywhere inside
 /// the name term).
-pub fn name_variables(atom: &Term) -> BTreeSet<Var> {
+fn name_variables(atom: &Term) -> BTreeSet<Var> {
     match atom {
         Term::App(name, _) => name.variables().into_iter().collect(),
         Term::Var(v) => [v.clone()].into_iter().collect(),
@@ -41,7 +41,7 @@ pub fn name_variables(atom: &Term) -> BTreeSet<Var> {
 }
 
 /// All variables of an atom.
-pub fn all_variables(atom: &Term) -> BTreeSet<Var> {
+fn all_variables(atom: &Term) -> BTreeSet<Var> {
     atom.variables().into_iter().collect()
 }
 
@@ -50,7 +50,7 @@ pub fn all_variables(atom: &Term) -> BTreeSet<Var> {
 /// output of `N is P * M` or `N = sum(...)` as bound, so these variables are
 /// counted together with the positive-literal argument variables by the
 /// range-restriction checks below.
-pub fn evaluable_binder_variables(rule: &Rule) -> BTreeSet<Var> {
+fn evaluable_binder_variables(rule: &Rule) -> BTreeSet<Var> {
     let mut out = BTreeSet::new();
     for lit in &rule.body {
         match lit {
@@ -70,7 +70,7 @@ pub fn evaluable_binder_variables(rule: &Rule) -> BTreeSet<Var> {
 /// Definition 4.1: a normal rule is range restricted when every variable
 /// occurring in the head or in a negative body literal also occurs in a
 /// positive body literal.
-pub fn is_range_restricted_normal_rule(rule: &Rule) -> bool {
+fn is_range_restricted_normal_rule(rule: &Rule) -> bool {
     let mut positive_vars: BTreeSet<Var> = BTreeSet::new();
     for atom in rule.positive_atoms() {
         positive_vars.extend(atom.variables());
@@ -122,7 +122,7 @@ fn positive_literals_orderable(rule: &Rule, seed: &BTreeSet<Var>) -> bool {
 }
 
 /// Definition 5.5: range restriction for a HiLog rule.
-pub fn is_range_restricted_hilog_rule(rule: &Rule) -> bool {
+fn is_range_restricted_hilog_rule(rule: &Rule) -> bool {
     let mut positive_arg_vars: BTreeSet<Var> = BTreeSet::new();
     for atom in rule.positive_atoms() {
         positive_arg_vars.extend(argument_variables(atom));
@@ -158,7 +158,7 @@ pub fn is_range_restricted_hilog(program: &Program) -> bool {
 }
 
 /// Definition 5.6: strong range restriction for a HiLog rule.
-pub fn is_strongly_range_restricted_rule(rule: &Rule) -> bool {
+fn is_strongly_range_restricted_rule(rule: &Rule) -> bool {
     let mut positive_arg_vars: BTreeSet<Var> = BTreeSet::new();
     for atom in rule.positive_atoms() {
         positive_arg_vars.extend(argument_variables(atom));

@@ -270,7 +270,7 @@ mod tests {
     #[test]
     fn apply_substitution_to_rule() {
         let r = tc_rule();
-        let theta = Substitution::from_bindings([(Var::new("G"), Term::sym("e"))]);
+        let theta = Substitution::from_iter([(Var::new("G"), Term::sym("e"))]);
         let inst = r.apply(&theta);
         assert_eq!(inst.to_string(), "tc(e)(X, Y) :- e(X, Z), tc(e)(Z, Y).");
     }

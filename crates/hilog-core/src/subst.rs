@@ -22,13 +22,6 @@ impl Substitution {
         Substitution::default()
     }
 
-    /// Builds a substitution from an explicit list of bindings.
-    pub fn from_bindings(bindings: impl IntoIterator<Item = (Var, Term)>) -> Self {
-        Substitution {
-            map: bindings.into_iter().collect(),
-        }
-    }
-
     /// Number of bound variables.
     pub fn len(&self) -> usize {
         self.map.len()
@@ -148,31 +141,6 @@ impl Substitution {
         }
     }
 
-    /// Composes `self` with `other`: the result behaves like applying `self`
-    /// first and then `other`.
-    pub fn compose(&self, other: &Substitution) -> Substitution {
-        let mut map = BTreeMap::new();
-        for (v, t) in &self.map {
-            map.insert(v.clone(), other.apply(t));
-        }
-        for (v, t) in &other.map {
-            map.entry(v.clone()).or_insert_with(|| t.clone());
-        }
-        Substitution { map }
-    }
-
-    /// Restricts the substitution to the given variables.
-    pub fn restrict(&self, vars: &[Var]) -> Substitution {
-        Substitution {
-            map: self
-                .map
-                .iter()
-                .filter(|(v, _)| vars.contains(v))
-                .map(|(v, t)| (v.clone(), t.clone()))
-                .collect(),
-        }
-    }
-
     /// Returns `true` if every binding is to a ground term.
     pub fn is_ground(&self) -> bool {
         self.map.values().all(Term::is_ground)
@@ -214,7 +182,7 @@ mod tests {
     fn apply_replaces_variables_in_name_position() {
         // G(X, Y) with G -> move1, X -> a  becomes  move1(a, Y)
         let atom = Term::app(Term::var("G"), vec![Term::var("X"), Term::var("Y")]);
-        let theta = Substitution::from_bindings([
+        let theta = Substitution::from_iter([
             (Var::new("G"), Term::sym("move1")),
             (Var::new("X"), Term::sym("a")),
         ]);
@@ -224,7 +192,7 @@ mod tests {
     #[test]
     fn apply_is_recursive_through_bindings() {
         // X -> f(Y), Y -> a : applying to X yields f(a).
-        let theta = Substitution::from_bindings([
+        let theta = Substitution::from_iter([
             (Var::new("X"), Term::apps("f", vec![Term::var("Y")])),
             (Var::new("Y"), Term::sym("a")),
         ]);
@@ -232,29 +200,8 @@ mod tests {
     }
 
     #[test]
-    fn compose_applies_left_then_right() {
-        let s1 = Substitution::from_bindings([(Var::new("X"), Term::var("Y"))]);
-        let s2 = Substitution::from_bindings([(Var::new("Y"), Term::sym("a"))]);
-        let c = s1.compose(&s2);
-        assert_eq!(c.apply(&Term::var("X")), Term::sym("a"));
-        assert_eq!(c.apply(&Term::var("Y")), Term::sym("a"));
-    }
-
-    #[test]
-    fn restrict_keeps_only_requested_vars() {
-        let theta = Substitution::from_bindings([
-            (Var::new("X"), Term::sym("a")),
-            (Var::new("Y"), Term::sym("b")),
-        ]);
-        let r = theta.restrict(&[Var::new("X")]);
-        assert_eq!(r.len(), 1);
-        assert!(r.contains(&Var::new("X")));
-        assert!(!r.contains(&Var::new("Y")));
-    }
-
-    #[test]
     fn walk_follows_variable_chains() {
-        let theta = Substitution::from_bindings([
+        let theta = Substitution::from_iter([
             (Var::new("X"), Term::var("Y")),
             (Var::new("Y"), Term::var("Z")),
             (Var::new("Z"), Term::sym("c")),
@@ -265,15 +212,15 @@ mod tests {
 
     #[test]
     fn groundness_of_substitution() {
-        let g = Substitution::from_bindings([(Var::new("X"), Term::sym("a"))]);
+        let g = Substitution::from_iter([(Var::new("X"), Term::sym("a"))]);
         assert!(g.is_ground());
-        let ng = Substitution::from_bindings([(Var::new("X"), Term::var("Y"))]);
+        let ng = Substitution::from_iter([(Var::new("X"), Term::var("Y"))]);
         assert!(!ng.is_ground());
     }
 
     #[test]
     fn display_format() {
-        let theta = Substitution::from_bindings([(Var::new("X"), Term::sym("a"))]);
+        let theta = Substitution::from_iter([(Var::new("X"), Term::sym("a"))]);
         assert_eq!(theta.to_string(), "{X -> a}");
     }
 }

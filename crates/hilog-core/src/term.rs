@@ -322,50 +322,6 @@ impl Term {
             Term::App(name, args) => 1 + name.size() + args.iter().map(Term::size).sum::<usize>(),
         }
     }
-
-    /// Iterates over every subterm (including the term itself), pre-order.
-    pub fn subterms(&self) -> Vec<&Term> {
-        let mut out = Vec::new();
-        let mut stack = vec![self];
-        while let Some(t) = stack.pop() {
-            out.push(t);
-            if let Term::App(name, args) = t {
-                stack.push(name);
-                for a in args.iter().rev() {
-                    stack.push(a);
-                }
-            }
-        }
-        out
-    }
-
-    /// Returns `true` if the term is *normal-shaped*: of the form
-    /// `p(c1, ..., cn)` or a bare symbol, where `p` is a symbol and every
-    /// `ci` is built from symbols and integers using only symbol-headed
-    /// applications — i.e. a term a conventional (first-order) program could
-    /// contain as a ground atom.  Used when relating HiLog models to normal
-    /// models (Theorems 4.1 and 4.2).
-    pub fn is_normal_atom_shape(&self) -> bool {
-        match self {
-            Term::Sym(_) => true,
-            Term::App(name, args) => {
-                matches!(**name, Term::Sym(_)) && args.iter().all(Term::is_first_order_term)
-            }
-            _ => false,
-        }
-    }
-
-    /// Returns `true` if the term is a first-order *term* shape: symbols and
-    /// integers combined by symbol-headed applications, no variables.
-    pub fn is_first_order_term(&self) -> bool {
-        match self {
-            Term::Sym(_) | Term::Int(_) => true,
-            Term::App(name, args) => {
-                matches!(**name, Term::Sym(_)) && args.iter().all(Term::is_first_order_term)
-            }
-            Term::Var(_) => false,
-        }
-    }
 }
 
 impl PartialEq for Term {
@@ -604,33 +560,6 @@ mod tests {
         assert_eq!(open.to_string(), "[X | R]");
         assert_eq!(Term::nil().to_string(), "nil");
         assert_eq!(Term::list(vec![]).to_string(), "nil");
-    }
-
-    #[test]
-    fn normal_atom_shape() {
-        let normal = Term::apps("q", vec![Term::sym("a")]);
-        assert!(normal.is_normal_atom_shape());
-        let hilog = Term::app(
-            Term::apps("tc", vec![Term::sym("e")]),
-            vec![Term::sym("a"), Term::sym("b")],
-        );
-        assert!(!hilog.is_normal_atom_shape());
-        // p(f(a)) with first-order nesting is a normal shape.
-        let fo = Term::apps("p", vec![Term::apps("f", vec![Term::sym("a")])]);
-        assert!(fo.is_normal_atom_shape());
-        // A predicate name as an argument is *still* a first-order term
-        // shape — the distinction only matters for which symbols are used.
-        assert!(Term::apps("q", vec![Term::sym("p")]).is_normal_atom_shape());
-        assert!(!Term::sym("p").is_first_order_term() || Term::sym("p").is_first_order_term());
-    }
-
-    #[test]
-    fn subterms_enumeration() {
-        let t = tc_atom();
-        let subs = t.subterms();
-        assert_eq!(subs.len(), 6);
-        assert!(subs.contains(&&Term::var("G")));
-        assert!(subs.contains(&&Term::sym("tc")));
     }
 
     #[test]

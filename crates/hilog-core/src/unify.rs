@@ -107,23 +107,14 @@ fn occurs(var: &Var, term: &Term, subst: &Substitution) -> bool {
     }
 }
 
-/// One-way matching: finds a substitution `theta` over the variables of
-/// `pattern` such that `pattern.theta == target`.  The target must be ground
-/// for the match to be meaningful; variables in the target never get bound.
+/// One-way matching: extends `subst` over the variables of `pattern` so
+/// that `pattern.subst == target`, and returns whether that succeeded.  The
+/// target must be ground for the match to be meaningful; variables in the
+/// target never get bound.
 ///
 /// Matching (rather than full unification) is what grounding and bottom-up
 /// evaluation use: rule bodies are matched against already-derived ground
 /// atoms.
-pub fn match_term(pattern: &Term, target: &Term) -> Option<Substitution> {
-    let mut subst = Substitution::new();
-    if match_with(pattern, target, &mut subst) {
-        Some(subst)
-    } else {
-        None
-    }
-}
-
-/// One-way matching extending an existing substitution in place.
 pub fn match_with(pattern: &Term, target: &Term, subst: &mut Substitution) -> bool {
     match pattern {
         Term::Var(v) => match subst.get(v) {
@@ -277,23 +268,24 @@ mod tests {
     fn matching_is_one_way() {
         let pattern = app2(Term::sym("move"), Term::var("X"), Term::var("Y"));
         let target = app2(Term::sym("move"), Term::sym("a"), Term::sym("b"));
-        let theta = match_term(&pattern, &target).unwrap();
+        let mut theta = Substitution::new();
+        assert!(match_with(&pattern, &target, &mut theta));
         assert_eq!(theta.apply(&pattern), target);
         // The reverse direction has no matcher because the "pattern" is ground
         // and differs from the target.
-        assert!(match_term(&target, &pattern).is_none());
+        assert!(!match_with(&target, &pattern, &mut Substitution::new()));
     }
 
     #[test]
     fn matching_respects_prior_bindings() {
-        let mut theta = Substitution::from_bindings([(Var::new("X"), Term::sym("a"))]);
+        let mut theta = Substitution::from_iter([(Var::new("X"), Term::sym("a"))]);
         let pattern = Term::apps("q", vec![Term::var("X")]);
         assert!(match_with(
             &pattern,
             &Term::apps("q", vec![Term::sym("a")]),
             &mut theta
         ));
-        let mut theta2 = Substitution::from_bindings([(Var::new("X"), Term::sym("b"))]);
+        let mut theta2 = Substitution::from_iter([(Var::new("X"), Term::sym("b"))]);
         assert!(!match_with(
             &pattern,
             &Term::apps("q", vec![Term::sym("a")]),
@@ -306,13 +298,15 @@ mod tests {
         // Ground shared term: the pointer fast path answers true with no
         // bindings, exactly like the structural walk would.
         let ground = app2(Term::sym("move"), Term::sym("a"), Term::sym("b"));
-        let theta = match_term(&ground, &ground.clone()).unwrap();
+        let mut theta = Substitution::new();
+        assert!(match_with(&ground, &ground.clone(), &mut theta));
         assert!(theta.is_empty());
         // Non-ground shared term: the fast path must NOT fire — matching a
         // pattern against itself still records the identity bindings of its
         // variables, which later literals may rely on.
         let open = app2(Term::sym("move"), Term::var("X"), Term::sym("b"));
-        let theta = match_term(&open, &open.clone()).unwrap();
+        let mut theta = Substitution::new();
+        assert!(match_with(&open, &open.clone(), &mut theta));
         assert_eq!(theta.apply(&Term::var("X")), Term::var("X"));
         assert!(!theta.is_empty());
     }

@@ -25,18 +25,18 @@ use crate::rule::Rule;
 use crate::term::Term;
 
 /// The reserved predicate name wrapping every transformed atom.
-pub const CALL_SYMBOL: &str = "call";
+const CALL_SYMBOL: &str = "call";
 /// The prefix of the reserved generic function symbols `u1`, `u2`, ...
-pub const APPLY_PREFIX: &str = "u";
+const APPLY_PREFIX: &str = "u";
 
 /// Returns the reserved `u_i` symbol for the given arity.
-pub fn apply_symbol(arity: usize) -> Term {
+fn apply_symbol(arity: usize) -> Term {
     Term::sym(format!("{APPLY_PREFIX}{arity}"))
 }
 
 /// Returns `true` if the symbol name is reserved by the transformation
 /// (`call` or `u<digits>`).
-pub fn is_reserved_symbol(name: &str) -> bool {
+fn is_reserved_symbol(name: &str) -> bool {
     if name == CALL_SYMBOL {
         return true;
     }

@@ -8,14 +8,8 @@
 //! It shares no evaluation code with `hilog-engine`.
 
 use crate::relation::{Relation, RelationName};
-use hilog_core::builtin::BuiltinCall;
-use hilog_core::interpretation::Model;
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_core::subst::Substitution;
-use hilog_core::term::Term;
 use hilog_core::unify::match_with;
+use hilog_core::{BuiltinCall, Literal, Model, Program, Rule, Substitution, Term};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -49,9 +43,8 @@ impl fmt::Display for DatalogError {
 
 impl std::error::Error for DatalogError {}
 
-/// The result of evaluating a normal program: a three-valued model over the
-/// relevant ground atoms (reusing the core [`Model`] representation).
-pub type DatalogModel = Model;
+/// The most atoms one evaluation derives before it gives up.
+const MAX_ATOMS: usize = 2_000_000;
 
 /// A database of relations keyed by predicate name and arity.
 #[derive(Debug, Clone, Default)]
@@ -151,42 +144,21 @@ fn extend_matches(seeds: Vec<Substitution>, pattern: &Term, db: &Database) -> Ve
     out
 }
 
-/// Evaluation limits.
-#[derive(Debug, Clone, Copy)]
-pub struct DatalogOptions {
-    /// Maximum number of derived atoms.
-    pub max_atoms: usize,
-}
-
-impl Default for DatalogOptions {
-    fn default() -> Self {
-        DatalogOptions {
-            max_atoms: 2_000_000,
-        }
-    }
-}
-
 /// The baseline engine: owns a validated normal program.
 #[derive(Debug, Clone)]
 pub struct DatalogEngine {
     program: Program,
-    options: DatalogOptions,
 }
 
 impl DatalogEngine {
     /// Creates an engine for a normal program.
     pub fn new(program: Program) -> Result<Self, DatalogError> {
-        Self::with_options(program, DatalogOptions::default())
-    }
-
-    /// Creates an engine with explicit limits.
-    pub fn with_options(program: Program, options: DatalogOptions) -> Result<Self, DatalogError> {
         if !program.is_normal() {
             return Err(DatalogError::NotNormal(
                 "the baseline engine only accepts normal (first-order) programs".into(),
             ));
         }
-        Ok(DatalogEngine { program, options })
+        Ok(DatalogEngine { program })
     }
 
     /// The program being evaluated.
@@ -210,8 +182,8 @@ impl DatalogEngine {
 
     /// Evaluates a stratified program stratum by stratum (Definition 6.1 /
     /// the classical iterated-fixpoint semantics).  The result is total.
-    pub fn stratified_model(&self) -> Result<DatalogModel, DatalogError> {
-        let graph = hilog_core::analysis::DependencyGraph::predicate_graph(self.program.iter());
+    pub fn stratified_model(&self) -> Result<Model, DatalogError> {
+        let graph = hilog_core::DependencyGraph::predicate_graph(self.program.iter());
         let strata = graph.strata().ok_or_else(|| {
             DatalogError::NotStratified(
                 "the predicate dependency graph has a negative cycle".into(),
@@ -261,10 +233,9 @@ impl DatalogEngine {
                     }
                     if db.insert_atom(&head) {
                         changed = true;
-                        if db.len() > self.options.max_atoms {
+                        if db.len() > MAX_ATOMS {
                             return Err(DatalogError::Limit(format!(
-                                "more than {} derived atoms",
-                                self.options.max_atoms
+                                "more than {MAX_ATOMS} derived atoms"
                             )));
                         }
                     }
@@ -323,7 +294,7 @@ impl DatalogEngine {
     /// instantiation of the program (an independent implementation of
     /// Definitions 3.3–3.5, used to cross-check the HiLog engine on normal
     /// programs).
-    pub fn well_founded_model(&self) -> Result<DatalogModel, DatalogError> {
+    pub fn well_founded_model(&self) -> Result<Model, DatalogError> {
         // Over-approximate the derivable atoms by ignoring negation.
         let positive: Vec<Rule> = self
             .program

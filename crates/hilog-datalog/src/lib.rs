@@ -21,8 +21,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod relation;
+mod engine;
+mod relation;
 
-pub use engine::{DatalogEngine, DatalogError, DatalogModel};
-pub use relation::{Relation, RelationName};
+pub use engine::{DatalogEngine, DatalogError};

@@ -5,7 +5,7 @@
 //! terms); the store indexes them by the value of their first column, which
 //! is the access pattern the semi-naive joins use most.
 
-use hilog_core::term::Term;
+use hilog_core::Term;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -42,11 +42,6 @@ pub struct Relation {
 }
 
 impl Relation {
-    /// The empty relation.
-    pub fn new() -> Self {
-        Relation::default()
-    }
-
     /// Inserts a tuple; returns `true` if it was new.
     ///
     /// # Panics
@@ -77,11 +72,6 @@ impl Relation {
         self.tuples.len()
     }
 
-    /// Returns `true` if the relation is empty.
-    pub fn is_empty(&self) -> bool {
-        self.tuples.is_empty()
-    }
-
     /// Iterates over all tuples.
     pub fn iter(&self) -> impl Iterator<Item = &Vec<Term>> {
         self.tuples.iter()
@@ -91,18 +81,6 @@ impl Relation {
     /// falls back to the full scan when the relation is nullary.
     pub fn with_first(&self, value: &Term) -> impl Iterator<Item = &Vec<Term>> {
         self.by_first.get(value).into_iter().flat_map(|v| v.iter())
-    }
-
-    /// Merges another relation into this one, returning the number of new
-    /// tuples.
-    pub fn merge(&mut self, other: &Relation) -> usize {
-        let mut added = 0;
-        for t in other.iter() {
-            if self.insert(t.clone()) {
-                added += 1;
-            }
-        }
-        added
     }
 }
 
@@ -116,7 +94,7 @@ mod tests {
 
     #[test]
     fn insert_and_lookup() {
-        let mut r = Relation::new();
+        let mut r = Relation::default();
         assert!(r.insert(vec![sym("a"), sym("b")]));
         assert!(!r.insert(vec![sym("a"), sym("b")]));
         assert!(r.contains(&[sym("a"), sym("b")]));
@@ -126,24 +104,13 @@ mod tests {
 
     #[test]
     fn first_column_index() {
-        let mut r = Relation::new();
+        let mut r = Relation::default();
         r.insert(vec![sym("a"), sym("b")]);
         r.insert(vec![sym("a"), sym("c")]);
         r.insert(vec![sym("b"), sym("c")]);
         assert_eq!(r.with_first(&sym("a")).count(), 2);
         assert_eq!(r.with_first(&sym("b")).count(), 1);
         assert_eq!(r.with_first(&sym("z")).count(), 0);
-    }
-
-    #[test]
-    fn merge_counts_new_tuples() {
-        let mut a = Relation::new();
-        a.insert(vec![sym("x")]);
-        let mut b = Relation::new();
-        b.insert(vec![sym("x")]);
-        b.insert(vec![sym("y")]);
-        assert_eq!(a.merge(&b), 1);
-        assert_eq!(a.len(), 2);
     }
 
     #[test]

@@ -30,13 +30,10 @@ use crate::error::EngineError;
 use crate::horn::EvalOptions;
 use crate::magic_eval::{normalize_pattern, ProgramIndex, QueryEvaluator};
 use crate::storage::StorageConfig;
-use hilog_core::interpretation::Model;
-use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
 use hilog_core::unify::{match_with, unify_with};
+use hilog_core::{
+    Aggregate, AggregateFunc, Literal, Model, Program, Rule, Substitution, Term, Var,
+};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

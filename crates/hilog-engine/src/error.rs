@@ -1,6 +1,6 @@
 //! Engine error types.
 
-use hilog_core::error::CoreError;
+use hilog_core::CoreError;
 use std::fmt;
 
 /// Errors raised by grounding and evaluation.

@@ -18,9 +18,7 @@
 //! displays them and what the tests' references read.
 
 use crate::horn::AtomStore;
-use hilog_core::hash::TermSet;
-use hilog_core::intern::AtomId;
-use hilog_core::term::Term;
+use hilog_core::{AtomId, Term, TermSet};
 use std::fmt;
 
 /// A fully instantiated rule.

@@ -30,13 +30,7 @@ use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::horn::{saturate, AtomStore, EvalOptions, NegationMode};
 use crate::join::RulePlan;
 use crate::storage::FactStore;
-use hilog_core::intern::{AtomId, TermInterner};
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
-use hilog_core::TermSet;
+use hilog_core::{AtomId, Literal, Program, Rule, Substitution, Term, TermInterner, TermSet, Var};
 
 /// Relevant instantiation of a program (negation allowed, aggregates not).
 ///
@@ -274,7 +268,7 @@ fn enumerate_assignments(
 mod tests {
     use super::*;
     use crate::horn::least_model;
-    use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
+    use hilog_core::{HerbrandBounds, HerbrandUniverse};
     use hilog_syntax::parse_program;
     use std::collections::BTreeSet;
 
@@ -400,7 +394,7 @@ mod tests {
         let mut patched = relevant_ground(&program, EvalOptions::default()).unwrap();
 
         let fact = Term::apps("move", vec![Term::sym("c"), Term::sym("d")]);
-        program.push(hilog_core::rule::Rule::fact(fact.clone()));
+        program.push(hilog_core::Rule::fact(fact.clone()));
         patched.push(GroundRule::fact(fact.clone()));
         ground_from(
             &program,

@@ -18,10 +18,7 @@ use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::join::{Match, RulePlan};
 use crate::storage::{FactStore, RelationStorageStats};
-use hilog_core::hash::TermMap;
-use hilog_core::intern::{AtomId, TermInterner};
-use hilog_core::program::Program;
-use hilog_core::term::Term;
+use hilog_core::{AtomId, Program, Term, TermInterner, TermMap};
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
 use std::sync::{OnceLock, PoisonError, RwLock};
@@ -710,9 +707,8 @@ fn fire(
 mod tests {
     use super::*;
     use crate::ambient::counters;
-    use hilog_core::rule::Rule;
-    use hilog_core::subst::Substitution;
     use hilog_core::unify::match_with;
+    use hilog_core::{Rule, Substitution};
     use hilog_syntax::parse_program;
     use std::collections::BTreeSet;
 

@@ -32,11 +32,7 @@
 use crate::error::EngineError;
 use crate::horn::NegationMode;
 use crate::storage::FactStore;
-use hilog_core::builtin::{BuiltinCall, BuiltinOp};
-use hilog_core::literal::Literal;
-use hilog_core::rule::Rule;
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
+use hilog_core::{BuiltinCall, BuiltinOp, Literal, Rule, Substitution, Term, Var};
 use std::sync::{Arc, OnceLock};
 
 /// A rule term with its variables numbered into slots.

@@ -23,11 +23,7 @@
 //! strategy that replaces the □ fixpoint machinery of \[16\]).
 
 use crate::error::EngineError;
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::restriction::is_strongly_range_restricted;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::term::{Term, Var};
+use hilog_core::{is_strongly_range_restricted, Literal, Program, Query, Rule, Term, Var};
 use std::fmt;
 
 /// Reserved predicate names introduced by the transformation.

@@ -91,14 +91,11 @@ use crate::horn::EvalOptions;
 use crate::join::{Frame, RulePlan, Step};
 use crate::snapshot::{CatchUp, Log};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
-use hilog_core::analysis::{strongly_connected_components, EdgeSign};
-use hilog_core::hash::{hash_one, TermMap};
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
+use hilog_core::{
+    hash_one, strongly_connected_components, EdgeSign, Literal, Program, Query, Rule, Substitution,
+    Term, TermMap, Var,
+};
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
@@ -199,7 +196,7 @@ pub struct EvalStats {
     pub index_fallback_scans: usize,
     /// Number of names in the global symbol pool when the query finished:
     /// live, plus any awaiting the checkpoint-time GC
-    /// ([`hilog_core::symbol::gc_symbol_pool`]); right after that GC every
+    /// ([`hilog_core::gc_symbol_pool`]); right after that GC every
     /// entry is live.  Read in O(1); the exact live / interned census walks
     /// the pool, so it stays off the query path (`GET /stats` and a
     /// checkpoint's outcome report it).  A raw `QueryEvaluator` reports
@@ -1728,7 +1725,7 @@ mod tests {
     use super::*;
     use crate::ambient::with_deadline;
     use crate::session::HiLogDb;
-    use hilog_core::interpretation::Truth;
+    use hilog_core::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
     use std::time::{Duration, Instant};
 

@@ -57,13 +57,7 @@ use crate::grounder::{check_rule_budget, relevant_ground};
 use crate::horn::{EvalOptions, ROUND_LIMIT};
 use crate::join::{Frame, Pat, RulePlan, Step};
 use crate::wfs::stratified_eval;
-use hilog_core::analysis::DependencyGraph;
-use hilog_core::interpretation::Model;
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_core::term::Term;
-use hilog_core::TermSet;
+use hilog_core::{DependencyGraph, Literal, Model, Program, Rule, Term, TermSet};
 use std::collections::BTreeSet;
 
 /// The result of running the Figure 1 procedure.
@@ -475,7 +469,7 @@ impl Reduction<'_> {
 mod tests {
     use super::*;
     use crate::session::HiLogDb;
-    use hilog_core::interpretation::Truth;
+    use hilog_core::Truth;
     use hilog_syntax::{parse_program, parse_term};
 
     fn run(text: &str) -> ModularOutcome {

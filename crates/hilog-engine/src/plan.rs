@@ -28,8 +28,7 @@
 //! ```
 
 use crate::session::Semantics;
-use hilog_core::literal::Literal;
-use hilog_core::rule::Query;
+use hilog_core::{Literal, Query};
 use serde::Serialize;
 use std::fmt;
 

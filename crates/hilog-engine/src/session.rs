@@ -32,7 +32,7 @@
 //!
 //! A write costs what it changes, not what the store holds.  The program's
 //! rule list is a persistent sequence
-//! ([`RuleSeq`](hilog_core::program::RuleSeq)), so un-sharing it from a
+//! ([`RuleSeq`](hilog_core::RuleSeq)), so un-sharing it from a
 //! published snapshot and editing it copies the touched chunk, not the
 //! rules; and the three things a mutation asks of the fact set — is this
 //! assert a duplicate, is there anything to retract, was that the last copy
@@ -70,12 +70,7 @@ use crate::modular::ModularOutcome;
 use crate::plan::QueryPlan;
 use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle, Twinned};
 use crate::storage::{RelationStorageStats, StorageConfig};
-use hilog_core::analysis::DependencyGraph;
-use hilog_core::hash::TermMap;
-use hilog_core::interpretation::{Model, Truth};
-use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::term::{Term, Var};
+use hilog_core::{DependencyGraph, Model, Program, Query, Rule, Term, TermMap, Truth, Var};
 use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
@@ -359,7 +354,7 @@ impl HiLogDb {
     /// moves, so no change to the program can go unrecorded.  Copy-on-write:
     /// the clone happens only while a published snapshot still holds the
     /// previous version, and it is a clone of chunk pointers (see
-    /// [`RuleSeq`](hilog_core::program::RuleSeq)); the edit that follows
+    /// [`RuleSeq`](hilog_core::RuleSeq)); the edit that follows
     /// copies the one chunk it lands in.
     fn program_mut(&mut self) -> &mut Program {
         self.generation += 1;

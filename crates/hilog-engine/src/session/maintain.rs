@@ -24,9 +24,7 @@ use crate::horn::{AtomStore, NegationMode};
 use crate::join::RulePlan;
 use crate::snapshot::{lock_mut, SnapCore};
 use crate::storage::FactStore;
-use hilog_core::analysis::DependencyGraph;
-use hilog_core::program::Program;
-use hilog_core::term::Term;
+use hilog_core::{DependencyGraph, Program, Term};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -78,6 +76,12 @@ impl HiLogDb {
         // to pays nothing for the queue.
         if !lock_mut(&mut self.snap.tables).is_empty() {
             self.unsettled.push((fact.clone(), asserted));
+        }
+        // No grounding, model or stable models to maintain — every write a
+        // serving `DbWriter` makes: what follows would only patch `None`s.
+        let core = lock_mut(&mut self.snap.core);
+        if core.ground.is_none() && core.model.is_none() && core.stable.is_none() {
+            return;
         }
         // `assert_fact` only admits ground atoms, but `assert_rule` (and the
         // builder) accept facts with variable predicate names, and those can
@@ -342,8 +346,7 @@ mod tests {
     use crate::error::EngineError;
     use crate::horn::EvalOptions;
     use crate::magic_eval::ModelSource;
-    use hilog_core::interpretation::Truth;
-    use hilog_core::rule::{Query, Rule};
+    use hilog_core::{Query, Rule, Truth};
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
     fn game_db() -> HiLogDb {
@@ -372,6 +375,16 @@ mod tests {
         let again = db.query(open).unwrap();
         assert_eq!(again.stats.groundings, 0);
         assert_eq!(again.stats.model_source, ModelSource::Cached);
+    }
+
+    #[test]
+    fn a_fact_write_with_nothing_cached_reads_no_dependency_graph() {
+        let mut db = game_db();
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
+        assert!(db.analysis.is_none(), "the write built the graph");
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
     }
 
     #[test]

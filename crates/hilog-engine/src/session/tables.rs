@@ -113,11 +113,8 @@ use crate::magic_eval::{
 };
 use crate::snapshot::lock_mut;
 use crate::storage::FactStore;
-use hilog_core::analysis::{strongly_connected_components, EdgeSign};
-use hilog_core::hash::TermSet;
-use hilog_core::subst::Substitution;
-use hilog_core::term::Term;
 use hilog_core::unify::{match_with, unify_with};
+use hilog_core::{strongly_connected_components, EdgeSign, Substitution, Term, TermSet};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -717,7 +714,7 @@ impl HiLogDb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilog_core::interpretation::Truth;
+    use hilog_core::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
     use std::collections::BTreeMap;
 

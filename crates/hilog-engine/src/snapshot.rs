@@ -95,13 +95,8 @@ use crate::session::{HiLogDb, QueryAnswer, QueryResult, Semantics};
 use crate::stable::stable_models_of_ground;
 use crate::storage::{RelationStorageStats, StorageConfig};
 use crate::wfs::checked_well_founded_eval;
-use hilog_core::interpretation::{Model, Truth};
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
 use hilog_core::unify::match_with;
+use hilog_core::{Literal, Model, Program, Query, Rule, Substitution, Term, Truth, Var};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -487,7 +482,7 @@ impl DbSnapshot {
         };
         result.stats.tables_reused = tables_reused;
         result.stats.absorb(counters() - before);
-        result.stats.live_symbols = hilog_core::symbol::symbol_pool_len();
+        result.stats.live_symbols = hilog_core::symbol_pool_len();
         Ok(result)
     }
 

@@ -48,9 +48,7 @@
 
 use crate::ambient::count;
 use crate::storage::RelationStorageStats;
-use hilog_core::codec::{PayloadReader, PayloadWriter};
-use hilog_core::hash::{hash_one, TermMap};
-use hilog_core::term::Term;
+use hilog_core::{hash_one, PayloadReader, PayloadWriter, Term, TermMap};
 use std::collections::BTreeSet;
 use std::fs::{File, OpenOptions};
 use std::path::PathBuf;

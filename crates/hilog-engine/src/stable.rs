@@ -25,9 +25,7 @@ use crate::ground::GroundProgram;
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
 use crate::wfs::Propagator;
-use hilog_core::interpretation::Model;
-use hilog_core::program::Program;
-use hilog_core::term::Term;
+use hilog_core::{Model, Program, Term};
 
 /// Enumerates every stable model of a ground program, in search order.
 pub(crate) fn stable_models_of_ground(
@@ -156,7 +154,7 @@ mod tests {
     use super::*;
     use crate::grounder::relevant_ground;
     use crate::session::{HiLogDb, Semantics};
-    use hilog_core::interpretation::Truth;
+    use hilog_core::Truth;
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
     fn models(text: &str) -> Vec<Model> {
@@ -296,7 +294,7 @@ mod tests {
     fn stable_models_over_bounded_universe_for_example_4_1() {
         // p :- not q(X). q(a): over the normal universe the unique stable
         // model makes p false; over a HiLog slice p is true.
-        use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
+        use hilog_core::{HerbrandBounds, HerbrandUniverse};
         let p = parse_program("p :- not q(X). q(a).").unwrap();
         let normal = HerbrandUniverse::normal(&p, HerbrandBounds::default());
         let ms = stable_models_over_universe(&p, normal.terms(), EvalOptions::default()).unwrap();

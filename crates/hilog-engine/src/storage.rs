@@ -47,7 +47,7 @@
 
 use crate::horn::AtomStore;
 use crate::spill::SpillStore;
-use hilog_core::term::Term;
+use hilog_core::Term;
 use std::convert::Infallible;
 use std::path::PathBuf;
 

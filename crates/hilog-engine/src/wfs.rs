@@ -31,11 +31,7 @@ use crate::error::EngineError;
 use crate::ground::{GroundProgram, IdRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
-use hilog_core::analysis::strongly_connected_components;
-use hilog_core::intern::AtomId;
-use hilog_core::interpretation::{Model, Truth};
-use hilog_core::program::Program;
-use hilog_core::term::Term;
+use hilog_core::{strongly_connected_components, AtomId, Model, Program, Term, Truth};
 
 /// A three-valued assignment over a [`GroundProgram`]'s atoms, indexed by
 /// [`AtomId::index`]: `Some(true)` = true, `Some(false)` = false, `None` =
@@ -491,9 +487,7 @@ mod tests {
     use crate::grounder::relevant_ground;
     use crate::session::HiLogDb;
     use crate::stable::gelfond_lifschitz_check;
-    use hilog_core::analysis::is_locally_stratified_ground;
-    use hilog_core::literal::Literal;
-    use hilog_core::rule::Rule;
+    use hilog_core::{is_locally_stratified_ground, Literal, Rule};
     use hilog_syntax::{parse_program, parse_term};
 
     fn wfs(text: &str) -> Model {
@@ -600,7 +594,7 @@ mod tests {
         // Over the normal universe {a}: p is false.
         // Over a HiLog universe slice with extra terms: p is true.
         let p = parse_program("p :- not q(X). q(a).").unwrap();
-        use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
+        use hilog_core::{HerbrandBounds, HerbrandUniverse};
         let normal = HerbrandUniverse::normal(&p, HerbrandBounds::default());
         let m_normal =
             well_founded_model_over_universe(&p, normal.terms(), EvalOptions::default()).unwrap();

@@ -22,8 +22,7 @@ use crate::manifest::{
 };
 use crate::ops::{decode_batch, encode_batch, Op};
 use crate::wal::{FsyncPolicy, Wal, MAX_RECORD_BYTES};
-use hilog_core::codec::{crc32, PayloadReader};
-use hilog_core::{Rule, Term};
+use hilog_core::{crc32, PayloadReader, Rule, Term};
 use hilog_engine::Semantics;
 use hilog_syntax::{parse_program, parse_term};
 use std::collections::HashMap;

@@ -1,6 +1,6 @@
 //! Error type of the storage layer.
 
-use hilog_core::codec::CodecError;
+use hilog_core::CodecError;
 use hilog_engine::EngineError;
 use std::fmt;
 use std::io;

@@ -9,7 +9,7 @@
 //!   the batch is applied;
 //! * **recovery points** in one format — one segment file per relation and
 //!   a manifest naming them, all encoded through the payload-local
-//!   symbol/term tables of [`hilog_core::codec`] and stamped with the epoch
+//!   symbol/term tables of [`hilog_core::PayloadWriter`] and stamped with the epoch
 //!   they capture.  A recovery point holds only what cannot be rebuilt: the
 //!   semantics, the rules and the facts.  Models, groundings and tables are
 //!   derived state and rebuild lazily after recovery.  A *full* checkpoint

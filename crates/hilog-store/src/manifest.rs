@@ -12,7 +12,7 @@
 //! ## Files
 //!
 //! Every file is `[magic][version: u32 LE][crc32(payload): u32 LE][payload]`
-//! with a [`hilog_core::codec`] payload, written through a temp file +
+//! with a [`hilog_core::PayloadWriter`] payload, written through a temp file +
 //! `fsync` + atomic rename, and immutable once renamed into place.
 //!
 //! * **Segment** (`rel-<hash:016x>-<epoch:020>.hseg`, magic `HSEG`) — the
@@ -45,8 +45,7 @@
 
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreIo};
-use hilog_core::codec::{crc32, PayloadReader, PayloadWriter};
-use hilog_core::{Program, Rule, Term, TermMap};
+use hilog_core::{crc32, PayloadReader, PayloadWriter, Program, Rule, Term, TermMap};
 use hilog_engine::Semantics;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};

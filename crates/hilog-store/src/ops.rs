@@ -2,13 +2,12 @@
 //!
 //! One [`Op`] per engine-level mutation; one `Vec<Op>` per WAL record (=
 //! per published epoch).  The encoding rides on
-//! [`hilog_core::codec`] — every record is a self-contained payload with its
+//! [`hilog_core::PayloadWriter`] — every record is a self-contained payload with its
 //! own symbol and term tables, so records decode independently of each other
 //! and of the process-global symbol pool.
 
 use crate::error::StoreError;
-use hilog_core::codec::{PayloadReader, PayloadWriter};
-use hilog_core::{Rule, Term};
+use hilog_core::{PayloadReader, PayloadWriter, Rule, Term};
 use std::fmt;
 
 const OP_ASSERT_FACT: u8 = 0;

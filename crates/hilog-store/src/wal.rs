@@ -17,7 +17,7 @@
 use crate::error::StoreError;
 use crate::io::{OpenMode, StoreFile, StoreIo};
 use crate::ops::{decode_batch, encode_batch, Op};
-use hilog_core::codec::crc32;
+use hilog_core::crc32;
 use std::io::SeekFrom;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};

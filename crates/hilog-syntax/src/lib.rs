@@ -7,7 +7,7 @@
 //!
 //! The parser holds one token at a time.  The lexer reads the caller's text
 //! in place, a token's text is a slice of it, and [`parse_program`] pushes
-//! each clause into the [`Program`](hilog_core::program::Program) as it is
+//! each clause into the [`Program`](hilog_core::Program) as it is
 //! parsed, so the memory a parse needs beyond its result does not grow with
 //! the input.  A [`ParseError`] names a line and a column (in characters) of
 //! the text the caller passed; of two errors, the first in the text is

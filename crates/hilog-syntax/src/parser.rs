@@ -28,12 +28,10 @@
 //! query's or rule's final `.` are optional.
 
 use crate::lexer::{Lexer, Spanned, Token};
-use hilog_core::builtin::{BuiltinCall, BuiltinOp};
-use hilog_core::literal::{Aggregate, AggregateFunc, Literal};
-use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::subst::Substitution;
-use hilog_core::term::{Term, Var};
+use hilog_core::{
+    Aggregate, AggregateFunc, BuiltinCall, BuiltinOp, Literal, Program, Query, Rule, Substitution,
+    Term, Var,
+};
 use std::fmt;
 
 /// The deepest nesting a parsed term may have.  Every application (an

@@ -4,8 +4,7 @@
 //! concrete syntax for a term, rule or query; this module adds the
 //! whole-program rendering (section comments, facts after rules).
 
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
+use hilog_core::{Program, Rule};
 
 /// Renders a program as concrete syntax, one clause per line, with proper
 /// rules first and facts afterwards (grouped for readability).  The output

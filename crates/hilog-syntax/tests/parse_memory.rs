@@ -9,7 +9,7 @@
 
 #![cfg(target_os = "linux")]
 
-use hilog_core::literal::Literal;
+use hilog_core::Literal;
 use hilog_syntax::{parse_program, parse_query};
 
 /// Peak resident set size of this process, in KiB.

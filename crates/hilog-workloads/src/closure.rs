@@ -2,7 +2,7 @@
 //! (Examples 2.1 and 5.2; `examples/generic_closures.rs`).
 
 use crate::graphs::{edges_to_facts, Edge};
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_syntax::parse_program;
 
 /// The *generic* HiLog closure program: one pair of `tc(G)` rules guarded by
@@ -43,7 +43,7 @@ pub fn specialized_closure_program(name: &str, edges: &[Edge]) -> Program {
 mod tests {
     use super::*;
     use crate::graphs::chain;
-    use hilog_core::restriction::is_strongly_range_restricted;
+    use hilog_core::is_strongly_range_restricted;
 
     #[test]
     fn generic_program_shape() {

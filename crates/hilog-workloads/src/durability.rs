@@ -10,7 +10,7 @@
 //! proves the facts actually came back.
 
 use crate::graphs::node_name;
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_syntax::parse_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

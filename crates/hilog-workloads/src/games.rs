@@ -1,7 +1,7 @@
 //! Builders for the win/move game programs of Examples 6.1 and 6.3.
 
 use crate::graphs::{chain, edges_to_facts, random_dag, Edge};
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_syntax::parse_program;
 
 /// The normal win/move program of Example 6.1 over the given move edges:
@@ -99,7 +99,7 @@ pub fn sharded_chain_game_program(shards: usize, len: usize) -> Program {
 mod tests {
     use super::*;
     use crate::graphs::chain;
-    use hilog_core::restriction::{is_range_restricted_normal, is_strongly_range_restricted};
+    use hilog_core::{is_range_restricted_normal, is_strongly_range_restricted};
 
     #[test]
     fn normal_game_is_range_restricted() {

@@ -5,26 +5,32 @@
 //! the tests, the examples and `benchmark/` run on synthetic program families
 //! that exercise the constructions it defines:
 //!
-//! * [`graphs`] — edge-list generators (chains, cycles, random DAGs, layered
-//!   game graphs) used by the win/move programs of Examples 6.1 / 6.3 and by
-//!   the transitive-closure workloads of Examples 2.1 / 5.2;
-//! * [`games`] — builders for the normal and HiLog win/move programs;
-//! * [`closure`] — builders for generic HiLog closures and their specialised
-//!   normal counterparts (`examples/generic_closures.rs`);
-//! * [`parts`] — random part hierarchies for the parts-explosion aggregation
-//!   program of Section 6;
-//! * [`random_programs`] — random range-restricted normal programs, strongly
-//!   range-restricted HiLog programs, and ground extension programs `Q` for
-//!   the preservation-under-extensions experiments of Section 5;
-//! * [`serving`] — deterministic mixed read/write op streams (reader queries
-//!   plus writer batches) for the concurrent serving layer's bench and
-//!   concurrency oracle;
-//! * [`durability`] — EDB-heavy ingest streams (large batched fact loads
-//!   plus cheap bound probes) for the durable storage layer's bench and the
-//!   crash/recovery CI job;
-//! * [`storage`] — sharded multi-relation streams (many small HiLog
-//!   relations tied together by the generic guarded rules of Example 5.2)
-//!   for the spill backend and incremental-checkpoint benches.
+//! * edge-list generators ([`chain`], [`cycle`], [`random_dag`],
+//!   [`layered_game_graph`]) used by the win/move programs of Examples 6.1 /
+//!   6.3 and by the transitive-closure workloads of Examples 2.1 / 5.2;
+//! * builders for the normal and HiLog win/move programs
+//!   ([`normal_game_program`], [`hilog_game_program`],
+//!   [`sharded_game_program`]);
+//! * builders for generic HiLog closures and their specialised normal
+//!   counterparts ([`generic_closure_program`],
+//!   [`specialized_closure_program`], used by
+//!   `examples/generic_closures.rs`);
+//! * random part hierarchies for the parts-explosion aggregation program of
+//!   Section 6 ([`random_part_hierarchy`]);
+//! * random range-restricted normal programs, strongly range-restricted
+//!   HiLog programs, and ground extension programs `Q` for the
+//!   preservation-under-extensions experiments of Section 5
+//!   ([`random_range_restricted_normal`], [`random_strongly_restricted_hilog`],
+//!   [`random_ground_extension`]);
+//! * deterministic mixed read/write op streams (reader queries plus writer
+//!   batches) for the concurrent serving layer's bench and concurrency oracle
+//!   ([`serving_workload`]);
+//! * EDB-heavy ingest streams (large batched fact loads plus cheap bound
+//!   probes) for the durable storage layer's bench and the crash/recovery CI
+//!   job ([`durability_workload`]);
+//! * sharded multi-relation streams (many small HiLog relations tied
+//!   together by the generic guarded rules of Example 5.2) for the spill
+//!   backend and incremental-checkpoint benches ([`storage_workload`]).
 //!
 //! All generators take explicit `u64` seeds and are deterministic, so test
 //! failures and benchmark runs are reproducible.
@@ -32,14 +38,14 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod closure;
-pub mod durability;
-pub mod games;
-pub mod graphs;
-pub mod parts;
-pub mod random_programs;
-pub mod serving;
-pub mod storage;
+mod closure;
+mod durability;
+mod games;
+mod graphs;
+mod parts;
+mod random_programs;
+mod serving;
+mod storage;
 
 pub use closure::{generic_closure_program, specialized_closure_program};
 pub use durability::{durability_workload, DurabilityWorkload, DurabilityWorkloadConfig};
@@ -54,4 +60,4 @@ pub use random_programs::{
     ExtensionConfig, HilogProgramConfig, NormalProgramConfig,
 };
 pub use serving::{serving_workload, ServingWorkload, ServingWorkloadConfig, WriteBatch};
-pub use storage::{shard_name, storage_workload, StorageWorkload, StorageWorkloadConfig};
+pub use storage::{storage_workload, StorageWorkload, StorageWorkloadConfig};

@@ -12,10 +12,7 @@
 //! construction*: heads and negative literals only use variables that occur
 //! in positive body literals.
 
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::Rule;
-use hilog_core::term::Term;
+use hilog_core::{Literal, Program, Rule, Term};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -213,7 +210,7 @@ pub fn random_ground_extension(config: ExtensionConfig, seed: u64) -> Program {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilog_core::restriction::{is_range_restricted_normal, is_strongly_range_restricted};
+    use hilog_core::{is_range_restricted_normal, is_strongly_range_restricted};
 
     #[test]
     fn normal_generator_respects_definition_4_1() {

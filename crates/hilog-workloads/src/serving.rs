@@ -13,7 +13,7 @@
 //! nontrivial at every epoch.
 
 use crate::graphs::{node_name, random_dag, Edge};
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_syntax::parse_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -160,7 +160,7 @@ pub fn serving_workload(config: &ServingWorkloadConfig, seed: u64) -> ServingWor
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilog_core::restriction::is_range_restricted_normal;
+    use hilog_core::is_range_restricted_normal;
     use hilog_syntax::{parse_query, parse_term};
 
     #[test]
@@ -205,7 +205,7 @@ mod tests {
         };
         let w = serving_workload(&config, 17);
         let base: Vec<String> = w.program.iter().map(|r| r.head.to_string()).collect();
-        let index = |t: &hilog_core::term::Term| t.to_string()[1..].parse::<usize>().unwrap();
+        let index = |t: &hilog_core::Term| t.to_string()[1..].parse::<usize>().unwrap();
         let mut churn: Vec<String> = Vec::new();
         for batch in &w.batches {
             for f in &batch.facts {

@@ -21,7 +21,7 @@
 //! checkpoint after it should rewrite only that subset.
 
 use crate::graphs::node_name;
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_syntax::parse_program;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -79,7 +79,7 @@ pub struct StorageWorkload {
 }
 
 /// Shard relation name, e.g. `s17`.
-pub fn shard_name(index: usize) -> String {
+fn shard_name(index: usize) -> String {
     format!("s{index}")
 }
 

@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo run --example generic_closures`.
 
-use hilog_datalog::engine::DatalogEngine;
+use hilog_datalog::DatalogEngine;
 use hilog_engine::{least_model, EvalOptions, NegationMode};
 use hilog_syntax::parse_term;
 use hilog_workloads::{chain, generic_closure_program, random_dag, specialized_closure_program};

@@ -28,7 +28,10 @@ pub use hilog_workloads as workloads;
 /// Convenience prelude pulling in the most frequently used items from every
 /// workspace crate.
 pub mod prelude {
-    pub use hilog_core::prelude::*;
+    pub use hilog_core::{
+        Aggregate, AggregateFunc, BuiltinCall, BuiltinOp, HerbrandBounds, HerbrandUniverse,
+        Literal, Model, Program, Query, Rule, Substitution, Symbol, Term, Truth, Var, Vocabulary,
+    };
     pub use hilog_engine::{
         evaluate_aggregate_program, least_model, magic_transform, parts_explosion_program,
         preserved_by_extension_stable, preserved_by_extension_wfs, relevant_ground,

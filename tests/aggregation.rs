@@ -6,7 +6,7 @@
 //! in its reduction and settles a component that aggregates through itself
 //! with the aggregate evaluator.
 
-use hilog_core::program::Program;
+use hilog_core::Program;
 use hilog_engine::{
     evaluate_aggregate_program, parts_explosion_program, EngineError, EvalOptions, HiLogDb,
     Semantics,
@@ -138,7 +138,7 @@ fn three_routes(program: &Program, pred: &str, arity: usize) -> [BTreeSet<String
         .expect("session answers");
     assert!(result.plan.is_magic_sets() && result.fallback.is_none());
     let tabled = result.answers.iter().map(|answer| {
-        let mut theta = hilog_core::subst::Substitution::new();
+        let mut theta = hilog_core::Substitution::new();
         for (var, term) in &answer.bindings {
             theta.bind(var.clone(), term.clone());
         }

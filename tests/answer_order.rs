@@ -16,9 +16,7 @@
 
 use hilog_repro::prelude::*;
 use hilog_server::{client, Server, ServerConfig};
-use hilog_workloads::closure::generic_closure_program;
-use hilog_workloads::games::normal_game_program;
-use hilog_workloads::graphs::chain;
+use hilog_workloads::{chain, generic_closure_program, normal_game_program};
 
 /// One multi-answer query, the writes that change its answers, and its
 /// answers (the bindings of `X`) before and after them.

@@ -8,11 +8,10 @@
 //! must not make any non-normal atom true — i.e. it conservatively extends
 //! the normal model.
 
-use hilog_core::herbrand::Vocabulary;
-use hilog_core::restriction::is_range_restricted_normal;
-use hilog_datalog::engine::DatalogEngine;
+use hilog_core::{is_range_restricted_normal, Vocabulary};
+use hilog_datalog::DatalogEngine;
 use hilog_engine::HiLogDb;
-use hilog_workloads::random_programs::{random_range_restricted_normal, NormalProgramConfig};
+use hilog_workloads::{random_range_restricted_normal, NormalProgramConfig};
 use proptest::prelude::*;
 
 /// Theorem 4.1 for one program: the HiLog well-founded model conservatively

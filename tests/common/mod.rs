@@ -1,8 +1,7 @@
 //! Checks shared by the integration suites.
 
-use hilog_core::interpretation::{Model, Truth};
-use hilog_core::program::Program;
 use hilog_core::universal::{decode_atom, encode_atom, universal_transform};
+use hilog_core::{Model, Program, Truth};
 use hilog_datalog::DatalogEngine;
 
 /// Holds `ours`, a model of `program`, to the well-founded model of

@@ -2,10 +2,8 @@
 //! transformation (including the Section 6 warning that it destroys the
 //! stratification structure).
 
-use hilog_core::analysis::is_stratified;
-use hilog_core::interpretation::Model;
-use hilog_core::restriction::{is_datahilog, is_strongly_range_restricted};
 use hilog_core::universal::{decode_atom, universal_transform};
+use hilog_core::{is_datahilog, is_stratified, is_strongly_range_restricted, Model};
 use hilog_engine::{least_model, EngineError, EvalOptions, HiLogDb, NegationMode};
 use hilog_syntax::parse_program;
 use hilog_workloads::{chain, hilog_game_program, random_dag};
@@ -74,7 +72,7 @@ fn datahilog_classification_of_the_closure_programs() {
 #[test]
 fn lemma_6_3_fails_without_strong_range_restriction() {
     let program = parse_program("X(a, b).").unwrap();
-    assert!(hilog_core::restriction::is_range_restricted_hilog(&program));
+    assert!(hilog_core::is_range_restricted_hilog(&program));
     assert!(!is_strongly_range_restricted(&program));
     assert!(matches!(wfs(&program), Err(EngineError::Floundering(_))));
 }

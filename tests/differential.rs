@@ -45,11 +45,11 @@ mod common;
 use hilog_datalog::DatalogEngine;
 use hilog_repro::engine::{ground_against, least_model_into};
 use hilog_repro::prelude::*;
-use hilog_workloads::random_programs::{
+use hilog_workloads::{
+    chain, cycle, generic_closure_program, hilog_game_program, random_dag,
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
     NormalProgramConfig,
 };
-use hilog_workloads::{chain, cycle, generic_closure_program, hilog_game_program, random_dag};
 
 /// The committed regression corpus of pinned seeds.
 fn pinned_seeds() -> Vec<u64> {

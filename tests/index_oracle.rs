@@ -528,7 +528,7 @@ fn program_index_answers_equal_the_full_model_and_a_fresh_session_under_mutation
 }
 
 /// An upper bound on the rules per chunk of the program's persistent rule
-/// sequence (`hilog_core::program`'s private `CHUNK_CAPACITY`).  The stream
+/// sequence (the private `CHUNK_CAPACITY` of `crates/hilog-core/src/program.rs`).  The stream
 /// below starts from four of these and retracts a run of two, so it crosses
 /// chunk boundaries and empties a whole chunk at any capacity up to this.
 const CHUNK: usize = 256;

@@ -4,11 +4,7 @@
 
 mod common;
 
-use hilog_core::interpretation::{Model, Truth};
-use hilog_core::literal::Literal;
-use hilog_core::program::Program;
-use hilog_core::rule::{Query, Rule};
-use hilog_core::term::Term;
+use hilog_core::{Literal, Model, Program, Query, Rule, Term, Truth};
 use hilog_engine::{EngineError, HiLogDb, QueryResult, Semantics};
 use hilog_syntax::{parse_program, parse_query, parse_term};
 use hilog_workloads::{
@@ -110,7 +106,7 @@ fn point_queries_do_less_work_than_full_evaluation() {
     let wfm = wfs(&program).unwrap();
     let mut db = HiLogDb::new(program);
     let atom = parse_term(&format!("winning(small)({})", node_name(0))).unwrap();
-    let result = db.query(&hilog_core::rule::Query::atom(atom)).unwrap();
+    let result = db.query(&hilog_core::Query::atom(atom)).unwrap();
     assert!(result.plan.is_magic_sets());
     assert!(
         result.stats.answers * 4 < wfm.base().len(),
@@ -124,9 +120,8 @@ fn point_queries_do_less_work_than_full_evaluation() {
 fn repeated_point_queries_are_answered_from_session_tables() {
     let program = hilog_game_program(&[("g", random_dag(30, 2.0, 4))]);
     let mut db = HiLogDb::new(program);
-    let query = hilog_core::rule::Query::atom(
-        parse_term(&format!("winning(g)({})", node_name(0))).unwrap(),
-    );
+    let query =
+        hilog_core::Query::atom(parse_term(&format!("winning(g)({})", node_name(0))).unwrap());
     let first = db.query(&query).unwrap();
     assert!(first.stats.rule_applications > 0);
     let second = db.query(&query).unwrap();

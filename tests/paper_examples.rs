@@ -2,8 +2,7 @@
 //! through the public API of the workspace crates (queries and models go
 //! through the `HiLogDb` session facade).
 
-use hilog_core::interpretation::Truth;
-use hilog_core::restriction::ProgramClass;
+use hilog_core::{ProgramClass, Truth};
 use hilog_engine::{
     least_model, well_founded_model_over_universe, EvalOptions, HiLogDb, NegationMode,
 };
@@ -88,7 +87,7 @@ fn example_3_2_two_stable_models() {
 /// non-range-restricted programs.
 #[test]
 fn example_4_1_hilog_vs_normal_universe() {
-    use hilog_core::herbrand::{HerbrandBounds, HerbrandUniverse};
+    use hilog_core::{HerbrandBounds, HerbrandUniverse};
     let program = parse_program("p :- not q(X). q(a).").unwrap();
     let normal = HerbrandUniverse::normal(&program, HerbrandBounds::default());
     let m_normal =
@@ -131,7 +130,7 @@ fn example_5_3_classification_representatives() {
 fn example_6_1_win_move() {
     let acyclic =
         parse_program("winning(X) :- move(X, Y), not winning(Y). move(a, b). move(b, c).").unwrap();
-    assert!(!hilog_core::analysis::is_stratified(&acyclic));
+    assert!(!hilog_core::is_stratified(&acyclic));
     let outcome = HiLogDb::new(acyclic).check_modular().unwrap().clone();
     assert!(outcome.modularly_stratified);
     assert!(outcome.model.unwrap().is_total());

@@ -3,7 +3,7 @@
 
 use hilog_engine::{preserved_by_extension_stable, preserved_by_extension_wfs, EvalOptions};
 use hilog_syntax::parse_program;
-use hilog_workloads::random_programs::{
+use hilog_workloads::{
     random_ground_extension, random_range_restricted_normal, random_strongly_restricted_hilog,
     ExtensionConfig, HilogProgramConfig, NormalProgramConfig,
 };

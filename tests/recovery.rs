@@ -16,7 +16,7 @@
 
 use hilog_repro::prelude::*;
 use hilog_store::{FaultIo, FaultPlan, Op, PersistentWriter, StoreConfig};
-use hilog_workloads::random_programs::{random_range_restricted_normal, NormalProgramConfig};
+use hilog_workloads::{random_range_restricted_normal, NormalProgramConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;

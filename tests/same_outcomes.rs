@@ -25,10 +25,8 @@
 //! count evaluates the extra seeds without digesting them.
 
 use hilog_repro::prelude::*;
-use hilog_workloads::closure::generic_closure_program;
-use hilog_workloads::games::{hilog_game_program, normal_game_program};
-use hilog_workloads::graphs::{chain, cycle, random_dag};
-use hilog_workloads::random_programs::{
+use hilog_workloads::{
+    chain, cycle, generic_closure_program, hilog_game_program, normal_game_program, random_dag,
     random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
     NormalProgramConfig,
 };

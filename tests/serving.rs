@@ -11,7 +11,7 @@
 //! `HILOG_SERVING_QUERIES` (queries per reader).
 
 use hilog_repro::prelude::*;
-use hilog_workloads::serving::{serving_workload, ServingWorkloadConfig};
+use hilog_workloads::{serving_workload, ServingWorkloadConfig};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 fn env_usize(name: &str, default: usize) -> usize {

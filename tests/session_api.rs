@@ -4,7 +4,7 @@
 //! extended program — for both magic-sets and full-model plans.
 
 use hilog_repro::prelude::*;
-use hilog_workloads::random_programs::{random_range_restricted_normal, NormalProgramConfig};
+use hilog_workloads::{random_range_restricted_normal, NormalProgramConfig};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -139,7 +139,7 @@ fn session_agrees_with_the_figure_1_and_stable_routes() {
 fn check_incremental_agreement(
     program: &hilog_core::Program,
     fact: &hilog_core::Term,
-    query: &hilog_core::rule::Query,
+    query: &hilog_core::Query,
 ) {
     let mut incremental = HiLogDb::new(program.clone());
     // Warm every cache the plan might use before mutating.
@@ -148,7 +148,7 @@ fn check_incremental_agreement(
     let incremental_result = incremental.query(query).unwrap();
 
     let mut extended = program.clone();
-    extended.push(hilog_core::rule::Rule::fact(fact.clone()));
+    extended.push(hilog_core::Rule::fact(fact.clone()));
     let mut fresh = HiLogDb::new(extended);
     let fresh_result = fresh.query(query).unwrap();
 
@@ -171,7 +171,7 @@ fn check_incremental_agreement(
 /// a cold one does — the evaluator's negative-cycle detection is
 /// path-independent, so which subgoal tables happen to be complete cannot
 /// change what the query reports).
-fn check_against_fresh(db: &mut HiLogDb, query: &hilog_core::rule::Query, context: &str) {
+fn check_against_fresh(db: &mut HiLogDb, query: &hilog_core::Query, context: &str) {
     let incremental = db.query(query).expect("incremental session answers");
     let mut fresh = HiLogDb::new(db.program().clone());
     let reference = fresh.query(query).expect("fresh session answers");

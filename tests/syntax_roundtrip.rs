@@ -2,15 +2,12 @@
 //! program re-parses to the same program, both for the paper's programs and
 //! for generated workloads.
 
-use hilog_core::hash::{hash_one, TermSet};
-use hilog_core::program::Program;
-use hilog_core::Term;
+use hilog_core::{hash_one, Program, Term, TermSet};
 use hilog_syntax::{parse_program, parse_term, program_to_source};
-use hilog_workloads::random_programs::{
-    random_ground_extension, random_range_restricted_normal, random_strongly_restricted_hilog,
-    ExtensionConfig, HilogProgramConfig, NormalProgramConfig,
+use hilog_workloads::{
+    chain, hilog_game_program, random_dag, random_ground_extension, random_range_restricted_normal,
+    random_strongly_restricted_hilog, ExtensionConfig, HilogProgramConfig, NormalProgramConfig,
 };
-use hilog_workloads::{chain, hilog_game_program, random_dag};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 

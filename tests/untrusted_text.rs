@@ -13,8 +13,7 @@
 //! value decoded prints back to text that decodes to an equal value.
 //! `HILOG_CODEC_CASES` scales the mutants per seed (CI's codec fuzz step).
 
-use hilog_core::program::Program;
-use hilog_core::term::Term;
+use hilog_core::{Program, Term};
 use hilog_syntax::{
     parse_clauses, parse_program, parse_query, parse_rule, parse_term, program_to_source,
     ParseError,

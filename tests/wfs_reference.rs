@@ -28,12 +28,9 @@
 use hilog_repro::engine::well_founded_of_ground;
 use hilog_repro::engine::with_deadline;
 use hilog_repro::prelude::*;
-use hilog_workloads::random_programs::{
-    random_range_restricted_normal, random_strongly_restricted_hilog, HilogProgramConfig,
-    NormalProgramConfig,
-};
 use hilog_workloads::{
-    cycle, normal_game_program, sharded_chain_game_program, sharded_game_program,
+    cycle, normal_game_program, random_range_restricted_normal, random_strongly_restricted_hilog,
+    sharded_chain_game_program, sharded_game_program, HilogProgramConfig, NormalProgramConfig,
 };
 use std::collections::{BTreeSet, HashMap};
 use std::time::{Duration, Instant};
