@@ -169,10 +169,7 @@ const INLINE_ARGS: usize = 8;
 /// The bits of an entry hash the lookup keys on.  This crate's own tests
 /// keep four, so entries collide all the time and the tests that hold the
 /// writer to its structural oracle walk the collision chains too.
-#[cfg(not(test))]
-const ENTRY_HASH_MASK: u64 = u64::MAX;
-#[cfg(test)]
-const ENTRY_HASH_MASK: u64 = 0xF;
+const ENTRY_HASH_MASK: u64 = if cfg!(test) { 0xF } else { u64::MAX };
 
 /// Builds one payload: interns symbols and terms into payload-local tables
 /// while the caller writes primitive fields and term/rule references into
@@ -363,7 +360,7 @@ impl PayloadWriter {
     }
 
     /// Writes a literal into the body.
-    pub fn write_literal(&mut self, literal: &Literal) {
+    fn write_literal(&mut self, literal: &Literal) {
         match literal {
             Literal::Pos(atom) => {
                 self.write_u8(LIT_POS);
@@ -604,7 +601,7 @@ impl<'a> PayloadReader<'a> {
     }
 
     /// Reads a literal from the body.
-    pub fn read_literal(&mut self) -> Result<Literal, CodecError> {
+    fn read_literal(&mut self) -> Result<Literal, CodecError> {
         match self.read_u8()? {
             LIT_POS => Ok(Literal::Pos(self.read_term()?)),
             LIT_NEG => Ok(Literal::Neg(self.read_term()?)),

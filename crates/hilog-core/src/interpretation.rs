@@ -42,15 +42,19 @@ impl Truth {
     pub fn is_undefined(self) -> bool {
         self == Truth::Undefined
     }
+    /// The value's name: `true`, `false` or `undefined`.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            Truth::True => "true",
+            Truth::False => "false",
+            Truth::Undefined => "undefined",
+        }
+    }
 }
 
 impl fmt::Display for Truth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Truth::True => write!(f, "true"),
-            Truth::False => write!(f, "false"),
-            Truth::Undefined => write!(f, "undefined"),
-        }
+        f.write_str(self.as_str())
     }
 }
 

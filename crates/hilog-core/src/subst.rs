@@ -7,13 +7,17 @@
 //! predicate names at run time.
 
 use crate::term::{Term, Var};
-use std::collections::BTreeMap;
 use std::fmt;
 
 /// A (simultaneous) substitution from variables to terms.
+///
+/// The bindings are one vector kept sorted by variable, found by binary
+/// search: a substitution binds a handful of variables.
+/// [`clear`](Substitution::clear) keeps the buffer for the next match, so a
+/// caller matching many atoms against one pattern allocates it once.
 #[derive(Clone, Default, PartialEq, Eq)]
 pub struct Substitution {
-    map: BTreeMap<Var, Term>,
+    bindings: Vec<(Var, Term)>,
 }
 
 impl Substitution {
@@ -22,48 +26,69 @@ impl Substitution {
         Substitution::default()
     }
 
+    /// The empty substitution, with room for `capacity` bindings.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Substitution {
+            bindings: Vec::with_capacity(capacity),
+        }
+    }
+
     /// Number of bound variables.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.bindings.len()
     }
 
     /// Returns `true` if no variable is bound.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.bindings.is_empty()
+    }
+
+    /// Unbinds every variable, keeping the buffer.
+    pub fn clear(&mut self) {
+        self.bindings.clear();
+    }
+
+    /// Where `var`'s binding is, or where it would go.
+    fn position(&self, var: &Var) -> Result<usize, usize> {
+        self.bindings.binary_search_by(|(v, _)| v.cmp(var))
     }
 
     /// Looks up a variable's binding (not followed transitively).
     pub fn get(&self, var: &Var) -> Option<&Term> {
-        self.map.get(var)
+        let at = self.position(var).ok()?;
+        Some(&self.bindings[at].1)
     }
 
     /// Returns `true` if the variable is bound.
     pub fn contains(&self, var: &Var) -> bool {
-        self.map.contains_key(var)
+        self.position(var).is_ok()
     }
 
     /// Binds `var` to `term`, replacing any previous binding.
     pub fn bind(&mut self, var: Var, term: Term) {
-        self.map.insert(var, term);
+        match self.position(&var) {
+            Ok(at) => self.bindings[at].1 = term,
+            Err(at) => self.bindings.insert(at, (var, term)),
+        }
     }
 
     /// Iterates over the bindings in variable order.
     pub fn iter(&self) -> impl Iterator<Item = (&Var, &Term)> {
-        self.map.iter()
+        self.bindings.iter().map(|(v, t)| (v, t))
     }
 
     /// Resolves a variable through chains of variable-to-variable bindings,
     /// returning the final binding applied to this substitution.
     pub fn walk(&self, var: &Var) -> Option<Term> {
-        let mut current = self.map.get(var)?;
+        let mut current = self.get(var)?;
         // Follow variable chains, guarding against accidental cycles.
         let mut steps = 0usize;
         loop {
             match current {
                 Term::Var(v) => {
-                    if let Some(next) = self.map.get(v) {
+                    if let Some(next) = self.get(v) {
                         steps += 1;
-                        if steps > self.map.len() {
+                        if steps > self.len() {
                             // A cycle of variable bindings; return as-is.
                             return Some(self.apply(current));
                         }
@@ -85,7 +110,7 @@ impl Substitution {
     /// ground terms cost O(changed) and keep pointer identity — which the
     /// pointer fast paths of [`Term`]'s equality/ordering then exploit.
     pub fn apply(&self, term: &Term) -> Term {
-        if self.map.is_empty() {
+        if self.is_empty() {
             return term.clone();
         }
         self.apply_shared(term, 0).unwrap_or_else(|| term.clone())
@@ -98,7 +123,7 @@ impl Substitution {
         // acyclic, so this is defensive only.
         const MAX_DEPTH: usize = 10_000;
         match term {
-            Term::Var(v) => match self.map.get(v) {
+            Term::Var(v) => match self.get(v) {
                 Some(t) if depth < MAX_DEPTH && t != term => {
                     Some(self.apply_shared(t, depth + 1).unwrap_or_else(|| t.clone()))
                 }
@@ -143,7 +168,7 @@ impl Substitution {
 
     /// Returns `true` if every binding is to a ground term.
     pub fn is_ground(&self) -> bool {
-        self.map.values().all(Term::is_ground)
+        self.bindings.iter().all(|(_, t)| t.is_ground())
     }
 }
 
@@ -156,7 +181,7 @@ impl fmt::Debug for Substitution {
 impl fmt::Display for Substitution {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{{")?;
-        for (i, (v, t)) in self.map.iter().enumerate() {
+        for (i, (v, t)) in self.iter().enumerate() {
             if i > 0 {
                 write!(f, ", ")?;
             }
@@ -168,9 +193,15 @@ impl fmt::Display for Substitution {
 
 impl FromIterator<(Var, Term)> for Substitution {
     fn from_iter<I: IntoIterator<Item = (Var, Term)>>(iter: I) -> Self {
-        Substitution {
-            map: iter.into_iter().collect(),
-        }
+        // Sorted once rather than inserted one at a time.  A variable bound
+        // twice keeps its last binding, as `bind` would: the stable sort of
+        // the reversed list puts it first among its equals, and `dedup_by`
+        // keeps the first.
+        let mut bindings: Vec<(Var, Term)> = iter.into_iter().collect();
+        bindings.reverse();
+        bindings.sort_by(|(a, _), (b, _)| a.cmp(b));
+        bindings.dedup_by(|(later, _), (kept, _)| later == kept);
+        Substitution { bindings }
     }
 }
 
@@ -216,6 +247,21 @@ mod tests {
         assert!(g.is_ground());
         let ng = Substitution::from_iter([(Var::new("X"), Term::var("Y"))]);
         assert!(!ng.is_ground());
+    }
+
+    #[test]
+    fn bindings_stay_sorted_and_clear_keeps_the_buffer() {
+        let mut theta = Substitution::from_iter([
+            (Var::new("Y"), Term::sym("b")),
+            (Var::new("X"), Term::sym("a")),
+            (Var::new("Y"), Term::sym("c")),
+        ]);
+        assert_eq!(theta.to_string(), "{X -> a, Y -> c}");
+        assert_eq!(theta.get(&Var::new("Y")), Some(&Term::sym("c")));
+        let capacity = theta.bindings.capacity();
+        theta.clear();
+        assert!(theta.is_empty() && !theta.contains(&Var::new("X")));
+        assert_eq!(theta.bindings.capacity(), capacity);
     }
 
     #[test]

@@ -428,7 +428,7 @@ impl Frame {
     /// aggregate operator reads, and the bindings of a reduced rule or an
     /// answer.
     pub(crate) fn bindings(&self, plan: &RulePlan) -> Substitution {
-        let mut theta = Substitution::new();
+        let mut theta = Substitution::with_capacity(plan.vars.len());
         for (var, value) in plan.vars.iter().zip(&self.slots) {
             if let Some(value) = value {
                 theta.bind(var.clone(), self.resolve(value, &plan.vars));

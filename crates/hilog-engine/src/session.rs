@@ -153,13 +153,10 @@ impl Serialize for QueryAnswer {
             }
             serde::write_json_string(out, v.name());
             out.push(':');
-            serde::write_json_string(out, &t.to_string());
+            serde::write_json_display(out, t);
         }
-        out.push('}');
-        out.push(',');
-        serde::write_json_string(out, "truth");
-        out.push(':');
-        serde::write_json_string(out, &self.truth.to_string());
+        out.push_str("},\"truth\":");
+        serde::write_json_string(out, self.truth.as_str());
         out.push('}');
     }
 }
@@ -188,17 +185,27 @@ impl QueryResult {
     pub fn is_true(&self) -> bool {
         self.truth == Truth::True
     }
+
+    /// Writes the result as JSON: the answer,
+    /// `{"answers":…,"truth":…,"fallback":…}`, and when `analyze` its
+    /// analysis, `stats` and `plan`, before `fallback` (as [`Serialize`]
+    /// writes it).
+    pub fn write_json_with(&self, out: &mut String, analyze: bool) {
+        out.push('{');
+        serde::write_field(out, "answers", &self.answers, true);
+        serde::write_field(out, "truth", self.truth.as_str(), false);
+        if analyze {
+            serde::write_field(out, "stats", &self.stats, false);
+            serde::write_field(out, "plan", &self.plan, false);
+        }
+        serde::write_field(out, "fallback", &self.fallback, false);
+        out.push('}');
+    }
 }
 
 impl Serialize for QueryResult {
     fn write_json(&self, out: &mut String) {
-        out.push('{');
-        serde::write_field(out, "answers", &self.answers, true);
-        serde::write_field(out, "truth", &self.truth.to_string(), false);
-        serde::write_field(out, "stats", &self.stats, false);
-        serde::write_field(out, "plan", &self.plan, false);
-        serde::write_field(out, "fallback", &self.fallback, false);
-        out.push('}');
+        self.write_json_with(out, true);
     }
 }
 
@@ -934,6 +941,18 @@ mod tests {
         );
         let stats_json = serde_json::to_string(&result.stats).unwrap();
         assert!(stats_json.contains("\"rule_applications\""));
+        // The answer alone is the same JSON without `stats` and `plan`.
+        let mut answer = String::new();
+        result.write_json_with(&mut answer, false);
+        assert_eq!(
+            answer,
+            r#"{"answers":[{"bindings":{"X":"b"},"truth":"true"}],"truth":"true","fallback":null}"#
+        );
+        let analysis = format!(
+            ",\"stats\":{stats_json},\"plan\":{}",
+            serde_json::to_string(&result.plan).unwrap()
+        );
+        assert_eq!(json.replacen(&analysis, "", 1), answer);
     }
 
     #[test]

@@ -558,15 +558,16 @@ impl DbSnapshot {
                 .filter(|t| t.complete)
                 .cloned();
             if let Some(table) = hit {
-                let answers = table
-                    .answers
-                    .collect_atoms()
-                    .into_iter()
-                    .filter_map(|answer| {
-                        let mut theta = Substitution::new();
-                        match_with(atom, &answer, &mut theta).then(|| true_answer(&theta, &vars))
-                    })
-                    .collect();
+                // One binding buffer, cleared per answer: an answer costs
+                // its own `bindings` vector and nothing else.
+                let mut answers = Vec::with_capacity(table.answers.len());
+                let mut theta = Substitution::new();
+                table.answers.for_each_atom(|answer| {
+                    theta.clear();
+                    if match_with(atom, answer, &mut theta) {
+                        answers.push(true_answer(&theta, &vars));
+                    }
+                });
                 let stats = EvalStats {
                     cached_subqueries: 1,
                     ..EvalStats::default()

@@ -7,8 +7,10 @@ use hilog_engine::QueryResult;
 use serde::Serialize;
 use serde_json::Value;
 
-/// `POST /query` body: `{"query": "?- winning(X).", "timeout_ms": 250}`
-/// (`timeout_ms` optional; overrides the server's default deadline).
+/// `POST /query` body:
+/// `{"query": "?- winning(X).", "timeout_ms": 250, "analyze": true}`
+/// (`timeout_ms` optional, overrides the server's default deadline;
+/// `analyze` optional, `false` by default).
 #[derive(Debug, Clone)]
 pub struct QueryRequest {
     /// The query in concrete HiLog syntax (with or without the `?-` prefix).
@@ -16,6 +18,9 @@ pub struct QueryRequest {
     /// Per-request evaluation deadline in milliseconds; `None` falls back
     /// to [`ServerConfig::default_timeout_ms`](crate::ServerConfig).
     pub timeout_ms: Option<u64>,
+    /// Whether the response carries the analysis, the result's `stats` and
+    /// `plan`, beside the answer (see [`QueryResponse::write_body`]).
+    pub analyze: bool,
 }
 
 impl QueryRequest {
@@ -33,9 +38,14 @@ impl QueryRequest {
                     .ok_or("`timeout_ms` must be a positive integer (milliseconds)")?,
             ),
         };
+        let analyze = match value.get("analyze") {
+            None => false,
+            Some(raw) => raw.as_bool().ok_or("`analyze` must be a boolean")?,
+        };
         Ok(QueryRequest {
             query: query.to_string(),
             timeout_ms,
+            analyze,
         })
     }
 }
@@ -82,22 +92,35 @@ impl MutateRequest {
     }
 }
 
-/// `POST /query` response: the engine's full [`QueryResult`] (answers,
-/// truth, stats, plan) plus the epoch of the snapshot that answered.
+/// `POST /query` response: the epoch of the snapshot that answered and the
+/// engine's [`QueryResult`].  It serialises the answer alone,
+/// `{"epoch":…,"result":{"answers":…,"truth":…,"fallback":…}}`;
+/// [`write_body`](QueryResponse::write_body) adds the result's `stats` and
+/// `plan` on request.
 #[derive(Debug)]
 pub struct QueryResponse {
     /// Epoch of the snapshot the query ran against.
     pub epoch: u64,
-    /// The engine's result, serialised verbatim.
+    /// The engine's result.
     pub result: QueryResult,
+}
+
+impl QueryResponse {
+    /// Writes the body: the answer alone, or with `analyze` (a request's
+    /// `"analyze": true`) the result serialised whole, `stats` and `plan`
+    /// included.
+    pub fn write_body(&self, out: &mut String, analyze: bool) {
+        out.push('{');
+        serde::write_field(out, "epoch", &self.epoch, true);
+        out.push_str(",\"result\":");
+        self.result.write_json_with(out, analyze);
+        out.push('}');
+    }
 }
 
 impl Serialize for QueryResponse {
     fn write_json(&self, out: &mut String) {
-        out.push('{');
-        serde::write_field(out, "epoch", &self.epoch, true);
-        serde::write_field(out, "result", &self.result, false);
-        out.push('}');
+        self.write_body(out, false);
     }
 }
 

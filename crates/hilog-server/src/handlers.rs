@@ -78,10 +78,13 @@ fn query(state: &ServerState, body: &[u8]) -> Response {
             state
                 .head_unifications
                 .fetch_add(result.stats.head_unifications as u64, Ordering::Relaxed);
-            Response::ok(to_string(&QueryResponse {
+            let response = QueryResponse {
                 epoch: snapshot.epoch(),
                 result,
-            }))
+            };
+            let mut body = String::new();
+            response.write_body(&mut body, request.analyze);
+            Response::ok(body)
         }
         Err(EngineError::DeadlineExceeded(m)) => {
             state.query_timeouts.fetch_add(1, Ordering::Relaxed);

@@ -7,7 +7,8 @@
 //! backends.  Nothing in the evaluation orders atoms — a store is a set, and
 //! term order is built by the first ordered read of an answer table — so
 //! these tests pin the order where users see it.  The JSON bodies are pinned
-//! byte for byte.
+//! byte for byte: the default one, the answer alone, and the one
+//! `"analyze": true` asks for, which adds the stats and the plan.
 //!
 //! The programs are a win/move game on the chain `p0 -> .. -> p12` (`?-
 //! winning(X).`) and the generic closure over `e1` on the same chain (`?-
@@ -127,9 +128,13 @@ fn multi_answer_queries_answer_in_term_order_on_every_route() {
     }
 }
 
-/// `{"query": <text>}`.
-fn query_body(query: &str) -> String {
-    format!("{{\"query\": {query:?}}}")
+/// `{"query": <text>}`, with `"analyze": true` when asked for.
+fn query_body(query: &str, analyze: bool) -> String {
+    if analyze {
+        format!("{{\"query\": {query:?}, \"analyze\": true}}")
+    } else {
+        format!("{{\"query\": {query:?}}}")
+    }
 }
 
 /// `{"facts": [<fact>]}`.
@@ -138,8 +143,9 @@ fn facts_body(fact: &str) -> String {
 }
 
 /// The bodies of `POST /query` for `case`: cold, warm, and after the
-/// case's writes, on a server over a session on `storage`.
-fn served_bodies(case: &Case, storage: &StorageConfig) -> Vec<String> {
+/// case's writes, on a server over a session on `storage`, with the
+/// analysis when `analyze`.
+fn served_bodies(case: &Case, storage: &StorageConfig, analyze: bool) -> Vec<String> {
     let server = Server::bind(
         ServerConfig::ephemeral().workers(1),
         session(&case.program, storage),
@@ -151,7 +157,7 @@ fn served_bodies(case: &Case, storage: &StorageConfig) -> Vec<String> {
     let serving = std::thread::spawn(move || server.serve());
     let mut query = || {
         let response = connection
-            .post("/query", &query_body(case.query))
+            .post("/query", &query_body(case.query, analyze))
             .expect("query");
         assert_eq!(response.status, 200, "{}", response.body);
         response.body
@@ -185,34 +191,56 @@ fn masked(body: &str) -> String {
 
 #[test]
 fn post_query_bodies_are_pinned_byte_for_byte() {
-    for (case, want) in cases().iter().zip(PINNED_BODIES) {
-        let bodies = served_bodies(case, &StorageConfig::InMemory);
-        for (i, (body, want)) in bodies.iter().zip(want).enumerate() {
-            assert_eq!(body, want, "`{}` body {i}", case.query);
-        }
-        // The spill backend answers the same bytes but for its storage
-        // counters.
-        let spilled = served_bodies(case, &backends()[1]);
-        for (i, (body, want)) in spilled.iter().zip(want).enumerate() {
-            let answers = |body: &str| {
-                let json: serde_json::Value =
-                    serde_json::from_str(&body.replace(":_,", ":0,")).unwrap();
-                let result = json.get("result").expect("result member").clone();
-                (result.get("answers").cloned(), result.get("truth").cloned())
-            };
-            assert_eq!(
-                answers(body),
-                answers(want),
-                "`{}` spill body {i}",
-                case.query
-            );
+    let pins = PINNED_BODIES.iter().zip(ANALYZED_BODIES);
+    for (case, (want, want_analyzed)) in cases().iter().zip(pins) {
+        for (analyze, want) in [(false, want), (true, &want_analyzed)] {
+            let bodies = served_bodies(case, &StorageConfig::InMemory, analyze);
+            for (i, (body, want)) in bodies.iter().zip(want).enumerate() {
+                assert_eq!(body, want, "`{}` body {i}, analyze {analyze}", case.query);
+            }
+            // The spill backend answers the same bytes but for its storage
+            // counters.
+            let spilled = served_bodies(case, &backends()[1], analyze);
+            for (i, (body, want)) in spilled.iter().zip(want).enumerate() {
+                let answers = |body: &str| {
+                    let json: serde_json::Value =
+                        serde_json::from_str(&body.replace(":_,", ":0,")).unwrap();
+                    let result = json.get("result").expect("result member").clone();
+                    (result.get("answers").cloned(), result.get("truth").cloned())
+                };
+                assert_eq!(
+                    answers(body),
+                    answers(want),
+                    "`{}` spill body {i}, analyze {analyze}",
+                    case.query
+                );
+            }
         }
     }
 }
 
 /// What `POST /query` answers for each case, in-memory: cold, warm, after
-/// the writes, warm again (`live_symbols` masked).
+/// the writes, warm again.  The answer alone: what a client that does not
+/// ask for the analysis reads.
 const PINNED_BODIES: [[&str; 4]; 2] = [
+    [
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+    ],
+    [
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p12"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p20"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+        r#"{"epoch":2,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p10"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p2"},"truth":"true"},{"bindings":{"X":"p20"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p4"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p6"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p8"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","fallback":null}}"#,
+    ],
+];
+
+/// The same four with `"analyze": true`: the answer, the stats and the plan
+/// (`live_symbols` masked), byte for byte what every body carried before
+/// the analysis became a request option.
+const ANALYZED_BODIES: [[&str; 4]; 2] = [
     [
         r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":26,"answers":35,"rule_applications":48,"head_unifications":48,"cached_subqueries":11,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":0,"index_probes":34,"index_fallback_scans":3,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":25,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","adornment":"f"},"fallback":null}}"#,
         r#"{"epoch":0,"result":{"answers":[{"bindings":{"X":"p1"},"truth":"true"},{"bindings":{"X":"p11"},"truth":"true"},{"bindings":{"X":"p3"},"truth":"true"},{"bindings":{"X":"p5"},"truth":"true"},{"bindings":{"X":"p7"},"truth":"true"},{"bindings":{"X":"p9"},"truth":"true"}],"truth":"true","stats":{"subqueries":0,"answers":0,"rule_applications":0,"head_unifications":0,"cached_subqueries":1,"groundings":0,"model_source":"not-used","tables_patched":0,"tables_dropped":0,"tables_refilled":0,"instances_rederived":0,"tables_reused":26,"index_probes":0,"index_fallback_scans":0,"live_symbols":_,"parallel_waves":0,"parallel_partitioned_rounds":0,"parallel_tasks":0,"storage_residency_faults":0,"storage_spill_writes":0,"deadline_checks":0,"deadline_exceeded":0},"plan":{"strategy":"magic-sets","semantics":"well-founded","adornment":"f"},"fallback":null}}"#,

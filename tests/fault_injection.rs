@@ -418,11 +418,12 @@ fn query_deadline_answers_504_and_counts() {
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
 
-    // A generous deadline passes and reports its checks in the stats.
+    // A generous deadline passes and reports its checks in the stats,
+    // which a body carries when the request asks for the analysis.
     let response = connection
         .post(
             "/query",
-            r#"{"query": "?- reach(n0, Y).", "timeout_ms": 60000}"#,
+            r#"{"query": "?- reach(n0, Y).", "timeout_ms": 60000, "analyze": true}"#,
         )
         .unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
@@ -447,6 +448,13 @@ fn query_deadline_answers_504_and_counts() {
         )
         .unwrap();
     assert_eq!(response.status, 400, "{}", response.body);
+    // So is an `analyze` that is not a boolean.
+    for analyze in ["\"yes\"", "1", "null"] {
+        let body = format!(r#"{{"query": "?- reach(n0, Y).", "analyze": {analyze}}}"#);
+        let response = connection.post("/query", &body).unwrap();
+        assert_eq!(response.status, 400, "{analyze}: {}", response.body);
+        assert!(response.body.contains("`analyze` must be a boolean"));
+    }
 
     shutdown.shutdown();
     serving.join().expect("server exits");

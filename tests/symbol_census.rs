@@ -19,9 +19,10 @@ fn field(json: &serde_json::Value, path: &[&str]) -> usize {
 }
 
 /// `live_symbols` of a warm `?- winning(X).`: a query that names nothing
-/// new, so it interns nothing.
+/// new, so it interns nothing.  The stats come with `"analyze": true`.
 fn query_live_symbols(addr: SocketAddr) -> usize {
-    let response = client::post(addr, "/query", r#"{"query": "?- winning(X)."}"#).unwrap();
+    let body = r#"{"query": "?- winning(X).", "analyze": true}"#;
+    let response = client::post(addr, "/query", body).unwrap();
     assert_eq!(response.status, 200, "{}", response.body);
     field(
         &response.json().unwrap(),
