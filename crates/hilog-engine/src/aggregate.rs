@@ -73,9 +73,8 @@ pub fn evaluate_aggregate_program(
             heads.insert(normalize_pattern(&rule.head));
         }
     }
-    let storage = StorageConfig::InMemory;
-    let index = Arc::new(ProgramIndex::build(program, &storage));
-    let mut evaluator = QueryEvaluator::over(index, opts, Arc::default(), storage);
+    let index = Arc::new(ProgramIndex::build(program, &StorageConfig::InMemory));
+    let mut evaluator = QueryEvaluator::over(index, opts, Arc::default());
     let mut atoms: BTreeSet<Term> = (program.facts())
         .filter(|rule| rule.head.is_ground())
         .map(|rule| rule.head.clone())

@@ -18,8 +18,9 @@
 //! `saturate`) building the ground rule from every match — the head from the
 //! slots, the positive body from the atoms matched — so the possibly-true
 //! set and the ground rules come out of the same single join pass, into one
-//! resident [`GroundProgram`] whose own atom store is the set the driver
-//! saturates: `ground_from` is that, called cold by [`relevant_ground`] and
+//! [`GroundProgram`] whose own [`AtomStore`] — resident on every storage
+//! backend — is the set the driver saturates in place: `ground_from` is
+//! that, called cold by [`relevant_ground`] and
 //! continued from the new fact by the session's `assert_fact`.
 //! [`ground_against`] is the paper's definition written down literally,
 //! kept as the reference the oracles compare against.
@@ -29,7 +30,6 @@ use crate::error::EngineError;
 use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::horn::{saturate, AtomStore, EvalOptions, NegationMode};
 use crate::join::RulePlan;
-use crate::storage::FactStore;
 use hilog_core::{AtomId, Literal, Program, Rule, Substitution, Term, TermInterner, TermSet, Var};
 
 /// Relevant instantiation of a program (negation allowed, aggregates not).
@@ -75,10 +75,9 @@ pub(crate) fn ground_from(
     let mut seen: TermSet<IdRule> = TermSet::default();
     let mut scratch = TermInterner::new();
     let first = ground.id_rules.len();
-    let mut store = FactStore::InMemory(std::mem::take(&mut ground.atoms));
     saturate(
         program,
-        &mut store,
+        &mut ground.atoms,
         frontier,
         NegationMode::Ignore,
         opts,
@@ -96,10 +95,6 @@ pub(crate) fn ground_from(
             Ok(())
         },
     )?;
-    let FactStore::InMemory(atoms) = store else {
-        unreachable!("the driver never changes a store's backend")
-    };
-    ground.atoms = atoms;
     let ids: Vec<AtomId> = (scratch.terms().iter())
         .map(|atom| ground.atoms.intern(atom))
         .collect();
@@ -124,7 +119,7 @@ pub(crate) fn ground_from(
 /// the store — and the differential oracle holds the two equal as sets.
 pub fn ground_against(
     program: &Program,
-    candidates: &FactStore,
+    candidates: &AtomStore,
     opts: EvalOptions,
 ) -> Result<GroundProgram, EngineError> {
     let mut rules = Vec::new();
@@ -464,14 +459,13 @@ mod tests {
         let mut db = crate::session::HiLogDb::builder()
             .program(program.clone())
             .options(opts)
-            .storage(crate::storage::StorageConfig::InMemory)
             .build();
         let mut ground = GroundProgram::new();
         let ground_cost = counted(&mut || ground = db.ground_program().unwrap().clone());
         assert!(model_cost.0 > 0, "the chain joins through the indexes");
         assert_eq!(ground_cost, model_cost, "grounding joined on its own");
         assert!(ground.possibly_true().iter().eq(model.iter()));
-        let reference = ground_against(&program, &FactStore::InMemory(model), opts).unwrap();
+        let reference = ground_against(&program, &model, opts).unwrap();
         let fused: BTreeSet<_> = ground.rules().collect();
         assert_eq!(fused, reference.rules().collect::<BTreeSet<_>>());
         assert_eq!(ground.len(), reference.len());

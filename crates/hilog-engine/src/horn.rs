@@ -8,16 +8,21 @@
 //! once: `saturate` owns the round policy (delta restriction, the limits
 //! and the deadline, the floundering check), joins each rule through its
 //! compiled plan (`crate::join`) and hands each match — the slots and the
-//! positive atoms matched — to its caller.  [`least_model_into`] is the
+//! positive atoms matched — to its caller.  [`least_model`] is the
 //! driver with nothing to do per match; the *relevant instantiation* used
 //! to ground programs with negation is the driver building the ground rule
 //! from each match ([`crate::grounder`]) — cold from an empty store, or
 //! continued from an asserted fact.
+//!
+//! Every store here is an [`AtomStore`]: the driver's store and frontier,
+//! a grounding's possibly-true set and a subgoal table's answers are
+//! derived from the program and resident on every backend.  Only the
+//! program index's facts may page (`crate::storage`).
 
 use crate::ambient::{check_deadline, count};
 use crate::error::EngineError;
 use crate::join::{Match, RulePlan};
-use crate::storage::{FactStore, RelationStorageStats};
+use crate::storage::RelationStorageStats;
 use hilog_core::{AtomId, Program, Term, TermInterner, TermMap};
 use std::borrow::Borrow;
 use std::hash::{Hash, Hasher};
@@ -256,8 +261,7 @@ impl Relation {
 ///
 /// The store is a *set*: a write costs an interner probe, a relation push
 /// and the built indexes' postings, and sorts nothing.  Term order exists
-/// only for [`iter`](AtomStore::iter) (and so for
-/// [`FactStore::for_each_atom`]): the first ordered read after a write sorts
+/// only for [`iter`](AtomStore::iter): the first ordered read after a write sorts
 /// the live ids by term, O(n log n) comparisons, and the order is cached
 /// until the next insert or remove that changes the set — a complete table
 /// nobody writes sorts once however often it is read.
@@ -558,25 +562,9 @@ pub fn least_model(
     mode: NegationMode,
     opts: EvalOptions,
 ) -> Result<AtomStore, EngineError> {
-    let mut store = FactStore::InMemory(AtomStore::new());
-    least_model_into(program, mode, opts, &mut store)?;
-    let FactStore::InMemory(store) = store else {
-        unreachable!("the driver never changes a store's backend")
-    };
+    let mut store = AtomStore::new();
+    saturate(program, &mut store, None, mode, opts, &mut |_, _| Ok(()))?;
     Ok(store)
-}
-
-/// [`least_model`] evaluated *into* a caller-provided (empty) store on
-/// either backend: pass a spill-backed store and the least model
-/// materialises with cold relations paged to disk.  This is the semi-naive
-/// driver (`saturate`) from a cold start with nothing to do per match.
-pub fn least_model_into(
-    program: &Program,
-    mode: NegationMode,
-    opts: EvalOptions,
-    store: &mut FactStore,
-) -> Result<(), EngineError> {
-    saturate(program, store, None, mode, opts, &mut |_, _| Ok(()))
 }
 
 /// The semi-naive driver — the one place that knows how a round works.
@@ -585,7 +573,7 @@ pub fn least_model_into(
 /// a [`RulePlan`] for the call, and hands every match — the
 /// [`Match`] (the plan, its slots, the positive atoms it matched) and the
 /// ground head built from the slots (the driver needs it for the store) —
-/// to `on_match`: [`least_model_into`] ignores them, the grounder builds
+/// to `on_match`: [`least_model`] ignores them, the grounder builds
 /// the ground rule from them ([`crate::grounder::relevant_ground`],
 /// the session's assert path), so the heads and the instantiations come
 /// from the same single join pass.
@@ -612,7 +600,7 @@ pub fn least_model_into(
 /// extended** and no longer closed; discard it.
 pub(crate) fn saturate(
     program: &Program,
-    store: &mut FactStore,
+    store: &mut AtomStore,
     frontier: Option<AtomStore>,
     mode: NegationMode,
     opts: EvalOptions,
@@ -621,7 +609,7 @@ pub(crate) fn saturate(
     // One walk of the program compiles the rules a frontier can fire and,
     // cold, runs round 0 on the rest.
     let cold = frontier.is_none();
-    let mut frontier = FactStore::InMemory(frontier.unwrap_or_default());
+    let mut frontier = frontier.unwrap_or_default();
     let mut firing: Vec<RulePlan> = Vec::new();
     for rule in program.iter() {
         if rule.positive_atoms().next().is_some() {
@@ -677,7 +665,7 @@ pub(crate) fn saturate(
         for atom in next.iter_by_id() {
             store.insert(atom.clone());
         }
-        frontier = FactStore::InMemory(next);
+        frontier = next;
     }
     Ok(())
 }
@@ -687,8 +675,8 @@ pub(crate) fn saturate(
 /// match with its ground head.
 fn fire(
     firing: &[RulePlan],
-    store: &FactStore,
-    frontier: &FactStore,
+    store: &AtomStore,
+    frontier: &AtomStore,
     mode: NegationMode,
     visit: &mut dyn FnMut(&Match<'_>, Term) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
@@ -1008,7 +996,7 @@ mod tests {
     /// driver's contract asks), returning how many matches it handed out.
     fn continue_from(
         program: &Program,
-        store: &mut FactStore,
+        store: &mut AtomStore,
         seeds: &[Term],
         opts: EvalOptions,
     ) -> Result<usize, EngineError> {
@@ -1038,16 +1026,15 @@ mod tests {
                     tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
                     edge(a, b). edge(c, d).";
         let mut program = parse_program(base).unwrap();
-        let mut store = FactStore::InMemory(
-            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap(),
-        );
+        let mut store =
+            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
         let before = store.len();
         let new_edge = Term::apps("edge", vec![Term::sym("b"), Term::sym("c")]);
         program.push(Rule::fact(new_edge.clone()));
         let matches =
             continue_from(&program, &mut store, &[new_edge], EvalOptions::default()).unwrap();
         let fresh = least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
-        assert_eq!(store.collect_atoms(), Vec::from_iter(fresh.iter().cloned()));
+        assert!(store.iter().eq(fresh.iter()));
         // The continuation added exactly the difference: the new edge plus
         // the new tc pairs crossing it (a->c, a->d, b->c, b->d; c is already
         // linked to d), each matched exactly once.
@@ -1060,7 +1047,7 @@ mod tests {
     fn a_continuation_respects_the_atom_budget() {
         let program = parse_program("nat(z). nat(s(X)) :- nat(X).").unwrap();
         // The base program diverges, so close only the fact by hand.
-        let mut store = FactStore::InMemory(AtomStore::from_atoms([Term::sym("seed")]));
+        let mut store = AtomStore::from_atoms([Term::sym("seed")]);
         let r = continue_from(
             &program,
             &mut store,

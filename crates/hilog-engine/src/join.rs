@@ -30,8 +30,7 @@
 //! keys have generation 0, and nothing a frame reads is renamed.
 
 use crate::error::EngineError;
-use crate::horn::NegationMode;
-use crate::storage::FactStore;
+use crate::horn::{AtomStore, NegationMode};
 use hilog_core::{BuiltinCall, BuiltinOp, Literal, Rule, Substitution, Term, Var};
 use std::sync::{Arc, OnceLock};
 
@@ -154,8 +153,8 @@ impl RulePlan {
     /// once a match reaches one; so is an aggregate.
     pub(crate) fn join(
         &self,
-        store: &FactStore,
-        delta: Option<(&FactStore, usize)>,
+        store: &AtomStore,
+        delta: Option<(&AtomStore, usize)>,
         mode: NegationMode,
         visit: &mut dyn FnMut(&Match<'_>) -> Result<(), EngineError>,
     ) -> Result<(), EngineError> {
@@ -509,8 +508,8 @@ impl Match<'_> {
 /// One depth-first join in progress.
 struct Join<'j> {
     plan: &'j RulePlan,
-    store: &'j FactStore,
-    delta: Option<(&'j FactStore, usize)>,
+    store: &'j AtomStore,
+    delta: Option<(&'j AtomStore, usize)>,
     mode: NegationMode,
     frame: Frame,
     atoms: Vec<Term>,
@@ -562,7 +561,7 @@ impl<'j> Join<'j> {
     /// Matches a positive literal against `source`: one `contains` if it
     /// is ground under the slots, else every candidate of the probe on its
     /// ground arguments, unified into the slots.
-    fn positive(&mut self, at: usize, pat: &Pat, source: &FactStore) -> Result<(), EngineError> {
+    fn positive(&mut self, at: usize, pat: &Pat, source: &AtomStore) -> Result<(), EngineError> {
         let atom = self.frame.instantiate(pat);
         if atom.is_ground() {
             if source.contains(&atom) {
@@ -570,7 +569,7 @@ impl<'j> Join<'j> {
             }
             return Ok(());
         }
-        source.try_for_each_candidate(&atom, |candidate| {
+        source.candidates(&atom).try_for_each(|candidate| {
             let mark = self.frame.mark();
             let result = match self.frame.unify_pat(pat, candidate) {
                 true => self.descend(at, candidate.clone()),
@@ -593,21 +592,18 @@ impl<'j> Join<'j> {
 mod tests {
     use super::*;
     use crate::ambient::counters;
-    use crate::horn::AtomStore;
     use hilog_syntax::parse_program;
     use std::collections::BTreeSet;
 
-    fn store(text: &str) -> FactStore {
+    fn store(text: &str) -> AtomStore {
         let program = parse_program(text).unwrap();
-        FactStore::InMemory(AtomStore::from_atoms(
-            program.iter().map(|r| r.head.clone()),
-        ))
+        AtomStore::from_atoms(program.iter().map(|r| r.head.clone()))
     }
 
     /// The heads a join of `rule` derives, or the kind of its error, and
     /// the index probes and scans it made.
     fn run(
-        facts: &FactStore,
+        facts: &AtomStore,
         rule: &str,
         delta: Option<&str>,
         at: usize,

@@ -56,6 +56,11 @@
 //!   (the grounding driver continued from the new fact, DRed, instance-level
 //!   subgoal-table maintenance) instead of discarding them; the model after
 //!   a write is [`well_founded_eval`] over the maintained grounding.
+//! * **Storage** ([`StorageConfig`]): every store derived from the program
+//!   — a subgoal table's answers, a grounding's possibly-true set, the
+//!   driver's store — is a resident [`AtomStore`].  The program index's
+//!   facts alone are a [`FactStore`], which a session built with
+//!   [`StorageConfig::Spill`] pages to disk ([`SpillStore`]).
 //!
 //! The modules are private: what callers outside the crate use is
 //! re-exported here, at the crate root.
@@ -92,8 +97,7 @@ pub use extension::{
 pub use ground::{GroundProgram, GroundRule};
 pub use grounder::{ground_against, relevant_ground};
 pub use horn::{
-    default_eval_threads, least_model, least_model_into, AtomStore, Candidates, EvalOptions,
-    NegationMode,
+    default_eval_threads, least_model, AtomStore, Candidates, EvalOptions, NegationMode,
 };
 pub use magic::{magic_transform, MagicProgram};
 pub use magic_eval::{EvalStats, ModelSource};

@@ -69,13 +69,14 @@
 //! information passing strategy.
 //!
 //! The evaluator reads the program through one `ProgramIndex`: the ground
-//! bodiless rules (the EDB) sit in an argument-indexed [`FactStore`], every
+//! bodiless rules (the EDB) sit in an argument-indexed [`FactStore`] (the one
+//! store a session may page to disk), every
 //! other rule, compiled once into a [`RulePlan`] as it enters, in a head
 //! index keyed on `(outermost functor, arity)`.  An expansion unifies a
 //! plan's head with the subgoal pattern in a fresh [`Frame`] — the
 //! pattern's variables become slots beside the rule's, so no rule is
 //! renamed — and walks the body depth first over that one frame.
-//! Expanding a subgoal asks the store for `collect_candidates(pattern)` —
+//! Expanding a subgoal asks the store for the candidates of its pattern —
 //! the same "find the stored atoms a pattern could match" operation the
 //! grounder's joins and the table joins use — so a bound subgoal costs in
 //! proportion to the facts it *matches*, not to the facts of its relation
@@ -87,7 +88,7 @@
 use crate::aggregate::solve_aggregate;
 use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
-use crate::horn::EvalOptions;
+use crate::horn::{AtomStore, EvalOptions};
 use crate::join::{Frame, RulePlan, Step};
 use crate::snapshot::{CatchUp, Log};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
@@ -96,10 +97,11 @@ use hilog_core::{
     hash_one, strongly_connected_components, EdgeSign, Literal, Program, Query, Rule, Substitution,
     Term, TermMap, Var,
 };
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Head predicate name of the auxiliary rule
 /// [`QueryEvaluator::answer_query`] wraps conjunctive queries in.
@@ -280,14 +282,13 @@ impl serde::Serialize for ModelSource {
 #[derive(Debug, Clone)]
 pub(crate) struct Table {
     pub(crate) pattern: Term,
-    /// Ground answers, held in an argument-indexed [`FactStore`] so that
+    /// Ground answers, held in an argument-indexed [`AtomStore`] so that
     /// joining a partially instantiated subgoal against a (large, warm)
     /// table probes an index on its bound argument positions instead of
     /// scanning every answer.  The indexes are maintained by the session's
-    /// in-place table patches, so they stay warm across mutations; on the
-    /// spill backend a cold table's answer payloads page to disk while its
-    /// indexes stay resident.
-    pub(crate) answers: FactStore,
+    /// in-place table patches, so they stay warm across mutations.  Derived
+    /// state: resident on every backend.
+    pub(crate) answers: AtomStore,
     pub(crate) complete: bool,
     /// Direct subgoal edges, by the normalised key of the dependency.
     pub(crate) deps: BTreeMap<Term, Dep>,
@@ -311,10 +312,10 @@ pub(crate) struct Dep {
 }
 
 impl Table {
-    fn new(pattern: Term, storage: &StorageConfig) -> Self {
+    fn new(pattern: Term) -> Self {
         Table {
             pattern,
-            answers: FactStore::new(storage),
+            answers: AtomStore::new(),
             complete: false,
             deps: BTreeMap::new(),
         }
@@ -738,7 +739,7 @@ impl Tables {
     }
 
     /// The answers of the table in view at `id`, made the arena's own.
-    pub(crate) fn answers_mut(&mut self, id: TableId) -> &mut FactStore {
+    pub(crate) fn answers_mut(&mut self, id: TableId) -> &mut AtomStore {
         self.edited(id);
         let table = self.slots[id].table.as_mut().expect("held");
         &mut Arc::make_mut(table).answers
@@ -1020,9 +1021,6 @@ pub struct QueryEvaluator {
     /// not counted): the resource-limit measure, so that a warm evaluator
     /// and a cold one face the same per-query derivation budget.
     derived: usize,
-    /// Backend configuration for tables this evaluator creates (seeded
-    /// tables keep whatever backend they were built on).
-    storage: StorageConfig,
     /// When each table of `own` was last expanded, grew and completed, on
     /// `clock` (0: never), from its first expansion on.  A table complete
     /// when it was read was read whole, so a complete table filled from
@@ -1043,12 +1041,7 @@ impl QueryEvaluator {
     /// Creates an evaluator over an already indexed program, seeded with
     /// the completed tables of a previous run over the same program.  They
     /// are trusted as-is and never written.
-    pub(crate) fn over(
-        index: Arc<ProgramIndex>,
-        opts: EvalOptions,
-        base: Arc<Tables>,
-        storage: StorageConfig,
-    ) -> Self {
+    pub(crate) fn over(index: Arc<ProgramIndex>, opts: EvalOptions, base: Arc<Tables>) -> Self {
         QueryEvaluator {
             index,
             query_rule: None,
@@ -1057,7 +1050,6 @@ impl QueryEvaluator {
             own: TermMap::default(),
             stats: EvalStats::default(),
             derived: 0,
-            storage,
             stamps: TermMap::default(),
             clock: 0,
         }
@@ -1137,7 +1129,7 @@ impl QueryEvaluator {
     /// `pattern` that are true in the well-founded model of the program.
     pub fn solve_atom(&mut self, pattern: &Term) -> Result<Vec<Term>, EngineError> {
         let key = self.settle(pattern)?;
-        Ok(self.table_at(&key).answers.collect_atoms())
+        Ok(self.table_at(&key).answers.iter().cloned().collect())
     }
 
     /// Completes the table for `pattern`, evaluating whatever it needs, and
@@ -1438,7 +1430,7 @@ impl QueryEvaluator {
     fn open_table(&mut self, key: &Term) -> Result<bool, EngineError> {
         if !self.fact_only(key) {
             self.stamps.remove(key);
-            let table = Table::new(key.clone(), &self.storage);
+            let table = Table::new(key.clone());
             self.own.insert(key.clone(), Arc::new(table));
             return Ok(false);
         }
@@ -1459,7 +1451,7 @@ impl QueryEvaluator {
     /// answer budget is checked before the table is complete, and a fill
     /// over it is an error that leaves no table.
     fn complete_from_facts(&mut self, key: &Term) -> Result<(), EngineError> {
-        let mut table = Table::new(key.clone(), &self.storage);
+        let mut table = Table::new(key.clone());
         for fact in self.matching_facts(key) {
             table.answers.insert(fact);
         }
@@ -1628,10 +1620,10 @@ impl QueryEvaluator {
         // subgoal: only answers agreeing with its bound argument positions
         // are visited.
         let table = &self.table_at(&key).answers;
-        let answers = match &plan.body[at] {
+        let answers: Vec<Term> = match &plan.body[at] {
             Step::Neg(_) if table.contains(&instantiated) => return Ok(()),
             Step::Neg(_) => return self.select(plan, at + 1, frame, subgoal_key, derived),
-            _ => table.collect_candidates(&instantiated),
+            _ => table.candidates(&instantiated).cloned().collect(),
         };
         if let Literal::Aggregate(agg) = &plan.rule.body[at] {
             let theta = frame.bindings(plan);
@@ -1688,8 +1680,20 @@ pub(crate) fn normalize_reader(atom: &Term, head: &Term) -> (Term, Term) {
     )
 }
 
-fn canonical_variables(count: usize) -> Vec<Term> {
-    (0..count).map(|i| Term::var(format!("_N{i}"))).collect()
+/// How many canonical variables are built once, for every key to share.
+const SHARED_CANONICAL: usize = 64;
+
+/// `_N0`, `_N1`, … up to `count`: a slice of the shared ones (no lock, no
+/// allocation — a warm hit with a variable builds its key on them), or for
+/// a pattern with more variables than that, built.
+fn canonical_variables(count: usize) -> Cow<'static, [Term]> {
+    static SHARED: OnceLock<Vec<Term>> = OnceLock::new();
+    let canonical = |i: usize| Term::var(format!("_N{i}"));
+    let shared = SHARED.get_or_init(|| (0..SHARED_CANONICAL).map(canonical).collect());
+    match shared.get(..count) {
+        Some(prefix) => Cow::Borrowed(prefix),
+        None => Cow::Owned((0..count).map(canonical).collect()),
+    }
 }
 
 /// A simultaneous renaming `vars[i] ↦ canonical[i]`, written out:
@@ -1733,9 +1737,8 @@ mod tests {
         /// An evaluator for the program (indexing it first), seeded with
         /// no tables.
         fn new(program: &Program, opts: EvalOptions) -> Self {
-            let storage = StorageConfig::default();
-            let index = Arc::new(ProgramIndex::build(program, &storage));
-            Self::over(index, opts, Arc::default(), storage)
+            let index = Arc::new(ProgramIndex::build(program, &StorageConfig::InMemory));
+            Self::over(index, opts, Arc::default())
         }
 
         /// Whether the ground atom is true in the well-founded model.
@@ -2265,12 +2268,7 @@ mod tests {
         let program = game(6);
         let index = Arc::new(ProgramIndex::build(&program, &StorageConfig::InMemory));
         let evaluator = |tables: Tables| {
-            QueryEvaluator::over(
-                index.clone(),
-                EvalOptions::default(),
-                Arc::new(tables),
-                StorageConfig::InMemory,
-            )
+            QueryEvaluator::over(index.clone(), EvalOptions::default(), Arc::new(tables))
         };
         let mut first = evaluator(Tables::default());
         first

@@ -244,10 +244,10 @@ impl HiLogDbBuilder {
         self
     }
 
-    /// Chooses the relation-storage backend for the session's long-lived
-    /// stores (the program index's facts and the subgoal-table answers; a
-    /// grounding is resident).  The default is [`StorageConfig::from_env`]:
-    /// in-memory unless `HILOG_STORAGE=spill` flips the process-wide default.
+    /// Chooses the relation-storage backend for the program index's facts,
+    /// the one store a session may page to disk (subgoal tables and the
+    /// grounding are derived from the program and stay resident).  The
+    /// default is [`StorageConfig::InMemory`].
     pub fn storage(mut self, storage: StorageConfig) -> Self {
         self.storage = storage;
         self

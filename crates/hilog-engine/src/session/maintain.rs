@@ -23,7 +23,6 @@ use crate::grounder::ground_from;
 use crate::horn::{AtomStore, NegationMode};
 use crate::join::RulePlan;
 use crate::snapshot::{lock_mut, SnapCore};
-use crate::storage::FactStore;
 use hilog_core::{DependencyGraph, Program, Term};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -325,7 +324,7 @@ impl HiLogDb {
 /// cost is a glance at each fact plus a join per builtin-only rule, not a
 /// join per stored fact.
 pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
-    let empty = FactStore::InMemory(AtomStore::new());
+    let empty = AtomStore::new();
     program.proper_rules().any(|rule| {
         if rule.positive_atoms().count() > 0 || rule.negative_atoms().count() > 0 {
             return false;

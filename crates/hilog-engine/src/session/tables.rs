@@ -108,11 +108,11 @@
 
 use super::maintain::spontaneous_fact;
 use super::HiLogDb;
+use crate::horn::AtomStore;
 use crate::magic_eval::{
     normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, TableId, Tables,
 };
 use crate::snapshot::lock_mut;
-use crate::storage::FactStore;
 use hilog_core::unify::{match_with, unify_with};
 use hilog_core::{strongly_connected_components, EdgeSign, Substitution, Term, TermSet};
 use std::collections::BTreeSet;
@@ -277,22 +277,16 @@ impl Difference {
     }
 
     /// What `new` holds that `old` does not, and the reverse.
-    fn between(new: &FactStore, old: &FactStore) -> Difference {
-        let mut removed = Vec::new();
-        old.for_each_atom(|a| {
-            if !new.contains(a) {
-                removed.push(a.clone());
-            }
-        });
-        let mut added = Vec::new();
+    fn between(new: &AtomStore, old: &AtomStore) -> Difference {
+        let only_in = |a: &AtomStore, b: &AtomStore| -> Vec<Term> {
+            (a.iter()).filter(|t| !b.contains(t)).cloned().collect()
+        };
+        let removed = only_in(old, new);
         // Everything of `new` is accounted for when the sizes say so.
-        if new.len() + removed.len() > old.len() {
-            new.for_each_atom(|a| {
-                if !old.contains(a) {
-                    added.push(a.clone());
-                }
-            });
-        }
+        let added = match new.len() + removed.len() > old.len() {
+            true => only_in(new, old),
+            false => Vec::new(),
+        };
         Difference { added, removed }
     }
 }
@@ -387,16 +381,16 @@ fn graft(
     for instance in instances {
         let settled = &tables.get(instance).expect("settled").answers;
         let (mut stale, mut fresh) = (Vec::new(), Vec::new());
-        table.answers.for_each_candidate(instance, |answer| {
+        for answer in table.answers.candidates(instance) {
             if subsumes(instance, answer) && !settled.contains(answer) {
                 stale.push(answer.clone());
             }
-        });
-        settled.for_each_atom(|answer| {
+        }
+        for answer in settled.iter() {
             if !table.answers.contains(answer) {
                 fresh.push(answer.clone());
             }
-        });
+        }
         if stale.is_empty() && fresh.is_empty() {
             continue;
         }
@@ -681,7 +675,6 @@ impl HiLogDb {
                 .clone(),
             self.snap.opts,
             Arc::clone(&base),
-            self.snap.storage.clone(),
         );
         let settled = evaluator.settle(pattern).is_ok();
         let created = evaluator.into_tables();
@@ -1140,7 +1133,7 @@ mod tests {
         };
         Arc::new(Table {
             pattern: key.clone(),
-            answers: FactStore::new(&crate::storage::StorageConfig::default()),
+            answers: AtomStore::new(),
             complete: true,
             deps: deps.iter().map(|&dep| (dep.clone(), edge())).collect(),
         })

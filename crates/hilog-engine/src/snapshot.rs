@@ -326,8 +326,8 @@ pub struct DbSnapshot {
     /// place or in its caught-up twin, like `tables`.  Always describes
     /// exactly `program`.
     pub(crate) index: RwLock<Option<Twinned<ProgramIndex>>>,
-    /// Relation-storage backend for the long-lived stores (the
-    /// subgoal-table answers and the program index's facts).
+    /// Relation-storage backend of the program index's facts (every other
+    /// store is resident).
     pub(crate) storage: StorageConfig,
 }
 
@@ -424,8 +424,9 @@ impl DbSnapshot {
     /// Aggregate relation-storage statistics over this snapshot's stores:
     /// the grounding's (resident) store, the program index's fact store
     /// (when a tabled query has built it) and every subgoal table's answer
-    /// store.  Under [`StorageConfig::InMemory`] everything is resident and
-    /// the spill fields are zero.  O(#tables) — kept off the query path of
+    /// store.  Only the program index's facts can page; under
+    /// [`StorageConfig::InMemory`] everything is resident and the spill
+    /// fields are zero.  O(#tables) — kept off the query path of
     /// published snapshots.
     pub fn storage_stats(&self) -> RelationStorageStats {
         let mut total = RelationStorageStats::default();
@@ -562,12 +563,12 @@ impl DbSnapshot {
                 // its own `bindings` vector and nothing else.
                 let mut answers = Vec::with_capacity(table.answers.len());
                 let mut theta = Substitution::new();
-                table.answers.for_each_atom(|answer| {
+                for answer in table.answers.iter() {
                     theta.clear();
                     if match_with(atom, answer, &mut theta) {
                         answers.push(true_answer(&theta, &vars));
                     }
-                });
+                }
                 let stats = EvalStats {
                     cached_subqueries: 1,
                     ..EvalStats::default()
@@ -581,7 +582,6 @@ impl DbSnapshot {
             self.program_index(),
             self.opts,
             read_lock(&self.tables).share(),
-            self.storage.clone(),
         );
         let solved = evaluator.answer_query(query);
         // The evaluator counts only the tables it created, so the stats
@@ -1568,9 +1568,10 @@ mod tests {
 
     #[test]
     fn spill_backed_snapshots_report_residency_faults() {
-        // A one-fact budget: the answer rows of the `move` table are paged
-        // out as soon as the cold query has read them back, so the warm
-        // repeat must fault them in again — and say so in its stats.
+        // A one-fact budget: the program index's `move` rows are paged out
+        // as soon as a probe has read them back, so every cold query that
+        // probes them must fault them in again — and say so in its stats.
+        // A warm repeat reads its resident table and faults nothing.
         let (_writer, handle) = HiLogDb::builder()
             .program(game())
             .storage(StorageConfig::Spill {
@@ -1580,23 +1581,28 @@ mod tests {
             .build()
             .into_serving();
         let snapshot = handle.current();
-        let query = parse_query("?- move(X, Y).").unwrap();
-        assert_eq!(snapshot.query(&query).unwrap().answers.len(), 2);
-        let warm = snapshot.query(&query).unwrap();
-        assert_eq!(warm.answers.len(), 2);
-        assert_eq!(warm.stats.rule_applications, 0);
+        let first = parse_query("?- move(a, X).").unwrap();
+        assert_eq!(snapshot.query(&first).unwrap().answers.len(), 1);
+        let cold = snapshot
+            .query(&parse_query("?- move(X, Y).").unwrap())
+            .unwrap();
+        assert_eq!(cold.answers.len(), 2);
+        assert!(cold.stats.rule_applications > 0);
         assert!(
-            warm.stats.storage_residency_faults > 0,
+            cold.stats.storage_residency_faults > 0,
             "a published snapshot's query lost the storage-counter delta"
         );
+        let warm = snapshot.query(&first).unwrap();
+        assert_eq!(warm.stats.rule_applications, 0);
+        assert_eq!(warm.stats.storage_residency_faults, 0, "a table hit paged");
     }
 
     #[test]
     fn a_spill_session_keeps_its_grounding_resident() {
         // The grounding is one resident object on every backend: after
         // `model()` nothing is spilled, however small the budget.  What the
-        // backend does page — the program index's facts and the table
-        // answers — spills and faults back once a bound query builds them.
+        // backend does page — the program index's facts — spills and faults
+        // back once a bound query builds the index.
         let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
         for i in 0..40 {
             text.push_str(&format!("move(n{i}, n{}).\n", i + 1));

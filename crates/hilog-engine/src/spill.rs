@@ -26,13 +26,13 @@
 //! Segment files are append-only and process-lifetime: they are a *cache*,
 //! not durable state (durability is `hilog-store`'s WAL + checkpoints), so
 //! no fsync, no recovery, and clones of a store (the session publishes its
-//! program index and tables into snapshots via `Arc::make_mut`) share the same
+//! program index into snapshots via `Arc::make_mut`) share the same
 //! append-only segment — offsets recorded by either clone stay valid
 //! because nothing is ever overwritten or truncated.  Every store has a
 //! segment file of its own in the configured directory, removed with the
-//! store's last clone, so stores configured with one directory (a session's
-//! program index and table answers all are) never touch
-//! each other's bytes.
+//! store's last clone, so stores configured with one directory (the program
+//! indexes of every session built with one [`crate::StorageConfig`]) never
+//! touch each other's bytes.
 //!
 //! The membership map's hash is [`hash_one`], the engine's one term hasher:
 //! per process, never written to disk.
@@ -572,13 +572,8 @@ impl SpillStore {
 
     /// Visits the candidates for `pattern`, selected as
     /// [`crate::horn::AtomStore::candidates`] selects them, faulting in
-    /// exactly the rows of the posting list or relations it walks; stops at
-    /// the first error `visit` returns.
-    pub(crate) fn try_for_each_candidate<E>(
-        &self,
-        pattern: &Term,
-        visit: impl FnMut(&Term) -> Result<(), E>,
-    ) -> Result<(), E> {
+    /// exactly the rows of the posting list or relations it walks.
+    pub(crate) fn for_each_candidate(&self, pattern: &Term, visit: impl FnMut(&Term)) {
         let collected: Vec<Term> = {
             let inner = &mut *self.lock();
             inner.clock += 1;
@@ -643,7 +638,7 @@ impl SpillStore {
             self.enforce_budget(inner, None);
             out
         };
-        collected.iter().try_for_each(visit)
+        collected.iter().for_each(visit)
     }
 
     /// Visits every atom in term order, faulting every spilled row in.
@@ -696,8 +691,6 @@ impl SpillStore {
 mod tests {
     use super::*;
     use crate::ambient::counters;
-    use crate::storage::{FactStore, StorageConfig};
-    use std::convert::Infallible;
 
     /// Which of a spill directory's segment writes fail: those numbered
     /// `[from, from + count)`, counting from the moment the plan is armed.
@@ -737,10 +730,7 @@ mod tests {
 
     fn candidates(store: &SpillStore, pattern: &Term) -> Vec<Term> {
         let mut out = Vec::new();
-        let Ok(()) = store.try_for_each_candidate(pattern, |t| {
-            out.push(t.clone());
-            Ok::<(), Infallible>(())
-        });
+        store.for_each_candidate(pattern, |t| out.push(t.clone()));
         out
     }
 
@@ -933,17 +923,17 @@ mod tests {
         assert!(!store.contains(&atom("s", "extra", "v")));
     }
 
-    fn rows(store: &FactStore, name: &str) -> Vec<Term> {
-        let mut out = Vec::new();
-        let pattern = Term::apps(name, vec![Term::var("X"), Term::var("Y")]);
-        store.for_each_candidate(&pattern, |t| out.push(t.clone()));
-        out
+    fn rows(store: &SpillStore, name: &str) -> Vec<Term> {
+        candidates(
+            store,
+            &Term::apps(name, vec![Term::var("X"), Term::var("Y")]),
+        )
     }
 
     #[test]
     fn stores_configured_with_one_directory_keep_their_own_rows() {
-        // A session hands one `StorageConfig` to its program index and
-        // every table's answers.  Two stores paging the
+        // Sessions built with one `StorageConfig` page their program
+        // indexes into one directory.  Two stores paging the
         // same relation into one directory used to append to one file with
         // two ends and read each other's bytes back ("dangling term id").
         let dir = std::env::temp_dir().join(format!(
@@ -951,11 +941,10 @@ mod tests {
             std::process::id(),
             SPILL_DIR_COUNTER.fetch_add(1, Ordering::Relaxed)
         ));
-        let config = StorageConfig::Spill {
-            dir: Some(dir.clone()),
-            resident_budget: 2,
-        };
-        let mut stores = [FactStore::new(&config), FactStore::new(&config)];
+        let mut stores = [
+            SpillStore::new(Some(dir.clone()), 2),
+            SpillStore::new(Some(dir.clone()), 2),
+        ];
         for i in 0..20 {
             for (n, store) in stores.iter_mut().enumerate() {
                 store.insert(atom("r", &format!("s{n}k{i}"), "v"));
@@ -1002,7 +991,7 @@ mod tests {
                 .flat_map(|round| (0..4).map(move |i| (round, i)))
                 .map(|(round, i)| atom("r", &format!("c{n}r{round}k{i}"), "v"))
                 .collect();
-            assert_eq!(rows(&FactStore::Spill(clone), "r"), expected, "clone {n}");
+            assert_eq!(rows(&clone, "r"), expected, "clone {n}");
         }
     }
 }

@@ -1,18 +1,14 @@
-//! Pluggable relation storage: [`FactStore`], the one store type the
-//! evaluator speaks — subgoal-table answers, the program index's facts and
-//! the join inputs.
+//! The program index's fact store: [`FactStore`], an in-memory
+//! [`AtomStore`] or a [`SpillStore`] that pages cold relations to disk,
+//! chosen per session by [`StorageConfig`].
 //!
-//! A grounding's possibly-true store is the `GroundProgram`'s own
-//! [`AtomStore`], resident on every backend: its interner numbers the
-//! ground rules, which every model evaluation reads whole.
-//!
-//! The join machinery in [`crate::horn`], the grounder, and the tabled
-//! magic evaluator need a small contract from a fact store:
-//! insert/remove/contains, candidate enumeration for a (possibly partially
-//! instantiated) pattern, and ordered iteration.  [`FactStore`] states it
-//! once, as inherent methods that each `match` over the two backends, and
-//! the evaluation functions take `&FactStore` — a concrete store, statically
-//! dispatched, as cozo hands its semi-naive program `TempStore`s.
+//! Every other store the evaluator keeps — a subgoal table's answers, a
+//! grounding's possibly-true set, the semi-naive driver's store and
+//! frontier — is derived from the program and rebuilt from it, so it is an
+//! [`AtomStore`], resident on every backend.  The one thing a session may
+//! page is the program index's facts (the EDB the tabled evaluator probes),
+//! and [`crate::session::HiLogDbBuilder::storage`] is the one place that
+//! chooses how.
 //!
 //! The two backends:
 //!
@@ -20,26 +16,17 @@
 //!   lazily built argument indexes; the default.
 //! * **Spill** — [`crate::spill::SpillStore`], which keeps every
 //!   argument-position index (and each relation's bookkeeping) in memory
-//!   but pages *cold relations' fact payloads* out to per-relation segment
-//!   files, faulting rows back in on demand with an LRU residency budget.
-//!   A fact base larger than RAM keeps answering bound queries at
-//!   interactive latency because bound probes only decode the posting list
-//!   they hit.
+//!   but pages *cold relations' fact payloads* out to a segment file,
+//!   faulting rows back in on demand with an LRU residency budget.  A bound
+//!   probe only decodes the posting list it hits.
 //!
-//! Neither backend keeps term order up on a write, yet
-//! [`FactStore::for_each_atom`] visits in term order: the in-memory backend
-//! sorts its live atoms on the first ordered read after a write and caches
-//! that order until the next write; the spill backend sorts on every ordered
-//! read (it decodes spilled rows anyway).  Candidate enumeration never sorts.
-//!
-//! Candidates and atoms are *visited* by callback rather than lent as
-//! borrowed iterators, because a spilled row has no `&Term` to lend — it is
-//! decoded on the fly under the store's lock; `Term` is `Arc`-backed, so the
-//! in-memory backend loses nothing by sharing through `&Term` callbacks.
-//!
-//! Backend selection is per store via [`StorageConfig`]; the
-//! `HILOG_STORAGE=spill` environment variable flips the process-wide
-//! default so CI can run the entire suite on the spill backend.
+//! Each method `match`es over the two backends once.  Candidates and atoms
+//! are *visited* by callback rather than lent as borrowed iterators,
+//! because a spilled row has no `&Term` to lend — it is decoded on the fly
+//! under the store's lock.  [`FactStore::for_each_atom`] visits in term
+//! order: the in-memory backend sorts on the first ordered read after a
+//! write and caches that order, the spill backend sorts on every ordered
+//! read.  Candidate enumeration never sorts.
 //!
 //! Crossing the residency boundary is counted per store, for its lifetime
 //! ([`RelationStorageStats`]), and per thread ([`crate::ambient`], where a
@@ -48,7 +35,6 @@
 use crate::horn::AtomStore;
 use crate::spill::SpillStore;
 use hilog_core::Term;
-use std::convert::Infallible;
 use std::path::PathBuf;
 
 /// Per-store storage observability: how much of the store is resident
@@ -91,13 +77,14 @@ impl RelationStorageStats {
     }
 }
 
-/// Which backend a [`FactStore`] uses.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Which backend a session's program index keeps its facts on.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub enum StorageConfig {
-    /// Everything in memory ([`AtomStore`]).
+    /// Everything in memory ([`AtomStore`]); the default.
+    #[default]
     InMemory,
     /// Hot relations and all indexes in memory; cold relations' fact
-    /// payloads paged to per-relation segment files.
+    /// payloads paged to the store's own segment file.
     Spill {
         /// Directory for the segment files: each store creates (and on drop
         /// of its last clone removes) one segment file of its own in it, so
@@ -111,58 +98,14 @@ pub enum StorageConfig {
     },
 }
 
-/// Default resident budget when `HILOG_SPILL_BUDGET` is unset.
-pub const DEFAULT_SPILL_BUDGET: usize = 65_536;
-
-impl StorageConfig {
-    /// The spill backend with an automatic temp directory and the
-    /// environment-controlled (or default) residency budget.
-    pub fn spill() -> Self {
-        StorageConfig::Spill {
-            dir: None,
-            resident_budget: env_budget(),
-        }
-    }
-
-    /// Reads the process-wide default from `HILOG_STORAGE` (`spill` selects
-    /// the spill backend, anything else — or unset — the in-memory one) and
-    /// `HILOG_SPILL_BUDGET` (resident fact budget for spill).
-    pub fn from_env() -> Self {
-        match std::env::var("HILOG_STORAGE") {
-            Ok(v) if v.eq_ignore_ascii_case("spill") => StorageConfig::spill(),
-            _ => StorageConfig::InMemory,
-        }
-    }
-}
-
-impl Default for StorageConfig {
-    fn default() -> Self {
-        StorageConfig::from_env()
-    }
-}
-
-fn env_budget() -> usize {
-    std::env::var("HILOG_SPILL_BUDGET")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(DEFAULT_SPILL_BUDGET)
-}
-
-/// A set of ground atoms on one of the two backends — the one store type
-/// the evaluator speaks; see the module docs.
+/// The program index's facts on one of the two backends; see the module
+/// docs.
 #[derive(Debug, Clone)]
 pub enum FactStore {
     /// Everything resident ([`AtomStore`]).
     InMemory(AtomStore),
     /// Cold relations paged to segment files ([`SpillStore`]).
     Spill(SpillStore),
-}
-
-impl Default for FactStore {
-    /// An empty in-memory store, whatever `HILOG_STORAGE` says.
-    fn default() -> Self {
-        FactStore::InMemory(AtomStore::new())
-    }
 }
 
 impl FactStore {
@@ -220,23 +163,10 @@ impl FactStore {
     /// unify/match against each candidate.  Both backends select as
     /// [`AtomStore::candidates`] does: relation narrowing, most selective
     /// argument index, relation scan, arity scan.
-    pub fn for_each_candidate(&self, pattern: &Term, mut visit: impl FnMut(&Term)) {
-        let Ok(()) = self.try_for_each_candidate(pattern, |t| {
-            visit(t);
-            Ok::<(), Infallible>(())
-        });
-    }
-
-    /// [`Self::for_each_candidate`], stopping at the first error `visit`
-    /// returns.
-    pub(crate) fn try_for_each_candidate<E>(
-        &self,
-        pattern: &Term,
-        visit: impl FnMut(&Term) -> Result<(), E>,
-    ) -> Result<(), E> {
+    pub fn for_each_candidate(&self, pattern: &Term, visit: impl FnMut(&Term)) {
         match self {
-            FactStore::InMemory(s) => s.candidates(pattern).try_for_each(visit),
-            FactStore::Spill(s) => s.try_for_each_candidate(pattern, visit),
+            FactStore::InMemory(s) => s.candidates(pattern).for_each(visit),
+            FactStore::Spill(s) => s.for_each_candidate(pattern, visit),
         }
     }
 
@@ -287,7 +217,7 @@ mod tests {
 
     #[test]
     fn in_memory_factstore_mirrors_atomstore() {
-        let mut store = FactStore::new(&StorageConfig::InMemory);
+        let mut store = FactStore::InMemory(AtomStore::new());
         assert!(store.insert(atom("move", &["a", "b"])));
         assert!(!store.insert(atom("move", &["a", "b"])));
         assert!(store.insert(atom("move", &["b", "c"])));
@@ -346,14 +276,7 @@ mod tests {
     }
 
     #[test]
-    fn storage_config_env_default_is_in_memory() {
-        // The suite does not set HILOG_STORAGE (the CI storage job does);
-        // whatever the ambient value, from_env must parse without panicking
-        // and "spill" must map to the spill backend.
-        let _ = StorageConfig::from_env();
-        assert!(matches!(
-            StorageConfig::spill(),
-            StorageConfig::Spill { dir: None, .. }
-        ));
+    fn the_default_backend_is_in_memory() {
+        assert_eq!(StorageConfig::default(), StorageConfig::InMemory);
     }
 }

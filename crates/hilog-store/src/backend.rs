@@ -30,6 +30,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+/// Recovery points (manifests) retained after each new one; older ones and
+/// the files only they name are pruned.  The newest is always kept; 2 keeps
+/// one fallback behind it.
+const KEEP_CHECKPOINTS: usize = 2;
+
 /// Configuration of the durable store [`crate::PersistentWriter::open`] opens.
 #[derive(Debug, Clone)]
 pub struct StoreConfig {
@@ -37,10 +42,6 @@ pub struct StoreConfig {
     pub data_dir: PathBuf,
     /// When WAL appends reach stable storage.
     pub fsync: FsyncPolicy,
-    /// Recovery points (manifests) retained after each new one; older ones
-    /// and the files only they name are pruned.  The newest is always kept;
-    /// 2 keeps one fallback behind it.
-    pub keep_checkpoints: usize,
     /// The filesystem backend every durability operation goes through.
     /// [`RealIo`] in production; a [`crate::io::FaultIo`] in resilience
     /// tests.
@@ -50,12 +51,11 @@ pub struct StoreConfig {
 }
 
 impl StoreConfig {
-    /// Durable defaults: per-batch fsync, two retained checkpoints.
+    /// Durable defaults: per-batch fsync.
     pub fn new(data_dir: impl Into<PathBuf>) -> Self {
         StoreConfig {
             data_dir: data_dir.into(),
             fsync: FsyncPolicy::PerBatch,
-            keep_checkpoints: 2,
             io: Arc::new(RealIo::new()),
             retry: RetryPolicy::default(),
         }
@@ -132,7 +132,6 @@ pub struct Durable {
     retry: RetryPolicy,
     retries: AtomicU64,
     wal: Wal,
-    keep_checkpoints: usize,
     /// The newest manifest written or recovered from: the recovery point
     /// the next incremental checkpoint copies clean entries forward from.
     manifest: Option<Manifest>,
@@ -183,7 +182,6 @@ impl Durable {
                 retry: config.retry,
                 retries: AtomicU64::new(0),
                 wal,
-                keep_checkpoints: config.keep_checkpoints,
                 manifest,
                 last_checkpoint_segments: 0,
                 last_checkpoint_bytes: 0,
@@ -233,7 +231,7 @@ impl Durable {
         self.manifest = Some(manifest);
         self.last_checkpoint_segments = segments_written;
         self.last_checkpoint_bytes = bytes_written;
-        prune_incremental(io, dir, self.keep_checkpoints)?;
+        prune_incremental(io, dir, KEEP_CHECKPOINTS)?;
         // Truncate last: dying before this replays records the manifest
         // already subsumes, which recovery skips by epoch.  Retried because
         // a partial truncation poisons the log against appends until a full

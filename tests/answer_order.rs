@@ -60,8 +60,8 @@ fn cases() -> [Case; 2] {
 fn backends() -> [StorageConfig; 2] {
     [
         StorageConfig::InMemory,
-        // A resident budget far below the tables: answers page out and
-        // fault back between the reads.
+        // A resident budget far below the program: the index's facts page
+        // out and fault back between the reads.
         StorageConfig::Spill {
             dir: None,
             resident_budget: 4,
@@ -69,7 +69,7 @@ fn backends() -> [StorageConfig; 2] {
     ]
 }
 
-/// A session on `storage`, whatever `HILOG_STORAGE` says.
+/// A session on `storage`.
 fn session(program: &Program, storage: &StorageConfig) -> HiLogDb {
     HiLogDb::builder()
         .program(program.clone())

@@ -31,8 +31,8 @@
 //! * both families — the **grounding** itself: the relevant instantiation
 //!   the semi-naive driver emits from its one join pass vs the paper's
 //!   definition (`ground_against` over the finished least model), its
-//!   possibly-true store vs the least model (which the driver also computes
-//!   into a spill store), and a session's *maintained* grounding and model
+//!   possibly-true store vs the least model, and a session's *maintained*
+//!   grounding and model
 //!   after an assert and retract stream vs a fresh session's; every
 //!   grounding's possibly-true atoms are exactly the heads of its rules.
 //!
@@ -43,7 +43,7 @@
 mod common;
 
 use hilog_datalog::DatalogEngine;
-use hilog_repro::engine::{ground_against, least_model_into};
+use hilog_repro::engine::{ground_against, least_model};
 use hilog_repro::prelude::*;
 use hilog_workloads::{
     chain, cycle, generic_closure_program, hilog_game_program, random_dag,
@@ -324,20 +324,17 @@ fn assert_live_atoms_are_the_heads(ground: &GroundProgram, context: &str) {
 }
 
 #[test]
-fn the_fused_grounding_is_the_definitional_one_on_every_backend() {
+fn the_fused_grounding_is_the_definitional_one() {
     // `relevant_ground` takes its instances from the joins that compute the
     // possibly-true store; Section 4's definition joins every rule against
     // the *finished* store.  Same set of ground rules, no instance twice,
-    // and the store the driver leaves behind in the grounding (always
-    // resident) is the least model and the rules' heads.  The same driver,
-    // with nothing to do per match, computes that least model into the
-    // default store and into a spill store that keeps 16 rows resident.
+    // and the store the driver leaves behind in the grounding is the least
+    // model (the same driver with nothing to do per match) and the rules'
+    // heads.
     for seed in seeds(0) {
         for (program, context) in grounding_cases(seed) {
             let opts = EvalOptions::default();
-            let mut model = FactStore::default();
-            least_model_into(&program, NegationMode::Ignore, opts, &mut model)
-                .expect("least model");
+            let model = least_model(&program, NegationMode::Ignore, opts).expect("least model");
             let reference = ground_against(&program, &model, opts).expect("definitional");
             let fused = relevant_ground(&program, opts).expect("fused");
             assert_eq!(
@@ -351,24 +348,10 @@ fn the_fused_grounding_is_the_definitional_one_on_every_backend() {
                 "an instance was emitted twice ({context})"
             );
             assert!(
-                fused
-                    .possibly_true()
-                    .iter()
-                    .eq(model.collect_atoms().iter()),
+                fused.possibly_true().iter().eq(model.iter()),
                 "the grounding's store is not the least model ({context})"
             );
             assert_live_atoms_are_the_heads(&fused, &context);
-            let mut spilled = FactStore::new(&StorageConfig::Spill {
-                dir: None,
-                resident_budget: 16,
-            });
-            least_model_into(&program, NegationMode::Ignore, opts, &mut spilled)
-                .expect("least model into the spill store");
-            assert_eq!(
-                spilled.collect_atoms(),
-                model.collect_atoms(),
-                "the spill store's least model differs ({context})"
-            );
         }
     }
 }

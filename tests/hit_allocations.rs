@@ -3,9 +3,10 @@
 //! A warm open query is answered from its complete subgoal table: each
 //! answer costs its own `bindings` vector and nothing else per answer — no
 //! substitution, no copy of the table.  A counting global allocator pins
-//! the exact count for the 190-answer `?- winning(X).` of the serving
-//! workload (the game `http_point_reads` serves, seed 17), so a change that
-//! puts an allocation per answer back on the path fails here.  The counts
+//! the exact count for the 190-answer `?- winning(X).` and the 2-answer
+//! `?- move(p1, X).` of the serving workload (the game `http_point_reads`
+//! serves, seed 17), so a change that puts an allocation per answer, or per
+//! variable of the key, back on the path fails here.  The counts
 //! are per thread, so whatever else runs in this binary does not disturb
 //! them.
 
@@ -72,8 +73,7 @@ fn served_program() -> Program {
     serving_workload(&config, 17).program
 }
 
-/// A session over the served game, in memory whatever `HILOG_STORAGE` says:
-/// a spilled table is read back through a sorted copy.
+/// A session over the served game, in memory.
 fn session() -> HiLogDb {
     HiLogDb::builder()
         .program(served_program())
@@ -81,12 +81,21 @@ fn session() -> HiLogDb {
         .build()
 }
 
+/// What a warm single-atom query with one variable costs however many
+/// answers it has: the parse-free read path, its table key and the result.
+/// The key's canonical variable is a slice of ones built once: building
+/// `_N0` per query (its name's `String` and a `Vec` of one) made this 13.
+const PER_QUERY: u64 = 11;
+
 /// The allocations of a warm `?- winning(X).` over the served game: one
-/// `bindings` vector for each of its 190 answers, plus the 13 the query
-/// costs however many answers it has (a warm `?- move(p1, X).` costs 15 for
-/// its two).  Before the hit matched into one cleared buffer it was 398: a
+/// `bindings` vector for each of its 190 answers, plus [`PER_QUERY`].
+/// Before the hit matched into one cleared buffer it was 398: a
 /// substitution per answer, and the table copied into a vector first.
-const WARM_OPEN_HIT_ALLOCATIONS: u64 = 190 + 13;
+const WARM_OPEN_HIT_ALLOCATIONS: u64 = 190 + PER_QUERY;
+
+/// The same for the bound `?- move(p1, X).`: its two answers and
+/// [`PER_QUERY`] (15 while the key built its variable).
+const WARM_BOUND_HIT_ALLOCATIONS: u64 = 2 + PER_QUERY;
 
 #[test]
 fn a_warm_open_hit_allocates_one_vector_per_answer() {
@@ -105,4 +114,17 @@ fn a_warm_open_hit_allocates_one_vector_per_answer() {
     db.query(&query).unwrap();
     let (count, _) = allocations(|| db.query(&query).unwrap());
     assert_eq!(count, WARM_OPEN_HIT_ALLOCATIONS, "session");
+}
+
+#[test]
+fn a_warm_bound_hit_allocates_its_answers_and_the_query() {
+    let query = parse_query("?- move(p1, X).").unwrap();
+    let (mut writer, _snapshots) = session().into_serving();
+    let snapshot = writer.publish();
+    let cold = snapshot.query(&query).unwrap();
+    assert_eq!(cold.answers.len(), 2);
+    let (count, warm) = allocations(|| snapshot.query(&query).unwrap());
+    assert_eq!(warm.stats.cached_subqueries, 1, "not a table hit");
+    assert_eq!(warm.answers, cold.answers);
+    assert_eq!(count, WARM_BOUND_HIT_ALLOCATIONS);
 }

@@ -57,6 +57,22 @@ const SHAPES: [&str; 4] = [
 /// single-threaded session at that snapshot's epoch.
 #[test]
 fn concurrent_readers_agree_with_fresh_sessions_at_every_epoch() {
+    readers_agree_with_fresh_sessions(StorageConfig::InMemory);
+}
+
+/// The same oracle with the writer's program index paged to disk through a
+/// 256-fact residency budget: the index the writer maintains in place (or
+/// in its caught-up twin) and every published copy of it fault rows in and
+/// out while the readers race the publishes.
+#[test]
+fn concurrent_readers_agree_with_fresh_sessions_on_the_spill_backend() {
+    readers_agree_with_fresh_sessions(StorageConfig::Spill {
+        dir: None,
+        resident_budget: 256,
+    });
+}
+
+fn readers_agree_with_fresh_sessions(storage: StorageConfig) {
     let readers = env_usize("HILOG_SERVING_READERS", 4);
     let queries_per_reader = env_usize("HILOG_SERVING_QUERIES", 60);
     let workload = serving_workload(
@@ -67,7 +83,11 @@ fn concurrent_readers_agree_with_fresh_sessions_at_every_epoch() {
         0xC0FFEE,
     );
 
-    let (mut writer, handle) = HiLogDb::new(workload.program.clone()).into_serving();
+    let (mut writer, handle) = HiLogDb::builder()
+        .program(workload.program.clone())
+        .storage(storage)
+        .build()
+        .into_serving();
     let writer_done = AtomicBool::new(false);
 
     std::thread::scope(|scope| {
@@ -354,7 +374,7 @@ fn faulting_db(program: &Program) -> HiLogDb {
         .build()
 }
 
-/// The same program with every row resident, whatever `HILOG_STORAGE` says.
+/// The same program with every row resident.
 fn resident_db(program: &Program) -> HiLogDb {
     HiLogDb::builder()
         .program(program.clone())
@@ -370,9 +390,9 @@ fn resident_db(program: &Program) -> HiLogDb {
 #[test]
 fn a_faulting_spill_reader_leaks_no_storage_counts_into_in_memory_queries() {
     let program = serving_workload(&ServingWorkloadConfig::default(), 42).program;
-    let (_spill_writer, spill) = faulting_db(&program).into_serving();
     let (_resident_writer, resident) = resident_db(&program).into_serving();
     let query = parse_query("?- move(X, Y).").unwrap();
+    let bound = parse_query("?- move(p1, Y).").unwrap();
     let faults = AtomicU64::new(0);
     let stop = AtomicBool::new(false);
     // Whatever happens in the scope, the neighbour is told to stop: a panic
@@ -385,11 +405,16 @@ fn a_faulting_spill_reader_leaks_no_storage_counts_into_in_memory_queries() {
     }
     let (leaks, faults_meanwhile) = std::thread::scope(|scope| {
         let _stop = StopOnDrop(&stop);
+        // Tables are resident and a table hit faults nothing, so the
+        // neighbour asks fresh sessions: the open query builds the program
+        // index and pages it out, and the bound one faults its rows back.
         scope.spawn(|| {
-            let snapshot = spill.current();
             while !stop.load(Ordering::SeqCst) {
-                let stats = snapshot.query(&query).expect("spill query").stats;
-                faults.fetch_add(stats.storage_residency_faults, Ordering::SeqCst);
+                let mut db = faulting_db(&program);
+                for query in [&query, &bound] {
+                    let stats = db.query(query).expect("spill query").stats;
+                    faults.fetch_add(stats.storage_residency_faults, Ordering::SeqCst);
+                }
             }
         });
         // Wait for the neighbour to be faulting, not for a while.
@@ -436,11 +461,10 @@ fn two_servers_in_one_process_report_their_own_spill_stats() {
     };
     let (mut paging, paging_shutdown, paging_thread) = serve(faulting_db(&program));
     let (mut quiet, quiet_shutdown, quiet_thread) = serve(resident_db(&program));
-    let body = serde_json::to_string(&QueryBody {
-        query: "?- move(X, Y).",
-    })
-    .unwrap();
-    for _ in 0..3 {
+    // The open query pages the program index out, the bound ones fault
+    // rows of it back in; the repeats are table hits.
+    for query in ["?- move(X, Y).", "?- move(p1, Y).", "?- move(X, Y)."] {
+        let body = serde_json::to_string(&QueryBody { query }).unwrap();
         for connection in [&mut paging, &mut quiet] {
             let response = connection.post("/query", &body).expect("query");
             assert_eq!(response.status, 200, "{}", response.body);
@@ -458,6 +482,33 @@ fn two_servers_in_one_process_report_their_own_spill_stats() {
     quiet_shutdown.shutdown();
     paging_thread.join().expect("paging server exits");
     quiet_thread.join().expect("quiet server exits");
+}
+
+/// Spill pages the program index and nothing else: on a one-row budget,
+/// after a cold open query has filled its tables, every spilled fact is one
+/// of the index's facts, in the one relation the program's facts are in,
+/// and every answer of every table is resident.
+#[test]
+fn a_spill_session_pages_only_its_program_index() {
+    let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+    for i in 0..40 {
+        text.push_str(&format!("move(n{i}, n{}).\n", i + 1));
+    }
+    let (_writer, handle) = faulting_db(&parse_program(&text).unwrap()).into_serving();
+    let snapshot = handle.current();
+    let result = snapshot
+        .query(&parse_query("?- winning(X).").unwrap())
+        .unwrap();
+    assert_eq!(result.answers.len(), 20);
+    assert!(
+        snapshot.cached_subqueries() > 1,
+        "the open query filled tables"
+    );
+    let stats = snapshot.storage_stats();
+    assert_eq!(snapshot.indexed_facts(), 40);
+    assert!(stats.spilled_facts > 0, "the index paged: {stats:?}");
+    assert!(stats.spilled_facts <= snapshot.indexed_facts(), "{stats:?}");
+    assert_eq!(stats.spilled_relations, 1, "only `move` pages: {stats:?}");
 }
 
 /// HTTP round-trip, all of it on **one** kept connection: the server's

@@ -751,7 +751,7 @@ struct PassRoutes {
 /// recursive groups: re-solved whole), a join whose head variable is bound
 /// by its *last* literal, behind a negation, an open aggregate over a written
 /// relation, and the HiLog game asked with the game unbound.
-fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
+fn run_batch_stream(seed: u64, rounds: usize, storage: &StorageConfig) -> PassRoutes {
     let mut rng = StdRng::seed_from_u64(seed ^ 0xBA7C);
     let node = |i: usize| format!("n{i}");
     let hilog_game = "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
@@ -848,7 +848,11 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
     let reads: Vec<_> = (queries.iter().cloned())
         .chain(["?- safe(X).", "?- reach(X, Y)."].map(|q| parse_query(q).unwrap()))
         .collect();
-    let (mut writer, handle) = HiLogDb::new(parse_program(text).unwrap()).into_serving();
+    let (mut writer, handle) = HiLogDb::builder()
+        .program(parse_program(text).unwrap())
+        .storage(storage.clone())
+        .build()
+        .into_serving();
     // Whether each query evaluated without a fallback at the last epoch.
     let mut settled = vec![false; queries.len()];
     let mut pinned: Option<(std::sync::Arc<DbSnapshot>, Vec<BTreeSet<String>>)> = None;
@@ -1021,7 +1025,7 @@ fn run_batch_stream(seed: u64, rounds: usize) -> PassRoutes {
 fn pinned_batch_streams_take_both_routes_of_the_table_pass() {
     let mut by_family = [PassRoutes::default(); 6];
     for seed in 0..48 {
-        let routes = run_batch_stream(seed, 8);
+        let routes = run_batch_stream(seed, 8, &StorageConfig::InMemory);
         let family = &mut by_family[(seed % 6) as usize];
         family.rederived += routes.rederived;
         family.resolved_whole += routes.resolved_whole;
@@ -1052,7 +1056,15 @@ proptest! {
     /// fresh session does, from tables the pass kept warm.
     #[test]
     fn randomized_batch_streams_publish_settled_warm_tables(seed in 0u64..1_000_000) {
-        run_batch_stream(seed, 8);
+        run_batch_stream(seed, 8, &StorageConfig::InMemory);
+    }
+
+    /// The same streams with the writer's program index paged through a
+    /// 256-fact residency budget: the index edits a batch makes, in place
+    /// or replayed into the caught-up twin, go through the paging path.
+    #[test]
+    fn randomized_batch_streams_on_the_spill_backend(seed in 0u64..1_000_000) {
+        run_batch_stream(seed, 8, &StorageConfig::Spill { dir: None, resident_budget: 256 });
     }
 }
 

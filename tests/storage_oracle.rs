@@ -8,7 +8,7 @@
 //! them.
 //!
 //! Seeds are pinned (`SEED_BASE` + case index) so failures reproduce;
-//! `HILOG_STORAGE_ORACLE_CASES` scales the case count up in CI.
+//! `HILOG_SPILL_ORACLE_CASES` scales the case count up in CI.
 
 use hilog_engine::{FactStore, StorageConfig};
 use hilog_repro::prelude::*;
@@ -24,7 +24,7 @@ const SEED_BASE: u64 = 0x5709_4A6E;
 const TINY_BUDGET: usize = 20;
 
 fn cases() -> u64 {
-    std::env::var("HILOG_STORAGE_ORACLE_CASES")
+    std::env::var("HILOG_SPILL_ORACLE_CASES")
         .ok()
         .and_then(|v| v.parse().ok())
         .unwrap_or(40)

@@ -48,7 +48,7 @@ const CASES: [(&str, PlanStrategy); 8] = [
     ("?- label(S, N).", PlanStrategy::MagicSets),
 ];
 
-/// A session over [`program`], in memory whatever `HILOG_STORAGE` says.
+/// A session over [`program`], in memory.
 fn session() -> HiLogDb {
     HiLogDb::builder()
         .program(program())
