@@ -212,20 +212,8 @@ impl DependencyGraph {
     /// component `A` has an edge into component `B`, then `B` appears before
     /// `A` in the result.  (Lower components — the ones other components
     /// depend on — come first.)
-    pub fn sccs(&self) -> Vec<Vec<usize>> {
+    pub fn sccs(&self) -> Components {
         strongly_connected_components(self.nodes.len(), |v| self.edges[v].iter().map(|&(w, _)| w))
-    }
-
-    /// The index of each node's component in `sccs` (as [`Self::sccs`]
-    /// returns them).
-    fn component_of(&self, sccs: &[Vec<usize>]) -> Vec<usize> {
-        let mut component_of = vec![usize::MAX; self.nodes.len()];
-        for (ci, comp) in sccs.iter().enumerate() {
-            for &v in comp {
-                component_of[v] = ci;
-            }
-        }
-        component_of
     }
 
     /// Returns the nodes whose strongly connected components have no outgoing
@@ -234,7 +222,7 @@ impl DependencyGraph {
     /// with no outgoing edge").
     pub fn sink_component_nodes(&self) -> Vec<Term> {
         let sccs = self.sccs();
-        let component_of = self.component_of(&sccs);
+        let component_of = sccs.component_of(self.nodes.len());
         let mut has_outgoing = vec![false; sccs.len()];
         for v in 0..self.nodes.len() {
             for &(w, _) in &self.edges[v] {
@@ -261,7 +249,7 @@ impl DependencyGraph {
     /// edge inside a component is negative.
     fn levels(&self) -> Option<(Vec<usize>, Vec<usize>)> {
         let sccs = self.sccs();
-        let component_of = self.component_of(&sccs);
+        let component_of = sccs.component_of(self.nodes.len());
         let mut level = vec![0usize; sccs.len()];
         for (c, comp) in sccs.iter().enumerate() {
             for &v in comp {
@@ -305,79 +293,177 @@ impl DependencyGraph {
     }
 }
 
-/// Strongly connected components of the directed graph over the vertices
-/// `0..n` whose outgoing edges `successors(v)` enumerates — the workspace's
-/// one Tarjan, shared by [`DependencyGraph::sccs`] and by the well-founded
-/// evaluator's condensation of the ground atom graph.
+/// Strongly connected components, flat: the members of every component in
+/// one vector, each component a range of it, in the order Tarjan emits them
+/// — dependencies first: when a component has an edge into another
+/// component, the other one comes earlier.  Within a component the members
+/// are in the order Tarjan pops them.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Components {
+    members: Vec<usize>,
+    /// Where each component starts in `members`, then `members.len()`.
+    offsets: Vec<usize>,
+}
+
+impl Components {
+    /// Number of components.
+    pub fn len(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Returns `true` if there are no components (the graph had no vertex).
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The components, in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[usize]> + '_ {
+        self.offsets
+            .windows(2)
+            .map(|at| &self.members[at[0]..at[1]])
+    }
+
+    /// The members of every component, component by component, to be
+    /// reordered within each component (`iter` sees the new order).
+    pub fn members_mut(&mut self) -> impl Iterator<Item = &mut [usize]> + '_ {
+        let mut rest = self.members.as_mut_slice();
+        self.offsets.windows(2).map(move |at| {
+            let (component, tail) = std::mem::take(&mut rest).split_at_mut(at[1] - at[0]);
+            rest = tail;
+            component
+        })
+    }
+
+    /// Each vertex's component, by vertex (the graph had `n` vertices).
+    pub fn component_of(&self, n: usize) -> Vec<usize> {
+        let mut component_of = vec![usize::MAX; n];
+        for (c, component) in self.iter().enumerate() {
+            for &v in component {
+                component_of[v] = c;
+            }
+        }
+        component_of
+    }
+
+    fn clear(&mut self) {
+        self.members.clear();
+        self.offsets.clear();
+        self.offsets.push(0);
+    }
+}
+
+/// The workspace's one Tarjan, with its scratch: a caller that condenses a
+/// graph again and again (the session's table pass, once per write) keeps
+/// one and reuses its vectors, so a run allocates nothing once they have
+/// grown to the graph.  [`strongly_connected_components`] is a run on a
+/// fresh one.
 ///
-/// Components are emitted dependencies first: when a component has an edge
-/// into another component, the other one appears earlier in the result.
 /// The traversal is iterative — an explicit stack of (vertex, successor
 /// iterator) frames — because recursion would overflow on the deep chain
 /// programs the evaluator condenses.
-pub fn strongly_connected_components<I>(
-    n: usize,
-    successors: impl Fn(usize) -> I,
-) -> Vec<Vec<usize>>
+#[derive(Debug, Clone, Default)]
+pub struct Tarjan {
+    indices: Vec<usize>,
+    lowlink: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    components: Components,
+}
+
+impl Tarjan {
+    /// The components the last run found.
+    pub fn components(&self) -> &Components {
+        &self.components
+    }
+
+    /// The strongly connected components of the directed graph over the
+    /// vertices `0..n` whose outgoing edges `successors(v)` enumerates, as
+    /// [`Components`] describes them.
+    pub fn run<I>(&mut self, n: usize, successors: impl Fn(usize) -> I) -> &Components
+    where
+        I: Iterator<Item = usize>,
+    {
+        const UNVISITED: usize = usize::MAX;
+        let mut next_index = 0usize;
+        self.indices.clear();
+        self.indices.resize(n, UNVISITED);
+        self.lowlink.clear();
+        self.lowlink.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        self.stack.clear();
+        self.components.clear();
+        let Tarjan {
+            indices,
+            lowlink,
+            on_stack,
+            stack,
+            components,
+        } = self;
+        let mut frames: Vec<(usize, I)> = Vec::new();
+
+        for start in 0..n {
+            if indices[start] != UNVISITED {
+                continue;
+            }
+            let mut enter = Some(start);
+            loop {
+                if let Some(v) = enter.take() {
+                    indices[v] = next_index;
+                    lowlink[v] = next_index;
+                    next_index += 1;
+                    stack.push(v);
+                    on_stack[v] = true;
+                    frames.push((v, successors(v)));
+                }
+                let Some((v, unexplored)) = frames.last_mut() else {
+                    break;
+                };
+                let v = *v;
+                match unexplored.next() {
+                    Some(w) if indices[w] == UNVISITED => enter = Some(w),
+                    Some(w) => {
+                        if on_stack[w] {
+                            lowlink[v] = lowlink[v].min(indices[w]);
+                        }
+                    }
+                    None => {
+                        frames.pop();
+                        if let Some((parent, _)) = frames.last() {
+                            lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
+                        }
+                        if lowlink[v] == indices[v] {
+                            loop {
+                                let w = stack.pop().expect("tarjan stack underflow");
+                                on_stack[w] = false;
+                                components.members.push(w);
+                                if w == v {
+                                    break;
+                                }
+                            }
+                            components.offsets.push(components.members.len());
+                        }
+                    }
+                }
+            }
+        }
+        components
+    }
+}
+
+/// Strongly connected components of the directed graph over the vertices
+/// `0..n` whose outgoing edges `successors(v)` enumerates, dependencies
+/// first — [`Tarjan::run`] on a fresh scratch, for the callers that condense
+/// a graph once: [`DependencyGraph::sccs`], the well-founded evaluator's
+/// condensation of the ground atom graph, and the tabled evaluator's
+/// regions.
+pub fn strongly_connected_components<I>(n: usize, successors: impl Fn(usize) -> I) -> Components
 where
     I: Iterator<Item = usize>,
 {
-    const UNVISITED: usize = usize::MAX;
-    let mut next_index = 0usize;
-    let mut indices = vec![UNVISITED; n];
-    let mut lowlink = vec![0usize; n];
-    let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
-    let mut result: Vec<Vec<usize>> = Vec::new();
-    let mut frames: Vec<(usize, I)> = Vec::new();
-
-    for start in 0..n {
-        if indices[start] != UNVISITED {
-            continue;
-        }
-        let mut enter = Some(start);
-        loop {
-            if let Some(v) = enter.take() {
-                indices[v] = next_index;
-                lowlink[v] = next_index;
-                next_index += 1;
-                stack.push(v);
-                on_stack[v] = true;
-                frames.push((v, successors(v)));
-            }
-            let Some((v, unexplored)) = frames.last_mut() else {
-                break;
-            };
-            let v = *v;
-            match unexplored.next() {
-                Some(w) if indices[w] == UNVISITED => enter = Some(w),
-                Some(w) => {
-                    if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(indices[w]);
-                    }
-                }
-                None => {
-                    frames.pop();
-                    if let Some((parent, _)) = frames.last() {
-                        lowlink[*parent] = lowlink[*parent].min(lowlink[v]);
-                    }
-                    if lowlink[v] == indices[v] {
-                        let mut component = Vec::new();
-                        loop {
-                            let w = stack.pop().expect("tarjan stack underflow");
-                            on_stack[w] = false;
-                            component.push(w);
-                            if w == v {
-                                break;
-                            }
-                        }
-                        result.push(component);
-                    }
-                }
-            }
-        }
-    }
-    result
+    let mut tarjan = Tarjan::default();
+    tarjan.run(n, successors);
+    tarjan.components
 }
 
 /// Definition 6.1: a program is *stratified* if ordinal levels can be
@@ -505,8 +591,8 @@ mod tests {
         let g = DependencyGraph::predicate_graph(p.iter());
         let sccs: Vec<BTreeSet<String>> = g
             .sccs()
-            .into_iter()
-            .map(|c| c.into_iter().map(|v| g.nodes()[v].to_string()).collect())
+            .iter()
+            .map(|c| c.iter().map(|&v| g.nodes()[v].to_string()).collect())
             .collect();
         // The p,q component must come before r (reverse topological order).
         assert_eq!(
@@ -546,7 +632,7 @@ mod tests {
         assert_eq!(shared, graph.sccs(), "same components, same order");
         // Membership: the cycle is one component, everything else a singleton.
         assert_eq!(shared.len(), adjacency.len() - 2);
-        let component_of = graph.component_of(&shared);
+        let component_of = shared.component_of(adjacency.len());
         assert!(component_of[0] == component_of[1] && component_of[1] == component_of[2]);
         // Order: every edge points into the same or an earlier component.
         for (v, successors) in adjacency.iter().enumerate() {
@@ -554,6 +640,24 @@ mod tests {
                 assert!(component_of[w] <= component_of[v], "{w} emitted after {v}");
             }
         }
+    }
+
+    #[test]
+    fn a_reused_tarjan_finds_what_a_fresh_one_does() {
+        // A 2-cycle read by a vertex, then a smaller graph: the second run
+        // sees nothing of the first.
+        let first = [vec![1], vec![0], vec![0]];
+        let second = [vec![], vec![0]];
+        let mut tarjan = Tarjan::default();
+        for graph in [&first[..], &second[..], &first[..]] {
+            let fresh = strongly_connected_components(graph.len(), |v| graph[v].iter().copied());
+            let reused = tarjan.run(graph.len(), |v| graph[v].iter().copied());
+            assert_eq!(reused, &fresh);
+        }
+        let components = tarjan.components();
+        let listed: Vec<&[usize]> = components.iter().collect();
+        assert_eq!(listed, [&[1, 0][..], &[2][..]]);
+        assert_eq!(components.component_of(3), [0, 0, 1]);
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub mod unify;
 pub mod universal;
 
 pub use analysis::{
-    is_locally_stratified_ground, is_stratified, strongly_connected_components, DependencyGraph,
-    EdgeSign,
+    is_locally_stratified_ground, is_stratified, strongly_connected_components, Components,
+    DependencyGraph, EdgeSign, Tarjan,
 };
 pub use builtin::{BuiltinCall, BuiltinOp};
 pub use codec::{crc32, CodecError, PayloadReader, PayloadWriter};

@@ -429,6 +429,18 @@ impl AtomStore {
         self.interner.terms().iter().zip(&self.live)
     }
 
+    /// Checks that `self` holds what `other` holds under the same ids, and
+    /// every relation's rows in the same order: what replaying the edits
+    /// that made `other` from a copy of `self` must reproduce.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_replays(&self, other: &AtomStore) {
+        assert!(self.by_id().eq(other.by_id()), "the answers differ");
+        assert_eq!(self.relations.len(), other.relations.len());
+        for (key, relation) in &self.relations {
+            assert_eq!(relation.rows, other.relations[key].rows, "rows of {key:?}");
+        }
+    }
+
     /// Storage counters: every atom resident.
     pub(crate) fn storage_stats(&self) -> RelationStorageStats {
         RelationStorageStats {

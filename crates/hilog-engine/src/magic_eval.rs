@@ -88,9 +88,9 @@
 use crate::aggregate::solve_aggregate;
 use crate::ambient::{check_deadline, Counters};
 use crate::error::EngineError;
-use crate::horn::{AtomStore, EvalOptions};
+use crate::horn::{AtomStore, EvalOptions, NegationMode};
 use crate::join::{Frame, RulePlan, Step};
-use crate::snapshot::{CatchUp, Log};
+use crate::snapshot::{CatchUp, Log, Twinned};
 use crate::storage::{FactStore, RelationStorageStats, StorageConfig};
 use hilog_core::unify::match_with;
 use hilog_core::{
@@ -292,11 +292,33 @@ pub(crate) struct Table {
     pub(crate) complete: bool,
     /// Direct subgoal edges, by the normalised key of the dependency.
     pub(crate) deps: BTreeMap<Term, Dep>,
+    /// The edits the session's table pass made since the log started
+    /// ([`CatchUp`]): what brings the version this one was made from up to
+    /// this one.
+    log: Log<TableLog>,
+}
+
+/// What a [`Table`] has logged: its edits, under the number [`Spares`]
+/// filed the version they start from with.
+#[derive(Debug, Default)]
+struct TableLog {
+    id: u64,
+    edits: Vec<TableEdit>,
+}
+
+/// One logged edit of a complete [`Table`]: an answer in or out, a reader
+/// off a recorded dependency, an instance's edge to its own table.
+#[derive(Debug, Clone)]
+enum TableEdit {
+    Insert(Term),
+    Remove(Term),
+    Unread { key: Term, reader: Term },
+    ReadOwn(Term),
 }
 
 /// One recorded dependency of a table on a subgoal `A`: Section 6.1's
 /// `dp(H, A)` / `dn(H, A)` for that `A`, *with* the `H`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct Dep {
     /// Strongest polarity `A` was selected under ([`EdgeSign::Negative`]
     /// dominates).
@@ -312,13 +334,112 @@ pub(crate) struct Dep {
 }
 
 impl Table {
-    fn new(pattern: Term) -> Self {
+    pub(crate) fn new(pattern: Term) -> Self {
         Table {
             pattern,
             answers: AtomStore::new(),
             complete: false,
             deps: BTreeMap::new(),
+            log: Log::default(),
         }
+    }
+
+    /// Adds an answer; `true` if it is new.
+    pub(crate) fn insert_answer(&mut self, answer: &Term) -> bool {
+        let new = self.answers.insert(answer.clone());
+        if new {
+            self.log_edit(|| TableEdit::Insert(answer.clone()));
+        }
+        new
+    }
+
+    /// Takes an answer out; `true` if it was there.
+    pub(crate) fn remove_answer(&mut self, answer: &Term) -> bool {
+        let held = self.answers.remove(answer);
+        if held {
+            self.log_edit(|| TableEdit::Remove(answer.clone()));
+        }
+        held
+    }
+
+    /// Takes `reader` off the readers of the dependency on `key`; `true` if
+    /// that was its last, which takes the dependency with it.
+    fn unread(&mut self, key: &Term, reader: &Term) -> bool {
+        self.log_edit(|| TableEdit::Unread {
+            key: key.clone(),
+            reader: reader.clone(),
+        });
+        let dep = self.deps.get_mut(key).expect("a recorded dependency");
+        dep.readers.remove(reader);
+        let last = dep.readers.is_empty();
+        if last {
+            self.deps.remove(key);
+        }
+        last
+    }
+
+    /// Records `instance` as reading its own table; `true` if the table did
+    /// not read that table before.
+    fn read_own(&mut self, instance: &Term) -> bool {
+        self.log_edit(|| TableEdit::ReadOwn(instance.clone()));
+        let mut new = false;
+        let dep = self.deps.entry(instance.clone()).or_insert_with(|| {
+            new = true;
+            Dep {
+                sign: EdgeSign::Positive,
+                readers: BTreeSet::new(),
+            }
+        });
+        dep.readers.insert(instance.clone());
+        new
+    }
+
+    /// Logs an edit while the log runs.  A log longer than the table would
+    /// replay more than a copy costs: it stops, and the next catch-up falls
+    /// back to the copy.
+    fn log_edit(&mut self, edit: impl FnOnce() -> TableEdit) {
+        let Some(log) = &mut self.log.0 else {
+            return;
+        };
+        if log.edits.len() <= self.answers.len() + self.deps.len() {
+            log.edits.push(edit());
+        } else {
+            self.log = Log::default();
+        }
+    }
+
+    /// The number of the running log, if one runs.
+    fn log_id(&self) -> Option<u64> {
+        self.log.0.as_ref().map(|log| log.id)
+    }
+}
+
+impl CatchUp for Table {
+    fn start_log(&mut self) {
+        self.log = Log(Some(TableLog::default()));
+    }
+
+    fn catch_up(&mut self, newer: &Table) -> bool {
+        let Some(TableLog { edits, .. }) = &newer.log.0 else {
+            return false;
+        };
+        self.log = Log::default();
+        for edit in edits {
+            match edit {
+                TableEdit::Insert(answer) => self.insert_answer(answer),
+                TableEdit::Remove(answer) => self.remove_answer(answer),
+                TableEdit::Unread { key, reader } => self.unread(key, reader),
+                TableEdit::ReadOwn(instance) => self.read_own(instance),
+            };
+        }
+        #[cfg(debug_assertions)]
+        {
+            assert_eq!(self.pattern, newer.pattern, "the twin is another table");
+            self.answers.assert_replays(&newer.answers);
+            assert_eq!(self.deps, newer.deps, "the twin's edges lag");
+            assert_eq!(self.complete, newer.complete);
+        }
+        true
     }
 }
 
@@ -439,7 +560,7 @@ impl ProgramIndex {
 
     /// Positions in `rules` of the rules whose head could unify with
     /// `pattern`, in program order.
-    fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
+    pub(crate) fn candidate_rules(&self, pattern: &Term) -> Vec<usize> {
         let functor = pattern.outermost_functor();
         if !functor.is_ground() {
             return (0..self.rules.len()).collect();
@@ -452,6 +573,33 @@ impl ProgramIndex {
         out.extend(self.wildcard.iter().copied());
         out.sort_unstable();
         out
+    }
+
+    /// Whether some rule other than a program fact derives the ground
+    /// `fact` with no atom to read: a builtin-guarded rule such as
+    /// `f :- 1 < 2.`.  Asked once `fact`'s last bodiless copy has left the
+    /// program (the DRed retraction, the table pass), so a program fact
+    /// cannot be the route: only the non-fact rules filed under `fact`'s
+    /// functor and arity are looked at, each joined once — not the program's
+    /// facts, however many there are.
+    pub(crate) fn derives_spontaneously(&self, fact: &Term) -> bool {
+        let empty = AtomStore::new();
+        let routes = (self.candidate_rules(fact).into_iter()).map(|position| &self.rules[position]);
+        routes
+            .filter(|plan| {
+                let rule = &plan.rule;
+                !rule.is_fact()
+                    && rule.positive_atoms().next().is_none()
+                    && rule.negative_atoms().next().is_none()
+            })
+            .any(|plan| {
+                let mut derives = false;
+                let joined = plan.join(&empty, None, NegationMode::Ignore, &mut |m| {
+                    derives |= m.frame.instantiate(&plan.head) == *fact;
+                    Ok(())
+                });
+                joined.is_ok() && derives
+            })
     }
 
     /// Number of distinct ground facts held.
@@ -523,7 +671,12 @@ pub(crate) type TableId = usize;
 /// a snapshot's or an evaluator's base — with the reverse of the edges they
 /// recorded, which the operations that put tables in and take them out
 /// move in the same step.  Tables are `Arc`d so a map shares them with
-/// every copy of it; `Arc::make_mut` copies one only if another map holds it.
+/// every copy of it.  The session's pass edits a table a published map
+/// shares through one door, [`Tables::table_mut`]: like the arena itself
+/// ([`Twinned`]), it takes back the version the table was last made from —
+/// kept in the session's [`Spares`] — and replays the table's logged edits
+/// into it, and copies the table whole only while something else still
+/// holds that version.
 ///
 /// A key has a stable position while the arena holds its table **or** a
 /// table it holds read it (a *dangling* edge: the maintenance pass never
@@ -556,6 +709,52 @@ pub(crate) struct Tables {
     /// what the unit tests hold equal across map sizes.
     #[cfg(test)]
     pub(crate) visited: usize,
+    /// Whole copies of a table [`Tables::table_mut`] made.
+    #[cfg(test)]
+    pub(crate) copies: usize,
+}
+
+/// The versions of tables the writer replaced through [`Tables::table_mut`],
+/// kept to be caught up the next time the same table is edited instead of
+/// copying the version in use: Left-right ([`Twinned`]) one level down.
+/// Each is filed under the table's position and the number of the log the
+/// version that replaced it keeps; an entry is good for as long as the
+/// table at that position still logs under that number, which no other
+/// version of any table does.  The session keeps one, from pass to pass:
+/// the arena it edits alternates between two versions, and what it keeps
+/// here outlives both.
+#[derive(Debug, Default)]
+pub(crate) struct Spares {
+    kept: Vec<(TableId, u64, Arc<Table>)>,
+    logs: u64,
+}
+
+impl Spares {
+    /// Takes the version kept for the position `id`, if it is the one the
+    /// table there (logging under `log`) was made from.
+    fn take(&mut self, id: TableId, log: Option<u64>) -> Option<Arc<Table>> {
+        let at = self.kept.iter().position(|&(v, _, _)| v == id)?;
+        let (_, made_from, version) = self.kept.swap_remove(at);
+        (log == Some(made_from)).then_some(version)
+    }
+
+    /// Keeps `version`, which the table at `id` was just made from, under a
+    /// new log number, and returns the number.
+    fn keep(&mut self, id: TableId, version: Arc<Table>) -> u64 {
+        self.logs += 1;
+        self.kept.push((id, self.logs, version));
+        self.logs
+    }
+
+    /// Lets go of the versions no table is made from any more: replaced,
+    /// dropped, or logging no longer.
+    pub(crate) fn sweep(&mut self, tables: &Tables) {
+        self.kept.retain(|&(id, log, _)| {
+            (tables.slots.get(id)).is_some_and(|slot| {
+                (slot.table.as_ref()).is_some_and(|table| table.log_id() == Some(log))
+            })
+        });
+    }
 }
 
 /// A position in a bucket, beside its pattern's [`first_argument`].
@@ -617,6 +816,11 @@ impl Tables {
         slot.table.as_ref().filter(|_| !slot.aside)
     }
 
+    /// The position `key` holds, if it has a table or a reader.
+    pub(crate) fn position(&self, key: &Term) -> Option<TableId> {
+        self.ids.get(key).copied()
+    }
+
     pub(crate) fn contains_key(&self, key: &Term) -> bool {
         self.get(key).is_some()
     }
@@ -629,10 +833,10 @@ impl Tables {
     }
 
     /// Holds `table` under its pattern: a new table, or another version of
-    /// one held.
-    pub(crate) fn insert(&mut self, table: Arc<Table>) {
+    /// one held.  Returns the version it replaced if that was set aside.
+    pub(crate) fn insert(&mut self, table: Arc<Table>) -> Option<Arc<Table>> {
         let id = self.slot(&table.pattern);
-        self.put_back(id, table);
+        self.put_back(id, table)
     }
 
     /// Inserts each of `fresh` whose pattern holds no table, calling
@@ -651,22 +855,34 @@ impl Tables {
         }
     }
 
-    /// Takes the table at `id` out of view and hands it over; its edges stay
-    /// until [`Self::put_back`] or [`Self::remove`].
-    pub(crate) fn set_aside(&mut self, id: TableId) -> Arc<Table> {
+    /// Takes the table at `id` out of view, edges in place, until
+    /// [`Self::restore`], [`Self::put_back`] or [`Self::remove`].
+    pub(crate) fn set_aside(&mut self, id: TableId) {
         let slot = &mut self.slots[id];
-        assert!(!slot.aside, "set aside twice");
+        assert!(slot.table.is_some() && !slot.aside, "set aside twice");
         slot.aside = true;
         self.len -= 1;
-        Arc::clone(slot.table.as_ref().expect("held"))
     }
 
-    /// The slot `id` shows `table` from now on: the table set aside comes
-    /// back untouched, or a new version replaces the one held (set aside or
-    /// not), re-linked from the old version's edges to its own.
-    pub(crate) fn put_back(&mut self, id: TableId, table: Arc<Table>) {
+    /// Whether the table at `id` is set aside.
+    pub(crate) fn is_aside(&self, id: TableId) -> bool {
+        self.slots[id].aside
+    }
+
+    /// The table set aside at `id` comes back as it was.
+    pub(crate) fn restore(&mut self, id: TableId) {
         let slot = &mut self.slots[id];
-        if slot.table.is_none() || std::mem::take(&mut slot.aside) {
+        assert!(std::mem::take(&mut slot.aside), "not set aside");
+        self.len += 1;
+    }
+
+    /// The slot `id` shows `table` from now on: a new version replaces the
+    /// one held (set aside or not), re-linked from the old version's edges
+    /// to its own.  Returns the version it replaced if that was set aside.
+    pub(crate) fn put_back(&mut self, id: TableId, table: Arc<Table>) -> Option<Arc<Table>> {
+        let slot = &mut self.slots[id];
+        let was_aside = std::mem::take(&mut slot.aside);
+        if slot.table.is_none() || was_aside {
             self.len += 1;
         }
         if slot
@@ -674,34 +890,12 @@ impl Tables {
             .as_ref()
             .is_some_and(|held| Arc::ptr_eq(held, &table))
         {
-            return;
+            return None;
         }
         let old = slot.table.replace(Arc::clone(&table));
         self.edited(id);
-        match old {
-            Some(old) => {
-                // Both versions' edges side by side, in key order: one both
-                // read is not touched at all.
-                let mut new = table.deps.keys().peekable();
-                let mut gone = old.deps.keys().peekable();
-                loop {
-                    let order = match (new.peek(), gone.peek()) {
-                        (None, None) => break,
-                        (Some(_), None) => Ordering::Less,
-                        (None, Some(_)) => Ordering::Greater,
-                        (Some(a), Some(b)) if a == b => Ordering::Equal,
-                        (Some(a), Some(b)) => a.cmp(b),
-                    };
-                    match order {
-                        Ordering::Less => self.link(id, new.next().expect("peeked")),
-                        Ordering::Greater => self.unlink(id, gone.next().expect("peeked")),
-                        Ordering::Equal => {
-                            new.next();
-                            gone.next();
-                        }
-                    }
-                }
-            }
+        match &old {
+            Some(old) => self.relink(id, table.deps.keys(), old.deps.keys()),
             None => {
                 let key = self.slots[id].key.clone();
                 if !self.slots[id].readers.is_empty() {
@@ -710,6 +904,36 @@ impl Tables {
                 self.bucket(&key).push((first_argument(&key), id));
                 for dep in table.deps.keys() {
                     self.link(id, dep);
+                }
+            }
+        }
+        old.filter(|_| was_aside)
+    }
+
+    /// Moves the table at `id`'s edges from the keys it read to the keys it
+    /// reads, each list in key order: both lists side by side, so a key on
+    /// both is not touched at all.
+    fn relink<'a>(
+        &mut self,
+        id: TableId,
+        new: impl Iterator<Item = &'a Term>,
+        gone: impl Iterator<Item = &'a Term>,
+    ) {
+        let (mut new, mut gone) = (new.peekable(), gone.peekable());
+        loop {
+            let order = match (new.peek(), gone.peek()) {
+                (None, None) => break,
+                (Some(_), None) => Ordering::Less,
+                (None, Some(_)) => Ordering::Greater,
+                (Some(a), Some(b)) if a == b => Ordering::Equal,
+                (Some(a), Some(b)) => a.cmp(b),
+            };
+            match order {
+                Ordering::Less => self.link(id, new.next().expect("peeked")),
+                Ordering::Greater => self.unlink(id, gone.next().expect("peeked")),
+                Ordering::Equal => {
+                    new.next();
+                    gone.next();
                 }
             }
         }
@@ -738,11 +962,54 @@ impl Tables {
         self.release(id);
     }
 
-    /// The answers of the table in view at `id`, made the arena's own.
-    pub(crate) fn answers_mut(&mut self, id: TableId) -> &mut AtomStore {
+    /// The table at `id` (in view or set aside), made the arena's own to
+    /// edit: in place if nothing else holds it; otherwise the version the
+    /// last catch-up replaced, caught up, if nothing else holds that; and
+    /// only otherwise a whole copy.  The table logs its edits from then on,
+    /// so that the next catch-up can do the same.  Its answers are edited
+    /// through [`Table::insert_answer`] / [`Table::remove_answer`], its
+    /// edges only through [`Tables::rewire`].
+    pub(crate) fn table_mut(&mut self, id: TableId, spares: &mut Spares) -> &mut Table {
         self.edited(id);
         let table = self.slots[id].table.as_mut().expect("held");
-        &mut Arc::make_mut(table).answers
+        if Arc::get_mut(table).is_none() {
+            let spare = spares.take(id, table.log_id());
+            let (replaced, _copied) = Twinned::take_over(table, spare);
+            let log = spares.keep(id, replaced);
+            (Arc::get_mut(table).expect("just made").log.0)
+                .as_mut()
+                .expect("just started")
+                .id = log;
+            #[cfg(test)]
+            {
+                self.copies += usize::from(_copied);
+            }
+        }
+        let table = self.slots[id].table.as_mut().expect("held");
+        Arc::get_mut(table).expect("held alone")
+    }
+
+    /// Edits the edges of the table at `id` through [`Self::table_mut`]:
+    /// takes each `(key, reader)` of `unread` off the readers of its
+    /// dependency on `key` (the dependency goes with its last reader), then
+    /// records each of `own` as reading its own table.  The arena's reverse
+    /// edges move as [`Self::put_back`] would move them from the old
+    /// version's edges to the new one's.  `unread` comes in key order, `own`
+    /// in term order.
+    pub(crate) fn rewire(
+        &mut self,
+        id: TableId,
+        spares: &mut Spares,
+        unread: &[(Term, Term)],
+        own: &[&Term],
+    ) {
+        let table = self.table_mut(id, spares);
+        let gone: Vec<&Term> = (unread.iter())
+            .filter(|(key, reader)| table.unread(key, reader))
+            .map(|(key, _)| key)
+            .collect();
+        let new: Vec<&Term> = own.iter().copied().filter(|h| table.read_own(h)).collect();
+        self.relink(id, new.into_iter(), gone.into_iter());
     }
 
     /// The key at position `id`.
@@ -937,7 +1204,13 @@ impl Tables {
 
 impl CatchUp for Tables {
     fn start_log(&mut self) {
-        self.log = Log(Some(Edited::default()));
+        // A flag for every position up front: grown an edit at a time, the
+        // flags would be reallocated as often as the order the positions
+        // come in says.
+        self.log = Log(Some(Edited {
+            seen: vec![false; self.slots.len()],
+            ..Edited::default()
+        }));
     }
 
     /// Copies, by position, the slots and buckets `newer` edited, and the
@@ -962,7 +1235,7 @@ impl CatchUp for Tables {
         self.log = Log::default();
         #[cfg(test)]
         {
-            self.visited = newer.visited;
+            (self.visited, self.copies) = (newer.visited, newer.copies);
         }
         #[cfg(debug_assertions)]
         {
@@ -1365,10 +1638,7 @@ impl QueryEvaluator {
             let components = strongly_connected_components(region.len(), |v| {
                 (self.table_at(&region[v]).deps.keys()).filter_map(|dep| position.get(dep).copied())
             });
-            let mut component_of = vec![0; region.len()];
-            for (c, component) in components.iter().enumerate() {
-                component.iter().for_each(|&v| component_of[v] = c);
-            }
+            let component_of = components.component_of(region.len());
             'components: for (c, component) in components.iter().enumerate() {
                 let members: Vec<&Term> = component.iter().map(|&v| &region[v]).collect();
                 loop {
@@ -2261,6 +2531,34 @@ mod tests {
         // A rule the index does not hold is not there to remove.
         index.remove(&program.rules[4], true);
         assert_eq!(index.rules.len(), 3);
+    }
+
+    #[test]
+    fn the_spontaneous_check_reads_the_rules_of_the_facts_functor_not_the_facts() {
+        // `move(a, b)` has a builtin-guarded route of its own; the other
+        // rules are filed under other functors.
+        let index_of = |facts: usize| {
+            let mut text = String::from(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 move(a, b) :- 1 < 2.\n\
+                 s :- 1 < 2.\n",
+            );
+            for i in 0..facts {
+                text.push_str(&format!("move(p{i}, p{}).\n", i + 1));
+            }
+            ProgramIndex::build(&parse_program(&text).unwrap(), &StorageConfig::InMemory)
+        };
+        let (small, large) = (index_of(20), index_of(20_000));
+        assert_eq!(large.fact_count(), 20_000);
+        for fact in ["move(a, b)", "move(p3, p4)"] {
+            let fact = parse_term(fact).unwrap();
+            // What the check walks: the one rule filed under `move/2`.
+            let walked = |index: &ProgramIndex| index.candidate_rules(&fact).len();
+            assert_eq!((walked(&small), walked(&large)), (1, 1), "{fact}");
+            let derives = fact == parse_term("move(a, b)").unwrap();
+            assert_eq!(small.derives_spontaneously(&fact), derives, "{fact}");
+            assert_eq!(large.derives_spontaneously(&fact), derives, "{fact}");
+        }
     }
 
     #[test]

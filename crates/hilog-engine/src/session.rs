@@ -262,6 +262,7 @@ impl HiLogDbBuilder {
             generation: 0,
             fact_copies: None,
             unsettled: Vec::new(),
+            walk: tables::Walk::default(),
             pending_patched: 0,
             pending_dropped: 0,
             pending_refilled: 0,
@@ -310,6 +311,9 @@ pub struct HiLogDb {
     /// holder that queues a whole batch — settles before it publishes or
     /// hands the session out (see `tables::settle_tables`).
     unsettled: Vec<(Term, bool)>,
+    /// The scratch the table pass walks its closure over, kept from pass
+    /// to pass so that a pass allocates nothing per table it reaches.
+    walk: tables::Walk,
     /// Subgoal tables patched in place by mutations since the last query,
     /// one per table per fact (reported through
     /// [`EvalStats::tables_patched`], then reset).

@@ -20,10 +20,9 @@
 use super::HiLogDb;
 use crate::ground::{GroundProgram, GroundRule, IdRule};
 use crate::grounder::ground_from;
-use crate::horn::{AtomStore, NegationMode};
-use crate::join::RulePlan;
+use crate::horn::AtomStore;
 use crate::snapshot::{lock_mut, SnapCore};
-use hilog_core::{DependencyGraph, Program, Term};
+use hilog_core::{DependencyGraph, Term};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -57,8 +56,8 @@ impl HiLogDb {
     /// DRed overdelete/rederive on retract); the cached model is edited in
     /// place when nothing reads the fact's predicate and dropped otherwise.
     pub(super) fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
-        // What `spontaneous_fact` (reached twice from here on a retraction)
-        // relies on to skip the program's facts.
+        // What `ProgramIndex::derives_spontaneously` (reached twice from
+        // here on a retraction) relies on to skip the program's facts.
         debug_assert!(
             asserted
                 || self
@@ -223,7 +222,9 @@ impl HiLogDb {
     /// sweep skip rules headed outside it entirely — a retraction confined
     /// to one component never walks the others' rules.
     fn retract_from_ground(&mut self, fact: &Term, preds: Option<&BTreeSet<Term>>) {
-        let program = &self.snap.program;
+        // The retracted EDB instance only survives if another bodyless route
+        // to the same ground fact exists (e.g. a builtin-guarded rule).
+        let spontaneous = self.snap.program_index().derives_spontaneously(fact);
         let core = lock_mut(&mut self.snap.core);
         let GroundProgram { atoms, id_rules } =
             Arc::make_mut(core.ground.as_mut().expect("checked by caller"));
@@ -266,9 +267,6 @@ impl HiLogDb {
         for atom in &overdeleted {
             atoms.remove(atom);
         }
-        // The retracted EDB instance only survives if another bodyless route
-        // to the same ground fact exists (e.g. a builtin-guarded rule).
-        let spontaneous = spontaneous_fact(program, fact);
         // Rederive: a deleted atom returns as soon as one of its cached
         // instantiations is fully supported by surviving atoms.  Only rules
         // whose head was overdeleted can rederive anything; seed with those,
@@ -310,33 +308,6 @@ impl HiLogDb {
         self.analysis
             .get_or_insert_with(|| DependencyGraph::predicate_graph(program.iter()))
     }
-}
-
-/// Returns `true` if some rule other than a program fact still produces the
-/// just-retracted `fact` as a bodiless ground instance: a builtin-guarded
-/// rule like `f :- 1 < 2.`.  Used by the DRed retraction path and the table
-/// maintenance to decide whether the ground fact survives the removal of its
-/// last program-fact occurrence.
-///
-/// Bodiless rules are skipped before any join: such a rule derives exactly
-/// its head, and both callers run only once `retract_fact` has found (by
-/// the fact multiset) that no bodiless rule headed `fact` remains — so the
-/// cost is a glance at each fact plus a join per builtin-only rule, not a
-/// join per stored fact.
-pub(super) fn spontaneous_fact(program: &Program, fact: &Term) -> bool {
-    let empty = AtomStore::new();
-    program.proper_rules().any(|rule| {
-        if rule.positive_atoms().count() > 0 || rule.negative_atoms().count() > 0 {
-            return false;
-        }
-        let plan = RulePlan::compile(rule);
-        let mut derives = false;
-        let joined = plan.join(&empty, None, NegationMode::Ignore, &mut |m| {
-            derives |= m.frame.instantiate(&plan.head) == *fact;
-            Ok(())
-        });
-        joined.is_ok() && derives
-    })
 }
 
 #[cfg(test)]

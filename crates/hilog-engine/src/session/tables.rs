@@ -34,9 +34,10 @@
 //! table in or takes one out — a query merging what it completed, the
 //! writer adopting what readers completed, the pass, the drop of a rule
 //! head's closure — goes through its `insert` / `remove`, which move the
-//! edges in the same step.  The pass *sets aside* the tables of its closure:
-//! out of view of every evaluation, edges in place, so a table put back as
-//! it was costs the arena nothing — nor the writer's twin of the arena,
+//! edges in the same step.  The pass *sets aside* the tables of its closure
+//! by a flag on their slots: out of view of every evaluation, edges in
+//! place, table where it was, so a table that comes back as it was costs
+//! the arena nothing but the flag — nor the writer's twin of the arena,
 //! which is caught up by the slots an edit changed (`Twinned` in
 //! `snapshot.rs`).
 //!
@@ -49,9 +50,27 @@
 //! its tables consists of transitive readers of that table, so every
 //! strongly connected component that meets the closure lies inside it, and
 //! an edge leaving the closure leads to a table the batch cannot have
-//! changed, which orders nothing.  Wherever debug assertions run, every
+//! changed, which orders nothing.  The walk numbers the closure, lists its
+//! edges and runs Tarjan in scratch the session keeps from pass to pass
+//! ([`Walk`]), indexed by arena position and by number, so a pass allocates
+//! nothing per table it reaches.  Wherever debug assertions run, every
 //! publish compares the arena with one rebuilt from its own tables
 //! (`DbSnapshot::fork`).
+//!
+//! # Editing a table a snapshot shares
+//!
+//! The published snapshot shares every table with the writer, so the tables
+//! the pass edits in place — a fact table it patches, an open table it
+//! re-derives per instance — cannot be edited where they are.  They go
+//! through one door, `Tables::table_mut`, which does for one table what
+//! `Twinned` does for the arena: the version the table was last made from
+//! is kept ([`Spares`]), each edit is logged on the table, and the next
+//! edit of the same table takes that version back and replays the log into
+//! it instead of copying the version in use.  Only while a reader still
+//! pins that version is the table copied whole.  A table put back as it
+//! was is not edited at all.  Wherever debug assertions run, every table so
+//! caught up is compared with the version it caught up to, answer by answer
+//! and edge by edge.
 //!
 //! # Re-deriving a non-ground table per head instance
 //!
@@ -77,7 +96,7 @@
 //! and the table is re-derived at those alone: each `h ∈ H` is settled as a
 //! bound sub-query by the evaluator the pass uses anyway (normally a table
 //! that is warm, or that the pass has just re-solved), the answers under `h`
-//! in a copy-on-write copy of the table are replaced by that sub-query's
+//! are replaced in place, through the door above, by that sub-query's
 //! answers, and the readers under `h` by one edge to the table of `h` — so
 //! that the next change to the instance arrives as a difference of that
 //! table.  The table counts as changed only by its own difference.
@@ -106,20 +125,17 @@
 //! the instances inside `H` the invariant is re-established by the edge to
 //! their own, freshly settled table.
 
-use super::maintain::spontaneous_fact;
 use super::HiLogDb;
 use crate::horn::AtomStore;
 use crate::magic_eval::{
-    normalize_pattern, Dep, ProgramIndex, QueryEvaluator, Table, TableId, Tables,
+    normalize_pattern, ProgramIndex, QueryEvaluator, Spares, Table, TableId, Tables,
 };
 use crate::snapshot::lock_mut;
 use hilog_core::unify::{match_with, unify_with};
-use hilog_core::{strongly_connected_components, EdgeSign, Substitution, Term, TermSet};
+use hilog_core::{Substitution, Tarjan, Term, TermSet};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// The walks a maintenance pass makes over the arena: each reads the edges
-/// of the tables it reaches and nothing about the rest.
 impl Tables {
     /// Calls `hit` with the position of every table held whose pattern could
     /// cover an instance of `probe` (renamed apart by the caller): looked
@@ -137,11 +153,47 @@ impl Tables {
             }
         }
     }
+}
 
-    /// The positions of every table whose answers could change when the
-    /// answers of the tables at `seeds` (distinct positions) do: the seeds,
-    /// in the order given, then their reverse closure under the recorded
-    /// edges, breadth first.
+/// The part of the recorded graph one pass walks, over scratch the session
+/// keeps from pass to pass: indexed by arena position or by number in the
+/// closure, grown to the largest closure and map it has met, so that a pass
+/// allocates nothing per table it reaches.  The closure is the reverse
+/// closure of what a batch touched, its tables numbered from 0 — the seeds
+/// first — and its edges are the ones among them as they stood when the
+/// pass began (the arena itself moves on as the pass re-solves).  An edge
+/// out of the closure leads to a table the pass leaves alone, which holds
+/// nothing up, unless the map does not hold it: `dangling`.
+#[derive(Debug, Default)]
+pub(super) struct Walk {
+    /// Per arena position, its number in the closure: `usize::MAX` outside
+    /// it, and everywhere between passes.
+    number: Vec<usize>,
+    /// The closure's positions, by number.
+    members: Vec<TableId>,
+    /// The members each member read, by number: `reads[reads_at[v]..
+    /// reads_at[v + 1]]`, in the order of their numbers.
+    reads_at: Vec<usize>,
+    reads: Vec<usize>,
+    /// Members that read a table the map does not hold.
+    dangling: Vec<bool>,
+    /// The strongly connected components of the edges, dependencies before
+    /// readers, mutually recursive tables as one group.
+    tarjan: Tarjan,
+    /// What the pass has established about each member.
+    changes: Vec<Change>,
+    /// The versions of members set aside that a re-solve replaced before
+    /// their turn came, by position.
+    displaced: Vec<(TableId, Arc<Table>)>,
+    /// The versions the pass's edits replaced, for the next edit of the
+    /// same table to catch up: not scratch, the one thing kept here that a
+    /// pass leaves for the next.
+    spares: Spares,
+}
+
+impl Walk {
+    /// Numbers the positions at `seeds` (distinct), in the order given, then
+    /// their reverse closure under the recorded edges, breadth first.
     ///
     /// This is *instance-level* where the session's predicate dependency
     /// graph is predicate-level: a mutation to one game of a HiLog win/move database
@@ -152,71 +204,90 @@ impl Tables {
     /// refilling the kept table would never read a changed atom — and any
     /// *newly selectable* subgoal requires some consulted table to gain
     /// answers first, which puts it inside the closure.
-    fn reverse_closure(&mut self, seeds: &[TableId]) -> Vec<TableId> {
-        let mut members = seeds.to_vec();
-        let mut seen = vec![false; self.span()];
-        for &v in seeds {
-            seen[v] = true;
+    fn close(&mut self, tables: &mut Tables, seeds: impl IntoIterator<Item = TableId>) {
+        if self.number.len() < tables.span() {
+            self.number.resize(tables.span(), usize::MAX);
+        }
+        self.members.clear();
+        for v in seeds {
+            self.number[v] = self.members.len();
+            self.members.push(v);
         }
         let mut next = 0;
-        while let Some(&v) = members.get(next) {
+        while let Some(&v) = self.members.get(next) {
             next += 1;
-            for &reader in self.readers(v) {
-                if !std::mem::replace(&mut seen[reader], true) {
-                    members.push(reader);
+            for &reader in tables.readers(v) {
+                if self.number[reader] == usize::MAX {
+                    self.number[reader] = self.members.len();
+                    self.members.push(reader);
                 }
             }
         }
         #[cfg(test)]
         {
-            self.visited += members.len();
+            tables.visited += self.members.len();
         }
-        members
     }
 
-    /// The recorded edges among `members` — a set closed under readers, so
+    /// The recorded edges among the members — a set closed under readers, so
     /// every cycle through a member lies inside it and its strongly connected
-    /// components are the whole graph's — numbered by their place in
-    /// `members`: the members' readers lists read backwards, so no key is
-    /// looked up.  (This scratch, like `reverse_closure`'s, spans every
-    /// position: a fill of one word each, cheaper than hashing the few
-    /// hundred a pass reaches.)
-    fn subgraph(&self, members: &[TableId]) -> Closure {
-        let mut number = vec![usize::MAX; self.span()];
-        for (n, &v) in members.iter().enumerate() {
-            number[v] = n;
-        }
-        let mut reads = vec![Vec::new(); members.len()];
-        for (w, &dep) in members.iter().enumerate() {
-            for &reader in self.readers(dep) {
-                reads[number[reader]].push(w);
+    /// components are the whole graph's — read off the members' readers
+    /// lists backwards, so no key is looked up; then their components.
+    fn order(&mut self, tables: &Tables) {
+        let n = self.members.len();
+        self.reads_at.clear();
+        self.reads_at.resize(n + 1, 0);
+        for &dep in &self.members {
+            for &reader in tables.readers(dep) {
+                self.reads_at[self.number[reader] + 1] += 1;
             }
         }
-        let groups = strongly_connected_components(members.len(), |v| reads[v].iter().copied());
-        Closure {
-            keys: members.iter().map(|&v| self.key(v).clone()).collect(),
-            reads,
-            dangling: members.iter().map(|&v| self.reads_absent(v)).collect(),
-            groups,
+        for v in 0..n {
+            self.reads_at[v + 1] += self.reads_at[v];
         }
+        // Filled through the starts, which end up one member along.
+        self.reads.clear();
+        self.reads.resize(self.reads_at[n], 0);
+        for (w, &dep) in self.members.iter().enumerate() {
+            for &reader in tables.readers(dep) {
+                let at = &mut self.reads_at[self.number[reader]];
+                self.reads[*at] = w;
+                *at += 1;
+            }
+        }
+        self.reads_at.rotate_right(1);
+        self.reads_at[0] = 0;
+        self.dangling.clear();
+        (self.dangling).extend(self.members.iter().map(|&v| tables.reads_absent(v)));
+        let Walk {
+            reads_at,
+            reads,
+            tarjan,
+            ..
+        } = self;
+        tarjan.run(n, |v| reads[reads_at[v]..reads_at[v + 1]].iter().copied());
     }
-}
 
-/// The part of the recorded graph one pass walks: the reverse closure of
-/// what a batch touched, its tables numbered from 0 — the seeds first — and
-/// the edges among them as they stood when the pass began (the arena itself
-/// moves on as the pass re-solves).  An edge out of the closure leads to a
-/// table the pass leaves alone, which holds nothing up, unless the map does
-/// not hold it: `dangling`.
-struct Closure {
-    keys: Vec<Term>,
-    /// The tables of the closure each table read.
-    reads: Vec<Vec<usize>>,
-    /// Tables that read a table the map does not hold.
-    dangling: Vec<bool>,
-    /// The strongly connected components of the edges, dependencies before
-    /// readers, mutually recursive tables as one group.
-    groups: Vec<Vec<usize>>,
+    /// The members member `v` read.
+    fn reads(&self, v: usize) -> &[usize] {
+        &self.reads[self.reads_at[v]..self.reads_at[v + 1]]
+    }
+
+    /// Takes back the version of the table at `id` a re-solve displaced.
+    fn take_displaced(&mut self, id: TableId) -> Option<Arc<Table>> {
+        let at = self.displaced.iter().position(|&(v, _)| v == id)?;
+        Some(self.displaced.swap_remove(at).1)
+    }
+
+    /// Leaves the scratch numbered nowhere, holding no difference.
+    fn reset(&mut self) {
+        for &v in &self.members {
+            self.number[v] = usize::MAX;
+        }
+        self.members.clear();
+        self.changes.clear();
+        debug_assert!(self.displaced.is_empty(), "a displaced version was lost");
+    }
 }
 
 /// Whether `pattern` (a table's normalised pattern) could cover an instance
@@ -312,8 +383,8 @@ impl From<Difference> for Change {
     }
 }
 
-/// The head instances of the non-ground table `old` (number `v` in the pass's
-/// closure) that the changes below it can bear on: the changed facts its own pattern
+/// The head instances of the non-ground table `old` (member `v` of `walk`)
+/// that the changes below it can bear on: the changed facts its own pattern
 /// covers (`direct`), and for every changed dependency `w`, answer `δ` of
 /// its difference and recorded reader `h`, the instance `θ′(h)` with `θ′`
 /// the match of `w`'s key against `δ` — normalised, each once.  `None` when
@@ -324,12 +395,12 @@ impl From<Difference> for Change {
 /// full re-solve would replay.
 fn affected_instances<'a>(
     old: &Table,
-    graph: &Closure,
+    tables: &Tables,
+    walk: &Walk,
     v: usize,
     direct: impl Iterator<Item = &'a Term>,
-    changes: &[Change],
 ) -> Option<BTreeSet<Term>> {
-    if graph.dangling[v] {
+    if walk.dangling[v] {
         return None;
     }
     let replayed: usize = old.deps.values().map(|dep| dep.readers.len()).sum();
@@ -346,13 +417,13 @@ fn affected_instances<'a>(
             return None;
         }
     }
-    for &w in &graph.reads[v] {
-        let difference = match &changes[w] {
+    for &w in walk.reads(v) {
+        let difference = match &walk.changes[w] {
             Change::None => continue,
             Change::Known(difference) => difference,
             Change::Unknown => return None,
         };
-        let key = &graph.keys[w];
+        let key = tables.key(walk.members[w]);
         let readers = &old.deps[key].readers;
         for delta in difference.added.iter().chain(&difference.removed) {
             let mut theta = Substitution::new();
@@ -366,21 +437,23 @@ fn affected_instances<'a>(
     Some(instances)
 }
 
-/// `old` with the answers and the readers under each of `instances`
-/// replaced by what the instance's own table — settled, in `tables` — says:
-/// its answers, and one edge to it, so that the next change to the instance
-/// arrives as a difference of that table.  Returns the table (the same
-/// `Arc` when no answer and no edge moved, otherwise a copy if anything
-/// else still holds it) and how its answers moved.
+/// Replaces the answers and the readers of the table at `id` under each of
+/// `instances` by what the instance's own table — settled, in `tables` —
+/// says: its answers, and one edge to it, so that the next change to the
+/// instance arrives as a difference of that table.  The table is edited
+/// through the arena's door ([`Tables::table_mut`]) and only if an answer
+/// or an edge moves; returns how its answers moved.
 fn graft(
-    mut table: Arc<Table>,
+    tables: &mut Tables,
+    spares: &mut Spares,
+    id: TableId,
     instances: &BTreeSet<Term>,
-    tables: &Tables,
-) -> (Arc<Table>, Difference) {
+) -> Difference {
     let mut difference = Difference::default();
     for instance in instances {
-        let settled = &tables.get(instance).expect("settled").answers;
         let (mut stale, mut fresh) = (Vec::new(), Vec::new());
+        let table = tables.held(id).expect("set aside");
+        let settled = &tables.get(instance).expect("settled").answers;
         for answer in table.answers.candidates(instance) {
             if subsumes(instance, answer) && !settled.contains(answer) {
                 stale.push(answer.clone());
@@ -396,12 +469,12 @@ fn graft(
         }
         // One instance may cover another; both read the same new state, so
         // the second finds nothing left to do and no answer is noted twice.
-        let answers = &mut Arc::make_mut(&mut table).answers;
+        let table = tables.table_mut(id, spares);
         for answer in &stale {
-            answers.remove(answer);
+            table.remove_answer(answer);
         }
         for answer in &fresh {
-            answers.insert(answer.clone());
+            table.insert_answer(answer);
         }
         difference.removed.append(&mut stale);
         difference.added.append(&mut fresh);
@@ -410,6 +483,7 @@ fn graft(
     // read is its own table's business from here on: every edge on its
     // behalf goes, but the one to that table.  Every recorded reader is
     // looked up: by hash, not by walking the ordered set.
+    let table = tables.held(id).expect("set aside");
     let members: TermSet<&Term> = instances.iter().collect();
     let open: Vec<&Term> = instances.iter().filter(|h| !h.is_ground()).collect();
     let under = |reader: &Term| {
@@ -427,25 +501,10 @@ fn graft(
     let missing: Vec<&Term> = (instances.iter())
         .filter(|&h| !(table.deps.get(h)).is_some_and(|dep| dep.readers.contains(h)))
         .collect();
-    if outdated.is_empty() && missing.is_empty() {
-        return (table, difference);
+    if !(outdated.is_empty() && missing.is_empty()) {
+        tables.rewire(id, spares, &outdated, &missing);
     }
-    let deps = &mut Arc::make_mut(&mut table).deps;
-    for (key, reader) in outdated {
-        let dep = deps.get_mut(&key).expect("just read");
-        dep.readers.remove(&reader);
-        if dep.readers.is_empty() {
-            deps.remove(&key);
-        }
-    }
-    for instance in missing {
-        let dep = deps.entry(instance.clone()).or_insert_with(|| Dep {
-            sign: EdgeSign::Positive,
-            readers: BTreeSet::new(),
-        });
-        dep.readers.insert(instance.clone());
-    }
-    (table, difference)
+    difference
 }
 
 /// Whether `instance` is an instance of `general` — one-way matching, the
@@ -468,17 +527,17 @@ impl HiLogDb {
     /// 2. The reverse closure of the tables that moved, and of the touched
     ///    rule-derived ones, is where the pass looks: read off the reverse
     ///    edges the map keeps, so finding it costs the closure and not the
-    ///    map.  Every rule-derived table in it is **set aside first**, so
-    ///    that no evaluation below can read it: a batch can make one
-    ///    affected table select another that the old graph never ordered
-    ///    before it (assert `move(a, b)` and `move(b, c)` together:
+    ///    map.  Every rule-derived table in it is **set aside first** (a flag
+    ///    on its slot), so that no evaluation below can read it: a batch can
+    ///    make one affected table select another that the old graph never
+    ///    ordered before it (assert `move(a, b)` and `move(b, c)` together:
     ///    `winning(a)` now reads `winning(b)`), and it must find that table
     ///    settled or absent, never stale.
     /// 3. The tables set aside are walked in dependency order — the strongly
     ///    connected components of the recorded edges, dependencies before
     ///    readers, mutually recursive tables as one group.  A group that is
     ///    not directly touched and whose every dependency is back in the map
-    ///    with the answers it had gets the same `Arc`s back: by induction on
+    ///    with the answers it had comes back as it was: by induction on
     ///    the order its replay would select the same subgoals and derive the
     ///    same answers (Figure 1's argument, on the instance graph).  A
     ///    group that is one non-ground table reading no table of its own
@@ -507,18 +566,22 @@ impl HiLogDb {
         // the snapshot before it shared, caught up from the last batch, and
         // copies the map only while a reader pins that twin.
         let mut tables = std::mem::take(lock_mut(&mut self.snap.tables).make_mut());
-        self.settle_under(&deltas, &mut tables);
+        let mut walk = std::mem::take(&mut self.walk);
+        self.settle_under(&deltas, &mut tables, &mut walk);
+        walk.reset();
+        walk.spares.sweep(&tables);
+        self.walk = walk;
         *lock_mut(&mut self.snap.tables).make_mut() = tables;
     }
 
-    fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables) {
+    fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables, walk: &mut Walk) {
         let probes: Vec<Term> = deltas.iter().map(|(fact, _)| rename_apart(fact)).collect();
         // A retracted ground instance survives in a table if some other
         // bodiless route still derives it (a builtin-guarded twin) — the
         // same check the DRed path applies to the ground program; asked
         // once per retraction, and only if a table holds the fact.
         let mut spontaneous: Vec<Option<bool>> = vec![None; deltas.len()];
-        let program = &self.snap.program;
+        let mut index = None;
         // (table, change) for every table whose pattern covers a changed
         // fact: a table's hits together, in the order the changes were made.
         let mut hits: Vec<(TableId, usize)> = Vec::new();
@@ -536,15 +599,17 @@ impl HiLogDb {
                 direct.push(v);
                 continue;
             }
-            let answers = tables.answers_mut(v);
             let mut difference = Difference::default();
             for &(_, i) in hits {
                 let (fact, asserted) = &deltas[i];
+                let held = tables.held(v).expect("covering").answers.contains(fact);
                 let edited = if *asserted {
-                    answers.insert(fact.clone())
+                    !held && tables.table_mut(v, &mut walk.spares).insert_answer(fact)
                 } else {
-                    !*spontaneous[i].get_or_insert_with(|| spontaneous_fact(program, fact))
-                        && answers.remove(fact)
+                    held && !*spontaneous[i].get_or_insert_with(|| {
+                        (index.get_or_insert_with(|| self.snap.program_index()))
+                            .derives_spontaneously(fact)
+                    }) && tables.table_mut(v, &mut walk.spares).remove_answer(fact)
                 };
                 if edited {
                     difference.note(fact, *asserted);
@@ -563,93 +628,104 @@ impl HiLogDb {
         // `changes` says what a reader cannot stand on: so far the patched
         // tables that moved, which stay in the map; every other table in
         // the closure is set aside.
-        let seeds: Vec<TableId> = (direct.iter().copied())
-            .chain(moved.iter().map(|(v, _)| *v))
-            .collect();
-        let members = tables.reverse_closure(&seeds);
-        let closure = tables.subgraph(&members);
-        let touched = direct.len();
+        let seeds = (direct.iter().copied()).chain(moved.iter().map(|(v, _)| *v));
+        walk.close(tables, seeds);
+        walk.order(tables);
+        let (touched, patched) = (direct.len(), direct.len() + moved.len());
         let direct = |v: usize| v < touched;
-        let mut changes: Vec<Change> = members.iter().map(|_| Change::None).collect();
-        for (change, (_, difference)) in changes[touched..].iter_mut().zip(moved) {
+        let standing = |v: usize| !(touched..patched).contains(&v);
+        walk.changes.clear();
+        (walk.changes).resize_with(walk.members.len(), || Change::None);
+        for (change, (_, difference)) in walk.changes[touched..].iter_mut().zip(moved) {
             *change = Change::Known(difference);
         }
-        let mut aside: Vec<Option<Arc<Table>>> = (members.iter().zip(&changes))
-            .map(|(&id, change)| match change {
-                Change::None => Some(tables.set_aside(id)),
-                _ => None,
-            })
-            .collect();
-        let mut index = None;
-        for group in &closure.groups {
+        for (v, &id) in walk.members.iter().enumerate() {
+            if standing(v) {
+                tables.set_aside(id);
+            }
+        }
+        let groups = std::mem::take(&mut walk.tarjan);
+        for group in groups.components().iter() {
             // A group is set aside as a whole or not at all.
-            if aside[group[0]].is_none() {
+            if !standing(group[0]) {
                 continue;
             }
             // No member of this group is flagged yet, so an edge inside it
             // holds nothing up; every other dependency has had its turn.
             let stands = group.iter().all(|&v| {
                 !direct(v)
-                    && !closure.dangling[v]
-                    && (closure.reads[v].iter()).all(|&w| matches!(changes[w], Change::None))
+                    && !walk.dangling[v]
+                    && (walk.reads(v).iter()).all(|&w| matches!(walk.changes[w], Change::None))
             });
             if stands {
                 for &v in group {
                     // A re-solve below may have completed the table on its
                     // way; the version that stood all along takes its place.
-                    tables.put_back(members[v], aside[v].take().expect("set aside"));
+                    let id = walk.members[v];
+                    match walk.take_displaced(id) {
+                        Some(stood) => {
+                            tables.put_back(id, stood);
+                        }
+                        None => tables.restore(id),
+                    }
                 }
                 continue;
             }
-            let rederivable = match group[..] {
-                [v] if !closure.keys[v].is_ground() && !closure.reads[v].contains(&v) => {
+            let rederivable = match group {
+                &[v] if !tables.key(walk.members[v]).is_ground() && !walk.reads(v).contains(&v) => {
+                    let id = walk.members[v];
+                    let key = tables.key(id);
                     let covered = (deltas.iter().zip(&probes))
-                        .filter(|(_, probe)| direct(v) && overlaps(&closure.keys[v], probe))
+                        .filter(|(_, probe)| direct(v) && overlaps(key, probe))
                         .map(|((fact, _), _)| fact);
-                    let old = aside[v].as_ref().expect("set aside");
-                    affected_instances(old, &closure, v, covered, &changes).map(|h| (v, h))
+                    let displaced = walk.displaced.iter().find(|&&(w, _)| w == id);
+                    let old =
+                        displaced.map_or_else(|| tables.held(id).expect("held"), |(_, old)| old);
+                    affected_instances(old, tables, walk, v, covered).map(|h| (v, h))
                 }
                 _ => None,
             };
             if let Some((v, instances)) = rederivable {
-                let key = &closure.keys[v];
+                let id = walk.members[v];
+                let key = tables.key(id).clone();
                 // Each instance is a bound sub-query: normally a table that
                 // is warm, or that this pass has just re-solved.  One that
                 // completes the table itself on its way ends the matter:
                 // that version stands, and is accounted for below.
                 let settled = instances.iter().all(|instance| {
                     self.pending_rederived += 1;
-                    self.resolve(&mut index, tables, instance) && !tables.contains_key(key)
+                    self.resolve(&mut index, tables, instance, &mut walk.displaced)
+                        && !tables.contains_key(&key)
                 });
                 if settled {
-                    let old = aside[v].take().expect("set aside");
-                    let (table, difference) = graft(old, &instances, tables);
-                    tables.put_back(members[v], table);
+                    let difference = graft(tables, &mut walk.spares, id, &instances);
+                    tables.restore(id);
                     self.pending_refilled += 1;
-                    changes[v] = difference.into();
+                    walk.changes[v] = difference.into();
                     continue;
                 }
             } else {
                 for &v in group {
-                    // A failure shows as the table's absence below.
-                    self.resolve(&mut index, tables, &closure.keys[v]);
+                    // A failure shows as the table still set aside below.
+                    let key = tables.key(walk.members[v]).clone();
+                    self.resolve(&mut index, tables, &key, &mut walk.displaced);
                 }
             }
             for &v in group {
-                let old = aside[v].take().expect("set aside");
-                changes[v] = match tables.get(&closure.keys[v]) {
-                    Some(new) => {
-                        self.pending_refilled += 1;
-                        Difference::between(&new.answers, &old.answers).into()
-                    }
-                    None => {
-                        tables.remove(members[v]);
-                        self.pending_dropped += 1;
-                        Change::Unknown
-                    }
+                let id = walk.members[v];
+                walk.changes[v] = if tables.is_aside(id) {
+                    tables.remove(id);
+                    self.pending_dropped += 1;
+                    Change::Unknown
+                } else {
+                    let old = walk.take_displaced(id).expect("set aside, then re-solved");
+                    self.pending_refilled += 1;
+                    let new = tables.held(id).expect("re-solved");
+                    Difference::between(&new.answers, &old.answers).into()
                 };
             }
         }
+        walk.tarjan = groups;
     }
 
     /// Completes the table for `pattern` (a key) in `tables` — a look when
@@ -657,13 +733,14 @@ impl HiLogDb {
     /// one evaluator over the whole map, moved into an `Arc` base and taken
     /// back out of it once the evaluator is gone; every table the evaluation
     /// completed enters the map (a re-solved one trading its old edges for
-    /// its new).  `false` if the evaluation failed, which leaves the table
-    /// absent.
+    /// its new, and leaving the version set aside in `displaced`).  `false`
+    /// if the evaluation failed, which leaves the table absent or set aside.
     fn resolve(
         &self,
         index: &mut Option<Arc<ProgramIndex>>,
         tables: &mut Tables,
         pattern: &Term,
+        displaced: &mut Vec<(TableId, Arc<Table>)>,
     ) -> bool {
         if tables.contains_key(pattern) {
             return true;
@@ -680,7 +757,10 @@ impl HiLogDb {
         let created = evaluator.into_tables();
         *tables = Arc::into_inner(base).expect("the evaluator let go of the map");
         for table in created.into_values() {
-            tables.insert(table);
+            let key = table.pattern.clone();
+            if let Some(aside) = tables.insert(table) {
+                displaced.push((tables.position(&key).expect("just held"), aside));
+            }
         }
         settled
     }
@@ -696,18 +776,21 @@ impl HiLogDb {
         let tables = lock_mut(&mut self.snap.tables).make_mut();
         let mut covered = Vec::new();
         tables.covering(&rename_apart(head), |v| covered.push(v));
-        let closure = tables.reverse_closure(&covered);
-        for &v in &closure {
+        self.walk.close(tables, covered);
+        for &v in &self.walk.members {
             tables.remove(v);
         }
-        self.pending_dropped += closure.len();
+        self.pending_dropped += self.walk.members.len();
+        self.walk.reset();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hilog_core::Truth;
+    use crate::magic_eval::Dep;
+    use crate::snapshot::DbSnapshot;
+    use hilog_core::{EdgeSign, Truth};
     use hilog_syntax::{parse_program, parse_query, parse_term};
     use std::collections::BTreeMap;
 
@@ -1058,6 +1141,80 @@ mod tests {
         assert_warm_and_fresh(&handle, open);
     }
 
+    /// Whole copies of a table the writer's pass has made so far.
+    fn table_copies(writer: &mut crate::snapshot::DbWriter) -> usize {
+        lock_mut(&mut writer.db().snap.tables).copies
+    }
+
+    #[test]
+    fn a_pinned_table_is_copied_and_the_next_edit_catches_up_again() {
+        // Every batch toggles `move(n11, n13)`: it patches the fact tables
+        // `move(X, Y)` and `move(n11, Y)` and flips `winning(n11)`, which
+        // grafts the open `winning(X)` table.
+        let mut moves: Vec<(usize, usize)> = (0..9).map(|i| (i, i + 1)).collect();
+        moves.extend([(2, 10), (6, 10), (10, 11), (10, 12)]);
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for (from, to) in &moves {
+            text.push_str(&format!("move(n{from}, n{to}).\n"));
+        }
+        let (mut writer, handle) = HiLogDb::new(parse_program(&text).unwrap()).into_serving();
+        let (open, edges) = ("?- winning(X).", "?- move(X, Y).");
+        let mut queries = vec![open.to_string(), edges.to_string()];
+        queries.extend((0..14).map(|n| format!("?- winning(n{n}).")));
+        for query in &queries {
+            (handle.current().query(&parse_query(query).unwrap())).unwrap();
+        }
+        writer.publish();
+        let toggle = parse_term("move(n11, n13)").unwrap();
+        let mut asserted = false;
+        let mut batch = |writer: &mut crate::snapshot::DbWriter| {
+            if asserted {
+                assert!(writer.retract_fact(&toggle));
+            } else {
+                writer.assert_fact(toggle.clone()).unwrap();
+            }
+            asserted = !asserted;
+            writer.publish();
+            let (resolved, rederived, dropped) = counts(writer);
+            assert!(resolved > 0 && rederived > 0 && dropped == 0);
+            assert_warm_and_fresh(&handle, open);
+            assert_warm_and_fresh(&handle, edges);
+        };
+        // The first edit of each table has no older version to catch up;
+        // from the second batch on nothing is copied.
+        batch(&mut writer);
+        let first = table_copies(&mut writer);
+        assert_eq!(first, 3, "move(X, Y), move(n11, Y), winning(X): once each");
+        batch(&mut writer);
+        batch(&mut writer);
+        assert_eq!(table_copies(&mut writer), first);
+        // A reader pins the epoch both tables were last edited from.  The
+        // next batch edits them again: the version the one after that would
+        // catch up is the pinned one.
+        let pinned = handle.current();
+        let answers = |snapshot: &DbSnapshot, query: &str| {
+            snapshot
+                .query(&parse_query(query).unwrap())
+                .unwrap()
+                .answers
+        };
+        let before = (answers(&pinned, open), answers(&pinned, edges));
+        batch(&mut writer);
+        assert_eq!(table_copies(&mut writer), first, "nothing pins its spare");
+        batch(&mut writer);
+        assert_eq!(
+            table_copies(&mut writer),
+            first + 3,
+            "copied, not caught up"
+        );
+        assert_eq!((answers(&pinned, open), answers(&pinned, edges)), before);
+        // Once the pin is gone, the next batch catches up again.
+        drop(pinned);
+        batch(&mut writer);
+        batch(&mut writer);
+        assert_eq!(table_copies(&mut writer), first + 3);
+    }
+
     /// The 13-node game of the test above beside `unrelated` warm tables
     /// `tc(u_i, Y)` (and as many `e(u_i, Y)`) over a relation of their own —
     /// a binary tree, so one cold query tables every node — under one `move`
@@ -1131,12 +1288,10 @@ mod tests {
             sign: EdgeSign::Positive,
             readers: BTreeSet::new(),
         };
-        Arc::new(Table {
-            pattern: key.clone(),
-            answers: AtomStore::new(),
-            complete: true,
-            deps: deps.iter().map(|&dep| (dep.clone(), edge())).collect(),
-        })
+        let mut table = Table::new(key.clone());
+        table.complete = true;
+        table.deps = deps.iter().map(|&dep| (dep.clone(), edge())).collect();
+        Arc::new(table)
     }
 
     /// The position of the table held for `key`, if any.
@@ -1209,27 +1364,34 @@ mod tests {
         assert_eq!(tables.visited - visited, 1);
         // The closure of `q`: its readers and theirs, not `G(a)`.
         let seed = position(&tables, &q);
-        let closure = tables.reverse_closure(&[seed]);
-        assert_eq!(closure[0], seed);
+        let mut walk = Walk::default();
+        walk.close(&mut tables, [seed]);
+        assert_eq!(walk.members[0], seed);
         assert_eq!(
-            named(&tables, &closure),
+            named(&tables, &walk.members),
             BTreeSet::from([q.clone(), p.clone(), open.clone()])
         );
+        walk.reset();
+        assert!(walk.number.iter().all(|&n| n == usize::MAX));
         // Another version of `p` with other edges; a grafted `open`.
         put(&mut tables, &p, &[&r]);
         put(&mut tables, &open, &[&q, &r]);
         // Set aside: out of view, edges in place; put back as it was.
         let at = position(&tables, &open);
-        let aside = tables.set_aside(at);
+        tables.set_aside(at);
         tables.assert_describes();
         assert!(!tables.contains_key(&open));
         assert_eq!(tables.len(), 3);
-        tables.put_back(at, aside);
+        tables.restore(at);
         tables.assert_describes();
-        // Set aside, then replaced by a re-solve that reads otherwise.
+        // Set aside, then replaced by a re-solve that reads otherwise: the
+        // version set aside is handed back.
         let at = position(&tables, &p);
-        let _old = tables.set_aside(at);
-        put(&mut tables, &p, &[&q, &p]);
+        let old = tables.get(&p).unwrap().clone();
+        tables.set_aside(at);
+        let displaced = tables.insert(table_reading(&p, &[&q, &p]));
+        assert!(Arc::ptr_eq(&displaced.expect("set aside"), &old));
+        tables.assert_describes();
         assert_eq!(position(&tables, &p), at);
         assert_eq!(tables.len(), 4);
         // Tables leave; the positions they and their dangling `r` held are
@@ -1264,8 +1426,13 @@ mod tests {
                         .map(|_| keys[rng.below(keys.len())])
                         .collect();
                     let table = table_reading(k, &deps);
-                    tables.insert(table.clone());
-                    aside.retain(|(v, _)| tables.key(*v) != k);
+                    let was_aside = aside.iter().position(|&(v, _)| tables.key(v) == k);
+                    let displaced = tables.insert(table.clone());
+                    match (was_aside, displaced) {
+                        (Some(at), Some(old)) => assert!(Arc::ptr_eq(&aside.remove(at).1, &old)),
+                        (None, None) => {}
+                        _ => panic!("a version set aside is handed back, and no other"),
+                    }
                     shown.insert(k.clone(), table);
                 }
                 2 => {
@@ -1278,14 +1445,16 @@ mod tests {
                 3 => {
                     if let Some(table) = shown.remove(k) {
                         let v = held.expect("in view");
-                        assert!(Arc::ptr_eq(&tables.set_aside(v), &table));
+                        tables.set_aside(v);
+                        assert!(tables.is_aside(v));
+                        assert!(Arc::ptr_eq(tables.held(v).unwrap(), &table));
                         aside.push((v, table));
                     }
                 }
                 _ => {
                     if !aside.is_empty() {
                         let (v, table) = aside.swap_remove(rng.below(aside.len()));
-                        tables.put_back(v, table.clone());
+                        tables.restore(v);
                         shown.insert(tables.key(v).clone(), table);
                     }
                 }

@@ -24,7 +24,9 @@
 //!   program index and the table arena are [`Twinned`]: the writer takes
 //!   back the version the snapshot before last held and replays the last
 //!   batch into it, and copies whole only while a reader pins that version.
-//!   The grounding and the model are copied whole.  The type is
+//!   A table the writer's table pass edits in place is handled the same way,
+//!   one level down (`Tables::table_mut`).  The grounding and the model are
+//!   copied whole.  The type is
 //!   `Send + Sync`, so any number of threads answer
 //!   queries from the same snapshot in parallel; caches the writer had not
 //!   filled yet are built lazily *inside* the snapshot — the first reader
@@ -217,24 +219,31 @@ impl<T: CatchUp> Twinned<T> {
     /// twin.
     pub(crate) fn make_mut(&mut self) -> &mut T {
         if Arc::get_mut(&mut self.current).is_none() {
-            let newer = &self.current;
-            let caught_up = self
-                .twin
-                .take()
-                .and_then(|mut twin| Arc::get_mut(&mut twin)?.catch_up(newer).then_some(twin));
-            let mine = caught_up.unwrap_or_else(|| {
-                #[cfg(test)]
-                {
-                    self.copies += 1;
-                }
-                Arc::new(T::clone(&self.current))
-            });
-            self.twin = Some(std::mem::replace(&mut self.current, mine));
-            Arc::get_mut(&mut self.current)
-                .expect("just made")
-                .start_log();
+            let (replaced, _copied) = Self::take_over(&mut self.current, self.twin.take());
+            #[cfg(test)]
+            {
+                self.copies += usize::from(_copied);
+            }
+            self.twin = Some(replaced);
         }
         Arc::get_mut(&mut self.current).expect("held alone")
+    }
+
+    /// Puts a version the caller holds alone in the place of `current`,
+    /// which something else holds: `twin` caught up to `current`, if no one
+    /// else holds `twin` and `current` logged what it takes; otherwise a
+    /// whole copy.  The new version logs its edits from here on.  Returns
+    /// the version it replaced, and whether it had to copy.  The arena's
+    /// door to one table ([`Tables::table_mut`]) goes through here too.
+    pub(crate) fn take_over(current: &mut Arc<T>, twin: Option<Arc<T>>) -> (Arc<T>, bool) {
+        let newer = &*current;
+        let caught_up =
+            twin.and_then(|mut twin| Arc::get_mut(&mut twin)?.catch_up(newer).then_some(twin));
+        let copied = caught_up.is_none();
+        let mine = caught_up.unwrap_or_else(|| Arc::new(T::clone(newer)));
+        let replaced = std::mem::replace(current, mine);
+        Arc::get_mut(current).expect("just made").start_log();
+        (replaced, copied)
     }
 
     /// A published snapshot's door: it keeps no twin, so the first merge

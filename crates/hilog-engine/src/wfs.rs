@@ -31,7 +31,7 @@ use crate::error::EngineError;
 use crate::ground::{GroundProgram, IdRule};
 use crate::grounder::ground_over_universe;
 use crate::horn::EvalOptions;
-use hilog_core::{strongly_connected_components, AtomId, Model, Program, Term, Truth};
+use hilog_core::{strongly_connected_components, AtomId, Components, Model, Program, Term, Truth};
 
 /// A three-valued assignment over a [`GroundProgram`]'s atoms, indexed by
 /// [`AtomId::index`]: `Some(true)` = true, `Some(false)` = false, `None` =
@@ -188,9 +188,9 @@ pub(crate) fn stratified_eval(program: &GroundProgram) -> Result<Option<Model>, 
 
 /// The condensation of the atom dependency graph.
 struct Condensation {
-    /// The strongly connected components as sorted member lists,
+    /// The strongly connected components, each's members sorted,
     /// dependencies before dependents (the shared Tarjan's order).
-    sccs: Vec<Vec<usize>>,
+    sccs: Components,
     /// Each atom's index into `sccs`.
     scc_of: Vec<usize>,
 }
@@ -204,13 +204,8 @@ fn condensation(program: &GroundProgram) -> Condensation {
         adj[rule.head.index()].extend(rule.pos.iter().chain(&rule.neg));
     }
     let mut sccs = strongly_connected_components(n, |v| adj[v].iter().map(|a| a.index()));
-    let mut scc_of = vec![usize::MAX; n];
-    for (si, members) in sccs.iter_mut().enumerate() {
-        members.sort_unstable();
-        for &m in members.iter() {
-            scc_of[m] = si;
-        }
-    }
+    sccs.members_mut().for_each(<[usize]>::sort_unstable);
+    let scc_of = sccs.component_of(n);
     Condensation { sccs, scc_of }
 }
 
@@ -223,7 +218,7 @@ fn settle_components<'a>(
     condensation: &Condensation,
 ) -> Result<Propagator<'a>, EngineError> {
     let mut propagator = Propagator::new(program);
-    for members in &condensation.sccs {
+    for members in condensation.sccs.iter() {
         let consistent = propagator.settle(members)?;
         debug_assert!(consistent, "the well-founded settle met a conflict");
     }
