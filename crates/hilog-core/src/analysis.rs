@@ -9,8 +9,7 @@
 //! atoms ([`DependencyGraph::atom_graph`]).  Everything Section 6 reads off
 //! the relation reads it off this graph: stratification (Definition 6.1),
 //! local stratification (Definition 6.2), the lowest components of the
-//! Figure 1 procedure in `hilog-engine`, the strata of `hilog-datalog`, and
-//! how far a session's fact write can reach ([`DependencyGraph::readers_closure`]).
+//! Figure 1 procedure in `hilog-engine` and the strata of `hilog-datalog`.
 
 use crate::hash::TermMap;
 use crate::literal::Literal;
@@ -50,19 +49,14 @@ impl EdgeSign {
 ///
 /// A predicate graph also records what a graph over ground names cannot show
 /// as an edge: whether some rule's head name is a variable (such a rule can
-/// define any name), which heads read a literal whose name is a variable
-/// (they read every name), and which names head a rule with a body.
+/// define any name) and which heads read a literal whose name is a variable
+/// (they read every name).
 #[derive(Debug, Clone, Default)]
 pub struct DependencyGraph {
     nodes: Vec<Term>,
     index: TermMap<Term, usize>,
     /// Adjacency: `edges[u]` is the list of `(v, sign)` with an edge `u -> v`.
     edges: Vec<Vec<(usize, EdgeSign)>>,
-    /// Reverse adjacency: `readers[v]` lists every `u` with an edge `u -> v`
-    /// (twice if the edge has both signs).
-    readers: Vec<Vec<usize>>,
-    /// `derived[v]`: some rule with a body has head node `v`.
-    derived: Vec<bool>,
     /// Head nodes of rules reading a literal that has no node.
     reads_any: BTreeSet<usize>,
     /// Some rule's head has no node.
@@ -79,8 +73,6 @@ impl DependencyGraph {
         self.index.insert(term.clone(), i);
         self.nodes.push(term.clone());
         self.edges.push(Vec::new());
-        self.readers.push(Vec::new());
-        self.derived.push(false);
         i
     }
 
@@ -88,7 +80,6 @@ impl DependencyGraph {
     fn add_edge(&mut self, from: usize, to: usize, sign: EdgeSign) {
         if !self.edges[from].contains(&(to, sign)) {
             self.edges[from].push((to, sign));
-            self.readers[to].push(from);
         }
     }
 
@@ -117,9 +108,6 @@ impl DependencyGraph {
                     }
                     (None, None) => {}
                 }
-            }
-            if let Some(u) = head {
-                g.derived[u] |= !rule.body.is_empty();
             }
         }
         g
@@ -177,33 +165,6 @@ impl DependencyGraph {
     /// variable: they read every name.
     pub fn reads_any(&self) -> impl Iterator<Item = &Term> {
         self.reads_any.iter().map(|&v| &self.nodes[v])
-    }
-
-    /// Returns `true` if `name` heads a rule with a body — a builtin-only
-    /// body like `f :- 1 < 2.` included, although it adds no edge.
-    pub fn derives(&self, name: &Term) -> bool {
-        self.index.get(name).is_some_and(|&v| self.derived[v])
-    }
-
-    /// Every name whose derivations may change when `name` gains or loses a
-    /// fact: `name` itself, every [`Self::reads_any`] head, and the
-    /// transitive readers of both.  `None` means every name — some rule's
-    /// head name is a variable.
-    pub fn readers_closure(&self, name: &Term) -> Option<BTreeSet<Term>> {
-        if self.variable_heads {
-            return None;
-        }
-        let mut closure = BTreeSet::from([name.clone()]);
-        let mut seen = vec![false; self.nodes.len()];
-        let mut queue: Vec<usize> = self.index.get(name).copied().into_iter().collect();
-        queue.extend(&self.reads_any);
-        while let Some(v) = queue.pop() {
-            if !std::mem::replace(&mut seen[v], true) {
-                closure.insert(self.nodes[v].clone());
-                queue.extend(&self.readers[v]);
-            }
-        }
-        Some(closure)
     }
 
     /// Strongly connected components, computed by
@@ -799,13 +760,8 @@ mod tests {
         }
     }
 
-    fn closure_names(g: &DependencyGraph, name: &str) -> Option<BTreeSet<String>> {
-        g.readers_closure(&sym(name))
-            .map(|c| c.iter().map(Term::to_string).collect())
-    }
-
     #[test]
-    fn a_variable_headed_rule_makes_every_closure_global() {
+    fn a_variable_headed_rule_or_fact_is_recorded_and_not_stratified() {
         // X(a) :- p(X).  p(q).
         let p = Program::from_rules(vec![
             Rule::new(
@@ -816,18 +772,15 @@ mod tests {
         ]);
         let g = DependencyGraph::predicate_graph(p.iter());
         assert!(g.has_variable_heads());
-        assert_eq!(g.readers_closure(&sym("p")), None);
         assert!(!is_stratified(&p));
         // A variable-headed fact alone does the same.
         let fact = Program::from_rules(vec![Rule::fact(Term::app(Term::var("X"), vec![sym("a")]))]);
-        assert_eq!(
-            DependencyGraph::predicate_graph(fact.iter()).readers_closure(&sym("p")),
-            None
-        );
+        assert!(DependencyGraph::predicate_graph(fact.iter()).has_variable_heads());
+        assert!(!is_stratified(&fact));
     }
 
     #[test]
-    fn a_head_reading_a_variable_name_is_in_every_closure() {
+    fn a_head_reading_a_variable_name_is_recorded_and_not_stratified() {
         // any :- X(a).  top :- any.  p :- q.  q.
         let p = Program::from_rules(vec![
             Rule::new(
@@ -840,9 +793,6 @@ mod tests {
         ]);
         let g = DependencyGraph::predicate_graph(p.iter());
         assert_eq!(g.reads_any().collect::<Vec<_>>(), vec![&sym("any")]);
-        let with = |names: &[&str]| Some(names.iter().map(|n| n.to_string()).collect());
-        assert_eq!(closure_names(&g, "q"), with(&["any", "p", "q", "top"]));
-        assert_eq!(closure_names(&g, "unseen"), with(&["any", "top", "unseen"]));
         assert!(!is_stratified(&p));
     }
 
@@ -863,7 +813,7 @@ mod tests {
     }
 
     #[test]
-    fn a_builtin_only_body_derives_its_head_without_an_edge() {
+    fn a_builtin_only_body_adds_no_edge() {
         use crate::builtin::{BuiltinCall, BuiltinOp};
         // f :- 1 < 2.  e.
         let p = Program::from_rules(vec![
@@ -878,13 +828,7 @@ mod tests {
             Rule::fact(sym("e")),
         ]);
         let g = DependencyGraph::predicate_graph(p.iter());
-        assert!(g.derives(&sym("f")));
+        assert_eq!(g.nodes(), &[sym("f"), sym("e")]);
         assert!(g.successors(0).is_empty());
-        // A fact-only name nothing reads reaches only itself, underived.
-        assert!(!g.derives(&sym("e")));
-        assert_eq!(
-            closure_names(&g, "e"),
-            Some(BTreeSet::from(["e".to_string()]))
-        );
     }
 }

@@ -197,17 +197,6 @@ impl Model {
         self.atoms.insert(atom, truth)
     }
 
-    /// Marks an atom true (adding it to the base).
-    pub fn set_true(&mut self, atom: Term) {
-        self.atoms.insert(atom, Truth::True);
-    }
-
-    /// Drops an atom from the model altogether: the atom is false and no
-    /// longer part of the relevant base.
-    pub fn remove_atom(&mut self, atom: &Term) {
-        self.atoms.remove(atom);
-    }
-
     /// Merges another model into this one (union of bases), moving the
     /// smaller model's atoms into the larger.  An atom in both keeps the
     /// stronger value: true over undefined over false.  (Figure 1's
@@ -414,16 +403,13 @@ mod tests {
     #[test]
     fn model_mutators() {
         let mut m = Model::empty();
-        m.set_true(atom("a"));
         m.insert(atom("b"), Truth::Undefined);
         m.insert(atom("c"), Truth::False);
-        assert!(m.is_true(&atom("a")));
         assert!(m.is_undefined(&atom("b")));
         assert!(m.is_false(&atom("c")));
-        m.remove_atom(&atom("a"));
         assert!(m.is_false(&atom("a")));
         assert!(!m.base().contains(&atom("a")));
-        m.set_true(atom("b"));
+        m.insert(atom("b"), Truth::True);
         assert!(m.is_true(&atom("b")));
         assert!(m.is_total());
     }
@@ -503,15 +489,14 @@ mod tests {
         );
         assert_eq!(m.insert(p.clone(), Truth::Undefined), Some(Truth::True));
         check(&m, &[(&p, Truth::Undefined)]);
-        m.set_true(q.clone());
+        m.insert(q.clone(), Truth::True);
         check(&m, &[(&q, Truth::True)]);
         assert_eq!(m.insert(s.clone(), Truth::False), None);
         check(&m, &[(&q, Truth::True), (&s, Truth::False)]);
         assert_eq!(m.insert(s.clone(), Truth::Undefined), Some(Truth::False));
         check(&m, &[(&s, Truth::Undefined)]);
-        m.remove_atom(&r);
+        assert_eq!(m.insert(r.clone(), Truth::False), Some(Truth::Undefined));
         check(&m, &[(&r, Truth::False)]);
-        assert!(!m.base().contains(&r));
         // merge: true over undefined over false, whichever side holds which.
         m.merge(Model::new([p.clone(), r.clone()], [p.clone()], []));
         check(&m, &[(&p, Truth::True), (&r, Truth::False)]);

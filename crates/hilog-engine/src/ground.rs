@@ -41,11 +41,6 @@ impl GroundRule {
         GroundRule { head, pos, neg }
     }
 
-    /// A ground fact.
-    pub fn fact(head: Term) -> Self {
-        GroundRule::new(head, Vec::new(), Vec::new())
-    }
-
     /// Returns `true` if the body is empty.
     pub fn is_fact(&self) -> bool {
         self.pos.is_empty() && self.neg.is_empty()
@@ -85,15 +80,12 @@ impl IdRule {
 }
 
 /// A set of ground rules: one atom store and the rules as id triples over
-/// its interner.
-///
-/// Ids are never reused: a rule removed by maintenance can leave an id that
-/// no rule mentions, and the relevant base of a computed model is the atoms
-/// some rule mentions, not every id.
+/// its interner.  A ground program is built whole and never edited, so its
+/// interned atoms are exactly the atoms its rules mention: the relevant base
+/// of a model computed from it.
 #[derive(Debug, Clone, Default)]
 pub struct GroundProgram {
-    /// The rules' heads, live; every atom a rule mentions (and, after
-    /// maintenance, possibly some no rule mentions any more), interned.
+    /// The rules' heads, live; every atom a rule mentions, interned.
     pub(crate) atoms: AtomStore,
     /// The rules, in insertion order.
     pub(crate) id_rules: Vec<IdRule>,
@@ -129,12 +121,6 @@ impl GroundProgram {
         self.id_rules.is_empty()
     }
 
-    /// Appends a rule.
-    pub fn push(&mut self, rule: GroundRule) {
-        let ids = self.intern(&rule);
-        self.id_rules.push(ids);
-    }
-
     /// The rules, as terms, in insertion order.
     pub fn rules(&self) -> impl Iterator<Item = GroundRule> + '_ {
         self.id_rules.iter().map(|r| self.resolve(r))
@@ -165,20 +151,6 @@ impl GroundProgram {
             neg: rule.neg.iter().map(term).collect(),
         }
     }
-
-    /// Per atom id, whether some rule mentions it: the relevant base.
-    pub(crate) fn mentioned(&self) -> Vec<bool> {
-        let mut mentioned = vec![false; self.atoms.interner().len()];
-        for rule in &self.id_rules {
-            for atom in std::iter::once(&rule.head)
-                .chain(&rule.pos)
-                .chain(&rule.neg)
-            {
-                mentioned[atom.index()] = true;
-            }
-        }
-        mentioned
-    }
 }
 
 impl fmt::Display for GroundProgram {
@@ -207,14 +179,14 @@ mod tests {
         );
         assert_eq!(r.to_string(), "winning(a) :- move(a, b), not winning(b).");
         assert_eq!(
-            GroundRule::fact(atom("move", &["a", "b"])).to_string(),
+            GroundRule::new(atom("move", &["a", "b"]), vec![], vec![]).to_string(),
             "move(a, b)."
         );
     }
 
     #[test]
     fn from_rules_deduplicates() {
-        let r = GroundRule::fact(atom("p", &["a"]));
+        let r = GroundRule::new(atom("p", &["a"]), vec![], vec![]);
         let gp = GroundProgram::from_rules(vec![r.clone(), r.clone(), r]);
         assert_eq!(gp.len(), 1);
     }
@@ -228,11 +200,10 @@ mod tests {
         );
         let gp = GroundProgram::from_rules(vec![
             rule.clone(),
-            GroundRule::fact(atom("move", &["a", "b"])),
+            GroundRule::new(atom("move", &["a", "b"]), vec![], vec![]),
         ]);
         assert_eq!(gp.atoms.interner().len(), 3, "each atom is interned once");
         assert_eq!(gp.rules().next(), Some(rule));
-        assert_eq!(gp.mentioned(), vec![true; 3]);
         // Only the heads are possibly true: `winning(b)` occurs negatively.
         let heads: Vec<&Term> = gp.possibly_true().iter().collect();
         assert_eq!(

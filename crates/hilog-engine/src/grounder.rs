@@ -19,9 +19,7 @@
 //! slots, the positive body from the atoms matched — so the possibly-true
 //! set and the ground rules come out of the same single join pass, into one
 //! [`GroundProgram`] whose own [`AtomStore`] — resident on every storage
-//! backend — is the set the driver saturates in place: `ground_from` is
-//! that, called cold by [`relevant_ground`] and
-//! continued from the new fact by the session's `assert_fact`.
+//! backend — is the set the driver saturates in place.
 //! [`ground_against`] is the paper's definition written down literally,
 //! kept as the reference the oracles compare against.
 
@@ -43,42 +41,18 @@ use hilog_core::{AtomId, Literal, Program, Rule, Substitution, Term, TermInterne
 /// 5.6).
 pub fn relevant_ground(program: &Program, opts: EvalOptions) -> Result<GroundProgram, EngineError> {
     let mut ground = GroundProgram::new();
-    ground_from(program, None, opts, &mut ground)?;
-    Ok(ground)
-}
-
-/// The semi-naive driver with the rule instantiated at every match:
-/// saturates `ground`'s atom store from `frontier` (`None` = cold, see
-/// [`saturate`]) and appends the distinct instances to `ground` in
-/// first-match order, each built straight from the match — the head from
-/// the slots, the positive body from the atoms matched, the negative body
-/// from the slots.  The rule budget counts the whole of `ground`, so a
-/// continuation is capped like a cold grounding.
-///
-/// The rounds read the store, so instances are numbered in a scratch table
-/// and renumbered onto the store's ids once it is closed.
-///
-/// A continuation appends exactly the instances with at least one positive
-/// body atom outside the store as it stood before the frontier joined it —
-/// instances the old store fully supported belong to an earlier call — so
-/// appending them to that earlier call's result reproduces what a cold
-/// grounding of the extended program computes.  On `Err` the grounding is
-/// left unusable; discard it.
-pub(crate) fn ground_from(
-    program: &Program,
-    frontier: Option<AtomStore>,
-    opts: EvalOptions,
-    ground: &mut GroundProgram,
-) -> Result<(), EngineError> {
     // The driver matches an instance once per frontier atom it reads (and a
-    // program may repeat a rule), so instances are deduplicated as they land.
+    // program may repeat a rule), so instances are deduplicated as they land
+    // — in first-match order, each built straight from the match: the head
+    // from the slots, the positive body from the atoms matched, the negative
+    // body from the slots.  The rounds read the store, so instances are
+    // numbered in a scratch table and renumbered onto the store's ids once
+    // it is closed.
     let mut seen: TermSet<IdRule> = TermSet::default();
     let mut scratch = TermInterner::new();
-    let first = ground.id_rules.len();
     saturate(
         program,
         &mut ground.atoms,
-        frontier,
         NegationMode::Ignore,
         opts,
         &mut |m, head| {
@@ -98,7 +72,7 @@ pub(crate) fn ground_from(
     let ids: Vec<AtomId> = (scratch.terms().iter())
         .map(|atom| ground.atoms.intern(atom))
         .collect();
-    for rule in &mut ground.id_rules[first..] {
+    for rule in &mut ground.id_rules {
         for id in std::iter::once(&mut rule.head)
             .chain(&mut rule.pos)
             .chain(&mut rule.neg)
@@ -106,7 +80,7 @@ pub(crate) fn ground_from(
             *id = ids[id.index()];
         }
     }
-    Ok(())
+    Ok(ground)
 }
 
 /// The paper's definition of the relevant instantiation, literally: each
@@ -379,55 +353,6 @@ mod tests {
             ground_over_universe(&p, &u, EvalOptions::with_max_atoms(10_000)),
             Err(EngineError::LimitExceeded(_))
         ));
-    }
-
-    #[test]
-    fn delta_grounding_reproduces_fresh_grounding() {
-        let base = "winning(X) :- move(X, Y), not winning(Y).\n\
-                    move(a, b). move(b, c).";
-        let mut program = parse_program(base).unwrap();
-        let mut patched = relevant_ground(&program, EvalOptions::default()).unwrap();
-
-        let fact = Term::apps("move", vec![Term::sym("c"), Term::sym("d")]);
-        program.push(hilog_core::Rule::fact(fact.clone()));
-        patched.push(GroundRule::fact(fact.clone()));
-        ground_from(
-            &program,
-            Some(AtomStore::from_atoms([fact])),
-            EvalOptions::default(),
-            &mut patched,
-        )
-        .unwrap();
-        let fresh = relevant_ground(&program, EvalOptions::default()).unwrap();
-        let patched_set: BTreeSet<_> = patched.rules().collect();
-        let fresh_set: BTreeSet<_> = fresh.rules().collect();
-        assert_eq!(patched_set, fresh_set);
-        assert_eq!(
-            patched.len(),
-            fresh.len(),
-            "old ∪ delta repeated an instance"
-        );
-        let heads: BTreeSet<_> = fresh.rules().map(|r| r.head).collect();
-        let possibly: BTreeSet<_> = patched.possibly_true().iter().cloned().collect();
-        assert_eq!(
-            possibly, heads,
-            "the continued store is not the rules' heads"
-        );
-    }
-
-    #[test]
-    fn empty_frontier_grounds_nothing() {
-        let program = parse_program("p(X) :- q(X). q(a).").unwrap();
-        let mut ground = GroundProgram::new();
-        ground.atoms = least_model(&program, NegationMode::Ignore, EvalOptions::default()).unwrap();
-        ground_from(
-            &program,
-            Some(AtomStore::new()),
-            EvalOptions::default(),
-            &mut ground,
-        )
-        .unwrap();
-        assert!(ground.is_empty());
     }
 
     #[test]

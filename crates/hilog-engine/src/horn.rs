@@ -575,7 +575,7 @@ pub fn least_model(
     opts: EvalOptions,
 ) -> Result<AtomStore, EngineError> {
     let mut store = AtomStore::new();
-    saturate(program, &mut store, None, mode, opts, &mut |_, _| Ok(()))?;
+    saturate(program, &mut store, mode, opts, &mut |_, _| Ok(()))?;
     Ok(store)
 }
 
@@ -586,26 +586,19 @@ pub fn least_model(
 /// [`Match`] (the plan, its slots, the positive atoms it matched) and the
 /// ground head built from the slots (the driver needs it for the store) —
 /// to `on_match`: [`least_model`] ignores them, the grounder builds
-/// the ground rule from them ([`crate::grounder::relevant_ground`],
-/// the session's assert path), so the heads and the instantiations come
-/// from the same single join pass.
+/// the ground rule from them ([`crate::grounder::relevant_ground`]), so the
+/// heads and the instantiations come from the same single join pass.
 ///
-/// `frontier` says where to start:
-///
-/// * `None` — a **cold** start.  Round 0 fires the rules with no positive
-///   body (the facts among them) into `store`; what they add is the first
-///   frontier.  Round-0 atoms do not count against `max_atoms`.
-/// * `Some(atoms)` — a **continuation**.  `store` was closed under the rules
-///   before the caller inserted `atoms` into it; rules without a positive
-///   body cannot fire from a frontier and are skipped (and not compiled).
-///
-/// Each later round joins every rule with a positive body once per positive
-/// position, that position drawing from the frontier and the others from the
-/// store (the semi-naive restriction).  The store stands still during a
-/// round and the round's new heads land after it, so a rule instance is
-/// matched exactly in the round its last body atom landed — never again in a
-/// later round, though once per frontier atom it reads within that round.
-/// Invariant throughout: the frontier is a subset of the store.
+/// Round 0 fires the rules with no positive body (the facts among them)
+/// into `store`; what they add is the first frontier.  Round-0 atoms do not
+/// count against `max_atoms`.  Each later round joins every rule with a
+/// positive body once per positive position, that position drawing from
+/// the frontier and the others from the store (the semi-naive
+/// restriction).  The store stands still during a round and the round's
+/// new heads land after it, so a rule instance is matched exactly in the
+/// round its last body atom landed — never again in a later round, though
+/// once per frontier atom it reads within that round.  Invariant
+/// throughout: the frontier is a subset of the store.
 ///
 /// On `Err` — [`ROUND_LIMIT`], `max_atoms`, the deadline, a floundering head,
 /// or whatever `on_match` returns — the store is left **partially
@@ -613,20 +606,18 @@ pub fn least_model(
 pub(crate) fn saturate(
     program: &Program,
     store: &mut AtomStore,
-    frontier: Option<AtomStore>,
     mode: NegationMode,
     opts: EvalOptions,
     on_match: &mut dyn FnMut(&Match<'_>, &Term) -> Result<(), EngineError>,
 ) -> Result<(), EngineError> {
-    // One walk of the program compiles the rules a frontier can fire and,
-    // cold, runs round 0 on the rest.
-    let cold = frontier.is_none();
-    let mut frontier = frontier.unwrap_or_default();
+    // One walk of the program compiles the rules a frontier can fire and
+    // runs round 0 on the rest.
+    let mut frontier = AtomStore::new();
     let mut firing: Vec<RulePlan> = Vec::new();
     for rule in program.iter() {
         if rule.positive_atoms().next().is_some() {
             firing.push(RulePlan::compile(rule));
-        } else if cold {
+        } else {
             let mut heads = Vec::new();
             RulePlan::compile(rule).join(store, None, mode, &mut |m| {
                 let head = m.head()?;
@@ -708,7 +699,7 @@ mod tests {
     use super::*;
     use crate::ambient::counters;
     use hilog_core::unify::match_with;
-    use hilog_core::{Rule, Substitution};
+    use hilog_core::Substitution;
     use hilog_syntax::parse_program;
     use std::collections::BTreeSet;
 
@@ -1004,68 +995,57 @@ mod tests {
         assert_eq!(left, vec![&bc]);
     }
 
-    /// [`saturate`] as a continuation from `seeds` (inserted first, as the
-    /// driver's contract asks), returning how many matches it handed out.
-    fn continue_from(
-        program: &Program,
-        store: &mut AtomStore,
-        seeds: &[Term],
-        opts: EvalOptions,
-    ) -> Result<usize, EngineError> {
-        for seed in seeds {
-            store.insert(seed.clone());
-        }
-        let mut matches = 0usize;
+    #[test]
+    fn each_instance_is_matched_once_in_the_round_its_last_atom_lands() {
+        // Over a chain no instance reads two atoms of one round (the edges
+        // land in round 0, each `tc` atom later), so every instance is
+        // handed to `on_match` exactly once: the three facts, the three
+        // `tc(X, Y) :- edge(X, Y)` instances and the three recursive ones.
+        let program = parse_program(
+            "tc(X, Y) :- edge(X, Y).\n\
+             tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
+             edge(a, b). edge(b, c). edge(c, d).",
+        )
+        .unwrap();
+        let mut seen: std::collections::BTreeMap<(Term, Vec<Term>), usize> = Default::default();
+        let mut store = AtomStore::new();
         saturate(
-            program,
-            store,
-            Some(AtomStore::from_atoms(seeds.iter().cloned())),
+            &program,
+            &mut store,
             NegationMode::Forbid,
-            opts,
-            &mut |_, _| {
-                matches += 1;
+            EvalOptions::default(),
+            &mut |m, head| {
+                *seen.entry((head.clone(), m.atoms.to_vec())).or_insert(0) += 1;
                 Ok(())
             },
-        )?;
-        Ok(matches)
-    }
-
-    #[test]
-    fn a_continuation_matches_recomputation() {
-        // Closing tc over a chain, then adding the edge that joins two
-        // components, must agree with recomputing from scratch.
-        let base = "tc(X, Y) :- edge(X, Y).\n\
-                    tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
-                    edge(a, b). edge(c, d).";
-        let mut program = parse_program(base).unwrap();
-        let mut store =
-            least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
-        let before = store.len();
-        let new_edge = Term::apps("edge", vec![Term::sym("b"), Term::sym("c")]);
-        program.push(Rule::fact(new_edge.clone()));
-        let matches =
-            continue_from(&program, &mut store, &[new_edge], EvalOptions::default()).unwrap();
+        )
+        .unwrap();
+        assert_eq!(seen.len(), 9);
+        assert!(seen.values().all(|&n| n == 1), "{seen:?}");
         let fresh = least_model(&program, NegationMode::Forbid, EvalOptions::default()).unwrap();
         assert!(store.iter().eq(fresh.iter()));
-        // The continuation added exactly the difference: the new edge plus
-        // the new tc pairs crossing it (a->c, a->d, b->c, b->d; c is already
-        // linked to d), each matched exactly once.
-        assert_eq!(store.len() - before, 5);
-        assert_eq!(matches, 4);
         assert!(store.contains(&Term::apps("tc", vec![Term::sym("a"), Term::sym("d")])));
     }
 
     #[test]
-    fn a_continuation_respects_the_atom_budget() {
-        let program = parse_program("nat(z). nat(s(X)) :- nat(X).").unwrap();
-        // The base program diverges, so close only the fact by hand.
-        let mut store = AtomStore::from_atoms([Term::sym("seed")]);
-        let r = continue_from(
+    fn the_round_limit_stops_a_chain_that_grows_an_atom_a_round() {
+        // One new atom per round, and more atoms than the budget needs:
+        // the round limit is what stops it.
+        let program = parse_program(&format!(
+            "n(Y) :- n(X), Y is X + 1, Y < {}. n(0).",
+            ROUND_LIMIT + 10
+        ))
+        .unwrap();
+        let r = least_model(
             &program,
-            &mut store,
-            &[Term::apps("nat", vec![Term::sym("z")])],
-            EvalOptions::with_max_atoms(20),
+            NegationMode::Forbid,
+            EvalOptions::with_max_atoms(2 * ROUND_LIMIT),
         );
-        assert!(matches!(r, Err(EngineError::LimitExceeded(_))));
+        match r {
+            Err(EngineError::LimitExceeded(reason)) => {
+                assert!(reason.contains("rounds"), "{reason}")
+            }
+            other => panic!("expected the round limit, got {:?}", other.map(|s| s.len())),
+        }
     }
 }

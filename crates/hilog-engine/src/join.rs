@@ -2,7 +2,7 @@
 //!
 //! Every join of a rule body against stored atoms runs a [`RulePlan`]: the
 //! rule compiled once, its variables numbered into slots.  The semi-naive
-//! driver (and with it the grounder and the assert continuation), the
+//! driver (and with it the grounder), the
 //! session's spontaneous-fact check and the definitional grounding reference
 //! run [`RulePlan::join`].  Three callers walk the same plans depth first
 //! over one [`Frame`] with the same operations, each against its own

@@ -51,11 +51,11 @@
 //!   readers never block and never observe a half-applied batch.
 //! * **The session** ([`HiLogDb`]): a stateful session is that read
 //!   surface's mutable owner — it holds one working [`DbSnapshot`] by
-//!   value, delegates every read to it, and keeps its caches maintained
-//!   under `assert_fact` / `retract_fact` / `assert_rule` / `retract_rule`
-//!   (the grounding driver continued from the new fact, DRed, instance-level
-//!   subgoal-table maintenance) instead of discarding them; the model after
-//!   a write is [`well_founded_eval`] over the maintained grounding.
+//!   value, delegates every read to it, and keeps its subgoal tables and
+//!   program index maintained under `assert_fact` / `retract_fact` /
+//!   `assert_rule` / `retract_rule` instead of discarding them; a write
+//!   drops the model-side caches whole, and the model after it is a cold
+//!   grounding plus one [`well_founded_eval`], as on a published snapshot.
 //! * **Storage** ([`StorageConfig`]): every store derived from the program
 //!   — a subgoal table's answers, a grounding's possibly-true set, the
 //!   driver's store — is a resident [`AtomStore`].  The program index's

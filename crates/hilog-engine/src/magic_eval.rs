@@ -147,11 +147,12 @@ pub struct EvalStats {
     pub cached_subqueries: usize,
     /// Number of grounding passes performed while answering.  The
     /// query-directed evaluator never grounds, so this is only non-zero for
-    /// full-model plans executed by [`crate::session::HiLogDb`]; a cached
-    /// model answers with `groundings == 0`.
+    /// full-model plans; a cached model answers with `groundings == 0`, and
+    /// the first full-model read after a write with `groundings == 1`
+    /// (a write drops the grounding with the model).
     pub groundings: usize,
-    /// How the model that answered this query was obtained — the
-    /// observability hook for the session's incremental maintenance.
+    /// How the model that answered this query was obtained: reused, or
+    /// rebuilt because none was built yet or a write dropped it.
     /// Magic-sets plans never consult a model and report
     /// [`ModelSource::NotUsed`].
     pub model_source: ModelSource,
@@ -250,8 +251,9 @@ pub enum ModelSource {
     Cached,
     /// No cached model existed — none was built yet, or a mutation dropped
     /// it — and it was evaluated from the grounding, which
-    /// `EvalStats::groundings == 0` says was already at hand (cached, or
-    /// kept current by the session's incremental maintenance).
+    /// `EvalStats::groundings == 0` says was already at hand (grounded by an
+    /// earlier route, such as [`crate::session::HiLogDb::ground_program`],
+    /// since the last write).
     Rebuilt,
 }
 
@@ -578,7 +580,7 @@ impl ProgramIndex {
     /// Whether some rule other than a program fact derives the ground
     /// `fact` with no atom to read: a builtin-guarded rule such as
     /// `f :- 1 < 2.`.  Asked once `fact`'s last bodiless copy has left the
-    /// program (the DRed retraction, the table pass), so a program fact
+    /// program (the table pass), so a program fact
     /// cannot be the route: only the non-fact rules filed under `fact`'s
     /// functor and arity are looked at, each joined once — not the program's
     /// facts, however many there are.

@@ -3,11 +3,11 @@
 //! Every other entry point in this crate is a free function that takes a
 //! [`Program`] and re-derives grounding and dependency information from
 //! scratch.  A [`HiLogDb`] instead *owns* its program and amortises that work
-//! across queries: the relevant instantiation, the full model, the
-//! predicate-dependency analysis and the completed subgoal tables of the
-//! query-directed evaluator are all cached, and
+//! across queries: the relevant instantiation, the full model and the
+//! completed subgoal tables of the query-directed evaluator are all cached.
 //! [`assert_fact`](HiLogDb::assert_fact) / [`retract_fact`](HiLogDb::retract_fact)
-//! invalidate only the caches that the mutated predicate can actually reach.
+//! maintain the subgoal tables at the instance level and drop the
+//! model-side caches (grounding, model, stable models, Figure 1) whole.
 //! Queries are routed through an explainable [`QueryPlan`]: bound queries use
 //! magic-sets style tabled evaluation (Section 6.1 of the paper), unbound
 //! ones fall back to the cached full model.
@@ -18,10 +18,9 @@
 //! `check_modular` / `explain` — and is a thin shell around it: reads
 //! delegate (the snapshot's interior locks are uncontended, since `&mut
 //! self` is exclusive), and what is genuinely session-only lives here and in
-//! the two maintenance modules: the mutation paths (`maintain`: delta
-//! grounding, DRed; `tables`: instance-level subgoal-table
-//! maintenance), which reach the snapshot's caches lock-free, and the
-//! mutation-window counters a query's stats carry.
+//! `tables` (instance-level subgoal-table maintenance): the mutation paths,
+//! which reach the snapshot's caches lock-free, and the mutation-window
+//! counters a query's stats carry.
 //! The tabled evaluator's program index is maintained here too: once a
 //! query has built it, every `assert_*` / `retract_*` mirrors its one
 //! program edit into it (a store insert or remove for a ground fact) rather
@@ -59,7 +58,6 @@
 //! assert!(second.stats.cached_subqueries > 0);
 //! ```
 
-mod maintain;
 mod tables;
 
 use crate::error::EngineError;
@@ -68,9 +66,11 @@ use crate::horn::EvalOptions;
 use crate::magic_eval::{EvalStats, ProgramIndex};
 use crate::modular::ModularOutcome;
 use crate::plan::QueryPlan;
-use crate::snapshot::{holds_query, lock_mut, DbSnapshot, DbWriter, SnapshotHandle, Twinned};
+use crate::snapshot::{
+    holds_query, lock_mut, DbSnapshot, DbWriter, SnapCore, SnapshotHandle, Twinned,
+};
 use crate::storage::{RelationStorageStats, StorageConfig};
-use hilog_core::{DependencyGraph, Model, Program, Query, Rule, Term, TermMap, Truth, Var};
+use hilog_core::{Model, Program, Query, Rule, Term, TermMap, Truth, Var};
 use serde::Serialize;
 use std::fmt;
 use std::sync::Arc;
@@ -258,7 +258,6 @@ impl HiLogDbBuilder {
     pub fn build(self) -> HiLogDb {
         HiLogDb {
             snap: DbSnapshot::new(self.program, self.opts, self.semantics, self.storage),
-            analysis: None,
             generation: 0,
             fact_copies: None,
             unsettled: Vec::new(),
@@ -286,11 +285,6 @@ pub struct HiLogDb {
     /// their twins, see [`Twinned`]).  Its table map keeps its own edges
     /// (`Tables`), which a table-maintenance pass reads.
     snap: DbSnapshot,
-    /// The program's predicate dependency graph, built lazily per program
-    /// version: it survives fact-level mutations (a fact adds no edge, and
-    /// a ground one neither a variable head nor a derived name) and is
-    /// dropped by rule-level ones.
-    analysis: Option<DependencyGraph>,
     /// Bumped by every mutation of the program.  The
     /// [`DbWriter`] compares it with the value it
     /// published at to know whether its program is still the published one.
@@ -428,15 +422,14 @@ impl HiLogDb {
 
     /// Asserts a ground fact.
     ///
-    /// The dependency analysis is kept (facts add no edges); subgoal tables
-    /// are maintained through their recorded dependency edges before this
-    /// returns (tables outside the instance-level closure survive,
-    /// fact-backed tables are patched in place, the rule-derived tables
-    /// whose dependencies changed their answers are re-solved), and when
-    /// nothing reads the predicate at all the cached ground program and
-    /// model are *patched* instead of discarded.  Nothing here walks the
-    /// program: the cost is that of what the fact changes, whatever the
-    /// store holds.
+    /// Subgoal tables are maintained through their recorded dependency
+    /// edges before this returns (tables outside the instance-level closure
+    /// survive, fact-backed tables are patched in place, the rule-derived
+    /// tables whose dependencies changed their answers are re-solved); the
+    /// model-side caches are dropped whole, and the next read that needs
+    /// the model grounds the program cold and evaluates it once.  Nothing
+    /// here walks the program: the cost is that of what the fact changes,
+    /// whatever the store holds.
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
         self.assert_fact_unsettled(fact)?;
         self.settle_tables();
@@ -495,6 +488,36 @@ impl HiLogDb {
         true
     }
 
+    /// After a fact-level change to `fact` (`asserted`: `true` for an
+    /// assertion).  The subgoal tables are not touched here: the change is
+    /// queued, and [`Self::settle_tables`] folds a whole batch of them into
+    /// the tables in one pass over their recorded dependency edges.  The
+    /// model-side caches go whole.
+    fn invalidate_for_fact(&mut self, fact: &Term, asserted: bool) {
+        // What `ProgramIndex::derives_spontaneously`, asked by the table
+        // pass on a retraction, relies on to skip the program's facts.
+        debug_assert!(
+            asserted
+                || (self.fact_copies.as_ref()).is_some_and(|copies| !copies.contains_key(fact)),
+            "a retraction is settled only once no copy of `{fact}` remains"
+        );
+        // A table tabled after this change is tabled under it: with none
+        // held there is nothing to settle, and a store that is only written
+        // to pays nothing for the queue.
+        if !lock_mut(&mut self.snap.tables).is_empty() {
+            self.unsettled.push((fact.clone(), asserted));
+        }
+        self.drop_model_caches();
+    }
+
+    /// Drops the grounding, the model, the stable models and the Figure 1
+    /// outcome together: the next read that needs one grounds the program
+    /// as it stands, cold.  The subgoal tables are the one cache with
+    /// finer invalidation, maintained through their recorded edges.
+    fn drop_model_caches(&mut self) {
+        *lock_mut(&mut self.snap.core) = SnapCore::default();
+    }
+
     /// Removes the first rule of the program `matches` accepts, which the
     /// caller has established exists.  The one remaining walk on a write
     /// path: finding *where* a present rule sits.
@@ -508,9 +531,9 @@ impl HiLogDb {
         self.program_mut().rules.remove(pos);
     }
 
-    /// Asserts a rule.  Rules add predicate-level dependency edges, so the
-    /// analysis/grounding/model caches are rebuilt lazily — but the subgoal
-    /// tables are maintained at the instance level: the new rule can only
+    /// Asserts a rule.  The model-side caches are rebuilt lazily, as after
+    /// any write, and the subgoal tables are maintained at the instance
+    /// level: the new rule can only
     /// derive instances of its head, so only the tables whose pattern
     /// overlaps the head (plus their recorded-edge reverse closure) are
     /// dropped, and every other table survives.
@@ -526,16 +549,15 @@ impl HiLogDb {
             index.insert(&rule);
         }
         self.program_mut().push(rule);
-        self.invalidate_caches_keeping_tables();
+        self.drop_model_caches();
     }
 
     /// Retracts the first rule structurally equal to `rule`; returns `false`
     /// if the program contains no such rule.
     ///
     /// Subgoal tables survive outside the instance-level reverse closure of
-    /// the rule's head, exactly as for [`Self::assert_rule`].  The
-    /// grounding/model caches have no provenance for the retracted rule's
-    /// instantiations and are rebuilt lazily.
+    /// the rule's head, exactly as for [`Self::assert_rule`]; the
+    /// model-side caches are rebuilt lazily, as after any write.
     pub fn retract_rule(&mut self, rule: &Rule) -> bool {
         self.settle_tables();
         // A structurally identical copy may remain; then nothing changed.
@@ -570,7 +592,7 @@ impl HiLogDb {
             return true;
         }
         self.drop_tables_for_head(&rule.head);
-        self.invalidate_caches_keeping_tables();
+        self.drop_model_caches();
         true
     }
 
@@ -581,32 +603,24 @@ impl HiLogDb {
     /// The cached relevant instantiation of the program, grounding on first
     /// use.
     pub fn ground_program(&mut self) -> Result<&GroundProgram, EngineError> {
-        self.snap.ensure_ground()?;
-        let core = lock_mut(&mut self.snap.core);
-        Ok(core.ground.as_deref().expect("just grounded"))
+        self.snap.owned_ground()
     }
 
     /// The cached full model under the session's semantics, computing it on
     /// first use (see [`DbSnapshot::model`]).
     pub fn model(&mut self) -> Result<&Model, EngineError> {
-        self.snap.model()?;
-        let core = lock_mut(&mut self.snap.core);
-        Ok(core.model.as_deref().expect("just built"))
+        self.snap.owned_model()
     }
 
     /// The cached stable models of the program (computing them on first
     /// use), regardless of the session's query semantics.
     pub fn stable_models(&mut self) -> Result<&[Model], EngineError> {
-        self.snap.stable_models()?;
-        let core = lock_mut(&mut self.snap.core);
-        Ok(core.stable.as_deref().expect("just computed"))
+        self.snap.owned_stable_models()
     }
 
     /// Runs (and caches) the Figure 1 modular-stratification procedure.
     pub fn check_modular(&mut self) -> Result<&ModularOutcome, EngineError> {
-        self.snap.check_modular()?;
-        let core = lock_mut(&mut self.snap.core);
-        Ok(core.modular.as_deref().expect("just checked"))
+        self.snap.owned_modular()
     }
 
     /// Builds the plan [`query`](HiLogDb::query) would execute, without
@@ -695,6 +709,7 @@ fn count_fact_copies(program: &Program) -> TermMap<Term, usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::magic_eval::ModelSource;
     use hilog_syntax::{parse_program, parse_query, parse_term};
 
     fn game_db() -> HiLogDb {
@@ -735,12 +750,11 @@ mod tests {
     }
 
     #[test]
-    fn expired_deadline_stops_a_model_rebuild_over_a_warm_grounding() {
+    fn expired_deadline_stops_a_model_rebuild_after_a_write() {
         use std::time::{Duration, Instant};
-        // The full-model route after a write: the grounding is maintained,
-        // the model dropped, and the rebuild is one evaluation under
-        // the snapshot's write lock.  Nothing in it looks at the clock, so
-        // the deadline has to be looked at before it starts.
+        // The full-model route after a write: the grounding and the model
+        // are gone, and the rebuild is one grounding and one evaluation
+        // under the snapshot's write lock; it has to look at the clock.
         let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
         for i in 0..200 {
             text.push_str(&format!("move(n{i}, n{}).\n", i + 1));
@@ -760,12 +774,390 @@ mod tests {
         let counted = crate::ambient::counters() - before;
         assert_eq!(counted.deadline_exceeded, 1);
         // The model is absent, not half-built, and the session usable: the
-        // same read without a deadline evaluates the maintained grounding.
+        // same read without a deadline grounds and evaluates once.
         assert!(db.cached_model().is_none());
         let result = db.query(&query).unwrap();
         assert_eq!(result.stats.model_source, crate::ModelSource::Rebuilt);
-        assert_eq!(result.stats.groundings, 0);
+        assert_eq!(result.stats.groundings, 1);
         assert_eq!(result.answers.len(), answers + 1, "winning(n200) is new");
+    }
+
+    /// What a fact write leaves behind, read through the full-model query
+    /// `open`: no model, and the next read grounds the program cold and
+    /// evaluates it once (`groundings == 1`, `Rebuilt`), equal to a fresh
+    /// session's model whole (base included); the re-read is `Cached`.
+    fn assert_model_rebuilt_cold_after_the_write(db: &mut HiLogDb, open: &Query) {
+        assert!(db.cached_model().is_none(), "the write kept the model");
+        let read = db.query(open).unwrap();
+        assert_eq!(read.stats.groundings, 1, "the write kept the grounding");
+        assert_eq!(read.stats.model_source, ModelSource::Rebuilt);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(read.answers, fresh.query(open).unwrap().answers);
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+        let again = db.query(open).unwrap();
+        assert_eq!(again.stats.groundings, 0);
+        assert_eq!(again.stats.model_source, ModelSource::Cached);
+    }
+
+    #[test]
+    fn a_fact_write_with_nothing_cached_answers_like_a_fresh_session() {
+        let mut db = game_db();
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        assert!(db.retract_fact(&parse_term("move(a, b)").unwrap()));
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+    }
+
+    #[test]
+    fn a_pure_edb_fact_drops_the_model_like_any_other() {
+        // `colour` is read by no rule: a colour fact still drops the model,
+        // and the next full-model read grounds again and answers correctly.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "winning(X) :- move(X, Y), not winning(Y).\n\
+                 move(a, b). colour(a, red).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("colour(b, blue)").unwrap())
+            .unwrap();
+        assert_model_rebuilt_cold_after_the_write(&mut db, &unbound);
+        assert_eq!(
+            db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
+            Truth::True
+        );
+        assert!(db.retract_fact(&parse_term("colour(b, blue)").unwrap()));
+        assert_eq!(
+            db.holds(&parse_term("colour(b, blue)").unwrap()).unwrap(),
+            Truth::False
+        );
+        // The rebuilt model is the one a fresh session computes, base
+        // included: a retracted fact nothing mentions any more leaves it.
+        assert_model_rebuilt_cold_after_the_write(&mut db, &unbound);
+    }
+
+    #[test]
+    fn retracting_an_unread_fact_leaves_no_phantom_in_any_model() {
+        // Warm the model and the stable models, assert and retract a fact no
+        // rule reads, and every model is a fresh one.
+        let mut db = HiLogDb::new(parse_program("p(X) :- q(X). q(a).").unwrap());
+        db.model().unwrap();
+        db.stable_models().unwrap();
+        let unread = parse_term("unread(a)").unwrap();
+        db.assert_fact(unread.clone()).unwrap();
+        assert!(db.retract_fact(&unread));
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert!(!db.model().unwrap().base().contains(&unread));
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+        assert_eq!(db.stable_models().unwrap(), fresh.stable_models().unwrap());
+    }
+
+    #[test]
+    fn assert_rule_rebuilds_everything() {
+        let mut db = game_db();
+        db.query(&parse_query("?- winning(X).").unwrap()).unwrap();
+        db.assert_rule(
+            parse_program("winning(X) :- bonus(X).")
+                .unwrap()
+                .rules
+                .remove(0),
+        );
+        db.assert_fact(parse_term("bonus(c)").unwrap()).unwrap();
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retracting_a_variable_named_fact_does_not_panic() {
+        // `assert_rule` accepts facts with variable predicate names; a later
+        // retract must drop the caches like any other, not panic.
+        let mut db = HiLogDb::new(parse_program("q(r). r(q).").unwrap());
+        let var_fact = Term::app(Term::var("P"), vec![Term::sym("a")]);
+        db.assert_rule(Rule::fact(var_fact.clone()));
+        assert!(db.retract_fact(&var_fact));
+        assert_eq!(db.holds(&parse_term("q(r)").unwrap()).unwrap(), Truth::True);
+    }
+
+    #[test]
+    fn assert_fact_drops_the_grounding_and_the_model() {
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        let first = db.query(&unbound).unwrap();
+        assert_eq!(first.stats.groundings, 1);
+        assert_eq!(first.stats.model_source, ModelSource::Rebuilt);
+        assert!(db.cached_model().is_some());
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        assert_model_rebuilt_cold_after_the_write(&mut db, &unbound);
+    }
+
+    #[test]
+    fn a_tail_assert_in_one_scc_rebuilds_a_model_equal_to_a_fresh_one() {
+        // One long chain game is a single predicate-level SCC; asserting an
+        // edge at its tail flips every upstream position, and the model
+        // rebuilt after the write must agree with a fresh session on every
+        // atom.
+        let mut text = String::from("winning(X) :- move(X, Y), not winning(Y).\n");
+        for i in 0..30 {
+            text.push_str(&format!("move(p{}, p{}).\n", i, i + 1));
+        }
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        let open = parse_query("?- P(p0, X).").unwrap();
+        db.query(&open).unwrap();
+        db.assert_fact(parse_term("move(p30, p31)").unwrap())
+            .unwrap();
+        assert_model_rebuilt_cold_after_the_write(&mut db, &open);
+    }
+
+    #[test]
+    fn consecutive_asserts_cost_one_evaluation() {
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        db.query(&unbound).unwrap();
+        db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        db.assert_fact(parse_term("move(d, e)").unwrap()).unwrap();
+        assert_model_rebuilt_cold_after_the_write(&mut db, &unbound);
+        assert_eq!(
+            db.holds(&parse_term("winning(d)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retract_fact_matches_fresh_recomputation() {
+        // tc is derived through the retracted edge: what it supported goes,
+        // what other edges still support stays.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "tc(X, Y) :- edge(X, Y).\n\
+                 tc(X, Y) :- edge(X, Z), tc(Z, Y).\n\
+                 edge(a, b). edge(b, c). edge(a, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("edge(c, d)").unwrap()).unwrap();
+        db.query(&unbound).unwrap();
+        // Retract edge(b, c): tc(a, c) survives via edge(a, c); tc(b, c),
+        // tc(b, d) die.
+        assert!(db.retract_fact(&parse_term("edge(b, c)").unwrap()));
+        assert_model_rebuilt_cold_after_the_write(&mut db, &unbound);
+        assert_eq!(
+            db.holds(&parse_term("tc(b, c)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("tc(a, c)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retracting_a_derived_support_fact_removes_dependent_atoms() {
+        // The acceptance case: retracting a fact that transitively supports
+        // derived atoms provably removes the no-longer-derivable ones.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "reach(Y) :- reach(X), edge(X, Y). reach(a).\n\
+                 edge(a, b). edge(b, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- P(X).").unwrap();
+        db.query(&unbound).unwrap();
+        assert!(db.retract_fact(&parse_term("edge(a, b)").unwrap()));
+        let result = db.query(&unbound).unwrap();
+        assert_eq!(result.stats.groundings, 1);
+        assert_eq!(
+            db.holds(&parse_term("reach(b)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("reach(c)").unwrap()).unwrap(),
+            Truth::False
+        );
+        assert_eq!(
+            db.holds(&parse_term("reach(a)").unwrap()).unwrap(),
+            Truth::True
+        );
+    }
+
+    #[test]
+    fn retracting_the_seed_of_a_positive_cycle_falsifies_the_cycle() {
+        // p and q support each other, but only through the seed fact p: after
+        // retracting p, neither holds through the cycle.
+        let mut db = HiLogDb::new(parse_program("p :- q. q :- p. p. r.").unwrap());
+        let unbound = parse_query("?- P(X).").unwrap(); // warms ground+model
+        let _ = db.query(&unbound);
+        db.model().unwrap();
+        assert!(db.retract_fact(&parse_term("p").unwrap()));
+        assert_eq!(db.holds(&parse_term("p").unwrap()).unwrap(), Truth::False);
+        assert_eq!(db.holds(&parse_term("q").unwrap()).unwrap(), Truth::False);
+        assert_eq!(db.holds(&parse_term("r").unwrap()).unwrap(), Truth::True);
+    }
+
+    #[test]
+    fn builtin_guarded_facts_survive_retraction_of_their_edb_twin() {
+        // `s :- 1 < 2.` grounds to the same ground fact as the EDB `s.`;
+        // retracting the EDB occurrence must keep s true (spontaneous
+        // justification), and a second retraction is a no-op returning false.
+        let mut db = HiLogDb::new(parse_program("s :- 1 < 2. s. t :- s.").unwrap());
+        db.model().unwrap();
+        assert!(db.retract_fact(&parse_term("s").unwrap()));
+        assert_eq!(db.holds(&parse_term("s").unwrap()).unwrap(), Truth::True);
+        assert_eq!(db.holds(&parse_term("t").unwrap()).unwrap(), Truth::True);
+        assert!(!db.retract_fact(&parse_term("s").unwrap()));
+    }
+
+    #[test]
+    fn guarded_twins_survive_and_plain_facts_go_in_a_program_of_many_chunks() {
+        // The same decisions as above, but with the guarded rule, the
+        // retracted plain fact and the EDB twin in three different chunks of
+        // the rule sequence (800 facts between them), and both read routes
+        // warm: the subgoal tables and the model.
+        let mut text = String::from("s :- 1 < 2. t :- s. u(X) :- e(X, Y).\n");
+        for i in 0..800 {
+            text.push_str(&format!("e(n{i}, n{}).\n", i + 1));
+        }
+        text.push_str("s.\n");
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        let term = |t: &str| parse_term(t).unwrap();
+        for atom in ["s", "t", "e(n400, n401)", "u(n400)"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::True);
+        }
+        db.model().unwrap();
+        // The twin: `s` stays true on both routes, and is gone as a fact.
+        assert!(db.retract_fact(&term("s")));
+        assert!(!db.retract_fact(&term("s")));
+        for atom in ["s", "t"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::True, "{atom}");
+            assert_eq!(db.model().unwrap().truth(&term(atom)), Truth::True);
+        }
+        // A plain fact has no other bodiless route: it goes from tables and
+        // model alike, with what it supported.
+        assert!(db.retract_fact(&term("e(n400, n401)")));
+        for atom in ["e(n400, n401)", "u(n400)"] {
+            assert_eq!(db.holds(&term(atom)).unwrap(), Truth::False, "{atom}");
+            assert_eq!(db.model().unwrap().truth(&term(atom)), Truth::False);
+        }
+        let open = parse_query("?- P(n399, X).").unwrap();
+        let warm = db.query(&open).unwrap();
+        assert_eq!(warm.stats.groundings, 0, "the model read above was lost");
+        assert_eq!(warm.answers.len(), 1);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(warm.answers, fresh.query(&open).unwrap().answers);
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+        // A non-ground bodiless rule is no twin of any ground fact either
+        // (it makes the full model flounder, so only the tables are warm):
+        // it neither keeps a retracted fact alive nor is touched by it.
+        text.push_str("e(X, stop).\n");
+        let mut db = HiLogDb::new(parse_program(&text).unwrap());
+        assert_eq!(db.holds(&term("e(n400, n401)")).unwrap(), Truth::True);
+        assert!(db.retract_fact(&term("e(n400, n401)")));
+        assert_eq!(db.holds(&term("e(n400, n401)")).unwrap(), Truth::False);
+        assert_eq!(db.holds(&term("e(n400, stop)")).unwrap(), Truth::True);
+        let open_fact = term("e(X, stop)");
+        assert!(db.retract_fact(&open_fact));
+        assert!(!db.retract_fact(&open_fact));
+        assert_eq!(db.holds(&term("e(n400, stop)")).unwrap(), Truth::False);
+    }
+
+    #[test]
+    fn hilog_programs_with_variable_heads_rebuild_the_model_after_a_write() {
+        // The HiLog game rule has a non-ground head predicate name; a write
+        // drops its grounding and model like any program's.
+        let mut db = HiLogDb::new(
+            parse_program(
+                "winning(M)(X) :- game(M), M(X, Y), not winning(M)(Y).\n\
+                 game(m). m(a, b). m(b, c).",
+            )
+            .unwrap(),
+        );
+        let unbound = parse_query("?- game(M), winning(M)(X).").unwrap();
+        // Unbound? game(M) is bound (ground name) — force the model route.
+        let open = parse_query("?- P(a, b).").unwrap();
+        assert_eq!(db.query(&open).unwrap().stats.groundings, 1);
+        db.assert_fact(parse_term("m(c, d)").unwrap()).unwrap();
+        assert_model_rebuilt_cold_after_the_write(&mut db, &open);
+        assert_eq!(
+            db.holds(&parse_term("winning(m)(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+        let _ = db.query(&unbound);
+    }
+
+    #[test]
+    fn retract_rule_undoes_assert_rule() {
+        let mut db = game_db();
+        let query = parse_query("?- winning(X).").unwrap();
+        let before = db.query(&query).unwrap();
+        let rule = parse_program("winning(X) :- bonus(X).").unwrap().rules[0].clone();
+        db.assert_rule(rule.clone());
+        db.assert_fact(parse_term("bonus(c)").unwrap()).unwrap();
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
+        assert!(db.retract_rule(&rule));
+        assert!(db.retract_fact(&parse_term("bonus(c)").unwrap()));
+        let after = db.query(&query).unwrap();
+        assert_eq!(after.answers, before.answers);
+    }
+
+    #[test]
+    fn pure_edb_asserts_respect_the_cumulative_ground_cap() {
+        // 4 ground rules after the first query; cap at 6 and pour in pure-EDB
+        // facts: re-grounding after them must report the same LimitExceeded
+        // a fresh session would.
+        let mut db = HiLogDb::builder()
+            .program(
+                parse_program(
+                    "winning(X) :- move(X, Y), not winning(Y).\n\
+                     move(a, b). colour(a, red).",
+                )
+                .unwrap(),
+            )
+            .options(EvalOptions::with_max_atoms(6))
+            .build();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        db.query(&unbound).unwrap();
+        for i in 0..4 {
+            db.assert_fact(parse_term(&format!("colour(c{i}, blue)")).unwrap())
+                .unwrap();
+        }
+        let err = db.query(&unbound).unwrap_err();
+        assert!(matches!(err, EngineError::LimitExceeded(_)));
+    }
+
+    #[test]
+    fn an_assert_past_its_deadline_leaves_a_session_that_answers_like_a_fresh_one() {
+        // An already expired deadline around the write: the mutation itself
+        // must still land, and the next read must ground (once) and agree
+        // with a fresh session on every atom.
+        let mut db = game_db();
+        let unbound = parse_query("?- P(a, X).").unwrap();
+        assert_eq!(db.query(&unbound).unwrap().stats.groundings, 1);
+        crate::ambient::with_deadline(Some(std::time::Instant::now()), || {
+            db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
+        });
+        let after = db.query(&unbound).unwrap();
+        assert_eq!(after.stats.groundings, 1, "the write kept the grounding");
+        assert_eq!(after.stats.model_source, ModelSource::Rebuilt);
+        let mut fresh = HiLogDb::new(db.program().clone());
+        assert_eq!(after.answers, fresh.query(&unbound).unwrap().answers);
+        assert_eq!(
+            db.ground_program().unwrap().len(),
+            fresh.ground_program().unwrap().len()
+        );
+        assert_eq!(db.model().unwrap(), fresh.model().unwrap());
+        assert_eq!(
+            db.holds(&parse_term("winning(c)").unwrap()).unwrap(),
+            Truth::True
+        );
     }
 
     #[test]

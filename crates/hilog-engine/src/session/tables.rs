@@ -577,8 +577,7 @@ impl HiLogDb {
     fn settle_under(&mut self, deltas: &[(Term, bool)], tables: &mut Tables, walk: &mut Walk) {
         let probes: Vec<Term> = deltas.iter().map(|(fact, _)| rename_apart(fact)).collect();
         // A retracted ground instance survives in a table if some other
-        // bodiless route still derives it (a builtin-guarded twin) — the
-        // same check the DRed path applies to the ground program; asked
+        // bodiless route still derives it (a builtin-guarded twin); asked
         // once per retraction, and only if a table holds the fact.
         let mut spontaneous: Vec<Option<bool>> = vec![None; deltas.len()];
         let mut index = None;

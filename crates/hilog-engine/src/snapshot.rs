@@ -12,10 +12,9 @@
 //! * A [`HiLogDb`] session *owns* one working snapshot by value.  Its reads
 //!   delegate to that snapshot (an uncontended lock, tens of nanoseconds);
 //!   its mutations reach the snapshot's caches lock-free through
-//!   `RwLock::get_mut` and keep them maintained incrementally (on assert the
-//!   semi-naive driver that ground the program cold, continued from the new
-//!   fact; DRed overdelete/rederive on retract; instance-level table
-//!   maintenance).
+//!   `RwLock::get_mut`: the subgoal tables and the program index are
+//!   maintained in place, and a write drops the model-side caches
+//!   (grounding, model, stable models, Figure 1) whole.
 //! * A published [`DbSnapshot`] is an `Arc`-sharing copy of the working one
 //!   at an *epoch*: the program and every heavyweight cache are shared by
 //!   `Arc` (publishing is a handful of refcount bumps, never a deep copy).
@@ -26,7 +25,7 @@
 //!   batch into it, and copies whole only while a reader pins that version.
 //!   A table the writer's table pass edits in place is handled the same way,
 //!   one level down (`Tables::table_mut`).  The grounding and the model are
-//!   copied whole.  The type is
+//!   never edited: a write drops them.  The type is
 //!   `Send + Sync`, so any number of threads answer
 //!   queries from the same snapshot in parallel; caches the writer had not
 //!   filled yet are built lazily *inside* the snapshot — the first reader
@@ -260,15 +259,14 @@ impl<T: CatchUp> Twinned<T> {
 /// expensive work once instead of racing.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct SnapCore {
-    /// Relevant instantiation of the program, maintained *incrementally* by
-    /// the owning session under fact-level mutations (the grounding driver
-    /// continued from the fact on assert, DRed overdelete/rederive on
-    /// retract).  Resident on every backend, with its possibly-true store.
+    /// Relevant instantiation of the program, grounded cold by the first
+    /// route that needs it.  Resident on every backend, with its
+    /// possibly-true store.
     pub(crate) ground: Option<Arc<GroundProgram>>,
     /// Full model under the snapshot's semantics: exact for `program`, or
-    /// absent.  The owning session edits it in place for a pure-EDB fact and
-    /// drops it on any other mutation; the next route that needs it
-    /// evaluates whatever grounding `ground` holds.
+    /// absent.  The owning session never edits any of these caches: every
+    /// mutation resets the whole `SnapCore`, and the next route that needs
+    /// the model grounds the program and evaluates it once.
     pub(crate) model: Option<Arc<Model>>,
     /// Stable models (filled by [`DbSnapshot::stable_models`]).
     pub(crate) stable: Option<Arc<Vec<Model>>>,
@@ -293,8 +291,8 @@ pub struct DbSnapshot {
     /// sequence of `Arc`d chunks — so a batch un-shares the chunks it
     /// edits and this snapshot keeps the rest in common with every later
     /// epoch.  Every heavyweight cache below is `Arc`d for the same reason:
-    /// the grounding and the model are copied whole when edited while
-    /// shared, the table arena and the program index catch up their twin
+    /// the grounding and the model are never edited (a write drops them),
+    /// the table arena and the program index catch up their twin
     /// ([`Twinned`]).  The session's fact multiset is deliberately *not*
     /// here: only mutations read it.
     pub(crate) program: Arc<Program>,
@@ -531,10 +529,37 @@ impl DbSnapshot {
         self.ensure_modular_locked(&mut core)
     }
 
-    /// Grounds the program if no relevant instantiation is cached yet.
-    pub(crate) fn ensure_ground(&self) -> Result<(), EngineError> {
-        let mut core = write_lock(&self.core);
-        self.ensure_ground_locked(&mut core).map(drop)
+    // The working snapshot's caches for the session that owns it: filled
+    // on first use like any reader's, then borrowed through the exclusive
+    // `&mut self`, without a lock.  The session itself only ever resets
+    // them whole.
+
+    /// The grounding, grounding on first use.
+    pub(crate) fn owned_ground(&mut self) -> Result<&GroundProgram, EngineError> {
+        self.ensure_ground_locked(&mut write_lock(&self.core))?;
+        let core = lock_mut(&mut self.core);
+        Ok(core.ground.as_deref().expect("just grounded"))
+    }
+
+    /// The model; see [`Self::model`].
+    pub(crate) fn owned_model(&mut self) -> Result<&Model, EngineError> {
+        self.model()?;
+        let core = lock_mut(&mut self.core);
+        Ok(core.model.as_deref().expect("just built"))
+    }
+
+    /// The stable models; see [`Self::stable_models`].
+    pub(crate) fn owned_stable_models(&mut self) -> Result<&[Model], EngineError> {
+        self.stable_models()?;
+        let core = lock_mut(&mut self.core);
+        Ok(core.stable.as_deref().expect("just computed"))
+    }
+
+    /// The Figure 1 outcome; see [`Self::check_modular`].
+    pub(crate) fn owned_modular(&mut self) -> Result<&ModularOutcome, EngineError> {
+        self.check_modular()?;
+        let core = lock_mut(&mut self.core);
+        Ok(core.modular.as_deref().expect("just checked"))
     }
 
     /// The tabled evaluator's view of the program, built on first use.
@@ -623,10 +648,9 @@ impl DbSnapshot {
     }
 
     /// The exact model plus how it was obtained — reused as-is or rebuilt
-    /// (after a write that is not pure-EDB the owning session has kept the
-    /// grounding current and dropped the model, so a rebuild evaluates the
-    /// maintained grounding) — and how many grounding passes the call
-    /// performed.  Double-checked: the warm path is one read lock; anything
+    /// (after any write the grounding is gone with the model, so a rebuild
+    /// grounds cold and runs one evaluation) — and how many grounding
+    /// passes the call performed.  Double-checked: the warm path is one read lock; anything
     /// else computes under the write lock, so concurrent first-readers build
     /// the model once and the rest reuse it.
     fn model_impl(&self) -> Result<(Arc<Model>, ModelSource, usize), EngineError> {
@@ -649,6 +673,7 @@ impl DbSnapshot {
                 checked_well_founded_eval(core.ground.as_deref().expect("just grounded"))?
             }
             Semantics::Stable => {
+                groundings += self.ensure_ground_locked(core)?;
                 let stable = self.ensure_stable_locked(core)?;
                 consensus_model(&stable)?
             }
@@ -1027,12 +1052,12 @@ impl DbWriter {
         }
     }
 
-    /// Asserts a ground fact into the current batch (semi-naive incremental
-    /// maintenance; see [`HiLogDb::assert_fact`]).  Not visible to readers
-    /// until [`publish`](DbWriter::publish).  The grounding is maintained
-    /// here, fact by fact; the subgoal tables are not — the
-    /// change is queued, and the batch's fact-level changes are folded into
-    /// them together, in one pass, by [`publish`](DbWriter::publish) (or by
+    /// Asserts a ground fact into the current batch (see
+    /// [`HiLogDb::assert_fact`]).  Not visible to readers until
+    /// [`publish`](DbWriter::publish).  The model-side caches are dropped
+    /// here; the subgoal tables are not touched yet — the change is queued,
+    /// and the batch's fact-level changes are folded into them together, in
+    /// one pass, by [`publish`](DbWriter::publish) (or by
     /// [`db`](DbWriter::db), or by the next rule-level mutation, whichever
     /// comes first).
     pub fn assert_fact(&mut self, fact: Term) -> Result<(), EngineError> {
@@ -1040,9 +1065,9 @@ impl DbWriter {
         self.db.assert_fact_unsettled(fact)
     }
 
-    /// Retracts one occurrence of a ground fact in the current batch (DRed
-    /// maintenance; see [`HiLogDb::retract_fact`]); the subgoal tables are
-    /// settled with the batch, as for [`assert_fact`](DbWriter::assert_fact).
+    /// Retracts one occurrence of a ground fact in the current batch (see
+    /// [`HiLogDb::retract_fact`]); the subgoal tables are settled with the
+    /// batch, as for [`assert_fact`](DbWriter::assert_fact).
     pub fn retract_fact(&mut self, fact: &Term) -> bool {
         self.adopt_reader_tables();
         self.db.retract_fact_unsettled(fact)

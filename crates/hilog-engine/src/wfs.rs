@@ -118,23 +118,23 @@ pub fn well_founded_of_ground(program: &GroundProgram) -> Model {
 }
 
 /// Builds a [`Model`] from a settled assignment over a ground program's
-/// atoms, in one pass.  The base is the atoms some rule mentions (an id
-/// maintenance left behind is no part of it).  The result depends only on
-/// the assignment values (the model is ordered by term), never on the order
-/// that produced them.
+/// atoms, in one pass.  The base is the interned atoms, which are exactly
+/// the atoms some rule mentions.  The result depends only on the assignment
+/// values (the model is ordered by term), never on the order that produced
+/// them.
 pub(crate) fn assemble_model(program: &GroundProgram, assignment: &Assignment) -> Model {
-    let mentioned = program.mentioned();
     let atoms = program.atoms.interner();
-    let base = atoms.iter().filter(|(id, _)| mentioned[id.index()]);
-    base.map(|(id, atom)| {
-        let truth = match assignment[id.index()] {
-            Some(true) => Truth::True,
-            Some(false) => Truth::False,
-            None => Truth::Undefined,
-        };
-        (atom.clone(), truth)
-    })
-    .collect()
+    atoms
+        .iter()
+        .map(|(id, atom)| {
+            let truth = match assignment[id.index()] {
+                Some(true) => Truth::True,
+                Some(false) => Truth::False,
+                None => Truth::Undefined,
+            };
+            (atom.clone(), truth)
+        })
+        .collect()
 }
 
 /// Computes the well-founded model of a ground program — the one model
@@ -645,7 +645,7 @@ mod tests {
         assert!(gelfond_lifschitz_check(&gp, &m));
         // Flipping an atom makes it no stable model.
         let mut wrong = m.clone();
-        wrong.set_true(t("winning(a)"));
+        wrong.insert(t("winning(a)"), Truth::True);
         assert!(!gelfond_lifschitz_check(&gp, &wrong));
     }
 

@@ -31,10 +31,10 @@
 //! * both families — the **grounding** itself: the relevant instantiation
 //!   the semi-naive driver emits from its one join pass vs the paper's
 //!   definition (`ground_against` over the finished least model), its
-//!   possibly-true store vs the least model, and a session's *maintained*
-//!   grounding and model
-//!   after an assert and retract stream vs a fresh session's; every
-//!   grounding's possibly-true atoms are exactly the heads of its rules.
+//!   possibly-true store vs the least model, and a session's grounding
+//!   and model after each write of an assert and retract stream vs a fresh
+//!   session's; every grounding's possibly-true atoms are exactly the heads
+//!   of its rules.
 //!
 //! The seeds in `tests/corpus/differential_seeds.txt` are a committed
 //! regression corpus: they are always run, in every configuration, before
@@ -194,27 +194,22 @@ fn hilog_programs_agree_across_plan_families() {
 
 #[test]
 fn incremental_assertion_matches_fresh_sessions_on_hilog_programs() {
-    // The incremental path (semi-naive delta grounding, then the model
-    // evaluated from the maintained grounding) against a from-scratch
-    // session, on programs whose variable-headed rules make every
-    // mutation's predicate-level scope global.
+    // A warm session's model after an assert (grounded again and evaluated
+    // once) against a from-scratch session, on programs with
+    // variable-headed rules.
     for seed in seeds(0) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
         let mut db = HiLogDb::new(program.clone());
         db.model().expect("warm the caches");
         let fact = parse_term(&format!("r0(c0, c{})", 1 + (seed % 3))).unwrap();
         db.assert_fact(fact.clone()).unwrap();
-        let maintained = db.model().expect("model after the assert").clone();
+        let after = db.model().expect("model after the assert").clone();
 
         let mut extended = program;
         extended.push(Rule::fact(fact));
         let mut fresh = HiLogDb::new(extended);
         let reference = fresh.model().expect("fresh model").clone();
-        assert_same_model(
-            &maintained,
-            &reference,
-            &format!("seed {seed}, incremental"),
-        );
+        assert_same_model(&after, &reference, &format!("seed {seed}, incremental"));
     }
 }
 
@@ -357,16 +352,13 @@ fn the_fused_grounding_is_the_definitional_one() {
 }
 
 #[test]
-fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream() {
-    // Cold grounding is the driver from an empty store, `assert_fact` the
-    // driver continued from the new fact, `retract_fact` DRed over the
-    // grounding (or, for a fact no rule reads, an edit in place): after any
-    // stream of assertions (new edges, duplicates, derived atoms, facts no
-    // rule reads) and retractions (of those, and of the program's own facts)
-    // the session's maintained ground program must be the set a fresh
-    // session grounds cold, and its model a fresh session's, base included.
-    // The model is read after every write, so an unread fact's retraction
-    // patches a warm model.
+fn the_grounding_after_an_assert_and_retract_stream_equals_a_cold_one() {
+    // A write drops the grounding and the model, and the next read grounds
+    // the program as it stands: after any stream of assertions (new edges,
+    // duplicates, derived atoms, facts no rule reads) and retractions (of
+    // those, and of the program's own facts) the session's ground program
+    // must be the set a fresh session grounds cold, and its model a fresh
+    // session's, base included.  The model is read after every write.
     for seed in seeds(0) {
         for hilog in [false, true] {
             let program = if hilog {
@@ -406,7 +398,7 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream()
                 let text = match (hilog, pick) {
                     (_, 0) => format!("unread(c{a}, c{b})"),
                     // A derived atom, often one the store already holds: the
-                    // fact instance is new, the continuation has nothing to do.
+                    // fact instance is new, no other instance is.
                     (true, 1) => format!("reach(r{})(c{}, c{})", a % 2, a % 4, b % 4),
                     (false, 1) => format!("idb{}(c{a})", b % 3),
                     (true, _) => format!("r{}(c{}, c{})", pick % 2, a % 4, b % 4),
@@ -419,16 +411,15 @@ fn a_maintained_grounding_equals_a_cold_one_after_an_assert_and_retract_stream()
                 assert_live_atoms_are_the_heads(ground, &format!("{context}, step {step}"));
                 asserted.push(fact);
             }
-            let maintained = db.ground_program().expect("maintained grounding").clone();
+            let after = db
+                .ground_program()
+                .expect("grounding after the stream")
+                .clone();
             let mut fresh = HiLogDb::new(db.program().clone());
             let cold = fresh.ground_program().expect("cold grounding");
-            assert_eq!(rule_set(&maintained), rule_set(cold), "{context}");
-            assert_eq!(
-                maintained.len(),
-                cold.len(),
-                "repeated instance ({context})"
-            );
-            let model = db.model().expect("maintained model").clone();
+            assert_eq!(rule_set(&after), rule_set(cold), "{context}");
+            assert_eq!(after.len(), cold.len(), "repeated instance ({context})");
+            let model = db.model().expect("model after the stream").clone();
             assert_eq!(&model, fresh.model().expect("cold model"), "{context}");
         }
     }

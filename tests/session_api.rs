@@ -625,10 +625,10 @@ fn retract_rule_is_exposed_end_to_end() {
 }
 
 #[test]
-fn update_heavy_sessions_re_evaluate_the_maintained_grounding() {
+fn update_heavy_sessions_re_ground_after_every_write() {
     // Alternating asserts and full-model point queries: every read after a
-    // write evaluates the model again, from the grounding the write kept
-    // current — it never re-grounds — and the re-read is the cached model.
+    // write grounds the program again and evaluates it once, and the
+    // re-read is the cached model.
     let mut db = HiLogDb::new(
         parse_program("winning(X) :- move(X, Y), not winning(Y). move(p0, p1).").unwrap(),
     );
@@ -638,73 +638,158 @@ fn update_heavy_sessions_re_evaluate_the_maintained_grounding() {
         db.assert_fact(parse_term(&format!("move(p{i}, p{})", i + 1)).unwrap())
             .unwrap();
         let result = db.query(&query).unwrap();
-        assert_eq!(result.stats.groundings, 0, "assert {i} re-grounded");
+        assert_eq!(result.stats.groundings, 1, "assert {i} kept the grounding");
         assert_eq!(result.stats.model_source, ModelSource::Rebuilt);
         let again = db.query(&query).unwrap();
         assert_eq!(again.stats.model_source, ModelSource::Cached);
+        assert_eq!(again.stats.groundings, 0);
         assert_eq!(again.answers, result.answers);
     }
     check_against_fresh(&mut db, &parse_query("?- P(X).").unwrap(), "update-heavy");
+}
+
+/// One of the three doors through which a program is written and its model
+/// read: an owner session, the session a writer hands out
+/// (`DbWriter::db()`), and the snapshot the writer publishes after each
+/// write.
+enum Door {
+    Owner(HiLogDb),
+    Writer(DbWriter),
+    Published(DbWriter, SnapshotHandle),
+}
+
+impl Door {
+    fn write(&mut self, fact: &Term, asserted: bool) {
+        match self {
+            Door::Owner(db) if asserted => db.assert_fact(fact.clone()).unwrap(),
+            Door::Owner(db) => assert!(db.retract_fact(fact)),
+            Door::Writer(writer) | Door::Published(writer, _) => {
+                if asserted {
+                    writer.assert_fact(fact.clone()).unwrap();
+                } else {
+                    assert!(writer.retract_fact(fact));
+                }
+            }
+        }
+        if let Door::Published(writer, _) = self {
+            writer.publish();
+        }
+    }
+
+    fn query(&mut self, query: &Query) -> QueryResult {
+        match self {
+            Door::Owner(db) => db.query(query).unwrap(),
+            Door::Writer(writer) => writer.db().query(query).unwrap(),
+            Door::Published(_, handle) => handle.current().query(query).unwrap(),
+        }
+    }
+
+    fn stable_models(&mut self) -> Vec<Model> {
+        match self {
+            Door::Owner(db) => db.stable_models().unwrap().to_vec(),
+            Door::Writer(writer) => writer.db().stable_models().unwrap().to_vec(),
+            Door::Published(_, handle) => handle.current().stable_models().unwrap().to_vec(),
+        }
+    }
+
+    fn program(&self) -> Program {
+        match self {
+            Door::Owner(db) => db.program().clone(),
+            Door::Writer(writer) => writer.program().clone(),
+            Door::Published(_, handle) => handle.current().program().clone(),
+        }
+    }
 }
 
 #[test]
 fn a_fallback_after_a_write_evaluates_the_model_before_reading_it() {
     // a and b attack each other, so the tabled route meets a negative cycle
     // on every `win` query and falls back to the full model.  A model that
-    // was warm before a mutation is not that model any more: the fallback
-    // must find it gone and evaluate the maintained grounding — on the
-    // session, through `DbWriter::db()`, and in the snapshot a later publish
-    // hands to readers.
+    // was warm before a mutation is not that model any more.  Through each
+    // of the three doors, after an assert and after a retract, the first
+    // full-model read — the fallback, or the open query `?- P(X).` — grounds
+    // the program again and evaluates it once (`groundings == 1`,
+    // `Rebuilt`), answers like a fresh session, and the re-read is the
+    // cached model.  No rule reads `colour`, so writing it is pure EDB, and
+    // no exception.  Under the stable semantics (no magic route, so no
+    // fallback) the stable models after each write are a fresh session's.
     let program = parse_program(
         "win(X) :- move(X, Y), not win(Y).\n\
-         move(a, b). move(b, a). move(b, c).",
+         move(a, b). move(b, a). move(b, c). colour(red).",
     )
     .unwrap();
-    let query = parse_query("?- win(X).").unwrap();
-    let fresh = |program: &Program| HiLogDb::new(program.clone()).query(&query).unwrap();
-    let assert_re_evaluated = |result: &QueryResult, program: &Program, context: &str| {
-        assert!(result.fallback.is_some(), "{context}: no fallback");
-        assert_eq!(
-            result.stats.model_source,
-            ModelSource::Rebuilt,
-            "{context}: a model outlived the write"
-        );
-        assert_eq!(result.stats.groundings, 0, "{context}: re-grounded");
-        assert_results_agree(result, &fresh(program), context);
-    };
-    let assert_cached = |result: &QueryResult, program: &Program, context: &str| {
-        assert_eq!(result.stats.model_source, ModelSource::Cached, "{context}");
-        assert_results_agree(result, &fresh(program), context);
-    };
-
-    let mut db = HiLogDb::new(program.clone());
-    db.model().unwrap();
-    db.assert_fact(parse_term("move(c, d)").unwrap()).unwrap();
-    let result = db.query(&query).unwrap();
-    assert_re_evaluated(&result, db.program(), "session");
-    assert!(answer_set(&result).iter().any(|a| a.contains("X = c")));
-    let again = db.query(&query).unwrap();
-    assert_cached(&again, db.program(), "session, re-read");
-
-    let (mut writer, handle) = HiLogDb::new(program).into_serving();
-    writer.db().model().unwrap();
-    writer
-        .assert_fact(parse_term("move(c, d)").unwrap())
-        .unwrap();
-    let result = writer.db().query(&query).unwrap();
-    assert_re_evaluated(&result, writer.program(), "writer.db()");
-    let again = writer.db().query(&query).unwrap();
-    assert_cached(&again, writer.program(), "writer.db(), re-read");
-    // Written again before the publish: the snapshot carries the maintained
-    // grounding and no model, and its first reader evaluates one.
-    assert!(writer.retract_fact(&parse_term("move(c, d)").unwrap()));
-    let snapshot = writer.publish();
-    let served = handle.current().query(&query).unwrap();
-    assert_re_evaluated(&served, snapshot.program(), "published snapshot");
-    assert!(!answer_set(&served).iter().any(|a| a.contains("X = c")));
-    let again = handle.current().query(&query).unwrap();
-    assert!(again.fallback.is_some());
-    assert_cached(&again, snapshot.program(), "published snapshot, re-read");
+    let (win, open) = (
+        parse_query("?- win(X).").unwrap(),
+        parse_query("?- P(X).").unwrap(),
+    );
+    let term = |t: &str| parse_term(t).unwrap();
+    // (fact, asserted, the query read first after the write)
+    let steps = [
+        (term("move(c, d)"), true, &win),
+        (term("colour(blue)"), true, &open),
+        (term("colour(blue)"), false, &open),
+        (term("move(c, d)"), false, &open),
+    ];
+    for semantics in [Semantics::WellFounded, Semantics::Stable] {
+        let session = |program: &Program| {
+            HiLogDb::builder()
+                .program(program.clone())
+                .semantics(semantics)
+                .build()
+        };
+        let (published, handle) = session(&program).into_serving();
+        let doors = [
+            ("owner session", Door::Owner(session(&program))),
+            (
+                "writer.db()",
+                Door::Writer(session(&program).into_serving().0),
+            ),
+            ("published snapshot", Door::Published(published, handle)),
+        ];
+        for (name, mut door) in doors {
+            // A model warm before the first write, on the writer's side too.
+            door.query(&open);
+            if let Door::Published(writer, _) = &mut door {
+                writer.db().model().unwrap();
+            }
+            for (fact, asserted, first) in &steps {
+                door.write(fact, *asserted);
+                let context = format!("{name}, {semantics}, after writing `{fact}` ({asserted})");
+                let mut fresh = session(&door.program());
+                let read = door.query(first);
+                assert_eq!(
+                    read.stats.model_source,
+                    ModelSource::Rebuilt,
+                    "{context}: a model outlived the write"
+                );
+                assert_eq!(
+                    read.stats.groundings, 1,
+                    "{context}: a grounding outlived the write"
+                );
+                assert_results_agree(&read, &fresh.query(first).unwrap(), &context);
+                if semantics == Semantics::WellFounded && std::ptr::eq(*first, &win) {
+                    assert!(read.fallback.is_some(), "{context}: no fallback");
+                }
+                for query in [&win, &open] {
+                    let again = door.query(query);
+                    assert_eq!(
+                        again.stats.model_source,
+                        ModelSource::Cached,
+                        "{context}, re-read"
+                    );
+                    assert_eq!(again.stats.groundings, 0, "{context}, re-read");
+                    assert_results_agree(&again, &fresh.query(query).unwrap(), &context);
+                }
+                if semantics == Semantics::Stable {
+                    assert_eq!(
+                        door.stable_models(),
+                        fresh.stable_models().unwrap(),
+                        "{context}"
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// What the table pass did over one batch stream, read off the writer's

@@ -6,8 +6,8 @@
 //! Every model is compared to `engine::well_founded_of_ground`, the literal
 //! global `W_P` iteration that no production path calls, on the same
 //! relevant grounding.  The model after a mutation gets the same treatment:
-//! evaluated from the session's maintained grounding, against a fresh
-//! evaluation of the mutated program.  The program families are those of
+//! a warm session's model after each assert, against a fresh evaluation of
+//! the mutated program.  The program families are those of
 //! `tests/differential.rs` — the pinned regression corpus in
 //! `tests/corpus/differential_seeds.txt` always runs first, and
 //! `HILOG_PARALLEL_CASES` (its name is older than the file's) scales the
@@ -361,10 +361,10 @@ fn bound_queries_agree_with_the_reference() {
 }
 
 #[test]
-fn incremental_patching_agrees_with_the_reference() {
-    // The incrementally maintained grounding: an assertion sequence applied
-    // to a warm session must pass, at every step, through the model a fresh
-    // evaluation of the mutated program defines.
+fn the_model_after_each_assert_agrees_with_the_reference() {
+    // An assertion sequence applied to a warm session must pass, at every
+    // step, through the model a fresh evaluation of the mutated program
+    // defines.
     for seed in seeds(0).into_iter().take(25) {
         let program = random_strongly_restricted_hilog(HilogProgramConfig::default(), seed);
         let mut db = HiLogDb::new(program);
@@ -372,9 +372,9 @@ fn incremental_patching_agrees_with_the_reference() {
         for step in 0..3u64 {
             let fact = parse_term(&format!("r0(c0, c{})", 1 + ((seed + step) % 3))).unwrap();
             db.assert_fact(fact).expect("fact asserts");
-            let maintained = db.model().expect("model after the assert").clone();
+            let after = db.model().expect("model after the assert").clone();
             assert_eq!(
-                maintained,
+                after,
                 reference_model(db.program()),
                 "model after the assert diverges from fresh evaluation (seed {seed}, step {step})"
             );
