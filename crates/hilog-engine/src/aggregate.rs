@@ -28,14 +28,13 @@
 
 use crate::error::EngineError;
 use crate::horn::EvalOptions;
-use crate::magic_eval::{normalize_pattern, ProgramIndex, QueryEvaluator};
+use crate::magic_eval::{normalize_pattern, ProgramIndex, QueryEvaluator, Tables};
 use crate::storage::StorageConfig;
 use hilog_core::unify::{match_with, unify_with};
 use hilog_core::{
     Aggregate, AggregateFunc, Literal, Model, Program, Rule, Substitution, Term, Var,
 };
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
 
 /// Result of aggregate evaluation.
 #[derive(Debug, Clone)]
@@ -73,8 +72,9 @@ pub fn evaluate_aggregate_program(
             heads.insert(normalize_pattern(&rule.head));
         }
     }
-    let index = Arc::new(ProgramIndex::build(program, &StorageConfig::InMemory));
-    let mut evaluator = QueryEvaluator::over(index, opts, Arc::default());
+    let index = ProgramIndex::build(program, &StorageConfig::InMemory);
+    let empty = Tables::default();
+    let mut evaluator = QueryEvaluator::over(&index, opts, &empty);
     let mut atoms: BTreeSet<Term> = (program.facts())
         .filter(|rule| rule.head.is_ground())
         .map(|rule| rule.head.clone())

@@ -11,8 +11,7 @@
 //! positive atoms matched — to its caller.  [`least_model`] is the
 //! driver with nothing to do per match; the *relevant instantiation* used
 //! to ground programs with negation is the driver building the ground rule
-//! from each match ([`crate::grounder`]) — cold from an empty store, or
-//! continued from an asserted fact.
+//! from each match ([`crate::grounder`]), always cold from an empty store.
 //!
 //! Every store here is an [`AtomStore`]: the driver's store and frontier,
 //! a grounding's possibly-true set and a subgoal table's answers are

@@ -12,10 +12,9 @@
 //!   executor over one slot frame — and hands each match to its caller.
 //! * **Grounding** ([`relevant_ground`]): relevant instantiation for
 //!   (strongly) range-restricted programs — that driver building the ground
-//!   rule from each match, cold from an empty store or continued from an
-//!   asserted fact, so the possibly-true set and the ground rules come from
-//!   one join pass — and literal instantiation over bounded Herbrand-universe
-//!   slices (Section 4).
+//!   rule from each match, cold from an empty store, so the possibly-true
+//!   set and the ground rules come from one join pass — and literal
+//!   instantiation over bounded Herbrand-universe slices (Section 4).
 //! * **Well-founded semantics** ([`well_founded_eval`]): the `T_P` / `U_P` /
 //!   `W_P` construction of Definitions 3.3–3.5, applied to normal and HiLog
 //!   instantiations alike (Section 4), settled one component of the atom

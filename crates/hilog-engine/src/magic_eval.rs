@@ -680,10 +680,10 @@ pub(crate) type TableId = usize;
 /// into it, and copies the table whole only while something else still
 /// holds that version.
 ///
-/// A key has a stable position while the arena holds its table **or** a
-/// table it holds read it (a *dangling* edge: the maintenance pass never
-/// leaves one, and treats a reader of one as changed); a position neither
-/// holds is on the free list.  A table's reads are its `deps` keys.
+/// A key has a stable position while the arena holds its table or a table
+/// it holds reads it; a position neither holds is on the free list.  A
+/// table's reads are its `deps` keys, and the map holds every one of them
+/// (`Tables::assert_closed`).
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Tables {
     slots: Vec<Slot>,
@@ -702,9 +702,6 @@ pub(crate) struct Tables {
     free: Vec<TableId>,
     /// Tables held and not set aside.
     len: usize,
-    /// Positions with readers and no table: the keys dangling edges lead
-    /// to.  0 in every map the maintenance pass leaves.
-    dangling: usize,
     /// The slots and buckets edited since the log started.
     log: Log<Edited>,
     /// Bucket entries probed and closure members walked by the passes:
@@ -900,9 +897,6 @@ impl Tables {
             Some(old) => self.relink(id, table.deps.keys(), old.deps.keys()),
             None => {
                 let key = self.slots[id].key.clone();
-                if !self.slots[id].readers.is_empty() {
-                    self.dangling -= 1;
-                }
                 self.bucket(&key).push((first_argument(&key), id));
                 for dep in table.deps.keys() {
                     self.link(id, dep);
@@ -957,9 +951,6 @@ impl Tables {
         slot.table = None;
         if !std::mem::take(&mut slot.aside) {
             self.len -= 1;
-        }
-        if !slot.readers.is_empty() {
-            self.dangling += 1;
         }
         self.release(id);
     }
@@ -1022,15 +1013,6 @@ impl Tables {
     /// The table held at `id`, in view or set aside.
     pub(crate) fn held(&self, id: TableId) -> Option<&Arc<Table>> {
         self.slots[id].table.as_ref()
-    }
-
-    /// Whether the table at `id` read a key with no table (looked for only
-    /// while the arena has such a key).
-    pub(crate) fn reads_absent(&self, id: TableId) -> bool {
-        self.dangling > 0
-            && (self.held(id).into_iter())
-                .flat_map(|table| table.deps.keys())
-                .any(|dep| self.slots[self.ids[dep]].table.is_none())
     }
 
     /// The positions of the tables that read the one at `id`.
@@ -1127,21 +1109,13 @@ impl Tables {
     fn link(&mut self, id: TableId, dep: &Term) {
         let w = self.slot(dep);
         self.edited(w);
-        let slot = &mut self.slots[w];
-        if slot.table.is_none() && slot.readers.is_empty() {
-            self.dangling += 1;
-        }
-        Arc::make_mut(&mut slot.readers).push(id);
+        Arc::make_mut(&mut self.slots[w].readers).push(id);
     }
 
     fn unlink(&mut self, id: TableId, dep: &Term) {
         let w = self.ids[dep];
         self.edited(w);
-        let slot = &mut self.slots[w];
-        forget(Arc::make_mut(&mut slot.readers), id);
-        if slot.table.is_none() && slot.readers.is_empty() {
-            self.dangling -= 1;
-        }
+        forget(Arc::make_mut(&mut self.slots[w].readers), id);
         self.release(w);
     }
 
@@ -1175,6 +1149,18 @@ impl Tables {
         (edges, buckets)
     }
 
+    /// Checks that the tables in view are complete and read only tables in
+    /// view.  A complete table reads only complete tables, and the pass
+    /// drops whole reverse closures, so no map a query or a pass leaves
+    /// lacks a key its tables read: nothing looks for one.
+    #[cfg(debug_assertions)]
+    pub(crate) fn assert_closed(&self) {
+        assert!(
+            (self.iter()).all(|(_, t)| t.complete && t.deps.keys().all(|d| self.contains_key(d))),
+            "a table is incomplete or reads a key the map does not hold"
+        );
+    }
+
     /// Checks the arena against one rebuilt from its own `(key, table)`
     /// pairs — the tables set aside set aside again — and that every
     /// position is either behind the door or free.
@@ -1194,7 +1180,7 @@ impl Tables {
             rebuilt.canonical(),
             "the table arena is out of step with its tables"
         );
-        assert_eq!((self.len, self.dangling), (rebuilt.len, rebuilt.dangling));
+        assert_eq!(self.len, rebuilt.len);
         let mut positions: Vec<TableId> = self.ids.values().chain(&self.free).copied().collect();
         positions.sort_unstable();
         assert!(
@@ -1233,7 +1219,7 @@ impl CatchUp for Tables {
         self.ids = Arc::clone(&newer.ids);
         self.wildcard.clone_from(&newer.wildcard);
         self.free.clone_from(&newer.free);
-        (self.len, self.dangling) = (newer.len, newer.dangling);
+        self.len = newer.len;
         self.log = Log::default();
         #[cfg(test)]
         {
@@ -1263,32 +1249,31 @@ impl CatchUp for Tables {
 /// A memoising query/subquery evaluator over a fixed program.
 ///
 /// It reads its tables through two levels: the completed tables it was
-/// seeded with (`base`, shared and never written) and the tables it creates
-/// (`own`, the only ones it writes).  Keys are disjoint — a table is created
-/// only for a key neither level holds.
+/// seeded with (`base`, borrowed and never written) and the tables it
+/// creates (`own`, the only ones it writes).  Keys are disjoint — a table
+/// is created only for a key neither level holds.
 #[derive(Debug)]
-pub struct QueryEvaluator {
+pub struct QueryEvaluator<'a> {
     /// The program: its facts to probe, its rules by head.
-    index: Arc<ProgramIndex>,
+    index: &'a ProgramIndex,
     /// The auxiliary `__query_answer` rule of the conjunctive query being
     /// answered, compiled and held *beside* the index as rule position
     /// `index.rules.len()` — so wrapping a query never copies anything.
     query_rule: Option<Arc<RulePlan>>,
     opts: EvalOptions,
     /// The completed tables the evaluator was seeded with — a snapshot's
-    /// map, shared by one `Arc` bump however many tables it holds, which is
-    /// how [`crate::session::HiLogDb`] and [`crate::snapshot::DbSnapshot`]
-    /// reuse work across queries.  A complete table is only ever read, so
-    /// nothing here is written and nothing is copied.
-    base: Arc<Tables>,
+    /// map or the writer's, lent for the evaluation, which is how
+    /// [`crate::session::HiLogDb`] and [`crate::snapshot::DbSnapshot`]
+    /// reuse work across queries.  Only ever read: nothing is copied.
+    base: &'a Tables,
     /// The tables this evaluator created, keyed structurally by their
     /// normalised pattern (the `Arc`-backed [`Term`] itself), so lookup and
     /// the session's maintenance never render a pattern to text — and two
     /// patterns that would print identically can never share a table.
     /// Handing the work back, and counting it, cost in proportion to these
-    /// and not to the warm tables the evaluator started from.  A plain map:
-    /// a table being filled still changes its edges.
-    own: TermMap<Term, Arc<Table>>,
+    /// and not to the warm tables the evaluator started from.  `Arc`d only
+    /// when handed back: a table being filled still changes its edges.
+    own: TermMap<Term, Table>,
     /// `rule_applications`, `head_unifications` and `cached_subqueries` so
     /// far; the table counts are read off `own` on demand.
     stats: EvalStats,
@@ -1312,11 +1297,11 @@ struct Stamp {
     completed: u64,
 }
 
-impl QueryEvaluator {
+impl<'a> QueryEvaluator<'a> {
     /// Creates an evaluator over an already indexed program, seeded with
     /// the completed tables of a previous run over the same program.  They
     /// are trusted as-is and never written.
-    pub(crate) fn over(index: Arc<ProgramIndex>, opts: EvalOptions, base: Arc<Tables>) -> Self {
+    pub(crate) fn over(index: &'a ProgramIndex, opts: EvalOptions, base: &'a Tables) -> Self {
         QueryEvaluator {
             index,
             query_rule: None,
@@ -1334,20 +1319,19 @@ impl QueryEvaluator {
     /// completed* back to the caller: the seeded tables are the caller's
     /// already, and the auxiliary query table is not a table of the program
     /// (an evaluation, failed or not, leaves no incomplete table behind).
-    /// Every table returned is a valid table of the base program.  The
-    /// evaluator's hold on its base ends here, so a caller that holds the
-    /// only other `Arc` of it owns it outright again.
-    pub(crate) fn into_tables(mut self) -> TermMap<Term, Arc<Table>> {
+    /// Every table returned is a valid table of the base program.  They
+    /// come in key order, so whatever the caller files them into does not
+    /// follow the hashing of this evaluator's map.
+    pub(crate) fn into_tables(mut self) -> Vec<Arc<Table>> {
         self.drop_query_table();
-        self.own
+        let mut tables: Vec<Arc<Table>> = self.own.into_values().map(Arc::new).collect();
+        tables.sort_unstable_by(|a, b| a.pattern.cmp(&b.pattern));
+        tables
     }
 
     /// The table for the normalised `key`, created or seeded.
     fn table(&self, key: &Term) -> Option<&Table> {
-        self.own
-            .get(key)
-            .or_else(|| self.base.get(key))
-            .map(Arc::as_ref)
+        (self.own.get(key)).or_else(|| self.base.get(key).map(Arc::as_ref))
     }
 
     /// The table for a key the evaluation has already created or found.
@@ -1480,7 +1464,7 @@ impl QueryEvaluator {
         };
         // Only a table being filled selects anything, and those are all
         // this evaluator's own.
-        let table = Arc::make_mut(self.own.get_mut(from).expect("a table being filled"));
+        let table = self.own.get_mut(from).expect("a table being filled");
         let (dep, first) = match table.deps.entry(to.clone()) {
             Entry::Occupied(dep) => (dep.into_mut(), false),
             Entry::Vacant(dep) => (
@@ -1611,7 +1595,7 @@ impl QueryEvaluator {
         self.expand(key)?;
         if (self.table_at(key).deps.keys()).all(|dep| self.table_at(dep).complete) {
             // It reads complete tables only (a re-solve after a write).
-            Arc::make_mut(self.own.get_mut(key).expect("opened")).complete = true;
+            self.own.get_mut(key).expect("opened").complete = true;
             return Ok(());
         }
         let mut regions = vec![key.clone()];
@@ -1669,7 +1653,7 @@ impl QueryEvaluator {
                 }
                 self.clock += 1;
                 for member in members {
-                    Arc::make_mut(self.own.get_mut(member).expect("an open table")).complete = true;
+                    self.own.get_mut(member).expect("an open table").complete = true;
                     self.stamps.get_mut(member).expect("stamped").completed = self.clock;
                 }
             }
@@ -1702,8 +1686,7 @@ impl QueryEvaluator {
     fn open_table(&mut self, key: &Term) -> Result<bool, EngineError> {
         if !self.fact_only(key) {
             self.stamps.remove(key);
-            let table = Table::new(key.clone());
-            self.own.insert(key.clone(), Arc::new(table));
+            self.own.insert(key.clone(), Table::new(key.clone()));
             return Ok(false);
         }
         self.complete_from_facts(key).map(|()| true)
@@ -1732,7 +1715,7 @@ impl QueryEvaluator {
             return Err(self.over_budget());
         }
         table.complete = true;
-        self.own.insert(key.clone(), Arc::new(table));
+        self.own.insert(key.clone(), table);
         Ok(())
     }
 
@@ -1795,7 +1778,7 @@ impl QueryEvaluator {
             self.stats.rule_applications += 1;
             self.select(&plan, 0, &mut frame, subgoal_key, &mut derived)?;
         }
-        let table = Arc::make_mut(self.own.get_mut(subgoal_key).expect("a table being filled"));
+        let table = self.own.get_mut(subgoal_key).expect("a table being filled");
         let before = table.answers.len();
         for d in derived {
             // Only keep instances of the subgoal pattern.
@@ -2005,12 +1988,13 @@ mod tests {
     use hilog_syntax::{parse_program, parse_query, parse_term};
     use std::time::{Duration, Instant};
 
-    impl QueryEvaluator {
+    impl QueryEvaluator<'static> {
         /// An evaluator for the program (indexing it first), seeded with
-        /// no tables.
+        /// no tables.  The index and the empty map are leaked: a test's
+        /// evaluator lives as long as the test.
         fn new(program: &Program, opts: EvalOptions) -> Self {
-            let index = Arc::new(ProgramIndex::build(program, &StorageConfig::InMemory));
-            Self::over(index, opts, Arc::default())
+            let index = ProgramIndex::build(program, &StorageConfig::InMemory);
+            Self::over(Box::leak(Box::new(index)), opts, Box::leak(Box::default()))
         }
 
         /// Whether the ground atom is true in the well-founded model.
@@ -2466,9 +2450,10 @@ mod tests {
         let third = ev.answer_query(&parse_query("?- p(X).").unwrap()).unwrap();
         assert_eq!(third.len(), 2);
         let tables = ev.into_tables();
-        assert!(tables.contains_key(&normalize_pattern(&parse_term("p(X)").unwrap())));
+        let p = normalize_pattern(&parse_term("p(X)").unwrap());
+        assert!(tables.iter().any(|t| t.pattern == p));
         assert!(tables
-            .values()
+            .iter()
             .all(|t| t.complete && t.pattern.outermost_functor() != &Term::sym(QUERY_HEAD)));
     }
 
@@ -2486,7 +2471,7 @@ mod tests {
             .collect();
         assert_eq!(names, ["c"]);
         let tables = ev.into_tables();
-        assert!(tables.values().all(|t| t.deps.values().all(|dep| {
+        assert!(tables.iter().all(|t| t.deps.values().all(|dep| {
             (dep.readers.iter()).all(|h| h.outermost_functor() != &Term::sym(QUERY_HEAD))
         })));
     }
@@ -2566,20 +2551,19 @@ mod tests {
     #[test]
     fn seeded_tables_are_neither_counted_nor_handed_back() {
         let program = game(6);
-        let index = Arc::new(ProgramIndex::build(&program, &StorageConfig::InMemory));
-        let evaluator = |tables: Tables| {
-            QueryEvaluator::over(index.clone(), EvalOptions::default(), Arc::new(tables))
-        };
-        let mut first = evaluator(Tables::default());
+        let index = ProgramIndex::build(&program, &StorageConfig::InMemory);
+        let mut base = Tables::default();
+        let mut first = QueryEvaluator::over(&index, EvalOptions::default(), &base);
         first
             .solve_atom(&parse_term("winning(move1)(p4)").unwrap())
             .unwrap();
         let seeded = first.into_tables();
         assert!(!seeded.is_empty());
+        // Handed back in key order.
+        assert!(seeded.windows(2).all(|w| w[0].pattern < w[1].pattern));
         // The second evaluator starts from those tables and needs more.
-        let mut base = Tables::default();
-        base.fill(seeded.clone().into_values(), |_| {});
-        let mut second = evaluator(base);
+        base.fill(seeded.iter().cloned(), |_| {});
+        let mut second = QueryEvaluator::over(&index, EvalOptions::default(), &base);
         second
             .solve_atom(&parse_term("winning(move1)(p2)").unwrap())
             .unwrap();
@@ -2591,8 +2575,10 @@ mod tests {
         let fresh = second.into_tables();
         assert!(!fresh.is_empty());
         assert_eq!(stats.subqueries, fresh.len());
-        assert!(fresh.keys().all(|key| !seeded.contains_key(key)));
-        assert!(fresh.values().all(|table| table.complete));
+        assert!(fresh
+            .iter()
+            .all(|t| !seeded.iter().any(|s| s.pattern == t.pattern)));
+        assert!(fresh.iter().all(|table| table.complete));
     }
 
     #[test]

@@ -258,7 +258,6 @@ impl HiLogDbBuilder {
     pub fn build(self) -> HiLogDb {
         HiLogDb {
             snap: DbSnapshot::new(self.program, self.opts, self.semantics, self.storage),
-            generation: 0,
             fact_copies: None,
             unsettled: Vec::new(),
             walk: tables::Walk::default(),
@@ -285,10 +284,6 @@ pub struct HiLogDb {
     /// their twins, see [`Twinned`]).  Its table map keeps its own edges
     /// (`Tables`), which a table-maintenance pass reads.
     snap: DbSnapshot,
-    /// Bumped by every mutation of the program.  The
-    /// [`DbWriter`] compares it with the value it
-    /// published at to know whether its program is still the published one.
-    generation: u64,
     /// How many bodiless rules of the program carry each head — the one
     /// thing a mutation has to ask of the (arbitrarily large) fact set, so
     /// it is a hash probe and not a walk over the rule list.  Writer-only:
@@ -355,14 +350,13 @@ impl HiLogDb {
     // Mutation with targeted cache invalidation
     // ------------------------------------------------------------------
 
-    /// The program for mutation — the one place the mutation generation
-    /// moves, so no change to the program can go unrecorded.  Copy-on-write:
-    /// the clone happens only while a published snapshot still holds the
-    /// previous version, and it is a clone of chunk pointers (see
-    /// [`RuleSeq`](hilog_core::RuleSeq)); the edit that follows
-    /// copies the one chunk it lands in.
+    /// The program for mutation.  Copy-on-write: the clone happens only
+    /// while a published snapshot still holds the previous version — so a
+    /// [`DbWriter`] knows its program is still the published one while the
+    /// two are one `Arc` — and it is a clone of chunk pointers (see
+    /// [`RuleSeq`](hilog_core::RuleSeq)); the edit that follows copies the
+    /// one chunk it lands in.
     fn program_mut(&mut self) -> &mut Program {
-        self.generation += 1;
         Arc::make_mut(&mut self.snap.program)
     }
 
@@ -689,11 +683,6 @@ impl HiLogDb {
     /// index into.
     pub(crate) fn working(&mut self) -> &mut DbSnapshot {
         &mut self.snap
-    }
-
-    /// The mutation generation; see the field.
-    pub(crate) fn generation(&self) -> u64 {
-        self.generation
     }
 }
 

@@ -102,7 +102,7 @@
 //! table.  The table counts as changed only by its own difference.
 //!
 //! **Fallbacks.**  The table is re-solved whole, which also records it
-//! afresh, when a dependency is missing or changed by an unknown amount;
+//! afresh, when a dependency was dropped (changed by an unknown amount);
 //! when a changed fact its pattern covers is not ground; when some member of
 //! `H` is still a variant of the pattern (the selection was made before
 //! anything bound the head: a *whole-table* reader, `p(X) :- q(Y), r(X, Y).`
@@ -131,7 +131,7 @@ use crate::magic_eval::{
     normalize_pattern, ProgramIndex, QueryEvaluator, Spares, Table, TableId, Tables,
 };
 use crate::snapshot::lock_mut;
-use hilog_core::unify::{match_with, unify_with};
+use hilog_core::unify::{match_with, rename_term, unify_with};
 use hilog_core::{Substitution, Tarjan, Term, TermSet};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -163,7 +163,7 @@ impl Tables {
 /// first — and its edges are the ones among them as they stood when the
 /// pass began (the arena itself moves on as the pass re-solves).  An edge
 /// out of the closure leads to a table the pass leaves alone, which holds
-/// nothing up, unless the map does not hold it: `dangling`.
+/// nothing up.
 #[derive(Debug, Default)]
 pub(super) struct Walk {
     /// Per arena position, its number in the closure: `usize::MAX` outside
@@ -175,8 +175,6 @@ pub(super) struct Walk {
     /// reads_at[v + 1]]`, in the order of their numbers.
     reads_at: Vec<usize>,
     reads: Vec<usize>,
-    /// Members that read a table the map does not hold.
-    dangling: Vec<bool>,
     /// The strongly connected components of the edges, dependencies before
     /// readers, mutually recursive tables as one group.
     tarjan: Tarjan,
@@ -257,8 +255,6 @@ impl Walk {
         }
         self.reads_at.rotate_right(1);
         self.reads_at[0] = 0;
-        self.dangling.clear();
-        (self.dangling).extend(self.members.iter().map(|&v| tables.reads_absent(v)));
         let Walk {
             reads_at,
             reads,
@@ -306,17 +302,13 @@ fn overlaps(pattern: &Term, probe: &Term) -> bool {
 
 /// Renames a probe term's variables into a reserved generation so that
 /// unifying it against a table's normalised pattern (whose variables are
-/// generation-0 `_N*`) can never capture a variable by name.
+/// generation-0 `_N*`) can never capture a variable by name.  A ground
+/// probe is handed back as it is: the renaming rebuilds every node.
 fn rename_apart(probe: &Term) -> Term {
     if probe.is_ground() {
         return probe.clone();
     }
-    let theta: Substitution = probe
-        .variables()
-        .iter()
-        .map(|v| (v.clone(), Term::Var(v.with_generation(u32::MAX))))
-        .collect();
-    theta.apply(probe)
+    rename_term(probe, u32::MAX)
 }
 
 /// How a table's answers moved in a pass.
@@ -388,8 +380,8 @@ impl From<Difference> for Change {
 /// covers (`direct`), and for every changed dependency `w`, answer `δ` of
 /// its difference and recorded reader `h`, the instance `θ′(h)` with `θ′`
 /// the match of `w`'s key against `δ` — normalised, each once.  `None` when
-/// the table has to be re-solved whole instead: a dependency is gone or
-/// changed by an unknown amount, a changed fact is not ground, an instance
+/// the table has to be re-solved whole instead: a dependency was dropped
+/// (changed by an unknown amount), a changed fact is not ground, an instance
 /// comes out as a variant of the pattern (a whole-table reader), or there
 /// are as many instances as the recorded evaluation has readers — what the
 /// full re-solve would replay.
@@ -400,9 +392,6 @@ fn affected_instances<'a>(
     v: usize,
     direct: impl Iterator<Item = &'a Term>,
 ) -> Option<BTreeSet<Term>> {
-    if walk.dangling[v] {
-        return None;
-    }
     let replayed: usize = old.deps.values().map(|dep| dep.readers.len()).sum();
     let mut instances = BTreeSet::new();
     let mut admit = |instance: Term| {
@@ -552,25 +541,26 @@ impl HiLogDb {
     ///    through negation the batch closed) leaves the table dropped, which
     ///    its readers see as a change of unknown extent.
     ///
-    /// A dependency missing from the map is treated as changed.  The pass
-    /// itself never leaves one (see the assertion in `DbSnapshot::fork`);
-    /// the fallback keeps a map that came in that way correct.
+    /// No dependency is missing from the map (`Tables::assert_closed`, which
+    /// every pass ends by checking wherever debug assertions run).
     pub(crate) fn settle_tables(&mut self) {
         let deltas = std::mem::take(&mut self.unsettled);
         if deltas.is_empty() {
             return;
         }
-        // The map is worked on by value: a re-solve moves it into its
-        // evaluator and back instead of cloning it.  It is the writer's own
-        // from here on: the first write after a publish takes back the twin
-        // the snapshot before it shared, caught up from the last batch, and
-        // copies the map only while a reader pins that twin.
+        // The map is worked on beside the session, and a re-solve's
+        // evaluator borrows it.  It is the writer's own from here on: the
+        // first write after a publish takes back the twin the snapshot before
+        // it shared, caught up from the last batch, and copies the map only
+        // while a reader pins that twin.
         let mut tables = std::mem::take(lock_mut(&mut self.snap.tables).make_mut());
         let mut walk = std::mem::take(&mut self.walk);
         self.settle_under(&deltas, &mut tables, &mut walk);
         walk.reset();
         walk.spares.sweep(&tables);
         self.walk = walk;
+        #[cfg(debug_assertions)]
+        tables.assert_closed();
         *lock_mut(&mut self.snap.tables).make_mut() = tables;
     }
 
@@ -653,7 +643,6 @@ impl HiLogDb {
             // holds nothing up; every other dependency has had its turn.
             let stands = group.iter().all(|&v| {
                 !direct(v)
-                    && !walk.dangling[v]
                     && (walk.reads(v).iter()).all(|&w| matches!(walk.changes[w], Change::None))
             });
             if stands {
@@ -729,11 +718,11 @@ impl HiLogDb {
 
     /// Completes the table for `pattern` (a key) in `tables` — a look when
     /// an earlier evaluation of the pass completed it on its way, otherwise
-    /// one evaluator over the whole map, moved into an `Arc` base and taken
-    /// back out of it once the evaluator is gone; every table the evaluation
-    /// completed enters the map (a re-solved one trading its old edges for
-    /// its new, and leaving the version set aside in `displaced`).  `false`
-    /// if the evaluation failed, which leaves the table absent or set aside.
+    /// one evaluator that borrows the whole map; every table the evaluation
+    /// completed enters the map once the evaluator is gone, in key order (a
+    /// re-solved one trading its old edges for its new, and leaving the
+    /// version set aside in `displaced`).  `false` if the evaluation failed,
+    /// which leaves the table absent or set aside.
     fn resolve(
         &self,
         index: &mut Option<Arc<ProgramIndex>>,
@@ -744,18 +733,11 @@ impl HiLogDb {
         if tables.contains_key(pattern) {
             return true;
         }
-        let base = Arc::new(std::mem::take(tables));
-        let mut evaluator = QueryEvaluator::over(
-            index
-                .get_or_insert_with(|| self.snap.program_index())
-                .clone(),
-            self.snap.opts,
-            Arc::clone(&base),
-        );
+        let index = index.get_or_insert_with(|| self.snap.program_index());
+        let mut evaluator = QueryEvaluator::over(index, self.snap.opts, tables);
         let settled = evaluator.settle(pattern).is_ok();
         let created = evaluator.into_tables();
-        *tables = Arc::into_inner(base).expect("the evaluator let go of the map");
-        for table in created.into_values() {
+        for table in created {
             let key = table.pattern.clone();
             if let Some(aside) = tables.insert(table) {
                 displaced.push((tables.position(&key).expect("just held"), aside));
@@ -1330,7 +1312,7 @@ mod tests {
             tables.insert(table_reading(key, deps));
             tables.assert_describes();
         };
-        // `q` is read before the map holds it (a dangling edge), `p` reads
+        // `q` is read before the map holds it (an edge to no table), `p` reads
         // itself, and a variable-named pattern is in nobody's bucket.
         put(&mut tables, &p, &[&q, &p]);
         put(&mut tables, &open, &[&p, &q]);
@@ -1393,7 +1375,7 @@ mod tests {
         tables.assert_describes();
         assert_eq!(position(&tables, &p), at);
         assert_eq!(tables.len(), 4);
-        // Tables leave; the positions they and their dangling `r` held are
+        // Tables leave; the positions they and the table-less `r` held are
         // given to whatever comes next.
         let (_, positions) = tables.footprint();
         for gone in [&p, &hilog, &open, &q] {

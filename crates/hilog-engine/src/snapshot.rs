@@ -367,15 +367,11 @@ impl DbSnapshot {
         // publish wherever debug assertions run: the map holds complete
         // tables only, every table a table read is in it too — the tables of
         // the head instances a non-ground table was re-derived at included —
-        // and its edges are those of a map rebuilt from its tables.  (The
-        // pass treats a missing dependency as changed — a fallback for a
-        // map that came in that way, not a state it produces.)
+        // and its edges are those of a map rebuilt from its tables.
         #[cfg(debug_assertions)]
         {
             let tables = lock_mut(&mut self.tables);
-            assert!(tables
-                .iter()
-                .all(|(_, t)| t.complete && t.deps.keys().all(|dep| tables.contains_key(dep))));
+            tables.assert_closed();
             tables.assert_describes();
         }
         DbSnapshot {
@@ -612,21 +608,20 @@ impl DbSnapshot {
         }
         // Seeding shares the map: one `Arc` bump, however many tables it
         // holds.  The evaluator writes only the tables it creates.
-        let mut evaluator = QueryEvaluator::over(
-            self.program_index(),
-            self.opts,
-            read_lock(&self.tables).share(),
-        );
+        let (index, base) = (self.program_index(), read_lock(&self.tables).share());
+        let mut evaluator = QueryEvaluator::over(&index, self.opts, &base);
         let solved = evaluator.answer_query(query);
         // The evaluator counts only the tables it created, so the stats
         // cover this query alone.
         let stats = evaluator.stats();
         // Tables completed before a failure are still valid and are kept;
         // only the new ones come back, so the write lock is held for
-        // O(new tables), not O(all tables).  `into_tables` drops the
-        // evaluator's share of the map before the merge takes the lock: a
-        // reader alone on this snapshot merges in place, without a copy.
-        self.merge_tables(evaluator.into_tables().into_values());
+        // O(new tables), not O(all tables).  The share of the map goes
+        // before the merge takes the lock: a reader alone on this snapshot
+        // merges in place, without a copy.
+        let created = evaluator.into_tables();
+        drop(base);
+        self.merge_tables(created);
         let answers = solved?
             .iter()
             .map(|theta| true_answer(theta, &vars))
@@ -969,13 +964,13 @@ pub struct DbWriter {
     db: HiLogDb,
     /// Epoch of the most recently published snapshot.
     epoch: u64,
-    /// The session's mutation generation when the current snapshot was
-    /// published.  While the session is still at it, the writer's program
-    /// is exactly the published snapshot's — the one condition under which
-    /// reader-computed tables are sound to adopt.  Every mutation moves the
-    /// session past it, however it is reached (the writer's wrappers or
-    /// [`db`](DbWriter::db)); reads never do.
-    published_generation: u64,
+    /// The most recently published snapshot.  While the session's program
+    /// is still the `Arc` this snapshot holds, the writer's program is
+    /// exactly the published one — the one condition under which
+    /// reader-computed tables are sound to adopt.  Any edit of the program
+    /// copies it while the snapshot shares it, however it is reached (the
+    /// writer's wrappers or [`db`](DbWriter::db)); reads never do.
+    published: Arc<DbSnapshot>,
     handle: SnapshotHandle,
 }
 
@@ -988,10 +983,10 @@ impl DbWriter {
     pub(crate) fn from_db_at(mut db: HiLogDb, epoch: u64) -> (DbWriter, SnapshotHandle) {
         let snapshot = Arc::new(db.working().fork(epoch));
         let handle = SnapshotHandle {
-            cell: Arc::new(RwLock::new(snapshot)),
+            cell: Arc::new(RwLock::new(snapshot.clone())),
         };
         let writer = DbWriter {
-            published_generation: db.generation(),
+            published: snapshot,
             db,
             epoch,
             handle: handle.clone(),
@@ -1012,7 +1007,7 @@ impl DbWriter {
 
     /// The most recently published snapshot.
     pub fn current(&self) -> Arc<DbSnapshot> {
-        self.handle.current()
+        self.published.clone()
     }
 
     /// Epoch of the most recently published snapshot.
@@ -1038,8 +1033,8 @@ impl DbWriter {
     /// *maintained* through later mutations like anything the session
     /// computed itself.
     fn adopt_reader_tables(&mut self) {
-        if self.db.generation() == self.published_generation {
-            let published = self.current();
+        if Arc::ptr_eq(&self.published.program, &self.db.working().program) {
+            let published = &self.published;
             // What readers added, not what the map holds.
             (self.db.working()).merge_tables(published.take_merged_tables());
             // The same condition makes a reader-built program index the
@@ -1118,7 +1113,7 @@ impl DbWriter {
         self.epoch += 1;
         let snapshot = Arc::new(self.db.working().fork(self.epoch));
         *write_lock(&self.handle.cell) = snapshot.clone();
-        self.published_generation = self.db.generation();
+        self.published = snapshot.clone();
         snapshot
     }
 }
